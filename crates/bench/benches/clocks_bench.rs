@@ -6,8 +6,10 @@
 //!
 //! Measures, per group size: vector-clock tick+clone (the send path),
 //! encode/decode (the wire path), the cbcast deliverability check (the
-//! receive path), merge, and the matrix-clock stability frontier.
+//! receive path), merge, the matrix-clock stability frontier recomputed
+//! from scratch, and the incremental frontier endpoints actually read.
 
+use catocs::stability::StabilityTracker;
 use clocks::matrix::MatrixClock;
 use clocks::vector::VectorClock;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -108,6 +110,27 @@ fn bench_stable_frontier(c: &mut Criterion) {
     g.finish();
 }
 
+/// What an endpoint pays per ack: fold one advanced row into the
+/// tracker, then read the frontier — the incremental counterpart of the
+/// from-scratch walk above.
+fn bench_stability_update_then_frontier(c: &mut Criterion) {
+    let mut g = c.benchmark_group("stability_update_then_frontier");
+    for &n in SIZES {
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            let mut tracker = StabilityTracker::new(n);
+            let mut row = VectorClock::new(n);
+            let mut who = 0;
+            b.iter(|| {
+                row.tick(who);
+                tracker.update_row(who, &row);
+                who = (who + 1) % n;
+                black_box(tracker.stable_frontier())
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_send_path,
@@ -115,6 +138,7 @@ criterion_group!(
     bench_delta_encode,
     bench_deliverability,
     bench_merge,
-    bench_stable_frontier
+    bench_stable_frontier,
+    bench_stability_update_then_frontier
 );
 criterion_main!(benches);

@@ -210,11 +210,6 @@ pub struct CbcastEndpoint<P> {
     buffer: BTreeMap<MsgId, DataMsg<P>>,
     /// Group-wide delivery knowledge (matrix clock) and GC frontier.
     stability: StabilityTracker,
-    /// Whether stability knowledge advanced since the last GC pass, and
-    /// the frontier that pass used — so the per-event GC probe is O(1)
-    /// instead of an O(buffer) retain on every wire event.
-    stability_dirty: bool,
-    gc_frontier: VectorClock,
     /// Known-missing messages awaiting NACK/recovery.
     missing: BTreeMap<MsgId, Missing>,
     /// Our previous data message's timestamp — the delta-encoding base.
@@ -284,8 +279,6 @@ impl<P: Clone> CbcastEndpoint<P> {
             holdback,
             buffer: BTreeMap::new(),
             stability: StabilityTracker::new(n),
-            stability_dirty: false,
-            gc_frontier: VectorClock::new(n),
             missing: BTreeMap::new(),
             last_sent_vt: VectorClock::new(n),
             // Zero-width initial bases: `decode_delta` resizes its base
@@ -610,7 +603,6 @@ impl<P: Clone> CbcastEndpoint<P> {
             self.force_full_next = true;
         }
         self.stability.set_members(members);
-        self.stability_dirty = true;
         self.stats.note_holdback(self.holdback.len() as u64);
         self.collect_garbage(now);
         // Thaw: deliver whatever queued up during the blackout. The
@@ -696,7 +688,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         self.stats.delivered += 1;
         let wire = Wire::Data(msg.clone());
         self.stats.data_overhead_bytes += wire.overhead_bytes() as u64;
-        self.stability_dirty |= self.stability.record_local_delivery(self.me, self.me, seq);
+        self.stability.record_local_delivery(self.me, self.me, seq);
         self.buffer.insert(id, msg);
         self.note_buffer();
         let delivery = Delivery {
@@ -727,7 +719,7 @@ impl<P: Clone> CbcastEndpoint<P> {
                 self.accept_data(now, msg, &mut out, &mut delivered);
             }
             Wire::AckGossip { from, delivered: d } => {
-                self.stability_dirty |= self.stability.update_row(from, &d);
+                self.stability.update_row(from, &d);
                 // Gossip also reveals messages we never received (e.g. the
                 // final message from a sender, dropped with no successor
                 // to reference it): anything the peer has delivered that
@@ -789,14 +781,12 @@ impl<P: Clone> CbcastEndpoint<P> {
         out.push((Dest::All, gossip));
         // Re-NACK overdue missing messages.
         let mut batch: Vec<MsgId> = Vec::new();
-        let mut target = None;
         for (&id, info) in self.missing.iter_mut() {
             let overdue = info.last_nack == SimTime::MAX
                 || now.saturating_since(info.last_nack) >= self.cfg.nack_timeout;
             if overdue && batch.len() < self.cfg.max_nack_batch {
                 batch.push(id);
                 info.last_nack = now;
-                target.get_or_insert(info.referenced_by);
             }
         }
         if !batch.is_empty() {
@@ -1050,7 +1040,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         // The data's timestamp doubles as the sender's delivered clock —
         // piggybacked stability information.
         if self.cfg.piggyback_acks {
-            self.stability_dirty |= self.stability.update_row(sender, &msg.vt);
+            self.stability.update_row(sender, &msg.vt);
         }
         // Duplicate (already delivered) or already held?
         if msg.id.seq <= self.vt.get(sender) || self.holdback.contains(msg.id) {
@@ -1178,7 +1168,7 @@ impl<P: Clone> CbcastEndpoint<P> {
             self.holdback.note_delivered(sender, seq);
             // Everything else in the timestamp is already delivered here,
             // so a full merge is a no-op; set() is the precise update.
-            self.stability_dirty |= self.stability.record_local_delivery(self.me, sender, seq);
+            self.stability.record_local_delivery(self.me, sender, seq);
             self.missing.remove(&msg.id);
             let was_held = pending.arrived_at < now;
             let waited_for = if was_held {
@@ -1258,16 +1248,17 @@ impl<P: Clone> CbcastEndpoint<P> {
                     .collect::<Vec<_>>()
                     .join(", "),
             });
-            self.buffer.insert(msg.id, msg.clone());
+            let id = msg.id;
             delivered.push(Delivery {
-                id: msg.id,
-                payload: msg.payload,
+                id,
+                payload: msg.payload.clone(),
                 arrived_at: pending.arrived_at,
                 delivered_at: now,
                 gseq: None,
                 waited_for,
             });
-            last_popped = Some(msg.id);
+            self.buffer.insert(id, msg);
+            last_popped = Some(id);
         }
         self.stats.note_holdback(self.holdback.len() as u64);
         self.note_buffer();
@@ -1291,18 +1282,12 @@ impl<P: Clone> CbcastEndpoint<P> {
     }
 
     fn collect_garbage(&mut self, now: SimTime) {
-        // O(1) unless stability knowledge advanced since the last pass,
-        // and no buffer walk unless the frontier itself moved — this runs
-        // on every wire event, so the common case must stay off the
-        // O(buffer) retain path.
-        if !self.stability_dirty {
+        // This runs on every wire event: O(1), and no buffer walk, until
+        // the tracker reports that the frontier itself moved.
+        if !self.stability.take_frontier_moved() {
             return;
         }
-        self.stability_dirty = false;
         let frontier = self.stability.stable_frontier();
-        if frontier == self.gc_frontier {
-            return;
-        }
         let before = self.buffer.len();
         self.buffer.retain(|id, _| id.seq > frontier.get(id.sender));
         let reclaimed = before - self.buffer.len();
@@ -1313,7 +1298,6 @@ impl<P: Clone> CbcastEndpoint<P> {
             edge: PhaseEdge::Point,
             note: format!("stable frontier {frontier:?}, {reclaimed} reclaimed"),
         });
-        self.gc_frontier = frontier;
         self.stats.stabilized += reclaimed as u64;
         self.note_buffer();
     }

@@ -145,8 +145,6 @@ pub struct PccastEndpoint<P> {
     /// Unstable messages retained for retransmission, by id.
     buffer: BTreeMap<MsgId, DataMsg<P>>,
     stability: StabilityTracker,
-    stability_dirty: bool,
-    gc_frontier: VectorClock,
     missing: BTreeMap<MsgId, Missing>,
     alive: Vec<bool>,
     cut: VectorClock,
@@ -183,8 +181,6 @@ impl<P: Clone> PccastEndpoint<P> {
             holdback,
             buffer: BTreeMap::new(),
             stability: StabilityTracker::new(n),
-            stability_dirty: false,
-            gc_frontier: VectorClock::new(n),
             missing: BTreeMap::new(),
             alive: vec![true; n],
             cut: VectorClock::new(n),
@@ -638,7 +634,6 @@ impl<P: Clone> PccastEndpoint<P> {
         self.barrier = self.cut.clone();
         self.barrier_met = self.check_barrier();
         self.stability.set_members(members);
-        self.stability_dirty = true;
         self.stats.note_holdback(self.holdback.len() as u64);
         self.collect_garbage(now);
         self.frozen = false;
@@ -690,11 +685,11 @@ impl<P: Clone> PccastEndpoint<P> {
         };
         self.stats.sent += 1;
         self.stats.delivered += 1;
-        self.stability_dirty |= self.stability.record_local_delivery(self.me, self.me, seq);
-        self.buffer.insert(id, msg.clone());
-        self.note_buffer();
+        self.stability.record_local_delivery(self.me, self.me, seq);
         let mut out = Vec::new();
         self.forward(&msg, &mut out, true);
+        self.buffer.insert(id, msg);
+        self.note_buffer();
         let delivery = Delivery {
             id,
             payload,
@@ -733,7 +728,7 @@ impl<P: Clone> PccastEndpoint<P> {
                 self.drain(now, &mut delivered, &mut out);
             }
             Wire::AckGossip { from, delivered: d } => {
-                self.stability_dirty |= self.stability.update_row(from, &d);
+                self.stability.update_row(from, &d);
                 // Gossip reveals messages we never received — pccast's
                 // only cross-link gap detector (data carries no clocks).
                 for k in 0..self.n {
@@ -1242,7 +1237,7 @@ impl<P: Clone> PccastEndpoint<P> {
         debug_assert_eq!(seq, self.vt.get(sender) + 1, "delivery must be FIFO");
         self.vt.set(sender, seq);
         self.holdback.note_delivered(sender, seq);
-        self.stability_dirty |= self.stability.record_local_delivery(self.me, sender, seq);
+        self.stability.record_local_delivery(self.me, sender, seq);
         self.missing.remove(&msg.id);
         if !self.barrier_met {
             self.barrier_met = self.check_barrier();
@@ -1294,27 +1289,23 @@ impl<P: Clone> PccastEndpoint<P> {
             stage: Stage::Delivered,
             note: String::new(),
         });
-        self.buffer.insert(msg.id, msg.clone());
         self.forward(&msg, out, false);
         delivered.push(Delivery {
             id: msg.id,
-            payload: msg.payload,
+            payload: msg.payload.clone(),
             arrived_at,
             delivered_at: now,
             gseq: None,
             waited_for: Vec::new(),
         });
+        self.buffer.insert(msg.id, msg);
     }
 
     fn collect_garbage(&mut self, now: SimTime) {
-        if !self.stability_dirty {
+        if !self.stability.take_frontier_moved() {
             return;
         }
-        self.stability_dirty = false;
         let frontier = self.stability.stable_frontier();
-        if frontier == self.gc_frontier {
-            return;
-        }
         let before = self.buffer.len();
         self.buffer.retain(|id, _| id.seq > frontier.get(id.sender));
         let reclaimed = before - self.buffer.len();
@@ -1325,7 +1316,6 @@ impl<P: Clone> PccastEndpoint<P> {
             edge: PhaseEdge::Point,
             note: format!("stable frontier {frontier:?}, {reclaimed} reclaimed"),
         });
-        self.gc_frontier = frontier;
         self.stats.stabilized += reclaimed as u64;
         self.note_buffer();
     }

@@ -204,15 +204,15 @@ impl<P> Wire<P> {
                     .sum();
                 own + appended
             }
-            Wire::AckGossip { delivered, .. } => 4 + delivered.encode().len(),
+            Wire::AckGossip { delivered, .. } => 4 + delivered.encoded_len(),
             Wire::Nack { want, .. } => 4 + MSG_ID * want.len(),
             Wire::Order { .. } => 8 + MSG_ID,
             Wire::OrderNack { .. } => 4 + 16,
             Wire::Token { .. } => 16,
             Wire::TokenAck { .. } => 8,
             Wire::Flush { proposed, .. } => 12 + 8 * proposed.members.len(),
-            Wire::FlushOk { delivered, .. } => 12 + delivered.encode().len(),
-            Wire::Install { view, cut } => 8 + 8 * view.members.len() + cut.encode().len(),
+            Wire::FlushOk { delivered, .. } => 12 + delivered.encoded_len(),
+            Wire::Install { view, cut } => 8 + 8 * view.members.len() + cut.encoded_len(),
             Wire::PcAck { .. } => 4 + 8 + 8,
             Wire::PcSkip { .. } => 4 + 8 + 8 + MSG_ID,
             Wire::Heartbeat { .. } => 4 + 8,
@@ -415,6 +415,26 @@ mod tests {
         msg.make_full();
         assert!(!msg.vt_wire.is_delta());
         assert_eq!(Wire::Data(msg).overhead_bytes(), full);
+    }
+
+    #[test]
+    fn clock_carrying_control_is_charged_the_full_encoding() {
+        let clock = VectorClock::new(64);
+        let encoded = clock.encode().len();
+        let view = View::initial(vec![simnet::process::ProcessId(0); 3]);
+        let ack: Wire<()> = Wire::AckGossip {
+            from: 0,
+            delivered: clock.clone(),
+        };
+        assert_eq!(ack.overhead_bytes(), 4 + encoded);
+        let flush_ok: Wire<()> = Wire::FlushOk {
+            view_id: view.id,
+            from: 0,
+            delivered: clock.clone(),
+        };
+        assert_eq!(flush_ok.overhead_bytes(), 12 + encoded);
+        let install: Wire<()> = Wire::Install { view, cut: clock };
+        assert_eq!(install.overhead_bytes(), 8 + 8 * 3 + encoded);
     }
 
     #[test]

@@ -76,15 +76,21 @@ impl MatrixClock {
     }
 
     /// Incorporates a gossiped row: process `who` reports its delivered
-    /// clock `row`. Returns whether any component advanced, so callers
-    /// can skip frontier recomputation when the gossip was stale.
+    /// clock `row`. Returns whether any component advanced.
     pub fn update_row(&mut self, who: usize, row: &VectorClock) -> bool {
-        let mine = &mut self.rows[who];
-        let changed = (0..row.len()).any(|i| row.get(i) > mine.get(i));
-        if changed {
-            mine.merge(row);
-        }
-        changed
+        self.update_row_with(who, row, |_, _| {})
+    }
+
+    /// [`MatrixClock::update_row`] that also calls `on_advance(s, old)`
+    /// for each component `s` of row `who` it raises above `old` — the
+    /// hook an incrementally maintained frontier hangs its bookkeeping on.
+    pub fn update_row_with(
+        &mut self,
+        who: usize,
+        row: &VectorClock,
+        on_advance: impl FnMut(usize, u64),
+    ) -> bool {
+        self.rows[who].merge_advancing(row, on_advance)
     }
 
     /// Incorporates an entire matrix received from a peer.
@@ -98,6 +104,10 @@ impl MatrixClock {
     /// number `k` such that *every* process is known to have delivered
     /// messages `1..=k` from sender `s`. Messages at or below the frontier
     /// may be garbage-collected.
+    ///
+    /// This is the from-scratch `O(n²)` walk. Endpoints read the frontier
+    /// `catocs::stability::StabilityTracker` maintains incrementally;
+    /// this one remains as the oracle its tests compare against.
     pub fn stable_frontier(&self) -> VectorClock {
         // Any never-written (zero-width) row reads as all-zeros and pins
         // the componentwise min at zero everywhere, so the O(n²) sweep

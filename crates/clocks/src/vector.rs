@@ -91,6 +91,37 @@ impl VectorClock {
         }
     }
 
+    /// Component-wise maximum that reports what it raises: `on_advance(i,
+    /// old)` runs for each component `i` lifted above its value `old`, in
+    /// one pass over the two slices. Returns whether any component rose.
+    /// Like [`VectorClock::merge`] it widens to `other`'s length, but only
+    /// when a component beyond the current width is non-zero, so a stale
+    /// row leaves a lazily allocated clock narrow.
+    pub fn merge_advancing(
+        &mut self,
+        other: &VectorClock,
+        mut on_advance: impl FnMut(usize, u64),
+    ) -> bool {
+        let shared = self.entries.len().min(other.entries.len());
+        let (head, tail) = other.entries.split_at(shared);
+        let mut advanced = false;
+        for (i, (mine, &v)) in self.entries.iter_mut().zip(head).enumerate() {
+            if v > *mine {
+                on_advance(i, *mine);
+                *mine = v;
+                advanced = true;
+            }
+        }
+        if tail.iter().any(|&v| v > 0) {
+            self.entries.extend_from_slice(tail);
+            for (i, _) in tail.iter().enumerate().filter(|(_, &v)| v > 0) {
+                on_advance(shared + i, 0);
+            }
+            advanced = true;
+        }
+        advanced
+    }
+
     /// Compares two clocks under the causal partial order.
     pub fn compare(&self, other: &VectorClock) -> ClockOrd {
         let n = self.entries.len().max(other.entries.len());
@@ -144,12 +175,17 @@ impl VectorClock {
     /// Full binary encoding: `n` little-endian `u64`s plus a 4-byte count.
     /// This is the per-message ordering overhead measured by T7.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 8 * self.entries.len());
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for &e in &self.entries {
             out.extend_from_slice(&e.to_le_bytes());
         }
         out
+    }
+
+    /// Length of [`VectorClock::encode`]'s output, without building it.
+    pub fn encoded_len(&self) -> usize {
+        4 + 8 * self.entries.len()
     }
 
     /// Decodes a full encoding.
@@ -284,6 +320,20 @@ mod tests {
     }
 
     #[test]
+    fn merge_advancing_reports_each_raised_component() {
+        let mut a = vc(&[1, 5, 0]);
+        let mut seen = Vec::new();
+        assert!(a.merge_advancing(&vc(&[3, 2, 0, 0, 7]), |i, old| seen.push((i, old))));
+        assert_eq!(a, vc(&[3, 5, 0, 0, 7]));
+        assert_eq!(seen, vec![(0, 1), (4, 0)]);
+        // Stale input: nothing reported, and no widening for zeros.
+        let mut narrow = VectorClock::new(0);
+        assert!(!narrow.merge_advancing(&vc(&[0, 0]), |_, _| panic!("nothing rose")));
+        assert!(narrow.is_empty());
+        assert!(!a.merge_advancing(&vc(&[3]), |_, _| panic!("nothing rose")));
+    }
+
+    #[test]
     fn deliverability_next_from_sender() {
         // Delivered state: seen 2 msgs from P0, 1 from P1.
         let state = vc(&[2, 1, 0]);
@@ -302,6 +352,10 @@ mod tests {
         let c = vc(&[1, 2, 3, u64::MAX]);
         assert_eq!(VectorClock::decode(&c.encode()), Some(c.clone()));
         assert_eq!(c.encode().len(), 4 + 8 * 4);
+        for n in [0, 1, 64] {
+            let c = VectorClock::new(n);
+            assert_eq!(c.encoded_len(), c.encode().len());
+        }
     }
 
     #[test]

@@ -224,6 +224,26 @@ pub struct Metrics {
     series: BTreeMap<String, TimeSeries>,
 }
 
+/// Applies `update` to the value under `name`, starting it from `init`
+/// on first use. The lookup borrows `name`; the key is allocated only
+/// when it is first inserted, since these run several times per simulated
+/// event.
+fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    init: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(v) => update(v),
+        None => {
+            let mut v = init();
+            update(&mut v);
+            map.insert(name.to_string(), v);
+        }
+    }
+}
+
 impl Metrics {
     /// Creates an empty sink.
     pub fn new() -> Self {
@@ -232,7 +252,7 @@ impl Metrics {
 
     /// Adds `by` to the named counter.
     pub fn incr(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        upsert(&mut self.counters, name, || 0, |c| *c += by);
     }
 
     /// Reads a counter (zero if never written).
@@ -242,15 +262,21 @@ impl Metrics {
 
     /// Sets the named gauge to `v`.
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        upsert(&mut self.gauges, name, || v, |g| *g = v);
     }
 
     /// Sets the named gauge to `max(current, v)`.
     pub fn gauge_max(&mut self, name: &str, v: f64) {
-        let e = self.gauges.entry(name.to_string()).or_insert(f64::MIN);
-        if v > *e {
-            *e = v;
-        }
+        upsert(
+            &mut self.gauges,
+            name,
+            || f64::MIN,
+            |g| {
+                if v > *g {
+                    *g = v;
+                }
+            },
+        );
     }
 
     /// Reads a gauge (zero if never written).
@@ -260,10 +286,7 @@ impl Metrics {
 
     /// Records a duration in the named histogram.
     pub fn observe(&mut self, name: &str, d: SimDuration) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(d);
+        upsert(&mut self.histograms, name, Histogram::new, |h| h.record(d));
     }
 
     /// Reads a histogram, if it exists.
@@ -274,10 +297,12 @@ impl Metrics {
     /// Appends a sample to the named time series (created on first use
     /// with [`DEFAULT_SERIES_CAPACITY`]).
     pub fn sample(&mut self, name: &str, at: SimTime, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_insert_with(|| TimeSeries::new(DEFAULT_SERIES_CAPACITY))
-            .push(at, value);
+        upsert(
+            &mut self.series,
+            name,
+            || TimeSeries::new(DEFAULT_SERIES_CAPACITY),
+            |s| s.push(at, value),
+        );
     }
 
     /// Reads a time series, if it exists.

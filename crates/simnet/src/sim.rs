@@ -3,7 +3,7 @@
 use crate::event::{EventKind, EventQueue};
 use crate::metrics::Metrics;
 use crate::net::{NetConfig, NetState};
-use crate::process::{Ctx, Process, ProcessId, TimerId};
+use crate::process::{Ctx, Outgoing, Process, ProcessId, TimerId, TimerReq};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceEvent};
 use rand::rngs::SmallRng;
@@ -86,6 +86,8 @@ impl SimBuilder {
             sample_every: self.sample_every,
             next_sample: self.sample_every.map(|c| SimTime::ZERO + c),
             group_sampler: None,
+            outgoing: Vec::new(),
+            timers: Vec::new(),
         }
     }
 }
@@ -105,6 +107,10 @@ pub struct Sim<M> {
     sample_every: Option<SimDuration>,
     next_sample: Option<SimTime>,
     group_sampler: Option<GroupSampler>,
+    /// The send and timer buffers lent to each callback's [`Ctx`], kept
+    /// between callbacks for their capacity (empty in between).
+    outgoing: Vec<Outgoing<M>>,
+    timers: Vec<TimerReq>,
 }
 
 /// A whole-group sampling hook, run after the per-process gauge pass on
@@ -452,6 +458,8 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             metrics,
             stop,
             alive,
+            outgoing,
+            timers,
             ..
         } = self;
         let n_processes = procs.len();
@@ -459,8 +467,8 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             me: proc,
             now: *now,
             rng,
-            outgoing: Vec::new(),
-            timers: Vec::new(),
+            outgoing: std::mem::take(outgoing),
+            timers: std::mem::take(timers),
             trace,
             metrics,
             n_processes,
@@ -473,14 +481,15 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             Stimulus::Timer(t) => p.on_timer(&mut ctx, t),
             Stimulus::Recover => p.on_recover(&mut ctx),
         }
-        let outgoing = std::mem::take(&mut ctx.outgoing);
-        let timers = std::mem::take(&mut ctx.timers);
+        let mut sent = std::mem::take(&mut ctx.outgoing);
+        let mut armed = std::mem::take(&mut ctx.timers);
         drop(ctx);
         let _ = alive;
-        for t in timers {
+        for t in armed.drain(..) {
             queue.push(*now + t.after, EventKind::Timer { proc, timer: t.id });
         }
-        for o in outgoing {
+        *timers = armed;
+        for o in sent.drain(..) {
             metrics.incr("net.sent", 1);
             let label = if trace.is_enabled() {
                 o.label
@@ -554,6 +563,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
                 },
             );
         }
+        *outgoing = sent;
     }
 }
 

@@ -1,0 +1,102 @@
+//! Root-package smoke test: one short lossy run per delivery discipline,
+//! pinned to a digest of everything virtual time decides — who delivered
+//! what, when it arrived, when it was released, and how many sends the
+//! network saw. A change that is meant to be wall-clock only (fewer
+//! allocations, cheaper bookkeeping) must leave every constant alone; one
+//! that moves a wire message, a timer, an RNG draw or a delivery order
+//! fails here, under the Tier-1 `cargo test -q`.
+
+use catocs::endpoint::Discipline;
+use catocs::group::CausalDiscipline::{self, Cbcast, Pccast};
+use catocs::group::GroupConfig;
+use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
+use catocs::wire::Wire;
+use simnet::net::NetConfig;
+use simnet::sim::SimBuilder;
+use simnet::time::{SimDuration, SimTime};
+
+/// Multicasts its member index on every tick until the quota is spent.
+struct Chatter {
+    remaining: u32,
+}
+
+impl GroupApp<u32> for Chatter {
+    fn on_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<u32> {
+        if self.remaining == 0 {
+            return Vec::new();
+        }
+        self.remaining -= 1;
+        vec![ctx.me as u32]
+    }
+}
+
+/// FNV-1a over a stream of words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// Runs 8 members × 6 multicasts at 6 % loss and digests every member's
+/// delivery log (in member order) followed by `net.sent`.
+fn digest(discipline: Discipline, causal: CausalDiscipline) -> (u64, u64) {
+    let mut sim = SimBuilder::new(15)
+        .net(NetConfig::lossy_lan(0.06))
+        .build::<Wire<u32>>();
+    let cfg = GroupConfig {
+        discipline: causal,
+        ..GroupConfig::default()
+    };
+    let members = spawn_group(
+        &mut sim,
+        8,
+        discipline,
+        cfg,
+        Some(SimDuration::from_millis(15)),
+        |_| Chatter { remaining: 6 },
+    );
+    sim.run_until(SimTime::from_secs(4));
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let mut deliveries = 0;
+    for &m in &members {
+        let node = sim
+            .process::<GroupNode<u32, Chatter>>(m)
+            .expect("every member was spawned");
+        for d in &node.delivered_log {
+            h.word(d.id.sender as u64);
+            h.word(d.id.seq);
+            h.word(u64::from(d.payload));
+            h.word(d.arrived_at.as_micros());
+            h.word(d.delivered_at.as_micros());
+            h.word(d.gseq.map_or(u64::MAX, |g| g));
+            deliveries += 1;
+        }
+    }
+    h.word(sim.metrics().counter("net.sent"));
+    (deliveries, h.0)
+}
+
+/// The constants were computed on the commit before the incremental
+/// stability frontier (PR 15) and must survive any wall-clock-only change.
+#[test]
+fn every_discipline_replays_its_pinned_digest() {
+    let abcast = Discipline::Total { sequencer: 0 };
+    let token = Discipline::TotalToken;
+    let cases = [
+        ("fifo", Discipline::Fifo, Cbcast, 0xfe5c_9c0f_f589_84df_u64),
+        ("cbcast", Discipline::Causal, Cbcast, 0x8461_dda7_02d2_2938),
+        ("pccast", Discipline::Causal, Pccast, 0x5d93_336b_03dc_9781),
+        ("abcast", abcast, Cbcast, 0xbf2d_04d1_f3bc_dfd5),
+        ("token", token, Cbcast, 0xc1d4_4c49_da59_29a6),
+    ];
+    for (name, discipline, causal, pinned) in cases {
+        let (deliveries, got) = digest(discipline, causal);
+        // Everyone delivers all 8 × 6 multicasts, their own included.
+        assert_eq!(deliveries, 8 * 8 * 6, "{name}: lost deliveries");
+        assert_eq!(got, pinned, "{name}: digest {got:#018x} moved");
+    }
+}
