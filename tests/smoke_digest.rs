@@ -10,6 +10,7 @@ use catocs::endpoint::Discipline;
 use catocs::group::CausalDiscipline::{self, Cbcast, Pccast};
 use catocs::group::GroupConfig;
 use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
+use catocs::vsync::{run_campaign, CampaignConfig};
 use catocs::wire::Wire;
 use simnet::net::NetConfig;
 use simnet::sim::SimBuilder;
@@ -98,5 +99,51 @@ fn every_discipline_replays_its_pinned_digest() {
         // Everyone delivers all 8 × 6 multicasts, their own included.
         assert_eq!(deliveries, 8 * 8 * 6, "{name}: lost deliveries");
         assert_eq!(got, pinned, "{name}: digest {got:#018x} moved");
+    }
+}
+
+/// Static groups never freeze, flush or install a view; the fault
+/// campaigns do. Each cell pins `(digest, delivered_total,
+/// views_installed)` of one default-shape campaign, recorded before the
+/// causal disciplines were moved onto a shared core.
+#[test]
+fn churn_campaigns_replay_their_pinned_digests() {
+    let cells = [
+        ("cbcast-full", Cbcast, false),
+        ("cbcast-delta", Cbcast, true),
+        ("pccast", Pccast, false),
+    ];
+    let pinned: [[(u64, u64, u64); 3]; 3] = [
+        [
+            (0xa333_3f1d_03ca_b3cb, 2058, 3),
+            (0xa333_3f1d_03ca_b3cb, 2058, 3),
+            (0x8358_b32e_0e60_4f49, 2029, 3),
+        ],
+        [
+            (0x55fe_88bf_d8bb_989b, 1439, 3),
+            (0xc469_4353_e2dd_de7b, 1441, 3),
+            (0xd388_984f_79a1_7dc0, 1420, 4),
+        ],
+        [
+            (0xda09_cdd9_ea7c_63b1, 1403, 4),
+            (0x5ed1_c474_d756_0173, 1449, 4),
+            (0xd230_224e_fcda_601b, 1461, 4),
+        ],
+    ];
+    for (seed, row) in [2, 23, 137].into_iter().zip(pinned) {
+        for ((name, discipline, delta_timestamps), want) in cells.into_iter().zip(row) {
+            let cfg = CampaignConfig {
+                group: GroupConfig {
+                    discipline,
+                    delta_timestamps,
+                    ..GroupConfig::default()
+                },
+                ..CampaignConfig::default()
+            };
+            let r = run_campaign(seed, &cfg);
+            assert!(r.views_installed >= 2, "{name} seed {seed}: no churn");
+            let got = (r.digest, r.delivered_total, r.views_installed);
+            assert_eq!(got, want, "{name} seed {seed}: {got:#x?} moved");
+        }
     }
 }
