@@ -10,7 +10,7 @@
 //! experiments latency --seed 2 --bug wedged_flush [--msg m0.3] [--discipline abcast] [--compare]
 //! experiments waitgraph --seed 2 --bug no-flush-retry [--at MS]
 //! experiments t7plus --perfetto out.json
-//! experiments bench --json BENCH_new.json [--wall]
+//! experiments bench --json BENCH_new.json
 //! experiments benchdiff BENCH_baseline.json BENCH_new.json --gate 10
 //! ```
 
@@ -26,7 +26,7 @@ fn print_usage() {
          |latency --seed N [--msg mS.Q] [--bug KNOB] \
          [--discipline cbcast|pccast|abcast|token|fifo] [--compare]\
          |waitgraph --seed N [--at MS] [--bug KNOB] [--discipline cbcast|pccast]\
-         |bench [--json FILE] [--wall]\
+         |bench [--json FILE]\
          |benchdiff OLD.json NEW.json [--gate PCT]]...\n\
          KNOB: no-detector-reset | no-flush-retry (alias wedged-flush) | no-chain-reset\n\
          --discipline: which causal algorithm the chaos campaigns run (vector-timestamp cbcast, default, or constant-metadata pccast)"
@@ -77,8 +77,8 @@ fn main() {
                      disciplines at N=64); \
                      waitgraph — ranked stall report (--seed N, --at MS \
                      picks a snapshot); \
-                     bench — performance telemetry snapshot (--json FILE, \
-                     --wall); benchdiff OLD NEW — compare snapshots \
+                     bench — performance telemetry snapshot (--json FILE); \
+                     benchdiff OLD NEW — compare snapshots \
                      (--gate PCT fails on regressions); \
                      all. --perfetto FILE exports a trace (f1, t7plus)."
                 );
@@ -170,7 +170,6 @@ fn main() {
             }
             "bench" => {
                 let mut json_path: Option<String> = None;
-                let mut wall = false;
                 while i < args.len() {
                     match args[i].as_str() {
                         "--json" => {
@@ -180,14 +179,10 @@ fn main() {
                             }));
                             i += 2;
                         }
-                        "--wall" => {
-                            wall = true;
-                            i += 1;
-                        }
                         _ => break,
                     }
                 }
-                let snap = ex::bench::collect(wall);
+                let snap = ex::bench::collect();
                 println!("{}", ex::bench::render(&snap));
                 if let Some(path) = json_path {
                     let json = snap.to_json();

@@ -17,8 +17,8 @@
 //!
 //! Virtual-time metrics are exactly reproducible (`det: true`) and make
 //! up the whole default snapshot, so rerunning the same seed produces a
-//! byte-identical file. Wall-clock throughput is collected only with
-//! `--wall` and marked `det: false`: informational, never gated.
+//! byte-identical file. Wall-clock cost is the business of the separate
+//! `benchmark/` package.
 
 use crate::experiments::latency::{self, LatencyDiscipline};
 use crate::table::Table;
@@ -78,7 +78,6 @@ struct GroupRun {
     hold: Histogram,
     /// (series name, max over the run) for every sampled series.
     series_max: Vec<(String, f64)>,
-    wall_secs: f64,
 }
 
 fn run_group(discipline: Discipline) -> GroupRun {
@@ -96,9 +95,7 @@ fn run_group(discipline: Discipline) -> GroupRun {
             remaining: GROUP_MSGS,
         },
     );
-    let start = std::time::Instant::now();
     let events = sim.run_until(GROUP_HORIZON);
-    let wall_secs = start.elapsed().as_secs_f64();
     let m = sim.metrics();
     GroupRun {
         delivered: m.counter("group.delivered"),
@@ -108,11 +105,10 @@ fn run_group(discipline: Discipline) -> GroupRun {
             .series()
             .map(|(name, s)| (name.to_string(), s.max_value()))
             .collect(),
-        wall_secs,
     }
 }
 
-fn push_group(snap: &mut BenchSnapshot, prefix: &str, r: &GroupRun, wall: bool) {
+fn push_group(snap: &mut BenchSnapshot, prefix: &str, r: &GroupRun) {
     let vsecs = GROUP_HORIZON.as_secs_f64();
     snap.push(
         format!("{prefix}.delivered"),
@@ -168,31 +164,9 @@ fn push_group(snap: &mut BenchSnapshot, prefix: &str, r: &GroupRun, wall: bool) 
             );
         }
     }
-    if wall {
-        snap.push(
-            format!("{prefix}.wall_secs"),
-            r.wall_secs,
-            "s",
-            Direction::LowerIsBetter,
-            false,
-        );
-        snap.push(
-            format!("{prefix}.events_per_wallsec"),
-            r.events as f64 / r.wall_secs.max(1e-9),
-            "ev/s",
-            Direction::HigherIsBetter,
-            false,
-        );
-    }
 }
 
-fn push_point(
-    snap: &mut BenchSnapshot,
-    prefix: &str,
-    p: &t7plus::HotPathPoint,
-    wall_secs: f64,
-    wall: bool,
-) {
+fn push_point(snap: &mut BenchSnapshot, prefix: &str, p: &t7plus::HotPathPoint) {
     let vsecs = p.virtual_elapsed_us as f64 / 1e6;
     snap.push(
         format!("{prefix}.bytes_per_msg"),
@@ -236,22 +210,6 @@ fn push_point(
         Direction::HigherIsBetter,
         true,
     );
-    if wall {
-        snap.push(
-            format!("{prefix}.wall_secs"),
-            wall_secs,
-            "s",
-            Direction::LowerIsBetter,
-            false,
-        );
-        snap.push(
-            format!("{prefix}.events_per_wallsec"),
-            p.wire_events as f64 / wall_secs.max(1e-9),
-            "ev/s",
-            Direction::HigherIsBetter,
-            false,
-        );
-    }
 }
 
 /// Pushes the latency-provenance rows for one discipline: wire-transit
@@ -308,24 +266,21 @@ fn push_latency(snap: &mut BenchSnapshot, d: LatencyDiscipline, summaries: &[Lat
     );
 }
 
-/// Collects the full snapshot. With `wall` false (the default) every
-/// metric is virtual-time deterministic and the serialized snapshot is
-/// byte-identical across reruns; with `wall` true, wall-clock throughput
-/// rides along marked `det: false`.
-pub fn collect(wall: bool) -> BenchSnapshot {
+/// Collects the full snapshot. Every metric is virtual-time
+/// deterministic, so the serialized snapshot is byte-identical across
+/// reruns.
+pub fn collect() -> BenchSnapshot {
     let mut snap = BenchSnapshot::new(SNAPSHOT_SEED);
 
     // T7+ hot-path grid at fixed N.
     for (indexed, delta) in [(false, false), (false, true), (true, false), (true, true)] {
-        let start = std::time::Instant::now();
         let p = t7plus::measure(GRID_N, indexed, delta);
-        let wall_secs = start.elapsed().as_secs_f64();
         let prefix = format!(
             "t7plus.n{GRID_N}.{}.{}",
             if indexed { "indexed" } else { "scan" },
             if delta { "delta" } else { "full" },
         );
-        push_point(&mut snap, &prefix, &p, wall_secs, wall);
+        push_point(&mut snap, &prefix, &p);
     }
 
     // T7+ N-scaling: best cbcast configuration (indexed+delta), the
@@ -379,12 +334,11 @@ pub fn collect(wall: bool) -> BenchSnapshot {
 
     // Sampler-instrumented simulated groups.
     let causal = run_group(Discipline::Causal);
-    push_group(&mut snap, "group.causal", &causal, wall);
+    push_group(&mut snap, "group.causal", &causal);
     let token = run_group(Discipline::TotalToken);
-    push_group(&mut snap, "group.token", &token, wall);
+    push_group(&mut snap, "group.token", &token);
 
     // Chaos campaign cut (indexed + delta, the shipping configuration).
-    let start = std::time::Instant::now();
     let mut delivered = 0u64;
     let mut events = 0u64;
     let mut violations = 0u64;
@@ -404,7 +358,6 @@ pub fn collect(wall: bool) -> BenchSnapshot {
         stall_worst_scc = stall_worst_scc.max(r.stalls.worst_scc_size as u64);
         cbcast_lat.push(r.latency);
     }
-    let chaos_wall = start.elapsed().as_secs_f64();
     snap.push(
         "chaos.delivered",
         delivered as f64,
@@ -466,15 +419,6 @@ pub fn collect(wall: bool) -> BenchSnapshot {
         Direction::LowerIsBetter,
         true,
     );
-    if wall {
-        snap.push(
-            "chaos.wall_secs",
-            chaos_wall,
-            "s",
-            Direction::LowerIsBetter,
-            false,
-        );
-    }
 
     // Latency-provenance rows per discipline (the ledger's phase
     // attribution): the chaos disciplines fold the same CHAOS_SEEDS
@@ -531,11 +475,11 @@ pub fn render(snap: &BenchSnapshot) -> Table {
                 Direction::HigherIsBetter => "higher",
             }
             .into(),
-            if m.det { "yes" } else { "no (wall)" }.into(),
+            if m.det { "yes" } else { "no" }.into(),
         ]);
     }
     t.note("deterministic metrics are exact under the seed and gated by");
-    t.note("`experiments benchdiff`; wall-clock rows (--wall) are host noise.");
+    t.note("`experiments benchdiff`.");
     t
 }
 
@@ -546,7 +490,7 @@ mod tests {
 
     #[test]
     fn snapshot_covers_every_workload() {
-        let s = collect(false);
+        let s = collect();
         for name in [
             "t7plus.n64.scan.full.work_per_event",
             "t7plus.n64.indexed.delta.bytes_per_msg",
@@ -643,22 +587,14 @@ mod tests {
 
     #[test]
     fn default_snapshot_is_byte_identical_across_reruns() {
-        let a = collect(false).to_json();
-        let b = collect(false).to_json();
+        let a = collect().to_json();
+        let b = collect().to_json();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn wall_metrics_only_appear_on_request() {
-        let s = collect(false);
-        assert!(s.get("group.causal.wall_secs").is_none());
-        // (collect(true) is exercised by the CLI; avoiding a third full
-        // collection keeps this suite fast.)
-    }
-
-    #[test]
     fn snapshot_round_trips_and_self_diffs_clean() {
-        let s = collect(false);
+        let s = collect();
         let json = s.to_json();
         let back = telemetry::BenchSnapshot::parse(&json).expect("parses");
         assert_eq!(back.to_json(), json);

@@ -78,13 +78,13 @@ impl MemberNode {
     fn handle_action(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, action: FlushAction) {
         match action {
             FlushAction::RetransmitUnstable => {
-                let flushed = self.endpoint.flush_unstable();
+                let flushed = self.endpoint.core_mut().flush_unstable();
                 ctx.metrics()
                     .incr("t11.flush_retransmits", flushed.len() as u64);
                 self.route(ctx, flushed);
                 // Delivery blackout: our FlushOk clock must stay an upper
                 // bound on what we have delivered until the view installs.
-                self.endpoint.freeze(ctx.now());
+                self.endpoint.core_mut().freeze(ctx.now());
             }
             FlushAction::ViewInstalled { view, cut } => {
                 let members: Vec<usize> = view.members.iter().map(|p| p.0).collect();
@@ -111,7 +111,7 @@ impl Process<Wire<u64>> for MemberNode {
                 self.route(ctx, out);
             }
             Wire::Flush { .. } | Wire::FlushOk { .. } | Wire::Install { .. } => {
-                let clock = self.endpoint.clock().clone();
+                let clock = self.endpoint.core().clock().clone();
                 let (action, out) = self.engine.on_wire(ctx.now(), &msg, &clock);
                 self.route(ctx, out);
                 self.handle_action(ctx, action);
@@ -142,12 +142,12 @@ impl Process<Wire<u64>> for MemberNode {
                 self.detector.check(ctx.now());
                 let suspects = self.detector.suspects();
                 if !suspects.is_empty() {
-                    let clock = self.endpoint.clock().clone();
+                    let clock = self.endpoint.core().clock().clone();
                     let (action, out) = self.engine.suspect(ctx.now(), &suspects, &clock);
                     self.route(ctx, out);
                     self.handle_action(ctx, action);
                 }
-                let clock = self.endpoint.clock().clone();
+                let clock = self.endpoint.core().clock().clone();
                 let retries = self.engine.on_tick(ctx.now(), &clock);
                 self.route(ctx, retries);
                 ctx.set_timer(TICK, TICK_EVERY);

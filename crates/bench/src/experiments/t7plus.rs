@@ -160,7 +160,7 @@ pub fn measure_with_probe(
             }
         }
         metrics.incr("t7p.delivered", dels.len() as u64);
-        metrics.gauge_max("t7p.holdback_peak", observer.holdback_len() as f64);
+        metrics.gauge_max("t7p.holdback_peak", observer.core().holdback_len() as f64);
         metrics.gauge_max("t7p.parked_peak", observer.parked_len() as f64);
         for (_, ow) in outs {
             if let Wire::Nack { want, .. } = ow {
@@ -267,7 +267,7 @@ pub fn measure_pccast_with_probe(n: usize, probe: ProbeHandle) -> PcPoint {
         .map(|i| PccastEndpoint::new(i, n, cfg.clone()))
         .collect();
     for s in &mut senders {
-        s.set_probe(probe.clone());
+        s.core_mut().set_probe(probe.clone());
     }
 
     // Phase 1: round-robin multicasts, relayed to quiescence among the
@@ -303,7 +303,7 @@ pub fn measure_pccast_with_probe(n: usize, probe: ProbeHandle) -> PcPoint {
     // The stream is complete (no loss), so no NACK service is needed:
     // every stalled link head resolves when the earlier positions land.
     let mut observer = PccastEndpoint::<u64>::new(observer_id, n, cfg);
-    observer.set_probe(probe);
+    observer.core_mut().set_probe(probe);
     let mut at = total as u64;
     let mut hold_hist = Histogram::new();
     let mut wire_events = 0u64;
@@ -326,9 +326,9 @@ pub fn measure_pccast_with_probe(n: usize, probe: ProbeHandle) -> PcPoint {
     let mut control = 0u64;
     let mut sent = 0u64;
     for s in &senders {
-        overhead += s.stats().data_overhead_bytes;
-        control += s.stats().control_bytes;
-        sent += s.stats().sent;
+        overhead += s.core().stats().data_overhead_bytes;
+        control += s.core().stats().control_bytes;
+        sent += s.core().stats().sent;
     }
     PcPoint {
         n,

@@ -81,7 +81,9 @@ impl Process<Wire<u64>> for CbPrimary {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, _f: ProcessId, m: Wire<u64>) {
         let (_d, out) = self.endpoint.on_wire(ctx.now(), m);
         route_cb(ctx, 0, REPLICAS, out);
-        let ready = self.tracker.advance(self.endpoint.stability(), ctx.now());
+        let ready = self
+            .tracker
+            .advance(self.endpoint.core().stability(), ctx.now());
         self.done += ready.len() as u32;
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, t: TimerId) {
@@ -89,7 +91,9 @@ impl Process<Wire<u64>> for CbPrimary {
             TICK => {
                 let out = self.endpoint.on_tick(ctx.now());
                 route_cb(ctx, 0, REPLICAS, out);
-                let ready = self.tracker.advance(self.endpoint.stability(), ctx.now());
+                let ready = self
+                    .tracker
+                    .advance(self.endpoint.core().stability(), ctx.now());
                 self.done += ready.len() as u32;
                 ctx.set_timer(TICK, SimDuration::from_millis(10));
             }

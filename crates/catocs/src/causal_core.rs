@@ -1,0 +1,803 @@
+//! The reliability shell both causal disciplines share.
+//!
+//! The paper's §3.4/§5 charge CATOCS for one bundle of machinery: buffer
+//! every message until it is *stable* (known delivered everywhere), chase
+//! the missing ones via NACK, gossip delivered clocks to find the stable
+//! frontier, and freeze delivery across a view-change flush. `cbcast` and
+//! `pccast` differ only in how they decide a message is deliverable —
+//! vector timestamps against a holdback queue, or arrival order on FIFO
+//! overlay links — so everything around that decision lives here, once.
+//!
+//! Each endpoint embeds a [`CausalCore`] by value and drives it; the core
+//! never asks which discipline it serves. The one thing cbcast knows that
+//! the core cannot — a delta-stamped copy already *parked* awaiting its
+//! decode base is not missing — is passed in as a predicate.
+
+use crate::cbcast::{wait_reason, BlockedReport, WaitCause, WaitStatus};
+use crate::group::{GroupConfig, MsgId};
+use crate::holdback::HoldbackQueue;
+use crate::stability::StabilityTracker;
+use crate::waitgraph::{WaitEdge, WaitNode};
+use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
+use clocks::vector::VectorClock;
+use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
+use simnet::time::SimTime;
+use std::collections::BTreeMap;
+
+/// The observability span for a message: its id, viewed group-wide.
+pub(crate) fn span_of(id: MsgId) -> SpanId {
+    SpanId {
+        origin: id.sender,
+        seq: id.seq,
+    }
+}
+
+/// The highest seq of sender `k` that `msg`'s timestamp says precedes it:
+/// its FIFO predecessor for its own sender, the carried clock component
+/// for everyone else.
+pub(crate) fn referenced<P>(msg: &DataMsg<P>, k: usize) -> u64 {
+    if k == msg.id.sender {
+        msg.id.seq.saturating_sub(1)
+    } else {
+        msg.vt.get(k)
+    }
+}
+
+/// Tracking for a message we know exists but have not received.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Missing {
+    /// Who referenced it (we NACK them first — the paper's §5: "the
+    /// receiver of a new message assumes it can get copies of the causally
+    /// referenced messages from the sender of the new message").
+    referenced_by: usize,
+    /// Last time we NACKed for it ([`SimTime::MAX`] = never).
+    last_nack: SimTime,
+}
+
+/// State and behaviour common to [`crate::cbcast::CbcastEndpoint`] and
+/// [`crate::pccast::PccastEndpoint`]: the delivered clock, the holdback
+/// queue, the unstable-message buffer with its stability tracker and GC,
+/// the missing/NACK machinery, view membership with the flush cut, and
+/// the delivery freeze.
+#[derive(Debug)]
+pub struct CausalCore<P> {
+    pub(crate) me: usize,
+    pub(crate) n: usize,
+    pub(crate) cfg: GroupConfig,
+    /// Delivered clock: `vt[k]` = number of messages from `k` delivered
+    /// here (own sends count as delivered-at-send).
+    pub(crate) vt: VectorClock,
+    /// Messages received with a full timestamp but not yet causally
+    /// deliverable.
+    pub(crate) holdback: HoldbackQueue<P>,
+    /// Unstable messages retained for retransmission, by id.
+    pub(crate) buffer: BTreeMap<MsgId, DataMsg<P>>,
+    /// Group-wide delivery knowledge (matrix clock) and GC frontier.
+    pub(crate) stability: StabilityTracker,
+    /// Known-missing messages awaiting NACK/recovery.
+    pub(crate) missing: BTreeMap<MsgId, Missing>,
+    /// Which senders are members of the current view. Removed senders'
+    /// messages are accepted only up to the flush cut.
+    pub(crate) alive: Vec<bool>,
+    /// Merged flush cut over all installed views: for a removed sender
+    /// `s`, messages with `seq <= cut[s]` are part of the old view's
+    /// agreed history and still deliverable; beyond it they are rejected.
+    pub(crate) cut: VectorClock,
+    /// Delivery blackout: while a flush is in progress (between sending
+    /// our `FlushOk` clock and installing the view) nothing may be
+    /// delivered, or this member could run past the clock it promised
+    /// the coordinator and deliver a removed sender's message beyond the
+    /// agreed cut. Incoming messages still accumulate; the endpoint's
+    /// `on_view_install` thaws and drains.
+    pub(crate) frozen: bool,
+    /// When the current freeze began (None when not frozen) — the
+    /// latency ledger splits install-time waits at this point into a
+    /// classified wait and a flush-barrier wait.
+    frozen_since: Option<SimTime>,
+    /// Set for the duration of the install-time drain: the freeze
+    /// instant the just-ended flush began at.
+    install_thaw: Option<SimTime>,
+    /// Observability sink. Disabled by default; emissions are read-only
+    /// with respect to protocol state, so a probed run is byte-identical
+    /// to an unprobed one.
+    pub(crate) probe: ProbeHandle,
+    pub(crate) stats: EndpointStats,
+    /// What one buffered message is charged in the buffered-bytes gauge:
+    /// payload plus the discipline's per-message wire state.
+    buffered_msg_bytes: u64,
+}
+
+impl<P: Clone> CausalCore<P> {
+    /// The shell for member `me` of a group of `n`; `wire_state_bytes` is
+    /// the per-message ordering state the discipline keeps on the wire.
+    pub(crate) fn new(me: usize, n: usize, cfg: GroupConfig, wire_state_bytes: usize) -> Self {
+        assert!(me < n, "member index out of range");
+        CausalCore {
+            me,
+            n,
+            vt: VectorClock::new(n),
+            holdback: HoldbackQueue::new(cfg.indexed_holdback, n),
+            buffer: BTreeMap::new(),
+            stability: StabilityTracker::new(n),
+            missing: BTreeMap::new(),
+            alive: vec![true; n],
+            cut: VectorClock::new(n),
+            frozen: false,
+            frozen_since: None,
+            install_thaw: None,
+            probe: ProbeHandle::none(),
+            stats: EndpointStats::default(),
+            buffered_msg_bytes: (cfg.payload_bytes + wire_state_bytes) as u64,
+            cfg,
+        }
+    }
+
+    /// Installs an observability probe. Span and phase events flow to it
+    /// from every delivery-path method; with the default (disabled)
+    /// handle nothing is even formatted.
+    pub fn set_probe(&mut self, probe: ProbeHandle) {
+        self.probe = probe;
+    }
+
+    /// Suspends all delivery until the next view install. Called when
+    /// this member enters a flush: its `FlushOk` clock must stay an upper
+    /// bound on what it has delivered until the cut is agreed. Receiving,
+    /// buffering and NACK recovery continue.
+    pub fn freeze(&mut self, now: SimTime) {
+        if !self.frozen {
+            self.frozen_since = Some(now);
+            self.probe.emit(|| ObsEvent::Phase {
+                at: now,
+                who: self.me,
+                kind: PhaseKind::Flush,
+                edge: PhaseEdge::Begin,
+                note: format!("{} unstable buffered", self.buffer.len()),
+            });
+        }
+        self.frozen = true;
+    }
+
+    /// Whether delivery is currently frozen by a flush in progress.
+    pub fn is_frozen(&self) -> bool {
+        self.frozen
+    }
+
+    /// This member's index.
+    pub fn me(&self) -> usize {
+        self.me
+    }
+
+    /// The delivered vector clock.
+    pub fn clock(&self) -> &VectorClock {
+        &self.vt
+    }
+
+    /// Endpoint statistics.
+    pub fn stats(&self) -> &EndpointStats {
+        &self.stats
+    }
+
+    /// The stability tracker (for experiments that inspect frontiers).
+    pub fn stability(&self) -> &StabilityTracker {
+        &self.stability
+    }
+
+    /// Number of unstable messages currently buffered.
+    pub fn buffered_len(&self) -> usize {
+        self.buffer.len()
+    }
+
+    /// Current holdback-queue length.
+    pub fn holdback_len(&self) -> usize {
+        self.holdback.len()
+    }
+
+    /// Retransmits every unstable buffered message to the whole group
+    /// with full timestamps — the flush step of a view change (each
+    /// survivor pushes what it has so the new view starts from a common
+    /// message set).
+    pub fn flush_unstable(&mut self) -> Vec<Out<P>> {
+        let mut out = Vec::new();
+        for m in self.buffer.values() {
+            let w = Wire::Data(Self::repair_copy(m));
+            self.stats.control_bytes += w.overhead_bytes() as u64;
+            out.push((Dest::All, w));
+        }
+        out
+    }
+
+    /// The current group-wide stable frontier (for instrumentation).
+    pub fn stable_frontier(&self) -> VectorClock {
+        self.stability.stable_frontier()
+    }
+
+    /// How far this endpoint's delivered clock runs ahead of the
+    /// group-wide stable frontier, in messages — the §5 stability-horizon
+    /// lag. Every unit of lag is a message that must stay buffered for
+    /// possible retransmission.
+    ///
+    /// Summed componentwise, not total-vs-total: after an eviction the
+    /// surviving members' frontier can run *ahead* of an evicted-live
+    /// node's clock in some components, and a saturating difference of
+    /// totals would let that surplus cancel real lag in others, reporting
+    /// zero while unstable messages still sit in the buffer.
+    pub fn stability_lag(&self) -> u64 {
+        let frontier = self.stability.stable_frontier();
+        (0..self.n)
+            .map(|s| self.vt.get(s).saturating_sub(frontier.get(s)))
+            .sum()
+    }
+
+    /// A retransmittable copy of a buffered message: always the full
+    /// timestamp encoding, so the requester can decode it without
+    /// per-sender delta context or link position.
+    pub(crate) fn repair_copy(m: &DataMsg<P>) -> DataMsg<P> {
+        let mut copy = m.clone();
+        copy.retransmit = true;
+        copy.make_full();
+        copy
+    }
+
+    /// Why `id` has not delivered here. `parked` is the caller's "a copy
+    /// sits outside the holdback queue, undecodable for now" test.
+    pub(crate) fn classify_wait(&self, id: MsgId, parked: impl Fn(MsgId) -> bool) -> WaitStatus {
+        if self.holdback.peek(id) {
+            WaitStatus::HeldHere
+        } else if parked(id) {
+            WaitStatus::Parked
+        } else if self.beyond_cut(id) {
+            WaitStatus::NeverDeliverable {
+                cut: self.cut.get(id.sender),
+            }
+        } else if let Some(m) = self.missing.get(&id) {
+            WaitStatus::Chased {
+                referenced_by: m.referenced_by,
+            }
+        } else {
+            WaitStatus::Unknown
+        }
+    }
+
+    /// Walks the holdback wait-graph and reports, for every held
+    /// message, each undelivered causal predecessor and why it is absent.
+    /// Read-only and work-counter-neutral, so calling it cannot change a
+    /// run's digests — the `experiments explain` CLI relies on that.
+    /// Keyed by id because the indexed holdback iterates in hash order.
+    pub(crate) fn held_reports(
+        &self,
+        parked: impl Fn(MsgId) -> bool + Copy,
+    ) -> BTreeMap<MsgId, BlockedReport> {
+        let mut by_msg = BTreeMap::new();
+        for p in self.holdback.pending() {
+            let mut waits = Vec::new();
+            for k in 0..self.n {
+                for seq in (self.vt.get(k) + 1)..=referenced(&p.msg, k) {
+                    let id = MsgId { sender: k, seq };
+                    waits.push(WaitCause {
+                        id,
+                        status: self.classify_wait(id, parked),
+                    });
+                }
+            }
+            by_msg.insert(
+                p.msg.id,
+                BlockedReport {
+                    msg: p.msg.id,
+                    arrived_at: p.arrived_at,
+                    waits,
+                    link_waits: Vec::new(),
+                },
+            );
+        }
+        by_msg
+    }
+
+    /// Contributes the holdback queue's blocking edges to the live wait
+    /// graph ([`crate::waitgraph`]): one `Msg -> Msg` edge per lagging
+    /// sender of every held message, plus `Msg -> Proc(me)` while
+    /// delivery is frozen by a flush (the flush itself is linked onward
+    /// by the membership layer). Read-only and work-counter-neutral.
+    pub(crate) fn held_wait_edges(
+        &self,
+        parked: impl Fn(MsgId) -> bool + Copy,
+        out: &mut Vec<WaitEdge>,
+    ) {
+        // Sorted for determinism: the indexed holdback iterates in hash
+        // order. One edge per lagging sender — the *first* gap is the
+        // FIFO blocker everything deeper queues behind; enumerating every
+        // gap (as `held_reports` does for the one-shot post-mortem)
+        // would square the edge count on the sampling hot path.
+        let mut pending: Vec<_> = self.holdback.pending().collect();
+        pending.sort_unstable_by_key(|p| p.msg.id);
+        for p in pending {
+            let blocked = WaitNode::Msg(p.msg.id);
+            for k in 0..self.n {
+                if referenced(&p.msg, k) > self.vt.get(k) {
+                    let gap = MsgId {
+                        sender: k,
+                        seq: self.vt.get(k) + 1,
+                    };
+                    out.push(WaitEdge {
+                        from: blocked,
+                        to: WaitNode::Msg(gap),
+                        who: self.me,
+                        since: p.arrived_at,
+                        reason: wait_reason(self.classify_wait(gap, parked)),
+                    });
+                }
+            }
+            if self.frozen {
+                out.push(self.frozen_edge(p.msg.id, p.arrived_at));
+            }
+        }
+    }
+
+    /// The wait edge of a message that is only waiting for the flush to
+    /// finish.
+    pub(crate) fn frozen_edge(&self, id: MsgId, since: SimTime) -> WaitEdge {
+        WaitEdge {
+            from: WaitNode::Msg(id),
+            to: WaitNode::Proc(self.me),
+            who: self.me,
+            since,
+            reason: "delivery frozen by flush",
+        }
+    }
+
+    /// The membership half of a view install: `members` are the surviving
+    /// member indices and `cut` is the flush cut agreed for the view.
+    ///
+    /// - Removed senders are marked dead: holdback entries beyond the cut
+    ///   are purged, and anything of theirs still missing at or below the
+    ///   cut is chased via NACK (some survivor delivered it, so some
+    ///   survivor buffers it).
+    /// - Stability masks dead rows so the stable frontier (and GC) can
+    ///   advance without the departed members' acks.
+    /// - The delivery blackout ([`CausalCore::freeze`]) ends. The caller
+    ///   drains whatever became deliverable during the flush, then calls
+    ///   [`CausalCore::end_install_drain`]; until then each held
+    ///   delivery's frozen tail is attributed to the flush barrier.
+    pub(crate) fn install_view(&mut self, now: SimTime, members: &[usize], cut: &VectorClock) {
+        if self.frozen {
+            self.probe.emit(|| ObsEvent::Phase {
+                at: now,
+                who: self.me,
+                kind: PhaseKind::Flush,
+                edge: PhaseEdge::End,
+                note: String::new(),
+            });
+        }
+        self.probe.emit(|| ObsEvent::Phase {
+            at: now,
+            who: self.me,
+            kind: PhaseKind::Install,
+            edge: PhaseEdge::Point,
+            note: format!("members {members:?} cut {cut:?}"),
+        });
+        self.cut.merge(cut);
+        for s in 0..self.n {
+            if !members.contains(&s) && self.alive[s] {
+                self.alive[s] = false;
+                self.holdback.purge_sender(s, self.cut.get(s));
+                for seq in (self.vt.get(s) + 1)..=self.cut.get(s) {
+                    let id = MsgId { sender: s, seq };
+                    if !self.holdback.contains(id) {
+                        self.chase_on_tick(id, s);
+                    }
+                }
+            }
+        }
+        let (alive, cut) = (&self.alive, &self.cut);
+        self.missing
+            .retain(|id, _| alive[id.sender] || id.seq <= cut.get(id.sender));
+        self.stability.set_members(members);
+        self.note_holdback();
+        self.collect_garbage(now);
+        self.frozen = false;
+        self.install_thaw = self.frozen_since.take();
+    }
+
+    /// Ends the install-time drain begun by [`CausalCore::install_view`].
+    pub(crate) fn end_install_drain(&mut self) {
+        self.install_thaw = None;
+    }
+
+    /// Whether `id`'s sender was removed by a view change and `id` lies
+    /// beyond the flush cut — no survivor may ever deliver it.
+    pub(crate) fn beyond_cut(&self, id: MsgId) -> bool {
+        !self.alive[id.sender] && id.seq > self.cut.get(id.sender)
+    }
+
+    /// Emits a `Dropped` span for `id`.
+    pub(crate) fn note_dropped(&self, now: SimTime, id: MsgId, note: impl FnOnce() -> String) {
+        self.probe.emit(|| ObsEvent::Span {
+            at: now,
+            who: self.me,
+            span: span_of(id),
+            stage: Stage::Dropped,
+            note: note(),
+        });
+    }
+
+    /// Front door for a data copy: rejects ids outside the group and —
+    /// virtual synchrony — anything from a removed sender beyond the
+    /// flush cut. Returns whether the copy may proceed to decoding.
+    pub(crate) fn admit(&mut self, now: SimTime, msg: &DataMsg<P>) -> bool {
+        if msg.id.sender >= self.n {
+            self.stats.ts_decode_errors += 1;
+            return false;
+        }
+        self.probe.emit(|| ObsEvent::Span {
+            at: now,
+            who: self.me,
+            span: span_of(msg.id),
+            stage: Stage::Wire,
+            note: if msg.retransmit {
+                "retransmit".to_string()
+            } else {
+                String::new()
+            },
+        });
+        if self.beyond_cut(msg.id) {
+            self.stats.rejected_removed += 1;
+            self.note_dropped(now, msg.id, || {
+                format!("removed sender beyond cut {}", self.cut.get(msg.id.sender))
+            });
+            return false;
+        }
+        true
+    }
+
+    /// Validates a decoded wire timestamp against the group width. A
+    /// failure is counted and the copy dropped for NACK-driven recovery.
+    pub(crate) fn checked_vt(
+        &mut self,
+        now: SimTime,
+        msg: &DataMsg<P>,
+        decoded: Option<VectorClock>,
+        what: &str,
+    ) -> Option<VectorClock> {
+        match decoded {
+            Some(vt) if vt.len() == self.n => {
+                debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
+                Some(vt)
+            }
+            _ => {
+                self.stats.ts_decode_errors += 1;
+                self.note_dropped(now, msg.id, || format!("{what} decode error"));
+                None
+            }
+        }
+    }
+
+    /// Whether a timestamped copy of `id` is a duplicate — already
+    /// delivered, or already held. Counts and drops it if so.
+    pub(crate) fn reject_duplicate(&mut self, now: SimTime, id: MsgId) -> bool {
+        let dup = id.seq <= self.vt.get(id.sender) || self.holdback.contains(id);
+        if dup {
+            self.stats.duplicates += 1;
+            self.note_dropped(now, id, || "duplicate".to_string());
+            self.collect_garbage(now);
+        }
+        dup
+    }
+
+    /// A peer's delivered clock arrived: advance stability, and treat
+    /// anything the peer has delivered that we have neither delivered,
+    /// held nor `parked` as missing here — gossip is what reveals a
+    /// sender's final message when it was dropped with no successor to
+    /// reference it. Removed senders' messages beyond the flush cut will
+    /// never deliver and are not worth chasing.
+    pub(crate) fn on_ack_gossip(
+        &mut self,
+        now: SimTime,
+        from: usize,
+        delivered: &VectorClock,
+        parked: impl Fn(MsgId) -> bool,
+    ) {
+        self.stability.update_row(from, delivered);
+        for k in 0..self.n {
+            let hi = if self.alive[k] {
+                delivered.get(k)
+            } else {
+                delivered.get(k).min(self.cut.get(k))
+            };
+            for seq in (self.vt.get(k) + 1)..=hi {
+                let id = MsgId { sender: k, seq };
+                if !self.holdback.contains(id) && !parked(id) {
+                    self.chase_on_tick(id, from);
+                }
+            }
+        }
+        self.collect_garbage(now);
+    }
+
+    /// Serves a NACK from the unstable buffer.
+    pub(crate) fn serve_nack(&mut self, from: usize, want: Vec<MsgId>, out: &mut Vec<Out<P>>) {
+        for id in want {
+            if let Some(m) = self.buffer.get(&id) {
+                self.stats.retransmits_served += 1;
+                let w = Wire::Data(Self::repair_copy(m));
+                self.stats.control_bytes += w.overhead_bytes() as u64;
+                out.push((Dest::One(from), w));
+            }
+        }
+    }
+
+    /// Tick, first half: gossip our delivered clock so peers can advance
+    /// stability and spot their gaps.
+    pub(crate) fn gossip(&mut self, out: &mut Vec<Out<P>>) {
+        let gossip = Wire::AckGossip {
+            from: self.me,
+            delivered: self.vt.clone(),
+        };
+        self.stats.acks_sent += 1;
+        self.stats.control_bytes += gossip.overhead_bytes() as u64;
+        out.push((Dest::All, gossip));
+    }
+
+    /// Tick, second half: re-NACK overdue missing messages and sample the
+    /// buffer gauges. Asks everyone: any member buffering the message can
+    /// serve it (atomic delivery's whole point).
+    pub(crate) fn renack_overdue(&mut self, now: SimTime, out: &mut Vec<Out<P>>) {
+        let mut batch: Vec<MsgId> = Vec::new();
+        for (&id, info) in self.missing.iter_mut() {
+            let overdue = info.last_nack == SimTime::MAX
+                || now.saturating_since(info.last_nack) >= self.cfg.nack_timeout;
+            if overdue && batch.len() < self.cfg.max_nack_batch {
+                batch.push(id);
+                info.last_nack = now;
+            }
+        }
+        self.send_nack(batch, Dest::All, out);
+        self.note_buffer();
+    }
+
+    /// Records `id` as missing, first learned of via `via`, for the next
+    /// tick's NACK round — unless it is already being chased.
+    pub(crate) fn chase_on_tick(&mut self, id: MsgId, via: usize) {
+        self.missing.entry(id).or_insert(Missing {
+            referenced_by: via,
+            last_nack: SimTime::MAX,
+        });
+    }
+
+    /// Records `id` as missing, first learned of via `via`, unless it is
+    /// already chased, `parked` or held; newly missing ids join the
+    /// immediate NACK `want` (capped). Cheapest tests first: most
+    /// referenced-but-undelivered messages are already registered, and
+    /// probing the holdback costs O(H) in the scan implementation.
+    pub(crate) fn note_missing(
+        &mut self,
+        now: SimTime,
+        id: MsgId,
+        via: usize,
+        parked: impl Fn(MsgId) -> bool,
+        want: &mut Vec<MsgId>,
+    ) {
+        if !self.missing.contains_key(&id) && !parked(id) && !self.holdback.contains(id) {
+            self.missing.insert(
+                id,
+                Missing {
+                    referenced_by: via,
+                    last_nack: now,
+                },
+            );
+            if want.len() < self.cfg.max_nack_batch {
+                want.push(id);
+            }
+        }
+    }
+
+    /// Sends one NACK for `want` (if any) to `dest`.
+    pub(crate) fn send_nack(&mut self, want: Vec<MsgId>, dest: Dest, out: &mut Vec<Out<P>>) {
+        if want.is_empty() {
+            return;
+        }
+        let w = Wire::Nack {
+            from: self.me,
+            want,
+        };
+        self.stats.nacks_sent += 1;
+        self.stats.control_bytes += w.overhead_bytes() as u64;
+        out.push((dest, w));
+    }
+
+    /// Scans `msg`'s timestamp for messages we have neither delivered,
+    /// held nor `parked`, recording them as missing and emitting an
+    /// immediate NACK to the referencing sender.
+    pub(crate) fn register_missing(
+        &mut self,
+        now: SimTime,
+        msg: &DataMsg<P>,
+        parked: impl Fn(MsgId) -> bool + Copy,
+        out: &mut Vec<Out<P>>,
+    ) {
+        let via = msg.id.sender;
+        let mut want = Vec::new();
+        for k in 0..self.n {
+            // A removed sender's messages beyond the flush cut will never
+            // deliver anywhere; do not chase them.
+            let referenced = if self.alive[k] {
+                referenced(msg, k)
+            } else {
+                referenced(msg, k).min(self.cut.get(k))
+            };
+            for seq in (self.vt.get(k) + 1)..=referenced {
+                self.note_missing(now, MsgId { sender: k, seq }, via, parked, &mut want);
+            }
+        }
+        self.send_nack(want, Dest::One(via), out);
+    }
+
+    /// Starts a local multicast: takes the next sequence number. Own
+    /// sends count as delivered-at-send.
+    pub(crate) fn begin_send(&mut self, now: SimTime) -> MsgId {
+        let seq = self.vt.tick(self.me);
+        let id = MsgId {
+            sender: self.me,
+            seq,
+        };
+        self.probe.emit(|| ObsEvent::Span {
+            at: now,
+            who: self.me,
+            span: span_of(id),
+            stage: Stage::Send,
+            note: String::new(),
+        });
+        // Keep the ready-index consistent with the clock advance (no
+        // held message can legitimately wait on our own future sends,
+        // but the invariant costs nothing to maintain).
+        self.holdback.note_delivered(self.me, seq);
+        id
+    }
+
+    /// Completes a local multicast: retains `msg` until stable and
+    /// returns the immediate self-delivery.
+    pub(crate) fn finish_send(&mut self, now: SimTime, msg: DataMsg<P>, payload: P) -> Delivery<P> {
+        let id = msg.id;
+        self.stats.sent += 1;
+        self.stats.delivered += 1;
+        self.stability
+            .record_local_delivery(self.me, self.me, id.seq);
+        self.buffer.insert(id, msg);
+        self.note_buffer();
+        Delivery {
+            id,
+            payload,
+            arrived_at: now,
+            delivered_at: now,
+            gseq: None,
+            waited_for: Vec::new(),
+        }
+    }
+
+    /// Delivery, step one: advance the clock, stability and hold-time
+    /// accounting for `id`, which arrived at `arrived_at`. Returns
+    /// whether it was held (delivered later than it arrived).
+    pub(crate) fn begin_delivery(&mut self, now: SimTime, arrived_at: SimTime, id: MsgId) -> bool {
+        self.vt.set(id.sender, id.seq);
+        self.holdback.note_delivered(id.sender, id.seq);
+        // Everything else in the timestamp is already delivered here,
+        // so a full merge is a no-op; set() is the precise update.
+        self.stability
+            .record_local_delivery(self.me, id.sender, id.seq);
+        self.missing.remove(&id);
+        let was_held = arrived_at < now;
+        self.stats.delivered += 1;
+        if was_held {
+            self.stats.delivered_after_hold += 1;
+            self.stats.hold_time_total += now.saturating_since(arrived_at);
+        }
+        was_held
+    }
+
+    /// Delivery, step two (held deliveries only): ledger attribution of
+    /// the hold to `kind` and `blocker`. The install-time drain splits
+    /// the interval at the freeze instant — before it, the classified
+    /// wait; after it, the flush barrier.
+    pub(crate) fn emit_hold_waits(
+        &self,
+        now: SimTime,
+        arrived_at: SimTime,
+        id: MsgId,
+        kind: WaitKind,
+        blocker: Option<SpanId>,
+    ) {
+        let split = self.install_thaw.filter(|fs| *fs < now && *fs > arrived_at);
+        if let Some(fs) = split {
+            self.probe.emit(|| ObsEvent::Wait {
+                at: fs,
+                who: self.me,
+                span: span_of(id),
+                kind,
+                since: arrived_at,
+                blocker,
+                note: String::new(),
+            });
+        }
+        let frozen_tail = self.install_thaw.is_some();
+        self.probe.emit(|| ObsEvent::Wait {
+            at: now,
+            who: self.me,
+            span: span_of(id),
+            kind: if frozen_tail {
+                WaitKind::FlushBarrier
+            } else {
+                kind
+            },
+            since: split.unwrap_or(arrived_at),
+            blocker: if frozen_tail { None } else { blocker },
+            note: if frozen_tail {
+                "delivery frozen until the view installed".to_string()
+            } else {
+                String::new()
+            },
+        });
+    }
+
+    /// Delivery, step three: hand `msg` to the application and retain it
+    /// until stable.
+    pub(crate) fn finish_delivery(
+        &mut self,
+        now: SimTime,
+        arrived_at: SimTime,
+        msg: DataMsg<P>,
+        waited_for: Vec<MsgId>,
+        delivered: &mut Vec<Delivery<P>>,
+    ) {
+        self.probe.emit(|| ObsEvent::Span {
+            at: now,
+            who: self.me,
+            span: span_of(msg.id),
+            stage: Stage::Delivered,
+            note: waited_for
+                .iter()
+                .map(|w| format!("m{}.{}", w.sender, w.seq))
+                .collect::<Vec<_>>()
+                .join(", "),
+        });
+        delivered.push(Delivery {
+            id: msg.id,
+            payload: msg.payload.clone(),
+            arrived_at,
+            delivered_at: now,
+            gseq: None,
+            waited_for,
+        });
+        self.buffer.insert(msg.id, msg);
+    }
+
+    /// Reclaims buffered messages the stable frontier has passed.
+    pub(crate) fn collect_garbage(&mut self, now: SimTime) {
+        // This runs on every wire event: O(1), and no buffer walk, until
+        // the tracker reports that the frontier itself moved.
+        if !self.stability.take_frontier_moved() {
+            return;
+        }
+        let frontier = self.stability.stable_frontier();
+        let before = self.buffer.len();
+        self.buffer.retain(|id, _| id.seq > frontier.get(id.sender));
+        let reclaimed = before - self.buffer.len();
+        self.probe.emit(|| ObsEvent::Phase {
+            at: now,
+            who: self.me,
+            kind: PhaseKind::StabilityRound,
+            edge: PhaseEdge::Point,
+            note: format!("stable frontier {frontier:?}, {reclaimed} reclaimed"),
+        });
+        self.stats.stabilized += reclaimed as u64;
+        self.note_buffer();
+    }
+
+    /// Samples the buffer gauges.
+    pub(crate) fn note_buffer(&mut self) {
+        let msgs = self.buffer.len() as u64;
+        self.stats.note_buffer(msgs, msgs * self.buffered_msg_bytes);
+    }
+
+    /// Samples the holdback gauge.
+    pub(crate) fn note_holdback(&mut self) {
+        self.stats.note_holdback(self.holdback.len() as u64);
+    }
+}

@@ -20,22 +20,14 @@
 //! outbound messages. This makes the protocol directly unit-testable and
 //! lets the same code run under `simnet` or a real transport.
 
+use crate::causal_core::{referenced, span_of, CausalCore};
 use crate::group::{GroupConfig, MsgId};
-use crate::holdback::{HoldbackQueue, Pending};
-use crate::stability::StabilityTracker;
+use crate::holdback::Pending;
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
+use simnet::obs::{ObsEvent, ProbeHandle, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// The observability span for a message: its id, viewed group-wide.
-fn span_of(id: MsgId) -> SpanId {
-    SpanId {
-        origin: id.sender,
-        seq: id.seq,
-    }
-}
 
 /// Why a causal predecessor of a held message has not delivered here —
 /// one link of the blocked-on explanation chain.
@@ -159,15 +151,11 @@ pub(crate) fn wait_reason(status: WaitStatus) -> &'static str {
     }
 }
 
-/// Tracking for a message we know exists but have not received.
-#[derive(Debug, Clone, Copy)]
-struct Missing {
-    /// Who referenced it (we NACK them first — the paper's §5: "the
-    /// receiver of a new message assumes it can get copies of the causally
-    /// referenced messages from the sender of the new message").
-    referenced_by: usize,
-    /// Last time we NACKed for it ([`SimTime::MAX`] = never).
-    last_nack: SimTime,
+/// The "a delta-stamped copy of `id` is parked awaiting its decode base"
+/// test the shared shell needs from cbcast: such a message is neither
+/// missing nor held.
+fn parked_in<P>(undecoded: &[BTreeMap<u64, DataMsg<P>>]) -> impl Fn(MsgId) -> bool + Copy + '_ {
+    move |id| undecoded[id.sender].contains_key(&id.seq)
 }
 
 /// The causal multicast endpoint for one group member.
@@ -198,20 +186,9 @@ struct Missing {
 /// ```
 #[derive(Debug)]
 pub struct CbcastEndpoint<P> {
-    me: usize,
-    n: usize,
-    cfg: GroupConfig,
-    /// Delivered clock: `vt[k]` = number of messages from `k` delivered
-    /// here (own sends count as delivered-at-send).
-    vt: VectorClock,
-    /// Messages received but not yet causally deliverable.
-    holdback: HoldbackQueue<P>,
-    /// Unstable messages retained for retransmission, by id.
-    buffer: BTreeMap<MsgId, DataMsg<P>>,
-    /// Group-wide delivery knowledge (matrix clock) and GC frontier.
-    stability: StabilityTracker,
-    /// Known-missing messages awaiting NACK/recovery.
-    missing: BTreeMap<MsgId, Missing>,
+    /// Clock, holdback, unstable buffer, stability, NACK repair, view
+    /// membership and the flush freeze — shared with pccast.
+    core: CausalCore<P>,
     /// Our previous data message's timestamp — the delta-encoding base.
     last_sent_vt: VectorClock,
     /// Per sender: seq of the latest message whose timestamp we decoded,
@@ -225,61 +202,27 @@ pub struct CbcastEndpoint<P> {
     /// decode base, parked until the chain catches up (or dropped when a
     /// full retransmission jumps the chain past them).
     undecoded: Vec<BTreeMap<u64, DataMsg<P>>>,
-    /// Which senders are members of the current view. Removed senders'
-    /// messages are accepted only up to the flush cut.
-    alive: Vec<bool>,
-    /// Merged flush cut over all installed views: for a removed sender
-    /// `s`, messages with `seq <= cut[s]` are part of the old view's
-    /// agreed history and still deliverable; beyond it they are rejected.
-    cut: VectorClock,
     /// Send the next multicast with a full-encoded timestamp regardless
     /// of config — set at view install so receivers can re-seed their
     /// invalidated decode chains.
     force_full_next: bool,
-    /// Delivery blackout: while a flush is in progress (between sending
-    /// our `FlushOk` clock and installing the view) nothing may be
-    /// delivered, or this member could run past the clock it promised
-    /// the coordinator and deliver a removed sender's message beyond the
-    /// agreed cut. Incoming messages still accumulate in the holdback
-    /// queue; [`CbcastEndpoint::on_view_install`] thaws and drains.
-    frozen: bool,
     /// Campaign regression knob: when set, `on_view_install` skips the
     /// delta-chain reset (the S3 fix), reintroducing the stale-chain bug
     /// so fault campaigns can demonstrate the failing seed.
     skip_view_reset: bool,
-    /// When the current freeze began (None when not frozen) — the
-    /// latency ledger splits install-time holdback waits at this point
-    /// into a classified wait and a flush-barrier wait.
-    frozen_since: Option<SimTime>,
-    /// Set for the duration of the install-time holdback drain: the
-    /// freeze instant the just-ended flush began at.
-    install_thaw: Option<SimTime>,
     /// Messages that arrived here after being chased via NACK — their
     /// dependents' holdback waits are attributed to repair, not to a
     /// plain causal dependency. Maintained unconditionally (cheap) so
     /// probed and unprobed runs execute identically.
     was_chased: BTreeSet<MsgId>,
-    /// Observability sink. Disabled by default; emissions are read-only
-    /// with respect to protocol state, so a probed run is byte-identical
-    /// to an unprobed one.
-    probe: ProbeHandle,
-    stats: EndpointStats,
 }
 
 impl<P: Clone> CbcastEndpoint<P> {
     /// Creates the endpoint for member `me` of a group of `n`.
     pub fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
-        assert!(me < n, "member index out of range");
-        let holdback = HoldbackQueue::new(cfg.indexed_holdback, n);
         CbcastEndpoint {
-            me,
-            n,
-            cfg,
-            vt: VectorClock::new(n),
-            holdback,
-            buffer: BTreeMap::new(),
-            stability: StabilityTracker::new(n),
-            missing: BTreeMap::new(),
+            // Buffered-bytes gauge: id + a full n-wide timestamp.
+            core: CausalCore::new(me, n, cfg, 12 + 4 + 8 * n),
             last_sent_vt: VectorClock::new(n),
             // Zero-width initial bases: `decode_delta` resizes its base
             // clone to the delta's declared width (missing components
@@ -288,47 +231,27 @@ impl<P: Clone> CbcastEndpoint<P> {
             // than O(n²) — material for the N=4096 scaling runs.
             decode_chain: vec![(0, Some(VectorClock::new(0))); n],
             undecoded: vec![BTreeMap::new(); n],
-            alive: vec![true; n],
-            cut: VectorClock::new(n),
             force_full_next: false,
-            frozen: false,
             skip_view_reset: false,
-            frozen_since: None,
-            install_thaw: None,
             was_chased: BTreeSet::new(),
-            probe: ProbeHandle::none(),
-            stats: EndpointStats::default(),
         }
     }
 
-    /// Installs an observability probe. Span and phase events flow to it
-    /// from every delivery-path method; with the default (disabled)
-    /// handle nothing is even formatted.
+    /// The shared reliability shell: clock, stats, stability, buffer and
+    /// holdback gauges, the flush freeze.
+    pub fn core(&self) -> &CausalCore<P> {
+        &self.core
+    }
+
+    /// Mutable access to the shell, for `set_probe`, `freeze` and
+    /// `flush_unstable`.
+    pub fn core_mut(&mut self) -> &mut CausalCore<P> {
+        &mut self.core
+    }
+
+    /// Installs an observability probe (see [`CausalCore::set_probe`]).
     pub fn set_probe(&mut self, probe: ProbeHandle) {
-        self.probe = probe;
-    }
-
-    /// Suspends all delivery until the next [`CbcastEndpoint::on_view_install`].
-    /// Called when this member enters a flush: its `FlushOk` clock must
-    /// stay an upper bound on what it has delivered until the cut is
-    /// agreed. Receiving, buffering and NACK recovery continue.
-    pub fn freeze(&mut self, now: SimTime) {
-        if !self.frozen {
-            self.frozen_since = Some(now);
-            self.probe.emit(|| ObsEvent::Phase {
-                at: now,
-                who: self.me,
-                kind: PhaseKind::Flush,
-                edge: PhaseEdge::Begin,
-                note: format!("{} unstable buffered", self.buffer.len()),
-            });
-        }
-        self.frozen = true;
-    }
-
-    /// Whether delivery is currently frozen by a flush in progress.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
+        self.core.set_probe(probe);
     }
 
     /// Regression knob for the fault campaigns: reintroduces the S3 bug
@@ -340,37 +263,17 @@ impl<P: Clone> CbcastEndpoint<P> {
 
     /// This member's index.
     pub fn me(&self) -> usize {
-        self.me
-    }
-
-    /// Group size.
-    pub fn group_size(&self) -> usize {
-        self.n
-    }
-
-    /// The delivered vector clock.
-    pub fn clock(&self) -> &VectorClock {
-        &self.vt
+        self.core.me
     }
 
     /// Endpoint statistics.
     pub fn stats(&self) -> &EndpointStats {
-        &self.stats
-    }
-
-    /// The stability tracker (for experiments that inspect frontiers).
-    pub fn stability(&self) -> &StabilityTracker {
-        &self.stability
+        &self.core.stats
     }
 
     /// Number of unstable messages currently buffered.
     pub fn buffered_len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Current holdback-queue length.
-    pub fn holdback_len(&self) -> usize {
-        self.holdback.len()
+        self.core.buffered_len()
     }
 
     /// Delta-stamped messages parked awaiting their decode base.
@@ -378,177 +281,46 @@ impl<P: Clone> CbcastEndpoint<P> {
         self.undecoded.iter().map(|m| m.len()).sum()
     }
 
-    /// Retransmits every unstable buffered message to the whole group —
-    /// the flush step of a view change (each survivor pushes what it has
-    /// so the new view starts from a common message set).
-    pub fn flush_unstable(&mut self) -> Vec<Out<P>> {
-        let mut out = Vec::new();
-        for m in self.buffer.values() {
-            let mut copy = m.clone();
-            copy.retransmit = true;
-            copy.make_full();
-            let w = Wire::Data(copy);
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::All, w));
-        }
-        out
-    }
-
-    /// The current group-wide stable frontier (for instrumentation).
-    pub fn stable_frontier(&self) -> VectorClock {
-        self.stability.stable_frontier()
-    }
-
-    /// How far this endpoint's delivered clock runs ahead of the
-    /// group-wide stable frontier, in messages — the §5 stability-horizon
-    /// lag. Every unit of lag is a message that must stay buffered for
-    /// possible retransmission.
-    ///
-    /// Summed componentwise, not total-vs-total: after an eviction the
-    /// surviving members' frontier can run *ahead* of an evicted-live
-    /// node's clock in some components, and a saturating difference of
-    /// totals would let that surplus cancel real lag in others, reporting
-    /// zero while unstable messages still sit in the buffer.
-    pub fn stability_lag(&self) -> u64 {
-        let frontier = self.stability.stable_frontier();
-        (0..self.n)
-            .map(|s| self.vt.get(s).saturating_sub(frontier.get(s)))
-            .sum()
-    }
-
     /// Telemetry hook: instantaneous queue depths and buffering gauges,
     /// named for the time-series sampler (`simnet::process::Process::sample`).
     pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        emit("cbcast.holdback", self.holdback.len() as f64);
+        emit("cbcast.holdback", self.core.holdback_len() as f64);
         emit("cbcast.parked", self.parked_len() as f64);
-        emit("cbcast.buffered", self.buffer.len() as f64);
+        emit("cbcast.buffered", self.core.buffered_len() as f64);
         emit(
             "cbcast.buffered_bytes",
-            self.stats.buffered_bytes_now as f64,
+            self.core.stats.buffered_bytes_now as f64,
         );
-        emit("cbcast.stability_lag", self.stability_lag() as f64);
+        emit("cbcast.stability_lag", self.core.stability_lag() as f64);
     }
 
-    /// Walks the holdback wait-graph and reports, for every blocked
-    /// message, each undelivered causal predecessor and why it is absent
-    /// (held here too, parked, chased via NACK, or never deliverable).
-    /// Read-only and work-counter-neutral, so calling it cannot change a
-    /// run's digests — the `experiments explain` CLI relies on that.
+    /// Reports, for every message blocked in the holdback queue, each
+    /// undelivered causal predecessor and why it is absent (held here
+    /// too, parked, chased via NACK, or never deliverable). Read-only.
     pub fn blocked_report(&self) -> Vec<BlockedReport> {
-        let mut reports: Vec<BlockedReport> = self
-            .holdback
-            .pending()
-            .map(|p| {
-                let mut waits = Vec::new();
-                for k in 0..self.n {
-                    let need = if k == p.msg.id.sender {
-                        p.msg.id.seq.saturating_sub(1)
-                    } else {
-                        p.msg.vt.get(k)
-                    };
-                    for seq in (self.vt.get(k) + 1)..=need {
-                        let id = MsgId { sender: k, seq };
-                        waits.push(WaitCause {
-                            id,
-                            status: self.classify_wait(id),
-                        });
-                    }
-                }
-                BlockedReport {
-                    msg: p.msg.id,
-                    arrived_at: p.arrived_at,
-                    waits,
-                    link_waits: Vec::new(),
-                }
-            })
-            .collect();
-        // The indexed holdback iterates in hash order; sort for
-        // deterministic output.
-        reports.sort_by_key(|r| r.msg);
-        reports
+        self.core
+            .held_reports(parked_in(&self.undecoded))
+            .into_values()
+            .collect()
     }
 
     /// Contributes this endpoint's blocking edges to the live wait graph
-    /// ([`crate::waitgraph`]): one `Msg -> Msg` edge per undelivered
-    /// causal predecessor of every held message, plus `Msg -> Proc(me)`
-    /// while delivery is frozen by a flush (the flush itself is linked
-    /// onward by the membership layer). Read-only and
-    /// work-counter-neutral, like [`CbcastEndpoint::blocked_report`].
+    /// (see [`crate::waitgraph`]). Read-only and work-counter-neutral,
+    /// like [`CbcastEndpoint::blocked_report`].
     pub fn wait_edges(&self, out: &mut Vec<crate::waitgraph::WaitEdge>) {
-        use crate::waitgraph::{WaitEdge, WaitNode};
-        // Sorted for determinism: the indexed holdback iterates in hash
-        // order. One edge per lagging sender — the *first* gap is the
-        // FIFO blocker everything deeper queues behind; enumerating every
-        // gap (as `blocked_report` does for the one-shot post-mortem)
-        // would square the edge count on the sampling hot path.
-        let mut pending: Vec<_> = self.holdback.pending().collect();
-        pending.sort_unstable_by_key(|p| p.msg.id);
-        for p in pending {
-            let blocked = WaitNode::Msg(p.msg.id);
-            for k in 0..self.n {
-                let need = if k == p.msg.id.sender {
-                    p.msg.id.seq.saturating_sub(1)
-                } else {
-                    p.msg.vt.get(k)
-                };
-                if need > self.vt.get(k) {
-                    let gap = MsgId {
-                        sender: k,
-                        seq: self.vt.get(k) + 1,
-                    };
-                    out.push(WaitEdge {
-                        from: blocked,
-                        to: WaitNode::Msg(gap),
-                        who: self.me,
-                        since: p.arrived_at,
-                        reason: wait_reason(self.classify_wait(gap)),
-                    });
-                }
-            }
-            if self.frozen {
-                out.push(WaitEdge {
-                    from: blocked,
-                    to: WaitNode::Proc(self.me),
-                    who: self.me,
-                    since: p.arrived_at,
-                    reason: "delivery frozen by flush",
-                });
-            }
-        }
-    }
-
-    fn classify_wait(&self, id: MsgId) -> WaitStatus {
-        if self.holdback.peek(id) {
-            WaitStatus::HeldHere
-        } else if self.undecoded[id.sender].contains_key(&id.seq) {
-            WaitStatus::Parked
-        } else if !self.alive[id.sender] && id.seq > self.cut.get(id.sender) {
-            WaitStatus::NeverDeliverable {
-                cut: self.cut.get(id.sender),
-            }
-        } else if let Some(m) = self.missing.get(&id) {
-            WaitStatus::Chased {
-                referenced_by: m.referenced_by,
-            }
-        } else {
-            WaitStatus::Unknown
-        }
+        self.core.held_wait_edges(parked_in(&self.undecoded), out);
     }
 
     /// Applies an installed view: `members` are the surviving member
-    /// indices and `cut` is the flush cut agreed for the view.
+    /// indices and `cut` is the flush cut agreed for the view. On top of
+    /// the membership bookkeeping of the shared shell:
     ///
-    /// - Removed senders are marked dead: their parked deltas are
-    ///   dropped, holdback entries beyond the cut purged, and anything
-    ///   of theirs still missing at or below the cut is chased via NACK
-    ///   (some survivor delivered it, so some survivor buffers it).
+    /// - Removed senders' parked deltas are dropped.
     /// - Every per-sender delta decode chain is invalidated (the S3 fix):
     ///   a delta crossing the view boundary must not decode against a
     ///   stale base. Senders re-seed receivers by sending their first
     ///   post-install message full-encoded (`force_full_next`).
-    /// - Stability masks dead rows so the stable frontier (and GC) can
-    ///   advance without the departed members' acks.
-    /// - The delivery blackout ([`CbcastEndpoint::freeze`]) ends: the
+    /// - The delivery blackout ([`CausalCore::freeze`]) ends: the
     ///   holdback queue is drained and anything that became deliverable
     ///   during the flush is returned, in causal order.
     pub fn on_view_install(
@@ -557,148 +329,73 @@ impl<P: Clone> CbcastEndpoint<P> {
         members: &[usize],
         cut: &VectorClock,
     ) -> Vec<Delivery<P>> {
-        if self.frozen {
-            self.probe.emit(|| ObsEvent::Phase {
-                at: now,
-                who: self.me,
-                kind: PhaseKind::Flush,
-                edge: PhaseEdge::End,
-                note: String::new(),
-            });
-        }
-        self.probe.emit(|| ObsEvent::Phase {
-            at: now,
-            who: self.me,
-            kind: PhaseKind::Install,
-            edge: PhaseEdge::Point,
-            note: format!("members {members:?} cut {cut:?}"),
-        });
-        self.cut.merge(cut);
-        for s in 0..self.n {
-            if !members.contains(&s) && self.alive[s] {
-                self.alive[s] = false;
-                if !self.skip_view_reset {
+        if !self.skip_view_reset {
+            for s in 0..self.core.n {
+                if !members.contains(&s) && self.core.alive[s] {
                     self.undecoded[s].clear();
                 }
-                self.holdback.purge_sender(s, self.cut.get(s));
-                for seq in (self.vt.get(s) + 1)..=self.cut.get(s) {
-                    let id = MsgId { sender: s, seq };
-                    if !self.holdback.contains(id) {
-                        self.missing.entry(id).or_insert(Missing {
-                            referenced_by: s,
-                            last_nack: SimTime::MAX,
-                        });
-                    }
-                }
-            }
-            if !self.skip_view_reset {
                 self.decode_chain[s].1 = None;
             }
-        }
-        let cut_snapshot = self.cut.clone();
-        let alive = &self.alive;
-        self.missing
-            .retain(|id, _| alive[id.sender] || id.seq <= cut_snapshot.get(id.sender));
-        if !self.skip_view_reset {
             self.force_full_next = true;
         }
-        self.stability.set_members(members);
-        self.stats.note_holdback(self.holdback.len() as u64);
-        self.collect_garbage(now);
-        // Thaw: deliver whatever queued up during the blackout. The
-        // install-time drain attributes each held delivery's frozen tail
-        // to the flush barrier, split at the freeze instant.
-        self.frozen = false;
-        self.install_thaw = self.frozen_since.take();
+        self.core.install_view(now, members, cut);
         let mut delivered = Vec::new();
         self.drain_holdback(now, &mut delivered);
-        self.install_thaw = None;
+        self.core.end_install_drain();
         delivered
     }
 
     /// Multicasts `payload` to the group. Returns the local (immediate)
     /// self-delivery and the outbound wire messages.
     pub fn multicast(&mut self, now: SimTime, payload: P) -> (Delivery<P>, Vec<Out<P>>) {
-        let seq = self.vt.tick(self.me);
-        self.probe.emit(|| ObsEvent::Span {
-            at: now,
-            who: self.me,
-            span: SpanId {
-                origin: self.me,
-                seq,
-            },
-            stage: Stage::Send,
-            note: String::new(),
-        });
-        // Keep the ready-index consistent with the clock advance (no
-        // held message can legitimately wait on our own future sends,
-        // but the invariant costs nothing to maintain).
-        self.holdback.note_delivered(self.me, seq);
-        let id = MsgId {
-            sender: self.me,
-            seq,
-        };
-        let vt_wire = if self.cfg.delta_timestamps && !self.force_full_next {
+        let id = self.core.begin_send(now);
+        let core = &mut self.core;
+        let vt_wire = if core.cfg.delta_timestamps && !self.force_full_next {
             // Delta against our previous data message; fall back to full
             // when so many components changed that the delta is no
             // cheaper (dense all-to-all traffic — the paper's caveat).
-            let delta = self.vt.encode_delta(&self.last_sent_vt);
-            let full = self.vt.encode();
+            let delta = core.vt.encode_delta(&self.last_sent_vt);
+            let full = core.vt.encode();
             if delta.len() < full.len() {
-                self.stats.ts_delta_sent += 1;
+                core.stats.ts_delta_sent += 1;
                 VtWire::Delta(delta)
             } else {
-                self.stats.ts_full_sent += 1;
+                core.stats.ts_full_sent += 1;
                 VtWire::Full(full)
             }
         } else {
-            self.stats.ts_full_sent += 1;
-            VtWire::Full(self.vt.encode())
+            core.stats.ts_full_sent += 1;
+            VtWire::Full(core.vt.encode())
         };
         self.force_full_next = false;
-        self.last_sent_vt = self.vt.clone();
+        self.last_sent_vt = core.vt.clone();
         let mut msg = DataMsg {
             id,
-            vt: self.vt.clone(),
+            vt: core.vt.clone(),
             vt_wire,
             payload: payload.clone(),
             retransmit: false,
             appended: Vec::new(),
         };
-        if self.cfg.append_predecessors {
+        if core.cfg.append_predecessors {
             // §3.4 footnote 4: carry unstable causal predecessors along
             // so receivers need not hold this message waiting for them.
             // Most-recent-first, capped.
-            msg.appended = self
+            msg.appended = core
                 .buffer
                 .values()
                 .rev()
                 .filter(|m| m.id != id)
-                .take(self.cfg.max_append)
-                .map(|m| {
-                    let mut copy = m.clone();
-                    copy.appended = Vec::new();
-                    copy.retransmit = true;
-                    copy.make_full();
-                    copy
+                .take(core.cfg.max_append)
+                .map(|m| DataMsg {
+                    appended: Vec::new(),
+                    ..CausalCore::repair_copy(m)
                 })
                 .collect();
         }
-        self.stats.sent += 1;
-        self.stats.delivered += 1;
         let wire = Wire::Data(msg.clone());
-        self.stats.data_overhead_bytes += wire.overhead_bytes() as u64;
-        self.stability.record_local_delivery(self.me, self.me, seq);
-        self.buffer.insert(id, msg);
-        self.note_buffer();
-        let delivery = Delivery {
-            id,
-            payload,
-            arrived_at: now,
-            delivered_at: now,
-            gseq: None,
-            waited_for: Vec::new(),
-        };
+        core.stats.data_overhead_bytes += wire.overhead_bytes() as u64;
+        let delivery = core.finish_send(now, msg, payload);
         (delivery, vec![(Dest::All, wire)])
     }
 
@@ -709,98 +406,33 @@ impl<P: Clone> CbcastEndpoint<P> {
         let mut delivered = Vec::new();
         match wire {
             Wire::Data(mut msg) => {
-                self.stats.data_received += 1;
+                self.core.stats.data_received += 1;
                 // Appended predecessors are processed first, so the
                 // carrying message rarely needs holdback.
                 for pre in std::mem::take(&mut msg.appended) {
-                    self.stats.data_received += 1;
+                    self.core.stats.data_received += 1;
                     self.accept_data(now, pre, &mut out, &mut delivered);
                 }
                 self.accept_data(now, msg, &mut out, &mut delivered);
             }
             Wire::AckGossip { from, delivered: d } => {
-                self.stability.update_row(from, &d);
-                // Gossip also reveals messages we never received (e.g. the
-                // final message from a sender, dropped with no successor
-                // to reference it): anything the peer has delivered that
-                // we have not is missing here. Removed senders' messages
-                // beyond the flush cut will never deliver and are not
-                // worth chasing.
-                for k in 0..self.n {
-                    let hi = if self.alive[k] {
-                        d.get(k)
-                    } else {
-                        d.get(k).min(self.cut.get(k))
-                    };
-                    for seq in (self.vt.get(k) + 1)..=hi {
-                        let id = MsgId { sender: k, seq };
-                        if !self.holdback.contains(id) && !self.undecoded[k].contains_key(&seq) {
-                            self.missing.entry(id).or_insert(Missing {
-                                referenced_by: from,
-                                last_nack: SimTime::MAX,
-                            });
-                        }
-                    }
-                }
-                self.collect_garbage(now);
+                self.core
+                    .on_ack_gossip(now, from, &d, parked_in(&self.undecoded));
             }
-            Wire::Nack { from, want } => {
-                for id in want {
-                    if let Some(m) = self.buffer.get(&id) {
-                        let mut copy = m.clone();
-                        copy.retransmit = true;
-                        // NACK fallback: always serve the full timestamp
-                        // encoding so the requester can decode without
-                        // per-sender delta context.
-                        copy.make_full();
-                        self.stats.retransmits_served += 1;
-                        let w = Wire::Data(copy);
-                        self.stats.control_bytes += w.overhead_bytes() as u64;
-                        out.push((Dest::One(from), w));
-                    }
-                }
-            }
+            Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
             // Order/Token/membership traffic is not cbcast's business;
             // the composing endpoint handles it.
             _ => {}
         }
-        self.stats.holdback_work = self.holdback.work();
+        self.core.stats.holdback_work = self.core.holdback.work();
         (delivered, out)
     }
 
     /// Periodic maintenance: ack gossip, NACK retries, buffer sampling.
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
-        // Gossip our delivered clock so peers can advance stability.
-        let gossip = Wire::AckGossip {
-            from: self.me,
-            delivered: self.vt.clone(),
-        };
-        self.stats.acks_sent += 1;
-        self.stats.control_bytes += gossip.overhead_bytes() as u64;
-        out.push((Dest::All, gossip));
-        // Re-NACK overdue missing messages.
-        let mut batch: Vec<MsgId> = Vec::new();
-        for (&id, info) in self.missing.iter_mut() {
-            let overdue = info.last_nack == SimTime::MAX
-                || now.saturating_since(info.last_nack) >= self.cfg.nack_timeout;
-            if overdue && batch.len() < self.cfg.max_nack_batch {
-                batch.push(id);
-                info.last_nack = now;
-            }
-        }
-        if !batch.is_empty() {
-            // Ask everyone: any member buffering the message can serve it
-            // (atomic delivery's whole point).
-            let w = Wire::Nack {
-                from: self.me,
-                want: batch,
-            };
-            self.stats.nacks_sent += 1;
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::All, w));
-        }
-        self.note_buffer();
+        self.core.gossip(&mut out);
+        self.core.renack_overdue(now, &mut out);
         out
     }
 
@@ -817,121 +449,65 @@ impl<P: Clone> CbcastEndpoint<P> {
         out: &mut Vec<Out<P>>,
         delivered: &mut Vec<Delivery<P>>,
     ) {
+        if !self.core.admit(now, &msg) {
+            return;
+        }
         let sender = msg.id.sender;
-        if sender >= self.n {
-            self.stats.ts_decode_errors += 1;
-            return;
-        }
-        self.probe.emit(|| ObsEvent::Span {
-            at: now,
-            who: self.me,
-            span: span_of(msg.id),
-            stage: Stage::Wire,
-            note: if msg.retransmit {
-                "retransmit".to_string()
-            } else {
-                String::new()
-            },
-        });
-        if !self.alive[sender] && msg.id.seq > self.cut.get(sender) {
-            // Virtual synchrony: the sender was removed by a view change
-            // and this message is beyond the flush cut — no survivor may
-            // deliver it.
-            self.stats.rejected_removed += 1;
-            self.probe.emit(|| ObsEvent::Span {
-                at: now,
-                who: self.me,
-                span: span_of(msg.id),
-                stage: Stage::Dropped,
-                note: format!("removed sender beyond cut {}", self.cut.get(sender)),
-            });
-            return;
-        }
-        match &msg.vt_wire {
-            VtWire::Full(bytes) => match VectorClock::decode(bytes) {
-                Some(vt) if vt.len() == self.n => {
-                    debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
-                    msg.vt = vt;
-                    self.advance_chain(sender, msg.id.seq, msg.vt.clone());
-                    self.on_data(now, msg, out, delivered);
-                    self.drain_undecoded(now, sender, out, delivered);
+        let (chain_seq, chain_base) = &self.decode_chain[sender];
+        let chain_seq = *chain_seq;
+        let (decoded, what) = match &msg.vt_wire {
+            VtWire::Full(bytes) => (VectorClock::decode(bytes), "timestamp"),
+            VtWire::Delta(bytes) => match chain_base {
+                Some(base) if msg.id.seq == chain_seq + 1 => {
+                    (VectorClock::decode_delta(bytes, base), "delta timestamp")
                 }
-                _ => {
-                    self.stats.ts_decode_errors += 1;
-                    self.probe.emit(|| ObsEvent::Span {
-                        at: now,
-                        who: self.me,
-                        span: span_of(msg.id),
-                        stage: Stage::Dropped,
-                        note: "timestamp decode error".to_string(),
-                    });
-                }
-            },
-            VtWire::Delta(bytes) => {
-                let (chain_seq, chain_base) = &self.decode_chain[sender];
-                let chain_seq = *chain_seq;
-                if msg.id.seq == chain_seq + 1 && chain_base.is_some() {
-                    let base = chain_base.as_ref().expect("checked is_some above");
-                    match VectorClock::decode_delta(bytes, base) {
-                        Some(vt) if vt.len() == self.n => {
-                            debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
-                            msg.vt = vt;
-                            self.advance_chain(sender, msg.id.seq, msg.vt.clone());
-                            self.on_data(now, msg, out, delivered);
-                            self.drain_undecoded(now, sender, out, delivered);
-                        }
-                        _ => {
-                            self.stats.ts_decode_errors += 1;
-                            self.probe.emit(|| ObsEvent::Span {
-                                at: now,
-                                who: self.me,
-                                span: span_of(msg.id),
-                                stage: Stage::Dropped,
-                                note: "delta timestamp decode error".to_string(),
-                            });
-                        }
-                    }
-                } else if msg.id.seq <= chain_seq {
+                _ if msg.id.seq <= chain_seq => {
                     // The timestamp for this seq was decoded before, so
                     // this copy is a duplicate of a known message.
-                    self.stats.duplicates += 1;
-                    self.probe.emit(|| ObsEvent::Span {
-                        at: now,
-                        who: self.me,
-                        span: span_of(msg.id),
-                        stage: Stage::Dropped,
-                        note: "duplicate (behind decode chain)".to_string(),
+                    self.core.stats.duplicates += 1;
+                    self.core.note_dropped(now, msg.id, || {
+                        "duplicate (behind decode chain)".to_string()
                     });
-                } else {
+                    return;
+                }
+                _ => {
                     // Ahead of the decode chain — or the chain base was
                     // invalidated by a view install: park until a full
                     // encoding re-seeds the chain, and NACK so the missing
                     // bases (or a full copy of this very message) arrive
                     // as full-encoded retransmissions.
-                    self.stats.ts_delta_parked += 1;
-                    let hi = if self.decode_chain[sender].1.is_some() {
+                    self.core.stats.ts_delta_parked += 1;
+                    let hi = if chain_base.is_some() {
                         msg.id.seq - 1
                     } else {
                         msg.id.seq
                     };
                     self.register_fifo_gap(now, sender, chain_seq + 1, hi, out);
-                    self.probe.emit(|| ObsEvent::Span {
+                    self.core.probe.emit(|| ObsEvent::Span {
                         at: now,
-                        who: self.me,
+                        who: self.core.me,
                         span: span_of(msg.id),
                         stage: Stage::Parked,
                         note: format!("delta ahead of decode chain (chain at seq {chain_seq})"),
                     });
                     self.undecoded[sender].insert(msg.id.seq, msg);
+                    return;
                 }
-            }
+            },
             VtWire::Pc { .. } => {
                 // A pccast link copy reached a cbcast endpoint (mixed
                 // disciplines in one group is a configuration error):
                 // there is no vector to decode, so drop for NACK-driven
                 // full retransmission like any undecodable timestamp.
-                self.stats.ts_decode_errors += 1;
+                self.core.stats.ts_decode_errors += 1;
+                return;
             }
+        };
+        if let Some(vt) = self.core.checked_vt(now, &msg, decoded, what) {
+            msg.vt = vt;
+            self.advance_chain(sender, msg.id.seq, msg.vt.clone());
+            self.on_data(now, msg, out, delivered);
+            self.drain_undecoded(now, sender, out, delivered);
         }
     }
 
@@ -971,13 +547,13 @@ impl<P: Clone> CbcastEndpoint<P> {
                 VtWire::Pc { .. } => None,
             };
             match decoded {
-                Some(vt) if vt.len() == self.n => {
+                Some(vt) if vt.len() == self.core.n => {
                     debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
                     msg.vt = vt;
                     self.advance_chain(sender, next, msg.vt.clone());
                     self.on_data(now, msg, out, delivered);
                 }
-                _ => self.stats.ts_decode_errors += 1,
+                _ => self.core.stats.ts_decode_errors += 1,
             }
         }
     }
@@ -994,38 +570,13 @@ impl<P: Clone> CbcastEndpoint<P> {
         hi: u64,
         out: &mut Vec<Out<P>>,
     ) {
+        let parked = parked_in(&self.undecoded);
         let mut want = Vec::new();
-        for seq in lo..=hi {
-            if seq <= self.vt.get(sender) {
-                continue;
-            }
-            let id = MsgId { sender, seq };
-            if self.missing.contains_key(&id)
-                || self.undecoded[sender].contains_key(&seq)
-                || self.holdback.contains(id)
-            {
-                continue;
-            }
-            self.missing.insert(
-                id,
-                Missing {
-                    referenced_by: sender,
-                    last_nack: now,
-                },
-            );
-            if want.len() < self.cfg.max_nack_batch {
-                want.push(id);
-            }
+        for seq in lo.max(self.core.vt.get(sender) + 1)..=hi {
+            self.core
+                .note_missing(now, MsgId { sender, seq }, sender, parked, &mut want);
         }
-        if !want.is_empty() {
-            let w = Wire::Nack {
-                from: self.me,
-                want,
-            };
-            self.stats.nacks_sent += 1;
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::One(sender), w));
-        }
+        self.core.send_nack(want, Dest::One(sender), out);
     }
 
     fn on_data(
@@ -1035,46 +586,30 @@ impl<P: Clone> CbcastEndpoint<P> {
         out: &mut Vec<Out<P>>,
         delivered: &mut Vec<Delivery<P>>,
     ) {
-        let sender = msg.id.sender;
-        self.stats.holdback_events += 1;
+        let core = &mut self.core;
+        core.stats.holdback_events += 1;
         // The data's timestamp doubles as the sender's delivered clock —
         // piggybacked stability information.
-        if self.cfg.piggyback_acks {
-            self.stability.update_row(sender, &msg.vt);
+        if core.cfg.piggyback_acks {
+            core.stability.update_row(msg.id.sender, &msg.vt);
         }
-        // Duplicate (already delivered) or already held?
-        if msg.id.seq <= self.vt.get(sender) || self.holdback.contains(msg.id) {
-            self.stats.duplicates += 1;
-            self.probe.emit(|| ObsEvent::Span {
-                at: now,
-                who: self.me,
-                span: span_of(msg.id),
-                stage: Stage::Dropped,
-                note: "duplicate".to_string(),
-            });
-            self.collect_garbage(now);
+        if core.reject_duplicate(now, msg.id) {
             return;
         }
-        if self.missing.remove(&msg.id).is_some() {
+        if core.missing.remove(&msg.id).is_some() {
             self.was_chased.insert(msg.id);
         }
         // Note any causal predecessors we have never seen.
-        self.register_missing(now, &msg, out);
-        self.probe.emit(|| {
-            let mut waits = Vec::new();
-            for k in 0..self.n {
-                let need = if k == msg.id.sender {
-                    msg.id.seq.saturating_sub(1)
-                } else {
-                    msg.vt.get(k)
-                };
-                if self.vt.get(k) < need {
-                    waits.push(format!("m{k}.{need}"));
-                }
-            }
+        core.register_missing(now, &msg, parked_in(&self.undecoded), out);
+        core.probe.emit(|| {
+            let waits: Vec<String> = (0..core.n)
+                .map(|k| (k, referenced(&msg, k)))
+                .filter(|&(k, need)| core.vt.get(k) < need)
+                .map(|(k, need)| format!("m{k}.{need}"))
+                .collect();
             ObsEvent::Span {
                 at: now,
-                who: self.me,
+                who: core.me,
                 span: span_of(msg.id),
                 stage: Stage::HoldbackEnter,
                 note: if waits.is_empty() {
@@ -1084,228 +619,73 @@ impl<P: Clone> CbcastEndpoint<P> {
                 },
             }
         });
-        self.holdback.insert(
+        core.holdback.insert(
             Pending {
                 msg,
                 arrived_at: now,
             },
-            &self.vt,
+            &core.vt,
         );
         self.drain_holdback(now, delivered);
-        self.stats.note_holdback(self.holdback.len() as u64);
-        self.collect_garbage(now);
-    }
-
-    /// Scans `msg`'s timestamp for messages we have neither delivered nor
-    /// held, recording them as missing and emitting an immediate NACK to
-    /// the referencing sender.
-    fn register_missing(&mut self, now: SimTime, msg: &DataMsg<P>, out: &mut Vec<Out<P>>) {
-        let mut want = Vec::new();
-        for k in 0..self.n {
-            let known = self.vt.get(k);
-            let referenced = if k == msg.id.sender {
-                msg.id.seq.saturating_sub(1)
-            } else {
-                msg.vt.get(k)
-            };
-            // A removed sender's messages beyond the flush cut will never
-            // deliver anywhere; do not chase them.
-            let referenced = if self.alive[k] {
-                referenced
-            } else {
-                referenced.min(self.cut.get(k))
-            };
-            for seq in (known + 1)..=referenced {
-                let id = MsgId { sender: k, seq };
-                // Cheapest tests first: most referenced-but-undelivered
-                // messages are already registered missing, and probing
-                // the holdback costs O(H) in the scan implementation.
-                if !self.missing.contains_key(&id)
-                    && !self.undecoded[k].contains_key(&seq)
-                    && !self.holdback.contains(id)
-                {
-                    self.missing.insert(
-                        id,
-                        Missing {
-                            referenced_by: msg.id.sender,
-                            last_nack: now,
-                        },
-                    );
-                    if want.len() < self.cfg.max_nack_batch {
-                        want.push(id);
-                    }
-                }
-            }
-        }
-        if !want.is_empty() {
-            let w = Wire::Nack {
-                from: self.me,
-                want,
-            };
-            self.stats.nacks_sent += 1;
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::One(msg.id.sender), w));
-        }
+        self.core.note_holdback();
+        self.core.collect_garbage(now);
     }
 
     /// Delivers every holdback message that has become deliverable, in
     /// causal order, until a fixed point. A no-op while frozen (flush in
     /// progress): messages keep queueing and drain at view install.
     fn drain_holdback(&mut self, now: SimTime, delivered: &mut Vec<Delivery<P>>) {
-        if self.frozen {
-            self.stats.note_holdback(self.holdback.len() as u64);
+        let core = &mut self.core;
+        if core.frozen {
+            core.note_holdback();
             return;
         }
         // The delivery that released each subsequent pop in this drain:
         // the previous pop advanced the clock past the last obstacle, so
         // it is the held message's blocking predecessor.
         let mut last_popped: Option<MsgId> = None;
-        while let Some(pending) = self.holdback.pop_ready(&self.vt) {
-            let msg = pending.msg;
-            let sender = msg.id.sender;
-            let seq = msg.id.seq;
-            self.vt.set(sender, seq);
-            self.holdback.note_delivered(sender, seq);
-            // Everything else in the timestamp is already delivered here,
-            // so a full merge is a no-op; set() is the precise update.
-            self.stability.record_local_delivery(self.me, sender, seq);
-            self.missing.remove(&msg.id);
-            let was_held = pending.arrived_at < now;
-            let waited_for = if was_held {
-                // What did we wait on? The causal predecessors that were
-                // undelivered at arrival. Reconstruct cheaply: anything in
-                // msg.vt above our clock at arrival is unknowable now, so
-                // we report the direct predecessor gap from each sender.
-                self.reconstruct_waits(&msg)
-            } else {
-                Vec::new()
-            };
-            self.stats.delivered += 1;
-            if was_held {
-                self.stats.delivered_after_hold += 1;
-                self.stats.hold_time_total += now.saturating_since(pending.arrived_at);
-                self.probe.emit(|| ObsEvent::Span {
+        while let Some(Pending { msg, arrived_at }) = core.holdback.pop_ready(&core.vt) {
+            let id = msg.id;
+            let mut waited_for = Vec::new();
+            if core.begin_delivery(now, arrived_at, id) {
+                waited_for = Self::immediate_predecessors(&msg);
+                core.probe.emit(|| ObsEvent::Span {
                     at: now,
-                    who: self.me,
-                    span: span_of(msg.id),
+                    who: core.me,
+                    span: span_of(id),
                     stage: Stage::Deliverable,
                     note: format!(
                         "all predecessors in after {}us",
-                        now.saturating_since(pending.arrived_at).as_micros()
+                        now.saturating_since(arrived_at).as_micros()
                     ),
                 });
-                // Ledger attribution: why was it held, and on whom? The
-                // install-time drain splits the interval at the freeze
-                // instant — before it, the classified wait; after it,
-                // the flush barrier.
+                // Ledger attribution: why was it held, and on whom?
                 let kind = match last_popped {
                     Some(b) if self.was_chased.contains(&b) => WaitKind::NackRepair,
-                    Some(b) if b.sender == sender => WaitKind::FifoGap,
+                    Some(b) if b.sender == id.sender => WaitKind::FifoGap,
                     _ => WaitKind::CausalDep,
                 };
-                let blocker = last_popped.map(span_of);
-                let split = self
-                    .install_thaw
-                    .filter(|fs| *fs < now && *fs > pending.arrived_at);
-                if let Some(fs) = split {
-                    self.probe.emit(|| ObsEvent::Wait {
-                        at: fs,
-                        who: self.me,
-                        span: span_of(msg.id),
-                        kind,
-                        since: pending.arrived_at,
-                        blocker,
-                        note: String::new(),
-                    });
-                }
-                let frozen_tail = self.install_thaw.is_some();
-                self.probe.emit(|| ObsEvent::Wait {
-                    at: now,
-                    who: self.me,
-                    span: span_of(msg.id),
-                    kind: if frozen_tail {
-                        WaitKind::FlushBarrier
-                    } else {
-                        kind
-                    },
-                    since: split.unwrap_or(pending.arrived_at),
-                    blocker: if frozen_tail { None } else { blocker },
-                    note: if frozen_tail {
-                        "delivery frozen until the view installed".to_string()
-                    } else {
-                        String::new()
-                    },
-                });
+                core.emit_hold_waits(now, arrived_at, id, kind, last_popped.map(span_of));
             }
-            self.probe.emit(|| ObsEvent::Span {
-                at: now,
-                who: self.me,
-                span: span_of(msg.id),
-                stage: Stage::Delivered,
-                note: waited_for
-                    .iter()
-                    .map(|w| format!("m{}.{}", w.sender, w.seq))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-            let id = msg.id;
-            delivered.push(Delivery {
-                id,
-                payload: msg.payload.clone(),
-                arrived_at: pending.arrived_at,
-                delivered_at: now,
-                gseq: None,
-                waited_for,
-            });
-            self.buffer.insert(id, msg);
+            core.finish_delivery(now, arrived_at, msg, waited_for, delivered);
             last_popped = Some(id);
         }
-        self.stats.note_holdback(self.holdback.len() as u64);
-        self.note_buffer();
+        core.note_holdback();
+        core.note_buffer();
     }
 
-    fn reconstruct_waits(&self, msg: &DataMsg<P>) -> Vec<MsgId> {
-        // The immediate causal predecessors of msg: the latest message
-        // from each member visible in its timestamp (other than itself).
-        let mut v = Vec::new();
-        for k in 0..self.n {
-            let seq = if k == msg.id.sender {
-                msg.id.seq.saturating_sub(1)
-            } else {
-                msg.vt.get(k)
-            };
-            if seq > 0 {
-                v.push(MsgId { sender: k, seq });
-            }
-        }
-        v
-    }
-
-    fn collect_garbage(&mut self, now: SimTime) {
-        // This runs on every wire event: O(1), and no buffer walk, until
-        // the tracker reports that the frontier itself moved.
-        if !self.stability.take_frontier_moved() {
-            return;
-        }
-        let frontier = self.stability.stable_frontier();
-        let before = self.buffer.len();
-        self.buffer.retain(|id, _| id.seq > frontier.get(id.sender));
-        let reclaimed = before - self.buffer.len();
-        self.probe.emit(|| ObsEvent::Phase {
-            at: now,
-            who: self.me,
-            kind: PhaseKind::StabilityRound,
-            edge: PhaseEdge::Point,
-            note: format!("stable frontier {frontier:?}, {reclaimed} reclaimed"),
-        });
-        self.stats.stabilized += reclaimed as u64;
-        self.note_buffer();
-    }
-
-    fn note_buffer(&mut self) {
-        let msgs = self.buffer.len() as u64;
-        let per_msg = (self.cfg.payload_bytes + 12 + 4 + 8 * self.n) as u64;
-        self.stats.note_buffer(msgs, msgs * per_msg);
+    /// What a held message is reported to have waited on: the latest
+    /// message from each member visible in its timestamp (other than
+    /// itself). The clock at arrival is unknowable by delivery time, so
+    /// this is the direct predecessor gap from each sender.
+    fn immediate_predecessors(msg: &DataMsg<P>) -> Vec<MsgId> {
+        (0..msg.vt.len())
+            .map(|k| MsgId {
+                sender: k,
+                seq: referenced(msg, k),
+            })
+            .filter(|id| id.seq > 0)
+            .collect()
     }
 }
 
@@ -1348,7 +728,7 @@ mod tests {
         assert!(!d.was_held());
         assert_eq!(out.len(), 1);
         assert_eq!(a.stats().sent, 1);
-        assert_eq!(a.clock().get(0), 1);
+        assert_eq!(a.core().clock().get(0), 1);
     }
 
     /// Quiescent-sender stability: after the last data message, the
@@ -1365,7 +745,7 @@ mod tests {
         c.on_wire(t(1), data);
         // No further data traffic. Before any gossip nobody can know the
         // others delivered, so the message is unstable everywhere.
-        assert!(a.stability_lag() > 0);
+        assert!(a.core().stability_lag() > 0);
         assert_eq!(a.stats().buffered_now, 1);
         // Quiescent tick rounds: every endpoint gossips its delivered
         // clock; that alone must carry the horizon to the clocks.
@@ -1392,11 +772,11 @@ mod tests {
         }
         for (who, ep) in [(0, &a), (1, &b), (2, &c)] {
             assert_eq!(
-                ep.stability_lag(),
+                ep.core().stability_lag(),
                 0,
                 "P{who}: horizon stuck at {:?} with clock {:?}",
-                ep.stable_frontier(),
-                ep.clock()
+                ep.core().stable_frontier(),
+                ep.core().clock()
             );
         }
         // The buffered copy was reclaimed by stability GC.
@@ -1445,7 +825,7 @@ mod tests {
         // b's own message is unstable and still buffered; the lag metric
         // must say so instead of letting a's surplus cancel it to zero.
         assert_eq!(b.stats().buffered_now, 1);
-        assert_eq!(b.stability_lag(), 1);
+        assert_eq!(b.core().stability_lag(), 1);
     }
 
     #[test]
@@ -1471,7 +851,7 @@ mod tests {
 
         let (dels, nacks) = c.on_wire(t(3), m2);
         assert!(dels.is_empty(), "m2 must be held until m1 delivered");
-        assert_eq!(c.holdback_len(), 1);
+        assert_eq!(c.core().holdback_len(), 1);
         // c noticed m1 is missing and NACKed the referencing sender (b).
         assert!(nacks
             .iter()
@@ -1482,7 +862,7 @@ mod tests {
         assert_eq!(order, vec!["m1", "m2"], "causal order restored");
         assert!(dels[1].was_held());
         assert_eq!(dels[1].hold_time(), SimDuration::from_millis(1));
-        assert_eq!(c.holdback_len(), 0);
+        assert_eq!(c.core().holdback_len(), 0);
     }
 
     #[test]
@@ -1583,11 +963,11 @@ mod tests {
         // Everyone gossips; a learns the message is stable and drops it.
         let gb = Wire::AckGossip {
             from: 1,
-            delivered: b.clock().clone(),
+            delivered: b.core().clock().clone(),
         };
         let gc = Wire::AckGossip {
             from: 2,
-            delivered: c.clock().clone(),
+            delivered: c.core().clock().clone(),
         };
         a.on_wire(t(2), gb);
         assert_eq!(a.buffered_len(), 1, "not yet known stable");
@@ -1705,7 +1085,7 @@ mod tests {
         assert!(dels.is_empty(), "late original must not re-deliver");
         assert_eq!(c.stats().duplicates, 1);
         assert_eq!(c.stats().delivered, 2);
-        assert_eq!(c.holdback_len(), 0);
+        assert_eq!(c.core().holdback_len(), 0);
     }
 
     #[test]
@@ -1777,7 +1157,7 @@ mod tests {
         let mut c = CbcastEndpoint::new(2, 3, cfg);
         let (_, o1) = a.multicast(t(0), "m1");
         c.on_wire(t(1), data_of(&o1));
-        let cut = c.clock().clone();
+        let cut = c.core().clock().clone();
         a.on_view_install(t(1), &[0, 2], &cut);
         c.on_view_install(t(1), &[0, 2], &cut);
         // First post-install send re-seeds: full encoding even though
@@ -1810,7 +1190,7 @@ mod tests {
         let mut c = CbcastEndpoint::new(2, 3, cfg);
         let (_, o1) = a.multicast(t(0), "m1");
         c.on_wire(t(1), data_of(&o1));
-        let cut = c.clock().clone();
+        let cut = c.core().clock().clone();
         c.on_view_install(t(1), &[0, 2], &cut); // only the receiver installed
         let (_, o2) = a.multicast(t(2), "m2"); // delta against m1's vt
         assert!(matches!(&data_of(&o2), Wire::Data(d) if d.vt_wire.is_delta()));
@@ -1836,18 +1216,22 @@ mod tests {
     fn freeze_defers_delivery_until_install() {
         let (mut a, mut b, _) = trio();
         let (_, o1) = a.multicast(t(0), "m1");
-        b.freeze(t(0));
+        b.core_mut().freeze(t(0));
         let (dels, _) = b.on_wire(t(1), data_of(&o1));
         assert!(dels.is_empty(), "nothing delivers during the blackout");
-        assert!(b.is_frozen());
-        assert_eq!(b.holdback_len(), 1);
-        assert_eq!(b.clock().get(0), 0, "flush clock unchanged while frozen");
+        assert!(b.core().is_frozen());
+        assert_eq!(b.core().holdback_len(), 1);
+        assert_eq!(
+            b.core().clock().get(0),
+            0,
+            "flush clock unchanged while frozen"
+        );
         // The install (same membership) thaws and drains in causal order.
-        let cut = a.clock().clone();
+        let cut = a.core().clock().clone();
         let dels = b.on_view_install(t(2), &[0, 1, 2], &cut);
         assert_eq!(dels.iter().map(|d| d.payload).collect::<Vec<_>>(), ["m1"]);
-        assert!(!b.is_frozen());
-        assert_eq!(b.clock().get(0), 1);
+        assert!(!b.core().is_frozen());
+        assert_eq!(b.core().clock().get(0), 1);
     }
 
     #[test]
@@ -1859,14 +1243,14 @@ mod tests {
         let (_, o1) = a.multicast(t(0), "m1");
         let (_, o2) = a.multicast(t(1), "m2");
         b.on_wire(t(2), data_of(&o1));
-        b.freeze(t(2)); // flush begins; b's FlushOk carries clock[0] = 1
+        b.core_mut().freeze(t(2)); // flush begins; b's FlushOk carries clock[0] = 1
         let (dels, _) = b.on_wire(t(3), data_of(&o2));
         assert!(dels.is_empty(), "m2 must not deliver during the blackout");
-        let cut = b.clock().clone();
+        let cut = b.core().clock().clone();
         let dels = b.on_view_install(t(4), &[1, 2], &cut);
         assert!(dels.is_empty(), "beyond-cut m2 was purged, not delivered");
-        assert_eq!(b.clock().get(0), 1);
-        assert_eq!(b.holdback_len(), 0);
+        assert_eq!(b.core().clock().get(0), 1);
+        assert_eq!(b.core().holdback_len(), 0);
     }
 
     #[test]
@@ -1877,12 +1261,12 @@ mod tests {
         c.on_wire(t(2), data_of(&o1));
         // A view change removes member 0 with cut = c's clock: m1 is part
         // of the old view's history, m2 is not.
-        let cut = c.clock().clone();
+        let cut = c.core().clock().clone();
         c.on_view_install(t(2), &[1, 2], &cut);
         let (dels, _) = c.on_wire(t(3), data_of(&o2));
         assert!(dels.is_empty(), "beyond-cut message from removed sender");
         assert_eq!(c.stats().rejected_removed, 1);
-        assert_eq!(c.holdback_len(), 0);
+        assert_eq!(c.core().holdback_len(), 0);
     }
 
     #[test]
@@ -1893,7 +1277,7 @@ mod tests {
         let (mut a, mut b, mut c) = trio();
         let (_, o1) = a.multicast(t(0), "m1");
         b.on_wire(t(1), data_of(&o1));
-        let cut = b.clock().clone();
+        let cut = b.core().clock().clone();
         b.on_view_install(t(1), &[1, 2], &cut);
         c.on_view_install(t(1), &[1, 2], &cut);
         let out = c.on_tick(t(2));
@@ -2009,7 +1393,7 @@ mod tests {
             let _ = c.blocked_report();
             c.on_wire(t(4), data_of(&o1));
             (
-                c.clock().clone(),
+                c.core().clock().clone(),
                 c.stats().delivered,
                 c.stats().holdback_work,
                 c.stats().nacks_sent,

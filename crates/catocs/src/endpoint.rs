@@ -1,11 +1,13 @@
-//! A unified facade over the four multicast disciplines.
+//! A unified facade over the five multicast disciplines.
 //!
 //! Experiments sweep over disciplines ("same workload, different ordering
-//! guarantee"), so a single type that can be any of FIFO, causal,
-//! sequencer-total or token-total keeps the harness code honest: the only
-//! thing that changes between runs is the [`Discipline`].
+//! guarantee"), so a single type that can be any of FIFO, causal (cbcast
+//! or pccast, per [`GroupConfig::discipline`]), sequencer-total or
+//! token-total keeps the harness code honest: the only thing that changes
+//! between runs is the [`Discipline`].
 
 use crate::abcast::AbcastEndpoint;
+use crate::causal_core::CausalCore;
 use crate::cbcast::{BlockedReport, CbcastEndpoint};
 use crate::fbcast::FbcastEndpoint;
 use crate::group::{CausalDiscipline, GroupConfig};
@@ -66,20 +68,26 @@ impl<P: Clone> CausalEndpoint<P> {
         }
     }
 
-    /// Which algorithm this endpoint runs.
-    pub fn causal_discipline(&self) -> CausalDiscipline {
+    /// The reliability shell both algorithms embed: clock, stats,
+    /// stability, buffer and holdback gauges, the flush freeze.
+    pub fn core(&self) -> &CausalCore<P> {
         match self {
-            CausalEndpoint::Cbcast(_) => CausalDiscipline::Cbcast,
-            CausalEndpoint::Pccast(_) => CausalDiscipline::Pccast,
+            CausalEndpoint::Cbcast(e) => e.core(),
+            CausalEndpoint::Pccast(e) => e.core(),
+        }
+    }
+
+    /// Mutable access to the shared shell.
+    pub fn core_mut(&mut self) -> &mut CausalCore<P> {
+        match self {
+            CausalEndpoint::Cbcast(e) => e.core_mut(),
+            CausalEndpoint::Pccast(e) => e.core_mut(),
         }
     }
 
     /// Installs an observability probe (read-only).
     pub fn set_probe(&mut self, probe: ProbeHandle) {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.set_probe(probe),
-            CausalEndpoint::Pccast(e) => e.set_probe(probe),
-        }
+        self.core_mut().set_probe(probe);
     }
 
     /// Bug-injection knob: skip the delta decode-chain reset at view
@@ -93,66 +101,22 @@ impl<P: Clone> CausalEndpoint<P> {
 
     /// Suspends delivery until the next view install (flush blackout).
     pub fn freeze(&mut self, now: SimTime) {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.freeze(now),
-            CausalEndpoint::Pccast(e) => e.freeze(now),
-        }
+        self.core_mut().freeze(now);
     }
 
     /// Whether delivery is frozen by a flush in progress.
     pub fn is_frozen(&self) -> bool {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.is_frozen(),
-            CausalEndpoint::Pccast(e) => e.is_frozen(),
-        }
-    }
-
-    /// This member's index.
-    pub fn me(&self) -> usize {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.me(),
-            CausalEndpoint::Pccast(e) => e.me(),
-        }
-    }
-
-    /// Group size.
-    pub fn group_size(&self) -> usize {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.group_size(),
-            CausalEndpoint::Pccast(e) => e.group_size(),
-        }
+        self.core().is_frozen()
     }
 
     /// The delivered vector clock.
     pub fn clock(&self) -> &VectorClock {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.clock(),
-            CausalEndpoint::Pccast(e) => e.clock(),
-        }
+        self.core().clock()
     }
 
     /// Endpoint statistics.
     pub fn stats(&self) -> &EndpointStats {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.stats(),
-            CausalEndpoint::Pccast(e) => e.stats(),
-        }
-    }
-
-    /// Number of unstable messages currently buffered.
-    pub fn buffered_len(&self) -> usize {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.buffered_len(),
-            CausalEndpoint::Pccast(e) => e.buffered_len(),
-        }
-    }
-
-    /// Current holdback-queue length.
-    pub fn holdback_len(&self) -> usize {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.holdback_len(),
-            CausalEndpoint::Pccast(e) => e.holdback_len(),
-        }
+        self.core().stats()
     }
 
     /// Messages parked awaiting a delta decode base (cbcast only; pccast
@@ -160,32 +124,13 @@ impl<P: Clone> CausalEndpoint<P> {
     pub fn parked_len(&self) -> usize {
         match self {
             CausalEndpoint::Cbcast(e) => e.parked_len(),
-            CausalEndpoint::Pccast(e) => e.parked_len(),
+            CausalEndpoint::Pccast(_) => 0,
         }
     }
 
     /// Retransmits every unstable buffered message with full timestamps.
     pub fn flush_unstable(&mut self) -> Vec<Out<P>> {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.flush_unstable(),
-            CausalEndpoint::Pccast(e) => e.flush_unstable(),
-        }
-    }
-
-    /// The group-wide stable frontier.
-    pub fn stable_frontier(&self) -> VectorClock {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.stable_frontier(),
-            CausalEndpoint::Pccast(e) => e.stable_frontier(),
-        }
-    }
-
-    /// Componentwise stability-horizon lag.
-    pub fn stability_lag(&self) -> u64 {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.stability_lag(),
-            CausalEndpoint::Pccast(e) => e.stability_lag(),
-        }
+        self.core_mut().flush_unstable()
     }
 
     /// Telemetry gauges, prefixed `cbcast.` or `pccast.` per algorithm.
@@ -305,18 +250,6 @@ impl<P: Clone> Endpoint<P> {
         }
     }
 
-    /// The discipline this endpoint implements.
-    pub fn discipline(&self) -> Discipline {
-        match self {
-            Endpoint::Fifo(_) => Discipline::Fifo,
-            Endpoint::Causal(_) => Discipline::Causal,
-            Endpoint::Total(e) => Discipline::Total {
-                sequencer: if e.is_sequencer() { e.me() } else { usize::MAX },
-            },
-            Endpoint::TotalToken(_) => Discipline::TotalToken,
-        }
-    }
-
     /// Multicasts `payload`. Deliveries returned are local deliveries that
     /// became possible immediately (for FIFO/causal that includes the
     /// self-delivery; total order may defer it).
@@ -393,7 +326,7 @@ impl<P: Clone> Endpoint<P> {
     /// The causal layer's stable frontier, where one exists.
     pub fn stable_frontier(&self) -> Option<clocks::vector::VectorClock> {
         match self {
-            Endpoint::Causal(e) => Some(e.stable_frontier()),
+            Endpoint::Causal(e) => Some(e.core().stable_frontier()),
             _ => None,
         }
     }
@@ -427,7 +360,7 @@ impl<P: Clone> Endpoint<P> {
     pub fn buffered_len(&self) -> usize {
         match self {
             Endpoint::Fifo(e) => e.buffered_len(),
-            Endpoint::Causal(e) => e.buffered_len(),
+            Endpoint::Causal(e) => e.core().buffered_len(),
             Endpoint::Total(e) => e.causal_stats().buffered_now as usize,
             Endpoint::TotalToken(e) => e.stats().buffered_now as usize,
         }

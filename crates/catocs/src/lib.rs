@@ -8,6 +8,11 @@
 //! - [`cbcast`] — causal multicast: vector-clock timestamps, holdback
 //!   queues, NACK-based recovery from the message buffer, piggybacked or
 //!   explicit acknowledgement gossip (\[Birman, Schiper, Stephenson '91\]).
+//! - [`pccast`] — causal multicast with constant-size metadata: causal
+//!   order from dissemination order over a ring overlay of FIFO links.
+//! - [`causal_core`] — the reliability shell `cbcast` and `pccast` share:
+//!   buffer until stable, NACK repair, ack gossip, flush freeze, view
+//!   membership.
 //! - [`abcast`] — totally ordered multicast via a fixed sequencer, plus a
 //!   token-ring variant in [`token`] for the ablation study.
 //! - [`stability`] — message-stability tracking (matrix clock) and the
@@ -23,7 +28,7 @@
 //!   exposes the send-blackout window the paper calls out.
 //! - [`safety`] — Deceit-style "write safety level k" tracking (§4.4):
 //!   how many acks a cbcast must collect before it counts as safe.
-//! - [`endpoint`] — a unified endpoint facade over the four multicast
+//! - [`endpoint`] — a unified endpoint facade over the five multicast
 //!   disciplines, plus a [`simnet`] glue node ([`harness`]) for pure
 //!   group workloads.
 //!
@@ -40,6 +45,7 @@
 //!   with respect to message traffic (virtual synchrony).
 
 pub mod abcast;
+pub mod causal_core;
 pub mod causal_graph;
 pub mod cbcast;
 pub mod domain;

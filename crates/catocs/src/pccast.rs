@@ -55,28 +55,21 @@
 //! timestamp kept alongside for NACK repair is cold-path bookkeeping,
 //! not hot-path wire state.
 
-use crate::cbcast::{BlockedReport, LinkWait, LinkWaitStatus, WaitCause, WaitStatus};
+use crate::causal_core::{span_of, CausalCore};
+use crate::cbcast::{wait_reason, BlockedReport, LinkWait, LinkWaitStatus, WaitCause};
 use crate::group::{GroupConfig, MsgId};
-use crate::holdback::{HoldbackQueue, Pending};
-use crate::stability::StabilityTracker;
-use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
+use crate::holdback::Pending;
+use crate::waitgraph::{WaitEdge, WaitNode};
+use crate::wire::{DataMsg, Delivery, Dest, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
+use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
 
-fn span_of(id: MsgId) -> SpanId {
-    SpanId {
-        origin: id.sender,
-        seq: id.seq,
-    }
-}
-
-/// Tracking for a message we know exists but have not received.
-#[derive(Debug, Clone, Copy)]
-struct Missing {
-    referenced_by: usize,
-    last_nack: SimTime,
+/// pccast has no delta decode chains, so nothing is ever parked outside
+/// the holdback queue — the predicate the shared shell asks for.
+fn never_parked(_: MsgId) -> bool {
+    false
 }
 
 /// One position of an incoming link's reorder buffer.
@@ -87,6 +80,18 @@ enum LinkCopy<P> {
     /// The forwarder garbage-collected this position's payload as stable;
     /// the id consumes like a duplicate once delivered here.
     Skip(MsgId),
+}
+
+/// An undelivered data copy waiting in an incoming link's reorder buffer.
+struct BlockedCopy {
+    /// The link's peer.
+    peer: usize,
+    /// The position the link's cursor waits for.
+    head: u64,
+    /// The copy's own position, arrival time and id.
+    pos: u64,
+    at: SimTime,
+    id: MsgId,
 }
 
 /// Send side of one overlay link.
@@ -126,12 +131,13 @@ impl<P> InLink<P> {
 /// drive either discipline.
 #[derive(Debug)]
 pub struct PccastEndpoint<P> {
-    me: usize,
-    n: usize,
-    cfg: GroupConfig,
-    /// Delivered clock — local bookkeeping only; never on the wire with
-    /// data (that is the whole point).
-    vt: VectorClock,
+    /// Clock, unstable buffer, stability, NACK repair, view membership
+    /// and the flush freeze — shared with cbcast. Its holdback queue is
+    /// pccast's repair path: full-timestamped retransmissions wait there
+    /// under the ordinary cbcast deliverability rule. The delivered clock
+    /// is local bookkeeping only; it never rides on data (that is the
+    /// whole point).
+    core: CausalCore<P>,
     /// Current view id; copies from other epochs are discarded (their
     /// links restart from sequence 1 after an install).
     epoch: u64,
@@ -139,128 +145,41 @@ pub struct PccastEndpoint<P> {
     links_out: BTreeMap<usize, OutLink>,
     /// Receive side of each incoming overlay link, by peer member index.
     links_in: BTreeMap<usize, InLink<P>>,
-    /// Repair path: full-timestamped retransmissions wait here under the
-    /// ordinary cbcast deliverability rule.
-    holdback: HoldbackQueue<P>,
-    /// Unstable messages retained for retransmission, by id.
-    buffer: BTreeMap<MsgId, DataMsg<P>>,
-    stability: StabilityTracker,
-    missing: BTreeMap<MsgId, Missing>,
-    alive: Vec<bool>,
-    cut: VectorClock,
     /// Post-install delivery barrier: fast-path delivery from the fresh
     /// links is barred until `vt` dominates this (the flush cut at the
     /// last install), because a fresh link cannot vouch for causal
     /// predecessors delivered before it existed.
     barrier: VectorClock,
     barrier_met: bool,
-    frozen: bool,
-    /// When the current freeze began (None when not frozen) — the
-    /// latency ledger splits install-time waits at this instant.
-    frozen_since: Option<SimTime>,
-    /// Set for the duration of the install-time drain: the freeze
-    /// instant the just-ended flush began at.
-    install_thaw: Option<SimTime>,
-    probe: ProbeHandle,
-    stats: EndpointStats,
 }
 
 impl<P: Clone> PccastEndpoint<P> {
     /// Creates the endpoint for member `me` of a group of `n`.
     pub fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
-        assert!(me < n, "member index out of range");
-        let holdback = HoldbackQueue::new(cfg.indexed_holdback, n);
         PccastEndpoint {
-            me,
-            n,
-            cfg,
-            vt: VectorClock::new(n),
+            // Buffered-bytes gauge — constant per-message wire state: id
+            // + Pc tag + retransmit flag. (The full clock retained for
+            // NACK repair is deliberately not charged — see the module
+            // docs.)
+            core: CausalCore::new(me, n, cfg, 12 + 20 + 1),
             epoch: 1,
             links_out: BTreeMap::new(),
             links_in: BTreeMap::new(),
-            holdback,
-            buffer: BTreeMap::new(),
-            stability: StabilityTracker::new(n),
-            missing: BTreeMap::new(),
-            alive: vec![true; n],
-            cut: VectorClock::new(n),
             barrier: VectorClock::new(n),
             barrier_met: true,
-            frozen: false,
-            frozen_since: None,
-            install_thaw: None,
-            probe: ProbeHandle::none(),
-            stats: EndpointStats::default(),
         }
     }
 
-    /// Installs an observability probe (read-only; a probed run is
-    /// byte-identical to an unprobed one).
-    pub fn set_probe(&mut self, probe: ProbeHandle) {
-        self.probe = probe;
+    /// The shared reliability shell: clock, stats, stability, buffer and
+    /// holdback gauges, the flush freeze.
+    pub fn core(&self) -> &CausalCore<P> {
+        &self.core
     }
 
-    /// Suspends all delivery until the next [`PccastEndpoint::on_view_install`]
-    /// (flush blackout, same contract as cbcast). Link buffers and the
-    /// holdback queue keep accumulating.
-    pub fn freeze(&mut self, now: SimTime) {
-        if !self.frozen {
-            self.frozen_since = Some(now);
-            self.probe.emit(|| ObsEvent::Phase {
-                at: now,
-                who: self.me,
-                kind: PhaseKind::Flush,
-                edge: PhaseEdge::Begin,
-                note: format!("{} unstable buffered", self.buffer.len()),
-            });
-        }
-        self.frozen = true;
-    }
-
-    /// Whether delivery is currently frozen by a flush in progress.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// This member's index.
-    pub fn me(&self) -> usize {
-        self.me
-    }
-
-    /// Group size.
-    pub fn group_size(&self) -> usize {
-        self.n
-    }
-
-    /// The delivered vector clock.
-    pub fn clock(&self) -> &VectorClock {
-        &self.vt
-    }
-
-    /// Endpoint statistics.
-    pub fn stats(&self) -> &EndpointStats {
-        &self.stats
-    }
-
-    /// The stability tracker.
-    pub fn stability(&self) -> &StabilityTracker {
-        &self.stability
-    }
-
-    /// Number of unstable messages currently buffered.
-    pub fn buffered_len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// Current holdback-queue (repair path) length.
-    pub fn holdback_len(&self) -> usize {
-        self.holdback.len()
-    }
-
-    /// pccast has no delta decode chains, so nothing ever parks; the
-    /// analogous gauge is [`PccastEndpoint::link_buffered_len`].
-    pub fn parked_len(&self) -> usize {
-        0
+    /// Mutable access to the shell, for `set_probe`, `freeze` and
+    /// `flush_unstable`.
+    pub fn core_mut(&mut self) -> &mut CausalCore<P> {
+        &mut self.core
     }
 
     /// Copies sitting in the per-link reorder buffers (the hybrid-buffer
@@ -269,44 +188,37 @@ impl<P: Clone> PccastEndpoint<P> {
         self.links_in.values().map(|l| l.buf.len()).sum()
     }
 
-    /// Retransmits every unstable buffered message to the whole group
-    /// with full timestamps — the flush step of a view change.
-    pub fn flush_unstable(&mut self) -> Vec<Out<P>> {
-        let mut out = Vec::new();
-        for m in self.buffer.values() {
-            let mut copy = m.clone();
-            copy.retransmit = true;
-            copy.make_full();
-            let w = Wire::Data(copy);
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::All, w));
-        }
-        out
-    }
-
-    /// The current group-wide stable frontier.
-    pub fn stable_frontier(&self) -> VectorClock {
-        self.stability.stable_frontier()
-    }
-
-    /// Componentwise stability-horizon lag (same definition as cbcast).
-    pub fn stability_lag(&self) -> u64 {
-        let frontier = self.stability.stable_frontier();
-        (0..self.n)
-            .map(|s| self.vt.get(s).saturating_sub(frontier.get(s)))
-            .sum()
-    }
-
     /// Telemetry hook: instantaneous queue depths and buffering gauges.
     pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        emit("pccast.holdback", self.holdback.len() as f64);
+        emit("pccast.holdback", self.core.holdback_len() as f64);
         emit("pccast.linkbuf", self.link_buffered_len() as f64);
-        emit("pccast.buffered", self.buffer.len() as f64);
+        emit("pccast.buffered", self.core.buffered_len() as f64);
         emit(
             "pccast.buffered_bytes",
-            self.stats.buffered_bytes_now as f64,
+            self.core.stats.buffered_bytes_now as f64,
         );
-        emit("pccast.stability_lag", self.stability_lag() as f64);
+        emit("pccast.stability_lag", self.core.stability_lag() as f64);
+    }
+
+    /// Data copies waiting in a link reorder buffer that this member has
+    /// not delivered yet (an already-delivered one is a duplicate
+    /// awaiting consumption, not a blocked message).
+    fn blocked_link_copies(&self) -> impl Iterator<Item = BlockedCopy> + '_ {
+        self.links_in.iter().flat_map(move |(&peer, link)| {
+            let head = link.cursor + 1;
+            link.buf.iter().filter_map(move |(&pos, copy)| match copy {
+                LinkCopy::Data(at, msg) if msg.id.seq > self.core.vt.get(msg.id.sender) => {
+                    Some(BlockedCopy {
+                        peer,
+                        head,
+                        pos,
+                        at: *at,
+                        id: msg.id,
+                    })
+                }
+                _ => None,
+            })
+        })
     }
 
     /// Blocked-on explanation, mirroring
@@ -317,91 +229,40 @@ impl<P: Clone> PccastEndpoint<P> {
     /// stalled link *head* reports the origin-FIFO predecessors the link
     /// could not vouch for.
     pub fn blocked_report(&self) -> Vec<BlockedReport> {
-        let mut by_msg: BTreeMap<MsgId, BlockedReport> = BTreeMap::new();
-        for p in self.holdback.pending() {
-            let mut waits = Vec::new();
-            for k in 0..self.n {
-                let need = if k == p.msg.id.sender {
-                    p.msg.id.seq.saturating_sub(1)
+        let mut by_msg = self.core.held_reports(never_parked);
+        for c in self.blocked_link_copies() {
+            let BlockedCopy { peer, head, id, .. } = c;
+            let entry = by_msg.entry(id).or_insert_with(|| BlockedReport {
+                msg: id,
+                arrived_at: c.at,
+                waits: Vec::new(),
+                link_waits: Vec::new(),
+            });
+            if c.pos > head {
+                let status = if !self.core.alive[peer] {
+                    LinkWaitStatus::Severed
+                } else if let Some(LinkCopy::Skip(_)) = self.links_in[&peer].buf.get(&head) {
+                    LinkWaitStatus::SkipPending
                 } else {
-                    p.msg.vt.get(k)
+                    LinkWaitStatus::Gap
                 };
-                for seq in (self.vt.get(k) + 1)..=need {
-                    let id = MsgId { sender: k, seq };
-                    waits.push(WaitCause {
-                        id,
-                        status: self.classify_wait(id),
-                    });
-                }
-            }
-            by_msg.insert(
-                p.msg.id,
-                BlockedReport {
-                    msg: p.msg.id,
-                    arrived_at: p.arrived_at,
-                    waits,
-                    link_waits: Vec::new(),
-                },
-            );
-        }
-        for (&peer, link) in &self.links_in {
-            let head = link.cursor + 1;
-            for (&pos, copy) in &link.buf {
-                let LinkCopy::Data(at, msg) = copy else {
-                    continue;
-                };
-                if msg.id.seq <= self.vt.get(msg.id.sender) {
-                    // A duplicate awaiting consumption, not a blocked one.
-                    continue;
-                }
-                let entry = by_msg.entry(msg.id).or_insert_with(|| BlockedReport {
-                    msg: msg.id,
-                    arrived_at: *at,
-                    waits: Vec::new(),
-                    link_waits: Vec::new(),
+                entry.link_waits.push(LinkWait {
+                    from: peer,
+                    pos: head,
+                    status,
                 });
-                if pos > head {
-                    let status = if !self.alive[peer] {
-                        LinkWaitStatus::Severed
-                    } else if matches!(link.buf.get(&head), Some(LinkCopy::Skip(_))) {
-                        LinkWaitStatus::SkipPending
-                    } else {
-                        LinkWaitStatus::Gap
-                    };
-                    entry.link_waits.push(LinkWait {
-                        from: peer,
-                        pos: head,
-                        status,
+            } else if entry.waits.is_empty() {
+                let o = id.sender;
+                for seq in (self.core.vt.get(o) + 1)..id.seq {
+                    let id = MsgId { sender: o, seq };
+                    entry.waits.push(WaitCause {
+                        id,
+                        status: self.core.classify_wait(id, never_parked),
                     });
-                } else if entry.waits.is_empty() {
-                    let o = msg.id.sender;
-                    for seq in (self.vt.get(o) + 1)..msg.id.seq {
-                        let id = MsgId { sender: o, seq };
-                        entry.waits.push(WaitCause {
-                            id,
-                            status: self.classify_wait(id),
-                        });
-                    }
                 }
             }
         }
         by_msg.into_values().collect()
-    }
-
-    fn classify_wait(&self, id: MsgId) -> WaitStatus {
-        if self.holdback.peek(id) {
-            WaitStatus::HeldHere
-        } else if !self.alive[id.sender] && id.seq > self.cut.get(id.sender) {
-            WaitStatus::NeverDeliverable {
-                cut: self.cut.get(id.sender),
-            }
-        } else if let Some(m) = self.missing.get(&id) {
-            WaitStatus::Chased {
-                referenced_by: m.referenced_by,
-            }
-        } else {
-            WaitStatus::Unknown
-        }
     }
 
     /// Contributes this endpoint's live blocking edges to a wait-graph
@@ -412,97 +273,40 @@ impl<P: Clone> PccastEndpoint<P> {
     /// [`crate::waitgraph::WaitNode::LinkSlot`] that the collector
     /// resolves against the sender side's ARQ log
     /// ([`Self::link_log_lookup`]).
-    pub fn wait_edges(&self, out: &mut Vec<crate::waitgraph::WaitEdge>) {
-        use crate::waitgraph::{WaitEdge, WaitNode};
-        // Sorted for determinism; one edge per lagging sender (the first
-        // gap), mirroring the cbcast rationale.
-        let mut pending: Vec<_> = self.holdback.pending().collect();
-        pending.sort_unstable_by_key(|p| p.msg.id);
-        for p in pending {
-            let from = WaitNode::Msg(p.msg.id);
-            for k in 0..self.n {
-                let need = if k == p.msg.id.sender {
-                    p.msg.id.seq.saturating_sub(1)
-                } else {
-                    p.msg.vt.get(k)
+    pub fn wait_edges(&self, out: &mut Vec<WaitEdge>) {
+        self.core.held_wait_edges(never_parked, out);
+        let me = self.core.me;
+        for c in self.blocked_link_copies() {
+            let BlockedCopy { peer, head, id, .. } = c;
+            let edge = |to, reason| WaitEdge {
+                from: WaitNode::Msg(id),
+                to,
+                who: me,
+                since: c.at,
+                reason,
+            };
+            if c.pos > head {
+                let slot = WaitNode::LinkSlot {
+                    to: me,
+                    from: peer,
+                    seq: head,
                 };
-                if need > self.vt.get(k) {
-                    let gap = MsgId {
-                        sender: k,
-                        seq: self.vt.get(k) + 1,
-                    };
-                    out.push(WaitEdge {
-                        from,
-                        to: WaitNode::Msg(gap),
-                        who: self.me,
-                        since: p.arrived_at,
-                        reason: crate::cbcast::wait_reason(self.classify_wait(gap)),
-                    });
-                }
-            }
-            if self.frozen {
-                out.push(WaitEdge {
-                    from,
-                    to: WaitNode::Proc(self.me),
-                    who: self.me,
-                    since: p.arrived_at,
-                    reason: "delivery frozen by flush",
-                });
-            }
-        }
-        for (&peer, link) in &self.links_in {
-            let head = link.cursor + 1;
-            for (&pos, copy) in &link.buf {
-                let LinkCopy::Data(at, msg) = copy else {
-                    continue;
+                out.push(edge(slot, "link reorder gap"));
+            } else if self.core.frozen {
+                out.push(self.core.frozen_edge(id, c.at));
+            } else if !self.barrier_met {
+                out.push(edge(
+                    WaitNode::Proc(me),
+                    "fast path barred until flush cut reached",
+                ));
+            } else {
+                let next = MsgId {
+                    sender: id.sender,
+                    seq: self.core.vt.get(id.sender) + 1,
                 };
-                if msg.id.seq <= self.vt.get(msg.id.sender) {
-                    continue;
-                }
-                let from = WaitNode::Msg(msg.id);
-                if pos > head {
-                    out.push(WaitEdge {
-                        from,
-                        to: WaitNode::LinkSlot {
-                            to: self.me,
-                            from: peer,
-                            seq: head,
-                        },
-                        who: self.me,
-                        since: *at,
-                        reason: "link reorder gap",
-                    });
-                } else if self.frozen {
-                    out.push(WaitEdge {
-                        from,
-                        to: WaitNode::Proc(self.me),
-                        who: self.me,
-                        since: *at,
-                        reason: "delivery frozen by flush",
-                    });
-                } else if !self.barrier_met {
-                    out.push(WaitEdge {
-                        from,
-                        to: WaitNode::Proc(self.me),
-                        who: self.me,
-                        since: *at,
-                        reason: "fast path barred until flush cut reached",
-                    });
-                } else {
-                    let o = msg.id.sender;
-                    let id = MsgId {
-                        sender: o,
-                        seq: self.vt.get(o) + 1,
-                    };
-                    if id != msg.id {
-                        out.push(WaitEdge {
-                            from,
-                            to: WaitNode::Msg(id),
-                            who: self.me,
-                            since: *at,
-                            reason: crate::cbcast::wait_reason(self.classify_wait(id)),
-                        });
-                    }
+                if next != id {
+                    let status = self.core.classify_wait(next, never_parked);
+                    out.push(edge(WaitNode::Msg(next), wait_reason(status)));
                 }
             }
         }
@@ -520,8 +324,8 @@ impl<P: Clone> PccastEndpoint<P> {
     /// in the ring over live member indices. Degenerates gracefully: one
     /// neighbour in a pair, none when alone or evicted.
     fn neighbors(&self) -> Vec<usize> {
-        let live: Vec<usize> = (0..self.n).filter(|&s| self.alive[s]).collect();
-        let Some(k) = live.iter().position(|&s| s == self.me) else {
+        let live: Vec<usize> = (0..self.core.n).filter(|&s| self.core.alive[s]).collect();
+        let Some(k) = live.iter().position(|&s| s == self.core.me) else {
             return Vec::new();
         };
         let m = live.len();
@@ -554,7 +358,7 @@ impl<P: Clone> PccastEndpoint<P> {
             let mut copy = msg.clone();
             copy.vt_wire = VtWire::Pc {
                 epoch: self.epoch,
-                from: self.me,
+                from: self.core.me,
                 link_seq: seq,
             };
             copy.retransmit = false;
@@ -562,17 +366,17 @@ impl<P: Clone> PccastEndpoint<P> {
             let w = Wire::Data(copy);
             let bytes = w.overhead_bytes() as u64;
             if first {
-                self.stats.data_overhead_bytes += bytes;
+                self.core.stats.data_overhead_bytes += bytes;
                 first = false;
             } else {
-                self.stats.control_bytes += bytes;
+                self.core.stats.control_bytes += bytes;
             }
             out.push((Dest::One(nb), w));
         }
         if first {
             // No live neighbours (singleton view): still charge the send
             // its constant tag so bytes/msg stays meaningful.
-            self.stats.data_overhead_bytes += (12 + 20 + 1) as u64;
+            self.core.stats.data_overhead_bytes += (12 + 20 + 1) as u64;
         }
     }
 
@@ -588,42 +392,7 @@ impl<P: Clone> PccastEndpoint<P> {
         members: &[usize],
         cut: &VectorClock,
     ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        if self.frozen {
-            self.probe.emit(|| ObsEvent::Phase {
-                at: now,
-                who: self.me,
-                kind: PhaseKind::Flush,
-                edge: PhaseEdge::End,
-                note: String::new(),
-            });
-        }
-        self.probe.emit(|| ObsEvent::Phase {
-            at: now,
-            who: self.me,
-            kind: PhaseKind::Install,
-            edge: PhaseEdge::Point,
-            note: format!("members {members:?} cut {cut:?}"),
-        });
-        self.cut.merge(cut);
-        for s in 0..self.n {
-            if !members.contains(&s) && self.alive[s] {
-                self.alive[s] = false;
-                self.holdback.purge_sender(s, self.cut.get(s));
-                for seq in (self.vt.get(s) + 1)..=self.cut.get(s) {
-                    let id = MsgId { sender: s, seq };
-                    if !self.holdback.contains(id) {
-                        self.missing.entry(id).or_insert(Missing {
-                            referenced_by: s,
-                            last_nack: SimTime::MAX,
-                        });
-                    }
-                }
-            }
-        }
-        let cut_snapshot = self.cut.clone();
-        let alive = &self.alive;
-        self.missing
-            .retain(|id, _| alive[id.sender] || id.seq <= cut_snapshot.get(id.sender));
+        self.core.install_view(now, members, cut);
         // Epoch turnover: the overlay is rebuilt over the survivors and
         // every link restarts from sequence 1. In-flight old-epoch copies
         // die on arrival; anything undelivered from the old view comes
@@ -631,74 +400,41 @@ impl<P: Clone> PccastEndpoint<P> {
         self.epoch = view_id;
         self.links_out.clear();
         self.links_in.clear();
-        self.barrier = self.cut.clone();
+        self.barrier = self.core.cut.clone();
         self.barrier_met = self.check_barrier();
-        self.stability.set_members(members);
-        self.stats.note_holdback(self.holdback.len() as u64);
-        self.collect_garbage(now);
-        self.frozen = false;
-        self.install_thaw = self.frozen_since.take();
         let mut delivered = Vec::new();
         let mut out = Vec::new();
         self.drain(now, &mut delivered, &mut out);
-        self.install_thaw = None;
+        self.core.end_install_drain();
         (delivered, out)
     }
 
     fn check_barrier(&self) -> bool {
-        (0..self.n).all(|s| self.vt.get(s) >= self.barrier.get(s))
+        (0..self.core.n).all(|s| self.core.vt.get(s) >= self.barrier.get(s))
     }
 
     /// Multicasts `payload` to the group. The self-delivery is immediate;
     /// the outbound copies are the per-link forwards.
     pub fn multicast(&mut self, now: SimTime, payload: P) -> (Delivery<P>, Vec<Out<P>>) {
-        let seq = self.vt.tick(self.me);
-        self.probe.emit(|| ObsEvent::Span {
-            at: now,
-            who: self.me,
-            span: SpanId {
-                origin: self.me,
-                seq,
-            },
-            stage: Stage::Send,
-            note: String::new(),
-        });
-        self.holdback.note_delivered(self.me, seq);
-        let id = MsgId {
-            sender: self.me,
-            seq,
-        };
+        let id = self.core.begin_send(now);
         // The buffered master copy keeps the full clock for NACK repair;
         // its wire tag is a placeholder (every outbound copy is re-tagged
         // per link, and retransmissions go out `make_full`).
         let msg = DataMsg {
             id,
-            vt: self.vt.clone(),
+            vt: self.core.vt.clone(),
             vt_wire: VtWire::Pc {
                 epoch: self.epoch,
-                from: self.me,
+                from: self.core.me,
                 link_seq: 0,
             },
             payload: payload.clone(),
             retransmit: false,
             appended: Vec::new(),
         };
-        self.stats.sent += 1;
-        self.stats.delivered += 1;
-        self.stability.record_local_delivery(self.me, self.me, seq);
         let mut out = Vec::new();
         self.forward(&msg, &mut out, true);
-        self.buffer.insert(id, msg);
-        self.note_buffer();
-        let delivery = Delivery {
-            id,
-            payload,
-            arrived_at: now,
-            delivered_at: now,
-            gseq: None,
-            waited_for: Vec::new(),
-        };
-        (delivery, out)
+        (self.core.finish_send(now, msg, payload), out)
     }
 
     /// Handles an incoming wire message. Returns app deliveries (in
@@ -709,7 +445,7 @@ impl<P: Clone> PccastEndpoint<P> {
         let mut delivered = Vec::new();
         match wire {
             Wire::Data(msg) => {
-                self.stats.data_received += 1;
+                self.core.stats.data_received += 1;
                 self.accept_data(now, msg, &mut out, &mut delivered);
             }
             Wire::PcAck { from, epoch, acked } => {
@@ -720,99 +456,46 @@ impl<P: Clone> PccastEndpoint<P> {
                 epoch,
                 link_seq,
                 id,
-            } if epoch == self.epoch && from < self.n => {
+            } if epoch == self.epoch && from < self.core.n => {
                 let link = self.links_in.entry(from).or_insert_with(InLink::new);
                 if link_seq > link.cursor {
                     link.buf.entry(link_seq).or_insert(LinkCopy::Skip(id));
                 }
                 self.drain(now, &mut delivered, &mut out);
             }
+            // Gossip is pccast's only cross-link gap detector (data
+            // carries no clocks).
             Wire::AckGossip { from, delivered: d } => {
-                self.stability.update_row(from, &d);
-                // Gossip reveals messages we never received — pccast's
-                // only cross-link gap detector (data carries no clocks).
-                for k in 0..self.n {
-                    let hi = if self.alive[k] {
-                        d.get(k)
-                    } else {
-                        d.get(k).min(self.cut.get(k))
-                    };
-                    for seq in (self.vt.get(k) + 1)..=hi {
-                        let id = MsgId { sender: k, seq };
-                        if !self.holdback.contains(id) {
-                            self.missing.entry(id).or_insert(Missing {
-                                referenced_by: from,
-                                last_nack: SimTime::MAX,
-                            });
-                        }
-                    }
-                }
-                self.collect_garbage(now);
+                self.core.on_ack_gossip(now, from, &d, never_parked);
             }
-            Wire::Nack { from, want } => {
-                for id in want {
-                    if let Some(m) = self.buffer.get(&id) {
-                        let mut copy = m.clone();
-                        copy.retransmit = true;
-                        copy.make_full();
-                        self.stats.retransmits_served += 1;
-                        let w = Wire::Data(copy);
-                        self.stats.control_bytes += w.overhead_bytes() as u64;
-                        out.push((Dest::One(from), w));
-                    }
-                }
-            }
+            Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
             // Membership traffic is the composing endpoint's business.
             _ => {}
         }
-        self.stats.holdback_work = self.holdback.work();
+        self.core.stats.holdback_work = self.core.holdback.work();
         (delivered, out)
     }
 
     /// Periodic maintenance: ack gossip (stability + gap detection),
-    /// per-link cumulative acks (loss recovery), NACK retries.
+    /// per-link cumulative acks (loss recovery), NACK retries. The order
+    /// of `out` is the order the network draws loss in.
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
-        let gossip = Wire::AckGossip {
-            from: self.me,
-            delivered: self.vt.clone(),
-        };
-        self.stats.acks_sent += 1;
-        self.stats.control_bytes += gossip.overhead_bytes() as u64;
-        out.push((Dest::All, gossip));
+        self.core.gossip(&mut out);
         // Cumulative per-link acks to the overlay neighbours: tell each
         // forwarder how far its link has been consumed, so it can GC its
         // ARQ window and re-serve the tail.
         for nb in self.neighbors() {
             let acked = self.links_in.get(&nb).map_or(0, |l| l.cursor);
             let w: Wire<P> = Wire::PcAck {
-                from: self.me,
+                from: self.core.me,
                 epoch: self.epoch,
                 acked,
             };
-            self.stats.control_bytes += w.overhead_bytes() as u64;
+            self.core.stats.control_bytes += w.overhead_bytes() as u64;
             out.push((Dest::One(nb), w));
         }
-        // Re-NACK overdue missing messages (repair path).
-        let mut batch: Vec<MsgId> = Vec::new();
-        for (&id, info) in self.missing.iter_mut() {
-            let overdue = info.last_nack == SimTime::MAX
-                || now.saturating_since(info.last_nack) >= self.cfg.nack_timeout;
-            if overdue && batch.len() < self.cfg.max_nack_batch {
-                batch.push(id);
-                info.last_nack = now;
-            }
-        }
-        if !batch.is_empty() {
-            let w = Wire::Nack {
-                from: self.me,
-                want: batch,
-            };
-            self.stats.nacks_sent += 1;
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::All, w));
-        }
-        self.note_buffer();
+        self.core.renack_overdue(now, &mut out);
         out
     }
 
@@ -828,7 +511,7 @@ impl<P: Clone> PccastEndpoint<P> {
         acked: u64,
         out: &mut Vec<Out<P>>,
     ) {
-        if epoch != self.epoch || from >= self.n {
+        if epoch != self.epoch || from >= self.core.n {
             return;
         }
         let Some(link) = self.links_out.get_mut(&from) else {
@@ -836,18 +519,17 @@ impl<P: Clone> PccastEndpoint<P> {
         };
         link.log = link.log.split_off(&(acked + 1));
         let outstanding = link.log.len();
-        self.probe.emit(|| ObsEvent::Phase {
+        self.core.probe.emit(|| ObsEvent::Phase {
             at: now,
-            who: self.me,
+            who: self.core.me,
             kind: PhaseKind::LinkAck,
             edge: PhaseEdge::Point,
             note: format!("p{from} acked {acked}, {outstanding} outstanding"),
         });
-        let link = self.links_out.get_mut(&from).expect("link exists");
         if link.log.is_empty() {
             return;
         }
-        if now.saturating_since(link.last_resend) < self.cfg.nack_timeout
+        if now.saturating_since(link.last_resend) < self.core.cfg.nack_timeout
             && link.last_resend != SimTime::ZERO
         {
             return;
@@ -856,33 +538,33 @@ impl<P: Clone> PccastEndpoint<P> {
         let resend: Vec<(u64, MsgId)> = link
             .log
             .iter()
-            .take(self.cfg.max_nack_batch)
+            .take(self.core.cfg.max_nack_batch)
             .map(|(&s, &id)| (s, id))
             .collect();
         for (link_seq, id) in resend {
-            let w = if let Some(m) = self.buffer.get(&id) {
+            let w = if let Some(m) = self.core.buffer.get(&id) {
                 let mut copy = m.clone();
                 copy.vt_wire = VtWire::Pc {
                     epoch: self.epoch,
-                    from: self.me,
+                    from: self.core.me,
                     link_seq,
                 };
                 copy.retransmit = true;
                 copy.appended.clear();
-                self.stats.retransmits_served += 1;
+                self.core.stats.retransmits_served += 1;
                 Wire::Data(copy)
             } else {
                 // Stable and reclaimed: the receiver necessarily
                 // delivered it (stability is known-delivered-everywhere),
                 // so a skip marker keeps its link cursor moving.
                 Wire::PcSkip {
-                    from: self.me,
+                    from: self.core.me,
                     epoch: self.epoch,
                     link_seq,
                     id,
                 }
             };
-            self.stats.control_bytes += w.overhead_bytes() as u64;
+            self.core.stats.control_bytes += w.overhead_bytes() as u64;
             out.push((Dest::One(from), w));
         }
     }
@@ -898,48 +580,20 @@ impl<P: Clone> PccastEndpoint<P> {
         out: &mut Vec<Out<P>>,
         delivered: &mut Vec<Delivery<P>>,
     ) {
-        let sender = msg.id.sender;
-        if sender >= self.n {
-            self.stats.ts_decode_errors += 1;
+        if !self.core.admit(now, &msg) {
             return;
         }
-        self.probe.emit(|| ObsEvent::Span {
-            at: now,
-            who: self.me,
-            span: span_of(msg.id),
-            stage: Stage::Wire,
-            note: if msg.retransmit {
-                "retransmit".to_string()
-            } else {
-                String::new()
-            },
-        });
-        if !self.alive[sender] && msg.id.seq > self.cut.get(sender) {
-            self.stats.rejected_removed += 1;
-            self.probe.emit(|| ObsEvent::Span {
-                at: now,
-                who: self.me,
-                span: span_of(msg.id),
-                stage: Stage::Dropped,
-                note: format!("removed sender beyond cut {}", self.cut.get(sender)),
-            });
-            return;
-        }
-        match msg.vt_wire.clone() {
+        match msg.vt_wire {
             VtWire::Pc {
                 epoch,
                 from,
                 link_seq,
             } => {
-                if epoch != self.epoch || from >= self.n {
+                if epoch != self.epoch || from >= self.core.n {
                     // A straggler from a previous view's links; whatever
                     // it carried is recovered via flush/NACK if needed.
-                    self.probe.emit(|| ObsEvent::Span {
-                        at: now,
-                        who: self.me,
-                        span: span_of(msg.id),
-                        stage: Stage::Dropped,
-                        note: format!("stale epoch {epoch} (at {})", self.epoch),
+                    self.core.note_dropped(now, msg.id, || {
+                        format!("stale epoch {epoch} (at {})", self.epoch)
                     });
                     return;
                 }
@@ -950,44 +604,33 @@ impl<P: Clone> PccastEndpoint<P> {
                     let fresh = !link.buf.contains_key(&link_seq);
                     link.buf.entry(link_seq).or_insert(LinkCopy::Data(now, msg));
                     if fresh {
-                        self.probe.emit(|| ObsEvent::Span {
+                        self.core.probe.emit(|| ObsEvent::Span {
                             at: now,
-                            who: self.me,
+                            who: self.core.me,
                             span,
                             stage: Stage::ReorderEnter,
                             note: format!("link p{from} pos {link_seq}, cursor {cursor}"),
                         });
                     }
                 } else {
-                    self.stats.duplicates += 1;
+                    self.core.stats.duplicates += 1;
                 }
                 self.drain(now, delivered, out);
             }
-            VtWire::Full(bytes) => match VectorClock::decode(&bytes) {
-                Some(vt) if vt.len() == self.n => {
-                    debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
+            VtWire::Full(ref bytes) => {
+                let decoded = VectorClock::decode(bytes);
+                if let Some(vt) = self.core.checked_vt(now, &msg, decoded, "timestamp") {
                     msg.vt = vt;
                     self.on_repair_data(now, msg, out, delivered);
                 }
-                _ => {
-                    self.stats.ts_decode_errors += 1;
-                    self.probe.emit(|| ObsEvent::Span {
-                        at: now,
-                        who: self.me,
-                        span: span_of(msg.id),
-                        stage: Stage::Dropped,
-                        note: "timestamp decode error".to_string(),
-                    });
-                }
-            },
-            VtWire::Delta(_) => {
-                self.stats.ts_decode_errors += 1;
             }
+            VtWire::Delta(_) => self.core.stats.ts_decode_errors += 1,
         }
     }
 
     /// A full-timestamped repair copy: the cbcast receive path (dup
-    /// check, missing registration from the carried clock, holdback).
+    /// check, missing registration from the carried clock — only repair
+    /// copies carry timestamps to scan — then holdback).
     fn on_repair_data(
         &mut self,
         now: SimTime,
@@ -995,82 +638,30 @@ impl<P: Clone> PccastEndpoint<P> {
         out: &mut Vec<Out<P>>,
         delivered: &mut Vec<Delivery<P>>,
     ) {
-        self.stats.holdback_events += 1;
-        if msg.id.seq <= self.vt.get(msg.id.sender) || self.holdback.contains(msg.id) {
-            self.stats.duplicates += 1;
-            self.probe.emit(|| ObsEvent::Span {
-                at: now,
-                who: self.me,
-                span: span_of(msg.id),
-                stage: Stage::Dropped,
-                note: "duplicate".to_string(),
-            });
-            self.collect_garbage(now);
+        let core = &mut self.core;
+        core.stats.holdback_events += 1;
+        if core.reject_duplicate(now, msg.id) {
             return;
         }
-        self.missing.remove(&msg.id);
-        self.register_missing(now, &msg, out);
-        self.probe.emit(|| ObsEvent::Span {
+        core.missing.remove(&msg.id);
+        core.register_missing(now, &msg, never_parked, out);
+        core.probe.emit(|| ObsEvent::Span {
             at: now,
-            who: self.me,
+            who: core.me,
             span: span_of(msg.id),
             stage: Stage::HoldbackEnter,
             note: "repair copy".to_string(),
         });
-        self.holdback.insert(
+        core.holdback.insert(
             Pending {
                 msg,
                 arrived_at: now,
             },
-            &self.vt,
+            &core.vt,
         );
-        self.stats.note_holdback(self.holdback.len() as u64);
+        core.note_holdback();
         self.drain(now, delivered, out);
-        self.collect_garbage(now);
-    }
-
-    /// Scans a repair copy's timestamp for messages neither delivered nor
-    /// held, recording them as missing with an immediate NACK (only
-    /// repair copies carry timestamps to scan).
-    fn register_missing(&mut self, now: SimTime, msg: &DataMsg<P>, out: &mut Vec<Out<P>>) {
-        let mut want = Vec::new();
-        for k in 0..self.n {
-            let known = self.vt.get(k);
-            let referenced = if k == msg.id.sender {
-                msg.id.seq.saturating_sub(1)
-            } else {
-                msg.vt.get(k)
-            };
-            let referenced = if self.alive[k] {
-                referenced
-            } else {
-                referenced.min(self.cut.get(k))
-            };
-            for seq in (known + 1)..=referenced {
-                let id = MsgId { sender: k, seq };
-                if !self.missing.contains_key(&id) && !self.holdback.contains(id) {
-                    self.missing.insert(
-                        id,
-                        Missing {
-                            referenced_by: msg.id.sender,
-                            last_nack: now,
-                        },
-                    );
-                    if want.len() < self.cfg.max_nack_batch {
-                        want.push(id);
-                    }
-                }
-            }
-        }
-        if !want.is_empty() {
-            let w = Wire::Nack {
-                from: self.me,
-                want,
-            };
-            self.stats.nacks_sent += 1;
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::One(msg.id.sender), w));
-        }
+        self.core.collect_garbage(now);
     }
 
     /// Drives both delivery paths to a fixed point: consume in-order link
@@ -1078,8 +669,8 @@ impl<P: Clone> PccastEndpoint<P> {
     /// alternating until neither makes progress — a repair delivery can
     /// unstall a link head and vice versa.
     fn drain(&mut self, now: SimTime, delivered: &mut Vec<Delivery<P>>, out: &mut Vec<Out<P>>) {
-        if self.frozen {
-            self.stats.note_holdback(self.holdback.len() as u64);
+        if self.core.frozen {
+            self.core.note_holdback();
             return;
         }
         loop {
@@ -1089,8 +680,8 @@ impl<P: Clone> PccastEndpoint<P> {
                 break;
             }
         }
-        self.stats.note_holdback(self.holdback.len() as u64);
-        self.note_buffer();
+        self.core.note_holdback();
+        self.core.note_buffer();
     }
 
     /// Consumes in-order link heads. Check-before-consume: the cursor
@@ -1108,14 +699,13 @@ impl<P: Clone> PccastEndpoint<P> {
         let peers: Vec<usize> = self.links_in.keys().copied().collect();
         for peer in peers {
             loop {
+                let core = &self.core;
                 let link = self.links_in.get_mut(&peer).expect("link exists");
                 let next = link.cursor + 1;
                 let head_action = match link.buf.get(&next) {
                     None => HeadAction::Stop,
                     Some(LinkCopy::Skip(id)) => {
-                        if id.seq <= self.vt.get(id.sender)
-                            || (!self.alive[id.sender] && id.seq > self.cut.get(id.sender))
-                        {
+                        if id.seq <= core.vt.get(id.sender) || core.beyond_cut(*id) {
                             HeadAction::Consume
                         } else {
                             HeadAction::Chase(*id)
@@ -1124,13 +714,13 @@ impl<P: Clone> PccastEndpoint<P> {
                     Some(LinkCopy::Data(_, msg)) => {
                         let o = msg.id.sender;
                         let s = msg.id.seq;
-                        if s <= self.vt.get(o) {
+                        if s <= core.vt.get(o) {
                             HeadAction::ConsumeDup
-                        } else if !self.alive[o] && s > self.cut.get(o) {
+                        } else if core.beyond_cut(msg.id) {
                             HeadAction::Consume
-                        } else if s == self.vt.get(o) + 1
+                        } else if s == core.vt.get(o) + 1
                             && self.barrier_met
-                            && !self.holdback.peek(msg.id)
+                            && !core.holdback.peek(msg.id)
                         {
                             // The holdback check keeps the two delivery
                             // paths from double-claiming one message: if a
@@ -1141,7 +731,7 @@ impl<P: Clone> PccastEndpoint<P> {
                         } else {
                             HeadAction::Chase(MsgId {
                                 sender: o,
-                                seq: self.vt.get(o) + 1,
+                                seq: core.vt.get(o) + 1,
                             })
                         }
                     }
@@ -1152,9 +742,9 @@ impl<P: Clone> PccastEndpoint<P> {
                         let removed = link.buf.remove(&next);
                         link.cursor = next;
                         if let Some(LinkCopy::Skip(id)) = removed {
-                            self.probe.emit(|| ObsEvent::Span {
+                            core.probe.emit(|| ObsEvent::Span {
                                 at: now,
-                                who: self.me,
+                                who: core.me,
                                 span: span_of(id),
                                 stage: Stage::SkipConsume,
                                 note: format!("link p{peer} pos {next}"),
@@ -1165,7 +755,7 @@ impl<P: Clone> PccastEndpoint<P> {
                     HeadAction::ConsumeDup => {
                         link.buf.remove(&next);
                         link.cursor = next;
-                        self.stats.duplicates += 1;
+                        self.core.stats.duplicates += 1;
                         any = true;
                     }
                     HeadAction::Deliver => {
@@ -1182,11 +772,8 @@ impl<P: Clone> PccastEndpoint<P> {
                         // gap so the tick NACK loop chases it — unless the
                         // holdback already holds the id (it is not missing;
                         // it is queued behind its own predecessors).
-                        if !self.holdback.peek(id) {
-                            self.missing.entry(id).or_insert(Missing {
-                                referenced_by: peer,
-                                last_nack: SimTime::MAX,
-                            });
+                        if !self.core.holdback.peek(id) {
+                            self.core.chase_on_tick(id, peer);
                         }
                         break;
                     }
@@ -1205,16 +792,8 @@ impl<P: Clone> PccastEndpoint<P> {
         out: &mut Vec<Out<P>>,
     ) -> bool {
         let mut any = false;
-        while let Some(pending) = self.holdback.pop_ready(&self.vt) {
-            let arrived_at = pending.arrived_at;
-            self.deliver(
-                now,
-                arrived_at,
-                pending.msg,
-                WaitKind::NackRepair,
-                delivered,
-                out,
-            );
+        while let Some(Pending { msg, arrived_at }) = self.core.holdback.pop_ready(&self.core.vt) {
+            self.deliver(now, arrived_at, msg, WaitKind::NackRepair, delivered, out);
             any = true;
         }
         any
@@ -1222,7 +801,9 @@ impl<P: Clone> PccastEndpoint<P> {
 
     /// The single delivery point for both paths: advance the clock,
     /// record stability, retain for retransmission, and — crucially —
-    /// forward the message on every outgoing link.
+    /// forward the message on every outgoing link. Ledger attribution: a
+    /// link-path delivery waited on its per-link reorder cursor, a
+    /// repair-path one on a NACK retransmission.
     fn deliver(
         &mut self,
         now: SimTime,
@@ -1232,101 +813,19 @@ impl<P: Clone> PccastEndpoint<P> {
         delivered: &mut Vec<Delivery<P>>,
         out: &mut Vec<Out<P>>,
     ) {
-        let sender = msg.id.sender;
-        let seq = msg.id.seq;
-        debug_assert_eq!(seq, self.vt.get(sender) + 1, "delivery must be FIFO");
-        self.vt.set(sender, seq);
-        self.holdback.note_delivered(sender, seq);
-        self.stability.record_local_delivery(self.me, sender, seq);
-        self.missing.remove(&msg.id);
+        let id = msg.id;
+        debug_assert_eq!(id.seq, self.core.vt.get(id.sender) + 1, "FIFO delivery");
+        let was_held = self.core.begin_delivery(now, arrived_at, id);
         if !self.barrier_met {
             self.barrier_met = self.check_barrier();
         }
-        let was_held = arrived_at < now;
-        self.stats.delivered += 1;
         if was_held {
-            self.stats.delivered_after_hold += 1;
-            self.stats.hold_time_total += now.saturating_since(arrived_at);
-            // Ledger attribution: a link-path delivery waited on its
-            // per-link reorder cursor, a repair-path one on a NACK
-            // retransmission. The install-time drain splits the interval
-            // at the freeze instant; the frozen tail is a flush wait.
-            let split = self.install_thaw.filter(|fs| *fs < now && *fs > arrived_at);
-            if let Some(fs) = split {
-                self.probe.emit(|| ObsEvent::Wait {
-                    at: fs,
-                    who: self.me,
-                    span: span_of(msg.id),
-                    kind: wait_kind,
-                    since: arrived_at,
-                    blocker: None,
-                    note: String::new(),
-                });
-            }
-            let frozen_tail = self.install_thaw.is_some();
-            self.probe.emit(|| ObsEvent::Wait {
-                at: now,
-                who: self.me,
-                span: span_of(msg.id),
-                kind: if frozen_tail {
-                    WaitKind::FlushBarrier
-                } else {
-                    wait_kind
-                },
-                since: split.unwrap_or(arrived_at),
-                blocker: None,
-                note: if frozen_tail {
-                    "delivery frozen until the view installed".to_string()
-                } else {
-                    String::new()
-                },
-            });
+            self.core
+                .emit_hold_waits(now, arrived_at, id, wait_kind, None);
         }
-        self.probe.emit(|| ObsEvent::Span {
-            at: now,
-            who: self.me,
-            span: span_of(msg.id),
-            stage: Stage::Delivered,
-            note: String::new(),
-        });
         self.forward(&msg, out, false);
-        delivered.push(Delivery {
-            id: msg.id,
-            payload: msg.payload.clone(),
-            arrived_at,
-            delivered_at: now,
-            gseq: None,
-            waited_for: Vec::new(),
-        });
-        self.buffer.insert(msg.id, msg);
-    }
-
-    fn collect_garbage(&mut self, now: SimTime) {
-        if !self.stability.take_frontier_moved() {
-            return;
-        }
-        let frontier = self.stability.stable_frontier();
-        let before = self.buffer.len();
-        self.buffer.retain(|id, _| id.seq > frontier.get(id.sender));
-        let reclaimed = before - self.buffer.len();
-        self.probe.emit(|| ObsEvent::Phase {
-            at: now,
-            who: self.me,
-            kind: PhaseKind::StabilityRound,
-            edge: PhaseEdge::Point,
-            note: format!("stable frontier {frontier:?}, {reclaimed} reclaimed"),
-        });
-        self.stats.stabilized += reclaimed as u64;
-        self.note_buffer();
-    }
-
-    fn note_buffer(&mut self) {
-        let msgs = self.buffer.len() as u64;
-        // Constant per-message wire state: id + Pc tag + retransmit flag.
-        // (The full clock retained for NACK repair is deliberately not
-        // charged — see the module docs.)
-        let per_msg = (self.cfg.payload_bytes + 12 + 20 + 1) as u64;
-        self.stats.note_buffer(msgs, msgs * per_msg);
+        self.core
+            .finish_delivery(now, arrived_at, msg, Vec::new(), delivered);
     }
 }
 
@@ -1376,7 +875,7 @@ mod tests {
         let mut dels = Vec::new();
         let mut next = Vec::new();
         for (d, w) in out {
-            if *d == Dest::One(ep.me()) {
+            if *d == Dest::One(ep.core().me()) {
                 let (ds, os) = ep.on_wire(now, w.clone());
                 dels.extend(ds);
                 next.extend(os);
@@ -1398,7 +897,7 @@ mod tests {
             assert_eq!(w.overhead_bytes(), 33);
         }
         // bytes/msg accounting mirrors cbcast: one charge per multicast.
-        assert_eq!(a.stats().data_overhead_bytes, 33);
+        assert_eq!(a.core().stats().data_overhead_bytes, 33);
     }
 
     #[test]
@@ -1424,7 +923,7 @@ mod tests {
         assert!(fwd
             .iter()
             .any(|(d, w)| matches!(w, Wire::Data(_)) && *d != Dest::One(0) || *d == Dest::One(0)));
-        assert_eq!(b.clock().get(0), 1);
+        assert_eq!(b.core().clock().get(0), 1);
     }
 
     #[test]
@@ -1464,7 +963,7 @@ mod tests {
         let seen: Vec<&str> = dels.iter().map(|d| d.payload).collect();
         assert_eq!(seen, vec!["x", "y", "z"]);
         // z and y arrived before x unblocked the link head.
-        assert_eq!(c.stats().delivered_after_hold, 2);
+        assert_eq!(c.core().stats().delivered_after_hold, 2);
         assert_eq!(c.link_buffered_len(), 0);
     }
 
@@ -1484,8 +983,8 @@ mod tests {
         let (redeliver_b, _) = feed(&mut b, t(2), &fwd_c);
         assert!(redeliver_c.is_empty());
         assert!(redeliver_b.is_empty());
-        assert!(b.stats().duplicates >= 1);
-        assert_eq!(b.stats().delivered, 1);
+        assert!(b.core().stats().duplicates >= 1);
+        assert_eq!(b.core().stats().delivered, 1);
     }
 
     #[test]
@@ -1543,14 +1042,14 @@ mod tests {
         let (dels, _) = c.on_wire(t(4), Wire::Data(repair));
         let seen: Vec<&str> = dels.iter().map(|d| d.payload).collect();
         assert_eq!(seen, vec!["m1"], "repair path delivers the hole");
-        assert_eq!(c.stats().delivered_after_hold, 0);
+        assert_eq!(c.core().stats().delivered_after_hold, 0);
         // The delayed position-1 link copy arrives: consumed as a
         // duplicate, and the stalled head (m2) follows in causal order.
         let (dels, _) = feed(&mut c, t(5), &m1_copy);
         let seen: Vec<&str> = dels.iter().map(|d| d.payload).collect();
         assert_eq!(seen, vec!["m2"]);
-        assert_eq!(c.stats().delivered, 2);
-        assert!(c.stats().duplicates >= 1);
+        assert_eq!(c.core().stats().delivered, 2);
+        assert!(c.core().stats().duplicates >= 1);
         assert_eq!(c.link_buffered_len(), 0);
     }
 
@@ -1560,8 +1059,8 @@ mod tests {
         let (_, out) = a.multicast(t(0), "last words");
         feed(&mut b, t(1), &out);
         feed(&mut c, t(1), &out);
-        assert!(a.stability_lag() > 0);
-        assert_eq!(a.stats().buffered_now, 1);
+        assert!(a.core().stability_lag() > 0);
+        assert_eq!(a.core().stats().buffered_now, 1);
         for round in 0..2u64 {
             let now = t(10 + round);
             let ga = a.on_tick(now);
@@ -1584,10 +1083,10 @@ mod tests {
             }
         }
         for (who, ep) in [(0, &a), (1, &b), (2, &c)] {
-            assert_eq!(ep.stability_lag(), 0, "P{who} horizon stuck");
+            assert_eq!(ep.core().stability_lag(), 0, "P{who} horizon stuck");
         }
-        assert_eq!(a.stats().buffered_now, 0);
-        assert_eq!(a.stats().stabilized, 1);
+        assert_eq!(a.core().stats().buffered_now, 0);
+        assert_eq!(a.core().stats().stabilized, 1);
     }
 
     #[test]
@@ -1597,8 +1096,8 @@ mod tests {
         feed(&mut b, t(1), &out);
         // Member 2 is evicted; view 2 installs with the agreed cut.
         let cut = VectorClock::from_entries(vec![1, 0, 0]);
-        a.freeze(t(2));
-        b.freeze(t(2));
+        a.core_mut().freeze(t(2));
+        b.core_mut().freeze(t(2));
         let (_, _) = a.on_view_install(t(3), 2, &[0, 1], &cut);
         let (_, _) = b.on_view_install(t(3), 2, &[0, 1], &cut);
         // New multicasts ride epoch-2 links starting from sequence 1.
@@ -1626,7 +1125,7 @@ mod tests {
         let (mut a, mut b, _) = trio();
         let (_, out) = a.multicast(t(0), "from view 1");
         // b installs view 2 before the copy arrives.
-        b.freeze(t(1));
+        b.core_mut().freeze(t(1));
         let cut = VectorClock::new(3);
         b.on_view_install(t(2), 2, &[0, 1], &cut);
         let (dels, _) = feed(&mut b, t(3), &out);
@@ -1655,10 +1154,10 @@ mod tests {
             }
         };
         a.on_wire(t(0), Wire::Data(m21.clone()));
-        assert_eq!(a.clock().get(2), 1);
+        assert_eq!(a.core().clock().get(2), 1);
         let cut = VectorClock::from_entries(vec![0, 0, 1]);
-        a.freeze(t(1));
-        b.freeze(t(1));
+        a.core_mut().freeze(t(1));
+        b.core_mut().freeze(t(1));
         a.on_view_install(t(2), 2, &[0, 1], &cut);
         b.on_view_install(t(2), 2, &[0, 1], &cut);
         // a multicasts in the new view — causally after m2.1.
@@ -1681,10 +1180,10 @@ mod tests {
     fn frozen_endpoint_buffers_but_does_not_deliver() {
         let (mut a, mut b, _) = trio();
         let (_, out) = a.multicast(t(0), "during flush");
-        b.freeze(t(1));
+        b.core_mut().freeze(t(1));
         let (dels, _) = feed(&mut b, t(2), &out);
         assert!(dels.is_empty());
-        assert!(b.is_frozen());
+        assert!(b.core().is_frozen());
         // Thaw via install of the same membership: the copy delivers.
         let (dels, _) = b.on_view_install(t(3), 1, &[0, 1, 2], &VectorClock::new(3));
         // Same view id — links were reset, so the buffered copy died with
@@ -1760,7 +1259,7 @@ mod tests {
         // parks in the holdback.
         let (dels, _) = b.on_wire(t(0), Wire::Data(mk(0, vec![1, 1, 0], "m0.1")));
         assert!(dels.is_empty());
-        assert_eq!(b.holdback_len(), 1);
+        assert_eq!(b.core().holdback_len(), 1);
         // The link copy of the same id arrives at a deliverable head
         // (seq == vt[0]+1, barrier met). It must stall, not deliver.
         let mut link_copy = mk(0, vec![1, 1, 0], "m0.1");
@@ -1779,8 +1278,8 @@ mod tests {
         let seen: Vec<&str> = dels.iter().map(|d| d.payload).collect();
         assert_eq!(seen, vec!["m1.1", "m0.1"]);
         assert_eq!(b.link_buffered_len(), 0);
-        assert_eq!(b.holdback_len(), 0);
-        assert!(b.stats().duplicates >= 1);
+        assert_eq!(b.core().holdback_len(), 0);
+        assert!(b.core().stats().duplicates >= 1);
     }
 
     #[test]

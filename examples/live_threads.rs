@@ -6,9 +6,9 @@
 //!
 //! Every protocol in this repository is a pure state machine, so it runs
 //! unchanged outside the simulator. Here four OS threads host
-//! `CbcastEndpoint`s; crossbeam channels are the links; a chaos router
-//! delays every message by a random amount on its own thread (so the
-//! "network" reorders aggressively). Each payload carries the sender's
+//! `CbcastEndpoint`s; `std::sync::mpsc` channels are the links; a chaos
+//! router delays every message by a random amount on its own thread (so
+//! the "network" reorders aggressively). Each payload carries the sender's
 //! delivered clock at send time, and every receiver checks the causal
 //! guarantee live.
 
@@ -16,9 +16,9 @@ use catocs::cbcast::CbcastEndpoint;
 use catocs::group::GroupConfig;
 use catocs::wire::{Dest, Out, Wire};
 use clocks::vector::VectorClock;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use simnet::time::SimTime;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -140,14 +140,14 @@ fn main() {
     let mut senders = Vec::new();
     let mut receivers = Vec::new();
     for _ in 0..N {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }
     let violations = Arc::new(Mutex::new(0u64));
 
     println!(
-        "{N} OS threads, crossbeam links, 50us–5ms random per-message delay, \
+        "{N} OS threads, mpsc links, 50us–5ms random per-message delay, \
          {MSGS_PER_MEMBER} multicasts each...\n"
     );
     let handles: Vec<_> = receivers
