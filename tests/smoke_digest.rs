@@ -13,7 +13,8 @@ use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
 use catocs::vsync::{run_campaign, CampaignConfig};
 use catocs::wire::Wire;
 use simnet::net::NetConfig;
-use simnet::sim::SimBuilder;
+use simnet::process::ProcessId;
+use simnet::sim::{Sim, SimBuilder};
 use simnet::time::{SimDuration, SimTime};
 
 /// Multicasts its member index on every tick until the quota is spent.
@@ -42,9 +43,8 @@ impl Fnv {
     }
 }
 
-/// Runs 8 members × 6 multicasts at 6 % loss and digests every member's
-/// delivery log (in member order) followed by `net.sent`.
-fn digest(discipline: Discipline, causal: CausalDiscipline) -> (u64, u64) {
+/// Runs 8 members × 6 multicasts at 6 % loss.
+fn run(discipline: Discipline, causal: CausalDiscipline) -> (Sim<Wire<u32>>, Vec<ProcessId>) {
     let mut sim = SimBuilder::new(15)
         .net(NetConfig::lossy_lan(0.06))
         .build::<Wire<u32>>();
@@ -61,13 +61,21 @@ fn digest(discipline: Discipline, causal: CausalDiscipline) -> (u64, u64) {
         |_| Chatter { remaining: 6 },
     );
     sim.run_until(SimTime::from_secs(4));
+    (sim, members)
+}
+
+fn node(sim: &Sim<Wire<u32>>, m: ProcessId) -> &GroupNode<u32, Chatter> {
+    sim.process(m).expect("every member was spawned")
+}
+
+/// Digests every member's delivery log (in member order) followed by
+/// `net.sent`.
+fn digest(discipline: Discipline, causal: CausalDiscipline) -> (u64, u64) {
+    let (sim, members) = run(discipline, causal);
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let mut deliveries = 0;
     for &m in &members {
-        let node = sim
-            .process::<GroupNode<u32, Chatter>>(m)
-            .expect("every member was spawned");
-        for d in &node.delivered_log {
+        for d in &node(&sim, m).delivered_log {
             h.word(d.id.sender as u64);
             h.word(d.id.seq);
             h.word(u64::from(d.payload));
@@ -100,6 +108,33 @@ fn every_discipline_replays_its_pinned_digest() {
         assert_eq!(deliveries, 8 * 8 * 6, "{name}: lost deliveries");
         assert_eq!(got, pinned, "{name}: digest {got:#018x} moved");
     }
+}
+
+/// fbcast's retransmission buffer is collected on ack gossip; when that
+/// happens is wall-clock bookkeeping, what it reports is not. Per member:
+/// `(stabilized, buffered_peak, buffered_bytes_peak)`, recorded while
+/// every `AckGossip` still ran the collection.
+#[test]
+fn fifo_buffer_accounting_replays_its_pinned_stats() {
+    let (sim, members) = run(Discipline::Fifo, Cbcast);
+    let got: Vec<(u64, u64, u64)> = members
+        .iter()
+        .map(|&m| {
+            let s = node(&sim, m).stats();
+            (s.stabilized, s.buffered_peak, s.buffered_bytes_peak)
+        })
+        .collect();
+    let pinned = [
+        (6, 5, 1380),
+        (6, 4, 1104),
+        (6, 3, 828),
+        (6, 3, 828),
+        (6, 2, 552),
+        (6, 4, 1104),
+        (6, 2, 552),
+        (6, 2, 552),
+    ];
+    assert_eq!(got, pinned, "fifo buffer accounting moved");
 }
 
 /// Static groups never freeze, flush or install a view; the fault
