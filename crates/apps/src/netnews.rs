@@ -69,12 +69,9 @@ impl NewsNode {
         (self.me as u64) << 32 | self.next_local_id
     }
 
-    fn flood(&self, ctx: &mut Ctx<'_, Article>, a: &Article) {
-        for k in 0..self.n {
-            if k != self.me {
-                ctx.send(ProcessId(k), a.clone());
-            }
-        }
+    fn flood(&self, ctx: &mut Ctx<'_, Article>, a: Article) {
+        let me = self.me;
+        ctx.multicast((0..self.n).filter(|&k| k != me).map(ProcessId), a);
     }
 
     fn ingest(&mut self, article: Article) {
@@ -110,7 +107,7 @@ impl Process<Article> for NewsNode {
                 author: self.me,
             };
             self.ingest(article.clone());
-            self.flood(ctx, &article);
+            self.flood(ctx, article);
             ctx.set_timer(POST_TICK, SimDuration::from_millis(15));
         }
     }
@@ -126,7 +123,7 @@ impl Process<Article> for NewsNode {
                 author: self.me,
             };
             self.ingest(article.clone());
-            self.flood(ctx, &article);
+            self.flood(ctx, article);
         }
     }
 }

@@ -70,13 +70,10 @@ fn member_pid(idx: usize) -> ProcessId {
 fn route(ctx: &mut Ctx<'_, ShopMsg>, me: usize, out: Vec<Out<LotUpdate>>) {
     for (dest, wire) in out {
         match dest {
-            Dest::All => {
-                for k in 0..3 {
-                    if k != me {
-                        ctx.send(member_pid(k), ShopMsg::Group(wire.clone()));
-                    }
-                }
-            }
+            Dest::All => ctx.multicast(
+                (0..3).filter(|&k| k != me).map(member_pid),
+                ShopMsg::Group(wire),
+            ),
             Dest::One(k) => ctx.send(member_pid(k), ShopMsg::Group(wire)),
         }
     }

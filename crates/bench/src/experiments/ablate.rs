@@ -235,11 +235,8 @@ impl DomainNode {
         for (dest, w) in out {
             match dest {
                 Dest::All => {
-                    for k in 0..self.n {
-                        if k != self.endpoint.me() {
-                            ctx.send(ProcessId(k), w.clone());
-                        }
-                    }
+                    let me = self.endpoint.me();
+                    ctx.multicast((0..self.n).filter(|&k| k != me).map(ProcessId), w);
                 }
                 Dest::One(k) => ctx.send(ProcessId(k), w),
             }

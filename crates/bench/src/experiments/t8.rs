@@ -50,13 +50,7 @@ const WRITE_TICK: TimerId = TimerId(1);
 fn route_cb(ctx: &mut Ctx<'_, Wire<u64>>, me: usize, n: usize, out: Vec<Out<u64>>) {
     for (dest, w) in out {
         match dest {
-            Dest::All => {
-                for k in 0..n {
-                    if k != me {
-                        ctx.send(ProcessId(k), w.clone());
-                    }
-                }
-            }
+            Dest::All => ctx.multicast((0..n).filter(|&k| k != me).map(ProcessId), w),
             Dest::One(k) => ctx.send(ProcessId(k), w),
         }
     }

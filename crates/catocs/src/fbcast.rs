@@ -198,9 +198,12 @@ impl<P: Clone> FbcastEndpoint<P> {
                 self.on_data(now, msg, &mut out, &mut delivered);
             }
             Wire::AckGossip { from, delivered: d } => {
-                // Peers report the highest seq they have from us.
+                // Peers report the highest seq they have from us. Only an
+                // ack that raises one can move the minimum the buffer is
+                // collected up to.
                 if self.acked_by[from] < d.get(self.me) {
                     self.acked_by[from] = d.get(self.me);
+                    self.gc_sent();
                 }
                 // And reveal messages from any sender that we never saw.
                 for k in 0..self.n {
@@ -208,7 +211,6 @@ impl<P: Clone> FbcastEndpoint<P> {
                         self.known_max[k] = d.get(k);
                     }
                 }
-                self.gc_sent();
             }
             Wire::Nack { from, want } => {
                 for id in want {

@@ -139,20 +139,11 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
         for (dest, wire) in out {
             match dest {
                 Dest::All => {
-                    let mut peers = self
-                        .members
-                        .iter()
-                        .enumerate()
-                        .filter(|&(k, _)| k != self.me)
-                        .map(|(_, &pid)| pid);
-                    // Sends go out in member order (each one draws from
-                    // the RNG); the last peer takes the wire itself.
-                    if let Some(last) = peers.next_back() {
-                        for pid in peers {
-                            ctx.send(pid, wire.clone());
-                        }
-                        ctx.send(last, wire);
-                    }
+                    // Member order: it is the order the network draws
+                    // each copy's loss and latency in.
+                    let peers = self.members.iter().enumerate();
+                    let peers = peers.filter(|&(k, _)| k != self.me).map(|(_, &pid)| pid);
+                    ctx.multicast(peers, wire);
                 }
                 Dest::One(k) => {
                     if let Some(&pid) = self.members.get(k) {

@@ -670,11 +670,8 @@ impl ChaosNode {
         for (dest, w) in out {
             match dest {
                 Dest::All => {
-                    for k in 0..self.n {
-                        if k != self.me {
-                            ctx.send(ProcessId(k), w.clone());
-                        }
-                    }
+                    let me = self.me;
+                    ctx.multicast((0..self.n).filter(|&k| k != me).map(ProcessId), w);
                 }
                 Dest::One(k) => ctx.send(ProcessId(k), w),
             }

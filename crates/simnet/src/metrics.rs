@@ -289,6 +289,14 @@ impl Metrics {
         upsert(&mut self.histograms, name, Histogram::new, |h| h.record(d));
     }
 
+    /// Folds `other`'s observations into the named histogram, as if each
+    /// had been [`Metrics::observe`]d.
+    pub fn merge_histogram(&mut self, name: &str, other: &Histogram) {
+        upsert(&mut self.histograms, name, Histogram::new, |h| {
+            h.merge(other)
+        });
+    }
+
     /// Reads a histogram, if it exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)

@@ -47,12 +47,14 @@ impl fmt::Debug for TimerId {
     }
 }
 
-/// An outgoing message queued by a process during a callback.
+/// An outgoing message queued by a process during a callback. It goes
+/// to the next `fanout` entries of [`Ctx::recipients`], counting on from
+/// where the message queued before it stopped.
 #[derive(Debug)]
 pub(crate) struct Outgoing<M> {
-    pub to: ProcessId,
     pub msg: M,
     pub label: Option<String>,
+    pub fanout: usize,
 }
 
 /// A timer request queued by a process during a callback.
@@ -68,6 +70,7 @@ pub struct Ctx<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) outgoing: Vec<Outgoing<M>>,
+    pub(crate) recipients: Vec<ProcessId>,
     pub(crate) timers: Vec<TimerReq>,
     pub(crate) trace: &'a mut Trace,
     pub(crate) metrics: &'a mut Metrics,
@@ -98,32 +101,30 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Sends `msg` to `to` over the simulated network.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.outgoing.push(Outgoing {
-            to,
-            msg,
-            label: None,
-        });
+        self.queue([to], msg, None);
     }
 
     /// Sends `msg` to `to`, labelling the trace arrow for event diagrams.
     pub fn send_labeled(&mut self, to: ProcessId, msg: M, label: impl Into<String>) {
-        self.outgoing.push(Outgoing {
-            to,
-            msg,
-            label: Some(label.into()),
-        });
+        self.queue([to], msg, Some(label.into()));
     }
 
-    /// Sends `msg` to every process in `group` except (optionally) self.
-    pub fn multicast(&mut self, group: &[ProcessId], msg: M, include_self: bool)
-    where
-        M: Clone,
-    {
-        for &p in group {
-            if include_self || p != self.me {
-                self.send(p, msg.clone());
-            }
-        }
+    /// Sends `msg` to every process in `to`, in that order: the network
+    /// decides each copy's fate (loss, duplication, latency) exactly as
+    /// it would for a [`Ctx::send`] per recipient, but `msg` is moved in
+    /// once and copied only for the recipients it actually reaches.
+    pub fn multicast(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M) {
+        self.queue(to, msg, None);
+    }
+
+    fn queue(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M, label: Option<String>) {
+        let before = self.recipients.len();
+        self.recipients.extend(to);
+        self.outgoing.push(Outgoing {
+            msg,
+            label,
+            fanout: self.recipients.len() - before,
+        });
     }
 
     /// Arms timer `id` to fire `after` from now. Timers are one-shot; a

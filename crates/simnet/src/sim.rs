@@ -1,7 +1,7 @@
 //! The simulator: event loop, fault injection, and run control.
 
 use crate::event::{EventKind, EventQueue};
-use crate::metrics::Metrics;
+use crate::metrics::{Histogram, Metrics};
 use crate::net::{NetConfig, NetState};
 use crate::process::{Ctx, Outgoing, Process, ProcessId, TimerId, TimerReq};
 use crate::time::{SimDuration, SimTime};
@@ -9,6 +9,7 @@ use crate::trace::{Trace, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// Builds a [`Sim`] with a seed and network configuration.
@@ -82,12 +83,16 @@ impl SimBuilder {
             rng: SmallRng::seed_from_u64(self.seed),
             trace,
             metrics: Metrics::new(),
+            tally: NetTally::default(),
             stop: false,
             sample_every: self.sample_every,
             next_sample: self.sample_every.map(|c| SimTime::ZERO + c),
+            gauges: BTreeMap::new(),
             group_sampler: None,
             outgoing: Vec::new(),
+            recipients: Vec::new(),
             timers: Vec::new(),
+            arrivals: Vec::new(),
         }
     }
 }
@@ -96,21 +101,75 @@ impl SimBuilder {
 pub struct Sim<M> {
     procs: Vec<Box<dyn AnyProcess<M>>>,
     alive: Vec<bool>,
-    queue: EventQueue<M>,
+    queue: EventQueue<EventKind<M>>,
     now: SimTime,
     cfg: NetConfig,
     net: NetState,
     rng: SmallRng,
     trace: Trace,
     metrics: Metrics,
+    tally: NetTally,
     stop: bool,
     sample_every: Option<SimDuration>,
     next_sample: Option<SimTime>,
+    /// Every gauge name a process has ever emitted, with its fold for the
+    /// sampling pass in progress.
+    gauges: BTreeMap<String, GaugeSeries>,
     group_sampler: Option<GroupSampler>,
     /// The send and timer buffers lent to each callback's [`Ctx`], kept
     /// between callbacks for their capacity (empty in between).
     outgoing: Vec<Outgoing<M>>,
+    recipients: Vec<ProcessId>,
     timers: Vec<TimerReq>,
+    /// Scratch for the arrivals of the message being put on the wire.
+    arrivals: Vec<(SimTime, ProcessId)>,
+}
+
+/// Recipient of the events that happen to the network, not to a process.
+const NETWORK: ProcessId = ProcessId(usize::MAX);
+
+/// The simulator's own traffic figures. They move once or more per copy
+/// sent, so they are plain fields here and reach [`Metrics`], under their
+/// `net.*` names, only at the points where someone can look: the end of
+/// [`Sim::run_until`] and each sampling tick.
+#[derive(Default)]
+struct NetTally {
+    sent: u64,
+    dropped: u64,
+    delivered: u64,
+    dropped_dead: u64,
+    duplicated: u64,
+    latency: Histogram,
+}
+
+impl NetTally {
+    /// Moves what has accumulated into `metrics`. A figure still at zero
+    /// is left out: a run without traffic must not grow `net.*` rows.
+    fn fold_into(&mut self, metrics: &mut Metrics) {
+        for (name, n) in [
+            ("net.sent", &mut self.sent),
+            ("net.dropped", &mut self.dropped),
+            ("net.delivered", &mut self.delivered),
+            ("net.dropped_dead", &mut self.dropped_dead),
+            ("net.duplicated", &mut self.duplicated),
+        ] {
+            if *n > 0 {
+                metrics.incr(name, std::mem::take(n));
+            }
+        }
+        if self.latency.count() > 0 {
+            metrics.merge_histogram("net.latency", &std::mem::take(&mut self.latency));
+        }
+    }
+}
+
+/// One gauge's `ts.<name>.sum` / `ts.<name>.max` series names, built when
+/// the gauge is first seen, and its (sum, max) over the processes that
+/// emitted it in the current sampling pass.
+struct GaugeSeries {
+    sum_name: String,
+    max_name: String,
+    tick: Option<(f64, f64)>,
 }
 
 /// A whole-group sampling hook, run after the per-process gauge pass on
@@ -147,7 +206,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
         let id = ProcessId(self.procs.len());
         self.procs.push(Box::new(p));
         self.alive.push(true);
-        self.queue.push(self.now, EventKind::Start { proc: id });
+        self.queue.push(self.now, id, EventKind::Start);
         id
     }
 
@@ -198,18 +257,19 @@ impl<M: Debug + Clone + 'static> Sim<M> {
 
     /// Schedules a crash of `p` at absolute time `at`.
     pub fn crash_at(&mut self, p: ProcessId, at: SimTime) {
-        self.queue.push(at, EventKind::Crash { proc: p });
+        self.queue.push(at, p, EventKind::Crash);
     }
 
     /// Schedules a recovery of `p` at absolute time `at`.
     pub fn recover_at(&mut self, p: ProcessId, at: SimTime) {
-        self.queue.push(at, EventKind::Recover { proc: p });
+        self.queue.push(at, p, EventKind::Recover);
     }
 
     /// Schedules a bidirectional partition between `a` and `b` at `at`.
     pub fn partition_at(&mut self, a: &[ProcessId], b: &[ProcessId], at: SimTime) {
         self.queue.push(
             at,
+            NETWORK,
             EventKind::PartitionStart {
                 a: a.to_vec(),
                 b: b.to_vec(),
@@ -219,7 +279,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
 
     /// Schedules healing of all partitions at `at`.
     pub fn heal_at(&mut self, at: SimTime) {
-        self.queue.push(at, EventKind::PartitionHeal);
+        self.queue.push(at, NETWORK, EventKind::PartitionHeal);
     }
 
     /// Schedules a network-degradation episode (burst loss, duplication,
@@ -233,6 +293,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
     ) {
         self.queue.push(
             at,
+            NETWORK,
             EventKind::NetDegrade {
                 extra_drop,
                 dup_probability,
@@ -243,7 +304,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
 
     /// Schedules the end of any degradation episode at `at`.
     pub fn restore_at(&mut self, at: SimTime) {
-        self.queue.push(at, EventKind::NetRestore);
+        self.queue.push(at, NETWORK, EventKind::NetRestore);
     }
 
     /// Runs until the queue is empty or simulated time reaches `deadline`.
@@ -251,17 +312,23 @@ impl<M: Debug + Clone + 'static> Sim<M> {
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
-        while let Some(t) = self.queue.peek_time() {
+        while let Some((t, to, kind)) = self.queue.peek() {
             if t > deadline || self.stop {
                 break;
             }
+            // A copy for a dead process — or for one that does not exist
+            // (a protocol bug surfaced as a drop, not a panic, so fault
+            // campaigns keep running) — is retired without being made.
+            let dead_letter = matches!(kind, EventKind::Deliver { .. }) && !self.is_alive(to);
             // Fire any sample points due strictly before the next event.
             self.sample_until(t.min(deadline));
-            let Some(ev) = self.queue.pop() else {
-                break;
-            };
-            self.now = ev.at;
-            self.dispatch(ev.kind);
+            self.now = t;
+            if dead_letter {
+                self.queue.skip();
+                self.tally.dropped_dead += 1;
+            } else if let Some(ev) = self.queue.pop() {
+                self.dispatch(ev.to, ev.body);
+            }
             processed += 1;
         }
         if !self.stop {
@@ -270,6 +337,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
         if self.now < deadline && !self.stop {
             self.now = deadline;
         }
+        self.tally.fold_into(&mut self.metrics);
         processed
     }
 
@@ -292,21 +360,38 @@ impl<M: Debug + Clone + 'static> Sim<M> {
     /// One sampling pass: fold every live process's gauges into
     /// per-name sum/max series, plus the built-in event-queue depth.
     fn take_samples(&mut self, at: SimTime) {
-        use std::collections::BTreeMap;
-        let mut agg: BTreeMap<String, (f64, f64)> = BTreeMap::new();
+        self.tally.fold_into(&mut self.metrics);
+        let gauges = &mut self.gauges;
         for (i, p) in self.procs.iter().enumerate() {
             if !self.alive[i] {
                 continue;
             }
             p.sample(&mut |name: &str, v: f64| {
-                let e = agg.entry(name.to_string()).or_insert((0.0, f64::MIN));
-                e.0 += v;
-                e.1 = e.1.max(v);
+                let fold = |g: &mut GaugeSeries| {
+                    let (sum, max) = g.tick.get_or_insert((0.0, f64::MIN));
+                    *sum += v;
+                    *max = max.max(v);
+                };
+                match gauges.get_mut(name) {
+                    Some(g) => fold(g),
+                    None => {
+                        let mut g = GaugeSeries {
+                            sum_name: format!("ts.{name}.sum"),
+                            max_name: format!("ts.{name}.max"),
+                            tick: None,
+                        };
+                        fold(&mut g);
+                        gauges.insert(name.to_string(), g);
+                    }
+                }
             });
         }
-        for (name, (sum, max)) in agg {
-            self.metrics.sample(&format!("ts.{name}.sum"), at, sum);
-            self.metrics.sample(&format!("ts.{name}.max"), at, max);
+        // A gauge nobody emitted this time gets no sample this time.
+        for g in gauges.values_mut() {
+            if let Some((sum, max)) = g.tick.take() {
+                self.metrics.sample(&g.sum_name, at, sum);
+                self.metrics.sample(&g.max_name, at, max);
+            }
         }
         self.metrics
             .sample("ts.sim.queue", at, self.queue.len() as f64);
@@ -337,29 +422,20 @@ impl<M: Debug + Clone + 'static> Sim<M> {
         self.run_until(max)
     }
 
-    fn dispatch(&mut self, kind: EventKind<M>) {
+    /// `kind` happens to `to`, now. A `Deliver` gets here only if `to`
+    /// is up ([`Sim::run_until`] retires the others unopened).
+    fn dispatch(&mut self, to: ProcessId, kind: EventKind<M>) {
         match kind {
-            EventKind::Start { proc } => {
-                if self.alive[proc.0] {
-                    self.invoke(proc, Stimulus::Start);
+            EventKind::Start => {
+                if self.alive[to.0] {
+                    self.invoke(to, Stimulus::Start);
                 }
             }
-            EventKind::Deliver {
-                to,
-                from,
-                msg,
-                sent_at,
-            } => {
-                if !self.alive.get(to.0).copied().unwrap_or(false) {
-                    // Dead — or addressed to a process that does not
-                    // exist (a protocol bug surfaced as a drop, not a
-                    // panic, so fault campaigns keep running).
-                    self.metrics.incr("net.dropped_dead", 1);
-                    return;
-                }
-                self.metrics.incr("net.delivered", 1);
-                self.metrics
-                    .observe("net.latency", self.now.saturating_since(sent_at));
+            EventKind::Deliver { from, msg, sent_at } => {
+                self.tally.delivered += 1;
+                self.tally
+                    .latency
+                    .record(self.now.saturating_since(sent_at));
                 let at = self.now;
                 self.trace.record_with(|| TraceEvent::Deliver {
                     at,
@@ -369,34 +445,34 @@ impl<M: Debug + Clone + 'static> Sim<M> {
                 });
                 self.invoke(to, Stimulus::Message { from, msg });
             }
-            EventKind::Timer { proc, timer } => {
-                if self.alive[proc.0] {
-                    self.invoke(proc, Stimulus::Timer(timer));
+            EventKind::Timer(timer) => {
+                if self.alive[to.0] {
+                    self.invoke(to, Stimulus::Timer(timer));
                 }
             }
-            EventKind::Crash { proc } => {
+            EventKind::Crash => {
                 // Fault boundary: a plan may target a process that was
                 // never added — record and ignore rather than panic.
-                if self.alive.get(proc.0).copied().unwrap_or(false) {
-                    self.alive[proc.0] = false;
+                if self.is_alive(to) {
+                    self.alive[to.0] = false;
                     self.metrics.incr("faults.crash", 1);
                     self.trace.record(TraceEvent::Fault {
                         at: self.now,
-                        proc,
+                        proc: to,
                         crashed: true,
                     });
                 }
             }
-            EventKind::Recover { proc } => {
-                if self.alive.get(proc.0) == Some(&false) {
-                    self.alive[proc.0] = true;
+            EventKind::Recover => {
+                if self.alive.get(to.0) == Some(&false) {
+                    self.alive[to.0] = true;
                     self.metrics.incr("faults.recover", 1);
                     self.trace.record(TraceEvent::Fault {
                         at: self.now,
-                        proc,
+                        proc: to,
                         crashed: false,
                     });
-                    self.invoke(proc, Stimulus::Recover);
+                    self.invoke(to, Stimulus::Recover);
                 }
             }
             EventKind::PartitionStart { a, b } => {
@@ -456,10 +532,12 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             rng,
             trace,
             metrics,
+            tally,
             stop,
-            alive,
             outgoing,
+            recipients,
             timers,
+            arrivals,
             ..
         } = self;
         let n_processes = procs.len();
@@ -468,6 +546,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             now: *now,
             rng,
             outgoing: std::mem::take(outgoing),
+            recipients: std::mem::take(recipients),
             timers: std::mem::take(timers),
             trace,
             metrics,
@@ -482,88 +561,86 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             Stimulus::Recover => p.on_recover(&mut ctx),
         }
         let mut sent = std::mem::take(&mut ctx.outgoing);
+        let mut addressed = std::mem::take(&mut ctx.recipients);
         let mut armed = std::mem::take(&mut ctx.timers);
         drop(ctx);
-        let _ = alive;
         for t in armed.drain(..) {
-            queue.push(*now + t.after, EventKind::Timer { proc, timer: t.id });
+            queue.push(*now + t.after, proc, EventKind::Timer(t.id));
         }
         *timers = armed;
+        let factor = net.delay_factor();
+        let scale = |d: SimDuration| {
+            if factor == 1.0 {
+                d
+            } else {
+                SimDuration::from_micros((d.as_micros() as f64 * factor).round() as u64)
+            }
+        };
+        let mut rest = addressed.as_slice();
         for o in sent.drain(..) {
-            metrics.incr("net.sent", 1);
+            let (group, tail) = rest.split_at(o.fanout);
+            rest = tail;
             let label = if trace.is_enabled() {
                 o.label
-                    .clone()
                     .unwrap_or_else(|| truncate(format!("{:?}", o.msg), 60))
             } else {
                 String::new()
             };
-            let unreachable = !net.reachable(proc, o.to);
-            // During a degradation episode, burst loss stacks on top of
-            // the configured drop probability. The guard keeps the RNG
-            // draw sequence identical to the undegraded simulator when no
-            // episode is active, so existing seeds replay byte-for-byte.
-            let drop_p = (cfg.drop_probability + net.extra_drop()).clamp(0.0, 1.0);
-            let dropped = unreachable || (drop_p > 0.0 && rng.gen_bool(drop_p));
-            if dropped {
-                metrics.incr("net.dropped", 1);
-                trace.record(TraceEvent::Drop {
+            // Each recipient's copy meets the network on its own, in
+            // recipient order; the RNG draws are those of as many
+            // separate sends.
+            for &to in group {
+                tally.sent += 1;
+                let unreachable = !net.reachable(proc, to);
+                // During a degradation episode, burst loss stacks on top
+                // of the configured drop probability. The guard keeps the
+                // RNG draw sequence identical to the undegraded simulator
+                // when no episode is active, so existing seeds replay
+                // byte-for-byte.
+                let drop_p = (cfg.drop_probability + net.extra_drop()).clamp(0.0, 1.0);
+                let dropped = unreachable || (drop_p > 0.0 && rng.gen_bool(drop_p));
+                if dropped {
+                    tally.dropped += 1;
+                    trace.record_with(|| TraceEvent::Drop {
+                        at: *now,
+                        from: proc,
+                        to,
+                        label: label.clone(),
+                    });
+                    continue;
+                }
+                trace.record_with(|| TraceEvent::Send {
                     at: *now,
                     from: proc,
-                    to: o.to,
-                    label,
+                    to,
+                    label: label.clone(),
                 });
-                continue;
-            }
-            trace.record(TraceEvent::Send {
-                at: *now,
-                from: proc,
-                to: o.to,
-                label,
-            });
-            // Duplication samples the RNG only while an episode sets
-            // dup_probability > 0, again preserving replay of old seeds.
-            let dup_p = net.dup_probability();
-            let duplicated = dup_p > 0.0 && rng.gen_bool(dup_p);
-            if duplicated {
-                metrics.incr("net.duplicated", 1);
-            }
-            let factor = net.delay_factor();
-            let scale = |d: crate::time::SimDuration| {
-                if factor == 1.0 {
-                    d
-                } else {
-                    crate::time::SimDuration::from_micros(
-                        (d.as_micros() as f64 * factor).round() as u64
-                    )
+                // Duplication samples the RNG only while an episode sets
+                // dup_probability > 0, again preserving replay of old
+                // seeds.
+                let dup_p = net.dup_probability();
+                let duplicated = dup_p > 0.0 && rng.gen_bool(dup_p);
+                let delay = scale(cfg.latency.sample(rng, &cfg.topology, proc, to));
+                let at = net.arrival_time(cfg, proc, to, *now, delay);
+                if duplicated {
+                    tally.duplicated += 1;
+                    let delay2 = scale(cfg.latency.sample(rng, &cfg.topology, proc, to));
+                    arrivals.push((net.arrival_time(cfg, proc, to, *now, delay2), to));
                 }
-            };
-            let delay = scale(cfg.latency.sample(rng, &cfg.topology, proc, o.to));
-            let at = net.arrival_time(cfg, proc, o.to, *now, delay);
-            if duplicated {
-                let delay2 = scale(cfg.latency.sample(rng, &cfg.topology, proc, o.to));
-                let at2 = net.arrival_time(cfg, proc, o.to, *now, delay2);
-                queue.push(
-                    at2,
-                    EventKind::Deliver {
-                        to: o.to,
-                        from: proc,
-                        msg: o.msg.clone(),
-                        sent_at: *now,
-                    },
-                );
+                arrivals.push((at, to));
             }
-            queue.push(
-                at,
-                EventKind::Deliver {
-                    to: o.to,
-                    from: proc,
-                    msg: o.msg,
-                    sent_at: *now,
-                },
-            );
+            // One body however many copies survived; none if none did.
+            let body = EventKind::Deliver {
+                from: proc,
+                msg: o.msg,
+                sent_at: *now,
+            };
+            queue.push_shared(body, arrivals);
+            arrivals.clear();
         }
         *outgoing = sent;
+        addressed.clear();
+        *recipients = addressed;
     }
 }
 
@@ -814,29 +891,185 @@ mod tests {
         assert_eq!(digest(false), digest(true));
     }
 
-    #[test]
-    fn multicast_excludes_self_when_asked() {
-        struct Caster {
-            got: u32,
+    /// Every process pings all the others each 5 ms, `rounds` times, and
+    /// answers each ping; the fan-out goes through [`Ctx::multicast`] or
+    /// through one [`Ctx::send`] of a clone per recipient.
+    struct Fan {
+        via_multicast: bool,
+        rounds: u32,
+    }
+
+    impl Process<Msg> for Fan {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+            ctx.set_timer(TimerId(0), SimDuration::from_millis(5));
         }
-        impl Process<Msg> for Caster {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                if ctx.me().0 == 0 {
-                    let everyone: Vec<ProcessId> = (0..ctx.n_processes()).map(ProcessId).collect();
-                    ctx.multicast(&everyone, Msg::Ping(1), false);
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, t: TimerId) {
+            if self.rounds == 0 {
+                return;
+            }
+            self.rounds -= 1;
+            let me = ctx.me();
+            let peers = (0..ctx.n_processes())
+                .map(ProcessId)
+                .filter(move |&p| p != me);
+            let msg = Msg::Ping(self.rounds);
+            if self.via_multicast {
+                ctx.multicast(peers, msg);
+            } else {
+                for p in peers {
+                    ctx.send(p, msg.clone());
                 }
             }
-            fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _f: ProcessId, _m: Msg) {
+            ctx.set_timer(t, SimDuration::from_millis(5));
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ProcessId, msg: Msg) {
+            if let Msg::Ping(i) = msg {
+                ctx.send(from, Msg::Pong(i));
+            }
+        }
+    }
+
+    #[test]
+    fn multicast_is_indistinguishable_from_a_send_per_recipient() {
+        let run = |via_multicast: bool| {
+            let mut sim = SimBuilder::new(9)
+                .net(NetConfig::lossy_lan(0.1))
+                .trace()
+                .build::<Msg>();
+            for _ in 0..5 {
+                sim.add_process(Fan {
+                    via_multicast,
+                    rounds: 40,
+                });
+            }
+            // Loss throughout; duplication and stretched delays for a
+            // while; one recipient down for part of the run, so copies
+            // already in flight reach a dead process.
+            sim.degrade_at(SimTime::from_millis(40), 0.05, 0.4, 1.5);
+            sim.restore_at(SimTime::from_millis(120));
+            sim.crash_at(ProcessId(3), SimTime::from_micros(71_300));
+            sim.recover_at(ProcessId(3), SimTime::from_millis(150));
+            sim.run_until(SimTime::from_secs(1));
+            let m = sim.metrics();
+            let latency = m.histogram("net.latency").expect("something arrived");
+            let figures = [
+                m.counter("net.sent"),
+                m.counter("net.dropped"),
+                m.counter("net.delivered"),
+                m.counter("net.dropped_dead"),
+                m.counter("net.duplicated"),
+                latency.count(),
+                latency.sum_micros() as u64,
+            ];
+            (sim.trace().digest(), figures)
+        };
+        let (digest, figures) = run(true);
+        assert_eq!((digest, figures), run(false));
+        // The episode did what the test is about.
+        assert!(figures.iter().all(|&f| f > 0), "{figures:?}");
+    }
+
+    /// A message that counts how often it has been cloned.
+    #[derive(Debug)]
+    struct Counted(std::rc::Rc<std::cell::Cell<u32>>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.0.set(self.0.get() + 1);
+            Counted(std::rc::Rc::clone(&self.0))
+        }
+    }
+
+    #[test]
+    fn a_body_is_cloned_only_for_copies_that_are_delivered() {
+        /// Multicasts one fresh `Counted` to each recipient list, at start.
+        struct Sender {
+            casts: Vec<Vec<usize>>,
+            clones: Vec<std::rc::Rc<std::cell::Cell<u32>>>,
+        }
+        impl Process<Counted> for Sender {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Counted>) {
+                for to in &self.casts {
+                    let count = std::rc::Rc::new(std::cell::Cell::new(0));
+                    self.clones.push(std::rc::Rc::clone(&count));
+                    ctx.multicast(to.iter().map(|&p| ProcessId(p)), Counted(count));
+                }
+            }
+        }
+        #[derive(Default)]
+        struct Sink {
+            got: u32,
+        }
+        impl Process<Counted> for Sink {
+            fn on_message(&mut self, _ctx: &mut Ctx<'_, Counted>, _f: ProcessId, _m: Counted) {
                 self.got += 1;
             }
         }
-        let mut sim = SimBuilder::new(1).build::<Msg>();
-        let a = sim.add_process(Caster { got: 0 });
-        let b = sim.add_process(Caster { got: 0 });
-        let c = sim.add_process(Caster { got: 0 });
+        let mut sim = SimBuilder::new(1)
+            .net(NetConfig::ideal(SimDuration::from_millis(1)))
+            .build::<Counted>();
+        // P4 is cut off from the sender before anything is sent and P3 is
+        // dead before anything arrives; P1, P2 and P5 get their copies,
+        // all at the same instant, in recipient order.
+        sim.partition_at(&[ProcessId(0)], &[ProcessId(4)], SimTime::ZERO);
+        let sender = sim.add_process(Sender {
+            casts: vec![
+                vec![1, 2, 5],
+                vec![1, 3, 2],
+                vec![3],
+                vec![4],
+                vec![3, 4],
+                vec![],
+                vec![1, 3],
+            ],
+            clones: Vec::new(),
+        });
+        for _ in 1..=5 {
+            sim.add_process(Sink::default());
+        }
+        sim.crash_at(ProcessId(3), SimTime::ZERO);
         sim.run_until(SimTime::from_secs(1));
-        assert_eq!(sim.process::<Caster>(a).unwrap().got, 0);
-        assert_eq!(sim.process::<Caster>(b).unwrap().got, 1);
-        assert_eq!(sim.process::<Caster>(c).unwrap().got, 1);
+        let clones: Vec<u32> = sim
+            .process::<Sender>(sender)
+            .unwrap()
+            .clones
+            .iter()
+            .map(|c| c.get())
+            .collect();
+        // Live arrivals less the one that takes the body; nothing at all
+        // for a body no live process was handed. Only when the arrival
+        // that would have taken the body turns out to be a dead letter
+        // (the last cast) does every live arrival cost a clone.
+        assert_eq!(clones, vec![2, 1, 0, 0, 0, 0, 1]);
+        let got = |p| sim.process::<Sink>(ProcessId(p)).unwrap().got;
+        assert_eq!([got(1), got(2), got(3), got(4), got(5)], [3, 2, 0, 0, 1]);
+        assert_eq!(sim.metrics().counter("net.sent"), 12);
+        assert_eq!(sim.metrics().counter("net.dropped"), 2);
+        assert_eq!(sim.metrics().counter("net.dropped_dead"), 4);
+        assert_eq!(sim.metrics().counter("net.delivered"), 6);
+    }
+
+    #[test]
+    fn a_run_without_traffic_reports_no_net_figures() {
+        struct Idle;
+        impl Process<Msg> for Idle {
+            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
+                ctx.set_timer(TimerId(0), SimDuration::from_millis(10));
+            }
+        }
+        let mut sim = SimBuilder::new(1)
+            .sample_every(SimDuration::from_millis(5))
+            .build::<Msg>();
+        sim.add_process(Idle);
+        sim.run_until(SimTime::from_millis(50));
+        // Report tables iterate these maps: a zero row is still a row.
+        let net: Vec<&str> = sim
+            .metrics()
+            .counters()
+            .map(|(name, _)| name)
+            .filter(|name| name.starts_with("net."))
+            .collect();
+        assert!(net.is_empty(), "{net:?}");
+        assert!(sim.metrics().histogram("net.latency").is_none());
     }
 }
