@@ -6,16 +6,18 @@
 //! that moves a wire message, a timer, an RNG draw or a delivery order
 //! fails here, under the Tier-1 `cargo test -q`.
 
+use catocs::cbcast::CbcastEndpoint;
 use catocs::endpoint::Discipline;
 use catocs::group::CausalDiscipline::{self, Cbcast, Pccast};
-use catocs::group::GroupConfig;
+use catocs::group::{GroupConfig, MsgId};
 use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
 use catocs::vsync::{run_campaign, CampaignConfig};
-use catocs::wire::Wire;
+use catocs::wire::{Dest, Wire};
 use simnet::net::NetConfig;
 use simnet::process::ProcessId;
 use simnet::sim::{Sim, SimBuilder};
 use simnet::time::{SimDuration, SimTime};
+use std::collections::{HashMap, VecDeque};
 
 /// Multicasts its member index on every tick until the quota is spent.
 struct Chatter {
@@ -180,5 +182,170 @@ fn churn_campaigns_replay_their_pinned_digests() {
             let got = (r.digest, r.delivered_total, r.views_installed);
             assert_eq!(got, want, "{name} seed {seed}: {got:#x?} moved");
         }
+    }
+}
+
+/// The `reversed_sparse` shape of the wall-clock benchmark at a size
+/// Tier-1 can afford: bare cbcast endpoints, no simulator. Four of 32
+/// members multicast round-robin, each message relayed to the other three
+/// at once, so the 64 messages are one causal chain, delta-stamped. Two
+/// silent observers then receive the chain backwards and their NACKs are
+/// served from a store as full-stamped retransmissions: everything parks
+/// or is held before anything delivers. The second observer swaps every
+/// fourth adjacent pair, is first handed full-stamped copies of two
+/// messages from the middle of the chain — whose timestamps reference
+/// every sender, their own among them — and caps a NACK at five ids, so
+/// which ids it asks for depends on the order a timestamp's lagging
+/// components are visited in; it ticks whenever its inbox drains. The
+/// stats are decided by that order and by which ids the gap registration
+/// probes. Per observer: the digest of its delivery log, the digest of
+/// every NACK's destination and `want` list, then `(nacks_sent,
+/// duplicates, ts_delta_parked, holdback_work, holdback_peak,
+/// delivered_after_hold)`. Recorded on the commit before `VectorClock`
+/// became copy-on-write.
+#[test]
+fn reversed_delta_stream_replays_its_pinned_stats() {
+    const N: usize = 32;
+    const TOTAL: usize = 64;
+    let cfg = GroupConfig {
+        indexed_holdback: true,
+        delta_timestamps: true,
+        ..GroupConfig::default()
+    };
+    // Senders on both sides of the 16-component chunk boundary.
+    let mut senders: Vec<CbcastEndpoint<u64>> = [3, 9, 17, 30]
+        .into_iter()
+        .map(|me| CbcastEndpoint::new(me, N, cfg.clone()))
+        .collect();
+    let mut wires: Vec<Wire<u64>> = Vec::new();
+    for step in 0..TOTAL {
+        let s = step % senders.len();
+        let at = SimTime::from_millis(step as u64);
+        let (_, out) = senders[s].multicast(at, step as u64);
+        let w = out
+            .into_iter()
+            .find_map(|(d, w)| matches!((d, &w), (Dest::All, Wire::Data(_))).then_some(w))
+            .expect("a multicast broadcasts its data message");
+        for (r, other) in senders.iter_mut().enumerate() {
+            if r != s {
+                assert_eq!(other.on_wire(at, w.clone()).0.len(), 1);
+            }
+        }
+        wires.push(w);
+    }
+    let delta_sent: u64 = senders.iter().map(|s| s.stats().ts_delta_sent).sum();
+    assert_eq!(delta_sent, TOTAL as u64, "every message goes out delta");
+    let position: HashMap<MsgId, usize> = wires
+        .iter()
+        .enumerate()
+        .map(|(i, w)| match w {
+            Wire::Data(d) => (d.id, i),
+            _ => unreachable!("only data messages are stored"),
+        })
+        .collect();
+
+    let reversed: Vec<usize> = (0..TOTAL).rev().collect();
+    let mut swapped = reversed.clone();
+    for pair in swapped.chunks_exact_mut(2).step_by(4) {
+        pair.swap(0, 1);
+    }
+    let full_copy = |i: usize| {
+        let Wire::Data(d) = &wires[i] else {
+            unreachable!("only data messages are stored")
+        };
+        let mut copy = d.clone();
+        copy.retransmit = true;
+        copy.make_full();
+        Wire::Data(copy)
+    };
+    let capped = GroupConfig {
+        max_nack_batch: 5,
+        ..cfg.clone()
+    };
+    let cases = [
+        (
+            0,
+            cfg,
+            Vec::new(),
+            reversed,
+            0x25e6_2161_5214_9a5e_u64,
+            0x768d_622f_8bfa_c905_u64,
+            (4u64, 60u64, 60u64, 1344u64, 48u64, 48u64),
+        ),
+        (
+            20,
+            capped,
+            vec![41, 22],
+            swapped,
+            0xca37_5e6e_5c21_3626,
+            0xf296_f259_6b4a_0ab7,
+            (8, 40, 43, 1457, 57, 57),
+        ),
+    ];
+    for (me, cfg, full_first, arrival, log_pin, want_pin, stats_pin) in cases {
+        let mut observer = CbcastEndpoint::<u64>::new(me, N, cfg);
+        let mut inbox: VecDeque<Wire<u64>> = full_first
+            .into_iter()
+            .map(full_copy)
+            .chain(arrival.iter().map(|&i| wires[i].clone()))
+            .collect();
+        let (mut log, mut wants) = (Fnv(0xcbf2_9ce4_8422_2325), Fnv(0xcbf2_9ce4_8422_2325));
+        let (mut at_us, mut next, mut ticks) = (TOTAL as u64 * 1000, 0, 0);
+        loop {
+            let outs = if let Some(w) = inbox.pop_front() {
+                at_us += 700;
+                let (dels, outs) = observer.on_wire(SimTime::from_micros(at_us), w);
+                for d in dels {
+                    assert_eq!(d.payload, next, "P{me}: the chain delivers in send order");
+                    next += 1;
+                    log.word(d.id.sender as u64);
+                    log.word(d.id.seq);
+                    log.word(d.arrived_at.as_micros());
+                    log.word(d.delivered_at.as_micros());
+                    for w in d.waited_for {
+                        log.word(w.sender as u64);
+                        log.word(w.seq);
+                    }
+                }
+                outs
+            } else if next < TOTAL as u64 {
+                ticks += 1;
+                assert!(ticks < 100, "P{me}: stuck at {next} of {TOTAL}");
+                at_us += 25_000;
+                observer.on_tick(SimTime::from_micros(at_us))
+            } else {
+                break;
+            };
+            for (dest, out) in outs {
+                let Wire::Nack { want, .. } = out else {
+                    continue;
+                };
+                wants.word(match dest {
+                    Dest::All => u64::MAX,
+                    Dest::One(k) => k as u64,
+                });
+                for id in want {
+                    wants.word(id.sender as u64);
+                    wants.word(id.seq);
+                    inbox.push_back(full_copy(position[&id]));
+                }
+            }
+        }
+        let s = observer.stats();
+        let stats = (
+            s.nacks_sent,
+            s.duplicates,
+            s.ts_delta_parked,
+            s.holdback_work,
+            s.holdback_peak,
+            s.delivered_after_hold,
+        );
+        assert_eq!(
+            (log.0, wants.0, stats),
+            (log_pin, want_pin, stats_pin),
+            "P{me}: ({:#018x}, {:#018x}, {stats:?}) moved",
+            log.0,
+            wants.0
+        );
     }
 }
