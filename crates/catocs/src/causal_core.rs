@@ -23,6 +23,24 @@ use clocks::vector::VectorClock;
 use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
+
+/// Furthest a timestamp, a sequence number or a gossiped clock may run
+/// ahead of the local delivered clock and still be believed. Every
+/// message a clock references beyond what was delivered here is entered
+/// in the `missing` map to be chased, one entry a message, so a hostile
+/// (or corrupt) component like `1 << 40` passes every structural check
+/// and then demands map entries until memory runs out — the NACK batch
+/// cap bounds the NACK, not the map. A member this far behind its group
+/// is not going to catch up by NACK; no run this codebase makes leaves
+/// one more than a few thousand messages behind. (The same argument for
+/// a decoded clock's *width* is [`VectorClock::MAX_DELTA_WIDTH`].)
+pub const MAX_CHASE_AHEAD: u64 = 1 << 20;
+
+/// Whether one lagging component `(k, have, claimed)` is past that bound.
+fn out_of_reach(&(_, have, claimed): &(usize, u64, u64)) -> bool {
+    claimed - have > MAX_CHASE_AHEAD
+}
 
 /// The observability span for a message: its id, viewed group-wide.
 pub(crate) fn span_of(id: MsgId) -> SpanId {
@@ -32,15 +50,33 @@ pub(crate) fn span_of(id: MsgId) -> SpanId {
     }
 }
 
-/// The highest seq of sender `k` that `msg`'s timestamp says precedes it:
-/// its FIFO predecessor for its own sender, the carried clock component
-/// for everyone else.
-pub(crate) fn referenced<P>(msg: &DataMsg<P>, k: usize) -> u64 {
-    if k == msg.id.sender {
-        msg.id.seq.saturating_sub(1)
-    } else {
-        msg.vt.get(k)
-    }
+/// What `msg`'s timestamp references beyond the clock `have`: ascending
+/// `(k, have[k], need)` for each member `k < n` whose message `need` —
+/// the highest the timestamp says precedes `msg` — is past `have[k]`.
+/// For the sender's own slot `need` is the FIFO predecessor `id.seq - 1`
+/// whatever the carried component says, and it takes its place in the
+/// ascending order: that order decides which ids fit under the NACK
+/// batch cap and in what order waiters register.
+pub(crate) fn lagging_refs<'a, P>(
+    msg: &'a DataMsg<P>,
+    have: &'a VectorClock,
+    n: usize,
+) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
+    let sender = msg.id.sender;
+    let mut own = Some((sender, have.get(sender), msg.id.seq.saturating_sub(1)))
+        .filter(|&(k, have, need)| k < n && need > have);
+    let mut others = have
+        .lagging(&msg.vt)
+        .filter(move |&(k, ..)| k != sender)
+        .take_while(move |&(k, ..)| k < n)
+        .peekable();
+    std::iter::from_fn(move || {
+        if own.is_some() && others.peek().is_none_or(|&(k, ..)| k > sender) {
+            own.take()
+        } else {
+            others.next()
+        }
+    })
 }
 
 /// Tracking for a message we know exists but have not received.
@@ -222,9 +258,11 @@ impl<P: Clone> CausalCore<P> {
     /// totals would let that surplus cancel real lag in others, reporting
     /// zero while unstable messages still sit in the buffer.
     pub fn stability_lag(&self) -> u64 {
-        let frontier = self.stability.stable_frontier();
-        (0..self.n)
-            .map(|s| self.vt.get(s).saturating_sub(frontier.get(s)))
+        self.stability
+            .stable_frontier()
+            .lagging(&self.vt)
+            .take_while(|&(s, ..)| s < self.n)
+            .map(|(_, stable, delivered)| delivered - stable)
             .sum()
     }
 
@@ -270,8 +308,8 @@ impl<P: Clone> CausalCore<P> {
         let mut by_msg = BTreeMap::new();
         for p in self.holdback.pending() {
             let mut waits = Vec::new();
-            for k in 0..self.n {
-                for seq in (self.vt.get(k) + 1)..=referenced(&p.msg, k) {
+            for (k, have, need) in lagging_refs(&p.msg, &self.vt, self.n) {
+                for seq in (have + 1)..=need {
                     let id = MsgId { sender: k, seq };
                     waits.push(WaitCause {
                         id,
@@ -311,20 +349,18 @@ impl<P: Clone> CausalCore<P> {
         pending.sort_unstable_by_key(|p| p.msg.id);
         for p in pending {
             let blocked = WaitNode::Msg(p.msg.id);
-            for k in 0..self.n {
-                if referenced(&p.msg, k) > self.vt.get(k) {
-                    let gap = MsgId {
-                        sender: k,
-                        seq: self.vt.get(k) + 1,
-                    };
-                    out.push(WaitEdge {
-                        from: blocked,
-                        to: WaitNode::Msg(gap),
-                        who: self.me,
-                        since: p.arrived_at,
-                        reason: wait_reason(self.classify_wait(gap, parked)),
-                    });
-                }
+            for (k, have, _) in lagging_refs(&p.msg, &self.vt, self.n) {
+                let gap = MsgId {
+                    sender: k,
+                    seq: have + 1,
+                };
+                out.push(WaitEdge {
+                    from: blocked,
+                    to: WaitNode::Msg(gap),
+                    who: self.me,
+                    since: p.arrived_at,
+                    reason: wait_reason(self.classify_wait(gap, parked)),
+                });
             }
             if self.frozen {
                 out.push(self.frozen_edge(p.msg.id, p.arrived_at));
@@ -419,11 +455,21 @@ impl<P: Clone> CausalCore<P> {
         });
     }
 
-    /// Front door for a data copy: rejects ids outside the group and —
-    /// virtual synchrony — anything from a removed sender beyond the
-    /// flush cut. Returns whether the copy may proceed to decoding.
+    /// Whether `clock` claims deliveries more than [`MAX_CHASE_AHEAD`]
+    /// past ours in some component.
+    fn too_far_ahead(&self, clock: &VectorClock) -> bool {
+        // A component that far past ours is at least that large itself:
+        // one pass over the one clock clears every honest timestamp.
+        clock.any_above(MAX_CHASE_AHEAD) && self.vt.lagging(clock).any(|lag| out_of_reach(&lag))
+    }
+
+    /// Front door for a data copy: rejects ids outside the group or
+    /// implausibly far ahead of it and — virtual synchrony — anything
+    /// from a removed sender beyond the flush cut. Returns whether the
+    /// copy may proceed to decoding.
     pub(crate) fn admit(&mut self, now: SimTime, msg: &DataMsg<P>) -> bool {
-        if msg.id.sender >= self.n {
+        let MsgId { sender, seq } = msg.id;
+        if sender >= self.n || seq.saturating_sub(self.vt.get(sender)) > MAX_CHASE_AHEAD {
             self.stats.ts_decode_errors += 1;
             return false;
         }
@@ -448,8 +494,9 @@ impl<P: Clone> CausalCore<P> {
         true
     }
 
-    /// Validates a decoded wire timestamp against the group width. A
-    /// failure is counted and the copy dropped for NACK-driven recovery.
+    /// Validates a decoded wire timestamp against the group width and
+    /// against [`MAX_CHASE_AHEAD`]. A failure is counted and the copy
+    /// dropped for NACK-driven recovery.
     pub(crate) fn checked_vt(
         &mut self,
         now: SimTime,
@@ -458,7 +505,7 @@ impl<P: Clone> CausalCore<P> {
         what: &str,
     ) -> Option<VectorClock> {
         match decoded {
-            Some(vt) if vt.len() == self.n => {
+            Some(vt) if vt.len() == self.n && !self.too_far_ahead(&vt) => {
                 debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
                 Some(vt)
             }
@@ -487,7 +534,8 @@ impl<P: Clone> CausalCore<P> {
     /// held nor `parked` as missing here — gossip is what reveals a
     /// sender's final message when it was dropped with no successor to
     /// reference it. Removed senders' messages beyond the flush cut will
-    /// never deliver and are not worth chasing.
+    /// never deliver and are not worth chasing. A clock implausibly far
+    /// ahead of ours ([`MAX_CHASE_AHEAD`]) is counted and ignored whole.
     pub(crate) fn on_ack_gossip(
         &mut self,
         now: SimTime,
@@ -495,14 +543,22 @@ impl<P: Clone> CausalCore<P> {
         delivered: &VectorClock,
         parked: impl Fn(MsgId) -> bool,
     ) {
+        // One scan serves the bound and the chase; in a settled group it
+        // finds nothing and allocates nothing.
+        let ahead = self.vt.lagging(delivered).take_while(|&(k, ..)| k < self.n);
+        let ahead: Vec<_> = ahead.collect();
+        if ahead.iter().any(out_of_reach) {
+            self.stats.ts_decode_errors += 1;
+            return;
+        }
         self.stability.update_row(from, delivered);
-        for k in 0..self.n {
+        for (k, have, theirs) in ahead {
             let hi = if self.alive[k] {
-                delivered.get(k)
+                theirs
             } else {
-                delivered.get(k).min(self.cut.get(k))
+                theirs.min(self.cut.get(k))
             };
-            for seq in (self.vt.get(k) + 1)..=hi {
+            for seq in (have + 1)..=hi {
                 let id = MsgId { sender: k, seq };
                 if !self.holdback.contains(id) && !parked(id) {
                     self.chase_on_tick(id, from);
@@ -562,20 +618,40 @@ impl<P: Clone> CausalCore<P> {
         });
     }
 
-    /// Records `id` as missing, first learned of via `via`, unless it is
-    /// already chased, `parked` or held; newly missing ids join the
-    /// immediate NACK `want` (capped). Cheapest tests first: most
-    /// referenced-but-undelivered messages are already registered, and
-    /// probing the holdback costs O(H) in the scan implementation.
-    pub(crate) fn note_missing(
+    /// Records as missing, first learned of via `via`, every message
+    /// `seqs` of sender `k` that is not already chased, `parked` or held;
+    /// newly missing ids join the immediate NACK `want` (capped).
+    /// Cheapest test first, and the chased ids of the gap are walked
+    /// beside it rather than looked up one by one: a gap is referenced
+    /// again by every message that arrives while it is open, and none of
+    /// those arrivals has anything to add to it. An id that is chased is
+    /// never put to `parked` or to the holdback probe, which is counted
+    /// as work.
+    pub(crate) fn note_missing_range(
         &mut self,
         now: SimTime,
-        id: MsgId,
+        k: usize,
+        seqs: RangeInclusive<u64>,
         via: usize,
         parked: impl Fn(MsgId) -> bool,
         want: &mut Vec<MsgId>,
     ) {
-        if !self.missing.contains_key(&id) && !parked(id) && !self.holdback.contains(id) {
+        if seqs.is_empty() {
+            return;
+        }
+        let id = |seq| MsgId { sender: k, seq };
+        let chased = self.missing.range(id(*seqs.start())..=id(*seqs.end()));
+        let mut chased = chased.map(|(id, _)| id.seq).peekable();
+        let mut fresh = Vec::new();
+        for seq in seqs {
+            if chased.next_if_eq(&seq).is_none()
+                && !parked(id(seq))
+                && !self.holdback.contains(id(seq))
+            {
+                fresh.push(id(seq));
+            }
+        }
+        for id in fresh {
             self.missing.insert(
                 id,
                 Missing {
@@ -615,17 +691,18 @@ impl<P: Clone> CausalCore<P> {
     ) {
         let via = msg.id.sender;
         let mut want = Vec::new();
-        for k in 0..self.n {
+        // A second handle on the clock, not a copy: the loop borrows
+        // `self` mutably, and never writes `vt`.
+        let vt = self.vt.clone();
+        for (k, have, need) in lagging_refs(msg, &vt, self.n) {
             // A removed sender's messages beyond the flush cut will never
             // deliver anywhere; do not chase them.
-            let referenced = if self.alive[k] {
-                referenced(msg, k)
+            let hi = if self.alive[k] {
+                need
             } else {
-                referenced(msg, k).min(self.cut.get(k))
+                need.min(self.cut.get(k))
             };
-            for seq in (self.vt.get(k) + 1)..=referenced {
-                self.note_missing(now, MsgId { sender: k, seq }, via, parked, &mut want);
-            }
+            self.note_missing_range(now, k, (have + 1)..=hi, via, parked, &mut want);
         }
         self.send_nack(want, Dest::One(via), out);
     }
@@ -799,5 +876,199 @@ impl<P: Clone> CausalCore<P> {
     /// Samples the holdback gauge.
     pub(crate) fn note_holdback(&mut self) {
         self.stats.note_holdback(self.holdback.len() as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::endpoint::CausalEndpoint;
+    use crate::group::CausalDiscipline;
+    use crate::holdback::Pending;
+    use crate::wire::VtWire;
+    use proptest::prelude::*;
+
+    fn clock(e: &[u64]) -> VectorClock {
+        VectorClock::from_entries(e.to_vec())
+    }
+
+    /// Before the bound, each of these wires passed every structural
+    /// check and then had `missing` entered one id at a time for a gap of
+    /// 2^40 messages — a hang that ends when memory does. Each must now
+    /// be refused at the door, counted, and leave nothing behind; the
+    /// endpoint then serves a legitimate sender as if nothing happened.
+    #[test]
+    fn hostile_clocks_cannot_fill_the_missing_map() {
+        const FAR: u64 = 1 << 40;
+        let now = SimTime::from_millis(1);
+        let first = MsgId { sender: 0, seq: 1 };
+        let ahead = MsgId {
+            sender: 0,
+            seq: FAR,
+        };
+        let mut parks = DataMsg::new(ahead, clock(&[FAR, 0, 0]), 0);
+        parks.vt_wire = VtWire::Delta(parks.vt.encode_delta(&VectorClock::new(3)));
+        let hostile = [
+            // A carried component far ahead: `register_missing`.
+            Wire::Data(DataMsg::new(first, clock(&[1, 0, FAR]), 0)),
+            // A sequence number far ahead, stamped full and stamped delta:
+            // `register_missing`'s own slot and cbcast's FIFO-gap NACK.
+            Wire::Data(DataMsg::new(ahead, VectorClock::new(3), 0)),
+            Wire::Data(parks),
+            // A gossiped clock far ahead: `on_ack_gossip`.
+            Wire::AckGossip {
+                from: 0,
+                delivered: clock(&[0, FAR, 0]),
+            },
+        ];
+        for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+            let cfg = GroupConfig {
+                discipline,
+                delta_timestamps: true,
+                ..GroupConfig::default()
+            };
+            let mut ep: CausalEndpoint<u32> = CausalEndpoint::new(1, 3, cfg.clone());
+            for (i, wire) in hostile.iter().enumerate() {
+                let (dels, outs) = ep.on_wire(now, wire.clone());
+                assert!(
+                    dels.is_empty() && outs.is_empty(),
+                    "{discipline:?} wire {i}"
+                );
+                let core = ep.core();
+                assert!(core.missing.is_empty(), "{discipline:?} wire {i}");
+                assert_eq!(core.stats.ts_decode_errors, i as u64 + 1);
+                assert_eq!(
+                    (core.holdback_len(), core.buffered_len(), ep.parked_len()),
+                    (0, 0, 0),
+                    "{discipline:?} wire {i}"
+                );
+                assert!(!core.stability.knows_delivered(0, 1, 1), "gossip row taken");
+            }
+            let mut peer: CausalEndpoint<u32> = CausalEndpoint::new(0, 3, cfg);
+            if discipline == CausalDiscipline::Cbcast {
+                // A hostile delta parked behind the sender's first message
+                // decodes only once that arrives: same door, later.
+                let second = MsgId { sender: 0, seq: 2 };
+                let mut parked = DataMsg::new(second, clock(&[2, FAR, 0]), 0);
+                parked.vt_wire = VtWire::Delta(parked.vt.encode_delta(&clock(&[1, 0, 0])));
+                let (dels, _) = ep.on_wire(now, Wire::Data(parked));
+                assert!(dels.is_empty());
+                assert_eq!(ep.parked_len(), 1);
+            }
+            let (_, outs) = peer.multicast(now, 7);
+            let (_, copy) = outs
+                .into_iter()
+                .find(|(d, _)| matches!(d, Dest::All | Dest::One(1)))
+                .expect("a copy for member 1");
+            let (dels, _) = ep.on_wire(now, copy);
+            assert_eq!(dels.len(), 1, "{discipline:?}: legitimate message");
+            assert_eq!((dels[0].id, dels[0].payload), (first, 7));
+            let core = ep.core();
+            assert_eq!(ep.parked_len(), 0);
+            assert!(core.missing.keys().all(|id| id.seq <= 2), "{discipline:?}");
+            let parked = u64::from(discipline == CausalDiscipline::Cbcast);
+            assert_eq!(core.stats.ts_decode_errors, hostile.len() as u64 + parked);
+        }
+    }
+
+    impl<P: Clone> CausalCore<P> {
+        /// The id-by-id definition `note_missing_range` replaced.
+        fn note_missing(
+            &mut self,
+            now: SimTime,
+            id: MsgId,
+            via: usize,
+            parked: impl Fn(MsgId) -> bool,
+            want: &mut Vec<MsgId>,
+        ) {
+            if !self.missing.contains_key(&id) && !parked(id) && !self.holdback.contains(id) {
+                self.missing.insert(
+                    id,
+                    Missing {
+                        referenced_by: via,
+                        last_nack: now,
+                    },
+                );
+                if want.len() < self.cfg.max_nack_batch {
+                    want.push(id);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// `lagging_refs` against the loop it replaced: every member in
+        /// turn, the sender judged on its FIFO predecessor, clocks and
+        /// sender inside, at and past the group width.
+        #[test]
+        fn lagging_refs_match_the_member_by_member_scan(
+            vt in collection::vec(0u64..4, 0..40),
+            have in collection::vec(0u64..4, 0..40),
+            sender in 0usize..40,
+            seq in 0u64..5,
+            n in 0usize..40,
+        ) {
+            let id = MsgId { sender, seq };
+            let msg = DataMsg::new(id, clock(&vt), ());
+            let have = clock(&have);
+            let want: Vec<_> = (0..n)
+                .map(|k| {
+                    let need = if k == sender { seq.saturating_sub(1) } else { msg.vt.get(k) };
+                    (k, have.get(k), need)
+                })
+                .filter(|&(_, have, need)| need > have)
+                .collect();
+            prop_assert_eq!(lagging_refs(&msg, &have, n).collect::<Vec<_>>(), want);
+        }
+
+        /// `note_missing_range` against `note_missing` id by id, from
+        /// identical states: same `missing`, same `want`, same counted
+        /// holdback probes, whether the range is chased in full, in part
+        /// or not at all, held, parked or neither.
+        #[test]
+        fn a_range_is_noted_exactly_as_its_ids_would_be(
+            chased in collection::vec(1u64..12, 0..12),
+            held in collection::vec(2u64..12, 0..4),
+            lo in 1u64..12,
+            len in 0u64..12,
+            cap in 1usize..6,
+        ) {
+            let now = SimTime::from_millis(1);
+            let cfg = GroupConfig { max_nack_batch: cap, ..GroupConfig::default() };
+            let build = || {
+                let mut core: CausalCore<()> = CausalCore::new(0, 2, cfg.clone(), 0);
+                for &seq in &chased {
+                    core.chase_on_tick(MsgId { sender: 1, seq }, 1);
+                }
+                for &seq in &held {
+                    let msg = DataMsg::new(MsgId { sender: 1, seq }, clock(&[0, seq]), ());
+                    core.holdback.insert(Pending { msg, arrived_at: now }, &core.vt);
+                }
+                core
+            };
+            let (mut by_range, mut by_id) = (build(), build());
+            let (mut want_range, mut want_id) = (Vec::new(), Vec::new());
+            let seqs = lo..=(lo + len).saturating_sub(1);
+            let parked = |id: MsgId| id.seq.is_multiple_of(5);
+            by_range.note_missing_range(now, 1, seqs.clone(), 1, parked, &mut want_range);
+            for seq in seqs {
+                by_id.note_missing(now, MsgId { sender: 1, seq }, 1, parked, &mut want_id);
+            }
+            prop_assert_eq!(want_range, want_id);
+            prop_assert_eq!(by_range.holdback.work(), by_id.holdback.work());
+            let entries = |core: &CausalCore<()>| -> Vec<_> {
+                let entry = |(id, m): (&MsgId, &Missing)| (*id, m.referenced_by, m.last_nack);
+                core.missing.iter().map(entry).collect()
+            };
+            prop_assert_eq!(entries(&by_range), entries(&by_id));
+        }
+    }
+
+    #[test]
+    fn the_chase_bound_is_inclusive() {
+        let ep: CausalEndpoint<u32> = CausalEndpoint::new(0, 2, GroupConfig::default());
+        assert!(!ep.core().too_far_ahead(&clock(&[0, MAX_CHASE_AHEAD])));
+        assert!(ep.core().too_far_ahead(&clock(&[0, MAX_CHASE_AHEAD + 1])));
+        assert!(!ep.core().too_far_ahead(&clock(&[])));
     }
 }

@@ -20,7 +20,7 @@
 //! outbound messages. This makes the protocol directly unit-testable and
 //! lets the same code run under `simnet` or a real transport.
 
-use crate::causal_core::{referenced, span_of, CausalCore};
+use crate::causal_core::{lagging_refs, span_of, CausalCore};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
@@ -355,13 +355,12 @@ impl<P: Clone> CbcastEndpoint<P> {
             // when so many components changed that the delta is no
             // cheaper (dense all-to-all traffic — the paper's caveat).
             let delta = core.vt.encode_delta(&self.last_sent_vt);
-            let full = core.vt.encode();
-            if delta.len() < full.len() {
+            if delta.len() < core.vt.encoded_len() {
                 core.stats.ts_delta_sent += 1;
                 VtWire::Delta(delta)
             } else {
                 core.stats.ts_full_sent += 1;
-                VtWire::Full(full)
+                VtWire::Full(core.vt.encode())
             }
         } else {
             core.stats.ts_full_sent += 1;
@@ -546,14 +545,11 @@ impl<P: Clone> CbcastEndpoint<P> {
                 // Pc tags never park (they are not accepted by cbcast).
                 VtWire::Pc { .. } => None,
             };
-            match decoded {
-                Some(vt) if vt.len() == self.core.n => {
-                    debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
-                    msg.vt = vt;
-                    self.advance_chain(sender, next, msg.vt.clone());
-                    self.on_data(now, msg, out, delivered);
-                }
-                _ => self.core.stats.ts_decode_errors += 1,
+            // The same front door as a timestamp decoded on arrival.
+            if let Some(vt) = self.core.checked_vt(now, &msg, decoded, "parked timestamp") {
+                msg.vt = vt;
+                self.advance_chain(sender, next, msg.vt.clone());
+                self.on_data(now, msg, out, delivered);
             }
         }
     }
@@ -572,10 +568,9 @@ impl<P: Clone> CbcastEndpoint<P> {
     ) {
         let parked = parked_in(&self.undecoded);
         let mut want = Vec::new();
-        for seq in lo.max(self.core.vt.get(sender) + 1)..=hi {
-            self.core
-                .note_missing(now, MsgId { sender, seq }, sender, parked, &mut want);
-        }
+        let lo = lo.max(self.core.vt.get(sender) + 1);
+        self.core
+            .note_missing_range(now, sender, lo..=hi, sender, parked, &mut want);
         self.core.send_nack(want, Dest::One(sender), out);
     }
 
@@ -602,10 +597,8 @@ impl<P: Clone> CbcastEndpoint<P> {
         // Note any causal predecessors we have never seen.
         core.register_missing(now, &msg, parked_in(&self.undecoded), out);
         core.probe.emit(|| {
-            let waits: Vec<String> = (0..core.n)
-                .map(|k| (k, referenced(&msg, k)))
-                .filter(|&(k, need)| core.vt.get(k) < need)
-                .map(|(k, need)| format!("m{k}.{need}"))
+            let waits: Vec<String> = lagging_refs(&msg, &core.vt, core.n)
+                .map(|(k, _, need)| format!("m{k}.{need}"))
                 .collect();
             ObsEvent::Span {
                 at: now,
@@ -679,12 +672,9 @@ impl<P: Clone> CbcastEndpoint<P> {
     /// itself). The clock at arrival is unknowable by delivery time, so
     /// this is the direct predecessor gap from each sender.
     fn immediate_predecessors(msg: &DataMsg<P>) -> Vec<MsgId> {
-        (0..msg.vt.len())
-            .map(|k| MsgId {
-                sender: k,
-                seq: referenced(msg, k),
-            })
-            .filter(|id| id.seq > 0)
+        // Everything the timestamp references: its lag on the zero clock.
+        lagging_refs(msg, &VectorClock::new(0), msg.vt.len())
+            .map(|(sender, _, seq)| MsgId { sender, seq })
             .collect()
     }
 }

@@ -140,11 +140,7 @@ impl<P: Clone> FbcastEndpoint<P> {
     /// The per-sender delivered watermark, as a vector clock for
     /// compatibility with the stability machinery.
     pub fn delivered_clock(&self) -> VectorClock {
-        let mut vc = VectorClock::new(self.n);
-        for (k, s) in self.streams.iter().enumerate() {
-            vc.set(k, s.delivered);
-        }
-        vc
+        VectorClock::from_entries(self.streams.iter().map(|s| s.delivered).collect())
     }
 
     /// Multicasts `payload`; returns the immediate self-delivery and the

@@ -27,6 +27,7 @@
 //! scan's per-event work growing linearly with holdback size while the
 //! index stays flat.
 
+use crate::causal_core::lagging_refs;
 use crate::group::MsgId;
 use crate::wire::DataMsg;
 use clocks::vector::VectorClock;
@@ -268,20 +269,13 @@ impl<P> IndexedHoldback<P> {
         let arrival_no = self.next_arrival;
         self.next_arrival += 1;
         let mut waits = 0usize;
-        for k in 0..self.n {
-            // The direct predecessor this message needs from member k:
-            // its own previous message (FIFO) or the latest message from
-            // k visible in its timestamp.
-            let need = if k == id.sender {
-                id.seq.saturating_sub(1)
-            } else {
-                pending.msg.vt.get(k)
-            };
-            if local_vt.get(k) < need {
-                self.waiters.entry((k, need)).or_default().push(id);
-                waits += 1;
-                self.work += 1;
-            }
+        // One wait per member `k` whose direct predecessor of this
+        // message — its own previous message (FIFO) or the latest message
+        // from `k` visible in its timestamp — is still undelivered.
+        for (k, _, need) in lagging_refs(&pending.msg, local_vt, self.n) {
+            self.waiters.entry((k, need)).or_default().push(id);
+            waits += 1;
+            self.work += 1;
         }
         self.work += 1;
         if waits == 0 {

@@ -410,7 +410,8 @@ impl<P: Clone> PccastEndpoint<P> {
     }
 
     fn check_barrier(&self) -> bool {
-        (0..self.core.n).all(|s| self.core.vt.get(s) >= self.barrier.get(s))
+        let n = self.core.n;
+        !self.core.vt.lagging(&self.barrier).any(|(s, ..)| s < n)
     }
 
     /// Multicasts `payload` to the group. The self-delivery is immediate;

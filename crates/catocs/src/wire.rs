@@ -437,6 +437,26 @@ mod tests {
         assert_eq!(install.overhead_bytes(), 8 + 8 * 3 + encoded);
     }
 
+    /// What the simulator does once per arrival: the clone of a wire
+    /// carries a handle on the original's clock, not 32 KB of components.
+    #[test]
+    fn cloning_a_wire_shares_its_clock() {
+        let mut vt = VectorClock::new(4096);
+        vt.set(7, 1);
+        let data = Wire::Data(DataMsg::new(MsgId { sender: 7, seq: 1 }, vt.clone(), ()));
+        let ack: Wire<()> = Wire::AckGossip {
+            from: 7,
+            delivered: vt.clone(),
+        };
+        match (data.clone(), ack.clone()) {
+            (Wire::Data(d), Wire::AckGossip { delivered, .. }) => {
+                assert!(d.vt.shares_storage_with(&vt));
+                assert!(delivered.shares_storage_with(&vt));
+            }
+            _ => unreachable!("clones keep their variants"),
+        }
+    }
+
     #[test]
     fn control_classification() {
         let data: Wire<()> = Wire::Data(DataMsg::new(

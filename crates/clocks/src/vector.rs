@@ -11,10 +11,43 @@
 //! [`VectorClock::encode`]/[`VectorClock::encode_delta`] pair exists so
 //! experiment T7 can measure exactly that growth, including the standard
 //! delta-compression mitigation.
+//!
+//! # Sharing
+//!
+//! A clock's components sit behind a reference-counted copy-on-write
+//! slice, so what a receiver pays is proportional to what changed, not to
+//! the group's width:
+//!
+//! - `clone` is a count bump, O(1) at any width. The copies a message's
+//!   timestamp makes on its way through an endpoint — the decode chain,
+//!   the holdback queue, the unstable buffer, the wire handed to each
+//!   recipient — are handles on one allocation.
+//! - The first write that *changes* a component of a shared clock copies
+//!   the components once; the writer then owns its storage. A `set` to
+//!   the value already there, a `merge` that raises nothing, a
+//!   `decode_delta` whose pairs repeat the base, and any operation between
+//!   two handles on one storage copy nothing.
+//! - Equality, hashing and [`VectorClock::compare`] are by value. Sharing
+//!   is never observable through them — only through the allocator.
+//!
+//! # One scan
+//!
+//! Two clocks a message apart differ in a handful of components however
+//! wide they are. Every two-clock operation here walks the pair through
+//! one kernel that tests sixteen components at a time — `xor` each pair,
+//! `or` the sixteen results, compare the one word with zero — and only
+//! when that word is non-zero looks inside the run, for a bit mask of the
+//! components the caller is after. That form is chosen because baseline
+//! x86-64 has no 64-bit integer compare in its vector unit: `a < b` per
+//! component stays scalar, while `xor`/`or` compile to eight 128-bit
+//! operations a run with no feature flag. [`VectorClock::lagging`] is
+//! that kernel's public face: where, and by how much, one clock is behind
+//! another.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::fmt;
+use std::iter::{repeat, repeat_n};
+use std::sync::Arc;
 
 /// Result of comparing two vector clocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,23 +62,146 @@ pub enum ClockOrd {
     Concurrent,
 }
 
-/// A dense vector clock over processes `0..n`.
+/// Components tested per step of the scan (see the module docs).
+const CHUNK: usize = 16;
+
+/// Component `i` of `s`, zero past its end.
+#[inline]
+fn get(s: &[u64], i: usize) -> u64 {
+    s.get(i).copied().unwrap_or(0)
+}
+
+/// The run of [`CHUNK`] components of `s` from `k` where it lies wholly
+/// inside `s` or wholly past its end (all zeros); `None` where `s` ends
+/// inside the run.
+fn whole_run(s: &[u64], k: usize) -> Option<&[u64; CHUNK]> {
+    const ZEROS: [u64; CHUNK] = [0; CHUNK];
+    if k >= s.len() {
+        Some(&ZEROS)
+    } else {
+        s[k..].first_chunk()
+    }
+}
+
+/// Bit `i` set where `hit(x[i], y[i])`. Kept out of line: inlined beside
+/// the `xor`/`or` test it follows, it keeps that loop from vectorising,
+/// and the test is what all but a few runs of a wide clock end at.
+#[inline(never)]
+fn run_hits(x: &[u64; CHUNK], y: &[u64; CHUNK], hit: impl Fn(u64, u64) -> bool) -> u16 {
+    let pairs = x.iter().zip(y).enumerate();
+    pairs.fold(0, |bits, (i, (&x, &y))| bits | (u16::from(hit(x, y)) << i))
+}
+
+/// Which of the [`CHUNK`] components from `k` on are hits: bit `i` set
+/// where `hit(a[k + i], b[k + i])`, a component past its clock's end
+/// reading as zero. `hit` must be false of equal components: a run whose
+/// `xor`/`or` reduction is zero is not looked into.
+fn hits_at(a: &[u64], b: &[u64], k: usize, hit: impl Fn(u64, u64) -> bool) -> u16 {
+    match (whole_run(a, k), whole_run(b, k)) {
+        (Some(x), Some(y)) => {
+            if x.iter().zip(y).fold(0, |acc, (x, y)| acc | (x ^ y)) == 0 {
+                0
+            } else {
+                run_hits(x, y, hit)
+            }
+        }
+        // A clock ends inside this run: component by component.
+        _ => {
+            let end = (k + CHUNK).min(a.len().max(b.len()));
+            (k..end).fold(0, |bits, i| {
+                bits | (u16::from(hit(get(a, i), get(b, i))) << (i - k))
+            })
+        }
+    }
+}
+
+/// The positions of the set bits, ascending.
+fn bits(mut set: u16) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let i = set.trailing_zeros() as usize;
+            set &= set - 1;
+            i
+        })
+    })
+}
+
+/// Ascending `(k, a[k], b[k])` for every component that is a hit (see
+/// [`hits_at`]), over the wider of the two clocks. Written out rather
+/// than composed from adaptors: callers pull from it one `next` at a
+/// time, and the walk from one run with a hit to the next has to stay
+/// one tight loop.
+struct Hits<'a, F> {
+    a: &'a [u64],
+    b: &'a [u64],
+    hit: F,
+    /// Start of the next run to test.
+    next_run: usize,
+    /// Hits of the run before it not yet yielded.
+    found: u16,
+}
+
+impl<F: Fn(u64, u64) -> bool + Copy> Iterator for Hits<'_, F> {
+    type Item = (usize, u64, u64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        while self.found == 0 {
+            if self.next_run >= self.a.len().max(self.b.len()) {
+                return None;
+            }
+            self.found = hits_at(self.a, self.b, self.next_run, self.hit);
+            self.next_run += CHUNK;
+        }
+        let k = self.next_run - CHUNK + self.found.trailing_zeros() as usize;
+        self.found &= self.found - 1;
+        Some((k, get(self.a, k), get(self.b, k)))
+    }
+}
+
+/// [`Hits`] from the first component on. One storage seen through two
+/// handles has no hits, and is not read to find that out.
+fn hits<'a, F: Fn(u64, u64) -> bool + Copy>(a: &'a [u64], b: &'a [u64], hit: F) -> Hits<'a, F> {
+    Hits {
+        a,
+        b,
+        hit,
+        next_run: if std::ptr::eq(a, b) { a.len() } else { 0 },
+        found: 0,
+    }
+}
+
+/// The second clock is ahead in this component.
+fn lags(mine: u64, theirs: u64) -> bool {
+    theirs > mine
+}
+
+/// A dense vector clock over processes `0..n`. Cloning shares the
+/// components; see the module docs for the copy-on-write contract.
+/// (`Arc`, not `Rc`: `examples/live_threads.rs` sends wires, and the
+/// clocks in them, across threads.)
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VectorClock {
-    entries: Vec<u64>,
+    entries: Arc<[u64]>,
 }
 
 impl VectorClock {
     /// A zero clock for `n` processes.
     pub fn new(n: usize) -> Self {
         VectorClock {
-            entries: vec![0; n],
+            entries: if n == 0 {
+                // No allocation: every zero-width clock is one static.
+                Arc::default()
+            } else {
+                repeat_n(0, n).collect()
+            },
         }
     }
 
     /// Builds a clock directly from entries (tests and decoding).
     pub fn from_entries(entries: Vec<u64>) -> Self {
-        VectorClock { entries }
+        VectorClock {
+            entries: entries.into(),
+        }
     }
 
     /// Number of processes the clock covers.
@@ -59,8 +215,24 @@ impl VectorClock {
     }
 
     /// The component for process `i`.
+    #[inline]
     pub fn get(&self, i: usize) -> u64 {
-        self.entries.get(i).copied().unwrap_or(0)
+        get(&self.entries, i)
+    }
+
+    /// Whether `self` and `other` are handles on one allocation — what
+    /// the tests of the sharing contract observe. Nothing else may depend
+    /// on it.
+    #[doc(hidden)]
+    pub fn shares_storage_with(&self, other: &VectorClock) -> bool {
+        Arc::ptr_eq(&self.entries, &other.entries)
+    }
+
+    /// The components cut or zero-extended to `width`, in storage of
+    /// their own.
+    fn resized(&self, width: usize) -> Arc<[u64]> {
+        let padded = self.entries.iter().copied().chain(repeat(0));
+        padded.take(width).collect()
     }
 
     /// Sets the component for process `i`.
@@ -69,31 +241,30 @@ impl VectorClock {
     ///
     /// Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, v: u64) {
-        self.entries[i] = v;
+        if self.entries[i] != v {
+            Arc::make_mut(&mut self.entries)[i] = v;
+        }
     }
 
     /// Increments own component `i` (send/local event rule) and returns
     /// the new value.
     pub fn tick(&mut self, i: usize) -> u64 {
-        self.entries[i] += 1;
-        self.entries[i]
+        let own = &mut Arc::make_mut(&mut self.entries)[i];
+        *own += 1;
+        *own
     }
 
-    /// Component-wise maximum (receive rule).
+    /// Component-wise maximum (receive rule). Widens to `other`'s length.
     pub fn merge(&mut self, other: &VectorClock) {
-        if other.entries.len() > self.entries.len() {
-            self.entries.resize(other.entries.len(), 0);
+        if other.len() > self.len() {
+            self.entries = self.resized(other.len());
         }
-        for (i, &v) in other.entries.iter().enumerate() {
-            if v > self.entries[i] {
-                self.entries[i] = v;
-            }
-        }
+        self.merge_advancing(other, |_, _| {});
     }
 
     /// Component-wise maximum that reports what it raises: `on_advance(i,
     /// old)` runs for each component `i` lifted above its value `old`, in
-    /// one pass over the two slices. Returns whether any component rose.
+    /// ascending `i`. Returns whether any component rose.
     /// Like [`VectorClock::merge`] it widens to `other`'s length, but only
     /// when a component beyond the current width is non-zero, so a stale
     /// row leaves a lazily allocated clock narrow.
@@ -102,38 +273,43 @@ impl VectorClock {
         other: &VectorClock,
         mut on_advance: impl FnMut(usize, u64),
     ) -> bool {
-        let shared = self.entries.len().min(other.entries.len());
-        let (head, tail) = other.entries.split_at(shared);
-        let mut advanced = false;
-        for (i, (mine, &v)) in self.entries.iter_mut().zip(head).enumerate() {
-            if v > *mine {
-                on_advance(i, *mine);
-                *mine = v;
-                advanced = true;
+        let Some((first, ..)) = self.lagging(other).next() else {
+            return false;
+        };
+        // Something rises, so the storage is about to be written: widen
+        // it if the rise is past the end, then unshare it, once.
+        let theirs = &other.entries[..];
+        if self.len() < theirs.len() && theirs[self.len()..].iter().any(|&v| v > 0) {
+            self.entries = self.resized(theirs.len());
+        }
+        let mine = Arc::make_mut(&mut self.entries);
+        // Whatever `theirs` holds past the end of `mine` is zero.
+        for k in (first - first % CHUNK..mine.len()).step_by(CHUNK) {
+            for i in bits(hits_at(mine, theirs, k, lags)) {
+                on_advance(k + i, mine[k + i]);
+                mine[k + i] = theirs[k + i];
             }
         }
-        if tail.iter().any(|&v| v > 0) {
-            self.entries.extend_from_slice(tail);
-            for (i, _) in tail.iter().enumerate().filter(|(_, &v)| v > 0) {
-                on_advance(shared + i, 0);
-            }
-            advanced = true;
-        }
-        advanced
+        true
+    }
+
+    /// Where `self` is behind `other`: ascending `(k, mine, theirs)` for
+    /// every component with `theirs > mine`. The narrower clock reads as
+    /// zero past its end. This is the scan every "what does this
+    /// timestamp still wait for" loop runs on: its cost follows the
+    /// number of sixteen-component runs that differ at all, not the
+    /// width (see the module docs).
+    pub fn lagging<'a>(
+        &'a self,
+        other: &'a VectorClock,
+    ) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
+        hits(&self.entries, &other.entries, lags)
     }
 
     /// Compares two clocks under the causal partial order.
     pub fn compare(&self, other: &VectorClock) -> ClockOrd {
-        let n = self.entries.len().max(other.entries.len());
-        let mut less = false;
-        let mut greater = false;
-        for i in 0..n {
-            match self.get(i).cmp(&other.get(i)) {
-                Ordering::Less => less = true,
-                Ordering::Greater => greater = true,
-                Ordering::Equal => {}
-            }
-        }
+        let less = self.lagging(other).next().is_some();
+        let greater = other.lagging(self).next().is_some();
         match (less, greater) {
             (false, false) => ClockOrd::Equal,
             (true, false) => ClockOrd::Before,
@@ -160,25 +336,18 @@ impl VectorClock {
     /// 2. `msg_vt[k] <= self[k]` for all `k != sender` (all causal
     ///    predecessors from other processes already delivered).
     pub fn deliverable(&self, msg_vt: &VectorClock, sender: usize) -> bool {
-        if msg_vt.get(sender) != self.get(sender) + 1 {
-            return false;
-        }
-        let n = self.entries.len().max(msg_vt.entries.len());
-        for k in 0..n {
-            if k != sender && msg_vt.get(k) > self.get(k) {
-                return false;
-            }
-        }
-        true
+        msg_vt.get(sender) == self.get(sender) + 1
+            && self.lagging(msg_vt).all(|(k, ..)| k == sender)
     }
 
     /// Full binary encoding: `n` little-endian `u64`s plus a 4-byte count.
     /// This is the per-message ordering overhead measured by T7.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for &e in &self.entries {
-            out.extend_from_slice(&e.to_le_bytes());
+        let mut out = vec![0; self.encoded_len()];
+        let (count, words) = out.split_at_mut(4);
+        count.copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        for (word, e) in words.chunks_exact_mut(8).zip(&self.entries[..]) {
+            word.copy_from_slice(&e.to_le_bytes());
         }
         out
     }
@@ -192,19 +361,14 @@ impl VectorClock {
     ///
     /// Returns `None` on malformed input.
     pub fn decode(buf: &[u8]) -> Option<Self> {
-        if buf.len() < 4 {
+        let (count, words) = buf.split_first_chunk::<4>()?;
+        let (words, rest) = words.as_chunks::<8>();
+        if !rest.is_empty() || words.len() != u32::from_le_bytes(*count) as usize {
             return None;
         }
-        let n = u32::from_le_bytes(buf[0..4].try_into().ok()?) as usize;
-        if buf.len() != 4 + 8 * n {
-            return None;
-        }
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            let s = 4 + 8 * i;
-            entries.push(u64::from_le_bytes(buf[s..s + 8].try_into().ok()?));
-        }
-        Some(VectorClock { entries })
+        Some(VectorClock {
+            entries: words.iter().map(|w| u64::from_le_bytes(*w)).collect(),
+        })
     }
 
     /// Delta encoding relative to `base`: only changed components are sent
@@ -212,20 +376,17 @@ impl VectorClock {
     /// cheaper when few components change between consecutive messages,
     /// degrading to worse-than-full under all-to-all traffic.
     pub fn encode_delta(&self, base: &VectorClock) -> Vec<u8> {
-        let mut pairs = Vec::new();
-        let n = self.entries.len().max(base.entries.len());
-        for i in 0..n {
-            if self.get(i) != base.get(i) {
-                pairs.push((i as u32, self.get(i)));
-            }
-        }
-        let mut out = Vec::with_capacity(8 + 12 * pairs.len());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-        for (i, v) in pairs {
-            out.extend_from_slice(&i.to_le_bytes());
+        // Header, and room for the few pairs of a sparse delta.
+        let mut out = Vec::with_capacity(8 + 12 * 4);
+        out.resize(8, 0);
+        let mut pairs = 0u32;
+        for (i, _, v) in hits(&base.entries, &self.entries, |old, new| old != new) {
+            out.extend_from_slice(&(i as u32).to_le_bytes());
             out.extend_from_slice(&v.to_le_bytes());
+            pairs += 1;
         }
+        out[..4].copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        out[4..8].copy_from_slice(&pairs.to_le_bytes());
         out
     }
 
@@ -236,43 +397,60 @@ impl VectorClock {
     /// check and demands an allocation of up to `u32::MAX` entries
     /// (~32 GiB) before a single pair is validated. Any group this
     /// codebase simulates is orders of magnitude below this bound.
+    /// (The same argument for the *values* a decoded clock may carry is
+    /// `catocs::causal_core::MAX_CHASE_AHEAD`.)
     pub const MAX_DELTA_WIDTH: usize = 1 << 16;
 
-    /// Decodes a delta encoding against `base`.
+    /// Decodes a delta encoding against `base`. The result shares
+    /// `base`'s storage until a pair changes a component.
     ///
     /// Returns `None` on malformed input: short or trailing bytes, a
     /// declared width past [`VectorClock::MAX_DELTA_WIDTH`], more pairs
     /// than components (`k > n`), duplicate or non-increasing indices
     /// (the encoder emits them strictly increasing), or an index out of
-    /// range.
+    /// range. Nothing is copied or allocated for input that is rejected.
     pub fn decode_delta(buf: &[u8], base: &VectorClock) -> Option<Self> {
-        if buf.len() < 8 {
+        let (&[a, b, c, d, k @ ..], pairs) = buf.split_first_chunk::<8>()?;
+        let n = u32::from_le_bytes([a, b, c, d]) as usize;
+        let k = u32::from_le_bytes(k) as usize;
+        let (pairs, rest) = pairs.as_chunks::<12>();
+        if n > Self::MAX_DELTA_WIDTH || k > n || !rest.is_empty() || pairs.len() != k {
             return None;
         }
-        let n = u32::from_le_bytes(buf[0..4].try_into().ok()?) as usize;
-        let k = u32::from_le_bytes(buf[4..8].try_into().ok()?) as usize;
-        if n > Self::MAX_DELTA_WIDTH || k > n {
-            return None;
-        }
-        // `k <= n <= MAX_DELTA_WIDTH`, so this arithmetic cannot
-        // overflow even on 32-bit targets.
-        if buf.len() != 8 + 12 * k {
+        let pair = |p: &[u8; 12]| {
+            let [a, b, c, d, value @ ..] = *p;
+            (
+                u32::from_le_bytes([a, b, c, d]) as usize,
+                u64::from_le_bytes(value),
+            )
+        };
+        // Strictly increasing, so the last index bounds them all.
+        let indices = pairs.iter().map(|p| pair(p).0);
+        let in_range = pairs.last().is_none_or(|p| pair(p).0 < n);
+        if !in_range || !indices.is_sorted_by(|i, j| i < j) {
             return None;
         }
         let mut clock = base.clone();
-        clock.entries.resize(n, 0);
-        let mut prev: Option<usize> = None;
-        for j in 0..k {
-            let s = 8 + 12 * j;
-            let i = u32::from_le_bytes(buf[s..s + 4].try_into().ok()?) as usize;
-            let v = u64::from_le_bytes(buf[s + 4..s + 12].try_into().ok()?);
-            if i >= n || prev.is_some_and(|p| i <= p) {
-                return None;
+        if n != base.len() {
+            clock.entries = base.resized(n);
+        }
+        let changes = pairs.iter().map(pair);
+        if let Some(first) = changes.clone().position(|(i, v)| clock.entries[i] != v) {
+            let mine = Arc::make_mut(&mut clock.entries);
+            for (i, v) in changes.skip(first) {
+                mine[i] = v;
             }
-            prev = Some(i);
-            clock.entries[i] = v;
         }
         Some(clock)
+    }
+
+    /// Whether some component exceeds `bound`. Made for sanity bounds,
+    /// which honest clocks sit far inside: the `or` of all components is
+    /// at least the largest of them, so one pass with no comparison in
+    /// it clears every such clock.
+    pub fn any_above(&self, bound: u64) -> bool {
+        self.entries.iter().fold(0, |acc, v| acc | v) > bound
+            && self.entries.iter().any(|&v| v > bound)
     }
 
     /// Sum of all components — a crude size of the causal past, used by
@@ -295,6 +473,145 @@ mod tests {
 
     fn vc(e: &[u64]) -> VectorClock {
         VectorClock::from_entries(e.to_vec())
+    }
+
+    /// The per-element definitions the slice kernels replaced, over a
+    /// plain `Vec`: what every operation must still compute, callback for
+    /// callback and byte for byte.
+    mod oracle {
+        use super::super::{ClockOrd, VectorClock};
+        use std::cmp::Ordering;
+
+        pub fn get(e: &[u64], i: usize) -> u64 {
+            e.get(i).copied().unwrap_or(0)
+        }
+
+        pub fn merge(mine: &mut Vec<u64>, other: &[u64]) {
+            if other.len() > mine.len() {
+                mine.resize(other.len(), 0);
+            }
+            for (i, &v) in other.iter().enumerate() {
+                if v > mine[i] {
+                    mine[i] = v;
+                }
+            }
+        }
+
+        pub fn merge_advancing(
+            mine: &mut Vec<u64>,
+            other: &[u64],
+            mut on_advance: impl FnMut(usize, u64),
+        ) -> bool {
+            let shared = mine.len().min(other.len());
+            let (head, tail) = other.split_at(shared);
+            let mut advanced = false;
+            for (i, (mine, &v)) in mine.iter_mut().zip(head).enumerate() {
+                if v > *mine {
+                    on_advance(i, *mine);
+                    *mine = v;
+                    advanced = true;
+                }
+            }
+            if tail.iter().any(|&v| v > 0) {
+                mine.extend_from_slice(tail);
+                for (i, _) in tail.iter().enumerate().filter(|(_, &v)| v > 0) {
+                    on_advance(shared + i, 0);
+                }
+                advanced = true;
+            }
+            advanced
+        }
+
+        pub fn compare(a: &[u64], b: &[u64]) -> ClockOrd {
+            let (mut less, mut greater) = (false, false);
+            for i in 0..a.len().max(b.len()) {
+                match get(a, i).cmp(&get(b, i)) {
+                    Ordering::Less => less = true,
+                    Ordering::Greater => greater = true,
+                    Ordering::Equal => {}
+                }
+            }
+            match (less, greater) {
+                (false, false) => ClockOrd::Equal,
+                (true, false) => ClockOrd::Before,
+                (false, true) => ClockOrd::After,
+                (true, true) => ClockOrd::Concurrent,
+            }
+        }
+
+        pub fn deliverable(mine: &[u64], msg: &[u64], sender: usize) -> bool {
+            get(msg, sender) == get(mine, sender) + 1
+                && (0..mine.len().max(msg.len()))
+                    .all(|k| k == sender || get(msg, k) <= get(mine, k))
+        }
+
+        pub fn lagging(mine: &[u64], theirs: &[u64]) -> Vec<(usize, u64, u64)> {
+            (0..mine.len().max(theirs.len()))
+                .map(|k| (k, get(mine, k), get(theirs, k)))
+                .filter(|&(_, mine, theirs)| theirs > mine)
+                .collect()
+        }
+
+        pub fn encode(e: &[u64]) -> Vec<u8> {
+            let mut out = (e.len() as u32).to_le_bytes().to_vec();
+            for v in e {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out
+        }
+
+        pub fn decode(buf: &[u8]) -> Option<Vec<u64>> {
+            let n = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
+            if buf.len() != 4 + 8 * n {
+                return None;
+            }
+            (0..n)
+                .map(|i| {
+                    Some(u64::from_le_bytes(
+                        buf[4 + 8 * i..12 + 8 * i].try_into().ok()?,
+                    ))
+                })
+                .collect()
+        }
+
+        pub fn encode_delta(e: &[u64], base: &[u64]) -> Vec<u8> {
+            let pairs: Vec<(u32, u64)> = (0..e.len().max(base.len()))
+                .filter(|&i| get(e, i) != get(base, i))
+                .map(|i| (i as u32, get(e, i)))
+                .collect();
+            let mut out = (e.len() as u32).to_le_bytes().to_vec();
+            out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+            for (i, v) in pairs {
+                out.extend_from_slice(&i.to_le_bytes());
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out
+        }
+
+        pub fn decode_delta(buf: &[u8], base: &[u64]) -> Option<Vec<u64>> {
+            let n = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
+            let k = u32::from_le_bytes(buf.get(4..8)?.try_into().ok()?) as usize;
+            if n > VectorClock::MAX_DELTA_WIDTH || k > n || buf.len() != 8 + 12 * k {
+                return None;
+            }
+            let mut clock = base.to_vec();
+            clock.resize(n, 0);
+            let mut prev: Option<usize> = None;
+            for j in 0..k {
+                let s = 8 + 12 * j;
+                let i = u32::from_le_bytes(buf[s..s + 4].try_into().ok()?) as usize;
+                if i >= n || prev.is_some_and(|p| i <= p) {
+                    return None;
+                }
+                prev = Some(i);
+                clock[i] = u64::from_le_bytes(buf[s + 4..s + 12].try_into().ok()?);
+            }
+            Some(clock)
+        }
+    }
+
+    fn entries(c: VectorClock) -> Vec<u64> {
+        c.entries.to_vec()
     }
 
     #[test]
@@ -444,6 +761,80 @@ mod tests {
         assert_eq!(wide.get(VectorClock::MAX_DELTA_WIDTH - 1), 0);
     }
 
+    /// Sharing contract, isolation: no write through one handle is ever
+    /// seen through another.
+    #[test]
+    fn writes_through_a_clone_leave_the_original_alone() {
+        let a = vc(&[1, 5, 0, 2]);
+        let kept = a.entries.to_vec();
+        let bigger = vc(&[0, 9, 0, 2, 4]);
+        let mut b = a.clone();
+        b.set(2, 7);
+        let mut c = a.clone();
+        assert_eq!(c.tick(0), 2);
+        let mut d = a.clone();
+        d.merge(&bigger);
+        let mut e = a.clone();
+        assert!(e.merge_advancing(&bigger, |_, _| {}));
+        let f = VectorClock::decode_delta(&bigger.encode_delta(&a), &a).expect("decodes");
+        assert_eq!(f, bigger);
+        for (what, written) in [
+            ("set", b),
+            ("tick", c),
+            ("merge", d),
+            ("advance", e),
+            ("delta", f),
+        ] {
+            assert_ne!(written, a, "{what} did write");
+            assert!(
+                !written.shares_storage_with(&a),
+                "{what} wrote shared storage"
+            );
+        }
+        assert_eq!(a.entries.to_vec(), kept);
+    }
+
+    /// Sharing contract, economy: a write that changes nothing copies
+    /// nothing.
+    #[test]
+    fn writes_that_change_nothing_keep_sharing() {
+        let a = vc(&[3, 0, 8]);
+        let mut b = a.clone();
+        assert!(b.shares_storage_with(&a));
+        b.set(2, 8);
+        assert!(b.shares_storage_with(&a), "set to the value already there");
+        b.merge(&vc(&[3, 0, 1]));
+        b.merge(&vc(&[2]));
+        b.merge(&a);
+        assert!(b.shares_storage_with(&a), "merge that raises nothing");
+        assert!(!b.merge_advancing(&vc(&[1, 0, 8, 0, 0]), |_, _| panic!("nothing rose")));
+        assert!(b.shares_storage_with(&a), "stale row, wider but all zeros");
+        let empty_delta = a.encode_delta(&a.clone());
+        assert_eq!(empty_delta.len(), 8);
+        let c = VectorClock::decode_delta(&empty_delta, &a).expect("decodes");
+        assert!(c.shares_storage_with(&a), "empty delta at the base's width");
+        let same = VectorClock::decode_delta(&a.encode_delta(&VectorClock::new(3)), &a);
+        assert!(
+            same.expect("decodes").shares_storage_with(&a),
+            "pairs that repeat the base"
+        );
+        // A narrower or wider declared width is a different clock.
+        let wider = VectorClock::decode_delta(&vc(&[3, 0, 8, 0]).encode_delta(&a), &a);
+        assert_eq!(wider, Some(vc(&[3, 0, 8, 0])));
+        // Zero-width clocks are all one static.
+        assert!(VectorClock::new(0).shares_storage_with(&VectorClock::new(0)));
+    }
+
+    #[test]
+    fn any_above_is_exact() {
+        assert!(!VectorClock::new(0).any_above(0));
+        assert!(!vc(&[4, 7, 0]).any_above(7));
+        assert!(vc(&[4, 7, 0]).any_above(6));
+        // The `or` of the components passes the bound; none of them does.
+        assert!(!vc(&[4, 3]).any_above(6));
+        assert!(vc(&[0, u64::MAX]).any_above(u64::MAX - 1));
+    }
+
     #[test]
     fn helpers() {
         assert!(vc(&[0, 1]).happens_before(&vc(&[1, 1])));
@@ -455,6 +846,102 @@ mod tests {
 
     fn arb_clock(n: usize) -> impl Strategy<Value = VectorClock> {
         proptest::collection::vec(0u64..50, n).prop_map(VectorClock::from_entries)
+    }
+
+    /// Two operands shaped to reach every branch of the scan: widths on
+    /// and around the sixteen-component run (and zero, and 4096), equal,
+    /// narrower or wider than each other; mostly-zero or dense; the
+    /// second a copy of the first that differs in a few places, the
+    /// first and the last component favoured.
+    fn arb_pair() -> impl Strategy<Value = (Vec<u64>, Vec<u64>)> {
+        const WIDTHS: [usize; 9] = [0, 1, 15, 16, 17, 32, 40, 4096, 4100];
+        (0usize..9, 0usize..14).prop_perturb(|(wa, wb), mut rng| {
+            let wa = WIDTHS[wa];
+            let wb = WIDTHS.get(wb).copied().unwrap_or(wa);
+            let dense = rng.gen_bool(0.3);
+            let a: Vec<u64> = (0..wa)
+                .map(|_| {
+                    if dense || rng.gen_bool(0.02) {
+                        rng.gen_range(0u64..5)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let mut b = a.clone();
+            b.resize(wb, 0);
+            for _ in 0..rng.gen_range(0..5) {
+                if let Some(last) = wb.checked_sub(1) {
+                    let at = match rng.gen_range(0..4) {
+                        0 => 0,
+                        1 => last,
+                        _ => rng.gen_range(0..wb),
+                    };
+                    b[at] = rng.gen_range(0u64..7);
+                }
+            }
+            (a, b)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every operation agrees with its per-element definition, and
+        /// leaves a clone of its operand untouched.
+        #[test]
+        fn slice_kernels_match_the_per_element_definitions(
+            (a, b) in arb_pair(),
+            sender in 0usize..4200,
+        ) {
+            let (ca, cb) = (vc(&a), vc(&b));
+
+            let mut merged = ca.clone();
+            merged.merge(&cb);
+            let mut want = a.clone();
+            oracle::merge(&mut want, &b);
+            prop_assert_eq!(entries(merged), want);
+
+            let (mut seen, mut want_seen) = (Vec::new(), Vec::new());
+            let mut advanced = ca.clone();
+            let rose = advanced.merge_advancing(&cb, |i, old| seen.push((i, old)));
+            let mut want = a.clone();
+            let want_rose = oracle::merge_advancing(&mut want, &b, |i, old| want_seen.push((i, old)));
+            prop_assert_eq!((rose, seen, entries(advanced)), (want_rose, want_seen, want));
+
+            prop_assert_eq!(ca.compare(&cb), oracle::compare(&a, &b));
+            prop_assert_eq!(cb.compare(&ca), oracle::compare(&b, &a));
+            for s in [0, a.len().saturating_sub(1), b.len().saturating_sub(1), sender] {
+                prop_assert_eq!(ca.deliverable(&cb, s), oracle::deliverable(&a, &b, s));
+            }
+            prop_assert_eq!(ca.lagging(&cb).collect::<Vec<_>>(), oracle::lagging(&a, &b));
+            prop_assert_eq!(cb.lagging(&ca).collect::<Vec<_>>(), oracle::lagging(&b, &a));
+
+            let full = cb.encode();
+            prop_assert_eq!(&full, &oracle::encode(&b));
+            prop_assert_eq!(full.len(), cb.encoded_len());
+            prop_assert_eq!(VectorClock::decode(&full).map(entries), oracle::decode(&full));
+            prop_assert_eq!(VectorClock::decode(&full), Some(cb.clone()));
+
+            // Against a wider base the encoder emits pairs past its own
+            // width, which the decoder then refuses: both as before.
+            let delta = cb.encode_delta(&ca);
+            prop_assert_eq!(&delta, &oracle::encode_delta(&b, &a));
+            let decoded = VectorClock::decode_delta(&delta, &ca);
+            prop_assert_eq!(decoded.clone().map(entries), oracle::decode_delta(&delta, &a));
+            prop_assert!(a.len() > b.len() || decoded == Some(cb.clone()));
+
+            // Operands on one storage.
+            let mut same = ca.clone();
+            same.merge(&ca.clone());
+            prop_assert!(same.shares_storage_with(&ca));
+            prop_assert!(!same.merge_advancing(&ca.clone(), |_, _| panic!("nothing rose")));
+            prop_assert_eq!(ca.lagging(&ca.clone()).count(), 0);
+            prop_assert_eq!(ca.compare(&ca.clone()), ClockOrd::Equal);
+            prop_assert_eq!(cb.encode_delta(&cb.clone()), oracle::encode_delta(&b, &b));
+
+            prop_assert_eq!((entries(ca), entries(cb)), (a, b));
+        }
     }
 
     proptest! {
@@ -519,11 +1006,13 @@ mod tests {
             bytes in collection::vec(0u8..=255, 0..64),
             base in arb_clock(6),
         ) {
-            if let Some(c) = VectorClock::decode_delta(&bytes, &base) {
+            let decoded = VectorClock::decode_delta(&bytes, &base);
+            if let Some(c) = &decoded {
                 prop_assert!(c.len() <= VectorClock::MAX_DELTA_WIDTH);
                 let declared = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
                 prop_assert_eq!(c.len(), declared);
             }
+            prop_assert_eq!(decoded.map(entries), oracle::decode_delta(&bytes, &base.entries));
         }
 
         /// Fuzz: corrupting a valid delta encoding (byte flips,
@@ -542,11 +1031,14 @@ mod tests {
             if let Some(byte) = d.get_mut(flip_at % len) {
                 *byte = flip_to;
             }
-            let _ = VectorClock::decode_delta(&d, &b);
+            let agrees = |d: &[u8]| {
+                VectorClock::decode_delta(d, &b).map(entries) == oracle::decode_delta(d, &b.entries)
+            };
+            prop_assert!(agrees(&d));
             d.truncate(cut.min(d.len()));
-            let _ = VectorClock::decode_delta(&d, &b);
+            prop_assert!(agrees(&d));
             d.extend_from_slice(&[flip_to; 3]);
-            let _ = VectorClock::decode_delta(&d, &b);
+            prop_assert!(agrees(&d));
         }
 
         /// Comparison is consistent with per-component dominance.
