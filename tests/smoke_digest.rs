@@ -349,3 +349,139 @@ fn reversed_delta_stream_replays_its_pinned_stats() {
         );
     }
 }
+
+/// FNV-1a of a rendered report.
+fn text_digest(s: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for &b in s.as_bytes() {
+        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// What the three introspection tools print, and what the 50 ms wait-graph
+/// sampler saw, for the seeds that exercise every wait the stack can
+/// report: the wedged flush (frozen survivors, `held here` chains),
+/// chased and never-deliverable predecessors, pccast link gaps, order
+/// slots and token queues. The text digests are of the whole rendered
+/// string; the tuples are `(wait_hist count, wait_hist max µs, snapshots,
+/// Σ stalls over all snapshots, digest of the final snapshot's summaries
+/// and paths)` — the edge multiset and the analysis input order. Recorded
+/// while `explain` and the sampler still walked the endpoints separately.
+#[test]
+fn introspection_outputs_replay_their_pinned_digests() {
+    use bench::experiments::explain::{self, TotalKind};
+    use bench::experiments::{chaos, waitgraph};
+    use catocs::vsync::BugKnobs;
+
+    let clean = BugKnobs::default();
+    let wedged = BugKnobs {
+        no_flush_retry: true,
+        ..clean
+    };
+    let m4_34 = MsgId { sender: 4, seq: 34 };
+    let at60 = Some(SimTime::from_millis(60));
+    let abcast = explain::run_total(2, None, at60, TotalKind::Sequencer);
+    let token = explain::run_total(2, None, at60, TotalKind::Token);
+    // Neither is the report of a drained group.
+    assert!(abcast.contains("its own order assignment"), "{abcast}");
+    assert!(abcast.contains("order slot 40 = m4.5"), "{abcast}");
+    assert!(token.contains("order slot 29 —"), "{token}");
+    assert!(token.contains("submissions queued"), "{token}");
+    assert!(token.contains("token in flight"), "{token}");
+    let link = explain::run_d(54, None, clean, Pccast);
+    assert!(link.contains("link p0 pos 181 — nothing arrived"), "{link}");
+
+    let dir = std::env::temp_dir().join("catocs-introspection-pin");
+    let _ = std::fs::remove_dir_all(&dir);
+    let paths = chaos::dump_incident_to(&dir, 2, false, false, wedged).expect("dump written");
+    let incident = std::fs::read_to_string(&paths[0]).expect("txt dump");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let pin = |name: &str, text: String, pinned: u64| {
+        let got = text_digest(&text);
+        assert_eq!(got, pinned, "{name}: digest {got:#018x} moved");
+    };
+    let (ex, wg) = (explain::run_d, waitgraph::run);
+    pin(
+        "explain 2 wedged",
+        ex(2, None, wedged, Cbcast),
+        0xfbb6_df96_23d5_f784,
+    );
+    pin(
+        "explain 2 m4.34",
+        ex(2, Some(m4_34), wedged, Cbcast),
+        0x6fb8_4aac_1f66_16dc,
+    );
+    pin(
+        "explain 23",
+        ex(23, None, clean, Cbcast),
+        0x417c_803b_fd96_265a,
+    );
+    pin(
+        "explain 137",
+        ex(137, None, clean, Cbcast),
+        0x3b63_026b_e36d_9c05,
+    );
+    pin(
+        "explain 1 pccast",
+        ex(1, None, clean, Pccast),
+        0xcd07_33b2_fcca_ea3c,
+    );
+    pin("explain 54 pccast", link, 0xa9c2_1ded_37d8_a207);
+    pin(
+        "waitgraph 2 wedged",
+        wg(2, None, wedged, Cbcast),
+        0x708a_0e78_7f03_0b00,
+    );
+    pin(
+        "waitgraph 2 at 0",
+        wg(2, Some(0), wedged, Cbcast),
+        0xbd01_8d6b_62fa_c8f9,
+    );
+    pin(
+        "waitgraph 1 pccast",
+        wg(1, None, clean, Pccast),
+        0xadd2_45ef_9622_f19a,
+    );
+    pin(
+        "waitgraph 54 pccast",
+        wg(54, None, clean, Pccast),
+        0xdd4f_ff11_fb0c_5bb4,
+    );
+    pin(
+        "incident 2 wedged scan/full",
+        incident,
+        0x3077_2023_0c45_3015,
+    );
+    pin("explain 2 abcast at 60", abcast, 0xa940_4b7b_6671_ff4b);
+    pin("explain 2 token at 60", token, 0xf4e2_77fc_ffae_d42e);
+
+    let sampled = |seed: u64, knobs: BugKnobs, discipline: CausalDiscipline| {
+        let r = chaos::run_seed_d(seed, true, true, knobs, discipline);
+        let paths: String = r
+            .stalls
+            .stalls
+            .iter()
+            .map(|s| format!("{}\n{}\n", s.summary(), s.render_path()))
+            .collect();
+        let stalls: usize = r.stall_timeline.iter().map(|(_, s)| s.stalls.len()).sum();
+        let hist = (r.wait_hist.count(), r.wait_hist.max().as_micros());
+        (hist, r.stall_timeline.len(), stalls, text_digest(&paths))
+    };
+    let got = [
+        sampled(2, wedged, Cbcast),
+        sampled(23, clean, Cbcast),
+        sampled(137, clean, Cbcast),
+        sampled(1, clean, Pccast),
+        sampled(54, clean, Pccast),
+    ];
+    let pinned = [
+        ((17044, 3_070_000), 80, 62, 0xa572_7b47_3371_31a4_u64),
+        ((32883, 3_276_205), 80, 266, 0xf97e_893f_c96b_3159),
+        ((65608, 2_145_057), 80, 268, 0x80be_0fd3_4803_91ef),
+        ((13782, 3_387_805), 80, 225, 0xda6e_3cbb_0c2f_7f6f),
+        ((4876, 2_987_222), 80, 149, 0x270e_c34f_330f_1a9b),
+    ];
+    assert_eq!(got, pinned, "what the sampler saw moved: {got:#x?}");
+}
