@@ -13,8 +13,8 @@ use crate::table::Table;
 use catocs::domain::{Addressed, DomainEndpoint, GroupId};
 use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
-use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
-use catocs::wire::{Delivery, Dest, Wire};
+use catocs::harness::{route, spawn_group, GroupApp, GroupCtx, GroupNode};
+use catocs::wire::{Delivery, Wire};
 use simnet::net::NetConfig;
 use simnet::process::{Ctx, Process, ProcessId, TimerId};
 use simnet::sim::SimBuilder;
@@ -226,24 +226,6 @@ struct DomainNode {
 const DTICK: TimerId = TimerId(0);
 const DAPP: TimerId = TimerId(1);
 
-impl DomainNode {
-    fn route(
-        &self,
-        ctx: &mut Ctx<'_, Wire<Addressed<u32>>>,
-        out: Vec<(Dest, Wire<Addressed<u32>>)>,
-    ) {
-        for (dest, w) in out {
-            match dest {
-                Dest::All => {
-                    let me = self.endpoint.me();
-                    ctx.multicast((0..self.n).filter(|&k| k != me).map(ProcessId), w);
-                }
-                Dest::One(k) => ctx.send(ProcessId(k), w),
-            }
-        }
-    }
-}
-
 impl Process<Wire<Addressed<u32>>> for DomainNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<Addressed<u32>>>) {
         ctx.set_timer(DTICK, SimDuration::from_millis(10));
@@ -262,13 +244,13 @@ impl Process<Wire<Addressed<u32>>> for DomainNode {
                 self.held += 1;
             }
         }
-        self.route(ctx, out);
+        route(ctx, self.endpoint.me(), self.n, out);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<Addressed<u32>>>, t: TimerId) {
         match t {
             DTICK => {
                 let out = self.endpoint.on_tick(ctx.now());
-                self.route(ctx, out);
+                route(ctx, self.endpoint.me(), self.n, out);
                 ctx.metrics().gauge_max(
                     &format!("domain.buf.{}", self.endpoint.me()),
                     self.endpoint.buffered_len() as f64,
@@ -280,7 +262,7 @@ impl Process<Wire<Addressed<u32>>> for DomainNode {
                     self.remaining -= 1;
                     let (dels, out) = self.endpoint.multicast(ctx.now(), self.home, 1);
                     self.delivered += dels.len() as u64;
-                    self.route(ctx, out);
+                    route(ctx, self.endpoint.me(), self.n, out);
                 }
                 ctx.set_timer(DAPP, SimDuration::from_millis(8));
             }

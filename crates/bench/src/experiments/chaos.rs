@@ -122,10 +122,7 @@ pub fn dump_incident_to(
     }
     if !r.blocked_reports.is_empty() {
         let _ = writeln!(text, "\nblocked messages at the horizon:");
-        for (who, reports) in &r.blocked_reports {
-            let frozen = r.logs.iter().any(|l| l.who == *who && l.frozen);
-            crate::experiments::explain::render_reports(&mut text, *who, reports, frozen, None);
-        }
+        crate::experiments::explain::render_records(&mut text, &r.blocked_reports, None);
     }
     if !r.stalls.stalls.is_empty() {
         let _ = writeln!(
@@ -624,100 +621,5 @@ mod tests {
         assert!(parse_bug("wedged_flush").unwrap().no_flush_retry);
         assert!(parse_bug("no-chain-reset").unwrap().no_chain_reset);
         assert!(parse_bug("frobnicate").is_none());
-    }
-
-    #[test]
-    #[ignore = "post-mortem scratch"]
-    fn debug_seed() {
-        use catocs::vsync::NodeEvent;
-        let seed: u64 = std::env::var("CHAOS_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(197);
-        let delta = std::env::var("CHAOS_DELTA").is_ok();
-        let r = run_seed(seed, true, delta, BugKnobs::default());
-        println!("{}", r.plan);
-        for log in &r.logs {
-            let installs: Vec<String> = log
-                .events
-                .iter()
-                .filter_map(|ev| match ev {
-                    NodeEvent::Install { id, members, .. } => Some(format!("v{id}{members:?}")),
-                    _ => None,
-                })
-                .collect();
-            println!(
-                "p{} alive={} frozen={} clock={:?} installs: {}",
-                log.who,
-                log.alive_at_end,
-                log.frozen,
-                (0..log.final_clock.len())
-                    .map(|i| log.final_clock.get(i))
-                    .collect::<Vec<_>>(),
-                installs.join(" -> ")
-            );
-        }
-        for v in &r.violations {
-            println!("VIOLATION: {v}");
-        }
-    }
-
-    #[test]
-    #[ignore = "seed hunting scratch"]
-    fn hunt_knob_seeds() {
-        for seed in 0..600u64 {
-            let clean = run_seed(seed, true, true, BugKnobs::default());
-            if !clean.violations.is_empty() {
-                println!("seed {seed}: VANILLA VIOLATES {:?}", clean.violations);
-                continue;
-            }
-            let retry = run_seed(
-                seed,
-                true,
-                true,
-                BugKnobs {
-                    no_flush_retry: true,
-                    ..BugKnobs::default()
-                },
-            );
-            if !retry.violations.is_empty() {
-                println!(
-                    "seed {seed}: no_flush_retry -> {:?}",
-                    retry.violations.iter().take(2).collect::<Vec<_>>()
-                );
-            }
-            let chain = run_seed(
-                seed,
-                true,
-                true,
-                BugKnobs {
-                    no_chain_reset: true,
-                    ..BugKnobs::default()
-                },
-            );
-            if !chain.violations.is_empty() {
-                println!(
-                    "seed {seed}: no_chain_reset -> {:?}",
-                    chain.violations.iter().take(2).collect::<Vec<_>>()
-                );
-            }
-            let det = run_seed(
-                seed,
-                true,
-                true,
-                BugKnobs {
-                    no_detector_reset: true,
-                    ..BugKnobs::default()
-                },
-            );
-            if !det.violations.is_empty() || det.evicted_live != clean.evicted_live {
-                println!(
-                    "seed {seed}: no_detector_reset -> evicted {:?} (vanilla {:?}) viol {:?}",
-                    det.evicted_live,
-                    clean.evicted_live,
-                    det.violations.iter().take(2).collect::<Vec<_>>()
-                );
-            }
-        }
     }
 }

@@ -1,32 +1,34 @@
 //! `experiments explain` — the blocked-on explainer.
 //!
 //! Re-runs one chaos seed (optionally with an injected bug knob) and
-//! walks every surviving process's holdback wait-graph: for each message
-//! still buffered at the horizon, which causal predecessors it waits on
-//! and why each is absent — still held itself, parked behind a broken
-//! delta decode chain, being chased via NACK, or never deliverable
-//! because its sender was removed beyond the flush cut. The output is
-//! deterministic for a given seed/knob combination.
+//! renders the wait records of every surviving process
+//! (`catocs::waitgraph::WaitRecord`, the same records the wait-graph
+//! sampler turns into edges): for each message still buffered at the
+//! horizon, which causal predecessors it waits on and why each is absent
+//! — still held itself, parked behind a broken delta decode chain, being
+//! chased via NACK, or never deliverable because its sender was removed
+//! beyond the flush cut. The output is deterministic for a given
+//! seed/knob combination.
 //!
-//! Under `--discipline pccast` the same walk covers the per-link reorder
-//! buffers: a blocked copy additionally reports which link *position* its
-//! cursor waits for and why that slot is unfilled (ARQ gap, pending skip
-//! marker, or a severed link). When `--msg` names a message that sits in
-//! a detected stall component, the report names that component and its
-//! representative cycle path.
+//! Under `--discipline pccast` the records also cover the per-link
+//! reorder buffers: a blocked copy additionally reports which link
+//! *position* its cursor waits for and why that slot is unfilled (ARQ
+//! gap, pending skip marker, or a severed link). When `--msg` names a
+//! message that sits in a detected stall component, the report names
+//! that component and its representative cycle path.
 
 use crate::experiments::chaos;
 use crate::experiments::latency::{Chatter, GROUP_DROP, GROUP_HORIZON};
-use catocs::cbcast::BlockedReport;
 use catocs::endpoint::{Discipline, Endpoint};
 use catocs::group::{CausalDiscipline, GroupConfig, MsgId};
 use catocs::harness::{spawn_group, GroupNode};
 use catocs::vsync::BugKnobs;
-use catocs::waitgraph::WaitNode;
+use catocs::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use catocs::wire::Wire;
 use simnet::net::NetConfig;
 use simnet::sim::SimBuilder;
 use simnet::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Caps that keep a deeply wedged queue readable: a message missing a
@@ -35,65 +37,103 @@ use std::fmt::Write as _;
 const MAX_MSGS_PER_PROC: usize = 8;
 const MAX_WAITS_PER_MSG: usize = 6;
 
-/// Renders one process's blocked messages into `out`, restricted to
-/// `only` when given. Returns how many messages matched the filter.
-pub(crate) fn render_reports(
+/// Renders wait records into `out`, process by process: every message a
+/// process holds (restricted to `only` when given) with the long sentence
+/// of each wait, then the process's own waits. Returns how many held
+/// messages matched the filter, and how many there were.
+///
+/// A message can be held more than once at a process (pccast: a repair
+/// copy in the holdback queue and a copy on each link), so its records
+/// are folded into one entry: the first arrival and the union of their
+/// waits. Entries print in total-order slot order where slots are
+/// assigned, else in id order. The flush freeze and the pccast barrier
+/// are not lines of their own: a message with missing predecessors is
+/// blocked on those, and one with none prints the gate as the reason it
+/// is still queued. Records of a protocol phase (an unacknowledged token
+/// pass) are not rendered.
+pub(crate) fn render_records(
     out: &mut String,
-    who: usize,
-    reports: &[BlockedReport],
-    frozen: bool,
+    records: &[WaitRecord],
     only: Option<MsgId>,
-) -> usize {
-    let selected: Vec<&BlockedReport> = reports
-        .iter()
-        .filter(|rep| only.is_none_or(|want| rep.msg == want))
-        .collect();
-    for rep in selected.iter().take(MAX_MSGS_PER_PROC) {
-        let _ = writeln!(
-            out,
-            "P{who} holds m{}.{} (arrived {}us); it waits on:",
-            rep.msg.sender,
-            rep.msg.seq,
-            rep.arrived_at.as_micros()
-        );
-        if rep.waits.is_empty() && rep.link_waits.is_empty() {
-            let gate = if frozen {
-                "delivery frozen by an in-progress flush"
-            } else {
-                "queued for delivery"
-            };
-            let _ = writeln!(out, "  nothing — all causal predecessors present; {gate}");
-        }
-        for w in rep.waits.iter().take(MAX_WAITS_PER_MSG) {
-            let _ = writeln!(out, "  m{}.{} — {}", w.id.sender, w.id.seq, w.status);
-        }
-        if rep.waits.len() > MAX_WAITS_PER_MSG {
-            let _ = writeln!(
-                out,
-                "  ... and {} more missing predecessors",
-                rep.waits.len() - MAX_WAITS_PER_MSG
-            );
-        }
-        // pccast: positional waits on per-link reorder cursors.
-        for lw in rep.link_waits.iter().take(MAX_WAITS_PER_MSG) {
-            let _ = writeln!(out, "  link p{} pos {} — {}", lw.from, lw.pos, lw.status);
-        }
-        if rep.link_waits.len() > MAX_WAITS_PER_MSG {
-            let _ = writeln!(
-                out,
-                "  ... and {} more blocked link cursors",
-                rep.link_waits.len() - MAX_WAITS_PER_MSG
-            );
+) -> (usize, usize) {
+    type Held = (SimTime, Option<u64>, Vec<(WaitNode, WaitReason)>);
+    let mut procs: BTreeMap<usize, (BTreeMap<MsgId, Held>, Vec<&WaitRecord>)> = BTreeMap::new();
+    for rec in records {
+        let (held, own) = procs.entry(rec.who).or_default();
+        match rec.blocked {
+            WaitNode::Msg(id) => {
+                let (_, _, waits) = held.entry(id).or_insert((rec.since, rec.slot, Vec::new()));
+                let fresh: Vec<_> = rec.waits.iter().filter(|w| !waits.contains(w)).collect();
+                waits.extend(fresh);
+            }
+            WaitNode::Proc(_) => own.push(rec),
+            _ => {}
         }
     }
-    if selected.len() > MAX_MSGS_PER_PROC {
-        let _ = writeln!(
-            out,
-            "P{who}: ... and {} more blocked messages",
-            selected.len() - MAX_MSGS_PER_PROC
-        );
+    let (mut matched, mut total) = (0, 0);
+    for (who, (held, own)) in procs {
+        total += held.len();
+        let mut selected: Vec<(MsgId, Held)> = held
+            .into_iter()
+            .filter(|(id, _)| only.is_none_or(|want| *id == want))
+            .collect();
+        selected.sort_by_key(|(id, (_, slot, _))| (slot.unwrap_or(u64::MAX), *id));
+        matched += selected.len();
+        for (id, (arrived, slot, waits)) in selected.iter().take(MAX_MSGS_PER_PROC) {
+            let assigned = slot.map_or(String::new(), |g| format!(", assigned order slot {g}"));
+            let _ = writeln!(
+                out,
+                "P{who} holds m{}.{} (arrived {}us{assigned}); it waits on:",
+                id.sender,
+                id.seq,
+                arrived.as_micros(),
+            );
+            let is_gate = |why| matches!(why, WaitReason::Frozen | WaitReason::FastPathBarred);
+            let is_link = |on| matches!(on, WaitNode::LinkSlot { .. });
+            let (links, preds): (Vec<_>, Vec<_>) = waits
+                .iter()
+                .filter(|w| !is_gate(w.1))
+                .partition(|w| is_link(w.0));
+            if preds.is_empty() && links.is_empty() {
+                let frozen = waits.iter().find(|w| w.1 == WaitReason::Frozen);
+                let gate = frozen.map_or("queued for delivery".into(), |w| w.1.sentence(w.0));
+                let _ = writeln!(out, "  nothing — all causal predecessors present; {gate}");
+            }
+            for (list, what) in [
+                (preds, "missing predecessors"),
+                (links, "blocked link cursors"),
+            ] {
+                for (on, why) in list.iter().take(MAX_WAITS_PER_MSG) {
+                    let _ = writeln!(out, "  {}", why.sentence(*on));
+                }
+                if list.len() > MAX_WAITS_PER_MSG {
+                    let _ = writeln!(
+                        out,
+                        "  ... and {} more {what}",
+                        list.len() - MAX_WAITS_PER_MSG
+                    );
+                }
+            }
+        }
+        if selected.len() > MAX_MSGS_PER_PROC {
+            let _ = writeln!(
+                out,
+                "P{who}: ... and {} more blocked messages",
+                selected.len() - MAX_MSGS_PER_PROC
+            );
+        }
+        for rec in own {
+            for (on, why) in rec.waits.iter().filter(|w| w.1 == WaitReason::TokenQueued) {
+                let _ = writeln!(
+                    out,
+                    "P{who} has {} since {}us [token]",
+                    why.sentence(*on),
+                    rec.since.as_micros()
+                );
+            }
+        }
     }
-    selected.len()
+    (matched, total)
 }
 
 /// Parses a message id of the form `m0.3` (or bare `0.3`).
@@ -106,17 +146,11 @@ pub fn parse_msg(s: &str) -> Option<MsgId> {
     })
 }
 
-/// Builds the explainer report for one seed. `msg` restricts the output
-/// to a single blocked message; `knobs` re-injects a known bug. Runs the
-/// indexed-holdback/delta-timestamp cell — the full-featured
-/// configuration, where every wait status can occur.
-pub fn run(seed: u64, msg: Option<MsgId>, knobs: BugKnobs) -> String {
-    run_d(seed, msg, knobs, CausalDiscipline::Cbcast)
-}
-
-/// [`run`], in the given causal discipline. Under pccast the blocked
-/// reports carry positional link waits instead of (or alongside)
-/// message-identified predecessor waits.
+/// Builds the explainer report for one seed in the given causal
+/// discipline. `msg` restricts the output to a single blocked message;
+/// `knobs` re-injects a known bug. Runs the indexed-holdback /
+/// delta-timestamp cell — the full-featured configuration, where every
+/// wait can occur.
 pub fn run_d(
     seed: u64,
     msg: Option<MsgId>,
@@ -155,11 +189,7 @@ pub fn run_d(
         );
         return out;
     }
-    let mut matched = 0;
-    for (who, reports) in &r.blocked_reports {
-        let frozen = r.logs.iter().any(|l| l.who == *who && l.frozen);
-        matched += render_reports(&mut out, *who, reports, frozen, msg);
-    }
+    let (matched, _) = render_records(&mut out, &r.blocked_reports, msg);
     if let Some(want) = msg {
         if matched == 0 {
             let _ = writeln!(
@@ -167,24 +197,17 @@ pub fn run_d(
                 "m{}.{} is not blocked in any surviving holdback queue at the horizon",
                 want.sender, want.seq
             );
-        } else if let Some((rank, stall)) = {
-            // Holders of the queried message: if a holder process is
-            // itself a member of a stall component (frozen mid-flush,
-            // say), everything it holds is blocked behind that stall.
-            let holders: Vec<usize> = r
-                .blocked_reports
-                .iter()
-                .filter(|(_, reps)| reps.iter().any(|rep| rep.msg == want))
-                .map(|(who, _)| *who)
-                .collect();
-            r.stalls.stalls.iter().enumerate().find(|(_, s)| {
-                s.nodes.contains(&WaitNode::Msg(want))
-                    || s.path.iter().any(|st| st.node == WaitNode::Msg(want))
-                    || holders
-                        .iter()
-                        .any(|&p| s.nodes.contains(&WaitNode::Proc(p)))
-            })
-        } {
+        } else if let Some((rank, stall)) = r.stalls.stalls.iter().enumerate().find(|(_, s)| {
+            // If a process holding the queried message is itself a member
+            // of a stall component (frozen mid-flush, say), everything it
+            // holds is blocked behind that stall.
+            let held_by_member = |rec: &WaitRecord| {
+                rec.blocked == WaitNode::Msg(want) && s.nodes.contains(&WaitNode::Proc(rec.who))
+            };
+            s.nodes.contains(&WaitNode::Msg(want))
+                || s.path.iter().any(|st| st.node == WaitNode::Msg(want))
+                || r.blocked_reports.iter().any(held_by_member)
+        }) {
             let in_component = stall.nodes.contains(&WaitNode::Msg(want));
             let _ = writeln!(
                 out,
@@ -224,10 +247,11 @@ pub enum TotalKind {
 
 /// The explainer for the total-order disciplines: runs the same
 /// deterministic harness-group workload the latency report uses, stops
-/// at the horizon, and asks each endpoint what its undelivered messages
-/// wait on — the missing order slot (abcast) or the rotation/token
-/// holder that fills the gap (token). The causes are the ledger's
-/// `order` and `token` phases, read from live endpoint state.
+/// at the horizon, and renders each endpoint's wait records — the
+/// missing order slot (abcast, plus whatever its causal substrate still
+/// holds back) or the rotation/token holder that fills the gap (token).
+/// The causes are the ledger's `order` and `token` phases, read from
+/// live endpoint state.
 ///
 /// `at` picks the snapshot time (`--at MS`); by default the full-horizon
 /// state is shown, where a healthy group has usually drained — pick a
@@ -281,86 +305,14 @@ pub fn run_total(seed: u64, msg: Option<MsgId>, at: Option<SimTime>, kind: Total
             }
         }
     }
-    let mut matched = 0usize;
-    let mut blocked_total = 0usize;
-    for (i, pid) in pids.iter().enumerate() {
-        let Some(node) = sim.process::<GroupNode<u64, Chatter>>(*pid) else {
-            continue;
-        };
-        let (blocked, queued_since) = match node.endpoint() {
-            Endpoint::Total(e) => (e.order_blocked(), None),
-            Endpoint::TotalToken(e) => (
-                e.order_blocked(),
-                e.oldest_queued_since().filter(|_| !e.holding_token()),
-            ),
-            _ => continue,
-        };
-        blocked_total += blocked.len();
-        let selected: Vec<_> = blocked
-            .iter()
-            .filter(|b| msg.is_none_or(|want| b.msg == want))
-            .collect();
-        matched += selected.len();
-        for b in selected.iter().take(MAX_MSGS_PER_PROC) {
-            let _ = writeln!(
-                out,
-                "P{i} holds m{}.{} (arrived {}us{}); it waits on:",
-                b.msg.sender,
-                b.msg.seq,
-                b.arrived_at.as_micros(),
-                match b.gseq {
-                    Some(g) => format!(", assigned order slot {g}"),
-                    None => String::new(),
-                }
-            );
-            let cause = match kind {
-                TotalKind::Sequencer => "order",
-                TotalKind::Token => "token",
-            };
-            match (b.slot_msg, b.gseq) {
-                (Some(slot_msg), _) => {
-                    let _ = writeln!(
-                        out,
-                        "  order slot {} = m{}.{} — slot's data not arrived here [{cause}]",
-                        b.missing_slot, slot_msg.sender, slot_msg.seq
-                    );
-                }
-                (None, Some(_)) => {
-                    let _ = writeln!(
-                        out,
-                        "  order slot {} — {} [{cause}]",
-                        b.missing_slot,
-                        match kind {
-                            TotalKind::Sequencer =>
-                                "no assignment for that slot has arrived from sequencer P0",
-                            TotalKind::Token =>
-                                "awaiting the rotation (or NACK repair) that fills it",
-                        }
-                    );
-                }
-                (None, None) => {
-                    let _ = writeln!(
-                        out,
-                        "  its own order assignment — not yet arrived from sequencer P0 [{cause}]"
-                    );
-                }
-            }
-        }
-        if selected.len() > MAX_MSGS_PER_PROC {
-            let _ = writeln!(
-                out,
-                "P{i}: ... and {} more blocked messages",
-                selected.len() - MAX_MSGS_PER_PROC
-            );
-        }
-        if let Some(since) = queued_since {
-            let _ = writeln!(
-                out,
-                "P{i} has submissions queued awaiting the token since {}us [token]",
-                since.as_micros()
-            );
+    let mut records = Vec::new();
+    for pid in &pids {
+        if let Some(node) = sim.process::<GroupNode<u64, Chatter>>(*pid) {
+            let keep = &mut |record: &WaitRecord| records.push(record.clone());
+            node.endpoint().wait_records(true, keep);
         }
     }
+    let (matched, blocked_total) = render_records(&mut out, &records, msg);
     if blocked_total == 0 {
         let _ = writeln!(
             out,
@@ -380,6 +332,10 @@ pub fn run_total(seed: u64, msg: Option<MsgId>, at: Option<SimTime>, kind: Total
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run(seed: u64, msg: Option<MsgId>, knobs: BugKnobs) -> String {
+        run_d(seed, msg, knobs, CausalDiscipline::Cbcast)
+    }
 
     #[test]
     fn parses_message_ids() {
@@ -441,19 +397,20 @@ mod tests {
 
     #[test]
     fn link_waits_render_positionally() {
-        use catocs::cbcast::{LinkWait, LinkWaitStatus};
-        let rep = BlockedReport {
-            msg: MsgId { sender: 1, seq: 3 },
-            arrived_at: simnet::time::SimTime::ZERO,
-            waits: Vec::new(),
-            link_waits: vec![LinkWait {
-                from: 2,
-                pos: 7,
-                status: LinkWaitStatus::Severed,
-            }],
+        let slot = WaitNode::LinkSlot {
+            to: 0,
+            from: 2,
+            seq: 7,
+        };
+        let rec = WaitRecord {
+            blocked: WaitNode::Msg(MsgId { sender: 1, seq: 3 }),
+            who: 0,
+            since: SimTime::ZERO,
+            slot: None,
+            waits: vec![(slot, WaitReason::Severed)],
         };
         let mut out = String::new();
-        render_reports(&mut out, 0, &[rep], false, None);
+        assert_eq!(render_records(&mut out, &[rec], None), (1, 1));
         assert!(out.contains("link p2 pos 7 — link severed"), "{out}");
         // A positional wait is a wait: the "nothing blocks it" line must
         // not appear.

@@ -10,8 +10,9 @@ use crate::table::Table;
 use catocs::cbcast::CbcastEndpoint;
 use catocs::failure::FailureDetector;
 use catocs::group::GroupConfig;
+use catocs::harness::route;
 use catocs::membership::{FlushAction, MembershipEngine};
-use catocs::wire::{Dest, Out, Wire};
+use catocs::wire::{Dest, Wire};
 use simnet::net::NetConfig;
 use simnet::process::{Ctx, Process, ProcessId, TimerId};
 use simnet::sim::SimBuilder;
@@ -60,25 +61,13 @@ impl MemberNode {
         &self.engine
     }
 
-    fn route(&self, ctx: &mut Ctx<'_, Wire<u64>>, out: Vec<Out<u64>>) {
-        for (dest, w) in out {
-            match dest {
-                Dest::All => {
-                    let me = self.me;
-                    ctx.multicast((0..self.n).filter(|&k| k != me).map(ProcessId), w);
-                }
-                Dest::One(k) => ctx.send(ProcessId(k), w),
-            }
-        }
-    }
-
     fn handle_action(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, action: FlushAction) {
         match action {
             FlushAction::RetransmitUnstable => {
                 let flushed = self.endpoint.core_mut().flush_unstable();
                 ctx.metrics()
                     .incr("t11.flush_retransmits", flushed.len() as u64);
-                self.route(ctx, flushed);
+                route(ctx, self.me, self.n, flushed);
                 // Delivery blackout: our FlushOk clock must stay an upper
                 // bound on what we have delivered until the view installs.
                 self.endpoint.core_mut().freeze(ctx.now());
@@ -105,17 +94,17 @@ impl Process<Wire<u64>> for MemberNode {
             Wire::Heartbeat { from, view_id } => {
                 self.detector.heard_from(*from, ctx.now());
                 let out = self.engine.on_heartbeat(*from, *view_id);
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
             }
             Wire::Flush { .. } | Wire::FlushOk { .. } | Wire::Install { .. } => {
                 let clock = self.endpoint.core().clock().clone();
                 let (action, out) = self.engine.on_wire(ctx.now(), &msg, &clock);
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
                 self.handle_action(ctx, action);
             }
             _ => {
                 let (_dels, out) = self.endpoint.on_wire(ctx.now(), msg);
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
             }
         }
     }
@@ -124,13 +113,13 @@ impl Process<Wire<u64>> for MemberNode {
         match t {
             TICK => {
                 let out = self.endpoint.on_tick(ctx.now());
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
                 if self.detector.should_beat(ctx.now()) {
                     let hb = Wire::Heartbeat {
                         from: self.me,
                         view_id: self.engine.view().id,
                     };
-                    self.route(ctx, vec![(Dest::All, hb)]);
+                    route(ctx, self.me, self.n, vec![(Dest::All, hb)]);
                 }
                 // Feed the engine the *full* suspect set every tick, not
                 // just new suspicions: if a flush wedges on a proposal
@@ -141,12 +130,12 @@ impl Process<Wire<u64>> for MemberNode {
                 if !suspects.is_empty() {
                     let clock = self.endpoint.core().clock().clone();
                     let (action, out) = self.engine.suspect(ctx.now(), &suspects, &clock);
-                    self.route(ctx, out);
+                    route(ctx, self.me, self.n, out);
                     self.handle_action(ctx, action);
                 }
                 let clock = self.endpoint.core().clock().clone();
                 let retries = self.engine.on_tick(ctx.now(), &clock);
-                self.route(ctx, retries);
+                route(ctx, self.me, self.n, retries);
                 ctx.set_timer(TICK, TICK_EVERY);
             }
             APP => {
@@ -155,7 +144,7 @@ impl Process<Wire<u64>> for MemberNode {
                         self.msgs_left -= 1;
                         self.next += 1;
                         let (_d, out) = self.endpoint.multicast(ctx.now(), self.next);
-                        self.route(ctx, out);
+                        route(ctx, self.me, self.n, out);
                     } else {
                         self.suppressed_sends += 1;
                     }

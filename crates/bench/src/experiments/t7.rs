@@ -7,7 +7,8 @@
 //! the ordering header as N grows, with the delta-compression ablation
 //! (sparse updates ship only changed components), against a FIFO
 //! transport's constant 8-byte sequence number. The CPU side (encode /
-//! decode / deliverability check) is measured by `benches/clocks_bench`.
+//! decode / deliverability check) is measured by the `clocks.vector.*`
+//! rows of `benchmark/run.sh --trace 1`.
 
 use crate::table::Table;
 use clocks::vector::VectorClock;

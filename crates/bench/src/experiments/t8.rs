@@ -20,8 +20,9 @@
 use crate::table::Table;
 use catocs::cbcast::CbcastEndpoint;
 use catocs::group::GroupConfig;
+use catocs::harness::route;
 use catocs::safety::SafetyTracker;
-use catocs::wire::{Dest, Out, Wire};
+use catocs::wire::Wire;
 use simnet::net::NetConfig;
 use simnet::process::{Ctx, Process, ProcessId, TimerId};
 use simnet::sim::SimBuilder;
@@ -47,15 +48,6 @@ fn net() -> NetConfig {
 const TICK: TimerId = TimerId(0);
 const WRITE_TICK: TimerId = TimerId(1);
 
-fn route_cb(ctx: &mut Ctx<'_, Wire<u64>>, me: usize, n: usize, out: Vec<Out<u64>>) {
-    for (dest, w) in out {
-        match dest {
-            Dest::All => ctx.multicast((0..n).filter(|&k| k != me).map(ProcessId), w),
-            Dest::One(k) => ctx.send(ProcessId(k), w),
-        }
-    }
-}
-
 struct CbPrimary {
     endpoint: CbcastEndpoint<u64>,
     tracker: SafetyTracker,
@@ -74,7 +66,7 @@ impl Process<Wire<u64>> for CbPrimary {
     }
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, _f: ProcessId, m: Wire<u64>) {
         let (_d, out) = self.endpoint.on_wire(ctx.now(), m);
-        route_cb(ctx, 0, REPLICAS, out);
+        route(ctx, 0, REPLICAS, out);
         let ready = self
             .tracker
             .advance(self.endpoint.core().stability(), ctx.now());
@@ -84,7 +76,7 @@ impl Process<Wire<u64>> for CbPrimary {
         match t {
             TICK => {
                 let out = self.endpoint.on_tick(ctx.now());
-                route_cb(ctx, 0, REPLICAS, out);
+                route(ctx, 0, REPLICAS, out);
                 let ready = self
                     .tracker
                     .advance(self.endpoint.core().stability(), ctx.now());
@@ -97,7 +89,7 @@ impl Process<Wire<u64>> for CbPrimary {
                 let (d, out) = self.endpoint.multicast(ctx.now(), self.next_val);
                 self.applied.push(self.next_val);
                 self.tracker.register(d.id, ctx.now());
-                route_cb(ctx, 0, REPLICAS, out);
+                route(ctx, 0, REPLICAS, out);
                 ctx.set_timer(WRITE_TICK, PERIOD);
             }
             _ => {}
@@ -120,11 +112,11 @@ impl Process<Wire<u64>> for CbReplica {
         for d in dels {
             self.applied.push(d.payload);
         }
-        route_cb(ctx, self.me, REPLICAS, out);
+        route(ctx, self.me, REPLICAS, out);
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, _t: TimerId) {
         let out = self.endpoint.on_tick(ctx.now());
-        route_cb(ctx, self.me, REPLICAS, out);
+        route(ctx, self.me, REPLICAS, out);
         ctx.set_timer(TICK, SimDuration::from_millis(10));
     }
 }

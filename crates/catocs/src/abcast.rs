@@ -17,30 +17,11 @@
 
 use crate::cbcast::CbcastEndpoint;
 use crate::group::{GroupConfig, MsgId};
+use crate::waitgraph::{PhaseTag, WaitNode, WaitReason, WaitRecord};
 use crate::wire::{Delivery, Dest, EndpointStats, Out, Wire};
 use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, HashMap};
-
-/// One message stuck behind the total order at inspection time: which
-/// order slot its delivery waits on and what is known about that slot.
-/// This is the explainer's view of the ledger's `order`/`token` wait
-/// taxonomy — same causes, read from live endpoint state instead of
-/// from delivery history.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OrderBlocked {
-    /// The held message.
-    pub msg: MsgId,
-    /// When its data arrived here.
-    pub arrived_at: SimTime,
-    /// Its own assigned slot in the total order, when known.
-    pub gseq: Option<u64>,
-    /// The order slot delivery is stuck on (the smallest unreleased one).
-    pub missing_slot: u64,
-    /// The message assigned to that slot, when the assignment (but not
-    /// the data) has arrived.
-    pub slot_msg: Option<MsgId>,
-}
 
 /// The total-order endpoint for one group member.
 #[derive(Debug)]
@@ -131,73 +112,42 @@ impl<P: Clone> AbcastEndpoint<P> {
         emit("abcast.unreleased", self.unreleased.len() as f64);
     }
 
-    /// Contributes this endpoint's live blocking edges to a wait-graph
-    /// snapshot (read-only; see [`crate::waitgraph`]): the causal
-    /// substrate's edges, plus the total-order waits layered on top — a
-    /// causally delivered message awaiting release blocks either on the
-    /// sequencer's order assignment or on the data for the next global
-    /// slot.
-    pub fn wait_edges(&self, out: &mut Vec<crate::waitgraph::WaitEdge>) {
-        use crate::waitgraph::{PhaseTag, WaitEdge, WaitNode};
-        self.cb.wait_edges(out);
-        let me = self.cb.me();
-        let next_slot = self.released + 1;
-        let mut pending: Vec<(&MsgId, &Delivery<P>)> = self.unreleased.iter().collect();
-        pending.sort_by_key(|(id, _)| **id);
-        for (id, d) in pending {
-            let (to, reason) = if !self.ordered.contains_key(id) {
-                (
-                    WaitNode::Phase {
-                        kind: PhaseTag::OrderAssign,
-                        at: self.sequencer,
-                    },
-                    "awaiting order assignment",
-                )
-            } else {
-                match self.order.get(&next_slot) {
-                    Some(&slot_id) if slot_id != *id => (
-                        WaitNode::Msg(slot_id),
-                        "next total-order slot's data not arrived",
-                    ),
-                    _ => (
-                        WaitNode::Phase {
-                            kind: PhaseTag::OrderAssign,
-                            at: self.sequencer,
-                        },
-                        "total-order gap before this slot",
-                    ),
-                }
+    /// What every undelivered message here waits on (contract in
+    /// [`crate::waitgraph`]): the causal substrate's holdback, then each
+    /// causally delivered message awaiting release, in slot order
+    /// (unassigned last). Release is stuck on the smallest unreleased
+    /// slot: on that slot's message when its assignment (but not its
+    /// data) has arrived, else on the sequencer — for a gap before the
+    /// message's own slot, or for its own assignment.
+    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+        self.cb.wait_records(every_gap, emit);
+        let stuck = self.released + 1;
+        let sequencer = WaitNode::Phase {
+            kind: PhaseTag::OrderAssign,
+            at: self.sequencer,
+        };
+        let held = self.unreleased.iter();
+        let mut held: Vec<_> = held
+            .map(|(id, d)| (self.ordered.get(id).copied(), *id, d.arrived_at))
+            .collect();
+        held.sort_by_key(|&(slot, id, _)| (slot.unwrap_or(u64::MAX), id));
+        for (slot, id, since) in held {
+            let wait = match (self.order.get(&stuck), slot) {
+                (Some(&m), _) => (
+                    WaitNode::Msg(m),
+                    WaitReason::SlotDataMissing { slot: stuck },
+                ),
+                (None, Some(_)) => (sequencer, WaitReason::OrderGap { slot: stuck }),
+                (None, None) => (sequencer, WaitReason::OrderUnassigned),
             };
-            out.push(WaitEdge {
-                from: WaitNode::Msg(*id),
-                to,
-                who: me,
-                since: d.arrived_at,
-                reason,
+            emit(&WaitRecord {
+                blocked: WaitNode::Msg(id),
+                who: self.cb.me(),
+                since,
+                slot,
+                waits: vec![wait],
             });
         }
-    }
-
-    /// Snapshot of every causally delivered message still awaiting its
-    /// total-order release, with the slot it waits on — the explainer's
-    /// structured answer to "what order slot is this stuck behind?".
-    /// Sorted by assigned slot (unassigned last), then message id.
-    pub fn order_blocked(&self) -> Vec<OrderBlocked> {
-        let missing_slot = self.released + 1;
-        let slot_msg = self.order.get(&missing_slot).copied();
-        let mut v: Vec<OrderBlocked> = self
-            .unreleased
-            .iter()
-            .map(|(id, d)| OrderBlocked {
-                msg: *id,
-                arrived_at: d.arrived_at,
-                gseq: self.ordered.get(id).copied(),
-                missing_slot,
-                slot_msg,
-            })
-            .collect();
-        v.sort_by_key(|b| (b.gseq.unwrap_or(u64::MAX), b.msg));
-        v
     }
 
     /// Multicasts `payload`. Unlike cbcast there is no immediate
@@ -429,6 +379,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The three things an abcast member can be found waiting on, each
+    /// from bare endpoints: its own order assignment, the data of the
+    /// slot release is stuck on, and — below the order — a causal
+    /// predecessor the substrate still holds the message back for.
+    #[test]
+    fn wait_records_name_the_assignment_the_slot_and_the_substrate() {
+        let msg = |sender, seq| WaitNode::Msg(MsgId { sender, seq });
+        let sequencer = WaitNode::Phase {
+            kind: PhaseTag::OrderAssign,
+            at: 0,
+        };
+        // A multicast's data message, and whatever else went out with it.
+        let split = |out: Vec<Out<&'static str>>| {
+            let (data, rest): (Vec<_>, Vec<_>) = out
+                .into_iter()
+                .partition(|(_, w)| matches!(w, Wire::Data(_)));
+            (data[0].1.clone(), rest)
+        };
+        let records = |ep: &AbcastEndpoint<&'static str>| {
+            let mut out = Vec::new();
+            ep.wait_records(true, &mut |r| out.push(r.clone()));
+            out
+        };
+        let record = |blocked, since, slot, on, why| WaitRecord {
+            blocked,
+            who: 2,
+            since,
+            slot,
+            waits: vec![(on, why)],
+        };
+
+        // (i) Causally delivered, no Order yet.
+        let mut eps = group(3);
+        let (x, _) = split(eps[1].multicast(t(0), "x").1);
+        eps[2].on_wire(t(1), x);
+        let want = record(
+            msg(1, 1),
+            t(1),
+            None,
+            sequencer,
+            WaitReason::OrderUnassigned,
+        );
+        assert_eq!(records(&eps[2]), [want]);
+
+        // (ii) Assigned slot 2, and of slot 1 only the assignment is here.
+        let mut eps = group(3);
+        let (_, order1) = split(eps[0].multicast(t(0), "s1").1);
+        let (x, _) = split(eps[1].multicast(t(0), "x").1);
+        let (_, order2) = eps[0].on_wire(t(1), x.clone());
+        eps[2].on_wire(t(2), x);
+        for (_, w) in order1.into_iter().chain(order2) {
+            eps[2].on_wire(t(3), w);
+        }
+        let stuck = WaitReason::SlotDataMissing { slot: 1 };
+        let want = record(msg(1, 1), t(2), Some(2), msg(0, 1), stuck);
+        assert_eq!(records(&eps[2]), [want]);
+
+        // (iii) Held in the causal substrate: s2 arrives without s1.
+        let mut eps = group(3);
+        eps[0].multicast(t(0), "s1");
+        let (s2, _) = split(eps[0].multicast(t(1), "s2").1);
+        eps[2].on_wire(t(2), s2);
+        let chased = WaitReason::Chased { referenced_by: 0 };
+        let want = record(msg(0, 2), t(2), None, msg(0, 1), chased);
+        assert_eq!(records(&eps[2]), [want]);
     }
 
     #[test]

@@ -13,11 +13,10 @@
 //! the core cannot — a delta-stamped copy already *parked* awaiting its
 //! decode base is not missing — is passed in as a predicate.
 
-use crate::cbcast::{wait_reason, BlockedReport, WaitCause, WaitStatus};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::HoldbackQueue;
 use crate::stability::StabilityTracker;
-use crate::waitgraph::{WaitEdge, WaitNode};
+use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
@@ -276,108 +275,82 @@ impl<P: Clone> CausalCore<P> {
         copy
     }
 
-    /// Why `id` has not delivered here. `parked` is the caller's "a copy
-    /// sits outside the holdback queue, undecodable for now" test.
-    pub(crate) fn classify_wait(&self, id: MsgId, parked: impl Fn(MsgId) -> bool) -> WaitStatus {
-        if self.holdback.peek(id) {
-            WaitStatus::HeldHere
+    /// The one walk over the holdback queue (contract in
+    /// [`crate::waitgraph`]): per held message, the undelivered causal
+    /// predecessors it waits on and why each is absent — the first gap of
+    /// every lagging sender, or with `every_gap` all of them — then the
+    /// flush freeze, if delivery is frozen (the flush itself is linked
+    /// onward by the membership layer). In id order: the indexed
+    /// holdback iterates in hash order.
+    pub(crate) fn wait_records(
+        &self,
+        parked: impl Fn(MsgId) -> bool + Copy,
+        every_gap: bool,
+        emit: &mut dyn FnMut(&WaitRecord),
+    ) {
+        let mut pending: Vec<_> = self.holdback.pending().collect();
+        pending.sort_unstable_by_key(|p| p.msg.id);
+        let depth = if every_gap { usize::MAX } else { 1 };
+        let mut waits = Vec::new();
+        for p in pending {
+            for (k, have, need) in lagging_refs(&p.msg, &self.vt, self.n) {
+                let gaps = ((have + 1)..=need).take(depth);
+                waits.extend(gaps.map(|seq| self.wait_on(k, seq, parked)));
+            }
+            if self.frozen {
+                waits.push((WaitNode::Proc(self.me), WaitReason::Frozen));
+            }
+            waits = self.emit_held(p.msg.id, p.arrived_at, waits, emit);
+        }
+    }
+
+    /// Emits the record of message `id`, held here since `since`, and
+    /// hands the emptied `waits` back for the next one to fill.
+    pub(crate) fn emit_held(
+        &self,
+        id: MsgId,
+        since: SimTime,
+        waits: Vec<(WaitNode, WaitReason)>,
+        emit: &mut dyn FnMut(&WaitRecord),
+    ) -> Vec<(WaitNode, WaitReason)> {
+        let mut record = WaitRecord {
+            blocked: WaitNode::Msg(id),
+            who: self.me,
+            since,
+            slot: None,
+            waits,
+        };
+        emit(&record);
+        record.waits.clear();
+        record.waits
+    }
+
+    /// The wait on undelivered message `seq` of `sender`, and why it has
+    /// not delivered here. `parked` is the caller's "a copy sits outside
+    /// the holdback queue, undecodable for now" test.
+    pub(crate) fn wait_on(
+        &self,
+        sender: usize,
+        seq: u64,
+        parked: impl Fn(MsgId) -> bool,
+    ) -> (WaitNode, WaitReason) {
+        let id = MsgId { sender, seq };
+        let why = if self.holdback.peek(id) {
+            WaitReason::HeldHere
         } else if parked(id) {
-            WaitStatus::Parked
+            WaitReason::Parked
         } else if self.beyond_cut(id) {
-            WaitStatus::NeverDeliverable {
-                cut: self.cut.get(id.sender),
+            WaitReason::NeverDeliverable {
+                cut: self.cut.get(sender),
             }
         } else if let Some(m) = self.missing.get(&id) {
-            WaitStatus::Chased {
+            WaitReason::Chased {
                 referenced_by: m.referenced_by,
             }
         } else {
-            WaitStatus::Unknown
-        }
-    }
-
-    /// Walks the holdback wait-graph and reports, for every held
-    /// message, each undelivered causal predecessor and why it is absent.
-    /// Read-only and work-counter-neutral, so calling it cannot change a
-    /// run's digests — the `experiments explain` CLI relies on that.
-    /// Keyed by id because the indexed holdback iterates in hash order.
-    pub(crate) fn held_reports(
-        &self,
-        parked: impl Fn(MsgId) -> bool + Copy,
-    ) -> BTreeMap<MsgId, BlockedReport> {
-        let mut by_msg = BTreeMap::new();
-        for p in self.holdback.pending() {
-            let mut waits = Vec::new();
-            for (k, have, need) in lagging_refs(&p.msg, &self.vt, self.n) {
-                for seq in (have + 1)..=need {
-                    let id = MsgId { sender: k, seq };
-                    waits.push(WaitCause {
-                        id,
-                        status: self.classify_wait(id, parked),
-                    });
-                }
-            }
-            by_msg.insert(
-                p.msg.id,
-                BlockedReport {
-                    msg: p.msg.id,
-                    arrived_at: p.arrived_at,
-                    waits,
-                    link_waits: Vec::new(),
-                },
-            );
-        }
-        by_msg
-    }
-
-    /// Contributes the holdback queue's blocking edges to the live wait
-    /// graph ([`crate::waitgraph`]): one `Msg -> Msg` edge per lagging
-    /// sender of every held message, plus `Msg -> Proc(me)` while
-    /// delivery is frozen by a flush (the flush itself is linked onward
-    /// by the membership layer). Read-only and work-counter-neutral.
-    pub(crate) fn held_wait_edges(
-        &self,
-        parked: impl Fn(MsgId) -> bool + Copy,
-        out: &mut Vec<WaitEdge>,
-    ) {
-        // Sorted for determinism: the indexed holdback iterates in hash
-        // order. One edge per lagging sender — the *first* gap is the
-        // FIFO blocker everything deeper queues behind; enumerating every
-        // gap (as `held_reports` does for the one-shot post-mortem)
-        // would square the edge count on the sampling hot path.
-        let mut pending: Vec<_> = self.holdback.pending().collect();
-        pending.sort_unstable_by_key(|p| p.msg.id);
-        for p in pending {
-            let blocked = WaitNode::Msg(p.msg.id);
-            for (k, have, _) in lagging_refs(&p.msg, &self.vt, self.n) {
-                let gap = MsgId {
-                    sender: k,
-                    seq: have + 1,
-                };
-                out.push(WaitEdge {
-                    from: blocked,
-                    to: WaitNode::Msg(gap),
-                    who: self.me,
-                    since: p.arrived_at,
-                    reason: wait_reason(self.classify_wait(gap, parked)),
-                });
-            }
-            if self.frozen {
-                out.push(self.frozen_edge(p.msg.id, p.arrived_at));
-            }
-        }
-    }
-
-    /// The wait edge of a message that is only waiting for the flush to
-    /// finish.
-    pub(crate) fn frozen_edge(&self, id: MsgId, since: SimTime) -> WaitEdge {
-        WaitEdge {
-            from: WaitNode::Msg(id),
-            to: WaitNode::Proc(self.me),
-            who: self.me,
-            since,
-            reason: "delivery frozen by flush",
-        }
+            WaitReason::Unknown
+        };
+        (WaitNode::Msg(id), why)
     }
 
     /// The membership half of a view install: `members` are the surviving
@@ -535,7 +508,8 @@ impl<P: Clone> CausalCore<P> {
     /// sender's final message when it was dropped with no successor to
     /// reference it. Removed senders' messages beyond the flush cut will
     /// never deliver and are not worth chasing. A clock implausibly far
-    /// ahead of ours ([`MAX_CHASE_AHEAD`]) is counted and ignored whole.
+    /// ahead of ours ([`MAX_CHASE_AHEAD`]), or from no member of the
+    /// group, is counted and ignored whole.
     pub(crate) fn on_ack_gossip(
         &mut self,
         now: SimTime,
@@ -547,7 +521,7 @@ impl<P: Clone> CausalCore<P> {
         // finds nothing and allocates nothing.
         let ahead = self.vt.lagging(delivered).take_while(|&(k, ..)| k < self.n);
         let ahead: Vec<_> = ahead.collect();
-        if ahead.iter().any(out_of_reach) {
+        if from >= self.n || ahead.iter().any(out_of_reach) {
             self.stats.ts_decode_errors += 1;
             return;
         }

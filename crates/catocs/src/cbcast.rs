@@ -23,133 +23,12 @@
 use crate::causal_core::{lagging_refs, span_of, CausalCore};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
+use crate::waitgraph::WaitRecord;
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{ObsEvent, ProbeHandle, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Why a causal predecessor of a held message has not delivered here —
-/// one link of the blocked-on explanation chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitStatus {
-    /// The predecessor itself sits in this holdback queue; its own
-    /// missing predecessors are the real blockers — follow the chain.
-    HeldHere,
-    /// A delta-stamped copy arrived but cannot decode until the chain
-    /// base is re-seeded (parked).
-    Parked,
-    /// Known missing and being chased via NACK; `referenced_by` is the
-    /// member whose message first referenced it.
-    Chased {
-        /// Who we first learned of the missing message from.
-        referenced_by: usize,
-    },
-    /// Its sender was removed by a view change and the id lies beyond
-    /// the flush cut — no survivor may ever deliver it.
-    NeverDeliverable {
-        /// The agreed cut for the removed sender.
-        cut: u64,
-    },
-    /// Nothing references it yet from this process's point of view.
-    Unknown,
-}
-
-impl std::fmt::Display for WaitStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WaitStatus::HeldHere => write!(f, "held here (waiting on its own predecessors)"),
-            WaitStatus::Parked => write!(f, "parked (delta undecodable until chain re-seeds)"),
-            WaitStatus::Chased { referenced_by } => {
-                write!(
-                    f,
-                    "missing; chased via NACK (referenced by P{referenced_by})"
-                )
-            }
-            WaitStatus::NeverDeliverable { cut } => {
-                write!(f, "never deliverable (sender removed, beyond cut {cut})")
-            }
-            WaitStatus::Unknown => write!(f, "not yet observed"),
-        }
-    }
-}
-
-/// One undelivered causal predecessor of a blocked message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitCause {
-    /// The predecessor's id.
-    pub id: MsgId,
-    /// Its status at this process.
-    pub status: WaitStatus,
-}
-
-/// Why a pccast per-link reorder position has not been consumed — the
-/// link-level analogue of [`WaitStatus`]. pccast copies carry constant
-/// metadata, so an absent position has no known message id; the wait can
-/// only name the link and slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkWaitStatus {
-    /// Nothing has arrived at the position (ARQ gap — a retransmission
-    /// is owed by the link sender).
-    Gap,
-    /// A skip marker occupies the position but has not been consumed
-    /// yet; the copy will arrive by another route.
-    SkipPending,
-    /// The link's sender is dead or evicted: the position can never be
-    /// filled on this link; only a view change clears it.
-    Severed,
-}
-
-impl std::fmt::Display for LinkWaitStatus {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LinkWaitStatus::Gap => write!(f, "nothing arrived (ARQ gap, awaiting retransmit)"),
-            LinkWaitStatus::SkipPending => write!(f, "skip marker pending consumption"),
-            LinkWaitStatus::Severed => write!(f, "link severed (sender dead or evicted)"),
-        }
-    }
-}
-
-/// A per-link reorder-cursor wait of a pccast blocked message: which
-/// incoming link, which position, and why it is empty.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkWait {
-    /// The peer whose incoming link the wait is on.
-    pub from: usize,
-    /// The link position the reorder cursor waits for.
-    pub pos: u64,
-    /// Why that position is unfilled.
-    pub status: LinkWaitStatus,
-}
-
-/// A message stuck in the holdback queue (or, for pccast, a per-link
-/// reorder buffer) and everything it waits on — produced by
-/// [`CbcastEndpoint::blocked_report`] for the `experiments explain` CLI.
-#[derive(Debug, Clone)]
-pub struct BlockedReport {
-    /// The blocked message.
-    pub msg: MsgId,
-    /// When it arrived here.
-    pub arrived_at: SimTime,
-    /// Every undelivered causal predecessor, in (sender, seq) order.
-    pub waits: Vec<WaitCause>,
-    /// pccast only: positional waits on per-link reorder cursors (empty
-    /// for cbcast, whose holdback waits are always message-identified).
-    pub link_waits: Vec<LinkWait>,
-}
-
-/// Static wait-edge reason for a predecessor's [`WaitStatus`] (the
-/// specifics — cut values, referencing members — live in the nodes and
-/// the full [`BlockedReport`]).
-pub(crate) fn wait_reason(status: WaitStatus) -> &'static str {
-    match status {
-        WaitStatus::HeldHere => "predecessor held here too",
-        WaitStatus::Parked => "predecessor parked (delta undecodable)",
-        WaitStatus::Chased { .. } => "predecessor missing, chased via NACK",
-        WaitStatus::NeverDeliverable { .. } => "predecessor never deliverable (beyond cut)",
-        WaitStatus::Unknown => "predecessor not yet observed",
-    }
-}
 
 /// The "a delta-stamped copy of `id` is parked awaiting its decode base"
 /// test the shared shell needs from cbcast: such a message is neither
@@ -294,21 +173,11 @@ impl<P: Clone> CbcastEndpoint<P> {
         emit("cbcast.stability_lag", self.core.stability_lag() as f64);
     }
 
-    /// Reports, for every message blocked in the holdback queue, each
-    /// undelivered causal predecessor and why it is absent (held here
-    /// too, parked, chased via NACK, or never deliverable). Read-only.
-    pub fn blocked_report(&self) -> Vec<BlockedReport> {
+    /// What every held message waits on (the shared shell's walk, with
+    /// cbcast's parked test; contract in [`crate::waitgraph`]).
+    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         self.core
-            .held_reports(parked_in(&self.undecoded))
-            .into_values()
-            .collect()
-    }
-
-    /// Contributes this endpoint's blocking edges to the live wait graph
-    /// (see [`crate::waitgraph`]). Read-only and work-counter-neutral,
-    /// like [`CbcastEndpoint::blocked_report`].
-    pub fn wait_edges(&self, out: &mut Vec<crate::waitgraph::WaitEdge>) {
-        self.core.held_wait_edges(parked_in(&self.undecoded), out);
+            .wait_records(parked_in(&self.undecoded), every_gap, emit);
     }
 
     /// Applies an installed view: `members` are the surviving member
@@ -682,6 +551,7 @@ impl<P: Clone> CbcastEndpoint<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::waitgraph::{WaitNode, WaitReason};
     use simnet::time::SimDuration;
 
     fn t(ms: u64) -> SimTime {
@@ -1338,7 +1208,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_report_names_missing_predecessor() {
+    fn wait_records_name_the_missing_predecessor() {
         for indexed in [false, true] {
             let cfg = GroupConfig {
                 indexed_holdback: indexed,
@@ -1351,18 +1221,20 @@ mod tests {
             b.on_wire(t(1), data_of(&o1));
             let (_, o2) = b.multicast(t(2), "m2");
             c.on_wire(t(3), data_of(&o2));
-            let reports = c.blocked_report();
-            assert_eq!(reports.len(), 1, "indexed={indexed}");
-            let r = &reports[0];
-            assert_eq!(r.msg, MsgId { sender: 1, seq: 1 });
-            assert_eq!(r.arrived_at, t(3));
-            assert_eq!(r.waits.len(), 1);
-            assert_eq!(r.waits[0].id, MsgId { sender: 0, seq: 1 });
-            assert_eq!(
-                r.waits[0].status,
-                WaitStatus::Chased { referenced_by: 1 },
-                "m0.1 is being chased via NACK from b, who referenced it"
-            );
+            // m0.1 is being chased via NACK from b, who referenced it.
+            let chased = WaitReason::Chased { referenced_by: 1 };
+            let want = WaitRecord {
+                blocked: WaitNode::Msg(MsgId { sender: 1, seq: 1 }),
+                who: 2,
+                since: t(3),
+                slot: None,
+                waits: vec![(WaitNode::Msg(MsgId { sender: 0, seq: 1 }), chased)],
+            };
+            for every_gap in [false, true] {
+                let mut records = Vec::new();
+                c.wait_records(every_gap, &mut |r| records.push(r.clone()));
+                assert_eq!(records, std::slice::from_ref(&want), "indexed={indexed}");
+            }
         }
     }
 
@@ -1380,7 +1252,7 @@ mod tests {
             b.on_wire(t(1), data_of(&o1));
             let (_, o2) = b.multicast(t(2), "m2");
             c.on_wire(t(3), data_of(&o2));
-            let _ = c.blocked_report();
+            c.wait_records(true, &mut |_| {});
             c.on_wire(t(4), data_of(&o1));
             (
                 c.core().clock().clone(),

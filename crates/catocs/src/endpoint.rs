@@ -8,11 +8,12 @@
 
 use crate::abcast::AbcastEndpoint;
 use crate::causal_core::CausalCore;
-use crate::cbcast::{BlockedReport, CbcastEndpoint};
+use crate::cbcast::CbcastEndpoint;
 use crate::fbcast::FbcastEndpoint;
 use crate::group::{CausalDiscipline, GroupConfig};
 use crate::pccast::PccastEndpoint;
 use crate::token::TokenAbcastEndpoint;
+use crate::waitgraph::WaitRecord;
 use crate::wire::{Delivery, EndpointStats, Out, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::ProbeHandle;
@@ -141,29 +142,12 @@ impl<P: Clone> CausalEndpoint<P> {
         }
     }
 
-    /// Blocked-on explanation of the holdback queue.
-    pub fn blocked_report(&self) -> Vec<BlockedReport> {
+    /// What every blocked message here waits on (contract in
+    /// [`crate::waitgraph`]).
+    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         match self {
-            CausalEndpoint::Cbcast(e) => e.blocked_report(),
-            CausalEndpoint::Pccast(e) => e.blocked_report(),
-        }
-    }
-
-    /// Contributes this endpoint's live blocking edges to a wait-graph
-    /// snapshot (read-only; see [`crate::waitgraph`]).
-    pub fn wait_edges(&self, out: &mut Vec<crate::waitgraph::WaitEdge>) {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.wait_edges(out),
-            CausalEndpoint::Pccast(e) => e.wait_edges(out),
-        }
-    }
-
-    /// Resolves a link-slot position against the sender-side ARQ log;
-    /// only meaningful for pccast (cbcast has no links).
-    pub fn link_log_lookup(&self, to: usize, seq: u64) -> Option<crate::group::MsgId> {
-        match self {
-            CausalEndpoint::Cbcast(_) => None,
-            CausalEndpoint::Pccast(e) => e.link_log_lookup(to, seq),
+            CausalEndpoint::Cbcast(e) => e.wait_records(every_gap, emit),
+            CausalEndpoint::Pccast(e) => e.wait_records(every_gap, emit),
         }
     }
 
@@ -287,7 +271,7 @@ impl<P: Clone> Endpoint<P> {
             Endpoint::Total(e) => e.on_tick(now),
             Endpoint::TotalToken(e) => {
                 let mut out = e.on_tick(now);
-                if let Some(pass) = e.pass_token() {
+                if let Some(pass) = e.pass_token(now) {
                     out.push(pass);
                 }
                 out
@@ -343,16 +327,15 @@ impl<P: Clone> Endpoint<P> {
         }
     }
 
-    /// Contributes this endpoint's live blocking edges to a wait-graph
-    /// snapshot (read-only; see [`crate::waitgraph`]). `now` stands in
-    /// for waits whose start time is not recorded (a token pass not yet
-    /// resent); all other edges carry their own arrival times.
-    pub fn wait_edges(&self, now: SimTime, out: &mut Vec<crate::waitgraph::WaitEdge>) {
+    /// What is blocked at this member and on what, whichever discipline
+    /// runs underneath (contract in [`crate::waitgraph`]; `every_gap`
+    /// matters only where a causal holdback is walked).
+    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         match self {
-            Endpoint::Fifo(e) => e.wait_edges(out),
-            Endpoint::Causal(e) => e.wait_edges(out),
-            Endpoint::Total(e) => e.wait_edges(out),
-            Endpoint::TotalToken(e) => e.wait_edges(now, out),
+            Endpoint::Fifo(e) => e.wait_records(emit),
+            Endpoint::Causal(e) => e.wait_records(every_gap, emit),
+            Endpoint::Total(e) => e.wait_records(every_gap, emit),
+            Endpoint::TotalToken(e) => e.wait_records(emit),
         }
     }
 
@@ -450,6 +433,73 @@ mod tests {
         let mut names = Vec::new();
         ep.sample(&mut |name, _| names.push(name.to_string()));
         assert!(names.iter().any(|n| n == "abcast.unreleased"));
+    }
+
+    /// A member id off the wire indexes per-member state in every
+    /// discipline (ROADMAP 1e): one from outside the group must be
+    /// refused at the front door and counted, not panic three calls down.
+    #[test]
+    fn member_ids_outside_the_group_are_refused_at_the_front_door() {
+        use crate::group::MsgId;
+        use crate::wire::DataMsg;
+        const N: usize = 3;
+        let masked = |s: &EndpointStats| {
+            // A refused copy is still a receipt where receipts are
+            // counted before admission (cbcast, pccast).
+            let s = EndpointStats {
+                ts_decode_errors: 0,
+                data_received: 0,
+                ..s.clone()
+            };
+            format!("{s:?}")
+        };
+        for (d, discipline, refused) in [
+            (Discipline::Fifo, CausalDiscipline::Cbcast, 4),
+            (Discipline::Causal, CausalDiscipline::Cbcast, 4),
+            (Discipline::Causal, CausalDiscipline::Pccast, 4),
+            (
+                Discipline::Total { sequencer: 0 },
+                CausalDiscipline::Cbcast,
+                4,
+            ),
+            // The token ring has no use for gossip: nothing to refuse.
+            (Discipline::TotalToken, CausalDiscipline::Cbcast, 2),
+        ] {
+            let cfg = GroupConfig {
+                discipline,
+                ..GroupConfig::default()
+            };
+            let mut a: Endpoint<u32> = Endpoint::new(d, 0, N, cfg.clone());
+            let mut b: Endpoint<u32> = Endpoint::new(d, 1, N, cfg);
+            let before = (masked(b.stats()), masked(b.transport_stats()));
+            for who in [N, usize::MAX] {
+                let gossip = Wire::AckGossip {
+                    from: who,
+                    delivered: VectorClock::new(N),
+                };
+                let id = MsgId {
+                    sender: who,
+                    seq: 1,
+                };
+                let data = Wire::Data(DataMsg::new(id, VectorClock::new(N), 9));
+                for hostile in [gossip, data] {
+                    let (dels, out) = b.on_wire(SimTime::ZERO, hostile);
+                    assert!(dels.is_empty() && out.is_empty(), "{d:?}/{discipline:?}");
+                }
+            }
+            let after = (masked(b.stats()), masked(b.transport_stats()));
+            assert_eq!(before, after, "{d:?}/{discipline:?}");
+            let errors = b.transport_stats().ts_decode_errors;
+            assert_eq!(errors, refused, "{d:?}/{discipline:?}");
+            // The endpoint still works: a's first multicast delivers.
+            let (_, out) = a.multicast(SimTime::from_millis(1), 7);
+            let mut delivered = Vec::new();
+            for (_, w) in out {
+                delivered.extend(b.on_wire(SimTime::from_millis(2), w).0);
+            }
+            assert_eq!(delivered.len(), 1, "{d:?}/{discipline:?}");
+            assert_eq!(delivered[0].payload, 7);
+        }
     }
 
     #[test]

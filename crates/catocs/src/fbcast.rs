@@ -9,6 +9,7 @@
 //! is a sequence number.
 
 use crate::group::{GroupConfig, MsgId};
+use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{ObsEvent, ProbeHandle, SpanId, Stage, WaitKind};
@@ -110,28 +111,21 @@ impl<P: Clone> FbcastEndpoint<P> {
         );
     }
 
-    /// Contributes this endpoint's live blocking edges to a wait-graph
-    /// snapshot (read-only; see [`crate::waitgraph`]): an out-of-order
-    /// arrival blocks on the sender's next undelivered sequence (an ARQ
-    /// gap chased via NACK). FIFO has no cross-sender holdback, so these
-    /// are the only blocking edges it can contribute.
-    pub fn wait_edges(&self, out: &mut Vec<crate::waitgraph::WaitEdge>) {
-        use crate::waitgraph::{WaitEdge, WaitNode};
+    /// What every out-of-order arrival waits on (contract in
+    /// [`crate::waitgraph`]): the sender's next undelivered sequence, an
+    /// ARQ gap chased via NACK. FIFO has no cross-sender holdback, so
+    /// these are the only waits it has.
+    pub fn wait_records(&self, emit: &mut dyn FnMut(&WaitRecord)) {
         for (sender, s) in self.streams.iter().enumerate() {
-            let gap = MsgId {
-                sender,
-                seq: s.delivered + 1,
-            };
-            for (&seq, (msg, arrived)) in &s.pending {
-                if seq == gap.seq {
-                    continue;
-                }
-                out.push(WaitEdge {
-                    from: WaitNode::Msg(msg.id),
-                    to: WaitNode::Msg(gap),
+            let seq = s.delivered + 1;
+            let gap = WaitNode::Msg(MsgId { sender, seq });
+            for (msg, arrived) in s.pending.range(seq + 1..).map(|(_, held)| held) {
+                emit(&WaitRecord {
+                    blocked: WaitNode::Msg(msg.id),
                     who: self.me,
                     since: *arrived,
-                    reason: "FIFO gap, awaiting retransmit",
+                    slot: None,
+                    waits: vec![(gap, WaitReason::FifoGap)],
                 });
             }
         }
@@ -189,6 +183,18 @@ impl<P: Clone> FbcastEndpoint<P> {
         let mut out = Vec::new();
         let mut delivered = Vec::new();
         match wire {
+            // A member id off the wire indexes per-member state: one from
+            // outside the group is refused here, counted, and nothing
+            // else is touched.
+            Wire::Data(DataMsg {
+                id: MsgId { sender: who, .. },
+                ..
+            })
+            | Wire::AckGossip { from: who, .. }
+                if who >= self.n =>
+            {
+                self.stats.ts_decode_errors += 1;
+            }
             Wire::Data(msg) => {
                 self.stats.data_received += 1;
                 self.on_data(now, msg, &mut out, &mut delivered);
@@ -418,6 +424,29 @@ mod tests {
                 _ => None,
             })
             .expect("broadcast data")
+    }
+
+    #[test]
+    fn wait_records_name_the_fifo_gap() {
+        let cfg = GroupConfig::default();
+        let mut a = FbcastEndpoint::new(0, 2, cfg.clone());
+        let mut b = FbcastEndpoint::new(1, 2, cfg);
+        let outs: Vec<_> = (0..3).map(|i| a.multicast(t(i), "m").1).collect();
+        b.on_wire(t(3), data_of(&outs[0]));
+        b.on_wire(t(4), data_of(&outs[2]));
+        let mut records = Vec::new();
+        b.wait_records(&mut |r| records.push(r.clone()));
+        let msg = |seq| WaitNode::Msg(MsgId { sender: 0, seq });
+        let want = WaitRecord {
+            blocked: msg(3),
+            who: 1,
+            since: t(4),
+            slot: None,
+            waits: vec![(msg(2), WaitReason::FifoGap)],
+        };
+        assert_eq!(records, [want]);
+        b.on_wire(t(5), data_of(&outs[1]));
+        b.wait_records(&mut |r| panic!("nothing waits now: {r:?}"));
     }
 
     #[test]

@@ -278,6 +278,19 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> Process<Wire<P>> for 
     }
 }
 
+/// Hands an endpoint's outbound messages to the network, for a process
+/// that drives an endpoint itself in a group whose member `k` is
+/// `ProcessId(k)`. `Dest::All` goes to every member but `me` in member
+/// order: the order the network draws each copy's loss and latency in.
+pub fn route<P>(ctx: &mut Ctx<'_, Wire<P>>, me: usize, n: usize, out: Vec<Out<P>>) {
+    for (dest, wire) in out {
+        match dest {
+            Dest::All => ctx.multicast((0..n).filter(|&k| k != me).map(ProcessId), wire),
+            Dest::One(k) => ctx.send(ProcessId(k), wire),
+        }
+    }
+}
+
 /// Builds a full group of [`GroupNode`]s in a fresh set of processes and
 /// returns their ids. All nodes share the discipline, config and an app
 /// produced per member by `make_app`.
@@ -427,6 +440,57 @@ mod tests {
                 assert_eq!(q, *e + 1, "sender {s} out of order at {m}");
                 *e = q;
             }
+        }
+    }
+
+    /// The wait graph over `Endpoint::wait_records` for the disciplines
+    /// the chaos campaigns do not drive: sampled every 50 ms through a
+    /// clean lossy run, the order and token waits come and go but never
+    /// close into a cycle that persists, and a drained group waits on
+    /// nothing.
+    #[test]
+    fn total_order_wait_graphs_have_no_persistent_cycle() {
+        use crate::waitgraph::{analyze, StallTracker, WaitEdge};
+        for discipline in [Discipline::Total { sequencer: 0 }, Discipline::TotalToken] {
+            let mut sim = SimBuilder::new(11)
+                .net(NetConfig::lossy_lan(0.1))
+                .build::<Wire<u32>>();
+            let members = spawn_group(
+                &mut sim,
+                5,
+                discipline,
+                GroupConfig::default(),
+                Some(SimDuration::from_millis(20)),
+                |_| Chatter {
+                    remaining: 12,
+                    seen: Vec::new(),
+                },
+            );
+            let mut tracker = StallTracker::new();
+            let (mut most, mut last) = (0, 0);
+            for tick in 1..=100 {
+                let now = SimTime::from_millis(50 * tick);
+                sim.run_until(now);
+                let mut edges: Vec<WaitEdge> = Vec::new();
+                for &m in &members {
+                    let node = sim.process::<GroupNode<u32, Chatter>>(m).unwrap();
+                    let endpoint = node.endpoint();
+                    endpoint.wait_records(false, &mut |record| edges.extend(record.edges()));
+                }
+                let snap = analyze(&edges, now, &mut tracker);
+                assert_eq!(snap.persistent_cycles(), 0, "{discipline:?} at {now:?}");
+                most = most.max(edges.len());
+                last = edges.len();
+            }
+            assert!(most > 0, "{discipline:?}: the run never waited on anything");
+            // What is left is the token ring's idle state: no member has
+            // anything queued or held.
+            let node = sim.process::<GroupNode<u32, Chatter>>(members[0]).unwrap();
+            assert_eq!(node.app().seen.len(), 60, "{discipline:?}");
+            assert!(
+                last <= 1,
+                "{discipline:?}: {last} waits after the group drained"
+            );
         }
     }
 

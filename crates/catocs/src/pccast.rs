@@ -56,10 +56,9 @@
 //! not hot-path wire state.
 
 use crate::causal_core::{span_of, CausalCore};
-use crate::cbcast::{wait_reason, BlockedReport, LinkWait, LinkWaitStatus, WaitCause};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
-use crate::waitgraph::{WaitEdge, WaitNode};
+use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, Stage, WaitKind};
@@ -80,18 +79,6 @@ enum LinkCopy<P> {
     /// The forwarder garbage-collected this position's payload as stable;
     /// the id consumes like a duplicate once delivered here.
     Skip(MsgId),
-}
-
-/// An undelivered data copy waiting in an incoming link's reorder buffer.
-struct BlockedCopy {
-    /// The link's peer.
-    peer: usize,
-    /// The position the link's cursor waits for.
-    head: u64,
-    /// The copy's own position, arrival time and id.
-    pos: u64,
-    at: SimTime,
-    id: MsgId,
 }
 
 /// Send side of one overlay link.
@@ -200,114 +187,62 @@ impl<P: Clone> PccastEndpoint<P> {
         emit("pccast.stability_lag", self.core.stability_lag() as f64);
     }
 
-    /// Data copies waiting in a link reorder buffer that this member has
-    /// not delivered yet (an already-delivered one is a duplicate
-    /// awaiting consumption, not a blocked message).
-    fn blocked_link_copies(&self) -> impl Iterator<Item = BlockedCopy> + '_ {
-        self.links_in.iter().flat_map(move |(&peer, link)| {
-            let head = link.cursor + 1;
-            link.buf.iter().filter_map(move |(&pos, copy)| match copy {
-                LinkCopy::Data(at, msg) if msg.id.seq > self.core.vt.get(msg.id.sender) => {
-                    Some(BlockedCopy {
-                        peer,
-                        head,
-                        pos,
-                        at: *at,
-                        id: msg.id,
-                    })
-                }
-                _ => None,
-            })
-        })
-    }
-
-    /// Blocked-on explanation, mirroring
-    /// [`crate::cbcast::CbcastEndpoint::blocked_report`] for the repair
-    /// path, plus the pccast fast path: data copies parked in a per-link
-    /// reorder buffer report the link position they wait behind (gap
-    /// awaiting retransmit, skip marker pending, or severed link), and a
-    /// stalled link *head* reports the origin-FIFO predecessors the link
-    /// could not vouch for.
-    pub fn blocked_report(&self) -> Vec<BlockedReport> {
-        let mut by_msg = self.core.held_reports(never_parked);
-        for c in self.blocked_link_copies() {
-            let BlockedCopy { peer, head, id, .. } = c;
-            let entry = by_msg.entry(id).or_insert_with(|| BlockedReport {
-                msg: id,
-                arrived_at: c.at,
-                waits: Vec::new(),
-                link_waits: Vec::new(),
-            });
-            if c.pos > head {
-                let status = if !self.core.alive[peer] {
-                    LinkWaitStatus::Severed
-                } else if let Some(LinkCopy::Skip(_)) = self.links_in[&peer].buf.get(&head) {
-                    LinkWaitStatus::SkipPending
-                } else {
-                    LinkWaitStatus::Gap
-                };
-                entry.link_waits.push(LinkWait {
-                    from: peer,
-                    pos: head,
-                    status,
-                });
-            } else if entry.waits.is_empty() {
-                let o = id.sender;
-                for seq in (self.core.vt.get(o) + 1)..id.seq {
-                    let id = MsgId { sender: o, seq };
-                    entry.waits.push(WaitCause {
-                        id,
-                        status: self.core.classify_wait(id, never_parked),
-                    });
-                }
-            }
-        }
-        by_msg.into_values().collect()
-    }
-
-    /// Contributes this endpoint's live blocking edges to a wait-graph
-    /// snapshot (read-only; see [`crate::waitgraph`]). Repair-path
-    /// entries block on their causal predecessors exactly as in
-    /// [`crate::cbcast::CbcastEndpoint::wait_edges`]; fast-path copies
-    /// parked behind a link-reorder gap block on a
-    /// [`crate::waitgraph::WaitNode::LinkSlot`] that the collector
-    /// resolves against the sender side's ARQ log
-    /// ([`Self::link_log_lookup`]).
-    pub fn wait_edges(&self, out: &mut Vec<WaitEdge>) {
-        self.core.held_wait_edges(never_parked, out);
+    /// What every blocked message here waits on (contract in
+    /// [`crate::waitgraph`]): the repair path's holdback entries, exactly
+    /// as in cbcast, then every undelivered data copy in a link reorder
+    /// buffer (an already-delivered one is a duplicate awaiting
+    /// consumption, not a blocked message). A copy behind its link's
+    /// cursor waits on the position the cursor is stuck at — a
+    /// [`WaitNode::LinkSlot`], which only the sender's ARQ log can put a
+    /// message id to ([`Self::link_log_lookup`]). A link *head* waits on
+    /// the origin-FIFO predecessors the link could not vouch for and on
+    /// whatever gates the fast path; the sampler (`!every_gap`) is told
+    /// the gate alone when there is one.
+    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+        self.core.wait_records(never_parked, every_gap, emit);
         let me = self.core.me;
-        for c in self.blocked_link_copies() {
-            let BlockedCopy { peer, head, id, .. } = c;
-            let edge = |to, reason| WaitEdge {
-                from: WaitNode::Msg(id),
-                to,
-                who: me,
-                since: c.at,
-                reason,
-            };
-            if c.pos > head {
-                let slot = WaitNode::LinkSlot {
-                    to: me,
-                    from: peer,
-                    seq: head,
+        let depth = if every_gap { usize::MAX } else { 1 };
+        let mut waits = Vec::new();
+        for (&peer, link) in &self.links_in {
+            let head = link.cursor + 1;
+            for (&pos, copy) in &link.buf {
+                let LinkCopy::Data(at, msg) = copy else {
+                    continue;
                 };
-                out.push(edge(slot, "link reorder gap"));
-            } else if self.core.frozen {
-                out.push(self.core.frozen_edge(id, c.at));
-            } else if !self.barrier_met {
-                out.push(edge(
-                    WaitNode::Proc(me),
-                    "fast path barred until flush cut reached",
-                ));
-            } else {
-                let next = MsgId {
-                    sender: id.sender,
-                    seq: self.core.vt.get(id.sender) + 1,
-                };
-                if next != id {
-                    let status = self.core.classify_wait(next, never_parked);
-                    out.push(edge(WaitNode::Msg(next), wait_reason(status)));
+                let origin = msg.id.sender;
+                let have = self.core.vt.get(origin);
+                if msg.id.seq <= have {
+                    continue;
                 }
+                if pos > head {
+                    let why = if !self.core.alive[peer] {
+                        WaitReason::Severed
+                    } else if let Some(LinkCopy::Skip(_)) = link.buf.get(&head) {
+                        WaitReason::SkipPending
+                    } else {
+                        WaitReason::LinkGap
+                    };
+                    let slot = WaitNode::LinkSlot {
+                        to: me,
+                        from: peer,
+                        seq: head,
+                    };
+                    waits.push((slot, why));
+                } else {
+                    let gate = if self.core.frozen {
+                        Some(WaitReason::Frozen)
+                    } else if !self.barrier_met {
+                        Some(WaitReason::FastPathBarred)
+                    } else {
+                        None
+                    };
+                    if every_gap || gate.is_none() {
+                        let gaps = ((have + 1)..msg.id.seq).take(depth);
+                        waits.extend(gaps.map(|seq| self.core.wait_on(origin, seq, never_parked)));
+                    }
+                    waits.extend(gate.map(|why| (WaitNode::Proc(me), why)));
+                }
+                waits = self.core.emit_held(msg.id, *at, waits, emit);
             }
         }
     }

@@ -13,6 +13,7 @@
 //! hotspot disappears.
 
 use crate::group::{GroupConfig, MsgId};
+use crate::waitgraph::{PhaseTag, WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
@@ -46,6 +47,9 @@ pub struct TokenAbcastEndpoint<P> {
     /// last send time). Retransmitted until `TokenAck` arrives — a lost
     /// token halts the entire total order.
     unacked_pass: Option<(usize, u64, u64, SimTime)>,
+    /// When the token was last passed on (when an unacknowledged pass
+    /// began to wait — resends do not restart it).
+    passed_at: SimTime,
     /// Observability sink (token rotations). Disabled by default.
     probe: ProbeHandle,
     stats: EndpointStats,
@@ -72,6 +76,7 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
             last_nack: None,
             last_token_hops: 0,
             unacked_pass: None,
+            passed_at: SimTime::ZERO,
             probe: ProbeHandle::none(),
             stats: EndpointStats::default(),
             sent: BTreeMap::new(),
@@ -114,83 +119,46 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
         emit("token.sent_buffer", self.sent.len() as f64);
     }
 
-    /// Contributes this endpoint's live blocking edges to a wait-graph
-    /// snapshot (read-only; see [`crate::waitgraph`]): submissions
-    /// queued without the token block the process on its token-rotation
-    /// phase, an unacknowledged token pass blocks that phase on the
-    /// receiver (a lost token halts the whole order), and buffered data
-    /// beyond a delivery gap blocks on the rotation that fills it.
-    /// `now` stands in for a pass that has not been (re)sent yet.
-    pub fn wait_edges(&self, now: SimTime, out: &mut Vec<crate::waitgraph::WaitEdge>) {
-        use crate::waitgraph::{PhaseTag, WaitEdge, WaitNode};
+    /// What is blocked here and on what (contract in
+    /// [`crate::waitgraph`]): buffered data beyond a delivery gap waits on
+    /// the rotation (or NACK repair) that fills the next slot — every
+    /// stamped message knows its own; submissions queued without the
+    /// token block the process on its rotation phase since the oldest
+    /// was made; and an unacknowledged pass blocks that phase on the
+    /// receiver (a lost token halts the whole order).
+    pub fn wait_records(&self, emit: &mut dyn FnMut(&WaitRecord)) {
         let rotation = WaitNode::Phase {
             kind: PhaseTag::TokenRotation,
             at: self.me,
         };
-        if !self.holding {
-            if let Some((_, submitted)) = self.pending_submit.front() {
-                out.push(WaitEdge {
-                    from: WaitNode::Proc(self.me),
-                    to: rotation,
-                    who: self.me,
-                    since: *submitted,
-                    reason: "submits queued awaiting token",
-                });
-            }
-        }
-        if let Some((receiver, _, _, last_send)) = self.unacked_pass {
-            out.push(WaitEdge {
-                from: rotation,
-                to: WaitNode::Proc(receiver),
+        let mut emit = |blocked, since, slot, on, why| {
+            emit(&WaitRecord {
+                blocked,
                 who: self.me,
-                since: if last_send == SimTime::ZERO {
-                    now
-                } else {
-                    last_send
-                },
-                reason: "token pass unacknowledged",
-            });
-        }
-        for (&gseq, (msg, arrived)) in self.by_gseq.range(self.next_deliver + 1..) {
-            if gseq == self.next_deliver + 1 {
-                continue; // deliverable on the next event, not blocked
-            }
-            out.push(WaitEdge {
-                from: WaitNode::Msg(msg.id),
-                to: rotation,
-                who: self.me,
-                since: *arrived,
-                reason: "total-order gap before this slot",
-            });
-        }
-    }
-
-    /// Snapshot of buffered data stuck behind a total-order gap, with
-    /// the slot each waits on — the token-ring counterpart of
-    /// [`crate::abcast::AbcastEndpoint::order_blocked`]. Here every
-    /// stamped message knows its own slot; what is missing is the data
-    /// for the next deliverable one, which a future token rotation (or
-    /// NACK repair) fills.
-    pub fn order_blocked(&self) -> Vec<crate::abcast::OrderBlocked> {
-        let missing_slot = self.next_deliver + 1;
-        let slot_msg = self.by_gseq.get(&missing_slot).map(|(m, _)| m.id);
-        self.by_gseq
-            .range(self.next_deliver + 2..)
-            .map(|(&gseq, (m, arrived))| crate::abcast::OrderBlocked {
-                msg: m.id,
-                arrived_at: *arrived,
-                gseq: Some(gseq),
-                missing_slot,
-                slot_msg,
+                since,
+                slot,
+                waits: vec![(on, why)],
             })
-            .collect()
-    }
-
-    /// When the oldest queued submission (made without the token) has
-    /// been waiting, if any — the explainer's "how long has this member
-    /// wanted the token?".
-    pub fn oldest_queued_since(&self) -> Option<SimTime> {
-        self.pending_submit.front().map(|(_, t)| *t)
+        };
+        let stuck = self.next_deliver + 1;
+        for (&slot, (msg, arrived)) in self.by_gseq.range(stuck + 1..) {
+            let gap = WaitReason::OrderGap { slot: stuck };
+            emit(WaitNode::Msg(msg.id), *arrived, Some(slot), rotation, gap);
+        }
+        let me = WaitNode::Proc(self.me);
+        if let Some((_, since)) = self.pending_submit.front().filter(|_| !self.holding) {
+            emit(me, *since, None, rotation, WaitReason::TokenQueued);
+        }
+        if let Some((next, ..)) = self.unacked_pass {
+            let next = WaitNode::Proc(next);
+            emit(
+                rotation,
+                self.passed_at,
+                None,
+                next,
+                WaitReason::PassUnacked,
+            );
+        }
     }
 
     /// Submits `payload` for totally ordered multicast. If the token is
@@ -208,11 +176,12 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
     /// Passes the token to the next member in ring order. Call after
     /// draining submissions (typically from the tick handler). The pass
     /// is retransmitted from [`Self::on_tick`] until acknowledged.
-    pub fn pass_token(&mut self) -> Option<Out<P>> {
+    pub fn pass_token(&mut self, now: SimTime) -> Option<Out<P>> {
         if !self.holding {
             return None;
         }
         self.holding = false;
+        self.passed_at = now;
         let next = (self.me + 1) % self.n;
         let hops = self.token_hops + 1;
         let w = Wire::Token {
@@ -262,6 +231,11 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
                         self.unacked_pass = None;
                     }
                 }
+                (Vec::new(), Vec::new())
+            }
+            Wire::Data(msg) if msg.id.sender >= self.n => {
+                // No member sent this; refused at the front door.
+                self.stats.ts_decode_errors += 1;
                 (Vec::new(), Vec::new())
             }
             Wire::Data(msg) => {
@@ -489,13 +463,76 @@ mod tests {
         assert_eq!(b.queued_len(), 0);
     }
 
+    /// The three waits of the ring, from bare endpoints: a queue behind
+    /// the token, a pass nobody has acknowledged, and data past a gap.
+    #[test]
+    fn wait_records_name_the_queue_the_pass_and_the_gap() {
+        let cfg = GroupConfig::default();
+        let rotation = |at| WaitNode::Phase {
+            kind: PhaseTag::TokenRotation,
+            at,
+        };
+        let record = |blocked, who, since, on, why| WaitRecord {
+            blocked,
+            who,
+            since,
+            slot: None,
+            waits: vec![(on, why)],
+        };
+        let records = |ep: &TokenAbcastEndpoint<&'static str>| {
+            let mut out = Vec::new();
+            ep.wait_records(&mut |r| out.push(r.clone()));
+            out
+        };
+
+        // Submissions without the token: since the oldest one.
+        let mut b = TokenAbcastEndpoint::new(1, 3, cfg.clone());
+        b.submit(t(4), "y1");
+        b.submit(t(6), "y2");
+        let queued = WaitReason::TokenQueued;
+        let want = record(WaitNode::Proc(1), 1, t(4), rotation(1), queued);
+        assert_eq!(records(&b), [want]);
+
+        // The holder has nothing to wait for until it passes the token
+        // on; the pass then waits on the receiver from the moment it was
+        // made, however often it is resent.
+        let mut a = TokenAbcastEndpoint::new(0, 3, cfg.clone());
+        let sent: Vec<_> = (0..3).map(|i| a.submit(t(i), "a").1).collect();
+        assert_eq!(records(&a), []);
+        a.pass_token(t(7));
+        a.on_tick(t(7) + cfg.nack_timeout);
+        let unacked = WaitReason::PassUnacked;
+        let want = record(rotation(0), 0, t(7), WaitNode::Proc(1), unacked);
+        assert_eq!(records(&a), std::slice::from_ref(&want));
+        // A submission made now queues behind the token it gave away.
+        a.submit(t(9), "late");
+        let queue = record(WaitNode::Proc(0), 0, t(9), rotation(0), queued);
+        assert_eq!(records(&a), [queue, want]);
+        a.on_wire(t(10), Wire::TokenAck { hops: 1 });
+        assert_eq!(records(&a).len(), 1);
+
+        // Slot 3 arrives at c with slot 2 missing: one record, for the
+        // copy past the gap — nothing for delivered slot 1.
+        let mut c = TokenAbcastEndpoint::new(2, 3, cfg);
+        let data = |i: usize| sent[i][0].1.clone();
+        assert_eq!(c.on_wire(t(11), data(0)).0.len(), 1);
+        c.on_wire(t(12), data(2));
+        let id = MsgId { sender: 0, seq: 3 };
+        let gap = WaitReason::OrderGap { slot: 2 };
+        let mut want = record(WaitNode::Msg(id), 2, t(12), rotation(2), gap);
+        want.slot = Some(3);
+        assert_eq!(records(&c), [want]);
+        assert_eq!(c.on_wire(t(13), data(1)).0.len(), 2);
+        assert_eq!(records(&c), []);
+    }
+
     #[test]
     fn global_order_consistent_across_members() {
         let cfg = GroupConfig::default();
         let mut a = TokenAbcastEndpoint::new(0, 2, cfg.clone());
         let mut b = TokenAbcastEndpoint::new(1, 2, cfg);
         let (_, oa) = a.submit(t(0), "a1");
-        let tok = a.pass_token().unwrap();
+        let tok = a.pass_token(t(0)).unwrap();
         let (_, ob_pre) = b.submit(t(1), "b1");
         assert!(ob_pre.is_empty());
         let (_, ob) = b.on_wire(t(2), tok.1);
@@ -551,7 +588,7 @@ mod tests {
     fn lost_token_is_retransmitted() {
         let cfg = GroupConfig::default();
         let mut a = TokenAbcastEndpoint::<u32>::new(0, 2, cfg.clone());
-        let pass = a.pass_token().expect("pass");
+        let pass = a.pass_token(SimTime::ZERO).expect("pass");
         // The pass is lost; a tick after the timeout retransmits it.
         let out = a.on_tick(SimTime::ZERO + cfg.nack_timeout);
         assert!(
@@ -586,7 +623,7 @@ mod tests {
         assert!(o1.iter().any(|(_, w)| matches!(w, Wire::TokenAck { .. })));
         assert!(b.holding_token());
         // Retransmitted duplicate: acked again, not re-consumed.
-        let _ = b.pass_token();
+        let _ = b.pass_token(SimTime::from_millis(1));
         let (_, o2) = b.on_wire(SimTime::from_millis(2), tok);
         assert!(o2.iter().any(|(_, w)| matches!(w, Wire::TokenAck { .. })));
         assert!(!b.holding_token(), "duplicate must not re-grant the token");
@@ -595,11 +632,11 @@ mod tests {
     #[test]
     fn token_hops_count() {
         let mut a = TokenAbcastEndpoint::<u32>::new(0, 2, GroupConfig::default());
-        let tok = a.pass_token().unwrap();
+        let tok = a.pass_token(SimTime::ZERO).unwrap();
         match tok.1 {
             Wire::Token { hops, .. } => assert_eq!(hops, 1),
             _ => panic!("expected token"),
         }
-        assert!(a.pass_token().is_none(), "cannot pass twice");
+        assert!(a.pass_token(SimTime::ZERO).is_none(), "cannot pass twice");
     }
 }

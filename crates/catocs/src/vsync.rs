@@ -35,14 +35,16 @@
 //! decode chains across view installs) so each fix keeps a failing seed
 //! pinned against it.
 
-use crate::cbcast::BlockedReport;
 use crate::endpoint::CausalEndpoint;
 use crate::failure::FailureDetector;
 use crate::group::{GroupConfig, MsgId};
+use crate::harness::route;
 use crate::ledger::{LatencySummary, TeeProbe};
 use crate::membership::{FlushAction, MembershipEngine};
-use crate::waitgraph::{analyze, PhaseTag, StallSnapshot, StallTracker, WaitEdge, WaitNode};
-use crate::wire::{Dest, Out, Wire};
+use crate::waitgraph::{
+    analyze, PhaseTag, StallSnapshot, StallTracker, WaitEdge, WaitNode, WaitReason, WaitRecord,
+};
+use crate::wire::{Dest, Wire};
 use clocks::vector::VectorClock;
 use simnet::fault::{FaultPlan, FaultPlanConfig};
 use simnet::metrics::Histogram;
@@ -510,10 +512,10 @@ pub struct CampaignResult {
     /// Computed from the logs alone, so probed and unprobed runs of the
     /// same seed produce the same digest.
     pub digest: u64,
-    /// Per-process holdback wait-graphs at the horizon: for every process
-    /// with messages still blocked in holdback, what each waits on and
-    /// why. Feeds the `experiments explain` CLI.
-    pub blocked_reports: Vec<(usize, Vec<BlockedReport>)>,
+    /// What was still blocked at the horizon at every process that was
+    /// up, and everything each waits on (every gap of every lagging
+    /// sender). Feeds the `experiments explain` CLI.
+    pub blocked_reports: Vec<WaitRecord>,
     /// Hold-time distribution merged across every node: how long each
     /// remotely-delivered message sat in holdback before release.
     /// Informational — not folded into [`Self::digest`], so it can grow
@@ -632,48 +634,33 @@ impl ChaosNode {
         &self.hold_hist
     }
 
-    /// Every blocking edge this node contributes to a wait-graph
-    /// snapshot: the endpoint's holdback and link-reorder waits, plus
-    /// the membership layer's flush barrier — any member mid-flush
-    /// blocks on the coordinator's flush phase, and at the coordinator
-    /// the phase itself blocks on each member whose FlushOk is missing.
-    /// Read-only and work-counter-neutral.
-    pub fn wait_edges(&self) -> Vec<WaitEdge> {
-        let mut edges = Vec::new();
-        self.endpoint.wait_edges(&mut edges);
+    /// What is blocked at this node and on what (contract in
+    /// [`crate::waitgraph`]): the endpoint's holdback and link-reorder
+    /// waits, plus the membership layer's flush barrier — any member
+    /// mid-flush blocks on the coordinator's flush phase, and at the
+    /// coordinator the phase itself blocks on each member whose FlushOk
+    /// is missing.
+    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+        self.endpoint.wait_records(every_gap, emit);
         if let Some(fw) = self.engine.flush_waits() {
             let phase = WaitNode::Phase {
                 kind: PhaseTag::Flush,
                 at: fw.coordinator,
             };
-            edges.push(WaitEdge {
-                from: WaitNode::Proc(self.me),
-                to: phase,
+            let record = |blocked, waits| WaitRecord {
+                blocked,
                 who: self.me,
                 since: fw.since,
-                reason: "mid-flush, delivery blacked out until install",
-            });
-            for q in fw.missing_acks {
-                edges.push(WaitEdge {
-                    from: phase,
-                    to: WaitNode::Proc(q),
-                    who: self.me,
-                    since: fw.since,
-                    reason: "FlushOk not received",
-                });
-            }
-        }
-        edges
-    }
-
-    fn route(&self, ctx: &mut Ctx<'_, Wire<u64>>, out: Vec<Out<u64>>) {
-        for (dest, w) in out {
-            match dest {
-                Dest::All => {
-                    let me = self.me;
-                    ctx.multicast((0..self.n).filter(|&k| k != me).map(ProcessId), w);
-                }
-                Dest::One(k) => ctx.send(ProcessId(k), w),
+                slot: None,
+                waits,
+            };
+            let me = WaitNode::Proc(self.me);
+            emit(&record(me, vec![(phase, WaitReason::MidFlush)]));
+            // Only the coordinator tracks acks.
+            if !fw.missing_acks.is_empty() {
+                let acks = fw.missing_acks.iter();
+                let acks = acks.map(|&q| (WaitNode::Proc(q), WaitReason::FlushOkMissing));
+                emit(&record(phase, acks.collect()));
             }
         }
     }
@@ -691,7 +678,7 @@ impl ChaosNode {
         match action {
             FlushAction::RetransmitUnstable => {
                 let flushed = self.endpoint.flush_unstable();
-                self.route(ctx, flushed);
+                route(ctx, self.me, self.n, flushed);
                 // Delivery blackout: our FlushOk clock must stay an upper
                 // bound on what we have delivered until the view installs.
                 self.endpoint.freeze(ctx.now());
@@ -708,7 +695,7 @@ impl ChaosNode {
                         .on_view_install(ctx.now(), view.id.0, &members, &cut);
                 // pccast re-forwards thawed deliveries on its fresh
                 // links; cbcast emits nothing here.
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
                 self.log_deliveries(thawed);
             }
             FlushAction::None => {}
@@ -733,17 +720,17 @@ impl Process<Wire<u64>> for ChaosNode {
             Wire::Heartbeat { from, view_id } => {
                 self.detector.heard_from(*from, ctx.now());
                 let out = self.engine.on_heartbeat(*from, *view_id);
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
             }
             Wire::Flush { .. } | Wire::FlushOk { .. } | Wire::Install { .. } => {
                 let clock = self.endpoint.clock().clone();
                 let (action, out) = self.engine.on_wire(ctx.now(), &msg, &clock);
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
                 self.handle_action(ctx, action);
             }
             _ => {
                 let (dels, out) = self.endpoint.on_wire(ctx.now(), msg);
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
                 self.log_deliveries(dels);
             }
         }
@@ -756,13 +743,13 @@ impl Process<Wire<u64>> for ChaosNode {
                     return; // stale chain from before a crash
                 }
                 let out = self.endpoint.on_tick(ctx.now());
-                self.route(ctx, out);
+                route(ctx, self.me, self.n, out);
                 if self.detector.should_beat(ctx.now()) {
                     let hb = Wire::Heartbeat {
                         from: self.me,
                         view_id: self.engine.view().id,
                     };
-                    self.route(ctx, vec![(Dest::All, hb)]);
+                    route(ctx, self.me, self.n, vec![(Dest::All, hb)]);
                 }
                 // Full suspect set every tick (not just new suspicions):
                 // this is what re-derives a completable proposal after a
@@ -772,12 +759,12 @@ impl Process<Wire<u64>> for ChaosNode {
                 if !suspects.is_empty() {
                     let clock = self.endpoint.clock().clone();
                     let (action, out) = self.engine.suspect(ctx.now(), &suspects, &clock);
-                    self.route(ctx, out);
+                    route(ctx, self.me, self.n, out);
                     self.handle_action(ctx, action);
                 }
                 let clock = self.endpoint.clock().clone();
                 let retries = self.engine.on_tick(ctx.now(), &clock);
-                self.route(ctx, retries);
+                route(ctx, self.me, self.n, retries);
                 self.armed_tick = ctx.now() + TICK_EVERY;
                 ctx.set_timer(TICK, TICK_EVERY);
             }
@@ -793,7 +780,7 @@ impl Process<Wire<u64>> for ChaosNode {
                     let vt = self.endpoint.clock().clone();
                     self.events.push(NodeEvent::Send { id: d.id, vt });
                     self.events.push(NodeEvent::Deliver { id: d.id });
-                    self.route(ctx, out);
+                    route(ctx, self.me, self.n, out);
                 }
                 self.armed_app = ctx.now() + self.app_every;
                 ctx.set_timer(APP, self.app_every);
@@ -863,45 +850,41 @@ fn digest_logs(logs: &[ProcessLog]) -> u64 {
 /// processes, whose stale holdback is not "blocked" — resolves pccast
 /// link-slot waits against the sender side's ARQ logs (only a global
 /// view can name the message occupying a constant-metadata link
-/// position), and analyses the merged graph. When `hist` is given,
-/// every blocked edge's age is recorded into it. Pure over `&self`
-/// views: calling this cannot perturb the run.
-pub fn snapshot_stalls(
+/// position), records every edge's age into `hist` and analyses the
+/// merged graph. Pure over `&self` views: calling this cannot perturb
+/// the run.
+fn snapshot_stalls(
     at: SimTime,
     procs: &[(&dyn Any, bool)],
     tracker: &mut StallTracker,
-    hist: Option<&mut Histogram>,
+    hist: &mut Histogram,
 ) -> StallSnapshot {
     let nodes: Vec<Option<&ChaosNode>> = procs
         .iter()
-        .map(|(p, alive)| {
-            if *alive {
-                p.downcast_ref::<ChaosNode>()
-            } else {
-                None
-            }
-        })
+        .map(|&(p, alive)| p.downcast_ref::<ChaosNode>().filter(|_| alive))
         .collect();
-    let mut edges = Vec::new();
+    let mut edges: Vec<WaitEdge> = Vec::new();
     for node in nodes.iter().flatten() {
-        edges.extend(node.wait_edges());
+        // The sampler's depth: the first gap of each lagging sender.
+        node.wait_records(false, &mut |record| edges.extend(record.edges()));
     }
     for e in &mut edges {
-        if let WaitNode::LinkSlot { to, from, seq } = e.to {
-            if let Some(Some(sender)) = nodes.get(from) {
-                if let Some(id) = sender.endpoint.link_log_lookup(to, seq) {
-                    e.to = WaitNode::Msg(id);
-                }
+        let WaitNode::LinkSlot { to, from, seq } = e.to else {
+            continue;
+        };
+        if let Some(Some(sender)) = nodes.get(from) {
+            if let CausalEndpoint::Pccast(sender) = &sender.endpoint {
+                e.to = sender.link_log_lookup(to, seq).map_or(e.to, WaitNode::Msg);
             }
         }
     }
     // Deterministic analysis input regardless of per-endpoint iteration
-    // order (indexed holdbacks iterate in hash order).
-    edges.sort_by(|a, b| (a.from, a.to, a.since, a.reason).cmp(&(b.from, b.to, b.since, b.reason)));
-    if let Some(h) = hist {
-        for e in &edges {
-            h.record(at.saturating_since(e.since));
-        }
+    // order. Ties in (from, to, since) fall to the short phrase, as they
+    // did when the reason was that string: representative paths depend
+    // on this order.
+    edges.sort_by_key(|e| (e.from, e.to, e.since, e.reason.phrase()));
+    for e in &edges {
+        hist.record(at.saturating_since(e.since));
     }
     analyze(&edges, at, tracker)
 }
@@ -964,12 +947,8 @@ pub fn run_campaign_with_opts(
         let timeline = Rc::clone(&timeline);
         let tee = tee.clone();
         sim.set_group_sampler(Box::new(move |at, procs, metrics| {
-            let snap = snapshot_stalls(
-                at,
-                procs,
-                &mut tracker.borrow_mut(),
-                Some(&mut wait_hist.borrow_mut()),
-            );
+            let (tracker, hist) = (&mut tracker.borrow_mut(), &mut wait_hist.borrow_mut());
+            let snap = snapshot_stalls(at, procs, tracker, hist);
             metrics.sample("ts.stall.count", at, snap.stalls.len() as f64);
             metrics.sample("ts.stall.max_age_ms", at, snap.max_age.as_millis_f64());
             metrics.sample("ts.stall.worst_scc", at, snap.worst_scc_size as f64);
@@ -994,10 +973,8 @@ pub fn run_campaign_with_opts(
         // Wait-graphs are only meaningful for processes that were up at
         // the horizon: a crashed node's stale holdback is not "blocked".
         if !crashed.contains(&p) {
-            let reports = node.endpoint.blocked_report();
-            if !reports.is_empty() {
-                blocked_reports.push((p, reports));
-            }
+            let keep = &mut |record: &WaitRecord| blocked_reports.push(record.clone());
+            node.endpoint.wait_records(true, keep);
         }
         logs.push(ProcessLog {
             who: p,
@@ -1008,14 +985,6 @@ pub fn run_campaign_with_opts(
             parked: node.endpoint.parked_len() as u64,
             frozen: node.endpoint.is_frozen(),
         });
-        if std::env::var("CHAOS_ENGINE_DEBUG").is_ok() {
-            eprintln!(
-                "p{p}: view={:?} proposal={:?} suspects={:?}",
-                node.engine.view(),
-                node.engine.proposal(),
-                node.detector.suspects(),
-            );
-        }
     }
 
     let violations = check(&logs);

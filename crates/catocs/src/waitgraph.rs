@@ -29,9 +29,33 @@
 //!   post-mortem can print *who* is wedged on *what* and for how long.
 //!
 //! Everything here is pure and deterministic: same edges in, same ranking
-//! out, byte-identical across reruns. Collection (`wait_edges` on the
-//! endpoints, [`crate::vsync`] for the membership layer) is `&self` and
-//! work-counter-neutral, so snapshotting cannot perturb a run's digest.
+//! out, byte-identical across reruns.
+//!
+//! # One walk, one vocabulary
+//!
+//! Every layer that can block answers "who waits on what" from one
+//! function, `wait_records`: the causal core's holdback, pccast's link
+//! buffers, fbcast's per-sender gaps, abcast's unreleased set, the token
+//! ring's queue, pass and gaps, [`crate::vsync`]'s flush barrier. Each
+//! hands `emit` a [`WaitRecord`] per blocked thing (borrowed: the hot
+//! walkers refill one record, so a reader that keeps it clones it); the
+//! 50 ms sampler, `experiments explain` and the incident dump all read
+//! those. A walker
+//!
+//! - is read-only and work-counter-neutral: `&self`, and holdback
+//!   membership through `peek`, never the counted `contains`, so looking
+//!   cannot move a digest or a `holdback_work` figure;
+//! - takes one parameter, `every_gap`: whether a lagging sender is
+//!   enumerated to its first missing message (the sampler: that is the
+//!   blocker everything deeper queues behind, and every gap would square
+//!   the edge count on the hot path) or to all of them (the horizon
+//!   post-mortem);
+//! - emits a record even when nothing is missing: the renderer, not a
+//!   second walker, decides how a message only the freeze holds prints.
+//!
+//! [`WaitReason`] is the one reason type, rendered two ways: the short
+//! [`WaitReason::phrase`] of stall paths and the long
+//! [`WaitReason::sentence`] of `explain` (EXPERIMENTS.md tabulates both).
 
 use crate::group::MsgId;
 use simnet::time::{SimDuration, SimTime};
@@ -113,6 +137,167 @@ impl fmt::Display for WaitNode {
     }
 }
 
+/// Why one thing waits on another: the one reason type behind stall
+/// paths, `experiments explain` and the incident dump.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WaitReason {
+    /// The predecessor sits in this holdback queue too; its own missing
+    /// predecessors are the real blockers — follow the chain.
+    HeldHere,
+    /// A delta-stamped copy of the predecessor arrived but cannot decode
+    /// until its chain base is re-seeded.
+    Parked,
+    /// The predecessor is known missing and chased via NACK;
+    /// `referenced_by` is the member whose message first referenced it.
+    Chased { referenced_by: usize },
+    /// The predecessor's sender was removed by a view change and the id
+    /// lies beyond the agreed `cut`: no survivor may ever deliver it.
+    NeverDeliverable { cut: u64 },
+    /// Nothing references the predecessor yet from this process's view.
+    Unknown,
+    /// Nothing has arrived at the pccast link position the cursor waits
+    /// for (the link sender owes a retransmission).
+    LinkGap,
+    /// A skip marker holds the link position, not yet consumed; the copy
+    /// will arrive by another route.
+    SkipPending,
+    /// The link's sender is dead or evicted: only a view change clears
+    /// the position.
+    Severed,
+    /// Delivery at this process is frozen by a flush in progress.
+    Frozen,
+    /// A pccast link head after a view install: fast-path delivery is
+    /// barred until the delivered clock reaches the flush cut.
+    FastPathBarred,
+    /// The process is mid-flush: delivery blacked out until the install.
+    MidFlush,
+    /// At the flush coordinator: this member's `FlushOk` is missing.
+    FlushOkMissing,
+    /// An fbcast arrival ahead of its sender's next undelivered sequence.
+    FifoGap,
+    /// Causally delivered, but its order assignment has not arrived.
+    OrderUnassigned,
+    /// Release is stuck on `slot`, whose assignment is here and whose
+    /// message is not.
+    SlotDataMissing { slot: u64 },
+    /// Release is stuck on `slot`, of which nothing is known here (no
+    /// assignment from the sequencer; no data from the token rotation).
+    OrderGap { slot: u64 },
+    /// Submissions queued at a member that does not hold the token.
+    TokenQueued,
+    /// A token pass the receiver has not acknowledged (a lost token
+    /// halts the whole order).
+    PassUnacked,
+}
+
+impl WaitReason {
+    /// The short phrase a stall path carries. Specifics (cuts, slots,
+    /// referencing members) live in the nodes and in [`Self::sentence`].
+    pub fn phrase(self) -> &'static str {
+        match self {
+            WaitReason::HeldHere => "predecessor held here too",
+            WaitReason::Parked => "predecessor parked (delta undecodable)",
+            WaitReason::Chased { .. } => "predecessor missing, chased via NACK",
+            WaitReason::NeverDeliverable { .. } => "predecessor never deliverable (beyond cut)",
+            WaitReason::Unknown => "predecessor not yet observed",
+            WaitReason::LinkGap | WaitReason::SkipPending | WaitReason::Severed => {
+                "link reorder gap"
+            }
+            WaitReason::Frozen => "delivery frozen by flush",
+            WaitReason::FastPathBarred => "fast path barred until flush cut reached",
+            WaitReason::MidFlush => "mid-flush, delivery blacked out until install",
+            WaitReason::FlushOkMissing => "FlushOk not received",
+            WaitReason::FifoGap => "FIFO gap, awaiting retransmit",
+            WaitReason::OrderUnassigned => "awaiting order assignment",
+            WaitReason::SlotDataMissing { .. } => "next total-order slot's data not arrived",
+            WaitReason::OrderGap { .. } => "total-order gap before this slot",
+            WaitReason::TokenQueued => "submits queued awaiting token",
+            WaitReason::PassUnacked => "token pass unacknowledged",
+        }
+    }
+
+    /// The long sentence `experiments explain` prints for a wait on `on`:
+    /// what is waited for, a dash, and why it is absent. `Frozen` and
+    /// `TokenQueued` are bare clauses the renderer fits into a line of
+    /// its own; total-order waits end in the latency ledger's name for
+    /// the phase. Reasons no tool prints in long form yet fall back to
+    /// the phrase.
+    pub fn sentence(self, on: WaitNode) -> String {
+        // A link wait names the incoming link and position: the receiver
+        // is the process the line is printed under.
+        let what = match on {
+            WaitNode::LinkSlot { from, seq, .. } => format!("link p{from} pos {seq}"),
+            _ => on.to_string(),
+        };
+        // The process a phase is anchored at: `order@P0`'s sequencer.
+        let (by, token) = match on {
+            WaitNode::Phase { kind, at } => (format!("P{at}"), kind == PhaseTag::TokenRotation),
+            _ => (what.clone(), false),
+        };
+        let why = match self {
+            WaitReason::HeldHere => "held here (waiting on its own predecessors)".into(),
+            WaitReason::Parked => "parked (delta undecodable until chain re-seeds)".into(),
+            WaitReason::Chased { referenced_by } => {
+                format!("missing; chased via NACK (referenced by P{referenced_by})")
+            }
+            WaitReason::NeverDeliverable { cut } => {
+                format!("never deliverable (sender removed, beyond cut {cut})")
+            }
+            WaitReason::Unknown => "not yet observed".into(),
+            WaitReason::LinkGap => "nothing arrived (ARQ gap, awaiting retransmit)".into(),
+            WaitReason::SkipPending => "skip marker pending consumption".into(),
+            WaitReason::Severed => "link severed (sender dead or evicted)".into(),
+            WaitReason::Frozen => return "delivery frozen by an in-progress flush".into(),
+            WaitReason::TokenQueued => return "submissions queued awaiting the token".into(),
+            WaitReason::OrderUnassigned => {
+                return format!("its own order assignment — not yet arrived from sequencer {by} [order]")
+            }
+            WaitReason::SlotDataMissing { slot } => {
+                return format!("order slot {slot} = {what} — slot's data not arrived here [order]")
+            }
+            WaitReason::OrderGap { slot } if token => {
+                return format!("order slot {slot} — awaiting the rotation (or NACK repair) that fills it [token]")
+            }
+            WaitReason::OrderGap { slot } => {
+                return format!("order slot {slot} — no assignment for that slot has arrived from sequencer {by} [order]")
+            }
+            other => other.phrase().to_string(),
+        };
+        format!("{what} — {why}")
+    }
+}
+
+/// One blocked thing at one process and everything it waits on — what
+/// every layer's `wait_records` walker emits (see the module docs for
+/// the contract). `waits` may be empty: the thing is held but nothing it
+/// needs is missing (queued for delivery).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct WaitRecord {
+    /// The blocked thing.
+    pub blocked: WaitNode,
+    /// The process at which it is blocked.
+    pub who: usize,
+    /// Virtual time the wait began (for a message, its arrival).
+    pub since: SimTime,
+    /// A blocked message's own slot in the total order, once assigned.
+    pub slot: Option<u64>,
+    /// What it waits on, and why each is absent.
+    pub waits: Vec<(WaitNode, WaitReason)>,
+}
+
+impl WaitRecord {
+    /// The record as wait-graph edges, one per wait.
+    pub fn edges(&self) -> impl Iterator<Item = WaitEdge> + '_ {
+        self.waits.iter().map(|&(to, reason)| WaitEdge {
+            from: self.blocked,
+            to,
+            who: self.who,
+            since: self.since,
+            reason,
+        })
+    }
+}
+
 /// One "blocked on" edge, observed at a single process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WaitEdge {
@@ -124,8 +309,8 @@ pub struct WaitEdge {
     pub who: usize,
     /// Virtual time the wait began (edge age = now − since).
     pub since: SimTime,
-    /// Why, in one static phrase (specifics live in the nodes).
-    pub reason: &'static str,
+    /// Why (specifics beyond the nodes live in the reason's fields).
+    pub reason: WaitReason,
 }
 
 /// One step of a representative stall path: a node, the reason for the
@@ -533,7 +718,7 @@ fn representative_path(
         .into_iter()
         .map(|(v, ei)| PathStep {
             node: nodes[v],
-            reason: edges[ei].reason,
+            reason: edges[ei].reason.phrase(),
             age: now.saturating_since(edges[ei].since),
         })
         .collect();
@@ -557,7 +742,7 @@ fn representative_path(
                     .expect("adjacency implies an edge");
                 path.push(PathStep {
                     node: nodes[cur],
-                    reason: edges[ei].reason,
+                    reason: edges[ei].reason.phrase(),
                     age: now.saturating_since(edges[ei].since),
                 });
                 if in_comp_seen[w] {
@@ -596,7 +781,7 @@ mod tests {
         WaitNode::Msg(MsgId { sender, seq })
     }
 
-    fn edge(from: WaitNode, to: WaitNode, since_ms: u64, reason: &'static str) -> WaitEdge {
+    fn edge(from: WaitNode, to: WaitNode, since_ms: u64, reason: WaitReason) -> WaitEdge {
         WaitEdge {
             from,
             to,
@@ -604,6 +789,12 @@ mod tests {
             since: t(since_ms),
             reason,
         }
+    }
+
+    /// A campaign's horizon report holds tens of thousands of waits.
+    #[test]
+    fn a_wait_stays_small() {
+        assert!(std::mem::size_of::<(WaitNode, WaitReason)>() <= 48);
     }
 
     #[test]
@@ -619,8 +810,8 @@ mod tests {
     fn chain_yields_single_wedge_head() {
         // m0.1 -> m1.1 -> m2.1: the terminal wedge head is m2.1.
         let edges = vec![
-            edge(msg(0, 1), msg(1, 1), 10, "needs predecessor"),
-            edge(msg(1, 1), msg(2, 1), 5, "needs predecessor"),
+            edge(msg(0, 1), msg(1, 1), 10, WaitReason::Unknown),
+            edge(msg(1, 1), msg(2, 1), 5, WaitReason::Unknown),
         ];
         let mut tr = StallTracker::new();
         let s = analyze(&edges, t(100), &mut tr);
@@ -644,12 +835,12 @@ mod tests {
         };
         let edges = vec![
             // A 2-cycle: P0 waits on the flush, the flush waits on P0's ack.
-            edge(WaitNode::Proc(0), flush, 10, "awaiting install"),
-            edge(flush, WaitNode::Proc(0), 10, "missing FlushOk"),
+            edge(WaitNode::Proc(0), flush, 10, WaitReason::MidFlush),
+            edge(flush, WaitNode::Proc(0), 10, WaitReason::FlushOkMissing),
             // Messages wedged behind it.
-            edge(msg(4, 34), WaitNode::Proc(0), 20, "frozen by flush"),
+            edge(msg(4, 34), WaitNode::Proc(0), 20, WaitReason::Frozen),
             // An unrelated small wedge.
-            edge(msg(3, 1), msg(3, 0), 90, "needs predecessor"),
+            edge(msg(3, 1), msg(3, 0), 90, WaitReason::Unknown),
         ];
         let mut tr = StallTracker::new();
         let s = analyze(&edges, t(100), &mut tr);
@@ -678,7 +869,7 @@ mod tests {
             WaitNode::Proc(1),
             WaitNode::Proc(1),
             0,
-            "waits on itself",
+            WaitReason::Unknown,
         )];
         let mut tr = StallTracker::new();
         let s = analyze(&edges, t(50), &mut tr);
@@ -689,7 +880,7 @@ mod tests {
 
     #[test]
     fn persistence_counts_consecutive_snapshots_only() {
-        let edges = vec![edge(msg(0, 2), msg(0, 1), 0, "needs predecessor")];
+        let edges = vec![edge(msg(0, 2), msg(0, 1), 0, WaitReason::Unknown)];
         let mut tr = StallTracker::new();
         let s1 = analyze(&edges, t(50), &mut tr);
         assert_eq!(s1.stalls[0].persistence, 1);
@@ -714,10 +905,10 @@ mod tests {
         let head_a = msg(9, 1);
         let head_b = msg(9, 2);
         let edges = vec![
-            edge(msg(0, 1), head_a, 0, "w"),
-            edge(msg(1, 1), head_b, 0, "w"),
-            edge(msg(2, 1), head_b, 0, "w"),
-            edge(msg(3, 1), head_b, 0, "w"),
+            edge(msg(0, 1), head_a, 0, WaitReason::Unknown),
+            edge(msg(1, 1), head_b, 0, WaitReason::Unknown),
+            edge(msg(2, 1), head_b, 0, WaitReason::Unknown),
+            edge(msg(3, 1), head_b, 0, WaitReason::Unknown),
         ];
         let mut tr = StallTracker::new();
         let s = analyze(&edges, t(100), &mut tr);
@@ -733,10 +924,10 @@ mod tests {
             at: 0,
         };
         let edges = vec![
-            edge(WaitNode::Proc(3), flush, 7, "awaiting install"),
-            edge(flush, WaitNode::Proc(3), 9, "missing FlushOk"),
-            edge(msg(1, 5), WaitNode::Proc(3), 11, "frozen by flush"),
-            edge(msg(2, 2), msg(1, 5), 13, "needs predecessor"),
+            edge(WaitNode::Proc(3), flush, 7, WaitReason::MidFlush),
+            edge(flush, WaitNode::Proc(3), 9, WaitReason::FlushOkMissing),
+            edge(msg(1, 5), WaitNode::Proc(3), 11, WaitReason::Frozen),
+            edge(msg(2, 2), msg(1, 5), 13, WaitReason::Unknown),
         ];
         let run = || {
             let mut tr = StallTracker::new();

@@ -454,7 +454,7 @@ fn introspection_outputs_replay_their_pinned_digests() {
         incident,
         0x3077_2023_0c45_3015,
     );
-    pin("explain 2 abcast at 60", abcast, 0xa940_4b7b_6671_ff4b);
+    pin("explain 2 abcast at 60", abcast, 0x96b1_2632_3336_18a3);
     pin("explain 2 token at 60", token, 0xf4e2_77fc_ffae_d42e);
 
     let sampled = |seed: u64, knobs: BugKnobs, discipline: CausalDiscipline| {
