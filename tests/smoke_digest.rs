@@ -6,12 +6,14 @@
 //! that moves a wire message, a timer, an RNG draw or a delivery order
 //! fails here, under the Tier-1 `cargo test -q`.
 
+use bench::experiments::chaos;
 use catocs::cbcast::CbcastEndpoint;
 use catocs::endpoint::Discipline;
 use catocs::group::CausalDiscipline::{self, Cbcast, Pccast};
 use catocs::group::{GroupConfig, MsgId};
 use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
-use catocs::vsync::{run_campaign, CampaignConfig};
+use catocs::vsync::{run_campaign, BugKnobs, CampaignConfig, CampaignResult};
+use catocs::waitgraph::RankedStall;
 use catocs::wire::{Dest, Wire};
 use simnet::net::NetConfig;
 use simnet::process::ProcessId;
@@ -359,6 +361,25 @@ fn text_digest(s: &str) -> u64 {
     h
 }
 
+/// The campaigns whose 50 ms wait-graph sampler output is pinned: the
+/// wedged flush, two churned cbcast groups, two pccast groups with link
+/// gaps.
+fn sampler_campaigns() -> [CampaignResult; 5] {
+    let clean = BugKnobs::default();
+    let wedged = BugKnobs {
+        no_flush_retry: true,
+        ..clean
+    };
+    [
+        (2, wedged, Cbcast),
+        (23, clean, Cbcast),
+        (137, clean, Cbcast),
+        (1, clean, Pccast),
+        (54, clean, Pccast),
+    ]
+    .map(|(seed, knobs, discipline)| chaos::run_seed_d(seed, true, true, knobs, discipline))
+}
+
 /// What the three introspection tools print, and what the 50 ms wait-graph
 /// sampler saw, for the seeds that exercise every wait the stack can
 /// report: the wedged flush (frozen survivors, `held here` chains),
@@ -371,8 +392,7 @@ fn text_digest(s: &str) -> u64 {
 #[test]
 fn introspection_outputs_replay_their_pinned_digests() {
     use bench::experiments::explain::{self, TotalKind};
-    use bench::experiments::{chaos, waitgraph};
-    use catocs::vsync::BugKnobs;
+    use bench::experiments::waitgraph;
 
     let clean = BugKnobs::default();
     let wedged = BugKnobs {
@@ -457,8 +477,7 @@ fn introspection_outputs_replay_their_pinned_digests() {
     pin("explain 2 abcast at 60", abcast, 0x96b1_2632_3336_18a3);
     pin("explain 2 token at 60", token, 0xf4e2_77fc_ffae_d42e);
 
-    let sampled = |seed: u64, knobs: BugKnobs, discipline: CausalDiscipline| {
-        let r = chaos::run_seed_d(seed, true, true, knobs, discipline);
+    let got = sampler_campaigns().map(|r| {
         let paths: String = r
             .stalls
             .stalls
@@ -468,14 +487,7 @@ fn introspection_outputs_replay_their_pinned_digests() {
         let stalls: usize = r.stall_timeline.iter().map(|(_, s)| s.stalls.len()).sum();
         let hist = (r.wait_hist.count(), r.wait_hist.max().as_micros());
         (hist, r.stall_timeline.len(), stalls, text_digest(&paths))
-    };
-    let got = [
-        sampled(2, wedged, Cbcast),
-        sampled(23, clean, Cbcast),
-        sampled(137, clean, Cbcast),
-        sampled(1, clean, Pccast),
-        sampled(54, clean, Pccast),
-    ];
+    });
     let pinned = [
         ((17044, 3_070_000), 80, 62, 0xa572_7b47_3371_31a4_u64),
         ((32883, 3_276_205), 80, 266, 0xf97e_893f_c96b_3159),
@@ -484,4 +496,73 @@ fn introspection_outputs_replay_their_pinned_digests() {
         ((4876, 2_987_222), 80, 149, 0x270e_c34f_330f_1a9b),
     ];
     assert_eq!(got, pinned, "what the sampler saw moved: {got:#x?}");
+}
+
+/// Everything the sampler computed in those campaigns, not only the last
+/// snapshot: per snapshot its time, `max_age`, `worst_scc_size` and, per
+/// ranked stall in rank order, the summary, the representative path, the
+/// persistence and the severity — so component membership, tie-breaks in
+/// the path walk, persistence tracking and the ranking are all in the
+/// digest — then the wait-age histogram's `(count, sum µs, p50 µs, p99
+/// µs)`. Recorded before the analysis stopped looking nodes up per edge
+/// per candidate.
+#[test]
+fn stall_timelines_replay_their_pinned_digests() {
+    let campaigns = sampler_campaigns();
+    let got = campaigns.each_ref().map(|r| {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let text = |h: &mut Fnv, s: String| {
+            h.word(s.len() as u64);
+            h.word(text_digest(&s));
+        };
+        for (at, snap) in &r.stall_timeline {
+            h.word(at.as_micros());
+            h.word(snap.max_age.as_micros());
+            h.word(snap.worst_scc_size as u64);
+            h.word(snap.stalls.len() as u64);
+            for s in &snap.stalls {
+                text(&mut h, s.summary());
+                text(&mut h, s.render_path());
+                h.word(u64::from(s.persistence));
+                h.word(s.severity as u64);
+                h.word((s.severity >> 64) as u64);
+            }
+        }
+        let w = &r.wait_hist;
+        let quantile = |q| w.quantile(q).as_micros();
+        let hist = (w.count(), w.sum_micros(), quantile(0.50), quantile(0.99));
+        (h.0, hist)
+    });
+    let pinned = [
+        (
+            0xafcf_d2b0_34e2_00ec_u64,
+            (17044u64, 14_006_803_956_u128, 803_842_u64, 2_091_602_u64),
+        ),
+        (
+            0xfc5a_3dfc_dc00_0fe8,
+            (32883, 26_382_976_029, 628_266, 3_276_205),
+        ),
+        (
+            0x68c5_569c_d0a4_b967,
+            (65608, 49_292_736_832, 700_183, 2_061_102),
+        ),
+        (
+            0x6570_f0a7_7c37_37ee,
+            (13782, 18_602_598_083, 1_283_184, 3_387_805),
+        ),
+        (
+            0xdb65_28e1_0f18_f2ab,
+            (4876, 5_357_779_629, 1_053_335, 2_987_222),
+        ),
+    ];
+    assert_eq!(got, pinned, "a stall timeline moved: {got:#x?}");
+
+    // Not a pin of blanks: the wedged flush is a persistent cycle, and
+    // some stall is a wedge reached along a chain of waits.
+    fn stalls(r: &CampaignResult) -> impl Iterator<Item = &RankedStall> {
+        r.stall_timeline.iter().flat_map(|(_, s)| &s.stalls)
+    }
+    assert!(stalls(&campaigns[0]).any(|s| s.is_cycle && s.is_persistent()));
+    let mut all = campaigns.iter().flat_map(stalls);
+    assert!(all.any(|s| !s.is_cycle && s.path.len() >= 3));
 }
