@@ -8,6 +8,7 @@
 //! so there is no false-causality delay and the only per-message overhead
 //! is a sequence number.
 
+use crate::causal_core::MAX_CHASE_AHEAD;
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
@@ -58,6 +59,10 @@ pub struct FbcastEndpoint<P> {
     acked_by: Vec<u64>,
     /// Highest sequence known to exist from each sender (via gossip).
     known_max: Vec<u64>,
+    /// What the ack in hand would raise in `known_max`, held back until
+    /// the whole clock is believed. Kept between acks for its capacity:
+    /// a member hears two acks a delivery in a busy group.
+    news: Vec<(usize, u64)>,
     /// Observability sink (span + wait events). Disabled by default.
     probe: ProbeHandle,
     stats: EndpointStats,
@@ -76,6 +81,7 @@ impl<P: Clone> FbcastEndpoint<P> {
             sent_buffer: BTreeMap::new(),
             acked_by: vec![0; n],
             known_max: vec![0; n],
+            news: Vec::new(),
             probe: ProbeHandle::none(),
             stats: EndpointStats::default(),
         }
@@ -195,23 +201,29 @@ impl<P: Clone> FbcastEndpoint<P> {
             {
                 self.stats.ts_decode_errors += 1;
             }
+            // A sequence number implausibly far ahead would sit in
+            // `pending` for the rest of the run: refused likewise.
+            Wire::Data(DataMsg { id, .. }) if self.out_of_reach(id.sender, id.seq) => {
+                self.stats.ts_decode_errors += 1;
+            }
             Wire::Data(msg) => {
                 self.stats.data_received += 1;
                 self.on_data(now, msg, &mut out, &mut delivered);
             }
             Wire::AckGossip { from, delivered: d } => {
+                if !self.news_in(&d) {
+                    self.stats.ts_decode_errors += 1;
+                    return (delivered, out);
+                }
+                for &(k, theirs) in &self.news {
+                    self.known_max[k] = theirs;
+                }
                 // Peers report the highest seq they have from us. Only an
                 // ack that raises one can move the minimum the buffer is
                 // collected up to.
                 if self.acked_by[from] < d.get(self.me) {
                     self.acked_by[from] = d.get(self.me);
                     self.gc_sent();
-                }
-                // And reveal messages from any sender that we never saw.
-                for k in 0..self.n {
-                    if self.known_max[k] < d.get(k) {
-                        self.known_max[k] = d.get(k);
-                    }
                 }
             }
             Wire::Nack { from, want } => {
@@ -231,6 +243,37 @@ impl<P: Clone> FbcastEndpoint<P> {
             _ => {}
         }
         (delivered, out)
+    }
+
+    /// Whether message `seq` of `sender` is further past what was
+    /// delivered here than any honest peer's can be (the causal
+    /// disciplines' bound, and their reasoning).
+    fn out_of_reach(&self, sender: usize, seq: u64) -> bool {
+        seq.saturating_sub(self.streams[sender].delivered) > MAX_CHASE_AHEAD
+    }
+
+    /// Fills `news` with what a gossiped clock reveals of messages never
+    /// seen here — the highest sequence of each sender it raises — in the
+    /// one scan that judges it. False, and nothing is to be taken from
+    /// the clock, when it claims what nobody can have: more of our
+    /// messages than we sent, or a component so far ahead that `on_tick`
+    /// would NACK for ids that will never exist, every `nack_timeout`,
+    /// for the rest of the run.
+    fn news_in(&mut self, d: &VectorClock) -> bool {
+        self.news.clear();
+        if d.get(self.me) > self.next_seq {
+            return false;
+        }
+        for k in 0..self.n {
+            let theirs = d.get(k);
+            if self.known_max[k] < theirs {
+                if self.out_of_reach(k, theirs) {
+                    return false;
+                }
+                self.news.push((k, theirs));
+            }
+        }
+        true
     }
 
     /// Periodic maintenance: ack gossip and gap re-NACKs.
@@ -447,6 +490,76 @@ mod tests {
         assert_eq!(records, [want]);
         b.on_wire(t(5), data_of(&outs[1]));
         b.wait_records(&mut |r| panic!("nothing waits now: {r:?}"));
+    }
+
+    /// The last member of ROADMAP 1(e): before the bound, the gossiped
+    /// clocks below entered `known_max`/`acked_by` whole and `on_tick`
+    /// NACKed ids that will never exist every `nack_timeout` for the rest
+    /// of the run, and the data message sat in `pending` for as long.
+    /// Each must be refused whole — its honest components too — and
+    /// counted; the endpoint then serves a legitimate sender.
+    #[test]
+    fn hostile_clocks_and_sequence_numbers_are_refused_whole() {
+        use crate::endpoint::{Discipline, Endpoint};
+        const FAR: u64 = MAX_CHASE_AHEAD + 1;
+        let clock = |e: [u64; 3]| VectorClock::from_entries(e.to_vec());
+        let mut a: Endpoint<u32> = Endpoint::new(Discipline::Fifo, 0, 3, GroupConfig::default());
+        let mut b: Endpoint<u32> = Endpoint::new(Discipline::Fifo, 1, 3, GroupConfig::default());
+        let (_, first) = a.multicast(t(0), 7);
+        // b has sent one message, so a peer may ack one and no more.
+        b.multicast(t(0), 0);
+        let far_ahead = MsgId {
+            sender: 2,
+            seq: FAR,
+        };
+        let hostile = [
+            // A component nobody can have reached, beside an honest one.
+            Wire::AckGossip {
+                from: 2,
+                delivered: clock([1, 1, FAR]),
+            },
+            // More of b's messages than b has sent.
+            Wire::AckGossip {
+                from: 2,
+                delivered: clock([1, 2, 0]),
+            },
+            Wire::Data(DataMsg::new(far_ahead, clock([0, 0, FAR]), 9)),
+        ];
+        let state = |b: &Endpoint<u32>| {
+            let Endpoint::Fifo(b) = b else {
+                unreachable!("built as fifo")
+            };
+            let pending: usize = b.streams.iter().map(|s| s.pending.len()).sum();
+            (b.known_max.clone(), b.acked_by.clone(), pending)
+        };
+        let before = state(&b);
+        for (i, wire) in hostile.into_iter().enumerate() {
+            let (dels, outs) = b.on_wire(t(1), wire);
+            assert!(dels.is_empty() && outs.is_empty(), "wire {i}");
+            // A NACK timeout (20 ms) on from the last tick, every time.
+            let nacks = b.on_tick(t(30 * (i as u64 + 1)));
+            let nack = nacks.iter().find(|(_, w)| matches!(w, Wire::Nack { .. }));
+            assert!(nack.is_none(), "wire {i}: {nack:?}");
+            assert_eq!(state(&b), before, "wire {i}");
+            assert_eq!(b.transport_stats().ts_decode_errors, i as u64 + 1);
+        }
+        // The bound is inclusive, and honest news still lands.
+        let near = clock([1, 1, MAX_CHASE_AHEAD]);
+        b.on_wire(
+            t(90),
+            Wire::AckGossip {
+                from: 2,
+                delivered: near,
+            },
+        );
+        assert_eq!(state(&b), (vec![1, 1, MAX_CHASE_AHEAD], vec![0, 1, 1], 0));
+        assert_eq!(b.transport_stats().ts_decode_errors, 3);
+        let dels: Vec<_> = first
+            .into_iter()
+            .flat_map(|(_, w)| b.on_wire(t(91), w).0)
+            .collect();
+        assert_eq!(dels.len(), 1);
+        assert_eq!((dels[0].id.sender, dels[0].payload), (0, 7));
     }
 
     #[test]

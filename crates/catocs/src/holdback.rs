@@ -26,6 +26,15 @@
 //! experiment reads the counter through `simnet::metrics` to show the
 //! scan's per-event work growing linearly with holdback size while the
 //! index stays flat.
+//!
+//! What is counted is what is asked, so `work` follows the caller: the
+//! causal core steps over an id it is already chasing — when a data
+//! arrival references it again, and, in a gossiped gap of more than a
+//! few ids, when a peer's ack does — without asking the queue about it,
+//! and such a re-reference costs no `work`. An id that is *held* still
+//! pays its [`HoldbackQueue::contains`] probe each time a gossiped gap
+//! spans it: telling held ids apart without a hash probe each needs an
+//! index ordered by id, which this queue does not keep (ROADMAP 5(e)).
 
 use crate::causal_core::lagging_refs;
 use crate::group::MsgId;

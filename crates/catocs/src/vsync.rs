@@ -882,7 +882,10 @@ fn snapshot_stalls(
     // order. Ties in (from, to, since) fall to the short phrase, as they
     // did when the reason was that string: representative paths depend
     // on this order.
-    edges.sort_by_key(|e| (e.from, e.to, e.since, e.reason.phrase()));
+    edges.sort_by(|a, b| {
+        let ends = (a.from, a.to, a.since).cmp(&(b.from, b.to, b.since));
+        ends.then_with(|| a.reason.phrase().cmp(b.reason.phrase()))
+    });
     for e in &edges {
         hist.record(at.saturating_since(e.since));
     }
@@ -1023,12 +1026,14 @@ pub fn run_campaign_with_opts(
         .collect();
     let digest = digest_logs(&logs);
     let blocked = is_blocked(&logs);
-    let stall_timeline = timeline.borrow().clone();
+    // The sampler closure, which `sim` owns, holds the other handle on
+    // each: taken, not copied.
+    let stall_timeline = timeline.take();
     let stalls = stall_timeline
         .last()
         .map(|(_, s)| s.clone())
         .unwrap_or_default();
-    let wait_hist = wait_hist.borrow().clone();
+    let wait_hist = wait_hist.take();
     let latency = tee
         .map(|t| t.borrow().ledger.finalize(cfg.plan.horizon))
         .unwrap_or_default();

@@ -56,10 +56,45 @@
 //! [`WaitReason`] is the one reason type, rendered two ways: the short
 //! [`WaitReason::phrase`] of stall paths and the long
 //! [`WaitReason::sentence`] of `explain` (EXPERIMENTS.md tabulates both).
+//!
+//! # What an analysis costs
+//!
+//! [`analyze`] runs on every sampling tick of every fault campaign, on
+//! graphs that grow for as long as a partition lasts, so its cost is a
+//! contract: proportional to the graph it is handed, never to its square.
+//! With `E` edges over `n` nodes,
+//!
+//! - every endpoint is resolved to a node index **once**, in one pass
+//!   (expected O(E); most edges find theirs by looking back at the
+//!   previous source's edges, the rest in a hash map), and nothing after
+//!   that pass compares or looks up a [`WaitNode`] except to sort a
+//!   candidate's own members;
+//! - adjacency (edges by source, edges by target) and component
+//!   membership are counting sorts into one flat array each, O(n + E),
+//!   and the SCC pass is O(n + E);
+//! - size, self-loop, terminal, fed-from-outside and worst in-edge age of
+//!   every component come from one pass over the edges;
+//! - each candidate stall then costs what lies behind it: one reverse
+//!   reachability walk, and a path walk over the in-edges of the nodes
+//!   on the path. O(candidates · (n + E)) at worst.
+//!
+//! **Nodes are numbered in order of first appearance** (an edge's `from`
+//! before its `to`, edge by edge) and each adjacency bucket lists its
+//! edges in input order. Output depends on both, so neither may change:
+//! the SCC pass visits nodes in numbering order; a representative path
+//! enters a component at the *last* member, in numbering order, among
+//! those with the oldest external in-edge; among in-edges of one age it
+//! follows the one from the lowest-numbered node, and of those the last
+//! listed; inside a component it follows each node's first listed
+//! in-component edge. The analysis this replaced — which re-filtered all
+//! nodes per component and looked both endpoints of every edge up in a
+//! `BTreeMap` per candidate — is kept under `#[cfg(test)]` as the oracle
+//! a proptest compares every field of every snapshot against.
 
 use crate::group::MsgId;
 use simnet::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A stall is only *persistent* — and only counted by the gated
@@ -72,7 +107,7 @@ pub const PERSIST_SNAPSHOTS: u32 = 3;
 /// Protocol phases that can block progress. A waitgraph-local tag (not
 /// [`simnet::obs::PhaseKind`]) because graph nodes need total order for
 /// deterministic analysis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseTag {
     /// A view-change flush in progress (delivery blackout until install).
     Flush,
@@ -94,7 +129,7 @@ impl PhaseTag {
 }
 
 /// One vertex of the wait graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WaitNode {
     /// A message (delivered nowhere it is needed, or not yet arrived).
     Msg(MsgId),
@@ -433,14 +468,19 @@ impl StallTracker {
         Self::default()
     }
 
-    /// Folds one snapshot's component signatures in, returning each
-    /// signature's consecutive-snapshot count.
-    fn observe(&mut self, sigs: &[Vec<WaitNode>]) -> Vec<u32> {
+    /// Folds one snapshot's component signatures (distinct: components
+    /// share no node) in, returning each signature's consecutive-snapshot
+    /// count. A signature seen last time moves over with its key; only
+    /// one seen for the first time is copied.
+    fn observe<'a>(&mut self, sigs: impl Iterator<Item = &'a Vec<WaitNode>>) -> Vec<u32> {
         let mut next = BTreeMap::new();
-        let mut counts = Vec::with_capacity(sigs.len());
+        let mut counts = Vec::with_capacity(sigs.size_hint().0);
         for sig in sigs {
-            let c = self.seen.get(sig).copied().unwrap_or(0) + 1;
-            next.insert(sig.clone(), c);
+            let (sig, c) = match self.seen.remove_entry(sig) {
+                Some((sig, c)) => (sig, c + 1),
+                None => (sig.clone(), 1),
+            };
+            next.insert(sig, c);
             counts.push(c);
         }
         self.seen = next;
@@ -448,10 +488,11 @@ impl StallTracker {
     }
 }
 
-/// Iterative Tarjan SCC. Returns each node's component id; components are
-/// numbered in reverse topological order (a component's successors always
-/// have *smaller* ids).
-fn tarjan_scc(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
+/// Iterative Tarjan SCC over nodes `0..n`, where `succ(v, i)` is `v`'s
+/// `i`-th successor (`None` past the last). Returns each node's component
+/// id; components are numbered in reverse topological order (a
+/// component's successors always have *smaller* ids).
+fn tarjan_scc(n: usize, succ: impl Fn(usize, usize) -> Option<usize>) -> (Vec<usize>, usize) {
     const UNSET: usize = usize::MAX;
     let mut index = vec![UNSET; n];
     let mut low = vec![0usize; n];
@@ -475,7 +516,7 @@ fn tarjan_scc(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
                 stack.push(v);
                 on_stack[v] = true;
             }
-            if let Some(&w) = adj[v].get(*ci) {
+            if let Some(w) = succ(v, *ci) {
                 *ci += 1;
                 if index[w] == UNSET {
                     frames.push((w, 0));
@@ -503,153 +544,367 @@ fn tarjan_scc(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
     (comp, n_comps)
 }
 
+/// `0..keys.len()` sorted into buckets by key — a counting sort into one
+/// flat array, so each bucket lists its items in ascending order. Edges
+/// by source, edges by target and nodes by component are all this.
+struct Buckets {
+    /// Bucket `b` is `items[start[b]..start[b + 1]]`.
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Buckets {
+    fn new(buckets: usize, keys: impl Iterator<Item = usize> + Clone) -> Self {
+        // Counted two slots up, so that after the running sum `start[b +
+        // 1]` is where bucket `b` begins; filling advances it to where
+        // `b` ends, which is where `b + 1` begins: `start` is then right
+        // as it stands, less the spare last slot.
+        let mut start = vec![0usize; buckets + 2];
+        for k in keys.clone() {
+            start[k + 2] += 1;
+        }
+        for b in 2..start.len() {
+            start[b] += start[b - 1];
+        }
+        let mut items = vec![0usize; start[buckets + 1]];
+        for (i, k) in keys.enumerate() {
+            items[start[k + 1]] = i;
+            start[k + 1] += 1;
+        }
+        start.pop();
+        Buckets { start, items }
+    }
+
+    fn of(&self, b: usize) -> &[usize] {
+        &self.items[self.start[b]..self.start[b + 1]]
+    }
+}
+
+/// A set of node indices emptied in O(1): a node is in while its mark is
+/// the current stamp.
+struct Visited {
+    mark: Vec<usize>,
+    stamp: usize,
+}
+
+impl Visited {
+    fn new(n: usize) -> Self {
+        Visited {
+            mark: vec![0; n],
+            stamp: 1,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.stamp += 1;
+    }
+
+    fn contains(&self, v: usize) -> bool {
+        self.mark[v] == self.stamp
+    }
+
+    /// Whether `v` was not yet in.
+    fn insert(&mut self, v: usize) -> bool {
+        let fresh = self.mark[v] != self.stamp;
+        self.mark[v] = self.stamp;
+        fresh
+    }
+}
+
+/// Distinct process indices: a bit each for those a word has room for,
+/// a list for any beyond.
+#[derive(Default)]
+struct ProcSet {
+    low: u128,
+    high: Vec<usize>,
+}
+
+impl ProcSet {
+    fn insert(&mut self, p: usize) {
+        if p < 128 {
+            self.low |= 1 << p;
+        } else {
+            self.high.push(p);
+        }
+    }
+
+    fn len(mut self) -> usize {
+        self.high.sort_unstable();
+        self.high.dedup();
+        self.low.count_ones() as usize + self.high.len()
+    }
+}
+
+/// What one pass over the edges learns of a component.
+#[derive(Clone)]
+struct Component {
+    size: usize,
+    /// No edge leaves it.
+    terminal: bool,
+    /// An edge enters it from outside.
+    fed: bool,
+    self_loop: bool,
+    /// Oldest wait age on any edge into or inside it.
+    worst_age: SimDuration,
+}
+
+impl Component {
+    fn is_cycle(&self) -> bool {
+        self.size > 1 || self.self_loop
+    }
+}
+
+/// A snapshot's edges with their endpoints resolved to node indices.
+struct Graph<'a> {
+    edges: &'a [WaitEdge],
+    now: SimTime,
+    /// Numbered in order of first appearance, an edge's `from` before its
+    /// `to` (see the module docs for what depends on it).
+    nodes: Vec<WaitNode>,
+    /// Each edge's `(from, to)` as indices into `nodes`.
+    ends: Vec<(usize, usize)>,
+    /// Edge indices by source node, and by target node.
+    out: Buckets,
+    inc: Buckets,
+    /// Each node's component, of `n_comps`.
+    comp: Vec<usize>,
+    n_comps: usize,
+}
+
+impl<'a> Graph<'a> {
+    /// Resolves every endpoint once — the only place a [`WaitNode`] is
+    /// looked up — and runs the SCC pass.
+    fn new(edges: &'a [WaitEdge], now: SimTime) -> Self {
+        // Hashed, not ordered: nothing reads the map but the loop below,
+        // and held messages arrive in ascending order, the slowest an
+        // ordered map can be filled in. About one edge in four brings a
+        // new node.
+        let mut ids: HashMap<WaitNode, usize> = HashMap::with_capacity(edges.len() / 4);
+        let mut nodes = Vec::with_capacity(edges.len() / 4);
+        let mut intern = |node: WaitNode| {
+            *ids.entry(node).or_insert_with(|| {
+                nodes.push(node);
+                nodes.len() - 1
+            })
+        };
+        let mut ends: Vec<(usize, usize)> = Vec::with_capacity(edges.len());
+        // Looking back saves most lookups. A record's edges share their
+        // source and arrive together; and messages held side by side
+        // wait on the same few gaps, so an edge's target is most often
+        // the target of the edge in its place under the previous source.
+        let (mut group, mut prev_group) = (0, 0);
+        for (ei, e) in edges.iter().enumerate() {
+            let a = if ei > 0 && edges[ei - 1].from == e.from {
+                ends[ei - 1].0
+            } else {
+                (prev_group, group) = (group, ei);
+                intern(e.from)
+            };
+            let twin = prev_group + (ei - group);
+            let b = if twin < group && edges[twin].to == e.to {
+                ends[twin].1
+            } else {
+                intern(e.to)
+            };
+            ends.push((a, b));
+        }
+        let n = nodes.len();
+        let out = Buckets::new(n, ends.iter().map(|&(a, _)| a));
+        let inc = Buckets::new(n, ends.iter().map(|&(_, b)| b));
+        let (comp, n_comps) = tarjan_scc(n, |v, i| out.of(v).get(i).map(|&ei| ends[ei].1));
+        Graph {
+            edges,
+            now,
+            nodes,
+            ends,
+            out,
+            inc,
+            comp,
+            n_comps,
+        }
+    }
+
+    fn age(&self, ei: usize) -> SimDuration {
+        self.now.saturating_since(self.edges[ei].since)
+    }
+
+    /// Every component's facts and the oldest wait age on any edge.
+    fn components(&self) -> (Vec<Component>, SimDuration) {
+        let blank = Component {
+            size: 0,
+            terminal: true,
+            fed: false,
+            self_loop: false,
+            worst_age: SimDuration::ZERO,
+        };
+        let mut comps = vec![blank; self.n_comps];
+        for &c in &self.comp {
+            comps[c].size += 1;
+        }
+        let mut max_age = SimDuration::ZERO;
+        for (ei, &(a, b)) in self.ends.iter().enumerate() {
+            let (ca, cb) = (self.comp[a], self.comp[b]);
+            if ca != cb {
+                comps[ca].terminal = false;
+                comps[cb].fed = true;
+            }
+            comps[ca].self_loop |= a == b;
+            let age = self.age(ei);
+            comps[cb].worst_age = comps[cb].worst_age.max(age);
+            max_age = max_age.max(age);
+        }
+        (comps, max_age)
+    }
+
+    /// The oldest chain of waits leading into component `c`, then the
+    /// cycle itself (when there is one): at each backward step pick the
+    /// incoming edge with the greatest age, stopping at a node with no
+    /// external predecessors or one already on the path.
+    fn representative_path(
+        &self,
+        c: usize,
+        members: &[usize],
+        visited: &mut Visited,
+    ) -> Vec<PathStep> {
+        let (ends, comp) = (&self.ends, &self.comp);
+        // The oldest external in-edge of `v`; of several as old, the one
+        // from the lowest-numbered node, and of those the last listed.
+        let oldest_in = |v: usize| -> Option<usize> {
+            let external = self.inc.of(v).iter().filter(|&&ei| comp[ends[ei].0] != c);
+            external
+                .max_by_key(|&&ei| (self.age(ei), Reverse(ends[ei].0)))
+                .copied()
+        };
+        // Entry: the component node with the oldest incoming external
+        // edge (failing that — a pure cycle — the last member).
+        let fed = members.iter().map(|&v| (v, oldest_in(v)));
+        let (entry, mut oldest) = fed
+            .max_by_key(|&(_, ei)| ei.map_or(SimDuration::ZERO, |ei| self.age(ei)))
+            .unwrap_or((members[0], None));
+
+        // Walk backwards from the entry along the oldest external in-edges.
+        let mut chain: Vec<usize> = Vec::new();
+        visited.clear();
+        visited.insert(entry);
+        while let Some(ei) = oldest {
+            let cur = ends[ei].0;
+            if !visited.insert(cur) {
+                break;
+            }
+            chain.push(ei);
+            oldest = oldest_in(cur);
+        }
+        let step = |ei: usize| PathStep {
+            node: self.nodes[ends[ei].0],
+            reason: self.edges[ei].reason.phrase(),
+            age: self.age(ei),
+        };
+        let end = |v: usize| PathStep {
+            node: self.nodes[v],
+            reason: "",
+            age: SimDuration::ZERO,
+        };
+        let mut path: Vec<PathStep> = chain.into_iter().rev().map(step).collect();
+
+        // Then the component itself: from the entry, follow the first
+        // in-component edge of each node until a repeat (covers both
+        // single wedge heads and cycles).
+        visited.clear();
+        let mut cur = entry;
+        loop {
+            visited.insert(cur);
+            let inside = |&&ei: &&usize| comp[ends[ei].1] == c;
+            let Some(&ei) = self.out.of(cur).iter().find(inside) else {
+                path.push(end(cur));
+                break;
+            };
+            path.push(step(ei));
+            cur = ends[ei].1;
+            if visited.contains(cur) {
+                // Close the cycle visually by naming the repeat.
+                path.push(end(cur));
+                break;
+            }
+        }
+        path
+    }
+}
+
 /// Analyses one snapshot of wait edges: SCCs, terminal stall components,
 /// severity ranking and representative paths. `tracker` carries the
-/// persistence counts between consecutive snapshots.
+/// persistence counts between consecutive snapshots. Cost contract in the
+/// module docs.
 pub fn analyze(edges: &[WaitEdge], now: SimTime, tracker: &mut StallTracker) -> StallSnapshot {
     if edges.is_empty() {
-        tracker.observe(&[]);
+        tracker.observe(std::iter::empty());
         return StallSnapshot::default();
     }
-
-    // Intern nodes; BTreeMap gives a deterministic numbering.
-    let mut ids: BTreeMap<WaitNode, usize> = BTreeMap::new();
-    for e in edges {
-        let n = ids.len();
-        ids.entry(e.from).or_insert(n);
-        let n = ids.len();
-        ids.entry(e.to).or_insert(n);
-    }
-    let n = ids.len();
-    let mut nodes = vec![edges[0].from; n];
-    for (node, &i) in &ids {
-        nodes[i] = *node;
-    }
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut radj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (pred, edge idx)
-    let mut self_loop = vec![false; n];
-    for (ei, e) in edges.iter().enumerate() {
-        let (a, b) = (ids[&e.from], ids[&e.to]);
-        if a == b {
-            self_loop[a] = true;
-        }
-        adj[a].push(b);
-        radj[b].push((a, ei));
-    }
-
-    let (comp, n_comps) = tarjan_scc(n, &adj);
-    let mut comp_size = vec![0usize; n_comps];
-    for v in 0..n {
-        comp_size[comp[v]] += 1;
-    }
-    // Terminal components: no edge leaves them.
-    let mut terminal = vec![true; n_comps];
-    for v in 0..n {
-        for &w in &adj[v] {
-            if comp[v] != comp[w] {
-                terminal[comp[v]] = false;
-            }
-        }
-    }
-
-    let max_age = edges
-        .iter()
-        .map(|e| now.saturating_since(e.since))
-        .max()
-        .unwrap_or(SimDuration::ZERO);
-    let worst_scc_size = (0..n_comps)
-        .map(|c| {
-            let cyclic = comp_size[c] > 1 || (0..n).any(|v| comp[v] == c && self_loop[v]);
-            if cyclic {
-                comp_size[c]
-            } else {
-                0
-            }
-        })
-        .max()
-        .unwrap_or(0);
+    let g = Graph::new(edges, now);
+    let (comps, max_age) = g.components();
+    let members = Buckets::new(g.n_comps, g.comp.iter().copied());
+    let cycles = comps.iter().filter(|c| c.is_cycle());
+    let worst_scc_size = cycles.map(|c| c.size).max().unwrap_or(0);
 
     // Candidate stalls: terminal components something is blocked behind.
     let mut candidates: Vec<(usize, Vec<WaitNode>)> = Vec::new();
-    for (c, &is_terminal) in terminal.iter().enumerate() {
-        if !is_terminal {
-            continue;
+    for (c, facts) in comps.iter().enumerate() {
+        if facts.terminal && (facts.fed || facts.is_cycle()) {
+            let mut sig: Vec<WaitNode> = members.of(c).iter().map(|&v| g.nodes[v]).collect();
+            sig.sort();
+            candidates.push((c, sig));
         }
-        let members: Vec<usize> = (0..n).filter(|&v| comp[v] == c).collect();
-        let has_in = members
-            .iter()
-            .any(|&v| radj[v].iter().any(|&(p, _)| comp[p] != c))
-            || members.len() > 1
-            || members.iter().any(|&v| self_loop[v]);
-        if !has_in {
-            continue;
-        }
-        let mut sig: Vec<WaitNode> = members.iter().map(|&v| nodes[v]).collect();
-        sig.sort();
-        candidates.push((c, sig));
     }
     candidates.sort_by(|a, b| a.1.cmp(&b.1));
-    let sigs: Vec<Vec<WaitNode>> = candidates.iter().map(|(_, s)| s.clone()).collect();
-    let persistence = tracker.observe(&sigs);
+    let persistence = tracker.observe(candidates.iter().map(|(_, sig)| sig));
 
     let mut stalls = Vec::with_capacity(candidates.len());
+    let mut visited = Visited::new(g.nodes.len());
+    let mut reached = Vec::new();
     for ((c, sig), persist) in candidates.into_iter().zip(persistence) {
-        let members: Vec<usize> = (0..n).filter(|&v| comp[v] == c).collect();
-        let is_cycle = members.len() > 1 || members.iter().any(|&v| self_loop[v]);
-
         // Reverse reachability from the component = everything blocked
         // behind it.
-        let mut reach = vec![false; n];
-        let mut work: Vec<usize> = members.clone();
-        for &m in &members {
-            reach[m] = true;
+        visited.clear();
+        reached.clear();
+        for &v in members.of(c) {
+            visited.insert(v);
+            reached.push(v);
         }
-        while let Some(v) = work.pop() {
-            for &(p, _) in &radj[v] {
-                if !reach[p] {
-                    reach[p] = true;
-                    work.push(p);
+        let mut next = 0;
+        while let Some(&v) = reached.get(next) {
+            next += 1;
+            let preds = g.inc.of(v).iter().map(|&ei| g.ends[ei].0);
+            reached.extend(preds.filter(|&p| visited.insert(p)));
+        }
+        let blocked_descendants = reached.len() - comps[c].size;
+        let mut procs = ProcSet::default();
+        for &v in &reached {
+            match g.nodes[v] {
+                WaitNode::Msg(id) => procs.insert(id.sender),
+                WaitNode::Proc(p) => procs.insert(p),
+                WaitNode::LinkSlot { to, from, .. } => {
+                    procs.insert(to);
+                    procs.insert(from);
                 }
+                WaitNode::Phase { at, .. } => procs.insert(at),
             }
         }
-        let blocked_descendants = (0..n).filter(|&v| reach[v] && comp[v] != c).count();
-        let mut procs: Vec<usize> = (0..n)
-            .filter(|&v| reach[v])
-            .flat_map(|v| match nodes[v] {
-                WaitNode::Msg(id) => vec![id.sender],
-                WaitNode::Proc(p) => vec![p],
-                WaitNode::LinkSlot { to, from, .. } => vec![to, from],
-                WaitNode::Phase { at, .. } => vec![at],
-            })
-            .collect();
-        procs.sort_unstable();
-        procs.dedup();
         let procs_involved = procs.len();
 
-        // Worst age on any edge into or inside the component.
-        let worst_age = edges
-            .iter()
-            .filter(|e| comp[ids[&e.to]] == c)
-            .map(|e| now.saturating_since(e.since))
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-
+        let worst_age = comps[c].worst_age;
         let severity = (worst_age.as_micros() as u128)
             .saturating_mul(1 + blocked_descendants as u128)
             .saturating_mul(procs_involved.max(1) as u128)
             .saturating_mul(persist as u128);
 
-        let path = representative_path(&members, c, &comp, &nodes, &ids, &radj, &adj, edges, now);
-
         stalls.push(RankedStall {
             nodes: sig,
-            is_cycle,
+            is_cycle: comps[c].is_cycle(),
             worst_age,
             blocked_descendants,
             procs_involved,
             persistence: persist,
             severity,
-            path,
+            path: g.representative_path(c, members.of(c), &mut visited),
         });
     }
 
@@ -663,115 +918,304 @@ pub fn analyze(edges: &[WaitEdge], now: SimTime, tracker: &mut StallTracker) -> 
     }
 }
 
-/// The oldest chain of waits leading into component `c`, then the cycle
-/// itself (when there is one): at each backward step pick the incoming
-/// edge with the greatest age, stopping at a node with no external
-/// predecessors or one already on the path.
-#[allow(clippy::too_many_arguments)]
-fn representative_path(
-    members: &[usize],
-    c: usize,
-    comp: &[usize],
-    nodes: &[WaitNode],
-    ids: &BTreeMap<WaitNode, usize>,
-    radj: &[Vec<(usize, usize)>],
-    adj: &[Vec<usize>],
-    edges: &[WaitEdge],
-    now: SimTime,
-) -> Vec<PathStep> {
-    // Entry: the component node with the oldest incoming external edge
-    // (or, failing that, the smallest member — a pure cycle).
-    let oldest_in = |v: usize| -> Option<(usize, usize)> {
-        // (edge idx, pred) of the oldest external in-edge of v.
-        radj[v]
-            .iter()
-            .filter(|&&(p, _)| comp[p] != c)
-            .max_by_key(|&&(p, ei)| (now.saturating_since(edges[ei].since), std::cmp::Reverse(p)))
-            .map(|&(p, ei)| (ei, p))
-    };
-    let entry = members
-        .iter()
-        .copied()
-        .max_by_key(|&v| {
-            oldest_in(v)
-                .map(|(ei, _)| now.saturating_since(edges[ei].since))
-                .unwrap_or(SimDuration::ZERO)
-        })
-        .unwrap_or(members[0]);
-
-    // Walk backwards from the entry along the oldest external in-edges.
-    let mut chain: Vec<(usize, usize)> = Vec::new(); // (node, edge to successor)
-    let mut seen = vec![false; nodes.len()];
-    seen[entry] = true;
-    let mut cur = entry;
-    while let Some((ei, p)) = oldest_in(cur) {
-        if seen[p] {
-            break;
-        }
-        seen[p] = true;
-        chain.push((p, ei));
-        cur = p;
-    }
-    chain.reverse();
-
-    let mut path: Vec<PathStep> = chain
-        .into_iter()
-        .map(|(v, ei)| PathStep {
-            node: nodes[v],
-            reason: edges[ei].reason.phrase(),
-            age: now.saturating_since(edges[ei].since),
-        })
-        .collect();
-
-    // Then the component itself: from the entry, follow in-component
-    // edges until a repeat (covers both single wedge heads and cycles).
-    let mut cur = entry;
-    let mut in_comp_seen = vec![false; nodes.len()];
-    loop {
-        if in_comp_seen[cur] {
-            break;
-        }
-        in_comp_seen[cur] = true;
-        let next = adj[cur].iter().copied().find(|&w| comp[w] == c);
-        match next {
-            Some(w) => {
-                // The concrete edge cur -> w, for its reason and age.
-                let ei = edges
-                    .iter()
-                    .position(|e| ids[&e.from] == cur && ids[&e.to] == w)
-                    .expect("adjacency implies an edge");
-                path.push(PathStep {
-                    node: nodes[cur],
-                    reason: edges[ei].reason.phrase(),
-                    age: now.saturating_since(edges[ei].since),
-                });
-                if in_comp_seen[w] {
-                    // Close the cycle visually by naming the repeat.
-                    path.push(PathStep {
-                        node: nodes[w],
-                        reason: "",
-                        age: SimDuration::ZERO,
-                    });
-                    break;
-                }
-                cur = w;
-            }
-            None => {
-                path.push(PathStep {
-                    node: nodes[cur],
-                    reason: "",
-                    age: SimDuration::ZERO,
-                });
-                break;
-            }
-        }
-    }
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The analysis this module shipped with, kept to check the rewrite
+    /// against.
+    mod oracle {
+        use super::super::*;
+
+        impl StallTracker {
+            /// `observe` as it was: every signature looked up, and copied.
+            fn observe_by_lookup(&mut self, sigs: &[Vec<WaitNode>]) -> Vec<u32> {
+                let mut next = BTreeMap::new();
+                let mut counts = Vec::with_capacity(sigs.len());
+                for sig in sigs {
+                    let c = self.seen.get(sig).copied().unwrap_or(0) + 1;
+                    next.insert(sig.clone(), c);
+                    counts.push(c);
+                }
+                self.seen = next;
+                counts
+            }
+        }
+
+        /// `analyze` as it was before its endpoints were resolved once: every
+        /// per-component figure re-derived by filtering all nodes or all
+        /// edges, nodes looked up in the map wherever an index was needed.
+        pub fn analyze(
+            edges: &[WaitEdge],
+            now: SimTime,
+            tracker: &mut StallTracker,
+        ) -> StallSnapshot {
+            if edges.is_empty() {
+                tracker.observe_by_lookup(&[]);
+                return StallSnapshot::default();
+            }
+
+            // Intern nodes; BTreeMap gives a deterministic numbering.
+            let mut ids: BTreeMap<WaitNode, usize> = BTreeMap::new();
+            for e in edges {
+                let n = ids.len();
+                ids.entry(e.from).or_insert(n);
+                let n = ids.len();
+                ids.entry(e.to).or_insert(n);
+            }
+            let n = ids.len();
+            let mut nodes = vec![edges[0].from; n];
+            for (node, &i) in &ids {
+                nodes[i] = *node;
+            }
+            let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+            let mut radj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (pred, edge idx)
+            let mut self_loop = vec![false; n];
+            for (ei, e) in edges.iter().enumerate() {
+                let (a, b) = (ids[&e.from], ids[&e.to]);
+                if a == b {
+                    self_loop[a] = true;
+                }
+                adj[a].push(b);
+                radj[b].push((a, ei));
+            }
+
+            let (comp, n_comps) = tarjan_scc(n, |v, i| adj[v].get(i).copied());
+            let mut comp_size = vec![0usize; n_comps];
+            for v in 0..n {
+                comp_size[comp[v]] += 1;
+            }
+            // Terminal components: no edge leaves them.
+            let mut terminal = vec![true; n_comps];
+            for v in 0..n {
+                for &w in &adj[v] {
+                    if comp[v] != comp[w] {
+                        terminal[comp[v]] = false;
+                    }
+                }
+            }
+
+            let max_age = edges
+                .iter()
+                .map(|e| now.saturating_since(e.since))
+                .max()
+                .unwrap_or(SimDuration::ZERO);
+            let worst_scc_size = (0..n_comps)
+                .map(|c| {
+                    let cyclic = comp_size[c] > 1 || (0..n).any(|v| comp[v] == c && self_loop[v]);
+                    if cyclic {
+                        comp_size[c]
+                    } else {
+                        0
+                    }
+                })
+                .max()
+                .unwrap_or(0);
+
+            // Candidate stalls: terminal components something is blocked behind.
+            let mut candidates: Vec<(usize, Vec<WaitNode>)> = Vec::new();
+            for (c, &is_terminal) in terminal.iter().enumerate() {
+                if !is_terminal {
+                    continue;
+                }
+                let members: Vec<usize> = (0..n).filter(|&v| comp[v] == c).collect();
+                let has_in = members
+                    .iter()
+                    .any(|&v| radj[v].iter().any(|&(p, _)| comp[p] != c))
+                    || members.len() > 1
+                    || members.iter().any(|&v| self_loop[v]);
+                if !has_in {
+                    continue;
+                }
+                let mut sig: Vec<WaitNode> = members.iter().map(|&v| nodes[v]).collect();
+                sig.sort();
+                candidates.push((c, sig));
+            }
+            candidates.sort_by(|a, b| a.1.cmp(&b.1));
+            let sigs: Vec<Vec<WaitNode>> = candidates.iter().map(|(_, s)| s.clone()).collect();
+            let persistence = tracker.observe_by_lookup(&sigs);
+
+            let mut stalls = Vec::with_capacity(candidates.len());
+            for ((c, sig), persist) in candidates.into_iter().zip(persistence) {
+                let members: Vec<usize> = (0..n).filter(|&v| comp[v] == c).collect();
+                let is_cycle = members.len() > 1 || members.iter().any(|&v| self_loop[v]);
+
+                // Reverse reachability from the component = everything blocked
+                // behind it.
+                let mut reach = vec![false; n];
+                let mut work: Vec<usize> = members.clone();
+                for &m in &members {
+                    reach[m] = true;
+                }
+                while let Some(v) = work.pop() {
+                    for &(p, _) in &radj[v] {
+                        if !reach[p] {
+                            reach[p] = true;
+                            work.push(p);
+                        }
+                    }
+                }
+                let blocked_descendants = (0..n).filter(|&v| reach[v] && comp[v] != c).count();
+                let mut procs: Vec<usize> = (0..n)
+                    .filter(|&v| reach[v])
+                    .flat_map(|v| match nodes[v] {
+                        WaitNode::Msg(id) => vec![id.sender],
+                        WaitNode::Proc(p) => vec![p],
+                        WaitNode::LinkSlot { to, from, .. } => vec![to, from],
+                        WaitNode::Phase { at, .. } => vec![at],
+                    })
+                    .collect();
+                procs.sort_unstable();
+                procs.dedup();
+                let procs_involved = procs.len();
+
+                // Worst age on any edge into or inside the component.
+                let worst_age = edges
+                    .iter()
+                    .filter(|e| comp[ids[&e.to]] == c)
+                    .map(|e| now.saturating_since(e.since))
+                    .max()
+                    .unwrap_or(SimDuration::ZERO);
+
+                let severity = (worst_age.as_micros() as u128)
+                    .saturating_mul(1 + blocked_descendants as u128)
+                    .saturating_mul(procs_involved.max(1) as u128)
+                    .saturating_mul(persist as u128);
+
+                let path =
+                    representative_path(&members, c, &comp, &nodes, &ids, &radj, &adj, edges, now);
+
+                stalls.push(RankedStall {
+                    nodes: sig,
+                    is_cycle,
+                    worst_age,
+                    blocked_descendants,
+                    procs_involved,
+                    persistence: persist,
+                    severity,
+                    path,
+                });
+            }
+
+            // Most severe first; the sorted node set breaks ties deterministically.
+            stalls.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.nodes.cmp(&b.nodes)));
+
+            StallSnapshot {
+                stalls,
+                max_age,
+                worst_scc_size,
+            }
+        }
+
+        /// The oldest chain of waits leading into component `c`, then the cycle
+        /// itself (when there is one): at each backward step pick the incoming
+        /// edge with the greatest age, stopping at a node with no external
+        /// predecessors or one already on the path.
+        #[allow(clippy::too_many_arguments)]
+        fn representative_path(
+            members: &[usize],
+            c: usize,
+            comp: &[usize],
+            nodes: &[WaitNode],
+            ids: &BTreeMap<WaitNode, usize>,
+            radj: &[Vec<(usize, usize)>],
+            adj: &[Vec<usize>],
+            edges: &[WaitEdge],
+            now: SimTime,
+        ) -> Vec<PathStep> {
+            // Entry: the component node with the oldest incoming external edge
+            // (or, failing that, the smallest member — a pure cycle).
+            let oldest_in = |v: usize| -> Option<(usize, usize)> {
+                // (edge idx, pred) of the oldest external in-edge of v.
+                radj[v]
+                    .iter()
+                    .filter(|&&(p, _)| comp[p] != c)
+                    .max_by_key(|&&(p, ei)| {
+                        (now.saturating_since(edges[ei].since), std::cmp::Reverse(p))
+                    })
+                    .map(|&(p, ei)| (ei, p))
+            };
+            let entry = members
+                .iter()
+                .copied()
+                .max_by_key(|&v| {
+                    oldest_in(v)
+                        .map(|(ei, _)| now.saturating_since(edges[ei].since))
+                        .unwrap_or(SimDuration::ZERO)
+                })
+                .unwrap_or(members[0]);
+
+            // Walk backwards from the entry along the oldest external in-edges.
+            let mut chain: Vec<(usize, usize)> = Vec::new(); // (node, edge to successor)
+            let mut seen = vec![false; nodes.len()];
+            seen[entry] = true;
+            let mut cur = entry;
+            while let Some((ei, p)) = oldest_in(cur) {
+                if seen[p] {
+                    break;
+                }
+                seen[p] = true;
+                chain.push((p, ei));
+                cur = p;
+            }
+            chain.reverse();
+
+            let mut path: Vec<PathStep> = chain
+                .into_iter()
+                .map(|(v, ei)| PathStep {
+                    node: nodes[v],
+                    reason: edges[ei].reason.phrase(),
+                    age: now.saturating_since(edges[ei].since),
+                })
+                .collect();
+
+            // Then the component itself: from the entry, follow in-component
+            // edges until a repeat (covers both single wedge heads and cycles).
+            let mut cur = entry;
+            let mut in_comp_seen = vec![false; nodes.len()];
+            loop {
+                if in_comp_seen[cur] {
+                    break;
+                }
+                in_comp_seen[cur] = true;
+                let next = adj[cur].iter().copied().find(|&w| comp[w] == c);
+                match next {
+                    Some(w) => {
+                        // The concrete edge cur -> w, for its reason and age.
+                        let ei = edges
+                            .iter()
+                            .position(|e| ids[&e.from] == cur && ids[&e.to] == w)
+                            .expect("adjacency implies an edge");
+                        path.push(PathStep {
+                            node: nodes[cur],
+                            reason: edges[ei].reason.phrase(),
+                            age: now.saturating_since(edges[ei].since),
+                        });
+                        if in_comp_seen[w] {
+                            // Close the cycle visually by naming the repeat.
+                            path.push(PathStep {
+                                node: nodes[w],
+                                reason: "",
+                                age: SimDuration::ZERO,
+                            });
+                            break;
+                        }
+                        cur = w;
+                    }
+                    None => {
+                        path.push(PathStep {
+                            node: nodes[cur],
+                            reason: "",
+                            age: SimDuration::ZERO,
+                        });
+                        break;
+                    }
+                }
+            }
+            path
+        }
+    }
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -938,5 +1382,97 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Node `i` of the random graphs: the four kinds interleaved, with
+    /// fields chosen so that sorted order is not numbering order and
+    /// process indices lie on both sides of 128.
+    fn pool_node(i: usize) -> WaitNode {
+        let kinds = [
+            PhaseTag::OrderAssign,
+            PhaseTag::Flush,
+            PhaseTag::TokenRotation,
+        ];
+        match i % 4 {
+            0 => msg((i / 4) % 3, 100 - i as u64),
+            1 => WaitNode::Proc(150 - 4 * i),
+            2 => WaitNode::LinkSlot {
+                to: i % 3,
+                from: (i / 3) % 3,
+                seq: i as u64,
+            },
+            _ => WaitNode::Phase {
+                kind: kinds[(i / 4) % 3],
+                at: 45 - i,
+            },
+        }
+    }
+
+    /// A stall with every field in view (`RankedStall` is not `Eq`).
+    fn fields(s: &RankedStall) -> impl PartialEq + fmt::Debug + '_ {
+        let counts = (s.blocked_descendants, s.procs_involved, s.persistence);
+        let ranked = (s.is_cycle, s.worst_age.as_micros(), s.severity);
+        (&s.nodes, counts, ranked, &s.path)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `analyze` against the analysis it replaced, over three
+        /// consecutive snapshots of one random graph through one tracker
+        /// each: up to 40 nodes of all four kinds, input unsorted or
+        /// sorted, ages that tie, parallel edges, self-loops and short
+        /// cycles planted, each snapshot leaving a different few edges
+        /// out so that components persist, vanish and return.
+        #[test]
+        fn analysis_matches_the_quadratic_oracle(
+            n_nodes in 1usize..=40,
+            random in collection::vec((0usize..40, 0usize..40, 0u64..6, 0usize..4, 0u8..5), 0..60),
+            cycles in collection::vec((0usize..40, 1usize..=3, 0u64..6), 0..4),
+            sorted in bool::ANY,
+        ) {
+            let reasons = [
+                WaitReason::HeldHere,
+                WaitReason::Unknown,
+                WaitReason::Frozen,
+                WaitReason::LinkGap,
+            ];
+            let node = |i: usize| pool_node(i % n_nodes);
+            // (edge, the snapshot it is left out of, if any)
+            let mut all: Vec<(WaitEdge, u8)> = random
+                .iter()
+                .map(|&(a, b, since, why, skip)| {
+                    (edge(node(a), node(b), since * 10, reasons[why]), skip)
+                })
+                .collect();
+            for &(start, len, since) in &cycles {
+                for step in 0..len {
+                    let (a, b) = (node(start + step), node(start + (step + 1) % len));
+                    all.push((edge(a, b, since * 10, WaitReason::MidFlush), 3));
+                }
+            }
+            if sorted {
+                // As the sampler hands them over: each source's edges
+                // together, targets in the same order under each.
+                all.sort_by_key(|(e, _)| (e.from, e.to, e.since));
+            }
+            let (mut tracker, mut oracle_tracker) = (StallTracker::new(), StallTracker::new());
+            for snapshot in 0..3u8 {
+                let edges: Vec<WaitEdge> = all
+                    .iter()
+                    .filter(|&&(_, skip)| skip != snapshot)
+                    .map(|&(e, _)| e)
+                    .collect();
+                let now = t(100 + 50 * u64::from(snapshot));
+                let got = analyze(&edges, now, &mut tracker);
+                let want = oracle::analyze(&edges, now, &mut oracle_tracker);
+                prop_assert_eq!(got.max_age, want.max_age);
+                prop_assert_eq!(got.worst_scc_size, want.worst_scc_size);
+                prop_assert_eq!(got.stalls.len(), want.stalls.len());
+                for (g, w) in got.stalls.iter().zip(&want.stalls) {
+                    prop_assert_eq!(fields(g), fields(w), "snapshot {}", snapshot);
+                }
+                prop_assert_eq!(&tracker.seen, &oracle_tracker.seen);
+            }
+        }
     }
 }
