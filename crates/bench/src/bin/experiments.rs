@@ -6,6 +6,7 @@
 //! experiments list                   # what exists
 //! experiments chaos --seed 23 --bug no-detector-reset
 //! experiments chaos --discipline pccast
+//! experiments chaos --seed 3259 --n 5 --cell indexed-full [--shrink]
 //! experiments explain --seed 2 --bug no-flush-retry [--msg m0.3]
 //! experiments latency --seed 2 --bug wedged_flush [--msg m0.3] [--discipline abcast] [--compare]
 //! experiments waitgraph --seed 2 --bug no-flush-retry [--at MS]
@@ -20,16 +21,19 @@ fn print_usage() {
     eprintln!(
         "usage: experiments [--perfetto FILE] \
          [all|list|f1|f2|f3|f4|t5|t6|t7|t7plus|t8|t9|t10|t11|t12|t13|t14|t15|t16|ablate\
-         |chaos [--seed N] [--bug KNOB] [--discipline cbcast|pccast]\
-         |explain --seed N [--msg mS.Q] [--bug KNOB] [--at MS] \
-         [--discipline cbcast|pccast|abcast|token]\
-         |latency --seed N [--msg mS.Q] [--bug KNOB] \
-         [--discipline cbcast|pccast|abcast|token|fifo] [--compare]\
-         |waitgraph --seed N [--at MS] [--bug KNOB] [--discipline cbcast|pccast]\
+         |chaos [--seed N [REPLAY] [--shrink]] [--discipline cbcast|pccast]\
+         |explain --seed N [REPLAY] [--msg mS.Q] [--at MS] [--discipline D]\
+         |latency --seed N [REPLAY] [--msg mS.Q] [--discipline D] | latency --compare [--seed N]\
+         |waitgraph --seed N [REPLAY] [--at MS] [--discipline cbcast|pccast]\
          |bench [--json FILE]\
          |benchdiff OLD.json NEW.json [--gate PCT]]...\n\
+         REPLAY (cbcast, pccast): [--n N] [--cell scan-full|scan-delta|indexed-full|indexed-delta] \
+         [--bug KNOB]; by default N is 3, 5 or 7 by seed % 3, chaos walks all four cells and the \
+         rest run indexed-delta\n\
          KNOB: no-detector-reset | no-flush-retry (alias wedged-flush) | no-chain-reset\n\
-         --discipline: which causal algorithm the chaos campaigns run (vector-timestamp cbcast, default, or constant-metadata pccast)"
+         D: cbcast (default) and pccast replay a fault campaign; abcast, token and (latency only) \
+         fifo run a harness group, where explain takes --at\n\
+         --shrink: the smallest fault plan, by whole episodes, that still violates"
     );
 }
 
@@ -134,38 +138,49 @@ fn main() {
                     println!("{t}");
                 }
             }
-            "chaos" => {
-                let mut seed: Option<u64> = None;
-                let mut knobs = catocs::vsync::BugKnobs::default();
-                let mut discipline = catocs::group::CausalDiscipline::Cbcast;
-                while i < args.len() {
-                    match args[i].as_str() {
-                        "--seed" => {
-                            seed = Some(parse_num(args.get(i + 1), "chaos --seed"));
-                            i += 2;
-                        }
-                        "--bug" => {
-                            knobs = parse_knob(args.get(i + 1));
-                            i += 2;
-                        }
-                        "--discipline" => {
-                            discipline = parse_discipline(args.get(i + 1));
-                            i += 2;
-                        }
-                        _ => break,
+            verb @ ("chaos" | "explain" | "latency" | "waitgraph") => {
+                use ex::replay::Mode;
+                let parsed = ex::replay::parse(verb, &args[i..]);
+                let (replay, mode, used) = parsed.unwrap_or_else(|refusal| {
+                    eprintln!("{refusal}");
+                    std::process::exit(2);
+                });
+                i += used;
+                let violations = match (verb, mode) {
+                    ("chaos", Mode::Sweep) => {
+                        // 50 seeds × {scan,indexed} × {full,delta} = 200 runs.
+                        let (table, violations) = ex::chaos::run(50, replay.algo);
+                        println!("{table}");
+                        violations
                     }
-                }
-                if let Some(seed) = seed {
-                    if ex::chaos::replay(seed, knobs, discipline) > 0 {
-                        std::process::exit(1);
+                    ("chaos", Mode::Shrink) => {
+                        let report = ex::shrink::report(&replay).unwrap_or_else(|| {
+                            eprintln!(
+                                "chaos --shrink: seed {} is clean: nothing to shrink",
+                                replay.seed
+                            );
+                            std::process::exit(2);
+                        });
+                        print!("{report}");
+                        1
                     }
-                } else {
-                    // 50 seeds × {scan,indexed} × {full,delta} = 200 runs.
-                    let (table, violations) = ex::chaos::run_discipline(50, discipline);
-                    println!("{table}");
-                    if violations > 0 {
-                        std::process::exit(1);
+                    ("chaos", _) => ex::chaos::replay(&replay) as u64,
+                    (_, Mode::Compare) => {
+                        println!("{}", ex::latency::compare(replay.seed));
+                        0
                     }
+                    _ => {
+                        let report = match verb {
+                            "explain" => ex::explain::run(&replay),
+                            "latency" => ex::latency::run(&replay),
+                            _ => ex::waitgraph::run(&replay),
+                        };
+                        print!("{report}");
+                        0
+                    }
+                };
+                if violations > 0 {
+                    std::process::exit(1);
                 }
             }
             "bench" => {
@@ -256,180 +271,6 @@ fn main() {
                     eprintln!("benchdiff: informational run (no --gate): exit 0");
                 }
             }
-            "explain" => {
-                let mut seed: Option<u64> = None;
-                let mut msg = None;
-                let mut knobs = catocs::vsync::BugKnobs::default();
-                let mut discipline = String::from("cbcast");
-                let mut at: Option<u64> = None;
-                while i < args.len() {
-                    match args[i].as_str() {
-                        "--seed" => {
-                            seed = Some(parse_num(args.get(i + 1), "explain --seed"));
-                            i += 2;
-                        }
-                        "--at" => {
-                            at = Some(parse_num(args.get(i + 1), "explain --at"));
-                            i += 2;
-                        }
-                        "--msg" => {
-                            msg = Some(
-                                args.get(i + 1)
-                                    .and_then(|s| ex::explain::parse_msg(s))
-                                    .unwrap_or_else(|| {
-                                        eprintln!("explain --msg wants an id like m0.3");
-                                        std::process::exit(2);
-                                    }),
-                            );
-                            i += 2;
-                        }
-                        "--bug" => {
-                            knobs = parse_knob(args.get(i + 1));
-                            i += 2;
-                        }
-                        "--discipline" => {
-                            discipline = args.get(i + 1).cloned().unwrap_or_default();
-                            i += 2;
-                        }
-                        _ => break,
-                    }
-                }
-                let Some(seed) = seed else {
-                    eprintln!("explain needs --seed N");
-                    std::process::exit(2);
-                };
-                match discipline.as_str() {
-                    "cbcast" => print!(
-                        "{}",
-                        ex::explain::run_d(
-                            seed,
-                            msg,
-                            knobs,
-                            catocs::group::CausalDiscipline::Cbcast
-                        )
-                    ),
-                    "pccast" => print!(
-                        "{}",
-                        ex::explain::run_d(
-                            seed,
-                            msg,
-                            knobs,
-                            catocs::group::CausalDiscipline::Pccast
-                        )
-                    ),
-                    "abcast" => print!(
-                        "{}",
-                        ex::explain::run_total(
-                            seed,
-                            msg,
-                            at.map(simnet::time::SimTime::from_millis),
-                            ex::explain::TotalKind::Sequencer
-                        )
-                    ),
-                    "token" => print!(
-                        "{}",
-                        ex::explain::run_total(
-                            seed,
-                            msg,
-                            at.map(simnet::time::SimTime::from_millis),
-                            ex::explain::TotalKind::Token
-                        )
-                    ),
-                    _ => {
-                        eprintln!("explain --discipline wants cbcast, pccast, abcast or token");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "latency" => {
-                let mut seed: Option<u64> = None;
-                let mut msg = None;
-                let mut knobs = catocs::vsync::BugKnobs::default();
-                let mut discipline = ex::latency::LatencyDiscipline::Cbcast;
-                let mut compare = false;
-                while i < args.len() {
-                    match args[i].as_str() {
-                        "--seed" => {
-                            seed = Some(parse_num(args.get(i + 1), "latency --seed"));
-                            i += 2;
-                        }
-                        "--msg" => {
-                            msg = Some(
-                                args.get(i + 1)
-                                    .and_then(|s| ex::explain::parse_msg(s))
-                                    .unwrap_or_else(|| {
-                                        eprintln!("latency --msg wants an id like m0.3");
-                                        std::process::exit(2);
-                                    }),
-                            );
-                            i += 2;
-                        }
-                        "--bug" => {
-                            knobs = parse_knob(args.get(i + 1));
-                            i += 2;
-                        }
-                        "--discipline" => {
-                            discipline = args
-                                .get(i + 1)
-                                .and_then(|s| ex::latency::LatencyDiscipline::parse(s))
-                                .unwrap_or_else(|| {
-                                    eprintln!(
-                                        "latency --discipline wants cbcast, pccast, \
-                                         abcast, token or fifo"
-                                    );
-                                    std::process::exit(2);
-                                });
-                            i += 2;
-                        }
-                        "--compare" => {
-                            compare = true;
-                            i += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                if compare {
-                    println!("{}", ex::latency::compare(seed.unwrap_or(0)));
-                } else {
-                    let Some(seed) = seed else {
-                        eprintln!("latency needs --seed N (or --compare)");
-                        std::process::exit(2);
-                    };
-                    print!("{}", ex::latency::run(seed, msg, knobs, discipline));
-                }
-            }
-            "waitgraph" => {
-                let mut seed: Option<u64> = None;
-                let mut at: Option<u64> = None;
-                let mut knobs = catocs::vsync::BugKnobs::default();
-                let mut discipline = catocs::group::CausalDiscipline::Cbcast;
-                while i < args.len() {
-                    match args[i].as_str() {
-                        "--seed" => {
-                            seed = Some(parse_num(args.get(i + 1), "waitgraph --seed"));
-                            i += 2;
-                        }
-                        "--at" => {
-                            at = Some(parse_num(args.get(i + 1), "waitgraph --at"));
-                            i += 2;
-                        }
-                        "--bug" => {
-                            knobs = parse_knob(args.get(i + 1));
-                            i += 2;
-                        }
-                        "--discipline" => {
-                            discipline = parse_discipline(args.get(i + 1));
-                            i += 2;
-                        }
-                        _ => break,
-                    }
-                }
-                let Some(seed) = seed else {
-                    eprintln!("waitgraph needs --seed N");
-                    std::process::exit(2);
-                };
-                print!("{}", ex::waitgraph::run(seed, at, knobs, discipline));
-            }
             other => {
                 eprintln!("unknown experiment: {other}");
                 print_usage();
@@ -440,34 +281,5 @@ fn main() {
     if perfetto.is_some() && !perfetto_used {
         eprintln!("--perfetto: no selected experiment exports a trace (f1 and t7plus do)");
         std::process::exit(2);
-    }
-}
-
-fn parse_num(arg: Option<&String>, what: &str) -> u64 {
-    arg.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{what} needs a number");
-        std::process::exit(2);
-    })
-}
-
-fn parse_knob(arg: Option<&String>) -> catocs::vsync::BugKnobs {
-    arg.and_then(|s| ex::chaos::parse_bug(s))
-        .unwrap_or_else(|| {
-            eprintln!(
-                "--bug wants one of: no-detector-reset, no-flush-retry \
-                 (alias: wedged-flush), no-chain-reset"
-            );
-            std::process::exit(2);
-        })
-}
-
-fn parse_discipline(arg: Option<&String>) -> catocs::group::CausalDiscipline {
-    match arg.map(String::as_str) {
-        Some("cbcast") => catocs::group::CausalDiscipline::Cbcast,
-        Some("pccast") => catocs::group::CausalDiscipline::Pccast,
-        _ => {
-            eprintln!("--discipline wants cbcast or pccast");
-            std::process::exit(2);
-        }
     }
 }

@@ -20,21 +20,21 @@
 //! byte-identical file. Wall-clock cost is the business of the separate
 //! `benchmark/` package.
 
-use crate::experiments::latency::{self, LatencyDiscipline};
+use crate::experiments::latency;
+use crate::experiments::replay::{Algo, Replay};
 use crate::table::Table;
 use crate::telemetry::{BenchSnapshot, Direction};
 use catocs::endpoint::Discipline;
-use catocs::group::{CausalDiscipline, GroupConfig};
+use catocs::group::GroupConfig;
 use catocs::harness::{spawn_group, GroupApp, GroupCtx};
 use catocs::ledger::{LatencySummary, PhaseId};
-use catocs::vsync::BugKnobs;
 use catocs::wire::{Delivery, Wire};
 use simnet::metrics::Histogram;
 use simnet::net::NetConfig;
 use simnet::sim::SimBuilder;
 use simnet::time::{SimDuration, SimTime};
 
-use super::{chaos, t7plus};
+use super::t7plus;
 
 /// The seed every deterministic workload runs under.
 pub const SNAPSHOT_SEED: u64 = 42;
@@ -217,7 +217,7 @@ fn push_point(snap: &mut BenchSnapshot, prefix: &str, p: &t7plus::HotPathPoint) 
 /// delivered latency, and the headline ordering tax. Quantiles come from
 /// the merged histograms of every summary passed in (chaos disciplines
 /// fold [`CHAOS_SEEDS`] campaigns; harness disciplines pass one run).
-fn push_latency(snap: &mut BenchSnapshot, d: LatencyDiscipline, summaries: &[LatencySummary]) {
+fn push_latency(snap: &mut BenchSnapshot, d: Algo, summaries: &[LatencySummary]) {
     let mut e2e = Histogram::new();
     let mut tax = Histogram::new();
     let mut wire = Histogram::new();
@@ -348,7 +348,7 @@ pub fn collect() -> BenchSnapshot {
     let mut stall_worst_scc = 0u64;
     let mut cbcast_lat: Vec<LatencySummary> = Vec::new();
     for seed in 0..CHAOS_SEEDS {
-        let r = chaos::run_seed(seed, true, true, BugKnobs::default());
+        let r = Replay::of(seed).run();
         delivered += r.delivered_total;
         events += r.events_processed;
         violations += r.violations.len() as u64;
@@ -424,30 +424,20 @@ pub fn collect() -> BenchSnapshot {
     // attribution): the chaos disciplines fold the same CHAOS_SEEDS
     // campaigns as above; abcast/token/fifo run the deterministic
     // harness-group workload. All virtual-time, all gated.
-    push_latency(&mut snap, LatencyDiscipline::Cbcast, &cbcast_lat);
+    push_latency(&mut snap, Algo::Cbcast, &cbcast_lat);
     let pccast_lat: Vec<LatencySummary> = (0..CHAOS_SEEDS)
         .map(|seed| {
-            chaos::run_seed_d(
-                seed,
-                true,
-                true,
-                BugKnobs::default(),
-                CausalDiscipline::Pccast,
-            )
-            .latency
+            let replay = Replay {
+                algo: Algo::Pccast,
+                ..Replay::of(seed)
+            };
+            replay.run().latency
         })
         .collect();
-    push_latency(&mut snap, LatencyDiscipline::Pccast, &pccast_lat);
-    for (d, discipline) in [
-        (
-            LatencyDiscipline::Abcast,
-            Discipline::Total { sequencer: 0 },
-        ),
-        (LatencyDiscipline::Token, Discipline::TotalToken),
-        (LatencyDiscipline::Fifo, Discipline::Fifo),
-    ] {
-        let s = latency::run_group_ledger(SNAPSHOT_SEED, GROUP_N, discipline);
-        push_latency(&mut snap, d, &[s]);
+    push_latency(&mut snap, Algo::Pccast, &pccast_lat);
+    for algo in [Algo::Abcast, Algo::Token, Algo::Fifo] {
+        let s = latency::run_group_ledger(SNAPSHOT_SEED, GROUP_N, algo);
+        push_latency(&mut snap, algo, &[s]);
     }
 
     snap

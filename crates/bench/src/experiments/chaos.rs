@@ -12,100 +12,36 @@
 //! replays one schedule verbatim and prints the plan, the per-process
 //! outcome and any violations (exit code 1 if there are any).
 
+use crate::experiments::replay::{Algo, Cell, Replay};
 use crate::table::Table;
-use catocs::group::{CausalDiscipline, GroupConfig};
-use catocs::vsync::{
-    run_campaign, run_campaign_with, BugKnobs, CampaignConfig, CampaignResult, Violation,
-};
+use catocs::vsync::{Campaign, Violation};
 use simnet::obs::{ProbeHandle, SpanId};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Group sizes the sweep cycles through, by seed.
-const SIZES: [usize; 3] = [3, 5, 7];
 
 /// Flight-recorder ring capacity used for post-mortem re-runs: deep
 /// enough to keep the tail of every process's message lifecycle.
 const RECORDER_CAP: usize = 512;
 
-/// The group size a given seed runs with (shared with `explain`).
-pub fn size_for_seed(seed: u64) -> usize {
-    SIZES[(seed % SIZES.len() as u64) as usize]
-}
-
-/// Parses an injected-bug knob name (`--bug` on the CLI).
-pub fn parse_bug(name: &str) -> Option<BugKnobs> {
-    let off = BugKnobs::default();
-    match name {
-        "no-detector-reset" => Some(BugKnobs {
-            no_detector_reset: true,
-            ..off
-        }),
-        // "wedged_flush" is the operator-facing alias: the symptom (a
-        // flush barrier that never completes) rather than the mechanism.
-        "no-flush-retry" | "wedged-flush" | "wedged_flush" => Some(BugKnobs {
-            no_flush_retry: true,
-            ..off
-        }),
-        "no-chain-reset" => Some(BugKnobs {
-            no_chain_reset: true,
-            ..off
-        }),
-        _ => None,
-    }
-}
-
-/// Names of the knobs set in `knobs`, for dump headers.
-fn knob_names(knobs: &BugKnobs) -> Vec<&'static str> {
-    let mut v = Vec::new();
-    if knobs.no_detector_reset {
-        v.push("no-detector-reset");
-    }
-    if knobs.no_flush_retry {
-        v.push("no-flush-retry");
-    }
-    if knobs.no_chain_reset {
-        v.push("no-chain-reset");
-    }
-    v
-}
-
-/// Where incident dumps land: `CHAOS_INCIDENT_DIR` overrides the
-/// default `target/chaos-incidents`.
-pub fn incident_dir() -> PathBuf {
-    std::env::var_os("CHAOS_INCIDENT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/chaos-incidents"))
-}
-
-/// Re-runs a violating cell with the flight recorder attached and writes
-/// the post-mortem: `seed-N-<cell>.txt` (fault plan, violations,
+/// Re-runs a violating replay with the flight recorder attached and
+/// writes the post-mortem: `seed-N-<cell>.txt` (fault plan, violations,
 /// per-process outcome, holdback wait-graphs, event diagram of the
 /// recorded tail) plus `seed-N-<cell>.jsonl` (the raw span/phase events,
 /// one JSON object per line). Returns the paths written.
-pub fn dump_incident_to(
-    dir: &Path,
-    seed: u64,
-    indexed: bool,
-    delta: bool,
-    knobs: BugKnobs,
-) -> std::io::Result<Vec<PathBuf>> {
-    let n = size_for_seed(seed);
-    let cfg = campaign_config(n, indexed, delta, knobs);
+pub fn dump_incident_to(dir: &Path, replay: &Replay) -> std::io::Result<Vec<PathBuf>> {
+    let (seed, n, cell) = (replay.seed, replay.n(), replay.cell());
     let (probe, rec) = ProbeHandle::recorder(RECORDER_CAP);
-    let r = run_campaign_with(seed, &cfg, probe);
+    let r = Campaign {
+        probe,
+        ..replay.campaign()
+    }
+    .run();
     let rec = rec.borrow();
 
-    let hold = if indexed { "indexed" } else { "scan" };
-    let ts = if delta { "delta" } else { "full" };
     let mut text = String::new();
-    let _ = writeln!(
-        text,
-        "CHAOS INCIDENT — seed {seed}, n={n}, {hold} holdback, {ts} timestamps"
-    );
-    let injected = knob_names(&knobs);
-    if !injected.is_empty() {
-        let _ = writeln!(text, "injected bug knobs: {}", injected.join(", "));
+    let _ = writeln!(text, "CHAOS INCIDENT — seed {seed}, n={n}, {cell}");
+    if let Some(injected) = replay.injected() {
+        let _ = writeln!(text, "{injected}");
     }
     let _ = writeln!(text, "\n{}", r.plan);
     let _ = writeln!(text, "violations ({}):", r.violations.len());
@@ -199,7 +135,7 @@ pub fn dump_incident_to(
     );
 
     std::fs::create_dir_all(dir)?;
-    let stem = format!("seed-{seed}-{hold}-{ts}");
+    let stem = format!("seed-{seed}-{}", cell.name());
     let txt_path = dir.join(format!("{stem}.txt"));
     let jsonl_path = dir.join(format!("{stem}.jsonl"));
     std::fs::write(&txt_path, text)?;
@@ -207,10 +143,13 @@ pub fn dump_incident_to(
     Ok(vec![txt_path, jsonl_path])
 }
 
-/// Dumps to the default incident directory, reporting (but swallowing)
-/// IO errors so a full-disk CI box still gets the violation exit code.
-fn dump_incident(seed: u64, indexed: bool, delta: bool, knobs: BugKnobs) {
-    match dump_incident_to(&incident_dir(), seed, indexed, delta, knobs) {
+/// Dumps to the incident directory — `CHAOS_INCIDENT_DIR`, else
+/// `target/chaos-incidents` — reporting (but swallowing) IO errors so a
+/// full-disk CI box still gets the violation exit code.
+fn dump_incident(replay: &Replay) {
+    let dir = std::env::var_os("CHAOS_INCIDENT_DIR").map(PathBuf::from);
+    let dir = dir.unwrap_or_else(|| PathBuf::from("target/chaos-incidents"));
+    match dump_incident_to(&dir, replay) {
         Ok(paths) => {
             for p in paths {
                 eprintln!("chaos: post-mortem dump written to {}", p.display());
@@ -220,71 +159,14 @@ fn dump_incident(seed: u64, indexed: bool, delta: bool, knobs: BugKnobs) {
     }
 }
 
-/// The campaign configuration for one cell of the sweep (cbcast).
-pub fn campaign_config(n: usize, indexed: bool, delta: bool, knobs: BugKnobs) -> CampaignConfig {
-    campaign_config_d(n, indexed, delta, knobs, CausalDiscipline::Cbcast)
-}
-
-/// The campaign configuration for one cell of the sweep, in the given
-/// causal discipline. For pccast the `delta` knob is inert (its data
-/// messages carry no vectors to delta-encode) but is kept in the sweep so
-/// both disciplines cross the same cells.
-pub fn campaign_config_d(
-    n: usize,
-    indexed: bool,
-    delta: bool,
-    knobs: BugKnobs,
-    discipline: CausalDiscipline,
-) -> CampaignConfig {
-    CampaignConfig {
-        n,
-        group: GroupConfig {
-            indexed_holdback: indexed,
-            delta_timestamps: delta,
-            discipline,
-            ..GroupConfig::default()
-        },
-        knobs,
-        ..CampaignConfig::default()
-    }
-}
-
-/// Runs one seeded campaign in the given sweep cell (cbcast).
-pub fn run_seed(seed: u64, indexed: bool, delta: bool, knobs: BugKnobs) -> CampaignResult {
-    run_seed_d(seed, indexed, delta, knobs, CausalDiscipline::Cbcast)
-}
-
-/// Runs one seeded campaign in the given sweep cell and discipline. The
-/// fault schedule depends only on the seed, so cbcast and pccast face
-/// identical partitions/crashes/degrade episodes — what differs is the
-/// delivery machinery under test.
-pub fn run_seed_d(
-    seed: u64,
-    indexed: bool,
-    delta: bool,
-    knobs: BugKnobs,
-    discipline: CausalDiscipline,
-) -> CampaignResult {
-    let n = SIZES[(seed % SIZES.len() as u64) as usize];
-    run_campaign(
-        seed,
-        &campaign_config_d(n, indexed, delta, knobs, discipline),
-    )
-}
-
-/// Runs `seeds` campaigns in each of the four sweep cells. Returns the
+/// Runs `seeds` campaigns of `algo` in each of the four sweep cells
+/// (`experiments chaos [--discipline pccast]` on the CLI). Returns the
 /// table and the total violation count (the CLI turns nonzero into exit
 /// code 1, so CI fails on any invariant breach).
-pub fn run(seeds: u64) -> (Table, u64) {
-    run_discipline(seeds, CausalDiscipline::Cbcast)
-}
-
-/// [`run`], in the given causal discipline (`experiments chaos
-/// --discipline pccast` on the CLI).
-pub fn run_discipline(seeds: u64, discipline: CausalDiscipline) -> (Table, u64) {
+pub fn run(seeds: u64, algo: Algo) -> (Table, u64) {
     let title = format!(
         "CHAOS — §5: seeded fault campaigns with virtual-synchrony checking ({})",
-        discipline.name()
+        algo.name()
     );
     let mut t = Table::new(
         &title,
@@ -307,7 +189,7 @@ pub fn run_discipline(seeds: u64, discipline: CausalDiscipline) -> (Table, u64) 
     );
     let mut total_violations = 0u64;
     let mut dumped = false;
-    for (indexed, delta) in [(false, false), (false, true), (true, false), (true, true)] {
+    for cell in Cell::ALL {
         let mut views = 0u64;
         let mut evicted = 0u64;
         let mut crashed = 0u64;
@@ -318,7 +200,11 @@ pub fn run_discipline(seeds: u64, discipline: CausalDiscipline) -> (Table, u64) 
         let mut hold_hist = simnet::metrics::Histogram::new();
         let mut wait_hist = simnet::metrics::Histogram::new();
         for seed in 0..seeds {
-            let r = run_seed_d(seed, indexed, delta, BugKnobs::default(), discipline);
+            let replay = Replay {
+                algo,
+                ..Replay::of(seed).in_cell(cell)
+            };
+            let r = replay.run();
             views += r.views_installed;
             evicted += r.evicted_live.len() as u64;
             crashed += r.plan.crashed_at_horizon().len() as u64;
@@ -332,8 +218,8 @@ pub fn run_discipline(seeds: u64, discipline: CausalDiscipline) -> (Table, u64) 
                 violations += 1;
                 eprintln!(
                     "chaos: seed {seed} ({}, {}) clean run ended with a persistent wait cycle:",
-                    if indexed { "indexed" } else { "scan" },
-                    if delta { "delta" } else { "full" },
+                    cell.holdback(),
+                    cell.timestamps(),
                 );
                 for s in r.stalls.persistent().filter(|s| s.is_cycle) {
                     eprintln!("  {}", s.summary());
@@ -343,8 +229,8 @@ pub fn run_discipline(seeds: u64, discipline: CausalDiscipline) -> (Table, u64) 
                 violations += r.violations.len() as u64;
                 eprintln!(
                     "chaos: seed {seed} ({}, {}) violated:",
-                    if indexed { "indexed" } else { "scan" },
-                    if delta { "delta" } else { "full" },
+                    cell.holdback(),
+                    cell.timestamps(),
                 );
                 for v in &r.violations {
                     eprintln!("  {v}");
@@ -353,19 +239,18 @@ pub fn run_discipline(seeds: u64, discipline: CausalDiscipline) -> (Table, u64) 
                 // recorder attached and dump the post-mortem.
                 if !dumped {
                     dumped = true;
-                    dump_incident(seed, indexed, delta, BugKnobs::default());
+                    dump_incident(&replay);
                 }
             }
             // Replay determinism: the first seed of every cell runs twice
             // and must produce bit-identical logs.
             if seed == 0 {
-                let again = run_seed_d(seed, indexed, delta, BugKnobs::default(), discipline);
-                stable &= again.digest == r.digest;
+                stable &= replay.run().digest == r.digest;
             }
         }
         t.row(vec![
-            if indexed { "indexed" } else { "scan" }.into(),
-            if delta { "delta" } else { "full" }.into(),
+            cell.holdback().into(),
+            cell.timestamps().into(),
             seeds.into(),
             views.into(),
             evicted.into(),
@@ -389,35 +274,25 @@ pub fn run_discipline(seeds: u64, discipline: CausalDiscipline) -> (Table, u64) 
     (t, total_violations)
 }
 
-/// Replays one seed across all four sweep cells, printing the schedule
-/// and any violations; `knobs` lets the CLI (`chaos --seed N --bug K`)
-/// re-inject a known bug. The first violating cell gets a flight-recorder
-/// post-mortem dump. Returns the total violation count (the CLI turns
-/// nonzero into exit code 1).
-pub fn replay(seed: u64, knobs: BugKnobs, discipline: CausalDiscipline) -> usize {
-    let n = size_for_seed(seed);
-    println!(
-        "{}",
-        run_campaign(seed, &campaign_config_d(n, true, false, knobs, discipline)).plan
-    );
-    let injected = knob_names(&knobs);
-    if !injected.is_empty() {
-        println!("injected bug knobs: {}", injected.join(", "));
-    }
+/// Replays one seed — across all four sweep cells unless the replay
+/// names one — printing the schedule and any violations. The first
+/// violating cell gets a flight-recorder post-mortem dump. Returns the
+/// total violation count (the CLI turns nonzero into exit code 1).
+pub fn replay(replay: &Replay) -> usize {
     let mut total = 0;
-    let mut dumped = false;
-    for (indexed, delta) in [(false, false), (false, true), (true, false), (true, true)] {
-        let r = run_seed_d(seed, indexed, delta, knobs, discipline);
+    for (i, cell) in replay.cells().into_iter().enumerate() {
+        let in_cell = replay.in_cell(cell);
+        let r = in_cell.run();
+        if i == 0 {
+            // The schedule depends only on the seed and the group size.
+            println!("{}", r.plan);
+            if let Some(injected) = replay.injected() {
+                println!("{injected}");
+            }
+        }
         println!(
-            "[{} holdback, {} timestamps] views={} survivors={:?} evicted_live={:?} \
-             delivered={} digest={:016x}",
-            if indexed { "indexed" } else { "scan" },
-            if delta { "delta" } else { "full" },
-            r.views_installed,
-            r.survivors,
-            r.evicted_live,
-            r.delivered_total,
-            r.digest,
+            "[{cell}] views={} survivors={:?} evicted_live={:?} delivered={} digest={:016x}",
+            r.views_installed, r.survivors, r.evicted_live, r.delivered_total, r.digest,
         );
         if r.blocked {
             println!("  primary-partition block: survivors short of a majority of the final view");
@@ -432,11 +307,10 @@ pub fn replay(seed: u64, knobs: BugKnobs, discipline: CausalDiscipline) -> usize
             for v in &r.violations {
                 println!("  VIOLATION: {v}");
             }
-            total += r.violations.len();
-            if !dumped {
-                dumped = true;
-                dump_incident(seed, indexed, delta, knobs);
+            if total == 0 {
+                dump_incident(&in_cell);
             }
+            total += r.violations.len();
         }
     }
     total
@@ -445,16 +319,34 @@ pub fn replay(seed: u64, knobs: BugKnobs, discipline: CausalDiscipline) -> usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::replay::parse_bug;
+    use catocs::vsync::CampaignResult;
+
+    /// Seed `seed` in the shipping cell with the named bug injected.
+    fn with_bug(seed: u64, bug: &str) -> Replay {
+        Replay {
+            knobs: parse_bug(bug).expect("a knob name"),
+            ..Replay::of(seed)
+        }
+    }
+
+    fn pccast(seed: u64, cell: Cell) -> CampaignResult {
+        let replay = Replay {
+            algo: Algo::Pccast,
+            ..Replay::of(seed).in_cell(cell)
+        };
+        replay.run()
+    }
 
     #[test]
     fn smoke_sweep_is_clean() {
         // A small cut of the full 200-run campaign, kept fast for CI.
-        for (indexed, delta) in [(true, false), (true, true)] {
+        for cell in [Cell::INDEXED_FULL, Cell::INDEXED_DELTA] {
             for seed in 0..6 {
-                let r = run_seed(seed, indexed, delta, BugKnobs::default());
+                let r = Replay::of(seed).in_cell(cell).run();
                 assert!(
                     r.violations.is_empty(),
-                    "seed {seed} indexed={indexed} delta={delta}: {:?}\n{}",
+                    "seed {seed} {cell}: {:?}\n{}",
                     r.violations,
                     r.plan
                 );
@@ -468,13 +360,7 @@ mod tests {
     #[test]
     fn pccast_smoke_sweep_is_clean() {
         for seed in 0..6 {
-            let r = run_seed_d(
-                seed,
-                true,
-                false,
-                BugKnobs::default(),
-                CausalDiscipline::Pccast,
-            );
+            let r = pccast(seed, Cell::INDEXED_FULL);
             assert!(
                 r.violations.is_empty(),
                 "pccast seed {seed}: {:?}\n{}",
@@ -488,20 +374,7 @@ mod tests {
     /// discipline-independent).
     #[test]
     fn pccast_replay_is_deterministic() {
-        let a = run_seed_d(
-            1,
-            true,
-            false,
-            BugKnobs::default(),
-            CausalDiscipline::Pccast,
-        );
-        let b = run_seed_d(
-            1,
-            true,
-            false,
-            BugKnobs::default(),
-            CausalDiscipline::Pccast,
-        );
+        let (a, b) = (pccast(1, Cell::INDEXED_FULL), pccast(1, Cell::INDEXED_FULL));
         assert_eq!(a.digest, b.digest);
     }
 
@@ -510,17 +383,9 @@ mod tests {
     /// survivors never reconverge.
     #[test]
     fn flush_retry_bug_is_caught() {
-        let vanilla = run_seed(2, true, true, BugKnobs::default());
+        let vanilla = Replay::of(2).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = run_seed(
-            2,
-            true,
-            true,
-            BugKnobs {
-                no_flush_retry: true,
-                ..BugKnobs::default()
-            },
-        );
+        let buggy = with_bug(2, "no-flush-retry").run();
         assert!(
             !buggy.violations.is_empty(),
             "seed 2 must violate without flush retries"
@@ -531,17 +396,9 @@ mod tests {
     /// view install, a message referencing pre-view state parks forever.
     #[test]
     fn chain_reset_bug_is_caught() {
-        let vanilla = run_seed(137, true, true, BugKnobs::default());
+        let vanilla = Replay::of(137).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = run_seed(
-            137,
-            true,
-            true,
-            BugKnobs {
-                no_chain_reset: true,
-                ..BugKnobs::default()
-            },
-        );
+        let buggy = with_bug(137, "no-chain-reset").run();
         assert!(
             !buggy.violations.is_empty(),
             "seed 137 must violate without chain reset at install"
@@ -553,17 +410,9 @@ mod tests {
     /// evicts a different set of live members than the vanilla run.
     #[test]
     fn detector_reset_bug_changes_evictions() {
-        let vanilla = run_seed(23, true, true, BugKnobs::default());
+        let vanilla = Replay::of(23).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = run_seed(
-            23,
-            true,
-            true,
-            BugKnobs {
-                no_detector_reset: true,
-                ..BugKnobs::default()
-            },
-        );
+        let buggy = with_bug(23, "no-detector-reset").run();
         assert_ne!(
             buggy.evicted_live, vanilla.evicted_live,
             "seed 23 must evict a different live set without detector reset"
@@ -577,11 +426,7 @@ mod tests {
     fn injected_bug_replay_produces_incident_dump() {
         let dir = std::env::temp_dir().join("catocs-chaos-incident-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        let paths = dump_incident_to(&dir, 2, true, true, knobs).expect("dump written");
+        let paths = dump_incident_to(&dir, &with_bug(2, "no-flush-retry")).expect("dump written");
         assert_eq!(paths.len(), 2);
         let txt = std::fs::read_to_string(&paths[0]).expect("txt dump");
         assert!(txt.contains("CHAOS INCIDENT — seed 2"), "{txt}");
@@ -610,16 +455,5 @@ mod tests {
             simnet::json::JsonValue::parse(line).expect("valid JSON line");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn bug_knob_names_parse() {
-        assert!(parse_bug("no-detector-reset").unwrap().no_detector_reset);
-        assert!(parse_bug("no-flush-retry").unwrap().no_flush_retry);
-        // The symptom-named alias used by `experiments latency`.
-        assert!(parse_bug("wedged-flush").unwrap().no_flush_retry);
-        assert!(parse_bug("wedged_flush").unwrap().no_flush_retry);
-        assert!(parse_bug("no-chain-reset").unwrap().no_chain_reset);
-        assert!(parse_bug("frobnicate").is_none());
     }
 }

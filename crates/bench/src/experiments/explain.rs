@@ -17,17 +17,13 @@
 //! message that sits in a detected stall component, the report names
 //! that component and its representative cycle path.
 
-use crate::experiments::chaos;
-use crate::experiments::latency::{Chatter, GROUP_DROP, GROUP_HORIZON};
-use catocs::endpoint::{Discipline, Endpoint};
-use catocs::group::{CausalDiscipline, GroupConfig, MsgId};
-use catocs::harness::{spawn_group, GroupNode};
-use catocs::vsync::BugKnobs;
+use crate::experiments::latency::{chatter_group, Chatter, GROUP_HORIZON};
+use crate::experiments::replay::{Algo, Replay};
+use catocs::endpoint::Endpoint;
+use catocs::group::MsgId;
+use catocs::harness::GroupNode;
 use catocs::waitgraph::{WaitNode, WaitReason, WaitRecord};
-use catocs::wire::Wire;
-use simnet::net::NetConfig;
-use simnet::sim::SimBuilder;
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -136,35 +132,18 @@ pub(crate) fn render_records(
     (matched, total)
 }
 
-/// Parses a message id of the form `m0.3` (or bare `0.3`).
-pub fn parse_msg(s: &str) -> Option<MsgId> {
-    let s = s.strip_prefix('m').unwrap_or(s);
-    let (sender, seq) = s.split_once('.')?;
-    Some(MsgId {
-        sender: sender.parse().ok()?,
-        seq: seq.parse().ok()?,
-    })
-}
-
-/// Builds the explainer report for one seed in the given causal
-/// discipline. `msg` restricts the output to a single blocked message;
-/// `knobs` re-injects a known bug. Runs the indexed-holdback /
-/// delta-timestamp cell — the full-featured configuration, where every
-/// wait can occur.
-pub fn run_d(
-    seed: u64,
-    msg: Option<MsgId>,
-    knobs: BugKnobs,
-    discipline: CausalDiscipline,
-) -> String {
-    let r = chaos::run_seed_d(seed, true, true, knobs, discipline);
+/// Builds the explainer report for one replay: the campaign's wait
+/// records at the horizon for the causal algorithms, [`run_total`] for
+/// the total-order ones. `replay.msg` restricts the output to a single
+/// blocked message.
+pub fn run(replay: &Replay) -> String {
+    if !replay.algo.is_chaos() {
+        return run_total(replay);
+    }
+    let msg = replay.msg;
+    let r = replay.run();
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "EXPLAIN — seed {seed}, n={}, indexed holdback, delta timestamps ({})",
-        chaos::size_for_seed(seed),
-        discipline.name()
-    );
+    let _ = writeln!(out, "EXPLAIN — {replay}");
     if r.violations.is_empty() {
         let _ = writeln!(out, "invariants: OK");
     } else {
@@ -236,15 +215,6 @@ pub fn run_d(
     out
 }
 
-/// Which total-order discipline [`run_total`] explains.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TotalKind {
-    /// Fixed-sequencer abcast (`--discipline abcast`).
-    Sequencer,
-    /// Token-ring total order (`--discipline token`).
-    Token,
-}
-
 /// The explainer for the total-order disciplines: runs the same
 /// deterministic harness-group workload the latency report uses, stops
 /// at the horizon, and renders each endpoint's wait records — the
@@ -253,27 +223,13 @@ pub enum TotalKind {
 /// The causes are the ledger's `order` and `token` phases, read from
 /// live endpoint state.
 ///
-/// `at` picks the snapshot time (`--at MS`); by default the full-horizon
-/// state is shown, where a healthy group has usually drained — pick a
-/// mid-run instant to watch the order forming.
-pub fn run_total(seed: u64, msg: Option<MsgId>, at: Option<SimTime>, kind: TotalKind) -> String {
-    let n = chaos::size_for_seed(seed);
-    let horizon = at.unwrap_or(GROUP_HORIZON);
-    let discipline = match kind {
-        TotalKind::Sequencer => Discipline::Total { sequencer: 0 },
-        TotalKind::Token => Discipline::TotalToken,
-    };
-    let mut sim = SimBuilder::new(seed)
-        .net(NetConfig::lossy_lan(GROUP_DROP))
-        .build::<Wire<u64>>();
-    let pids = spawn_group(
-        &mut sim,
-        n,
-        discipline,
-        GroupConfig::default(),
-        Some(SimDuration::from_millis(20)),
-        |_| Chatter::standard(),
-    );
+/// `replay.at` picks the snapshot time (`--at MS`); by default the
+/// full-horizon state is shown, where a healthy group has usually
+/// drained — pick a mid-run instant to watch the order forming.
+fn run_total(replay: &Replay) -> String {
+    let (seed, n, msg, algo) = (replay.seed, replay.n(), replay.msg, replay.algo);
+    let horizon = replay.at.map_or(GROUP_HORIZON, SimTime::from_millis);
+    let (mut sim, pids) = chatter_group(seed, n, algo);
     sim.run_until(horizon);
 
     let mut out = String::new();
@@ -281,12 +237,13 @@ pub fn run_total(seed: u64, msg: Option<MsgId>, at: Option<SimTime>, kind: Total
         out,
         "EXPLAIN — seed {seed}, n={n}, harness group at {}ms ({})",
         horizon.as_millis(),
-        match kind {
-            TotalKind::Sequencer => "abcast, sequencer P0",
-            TotalKind::Token => "token total order",
+        match algo {
+            Algo::Abcast => "abcast, sequencer P0",
+            Algo::Token => "token total order",
+            other => other.name(),
         }
     );
-    if kind == TotalKind::Token {
+    if algo == Algo::Token {
         // Where the token is tells the reader who everyone else queues
         // behind.
         let holder = pids.iter().enumerate().find_map(|(i, pid)| {
@@ -332,22 +289,16 @@ pub fn run_total(seed: u64, msg: Option<MsgId>, at: Option<SimTime>, kind: Total
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::replay::replay_of;
 
-    fn run(seed: u64, msg: Option<MsgId>, knobs: BugKnobs) -> String {
-        run_d(seed, msg, knobs, CausalDiscipline::Cbcast)
-    }
-
-    #[test]
-    fn parses_message_ids() {
-        assert_eq!(parse_msg("m0.3"), Some(MsgId { sender: 0, seq: 3 }));
-        assert_eq!(parse_msg("2.17"), Some(MsgId { sender: 2, seq: 17 }));
-        assert_eq!(parse_msg("m2"), None);
-        assert_eq!(parse_msg("mx.y"), None);
+    /// What `experiments explain ARGS` prints.
+    fn explain(args: &str) -> String {
+        run(&replay_of("explain", args))
     }
 
     #[test]
     fn clean_seed_reports_ok_invariants() {
-        let out = run(0, None, BugKnobs::default());
+        let out = explain("--seed 0");
         assert!(out.contains("invariants: OK"), "{out}");
     }
 
@@ -355,11 +306,7 @@ mod tests {
     /// must name the exact message each blocked message waits on.
     #[test]
     fn wedged_flush_names_the_blocking_chain() {
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        let out = run(2, None, knobs);
+        let out = explain("--seed 2 --bug no-flush-retry");
         assert!(out.contains("violations ("), "{out}");
         assert!(out.contains("ended frozen"), "{out}");
         // P0's chain root is deliverable but frozen; its successor names
@@ -374,21 +321,10 @@ mod tests {
 
     #[test]
     fn msg_filter_restricts_output() {
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        let out = run(2, Some(MsgId { sender: 4, seq: 34 }), knobs);
+        let out = explain("--seed 2 --bug no-flush-retry --msg m4.34");
         assert!(out.contains("holds m4.34"), "{out}");
         assert!(!out.contains("holds m4.35"), "{out}");
-        let missing = run(
-            2,
-            Some(MsgId {
-                sender: 0,
-                seq: 999,
-            }),
-            knobs,
-        );
+        let missing = explain("--seed 2 --bug no-flush-retry --msg m0.999");
         assert!(
             missing.contains("not blocked in any surviving holdback queue"),
             "{missing}"
@@ -419,23 +355,16 @@ mod tests {
 
     #[test]
     fn pccast_explainer_runs_and_is_deterministic() {
-        let out = run_d(2, None, BugKnobs::default(), CausalDiscipline::Pccast);
+        let out = explain("--seed 2 --discipline pccast");
         assert!(out.contains("(pccast)"), "{out}");
-        assert_eq!(
-            out,
-            run_d(2, None, BugKnobs::default(), CausalDiscipline::Pccast)
-        );
+        assert_eq!(out, explain("--seed 2 --discipline pccast"));
     }
 
     /// With the wedged flush injected, asking about the frozen chain root
     /// names the stall component it is tied to and renders its path.
     #[test]
     fn wedged_flush_msg_is_tied_to_its_stall_component() {
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        let out = run(2, Some(MsgId { sender: 4, seq: 34 }), knobs);
+        let out = explain("--seed 2 --bug no-flush-retry --msg m4.34");
         assert!(out.contains("stall component #"), "{out}");
         assert!(out.contains("flush@P"), "{out}");
     }
@@ -444,8 +373,7 @@ mod tests {
     /// message waits on and who should have assigned it.
     #[test]
     fn abcast_explainer_names_the_missing_order_slot() {
-        let at = Some(simnet::time::SimTime::from_millis(45));
-        let out = run_total(0, None, at, TotalKind::Sequencer);
+        let out = explain("--seed 0 --discipline abcast --at 45");
         assert!(out.contains("(abcast, sequencer P0)"), "{out}");
         assert!(out.contains("assigned order slot 21"), "{out}");
         assert!(
@@ -453,22 +381,20 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("[order]"), "{out}");
-        assert_eq!(out, run_total(0, None, at, TotalKind::Sequencer));
+        assert_eq!(out, explain("--seed 0 --discipline abcast --at 45"));
     }
 
     /// The token explainer names the current holder and what blocked
     /// members queue behind.
     #[test]
     fn token_explainer_names_the_holder_and_the_gap() {
-        let early = Some(simnet::time::SimTime::from_millis(25));
-        let out = run_total(0, None, early, TotalKind::Token);
+        let out = explain("--seed 0 --discipline token --at 25");
         assert!(out.contains("token holder at the snapshot: P2"), "{out}");
         assert!(
             out.contains("P0 has submissions queued awaiting the token"),
             "{out}"
         );
-        let mid = Some(simnet::time::SimTime::from_millis(45));
-        let out = run_total(0, None, mid, TotalKind::Token);
+        let out = explain("--seed 0 --discipline token --at 45");
         assert!(
             out.contains("order slot 13 — awaiting the rotation"),
             "{out}"
@@ -480,7 +406,7 @@ mod tests {
     /// so instead of showing stale state.
     #[test]
     fn total_explainer_reports_a_drained_group() {
-        let out = run_total(0, None, None, TotalKind::Sequencer);
+        let out = explain("--seed 0 --discipline abcast");
         assert!(
             out.contains("no messages were awaiting a total-order slot"),
             "{out}"
@@ -489,10 +415,7 @@ mod tests {
 
     #[test]
     fn output_is_deterministic() {
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        assert_eq!(run(2, None, knobs), run(2, None, knobs));
+        let wedged = "--seed 2 --bug no-flush-retry";
+        assert_eq!(explain(wedged), explain(wedged));
     }
 }

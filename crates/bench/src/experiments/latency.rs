@@ -13,21 +13,20 @@
 //! seed, so `--bug` knobs apply and wedged flushes show up as open
 //! entries charged to the flush barrier. The remaining disciplines
 //! (`abcast`, `token`, `fifo`) run a deterministic group workload on the
-//! harness — no fault plan, so `--bug` is inert there and the report says
-//! so. `--compare` runs cbcast, pccast and abcast side by side at N=64
-//! and tabulates what each ordering guarantee costs over FIFO.
+//! harness — no fault plan, so the flag parser refuses `--bug` there and
+//! the report says why. `--compare` runs cbcast, pccast and abcast side
+//! by side at N=64 and tabulates what each ordering guarantee costs over
+//! FIFO.
 
-use crate::experiments::chaos;
+use crate::experiments::replay::{Algo, Replay};
 use crate::table::Table;
-use catocs::endpoint::Discipline;
-use catocs::group::{CausalDiscipline, GroupConfig, MsgId};
-use catocs::harness::{spawn_group_with_probe, GroupApp, GroupCtx};
+use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
 use catocs::ledger::{LatencySummary, LedgerEntry, LedgerProbe, PhaseId};
-use catocs::vsync::BugKnobs;
 use catocs::wire::{Delivery, Wire};
 use simnet::net::NetConfig;
 use simnet::obs::{Probe, ProbeHandle, SpanId};
-use simnet::sim::SimBuilder;
+use simnet::process::ProcessId;
+use simnet::sim::{Sim, SimBuilder};
 use simnet::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -45,65 +44,7 @@ pub(crate) const GROUP_HORIZON: SimTime = SimTime::from_secs(5);
 /// Messages each member multicasts in those workloads.
 const GROUP_MSGS: u32 = 20;
 /// Loss rate of those workloads (enough to exercise repair phases).
-pub(crate) const GROUP_DROP: f64 = 0.02;
-
-/// The five disciplines the report covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LatencyDiscipline {
-    /// Vector-timestamp causal broadcast (chaos campaign replay).
-    Cbcast,
-    /// Constant-metadata causal broadcast (chaos campaign replay).
-    Pccast,
-    /// Fixed-sequencer total order (harness group).
-    Abcast,
-    /// Token-ring total order (harness group).
-    Token,
-    /// FIFO-only baseline (harness group).
-    Fifo,
-}
-
-impl LatencyDiscipline {
-    /// Parses the CLI `--discipline` value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "cbcast" => Some(LatencyDiscipline::Cbcast),
-            "pccast" => Some(LatencyDiscipline::Pccast),
-            "abcast" => Some(LatencyDiscipline::Abcast),
-            "token" => Some(LatencyDiscipline::Token),
-            "fifo" => Some(LatencyDiscipline::Fifo),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name, used in headers and BENCH metric names.
-    pub fn name(self) -> &'static str {
-        match self {
-            LatencyDiscipline::Cbcast => "cbcast",
-            LatencyDiscipline::Pccast => "pccast",
-            LatencyDiscipline::Abcast => "abcast",
-            LatencyDiscipline::Token => "token",
-            LatencyDiscipline::Fifo => "fifo",
-        }
-    }
-
-    /// Whether this discipline replays a chaos campaign (where `--bug`
-    /// fault knobs apply) rather than a plain harness group.
-    pub fn is_chaos(self) -> bool {
-        matches!(self, LatencyDiscipline::Cbcast | LatencyDiscipline::Pccast)
-    }
-
-    /// The phase that is this discipline's ordering signature — the one
-    /// its guarantee uniquely charges latency to.
-    pub fn signature_phase(self) -> PhaseId {
-        match self {
-            LatencyDiscipline::Cbcast => PhaseId::Causal,
-            LatencyDiscipline::Pccast => PhaseId::Reorder,
-            LatencyDiscipline::Abcast => PhaseId::Order,
-            LatencyDiscipline::Token => PhaseId::Token,
-            LatencyDiscipline::Fifo => PhaseId::Fifo,
-        }
-    }
-}
+const GROUP_DROP: f64 = 0.02;
 
 /// Each member multicasts `remaining` messages in bursts of
 /// [`BURST`] per app tick. Bursts matter: consecutive sequence numbers
@@ -112,15 +53,6 @@ impl LatencyDiscipline {
 /// instead of being repaired before the next send.
 pub(crate) struct Chatter {
     remaining: u32,
-}
-
-impl Chatter {
-    /// A chatter with the standard workload size.
-    pub(crate) fn standard() -> Self {
-        Chatter {
-            remaining: GROUP_MSGS,
-        }
-    }
 }
 
 /// Messages per tick.
@@ -137,53 +69,37 @@ impl GroupApp<u64> for Chatter {
     }
 }
 
-/// Runs a deterministic harness-group workload under `discipline` with a
-/// ledger probe cloned onto every member, and finalizes the ledger at
-/// the horizon. This is how the non-chaos disciplines (abcast, token,
-/// fifo) get their provenance, and how BENCH collects its `latency.*`
-/// rows for them.
-pub fn run_group_ledger(seed: u64, n: usize, discipline: Discipline) -> LatencySummary {
+/// Builds the deterministic harness-group workload under `algo`: every
+/// member a [`Chatter`] on a 20 ms application tick, over a LAN that
+/// loses [`GROUP_DROP`] of its messages.
+pub(crate) fn chatter_group(seed: u64, n: usize, algo: Algo) -> (Sim<Wire<u64>>, Vec<ProcessId>) {
     let mut sim = SimBuilder::new(seed)
         .net(NetConfig::lossy_lan(GROUP_DROP))
         .build::<Wire<u64>>();
+    let (discipline, cfg) = algo.endpoint();
+    let tick = Some(SimDuration::from_millis(20));
+    let members = spawn_group(&mut sim, n, discipline, cfg, tick, |_| Chatter {
+        remaining: GROUP_MSGS,
+    });
+    (sim, members)
+}
+
+/// Runs that workload with a ledger probe cloned onto every member, and
+/// finalizes the ledger at the horizon. This is how the non-chaos
+/// disciplines (abcast, token, fifo) get their provenance, how
+/// `--compare` puts all of them on one workload, and how BENCH collects
+/// its `latency.*` rows for them.
+pub fn run_group_ledger(seed: u64, n: usize, algo: Algo) -> LatencySummary {
+    let (mut sim, members) = chatter_group(seed, n, algo);
     let ledger = Rc::new(RefCell::new(LedgerProbe::new()));
     let probe = ProbeHandle::new(Rc::clone(&ledger) as Rc<RefCell<dyn Probe>>);
-    spawn_group_with_probe(
-        &mut sim,
-        n,
-        discipline,
-        GroupConfig::default(),
-        Some(SimDuration::from_millis(20)),
-        probe,
-        |_| Chatter::standard(),
-    );
+    for member in members {
+        let node: &mut GroupNode<u64, Chatter> = sim.process_mut(member).expect("just spawned");
+        node.set_probe(probe.clone());
+    }
     sim.run_until(GROUP_HORIZON);
     let summary = ledger.borrow().finalize(GROUP_HORIZON);
     summary
-}
-
-/// The ledger for one seed in one discipline: chaos replay for the
-/// causal disciplines, harness group for the rest.
-pub fn summary_for(seed: u64, knobs: BugKnobs, d: LatencyDiscipline) -> LatencySummary {
-    match d {
-        LatencyDiscipline::Cbcast => {
-            chaos::run_seed_d(seed, true, true, knobs, CausalDiscipline::Cbcast).latency
-        }
-        LatencyDiscipline::Pccast => {
-            chaos::run_seed_d(seed, true, true, knobs, CausalDiscipline::Pccast).latency
-        }
-        LatencyDiscipline::Abcast => run_group_ledger(
-            seed,
-            chaos::size_for_seed(seed),
-            Discipline::Total { sequencer: 0 },
-        ),
-        LatencyDiscipline::Token => {
-            run_group_ledger(seed, chaos::size_for_seed(seed), Discipline::TotalToken)
-        }
-        LatencyDiscipline::Fifo => {
-            run_group_ledger(seed, chaos::size_for_seed(seed), Discipline::Fifo)
-        }
-    }
 }
 
 fn ms(d: SimDuration) -> f64 {
@@ -256,11 +172,17 @@ pub(crate) fn render_entry(out: &mut String, e: &LedgerEntry) {
     }
 }
 
-/// Builds the latency-provenance report for one seed. `msg` drills into
-/// a single message across receivers; `knobs` re-injects a bug for the
-/// chaos-replay disciplines.
-pub fn run(seed: u64, msg: Option<MsgId>, knobs: BugKnobs, d: LatencyDiscipline) -> String {
-    let s = summary_for(seed, knobs, d);
+/// Builds the latency-provenance report for one replay. `replay.msg`
+/// drills into a single message across receivers.
+pub fn run(replay: &Replay) -> String {
+    let (seed, msg, d) = (replay.seed, replay.msg, replay.algo);
+    // A chaos campaign's ledger for the causal disciplines, a harness
+    // group's for the rest.
+    let s = if d.is_chaos() {
+        replay.run().latency
+    } else {
+        run_group_ledger(seed, replay.n(), d)
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -271,8 +193,10 @@ pub fn run(seed: u64, msg: Option<MsgId>, knobs: BugKnobs, d: LatencyDiscipline)
         let _ = writeln!(
             out,
             "harness group (n={}, no fault plan; --bug knobs apply only to cbcast/pccast)",
-            chaos::size_for_seed(seed)
+            replay.n()
         );
+    } else if replay.n.is_some() || replay.cell.is_some() {
+        let _ = writeln!(out, "campaign: n={}, {}", replay.n(), replay.cell());
     }
     let delivered = s.entries.iter().filter(|e| !e.open).count();
     let _ = writeln!(
@@ -423,96 +347,38 @@ pub fn compare(seed: u64) -> Table {
             "sig p99 ms",
         ],
     );
-    for (name, discipline, sig) in [
-        ("fifo", Discipline::Fifo, PhaseId::Fifo),
-        (
-            "cbcast",
-            Discipline::Causal,
-            LatencyDiscipline::Cbcast.signature_phase(),
-        ),
-        (
-            "abcast",
-            Discipline::Total { sequencer: 0 },
-            LatencyDiscipline::Abcast.signature_phase(),
-        ),
-    ] {
-        let s = run_group_ledger(seed, COMPARE_N, discipline);
-        push_compare_row(&mut t, name, &s, sig);
+    for algo in [Algo::Fifo, Algo::Cbcast, Algo::Abcast, Algo::Pccast] {
+        let s = run_group_ledger(seed, COMPARE_N, algo);
+        let sig = algo.signature_phase();
+        let delivered = s.entries.iter().filter(|e| !e.open).count() as u64;
+        t.row(vec![
+            algo.name().into(),
+            delivered.into(),
+            ms(s.latency.quantile(0.50)).into(),
+            ms(s.latency.quantile(0.99)).into(),
+            s.tax_mean_us().into(),
+            ms(s.tax.quantile(0.99)).into(),
+            sig.name().into(),
+            s.per_phase
+                .get(&sig)
+                .map(|h| ms(h.quantile(0.99)))
+                .unwrap_or(0.0)
+                .into(),
+        ]);
     }
-    // pccast shares Discipline::Causal; select it through the group
-    // config instead.
-    let s = run_group_ledger_pccast(seed, COMPARE_N);
-    push_compare_row(
-        &mut t,
-        "pccast",
-        &s,
-        LatencyDiscipline::Pccast.signature_phase(),
-    );
     t.note("same seed, workload and loss rate for every row; the tax is the");
     t.note("per-delivery cost of the ordering guarantee over per-sender FIFO.");
     t
 }
 
-fn run_group_ledger_pccast(seed: u64, n: usize) -> LatencySummary {
-    let mut sim = SimBuilder::new(seed)
-        .net(NetConfig::lossy_lan(GROUP_DROP))
-        .build::<Wire<u64>>();
-    let ledger = Rc::new(RefCell::new(LedgerProbe::new()));
-    let probe = ProbeHandle::new(Rc::clone(&ledger) as Rc<RefCell<dyn Probe>>);
-    spawn_group_with_probe(
-        &mut sim,
-        n,
-        Discipline::Causal,
-        GroupConfig {
-            discipline: CausalDiscipline::Pccast,
-            ..GroupConfig::default()
-        },
-        Some(SimDuration::from_millis(20)),
-        probe,
-        |_| Chatter::standard(),
-    );
-    sim.run_until(GROUP_HORIZON);
-    let summary = ledger.borrow().finalize(GROUP_HORIZON);
-    summary
-}
-
-fn push_compare_row(t: &mut Table, name: &str, s: &LatencySummary, sig: PhaseId) {
-    let delivered = s.entries.iter().filter(|e| !e.open).count() as u64;
-    t.row(vec![
-        name.into(),
-        delivered.into(),
-        ms(s.latency.quantile(0.50)).into(),
-        ms(s.latency.quantile(0.99)).into(),
-        s.tax_mean_us().into(),
-        ms(s.tax.quantile(0.99)).into(),
-        sig.name().into(),
-        s.per_phase
-            .get(&sig)
-            .map(|h| ms(h.quantile(0.99)))
-            .unwrap_or(0.0)
-            .into(),
-    ]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn discipline_names_parse() {
-        for n in ["cbcast", "pccast", "abcast", "token", "fifo"] {
-            assert_eq!(LatencyDiscipline::parse(n).unwrap().name(), n);
-        }
-        assert!(LatencyDiscipline::parse("isis").is_none());
-    }
+    use crate::experiments::replay::replay_of;
 
     #[test]
     fn output_is_deterministic_across_reruns() {
-        let knobs = BugKnobs::default();
-        assert_eq!(
-            run(0, None, knobs, LatencyDiscipline::Cbcast),
-            run(0, None, knobs, LatencyDiscipline::Cbcast)
-        );
+        assert_eq!(run(&Replay::of(0)), run(&Replay::of(0)));
     }
 
     /// The acceptance check: seed 2 with the wedged flush injected must
@@ -520,11 +386,7 @@ mod tests {
     /// barrier and name it as the critical path.
     #[test]
     fn wedged_flush_attributes_to_the_flush_barrier() {
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        let out = run(2, None, knobs, LatencyDiscipline::Cbcast);
+        let out = run(&replay_of("latency", "--seed 2 --bug wedged_flush"));
         assert!(out.contains("undelivered at the horizon"), "{out}");
         assert!(out.contains("wedged on the flush barrier"), "{out}");
         // The highlighted message carries >=90% flush attribution and
@@ -547,12 +409,8 @@ mod tests {
     /// guarantee being paid for shows up as an attributed phase row.
     #[test]
     fn signature_phases_appear_per_discipline() {
-        for d in [
-            LatencyDiscipline::Abcast,
-            LatencyDiscipline::Token,
-            LatencyDiscipline::Fifo,
-        ] {
-            let s = summary_for(0, BugKnobs::default(), d);
+        for d in [Algo::Abcast, Algo::Token, Algo::Fifo] {
+            let s = run_group_ledger(0, Replay::of(0).n(), d);
             assert!(!s.entries.is_empty(), "{}: empty ledger", d.name());
             assert!(
                 s.per_phase.contains_key(&PhaseId::Wire),
@@ -570,12 +428,7 @@ mod tests {
 
     #[test]
     fn drilldown_renders_phase_tiling() {
-        let out = run(
-            0,
-            Some(MsgId { sender: 0, seq: 1 }),
-            BugKnobs::default(),
-            LatencyDiscipline::Cbcast,
-        );
+        let out = run(&replay_of("latency", "--seed 0 --msg m0.1"));
         assert!(out.contains("drill-down m0.1:"), "{out}");
         assert!(out.contains("[   wire]"), "{out}");
         assert!(out.contains("critical path:"), "{out}");

@@ -10,6 +10,8 @@ pub mod f2;
 pub mod f3;
 pub mod f4;
 pub mod latency;
+pub mod replay;
+pub mod shrink;
 pub mod t10;
 pub mod t11;
 pub mod t12;
@@ -50,7 +52,7 @@ pub fn run_all() -> Vec<Table> {
     out.push(t14::run());
     out.push(t15::run(&[3, 5, 9]));
     out.push(t16::run());
-    out.push(chaos::run(20).0);
+    out.push(chaos::run(20, replay::Algo::Cbcast).0);
     out.push(latency::compare(0));
     out.extend(ablate::run());
     out

@@ -350,23 +350,9 @@ pub fn measure_pccast_with_probe(n: usize, probe: ProbeHandle) -> PcPoint {
 /// on tid 1, protocol phases on tid 2, flow arrows from each send to
 /// its wire arrival.
 pub fn perfetto(n: usize, indexed: bool, delta: bool) -> String {
-    let (probe, rec) = ProbeHandle::recorder(8192);
-    measure_with_probe(n, indexed, delta, probe);
-    let active = ACTIVE_CAP.min(n - 1);
-    let names: Vec<String> = (0..n)
-        .map(|p| {
-            if p == n - 1 {
-                "observer".to_string()
-            } else if p < active {
-                format!("sender{p}")
-            } else {
-                "idle".to_string()
-            }
-        })
-        .collect();
-    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let rec = rec.borrow();
-    perfetto_json(None, Some(&rec), n, &refs)
+    recorded(n, |probe| {
+        measure_with_probe(n, indexed, delta, probe);
+    })
 }
 
 /// [`perfetto`] for the constant-metadata discipline: the same sparse
@@ -374,8 +360,16 @@ pub fn perfetto(n: usize, indexed: bool, delta: bool) -> String {
 /// as held slices, link ack/skip/repair phases, and send→wire flow
 /// arrows — trace parity with the cbcast export.
 pub fn perfetto_pccast(n: usize) -> String {
+    recorded(n, |probe| {
+        measure_pccast_with_probe(n, probe);
+    })
+}
+
+/// The trace of one sparse run of `n` members under the flight recorder,
+/// tracks named by role.
+fn recorded(n: usize, run: impl FnOnce(ProbeHandle)) -> String {
     let (probe, rec) = ProbeHandle::recorder(8192);
-    measure_pccast_with_probe(n, probe);
+    run(probe);
     let active = ACTIVE_CAP.min(n - 1);
     let names: Vec<String> = (0..n)
         .map(|p| {

@@ -10,27 +10,19 @@
 //! graph. `--at MS` selects the snapshot at or before that virtual time;
 //! the default is the final snapshot at the horizon.
 
-use crate::experiments::chaos;
-use catocs::group::CausalDiscipline;
-use catocs::vsync::BugKnobs;
+use crate::experiments::replay::Replay;
 use simnet::time::SimTime;
 use std::fmt::Write as _;
 
-/// Builds the report for one seed. Runs the indexed-holdback /
-/// delta-timestamp cell, like `explain`.
-pub fn run(seed: u64, at_ms: Option<u64>, knobs: BugKnobs, discipline: CausalDiscipline) -> String {
-    let n = chaos::size_for_seed(seed);
-    let r = chaos::run_seed_d(seed, true, true, knobs, discipline);
+/// Builds the report for one replay; `replay.at` picks the snapshot.
+pub fn run(replay: &Replay) -> String {
+    let r = replay.run();
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "WAITGRAPH — seed {seed}, n={n}, indexed holdback, delta timestamps ({})",
-        discipline.name()
-    );
+    let _ = writeln!(out, "WAITGRAPH — {replay}");
     if !r.violations.is_empty() {
         let _ = writeln!(out, "violations: {}", r.violations.len());
     }
-    let Some((idx, (at, snap))) = (match at_ms {
+    let Some((idx, (at, snap))) = (match replay.at {
         Some(ms) => {
             let want = SimTime::from_millis(ms);
             r.stall_timeline
@@ -76,17 +68,19 @@ pub fn run(seed: u64, at_ms: Option<u64>, knobs: BugKnobs, discipline: CausalDis
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::replay::replay_of;
+
+    /// What `experiments waitgraph ARGS` prints.
+    fn waitgraph(args: &str) -> String {
+        run(&replay_of("waitgraph", args))
+    }
 
     /// The acceptance scenario: the injected wedged flush must surface
     /// as the top-ranked stall, with a path naming the flush phase of
     /// the suspected coordinator.
     #[test]
     fn wedged_flush_ranks_the_flush_cycle_first() {
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        let out = run(2, None, knobs, CausalDiscipline::Cbcast);
+        let out = waitgraph("--seed 2 --bug no-flush-retry");
         let first = out
             .lines()
             .find(|l| l.starts_with("#1 "))
@@ -104,38 +98,28 @@ mod tests {
     /// never a genuine wait cycle.
     #[test]
     fn clean_seed_reports_no_wait_cycle() {
-        let out = run(0, None, BugKnobs::default(), CausalDiscipline::Cbcast);
+        let out = waitgraph("--seed 0");
         assert!(out.contains("worst cycle 0 node(s)"), "{out}");
         assert!(!out.contains("cycle ["), "{out}");
     }
 
     #[test]
     fn at_selects_an_earlier_snapshot() {
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        let early = run(2, Some(0), knobs, CausalDiscipline::Cbcast);
+        let early = waitgraph("--seed 2 --bug no-flush-retry --at 0");
         assert!(early.contains("snapshot 1/"), "{early}");
-        let late = run(2, None, knobs, CausalDiscipline::Cbcast);
+        let late = waitgraph("--seed 2 --bug no-flush-retry");
         assert_ne!(early, late);
     }
 
     #[test]
     fn output_is_deterministic_across_reruns() {
-        let knobs = BugKnobs {
-            no_flush_retry: true,
-            ..BugKnobs::default()
-        };
-        assert_eq!(
-            run(2, None, knobs, CausalDiscipline::Cbcast),
-            run(2, None, knobs, CausalDiscipline::Cbcast)
-        );
+        let wedged = "--seed 2 --bug no-flush-retry";
+        assert_eq!(waitgraph(wedged), waitgraph(wedged));
     }
 
     #[test]
     fn pccast_discipline_is_covered() {
-        let out = run(1, None, BugKnobs::default(), CausalDiscipline::Pccast);
+        let out = waitgraph("--seed 1 --discipline pccast");
         assert!(out.contains("(pccast)"), "{out}");
         assert!(out.contains("snapshot "), "{out}");
     }

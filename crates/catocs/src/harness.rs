@@ -125,6 +125,13 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
         &self.endpoint
     }
 
+    /// Installs an observability probe on the endpoint — the latency
+    /// ledger and the flight recorder both attach here, on the members
+    /// [`spawn_group`] returns.
+    pub fn set_probe(&mut self, probe: simnet::obs::ProbeHandle) {
+        self.endpoint.set_probe(probe);
+    }
+
     /// The hosted application.
     pub fn app(&self) -> &A {
         &self.app
@@ -154,6 +161,27 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
         }
     }
 
+    /// Calls back into the app with a fresh [`GroupCtx`] and returns the
+    /// payloads it wants multicast, stopping the simulation if it asked.
+    fn call_app(
+        &mut self,
+        ctx: &mut Ctx<'_, Wire<P>>,
+        call: impl FnOnce(&mut A, &mut GroupCtx<'_>) -> Vec<P>,
+    ) -> Vec<P> {
+        let mut gctx = GroupCtx {
+            now: ctx.now(),
+            me: self.me,
+            n: self.members.len(),
+            rng: ctx.rng(),
+            stop: false,
+        };
+        let payloads = call(&mut self.app, &mut gctx);
+        if gctx.stop {
+            ctx.stop();
+        }
+        payloads
+    }
+
     fn submit_all(&mut self, ctx: &mut Ctx<'_, Wire<P>>, payloads: Vec<P>) {
         for p in payloads {
             let (dels, out) = self.endpoint.multicast(ctx.now(), p);
@@ -178,20 +206,7 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
                 ctx.metrics().incr("group.delivered_held", 1);
                 ctx.metrics().observe("group.hold_time", d.hold_time());
             }
-            let reactions = {
-                let mut gctx = GroupCtx {
-                    now: ctx.now(),
-                    me: self.me,
-                    n: self.members.len(),
-                    rng: ctx.rng(),
-                    stop: false,
-                };
-                let r = self.app.on_deliver(&mut gctx, &d);
-                if gctx.stop {
-                    ctx.stop();
-                }
-                r
-            };
+            let reactions = self.call_app(ctx, |app, gctx| app.on_deliver(gctx, &d));
             if self.keep_log {
                 self.delivered_log.push(d);
             }
@@ -206,20 +221,7 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> Process<Wire<P>> for 
         if let Some(t) = self.app_tick {
             ctx.set_timer(APP_TICK, t);
         }
-        let initial = {
-            let mut gctx = GroupCtx {
-                now: ctx.now(),
-                me: self.me,
-                n: self.members.len(),
-                rng: ctx.rng(),
-                stop: false,
-            };
-            let r = self.app.on_activate(&mut gctx);
-            if gctx.stop {
-                ctx.stop();
-            }
-            r
-        };
+        let initial = self.call_app(ctx, |app, gctx| app.on_activate(gctx));
         self.submit_all(ctx, initial);
     }
 
@@ -250,20 +252,7 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> Process<Wire<P>> for 
                 }
             }
             APP_TICK => {
-                let payloads = {
-                    let mut gctx = GroupCtx {
-                        now: ctx.now(),
-                        me: self.me,
-                        n: self.members.len(),
-                        rng: ctx.rng(),
-                        stop: false,
-                    };
-                    let r = self.app.on_tick(&mut gctx);
-                    if gctx.stop {
-                        ctx.stop();
-                    }
-                    r
-                };
+                let payloads = self.call_app(ctx, |app, gctx| app.on_tick(gctx));
                 self.submit_all(ctx, payloads);
                 if let Some(t) = self.app_tick {
                     ctx.set_timer(APP_TICK, t);
@@ -318,41 +307,6 @@ where
             make_app(me),
             app_tick,
         );
-        sim.add_process(node);
-    }
-    members
-}
-
-/// [`spawn_group`], but with an observability probe cloned onto every
-/// member's endpoint — the latency ledger and the flight recorder both
-/// attach here.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_group_with_probe<P, A, F>(
-    sim: &mut simnet::sim::Sim<Wire<P>>,
-    n: usize,
-    discipline: Discipline,
-    cfg: GroupConfig,
-    app_tick: Option<SimDuration>,
-    probe: simnet::obs::ProbeHandle,
-    mut make_app: F,
-) -> Vec<ProcessId>
-where
-    P: Clone + std::fmt::Debug + 'static,
-    A: GroupApp<P>,
-    F: FnMut(usize) -> A,
-{
-    let base = sim.n_processes();
-    let members: Vec<ProcessId> = (0..n).map(|i| ProcessId(base + i)).collect();
-    for me in 0..n {
-        let mut node = GroupNode::new(
-            discipline,
-            me,
-            members.clone(),
-            cfg.clone(),
-            make_app(me),
-            app_tick,
-        );
-        node.endpoint.set_probe(probe.clone());
         sim.add_process(node);
     }
     members

@@ -28,6 +28,12 @@
 //!   case the group wedges *by design* and only the safety invariants
 //!   above are enforced. See [`is_blocked`].
 //!
+//! A run is requested as one value, [`Campaign`]: the seed, the
+//! configuration, optionally a fault plan of the caller's own in place
+//! of the generated one (how a violating plan is shrunk), a probe, and
+//! whether the latency ledger rides along. [`Campaign::run`] is the one
+//! body that runs it; [`run_campaign`] is the shorthand for the defaults.
+//!
 //! The checker is pure — it sees only [`ProcessLog`]s — so the regression
 //! tests can also feed it hand-built histories. [`BugKnobs`] reintroduce
 //! the three bugs these campaigns originally flushed out (cold-start
@@ -439,7 +445,7 @@ pub fn check(logs: &[ProcessLog]) -> Vec<Violation> {
 
 /// Regression knobs: each reintroduces one bug the campaigns flushed
 /// out, so a pinned seed can demonstrate the failure the fix removed.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BugKnobs {
     /// Skip `FailureDetector::reset` on recovery: the recovered process
     /// reads its stale pre-crash heartbeat table and immediately
@@ -579,14 +585,7 @@ pub struct ChaosNode {
 impl ChaosNode {
     /// Creates member `me` under the campaign's config.
     pub fn new(me: usize, cfg: &CampaignConfig) -> Self {
-        Self::with_probe(me, cfg, ProbeHandle::none())
-    }
-
-    /// Creates member `me` with an observability probe installed on its
-    /// endpoint — used by the incident-dump rerun after a violation.
-    pub fn with_probe(me: usize, cfg: &CampaignConfig, probe: ProbeHandle) -> Self {
         let mut endpoint = CausalEndpoint::new(me, cfg.n, cfg.group.clone());
-        endpoint.set_probe(probe);
         if cfg.knobs.no_chain_reset {
             endpoint.debug_skip_view_reset(true);
         }
@@ -892,170 +891,200 @@ fn snapshot_stalls(
     analyze(&edges, at, tracker)
 }
 
+/// One campaign request: everything that decides a run, as one value.
+/// Probe emissions are read-only and the ledger is itself a probe, so
+/// neither can perturb the run: the result, digest included, is the same
+/// with or without them and only what they recorded differs.
+pub struct Campaign {
+    /// Seed of the simulator's randomness and of the generated plan.
+    pub seed: u64,
+    /// Group size, endpoint configuration, fault-plan shape, bug knobs.
+    pub cfg: CampaignConfig,
+    /// The fault schedule to inject. `None` generates it from the seed
+    /// (`FaultPlan::generate(seed, cfg.n, &cfg.plan)`); a caller with a
+    /// schedule of its own — the shrinker replaying part of a generated
+    /// plan — gets the same network randomness under different faults.
+    pub plan: Option<FaultPlan>,
+    /// Probe installed on every node's endpoint.
+    pub probe: ProbeHandle,
+    /// Whether the latency-provenance ledger rides along; off, the
+    /// caller's probe runs alone and [`CampaignResult::latency`] is empty.
+    pub ledger: bool,
+}
+
 /// Runs one seeded campaign: generate the fault plan, run the group
 /// under it, extract the logs, and check the invariants.
 pub fn run_campaign(seed: u64, cfg: &CampaignConfig) -> CampaignResult {
-    run_campaign_with(seed, cfg, ProbeHandle::none())
+    Campaign::new(seed, cfg.clone()).run()
 }
 
-/// [`run_campaign`] with an observability probe installed on every
-/// node's endpoint. Probe emissions are read-only, so the result —
-/// including the digest — is identical to an unprobed run of the same
-/// seed; only the probe's recording differs. The latency ledger rides
-/// along by default (it is itself a probe, so it cannot perturb the
-/// run either).
-pub fn run_campaign_with(seed: u64, cfg: &CampaignConfig, probe: ProbeHandle) -> CampaignResult {
-    run_campaign_with_opts(seed, cfg, probe, true)
-}
-
-/// [`run_campaign_with`], with the latency-provenance ledger optional.
-/// `ledger: false` runs the caller's probe alone — the determinism
-/// tests pin that both settings produce byte-identical digests.
+/// [`run_campaign`] with a probe on every endpoint and the ledger
+/// optional: [`Campaign`], spelled positionally.
 pub fn run_campaign_with_opts(
     seed: u64,
     cfg: &CampaignConfig,
     probe: ProbeHandle,
     ledger: bool,
 ) -> CampaignResult {
-    let plan = FaultPlan::generate(seed, cfg.n, &cfg.plan);
-    let mut sim = SimBuilder::new(seed)
-        .net(NetConfig::lossy_lan(cfg.drop_probability))
-        .sample_every(SAMPLE_EVERY)
-        .build::<Wire<u64>>();
-    // The tee folds every event into the ledger while forwarding to the
-    // caller's probe (flight recorder, usually). Shared via `Rc` so the
-    // sampler below can read live gauges — sound single-threaded.
-    let tee: Option<Rc<RefCell<TeeProbe>>> = if ledger {
-        Some(Rc::new(RefCell::new(TeeProbe::new(probe.clone()))))
-    } else {
-        None
-    };
-    let node_probe = match &tee {
-        Some(t) => ProbeHandle::new(Rc::clone(t) as Rc<RefCell<dyn Probe>>),
-        None => probe,
-    };
-    for me in 0..cfg.n {
-        sim.add_process(ChaosNode::with_probe(me, cfg, node_probe.clone()));
+    Campaign {
+        probe,
+        ledger,
+        ..Campaign::new(seed, cfg.clone())
     }
-    plan.apply(&mut sim);
-    // Live wait-graph analytics ride the sampling cadence: the hook sees
-    // every process read-only at each tick, so the run's digest cannot
-    // change (the determinism tests below pin this).
-    let tracker = Rc::new(RefCell::new(StallTracker::new()));
-    let wait_hist = Rc::new(RefCell::new(Histogram::new()));
-    let timeline: Rc<RefCell<Vec<(SimTime, StallSnapshot)>>> = Rc::new(RefCell::new(Vec::new()));
-    {
-        let tracker = Rc::clone(&tracker);
-        let wait_hist = Rc::clone(&wait_hist);
-        let timeline = Rc::clone(&timeline);
-        let tee = tee.clone();
-        sim.set_group_sampler(Box::new(move |at, procs, metrics| {
-            let (tracker, hist) = (&mut tracker.borrow_mut(), &mut wait_hist.borrow_mut());
-            let snap = snapshot_stalls(at, procs, tracker, hist);
-            metrics.sample("ts.stall.count", at, snap.stalls.len() as f64);
-            metrics.sample("ts.stall.max_age_ms", at, snap.max_age.as_millis_f64());
-            metrics.sample("ts.stall.worst_scc", at, snap.worst_scc_size as f64);
-            if let Some(t) = &tee {
-                let l = &t.borrow().ledger;
-                metrics.sample("ts.latency.mean_us", at, l.live_mean_us());
-                metrics.sample("ts.latency.open", at, l.live_open() as f64);
-                metrics.sample("ts.latency.delivered", at, l.live_delivered() as f64);
-            }
-            timeline.borrow_mut().push((at, snap));
-        }));
-    }
-    let events_processed = sim.run_until(cfg.plan.horizon);
+    .run()
+}
 
-    let crashed = plan.crashed_at_horizon();
-    let mut logs = Vec::with_capacity(cfg.n);
-    let mut blocked_reports = Vec::new();
-    let mut hold_hist = Histogram::new();
-    for p in 0..cfg.n {
-        let node: &ChaosNode = sim.process(ProcessId(p)).expect("chaos node present");
-        hold_hist.merge(node.hold_histogram());
-        // Wait-graphs are only meaningful for processes that were up at
-        // the horizon: a crashed node's stale holdback is not "blocked".
-        if !crashed.contains(&p) {
-            let keep = &mut |record: &WaitRecord| blocked_reports.push(record.clone());
-            node.endpoint.wait_records(true, keep);
+impl Campaign {
+    /// The plain request: generated plan, no probe, ledger on.
+    pub fn new(seed: u64, cfg: CampaignConfig) -> Self {
+        Campaign {
+            seed,
+            cfg,
+            plan: None,
+            probe: ProbeHandle::none(),
+            ledger: true,
         }
-        logs.push(ProcessLog {
-            who: p,
-            alive_at_end: !crashed.contains(&p),
-            events: node.events.clone(),
-            final_clock: node.endpoint.clock().clone(),
-            decode_errors: node.endpoint.stats().ts_decode_errors,
-            parked: node.endpoint.parked_len() as u64,
-            frozen: node.endpoint.is_frozen(),
-        });
     }
 
-    let violations = check(&logs);
-    let views_installed = logs
-        .iter()
-        .flat_map(|l| &l.events)
-        .filter_map(|ev| match ev {
-            NodeEvent::Install { id, .. } => Some(*id),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let delivered_total = logs
-        .iter()
-        .flat_map(|l| &l.events)
-        .filter(|ev| matches!(ev, NodeEvent::Deliver { .. }))
-        .count() as u64;
-    let final_members: Vec<usize> = logs
-        .iter()
-        .filter(|l| l.alive_at_end)
-        .flat_map(|l| &l.events)
-        .filter_map(|ev| match ev {
-            NodeEvent::Install { id, members, .. } => Some((*id, members.clone())),
-            _ => None,
-        })
-        .max_by_key(|(id, _)| *id)
-        .map(|(_, m)| m)
-        .unwrap_or_else(|| (0..cfg.n).collect());
-    let survivors: Vec<usize> = final_members
-        .iter()
-        .copied()
-        .filter(|p| !crashed.contains(p))
-        .collect();
-    let evicted_live: Vec<usize> = (0..cfg.n)
-        .filter(|p| !crashed.contains(p) && !final_members.contains(p))
-        .collect();
-    let digest = digest_logs(&logs);
-    let blocked = is_blocked(&logs);
-    // The sampler closure, which `sim` owns, holds the other handle on
-    // each: taken, not copied.
-    let stall_timeline = timeline.take();
-    let stalls = stall_timeline
-        .last()
-        .map(|(_, s)| s.clone())
-        .unwrap_or_default();
-    let wait_hist = wait_hist.take();
-    let latency = tee
-        .map(|t| t.borrow().ledger.finalize(cfg.plan.horizon))
-        .unwrap_or_default();
+    /// Runs the group under the fault plan, extracts the logs and checks
+    /// the invariants.
+    pub fn run(self) -> CampaignResult {
+        let (seed, cfg, probe, ledger) = (self.seed, self.cfg, self.probe, self.ledger);
+        let generate = || FaultPlan::generate(seed, cfg.n, &cfg.plan);
+        let plan = self.plan.unwrap_or_else(generate);
+        let mut sim = SimBuilder::new(seed)
+            .net(NetConfig::lossy_lan(cfg.drop_probability))
+            .sample_every(SAMPLE_EVERY)
+            .build::<Wire<u64>>();
+        // The tee folds every event into the ledger while forwarding to the
+        // caller's probe (flight recorder, usually). Shared via `Rc` so the
+        // sampler below can read live gauges — sound single-threaded.
+        let tee: Option<Rc<RefCell<TeeProbe>>> = if ledger {
+            Some(Rc::new(RefCell::new(TeeProbe::new(probe.clone()))))
+        } else {
+            None
+        };
+        let node_probe = match &tee {
+            Some(t) => ProbeHandle::new(Rc::clone(t) as Rc<RefCell<dyn Probe>>),
+            None => probe,
+        };
+        for me in 0..cfg.n {
+            let mut node = ChaosNode::new(me, &cfg);
+            node.endpoint.set_probe(node_probe.clone());
+            sim.add_process(node);
+        }
+        plan.apply(&mut sim);
+        // Live wait-graph analytics ride the sampling cadence: the hook sees
+        // every process read-only at each tick, so the run's digest cannot
+        // change (the determinism tests below pin this).
+        let tracker = Rc::new(RefCell::new(StallTracker::new()));
+        let wait_hist = Rc::new(RefCell::new(Histogram::new()));
+        let timeline: Rc<RefCell<Vec<(SimTime, StallSnapshot)>>> =
+            Rc::new(RefCell::new(Vec::new()));
+        {
+            let tracker = Rc::clone(&tracker);
+            let wait_hist = Rc::clone(&wait_hist);
+            let timeline = Rc::clone(&timeline);
+            let tee = tee.clone();
+            sim.set_group_sampler(Box::new(move |at, procs, metrics| {
+                let (tracker, hist) = (&mut tracker.borrow_mut(), &mut wait_hist.borrow_mut());
+                let snap = snapshot_stalls(at, procs, tracker, hist);
+                metrics.sample("ts.stall.count", at, snap.stalls.len() as f64);
+                metrics.sample("ts.stall.max_age_ms", at, snap.max_age.as_millis_f64());
+                metrics.sample("ts.stall.worst_scc", at, snap.worst_scc_size as f64);
+                if let Some(t) = &tee {
+                    let l = &t.borrow().ledger;
+                    metrics.sample("ts.latency.mean_us", at, l.live_mean_us());
+                    metrics.sample("ts.latency.open", at, l.live_open() as f64);
+                    metrics.sample("ts.latency.delivered", at, l.live_delivered() as f64);
+                }
+                timeline.borrow_mut().push((at, snap));
+            }));
+        }
+        let events_processed = sim.run_until(cfg.plan.horizon);
 
-    CampaignResult {
-        seed,
-        plan,
-        logs,
-        violations,
-        views_installed,
-        delivered_total,
-        evicted_live,
-        survivors,
-        blocked,
-        digest,
-        blocked_reports,
-        hold_hist,
-        events_processed,
-        stalls,
-        stall_timeline,
-        wait_hist,
-        latency,
+        let crashed = plan.crashed_at_horizon();
+        let mut logs = Vec::with_capacity(cfg.n);
+        let mut blocked_reports = Vec::new();
+        let mut hold_hist = Histogram::new();
+        for p in 0..cfg.n {
+            let node: &ChaosNode = sim.process(ProcessId(p)).expect("chaos node present");
+            hold_hist.merge(node.hold_histogram());
+            // Wait-graphs are only meaningful for processes that were up at
+            // the horizon: a crashed node's stale holdback is not "blocked".
+            if !crashed.contains(&p) {
+                let keep = &mut |record: &WaitRecord| blocked_reports.push(record.clone());
+                node.endpoint.wait_records(true, keep);
+            }
+            logs.push(ProcessLog {
+                who: p,
+                alive_at_end: !crashed.contains(&p),
+                events: node.events.clone(),
+                final_clock: node.endpoint.clock().clone(),
+                decode_errors: node.endpoint.stats().ts_decode_errors,
+                parked: node.endpoint.parked_len() as u64,
+                frozen: node.endpoint.is_frozen(),
+            });
+        }
+
+        let violations = check(&logs);
+        let views_installed = logs
+            .iter()
+            .flat_map(|l| &l.events)
+            .filter_map(|ev| match ev {
+                NodeEvent::Install { id, .. } => Some(*id),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let delivered_total = logs
+            .iter()
+            .flat_map(|l| &l.events)
+            .filter(|ev| matches!(ev, NodeEvent::Deliver { .. }))
+            .count() as u64;
+        let final_members = final_installed_view(&logs)
+            .map_or_else(|| (0..cfg.n).collect(), |(_, members)| members);
+        let survivors: Vec<usize> = final_members
+            .iter()
+            .copied()
+            .filter(|p| !crashed.contains(p))
+            .collect();
+        let evicted_live: Vec<usize> = (0..cfg.n)
+            .filter(|p| !crashed.contains(p) && !final_members.contains(p))
+            .collect();
+        let digest = digest_logs(&logs);
+        let blocked = is_blocked(&logs);
+        // The sampler closure, which `sim` owns, holds the other handle on
+        // each: taken, not copied.
+        let stall_timeline = timeline.take();
+        let stalls = stall_timeline
+            .last()
+            .map(|(_, s)| s.clone())
+            .unwrap_or_default();
+        let wait_hist = wait_hist.take();
+        let latency = tee
+            .map(|t| t.borrow().ledger.finalize(cfg.plan.horizon))
+            .unwrap_or_default();
+
+        CampaignResult {
+            seed,
+            plan,
+            logs,
+            violations,
+            views_installed,
+            delivered_total,
+            evicted_live,
+            survivors,
+            blocked,
+            digest,
+            blocked_reports,
+            hold_hist,
+            events_processed,
+            stalls,
+            stall_timeline,
+            wait_hist,
+            latency,
+        }
     }
 }
 
@@ -1282,7 +1311,7 @@ mod tests {
         let cfg = CampaignConfig::default();
         let plain = run_campaign(11, &cfg);
         let (probe, rec) = ProbeHandle::recorder(256);
-        let probed = run_campaign_with(11, &cfg, probe);
+        let probed = run_campaign_with_opts(11, &cfg, probe, true);
         assert_eq!(plain.digest, probed.digest);
         assert_eq!(plain.violations, probed.violations);
         assert_eq!(plain.delivered_total, probed.delivered_total);

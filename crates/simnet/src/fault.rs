@@ -264,6 +264,44 @@ impl FaultPlan {
         }
     }
 
+    /// The plan's events grouped into episodes, as indices into
+    /// [`Self::events`]: a crash with the recovery that ends it, a
+    /// partition with its heal, a degradation with its restore (an
+    /// episode still open at the horizon has no closing event). Removing
+    /// whole episodes keeps a plan inside the generator's envelope —
+    /// fewer concurrent crashes, every partition healed — where removing
+    /// a lone `Recover` would leave a process down to the horizon.
+    pub fn episodes(&self) -> Vec<Vec<usize>> {
+        let mut episodes: Vec<Vec<usize>> = Vec::new();
+        // Episode of the open partition, the open degradation, and of
+        // each process that is down.
+        let (mut split, mut degraded) = (None, None);
+        let mut down: Vec<(usize, usize)> = Vec::new();
+        for (i, ev) in self.events.iter().enumerate() {
+            let closes = match &ev.kind {
+                FaultKind::Heal => split.take(),
+                FaultKind::Restore => degraded.take(),
+                FaultKind::Recover(p) => {
+                    let at = down.iter().position(|(q, _)| q == p);
+                    at.map(|at| down.swap_remove(at).1)
+                }
+                _ => None,
+            };
+            let episode = closes.unwrap_or_else(|| {
+                episodes.push(Vec::new());
+                episodes.len() - 1
+            });
+            episodes[episode].push(i);
+            match &ev.kind {
+                FaultKind::Partition { .. } => split = Some(episode),
+                FaultKind::Degrade { .. } => degraded = Some(episode),
+                FaultKind::Crash(p) => down.push((*p, episode)),
+                _ => {}
+            }
+        }
+        episodes
+    }
+
     /// Processes that are crashed (and not recovered) at the horizon.
     pub fn crashed_at_horizon(&self) -> Vec<usize> {
         let mut down: Vec<usize> = Vec::new();
@@ -410,5 +448,28 @@ mod tests {
         plan.apply(&mut sim);
         // Faults alone (no processes) run to completion deterministically.
         sim.run_until(cfg.horizon);
+    }
+
+    #[test]
+    fn episodes_pair_every_fault_with_what_ends_it() {
+        for seed in 0..50 {
+            let plan = FaultPlan::generate(seed, 5, &FaultPlanConfig::default());
+            let episodes = plan.episodes();
+            // Every event is in exactly one episode.
+            let mut all: Vec<usize> = episodes.iter().flatten().copied().collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..plan.events.len()).collect::<Vec<_>>());
+            for episode in &episodes {
+                let kinds: Vec<&FaultKind> =
+                    episode.iter().map(|&i| &plan.events[i].kind).collect();
+                match kinds[..] {
+                    [FaultKind::Partition { .. }, FaultKind::Heal]
+                    | [FaultKind::Degrade { .. }, FaultKind::Restore]
+                    | [FaultKind::Crash(_)] => {}
+                    [FaultKind::Crash(p), FaultKind::Recover(q)] => assert_eq!(p, q),
+                    _ => panic!("seed {seed}: episode {kinds:?}"),
+                }
+            }
+        }
     }
 }

@@ -66,17 +66,13 @@ impl GroupApp<Stamped> for Verifier {
     }
 }
 
-fn run_verified(seed: u64, n: usize, msgs: u32, loss: f64) -> (u32, u32, u32) {
-    run_verified_d(seed, n, msgs, loss, CausalDiscipline::Cbcast).0
-}
-
 /// Per-process delivery sequences, as `(sender, seq)` in delivery order.
 type DeliveryOrders = Vec<Vec<(usize, u64)>>;
 
 /// Runs the verified causal workload in the given causal discipline.
 /// Returns `((violations, delivered, expected), per-process delivery
 /// sequences)`.
-fn run_verified_d(
+fn run_verified(
     seed: u64,
     n: usize,
     msgs: u32,
@@ -131,7 +127,7 @@ proptest! {
         msgs in 1u32..8,
         loss in 0.0f64..0.2,
     ) {
-        let (violations, _delivered, _) = run_verified(seed, n, msgs, loss);
+        let ((violations, _, _), _) = run_verified(seed, n, msgs, loss, CausalDiscipline::Cbcast);
         prop_assert_eq!(violations, 0, "happens-before violated");
     }
 
@@ -143,7 +139,8 @@ proptest! {
         n in 2usize..6,
         msgs in 1u32..6,
     ) {
-        let (_violations, delivered, expected) = run_verified(seed, n, msgs, 0.15);
+        let ((_, delivered, expected), _) =
+            run_verified(seed, n, msgs, 0.15, CausalDiscipline::Cbcast);
         prop_assert_eq!(delivered, expected, "messages lost forever");
     }
 }
@@ -163,7 +160,7 @@ proptest! {
         loss in 0.0f64..0.2,
     ) {
         let ((violations, _, _), _) =
-            run_verified_d(seed, n, msgs, loss, CausalDiscipline::Pccast);
+            run_verified(seed, n, msgs, loss, CausalDiscipline::Pccast);
         prop_assert_eq!(violations, 0, "happens-before violated (pccast)");
     }
 
@@ -180,9 +177,9 @@ proptest! {
         loss in 0.0f64..0.15,
     ) {
         let ((cv, cd, expected), corders) =
-            run_verified_d(seed, n, msgs, loss, CausalDiscipline::Cbcast);
+            run_verified(seed, n, msgs, loss, CausalDiscipline::Cbcast);
         let ((pv, pd, _), porders) =
-            run_verified_d(seed, n, msgs, loss, CausalDiscipline::Pccast);
+            run_verified(seed, n, msgs, loss, CausalDiscipline::Pccast);
         prop_assert_eq!(cv, 0);
         prop_assert_eq!(pv, 0);
         prop_assert_eq!(cd, expected, "cbcast lost messages");

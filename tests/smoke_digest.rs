@@ -7,6 +7,7 @@
 //! fails here, under the Tier-1 `cargo test -q`.
 
 use bench::experiments::chaos;
+use bench::experiments::replay::{Algo, Cell, Replay};
 use catocs::cbcast::CbcastEndpoint;
 use catocs::endpoint::Discipline;
 use catocs::group::CausalDiscipline::{self, Cbcast, Pccast};
@@ -361,6 +362,16 @@ fn text_digest(s: &str) -> u64 {
     h
 }
 
+/// Seed `seed` as `explain`, `waitgraph` and `latency` replay it by
+/// default: the sweep's group size, indexed holdback, delta timestamps.
+fn replay(seed: u64, knobs: BugKnobs, algo: Algo) -> Replay {
+    Replay {
+        knobs,
+        algo,
+        ..Replay::of(seed)
+    }
+}
+
 /// The campaigns whose 50 ms wait-graph sampler output is pinned: the
 /// wedged flush, two churned cbcast groups, two pccast groups with link
 /// gaps.
@@ -371,13 +382,13 @@ fn sampler_campaigns() -> [CampaignResult; 5] {
         ..clean
     };
     [
-        (2, wedged, Cbcast),
-        (23, clean, Cbcast),
-        (137, clean, Cbcast),
-        (1, clean, Pccast),
-        (54, clean, Pccast),
+        (2, wedged, Algo::Cbcast),
+        (23, clean, Algo::Cbcast),
+        (137, clean, Algo::Cbcast),
+        (1, clean, Algo::Pccast),
+        (54, clean, Algo::Pccast),
     ]
-    .map(|(seed, knobs, discipline)| chaos::run_seed_d(seed, true, true, knobs, discipline))
+    .map(|(seed, knobs, algo)| replay(seed, knobs, algo).run())
 }
 
 /// What the three introspection tools print, and what the 50 ms wait-graph
@@ -391,8 +402,7 @@ fn sampler_campaigns() -> [CampaignResult; 5] {
 /// while `explain` and the sampler still walked the endpoints separately.
 #[test]
 fn introspection_outputs_replay_their_pinned_digests() {
-    use bench::experiments::explain::{self, TotalKind};
-    use bench::experiments::waitgraph;
+    use bench::experiments::{explain, waitgraph};
 
     let clean = BugKnobs::default();
     let wedged = BugKnobs {
@@ -400,21 +410,29 @@ fn introspection_outputs_replay_their_pinned_digests() {
         ..clean
     };
     let m4_34 = MsgId { sender: 4, seq: 34 };
-    let at60 = Some(SimTime::from_millis(60));
-    let abcast = explain::run_total(2, None, at60, TotalKind::Sequencer);
-    let token = explain::run_total(2, None, at60, TotalKind::Token);
+    let at60 = |algo| Replay {
+        at: Some(60),
+        ..replay(2, clean, algo)
+    };
+    let abcast = explain::run(&at60(Algo::Abcast));
+    let token = explain::run(&at60(Algo::Token));
     // Neither is the report of a drained group.
     assert!(abcast.contains("its own order assignment"), "{abcast}");
     assert!(abcast.contains("order slot 40 = m4.5"), "{abcast}");
     assert!(token.contains("order slot 29 —"), "{token}");
     assert!(token.contains("submissions queued"), "{token}");
     assert!(token.contains("token in flight"), "{token}");
-    let link = explain::run_d(54, None, clean, Pccast);
+    let link = explain::run(&replay(54, clean, Algo::Pccast));
     assert!(link.contains("link p0 pos 181 — nothing arrived"), "{link}");
 
     let dir = std::env::temp_dir().join("catocs-introspection-pin");
     let _ = std::fs::remove_dir_all(&dir);
-    let paths = chaos::dump_incident_to(&dir, 2, false, false, wedged).expect("dump written");
+    let scan_full = Cell {
+        indexed: false,
+        delta: false,
+    };
+    let scan_full = replay(2, wedged, Algo::Cbcast).in_cell(scan_full);
+    let paths = chaos::dump_incident_to(&dir, &scan_full).expect("dump written");
     let incident = std::fs::read_to_string(&paths[0]).expect("txt dump");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -422,51 +440,62 @@ fn introspection_outputs_replay_their_pinned_digests() {
         let got = text_digest(&text);
         assert_eq!(got, pinned, "{name}: digest {got:#018x} moved");
     };
-    let (ex, wg) = (explain::run_d, waitgraph::run);
+    let ex = |seed, msg, knobs, algo| {
+        explain::run(&Replay {
+            msg,
+            ..replay(seed, knobs, algo)
+        })
+    };
+    let wg = |seed, at, knobs, algo| {
+        waitgraph::run(&Replay {
+            at,
+            ..replay(seed, knobs, algo)
+        })
+    };
     pin(
         "explain 2 wedged",
-        ex(2, None, wedged, Cbcast),
+        ex(2, None, wedged, Algo::Cbcast),
         0xfbb6_df96_23d5_f784,
     );
     pin(
         "explain 2 m4.34",
-        ex(2, Some(m4_34), wedged, Cbcast),
+        ex(2, Some(m4_34), wedged, Algo::Cbcast),
         0x6fb8_4aac_1f66_16dc,
     );
     pin(
         "explain 23",
-        ex(23, None, clean, Cbcast),
+        ex(23, None, clean, Algo::Cbcast),
         0x417c_803b_fd96_265a,
     );
     pin(
         "explain 137",
-        ex(137, None, clean, Cbcast),
+        ex(137, None, clean, Algo::Cbcast),
         0x3b63_026b_e36d_9c05,
     );
     pin(
         "explain 1 pccast",
-        ex(1, None, clean, Pccast),
+        ex(1, None, clean, Algo::Pccast),
         0xcd07_33b2_fcca_ea3c,
     );
     pin("explain 54 pccast", link, 0xa9c2_1ded_37d8_a207);
     pin(
         "waitgraph 2 wedged",
-        wg(2, None, wedged, Cbcast),
+        wg(2, None, wedged, Algo::Cbcast),
         0x708a_0e78_7f03_0b00,
     );
     pin(
         "waitgraph 2 at 0",
-        wg(2, Some(0), wedged, Cbcast),
+        wg(2, Some(0), wedged, Algo::Cbcast),
         0xbd01_8d6b_62fa_c8f9,
     );
     pin(
         "waitgraph 1 pccast",
-        wg(1, None, clean, Pccast),
+        wg(1, None, clean, Algo::Pccast),
         0xadd2_45ef_9622_f19a,
     );
     pin(
         "waitgraph 54 pccast",
-        wg(54, None, clean, Pccast),
+        wg(54, None, clean, Algo::Pccast),
         0xdd4f_ff11_fb0c_5bb4,
     );
     pin(
