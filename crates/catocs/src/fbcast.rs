@@ -7,6 +7,19 @@
 //! different senders are delivered in arrival order with *no* holdback —
 //! so there is no false-causality delay and the only per-message overhead
 //! is a sequence number.
+//!
+//! An arrival pays only for being out of order. The next message of its
+//! sender (99.9 % of arrivals in a dense group at 2 % loss) is delivered
+//! from the wire value and never enters that sender's `pending` map.
+//! Put in and taken out again, its 112 bytes would pass through the
+//! stream's 1.3 KB map leaf — 63 leaves a member, 64 members, 5.4 MB
+//! cycled through once per round of multicasts — and every data message
+//! would cost cache misses, not tree work. The map serves the arrivals
+//! behind a gap. It is not a window indexed by `seq - delivered`: one
+//! hostile `seq` inside [`MAX_CHASE_AHEAD`] would size it. What every
+//! arrival or ack would otherwise recompute over all N members — the
+//! number held, the slowest peer's ack — is kept (`pending_total`,
+//! `min_acked`).
 
 use crate::causal_core::MAX_CHASE_AHEAD;
 use crate::group::{GroupConfig, MsgId};
@@ -57,6 +70,13 @@ pub struct FbcastEndpoint<P> {
     sent_buffer: BTreeMap<u64, DataMsg<P>>,
     /// Peers' ack state for our own messages.
     acked_by: Vec<u64>,
+    /// `min(acked_by)` as of the last ack that raised it: what
+    /// `sent_buffer` has been collected up to. Only an ack from a member
+    /// that stood at the minimum can move it (our own entry, which
+    /// `multicast` raises, is never below a peer's).
+    min_acked: u64,
+    /// Messages held over all streams, `Σ pending.len()`.
+    pending_total: usize,
     /// Highest sequence known to exist from each sender (via gossip).
     known_max: Vec<u64>,
     /// What the ack in hand would raise in `known_max`, held back until
@@ -80,6 +100,8 @@ impl<P: Clone> FbcastEndpoint<P> {
             streams: (0..n).map(|_| SenderStream::default()).collect(),
             sent_buffer: BTreeMap::new(),
             acked_by: vec![0; n],
+            min_acked: 0,
+            pending_total: 0,
             known_max: vec![0; n],
             news: Vec::new(),
             probe: ProbeHandle::none(),
@@ -111,10 +133,7 @@ impl<P: Clone> FbcastEndpoint<P> {
     /// Telemetry hook: instantaneous gauges for the time-series sampler.
     pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         emit("fbcast.buffered", self.sent_buffer.len() as f64);
-        emit(
-            "fbcast.pending",
-            self.streams.iter().map(|s| s.pending.len()).sum::<usize>() as f64,
-        );
+        emit("fbcast.pending", self.pending_total as f64);
     }
 
     /// What every out-of-order arrival waits on (contract in
@@ -219,11 +238,15 @@ impl<P: Clone> FbcastEndpoint<P> {
                     self.known_max[k] = theirs;
                 }
                 // Peers report the highest seq they have from us. Only an
-                // ack that raises one can move the minimum the buffer is
-                // collected up to.
-                if self.acked_by[from] < d.get(self.me) {
-                    self.acked_by[from] = d.get(self.me);
-                    self.gc_sent();
+                // ack that raises the lowest can move the minimum the
+                // buffer is collected up to.
+                let acked = d.get(self.me);
+                if self.acked_by[from] < acked {
+                    let was_lowest = self.acked_by[from] == self.min_acked;
+                    self.acked_by[from] = acked;
+                    if was_lowest {
+                        self.gc_sent();
+                    }
                 }
             }
             Wire::Nack { from, want } => {
@@ -259,14 +282,19 @@ impl<P: Clone> FbcastEndpoint<P> {
     /// messages than we sent, or a component so far ahead that `on_tick`
     /// would NACK for ids that will never exist, every `nack_timeout`,
     /// for the rest of the run.
+    ///
+    /// A plain zipped scan, on purpose: about half the components rise
+    /// in every ack of a busy group, so `known_max.lagging(d)` and a
+    /// `merge` — the chunked kernel that skips equal runs — find no run
+    /// to skip and measured slower (`dense_fifo` 1.54× fell to 1.35×).
     fn news_in(&mut self, d: &VectorClock) -> bool {
         self.news.clear();
         if d.get(self.me) > self.next_seq {
             return false;
         }
-        for k in 0..self.n {
-            let theirs = d.get(k);
-            if self.known_max[k] < theirs {
+        // Components past either end: nobody there, or nothing claimed.
+        for (k, (&theirs, &known)) in d.as_slice().iter().zip(&self.known_max).enumerate() {
+            if known < theirs {
                 if self.out_of_reach(k, theirs) {
                     return false;
                 }
@@ -290,36 +318,33 @@ impl<P: Clone> FbcastEndpoint<P> {
             if k == self.me {
                 continue;
             }
-            let (gap_want, overdue) = {
-                let s = &self.streams[k];
-                // A gap exists if something is pending beyond it or gossip
-                // says the sender has sent further than we have seen.
-                let horizon = s
-                    .pending
-                    .keys()
-                    .next()
-                    .map(|&lowest| lowest - 1)
-                    .unwrap_or(0)
-                    .max(self.known_max[k]);
-                if horizon <= s.delivered {
-                    continue;
-                }
-                let overdue = match s.last_nack {
-                    None => true,
-                    Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
-                };
-                let want: Vec<MsgId> = ((s.delivered + 1)..=horizon)
-                    .filter(|seq| !s.pending.contains_key(seq))
-                    .take(self.cfg.max_nack_batch)
-                    .map(|seq| MsgId { sender: k, seq })
-                    .collect();
-                (want, overdue)
+            let s = &mut self.streams[k];
+            // A gap exists if something is pending beyond it or gossip
+            // says the sender has sent further than we have seen.
+            let horizon = s
+                .pending
+                .keys()
+                .next()
+                .map(|&lowest| lowest - 1)
+                .unwrap_or(0)
+                .max(self.known_max[k]);
+            let overdue = match s.last_nack {
+                None => true,
+                Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
             };
-            if overdue && !gap_want.is_empty() {
-                self.streams[k].last_nack = Some(now);
+            if horizon <= s.delivered || !overdue {
+                continue;
+            }
+            let want: Vec<MsgId> = ((s.delivered + 1)..=horizon)
+                .filter(|seq| !s.pending.contains_key(seq))
+                .take(self.cfg.max_nack_batch)
+                .map(|seq| MsgId { sender: k, seq })
+                .collect();
+            if !want.is_empty() {
+                s.last_nack = Some(now);
                 let w = Wire::Nack {
                     from: self.me,
-                    want: gap_want,
+                    want,
                 };
                 self.stats.nacks_sent += 1;
                 self.stats.control_bytes += w.overhead_bytes() as u64;
@@ -356,8 +381,12 @@ impl<P: Clone> FbcastEndpoint<P> {
             self.stats.duplicates += 1;
             return;
         }
-        if seq > stream.delivered + 1 {
-            let gap = stream.delivered + 1;
+        let gap = stream.delivered + 1;
+        // The sender's next message is delivered as it came; one behind a
+        // gap waits in `pending`.
+        let mut next = if seq == gap {
+            Some((msg, now))
+        } else {
             self.probe.emit(|| ObsEvent::Span {
                 at: now,
                 who: self.me,
@@ -365,27 +394,28 @@ impl<P: Clone> FbcastEndpoint<P> {
                 stage: Stage::HoldbackEnter,
                 note: format!("FIFO gap: awaiting m{k}.{gap}"),
             });
-        }
-        let stream = &mut self.streams[k];
-        stream.pending.insert(seq, (msg, now));
-        // Immediate NACK for a fresh gap.
-        if seq > stream.delivered + 1 && stream.last_nack.is_none() {
-            stream.last_nack = Some(now);
-            let want: Vec<MsgId> = ((stream.delivered + 1)..seq)
-                .take(self.cfg.max_nack_batch)
-                .map(|s| MsgId { sender: k, seq: s })
-                .collect();
-            let w = Wire::Nack {
-                from: self.me,
-                want,
-            };
-            self.stats.nacks_sent += 1;
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::One(k), w));
-        }
-        // Deliver the contiguous prefix.
-        let stream = &mut self.streams[k];
-        while let Some((m, arrived)) = stream.pending.remove(&(stream.delivered + 1)) {
+            stream.pending.insert(seq, (msg, now));
+            self.pending_total += 1;
+            // Immediate NACK for a fresh gap.
+            if stream.last_nack.is_none() {
+                stream.last_nack = Some(now);
+                let want: Vec<MsgId> = (gap..seq)
+                    .take(self.cfg.max_nack_batch)
+                    .map(|s| MsgId { sender: k, seq: s })
+                    .collect();
+                let w = Wire::Nack {
+                    from: self.me,
+                    want,
+                };
+                self.stats.nacks_sent += 1;
+                self.stats.control_bytes += w.overhead_bytes() as u64;
+                out.push((Dest::One(k), w));
+            }
+            None
+        };
+        // Deliver the contiguous prefix: the arrival itself, if it was
+        // next, then whatever it released.
+        while let Some((m, arrived)) = next {
             stream.delivered += 1;
             stream.last_nack = None;
             let was_held = arrived < now;
@@ -432,13 +462,25 @@ impl<P: Clone> FbcastEndpoint<P> {
                     Vec::new()
                 },
             });
+            next = stream.pending.remove(&(stream.delivered + 1));
+            self.pending_total -= usize::from(next.is_some());
         }
-        let pending_total: usize = self.streams.iter().map(|s| s.pending.len()).sum();
-        self.stats.note_holdback(pending_total as u64);
+        debug_assert_eq!(
+            self.pending_total,
+            self.streams.iter().map(|s| s.pending.len()).sum::<usize>()
+        );
+        self.stats.note_holdback(self.pending_total as u64);
     }
 
+    /// Frees what every member has now acked. Called when the member
+    /// whose ack stood at the minimum has acked further; the minimum
+    /// stays where it was if another member stands there too.
     fn gc_sent(&mut self) {
         let min_acked = self.acked_by.iter().copied().min().unwrap_or(0);
+        if min_acked == self.min_acked {
+            return;
+        }
+        self.min_acked = min_acked;
         let before = self.sent_buffer.len();
         self.sent_buffer.retain(|&seq, _| seq > min_acked);
         self.stats.stabilized += (before - self.sent_buffer.len()) as u64;
@@ -666,5 +708,243 @@ mod tests {
         assert!(out
             .iter()
             .any(|(d, w)| matches!(w, Wire::Nack { .. }) && *d == Dest::One(0)));
+    }
+
+    /// What an arrival that was next in its stream gets on the in-order
+    /// path, its twin that waited behind a gap gets out of `pending`:
+    /// the same `Delivery`, but for when it arrived and what it waited on.
+    #[test]
+    fn both_paths_hand_over_the_same_delivery() {
+        let cfg = GroupConfig::default();
+        let mut a = FbcastEndpoint::new(0, 2, cfg.clone());
+        let (_, o1) = a.multicast(t(0), "m1");
+        let (_, o2) = a.multicast(t(1), "m2");
+        let mut in_order = FbcastEndpoint::new(1, 2, cfg.clone());
+        in_order.on_wire(t(2), data_of(&o1));
+        let (direct, _) = in_order.on_wire(t(5), data_of(&o2));
+        let mut reordered = FbcastEndpoint::new(1, 2, cfg);
+        reordered.on_wire(t(2), data_of(&o2));
+        let (held, _) = reordered.on_wire(t(5), data_of(&o1));
+        let (direct, held) = (&direct[0], &held[1]);
+        assert_eq!(
+            (direct.id, direct.payload, direct.delivered_at, direct.gseq),
+            (held.id, held.payload, held.delivered_at, held.gseq)
+        );
+        assert_eq!((direct.arrived_at, &direct.waited_for), (t(5), &vec![]));
+        let m1 = MsgId { sender: 0, seq: 1 };
+        assert_eq!((held.arrived_at, &held.waited_for), (t(2), &vec![m1]));
+        let totals = |e: &FbcastEndpoint<&str>| (e.stats().delivered, e.stats().holdback_now);
+        assert_eq!(totals(&in_order), totals(&reordered));
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use simnet::time::SimDuration;
+        use std::collections::BTreeSet;
+
+        /// Messages each peer has multicast before the history starts.
+        const K: u64 = 6;
+
+        /// The receiver written straight-line: every arrival goes into
+        /// its stream's map and comes out again, and every step recomputes
+        /// `min(acked_by)` and `Σ pending.len()` from scratch.
+        struct Model {
+            me: usize,
+            cfg: GroupConfig,
+            next_seq: u64,
+            delivered: Vec<u64>,
+            pending: Vec<BTreeMap<u64, SimTime>>,
+            last_nack: Vec<Option<SimTime>>,
+            acked_by: Vec<u64>,
+            known_max: Vec<u64>,
+            sent_buffer: BTreeSet<u64>,
+            stats: EndpointStats,
+        }
+
+        impl Model {
+            fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
+                Model {
+                    me,
+                    cfg,
+                    next_seq: 0,
+                    delivered: vec![0; n],
+                    pending: vec![BTreeMap::new(); n],
+                    last_nack: vec![None; n],
+                    acked_by: vec![0; n],
+                    known_max: vec![0; n],
+                    sent_buffer: BTreeSet::new(),
+                    stats: EndpointStats::default(),
+                }
+            }
+
+            fn multicast(&mut self) {
+                self.next_seq += 1;
+                self.delivered[self.me] = self.next_seq;
+                self.acked_by[self.me] = self.next_seq;
+                self.sent_buffer.insert(self.next_seq);
+            }
+
+            /// The deliveries: `(seq, arrived_at)` of sender `k`.
+            fn on_data(&mut self, now: SimTime, k: usize, seq: u64) -> Vec<(u64, SimTime)> {
+                if seq <= self.delivered[k] || self.pending[k].contains_key(&seq) {
+                    self.stats.duplicates += 1;
+                    return Vec::new();
+                }
+                self.pending[k].insert(seq, now);
+                if seq > self.delivered[k] + 1 && self.last_nack[k].is_none() {
+                    self.last_nack[k] = Some(now);
+                    self.stats.nacks_sent += 1;
+                }
+                let mut out = Vec::new();
+                while let Some(arrived) = self.pending[k].remove(&(self.delivered[k] + 1)) {
+                    self.delivered[k] += 1;
+                    self.last_nack[k] = None;
+                    if arrived < now {
+                        self.stats.delivered_after_hold += 1;
+                        self.stats.hold_time_total += now.saturating_since(arrived);
+                    }
+                    out.push((self.delivered[k], arrived));
+                }
+                let held: usize = self.pending.iter().map(BTreeMap::len).sum();
+                self.stats.holdback_peak = self.stats.holdback_peak.max(held as u64);
+                out
+            }
+
+            fn on_ack(&mut self, from: usize, d: &[u64]) {
+                if d[self.me] > self.next_seq {
+                    self.stats.ts_decode_errors += 1;
+                    return;
+                }
+                for (known, &theirs) in self.known_max.iter_mut().zip(d) {
+                    *known = theirs.max(*known);
+                }
+                if self.acked_by[from] < d[self.me] {
+                    self.acked_by[from] = d[self.me];
+                    let min_acked = self.acked_by.iter().copied().min().unwrap_or(0);
+                    let before = self.sent_buffer.len();
+                    self.sent_buffer.retain(|&seq| seq > min_acked);
+                    self.stats.stabilized += (before - self.sent_buffer.len()) as u64;
+                }
+            }
+
+            fn on_tick(&mut self, now: SimTime) {
+                for k in (0..self.delivered.len()).filter(|&k| k != self.me) {
+                    let first_held = self.pending[k].keys().next();
+                    let horizon = first_held.map_or(0, |&s| s - 1).max(self.known_max[k]);
+                    let want = (self.delivered[k] + 1..=horizon)
+                        .filter(|seq| !self.pending[k].contains_key(seq))
+                        .take(self.cfg.max_nack_batch)
+                        .count();
+                    let overdue = self.last_nack[k]
+                        .is_none_or(|t| now.saturating_since(t) >= self.cfg.nack_timeout);
+                    if overdue && want > 0 {
+                        self.last_nack[k] = Some(now);
+                        self.stats.nacks_sent += 1;
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            /// What the receiver keeps instead of recomputing (`min_acked`,
+            /// `pending_total`) and what it skips (the map, for an arrival
+            /// that is next) against [`Model`], over the peers' streams
+            /// reordered, duplicated, dropped and retransmitted, acks in
+            /// any order and from itself, its own multicasts and ticks in
+            /// between — in a group of four and in a group of one.
+            #[test]
+            fn incremental_state_matches_the_from_scratch_answer(
+                alone in bool::ANY,
+                steps in collection::vec(
+                    (0u8..10, 0usize..4, 1u64..=K, 0u64..30, collection::vec(0u64..=K + 1, 4)),
+                    0..80,
+                ),
+            ) {
+                let n = if alone { 1 } else { 4 };
+                let me = n - 1;
+                let cfg = GroupConfig::default();
+                // Every peer's whole stream, as its own endpoint stamps it.
+                let streams: Vec<Vec<DataMsg<u64>>> = (0..me)
+                    .map(|k| {
+                        let mut peer = FbcastEndpoint::new(k, n, cfg.clone());
+                        (1..=K)
+                            .map(|seq| match peer.multicast(t(0), 100 * k as u64 + seq).1.pop() {
+                                Some((Dest::All, Wire::Data(m))) => m,
+                                other => panic!("a multicast sends its data: {other:?}"),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut real = FbcastEndpoint::new(me, n, cfg.clone());
+                let mut model = Model::new(me, n, cfg);
+                let mut log: Vec<Vec<u64>> = vec![Vec::new(); me];
+                let mut now = t(1);
+                // The history, then every message once more, in order and
+                // marked as the retransmission it is.
+                let repair =
+                    (0..me).flat_map(|k| (1..=K).map(move |seq| (0, k, seq, 25, Vec::new())));
+                let history = steps.into_iter().chain(repair);
+                for (i, (kind, who, seq, dt, clock)) in history.enumerate() {
+                    now += SimDuration::from_millis(dt);
+                    match kind {
+                        0..=4 if who < me => {
+                            let mut msg = streams[who][seq as usize - 1].clone();
+                            msg.retransmit = clock.is_empty();
+                            let (got, _) = real.on_wire(now, Wire::Data(msg));
+                            let want = model.on_data(now, who, seq);
+                            prop_assert_eq!(got.len(), want.len(), "step {}", i);
+                            for (d, (seq, arrived)) in got.iter().zip(want) {
+                                let id = MsgId { sender: who, seq };
+                                let prev = MsgId { sender: who, seq: seq - 1 };
+                                let waited_for = if arrived < now { vec![prev] } else { vec![] };
+                                prop_assert_eq!(
+                                    (d.id, d.payload, d.arrived_at, d.delivered_at, d.gseq),
+                                    (id, 100 * who as u64 + seq, arrived, now, None),
+                                    "step {}", i
+                                );
+                                prop_assert_eq!(&d.waited_for, &waited_for, "step {}", i);
+                                log[who].push(seq);
+                            }
+                        }
+                        // An ack from a peer or, when `who` names no
+                        // peer, from the receiver itself; one that claims
+                        // more of our messages than we sent is refused.
+                        5 | 6 if !clock.is_empty() => {
+                            let from = who.min(me);
+                            let mut d = clock[..n].to_vec();
+                            d[me] = d[me].min(model.next_seq + 1);
+                            model.on_ack(from, &d);
+                            let delivered = VectorClock::from_entries(d);
+                            real.on_wire(now, Wire::AckGossip { from, delivered });
+                        }
+                        7 => {
+                            model.multicast();
+                            real.multicast(now, 0);
+                        }
+                        8 => {
+                            model.on_tick(now);
+                            real.on_tick(now);
+                        }
+                        _ => {}
+                    }
+                    let (r, m) = (real.stats(), &model.stats);
+                    prop_assert_eq!(
+                        (r.duplicates, r.delivered_after_hold, r.hold_time_total, r.holdback_peak),
+                        (m.duplicates, m.delivered_after_hold, m.hold_time_total, m.holdback_peak),
+                        "step {}", i
+                    );
+                    prop_assert_eq!(
+                        (r.nacks_sent, r.stabilized, r.ts_decode_errors, real.buffered_len()),
+                        (m.nacks_sent, m.stabilized, m.ts_decode_errors, model.sent_buffer.len()),
+                        "step {}", i
+                    );
+                }
+                for delivered in log {
+                    prop_assert_eq!(delivered, (1..=K).collect::<Vec<_>>());
+                }
+            }
+        }
     }
 }

@@ -220,6 +220,13 @@ impl VectorClock {
         get(&self.entries, i)
     }
 
+    /// The components, read-only: for a caller that walks them all
+    /// against a slice of its own.
+    #[inline]
+    pub fn as_slice(&self) -> &[u64] {
+        &self.entries
+    }
+
     /// Whether `self` and `other` are handles on one allocation — what
     /// the tests of the sharing contract observe. Nothing else may depend
     /// on it.

@@ -255,7 +255,9 @@ impl<M: Debug + Clone + 'static> Sim<M> {
         self.alive.get(id.0).copied().unwrap_or(false)
     }
 
-    /// Schedules a crash of `p` at absolute time `at`.
+    /// Schedules a crash of `p` at absolute time `at`. Here and in the
+    /// other `*_at` schedulers a time already past means now: the event
+    /// fires after what is already due, at the clock's time.
     pub fn crash_at(&mut self, p: ProcessId, at: SimTime) {
         self.queue.push(at, p, EventKind::Crash);
     }
@@ -319,10 +321,13 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             // A copy for a dead process — or for one that does not exist
             // (a protocol bug surfaced as a drop, not a panic, so fault
             // campaigns keep running) — is retired without being made.
-            let dead_letter = matches!(kind, EventKind::Deliver { .. }) && !self.is_alive(to);
+            let is_copy = matches!(kind, EventKind::Deliver { .. });
+            let dead_letter = is_copy && !self.is_alive(to);
             // Fire any sample points due strictly before the next event.
             self.sample_until(t.min(deadline));
-            self.now = t;
+            // An event scheduled before a deadline already run to fires
+            // now: the clock never steps back.
+            self.now = self.now.max(t);
             if dead_letter {
                 self.queue.skip();
                 self.tally.dropped_dead += 1;
@@ -576,6 +581,11 @@ impl<M: Debug + Clone + 'static> Sim<M> {
                 SimDuration::from_micros((d.as_micros() as f64 * factor).round() as u64)
             }
         };
+        // During a degradation episode, burst loss stacks on top of the
+        // configured drop probability. The `> 0.0` guard below keeps the
+        // RNG draw sequence identical to the undegraded simulator when no
+        // episode is active, so existing seeds replay byte-for-byte.
+        let drop_p = (cfg.drop_probability + net.extra_drop()).clamp(0.0, 1.0);
         let mut rest = addressed.as_slice();
         for o in sent.drain(..) {
             let (group, tail) = rest.split_at(o.fanout);
@@ -592,12 +602,6 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             for &to in group {
                 tally.sent += 1;
                 let unreachable = !net.reachable(proc, to);
-                // During a degradation episode, burst loss stacks on top
-                // of the configured drop probability. The guard keeps the
-                // RNG draw sequence identical to the undegraded simulator
-                // when no episode is active, so existing seeds replay
-                // byte-for-byte.
-                let drop_p = (cfg.drop_probability + net.extra_drop()).clamp(0.0, 1.0);
                 let dropped = unreachable || (drop_p > 0.0 && rng.gen_bool(drop_p));
                 if dropped {
                     tally.dropped += 1;
@@ -833,6 +837,43 @@ mod tests {
         let mut sim = SimBuilder::new(1).build::<Msg>();
         sim.run_until(SimTime::from_secs(3));
         assert_eq!(sim.now(), SimTime::from_secs(3));
+    }
+
+    /// Behind the last event run, or only behind a deadline already run
+    /// to: either way the fault takes effect at the clock's time, after
+    /// what was already due then, and the clock does not step back.
+    #[test]
+    fn a_fault_scheduled_in_the_past_fires_now_and_time_does_not_regress() {
+        let ms = SimTime::from_millis;
+        let fault_times = |sim: &Sim<Msg>| -> Vec<SimTime> {
+            let faults = sim.trace().events().iter();
+            faults
+                .filter(|e| matches!(e, TraceEvent::Fault { .. } | TraceEvent::NetFault { .. }))
+                .map(TraceEvent::at)
+                .collect()
+        };
+        let mut sim = SimBuilder::new(1)
+            .net(NetConfig::ideal(SimDuration::from_millis(1)))
+            .trace()
+            .build::<Msg>();
+        sim.add_process(Pinger::default());
+        sim.add_process(Pinger::default());
+        // The pings land at 1 ms; their pongs are due at 2 ms.
+        sim.run_until(ms(1));
+        sim.crash_at(ProcessId(0), SimTime::from_micros(500));
+        sim.partition_at(&[ProcessId(0)], &[ProcessId(1)], SimTime::ZERO);
+        sim.run_until(ms(2));
+        assert_eq!(fault_times(&sim), [ms(1), ms(1)]);
+        assert_eq!(sim.metrics().counter("net.dropped_dead"), 5);
+        // Nothing is left to run: the clock goes to the deadline, and a
+        // recovery dated before it happens there.
+        sim.run_until(ms(10));
+        sim.recover_at(ProcessId(0), ms(5));
+        sim.heal_at(ms(3));
+        sim.run_until(ms(10));
+        assert_eq!(fault_times(&sim), [ms(1), ms(1), ms(10), ms(10)]);
+        assert_eq!(sim.now(), ms(10));
+        assert!(sim.is_alive(ProcessId(0)));
     }
 
     #[test]
