@@ -13,30 +13,12 @@ use crate::table::Table;
 use catocs::domain::{Addressed, DomainEndpoint, GroupId};
 use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
-use catocs::harness::{route, spawn_group, GroupApp, GroupCtx, GroupNode};
-use catocs::wire::{Delivery, Wire};
+use catocs::harness::{route, spawn_group, Chatter, GroupNode};
+use catocs::wire::Wire;
 use simnet::net::NetConfig;
 use simnet::process::{Ctx, Process, ProcessId, TimerId};
 use simnet::sim::SimBuilder;
 use simnet::time::{SimDuration, SimTime};
-
-struct Chatter {
-    remaining: u32,
-}
-
-impl GroupApp<u32> for Chatter {
-    fn on_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<u32> {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            vec![ctx.me as u32]
-        } else {
-            Vec::new()
-        }
-    }
-    fn on_deliver(&mut self, _c: &mut GroupCtx<'_>, _d: &Delivery<u32>) -> Vec<u32> {
-        Vec::new()
-    }
-}
 
 struct GroupStats {
     delivered: u64,
@@ -60,6 +42,7 @@ fn run_group(
         .build::<Wire<u32>>();
     let members = spawn_group(&mut sim, n, d, cfg, Some(period), |_| Chatter {
         remaining: msgs,
+        burst: 1,
     });
     sim.run_until(SimTime::from_secs(15));
     let mut s = GroupStats {
@@ -338,7 +321,10 @@ pub fn append_predecessors() -> Table {
             Discipline::Causal,
             cfg,
             Some(SimDuration::from_millis(8)),
-            |_| Chatter { remaining: 40 },
+            |_| Chatter {
+                remaining: 40,
+                burst: 1,
+            },
         );
         sim.run_until(SimTime::from_secs(15));
         let mut delivered = 0;

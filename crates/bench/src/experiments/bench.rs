@@ -26,9 +26,9 @@ use crate::table::Table;
 use crate::telemetry::{BenchSnapshot, Direction};
 use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
-use catocs::harness::{spawn_group, GroupApp, GroupCtx};
+use catocs::harness::{spawn_group, Chatter};
 use catocs::ledger::{LatencySummary, PhaseId};
-use catocs::wire::{Delivery, Wire};
+use catocs::wire::Wire;
 use simnet::metrics::Histogram;
 use simnet::net::NetConfig;
 use simnet::sim::SimBuilder;
@@ -52,25 +52,6 @@ const GRID_N: usize = 64;
 /// Chaos campaign seeds folded into the snapshot.
 const CHAOS_SEEDS: u64 = 4;
 
-/// Each member multicasts `remaining` messages, one per app tick.
-struct Chatter {
-    remaining: u32,
-}
-
-impl GroupApp<u64> for Chatter {
-    fn on_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<u64> {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            vec![ctx.me as u64]
-        } else {
-            Vec::new()
-        }
-    }
-    fn on_deliver(&mut self, _ctx: &mut GroupCtx<'_>, _d: &Delivery<u64>) -> Vec<u64> {
-        Vec::new()
-    }
-}
-
 /// What one simulated-group run measured.
 struct GroupRun {
     delivered: u64,
@@ -93,6 +74,7 @@ fn run_group(discipline: Discipline) -> GroupRun {
         Some(SimDuration::from_millis(20)),
         |_| Chatter {
             remaining: GROUP_MSGS,
+            burst: 1,
         },
     );
     let events = sim.run_until(GROUP_HORIZON);

@@ -17,11 +17,11 @@
 //! message that sits in a detected stall component, the report names
 //! that component and its representative cycle path.
 
-use crate::experiments::latency::{chatter_group, Chatter, GROUP_HORIZON};
+use crate::experiments::latency::{chatter_group, GROUP_HORIZON};
 use crate::experiments::replay::{Algo, Replay};
 use catocs::endpoint::Endpoint;
 use catocs::group::MsgId;
-use catocs::harness::GroupNode;
+use catocs::harness::{Chatter, GroupNode};
 use catocs::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;

@@ -20,9 +20,9 @@
 
 use crate::experiments::replay::{Algo, Replay};
 use crate::table::Table;
-use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
+use catocs::harness::{spawn_group, Chatter, GroupNode};
 use catocs::ledger::{LatencySummary, LedgerEntry, LedgerProbe, PhaseId};
-use catocs::wire::{Delivery, Wire};
+use catocs::wire::Wire;
 use simnet::net::NetConfig;
 use simnet::obs::{Probe, ProbeHandle, SpanId};
 use simnet::process::ProcessId;
@@ -43,31 +43,10 @@ const MAX_SEGMENTS_PER_ENTRY: usize = 10;
 pub(crate) const GROUP_HORIZON: SimTime = SimTime::from_secs(5);
 /// Messages each member multicasts in those workloads.
 const GROUP_MSGS: u32 = 20;
+/// How many of them go out per app tick (see [`Chatter`] on why bursts).
+const GROUP_BURST: u32 = 4;
 /// Loss rate of those workloads (enough to exercise repair phases).
 const GROUP_DROP: f64 = 0.02;
-
-/// Each member multicasts `remaining` messages in bursts of
-/// [`BURST`] per app tick. Bursts matter: consecutive sequence numbers
-/// land closer together than the NACK timeout, so a dropped message
-/// actually holds its successors back (a FIFO gap / ordering wait)
-/// instead of being repaired before the next send.
-pub(crate) struct Chatter {
-    remaining: u32,
-}
-
-/// Messages per tick.
-const BURST: u32 = 4;
-
-impl GroupApp<u64> for Chatter {
-    fn on_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<u64> {
-        let k = self.remaining.min(BURST);
-        self.remaining -= k;
-        (0..k).map(|_| ctx.me as u64).collect()
-    }
-    fn on_deliver(&mut self, _ctx: &mut GroupCtx<'_>, _d: &Delivery<u64>) -> Vec<u64> {
-        Vec::new()
-    }
-}
 
 /// Builds the deterministic harness-group workload under `algo`: every
 /// member a [`Chatter`] on a 20 ms application tick, over a LAN that
@@ -80,6 +59,7 @@ pub(crate) fn chatter_group(seed: u64, n: usize, algo: Algo) -> (Sim<Wire<u64>>,
     let tick = Some(SimDuration::from_millis(20));
     let members = spawn_group(&mut sim, n, discipline, cfg, tick, |_| Chatter {
         remaining: GROUP_MSGS,
+        burst: GROUP_BURST,
     });
     (sim, members)
 }

@@ -7,12 +7,10 @@
 //! sending of new messages during a significant portion of the protocol."
 
 use crate::table::Table;
-use catocs::cbcast::CbcastEndpoint;
-use catocs::failure::FailureDetector;
 use catocs::group::GroupConfig;
 use catocs::harness::route;
-use catocs::membership::{FlushAction, MembershipEngine};
-use catocs::wire::{Dest, Wire};
+use catocs::vsync::{BugKnobs, Member};
+use catocs::wire::Wire;
 use simnet::net::NetConfig;
 use simnet::process::{Ctx, Process, ProcessId, TimerId};
 use simnet::sim::SimBuilder;
@@ -20,15 +18,13 @@ use simnet::time::{SimDuration, SimTime};
 
 const TICK: TimerId = TimerId(0);
 const APP: TimerId = TimerId(1);
-const TICK_EVERY: SimDuration = SimDuration::from_millis(10);
+const APP_EVERY: SimDuration = SimDuration::from_millis(15);
 
-/// A full virtual-synchrony member: endpoint + detector + membership.
+/// A [`Member`] with `msgs` cbcast messages to send, one per app tick.
 pub struct MemberNode {
     me: usize,
     n: usize,
-    endpoint: CbcastEndpoint<u64>,
-    detector: FailureDetector,
-    engine: MembershipEngine,
+    member: Member,
     msgs_left: u32,
     next: u64,
     /// Multicasts suppressed because a flush was in progress.
@@ -41,115 +37,44 @@ impl MemberNode {
         MemberNode {
             me,
             n,
-            endpoint: CbcastEndpoint::new(me, n, GroupConfig::default()),
-            detector: FailureDetector::new(
-                me,
-                n,
-                SimDuration::from_millis(20),
-                SimDuration::from_millis(100),
-                SimTime::ZERO,
-            ),
-            engine: MembershipEngine::new(me, n),
+            member: Member::new(me, n, GroupConfig::default(), BugKnobs::default()),
             msgs_left: msgs,
             next: 0,
             suppressed_sends: 0,
-        }
-    }
-
-    /// The membership engine (read post-run).
-    pub fn engine(&self) -> &MembershipEngine {
-        &self.engine
-    }
-
-    fn handle_action(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, action: FlushAction) {
-        match action {
-            FlushAction::RetransmitUnstable => {
-                let flushed = self.endpoint.core_mut().flush_unstable();
-                ctx.metrics()
-                    .incr("t11.flush_retransmits", flushed.len() as u64);
-                route(ctx, self.me, self.n, flushed);
-                // Delivery blackout: our FlushOk clock must stay an upper
-                // bound on what we have delivered until the view installs.
-                self.endpoint.core_mut().freeze(ctx.now());
-            }
-            FlushAction::ViewInstalled { view, cut } => {
-                let members: Vec<usize> = view.members.iter().map(|p| p.0).collect();
-                let thawed = self.endpoint.on_view_install(ctx.now(), &members, &cut);
-                ctx.metrics()
-                    .incr("t11.thawed_deliveries", thawed.len() as u64);
-            }
-            FlushAction::None => {}
         }
     }
 }
 
 impl Process<Wire<u64>> for MemberNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<u64>>) {
-        ctx.set_timer(TICK, TICK_EVERY);
-        ctx.set_timer(APP, SimDuration::from_millis(15));
+        ctx.set_timer(TICK, Member::TICK_EVERY);
+        ctx.set_timer(APP, APP_EVERY);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, _f: ProcessId, msg: Wire<u64>) {
-        match &msg {
-            Wire::Heartbeat { from, view_id } => {
-                self.detector.heard_from(*from, ctx.now());
-                let out = self.engine.on_heartbeat(*from, *view_id);
-                route(ctx, self.me, self.n, out);
-            }
-            Wire::Flush { .. } | Wire::FlushOk { .. } | Wire::Install { .. } => {
-                let clock = self.endpoint.core().clock().clone();
-                let (action, out) = self.engine.on_wire(ctx.now(), &msg, &clock);
-                route(ctx, self.me, self.n, out);
-                self.handle_action(ctx, action);
-            }
-            _ => {
-                let (_dels, out) = self.endpoint.on_wire(ctx.now(), msg);
-                route(ctx, self.me, self.n, out);
-            }
-        }
+        let step = self.member.on_wire(ctx.now(), msg);
+        route(ctx, self.me, self.n, step.out);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, t: TimerId) {
         match t {
             TICK => {
-                let out = self.endpoint.on_tick(ctx.now());
-                route(ctx, self.me, self.n, out);
-                if self.detector.should_beat(ctx.now()) {
-                    let hb = Wire::Heartbeat {
-                        from: self.me,
-                        view_id: self.engine.view().id,
-                    };
-                    route(ctx, self.me, self.n, vec![(Dest::All, hb)]);
-                }
-                // Feed the engine the *full* suspect set every tick, not
-                // just new suspicions: if a flush wedges on a proposal
-                // member that died before acking, this is what re-derives
-                // a proposal the survivors can actually complete.
-                self.detector.check(ctx.now());
-                let suspects = self.detector.suspects();
-                if !suspects.is_empty() {
-                    let clock = self.endpoint.core().clock().clone();
-                    let (action, out) = self.engine.suspect(ctx.now(), &suspects, &clock);
-                    route(ctx, self.me, self.n, out);
-                    self.handle_action(ctx, action);
-                }
-                let clock = self.endpoint.core().clock().clone();
-                let retries = self.engine.on_tick(ctx.now(), &clock);
-                route(ctx, self.me, self.n, retries);
-                ctx.set_timer(TICK, TICK_EVERY);
+                let step = self.member.on_tick(ctx.now());
+                route(ctx, self.me, self.n, step.out);
+                ctx.set_timer(TICK, Member::TICK_EVERY);
             }
             APP => {
                 if self.msgs_left > 0 {
-                    if self.engine.can_send() {
-                        self.msgs_left -= 1;
-                        self.next += 1;
-                        let (_d, out) = self.endpoint.multicast(ctx.now(), self.next);
-                        route(ctx, self.me, self.n, out);
-                    } else {
-                        self.suppressed_sends += 1;
+                    match self.member.multicast(ctx.now(), self.next + 1) {
+                        Some(step) => {
+                            self.msgs_left -= 1;
+                            self.next += 1;
+                            route(ctx, self.me, self.n, step.out);
+                        }
+                        None => self.suppressed_sends += 1,
                     }
                 }
-                ctx.set_timer(APP, SimDuration::from_millis(15));
+                ctx.set_timer(APP, APP_EVERY);
             }
             _ => {}
         }
@@ -184,21 +109,16 @@ pub fn measure(seed: u64, n: usize) -> ViewChangePoint {
     sim.crash_at(ProcessId(n - 1), SimTime::from_millis(300));
     sim.run_until(SimTime::from_secs(4));
 
-    let mut flush_msgs = 0;
-    let mut suppressed = 0;
-    for p in 0..(n - 1) {
-        let node: &MemberNode = sim.process(ProcessId(p)).expect("member");
-        flush_msgs += node.engine().stats().flush_msgs;
-        suppressed += node.suppressed_sends;
-    }
-    let coord: &MemberNode = sim.process(ProcessId(0)).expect("coordinator");
+    let node = |p| -> &MemberNode { sim.process(ProcessId(p)).expect("member") };
+    let engines = (0..n - 1).map(|p| node(p).member.engine().stats());
+    let coord = node(0).member.engine().stats();
     ViewChangePoint {
         n,
-        views_installed: coord.engine().stats().view_changes,
-        flush_msgs,
-        flush_retransmits: sim.metrics().counter("t11.flush_retransmits"),
-        blackout_ms: coord.engine().stats().last_blackout.as_micros() as f64 / 1000.0,
-        suppressed_sends: suppressed,
+        views_installed: coord.view_changes,
+        flush_msgs: engines.map(|s| s.flush_msgs).sum(),
+        flush_retransmits: (0..n).map(|p| node(p).member.flush_retransmits()).sum(),
+        blackout_ms: coord.last_blackout.as_micros() as f64 / 1000.0,
+        suppressed_sends: (0..n - 1).map(|p| node(p).suppressed_sends).sum(),
     }
 }
 

@@ -14,8 +14,8 @@ use crate::table::Table;
 use catocs::causal_graph::CausalGraph;
 use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
-use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
-use catocs::wire::{Delivery, Wire};
+use catocs::harness::{spawn_group, Chatter, GroupNode};
+use catocs::wire::Wire;
 use clocks::matrix::MatrixClock;
 use simnet::net::{LatencyModel, NetConfig};
 use simnet::sim::SimBuilder;
@@ -26,24 +26,6 @@ use std::rc::Rc;
 
 /// Messages each member multicasts.
 const MSGS_PER_PROC: u32 = 30;
-
-struct Chatter {
-    remaining: u32,
-}
-
-impl GroupApp<u32> for Chatter {
-    fn on_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<u32> {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            vec![ctx.me as u32]
-        } else {
-            Vec::new()
-        }
-    }
-    fn on_deliver(&mut self, _ctx: &mut GroupCtx<'_>, _d: &Delivery<u32>) -> Vec<u32> {
-        Vec::new()
-    }
-}
 
 /// One measured row.
 #[derive(Clone, Debug)]
@@ -87,6 +69,7 @@ pub fn measure(seed: u64, n: usize) -> ScalePoint {
         Some(SimDuration::from_millis(10)),
         |_| Chatter {
             remaining: MSGS_PER_PROC,
+            burst: 1,
         },
     );
     for &m in &members {

@@ -82,31 +82,26 @@ impl FailureDetector {
         }
     }
 
-    /// Re-evaluates suspicions; returns members newly suspected at `now`.
+    /// Re-evaluates suspicions at `now` and returns every member suspected,
+    /// not only the new ones: the membership engine re-derives its
+    /// proposal from the whole set on every tick. Allocates only when
+    /// someone is.
     pub fn check(&mut self, now: SimTime) -> Vec<usize> {
-        let mut newly = Vec::new();
+        let mut suspects = Vec::new();
         for k in 0..self.last_heard.len() {
-            if k == self.me || self.suspected[k] {
-                continue;
-            }
-            if now.saturating_since(self.last_heard[k]) >= self.suspect_after {
+            if k != self.me && now.saturating_since(self.last_heard[k]) >= self.suspect_after {
                 self.suspected[k] = true;
-                newly.push(k);
+            }
+            if self.suspected[k] {
+                suspects.push(k);
             }
         }
-        newly
+        suspects
     }
 
     /// Whether `who` is currently suspected.
     pub fn is_suspected(&self, who: usize) -> bool {
         self.suspected.get(who).copied().unwrap_or(false)
-    }
-
-    /// Members currently suspected.
-    pub fn suspects(&self) -> Vec<usize> {
-        (0..self.suspected.len())
-            .filter(|&k| self.suspected[k])
-            .collect()
     }
 }
 
@@ -152,7 +147,7 @@ mod tests {
         d.check(SimTime::from_millis(100));
         assert!(d.is_suspected(1) && d.is_suspected(2));
         d.reset(SimTime::from_millis(100));
-        assert!(d.suspects().is_empty());
+        assert!(!d.is_suspected(1) && !d.is_suspected(2));
         assert!(d.check(SimTime::from_millis(120)).is_empty());
         let newly = d.check(SimTime::from_millis(150));
         assert_eq!(newly, vec![1, 2], "timeout restarts from the reset point");
@@ -176,7 +171,7 @@ mod tests {
         assert!(d.is_suspected(1));
         d.heard_from(1, SimTime::from_millis(101));
         assert!(!d.is_suspected(1));
-        assert_eq!(d.suspects(), vec![2]);
+        assert_eq!(d.check(SimTime::from_millis(101)), vec![2]);
     }
 
     #[test]
@@ -187,12 +182,12 @@ mod tests {
     }
 
     #[test]
-    fn newly_reported_once() {
+    fn suspicion_is_reported_until_heard_from() {
         let mut d = det();
-        let first = d.check(SimTime::from_millis(100));
-        assert_eq!(first.len(), 2);
-        let second = d.check(SimTime::from_millis(200));
-        assert!(second.is_empty(), "already-suspected not re-reported");
+        assert_eq!(d.check(SimTime::from_millis(100)), vec![1, 2]);
+        assert_eq!(d.check(SimTime::from_millis(200)), vec![1, 2]);
+        d.heard_from(2, SimTime::from_millis(201));
+        assert_eq!(d.check(SimTime::from_millis(210)), vec![1]);
     }
 
     #[test]

@@ -65,6 +65,26 @@ pub trait GroupApp<P>: 'static {
     }
 }
 
+/// The stock workload: a member multicasts its own index `remaining`
+/// times, `burst` to an application tick, and reacts to nothing. Bursts
+/// land consecutive sequence numbers closer together than the NACK
+/// timeout, so a dropped message holds its successors back instead of
+/// being repaired before the next send.
+pub struct Chatter {
+    /// Multicasts still to send.
+    pub remaining: u32,
+    /// Multicasts per application tick.
+    pub burst: u32,
+}
+
+impl<P: From<u32>> GroupApp<P> for Chatter {
+    fn on_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<P> {
+        let k = self.remaining.min(self.burst);
+        self.remaining -= k;
+        (0..k).map(|_| P::from(ctx.me as u32)).collect()
+    }
+}
+
 /// A simulated process hosting one group member: endpoint + app.
 pub struct GroupNode<P, A> {
     endpoint: Endpoint<P>,

@@ -80,7 +80,9 @@ pub struct MembershipStats {
     pub abandoned_flushes: u64,
     /// Proposals or installs rejected because their membership was not a
     /// subset of the installed view (a wedged evictee trying to rejoin —
-    /// legitimate views only ever shrink).
+    /// legitimate views only ever shrink), and messages no member of the
+    /// group could have sent: a sender index outside it, a view with
+    /// nobody in it, a clock of another width.
     pub rejected_foreign: u64,
     /// Total time spent with sending suppressed.
     pub blackout_total: SimDuration,
@@ -381,6 +383,23 @@ impl MembershipEngine {
         wire: &Wire<P>,
         delivered: &VectorClock,
     ) -> (FlushAction, Vec<Out<P>>) {
+        // The front door: a sender index addresses the reply and keys the
+        // acks, a clock is merged into the cut, and an empty member list
+        // passes every subset guard below vacuously. None of these can
+        // come from a member of this group, evicted or not, so they are
+        // refused whole — nothing sent, nothing changed.
+        let foreign = match wire {
+            Wire::Flush { proposed, from } => *from >= self.n || proposed.is_empty(),
+            Wire::FlushOk {
+                from, delivered, ..
+            } => *from >= self.n || delivered.len() != self.n,
+            Wire::Install { view, cut } => view.is_empty() || cut.len() != self.n,
+            _ => false,
+        };
+        if foreign {
+            self.stats.rejected_foreign += 1;
+            return (FlushAction::None, Vec::new());
+        }
         match wire {
             Wire::Flush { proposed, from } => {
                 if proposed.id.0 <= self.view.id.0 {
@@ -448,7 +467,11 @@ impl MembershipEngine {
                     vec![(Dest::One(*from), ok)],
                 )
             }
-            Wire::FlushOk { view_id, from, .. } => {
+            Wire::FlushOk {
+                view_id,
+                from,
+                delivered: peer_delivered,
+            } => {
                 // Repair path: a FlushOk reaching a Normal-phase process
                 // is evidence the sender missed an Install — either the
                 // one for this very view (we coordinated it and the
@@ -459,10 +482,6 @@ impl MembershipEngine {
                 if matches!(self.phase, Phase::Normal) && *from != self.me {
                     return (FlushAction::None, self.repair_install(*from));
                 }
-                let peer_delivered = match wire {
-                    Wire::FlushOk { delivered, .. } => delivered.clone(),
-                    _ => unreachable!("outer match arm is FlushOk"),
-                };
                 let install = match &mut self.phase {
                     Phase::Flushing { proposed, acks, .. }
                         if proposed.id == *view_id && Self::coordinator_of(proposed) == self.me =>
@@ -475,7 +494,7 @@ impl MembershipEngine {
                             self.stats.rejected_foreign += 1;
                             return (FlushAction::None, Vec::new());
                         }
-                        acks.insert(*from, peer_delivered);
+                        acks.insert(*from, peer_delivered.clone());
                         acks.insert(self.me, delivered.clone());
                         let everyone = proposed.members.iter().all(|m| acks.contains_key(&m.0));
                         everyone.then(|| {
@@ -522,6 +541,10 @@ impl MembershipEngine {
     /// nor acking (e.g. one that abandoned a doomed flush and sits in
     /// Normal phase at the old view, chaos seed 206).
     pub fn on_heartbeat<P>(&mut self, from: usize, view_id: ViewId) -> Vec<Out<P>> {
+        if from >= self.n {
+            self.stats.rejected_foreign += 1;
+            return Vec::new();
+        }
         if view_id.0 < self.view.id.0 {
             self.repair_install(from)
         } else {
@@ -836,6 +859,129 @@ mod tests {
         assert_eq!(a, FlushAction::None);
         assert_eq!(m1.view().id, ViewId(2));
         assert_eq!(m1.stats().rejected_foreign, 2);
+    }
+
+    /// Feeds each wire to `m` and holds the engine to a whole refusal:
+    /// no action, nothing sent, and a `Debug` text that differs only in
+    /// `rejected_foreign`.
+    fn assert_refused(m: &mut MembershipEngine, hostile: &[Wire<()>]) {
+        for w in hostile {
+            let refused = m.stats().rejected_foreign;
+            let expected = format!("{m:?}").replace(
+                &format!("rejected_foreign: {refused}"),
+                &format!("rejected_foreign: {}", refused + 1),
+            );
+            let (a, out) = m.on_wire(t(1), w, &vc(4));
+            assert_eq!(a, FlushAction::None, "{w:?}");
+            assert!(out.is_empty(), "{w:?} was answered with {out:?}");
+            assert_eq!(format!("{m:?}"), expected, "{w:?}");
+        }
+    }
+
+    fn view(id: u64, members: &[usize]) -> View {
+        View {
+            id: ViewId(id),
+            members: members.iter().copied().map(ProcessId).collect(),
+        }
+    }
+
+    #[test]
+    fn sender_outside_the_group_is_refused() {
+        // A `from` indexes nothing in a group of 4 from 4 up; answering it
+        // would address a reply to a process that does not exist.
+        let mut m1 = MembershipEngine::new(1, 4);
+        let mut hostile = Vec::new();
+        for from in [4, usize::MAX] {
+            hostile.push(Wire::Flush {
+                proposed: view(2, &[0, 1, 2]),
+                from,
+            });
+            hostile.push(Wire::FlushOk {
+                view_id: ViewId(2),
+                from,
+                delivered: vc(4),
+            });
+        }
+        assert_refused(&mut m1, &hostile);
+        assert!(m1.can_send(), "never entered a flush");
+        // The heartbeat path serves an Install to whoever advertises an
+        // older view: same door.
+        let before = format!("{m1:?}").replace("rejected_foreign: 4", "rejected_foreign: 5");
+        assert!(m1.on_heartbeat::<()>(4, ViewId(0)).is_empty());
+        assert_eq!(format!("{m1:?}"), before);
+        // An evicted member of the group is still answered (seeds 191
+        // and 206): the refusal is about who can exist, not who is in.
+        m1.on_wire::<()>(
+            t(2),
+            &Wire::Install {
+                view: view(2, &[0, 1, 2]),
+                cut: vc(4),
+            },
+            &vc(4),
+        );
+        let evictee = Wire::<()>::FlushOk {
+            view_id: ViewId(2),
+            from: 3,
+            delivered: vc(4),
+        };
+        let (_, out) = m1.on_wire(t(3), &evictee, &vc(4));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].0, Dest::One(3));
+        assert!(matches!(out[0].1, Wire::Install { .. }));
+    }
+
+    #[test]
+    fn view_with_nobody_in_it_is_refused() {
+        // "Every proposed member is in the installed view" holds of no
+        // members at all: one message would install an empty view, or
+        // park the member in a flush toward a coordinator it made up.
+        let mut m1 = MembershipEngine::new(1, 4);
+        let hostile = [
+            Wire::Flush {
+                proposed: view(2, &[]),
+                from: 0,
+            },
+            Wire::Install {
+                view: view(2, &[]),
+                cut: vc(4),
+            },
+        ];
+        assert_refused(&mut m1, &hostile);
+        assert!(m1.can_send());
+        assert_eq!(m1.view(), &view(1, &[0, 1, 2, 3]));
+    }
+
+    #[test]
+    fn clock_of_another_width_is_refused() {
+        // Coordinator 0 of 4, mid-flush toward {0,1,2}: a 9-wide FlushOk
+        // clock would be merged into the cut every survivor installs.
+        let mut m0 = MembershipEngine::new(0, 4);
+        let (_, _) = m0.suspect::<()>(t(0), &[3], &vc(4));
+        let wide = Wire::FlushOk {
+            view_id: ViewId(2),
+            from: 1,
+            delivered: vc(9),
+        };
+        assert_refused(&mut m0, &[wide]);
+        assert_eq!(m0.flush_waits().expect("mid-flush").missing_acks, [1, 2]);
+        for from in [1, 2] {
+            let ok = Wire::<()>::FlushOk {
+                view_id: ViewId(2),
+                from,
+                delivered: vc(4),
+            };
+            m0.on_wire(t(2), &ok, &vc(4));
+        }
+        assert_eq!(m0.view().id, ViewId(2));
+        assert_eq!(m0.last_cut().len(), 4);
+        // And a cut of another width is not installed.
+        let mut m1 = MembershipEngine::new(1, 4);
+        let install = Wire::Install {
+            view: view(2, &[0, 1, 2]),
+            cut: vc(9),
+        };
+        assert_refused(&mut m1, &[install]);
+        assert_eq!(m1.view().id, ViewId(1));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Virtual-synchrony chaos campaigns and the invariant checker behind
 //! them.
 //!
-//! A campaign runs a full group — a [`CausalEndpoint`] (cbcast or
-//! pccast, per the campaign's [`GroupConfig::discipline`]), [`FailureDetector`]
-//! and [`MembershipEngine`] wired into one [`ChaosNode`] per process —
+//! A campaign runs a full group — per process one [`Member`] (a
+//! [`CausalEndpoint`], cbcast or pccast per the campaign's
+//! [`GroupConfig::discipline`], a failure detector and a
+//! [`MembershipEngine`], wired together once and sans-IO) on a
+//! [`ChaosNode`], its simulated host —
 //! under a seed-derived [`FaultPlan`] (partitions, heals, crashes,
 //! recoveries, loss/duplication/delay episodes), then replays every
 //! process's event log through [`check`], which asserts the
@@ -42,15 +44,12 @@
 //! pinned against it.
 
 use crate::endpoint::CausalEndpoint;
-use crate::failure::FailureDetector;
 use crate::group::{GroupConfig, MsgId};
 use crate::harness::route;
 use crate::ledger::{LatencySummary, TeeProbe};
-use crate::membership::{FlushAction, MembershipEngine};
-use crate::waitgraph::{
-    analyze, PhaseTag, StallSnapshot, StallTracker, WaitEdge, WaitNode, WaitReason, WaitRecord,
-};
-use crate::wire::{Dest, Wire};
+use crate::membership::MembershipEngine;
+use crate::waitgraph::{analyze, StallSnapshot, StallTracker, WaitEdge, WaitNode, WaitRecord};
+use crate::wire::Wire;
 use clocks::vector::VectorClock;
 use simnet::fault::{FaultPlan, FaultPlanConfig};
 use simnet::metrics::Histogram;
@@ -64,6 +63,9 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
+
+mod member;
+pub use member::{Member, Step};
 
 /// One entry in a process's chronological event log.
 #[derive(Clone, Debug, PartialEq)]
@@ -552,19 +554,13 @@ const APP: TimerId = TimerId(1);
 /// Wait-graph sampling cadence: the same 50 ms the bench time-series
 /// use, so `stall.*` metrics line up with the other `ts.*` series.
 const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(50);
-const TICK_EVERY: SimDuration = SimDuration::from_millis(10);
-const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(20);
-const SUSPECT_AFTER: SimDuration = SimDuration::from_millis(100);
 
-/// A full virtual-synchrony member under chaos: endpoint + failure
-/// detector + membership engine, logging everything the checker needs.
+/// A [`Member`] on a simulated host under chaos: the two timers, the
+/// cut-off for new traffic, and the log of everything the checker needs.
 pub struct ChaosNode {
     me: usize,
     n: usize,
-    endpoint: CausalEndpoint<u64>,
-    detector: FailureDetector,
-    engine: MembershipEngine,
-    knobs: BugKnobs,
+    member: Member,
     /// No multicasts after this point, so the settle tail can converge.
     send_until: SimTime,
     app_every: SimDuration,
@@ -585,28 +581,10 @@ pub struct ChaosNode {
 impl ChaosNode {
     /// Creates member `me` under the campaign's config.
     pub fn new(me: usize, cfg: &CampaignConfig) -> Self {
-        let mut endpoint = CausalEndpoint::new(me, cfg.n, cfg.group.clone());
-        if cfg.knobs.no_chain_reset {
-            endpoint.debug_skip_view_reset(true);
-        }
-        let mut engine = MembershipEngine::new(me, cfg.n);
-        if cfg.knobs.no_flush_retry {
-            // Effectively never: any lost flush message wedges the change.
-            engine.set_retry_interval(SimDuration::from_secs(86_400));
-        }
         ChaosNode {
             me,
             n: cfg.n,
-            endpoint,
-            detector: FailureDetector::new(
-                me,
-                cfg.n,
-                HEARTBEAT_EVERY,
-                SUSPECT_AFTER,
-                SimTime::ZERO,
-            ),
-            engine,
-            knobs: cfg.knobs,
+            member: Member::new(me, cfg.n, cfg.group.clone(), cfg.knobs),
             send_until: cfg.plan.horizon - cfg.plan.settle,
             app_every: cfg.app_every,
             next: 0,
@@ -619,12 +597,12 @@ impl ChaosNode {
 
     /// The endpoint (read post-run).
     pub fn endpoint(&self) -> &CausalEndpoint<u64> {
-        &self.endpoint
+        self.member.endpoint()
     }
 
     /// The membership engine (read post-run).
     pub fn engine(&self) -> &MembershipEngine {
-        &self.engine
+        self.member.engine()
     }
 
     /// Hold-time distribution of this node's held deliveries (read
@@ -633,39 +611,18 @@ impl ChaosNode {
         &self.hold_hist
     }
 
-    /// What is blocked at this node and on what (contract in
-    /// [`crate::waitgraph`]): the endpoint's holdback and link-reorder
-    /// waits, plus the membership layer's flush barrier — any member
-    /// mid-flush blocks on the coordinator's flush phase, and at the
-    /// coordinator the phase itself blocks on each member whose FlushOk
-    /// is missing.
+    /// What is blocked at this node and on what: [`Member::wait_records`].
     pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
-        self.endpoint.wait_records(every_gap, emit);
-        if let Some(fw) = self.engine.flush_waits() {
-            let phase = WaitNode::Phase {
-                kind: PhaseTag::Flush,
-                at: fw.coordinator,
-            };
-            let record = |blocked, waits| WaitRecord {
-                blocked,
-                who: self.me,
-                since: fw.since,
-                slot: None,
-                waits,
-            };
-            let me = WaitNode::Proc(self.me);
-            emit(&record(me, vec![(phase, WaitReason::MidFlush)]));
-            // Only the coordinator tracks acks.
-            if !fw.missing_acks.is_empty() {
-                let acks = fw.missing_acks.iter();
-                let acks = acks.map(|&q| (WaitNode::Proc(q), WaitReason::FlushOkMissing));
-                emit(&record(phase, acks.collect()));
-            }
-        }
+        self.member.wait_records(every_gap, emit);
     }
 
-    fn log_deliveries(&mut self, dels: Vec<crate::wire::Delivery<u64>>) {
-        for d in dels {
+    /// Sends what the step sends and logs what it installed and delivered.
+    fn absorb(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, step: Step) {
+        route(ctx, self.me, self.n, step.out);
+        if let Some((id, members, cut)) = step.installed {
+            self.events.push(NodeEvent::Install { id, members, cut });
+        }
+        for d in step.delivered {
             if d.was_held() {
                 self.hold_hist.record(d.hold_time());
             }
@@ -673,66 +630,26 @@ impl ChaosNode {
         }
     }
 
-    fn handle_action(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, action: FlushAction) {
-        match action {
-            FlushAction::RetransmitUnstable => {
-                let flushed = self.endpoint.flush_unstable();
-                route(ctx, self.me, self.n, flushed);
-                // Delivery blackout: our FlushOk clock must stay an upper
-                // bound on what we have delivered until the view installs.
-                self.endpoint.freeze(ctx.now());
-            }
-            FlushAction::ViewInstalled { view, cut } => {
-                let members: Vec<usize> = view.members.iter().map(|p| p.0).collect();
-                self.events.push(NodeEvent::Install {
-                    id: view.id.0,
-                    members: members.clone(),
-                    cut: cut.clone(),
-                });
-                let (thawed, out) =
-                    self.endpoint
-                        .on_view_install(ctx.now(), view.id.0, &members, &cut);
-                // pccast re-forwards thawed deliveries on its fresh
-                // links; cbcast emits nothing here.
-                route(ctx, self.me, self.n, out);
-                self.log_deliveries(thawed);
-            }
-            FlushAction::None => {}
-        }
+    fn arm_tick(&mut self, ctx: &mut Ctx<'_, Wire<u64>>) {
+        self.armed_tick = ctx.now() + Member::TICK_EVERY;
+        ctx.set_timer(TICK, Member::TICK_EVERY);
     }
 
-    fn is_member(&self) -> bool {
-        self.engine.view().members.iter().any(|p| p.0 == self.me)
+    fn arm_app(&mut self, ctx: &mut Ctx<'_, Wire<u64>>) {
+        self.armed_app = ctx.now() + self.app_every;
+        ctx.set_timer(APP, self.app_every);
     }
 }
 
 impl Process<Wire<u64>> for ChaosNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<u64>>) {
-        self.armed_tick = ctx.now() + TICK_EVERY;
-        ctx.set_timer(TICK, TICK_EVERY);
-        self.armed_app = ctx.now() + self.app_every;
-        ctx.set_timer(APP, self.app_every);
+        self.arm_tick(ctx);
+        self.arm_app(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, _f: ProcessId, msg: Wire<u64>) {
-        match &msg {
-            Wire::Heartbeat { from, view_id } => {
-                self.detector.heard_from(*from, ctx.now());
-                let out = self.engine.on_heartbeat(*from, *view_id);
-                route(ctx, self.me, self.n, out);
-            }
-            Wire::Flush { .. } | Wire::FlushOk { .. } | Wire::Install { .. } => {
-                let clock = self.endpoint.clock().clone();
-                let (action, out) = self.engine.on_wire(ctx.now(), &msg, &clock);
-                route(ctx, self.me, self.n, out);
-                self.handle_action(ctx, action);
-            }
-            _ => {
-                let (dels, out) = self.endpoint.on_wire(ctx.now(), msg);
-                route(ctx, self.me, self.n, out);
-                self.log_deliveries(dels);
-            }
-        }
+        let step = self.member.on_wire(ctx.now(), msg);
+        self.absorb(ctx, step);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<u64>>, t: TimerId) {
@@ -741,67 +658,37 @@ impl Process<Wire<u64>> for ChaosNode {
                 if ctx.now() != self.armed_tick {
                     return; // stale chain from before a crash
                 }
-                let out = self.endpoint.on_tick(ctx.now());
-                route(ctx, self.me, self.n, out);
-                if self.detector.should_beat(ctx.now()) {
-                    let hb = Wire::Heartbeat {
-                        from: self.me,
-                        view_id: self.engine.view().id,
-                    };
-                    route(ctx, self.me, self.n, vec![(Dest::All, hb)]);
-                }
-                // Full suspect set every tick (not just new suspicions):
-                // this is what re-derives a completable proposal after a
-                // flush wedges on a member that died before acking.
-                self.detector.check(ctx.now());
-                let suspects = self.detector.suspects();
-                if !suspects.is_empty() {
-                    let clock = self.endpoint.clock().clone();
-                    let (action, out) = self.engine.suspect(ctx.now(), &suspects, &clock);
-                    route(ctx, self.me, self.n, out);
-                    self.handle_action(ctx, action);
-                }
-                let clock = self.endpoint.clock().clone();
-                let retries = self.engine.on_tick(ctx.now(), &clock);
-                route(ctx, self.me, self.n, retries);
-                self.armed_tick = ctx.now() + TICK_EVERY;
-                ctx.set_timer(TICK, TICK_EVERY);
+                let step = self.member.on_tick(ctx.now());
+                self.absorb(ctx, step);
+                self.arm_tick(ctx);
             }
             APP => {
                 if ctx.now() != self.armed_app {
                     return;
                 }
-                // An evicted member stops originating traffic once it
-                // learns it is out; survivors would discard it anyway.
-                if ctx.now() < self.send_until && self.engine.can_send() && self.is_member() {
-                    self.next += 1;
-                    let (d, out) = self.endpoint.multicast(ctx.now(), self.next);
-                    let vt = self.endpoint.clock().clone();
-                    self.events.push(NodeEvent::Send { id: d.id, vt });
-                    self.events.push(NodeEvent::Deliver { id: d.id });
-                    route(ctx, self.me, self.n, out);
+                if ctx.now() < self.send_until {
+                    if let Some(step) = self.member.multicast(ctx.now(), self.next + 1) {
+                        self.next += 1;
+                        let id = step.delivered[0].id;
+                        let vt = self.member.endpoint().clock().clone();
+                        self.events.push(NodeEvent::Send { id, vt });
+                        self.absorb(ctx, step);
+                    }
                 }
-                self.armed_app = ctx.now() + self.app_every;
-                ctx.set_timer(APP, self.app_every);
+                self.arm_app(ctx);
             }
             _ => {}
         }
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, Wire<u64>>) {
-        if !self.knobs.no_detector_reset {
-            // S1 fix: the heartbeat table is stale by the whole outage;
-            // without a reset every peer looks dead on the next check.
-            self.detector.reset(ctx.now());
-        }
-        self.armed_tick = ctx.now() + TICK_EVERY;
-        ctx.set_timer(TICK, TICK_EVERY);
-        self.armed_app = ctx.now() + self.app_every;
-        ctx.set_timer(APP, self.app_every);
+        self.member.on_recover(ctx.now());
+        self.arm_tick(ctx);
+        self.arm_app(ctx);
     }
 
     fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        self.endpoint.sample(emit);
+        self.member.endpoint().sample(emit);
     }
 }
 
@@ -872,7 +759,7 @@ fn snapshot_stalls(
             continue;
         };
         if let Some(Some(sender)) = nodes.get(from) {
-            if let CausalEndpoint::Pccast(sender) = &sender.endpoint {
+            if let CausalEndpoint::Pccast(sender) = sender.endpoint() {
                 e.to = sender.link_log_lookup(to, seq).map_or(e.to, WaitNode::Msg);
             }
         }
@@ -970,7 +857,7 @@ impl Campaign {
         };
         for me in 0..cfg.n {
             let mut node = ChaosNode::new(me, &cfg);
-            node.endpoint.set_probe(node_probe.clone());
+            node.member.set_probe(node_probe.clone());
             sim.add_process(node);
         }
         plan.apply(&mut sim);
@@ -1014,16 +901,16 @@ impl Campaign {
             // the horizon: a crashed node's stale holdback is not "blocked".
             if !crashed.contains(&p) {
                 let keep = &mut |record: &WaitRecord| blocked_reports.push(record.clone());
-                node.endpoint.wait_records(true, keep);
+                node.endpoint().wait_records(true, keep);
             }
             logs.push(ProcessLog {
                 who: p,
                 alive_at_end: !crashed.contains(&p),
                 events: node.events.clone(),
-                final_clock: node.endpoint.clock().clone(),
-                decode_errors: node.endpoint.stats().ts_decode_errors,
-                parked: node.endpoint.parked_len() as u64,
-                frozen: node.endpoint.is_frozen(),
+                final_clock: node.endpoint().clock().clone(),
+                decode_errors: node.endpoint().stats().ts_decode_errors,
+                parked: node.endpoint().parked_len() as u64,
+                frozen: node.endpoint().is_frozen(),
             });
         }
 

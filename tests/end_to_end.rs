@@ -4,31 +4,11 @@
 
 use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
-use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
-use catocs::wire::{Delivery, Wire};
+use catocs::harness::{spawn_group, Chatter, GroupNode};
+use catocs::wire::Wire;
 use simnet::net::NetConfig;
 use simnet::sim::SimBuilder;
 use simnet::time::{SimDuration, SimTime};
-
-struct Chatter {
-    remaining: u32,
-    seen: Vec<(usize, u64)>,
-}
-
-impl GroupApp<u32> for Chatter {
-    fn on_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<u32> {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            vec![ctx.me as u32]
-        } else {
-            Vec::new()
-        }
-    }
-    fn on_deliver(&mut self, _ctx: &mut GroupCtx<'_>, d: &Delivery<u32>) -> Vec<u32> {
-        self.seen.push((d.id.sender, d.id.seq));
-        Vec::new()
-    }
-}
 
 fn run_group(seed: u64, n: usize, d: Discipline, loss: f64) -> Vec<Vec<(usize, u64)>> {
     let mut sim = SimBuilder::new(seed)
@@ -42,18 +22,16 @@ fn run_group(seed: u64, n: usize, d: Discipline, loss: f64) -> Vec<Vec<(usize, u
         Some(SimDuration::from_millis(12)),
         |_| Chatter {
             remaining: 8,
-            seen: Vec::new(),
+            burst: 1,
         },
     );
     sim.run_until(SimTime::from_secs(6));
     members
         .iter()
         .map(|&m| {
-            sim.process::<GroupNode<u32, Chatter>>(m)
-                .expect("node")
-                .app()
-                .seen
-                .clone()
+            let node = sim.process::<GroupNode<u32, Chatter>>(m).expect("node");
+            let log = node.delivered_log.iter();
+            log.map(|d| (d.id.sender, d.id.seq)).collect()
         })
         .collect()
 }
@@ -135,7 +113,7 @@ fn trace_digest_is_reproducible() {
             Some(SimDuration::from_millis(10)),
             |_| Chatter {
                 remaining: 5,
-                seen: Vec::new(),
+                burst: 1,
             },
         );
         sim.run_until(SimTime::from_secs(3));

@@ -12,7 +12,7 @@ use catocs::cbcast::CbcastEndpoint;
 use catocs::endpoint::Discipline;
 use catocs::group::CausalDiscipline::{self, Cbcast, Pccast};
 use catocs::group::{GroupConfig, MsgId};
-use catocs::harness::{spawn_group, GroupApp, GroupCtx, GroupNode};
+use catocs::harness::{spawn_group, Chatter, GroupNode};
 use catocs::vsync::{run_campaign, BugKnobs, CampaignConfig, CampaignResult};
 use catocs::waitgraph::RankedStall;
 use catocs::wire::{Dest, Wire};
@@ -21,21 +21,6 @@ use simnet::process::ProcessId;
 use simnet::sim::{Sim, SimBuilder};
 use simnet::time::{SimDuration, SimTime};
 use std::collections::{HashMap, VecDeque};
-
-/// Multicasts its member index on every tick until the quota is spent.
-struct Chatter {
-    remaining: u32,
-}
-
-impl GroupApp<u32> for Chatter {
-    fn on_tick(&mut self, ctx: &mut GroupCtx<'_>) -> Vec<u32> {
-        if self.remaining == 0 {
-            return Vec::new();
-        }
-        self.remaining -= 1;
-        vec![ctx.me as u32]
-    }
-}
 
 /// FNV-1a over a stream of words.
 struct Fnv(u64);
@@ -63,7 +48,10 @@ fn run(discipline: Discipline, causal: CausalDiscipline) -> (Sim<Wire<u32>>, Vec
         discipline,
         cfg,
         Some(SimDuration::from_millis(15)),
-        |_| Chatter { remaining: 6 },
+        |_| Chatter {
+            remaining: 6,
+            burst: 1,
+        },
     );
     sim.run_until(SimTime::from_secs(4));
     (sim, members)
