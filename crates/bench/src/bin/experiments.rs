@@ -11,8 +11,7 @@
 //! experiments latency --seed 2 --bug wedged_flush [--msg m0.3] [--discipline abcast] [--compare]
 //! experiments waitgraph --seed 2 --bug no-flush-retry [--at MS]
 //! experiments t7plus --perfetto out.json
-//! experiments bench --json BENCH_new.json
-//! experiments benchdiff BENCH_baseline.json BENCH_new.json --gate 10
+//! experiments bench
 //! ```
 
 use bench::experiments as ex;
@@ -25,8 +24,7 @@ fn print_usage() {
          |explain --seed N [REPLAY] [--msg mS.Q] [--at MS] [--discipline D]\
          |latency --seed N [REPLAY] [--msg mS.Q] [--discipline D] | latency --compare [--seed N]\
          |waitgraph --seed N [REPLAY] [--at MS] [--discipline cbcast|pccast]\
-         |bench [--json FILE]\
-         |benchdiff OLD.json NEW.json [--gate PCT]]...\n\
+         |bench]...\n\
          REPLAY (cbcast, pccast): [--n N] [--cell scan-full|scan-delta|indexed-full|indexed-delta] \
          [--bug KNOB]; by default N is 3, 5 or 7 by seed % 3, chaos walks all four cells and the \
          rest run indexed-delta\n\
@@ -81,9 +79,7 @@ fn main() {
                      disciplines at N=64); \
                      waitgraph — ranked stall report (--seed N, --at MS \
                      picks a snapshot); \
-                     bench — performance telemetry snapshot (--json FILE); \
-                     benchdiff OLD NEW — compare snapshots \
-                     (--gate PCT fails on regressions); \
+                     bench — the virtual-time metrics table; \
                      all. --perfetto FILE exports a trace (f1, t7plus)."
                 );
             }
@@ -183,94 +179,7 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            "bench" => {
-                let mut json_path: Option<String> = None;
-                while i < args.len() {
-                    match args[i].as_str() {
-                        "--json" => {
-                            json_path = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                                eprintln!("bench --json needs an output file");
-                                std::process::exit(2);
-                            }));
-                            i += 2;
-                        }
-                        _ => break,
-                    }
-                }
-                let snap = ex::bench::collect();
-                println!("{}", ex::bench::render(&snap));
-                if let Some(path) = json_path {
-                    let json = snap.to_json();
-                    // Validate through the in-tree parser before writing.
-                    if let Err(e) = bench::telemetry::BenchSnapshot::parse(&json) {
-                        eprintln!("bench: emitted snapshot failed validation: {e}");
-                        std::process::exit(1);
-                    }
-                    match std::fs::write(&path, &json) {
-                        Ok(()) => eprintln!("bench: snapshot written to {path}"),
-                        Err(e) => {
-                            eprintln!("bench: could not write {path}: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-            "benchdiff" => {
-                let mut paths = Vec::new();
-                let mut gate: Option<f64> = None;
-                while i < args.len() {
-                    match args[i].as_str() {
-                        "--gate" => {
-                            gate =
-                                Some(args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or_else(
-                                    || {
-                                        eprintln!("benchdiff --gate needs a percentage");
-                                        std::process::exit(2);
-                                    },
-                                ));
-                            i += 2;
-                        }
-                        a if !a.starts_with("--") && paths.len() < 2 => {
-                            paths.push(a.to_string());
-                            i += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                if paths.len() != 2 {
-                    eprintln!("benchdiff needs OLD.json and NEW.json");
-                    std::process::exit(2);
-                }
-                let load = |path: &str| -> bench::telemetry::BenchSnapshot {
-                    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                        eprintln!("benchdiff: could not read {path}: {e}");
-                        std::process::exit(2);
-                    });
-                    bench::telemetry::BenchSnapshot::parse(&text).unwrap_or_else(|e| {
-                        eprintln!("benchdiff: {path}: {e}");
-                        std::process::exit(2);
-                    })
-                };
-                let old = load(&paths[0]);
-                let new = load(&paths[1]);
-                let pct = gate.unwrap_or(bench::telemetry::DEFAULT_GATE_PCT);
-                let report = bench::telemetry::diff(&old, &new, pct);
-                println!(
-                    "{}",
-                    bench::telemetry::render_diff(&report, &paths[0], &paths[1])
-                );
-                if !report.regressions.is_empty() {
-                    eprintln!(
-                        "benchdiff: {} gated metric(s) regressed past ±{pct}%: {}",
-                        report.regressions.len(),
-                        report.regressions.join(", ")
-                    );
-                    if gate.is_some() {
-                        std::process::exit(1);
-                    }
-                    eprintln!("benchdiff: informational run (no --gate): exit 0");
-                }
-            }
+            "bench" => println!("{}", ex::bench::run()),
             other => {
                 eprintln!("unknown experiment: {other}");
                 print_usage();

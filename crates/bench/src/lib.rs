@@ -14,6 +14,5 @@
 
 pub mod experiments;
 pub mod table;
-pub mod telemetry;
 
 pub use table::Table;

@@ -99,12 +99,6 @@ impl<P: Clone> AbcastEndpoint<P> {
         self.cb.stats()
     }
 
-    /// Messages causally delivered but awaiting their slot in the total
-    /// order.
-    pub fn unreleased_len(&self) -> usize {
-        self.unreleased.len()
-    }
-
     /// Telemetry hook: the causal substrate's gauges plus the order-release
     /// backlog specific to the sequencer design.
     pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {

@@ -43,6 +43,10 @@ pub const MAX_CHASE_AHEAD: u64 = 1 << 20;
 /// odd packet (`dense_cbcast` ran 2-3 % slower with every gap walked).
 const PROBED_GAP: u64 = 3;
 
+/// Nominal application payload size, bytes: what every buffered message
+/// is charged on top of its wire state in the buffered-bytes gauges.
+pub(crate) const PAYLOAD_BYTES: usize = 256;
+
 /// Whether one lagging component `(k, have, claimed)` is past that bound.
 fn out_of_reach(&(_, have, claimed): &(usize, u64, u64)) -> bool {
     claimed - have > MAX_CHASE_AHEAD
@@ -192,7 +196,7 @@ impl<P: Clone> CausalCore<P> {
             install_thaw: None,
             probe: ProbeHandle::none(),
             stats: EndpointStats::default(),
-            buffered_msg_bytes: (cfg.payload_bytes + wire_state_bytes) as u64,
+            buffered_msg_bytes: (PAYLOAD_BYTES + wire_state_bytes) as u64,
             cfg,
         }
     }

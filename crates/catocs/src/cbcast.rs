@@ -30,6 +30,10 @@ use simnet::obs::{ObsEvent, ProbeHandle, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Cap on the unstable predecessors appended to one message when
+/// `GroupConfig::append_predecessors` is on.
+const MAX_APPEND: usize = 16;
+
 /// The "a delta-stamped copy of `id` is parked awaiting its decode base"
 /// test the shared shell needs from cbcast: such a message is neither
 /// missing nor held.
@@ -254,7 +258,7 @@ impl<P: Clone> CbcastEndpoint<P> {
                 .values()
                 .rev()
                 .filter(|m| m.id != id)
-                .take(core.cfg.max_append)
+                .take(MAX_APPEND)
                 .map(|m| DataMsg {
                     appended: Vec::new(),
                     ..CausalCore::repair_copy(m)

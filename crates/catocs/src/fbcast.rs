@@ -21,7 +21,7 @@
 //! number held, the slowest peer's ack — is kept (`pending_total`,
 //! `min_acked`).
 
-use crate::causal_core::MAX_CHASE_AHEAD;
+use crate::causal_core::{MAX_CHASE_AHEAD, PAYLOAD_BYTES};
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
@@ -489,7 +489,7 @@ impl<P: Clone> FbcastEndpoint<P> {
 
     fn note_buffer(&mut self) {
         let msgs = self.sent_buffer.len() as u64;
-        let per_msg = (self.cfg.payload_bytes + 12 + 8) as u64;
+        let per_msg = (PAYLOAD_BYTES + 12 + 8) as u64;
         self.stats.note_buffer(msgs, msgs * per_msg);
     }
 }

@@ -110,8 +110,6 @@ impl CausalDiscipline {
 /// Protocol tuning knobs shared by the multicast endpoints.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GroupConfig {
-    /// Nominal application payload size, bytes (for byte accounting).
-    pub payload_bytes: usize,
     /// When true, delivered-clock acknowledgements ride on data messages;
     /// when false they are sent as separate gossip on each tick. This is
     /// the piggyback ablation of §5 ("there are fewer application messages
@@ -127,8 +125,6 @@ pub struct GroupConfig {
     /// instead of relying on holdback + NACK recovery (§3.4 footnote 4).
     /// Trades bandwidth for delivery delay.
     pub append_predecessors: bool,
-    /// Cap on predecessors appended per message.
-    pub max_append: usize,
     /// Use the indexed (HashMap + wait-count/ready-queue) holdback queue
     /// instead of the linear-scan baseline. Delivery behaviour is
     /// identical; only the per-event work differs (measured by T7+).
@@ -146,13 +142,11 @@ pub struct GroupConfig {
 impl Default for GroupConfig {
     fn default() -> Self {
         GroupConfig {
-            payload_bytes: 256,
             piggyback_acks: true,
             tick_interval: SimDuration::from_millis(10),
             nack_timeout: SimDuration::from_millis(20),
             max_nack_batch: 64,
             append_predecessors: false,
-            max_append: 16,
             indexed_holdback: true,
             delta_timestamps: false,
             discipline: CausalDiscipline::default(),

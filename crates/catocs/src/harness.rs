@@ -157,11 +157,6 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
         &self.app
     }
 
-    /// The hosted application (mutable).
-    pub fn app_mut(&mut self) -> &mut A {
-        &mut self.app
-    }
-
     fn route(&self, ctx: &mut Ctx<'_, Wire<P>>, out: Vec<Out<P>>) {
         for (dest, wire) in out {
             match dest {

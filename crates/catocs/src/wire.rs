@@ -191,7 +191,7 @@ impl<P> Wire<P> {
     /// Simulated size in bytes of this message's *protocol overhead*
     /// (headers, clocks, control payloads) — the per-message cost the
     /// paper's §3.4 points at. Application payload bytes are accounted
-    /// separately via [`crate::group::GroupConfig::payload_bytes`].
+    /// separately, as a nominal 256 per buffered message.
     pub fn overhead_bytes(&self) -> usize {
         const MSG_ID: usize = 12; // u32 sender + u64 seq
         match self {

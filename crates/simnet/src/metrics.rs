@@ -2,7 +2,7 @@
 //! ring-buffered time series.
 //!
 //! The experiment harness reads these after a run to produce the tables in
-//! EXPERIMENTS.md and the `BENCH_*.json` telemetry snapshots. Everything
+//! EXPERIMENTS.md and the `experiments bench` table. Everything
 //! is plain in-memory state — no atomics are needed because the simulator
 //! is single-threaded.
 

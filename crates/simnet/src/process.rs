@@ -53,7 +53,6 @@ impl fmt::Debug for TimerId {
 #[derive(Debug)]
 pub(crate) struct Outgoing<M> {
     pub msg: M,
-    pub label: Option<String>,
     pub fanout: usize,
 }
 
@@ -101,12 +100,7 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Sends `msg` to `to` over the simulated network.
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.queue([to], msg, None);
-    }
-
-    /// Sends `msg` to `to`, labelling the trace arrow for event diagrams.
-    pub fn send_labeled(&mut self, to: ProcessId, msg: M, label: impl Into<String>) {
-        self.queue([to], msg, Some(label.into()));
+        self.queue([to], msg);
     }
 
     /// Sends `msg` to every process in `to`, in that order: the network
@@ -114,15 +108,14 @@ impl<'a, M> Ctx<'a, M> {
     /// it would for a [`Ctx::send`] per recipient, but `msg` is moved in
     /// once and copied only for the recipients it actually reaches.
     pub fn multicast(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M) {
-        self.queue(to, msg, None);
+        self.queue(to, msg);
     }
 
-    fn queue(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M, label: Option<String>) {
+    fn queue(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M) {
         let before = self.recipients.len();
         self.recipients.extend(to);
         self.outgoing.push(Outgoing {
             msg,
-            label,
             fanout: self.recipients.len() - before,
         });
     }

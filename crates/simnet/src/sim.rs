@@ -230,11 +230,6 @@ impl<M: Debug + Clone + 'static> Sim<M> {
         &self.metrics
     }
 
-    /// The run's metrics (mutable, for harness-level annotations).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// The recorded trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -422,11 +417,6 @@ impl<M: Debug + Clone + 'static> Sim<M> {
         self.group_sampler = Some(hook);
     }
 
-    /// Runs until no events remain (or `max` is reached as a safety net).
-    pub fn run_to_quiescence(&mut self, max: SimTime) -> u64 {
-        self.run_until(max)
-    }
-
     /// `kind` happens to `to`, now. A `Deliver` gets here only if `to`
     /// is up ([`Sim::run_until`] retires the others unopened).
     fn dispatch(&mut self, to: ProcessId, kind: EventKind<M>) {
@@ -591,8 +581,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             let (group, tail) = rest.split_at(o.fanout);
             rest = tail;
             let label = if trace.is_enabled() {
-                o.label
-                    .unwrap_or_else(|| truncate(format!("{:?}", o.msg), 60))
+                truncate(format!("{:?}", o.msg), 60)
             } else {
                 String::new()
             };
