@@ -153,19 +153,19 @@ pub struct CausalCore<P> {
     /// agreed history and still deliverable; beyond it they are rejected.
     pub(crate) cut: VectorClock,
     /// Delivery blackout: while a flush is in progress (between sending
-    /// our `FlushOk` clock and installing the view) nothing may be
-    /// delivered, or this member could run past the clock it promised
-    /// the coordinator and deliver a removed sender's message beyond the
-    /// agreed cut. Incoming messages still accumulate; the endpoint's
-    /// `on_view_install` thaws and drains.
+    /// our `FlushOk` clock and the install that ends the flush) nothing
+    /// may be delivered, or this member could run past the clock it
+    /// promised the coordinator and deliver a removed sender's message
+    /// beyond the agreed cut. Incoming messages still accumulate; the
+    /// endpoint's `thaw` drains them.
     pub(crate) frozen: bool,
     /// When the current freeze began (None when not frozen) — the
-    /// latency ledger splits install-time waits at this point into a
-    /// classified wait and a flush-barrier wait.
+    /// latency ledger splits waits that end at the thaw at this point
+    /// into a classified wait and a flush-barrier wait.
     frozen_since: Option<SimTime>,
-    /// Set for the duration of the install-time drain: the freeze
-    /// instant the just-ended flush began at.
-    install_thaw: Option<SimTime>,
+    /// Set for the duration of the thaw-time drain: the freeze instant
+    /// the just-ended flush began at.
+    thaw_drain: Option<SimTime>,
     /// Observability sink. Disabled by default; emissions are read-only
     /// with respect to protocol state, so a probed run is byte-identical
     /// to an unprobed one.
@@ -193,7 +193,7 @@ impl<P: Clone> CausalCore<P> {
             cut: VectorClock::new(n),
             frozen: false,
             frozen_since: None,
-            install_thaw: None,
+            thaw_drain: None,
             probe: ProbeHandle::none(),
             stats: EndpointStats::default(),
             buffered_msg_bytes: (PAYLOAD_BYTES + wire_state_bytes) as u64,
@@ -208,11 +208,20 @@ impl<P: Clone> CausalCore<P> {
         self.probe = probe;
     }
 
-    /// Suspends all delivery until the next view install. Called when
-    /// this member enters a flush: its `FlushOk` clock must stay an upper
-    /// bound on what it has delivered until the cut is agreed. Receiving,
-    /// buffering and NACK recovery continue.
-    pub fn freeze(&mut self, now: SimTime) {
+    /// Enters a flush. Returns every unstable buffered message for
+    /// retransmission to the whole group with full timestamps (each
+    /// survivor pushes what it has so the new view starts from a common
+    /// message set), and suspends all delivery until [`Self::thaw`]: this
+    /// member's `FlushOk` clock must stay an upper bound on what it has
+    /// delivered until the cut is agreed. Receiving, buffering and NACK
+    /// recovery continue.
+    pub fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
+        let mut out = Vec::new();
+        for m in self.buffer.values() {
+            let w = Wire::Data(Self::repair_copy(m));
+            self.stats.control_bytes += w.overhead_bytes() as u64;
+            out.push((Dest::All, w));
+        }
         if !self.frozen {
             self.frozen_since = Some(now);
             self.probe.emit(|| ObsEvent::Phase {
@@ -224,6 +233,7 @@ impl<P: Clone> CausalCore<P> {
             });
         }
         self.frozen = true;
+        out
     }
 
     /// Whether delivery is currently frozen by a flush in progress.
@@ -259,20 +269,6 @@ impl<P: Clone> CausalCore<P> {
     /// Current holdback-queue length.
     pub fn holdback_len(&self) -> usize {
         self.holdback.len()
-    }
-
-    /// Retransmits every unstable buffered message to the whole group
-    /// with full timestamps — the flush step of a view change (each
-    /// survivor pushes what it has so the new view starts from a common
-    /// message set).
-    pub fn flush_unstable(&mut self) -> Vec<Out<P>> {
-        let mut out = Vec::new();
-        for m in self.buffer.values() {
-            let w = Wire::Data(Self::repair_copy(m));
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::All, w));
-        }
-        out
     }
 
     /// The current group-wide stable frontier (for instrumentation).
@@ -402,20 +398,9 @@ impl<P: Clone> CausalCore<P> {
     ///   survivor buffers it).
     /// - Stability masks dead rows so the stable frontier (and GC) can
     ///   advance without the departed members' acks.
-    /// - The delivery blackout ([`CausalCore::freeze`]) ends. The caller
-    ///   drains whatever became deliverable during the flush, then calls
-    ///   [`CausalCore::end_install_drain`]; until then each held
-    ///   delivery's frozen tail is attributed to the flush barrier.
+    ///
+    /// The delivery freeze is left to [`Self::thaw`].
     pub(crate) fn install_view(&mut self, now: SimTime, members: &[usize], cut: &VectorClock) {
-        if self.frozen {
-            self.probe.emit(|| ObsEvent::Phase {
-                at: now,
-                who: self.me,
-                kind: PhaseKind::Flush,
-                edge: PhaseEdge::End,
-                note: String::new(),
-            });
-        }
         self.probe.emit(|| ObsEvent::Phase {
             at: now,
             who: self.me,
@@ -442,13 +427,29 @@ impl<P: Clone> CausalCore<P> {
         self.stability.set_members(members);
         self.note_holdback();
         self.collect_garbage(now);
-        self.frozen = false;
-        self.install_thaw = self.frozen_since.take();
     }
 
-    /// Ends the install-time drain begun by [`CausalCore::install_view`].
-    pub(crate) fn end_install_drain(&mut self) {
-        self.install_thaw = None;
+    /// Ends the delivery blackout ([`Self::freeze`]). The caller drains
+    /// whatever became deliverable during the flush, then calls
+    /// [`Self::end_thaw_drain`]; until then each held delivery's frozen
+    /// tail is attributed to the flush barrier.
+    pub(crate) fn thaw(&mut self, now: SimTime) {
+        if self.frozen {
+            self.probe.emit(|| ObsEvent::Phase {
+                at: now,
+                who: self.me,
+                kind: PhaseKind::Flush,
+                edge: PhaseEdge::End,
+                note: String::new(),
+            });
+        }
+        self.frozen = false;
+        self.thaw_drain = self.frozen_since.take();
+    }
+
+    /// Ends the drain begun by [`Self::thaw`].
+    pub(crate) fn end_thaw_drain(&mut self) {
+        self.thaw_drain = None;
     }
 
     /// Whether `id`'s sender was removed by a view change and `id` lies
@@ -785,9 +786,9 @@ impl<P: Clone> CausalCore<P> {
     }
 
     /// Delivery, step two (held deliveries only): ledger attribution of
-    /// the hold to `kind` and `blocker`. The install-time drain splits
-    /// the interval at the freeze instant — before it, the classified
-    /// wait; after it, the flush barrier.
+    /// the hold to `kind` and `blocker`. The thaw-time drain splits the
+    /// interval at the freeze instant — before it, the classified wait;
+    /// after it, the flush barrier.
     pub(crate) fn emit_hold_waits(
         &self,
         now: SimTime,
@@ -796,7 +797,7 @@ impl<P: Clone> CausalCore<P> {
         kind: WaitKind,
         blocker: Option<SpanId>,
     ) {
-        let split = self.install_thaw.filter(|fs| *fs < now && *fs > arrived_at);
+        let split = self.thaw_drain.filter(|fs| *fs < now && *fs > arrived_at);
         if let Some(fs) = split {
             self.probe.emit(|| ObsEvent::Wait {
                 at: fs,
@@ -808,7 +809,7 @@ impl<P: Clone> CausalCore<P> {
                 note: String::new(),
             });
         }
-        let frozen_tail = self.install_thaw.is_some();
+        let frozen_tail = self.thaw_drain.is_some();
         self.probe.emit(|| ObsEvent::Wait {
             at: now,
             who: self.me,

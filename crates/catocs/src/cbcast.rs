@@ -126,8 +126,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         &self.core
     }
 
-    /// Mutable access to the shell, for `set_probe`, `freeze` and
-    /// `flush_unstable`.
+    /// Mutable access to the shell, for `set_probe` and `freeze`.
     pub fn core_mut(&mut self) -> &mut CausalCore<P> {
         &mut self.core
     }
@@ -193,15 +192,9 @@ impl<P: Clone> CbcastEndpoint<P> {
     ///   a delta crossing the view boundary must not decode against a
     ///   stale base. Senders re-seed receivers by sending their first
     ///   post-install message full-encoded (`force_full_next`).
-    /// - The delivery blackout ([`CausalCore::freeze`]) ends: the
-    ///   holdback queue is drained and anything that became deliverable
-    ///   during the flush is returned, in causal order.
-    pub fn on_view_install(
-        &mut self,
-        now: SimTime,
-        members: &[usize],
-        cut: &VectorClock,
-    ) -> Vec<Delivery<P>> {
+    ///
+    /// Delivery stays frozen until [`Self::thaw`].
+    pub fn on_view_install(&mut self, now: SimTime, members: &[usize], cut: &VectorClock) {
         if !self.skip_view_reset {
             for s in 0..self.core.n {
                 if !members.contains(&s) && self.core.alive[s] {
@@ -212,9 +205,16 @@ impl<P: Clone> CbcastEndpoint<P> {
             self.force_full_next = true;
         }
         self.core.install_view(now, members, cut);
+    }
+
+    /// Ends the delivery blackout ([`CausalCore::freeze`]): drains the
+    /// holdback queue and returns what became deliverable during the
+    /// flush, in causal order.
+    pub fn thaw(&mut self, now: SimTime) -> Vec<Delivery<P>> {
+        self.core.thaw(now);
         let mut delivered = Vec::new();
         self.drain_holdback(now, &mut delivered);
-        self.core.end_install_drain();
+        self.core.end_thaw_drain();
         delivered
     }
 
@@ -1090,9 +1090,12 @@ mod tests {
             0,
             "flush clock unchanged while frozen"
         );
-        // The install (same membership) thaws and drains in causal order.
+        // The install (same membership) leaves the freeze alone; the thaw
+        // drains in causal order.
         let cut = a.core().clock().clone();
-        let dels = b.on_view_install(t(2), &[0, 1, 2], &cut);
+        b.on_view_install(t(2), &[0, 1, 2], &cut);
+        assert!(b.core().is_frozen());
+        let dels = b.thaw(t(2));
         assert_eq!(dels.iter().map(|d| d.payload).collect::<Vec<_>>(), ["m1"]);
         assert!(!b.core().is_frozen());
         assert_eq!(b.core().clock().get(0), 1);
@@ -1111,7 +1114,8 @@ mod tests {
         let (dels, _) = b.on_wire(t(3), data_of(&o2));
         assert!(dels.is_empty(), "m2 must not deliver during the blackout");
         let cut = b.core().clock().clone();
-        let dels = b.on_view_install(t(4), &[1, 2], &cut);
+        b.on_view_install(t(4), &[1, 2], &cut);
+        let dels = b.thaw(t(4));
         assert!(dels.is_empty(), "beyond-cut m2 was purged, not delivered");
         assert_eq!(b.core().clock().get(0), 1);
         assert_eq!(b.core().holdback_len(), 0);

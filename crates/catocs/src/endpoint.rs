@@ -100,9 +100,9 @@ impl<P: Clone> CausalEndpoint<P> {
         }
     }
 
-    /// Suspends delivery until the next view install (flush blackout).
-    pub fn freeze(&mut self, now: SimTime) {
-        self.core_mut().freeze(now);
+    /// Enters a flush ([`CausalCore::freeze`]) until [`Self::thaw`].
+    pub fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
+        self.core_mut().freeze(now)
     }
 
     /// Whether delivery is frozen by a flush in progress.
@@ -129,11 +129,6 @@ impl<P: Clone> CausalEndpoint<P> {
         }
     }
 
-    /// Retransmits every unstable buffered message with full timestamps.
-    pub fn flush_unstable(&mut self) -> Vec<Out<P>> {
-        self.core_mut().flush_unstable()
-    }
-
     /// Telemetry gauges, prefixed `cbcast.` or `pccast.` per algorithm.
     pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         match self {
@@ -151,20 +146,27 @@ impl<P: Clone> CausalEndpoint<P> {
         }
     }
 
-    /// Applies an installed view. `view_id` is the installed view's id —
-    /// pccast uses it as the link epoch; cbcast does not need it.
-    /// Returns thawed deliveries plus any outbound messages (pccast must
-    /// forward thawed deliveries on its fresh links; cbcast emits none).
+    /// Applies an installed view's membership and cut, and leaves the
+    /// freeze alone. `view_id` is pccast's link epoch.
     pub fn on_view_install(
         &mut self,
         now: SimTime,
         view_id: u64,
         members: &[usize],
         cut: &VectorClock,
-    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    ) {
         match self {
-            CausalEndpoint::Cbcast(e) => (e.on_view_install(now, members, cut), Vec::new()),
+            CausalEndpoint::Cbcast(e) => e.on_view_install(now, members, cut),
             CausalEndpoint::Pccast(e) => e.on_view_install(now, view_id, members, cut),
+        }
+    }
+
+    /// Ends the flush blackout: thawed deliveries, and pccast's forwards
+    /// of them.
+    pub fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        match self {
+            CausalEndpoint::Cbcast(e) => (e.thaw(now), Vec::new()),
+            CausalEndpoint::Pccast(e) => e.thaw(now),
         }
     }
 

@@ -26,11 +26,13 @@
 //!   stalls (keeps its old view, stays silent about membership) rather
 //!   than installing a divergent view — the classic split-brain guard.
 //! - **Flush cut**: the installed view carries a *cut* vector — the
-//!   component-wise max of every `FlushOk` delivered clock. Messages from
-//!   removed members at or below the cut are still deliverable after the
-//!   install (they are part of the old view's agreed history); anything
-//!   beyond the cut from a removed member must be discarded. This is the
-//!   boundary the virtual-synchrony invariant checker enforces.
+//!   previous view's cut merged with every `FlushOk` delivered clock.
+//!   Messages from removed members at or below the cut are still
+//!   deliverable after the install (the old view's agreed history);
+//!   anything beyond it from a removed member must be discarded. This is
+//!   the boundary the virtual-synchrony invariant checker enforces.
+//! - **One flush barrier**: only an install that settles the proposal
+//!   being flushed ends the flush, and with it the host's delivery freeze.
 //!
 //! Experiment T11 measures the two costs the paper predicts: flush
 //! message count (grows with group size and unstable-buffer depth) and
@@ -70,14 +72,6 @@ pub struct MembershipStats {
     pub flush_msgs: u64,
     /// Flush/FlushOk retransmissions triggered by the retry timer.
     pub flush_retries: u64,
-    /// Proposals refused because they would shrink below a majority of
-    /// the installed view (partition minority side).
-    pub minority_stalls: u64,
-    /// Flush proposals superseded because their coordinator died.
-    pub takeovers: u64,
-    /// In-flight flushes abandoned because their coordinator was
-    /// suspected and someone else coordinates the replacement.
-    pub abandoned_flushes: u64,
     /// Proposals or installs rejected because their membership was not a
     /// subset of the installed view (a wedged evictee trying to rejoin —
     /// legitimate views only ever shrink), and messages no member of the
@@ -171,7 +165,8 @@ impl MembershipEngine {
         }
     }
 
-    /// Whether the member may send application multicasts right now.
+    /// Whether the member may send application multicasts right now: it
+    /// is not flushing.
     pub fn can_send(&self) -> bool {
         matches!(self.phase, Phase::Normal)
     }
@@ -184,6 +179,11 @@ impl MembershipEngine {
     /// The coordinator of a view: its lowest member index.
     fn coordinator_of(view: &View) -> usize {
         view.members.iter().map(|p| p.0).min().unwrap_or(0)
+    }
+
+    /// Whether every member of `a` is a member of `b`.
+    fn within(a: &View, b: &View) -> bool {
+        a.members.iter().all(|m| b.members.contains(m))
     }
 
     /// Live view of an in-progress flush, for the wait-graph collector:
@@ -247,12 +247,10 @@ impl MembershipEngine {
     /// on new suspicions: it is idempotent while nothing changes, and it
     /// is what un-wedges a flush whose proposal includes a member that
     /// died before acking. Proposals are always derived from the
-    /// *installed view* minus the suspect set — never from the in-flight
-    /// proposal. Deriving from the in-flight proposal could never
-    /// re-admit a member whose suspicion proved transient (a healed
-    /// partition), so a flush wedged on a dead proposal member would
-    /// stall forever even though a live majority existed (chaos
-    /// campaign seed 197 is the pinned regression).
+    /// *installed view* minus the suspect set, never from the in-flight
+    /// proposal: that could not re-admit a member whose suspicion proved
+    /// transient (a healed partition), and a flush wedged on a dead
+    /// proposal member would stall although a live majority exists.
     pub fn suspect<P>(
         &mut self,
         now: SimTime,
@@ -274,15 +272,12 @@ impl MembershipEngine {
             if Self::coordinator_of(&proposed) != self.me
                 && dead.contains(&Self::coordinator_of(cur))
             {
-                // The in-flight proposal is doomed — its coordinator is
-                // suspected — and someone else coordinates the viable
-                // replacement. Abandon it; otherwise the same-id
-                // tie-break can pin us to the dead coordinator's
-                // proposal and reject the live coordinator's superseding
-                // `Flush` forever (chaos seed 479). The replacement
-                // coordinator keeps retrying, so we re-enter its flush
-                // as soon as it reaches us.
-                self.stats.abandoned_flushes += 1;
+                // A proposal whose coordinator is suspected cannot
+                // complete, so it must not outrank the live coordinator's
+                // replacement under the same-id tie-break: abandon it.
+                // That coordinator keeps retrying, so we re-enter its
+                // flush once it reaches us. Delivery stays frozen: our
+                // FlushOk may already be in a cut; an install says which.
                 self.phase = Phase::Normal;
                 return (FlushAction::None, Vec::new());
             }
@@ -297,11 +292,7 @@ impl MembershipEngine {
         }
         if 2 * proposed.members.len() <= self.view.members.len() {
             // Primary-partition rule: refuse to install a minority view.
-            self.stats.minority_stalls += 1;
             return (FlushAction::None, Vec::new());
-        }
-        if matches!(self.phase, Phase::Flushing { .. }) {
-            self.stats.takeovers += 1;
         }
         let mut acks = BTreeMap::new();
         acks.insert(self.me, delivered.clone());
@@ -410,24 +401,13 @@ impl MembershipEngine {
                     return (FlushAction::None, self.repair_install(*from));
                 }
                 // Monotone-shrink guard: views only ever lose members, so
-                // a legitimate proposal is always a subset of some view we
-                // have installed (or a superset view we missed shrinking
-                // from). A proposal containing a process we already
-                // evicted is a wedged evictee trying to resurrect itself
-                // with a high view id — reject it, or the evictee's
-                // beyond-cut history would pollute the new view's cut.
-                if !proposed
-                    .members
-                    .iter()
-                    .all(|m| self.view.members.contains(m))
-                {
-                    // The proposer is flushing from a view we have since
-                    // shrunk past (or it is an evictee that never learned
-                    // it is out). Either way its proposal can never
-                    // complete here — serve our Install so the straggler
-                    // adopts the newer view instead of retrying forever
-                    // (chaos seed 191: a concurrent higher-id proposal
-                    // wedged three processes out of the installed view).
+                // a legitimate proposal lies within our view. One that
+                // does not comes from a view we have since shrunk past, or
+                // from an evictee that never learned it is out: it can
+                // never complete here, and an evictee's beyond-cut history
+                // must not enter the new cut. Serve our Install so the
+                // straggler adopts the newer view instead of retrying.
+                if !Self::within(proposed, &self.view) {
                     self.stats.rejected_foreign += 1;
                     return (FlushAction::None, self.repair_install(*from));
                 }
@@ -473,12 +453,9 @@ impl MembershipEngine {
                 delivered: peer_delivered,
             } => {
                 // Repair path: a FlushOk reaching a Normal-phase process
-                // is evidence the sender missed an Install — either the
-                // one for this very view (we coordinated it and the
-                // broadcast was lost), or the sender is acking a doomed
-                // proposal whose coordinator has since moved on (chaos
-                // seed 191). Serve our installed view; the receiver's
-                // guards drop it if it is not actually newer.
+                // means its sender missed an Install — of this very view,
+                // or of one that superseded the proposal it acks. Serve
+                // ours; the receiver's guards drop it if it is not newer.
                 if matches!(self.phase, Phase::Normal) && *from != self.me {
                     return (FlushAction::None, self.repair_install(*from));
                 }
@@ -498,7 +475,10 @@ impl MembershipEngine {
                         acks.insert(self.me, delivered.clone());
                         let everyone = proposed.members.iter().all(|m| acks.contains_key(&m.0));
                         everyone.then(|| {
-                            let mut cut = VectorClock::new(self.n);
+                            // A view's cut extends its predecessor's: acks
+                            // still chasing what the old cut admitted must
+                            // not pull the boundary back.
+                            let mut cut = self.last_cut.clone();
                             for d in acks.values() {
                                 cut.merge(d);
                             }
@@ -524,7 +504,7 @@ impl MembershipEngine {
                     return (FlushAction::None, Vec::new());
                 }
                 // Same monotone-shrink guard as for proposals.
-                if !view.members.iter().all(|m| self.view.members.contains(m)) {
+                if !Self::within(view, &self.view) {
                     self.stats.rejected_foreign += 1;
                     return (FlushAction::None, Vec::new());
                 }
@@ -536,10 +516,9 @@ impl MembershipEngine {
     }
 
     /// Heartbeat-borne anti-entropy: a peer advertising an older view id
-    /// missed at least one `Install` — serve ours. This is the only
-    /// repair path that reaches a straggler which is neither proposing
-    /// nor acking (e.g. one that abandoned a doomed flush and sits in
-    /// Normal phase at the old view, chaos seed 206).
+    /// missed at least one `Install` — serve ours. Nothing else reaches a
+    /// straggler that is neither proposing nor acking, such as one that
+    /// abandoned a doomed flush and sits in the old view.
     pub fn on_heartbeat<P>(&mut self, from: usize, view_id: ViewId) -> Vec<Out<P>> {
         if from >= self.n {
             self.stats.rejected_foreign += 1;
@@ -566,15 +545,24 @@ impl MembershipEngine {
         )]
     }
 
+    /// Installs `view`. A flush ends here only if its proposal can no
+    /// longer install: `view` is at least as new, or lacks a proposed
+    /// member. Otherwise our FlushOk still bounds the cut the proposal
+    /// will fix, so the flush and the delivery freeze go on.
     fn install(&mut self, now: SimTime, view: View, cut: VectorClock) -> FlushAction {
-        if let Phase::Flushing { since, .. } = self.phase {
-            let blackout = now.saturating_since(since);
-            self.stats.blackout_total += blackout;
-            self.stats.last_blackout = blackout;
+        if let Phase::Flushing {
+            proposed, since, ..
+        } = &self.phase
+        {
+            if proposed.id.0 <= view.id.0 || !Self::within(proposed, &view) {
+                let blackout = now.saturating_since(*since);
+                self.stats.blackout_total += blackout;
+                self.stats.last_blackout = blackout;
+                self.phase = Phase::Normal;
+            }
         }
         self.view = view.clone();
         self.last_cut = cut.clone();
-        self.phase = Phase::Normal;
         self.stats.view_changes += 1;
         FlushAction::ViewInstalled { view, cut }
     }
@@ -665,6 +653,79 @@ mod tests {
             other => panic!("expected install, got {other:?}"),
         }
         assert_eq!(m0.last_cut(), &VectorClock::from_entries(vec![4, 5, 2]));
+    }
+
+    #[test]
+    fn a_cut_never_falls_below_the_previous_views() {
+        // View 2 fixed cut[3] = 68: some survivor may have delivered m3.68
+        // already. The FlushOks for the view that removes 3 come from
+        // clocks still chasing m3.66..68; the new cut keeps 68.
+        let mut m0 = MembershipEngine::new(0, 5);
+        let old_cut = VectorClock::from_entries(vec![9, 9, 9, 68, 0]);
+        let install = Wire::<()>::Install {
+            view: view(2, &[0, 1, 2, 3]),
+            cut: old_cut,
+        };
+        m0.on_wire(t(0), &install, &vc(5));
+        let chasing = VectorClock::from_entries(vec![12, 11, 10, 65, 0]);
+        let (_, out) = m0.suspect::<()>(t(1), &[3], &chasing);
+        assert!(matches!(out[0].1, Wire::Flush { .. }));
+        for from in [1, 2] {
+            let ok = Wire::<()>::FlushOk {
+                view_id: ViewId(3),
+                from,
+                delivered: chasing.clone(),
+            };
+            m0.on_wire(t(2), &ok, &chasing);
+        }
+        assert_eq!(m0.view(), &view(3, &[0, 1, 2]));
+        let want = VectorClock::from_entries(vec![12, 11, 10, 68, 0]);
+        assert_eq!(m0.last_cut(), &want);
+    }
+
+    #[test]
+    fn only_an_install_that_settles_the_proposal_ends_the_flush() {
+        // Member 1 acks 0's {0,1,2}@3, then view 2's Install arrives late:
+        // {0,1,2} can still install after it, so the flush goes on.
+        let mut m1 = MembershipEngine::new(1, 5);
+        let flush = Wire::<()>::Flush {
+            proposed: view(3, &[0, 1, 2]),
+            from: 0,
+        };
+        m1.on_wire(t(0), &flush, &vc(5));
+        let late = Wire::<()>::Install {
+            view: view(2, &[0, 1, 2, 3]),
+            cut: vc(5),
+        };
+        let (a, _) = m1.on_wire(t(10), &late, &vc(5));
+        assert!(matches!(a, FlushAction::ViewInstalled { .. }));
+        assert_eq!(m1.view().id, ViewId(2));
+        assert_eq!(m1.proposal(), Some(&view(3, &[0, 1, 2])));
+        assert!(!m1.can_send());
+        assert_eq!(m1.stats().last_blackout, SimDuration::ZERO);
+        // The proposal's own install ends it, blackout measured from the
+        // Flush.
+        let own = Wire::<()>::Install {
+            view: view(3, &[0, 1, 2]),
+            cut: vc(5),
+        };
+        m1.on_wire(t(30), &own, &vc(5));
+        assert!(m1.can_send() && m1.proposal().is_none());
+        assert_eq!(m1.stats().last_blackout, SimDuration::from_millis(30));
+        // An older view that the proposal is not within ends it too: the
+        // proposal can never install after it.
+        let mut m2 = MembershipEngine::new(2, 5);
+        let flush = Wire::<()>::Flush {
+            proposed: view(3, &[0, 2, 3]),
+            from: 0,
+        };
+        m2.on_wire(t(0), &flush, &vc(5));
+        let without_3 = Wire::<()>::Install {
+            view: view(2, &[0, 1, 2, 4]),
+            cut: vc(5),
+        };
+        m2.on_wire(t(10), &without_3, &vc(5));
+        assert!(m2.can_send() && m2.proposal().is_none());
     }
 
     #[test]
@@ -1051,7 +1112,8 @@ mod tests {
             }
             other => panic!("expected superseding flush, got {other:?}"),
         }
-        assert_eq!(m1.stats().takeovers, 1);
+        assert_eq!(m1.proposal().map(|p| p.id), Some(ViewId(3)));
+        assert!(m1.is_coordinator() && !m1.can_send());
     }
 
     #[test]
@@ -1073,9 +1135,9 @@ mod tests {
         assert!(!m2.can_send());
         let (a, out) = m2.suspect::<()>(t(50), &[0, 4], &vc(5));
         assert_eq!(a, FlushAction::None);
-        assert!(out.is_empty());
-        assert_eq!(m2.stats().abandoned_flushes, 1);
+        assert!(out.is_empty(), "no Flush: 1 coordinates the replacement");
         assert!(m2.proposal().is_none());
+        assert!(m2.can_send());
         // The live coordinator's superseding proposal is now adoptable.
         let flush2 = Wire::<()>::Flush {
             proposed: View {
@@ -1122,9 +1184,9 @@ mod tests {
         let mut m0 = MembershipEngine::new(0, 4);
         let (a, out) = m0.suspect::<()>(t(0), &[2, 3], &vc(4));
         assert_eq!(a, FlushAction::None);
-        assert!(out.is_empty());
+        assert!(out.is_empty(), "no Flush goes out");
         assert!(m0.can_send(), "stalled, not flushing");
-        assert_eq!(m0.stats().minority_stalls, 1);
+        assert!(m0.proposal().is_none());
         // A 3-member proposal is a majority and proceeds.
         let (a, _) = m0.suspect::<()>(t(1), &[3], &vc(4));
         assert_eq!(a, FlushAction::RetransmitUnstable);

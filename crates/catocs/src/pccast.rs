@@ -133,10 +133,9 @@ pub struct PccastEndpoint<P> {
     /// Receive side of each incoming overlay link, by peer member index.
     links_in: BTreeMap<usize, InLink<P>>,
     /// Post-install delivery barrier: fast-path delivery from the fresh
-    /// links is barred until `vt` dominates this (the flush cut at the
-    /// last install), because a fresh link cannot vouch for causal
-    /// predecessors delivered before it existed.
-    barrier: VectorClock,
+    /// links is barred until `vt` dominates the flush cut, because a
+    /// fresh link cannot vouch for causal predecessors delivered before
+    /// it existed.
     barrier_met: bool,
 }
 
@@ -152,7 +151,6 @@ impl<P: Clone> PccastEndpoint<P> {
             epoch: 1,
             links_out: BTreeMap::new(),
             links_in: BTreeMap::new(),
-            barrier: VectorClock::new(n),
             barrier_met: true,
         }
     }
@@ -163,8 +161,7 @@ impl<P: Clone> PccastEndpoint<P> {
         &self.core
     }
 
-    /// Mutable access to the shell, for `set_probe`, `freeze` and
-    /// `flush_unstable`.
+    /// Mutable access to the shell, for `set_probe` and `freeze`.
     pub fn core_mut(&mut self) -> &mut CausalCore<P> {
         &mut self.core
     }
@@ -318,15 +315,14 @@ impl<P: Clone> PccastEndpoint<P> {
     /// Applies an installed view. Same contract as cbcast's, plus the
     /// pccast specifics: the epoch becomes the installed view id, every
     /// link resets, and the fast path is barred behind the flush cut
-    /// (fresh links cannot vouch for pre-install deliveries). Returns the
-    /// thawed deliveries and their forwarded copies.
+    /// (fresh links cannot vouch for pre-install deliveries).
     pub fn on_view_install(
         &mut self,
         now: SimTime,
         view_id: u64,
         members: &[usize],
         cut: &VectorClock,
-    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    ) {
         self.core.install_view(now, members, cut);
         // Epoch turnover: the overlay is rebuilt over the survivors and
         // every link restarts from sequence 1. In-flight old-epoch copies
@@ -335,18 +331,23 @@ impl<P: Clone> PccastEndpoint<P> {
         self.epoch = view_id;
         self.links_out.clear();
         self.links_in.clear();
-        self.barrier = self.core.cut.clone();
         self.barrier_met = self.check_barrier();
+    }
+
+    /// Ends the delivery blackout: thawed deliveries, forwarded copies.
+    pub fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        self.core.thaw(now);
         let mut delivered = Vec::new();
         let mut out = Vec::new();
         self.drain(now, &mut delivered, &mut out);
-        self.core.end_install_drain();
+        self.core.end_thaw_drain();
         (delivered, out)
     }
 
+    /// Whether `vt` dominates the flush cut, which only an install moves.
     fn check_barrier(&self) -> bool {
         let n = self.core.n;
-        !self.core.vt.lagging(&self.barrier).any(|(s, ..)| s < n)
+        !self.core.vt.lagging(&self.core.cut).any(|(s, ..)| s < n)
     }
 
     /// Multicasts `payload` to the group. The self-delivery is immediate;
@@ -1034,8 +1035,10 @@ mod tests {
         let cut = VectorClock::from_entries(vec![1, 0, 0]);
         a.core_mut().freeze(t(2));
         b.core_mut().freeze(t(2));
-        let (_, _) = a.on_view_install(t(3), 2, &[0, 1], &cut);
-        let (_, _) = b.on_view_install(t(3), 2, &[0, 1], &cut);
+        for ep in [&mut a, &mut b] {
+            ep.on_view_install(t(3), 2, &[0, 1], &cut);
+            ep.thaw(t(3));
+        }
         // New multicasts ride epoch-2 links starting from sequence 1.
         let (_, out2) = a.multicast(t(4), "new view");
         assert_eq!(out2.len(), 1, "pair ring has one neighbour");
@@ -1064,6 +1067,7 @@ mod tests {
         b.core_mut().freeze(t(1));
         let cut = VectorClock::new(3);
         b.on_view_install(t(2), 2, &[0, 1], &cut);
+        b.thaw(t(2));
         let (dels, _) = feed(&mut b, t(3), &out);
         assert!(dels.is_empty(), "old-epoch link copies must not deliver");
         assert_eq!(b.link_buffered_len(), 0);
@@ -1092,10 +1096,11 @@ mod tests {
         a.on_wire(t(0), Wire::Data(m21.clone()));
         assert_eq!(a.core().clock().get(2), 1);
         let cut = VectorClock::from_entries(vec![0, 0, 1]);
-        a.core_mut().freeze(t(1));
-        b.core_mut().freeze(t(1));
-        a.on_view_install(t(2), 2, &[0, 1], &cut);
-        b.on_view_install(t(2), 2, &[0, 1], &cut);
+        for ep in [&mut a, &mut b] {
+            ep.core_mut().freeze(t(1));
+            ep.on_view_install(t(2), 2, &[0, 1], &cut);
+            ep.thaw(t(2));
+        }
         // a multicasts in the new view — causally after m2.1.
         let (_, out) = a.multicast(t(3), "post-install");
         let (dels, _) = feed(&mut b, t(4), &out);
@@ -1120,8 +1125,9 @@ mod tests {
         let (dels, _) = feed(&mut b, t(2), &out);
         assert!(dels.is_empty());
         assert!(b.core().is_frozen());
-        // Thaw via install of the same membership: the copy delivers.
-        let (dels, _) = b.on_view_install(t(3), 1, &[0, 1, 2], &VectorClock::new(3));
+        // Install the same membership and thaw: the copy delivers.
+        b.on_view_install(t(3), 1, &[0, 1, 2], &VectorClock::new(3));
+        let (dels, _) = b.thaw(t(3));
         // Same view id — links were reset, so the buffered copy died with
         // its epoch... unless the epoch matches. Epoch 1 == view 1: the
         // links were cleared, so recovery rides ARQ instead.

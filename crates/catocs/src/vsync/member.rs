@@ -19,7 +19,7 @@ pub struct Step {
     pub out: Vec<Out<u64>>,
     /// The view this call installed: id, member indices, flush cut. It
     /// precedes [`Self::delivered`] in the member's history: those are
-    /// the deliveries the install thawed.
+    /// the deliveries the install thawed, if it ended the flush.
     pub installed: Option<(u64, Vec<usize>, VectorClock)>,
     /// Messages released to the application, in delivery order.
     pub delivered: Vec<Delivery<u64>>,
@@ -32,11 +32,12 @@ const SUSPECT_AFTER: SimDuration = SimDuration::from_millis(100);
 /// member of a group whose member `k` is addressed as `Dest::One(k)`,
 /// and the one place that knows how they fit together: which wire goes
 /// to which part, that entering a flush retransmits the unstable buffer
-/// and then freezes delivery, that an install thaws it, that the engine
-/// hears the whole suspect set on every tick. It takes the time as an
-/// argument and hands back a [`Step`], so whatever hosts it — a
-/// `simnet::Process`, a test with a queue of wires, an exhaustive
-/// explorer, a socket — only moves messages and keeps time.
+/// and then freezes delivery, that only an install which leaves the
+/// engine outside any flush thaws it, that the engine hears the whole
+/// suspect set on every tick. It takes the time as an argument and hands
+/// back a [`Step`], so whatever hosts it — a `simnet::Process`, a test
+/// with a queue of wires, an exhaustive explorer, a socket — only moves
+/// messages and keeps time.
 #[derive(Debug)]
 pub struct Member {
     me: usize,
@@ -195,30 +196,34 @@ impl Member {
         }
     }
 
-    /// Does to the endpoint what the engine decided.
+    /// Does to the endpoint what the engine decided: delivery is frozen
+    /// whenever the engine is flushing.
     fn apply(&mut self, now: SimTime, action: FlushAction, step: &mut Step) {
         match action {
             FlushAction::None => {}
             FlushAction::RetransmitUnstable => {
-                let flushed = self.endpoint.flush_unstable();
+                // Our FlushOk clock must stay an upper bound on what we
+                // have delivered until the flush ends.
+                let flushed = self.endpoint.freeze(now);
                 self.flush_retransmits += flushed.len() as u64;
                 step.out.extend(flushed);
-                // Delivery blackout: our FlushOk clock must stay an upper
-                // bound on what we have delivered until the view installs.
-                self.endpoint.freeze(now);
             }
             FlushAction::ViewInstalled { view, cut } => {
                 let members: Vec<usize> = view.members.iter().map(|p| p.0).collect();
-                // pccast re-forwards thawed deliveries on its fresh
-                // links; cbcast emits nothing here.
-                let (thawed, out) = self
-                    .endpoint
-                    .on_view_install(now, view.id.0, &members, &cut);
-                step.out.extend(out);
-                step.delivered = thawed;
-                step.installed = Some((view.id.0, members, cut));
+                let id = view.id.0;
+                self.endpoint.on_view_install(now, id, &members, &cut);
+                step.installed = Some((id, members, cut));
+                // The one thaw. An older view than the proposal we acked
+                // leaves the engine flushing: what that proposal's cut has
+                // yet to bound stays held.
+                if self.engine.can_send() {
+                    let (thawed, out) = self.endpoint.thaw(now);
+                    step.out.extend(out);
+                    step.delivered = thawed;
+                }
             }
         }
+        debug_assert!(self.engine.can_send() || self.endpoint.is_frozen());
     }
 }
 
@@ -226,7 +231,8 @@ impl Member {
 mod tests {
     use super::super::{check, NodeEvent, ProcessLog, Violation};
     use super::*;
-    use crate::group::MsgId;
+    use crate::group::{MsgId, View, ViewId};
+    use simnet::process::ProcessId;
     use std::collections::VecDeque;
 
     /// A group stepped by hand: no scheduler, no network model. Wires
@@ -300,6 +306,12 @@ mod tests {
                 let step = self.members[to].on_wire(now, wire);
                 self.absorb(to, step);
             }
+        }
+
+        /// Hands `wire` to member `to` now, bypassing the FIFO.
+        fn hand(&mut self, to: usize, now: SimTime, wire: Wire<u64>) {
+            let step = self.members[to].on_wire(now, wire);
+            self.absorb(to, step);
         }
 
         fn process_logs(&self) -> Vec<ProcessLog> {
@@ -401,5 +413,57 @@ mod tests {
         // With retries on, the same loss is survived.
         let (g, _) = member_two_falls_silent(BugKnobs::default(), true);
         assert_eq!(check(&g.process_logs()), Vec::new());
+    }
+
+    /// Member 1 acks view 2 and then view 3, which removes member 3,
+    /// before view 2's `Install` reaches it; m3.2 arrives in between. The
+    /// late install must not thaw member 1: m3.2 is past the clock it
+    /// promised for view 3, and view 3's cut leaves it out.
+    #[test]
+    fn a_late_install_of_an_older_view_does_not_end_a_newer_flush() {
+        let ms = SimTime::from_millis;
+        let view = |id, members: &[usize]| View {
+            id: ViewId(id),
+            members: members.iter().copied().map(ProcessId).collect(),
+        };
+        let mut g = Pump::new(5, BugKnobs::default());
+        g.multicast(3, ms(1), 31);
+        g.deliver(ms(2));
+        let m3_2 = g.multicast(3, ms(3), 32);
+        let copy = g.in_flight.drain(..).find(|(to, _)| *to == 1);
+        let (_, copy) = copy.expect("m3.2 addressed to member 1");
+        let (v2, v3) = (view(2, &[0, 1, 2, 3]), view(3, &[0, 1, 2]));
+        let flush = |proposed: &View| Wire::Flush {
+            proposed: proposed.clone(),
+            from: 0,
+        };
+        g.hand(1, ms(10), flush(&v2));
+        g.hand(1, ms(20), flush(&v3));
+        let promised = g.in_flight.iter().find_map(|(_, w)| match w {
+            Wire::FlushOk {
+                view_id: ViewId(3),
+                delivered,
+                ..
+            } => Some(delivered.clone()),
+            _ => None,
+        });
+        let promised = promised.expect("member 1 acked view 3");
+        assert_eq!(promised.get(3), 1);
+        g.hand(1, ms(25), copy);
+        let install = |view: View, cut: &VectorClock| Wire::Install {
+            view,
+            cut: cut.clone(),
+        };
+        g.hand(1, ms(30), install(v2, &promised));
+        let delivered = |g: &Pump| g.logs[1].contains(&NodeEvent::Deliver { id: m3_2 });
+        assert!(!delivered(&g), "{:?}", g.logs[1]);
+        let m1 = &g.members[1];
+        assert_eq!(m1.engine().view().id, ViewId(2));
+        assert!(m1.endpoint().is_frozen() && !m1.engine().can_send());
+        g.hand(1, ms(40), install(v3, &promised));
+        let m1 = &g.members[1];
+        assert_eq!(m1.engine().view().id, ViewId(3));
+        assert!(!m1.endpoint().is_frozen() && m1.engine().can_send());
+        assert!(!delivered(&g), "m3.2 is past view 3's cut: {:?}", g.logs[1]);
     }
 }

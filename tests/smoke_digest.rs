@@ -13,7 +13,7 @@ use catocs::endpoint::Discipline;
 use catocs::group::CausalDiscipline::{self, Cbcast, Pccast};
 use catocs::group::{GroupConfig, MsgId};
 use catocs::harness::{spawn_group, Chatter, GroupNode};
-use catocs::vsync::{run_campaign, BugKnobs, CampaignConfig, CampaignResult};
+use catocs::vsync::{run_campaign, BugKnobs, Campaign, CampaignConfig, CampaignResult};
 use catocs::waitgraph::RankedStall;
 use catocs::wire::{Dest, Wire};
 use simnet::net::NetConfig;
@@ -173,6 +173,39 @@ fn churn_campaigns_replay_their_pinned_digests() {
             let got = (r.digest, r.delivered_total, r.views_installed);
             assert_eq!(got, want, "{name} seed {seed}: {got:#x?} moved");
         }
+    }
+}
+
+/// Six campaigns at `CampaignConfig::default()` in which a survivor once
+/// delivered past a removed sender's cut, pinned clean with their digests.
+/// 3259 needs a late `Install` of an older view to leave a newer flush
+/// frozen; the other five need a view's cut to extend its predecessor's.
+#[test]
+fn beyond_cut_campaigns_replay_clean() {
+    let cases = [
+        (Cbcast, 3259, 0xa3db_526b_39b7_69a8_u64),
+        (Cbcast, 14981, 0xbfb5_10a7_560a_91b0),
+        (Cbcast, 16016, 0xee03_279f_d430_73d2),
+        (Pccast, 3945, 0xb3bb_a9ec_1c2c_c3f7),
+        (Pccast, 7687, 0x491f_e659_6581_1efc),
+        (Pccast, 11986, 0x6490_85de_7547_573d),
+    ];
+    for (discipline, seed, pinned) in cases {
+        let cfg = CampaignConfig {
+            group: GroupConfig {
+                discipline,
+                ..GroupConfig::default()
+            },
+            ..CampaignConfig::default()
+        };
+        let r = Campaign {
+            ledger: false,
+            ..Campaign::new(seed, cfg)
+        }
+        .run();
+        let got = r.digest;
+        assert_eq!(r.violations, [], "{discipline:?} seed {seed}");
+        assert_eq!(got, pinned, "{discipline:?} seed {seed}: {got:#x} moved");
     }
 }
 
