@@ -9,10 +9,10 @@
 //!   quantiles, and virtual-time throughput per configuration;
 //! - the T7+ N-scaling points, N=4 to 4096 — work/event and bytes/msg
 //!   for indexed+delta, bytes/msg for full stamps and for pccast;
-//! - sampler-instrumented simulated groups (causal and token-ring) —
-//!   deliveries and scheduler events per virtual second, hold-time
-//!   quantiles, and time-series peaks (holdback depth, stability-horizon
-//!   lag, token queue);
+//! - simulated groups (causal and token-ring) — deliveries and scheduler
+//!   events per virtual second, hold-time quantiles, and the peaks of the
+//!   members' gauges over looks 50 ms apart (holdback depth,
+//!   stability-horizon lag, token queue);
 //! - a cut of the chaos campaign — deliveries, scheduler work and hold
 //!   times under fault injection.
 //!
@@ -25,13 +25,15 @@ use crate::experiments::replay::{Algo, Replay};
 use crate::table::Table;
 use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
-use catocs::harness::{spawn_group, Chatter};
+use catocs::harness::{spawn_group, Chatter, GroupNode};
 use catocs::ledger::{LatencySummary, PhaseId};
 use catocs::wire::Wire;
 use simnet::metrics::Histogram;
 use simnet::net::NetConfig;
+use simnet::process::Process;
 use simnet::sim::SimBuilder;
 use simnet::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 use super::t7plus;
 
@@ -42,8 +44,8 @@ pub const SNAPSHOT_SEED: u64 = 42;
 const GROUP_N: usize = 8;
 /// Virtual horizon of each simulated-group run.
 const GROUP_HORIZON: SimTime = SimTime::from_secs(5);
-/// Sampling cadence for the time-series gauges.
-const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(50);
+/// How often a group run looks at its members' gauges.
+const LOOK_EVERY: SimDuration = SimDuration::from_millis(50);
 /// Messages each member multicasts (one per app tick).
 const GROUP_MSGS: u32 = 40;
 /// Group size of the T7+ grid cell the per-config metrics come from.
@@ -59,16 +61,16 @@ struct GroupRun {
     delivered: u64,
     events: u64,
     hold: Histogram,
-    /// (series name, max over the run) for every sampled series.
-    series_max: Vec<(String, f64)>,
+    /// Every gauge the members report, with its largest value over the
+    /// members and the looks, 50 ms apart.
+    peaks: BTreeMap<String, f64>,
 }
 
 fn run_group(discipline: Discipline) -> GroupRun {
     let mut sim = SimBuilder::new(SNAPSHOT_SEED)
         .net(NetConfig::lossy_lan(0.02))
-        .sample_every(SAMPLE_EVERY)
         .build::<Wire<u64>>();
-    spawn_group(
+    let members = spawn_group(
         &mut sim,
         GROUP_N,
         discipline,
@@ -79,16 +81,24 @@ fn run_group(discipline: Discipline) -> GroupRun {
             burst: 1,
         },
     );
-    let events = sim.run_until(GROUP_HORIZON);
+    let mut peaks: BTreeMap<String, f64> = BTreeMap::new();
+    let events = sim.run_until_each(GROUP_HORIZON, LOOK_EVERY, |_, sim| {
+        for &p in &members {
+            let node = sim
+                .process::<GroupNode<u64, Chatter>>(p)
+                .expect("a group member");
+            node.sample(&mut |name, v| {
+                let peak = peaks.entry(name.to_string()).or_insert(0.0);
+                *peak = peak.max(v);
+            });
+        }
+    });
     let m = sim.metrics();
     GroupRun {
         delivered: m.counter("group.delivered"),
         events,
         hold: m.histogram("group.hold_time").cloned().unwrap_or_default(),
-        series_max: m
-            .series()
-            .map(|(name, s)| (name.to_string(), s.max_value()))
-            .collect(),
+        peaks,
     }
 }
 
@@ -115,23 +125,13 @@ fn push_group(rows: &mut Rows, prefix: &str, r: &GroupRun) {
         r.hold.quantile(0.99).as_millis_f64(),
         "ms",
     ));
-    for (name, max) in &r.series_max {
-        // Peaks of the sampled queue/buffer gauges; `ts.sim.queue.*` and
-        // the `.sum` aggregates stay out to keep the snapshot focused.
-        if let Some(short) = name
-            .strip_prefix("ts.")
-            .and_then(|n| n.strip_suffix(".max"))
-        {
-            if short.starts_with("sim.") {
-                continue;
-            }
-            let unit = if short.ends_with("_bytes") {
-                "bytes"
-            } else {
-                "msgs"
-            };
-            rows.push((format!("{prefix}.ts.{short}_peak"), *max, unit));
-        }
+    for (name, peak) in &r.peaks {
+        let unit = if name.ends_with("_bytes") {
+            "bytes"
+        } else {
+            "msgs"
+        };
+        rows.push((format!("{prefix}.ts.{name}_peak"), *peak, unit));
     }
 }
 
@@ -254,7 +254,7 @@ pub fn collect() -> Vec<(String, f64, &'static str)> {
         ));
     }
 
-    // Sampler-instrumented simulated groups.
+    // Simulated groups, their gauges looked at every 50 ms.
     push_group(&mut rows, "group.causal", &run_group(Discipline::Causal));
     push_group(&mut rows, "group.token", &run_group(Discipline::TotalToken));
 

@@ -133,8 +133,8 @@ pub(crate) fn render_records(
 }
 
 /// Builds the explainer report for one replay: the campaign's wait
-/// records at the horizon for the causal algorithms, [`run_total`] for
-/// the total-order ones. `replay.msg` restricts the output to a single
+/// records at the horizon for the causal algorithms, the endpoints'
+/// wait records in a harness-group run for the total-order ones. `replay.msg` restricts the output to a single
 /// blocked message.
 pub fn run(replay: &Replay) -> String {
     if !replay.algo.is_chaos() {

@@ -211,7 +211,7 @@ impl<P: Clone> CausalCore<P> {
     /// Enters a flush. Returns every unstable buffered message for
     /// retransmission to the whole group with full timestamps (each
     /// survivor pushes what it has so the new view starts from a common
-    /// message set), and suspends all delivery until [`Self::thaw`]: this
+    /// message set), and suspends all delivery until `thaw`: this
     /// member's `FlushOk` clock must stay an upper bound on what it has
     /// delivered until the cut is agreed. Receiving, buffering and NACK
     /// recovery continue.

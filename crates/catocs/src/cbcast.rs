@@ -93,9 +93,10 @@ pub struct CbcastEndpoint<P> {
     /// delta-chain reset (the S3 fix), reintroducing the stale-chain bug
     /// so fault campaigns can demonstrate the failing seed.
     skip_view_reset: bool,
-    /// Messages that arrived here after being chased via NACK — their
-    /// dependents' holdback waits are attributed to repair, not to a
-    /// plain causal dependency. Maintained unconditionally (cheap) so
+    /// Held messages that arrived here after being chased via NACK —
+    /// their dependents' holdback waits are attributed to repair, not to
+    /// a plain causal dependency. An id leaves when its message delivers
+    /// or a view install purges it. Maintained unconditionally (cheap) so
     /// probed and unprobed runs execute identically.
     was_chased: BTreeSet<MsgId>,
 }
@@ -164,7 +165,7 @@ impl<P: Clone> CbcastEndpoint<P> {
     }
 
     /// Telemetry hook: instantaneous queue depths and buffering gauges,
-    /// named for the time-series sampler (`simnet::process::Process::sample`).
+    /// for `simnet::process::Process::sample`.
     pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         emit("cbcast.holdback", self.core.holdback_len() as f64);
         emit("cbcast.parked", self.parked_len() as f64);
@@ -205,6 +206,8 @@ impl<P: Clone> CbcastEndpoint<P> {
             self.force_full_next = true;
         }
         self.core.install_view(now, members, cut);
+        let core = &self.core;
+        self.was_chased.retain(|&id| !core.beyond_cut(id));
     }
 
     /// Ends the delivery blackout ([`CausalCore::freeze`]): drains the
@@ -506,12 +509,14 @@ impl<P: Clone> CbcastEndpoint<P> {
             core.note_holdback();
             return;
         }
-        // The delivery that released each subsequent pop in this drain:
-        // the previous pop advanced the clock past the last obstacle, so
-        // it is the held message's blocking predecessor.
-        let mut last_popped: Option<MsgId> = None;
+        // The delivery that released each subsequent pop in this drain,
+        // and whether it was chased: the previous pop advanced the clock
+        // past the last obstacle, so it is the held message's blocking
+        // predecessor.
+        let mut last_popped: Option<(MsgId, bool)> = None;
         while let Some(Pending { msg, arrived_at }) = core.holdback.pop_ready(&core.vt) {
             let id = msg.id;
+            let chased = self.was_chased.remove(&id);
             let mut waited_for = Vec::new();
             if core.begin_delivery(now, arrived_at, id) {
                 waited_for = Self::immediate_predecessors(&msg);
@@ -527,14 +532,15 @@ impl<P: Clone> CbcastEndpoint<P> {
                 });
                 // Ledger attribution: why was it held, and on whom?
                 let kind = match last_popped {
-                    Some(b) if self.was_chased.contains(&b) => WaitKind::NackRepair,
-                    Some(b) if b.sender == id.sender => WaitKind::FifoGap,
+                    Some((_, true)) => WaitKind::NackRepair,
+                    Some((b, _)) if b.sender == id.sender => WaitKind::FifoGap,
                     _ => WaitKind::CausalDep,
                 };
-                core.emit_hold_waits(now, arrived_at, id, kind, last_popped.map(span_of));
+                let blocker = last_popped.map(|(b, _)| span_of(b));
+                core.emit_hold_waits(now, arrived_at, id, kind, blocker);
             }
             core.finish_delivery(now, arrived_at, msg, waited_for, delivered);
-            last_popped = Some(id);
+            last_popped = Some((id, chased));
         }
         core.note_holdback();
         core.note_buffer();
@@ -793,6 +799,59 @@ mod tests {
             dels.iter().map(|d| d.payload).collect::<Vec<_>>(),
             vec!["m1", "m2"]
         );
+    }
+
+    /// The chased set holds only messages still held. A NACK-repaired
+    /// stream leaves nothing in it once delivered, its dependent's wait
+    /// still charged to the repair; a chased message that a view install
+    /// purges leaves with the purge.
+    #[test]
+    fn chased_ids_leave_when_delivered_or_purged() {
+        let (mut a, mut b, mut c) = trio();
+        let (probe, rec) = simnet::obs::ProbeHandle::recorder(64);
+        c.set_probe(probe);
+        let (_, o1) = a.multicast(t(0), "m1");
+        b.on_wire(t(1), data_of(&o1));
+        let (_, o2) = b.multicast(t(2), "m2");
+        let (_, nacks) = c.on_wire(t(3), data_of(&o2));
+        let nack = nacks
+            .into_iter()
+            .find(|(_, w)| matches!(w, Wire::Nack { .. }))
+            .expect("nack emitted");
+        let (_, served) = b.on_wire(t(4), nack.1);
+        let retrans = served
+            .into_iter()
+            .find(|(_, w)| matches!(w, Wire::Data(d) if d.retransmit))
+            .expect("retransmit served");
+        let (dels, _) = c.on_wire(t(5), retrans.1);
+        assert_eq!(dels.len(), 2);
+        assert!(c.was_chased.is_empty(), "{:?}", c.was_chased);
+        let m2 = span_of(MsgId { sender: 1, seq: 1 });
+        let kinds: Vec<WaitKind> = rec
+            .borrow()
+            .events(2)
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::Wait { span, kind, .. } if *span == m2 => Some(*kind),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(kinds, [WaitKind::NackRepair]);
+
+        // c hears a's third message first and chases the two before it;
+        // the second arrives and waits on the first, then a is removed
+        // with nothing of it in the cut.
+        let (mut a, _, mut c) = trio();
+        let sent: Vec<_> = ["a1", "a2", "a3"]
+            .into_iter()
+            .map(|p| data_of(&a.multicast(t(0), p).1))
+            .collect();
+        c.on_wire(t(1), sent[2].clone());
+        c.on_wire(t(2), sent[1].clone());
+        assert_eq!(c.was_chased.len(), 1);
+        c.on_view_install(t(3), &[1, 2], &VectorClock::new(3));
+        assert_eq!(c.core().holdback_len(), 0);
+        assert!(c.was_chased.is_empty(), "{:?}", c.was_chased);
     }
 
     #[test]

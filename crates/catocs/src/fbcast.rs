@@ -130,7 +130,7 @@ impl<P: Clone> FbcastEndpoint<P> {
         self.sent_buffer.len()
     }
 
-    /// Telemetry hook: instantaneous gauges for the time-series sampler.
+    /// Telemetry hook: instantaneous gauges, for `Process::sample`.
     pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         emit("fbcast.buffered", self.sent_buffer.len() as f64);
         emit("fbcast.pending", self.pending_total as f64);

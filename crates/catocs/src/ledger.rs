@@ -220,10 +220,6 @@ pub struct LedgerProbe {
     /// entries at the horizon charge `[frozen_since, horizon)` to the
     /// flush barrier.
     frozen_since: BTreeMap<usize, SimTime>,
-    // Live counters for the 50 ms `ts.latency.*` cadence.
-    closed: u64,
-    latency_sum_us: u64,
-    open_held: u64,
 }
 
 impl LedgerProbe {
@@ -232,37 +228,8 @@ impl LedgerProbe {
         LedgerProbe::default()
     }
 
-    /// Delivered (receiver, message) entries so far.
-    pub fn live_delivered(&self) -> u64 {
-        self.closed
-    }
-
-    /// Entries with queue evidence but no delivery yet.
-    pub fn live_open(&self) -> u64 {
-        self.open_held
-    }
-
-    /// Mean delivered latency so far, in microseconds.
-    pub fn live_mean_us(&self) -> f64 {
-        if self.closed == 0 {
-            0.0
-        } else {
-            self.latency_sum_us as f64 / self.closed as f64
-        }
-    }
-
     fn rec(&mut self, who: usize, span: SpanId) -> &mut RecvRec {
         self.recs.entry((who, span)).or_default()
-    }
-
-    fn note_evidence(&mut self, who: usize, span: SpanId) {
-        let r = self.recs.entry((who, span)).or_default();
-        if !r.held_evidence && r.delivered_at.is_none() {
-            r.held_evidence = true;
-            self.open_held += 1;
-        } else {
-            r.held_evidence = true;
-        }
     }
 
     /// Folds one event into the ledger. [`Probe::record`] delegates here;
@@ -287,37 +254,17 @@ impl LedgerProbe {
                     }
                 }
                 Stage::Parked => {
-                    self.rec(*who, *span).parked = true;
-                    self.note_evidence(*who, *span);
+                    let r = self.rec(*who, *span);
+                    r.parked = true;
+                    r.held_evidence = true;
                 }
                 Stage::HoldbackEnter | Stage::ReorderEnter => {
-                    self.note_evidence(*who, *span);
+                    self.rec(*who, *span).held_evidence = true;
                 }
                 Stage::Delivered => {
-                    let r = self.recs.entry((*who, *span)).or_default();
-                    let prev = r.delivered_at.replace(*at);
-                    if prev.is_none() && r.held_evidence {
-                        self.open_held = self.open_held.saturating_sub(1);
-                    }
-                    if let Some(&send) = self.send_at.get(span) {
-                        let lat = at.saturating_since(send).0;
-                        match prev {
-                            // abcast re-stamps delivery at release: the
-                            // later stamp supersedes the causal one.
-                            Some(p) => {
-                                self.latency_sum_us = self
-                                    .latency_sum_us
-                                    .saturating_sub(p.saturating_since(send).0)
-                                    .saturating_add(lat);
-                            }
-                            None => {
-                                self.closed += 1;
-                                self.latency_sum_us = self.latency_sum_us.saturating_add(lat);
-                            }
-                        }
-                    } else if prev.is_none() {
-                        self.closed += 1;
-                    }
+                    // abcast re-stamps delivery at release: the later
+                    // stamp supersedes the causal one.
+                    self.rec(*who, *span).delivered_at = Some(*at);
                 }
                 Stage::Deliverable | Stage::Dropped | Stage::SkipConsume => {}
             },
@@ -353,14 +300,15 @@ impl LedgerProbe {
                         .or_default()
                         .push((*since, *at));
                 } else {
-                    self.rec(*who, *span).waits.push(WaitSeg {
+                    let r = self.rec(*who, *span);
+                    r.waits.push(WaitSeg {
                         kind: *kind,
                         since: *since,
                         at: *at,
                         blocker: *blocker,
                         note: note.clone(),
                     });
-                    self.note_evidence(*who, *span);
+                    r.held_evidence = true;
                 }
             }
         }
@@ -837,7 +785,7 @@ mod tests {
         assert_eq!(totals[&PhaseId::Wire], SimDuration(10));
         assert_eq!(totals[&PhaseId::Order], SimDuration(45));
         assert_eq!(e.critical_path(), Some(PhaseId::Order));
-        assert_eq!(l.live_delivered(), 1, "restamp is not a second entry");
+        assert_eq!(s.entries.len(), 1, "restamp is not a second entry");
     }
 
     #[test]

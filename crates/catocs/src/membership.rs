@@ -189,8 +189,8 @@ impl MembershipEngine {
     /// Live view of an in-progress flush, for the wait-graph collector:
     /// who coordinates it, when it began at this member, and — at the
     /// coordinator only, since only it tracks acks — which proposal
-    /// members have not sent their `FlushOk` yet. `None` in
-    /// [`Phase::Normal`]. Read-only.
+    /// members have not sent their `FlushOk` yet. `None` when no flush
+    /// is in progress. Read-only.
     pub fn flush_waits(&self) -> Option<FlushWaits> {
         match &self.phase {
             Phase::Normal => None,

@@ -109,7 +109,7 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
         self.pending_submit.len()
     }
 
-    /// Telemetry hook: instantaneous gauges for the time-series sampler.
+    /// Telemetry hook: instantaneous gauges, for `Process::sample`.
     pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         emit("token.queued", self.pending_submit.len() as f64);
         emit(

@@ -56,9 +56,8 @@ use simnet::metrics::Histogram;
 use simnet::net::NetConfig;
 use simnet::obs::{Probe, ProbeHandle};
 use simnet::process::{Ctx, Process, ProcessId, TimerId};
-use simnet::sim::SimBuilder;
+use simnet::sim::{Sim, SimBuilder};
 use simnet::time::{SimDuration, SimTime};
-use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -531,16 +530,16 @@ pub struct CampaignResult {
     pub hold_hist: Histogram,
     /// Scheduler events processed by the run (deterministic work proxy).
     pub events_processed: u64,
-    /// Final wait-graph analysis: the last sampling snapshot before the
-    /// horizon, with its ranked stalls (see [`crate::waitgraph`]).
-    /// Informational — not folded into [`Self::digest`].
+    /// Final wait-graph analysis: the last look before the horizon, with
+    /// its ranked stalls (see [`crate::waitgraph`]). Informational — not
+    /// folded into [`Self::digest`].
     pub stalls: StallSnapshot,
-    /// Per-snapshot wait-graph analyses on the sampling cadence, for
+    /// The wait-graph analysis of every look, 50 ms apart, for
     /// `experiments waitgraph --at`. Informational — digest-excluded.
     pub stall_timeline: Vec<(SimTime, StallSnapshot)>,
-    /// Wait-age distribution: at every sampling snapshot, each blocked
-    /// edge's age (µs) across the whole group. Informational —
-    /// digest-excluded, like [`Self::hold_hist`].
+    /// Wait-age distribution: at every look, each blocked edge's age
+    /// (µs) across the whole group. Informational — digest-excluded,
+    /// like [`Self::hold_hist`].
     pub wait_hist: Histogram,
     /// Per-message latency-provenance ledger: every delivered message's
     /// send→deliver time decomposed into attributed phases, plus the
@@ -551,9 +550,8 @@ pub struct CampaignResult {
 
 const TICK: TimerId = TimerId(0);
 const APP: TimerId = TimerId(1);
-/// Wait-graph sampling cadence: the same 50 ms the bench time-series
-/// use, so `stall.*` metrics line up with the other `ts.*` series.
-const SAMPLE_EVERY: SimDuration = SimDuration::from_millis(50);
+/// How often a campaign looks at the group's wait graph.
+const LOOK_EVERY: SimDuration = SimDuration::from_millis(50);
 
 /// A [`Member`] on a simulated host under chaos: the two timers, the
 /// cut-off for new traffic, and the log of everything the checker needs.
@@ -686,10 +684,6 @@ impl Process<Wire<u64>> for ChaosNode {
         self.arm_tick(ctx);
         self.arm_app(ctx);
     }
-
-    fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        self.member.endpoint().sample(emit);
-    }
 }
 
 fn fnv1a(digest: &mut u64, bytes: &[u8]) {
@@ -732,26 +726,26 @@ fn digest_logs(logs: &[ProcessLog]) -> u64 {
     d
 }
 
-/// Collects the whole group's wait edges at `at` — skipping crashed
-/// processes, whose stale holdback is not "blocked" — resolves pccast
-/// link-slot waits against the sender side's ARQ logs (only a global
-/// view can name the message occupying a constant-metadata link
+/// Collects the wait edges of the group's nodes at `at` — skipping
+/// crashed processes, whose stale holdback is not "blocked" — resolves
+/// pccast link-slot waits against the sender side's ARQ logs (only a
+/// global view can name the message occupying a constant-metadata link
 /// position), records every edge's age into `hist` and analyses the
-/// merged graph. Pure over `&self` views: calling this cannot perturb
-/// the run.
+/// merged graph. It reads `sim` through a shared reference: calling this
+/// cannot perturb the run.
 fn snapshot_stalls(
     at: SimTime,
-    procs: &[(&dyn Any, bool)],
+    sim: &Sim<Wire<u64>>,
     tracker: &mut StallTracker,
     hist: &mut Histogram,
 ) -> StallSnapshot {
-    let nodes: Vec<Option<&ChaosNode>> = procs
-        .iter()
-        .map(|&(p, alive)| p.downcast_ref::<ChaosNode>().filter(|_| alive))
+    let nodes: Vec<Option<&ChaosNode>> = (0..sim.n_processes())
+        .map(ProcessId)
+        .map(|p| sim.process::<ChaosNode>(p).filter(|_| sim.is_alive(p)))
         .collect();
     let mut edges: Vec<WaitEdge> = Vec::new();
     for node in nodes.iter().flatten() {
-        // The sampler's depth: the first gap of each lagging sender.
+        // A look's depth: the first gap of each lagging sender.
         node.wait_records(false, &mut |record| edges.extend(record.edges()));
     }
     for e in &mut edges {
@@ -841,11 +835,10 @@ impl Campaign {
         let plan = self.plan.unwrap_or_else(generate);
         let mut sim = SimBuilder::new(seed)
             .net(NetConfig::lossy_lan(cfg.drop_probability))
-            .sample_every(SAMPLE_EVERY)
             .build::<Wire<u64>>();
         // The tee folds every event into the ledger while forwarding to the
-        // caller's probe (flight recorder, usually). Shared via `Rc` so the
-        // sampler below can read live gauges — sound single-threaded.
+        // caller's probe (flight recorder, usually). Every node's endpoint
+        // holds a handle on it, so it is shared via `Rc`.
         let tee: Option<Rc<RefCell<TeeProbe>>> = if ledger {
             Some(Rc::new(RefCell::new(TeeProbe::new(probe.clone()))))
         } else {
@@ -861,34 +854,16 @@ impl Campaign {
             sim.add_process(node);
         }
         plan.apply(&mut sim);
-        // Live wait-graph analytics ride the sampling cadence: the hook sees
-        // every process read-only at each tick, so the run's digest cannot
-        // change (the determinism tests below pin this).
-        let tracker = Rc::new(RefCell::new(StallTracker::new()));
-        let wait_hist = Rc::new(RefCell::new(Histogram::new()));
-        let timeline: Rc<RefCell<Vec<(SimTime, StallSnapshot)>>> =
-            Rc::new(RefCell::new(Vec::new()));
-        {
-            let tracker = Rc::clone(&tracker);
-            let wait_hist = Rc::clone(&wait_hist);
-            let timeline = Rc::clone(&timeline);
-            let tee = tee.clone();
-            sim.set_group_sampler(Box::new(move |at, procs, metrics| {
-                let (tracker, hist) = (&mut tracker.borrow_mut(), &mut wait_hist.borrow_mut());
-                let snap = snapshot_stalls(at, procs, tracker, hist);
-                metrics.sample("ts.stall.count", at, snap.stalls.len() as f64);
-                metrics.sample("ts.stall.max_age_ms", at, snap.max_age.as_millis_f64());
-                metrics.sample("ts.stall.worst_scc", at, snap.worst_scc_size as f64);
-                if let Some(t) = &tee {
-                    let l = &t.borrow().ledger;
-                    metrics.sample("ts.latency.mean_us", at, l.live_mean_us());
-                    metrics.sample("ts.latency.open", at, l.live_open() as f64);
-                    metrics.sample("ts.latency.delivered", at, l.live_delivered() as f64);
-                }
-                timeline.borrow_mut().push((at, snap));
-            }));
-        }
-        let events_processed = sim.run_until(cfg.plan.horizon);
+        // Live wait-graph analytics look at the group between slices of
+        // the run, read-only, so the run's digest cannot change (the
+        // determinism tests below pin this).
+        let mut tracker = StallTracker::new();
+        let mut wait_hist = Histogram::new();
+        let mut stall_timeline: Vec<(SimTime, StallSnapshot)> = Vec::new();
+        let events_processed = sim.run_until_each(cfg.plan.horizon, LOOK_EVERY, |at, sim| {
+            let snap = snapshot_stalls(at, sim, &mut tracker, &mut wait_hist);
+            stall_timeline.push((at, snap));
+        });
 
         let crashed = plan.crashed_at_horizon();
         let mut logs = Vec::with_capacity(cfg.n);
@@ -941,14 +916,10 @@ impl Campaign {
             .collect();
         let digest = digest_logs(&logs);
         let blocked = is_blocked(&logs);
-        // The sampler closure, which `sim` owns, holds the other handle on
-        // each: taken, not copied.
-        let stall_timeline = timeline.take();
         let stalls = stall_timeline
             .last()
             .map(|(_, s)| s.clone())
             .unwrap_or_default();
-        let wait_hist = wait_hist.take();
         let latency = tee
             .map(|t| t.borrow().ledger.finalize(cfg.plan.horizon))
             .unwrap_or_default();

@@ -7,7 +7,7 @@
 //! token rotation, or behind a flush/install barrier (virtual synchrony)
 //! — and the application sees only silence. This module turns those
 //! hidden waits into one typed graph and analyses it *while the run is in
-//! progress*, on the telemetry sampling cadence:
+//! progress*, at each of a campaign's 50 ms looks:
 //!
 //! - **Nodes** are messages, processes, per-link positions and protocol
 //!   phases ([`WaitNode`]).
@@ -59,7 +59,7 @@
 //!
 //! # What an analysis costs
 //!
-//! [`analyze`] runs on every sampling tick of every fault campaign, on
+//! [`analyze`] runs at every 50 ms look of every fault campaign, on
 //! graphs that grow for as long as a partition lasts, so its cost is a
 //! contract: proportional to the graph it is handed, never to its square.
 //! With `E` edges over `n` nodes,
@@ -99,7 +99,7 @@ use std::fmt;
 
 /// A stall is only *persistent* — and only counted by the gated
 /// `stall.count` metric — once its component has survived this many
-/// consecutive snapshots. At the default 50 ms sampling cadence that is
+/// consecutive snapshots. At a campaign's 50 ms looks that is
 /// 150 ms: far longer than any healthy holdback, order-release or flush
 /// round-trip, far shorter than a wedged flush.
 pub const PERSIST_SNAPSHOTS: u32 = 3;

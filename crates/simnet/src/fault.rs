@@ -3,7 +3,7 @@
 //! A [`FaultPlan`] is a deterministic schedule of network and process
 //! faults — partitions, heals, crashes, recoveries, and degradation
 //! episodes (burst loss, duplication, delay inflation) — generated from a
-//! seed and applied to a [`Sim`](crate::sim::Sim) before the run starts.
+//! seed and applied to a [`Sim`] before the run starts.
 //! The generator enforces the safety rules the virtual-synchrony checker
 //! relies on:
 //!

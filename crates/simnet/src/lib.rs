@@ -65,7 +65,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::{
         fault::{FaultKind, FaultPlan, FaultPlanConfig},
-        metrics::{Histogram, Metrics, TimeSeries},
+        metrics::{Histogram, Metrics},
         net::{LatencyModel, NetConfig},
         obs::{FlightRecorder, ObsEvent, Probe, ProbeHandle, SpanId},
         process::{Ctx, Process, ProcessId, TimerId},

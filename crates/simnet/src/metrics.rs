@@ -1,15 +1,13 @@
-//! Lightweight metrics: named counters, gauges, latency histograms and
-//! ring-buffered time series.
+//! Lightweight metrics: named counters, gauges and latency histograms.
 //!
 //! The experiment harness reads these after a run to produce the tables in
 //! EXPERIMENTS.md and the `experiments bench` table. Everything
 //! is plain in-memory state — no atomics are needed because the simulator
 //! is single-threaded.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 /// A fixed-bucket log-scale histogram of durations (microseconds).
 ///
@@ -143,85 +141,12 @@ impl Histogram {
     }
 }
 
-/// A bounded time series: `(virtual time, value)` samples in a ring
-/// buffer. When full, the oldest sample is evicted, so the series always
-/// holds the most recent `capacity` samples.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct TimeSeries {
-    samples: VecDeque<(SimTime, f64)>,
-    capacity: usize,
-    pushed: u64,
-}
-
-/// Default ring capacity for series created through [`Metrics::sample`].
-pub const DEFAULT_SERIES_CAPACITY: usize = 512;
-
-impl TimeSeries {
-    /// Creates an empty series retaining at most `capacity` samples.
-    pub fn new(capacity: usize) -> Self {
-        TimeSeries {
-            samples: VecDeque::with_capacity(capacity.min(1024)),
-            capacity: capacity.max(1),
-            pushed: 0,
-        }
-    }
-
-    /// Appends a sample, evicting the oldest if the ring is full.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back((at, value));
-        self.pushed += 1;
-    }
-
-    /// Samples currently retained, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.samples.iter().copied()
-    }
-
-    /// Number of retained samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series holds no samples.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Total samples ever pushed (≥ `len()`; the difference is evictions).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<(SimTime, f64)> {
-        self.samples.back().copied()
-    }
-
-    /// Largest retained value, or zero if empty.
-    pub fn max_value(&self) -> f64 {
-        self.samples.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
-    /// Mean of the retained values, or zero if empty.
-    pub fn mean_value(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64
-        }
-    }
-}
-
 /// The metrics sink owned by a simulation run.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    series: BTreeMap<String, TimeSeries>,
 }
 
 /// Applies `update` to the value under `name`, starting it from `init`
@@ -302,22 +227,6 @@ impl Metrics {
         self.histograms.get(name)
     }
 
-    /// Appends a sample to the named time series (created on first use
-    /// with [`DEFAULT_SERIES_CAPACITY`]).
-    pub fn sample(&mut self, name: &str, at: SimTime, value: f64) {
-        upsert(
-            &mut self.series,
-            name,
-            || TimeSeries::new(DEFAULT_SERIES_CAPACITY),
-            |s| s.push(at, value),
-        );
-    }
-
-    /// Reads a time series, if it exists.
-    pub fn series_get(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
     /// All counters, for reports.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
@@ -332,11 +241,6 @@ impl Metrics {
     /// [`Metrics::counters`] / [`Metrics::gauges`].
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// All time series, in name order.
-    pub fn series(&self) -> impl Iterator<Item = (&str, &TimeSeries)> {
-        self.series.iter().map(|(k, v)| (k.as_str(), v))
     }
 }
 
@@ -484,34 +388,6 @@ mod tests {
             got,
             vec![("a.lat".to_string(), 2), ("b.lat".to_string(), 1)]
         );
-    }
-
-    #[test]
-    fn time_series_rings() {
-        let mut s = TimeSeries::new(3);
-        for i in 0..5u64 {
-            s.push(SimTime::from_millis(i), i as f64);
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.total_pushed(), 5);
-        let kept: Vec<f64> = s.iter().map(|(_, v)| v).collect();
-        assert_eq!(kept, vec![2.0, 3.0, 4.0]);
-        assert_eq!(s.last(), Some((SimTime::from_millis(4), 4.0)));
-        assert_eq!(s.max_value(), 4.0);
-        assert_eq!(s.mean_value(), 3.0);
-    }
-
-    #[test]
-    fn metrics_sample_creates_and_appends() {
-        let mut m = Metrics::new();
-        m.sample("q.depth", SimTime::from_millis(1), 2.0);
-        m.sample("q.depth", SimTime::from_millis(2), 5.0);
-        let s = m.series_get("q.depth").unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.max_value(), 5.0);
-        assert!(m.series_get("missing").is_none());
-        let names: Vec<&str> = m.series().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["q.depth"]);
     }
 
     mod proptests {

@@ -144,7 +144,7 @@ pub enum PhaseEdge {
 /// Why a message waited before delivery — the latency-ledger cause
 /// taxonomy. Each delivered message's send→deliver interval decomposes
 /// into wire transit plus zero or more of these waits; the ledger
-/// ([`catocs::ledger`] downstream) tiles them into an exact latency
+/// (`catocs::ledger`, downstream) tiles them into an exact latency
 /// attribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WaitKind {

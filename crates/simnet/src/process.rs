@@ -174,12 +174,12 @@ pub trait Process<M> {
     }
 
     /// Telemetry hook: report instantaneous gauges (queue depths,
-    /// holdback sizes, buffered bytes, …) by name. The simulator calls
-    /// this on every live process at the sampling cadence configured via
-    /// `SimBuilder::sample_every` and folds the values into per-name
-    /// time series in [`Metrics`](crate::metrics::Metrics). Read-only
-    /// with respect to the simulation: no RNG, no sends, no timers — a
-    /// sampled run replays byte-identically to an unsampled one.
+    /// holdback sizes, buffered bytes, …) by name. The simulator never
+    /// calls it; an observer does, between slices of a run (see
+    /// [`Sim::run_until_each`](crate::sim::Sim::run_until_each)) — the
+    /// `experiments bench` group runs keep each gauge's peak this way.
+    /// Read-only: it takes `&self` and no [`Ctx`], so asking cannot
+    /// perturb the run.
     fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         let _ = emit;
     }

@@ -9,7 +9,6 @@ use crate::trace::{Trace, TraceEvent};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// Builds a [`Sim`] with a seed and network configuration.
@@ -29,7 +28,6 @@ pub struct SimBuilder {
     seed: u64,
     net: NetConfig,
     trace: bool,
-    sample_every: Option<SimDuration>,
 }
 
 impl SimBuilder {
@@ -39,7 +37,6 @@ impl SimBuilder {
             seed,
             net: NetConfig::default(),
             trace: false,
-            sample_every: None,
         }
     }
 
@@ -52,18 +49,6 @@ impl SimBuilder {
     /// Enables event-trace recording.
     pub fn trace(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Enables time-series sampling: every `cadence` of virtual time,
-    /// every live process's [`Process::sample`] gauges are folded into
-    /// `ts.<name>.sum` / `ts.<name>.max` series in the run's metrics
-    /// (plus a built-in `ts.sim.queue` series for event-queue depth).
-    /// Sampling touches no RNG and schedules no events, so a sampled run
-    /// replays byte-identically to an unsampled one.
-    pub fn sample_every(mut self, cadence: SimDuration) -> Self {
-        assert!(cadence > SimDuration::ZERO, "sampling cadence must be > 0");
-        self.sample_every = Some(cadence);
         self
     }
 
@@ -85,10 +70,6 @@ impl SimBuilder {
             metrics: Metrics::new(),
             tally: NetTally::default(),
             stop: false,
-            sample_every: self.sample_every,
-            next_sample: self.sample_every.map(|c| SimTime::ZERO + c),
-            gauges: BTreeMap::new(),
-            group_sampler: None,
             outgoing: Vec::new(),
             recipients: Vec::new(),
             timers: Vec::new(),
@@ -110,12 +91,6 @@ pub struct Sim<M> {
     metrics: Metrics,
     tally: NetTally,
     stop: bool,
-    sample_every: Option<SimDuration>,
-    next_sample: Option<SimTime>,
-    /// Every gauge name a process has ever emitted, with its fold for the
-    /// sampling pass in progress.
-    gauges: BTreeMap<String, GaugeSeries>,
-    group_sampler: Option<GroupSampler>,
     /// The send and timer buffers lent to each callback's [`Ctx`], kept
     /// between callbacks for their capacity (empty in between).
     outgoing: Vec<Outgoing<M>>,
@@ -130,8 +105,8 @@ const NETWORK: ProcessId = ProcessId(usize::MAX);
 
 /// The simulator's own traffic figures. They move once or more per copy
 /// sent, so they are plain fields here and reach [`Metrics`], under their
-/// `net.*` names, only at the points where someone can look: the end of
-/// [`Sim::run_until`] and each sampling tick.
+/// `net.*` names, only at the end of [`Sim::run_until`]: the point where
+/// someone can look.
 #[derive(Default)]
 struct NetTally {
     sent: u64,
@@ -162,24 +137,6 @@ impl NetTally {
         }
     }
 }
-
-/// One gauge's `ts.<name>.sum` / `ts.<name>.max` series names, built when
-/// the gauge is first seen, and its (sum, max) over the processes that
-/// emitted it in the current sampling pass.
-struct GaugeSeries {
-    sum_name: String,
-    max_name: String,
-    tick: Option<(f64, f64)>,
-}
-
-/// A whole-group sampling hook, run after the per-process gauge pass on
-/// every sampling tick: it sees every process (as `&dyn Any`, with its
-/// liveness) at once, so it can compute cross-process aggregates — e.g.
-/// the wait-graph stall analysis — that no single process can. Hooks
-/// must be read-only with respect to process state (they only get shared
-/// references) and must not touch RNG or the event queue, so installing
-/// one cannot perturb a run.
-pub type GroupSampler = Box<dyn FnMut(SimTime, &[(&dyn Any, bool)], &mut Metrics)>;
 
 /// Object-safe union of `Process<M>` and `Any`, enabling typed access to a
 /// process's final state after a run (see [`Sim::process`]).
@@ -318,8 +275,6 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             // campaigns keep running) — is retired without being made.
             let is_copy = matches!(kind, EventKind::Deliver { .. });
             let dead_letter = is_copy && !self.is_alive(to);
-            // Fire any sample points due strictly before the next event.
-            self.sample_until(t.min(deadline));
             // An event scheduled before a deadline already run to fires
             // now: the clock never steps back.
             self.now = self.now.max(t);
@@ -331,9 +286,6 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             }
             processed += 1;
         }
-        if !self.stop {
-            self.sample_until(deadline);
-        }
         if self.now < deadline && !self.stop {
             self.now = deadline;
         }
@@ -341,80 +293,33 @@ impl<M: Debug + Clone + 'static> Sim<M> {
         processed
     }
 
-    /// Takes every pending sample at or before `upto`, advancing the
-    /// virtual clock to each sample point in turn.
-    fn sample_until(&mut self, upto: SimTime) {
-        let Some(cadence) = self.sample_every else {
-            return;
-        };
-        while let Some(at) = self.next_sample {
-            if at > upto {
+    /// [`Sim::run_until`] `deadline`, handing `look` the run at each
+    /// multiple of `every` after the clock's time, up to `deadline`. The
+    /// look at `at` sees every event before `at` and none at or after it,
+    /// however the run is sliced; it gets the simulator by shared
+    /// reference, so looking cannot perturb the run. Once a process has
+    /// stopped the run there is nothing more to look at.
+    ///
+    /// Returns the number of events processed.
+    pub fn run_until_each(
+        &mut self,
+        deadline: SimTime,
+        every: SimDuration,
+        mut look: impl FnMut(SimTime, &Self),
+    ) -> u64 {
+        let step = every.as_micros();
+        assert!(step > 0, "a look every 0 µs never ends");
+        let mut at = SimTime::from_micros((self.now.as_micros() / step + 1) * step);
+        let mut processed = 0;
+        while at <= deadline {
+            processed += self.run_until(at - SimDuration::from_micros(1));
+            if self.stop {
                 break;
             }
-            self.now = self.now.max(at);
-            self.take_samples(at);
-            self.next_sample = Some(at + cadence);
+            look(at, self);
+            at += every;
         }
-    }
-
-    /// One sampling pass: fold every live process's gauges into
-    /// per-name sum/max series, plus the built-in event-queue depth.
-    fn take_samples(&mut self, at: SimTime) {
-        self.tally.fold_into(&mut self.metrics);
-        let gauges = &mut self.gauges;
-        for (i, p) in self.procs.iter().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            p.sample(&mut |name: &str, v: f64| {
-                let fold = |g: &mut GaugeSeries| {
-                    let (sum, max) = g.tick.get_or_insert((0.0, f64::MIN));
-                    *sum += v;
-                    *max = max.max(v);
-                };
-                match gauges.get_mut(name) {
-                    Some(g) => fold(g),
-                    None => {
-                        let mut g = GaugeSeries {
-                            sum_name: format!("ts.{name}.sum"),
-                            max_name: format!("ts.{name}.max"),
-                            tick: None,
-                        };
-                        fold(&mut g);
-                        gauges.insert(name.to_string(), g);
-                    }
-                }
-            });
-        }
-        // A gauge nobody emitted this time gets no sample this time.
-        for g in gauges.values_mut() {
-            if let Some((sum, max)) = g.tick.take() {
-                self.metrics.sample(&g.sum_name, at, sum);
-                self.metrics.sample(&g.max_name, at, max);
-            }
-        }
-        self.metrics
-            .sample("ts.sim.queue", at, self.queue.len() as f64);
-        // Whole-group hook last, so it can see the same instant the
-        // per-process series describe. Taken out and restored to keep
-        // the borrows disjoint.
-        if let Some(mut hook) = self.group_sampler.take() {
-            let views: Vec<(&dyn Any, bool)> = self
-                .procs
-                .iter()
-                .zip(self.alive.iter())
-                .map(|(p, &alive)| (p.as_any(), alive))
-                .collect();
-            hook(at, &views, &mut self.metrics);
-            self.group_sampler = Some(hook);
-        }
-    }
-
-    /// Installs a whole-group sampling hook (see [`GroupSampler`]); it
-    /// fires on the [`SimBuilder::sample_every`] cadence after the
-    /// per-process gauge pass. Replaces any previous hook.
-    pub fn set_group_sampler(&mut self, hook: GroupSampler) {
-        self.group_sampler = Some(hook);
+        processed + self.run_until(deadline)
     }
 
     /// `kind` happens to `to`, now. A `Deliver` gets here only if `to`
@@ -865,8 +770,12 @@ mod tests {
         assert!(sim.is_alive(ProcessId(0)));
     }
 
+    /// The look at `at` sees the run just before `at`: the 100 ms timer
+    /// has not fired in the look at 100 ms, nor the 200 ms one in the
+    /// look at the deadline, though the run returned has run both. A
+    /// second call looks from the clock's time on.
     #[test]
-    fn sampler_records_series_at_cadence() {
+    fn a_look_sees_every_event_before_its_instant_and_none_at_it() {
         struct Depth {
             d: usize,
         }
@@ -874,51 +783,40 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
                 ctx.set_timer(TimerId(0), SimDuration::from_millis(100));
             }
-            fn on_timer(&mut self, _ctx: &mut Ctx<'_, Msg>, _t: TimerId) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, t: TimerId) {
                 self.d += 10;
-            }
-            fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-                emit("depth", self.d as f64);
+                ctx.set_timer(t, SimDuration::from_millis(100));
             }
         }
-        let mut sim = SimBuilder::new(1)
-            .sample_every(SimDuration::from_millis(50))
-            .build::<Msg>();
-        sim.add_process(Depth { d: 1 });
-        sim.add_process(Depth { d: 3 });
-        sim.run_until(SimTime::from_millis(250));
-        // Sample points: 50, 100, 150, 200, 250ms = 5 samples.
-        let sum = sim
-            .metrics()
-            .series_get("ts.depth.sum")
-            .expect("sum series");
-        let max = sim
-            .metrics()
-            .series_get("ts.depth.max")
-            .expect("max series");
-        assert_eq!(sum.len(), 5);
-        assert_eq!(max.len(), 5);
-        // Before the 100ms timer: 1 + 3; after: 11 + 13.
-        let vals: Vec<f64> = sum.iter().map(|(_, v)| v).collect();
-        assert_eq!(vals, vec![4.0, 4.0, 24.0, 24.0, 24.0]);
-        assert_eq!(max.last().unwrap().1, 13.0);
-        assert!(sim.metrics().series_get("ts.sim.queue").is_some());
-    }
-
-    #[test]
-    fn sampling_does_not_perturb_replay() {
-        let digest = |sampled: bool| {
-            let mut b = SimBuilder::new(42).net(NetConfig::lossy_lan(0.1)).trace();
-            if sampled {
-                b = b.sample_every(SimDuration::from_millis(10));
-            }
-            let mut sim = b.build::<Msg>();
-            sim.add_process(Pinger::default());
-            sim.add_process(Pinger::default());
-            sim.run_until(SimTime::from_secs(1));
-            sim.trace().digest()
+        let run = || {
+            let mut sim = SimBuilder::new(1).build::<Msg>();
+            sim.add_process(Depth { d: 1 });
+            sim.add_process(Depth { d: 3 });
+            sim
         };
-        assert_eq!(digest(false), digest(true));
+        let depth = |sim: &Sim<Msg>| -> usize {
+            let d = |p| sim.process::<Depth>(ProcessId(p)).unwrap().d;
+            d(0) + d(1)
+        };
+        let mut sim = run();
+        let mut seen = Vec::new();
+        let every = SimDuration::from_millis(50);
+        let events = sim.run_until_each(SimTime::from_millis(200), every, |at, sim| {
+            seen.push((at.as_millis(), depth(sim)));
+        });
+        assert_eq!(seen, [(50, 4), (100, 4), (150, 24), (200, 24)]);
+        assert_eq!(depth(&sim), 44);
+        assert_eq!(sim.now(), SimTime::from_millis(200));
+        let mut uncut = run();
+        assert_eq!(events, uncut.run_until(SimTime::from_millis(200)));
+
+        sim.run_until(SimTime::from_millis(220));
+        seen.clear();
+        sim.run_until_each(SimTime::from_millis(320), every, |at, sim| {
+            seen.push((at.as_millis(), depth(sim)));
+        });
+        assert_eq!(seen, [(250, 44), (300, 44)]);
+        assert_eq!(depth(&sim), 64);
     }
 
     /// Every process pings all the others each 5 ms, `rounds` times, and
@@ -1087,12 +985,12 @@ mod tests {
                 ctx.set_timer(TimerId(0), SimDuration::from_millis(10));
             }
         }
-        let mut sim = SimBuilder::new(1)
-            .sample_every(SimDuration::from_millis(5))
-            .build::<Msg>();
+        let mut sim = SimBuilder::new(1).build::<Msg>();
         sim.add_process(Idle);
-        sim.run_until(SimTime::from_millis(50));
-        // Report tables iterate these maps: a zero row is still a row.
+        let every = SimDuration::from_millis(5);
+        sim.run_until_each(SimTime::from_millis(50), every, |_, _| {});
+        // Report tables iterate these maps: a zero row is still a row,
+        // and each slice of the run folds the figures once more.
         let net: Vec<&str> = sim
             .metrics()
             .counters()
@@ -1101,5 +999,55 @@ mod tests {
             .collect();
         assert!(net.is_empty(), "{net:?}");
         assert!(sim.metrics().histogram("net.latency").is_none());
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A second of lossy pinging, run to each cut in turn and then to
+        /// the end: the trace digest, the event count and the `net.*`
+        /// figures.
+        fn run(seed: u64, cuts: &[u64]) -> (u64, u64, Vec<(String, u64)>) {
+            let mut sim = SimBuilder::new(seed)
+                .net(NetConfig::lossy_lan(0.1))
+                .trace()
+                .build::<Msg>();
+            for _ in 0..3 {
+                sim.add_process(Fan {
+                    via_multicast: true,
+                    rounds: 200,
+                });
+            }
+            let mut events = 0;
+            for &cut in cuts {
+                events += sim.run_until(SimTime::from_micros(cut));
+            }
+            events += sim.run_until(SimTime::from_secs(1));
+            let m = sim.metrics();
+            let mut net: Vec<(String, u64)> = m
+                .counters()
+                .filter(|(name, _)| name.starts_with("net."))
+                .map(|(name, n)| (name.to_string(), n))
+                .collect();
+            let latency = m.histogram("net.latency").expect("something arrived");
+            net.push(("net.latency.count".into(), latency.count()));
+            net.push(("net.latency.sum".into(), latency.sum_micros() as u64));
+            (sim.trace().digest(), events, net)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+            /// Where a run stops and resumes is invisible to it: the
+            /// contract every look between slices rests on.
+            #[test]
+            fn a_run_cut_anywhere_is_the_run_uncut(
+                seed in 0u64..1_000,
+                mut cuts in collection::vec(0u64..1_000_000, 0..12),
+            ) {
+                cuts.sort_unstable();
+                prop_assert_eq!(run(seed, &cuts), run(seed, &[]));
+            }
+        }
     }
 }
