@@ -494,6 +494,8 @@ mod tests {
         let scan_large = measure(256, false, false);
         let idx_small = measure(16, true, false);
         let idx_large = measure(256, true, false);
+        let delta_small = measure(16, true, true);
+        let delta_large = measure(256, true, true);
         // The scan queue's per-event work tracks the holdback size...
         assert!(
             scan_large.work_per_event > 4.0 * scan_small.work_per_event,
@@ -502,12 +504,20 @@ mod tests {
             scan_large.work_per_event
         );
         // ...the indexed queue's does not (registrations are bounded by
-        // the active-sender count, not the queue length).
+        // the active-sender count, not the queue length)...
         assert!(
             idx_large.work_per_event < 4.0 * idx_small.work_per_event.max(1.0),
             "indexed work/event {} -> {}",
             idx_small.work_per_event,
             idx_large.work_per_event
+        );
+        // ...nor under delta stamps, where each gap a parked copy opens
+        // is registered once, not probed again by every later arrival.
+        assert!(
+            delta_large.work_per_event < 2.0 * delta_small.work_per_event,
+            "indexed+delta work/event {} -> {}",
+            delta_small.work_per_event,
+            delta_large.work_per_event
         );
         assert!(
             idx_large.work_per_event < scan_large.work_per_event / 4.0,

@@ -21,6 +21,7 @@ use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
 use simnet::time::SimTime;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
@@ -35,13 +36,6 @@ use std::ops::RangeInclusive;
 /// one more than a few thousand messages behind. (The same argument for
 /// a decoded clock's *width* is [`VectorClock::MAX_DELTA_WIDTH`].)
 pub const MAX_CHASE_AHEAD: u64 = 1 << 20;
-
-/// The longest gossiped gap whose ids are each put to the holdback probe
-/// and the `missing` map whether chased or not: finding the chased ones
-/// first ([`unchased`]) costs two descents of the map, more than it saves
-/// on the gaps of an id or two that gossip names in a group losing the
-/// odd packet (`dense_cbcast` ran 2-3 % slower with every gap walked).
-const PROBED_GAP: u64 = 3;
 
 /// Nominal application payload size, bytes: what every buffered message
 /// is charged on top of its wire state in the buffered-bytes gauges.
@@ -100,29 +94,6 @@ pub(crate) struct Missing {
     last_nack: SimTime,
 }
 
-/// The messages `seqs` of sender `k` that are not in `missing`, ascending.
-/// The chased ids of the range are walked beside it, not looked up one
-/// by one, so an id already chased costs one comparison — and is never
-/// put to a parked test, a map entry or the holdback probe, which is
-/// counted as work. An empty range (a dead sender's cut at or below what
-/// was delivered) yields nothing.
-fn unchased(
-    missing: &BTreeMap<MsgId, Missing>,
-    k: usize,
-    seqs: RangeInclusive<u64>,
-) -> impl Iterator<Item = MsgId> + '_ {
-    let id = move |seq| MsgId { sender: k, seq };
-    // `BTreeMap::range` panics on a range that runs backwards.
-    let chased = (!seqs.is_empty()).then(|| missing.range(id(*seqs.start())..=id(*seqs.end())));
-    let mut chased = chased
-        .into_iter()
-        .flatten()
-        .map(|(id, _)| id.seq)
-        .peekable();
-    seqs.filter(move |seq| chased.next_if_eq(seq).is_none())
-        .map(id)
-}
-
 /// State and behaviour common to [`crate::cbcast::CbcastEndpoint`] and
 /// [`crate::pccast::PccastEndpoint`]: the delivered clock, the holdback
 /// queue, the unstable-message buffer with its stability tracker and GC,
@@ -145,6 +116,16 @@ pub struct CausalCore<P> {
     pub(crate) stability: StabilityTracker,
     /// Known-missing messages awaiting NACK/recovery.
     pub(crate) missing: BTreeMap<MsgId, Missing>,
+    /// Registration frontier: every message `seq` of sender `k` in
+    /// `(vt[k], known[k]]` is chased (`missing`), held (`holdback`) or
+    /// parked (cbcast's undecoded deltas). A gap walk starts above it,
+    /// so an id is put to those three tests once, not once a mention.
+    /// Holds between endpoint calls; inside one it lapses only between a
+    /// data copy leaving `missing` and entering the holdback. Whatever
+    /// takes an id out of all three undelivered lowers it
+    /// ([`Self::unregister_from`]); an install sets a removed sender's to
+    /// the cut.
+    known: Vec<u64>,
     /// Which senders are members of the current view. Removed senders'
     /// messages are accepted only up to the flush cut.
     pub(crate) alive: Vec<bool>,
@@ -189,6 +170,7 @@ impl<P: Clone> CausalCore<P> {
             buffer: BTreeMap::new(),
             stability: StabilityTracker::new(n),
             missing: BTreeMap::new(),
+            known: vec![0; n],
             alive: vec![true; n],
             cut: VectorClock::new(n),
             frozen: false,
@@ -395,7 +377,8 @@ impl<P: Clone> CausalCore<P> {
     /// - Removed senders are marked dead: holdback entries beyond the cut
     ///   are purged, and anything of theirs still missing at or below the
     ///   cut is chased via NACK (some survivor delivered it, so some
-    ///   survivor buffers it).
+    ///   survivor buffers it). That registers every id up to the cut, and
+    ///   none beyond it will ever be: the frontier becomes the cut.
     /// - Stability masks dead rows so the stable frontier (and GC) can
     ///   advance without the departed members' acks.
     ///
@@ -419,6 +402,7 @@ impl<P: Clone> CausalCore<P> {
                         self.chase_on_tick(id, s);
                     }
                 }
+                self.known[s] = self.cut.get(s);
             }
         }
         let (alive, cut) = (&self.alive, &self.cut);
@@ -552,12 +536,12 @@ impl<P: Clone> CausalCore<P> {
     /// ahead of ours ([`MAX_CHASE_AHEAD`]), or from no member of the
     /// group, is counted and ignored whole.
     ///
-    /// Every peer's gossip names the same open gap until it closes, so
-    /// in a gap longer than [`PROBED_GAP`] the ids already chased are
-    /// stepped over ([`unchased`]): the `missing` map ends entry for
-    /// entry as the id-by-id loop would leave it, and `holdback_work` no
-    /// longer counts a probe for a chased id a peer mentions again. The
-    /// gap's *held* ids are still probed, in the same order as ever.
+    /// Every peer's gossip names the same open gap until it closes, and
+    /// only its first mention has anything to add: the walk starts at the
+    /// registration frontier ([`Self::register_range`]), so a gap a peer
+    /// mentions again costs no holdback probe, chased, held or parked.
+    /// The `missing` map ends entry for entry as the id-by-id loop would
+    /// leave it.
     pub(crate) fn on_ack_gossip(
         &mut self,
         now: SimTime,
@@ -574,28 +558,17 @@ impl<P: Clone> CausalCore<P> {
             return;
         }
         self.stability.update_row(from, delivered);
+        let info = Missing {
+            referenced_by: from,
+            last_nack: SimTime::MAX,
+        };
         for (k, have, theirs) in ahead {
             let hi = if self.alive[k] {
                 theirs
             } else {
                 theirs.min(self.cut.get(k))
             };
-            if hi.saturating_sub(have) <= PROBED_GAP {
-                for seq in (have + 1)..=hi {
-                    let id = MsgId { sender: k, seq };
-                    if !self.holdback.contains(id) && !parked(id) {
-                        self.chase_on_tick(id, from);
-                    }
-                }
-            } else {
-                // Every peer's gossip names the same open gap until it
-                // closes; only its first mention has anything to add.
-                let fresh = unchased(&self.missing, k, (have + 1)..=hi);
-                let fresh = fresh.filter(|&id| !self.holdback.contains(id) && !parked(id));
-                for id in fresh.collect::<Vec<_>>() {
-                    self.chase_on_tick(id, from);
-                }
-            }
+            self.register_range(k, (have + 1)..=hi, &parked, info, |_| {});
         }
         self.collect_garbage(now);
     }
@@ -650,12 +623,70 @@ impl<P: Clone> CausalCore<P> {
         });
     }
 
+    /// Enters `info` in `missing` for every message `seqs` of sender `k`
+    /// that is neither chased, `parked` nor held, and hands each such id
+    /// to `fresh`, ascending — asking only of the ids above the
+    /// registration frontier ([`Self::known`]). A gap is referenced again
+    /// by every message that arrives while it is open and named again by
+    /// every peer's gossip, and none of those mentions has anything to
+    /// add to it. A range that starts at or below the frontier is walked
+    /// from it and raises it to the range's end. One that starts above it
+    /// leaves ids below its start unvouched for, so it is walked whole
+    /// and the frontier stays. Cheapest test first: the one map descent
+    /// that finds an id chased is the one that enters it if not.
+    fn register_range(
+        &mut self,
+        k: usize,
+        seqs: RangeInclusive<u64>,
+        parked: impl Fn(MsgId) -> bool,
+        info: Missing,
+        mut fresh: impl FnMut(MsgId),
+    ) {
+        let (mut lo, hi) = seqs.into_inner();
+        let from = self.known[k].max(self.vt.get(k));
+        if lo <= from + 1 {
+            lo = lo.max(from + 1);
+            self.known[k] = self.known[k].max(hi);
+        }
+        for seq in lo..=hi {
+            let id = MsgId { sender: k, seq };
+            if let Entry::Vacant(slot) = self.missing.entry(id) {
+                if !parked(id) && !self.holdback.contains(id) {
+                    slot.insert(info);
+                    fresh(id);
+                }
+            }
+        }
+    }
+
+    /// Messages `seq..` of sender `k` left the chased, held and parked
+    /// sets undelivered: the registration frontier falls below them.
+    pub(crate) fn unregister_from(&mut self, k: usize, seq: u64) {
+        self.known[k] = self.known[k].min(seq.saturating_sub(1));
+    }
+
+    /// Asserts the registration frontier's invariant ([`Self::known`])
+    /// for every sender, under debug assertions.
+    pub(crate) fn debug_assert_frontier(&self, parked: impl Fn(MsgId) -> bool) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (k, &known) in self.known.iter().enumerate() {
+            for seq in (self.vt.get(k) + 1)..=known {
+                let id = MsgId { sender: k, seq };
+                assert!(
+                    self.missing.contains_key(&id) || self.holdback.peek(id) || parked(id),
+                    "P{}: {id} is at or below the frontier {known}, unregistered",
+                    self.me
+                );
+            }
+        }
+    }
+
     /// Records as missing, first learned of via `via`, every message
-    /// `seqs` of sender `k` that is not already chased, `parked` or held;
-    /// newly missing ids join the immediate NACK `want` (capped).
-    /// Cheapest test first ([`unchased`]): a gap is referenced again by
-    /// every message that arrives while it is open, and none of those
-    /// arrivals has anything to add to it.
+    /// `seqs` of sender `k` that is not already chased, `parked` or held
+    /// ([`Self::register_range`]); newly missing ids join the immediate
+    /// NACK `want` (capped).
     pub(crate) fn note_missing_range(
         &mut self,
         now: SimTime,
@@ -665,20 +696,16 @@ impl<P: Clone> CausalCore<P> {
         parked: impl Fn(MsgId) -> bool,
         want: &mut Vec<MsgId>,
     ) {
-        let fresh = unchased(&self.missing, k, seqs);
-        let fresh = fresh.filter(|&id| !parked(id) && !self.holdback.contains(id));
-        for id in fresh.collect::<Vec<_>>() {
-            self.missing.insert(
-                id,
-                Missing {
-                    referenced_by: via,
-                    last_nack: now,
-                },
-            );
-            if want.len() < self.cfg.max_nack_batch {
+        let cap = self.cfg.max_nack_batch;
+        let info = Missing {
+            referenced_by: via,
+            last_nack: now,
+        };
+        self.register_range(k, seqs, parked, info, |id| {
+            if want.len() < cap {
                 want.push(id);
             }
-        }
+        });
     }
 
     /// Sends one NACK for `want` (if any) to `dest`.
@@ -898,11 +925,14 @@ impl<P: Clone> CausalCore<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cbcast::CbcastEndpoint;
     use crate::endpoint::CausalEndpoint;
     use crate::group::CausalDiscipline;
     use crate::holdback::Pending;
     use crate::wire::VtWire;
     use proptest::prelude::*;
+    use simnet::time::SimDuration;
+    use std::collections::{HashMap, VecDeque};
 
     fn clock(e: &[u64]) -> VectorClock {
         VectorClock::from_entries(e.to_vec())
@@ -1057,7 +1087,7 @@ mod tests {
     /// chased (by different members, NACKed and not), held, parked
     /// (cbcast) and new; sender 2's is chased throughout; senders 3, 4
     /// and 5 are dead with the cut below, inside and above their gaps.
-    /// Sender 4's gap, of two ids, is short enough to be probed whole.
+    /// The same clock gossiped again asks nothing.
     #[test]
     fn a_gossiped_gap_is_chased_exactly_as_its_ids_would_be() {
         let now = SimTime::from_millis(9);
@@ -1093,8 +1123,10 @@ mod tests {
                     assert_eq!(ep.parked_len(), 1);
                 }
                 let core = ep.core_mut();
-                // Parking chased the FIFO gap below the parked copy.
+                // Parking chased the FIFO gap below the parked copy and
+                // registered it; forgetting the chase forgets both.
                 core.missing.clear();
+                core.known.fill(0);
                 core.vt.set(3, 2);
                 for (k, cut) in [(3, 1), (4, 2), (5, 9)] {
                     core.alive[k] = false;
@@ -1121,10 +1153,13 @@ mod tests {
                 from: 2,
                 delivered: theirs.clone(),
             };
-            let (dels, outs) = walked.on_wire(now, gossip);
+            let (dels, outs) = walked.on_wire(now, gossip.clone());
             assert!(dels.is_empty() && outs.is_empty());
             let oracle = probed.core_mut();
             oracle.on_ack_gossip_id_by_id(now, 2, &theirs, parked);
+            let first = walked.core().holdback.work();
+            walked.on_wire(now, gossip);
+            assert_eq!(walked.core().holdback.work(), first, "{discipline:?}");
 
             let (walked, probed) = (walked.core(), probed.core());
             let got = missing_entries(walked);
@@ -1142,10 +1177,9 @@ mod tests {
                 assert_eq!(core.stats.ts_decode_errors, 0);
             }
             assert_eq!(walked.stable_frontier(), probed.stable_frontier());
-            // Every chased id of a gap long enough to be walked was a
-            // counted probe, and is none.
-            let in_long_gap = chased.iter().filter(|(id, ..)| id.sender != 4);
-            let stepped_over = in_long_gap.count() as u64;
+            // Every chased id was a counted probe, and is none; so is the
+            // parked one, now asked whether it is parked first.
+            let stepped_over = chased.len() as u64 + u64::from(cbcast);
             let saved = probed.holdback.work() - walked.holdback.work();
             assert_eq!(saved, stepped_over, "{discipline:?}");
         }
@@ -1177,15 +1211,21 @@ mod tests {
         }
 
         /// `note_missing_range` against `note_missing` id by id, from
-        /// identical states: same `missing`, same `want`, same counted
-        /// holdback probes, whether the range is chased in full, in part
-        /// or not at all, held, parked or neither.
+        /// identical states, for a range and then a second one that may
+        /// overlap it, start inside, below or above it, or reach past
+        /// it: same `missing`, same `want` each time, whether a range is
+        /// chased in full, in part or not at all, held, parked or
+        /// neither. The first range asks the holdback as many probes as
+        /// the ids would; the second, from the frontier the first left,
+        /// no more.
         #[test]
         fn a_range_is_noted_exactly_as_its_ids_would_be(
             chased in collection::vec(1u64..12, 0..12),
             held in collection::vec(2u64..12, 0..4),
             lo in 1u64..12,
             len in 0u64..12,
+            lo2 in 1u64..16,
+            len2 in 0u64..12,
             cap in 1usize..6,
         ) {
             let now = SimTime::from_millis(1);
@@ -1202,16 +1242,172 @@ mod tests {
                 core
             };
             let (mut by_range, mut by_id) = (build(), build());
-            let (mut want_range, mut want_id) = (Vec::new(), Vec::new());
-            let seqs = lo..=(lo + len).saturating_sub(1);
             let parked = |id: MsgId| id.seq.is_multiple_of(5);
-            by_range.note_missing_range(now, 1, seqs.clone(), 1, parked, &mut want_range);
-            for seq in seqs {
-                by_id.note_missing(now, MsgId { sender: 1, seq }, 1, parked, &mut want_id);
+            for (i, (lo, len)) in [(lo, len), (lo2, len2)].into_iter().enumerate() {
+                let (mut want_range, mut want_id) = (Vec::new(), Vec::new());
+                let seqs = lo..=(lo + len).saturating_sub(1);
+                by_range.note_missing_range(now, 1, seqs.clone(), 1, parked, &mut want_range);
+                for seq in seqs {
+                    by_id.note_missing(now, MsgId { sender: 1, seq }, 1, parked, &mut want_id);
+                }
+                prop_assert_eq!(want_range, want_id);
+                prop_assert_eq!(missing_entries(&by_range), missing_entries(&by_id));
+                let (asked, would) = (by_range.holdback.work(), by_id.holdback.work());
+                if i == 0 {
+                    prop_assert_eq!(asked, would);
+                } else {
+                    prop_assert!(asked <= would, "{} > {}", asked, would);
+                }
             }
-            prop_assert_eq!(want_range, want_id);
-            prop_assert_eq!(by_range.holdback.work(), by_id.holdback.work());
-            prop_assert_eq!(missing_entries(&by_range), missing_entries(&by_id));
+        }
+    }
+
+    /// The conservative frontier: nothing above the delivered clock is
+    /// taken as registered, so every walk starts where it used to.
+    fn lower_frontier_to_clock<P>(core: &mut CausalCore<P>) {
+        for (k, known) in core.known.iter_mut().enumerate() {
+            *known = core.vt.get(k);
+        }
+    }
+
+    /// One observer call: what it delivered, every NACK it sent, and its
+    /// `missing` map afterwards.
+    type Observed = (
+        Vec<MsgId>,
+        Vec<(Dest, Vec<MsgId>)>,
+        Vec<(MsgId, usize, SimTime)>,
+    );
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// The registration frontier against its conservative self. Three
+        /// of 24 members multicast a delta-stamped causal chain; one
+        /// observer gets it shuffled, with gossiped clocks from anyone
+        /// (each sender's component anywhere up to what it sent), ticks,
+        /// full copies of whatever it NACKs, and at most one view install
+        /// (inside a freeze and thaw) that removes a sender at a cut no
+        /// lower than what was delivered of it. Run once as shipped and
+        /// once with the frontier lowered to the delivered clock before
+        /// every call: the same deliveries, the same NACKs to the same
+        /// members, the same `missing` map after every call — and never
+        /// more holdback work.
+        #[test]
+        fn the_frontier_changes_nothing_but_the_work(
+            total in 6usize..30,
+            keys in collection::vec(0u64..u64::MAX, 30),
+            script in collection::vec((0u8..12, 0usize..24, 0u64..64), 0..48),
+            indexed in bool::ANY,
+            cap in 1usize..6,
+        ) {
+            const N: usize = 24;
+            const SENDERS: [usize; 3] = [0, 7, 19];
+            let cfg = GroupConfig {
+                indexed_holdback: indexed,
+                delta_timestamps: true,
+                max_nack_batch: cap,
+                ..GroupConfig::default()
+            };
+            let mut senders: Vec<CbcastEndpoint<usize>> = SENDERS
+                .iter()
+                .map(|&me| CbcastEndpoint::new(me, N, cfg.clone()))
+                .collect();
+            let mut wires = Vec::new();
+            for step in 0..total {
+                let s = step % SENDERS.len();
+                let (_, out) = senders[s].multicast(SimTime::from_millis(step as u64), step);
+                let (_, w) = out.into_iter().next().expect("a multicast sends its copy");
+                for (r, other) in senders.iter_mut().enumerate() {
+                    if r != s {
+                        other.on_wire(SimTime::from_millis(step as u64), w.clone());
+                    }
+                }
+                wires.push(w);
+            }
+            let store: HashMap<MsgId, DataMsg<usize>> = wires
+                .iter()
+                .map(|w| match w {
+                    Wire::Data(d) => (d.id, d.clone()),
+                    _ => unreachable!("only data is multicast"),
+                })
+                .collect();
+            let sent = |i: usize| senders[i].stats().sent;
+            let mut arrival: Vec<usize> = (0..total).collect();
+            arrival.sort_by_key(|&i| keys[i]);
+
+            let run = |conservative: bool| {
+                let mut obs = CbcastEndpoint::<usize>::new(N - 1, N, cfg.clone());
+                let mut inbox: VecDeque<Wire<usize>> =
+                    arrival.iter().map(|&i| wires[i].clone()).collect();
+                let (mut seen, mut work) = (Vec::<Observed>::new(), Vec::new());
+                let (mut at, mut installed) = (SimTime::from_millis(100), false);
+                let idle = (0u8, 0, 0);
+                for step in 0..script.len() + 8 * total {
+                    let (op, who, x) = script.get(step).copied().unwrap_or(idle);
+                    let before_call = |obs: &mut CbcastEndpoint<usize>| {
+                        if conservative {
+                            lower_frontier_to_clock(obs.core_mut());
+                        }
+                    };
+                    before_call(&mut obs);
+                    at += SimDuration::from_millis(1);
+                    let (dels, outs) = match op {
+                        6..=8 => {
+                            let mut delivered = VectorClock::new(N);
+                            for (i, &k) in SENDERS.iter().enumerate() {
+                                let spread = x.rotate_left(7 * i as u32) ^ who as u64;
+                                delivered.set(k, spread % (sent(i) + 1));
+                            }
+                            obs.on_wire(at, Wire::AckGossip { from: who, delivered })
+                        }
+                        9 | 10 => {
+                            at += SimDuration::from_millis(10);
+                            (Vec::new(), obs.on_tick(at))
+                        }
+                        11 if !installed => {
+                            installed = true;
+                            let i = who % SENDERS.len();
+                            let gone = SENDERS[i];
+                            let mut cut = VectorClock::new(N);
+                            cut.set(gone, (x % (sent(i) + 1)).max(obs.core().clock().get(gone)));
+                            let members: Vec<usize> = (0..N).filter(|&m| m != gone).collect();
+                            obs.core_mut().freeze(at);
+                            before_call(&mut obs);
+                            obs.on_view_install(at, &members, &cut);
+                            before_call(&mut obs);
+                            (obs.thaw(at), Vec::new())
+                        }
+                        _ => match inbox.pop_front() {
+                            Some(w) => obs.on_wire(at, w),
+                            None => {
+                                at += SimDuration::from_millis(10);
+                                (Vec::new(), obs.on_tick(at))
+                            }
+                        },
+                    };
+                    let mut nacks = Vec::new();
+                    for (dest, w) in outs {
+                        if let Wire::Nack { want, .. } = w {
+                            for id in &want {
+                                let mut copy = store[id].clone();
+                                copy.retransmit = true;
+                                copy.make_full();
+                                inbox.push_back(Wire::Data(copy));
+                            }
+                            nacks.push((dest, want));
+                        }
+                    }
+                    let ids = dels.iter().map(|d| d.id).collect();
+                    seen.push((ids, nacks, missing_entries(obs.core())));
+                    work.push(obs.core().holdback.work());
+                }
+                (seen, work)
+            };
+            let (shipped, shipped_work) = run(false);
+            let (conservative, conservative_work) = run(true);
+            prop_assert_eq!(&shipped, &conservative);
+            for (step, (s, c)) in shipped_work.iter().zip(&conservative_work).enumerate() {
+                prop_assert!(s <= c, "step {}: {} > {}", step, s, c);
+            }
         }
     }
 

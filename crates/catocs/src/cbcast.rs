@@ -199,6 +199,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         if !self.skip_view_reset {
             for s in 0..self.core.n {
                 if !members.contains(&s) && self.core.alive[s] {
+                    // The shell re-registers everything up to the cut.
                     self.undecoded[s].clear();
                 }
                 self.decode_chain[s].1 = None;
@@ -208,6 +209,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         self.core.install_view(now, members, cut);
         let core = &self.core;
         self.was_chased.retain(|&id| !core.beyond_cut(id));
+        core.debug_assert_frontier(parked_in(&self.undecoded));
     }
 
     /// Ends the delivery blackout ([`CausalCore::freeze`]): drains the
@@ -218,6 +220,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         let mut delivered = Vec::new();
         self.drain_holdback(now, &mut delivered);
         self.core.end_thaw_drain();
+        self.core.debug_assert_frontier(parked_in(&self.undecoded));
         delivered
     }
 
@@ -300,6 +303,7 @@ impl<P: Clone> CbcastEndpoint<P> {
             _ => {}
         }
         self.core.stats.holdback_work = self.core.holdback.work();
+        self.core.debug_assert_frontier(parked_in(&self.undecoded));
         (delivered, out)
     }
 
@@ -308,6 +312,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         let mut out = Vec::new();
         self.core.gossip(&mut out);
         self.core.renack_overdue(now, &mut out);
+        self.core.debug_assert_frontier(parked_in(&self.undecoded));
         out
     }
 
@@ -389,12 +394,19 @@ impl<P: Clone> CbcastEndpoint<P> {
     /// Advances the per-sender decode chain to (`seq`, `vt`) if that is
     /// newer. Parked deltas at or below the new point lost their exact
     /// base (a full retransmission jumped past them) and are dropped —
-    /// their payloads come back through the missing/NACK machinery.
+    /// their payloads come back through the missing/NACK machinery. A
+    /// parked copy of `seq` itself is the message now decoded, on its way
+    /// to the holdback; one below it leaves the registered ids.
     fn advance_chain(&mut self, sender: usize, seq: u64, vt: VectorClock) {
         let chain = &mut self.decode_chain[sender];
         if seq > chain.0 || (seq == chain.0 && chain.1.is_none()) {
             *chain = (seq, Some(vt));
-            self.undecoded[sender] = self.undecoded[sender].split_off(&(seq + 1));
+            let parked = &mut self.undecoded[sender];
+            let kept = parked.split_off(&(seq + 1));
+            if let Some(&lowest) = parked.keys().next().filter(|&&q| q < seq) {
+                self.core.unregister_from(sender, lowest);
+            }
+            *parked = kept;
         }
     }
 
@@ -426,6 +438,8 @@ impl<P: Clone> CbcastEndpoint<P> {
                 msg.vt = vt;
                 self.advance_chain(sender, next, msg.vt.clone());
                 self.on_data(now, msg, out, delivered);
+            } else {
+                self.core.unregister_from(sender, next);
             }
         }
     }
@@ -852,6 +866,37 @@ mod tests {
         c.on_view_install(t(3), &[1, 2], &VectorClock::new(3));
         assert_eq!(c.core().holdback_len(), 0);
         assert!(c.was_chased.is_empty(), "{:?}", c.was_chased);
+    }
+
+    /// A parked delta that decodes to a timestamp the front door refuses
+    /// is dropped, and so leaves the registered ids: the next mention of
+    /// its gap chases it. Here the second message parks, the third's FIFO
+    /// gap is registered past it, and the second decodes — to a clock far
+    /// ahead — only once the first arrives.
+    #[test]
+    fn a_parked_timestamp_refused_on_decode_is_chased_again() {
+        const FAR: u64 = 1 << 40;
+        let clock = |e: &[u64]| VectorClock::from_entries(e.to_vec());
+        let delta = |seq: u64, vt: &[u64], base: &[u64]| {
+            let mut m = DataMsg::new(MsgId { sender: 0, seq }, clock(vt), "m");
+            m.vt_wire = VtWire::Delta(m.vt.encode_delta(&clock(base)));
+            Wire::Data(m)
+        };
+        let mut c: CbcastEndpoint<&str> = CbcastEndpoint::new(2, 3, GroupConfig::default());
+        c.on_wire(t(1), delta(2, &[2, FAR, 0], &[1, 0, 0]));
+        c.on_wire(t(2), delta(3, &[3, 0, 0], &[2, FAR, 0]));
+        assert_eq!(c.parked_len(), 2);
+        let first = DataMsg::new(MsgId { sender: 0, seq: 1 }, clock(&[1, 0, 0]), "m1");
+        let (dels, _) = c.on_wire(t(3), Wire::Data(first));
+        assert_eq!(dels.len(), 1);
+        assert_eq!((c.parked_len(), c.stats().ts_decode_errors), (1, 1));
+        let gossip = Wire::AckGossip {
+            from: 0,
+            delivered: clock(&[3, 0, 0]),
+        };
+        c.on_wire(t(4), gossip);
+        let chased: Vec<_> = c.core().missing.keys().copied().collect();
+        assert_eq!(chased, [MsgId { sender: 0, seq: 2 }]);
     }
 
     #[test]

@@ -27,14 +27,16 @@
 //! scan's per-event work growing linearly with holdback size while the
 //! index stays flat.
 //!
-//! What is counted is what is asked, so `work` follows the caller: the
-//! causal core steps over an id it is already chasing — when a data
-//! arrival references it again, and, in a gossiped gap of more than a
-//! few ids, when a peer's ack does — without asking the queue about it,
-//! and such a re-reference costs no `work`. An id that is *held* still
-//! pays its [`HoldbackQueue::contains`] probe each time a gossiped gap
-//! spans it: telling held ids apart without a hash probe each needs an
-//! index ordered by id, which this queue does not keep (ROADMAP 5(e)).
+//! What is counted is what is asked, so `work` follows the caller. The
+//! causal core puts an id of a gap to [`HoldbackQueue::contains`] once,
+//! not once a mention: it walks each sender's gap from a registration
+//! frontier below which every undelivered id is chased, held or parked
+//! (`CausalCore::known`), so a later arrival that references the id
+//! again, or a peer's gossip that names it again, costs no `work`. The
+//! frontier falls only when an id leaves those sets undelivered — a
+//! decode-chain jump dropping parked deltas, a parked timestamp that
+//! fails its checks — and the next walk then covers the ids above it
+//! again.
 
 use crate::causal_core::lagging_refs;
 use crate::group::MsgId;
@@ -323,9 +325,13 @@ impl<P> IndexedHoldback<P> {
         self.entries
             .retain(|id, _| id.sender != sender || id.seq <= keep_le);
         let purged = before - self.entries.len();
-        // Stale waiter-list and ready-heap references to the purged ids
-        // are tolerated: `note_delivered` skips ids missing from the
-        // index, and `pop_ready` skips tombstones.
+        // Nothing of `sender` beyond the cut will be delivered, so no
+        // `note_delivered` would ever take the lists waiting on it.
+        self.waiters
+            .retain(|&(s, seq), _| s != sender || seq <= keep_le);
+        // Stale references to the purged ids in the remaining waiter
+        // lists and the ready heap are tolerated: `note_delivered` skips
+        // ids missing from the index, and `pop_ready` skips tombstones.
         self.work += purged as u64;
         purged
     }
@@ -464,6 +470,26 @@ mod tests {
                 "indexed={indexed}"
             );
         }
+    }
+
+    /// A purge also drops the waiter lists keyed on the sender's ids
+    /// beyond the cut: those deliveries never happen, so nothing else
+    /// would ever remove them — one stale list per purged message, at
+    /// every view change.
+    #[test]
+    fn purge_sender_drops_the_waiter_lists_beyond_the_cut() {
+        let mut q: HoldbackQueue<u32> = HoldbackQueue::new(true, 2);
+        let vt = VectorClock::new(2);
+        for seq in 2..=4 {
+            q.insert(pend(1, seq, &[0, seq]), &vt);
+        }
+        q.purge_sender(1, 2);
+        let HoldbackQueue::Indexed(q) = &q else {
+            unreachable!("an indexed queue was asked for")
+        };
+        let mut keys: Vec<_> = q.waiters.keys().copied().collect();
+        keys.sort_unstable();
+        assert_eq!(keys, [(1, 1), (1, 2)]);
     }
 
     /// Regression (dup-after-deliver): a duplicated wire copy arriving

@@ -332,6 +332,7 @@ impl<P: Clone> PccastEndpoint<P> {
         self.links_out.clear();
         self.links_in.clear();
         self.barrier_met = self.check_barrier();
+        self.core.debug_assert_frontier(never_parked);
     }
 
     /// Ends the delivery blackout: thawed deliveries, forwarded copies.
@@ -341,6 +342,7 @@ impl<P: Clone> PccastEndpoint<P> {
         let mut out = Vec::new();
         self.drain(now, &mut delivered, &mut out);
         self.core.end_thaw_drain();
+        self.core.debug_assert_frontier(never_parked);
         (delivered, out)
     }
 
@@ -410,6 +412,7 @@ impl<P: Clone> PccastEndpoint<P> {
             _ => {}
         }
         self.core.stats.holdback_work = self.core.holdback.work();
+        self.core.debug_assert_frontier(never_parked);
         (delivered, out)
     }
 
@@ -433,6 +436,7 @@ impl<P: Clone> PccastEndpoint<P> {
             out.push((Dest::One(nb), w));
         }
         self.core.renack_overdue(now, &mut out);
+        self.core.debug_assert_frontier(never_parked);
         out
     }
 
