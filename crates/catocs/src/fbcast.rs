@@ -287,19 +287,27 @@ impl<P: Clone> FbcastEndpoint<P> {
     /// in every ack of a busy group, so `known_max.lagging(d)` and a
     /// `merge` — the chunked kernel that skips equal runs — find no run
     /// to skip and measured slower (`dense_fifo` 1.54× fell to 1.35×).
+    /// Zipped a block of the clock at a time: two slices zip into an
+    /// indexed loop, where a component-at-a-time walk across the blocks
+    /// measured three times slower.
     fn news_in(&mut self, d: &VectorClock) -> bool {
         self.news.clear();
         if d.get(self.me) > self.next_seq {
             return false;
         }
         // Components past either end: nobody there, or nothing claimed.
-        for (k, (&theirs, &known)) in d.as_slice().iter().zip(&self.known_max).enumerate() {
-            if known < theirs {
-                if self.out_of_reach(k, theirs) {
-                    return false;
+        let mut base = 0;
+        for block in d.blocks() {
+            let known_max = self.known_max.get(base..).unwrap_or_default();
+            for (i, (&theirs, &known)) in block.iter().zip(known_max).enumerate() {
+                if known < theirs {
+                    if self.out_of_reach(base + i, theirs) {
+                        return false;
+                    }
+                    self.news.push((base + i, theirs));
                 }
-                self.news.push((k, theirs));
             }
+            base += block.len();
         }
         true
     }

@@ -14,29 +14,43 @@
 //!
 //! # Sharing
 //!
-//! A clock's components sit behind a reference-counted copy-on-write
-//! slice, so what a receiver pays is proportional to what changed, not to
-//! the group's width:
+//! A clock's components sit in blocks of 64, each a reference-counted
+//! copy-on-write slice. A clock of at most 64 components is its one
+//! block; a wider one is a reference-counted table of them. What a
+//! receiver pays is proportional to what changed, not to the group's
+//! width:
 //!
 //! - `clone` is a count bump, O(1) at any width. The copies a message's
 //!   timestamp makes on its way through an endpoint — the decode chain,
 //!   the holdback queue, the unstable buffer, the wire handed to each
-//!   recipient — are handles on one allocation.
+//!   recipient — are handles on one block or one table.
 //! - The first write that *changes* a component of a shared clock copies
-//!   the components once; the writer then owns its storage. A `set` to
-//!   the value already there, a `merge` that raises nothing, a
-//!   `decode_delta` whose pairs repeat the base, and any operation between
-//!   two handles on one storage copy nothing.
-//! - Equality, hashing and [`VectorClock::compare`] are by value. Sharing
-//!   is never observable through them — only through the allocator.
+//!   the block that component lies in and, in a wide clock, the table
+//!   (one pointer a block); every other block stays shared with the
+//!   clock it came from. A delta decoded against its sender's previous
+//!   timestamp, or a tick of a clock just stamped on a message, costs a
+//!   block, not the width. A `set` to the value already there, a `merge`
+//!   that raises nothing, a `decode_delta` whose pairs repeat the base,
+//!   and any operation between two handles on one storage copy nothing.
+//! - A `merge` that raises a block the other clock's block covers
+//!   component for component takes that block over rather than writing
+//!   into its own, so the two clocks share it from then on.
+//! - An all-zero block is no block at all: a fresh clock, a full decode
+//!   and the padding of a widened clock hold nothing where they hold
+//!   zeros. In a wide group where a few members send, a clock owns a few
+//!   blocks, and a copy of its table counts references for those alone.
+//! - Equality and [`VectorClock::compare`] are by value. Sharing is never
+//!   observable through them — only through the allocator.
 //!
 //! # One scan
 //!
 //! Two clocks a message apart differ in a handful of components however
-//! wide they are. Every two-clock operation here walks the pair through
-//! one kernel that tests sixteen components at a time — `xor` each pair,
-//! `or` the sixteen results, compare the one word with zero — and only
-//! when that word is non-zero looks inside the run, for a bit mask of the
+//! wide they are. Every two-clock operation here walks the pair block by
+//! block, and passes over a pair that is one allocation, or absent on
+//! both sides, without reading it. The other pairs go through one kernel
+//! that tests sixteen components at a time — `xor` each pair, `or` the
+//! sixteen results, compare the one word with zero — and only when that
+//! word is non-zero looks inside the run, for a bit mask of the
 //! components the caller is after. That form is chosen because baseline
 //! x86-64 has no 64-bit integer compare in its vector unit: `a < b` per
 //! component stays scalar, while `xor`/`or` compile to eight 128-bit
@@ -46,7 +60,8 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::iter::{repeat, repeat_n};
+use std::iter::repeat_n;
+use std::slice;
 use std::sync::Arc;
 
 /// Result of comparing two vector clocks.
@@ -65,6 +80,31 @@ pub enum ClockOrd {
 /// Components tested per step of the scan (see the module docs).
 const CHUNK: usize = 16;
 
+/// Components per block (see the module docs): a write to a shared clock
+/// copies 512 bytes, and a 4096-wide clock is a table of 64 blocks.
+const BLOCK: usize = 64;
+
+/// What an absent block reads as.
+static ZEROS: [u64; BLOCK] = [0; BLOCK];
+
+/// [`BLOCK`] components, or fewer in a clock's last block. `None` in a
+/// slot is a block of zeros.
+type Block = Arc<[u64]>;
+
+/// The slot for `words`: no block if they are all zero.
+fn block_of(words: &[u64]) -> Option<Block> {
+    (words.iter().fold(0, |acc, w| acc | w) != 0).then(|| words.into())
+}
+
+/// Whether two slots are one storage: both absent, or one allocation.
+fn same_slot(x: &Option<Block>, y: &Option<Block>) -> bool {
+    match (x, y) {
+        (None, None) => true,
+        (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+        _ => false,
+    }
+}
+
 /// Component `i` of `s`, zero past its end.
 #[inline]
 fn get(s: &[u64], i: usize) -> u64 {
@@ -75,9 +115,8 @@ fn get(s: &[u64], i: usize) -> u64 {
 /// inside `s` or wholly past its end (all zeros); `None` where `s` ends
 /// inside the run.
 fn whole_run(s: &[u64], k: usize) -> Option<&[u64; CHUNK]> {
-    const ZEROS: [u64; CHUNK] = [0; CHUNK];
     if k >= s.len() {
-        Some(&ZEROS)
+        ZEROS.first_chunk()
     } else {
         s[k..].first_chunk()
     }
@@ -93,7 +132,7 @@ fn run_hits(x: &[u64; CHUNK], y: &[u64; CHUNK], hit: impl Fn(u64, u64) -> bool) 
 }
 
 /// Which of the [`CHUNK`] components from `k` on are hits: bit `i` set
-/// where `hit(a[k + i], b[k + i])`, a component past its clock's end
+/// where `hit(a[k + i], b[k + i])`, a component past its block's end
 /// reading as zero. `hit` must be false of equal components: a run whose
 /// `xor`/`or` reduction is zero is not looked into.
 fn hits_at(a: &[u64], b: &[u64], k: usize, hit: impl Fn(u64, u64) -> bool) -> u16 {
@@ -105,7 +144,7 @@ fn hits_at(a: &[u64], b: &[u64], k: usize, hit: impl Fn(u64, u64) -> bool) -> u1
                 run_hits(x, y, hit)
             }
         }
-        // A clock ends inside this run: component by component.
+        // A block ends inside this run: component by component.
         _ => {
             let end = (k + CHUNK).min(a.len().max(b.len()));
             (k..end).fold(0, |bits, i| {
@@ -126,19 +165,62 @@ fn bits(mut set: u16) -> impl Iterator<Item = usize> {
     })
 }
 
+/// The runs of one block pair that hold a hit: `(k, bits)` for the run
+/// from component `k`, ascending (see [`hits_at`]).
+fn block_runs<'a>(
+    x: &'a [u64],
+    y: &'a [u64],
+    hit: impl Fn(u64, u64) -> bool + Copy + 'a,
+) -> impl Iterator<Item = (usize, u16)> + 'a {
+    let runs = (0..x.len().max(y.len())).step_by(CHUNK);
+    runs.map(move |k| (k, hits_at(x, y, k, hit)))
+        .filter(|&(_, set)| set != 0)
+}
+
 /// Ascending `(k, a[k], b[k])` for every component that is a hit (see
 /// [`hits_at`]), over the wider of the two clocks. Written out rather
 /// than composed from adaptors: callers pull from it one `next` at a
 /// time, and the walk from one run with a hit to the next has to stay
 /// one tight loop.
 struct Hits<'a, F> {
-    a: &'a [u64],
-    b: &'a [u64],
+    a: &'a [Option<Block>],
+    b: &'a [Option<Block>],
     hit: F,
-    /// Start of the next run to test.
+    /// Index of the next block pair to open.
+    next_block: usize,
+    /// First component of the open pair, and its two blocks.
+    base: usize,
+    x: &'a [u64],
+    y: &'a [u64],
+    /// Start of the open pair's next run to test.
     next_run: usize,
     /// Hits of the run before it not yet yielded.
     found: u16,
+}
+
+impl<F> Hits<'_, F> {
+    /// Opens the next block pair that may hold a hit; `None` past the
+    /// end of both clocks.
+    #[inline]
+    fn open_next_pair(&mut self) -> Option<()> {
+        loop {
+            let at = self.next_block;
+            let (x, y) = (self.a.get(at), self.b.get(at));
+            if x.is_none() && y.is_none() {
+                return None;
+            }
+            self.next_block += 1;
+            // A clock's end reads as an absent block.
+            let (x, y) = (x.unwrap_or(&None), y.unwrap_or(&None));
+            if !same_slot(x, y) {
+                self.base = at * BLOCK;
+                self.x = x.as_deref().unwrap_or(&[]);
+                self.y = y.as_deref().unwrap_or(&[]);
+                self.next_run = 0;
+                return Some(());
+            }
+        }
+    }
 }
 
 impl<F: Fn(u64, u64) -> bool + Copy> Iterator for Hits<'_, F> {
@@ -146,26 +228,34 @@ impl<F: Fn(u64, u64) -> bool + Copy> Iterator for Hits<'_, F> {
 
     fn next(&mut self) -> Option<Self::Item> {
         while self.found == 0 {
-            if self.next_run >= self.a.len().max(self.b.len()) {
-                return None;
+            if self.next_run >= self.x.len().max(self.y.len()) {
+                self.open_next_pair()?;
             }
-            self.found = hits_at(self.a, self.b, self.next_run, self.hit);
+            self.found = hits_at(self.x, self.y, self.next_run, self.hit);
             self.next_run += CHUNK;
         }
-        let k = self.next_run - CHUNK + self.found.trailing_zeros() as usize;
+        let i = self.next_run - CHUNK + self.found.trailing_zeros() as usize;
         self.found &= self.found - 1;
-        Some((k, get(self.a, k), get(self.b, k)))
+        Some((self.base + i, get(self.x, i), get(self.y, i)))
     }
 }
 
-/// [`Hits`] from the first component on. One storage seen through two
+/// [`Hits`] from the first component on. One table seen through two
 /// handles has no hits, and is not read to find that out.
-fn hits<'a, F: Fn(u64, u64) -> bool + Copy>(a: &'a [u64], b: &'a [u64], hit: F) -> Hits<'a, F> {
+fn hits<'a, F: Fn(u64, u64) -> bool + Copy>(
+    a: &'a [Option<Block>],
+    b: &'a [Option<Block>],
+    hit: F,
+) -> Hits<'a, F> {
     Hits {
         a,
         b,
         hit,
-        next_run: if std::ptr::eq(a, b) { a.len() } else { 0 },
+        next_block: if std::ptr::eq(a, b) { a.len() } else { 0 },
+        base: 0,
+        x: &[],
+        y: &[],
+        next_run: 0,
         found: 0,
     }
 }
@@ -175,71 +265,146 @@ fn lags(mine: u64, theirs: u64) -> bool {
     theirs > mine
 }
 
+/// Where a clock's blocks are held (see the module docs).
+#[derive(Clone)]
+enum Slots {
+    /// A clock of at most [`BLOCK`] components: its block, no table.
+    One(Option<Block>),
+    /// A wider clock: block `b` holds the components from `64 b` on.
+    Table(Arc<[Option<Block>]>),
+}
+
 /// A dense vector clock over processes `0..n`. Cloning shares the
 /// components; see the module docs for the copy-on-write contract.
 /// (`Arc`, not `Rc`: `examples/live_threads.rs` sends wires, and the
 /// clocks in them, across threads.)
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 pub struct VectorClock {
-    entries: Arc<[u64]>,
+    /// Number of components: 64 in every block but the last, which
+    /// holds the rest.
+    len: usize,
+    slots: Slots,
 }
 
 impl VectorClock {
-    /// A zero clock for `n` processes.
+    /// A zero clock for `n` processes. Nothing is allocated up to 64
+    /// components, and one table of empty slots past that.
     pub fn new(n: usize) -> Self {
-        VectorClock {
-            entries: if n == 0 {
-                // No allocation: every zero-width clock is one static.
-                Arc::default()
-            } else {
-                repeat_n(0, n).collect()
-            },
+        Self::from_slots(n, repeat_n(None, n.div_ceil(BLOCK)))
+    }
+
+    /// Builds a clock directly from entries.
+    pub fn from_entries(entries: Vec<u64>) -> Self {
+        Self::from_slots(entries.len(), entries.chunks(BLOCK).map(block_of))
+    }
+
+    /// The clock of `len` components held in `slots`, one a block.
+    fn from_slots(len: usize, mut slots: impl Iterator<Item = Option<Block>>) -> Self {
+        let slots = if len <= BLOCK {
+            Slots::One(slots.next().flatten())
+        } else {
+            Slots::Table(slots.collect())
+        };
+        VectorClock { len, slots }
+    }
+
+    /// The block slots, one per 64 components.
+    fn slots(&self) -> &[Option<Block>] {
+        match &self.slots {
+            Slots::One(_) if self.len == 0 => &[],
+            Slots::One(block) => slice::from_ref(block),
+            Slots::Table(table) => table,
         }
     }
 
-    /// Builds a clock directly from entries (tests and decoding).
-    pub fn from_entries(entries: Vec<u64>) -> Self {
-        VectorClock {
-            entries: entries.into(),
+    /// The block slots, to write: a shared table is copied first.
+    fn slots_mut(&mut self) -> &mut [Option<Block>] {
+        match &mut self.slots {
+            Slots::One(block) => slice::from_mut(block),
+            Slots::Table(table) => Arc::make_mut(table),
         }
+    }
+
+    /// Components in block `b`.
+    fn block_len(&self, b: usize) -> usize {
+        (self.len - b * BLOCK).min(BLOCK)
     }
 
     /// Number of processes the clock covers.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the clock covers zero processes.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// The component for process `i`.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
-        get(&self.entries, i)
+        let (slot, k) = match &self.slots {
+            Slots::One(slot) => (slot, i),
+            Slots::Table(table) => match table.get(i / BLOCK) {
+                Some(slot) => (slot, i % BLOCK),
+                None => return 0,
+            },
+        };
+        slot.as_deref().map_or(0, |block| get(block, k))
     }
 
-    /// The components, read-only: for a caller that walks them all
-    /// against a slice of its own.
-    #[inline]
-    pub fn as_slice(&self) -> &[u64] {
-        &self.entries
+    /// The components in order, a block at a time: 64 to a block, the
+    /// last block the rest. For a caller that walks them all against a
+    /// slice of its own, which a block is zipped with as two slices.
+    pub fn blocks(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        let slots = self.slots().iter().enumerate();
+        slots.map(|(b, slot)| slot.as_deref().unwrap_or(&ZEROS[..self.block_len(b)]))
     }
 
-    /// Whether `self` and `other` are handles on one allocation — what
-    /// the tests of the sharing contract observe. Nothing else may depend
-    /// on it.
+    /// The components in order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.blocks().flatten().copied()
+    }
+
+    /// Whether `self` and `other` are handles on one storage — what the
+    /// tests of the sharing contract observe. Nothing else may depend on
+    /// it.
     #[doc(hidden)]
     pub fn shares_storage_with(&self, other: &VectorClock) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
+        self.len == other.len
+            && match (&self.slots, &other.slots) {
+                (Slots::One(x), Slots::One(y)) => same_slot(x, y),
+                (Slots::Table(x), Slots::Table(y)) => Arc::ptr_eq(x, y),
+                _ => false,
+            }
     }
 
-    /// The components cut or zero-extended to `width`, in storage of
-    /// their own.
-    fn resized(&self, width: usize) -> Arc<[u64]> {
-        let padded = self.entries.iter().copied().chain(repeat(0));
-        padded.take(width).collect()
+    /// The components cut or zero-extended to `width`, sharing every
+    /// block the cut leaves whole.
+    fn resized(&self, width: usize) -> Self {
+        let slot = |b: usize| {
+            let len = (width - b * BLOCK).min(BLOCK);
+            match self.slots().get(b) {
+                Some(Some(old)) if old.len() != len => {
+                    let mut words = [0; BLOCK];
+                    let kept = old.len().min(len);
+                    words[..kept].copy_from_slice(&old[..kept]);
+                    block_of(&words[..len])
+                }
+                Some(slot) => slot.clone(),
+                None => None,
+            }
+        };
+        Self::from_slots(width, (0..width.div_ceil(BLOCK)).map(slot))
+    }
+
+    /// Component `i`, to write in place: its block, and a table over it,
+    /// are unshared first.
+    fn component_mut(&mut self, i: usize) -> &mut u64 {
+        let (b, len) = (i / BLOCK, self.block_len(i / BLOCK));
+        let slot = &mut self.slots_mut()[b];
+        let block = slot.get_or_insert_with(|| repeat_n(0, len).collect());
+        &mut Arc::make_mut(block)[i % BLOCK]
     }
 
     /// Sets the component for process `i`.
@@ -248,23 +413,24 @@ impl VectorClock {
     ///
     /// Panics if `i` is out of range.
     pub fn set(&mut self, i: usize, v: u64) {
-        if self.entries[i] != v {
-            Arc::make_mut(&mut self.entries)[i] = v;
+        assert!(i < self.len, "component {i} of a {}-wide clock", self.len);
+        if self.get(i) != v {
+            *self.component_mut(i) = v;
         }
     }
 
     /// Increments own component `i` (send/local event rule) and returns
     /// the new value.
     pub fn tick(&mut self, i: usize) -> u64 {
-        let own = &mut Arc::make_mut(&mut self.entries)[i];
+        let own = self.component_mut(i);
         *own += 1;
         *own
     }
 
     /// Component-wise maximum (receive rule). Widens to `other`'s length.
     pub fn merge(&mut self, other: &VectorClock) {
-        if other.len() > self.len() {
-            self.entries = self.resized(other.len());
+        if other.len > self.len {
+            *self = self.resized(other.len);
         }
         self.merge_advancing(other, |_, _| {});
     }
@@ -284,17 +450,38 @@ impl VectorClock {
             return false;
         };
         // Something rises, so the storage is about to be written: widen
-        // it if the rise is past the end, then unshare it, once.
-        let theirs = &other.entries[..];
-        if self.len() < theirs.len() && theirs[self.len()..].iter().any(|&v| v > 0) {
-            self.entries = self.resized(theirs.len());
+        // it if the rise is past the end, then unshare the table, once.
+        if self.len < other.len && other.iter().skip(self.len).any(|v| v > 0) {
+            *self = self.resized(other.len);
         }
-        let mine = Arc::make_mut(&mut self.entries);
-        // Whatever `theirs` holds past the end of `mine` is zero.
-        for k in (first - first % CHUNK..mine.len()).step_by(CHUNK) {
-            for i in bits(hits_at(mine, theirs, k, lags)) {
-                on_advance(k + i, mine[k + i]);
-                mine[k + i] = theirs[k + i];
+        let width = self.len;
+        let pairs = self.slots_mut().iter_mut().zip(other.slots());
+        for (b, (mine, theirs)) in pairs.enumerate().skip(first / BLOCK) {
+            // An absent block raises nothing.
+            let Some(theirs) = theirs else { continue };
+            let words = mine.as_deref().unwrap_or(&[]);
+            let mut rose = false;
+            for (k, set) in block_runs(words, theirs, lags) {
+                for i in bits(set) {
+                    on_advance(b * BLOCK + k + i, get(words, k + i));
+                }
+                rose = true;
+            }
+            if !rose {
+                continue;
+            }
+            let len = (width - b * BLOCK).min(BLOCK);
+            if theirs.len() == len && block_runs(words, theirs, |m, t| m > t).next().is_none() {
+                // `theirs` covers it: taken over, not copied into.
+                *mine = Some(theirs.clone());
+            } else {
+                // Whatever `theirs` holds past the end of `mine` is zero.
+                let mine = Arc::make_mut(mine.get_or_insert_with(|| repeat_n(0, len).collect()));
+                for k in (0..mine.len()).step_by(CHUNK) {
+                    for i in bits(hits_at(mine, theirs, k, lags)) {
+                        mine[k + i] = theirs[k + i];
+                    }
+                }
             }
         }
         true
@@ -304,13 +491,14 @@ impl VectorClock {
     /// every component with `theirs > mine`. The narrower clock reads as
     /// zero past its end. This is the scan every "what does this
     /// timestamp still wait for" loop runs on: its cost follows the
-    /// number of sixteen-component runs that differ at all, not the
-    /// width (see the module docs).
+    /// blocks the two clocks do not share and, within those, the
+    /// sixteen-component runs that differ at all — not the width (see the
+    /// module docs).
     pub fn lagging<'a>(
         &'a self,
         other: &'a VectorClock,
     ) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
-        hits(&self.entries, &other.entries, lags)
+        hits(self.slots(), other.slots(), lags)
     }
 
     /// Compares two clocks under the causal partial order.
@@ -352,16 +540,20 @@ impl VectorClock {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = vec![0; self.encoded_len()];
         let (count, words) = out.split_at_mut(4);
-        count.copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for (word, e) in words.chunks_exact_mut(8).zip(&self.entries[..]) {
-            word.copy_from_slice(&e.to_le_bytes());
+        count.copy_from_slice(&(self.len as u32).to_le_bytes());
+        // The buffer starts zeroed: an absent block has nothing to add.
+        for (bytes, block) in words.chunks_mut(8 * BLOCK).zip(self.slots()) {
+            let Some(block) = block else { continue };
+            for (word, e) in bytes.chunks_exact_mut(8).zip(&block[..]) {
+                word.copy_from_slice(&e.to_le_bytes());
+            }
         }
         out
     }
 
     /// Length of [`VectorClock::encode`]'s output, without building it.
     pub fn encoded_len(&self) -> usize {
-        4 + 8 * self.entries.len()
+        4 + 8 * self.len
     }
 
     /// Decodes a full encoding.
@@ -373,9 +565,14 @@ impl VectorClock {
         if !rest.is_empty() || words.len() != u32::from_le_bytes(*count) as usize {
             return None;
         }
-        Some(VectorClock {
-            entries: words.iter().map(|w| u64::from_le_bytes(*w)).collect(),
-        })
+        let block = |words: &[[u8; 8]]| {
+            let any = words.iter().fold(0, |acc, w| acc | u64::from_ne_bytes(*w)) != 0;
+            any.then(|| words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+        };
+        Some(Self::from_slots(
+            words.len(),
+            words.chunks(BLOCK).map(block),
+        ))
     }
 
     /// Delta encoding relative to `base`: only changed components are sent
@@ -387,12 +584,12 @@ impl VectorClock {
         let mut out = Vec::with_capacity(8 + 12 * 4);
         out.resize(8, 0);
         let mut pairs = 0u32;
-        for (i, _, v) in hits(&base.entries, &self.entries, |old, new| old != new) {
+        for (i, _, v) in hits(base.slots(), self.slots(), |old, new| old != new) {
             out.extend_from_slice(&(i as u32).to_le_bytes());
             out.extend_from_slice(&v.to_le_bytes());
             pairs += 1;
         }
-        out[..4].copy_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        out[..4].copy_from_slice(&(self.len as u32).to_le_bytes());
         out[4..8].copy_from_slice(&pairs.to_le_bytes());
         out
     }
@@ -408,8 +605,8 @@ impl VectorClock {
     /// `catocs::causal_core::MAX_CHASE_AHEAD`.)
     pub const MAX_DELTA_WIDTH: usize = 1 << 16;
 
-    /// Decodes a delta encoding against `base`. The result shares
-    /// `base`'s storage until a pair changes a component.
+    /// Decodes a delta encoding against `base`. The result shares every
+    /// block of `base`'s that no pair changes.
     ///
     /// Returns `None` on malformed input: short or trailing bytes, a
     /// declared width past [`VectorClock::MAX_DELTA_WIDTH`], more pairs
@@ -437,39 +634,49 @@ impl VectorClock {
         if !in_range || !indices.is_sorted_by(|i, j| i < j) {
             return None;
         }
-        let mut clock = base.clone();
-        if n != base.len() {
-            clock.entries = base.resized(n);
-        }
-        let changes = pairs.iter().map(pair);
-        if let Some(first) = changes.clone().position(|(i, v)| clock.entries[i] != v) {
-            let mine = Arc::make_mut(&mut clock.entries);
-            for (i, v) in changes.skip(first) {
-                mine[i] = v;
-            }
+        let mut clock = if n == base.len {
+            base.clone()
+        } else {
+            base.resized(n)
+        };
+        for (i, v) in pairs.iter().map(pair) {
+            clock.set(i, v);
         }
         Some(clock)
     }
 
     /// Whether some component exceeds `bound`. Made for sanity bounds,
-    /// which honest clocks sit far inside: the `or` of all components is
-    /// at least the largest of them, so one pass with no comparison in
-    /// it clears every such clock.
+    /// which honest clocks sit far inside: the `or` of a block's
+    /// components is at least the largest of them, so one pass with no
+    /// comparison in it clears every such block, and an absent block is
+    /// not read at all.
     pub fn any_above(&self, bound: u64) -> bool {
-        self.entries.iter().fold(0, |acc, v| acc | v) > bound
-            && self.entries.iter().any(|&v| v > bound)
+        self.slots()
+            .iter()
+            .flatten()
+            .any(|b| b.iter().fold(0, |acc, v| acc | v) > bound && b.iter().any(|&v| v > bound))
     }
 
     /// Sum of all components — a crude size of the causal past, used by
     /// the false-causality metrics.
     pub fn total_events(&self) -> u64 {
-        self.entries.iter().sum()
+        self.slots().iter().flatten().flat_map(|b| b.iter()).sum()
     }
 }
 
+impl PartialEq for VectorClock {
+    fn eq(&self, other: &Self) -> bool {
+        let differ = |a: u64, b: u64| a != b;
+        self.len == other.len && hits(self.slots(), other.slots(), differ).next().is_none()
+    }
+}
+
+impl Eq for VectorClock {}
+
 impl fmt::Debug for VectorClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "VT{:?}", self.entries)
+        f.write_str("VT")?;
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -618,7 +825,13 @@ mod tests {
     }
 
     fn entries(c: VectorClock) -> Vec<u64> {
-        c.entries.to_vec()
+        c.iter().collect()
+    }
+
+    /// How many blocks `a` and `b` hold as one storage.
+    fn shared_blocks(a: &VectorClock, b: &VectorClock) -> usize {
+        let pairs = a.slots().iter().zip(b.slots());
+        pairs.filter(|(x, y)| same_slot(x, y)).count()
     }
 
     #[test]
@@ -773,7 +986,7 @@ mod tests {
     #[test]
     fn writes_through_a_clone_leave_the_original_alone() {
         let a = vc(&[1, 5, 0, 2]);
-        let kept = a.entries.to_vec();
+        let kept = entries(a.clone());
         let bigger = vc(&[0, 9, 0, 2, 4]);
         let mut b = a.clone();
         b.set(2, 7);
@@ -798,7 +1011,7 @@ mod tests {
                 "{what} wrote shared storage"
             );
         }
-        assert_eq!(a.entries.to_vec(), kept);
+        assert_eq!(entries(a), kept);
     }
 
     /// Sharing contract, economy: a write that changes nothing copies
@@ -828,8 +1041,55 @@ mod tests {
         // A narrower or wider declared width is a different clock.
         let wider = VectorClock::decode_delta(&vc(&[3, 0, 8, 0]).encode_delta(&a), &a);
         assert_eq!(wider, Some(vc(&[3, 0, 8, 0])));
-        // Zero-width clocks are all one static.
+        // Zero clocks of at most 64 components hold no storage at all.
         assert!(VectorClock::new(0).shares_storage_with(&VectorClock::new(0)));
+        assert!(VectorClock::new(64).shares_storage_with(&VectorClock::new(64)));
+    }
+
+    /// Sharing contract, granularity: a write to a shared clock copies
+    /// the one block it lands in, a delta decode shares every block no
+    /// pair touches, zeros are no block, a merge takes over a block that
+    /// covers its own, and widening keeps every whole block.
+    #[test]
+    fn a_write_copies_only_the_block_it_lands_in() {
+        let mut a = VectorClock::new(4096);
+        assert_eq!(shared_blocks(&a, &VectorClock::new(4096)), 64);
+        a.set(70, 3);
+        a.set(4000, 9);
+        assert_eq!(shared_blocks(&a, &VectorClock::new(4096)), 62);
+        let mut b = a.clone();
+        b.tick(100);
+        assert!(!b.shares_storage_with(&a));
+        assert_eq!(shared_blocks(&a, &b), 63, "a tick copies block 1 alone");
+        let decoded = VectorClock::decode_delta(&b.encode_delta(&a), &a).expect("decodes");
+        assert_eq!(decoded, b);
+        assert_eq!(shared_blocks(&a, &decoded), 63, "so does a one-pair delta");
+        let full = VectorClock::decode(&a.encode()).expect("decodes");
+        assert_eq!(full, a);
+        assert_eq!(shared_blocks(&full, &VectorClock::new(4096)), 62);
+        // `b` covers `a` in block 1: the merge takes `b`'s block over.
+        let mut c = a.clone();
+        c.merge(&b);
+        assert_eq!(c, b);
+        assert!(same_slot(&c.slots()[1], &b.slots()[1]));
+        // `a` is ahead of `d` at 70 and behind it at 100: the merge
+        // writes a copy of its own, shared with neither.
+        let mut d = VectorClock::new(4096);
+        d.set(100, 5);
+        let mut e = a.clone();
+        e.merge(&d);
+        assert_eq!((e.get(70), e.get(100)), (3, 5));
+        assert!(!same_slot(&e.slots()[1], &a.slots()[1]));
+        assert!(!same_slot(&e.slots()[1], &d.slots()[1]));
+        assert_eq!(shared_blocks(&e, &a), 63);
+        // 70 wide to 200: block 0 kept, the rest absent.
+        let mut narrow = vc(&[0; 70]);
+        narrow.set(3, 1);
+        let mut widened = narrow.clone();
+        widened.merge(&VectorClock::new(200));
+        assert_eq!((widened.len(), widened.get(3)), (200, 1));
+        assert!(same_slot(&widened.slots()[0], &narrow.slots()[0]));
+        assert_eq!(shared_blocks(&widened, &VectorClock::new(200)), 3);
     }
 
     #[test]
@@ -840,6 +1100,11 @@ mod tests {
         // The `or` of the components passes the bound; none of them does.
         assert!(!vc(&[4, 3]).any_above(6));
         assert!(vc(&[0, u64::MAX]).any_above(u64::MAX - 1));
+        let mut wide = VectorClock::new(4096);
+        assert!(!wide.any_above(0));
+        wide.set(4095, 1);
+        assert!(wide.any_above(0));
+        assert!(!wide.any_above(1));
     }
 
     #[test]
@@ -849,6 +1114,7 @@ mod tests {
         assert_eq!(vc(&[2, 3]).total_events(), 5);
         assert!(!vc(&[1]).is_empty());
         assert!(VectorClock::new(0).is_empty());
+        assert_eq!(format!("{:?}", vc(&[2, 0, 7])), "VT[2, 0, 7]");
     }
 
     fn arb_clock(n: usize) -> impl Strategy<Value = VectorClock> {
@@ -856,13 +1122,13 @@ mod tests {
     }
 
     /// Two operands shaped to reach every branch of the scan: widths on
-    /// and around the sixteen-component run (and zero, and 4096), equal,
-    /// narrower or wider than each other; mostly-zero or dense; the
-    /// second a copy of the first that differs in a few places, the
-    /// first and the last component favoured.
+    /// and around the sixteen-component run and the 64-component block
+    /// (and zero, and 4096), equal, narrower or wider than each other;
+    /// mostly-zero or dense; the second a copy of the first that differs
+    /// in a few places, the first and the last component favoured.
     fn arb_pair() -> impl Strategy<Value = (Vec<u64>, Vec<u64>)> {
-        const WIDTHS: [usize; 9] = [0, 1, 15, 16, 17, 32, 40, 4096, 4100];
-        (0usize..9, 0usize..14).prop_perturb(|(wa, wb), mut rng| {
+        const WIDTHS: [usize; 14] = [0, 1, 15, 16, 17, 32, 40, 63, 64, 65, 130, 200, 4096, 4100];
+        (0usize..14, 0usize..20).prop_perturb(|(wa, wb), mut rng| {
             let wa = WIDTHS[wa];
             let wb = WIDTHS.get(wb).copied().unwrap_or(wa);
             let dense = rng.gen_bool(0.3);
@@ -891,54 +1157,94 @@ mod tests {
         })
     }
 
+    /// Every operation on `ca`, `cb` agrees with its per-element
+    /// definition over `a`, `b`, and leaves both operands untouched.
+    fn agrees_with_the_oracle(
+        (a, b): (&[u64], &[u64]),
+        (ca, cb): (&VectorClock, &VectorClock),
+        sender: usize,
+    ) {
+        let mut merged = ca.clone();
+        merged.merge(cb);
+        let mut want = a.to_vec();
+        oracle::merge(&mut want, b);
+        assert_eq!(entries(merged), want);
+
+        let (mut seen, mut want_seen) = (Vec::new(), Vec::new());
+        let mut advanced = ca.clone();
+        let rose = advanced.merge_advancing(cb, |i, old| seen.push((i, old)));
+        let mut want = a.to_vec();
+        let want_rose = oracle::merge_advancing(&mut want, b, |i, old| want_seen.push((i, old)));
+        assert_eq!(
+            (rose, seen, entries(advanced)),
+            (want_rose, want_seen, want)
+        );
+
+        assert_eq!(ca.compare(cb), oracle::compare(a, b));
+        assert_eq!(cb.compare(ca), oracle::compare(b, a));
+        assert_eq!(ca == cb, a == b);
+        for s in [
+            0,
+            a.len().saturating_sub(1),
+            b.len().saturating_sub(1),
+            sender,
+        ] {
+            assert_eq!(ca.deliverable(cb, s), oracle::deliverable(a, b, s));
+        }
+        assert_eq!(ca.lagging(cb).collect::<Vec<_>>(), oracle::lagging(a, b));
+        assert_eq!(cb.lagging(ca).collect::<Vec<_>>(), oracle::lagging(b, a));
+
+        let full = cb.encode();
+        assert_eq!(&full, &oracle::encode(b));
+        assert_eq!(full.len(), cb.encoded_len());
+        assert_eq!(
+            VectorClock::decode(&full).map(entries),
+            oracle::decode(&full)
+        );
+        assert_eq!(VectorClock::decode(&full).as_ref(), Some(cb));
+
+        // Against a wider base the encoder emits pairs past its own
+        // width, which the decoder then refuses: both as before.
+        let delta = cb.encode_delta(ca);
+        assert_eq!(&delta, &oracle::encode_delta(b, a));
+        let decoded = VectorClock::decode_delta(&delta, ca);
+        assert_eq!(
+            decoded.clone().map(entries),
+            oracle::decode_delta(&delta, a)
+        );
+        assert!(a.len() > b.len() || decoded.as_ref() == Some(cb));
+
+        assert_eq!(ca.total_events(), a.iter().sum::<u64>());
+        for bound in [0, 2, 4] {
+            assert_eq!(cb.any_above(bound), b.iter().any(|&v| v > bound));
+        }
+        assert_eq!(
+            (entries(ca.clone()), entries(cb.clone())),
+            (a.to_vec(), b.to_vec())
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Every operation agrees with its per-element definition, and
-        /// leaves a clone of its operand untouched.
+        /// leaves a clone of its operand untouched — on operands built
+        /// apart, and on operands that share every block they agree in.
         #[test]
         fn slice_kernels_match_the_per_element_definitions(
             (a, b) in arb_pair(),
             sender in 0usize..4200,
         ) {
             let (ca, cb) = (vc(&a), vc(&b));
-
-            let mut merged = ca.clone();
-            merged.merge(&cb);
-            let mut want = a.clone();
-            oracle::merge(&mut want, &b);
-            prop_assert_eq!(entries(merged), want);
-
-            let (mut seen, mut want_seen) = (Vec::new(), Vec::new());
-            let mut advanced = ca.clone();
-            let rose = advanced.merge_advancing(&cb, |i, old| seen.push((i, old)));
-            let mut want = a.clone();
-            let want_rose = oracle::merge_advancing(&mut want, &b, |i, old| want_seen.push((i, old)));
-            prop_assert_eq!((rose, seen, entries(advanced)), (want_rose, want_seen, want));
-
-            prop_assert_eq!(ca.compare(&cb), oracle::compare(&a, &b));
-            prop_assert_eq!(cb.compare(&ca), oracle::compare(&b, &a));
-            for s in [0, a.len().saturating_sub(1), b.len().saturating_sub(1), sender] {
-                prop_assert_eq!(ca.deliverable(&cb, s), oracle::deliverable(&a, &b, s));
+            agrees_with_the_oracle((&a, &b), (&ca, &cb), sender);
+            if a.len() <= b.len() {
+                let shared = VectorClock::decode_delta(&cb.encode_delta(&ca), &ca)
+                    .expect("a delta against a base no wider decodes");
+                agrees_with_the_oracle((&a, &b), (&ca, &shared), sender);
+                agrees_with_the_oracle((&b, &a), (&shared, &ca), sender);
             }
-            prop_assert_eq!(ca.lagging(&cb).collect::<Vec<_>>(), oracle::lagging(&a, &b));
-            prop_assert_eq!(cb.lagging(&ca).collect::<Vec<_>>(), oracle::lagging(&b, &a));
 
-            let full = cb.encode();
-            prop_assert_eq!(&full, &oracle::encode(&b));
-            prop_assert_eq!(full.len(), cb.encoded_len());
-            prop_assert_eq!(VectorClock::decode(&full).map(entries), oracle::decode(&full));
-            prop_assert_eq!(VectorClock::decode(&full), Some(cb.clone()));
-
-            // Against a wider base the encoder emits pairs past its own
-            // width, which the decoder then refuses: both as before.
-            let delta = cb.encode_delta(&ca);
-            prop_assert_eq!(&delta, &oracle::encode_delta(&b, &a));
-            let decoded = VectorClock::decode_delta(&delta, &ca);
-            prop_assert_eq!(decoded.clone().map(entries), oracle::decode_delta(&delta, &a));
-            prop_assert!(a.len() > b.len() || decoded == Some(cb.clone()));
-
-            // Operands on one storage.
+            // Operands on one table.
             let mut same = ca.clone();
             same.merge(&ca.clone());
             prop_assert!(same.shares_storage_with(&ca));
@@ -946,8 +1252,6 @@ mod tests {
             prop_assert_eq!(ca.lagging(&ca.clone()).count(), 0);
             prop_assert_eq!(ca.compare(&ca.clone()), ClockOrd::Equal);
             prop_assert_eq!(cb.encode_delta(&cb.clone()), oracle::encode_delta(&b, &b));
-
-            prop_assert_eq!((entries(ca), entries(cb)), (a, b));
         }
     }
 
@@ -1019,7 +1323,7 @@ mod tests {
                 let declared = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
                 prop_assert_eq!(c.len(), declared);
             }
-            prop_assert_eq!(decoded.map(entries), oracle::decode_delta(&bytes, &base.entries));
+            prop_assert_eq!(decoded.map(entries), oracle::decode_delta(&bytes, &entries(base)));
         }
 
         /// Fuzz: corrupting a valid delta encoding (byte flips,
@@ -1038,8 +1342,9 @@ mod tests {
             if let Some(byte) = d.get_mut(flip_at % len) {
                 *byte = flip_to;
             }
+            let base = entries(b.clone());
             let agrees = |d: &[u8]| {
-                VectorClock::decode_delta(d, &b).map(entries) == oracle::decode_delta(d, &b.entries)
+                VectorClock::decode_delta(d, &b).map(entries) == oracle::decode_delta(d, &base)
             };
             prop_assert!(agrees(&d));
             d.truncate(cut.min(d.len()));
