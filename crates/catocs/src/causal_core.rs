@@ -24,6 +24,9 @@ use simnet::time::SimTime;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
+use window::SenderWindows;
+
+mod window;
 
 /// Furthest a timestamp, a sequence number or a gossiped clock may run
 /// ahead of the local delivered clock and still be believed. Every
@@ -110,8 +113,8 @@ pub struct CausalCore<P> {
     /// Messages received with a full timestamp but not yet causally
     /// deliverable.
     pub(crate) holdback: HoldbackQueue<P>,
-    /// Unstable messages retained for retransmission, by id.
-    pub(crate) buffer: BTreeMap<MsgId, DataMsg<P>>,
+    /// Unstable messages retained for retransmission, a window a sender.
+    pub(crate) buffer: SenderWindows<P>,
     /// Group-wide delivery knowledge (matrix clock) and GC frontier.
     pub(crate) stability: StabilityTracker,
     /// Known-missing messages awaiting NACK/recovery.
@@ -167,7 +170,7 @@ impl<P: Clone> CausalCore<P> {
             n,
             vt: VectorClock::new(n),
             holdback: HoldbackQueue::new(cfg.indexed_holdback, n),
-            buffer: BTreeMap::new(),
+            buffer: SenderWindows::new(n),
             stability: StabilityTracker::new(n),
             missing: BTreeMap::new(),
             known: vec![0; n],
@@ -199,7 +202,7 @@ impl<P: Clone> CausalCore<P> {
     /// recovery continue.
     pub fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
-        for m in self.buffer.values() {
+        for m in self.buffer.values_mut() {
             let w = Wire::Data(Self::repair_copy(m));
             self.stats.control_bytes += w.overhead_bytes() as u64;
             out.push((Dest::All, w));
@@ -279,12 +282,15 @@ impl<P: Clone> CausalCore<P> {
 
     /// A retransmittable copy of a buffered message: always the full
     /// timestamp encoding, so the requester can decode it without
-    /// per-sender delta context or link position.
-    pub(crate) fn repair_copy(m: &DataMsg<P>) -> DataMsg<P> {
-        let mut copy = m.clone();
-        copy.retransmit = true;
-        copy.make_full();
-        copy
+    /// per-sender delta context or link position. The buffered message
+    /// itself is made full the first time, so it is encoded once and
+    /// every later copy shares its bytes.
+    pub(crate) fn repair_copy(m: &mut DataMsg<P>) -> DataMsg<P> {
+        m.make_full();
+        DataMsg {
+            retransmit: true,
+            ..m.clone()
+        }
     }
 
     /// The one walk over the holdback queue (contract in
@@ -576,7 +582,7 @@ impl<P: Clone> CausalCore<P> {
     /// Serves a NACK from the unstable buffer.
     pub(crate) fn serve_nack(&mut self, from: usize, want: Vec<MsgId>, out: &mut Vec<Out<P>>) {
         for id in want {
-            if let Some(m) = self.buffer.get(&id) {
+            if let Some(m) = self.buffer.get_mut(id) {
                 self.stats.retransmits_served += 1;
                 let w = Wire::Data(Self::repair_copy(m));
                 self.stats.control_bytes += w.overhead_bytes() as u64;
@@ -780,7 +786,7 @@ impl<P: Clone> CausalCore<P> {
         self.stats.delivered += 1;
         self.stability
             .record_local_delivery(self.me, self.me, id.seq);
-        self.buffer.insert(id, msg);
+        self.buffer.push(msg);
         self.note_buffer();
         Delivery {
             id,
@@ -885,7 +891,7 @@ impl<P: Clone> CausalCore<P> {
             gseq: None,
             waited_for,
         });
-        self.buffer.insert(msg.id, msg);
+        self.buffer.push(msg);
     }
 
     /// Reclaims buffered messages the stable frontier has passed.
@@ -896,9 +902,7 @@ impl<P: Clone> CausalCore<P> {
             return;
         }
         let frontier = self.stability.stable_frontier();
-        let before = self.buffer.len();
-        self.buffer.retain(|id, _| id.seq > frontier.get(id.sender));
-        let reclaimed = before - self.buffer.len();
+        let reclaimed = self.buffer.reclaim(&frontier);
         self.probe.emit(|| ObsEvent::Phase {
             at: now,
             who: self.me,
@@ -933,6 +937,7 @@ mod tests {
     use proptest::prelude::*;
     use simnet::time::SimDuration;
     use std::collections::{HashMap, VecDeque};
+    use std::sync::Arc;
 
     fn clock(e: &[u64]) -> VectorClock {
         VectorClock::from_entries(e.to_vec())
@@ -1408,6 +1413,50 @@ mod tests {
             for (step, (s, c)) in shipped_work.iter().zip(&conservative_work).enumerate() {
                 prop_assert!(s <= c, "step {}: {} > {}", step, s, c);
             }
+        }
+    }
+
+    /// A retained message is stamped full once, on its first repair: the
+    /// next NACK served for it and a flush's retransmission of it carry
+    /// the same bytes, whether it was retained delta-stamped (cbcast) or
+    /// link-tagged (pccast).
+    #[test]
+    fn a_retained_message_is_stamped_full_once() {
+        let now = SimTime::from_millis(1);
+        let id = MsgId { sender: 0, seq: 1 };
+        for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+            let cfg = GroupConfig {
+                discipline,
+                delta_timestamps: true,
+                ..GroupConfig::default()
+            };
+            let mut ep: CausalEndpoint<u32> = CausalEndpoint::new(0, 3, cfg);
+            ep.multicast(now, 1);
+            ep.multicast(now, 2);
+            let retained = &ep.core().buffer.get(id).expect("retained").vt_wire;
+            assert!(!matches!(retained, VtWire::Full(_)), "{discipline:?}");
+            let nack = Wire::Nack {
+                from: 2,
+                want: vec![id],
+            };
+            let mut outs = ep.on_wire(now, nack.clone()).1;
+            outs.extend(ep.on_wire(now, nack).1);
+            outs.extend(ep.core_mut().freeze(now));
+            let stamps: Vec<_> = outs
+                .iter()
+                .filter_map(|(_, w)| match w {
+                    Wire::Data(d) if d.id == id && d.retransmit => match &d.vt_wire {
+                        VtWire::Full(bytes) => Some(bytes.clone()),
+                        other => panic!("{discipline:?}: a repair copy is full, not {other:?}"),
+                    },
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(stamps.len(), 3, "{discipline:?}: two serves and a flush");
+            for bytes in &stamps {
+                assert!(Arc::ptr_eq(bytes, &stamps[0]), "{discipline:?}");
+            }
+            assert_eq!(ep.core().stats.retransmits_served, 2);
         }
     }
 

@@ -261,7 +261,7 @@ impl<P: Clone> CbcastEndpoint<P> {
             // Most-recent-first, capped.
             msg.appended = core
                 .buffer
-                .values()
+                .values_mut()
                 .rev()
                 .filter(|m| m.id != id)
                 .take(MAX_APPEND)

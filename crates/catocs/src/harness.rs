@@ -330,8 +330,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cbcast::CbcastEndpoint;
+    use crate::group::MsgId;
+    use crate::wire::{DataMsg, VtWire};
     use simnet::net::NetConfig;
     use simnet::sim::SimBuilder;
+    use std::sync::Arc;
 
     /// Each member multicasts `count` messages on its app tick, then goes
     /// quiet. Used to smoke-test the harness end to end.
@@ -540,5 +544,57 @@ mod tests {
             assert_eq!(s, &sequences[0]);
         }
         assert_eq!(sequences[0].len(), 9);
+    }
+
+    /// Member 0 multicasts once when the run starts; every member keeps
+    /// what the network hands it.
+    struct Stamped {
+        endpoint: Option<CbcastEndpoint<u32>>,
+        got: Vec<Wire<u32>>,
+    }
+
+    impl Process<Wire<u32>> for Stamped {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<u32>>) {
+            if let Some(endpoint) = &mut self.endpoint {
+                let (_, out) = endpoint.multicast(ctx.now(), 7);
+                route(ctx, 0, ctx.n_processes(), out);
+            }
+        }
+
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Wire<u32>>, _from: ProcessId, msg: Wire<u32>) {
+            self.got.push(msg);
+        }
+    }
+
+    /// The simulator clones a multicast's wire once per recipient as it
+    /// pops the arrival: every copy, and the sender's retained one, holds
+    /// the one stamp the sender encoded.
+    #[test]
+    fn the_copies_of_a_multicast_share_one_stamp() {
+        const N: usize = 5;
+        let mut sim = SimBuilder::new(1).build::<Wire<u32>>();
+        for me in 0..N {
+            let endpoint = (me == 0).then(|| CbcastEndpoint::new(0, N, GroupConfig::default()));
+            sim.add_process(Stamped {
+                endpoint,
+                got: Vec::new(),
+            });
+        }
+        sim.run_until(SimTime::from_secs(1));
+        let stamp = |d: &DataMsg<u32>| match &d.vt_wire {
+            VtWire::Full(bytes) => bytes.clone(),
+            other => panic!("a fresh cbcast multicast is stamped full, not {other:?}"),
+        };
+        let sender = sim.process::<Stamped>(ProcessId(0)).expect("member 0");
+        let id = MsgId { sender: 0, seq: 1 };
+        let core = sender.endpoint.as_ref().expect("member 0 sends").core();
+        let retained = stamp(core.buffer.get(id).expect("retained until stable"));
+        for r in 1..N {
+            let got = &sim.process::<Stamped>(ProcessId(r)).expect("member").got;
+            let [Wire::Data(copy)] = &got[..] else {
+                panic!("member {r} got {got:?}, not the one data copy");
+            };
+            assert!(Arc::ptr_eq(&stamp(copy), &retained), "member {r}");
+        }
     }
 }

@@ -483,7 +483,7 @@ impl<P: Clone> PccastEndpoint<P> {
             .map(|(&s, &id)| (s, id))
             .collect();
         for (link_seq, id) in resend {
-            let w = if let Some(m) = self.core.buffer.get(&id) {
+            let w = if let Some(m) = self.core.buffer.get(id) {
                 let mut copy = m.clone();
                 copy.vt_wire = VtWire::Pc {
                     epoch: self.epoch,
@@ -559,6 +559,11 @@ impl<P: Clone> PccastEndpoint<P> {
                 self.drain(now, delivered, out);
             }
             VtWire::Full(ref bytes) => {
+                // A duplicate is dropped before its N-wide stamp is read.
+                self.core.stats.holdback_events += 1;
+                if self.core.reject_duplicate(now, msg.id) {
+                    return;
+                }
                 let decoded = VectorClock::decode(bytes);
                 if let Some(vt) = self.core.checked_vt(now, &msg, decoded, "timestamp") {
                     msg.vt = vt;
@@ -569,9 +574,10 @@ impl<P: Clone> PccastEndpoint<P> {
         }
     }
 
-    /// A full-timestamped repair copy: the cbcast receive path (dup
-    /// check, missing registration from the carried clock — only repair
-    /// copies carry timestamps to scan — then holdback).
+    /// A full-timestamped repair copy, not a duplicate, its stamp decoded:
+    /// the rest of the cbcast receive path (missing registration from the
+    /// carried clock — only repair copies carry timestamps to scan — then
+    /// holdback).
     fn on_repair_data(
         &mut self,
         now: SimTime,
@@ -580,10 +586,6 @@ impl<P: Clone> PccastEndpoint<P> {
         delivered: &mut Vec<Delivery<P>>,
     ) {
         let core = &mut self.core;
-        core.stats.holdback_events += 1;
-        if core.reject_duplicate(now, msg.id) {
-            return;
-        }
         core.missing.remove(&msg.id);
         core.register_missing(now, &msg, never_parked, out);
         core.probe.emit(|| ObsEvent::Span {
@@ -823,6 +825,38 @@ mod tests {
             }
         }
         (dels, next)
+    }
+
+    /// A full-stamped copy is checked for a duplicate before its stamp is
+    /// decoded: a malformed copy of a message delivered already is a
+    /// duplicate, and only a malformed copy of a new one is a decode
+    /// error.
+    #[test]
+    fn a_malformed_duplicate_counts_as_a_duplicate() {
+        let (_, mut b, _) = trio();
+        let id = |seq| MsgId { sender: 0, seq };
+        let mut vt = VectorClock::new(3);
+        vt.set(0, 1);
+        let mut first = DataMsg::new(id(1), vt.clone(), "m1");
+        first.retransmit = true;
+        let (dels, _) = b.on_wire(t(1), Wire::Data(first.clone()));
+        assert_eq!(dels.len(), 1);
+        let malformed = |mut m: DataMsg<&'static str>| {
+            m.vt_wire = VtWire::Full(std::sync::Arc::from(&[9u8, 0, 0, 0][..]));
+            Wire::Data(m)
+        };
+        let stats = |b: &PccastEndpoint<&str>| {
+            let s = b.core().stats();
+            (s.duplicates, s.ts_decode_errors, s.holdback_events)
+        };
+        let before = stats(&b);
+        b.on_wire(t(2), malformed(first.clone()));
+        assert_eq!(stats(&b), (before.0 + 1, before.1, before.2 + 1));
+        vt.set(0, 2);
+        let second = DataMsg::new(id(2), vt, "m2");
+        let (dels, _) = b.on_wire(t(3), malformed(second));
+        assert!(dels.is_empty());
+        assert_eq!(stats(&b), (before.0 + 1, before.1 + 1, before.2 + 2));
     }
 
     #[test]

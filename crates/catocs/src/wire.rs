@@ -6,6 +6,7 @@ use crate::group::{MsgId, View, ViewId};
 use clocks::vector::VectorClock;
 use serde::{Deserialize, Serialize};
 use simnet::time::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// How a data message's vector timestamp travels on the wire.
 ///
@@ -15,17 +16,20 @@ use simnet::time::{SimDuration, SimTime};
 /// the components that changed since the sender's previous data message —
 /// threaded through the endpoint so the T7+ experiment measures the real
 /// trade-off rather than an analytical table.
+///
+/// A stamp's bytes are built once and shared: cloning a wire, once per
+/// recipient, takes a handle on them.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum VtWire {
     /// Full encoding ([`VectorClock::encode`]); always used for
     /// retransmissions and appended predecessors so a receiver with no
     /// decode context can always recover.
-    Full(Vec<u8>),
+    Full(Arc<[u8]>),
     /// Delta encoding ([`VectorClock::encode_delta`]) against the vector
     /// time of the sender's *previous* data message. Decodable only in
     /// per-sender seq order; receivers park messages that arrive ahead of
     /// their base and fall back to NACK-driven full retransmission.
-    Delta(Vec<u8>),
+    Delta(Arc<[u8]>),
     /// Constant-size pccast tag: no vector at all, just the forwarding
     /// link's `(epoch, from, link_seq)` position. Causal order is implied
     /// by per-link FIFO dissemination, so the tag's size is independent of

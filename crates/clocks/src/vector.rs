@@ -537,9 +537,15 @@ impl VectorClock {
 
     /// Full binary encoding: `n` little-endian `u64`s plus a 4-byte count.
     /// This is the per-message ordering overhead measured by T7.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = vec![0; self.encoded_len()];
-        let (count, words) = out.split_at_mut(4);
+    ///
+    /// The bytes are built once, in one allocation, and shared: every
+    /// copy of the message that carries them — one per recipient, and one
+    /// per retransmission served from the unstable buffer — holds a
+    /// handle on them, not a copy.
+    pub fn encode(&self) -> Arc<[u8]> {
+        let mut out: Arc<[u8]> = repeat_n(0, self.encoded_len()).collect();
+        let fresh = Arc::get_mut(&mut out).expect("a fresh allocation has one handle");
+        let (count, words) = fresh.split_at_mut(4);
         count.copy_from_slice(&(self.len as u32).to_le_bytes());
         // The buffer starts zeroed: an absent block has nothing to add.
         for (bytes, block) in words.chunks_mut(8 * BLOCK).zip(self.slots()) {
@@ -578,8 +584,10 @@ impl VectorClock {
     /// Delta encoding relative to `base`: only changed components are sent
     /// as `(u32 index, u64 value)` pairs. This is the ablation in T7 —
     /// cheaper when few components change between consecutive messages,
-    /// degrading to worse-than-full under all-to-all traffic.
-    pub fn encode_delta(&self, base: &VectorClock) -> Vec<u8> {
+    /// degrading to worse-than-full under all-to-all traffic. Shared like
+    /// [`VectorClock::encode`]'s bytes; a delta is a few pairs, so it is
+    /// gathered first and copied once into its shared allocation.
+    pub fn encode_delta(&self, base: &VectorClock) -> Arc<[u8]> {
         // Header, and room for the few pairs of a sparse delta.
         let mut out = Vec::with_capacity(8 + 12 * 4);
         out.resize(8, 0);
@@ -591,7 +599,7 @@ impl VectorClock {
         }
         out[..4].copy_from_slice(&(self.len as u32).to_le_bytes());
         out[4..8].copy_from_slice(&pairs.to_le_bytes());
-        out
+        out.into()
     }
 
     /// Widest clock [`VectorClock::decode_delta`] will materialize. The
@@ -899,7 +907,7 @@ mod tests {
     fn decode_rejects_malformed() {
         assert_eq!(VectorClock::decode(&[]), None);
         assert_eq!(VectorClock::decode(&[9, 0, 0, 0]), None);
-        let mut good = vc(&[1, 2]).encode();
+        let mut good = vc(&[1, 2]).encode().to_vec();
         good.pop();
         assert_eq!(VectorClock::decode(&good), None);
     }
@@ -921,11 +929,11 @@ mod tests {
         let base = vc(&[1, 2]);
         assert_eq!(VectorClock::decode_delta(&[], &base), None);
         // Trailing garbage byte.
-        let mut d = vc(&[1, 3]).encode_delta(&base);
+        let mut d = vc(&[1, 3]).encode_delta(&base).to_vec();
         d.push(0);
         assert_eq!(VectorClock::decode_delta(&d, &base), None);
         // Truncated mid-pair.
-        let mut d = vc(&[1, 3]).encode_delta(&base);
+        let mut d = vc(&[1, 3]).encode_delta(&base).to_vec();
         d.truncate(d.len() - 5);
         assert_eq!(VectorClock::decode_delta(&d, &base), None);
         // Pair index out of declared range (n = 2, index = 2).
@@ -1195,7 +1203,7 @@ mod tests {
         assert_eq!(cb.lagging(ca).collect::<Vec<_>>(), oracle::lagging(b, a));
 
         let full = cb.encode();
-        assert_eq!(&full, &oracle::encode(b));
+        assert_eq!(full[..], oracle::encode(b));
         assert_eq!(full.len(), cb.encoded_len());
         assert_eq!(
             VectorClock::decode(&full).map(entries),
@@ -1206,7 +1214,7 @@ mod tests {
         // Against a wider base the encoder emits pairs past its own
         // width, which the decoder then refuses: both as before.
         let delta = cb.encode_delta(ca);
-        assert_eq!(&delta, &oracle::encode_delta(b, a));
+        assert_eq!(delta[..], oracle::encode_delta(b, a));
         let decoded = VectorClock::decode_delta(&delta, ca);
         assert_eq!(
             decoded.clone().map(entries),
@@ -1251,7 +1259,7 @@ mod tests {
             prop_assert!(!same.merge_advancing(&ca.clone(), |_, _| panic!("nothing rose")));
             prop_assert_eq!(ca.lagging(&ca.clone()).count(), 0);
             prop_assert_eq!(ca.compare(&ca.clone()), ClockOrd::Equal);
-            prop_assert_eq!(cb.encode_delta(&cb.clone()), oracle::encode_delta(&b, &b));
+            prop_assert_eq!(cb.encode_delta(&cb.clone())[..], oracle::encode_delta(&b, &b));
         }
     }
 
@@ -1337,7 +1345,7 @@ mod tests {
             flip_to in 0u8..=255,
             cut in 0usize..32,
         ) {
-            let mut d = a.encode_delta(&b);
+            let mut d = a.encode_delta(&b).to_vec();
             let len = d.len().max(1);
             if let Some(byte) = d.get_mut(flip_at % len) {
                 *byte = flip_to;
