@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 
 /// Group payload: a completed hole.
 #[derive(Clone, Debug)]
-pub struct HoleDone {
+pub(crate) struct HoleDone {
     /// The hole index.
     pub hole: u32,
 }
@@ -39,7 +39,7 @@ pub struct HoleDone {
 /// One driller controller in the distributed design: drills the holes
 /// assigned to it by the (deterministic) shared schedule, multicasting
 /// each completion.
-pub struct DistributedDriller {
+pub(crate) struct DistributedDriller {
     me: usize,
     n: usize,
     holes_total: u32,
@@ -149,7 +149,7 @@ pub fn run_drilling_distributed(
 
 /// Messages of the central design.
 #[derive(Clone, Debug)]
-pub enum CellMsg {
+pub(crate) enum CellMsg {
     /// Controller → driller: drill this hole.
     Assign { hole: u32 },
     /// Driller → controller: done.
@@ -162,36 +162,31 @@ pub enum CellMsg {
 
 /// Hole lifecycle in the controller's state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HoleState {
+pub(crate) enum HoleState {
     /// Not yet assigned.
     Undrilled,
     /// Assigned to a driller.
     BeingDrilled(usize),
     /// Completed.
     Completed,
-    /// Driller failed mid-hole: must be checked, never re-drilled.
-    ToBeChecked,
 }
 
 /// The central cell controller.
-pub struct CellController {
+pub(crate) struct CellController {
     drillers: Vec<ProcessId>,
     backup: Option<ProcessId>,
     /// Per-hole state — the replicated object of the appendix.
     pub holes: Vec<HoleState>,
-    /// The final checklist of holes needing inspection.
-    pub checklist: Vec<u32>,
     assigned: usize,
 }
 
 impl CellController {
     /// Creates a controller over the given drillers and optional backup.
-    pub fn new(drillers: Vec<ProcessId>, backup: Option<ProcessId>, holes: u32) -> Self {
+    pub(crate) fn new(drillers: Vec<ProcessId>, backup: Option<ProcessId>, holes: u32) -> Self {
         CellController {
             drillers,
             backup,
             holes: vec![HoleState::Undrilled; holes as usize],
-            checklist: Vec::new(),
             assigned: 0,
         }
     }
@@ -217,17 +212,6 @@ impl CellController {
             }
         } else {
             ctx.send(self.drillers[driller_idx], CellMsg::Idle);
-        }
-    }
-
-    /// Marks every hole being drilled by `driller_idx` as to-be-checked
-    /// (the failure path).
-    pub fn driller_failed(&mut self, driller_idx: usize) {
-        for (h, s) in self.holes.iter_mut().enumerate() {
-            if *s == HoleState::BeingDrilled(driller_idx) {
-                *s = HoleState::ToBeChecked;
-                self.checklist.push(h as u32);
-            }
         }
     }
 }
@@ -257,7 +241,7 @@ impl Process<CellMsg> for CellController {
 }
 
 /// A driller in the central design.
-pub struct CentralDriller {
+pub(crate) struct CentralDriller {
     me_idx: usize,
     controller: ProcessId,
     drill_time: SimDuration,
@@ -292,7 +276,7 @@ impl Process<CellMsg> for CentralDriller {
 
 /// The backup controller: passively mirrors state.
 #[derive(Default)]
-pub struct BackupController {
+pub(crate) struct BackupController {
     /// Mirrored hole states.
     pub mirrored: std::collections::BTreeMap<u32, HoleState>,
 }
@@ -388,18 +372,6 @@ mod tests {
         // to 15 instead of 3 — data traffic grows ~5x.
         let ratio = big.data_msgs as f64 / small.data_msgs as f64;
         assert!(ratio > 3.0, "distributed ratio {ratio}");
-    }
-
-    #[test]
-    fn central_failure_produces_checklist() {
-        let mut c = CellController::new(vec![ProcessId(2), ProcessId(3)], None, 10);
-        c.holes[0] = HoleState::BeingDrilled(0);
-        c.holes[1] = HoleState::BeingDrilled(1);
-        c.holes[2] = HoleState::Completed;
-        c.driller_failed(0);
-        assert_eq!(c.checklist, vec![0]);
-        assert_eq!(c.holes[0], HoleState::ToBeChecked);
-        assert_eq!(c.holes[1], HoleState::BeingDrilled(1));
     }
 
     #[test]

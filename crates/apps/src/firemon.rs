@@ -26,7 +26,7 @@ use simnet::time::{SimDuration, SimTime};
 
 /// A fire-status event.
 #[derive(Clone, Debug)]
-pub struct FireMsg {
+pub(crate) struct FireMsg {
     /// True = fire burning; false = fire out.
     pub fire: bool,
     /// Synchronized real-time timestamp of the physical detection.
@@ -44,19 +44,19 @@ const OUT_TICK: u32 = 3;
 const FIRE2_TICK: u32 = 4;
 
 /// Member 0: the furnace controller P (detects both fires).
-pub struct FurnaceP {
+pub(crate) struct FurnaceP {
     ticks: u32,
     clock: SyncClock,
 }
 
 /// Member 1: the monitor R (detects the fire going out).
-pub struct MonitorR {
+pub(crate) struct MonitorR {
     ticks: u32,
     clock: SyncClock,
 }
 
 /// Member 2: the observer Q.
-pub struct ObserverQ {
+pub(crate) struct ObserverQ {
     /// Naive belief: the last delivered message.
     pub naive_fire: Option<bool>,
     /// Timestamp-ordered belief.
@@ -109,7 +109,7 @@ impl GroupApp<FireMsg> for ObserverQ {
 }
 
 /// The three roles, boxed for the shared harness.
-pub enum FireRole {
+pub(crate) enum FireRole {
     /// Furnace controller P.
     P(FurnaceP),
     /// Fire-out monitor R.
@@ -120,7 +120,7 @@ pub enum FireRole {
 
 impl FireRole {
     /// Access the observer, if this role is Q.
-    pub fn as_q(&self) -> Option<&ObserverQ> {
+    pub(crate) fn as_q(&self) -> Option<&ObserverQ> {
         match self {
             FireRole::Q(q) => Some(q),
             _ => None,

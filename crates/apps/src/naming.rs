@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 
 /// A name binding: name → value, stamped for conflict resolution.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Binding {
+pub(crate) struct Binding {
     /// The bound name.
     pub name: u64,
     /// The bound value.
@@ -41,13 +41,13 @@ pub struct Binding {
 
 /// Anti-entropy messages.
 #[derive(Clone, Debug)]
-pub enum DirMsg {
+pub(crate) enum DirMsg {
     /// A gossip digest: a batch of bindings known at the sender.
     Gossip(Vec<Binding>),
 }
 
 /// A directory replica.
-pub struct DirReplica {
+pub(crate) struct DirReplica {
     me: usize,
     n: usize,
     clock: clocks::lamport::LamportClock,
@@ -68,7 +68,12 @@ const BIND: TimerId = TimerId(1);
 impl DirReplica {
     /// Creates replica `me` of `n`, which will bind the given
     /// (name, value) pairs locally over time.
-    pub fn new(me: usize, n: usize, to_bind: Vec<(u64, u64)>, gossip_every: SimDuration) -> Self {
+    pub(crate) fn new(
+        me: usize,
+        n: usize,
+        to_bind: Vec<(u64, u64)>,
+        gossip_every: SimDuration,
+    ) -> Self {
         DirReplica {
             me,
             n,

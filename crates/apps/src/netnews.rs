@@ -23,17 +23,15 @@ use statelevel::cache::OrderPreservingCache;
 
 /// A news article.
 #[derive(Clone, Debug)]
-pub struct Article {
+pub(crate) struct Article {
     /// Globally unique id.
     pub id: u64,
     /// The inquiry this responds to (the `References` field).
     pub reference: Option<u64>,
-    /// Author node.
-    pub author: usize,
 }
 
 /// One Usenet node: posts inquiries, responds to others, reads all.
-pub struct NewsNode {
+pub(crate) struct NewsNode {
     me: usize,
     n: usize,
     inquiries_to_post: u32,
@@ -51,7 +49,12 @@ impl NewsNode {
     /// Creates node `me` of `n`, which will post `inquiries_to_post`
     /// inquiries and respond to others' inquiries with the given
     /// probability.
-    pub fn new(me: usize, n: usize, inquiries_to_post: u32, response_probability: f64) -> Self {
+    pub(crate) fn new(
+        me: usize,
+        n: usize,
+        inquiries_to_post: u32,
+        response_probability: f64,
+    ) -> Self {
         NewsNode {
             me,
             n,
@@ -104,7 +107,6 @@ impl Process<Article> for NewsNode {
             let article = Article {
                 id: self.fresh_id(),
                 reference: None,
-                author: self.me,
             };
             self.ingest(article.clone());
             self.flood(ctx, article);
@@ -120,7 +122,6 @@ impl Process<Article> for NewsNode {
             let article = Article {
                 id: self.fresh_id(),
                 reference: Some(inquiry_id),
-                author: self.me,
             };
             self.ingest(article.clone());
             self.flood(ctx, article);

@@ -25,7 +25,7 @@ use statelevel::prescriptive::{PrescriptiveInbox, PrescriptivePolicy};
 
 /// A sensor sample.
 #[derive(Clone, Debug)]
-pub struct Sample {
+pub(crate) struct Sample {
     /// Which sensor.
     pub sensor: usize,
     /// Sample sequence number at that sensor.
@@ -37,14 +37,14 @@ pub struct Sample {
 }
 
 /// Ground-truth oven temperature at `t` (a slow ramp plus oscillation).
-pub fn oven_truth(t: SimTime) -> i64 {
+pub(crate) fn oven_truth(t: SimTime) -> i64 {
     let secs = t.as_secs_f64();
     (2000.0 + 20.0 * secs + 150.0 * (secs * 3.0).sin()) as i64
 }
 
 /// Staleness statistics accumulated by a monitor.
 #[derive(Clone, Debug, Default)]
-pub struct Staleness {
+pub(crate) struct Staleness {
     samples: u64,
     total_us: u64,
     max_us: u64,
@@ -52,14 +52,14 @@ pub struct Staleness {
 
 impl Staleness {
     /// Records the age of the stored value at an observation instant.
-    pub fn record(&mut self, age: SimDuration) {
+    pub(crate) fn record(&mut self, age: SimDuration) {
         self.samples += 1;
         self.total_us += age.as_micros();
         self.max_us = self.max_us.max(age.as_micros());
     }
 
     /// Mean age.
-    pub fn mean(&self) -> SimDuration {
+    pub(crate) fn mean(&self) -> SimDuration {
         match self.total_us.checked_div(self.samples) {
             None => SimDuration::ZERO,
             Some(mean) => SimDuration::from_micros(mean),
@@ -67,12 +67,12 @@ impl Staleness {
     }
 
     /// Maximum age.
-    pub fn max(&self) -> SimDuration {
+    pub(crate) fn max(&self) -> SimDuration {
         SimDuration::from_micros(self.max_us)
     }
 
     /// Observation count.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.samples
     }
 }
@@ -82,7 +82,7 @@ impl Staleness {
 // ---------------------------------------------------------------------
 
 /// Group member roles for the CATOCS path.
-pub enum OvenRole {
+pub(crate) enum OvenRole {
     /// A sensor publishing on every app tick.
     Sensor {
         /// Sensor index.
@@ -98,7 +98,7 @@ pub enum OvenRole {
 
 /// The monitor state shared by both paths.
 #[derive(Default)]
-pub struct OvenMonitor {
+pub(crate) struct OvenMonitor {
     /// Latest stored sample time.
     pub latest_taken_at: Option<SimTime>,
     /// Latest stored temperature.
@@ -122,7 +122,7 @@ impl OvenMonitor {
 
 impl OvenRole {
     /// Access the monitor, if this role is one.
-    pub fn as_monitor(&self) -> Option<&OvenMonitor> {
+    pub(crate) fn as_monitor(&self) -> Option<&OvenMonitor> {
         match self {
             OvenRole::Monitor(m) => Some(m),
             _ => None,
@@ -216,7 +216,7 @@ pub fn run_oven_catocs(
 // ---------------------------------------------------------------------
 
 /// A sensor in the state-level path: sends directly to the monitor.
-pub struct RawSensor {
+pub(crate) struct RawSensor {
     me: usize,
     monitor: ProcessId,
     period: SimDuration,
@@ -251,7 +251,7 @@ impl Process<Sample> for RawSensor {
 }
 
 /// The state-level monitor: latest-wins per sensor, no holdback ever.
-pub struct RawMonitor {
+pub(crate) struct RawMonitor {
     inbox: PrescriptiveInbox<(i64, SimTime)>,
     /// Shared monitor state.
     pub core: OvenMonitor,

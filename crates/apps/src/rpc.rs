@@ -27,8 +27,8 @@ use txn::deadlock::{DeadlockMonitor, WaitForReport};
 use txn::lock::TxId;
 
 /// An RPC instance: the `seq`-th call handled (or issued) by `proc`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Inst {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Inst {
     /// The process.
     pub proc: usize,
     /// Locally unique instance number.
@@ -37,7 +37,7 @@ pub struct Inst {
 
 impl Inst {
     /// Packs the instance into a `TxId` for the shared monitor machinery.
-    pub fn as_txid(self) -> TxId {
+    pub(crate) fn as_txid(self) -> TxId {
         TxId(((self.proc as u64) << 32) | self.seq as u64)
     }
 }
@@ -45,7 +45,7 @@ impl Inst {
 /// A call chain: the initiating server calls `chain[0]`, which calls
 /// `chain[1]`, and so on. A chain that revisits a blocked server
 /// deadlocks.
-pub type Chain = Vec<usize>;
+pub(crate) type Chain = Vec<usize>;
 
 // ---------------------------------------------------------------------
 // Shared single-threaded server core.
@@ -66,7 +66,7 @@ struct Current {
 
 /// The server core: queueing, blocking, wait-for bookkeeping.
 #[derive(Debug, Default)]
-pub struct ServerCore {
+pub(crate) struct ServerCore {
     me: usize,
     next_seq: u32,
     current: Option<Current>,
@@ -79,7 +79,7 @@ pub struct ServerCore {
 
 /// What the core wants sent after an event.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RpcAction {
+pub(crate) enum RpcAction {
     /// Invoke `target` with the remaining chain, on behalf of `caller`.
     Invoke {
         /// The calling instance (this server's current call).
@@ -98,7 +98,7 @@ pub enum RpcAction {
 
 impl ServerCore {
     /// Creates the core for server `me`.
-    pub fn new(me: usize) -> Self {
+    pub(crate) fn new(me: usize) -> Self {
         ServerCore {
             me,
             ..Default::default()
@@ -106,7 +106,7 @@ impl ServerCore {
     }
 
     /// Handles an incoming invocation; returns actions to perform.
-    pub fn on_invoke(&mut self, caller: Option<Inst>, chain: Chain) -> Vec<RpcAction> {
+    pub(crate) fn on_invoke(&mut self, caller: Option<Inst>, chain: Chain) -> Vec<RpcAction> {
         if self.current.is_some() {
             self.queue.push_back((caller, chain));
             if let Some(c) = caller {
@@ -151,7 +151,7 @@ impl ServerCore {
     }
 
     /// Handles a return addressed to instance `to`.
-    pub fn on_return(&mut self, to: Inst) -> Vec<RpcAction> {
+    pub(crate) fn on_return(&mut self, to: Inst) -> Vec<RpcAction> {
         let Some(cur) = &self.current else {
             return Vec::new();
         };
@@ -186,7 +186,7 @@ impl ServerCore {
     /// queued-caller → current, and current → (child's *process*, which
     /// the report encodes as that process's next instance — the monitor
     /// matches on process for the blocked edge).
-    pub fn wait_edges(&self) -> Vec<(Inst, Inst)> {
+    pub(crate) fn wait_edges(&self) -> Vec<(Inst, Inst)> {
         let mut edges = Vec::new();
         if let Some(cur) = &self.current {
             for &q in &self.queued_callers {
@@ -206,11 +206,6 @@ impl ServerCore {
         }
         edges
     }
-
-    /// Whether the server is blocked on an outstanding call.
-    pub fn is_blocked(&self) -> bool {
-        self.current.is_some()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -219,7 +214,7 @@ impl ServerCore {
 
 /// The multicast payload of mode A.
 #[derive(Clone, Debug)]
-pub enum RpcOp {
+pub(crate) enum RpcOp {
     /// An invocation (delivered to everyone; only `target` acts).
     Invoke {
         /// Calling instance, if not a root call.
@@ -239,7 +234,7 @@ pub enum RpcOp {
 }
 
 /// A mode-A group member: server or monitor.
-pub enum VanRenesseRole {
+pub(crate) enum VanRenesseRole {
     /// An RPC server with its scripted root chains.
     Server {
         /// The server core.
@@ -254,7 +249,7 @@ pub enum VanRenesseRole {
 /// The mode-A monitor: process-level wait-for graph from delivered
 /// events.
 #[derive(Default)]
-pub struct VrMonitor {
+pub(crate) struct VrMonitor {
     graph: WaitForGraph<usize>,
     /// When the first deadlock was detected.
     pub detected_at: Option<SimTime>,
@@ -282,7 +277,7 @@ impl VanRenesseRole {
     }
 
     /// Access the monitor, if this role is one.
-    pub fn as_monitor(&self) -> Option<&VrMonitor> {
+    pub(crate) fn as_monitor(&self) -> Option<&VrMonitor> {
         match self {
             VanRenesseRole::Monitor(m) => Some(m),
             _ => None,
@@ -415,7 +410,7 @@ pub fn run_van_renesse(
 
 /// Messages of mode B.
 #[derive(Clone, Debug)]
-pub enum StateMsg {
+pub(crate) enum StateMsg {
     /// Direct invocation.
     Invoke {
         /// Calling instance.
@@ -433,7 +428,7 @@ pub enum StateMsg {
 }
 
 /// A mode-B server process.
-pub struct StateServer {
+pub(crate) struct StateServer {
     core: ServerCore,
     scripts: Vec<Chain>,
     monitor: ProcessId,
@@ -513,7 +508,7 @@ impl Process<StateMsg> for StateServer {
 }
 
 /// The mode-B monitor process.
-pub struct StateMonitor {
+pub(crate) struct StateMonitor {
     monitor: DeadlockMonitor,
     /// When the first deadlock was detected.
     pub detected_at: Option<SimTime>,
@@ -630,7 +625,7 @@ mod tests {
             }
         );
         assert_eq!(core.completed, 1);
-        assert!(!core.is_blocked());
+        assert!(core.current.is_none());
     }
 
     #[test]
@@ -638,14 +633,14 @@ mod tests {
         let mut core = ServerCore::new(0);
         let actions = core.on_invoke(None, vec![1]);
         assert!(matches!(actions[0], RpcAction::Invoke { target: 1, .. }));
-        assert!(core.is_blocked());
+        assert!(core.current.is_some());
         let inst = match actions[0] {
             RpcAction::Invoke { caller, .. } => caller,
             _ => unreachable!(),
         };
         let actions = core.on_return(inst);
         assert!(actions.is_empty(), "root call has no caller");
-        assert!(!core.is_blocked());
+        assert!(core.current.is_none());
         assert_eq!(core.completed, 1);
     }
 

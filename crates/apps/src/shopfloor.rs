@@ -25,11 +25,11 @@ use simnet::time::{SimDuration, SimTime};
 use statelevel::versioned::VersionedStore;
 
 /// The lot being controlled.
-pub const LOT: ObjectId = ObjectId(42);
+pub(crate) const LOT: ObjectId = ObjectId(42);
 
 /// A group multicast payload: lot state changed.
 #[derive(Clone, Debug)]
-pub struct LotUpdate {
+pub(crate) struct LotUpdate {
     /// True = "stop processing", false = "start processing".
     pub stop: bool,
     /// The database-assigned version (the state-level clock).
@@ -38,7 +38,7 @@ pub struct LotUpdate {
 
 /// Every message in the scenario.
 #[derive(Clone, Debug)]
-pub enum ShopMsg {
+pub(crate) enum ShopMsg {
     /// Client → SFC instance: start/stop request.
     Request { stop: bool },
     /// SFC → client: done.
@@ -80,7 +80,7 @@ fn route(ctx: &mut Ctx<'_, ShopMsg>, me: usize, out: Vec<Out<LotUpdate>>) {
 }
 
 /// An SFC instance: group member 0 or 1.
-pub struct SfcInstance {
+pub(crate) struct SfcInstance {
     me: usize,
     endpoint: CbcastEndpoint<LotUpdate>,
     client: Option<ProcessId>,
@@ -89,7 +89,7 @@ pub struct SfcInstance {
 
 impl SfcInstance {
     /// Creates instance `me` (member index), talking to database `db`.
-    pub fn new(me: usize, db: ProcessId) -> Self {
+    pub(crate) fn new(me: usize, db: ProcessId) -> Self {
         SfcInstance {
             me,
             endpoint: CbcastEndpoint::new(me, 3, GroupConfig::default()),
@@ -138,7 +138,7 @@ impl Process<ShopMsg> for SfcInstance {
 
 /// The observer (Client B): group member 2. Tracks both the naive
 /// delivery-order state and the version-checked state.
-pub struct Observer {
+pub(crate) struct Observer {
     endpoint: CbcastEndpoint<LotUpdate>,
     /// Delivery-order state: last delivered update wins.
     pub naive_stopped: Option<bool>,
@@ -150,7 +150,7 @@ pub struct Observer {
 
 impl Observer {
     /// A fresh observer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Observer {
             endpoint: CbcastEndpoint::new(2, 3, GroupConfig::default()),
             naive_stopped: None,
@@ -198,13 +198,13 @@ impl Process<ShopMsg> for Observer {
 }
 
 /// The shared database: serializes updates, assigns versions.
-pub struct Database {
+pub(crate) struct Database {
     version: u64,
 }
 
 impl Database {
     /// A fresh database.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Database { version: 0 }
     }
 }
@@ -231,13 +231,13 @@ impl Process<ShopMsg> for Database {
 }
 
 /// Client A: starts the lot at instance 1, then stops it at instance 2.
-pub struct ClientA {
+pub(crate) struct ClientA {
     sent_stop: bool,
 }
 
 impl ClientA {
     /// A fresh client.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClientA { sent_stop: false }
     }
 }

@@ -26,13 +26,13 @@ use simnet::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// The base (option price) object id.
-pub const OPTION_OBJ: ObjectId = ObjectId(1);
+pub(crate) const OPTION_OBJ: ObjectId = ObjectId(1);
 /// The derived (theoretical price) object id.
-pub const THEO_OBJ: ObjectId = ObjectId(2);
+pub(crate) const THEO_OBJ: ObjectId = ObjectId(2);
 
 /// Messages on the trading group.
 #[derive(Clone, Debug)]
-pub enum TickerMsg {
+pub(crate) enum TickerMsg {
     /// A raw option price (version = per-object state clock).
     OptionPrice { version: u64, cents: i64 },
     /// A theoretical price derived from option-price `based_on`.
@@ -44,7 +44,7 @@ pub enum TickerMsg {
 }
 
 /// Member 0: the option pricing feed (random walk).
-pub struct OptionServer {
+pub(crate) struct OptionServer {
     version: u64,
     cents: i64,
     remaining: u32,
@@ -52,7 +52,7 @@ pub struct OptionServer {
 
 impl OptionServer {
     /// Prices to publish in total.
-    pub fn new(updates: u32) -> Self {
+    pub(crate) fn new(updates: u32) -> Self {
         OptionServer {
             version: 0,
             cents: 2550, // 25.50, as in Figure 4
@@ -77,7 +77,7 @@ impl GroupApp<TickerMsg> for OptionServer {
 }
 
 /// Member 1: derives theoretical prices after `compute_delay`.
-pub struct TheoServer {
+pub(crate) struct TheoServer {
     compute_delay: SimDuration,
     queue: VecDeque<(SimTime, u64, i64)>,
     version: u64,
@@ -85,7 +85,7 @@ pub struct TheoServer {
 
 impl TheoServer {
     /// Creates the server with the given model-computation delay.
-    pub fn new(compute_delay: SimDuration) -> Self {
+    pub(crate) fn new(compute_delay: SimDuration) -> Self {
         TheoServer {
             compute_delay,
             queue: VecDeque::new(),
@@ -124,7 +124,7 @@ impl GroupApp<TickerMsg> for TheoServer {
 
 /// Member 2: the monitor. In CATOCS mode it displays whatever arrives;
 /// in state-level mode it checks the dependency field first.
-pub struct Monitor {
+pub(crate) struct Monitor {
     /// Use the dependency-tracking fix.
     state_level: bool,
     tracker: statelevel::deps::DependencyTracker,
@@ -143,7 +143,7 @@ pub struct Monitor {
 
 impl Monitor {
     /// Creates a monitor; `state_level` enables the §4.1 fix.
-    pub fn new(state_level: bool) -> Self {
+    pub(crate) fn new(state_level: bool) -> Self {
         Monitor {
             state_level,
             tracker: statelevel::deps::DependencyTracker::new(),
@@ -263,31 +263,8 @@ pub fn run_trading(
     }
 }
 
-/// §4.1's scale argument, made computable: "a large trading floor must
-/// monitor price changes on several hundred thousand stocks and
-/// derivative instruments, requiring more process groups than we
-/// understand current CATOCS implementation can support."
-///
-/// One process group per instrument (to avoid over-constraining message
-/// ordering): returns `(groups, per_workstation_state_bytes)` where each
-/// workstation carries one vector clock (8 bytes × members) per group it
-/// subscribes to, plus unstable-buffer slots for in-flight traffic.
-pub fn catocs_trading_floor_cost(
-    instruments: usize,
-    members_per_group: usize,
-    outstanding_msgs: usize,
-    msg_bytes: usize,
-) -> (usize, usize) {
-    let per_group_clock = 8 * members_per_group;
-    let per_group_buffer = outstanding_msgs * msg_bytes;
-    (
-        instruments,
-        instruments * (per_group_clock + per_group_buffer),
-    )
-}
-
 /// Object-safe union of the three trading roles.
-pub trait TradingRole: GroupApp<TickerMsg> {
+pub(crate) trait TradingRole: GroupApp<TickerMsg> {
     /// Downcast to the monitor, if this role is one.
     fn as_monitor(&self) -> Option<&Monitor> {
         None
@@ -385,19 +362,6 @@ mod tests {
         // 120 option updates + ~120 theo updates.
         assert!(r.displayed >= 200, "displayed {}", r.displayed);
         assert!(r.net_sent > 0);
-    }
-
-    #[test]
-    fn trading_floor_group_cost_is_prohibitive() {
-        // 300k instruments, 40-member groups, 2 outstanding 256B msgs.
-        let (groups, bytes) = catocs_trading_floor_cost(300_000, 40, 2, 256);
-        assert_eq!(groups, 300_000);
-        // ~250 MB of pure ordering state per workstation.
-        assert!(bytes > 200_000_000, "{bytes}");
-        // The state-level dependency utilities carry one (id, version)
-        // pair per instrument instead: ~16 bytes each.
-        let state_level = 300_000 * 16;
-        assert!(bytes / state_level > 20);
     }
 
     #[test]

@@ -70,7 +70,7 @@ fn run_group(
 }
 
 /// Ablation 1: sequencer vs token total order under two loads.
-pub fn sequencer_vs_token() -> Table {
+pub(crate) fn sequencer_vs_token() -> Table {
     let mut t = Table::new(
         "A1 — ablation: total order via sequencer vs token ring (N=6)",
         &["variant", "load", "delivered", "held", "mean hold ms"],
@@ -99,7 +99,7 @@ pub fn sequencer_vs_token() -> Table {
 }
 
 /// Ablation 2: piggybacked acks vs gossip-only stability.
-pub fn piggyback_acks() -> Table {
+pub(crate) fn piggyback_acks() -> Table {
     let mut t = Table::new(
         "A2 — ablation: stability from piggybacked timestamps vs tick gossip only (N=8, causal)",
         &["acks", "delivered", "buffered peak (mean)", "control bytes"],
@@ -131,7 +131,7 @@ pub fn piggyback_acks() -> Table {
 }
 
 /// Ablation 3: one large group vs independent small groups.
-pub fn partitioning() -> Table {
+pub(crate) fn partitioning() -> Table {
     let mut t = Table::new(
         "A3 — ablation: causal-domain partitioning (same total traffic)",
         &[
@@ -296,7 +296,7 @@ fn run_domain(seed: u64, n_domain: usize, groups: usize, msgs: u32) -> GroupStat
 
 /// Ablation 4: appending causal predecessors instead of holdback+NACK
 /// (§3.4 footnote 4) — delay drops, bandwidth rises.
-pub fn append_predecessors() -> Table {
+pub(crate) fn append_predecessors() -> Table {
     let mut t = Table::new(
         "A4 — ablation: append causal predecessors vs holdback+NACK (N=8, causal, 8% loss)",
         &[

@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 use super::t7plus;
 
 /// The seed every deterministic workload runs under.
-pub const SNAPSHOT_SEED: u64 = 42;
+pub(crate) const SNAPSHOT_SEED: u64 = 42;
 
 /// Group size for the simulated-group workloads.
 const GROUP_N: usize = 8;
@@ -209,7 +209,7 @@ fn push_latency(rows: &mut Rows, d: Algo, summaries: &[LatencySummary]) {
 /// # Panics
 ///
 /// Panics if two rows share a name.
-pub fn collect() -> Vec<(String, f64, &'static str)> {
+pub(crate) fn collect() -> Vec<(String, f64, &'static str)> {
     let mut rows = Rows::new();
 
     // T7+ hot-path grid at fixed N.
@@ -330,7 +330,7 @@ pub fn collect() -> Vec<(String, f64, &'static str)> {
     rows
 }
 
-/// The table `experiments bench` prints: every row of [`collect`], each
+/// The table `experiments bench` prints: every row of `collect`, each
 /// value at full precision — integral values as integers, the rest in
 /// `f64`'s shortest round-trip form.
 pub fn run() -> Table {

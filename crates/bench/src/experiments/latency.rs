@@ -69,7 +69,7 @@ pub(crate) fn chatter_group(seed: u64, n: usize, algo: Algo) -> (Sim<Wire<u64>>,
 /// disciplines (abcast, token, fifo) get their provenance, how
 /// `--compare` puts all of them on one workload, and how BENCH collects
 /// its `latency.*` rows for them.
-pub fn run_group_ledger(seed: u64, n: usize, algo: Algo) -> LatencySummary {
+pub(crate) fn run_group_ledger(seed: u64, n: usize, algo: Algo) -> LatencySummary {
     let (mut sim, members) = chatter_group(seed, n, algo);
     let ledger = Rc::new(RefCell::new(LedgerProbe::new()));
     let probe = ProbeHandle::new(Rc::clone(&ledger) as Rc<RefCell<dyn Probe>>);
@@ -307,7 +307,7 @@ pub fn run(replay: &Replay) -> String {
 
 /// Group size for the `--compare` sweep — large enough that the ordering
 /// disciplines' extra hops separate cleanly from wire transit.
-pub const COMPARE_N: usize = 64;
+pub(crate) const COMPARE_N: usize = 64;
 
 /// `experiments latency --compare`: cbcast vs pccast vs abcast (plus the
 /// fifo floor) on the same workload at N=64 — what each ordering

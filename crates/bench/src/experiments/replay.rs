@@ -6,7 +6,7 @@
 //! encoding), the injected [`BugKnobs`], which of the five delivery
 //! algorithms ([`Algo`]), and what the report is narrowed to (`--msg`,
 //! `--at`). It is built in one place — [`parse`], the flag parser the
-//! four verbs share — and consumed everywhere: [`Replay::config`] is the
+//! four verbs share — and consumed everywhere: `Replay::config` is the
 //! one function that turns a cell into a [`CampaignConfig`],
 //! [`Replay::run`] the one way the tools run a campaign.
 //!
@@ -52,15 +52,15 @@ use Algo::{Abcast, Cbcast, Fifo, Pccast, Token};
 
 impl Algo {
     /// Every algorithm, in the order reports list them.
-    pub const ALL: [Algo; 5] = [Cbcast, Pccast, Abcast, Token, Fifo];
+    pub(crate) const ALL: [Algo; 5] = [Cbcast, Pccast, Abcast, Token, Fifo];
 
     /// Parses the CLI `--discipline` value.
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         Algo::ALL.into_iter().find(|a| a.name() == s)
     }
 
     /// Stable lowercase name, used in headers and BENCH metric names.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Cbcast => "cbcast",
             Pccast => "pccast",
@@ -73,13 +73,13 @@ impl Algo {
     /// Whether this algorithm replays a chaos campaign (where the fault
     /// plan, the sweep cell and the bug knobs apply) rather than a plain
     /// harness group.
-    pub fn is_chaos(self) -> bool {
+    pub(crate) fn is_chaos(self) -> bool {
         matches!(self, Cbcast | Pccast)
     }
 
     /// The phase that is this algorithm's ordering signature — the one
     /// its guarantee uniquely charges latency to.
-    pub fn signature_phase(self) -> PhaseId {
+    pub(crate) fn signature_phase(self) -> PhaseId {
         match self {
             Cbcast => PhaseId::Causal,
             Pccast => PhaseId::Reorder,
@@ -92,7 +92,7 @@ impl Algo {
     /// What to build an endpoint of this algorithm from: the two causal
     /// algorithms share `Discipline::Causal` and differ in the group
     /// configuration.
-    pub fn endpoint(self) -> (Discipline, GroupConfig) {
+    pub(crate) fn endpoint(self) -> (Discipline, GroupConfig) {
         let (discipline, causal) = match self {
             Cbcast => (Discipline::Causal, CausalDiscipline::Cbcast),
             Pccast => (Discipline::Causal, CausalDiscipline::Pccast),
@@ -122,11 +122,11 @@ pub struct Cell {
 
 impl Cell {
     /// The cell of `CampaignConfig::default()`.
-    pub const INDEXED_FULL: Cell = Cell::new(true, false);
+    pub(crate) const INDEXED_FULL: Cell = Cell::new(true, false);
     /// The shipping configuration, where every kind of wait can occur.
-    pub const INDEXED_DELTA: Cell = Cell::new(true, true);
+    pub(crate) const INDEXED_DELTA: Cell = Cell::new(true, true);
     /// The four cells, in sweep order.
-    pub const ALL: [Cell; 4] = [
+    pub(crate) const ALL: [Cell; 4] = [
         Cell::new(false, false),
         Cell::new(false, true),
         Cell::INDEXED_FULL,
@@ -138,23 +138,23 @@ impl Cell {
     }
 
     /// Parses the CLI `--cell` value.
-    pub fn parse(s: &str) -> Option<Cell> {
+    pub(crate) fn parse(s: &str) -> Option<Cell> {
         Cell::ALL.into_iter().find(|c| c.name() == s)
     }
 
     /// `scan-full` … `indexed-delta`: the `--cell` value and the stem of
     /// the incident dump's file names.
-    pub fn name(self) -> String {
+    pub(crate) fn name(self) -> String {
         format!("{}-{}", self.holdback(), self.timestamps())
     }
 
     /// `scan` or `indexed`.
-    pub fn holdback(self) -> &'static str {
+    pub(crate) fn holdback(self) -> &'static str {
         ["scan", "indexed"][usize::from(self.indexed)]
     }
 
     /// `full` or `delta`.
-    pub fn timestamps(self) -> &'static str {
+    pub(crate) fn timestamps(self) -> &'static str {
         ["full", "delta"][usize::from(self.delta)]
     }
 }
@@ -177,7 +177,7 @@ pub struct Replay {
     /// Group size; `None` takes the sweep's: 3, 5 or 7 by `seed % 3`.
     pub n: Option<usize>,
     /// Sweep cell; `None` is the verb's default (every cell for `chaos`,
-    /// [`Cell::INDEXED_DELTA`] for the rest).
+    /// `Cell::INDEXED_DELTA` for the rest).
     pub cell: Option<Cell>,
     /// Re-injected bugs.
     pub knobs: BugKnobs,
@@ -199,17 +199,17 @@ impl Replay {
     }
 
     /// The group size the replay runs with.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n.unwrap_or([3, 5, 7][(self.seed % 3) as usize])
     }
 
     /// The one cell a single-campaign report runs.
-    pub fn cell(&self) -> Cell {
+    pub(crate) fn cell(&self) -> Cell {
         self.cell.unwrap_or(Cell::INDEXED_DELTA)
     }
 
     /// Every cell `chaos --seed` walks: the named one, or all four.
-    pub fn cells(&self) -> Vec<Cell> {
+    pub(crate) fn cells(&self) -> Vec<Cell> {
         self.cell.map_or(Cell::ALL.to_vec(), |cell| vec![cell])
     }
 
@@ -223,7 +223,7 @@ impl Replay {
 
     /// `injected bug knobs: no-flush-retry` — the header line reports
     /// print when any knob is set.
-    pub fn injected(&self) -> Option<String> {
+    pub(crate) fn injected(&self) -> Option<String> {
         let knobs = [
             (self.knobs.no_detector_reset, "no-detector-reset"),
             (self.knobs.no_flush_retry, "no-flush-retry"),
@@ -237,7 +237,7 @@ impl Replay {
     /// depends only on the seed and the group size, so cbcast and pccast
     /// face identical partitions, crashes and degrade episodes — what
     /// differs is the delivery machinery under test.
-    pub fn config(&self) -> CampaignConfig {
+    pub(crate) fn config(&self) -> CampaignConfig {
         let cell = self.cell();
         CampaignConfig {
             n: self.n(),
@@ -252,7 +252,7 @@ impl Replay {
     }
 
     /// The campaign request: the generated plan, no probe, ledger on.
-    pub fn campaign(&self) -> Campaign {
+    pub(crate) fn campaign(&self) -> Campaign {
         Campaign::new(self.seed, self.config())
     }
 
@@ -272,7 +272,7 @@ impl fmt::Display for Replay {
 }
 
 /// Parses an injected-bug knob name (`--bug`).
-pub fn parse_bug(name: &str) -> Option<BugKnobs> {
+pub(crate) fn parse_bug(name: &str) -> Option<BugKnobs> {
     let mut knobs = BugKnobs::default();
     match name {
         "no-detector-reset" => knobs.no_detector_reset = true,
@@ -286,7 +286,7 @@ pub fn parse_bug(name: &str) -> Option<BugKnobs> {
 }
 
 /// Parses a message id of the form `m0.3` (or bare `0.3`).
-pub fn parse_msg(s: &str) -> Option<MsgId> {
+pub(crate) fn parse_msg(s: &str) -> Option<MsgId> {
     let s = s.strip_prefix('m').unwrap_or(s);
     let (sender, seq) = s.split_once('.')?;
     Some(MsgId {

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::mem::discriminant;
 
 /// A shrunk replay.
-pub struct Shrunk {
+pub(crate) struct Shrunk {
     /// The replay, pinned to the cell that was shrunk.
     pub replay: Replay,
     /// The generated plan.
@@ -36,7 +36,7 @@ pub struct Shrunk {
 
 /// Shrinks the fault plan of the replay's first violating cell. `None`
 /// when no cell violates: there is nothing to shrink.
-pub fn shrink(replay: &Replay) -> Option<Shrunk> {
+pub(crate) fn shrink(replay: &Replay) -> Option<Shrunk> {
     let mut campaigns = 0;
     let (replay, original) = replay.cells().into_iter().find_map(|cell| {
         campaigns += 1;

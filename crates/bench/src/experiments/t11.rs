@@ -21,7 +21,7 @@ const APP: TimerId = TimerId(1);
 const APP_EVERY: SimDuration = SimDuration::from_millis(15);
 
 /// A [`Member`] with `msgs` cbcast messages to send, one per app tick.
-pub struct MemberNode {
+pub(crate) struct MemberNode {
     me: usize,
     n: usize,
     member: Member,
@@ -33,7 +33,7 @@ pub struct MemberNode {
 
 impl MemberNode {
     /// Creates member `me` of `n`.
-    pub fn new(me: usize, n: usize, msgs: u32) -> Self {
+    pub(crate) fn new(me: usize, n: usize, msgs: u32) -> Self {
         MemberNode {
             me,
             n,
@@ -83,7 +83,7 @@ impl Process<Wire<u64>> for MemberNode {
 
 /// One measurement point.
 #[derive(Clone, Debug)]
-pub struct ViewChangePoint {
+pub(crate) struct ViewChangePoint {
     /// Group size.
     pub n: usize,
     /// Views installed at the coordinator.
@@ -99,7 +99,7 @@ pub struct ViewChangePoint {
 }
 
 /// Crashes member `n-1` and measures the view change.
-pub fn measure(seed: u64, n: usize) -> ViewChangePoint {
+pub(crate) fn measure(seed: u64, n: usize) -> ViewChangePoint {
     let mut sim = SimBuilder::new(seed)
         .net(NetConfig::lossy_lan(0.01))
         .build::<Wire<u64>>();

@@ -17,7 +17,7 @@ use statelevel::snapshot::{SnapshotAction, SnapshotEngine};
 
 /// Messages of the scenario.
 #[derive(Clone, Debug)]
-pub enum Msg {
+pub(crate) enum Msg {
     /// The circulating token.
     Token,
     /// A unit of diffusing work with remaining hops.

@@ -25,7 +25,7 @@ use simnet::time::{SimDuration, SimTime};
 
 /// Message payload: optional semantic parent.
 #[derive(Clone, Debug)]
-pub struct Msg {
+pub(crate) struct Msg {
     /// The message this one is a true reply to, if any.
     pub semantic_parent: Option<MsgId>,
 }

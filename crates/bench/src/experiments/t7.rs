@@ -14,13 +14,13 @@ use crate::table::Table;
 use clocks::vector::VectorClock;
 
 /// Header bytes for one data message at group size `n`, full encoding.
-pub fn full_header_bytes(n: usize) -> usize {
+pub(crate) fn full_header_bytes(n: usize) -> usize {
     VectorClock::new(n).encode().len() + 12 // vt + MsgId
 }
 
 /// Header bytes for a delta encoding when `changed` components moved
 /// since the previous message on the link.
-pub fn delta_header_bytes(n: usize, changed: usize) -> usize {
+pub(crate) fn delta_header_bytes(n: usize, changed: usize) -> usize {
     let mut base = VectorClock::new(n);
     let mut next = base.clone();
     for i in 0..changed.min(n) {

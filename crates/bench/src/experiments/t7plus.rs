@@ -19,7 +19,7 @@
 //! buffer-retransmission machinery of a full group.
 //!
 //! The sweep also measures the constant-metadata discipline
-//! ([`measure_pccast`]): the same sparse workload over pccast's overlay
+//! (`measure_pccast`): the same sparse workload over pccast's overlay
 //! links, where every data copy carries a fixed 33-byte tag regardless
 //! of N — the contrast row for the vector-timestamp scaling columns.
 
@@ -45,7 +45,7 @@ const TOTAL_CAP: usize = 1024;
 
 /// One measured configuration.
 #[derive(Clone, Debug)]
-pub struct HotPathPoint {
+pub(crate) struct HotPathPoint {
     /// Group size.
     pub n: usize,
     /// Indexed holdback queue (vs linear scan).
@@ -79,14 +79,14 @@ pub struct HotPathPoint {
 /// Runs one configuration and returns its measurements. The observer
 /// receives the entire stream in reverse arrival order, maximizing
 /// holdback (and, under delta, parking) pressure.
-pub fn measure(n: usize, indexed: bool, delta: bool) -> HotPathPoint {
+pub(crate) fn measure(n: usize, indexed: bool, delta: bool) -> HotPathPoint {
     measure_with_probe(n, indexed, delta, ProbeHandle::none())
 }
 
 /// Like [`measure`], with an observability probe attached to every
 /// endpoint. Probes are read-only: the measurements are identical to an
 /// unprobed run.
-pub fn measure_with_probe(
+pub(crate) fn measure_with_probe(
     n: usize,
     indexed: bool,
     delta: bool,
@@ -210,25 +210,18 @@ pub fn measure_with_probe(
 /// scan/index or full/delta axes — ordering metadata is a constant tag —
 /// so a single point per N suffices.
 #[derive(Clone, Debug)]
-pub struct PcPoint {
+pub(crate) struct PcPoint {
     /// Group size.
     pub n: usize,
     /// Ordering overhead bytes per original data message, sender side.
     /// Constant by construction: 12 (id) + 20 (link tag) + 1 (flag).
     pub bytes_per_msg: f64,
-    /// Dissemination cost (relay copies of others' messages) per
-    /// original message, summed over the senders.
-    pub control_bytes_per_msg: f64,
     /// Observer peak of copies parked in per-link reorder buffers.
     pub linkbuf_peak: u64,
     /// Messages multicast.
     pub sent: u64,
     /// Messages the observer delivered (must equal `sent`).
     pub delivered: u64,
-    /// Wire events the observer processed.
-    pub wire_events: u64,
-    /// Virtual time elapsed over the whole run, µs.
-    pub virtual_elapsed_us: u64,
     /// Median observer hold time, ms (reversed links hold everything).
     pub hold_p50_ms: f64,
     /// 99th-percentile observer hold time, ms.
@@ -246,14 +239,14 @@ pub struct PcPoint {
 /// link). The observer's link streams are fed fully reversed —
 /// the per-link analogue of the cbcast observer's reversed arrival —
 /// so every copy sits in a reorder buffer before the cursor sweeps it.
-pub fn measure_pccast(n: usize) -> PcPoint {
+pub(crate) fn measure_pccast(n: usize) -> PcPoint {
     measure_pccast_with_probe(n, ProbeHandle::none())
 }
 
 /// Like [`measure_pccast`], with an observability probe attached to
 /// every endpoint. Probes are read-only: a probed run measures exactly
 /// like an unprobed run.
-pub fn measure_pccast_with_probe(n: usize, probe: ProbeHandle) -> PcPoint {
+pub(crate) fn measure_pccast_with_probe(n: usize, probe: ProbeHandle) -> PcPoint {
     assert!(n >= 2, "need at least a sender and an observer");
     let active = ACTIVE_CAP.min(n - 1);
     let total = n.clamp(32, TOTAL_CAP);
@@ -304,15 +297,11 @@ pub fn measure_pccast_with_probe(n: usize, probe: ProbeHandle) -> PcPoint {
     // every stalled link head resolves when the earlier positions land.
     let mut observer = PccastEndpoint::<u64>::new(observer_id, n, cfg);
     observer.core_mut().set_probe(probe);
-    let mut at = total as u64;
     let mut hold_hist = Histogram::new();
-    let mut wire_events = 0u64;
     let mut linkbuf_peak = 0usize;
     let mut delivered = 0u64;
-    for w in obs_stream.into_iter().rev() {
+    for (at, w) in (total as u64..).zip(obs_stream.into_iter().rev()) {
         let (dels, _outs) = observer.on_wire(SimTime::from_millis(at), w);
-        at += 1;
-        wire_events += 1;
         delivered += dels.len() as u64;
         for d in &dels {
             if d.was_held() {
@@ -323,22 +312,17 @@ pub fn measure_pccast_with_probe(n: usize, probe: ProbeHandle) -> PcPoint {
     }
 
     let mut overhead = 0u64;
-    let mut control = 0u64;
     let mut sent = 0u64;
     for s in &senders {
         overhead += s.core().stats().data_overhead_bytes;
-        control += s.core().stats().control_bytes;
         sent += s.core().stats().sent;
     }
     PcPoint {
         n,
         bytes_per_msg: overhead as f64 / sent as f64,
-        control_bytes_per_msg: control as f64 / sent as f64,
         linkbuf_peak: linkbuf_peak as u64,
         sent,
         delivered,
-        wire_events,
-        virtual_elapsed_us: SimTime::from_millis(at).as_micros(),
         hold_p50_ms: hold_hist.quantile(0.50).as_millis_f64(),
         hold_p99_ms: hold_hist.quantile(0.99).as_millis_f64(),
     }
@@ -555,10 +539,6 @@ mod tests {
         assert!(p.linkbuf_peak > 0, "reversed links must buffer");
         assert!(p.hold_p50_ms > 0.0, "p50 {}", p.hold_p50_ms);
         assert!(p.hold_p99_ms >= p.hold_p50_ms);
-        assert!(p.wire_events >= p.sent);
-        // Relaying down the sender chain costs more than the origin tag,
-        // but it is dissemination, not per-message ordering metadata.
-        assert!(p.control_bytes_per_msg > p.bytes_per_msg);
     }
 
     #[test]

@@ -201,7 +201,7 @@ pub fn run_cbcast_path(seed: u64, k: usize, fail_after: Option<u32>) -> CbRun {
 
 /// Wire messages for the 2PC path.
 #[derive(Clone, Debug)]
-pub enum TpcNet {
+pub(crate) enum TpcNet {
     /// Protocol message.
     P(TxnWire),
 }

@@ -72,7 +72,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given title and headers.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -82,7 +82,7 @@ impl Table {
     }
 
     /// Appends a row.
-    pub fn row(&mut self, cells: Vec<Cell>) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: Vec<Cell>) -> &mut Self {
         assert_eq!(
             cells.len(),
             self.headers.len(),
@@ -93,7 +93,7 @@ impl Table {
     }
 
     /// Appends a note.
-    pub fn note(&mut self, s: impl Into<String>) -> &mut Self {
+    pub(crate) fn note(&mut self, s: impl Into<String>) -> &mut Self {
         self.notes.push(s.into());
         self
     }
@@ -106,19 +106,6 @@ impl Table {
             Cell::UInt(v) => *v as f64,
             Cell::Float(v) => *v,
         }
-    }
-
-    /// Finds the first row whose first cell equals `key`.
-    pub fn find_row(&self, key: &str) -> Option<&Vec<Cell>> {
-        self.rows.iter().find(|r| match &r[0] {
-            Cell::Str(s) => s == key,
-            _ => false,
-        })
-    }
-
-    /// Column index by header name.
-    pub fn col(&self, header: &str) -> Option<usize> {
-        self.headers.iter().position(|h| h == header)
     }
 }
 
@@ -164,6 +151,13 @@ impl fmt::Display for Table {
 mod tests {
     use super::*;
 
+    impl Table {
+        /// Column index by header name, for the experiments' tests.
+        pub(crate) fn col(&self, header: &str) -> Option<usize> {
+            self.headers.iter().position(|h| h == header)
+        }
+    }
+
     #[test]
     fn renders_aligned() {
         let mut t = Table::new("X — demo", &["name", "value"]);
@@ -182,8 +176,6 @@ mod tests {
         let mut t = Table::new("t", &["k", "v"]);
         t.row(vec!["a".into(), 1.5.into()]);
         assert_eq!(t.get_f64(0, 1), 1.5);
-        assert!(t.find_row("a").is_some());
-        assert!(t.find_row("z").is_none());
         assert_eq!(t.col("v"), Some(1));
     }
 

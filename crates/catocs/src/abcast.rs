@@ -53,7 +53,7 @@ pub struct AbcastEndpoint<P> {
 impl<P: Clone> AbcastEndpoint<P> {
     /// Creates the endpoint for member `me` of a group of `n`, with the
     /// given sequencer member (conventionally 0).
-    pub fn new(me: usize, n: usize, sequencer: usize, cfg: GroupConfig) -> Self {
+    pub(crate) fn new(me: usize, n: usize, sequencer: usize, cfg: GroupConfig) -> Self {
         assert!(sequencer < n, "sequencer out of range");
         AbcastEndpoint {
             cb: CbcastEndpoint::new(me, n, cfg.clone()),
@@ -74,34 +74,34 @@ impl<P: Clone> AbcastEndpoint<P> {
     /// Installs an observability probe on this endpoint and its causal
     /// substrate: span events flow from the cbcast layer, order-assign
     /// phase events from the sequencer logic here.
-    pub fn set_probe(&mut self, probe: ProbeHandle) {
+    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
         self.cb.set_probe(probe.clone());
         self.probe = probe;
     }
 
     /// This member's index.
-    pub fn me(&self) -> usize {
+    pub(crate) fn me(&self) -> usize {
         self.cb.me()
     }
 
     /// Whether this member is the sequencer.
-    pub fn is_sequencer(&self) -> bool {
+    pub(crate) fn is_sequencer(&self) -> bool {
         self.cb.me() == self.sequencer
     }
 
     /// Total-order delivery statistics.
-    pub fn stats(&self) -> &EndpointStats {
+    pub(crate) fn stats(&self) -> &EndpointStats {
         &self.stats
     }
 
     /// The underlying causal layer's statistics (buffering, NACKs...).
-    pub fn causal_stats(&self) -> &EndpointStats {
+    pub(crate) fn causal_stats(&self) -> &EndpointStats {
         self.cb.stats()
     }
 
     /// Telemetry hook: the causal substrate's gauges plus the order-release
     /// backlog specific to the sequencer design.
-    pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         self.cb.sample(emit);
         emit("abcast.unreleased", self.unreleased.len() as f64);
     }
@@ -113,7 +113,7 @@ impl<P: Clone> AbcastEndpoint<P> {
     /// slot: on that slot's message when its assignment (but not its
     /// data) has arrived, else on the sequencer — for a gap before the
     /// message's own slot, or for its own assignment.
-    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         self.cb.wait_records(every_gap, emit);
         let stuck = self.released + 1;
         let sequencer = WaitNode::Phase {
@@ -147,7 +147,11 @@ impl<P: Clone> AbcastEndpoint<P> {
     /// Multicasts `payload`. Unlike cbcast there is no immediate
     /// self-delivery: the message is released when its global order slot
     /// comes up (immediately only at the sequencer).
-    pub fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    pub(crate) fn multicast(
+        &mut self,
+        now: SimTime,
+        payload: P,
+    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         let (self_delivery, mut out) = self.cb.multicast(now, payload);
         self.stats.sent += 1;
         self.unreleased
@@ -160,7 +164,11 @@ impl<P: Clone> AbcastEndpoint<P> {
     }
 
     /// Handles an incoming wire message.
-    pub fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    pub(crate) fn on_wire(
+        &mut self,
+        now: SimTime,
+        wire: Wire<P>,
+    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         let mut out = Vec::new();
         match wire {
             Wire::Order { gseq, id } => {
@@ -200,7 +208,7 @@ impl<P: Clone> AbcastEndpoint<P> {
     }
 
     /// Periodic maintenance: causal-layer tick plus order-gap recovery.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = self.cb.on_tick(now);
         // The sequencer re-announces its latest assignment so that a lost
         // final Order message (with no successor to expose the gap) is

@@ -38,7 +38,7 @@ mod window;
 /// is not going to catch up by NACK; no run this codebase makes leaves
 /// one more than a few thousand messages behind. (The same argument for
 /// a decoded clock's *width* is [`VectorClock::MAX_DELTA_WIDTH`].)
-pub const MAX_CHASE_AHEAD: u64 = 1 << 20;
+pub(crate) const MAX_CHASE_AHEAD: u64 = 1 << 20;
 
 /// Nominal application payload size, bytes: what every buffered message
 /// is charged on top of its wire state in the buffered-bytes gauges.
@@ -200,7 +200,7 @@ impl<P: Clone> CausalCore<P> {
     /// member's `FlushOk` clock must stay an upper bound on what it has
     /// delivered until the cut is agreed. Receiving, buffering and NACK
     /// recovery continue.
-    pub fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
+    pub(crate) fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
         for m in self.buffer.values_mut() {
             let w = Wire::Data(Self::repair_copy(m));
@@ -222,17 +222,12 @@ impl<P: Clone> CausalCore<P> {
     }
 
     /// Whether delivery is currently frozen by a flush in progress.
-    pub fn is_frozen(&self) -> bool {
+    pub(crate) fn is_frozen(&self) -> bool {
         self.frozen
     }
 
-    /// This member's index.
-    pub fn me(&self) -> usize {
-        self.me
-    }
-
     /// The delivered vector clock.
-    pub fn clock(&self) -> &VectorClock {
+    pub(crate) fn clock(&self) -> &VectorClock {
         &self.vt
     }
 
@@ -247,7 +242,7 @@ impl<P: Clone> CausalCore<P> {
     }
 
     /// Number of unstable messages currently buffered.
-    pub fn buffered_len(&self) -> usize {
+    pub(crate) fn buffered_len(&self) -> usize {
         self.buffer.len()
     }
 
@@ -257,7 +252,7 @@ impl<P: Clone> CausalCore<P> {
     }
 
     /// The current group-wide stable frontier (for instrumentation).
-    pub fn stable_frontier(&self) -> VectorClock {
+    pub(crate) fn stable_frontier(&self) -> VectorClock {
         self.stability.stable_frontier()
     }
 
@@ -271,7 +266,7 @@ impl<P: Clone> CausalCore<P> {
     /// node's clock in some components, and a saturating difference of
     /// totals would let that surplus cancel real lag in others, reporting
     /// zero while unstable messages still sit in the buffer.
-    pub fn stability_lag(&self) -> u64 {
+    pub(crate) fn stability_lag(&self) -> u64 {
         self.stability
             .stable_frontier()
             .lagging(&self.vt)

@@ -43,7 +43,7 @@ impl CausalGraph {
     /// of `n`. Arcs are drawn from the latest message of every member
     /// visible in the timestamp — the direct potential-causality
     /// predecessors.
-    pub fn on_send(&mut self, id: MsgId, vt: &VectorClock, n: usize) {
+    pub(crate) fn on_send(&mut self, id: MsgId, vt: &VectorClock, n: usize) {
         let mut preds = BTreeSet::new();
         for k in 0..n {
             let seq = if k == id.sender {
@@ -65,7 +65,7 @@ impl CausalGraph {
 
     /// Prunes every message at or below the stability `frontier`
     /// (component `s` = highest stable seq from sender `s`).
-    pub fn prune_stable(&mut self, frontier: &VectorClock) {
+    pub(crate) fn prune_stable(&mut self, frontier: &VectorClock) {
         let removed: Vec<MsgId> = self
             .nodes
             .keys()
@@ -79,16 +79,6 @@ impl CausalGraph {
         }
     }
 
-    /// Current (unstable) node count.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Current arc count.
-    pub fn arc_count(&self) -> usize {
-        self.current_arcs
-    }
-
     /// Peak node count over the run.
     pub fn peak_nodes(&self) -> usize {
         self.peak_nodes
@@ -97,16 +87,6 @@ impl CausalGraph {
     /// Peak arc count over the run.
     pub fn peak_arcs(&self) -> usize {
         self.peak_arcs
-    }
-
-    /// Total nodes ever added.
-    pub fn total_nodes(&self) -> u64 {
-        self.total_nodes_added
-    }
-
-    /// Total arcs ever added.
-    pub fn total_arcs(&self) -> u64 {
-        self.total_arcs_added
     }
 
     /// Mean arcs per message over the run — the paper argues this is
@@ -134,8 +114,8 @@ mod tests {
         let mut vt = VectorClock::new(3);
         vt.tick(0);
         g.on_send(id(0, 1), &vt, 3);
-        assert_eq!(g.node_count(), 1);
-        assert_eq!(g.arc_count(), 0);
+        assert_eq!(g.nodes.len(), 1);
+        assert_eq!(g.current_arcs, 0);
     }
 
     #[test]
@@ -149,9 +129,9 @@ mod tests {
         vt1.set(0, 1);
         vt1.tick(1);
         g.on_send(id(1, 1), &vt1, 3);
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.arc_count(), 1); // m1.1 → m0.1
-        assert_eq!(g.total_arcs(), 1);
+        assert_eq!(g.nodes.len(), 2);
+        assert_eq!(g.current_arcs, 1); // m1.1 → m0.1
+        assert_eq!(g.total_arcs_added, 1);
     }
 
     #[test]
@@ -171,7 +151,7 @@ mod tests {
         g.on_send(id(0, 2), &sender_vt, n);
         // Arcs to the latest message from all 8 members (own previous
         // included).
-        assert_eq!(g.arc_count(), 8);
+        assert_eq!(g.current_arcs, 8);
     }
 
     #[test]
@@ -184,12 +164,12 @@ mod tests {
         vt1.set(0, 1);
         vt1.tick(1);
         g.on_send(id(1, 1), &vt1, 2);
-        assert_eq!(g.node_count(), 2);
+        assert_eq!(g.nodes.len(), 2);
         // m0.1 becomes stable.
         let frontier = VectorClock::from_entries(vec![1, 0]);
         g.prune_stable(&frontier);
-        assert_eq!(g.node_count(), 1);
-        assert_eq!(g.arc_count(), 1, "arc from the surviving node remains");
+        assert_eq!(g.nodes.len(), 1);
+        assert_eq!(g.current_arcs, 1, "arc from the surviving node remains");
         assert_eq!(g.peak_nodes(), 2);
     }
 
@@ -204,7 +184,7 @@ mod tests {
         vt2.set(0, 2);
         g.on_send(id(0, 2), &vt2, 2);
         // Second message has one arc (to m0.1).
-        assert_eq!(g.total_nodes(), 2);
+        assert_eq!(g.total_nodes_added, 2);
         assert_eq!(g.mean_arcs_per_node(), 0.5);
     }
 }

@@ -128,7 +128,7 @@ impl<P: Clone> CbcastEndpoint<P> {
     }
 
     /// Mutable access to the shell, for `set_probe` and `freeze`.
-    pub fn core_mut(&mut self) -> &mut CausalCore<P> {
+    pub(crate) fn core_mut(&mut self) -> &mut CausalCore<P> {
         &mut self.core
     }
 
@@ -140,12 +140,12 @@ impl<P: Clone> CbcastEndpoint<P> {
     /// Regression knob for the fault campaigns: reintroduces the S3 bug
     /// (stale delta decode chains surviving a view install). Never set
     /// outside tests and chaos experiments.
-    pub fn debug_skip_view_reset(&mut self, on: bool) {
+    pub(crate) fn debug_skip_view_reset(&mut self, on: bool) {
         self.skip_view_reset = on;
     }
 
     /// This member's index.
-    pub fn me(&self) -> usize {
+    pub(crate) fn me(&self) -> usize {
         self.core.me
     }
 
@@ -155,7 +155,7 @@ impl<P: Clone> CbcastEndpoint<P> {
     }
 
     /// Number of unstable messages currently buffered.
-    pub fn buffered_len(&self) -> usize {
+    pub(crate) fn buffered_len(&self) -> usize {
         self.core.buffered_len()
     }
 
@@ -166,7 +166,7 @@ impl<P: Clone> CbcastEndpoint<P> {
 
     /// Telemetry hook: instantaneous queue depths and buffering gauges,
     /// for `simnet::process::Process::sample`.
-    pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         emit("cbcast.holdback", self.core.holdback_len() as f64);
         emit("cbcast.parked", self.parked_len() as f64);
         emit("cbcast.buffered", self.core.buffered_len() as f64);
@@ -179,7 +179,7 @@ impl<P: Clone> CbcastEndpoint<P> {
 
     /// What every held message waits on (the shared shell's walk, with
     /// cbcast's parked test; contract in [`crate::waitgraph`]).
-    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         self.core
             .wait_records(parked_in(&self.undecoded), every_gap, emit);
     }
@@ -195,7 +195,7 @@ impl<P: Clone> CbcastEndpoint<P> {
     ///   post-install message full-encoded (`force_full_next`).
     ///
     /// Delivery stays frozen until [`Self::thaw`].
-    pub fn on_view_install(&mut self, now: SimTime, members: &[usize], cut: &VectorClock) {
+    pub(crate) fn on_view_install(&mut self, now: SimTime, members: &[usize], cut: &VectorClock) {
         if !self.skip_view_reset {
             for s in 0..self.core.n {
                 if !members.contains(&s) && self.core.alive[s] {
@@ -215,7 +215,7 @@ impl<P: Clone> CbcastEndpoint<P> {
     /// Ends the delivery blackout ([`CausalCore::freeze`]): drains the
     /// holdback queue and returns what became deliverable during the
     /// flush, in causal order.
-    pub fn thaw(&mut self, now: SimTime) -> Vec<Delivery<P>> {
+    pub(crate) fn thaw(&mut self, now: SimTime) -> Vec<Delivery<P>> {
         self.core.thaw(now);
         let mut delivered = Vec::new();
         self.drain_holdback(now, &mut delivered);
@@ -1073,7 +1073,7 @@ mod tests {
         let m1 = data_of(&o1);
         let m2 = data_of(&o2);
         assert!(
-            matches!(&m2, Wire::Data(d) if d.vt_wire.is_delta()),
+            matches!(&m2, Wire::Data(d) if matches!(d.vt_wire, VtWire::Delta(_))),
             "second message should ride a delta timestamp"
         );
 
@@ -1091,7 +1091,7 @@ mod tests {
             .find(|(_, w)| matches!(w, Wire::Data(d) if d.retransmit))
             .expect("retransmit served");
         assert!(
-            matches!(&retrans.1, Wire::Data(d) if !d.vt_wire.is_delta()),
+            matches!(&retrans.1, Wire::Data(d) if matches!(d.vt_wire, VtWire::Full(_))),
             "retransmissions fall back to full encoding"
         );
 
@@ -1132,14 +1132,14 @@ mod tests {
         // delta timestamps are on.
         let (_, o2) = a.multicast(t(2), "m2");
         assert!(
-            matches!(&data_of(&o2), Wire::Data(d) if !d.vt_wire.is_delta()),
+            matches!(&data_of(&o2), Wire::Data(d) if matches!(d.vt_wire, VtWire::Full(_))),
             "first post-install message must be full-encoded"
         );
         let (dels, _) = c.on_wire(t(3), data_of(&o2));
         assert_eq!(dels.iter().map(|d| d.payload).collect::<Vec<_>>(), ["m2"]);
         // Back to deltas, decoding against the re-seeded base.
         let (_, o3) = a.multicast(t(4), "m3");
-        assert!(matches!(&data_of(&o3), Wire::Data(d) if d.vt_wire.is_delta()));
+        assert!(matches!(&data_of(&o3), Wire::Data(d) if matches!(d.vt_wire, VtWire::Delta(_))));
         let (dels, _) = c.on_wire(t(5), data_of(&o3));
         assert_eq!(dels.iter().map(|d| d.payload).collect::<Vec<_>>(), ["m3"]);
         assert_eq!(c.stats().ts_decode_errors, 0);
@@ -1161,7 +1161,7 @@ mod tests {
         let cut = c.core().clock().clone();
         c.on_view_install(t(1), &[0, 2], &cut); // only the receiver installed
         let (_, o2) = a.multicast(t(2), "m2"); // delta against m1's vt
-        assert!(matches!(&data_of(&o2), Wire::Data(d) if d.vt_wire.is_delta()));
+        assert!(matches!(&data_of(&o2), Wire::Data(d) if matches!(d.vt_wire, VtWire::Delta(_))));
         let (dels, nacks) = c.on_wire(t(3), data_of(&o2));
         assert!(dels.is_empty(), "stale-base delta must not decode");
         assert_eq!(c.parked_len(), 1);

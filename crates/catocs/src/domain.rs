@@ -19,13 +19,13 @@
 
 use crate::cbcast::CbcastEndpoint;
 use crate::group::GroupConfig;
-use crate::wire::{Delivery, EndpointStats, Out, Wire};
+use crate::wire::{Delivery, Out, Wire};
 use serde::{Deserialize, Serialize};
 use simnet::time::SimTime;
 use std::collections::BTreeSet;
 
 /// Identifies a group within a domain.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 pub struct GroupId(pub u32);
 
 /// A payload tagged with its destination group.
@@ -44,9 +44,6 @@ pub struct DomainEndpoint<P> {
     inner: CbcastEndpoint<Addressed<P>>,
     /// Groups this member has joined.
     joined: BTreeSet<GroupId>,
-    /// Deliveries filtered out (traffic for other groups this member
-    /// still had to order and buffer — the domain's overhead).
-    filtered_out: u64,
 }
 
 impl<P: Clone> DomainEndpoint<P> {
@@ -56,34 +53,12 @@ impl<P: Clone> DomainEndpoint<P> {
         DomainEndpoint {
             inner: CbcastEndpoint::new(me, n_domain, cfg),
             joined: joined.iter().copied().collect(),
-            filtered_out: 0,
         }
     }
 
     /// This member's domain index.
     pub fn me(&self) -> usize {
         self.inner.me()
-    }
-
-    /// Whether this member joined `group`.
-    pub fn is_member_of(&self, group: GroupId) -> bool {
-        self.joined.contains(&group)
-    }
-
-    /// Joins another group.
-    pub fn join(&mut self, group: GroupId) {
-        self.joined.insert(group);
-    }
-
-    /// Transport statistics (the whole-domain costs).
-    pub fn stats(&self) -> &EndpointStats {
-        self.inner.stats()
-    }
-
-    /// Messages ordered/buffered here that were for groups this member
-    /// never joined — the price of the conservative domain.
-    pub fn filtered_out(&self) -> u64 {
-        self.filtered_out
     }
 
     /// Unstable messages buffered (includes other groups' traffic).
@@ -140,8 +115,6 @@ impl<P: Clone> DomainEndpoint<P> {
                     gseq: d.gseq,
                     waited_for: d.waited_for,
                 });
-            } else {
-                self.filtered_out += 1;
             }
         }
         out
@@ -191,7 +164,6 @@ mod tests {
         assert_eq!(db.len(), 1, "bridge is in A");
         let (dc, _) = c.on_wire(t(1), data_of(&out));
         assert!(dc.is_empty(), "c is not in A");
-        assert_eq!(c.filtered_out(), 1);
         // But c still buffered the foreign message (the domain cost).
         assert_eq!(c.buffered_len(), 1);
     }
@@ -217,17 +189,6 @@ mod tests {
         assert_eq!(dels.len(), 1, "only the B message reaches the app");
         assert_eq!(dels[0].payload, "effect in B");
         assert!(dels[0].was_held(), "delayed by a message c never sees");
-        assert_eq!(c.filtered_out(), 1);
-    }
-
-    #[test]
-    fn join_extends_visibility() {
-        let (mut a, _b, mut c) = domain();
-        c.join(GA);
-        let (_, out) = a.multicast(t(0), GA, "now visible");
-        let (dc, _) = c.on_wire(t(1), data_of(&out));
-        assert_eq!(dc.len(), 1);
-        assert!(c.is_member_of(GA));
     }
 
     #[test]

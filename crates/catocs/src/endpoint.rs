@@ -32,18 +32,6 @@ pub enum Discipline {
     TotalToken,
 }
 
-impl Discipline {
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Discipline::Fifo => "fifo",
-            Discipline::Causal => "causal",
-            Discipline::Total { .. } => "total-seq",
-            Discipline::TotalToken => "total-token",
-        }
-    }
-}
-
 /// A causal endpoint running either causal-delivery algorithm, selected
 /// by [`GroupConfig::discipline`]: vector-timestamp cbcast or
 /// constant-metadata pccast. Everything above this facade — harnesses,
@@ -62,7 +50,7 @@ pub enum CausalEndpoint<P> {
 impl<P: Clone> CausalEndpoint<P> {
     /// Creates the endpoint for member `me` of a group of `n`, running
     /// the algorithm named by `cfg.discipline`.
-    pub fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
+    pub(crate) fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
         match cfg.discipline {
             CausalDiscipline::Cbcast => CausalEndpoint::Cbcast(CbcastEndpoint::new(me, n, cfg)),
             CausalDiscipline::Pccast => CausalEndpoint::Pccast(PccastEndpoint::new(me, n, cfg)),
@@ -71,7 +59,7 @@ impl<P: Clone> CausalEndpoint<P> {
 
     /// The reliability shell both algorithms embed: clock, stats,
     /// stability, buffer and holdback gauges, the flush freeze.
-    pub fn core(&self) -> &CausalCore<P> {
+    pub(crate) fn core(&self) -> &CausalCore<P> {
         match self {
             CausalEndpoint::Cbcast(e) => e.core(),
             CausalEndpoint::Pccast(e) => e.core(),
@@ -79,7 +67,7 @@ impl<P: Clone> CausalEndpoint<P> {
     }
 
     /// Mutable access to the shared shell.
-    pub fn core_mut(&mut self) -> &mut CausalCore<P> {
+    pub(crate) fn core_mut(&mut self) -> &mut CausalCore<P> {
         match self {
             CausalEndpoint::Cbcast(e) => e.core_mut(),
             CausalEndpoint::Pccast(e) => e.core_mut(),
@@ -87,21 +75,21 @@ impl<P: Clone> CausalEndpoint<P> {
     }
 
     /// Installs an observability probe (read-only).
-    pub fn set_probe(&mut self, probe: ProbeHandle) {
+    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
         self.core_mut().set_probe(probe);
     }
 
     /// Bug-injection knob: skip the delta decode-chain reset at view
     /// install. Meaningful only for cbcast; pccast has no decode chains,
     /// so this is a no-op there.
-    pub fn debug_skip_view_reset(&mut self, on: bool) {
+    pub(crate) fn debug_skip_view_reset(&mut self, on: bool) {
         if let CausalEndpoint::Cbcast(e) = self {
             e.debug_skip_view_reset(on);
         }
     }
 
-    /// Enters a flush ([`CausalCore::freeze`]) until [`Self::thaw`].
-    pub fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
+    /// Enters a flush ([`CausalCore::freeze`]) until `Self::thaw`.
+    pub(crate) fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
         self.core_mut().freeze(now)
     }
 
@@ -130,7 +118,7 @@ impl<P: Clone> CausalEndpoint<P> {
     }
 
     /// Telemetry gauges, prefixed `cbcast.` or `pccast.` per algorithm.
-    pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         match self {
             CausalEndpoint::Cbcast(e) => e.sample(emit),
             CausalEndpoint::Pccast(e) => e.sample(emit),
@@ -139,7 +127,7 @@ impl<P: Clone> CausalEndpoint<P> {
 
     /// What every blocked message here waits on (contract in
     /// [`crate::waitgraph`]).
-    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         match self {
             CausalEndpoint::Cbcast(e) => e.wait_records(every_gap, emit),
             CausalEndpoint::Pccast(e) => e.wait_records(every_gap, emit),
@@ -148,7 +136,7 @@ impl<P: Clone> CausalEndpoint<P> {
 
     /// Applies an installed view's membership and cut, and leaves the
     /// freeze alone. `view_id` is pccast's link epoch.
-    pub fn on_view_install(
+    pub(crate) fn on_view_install(
         &mut self,
         now: SimTime,
         view_id: u64,
@@ -163,7 +151,7 @@ impl<P: Clone> CausalEndpoint<P> {
 
     /// Ends the flush blackout: thawed deliveries, and pccast's forwards
     /// of them.
-    pub fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    pub(crate) fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         match self {
             CausalEndpoint::Cbcast(e) => (e.thaw(now), Vec::new()),
             CausalEndpoint::Pccast(e) => e.thaw(now),
@@ -171,7 +159,7 @@ impl<P: Clone> CausalEndpoint<P> {
     }
 
     /// Multicasts `payload`; the self-delivery is immediate.
-    pub fn multicast(&mut self, now: SimTime, payload: P) -> (Delivery<P>, Vec<Out<P>>) {
+    pub(crate) fn multicast(&mut self, now: SimTime, payload: P) -> (Delivery<P>, Vec<Out<P>>) {
         match self {
             CausalEndpoint::Cbcast(e) => e.multicast(now, payload),
             CausalEndpoint::Pccast(e) => e.multicast(now, payload),
@@ -179,7 +167,11 @@ impl<P: Clone> CausalEndpoint<P> {
     }
 
     /// Handles an incoming wire message.
-    pub fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    pub(crate) fn on_wire(
+        &mut self,
+        now: SimTime,
+        wire: Wire<P>,
+    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         match self {
             CausalEndpoint::Cbcast(e) => e.on_wire(now, wire),
             CausalEndpoint::Pccast(e) => e.on_wire(now, wire),
@@ -187,7 +179,7 @@ impl<P: Clone> CausalEndpoint<P> {
     }
 
     /// Periodic protocol maintenance.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         match self {
             CausalEndpoint::Cbcast(e) => e.on_tick(now),
             CausalEndpoint::Pccast(e) => e.on_tick(now),
@@ -227,7 +219,7 @@ impl<P: Clone> Endpoint<P> {
     /// Installs an observability probe on whichever discipline runs
     /// underneath; the probe sees the same span/wait event stream no
     /// matter which ordering guarantee is active.
-    pub fn set_probe(&mut self, probe: ProbeHandle) {
+    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
         match self {
             Endpoint::Fifo(e) => e.set_probe(probe),
             Endpoint::Causal(e) => e.set_probe(probe),
@@ -282,7 +274,7 @@ impl<P: Clone> Endpoint<P> {
     }
 
     /// Delivery/ordering statistics (the app-facing layer).
-    pub fn stats(&self) -> &EndpointStats {
+    pub(crate) fn stats(&self) -> &EndpointStats {
         match self {
             Endpoint::Fifo(e) => e.stats(),
             Endpoint::Causal(e) => e.stats(),
@@ -294,7 +286,7 @@ impl<P: Clone> Endpoint<P> {
     /// Transport-layer statistics, where distinct from [`Self::stats`]
     /// (the sequencer design separates causal dissemination from order
     /// release).
-    pub fn transport_stats(&self) -> &EndpointStats {
+    pub(crate) fn transport_stats(&self) -> &EndpointStats {
         match self {
             Endpoint::Total(e) => e.causal_stats(),
             other => other.stats(),
@@ -302,7 +294,7 @@ impl<P: Clone> Endpoint<P> {
     }
 
     /// The causal layer's delivered vector clock, where one exists.
-    pub fn clock(&self) -> Option<&clocks::vector::VectorClock> {
+    pub(crate) fn clock(&self) -> Option<&clocks::vector::VectorClock> {
         match self {
             Endpoint::Causal(e) => Some(e.clock()),
             _ => None,
@@ -310,7 +302,7 @@ impl<P: Clone> Endpoint<P> {
     }
 
     /// The causal layer's stable frontier, where one exists.
-    pub fn stable_frontier(&self) -> Option<clocks::vector::VectorClock> {
+    pub(crate) fn stable_frontier(&self) -> Option<clocks::vector::VectorClock> {
         match self {
             Endpoint::Causal(e) => Some(e.core().stable_frontier()),
             _ => None,
@@ -320,7 +312,7 @@ impl<P: Clone> Endpoint<P> {
     /// Telemetry hook: forwards to the discipline-specific gauge emitter.
     /// Metric names are prefixed per discipline (`cbcast.*`, `fbcast.*`,
     /// `abcast.*`, `token.*`) so a mixed-discipline run keeps them apart.
-    pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         match self {
             Endpoint::Fifo(e) => e.sample(emit),
             Endpoint::Causal(e) => e.sample(emit),
@@ -342,7 +334,7 @@ impl<P: Clone> Endpoint<P> {
     }
 
     /// Messages currently buffered for retransmission (unstable).
-    pub fn buffered_len(&self) -> usize {
+    pub(crate) fn buffered_len(&self) -> usize {
         match self {
             Endpoint::Fifo(e) => e.buffered_len(),
             Endpoint::Causal(e) => e.core().buffered_len(),
@@ -355,14 +347,6 @@ impl<P: Clone> Endpoint<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names() {
-        assert_eq!(Discipline::Fifo.name(), "fifo");
-        assert_eq!(Discipline::Causal.name(), "causal");
-        assert_eq!(Discipline::Total { sequencer: 0 }.name(), "total-seq");
-        assert_eq!(Discipline::TotalToken.name(), "total-token");
-    }
 
     #[test]
     fn construction_matches_discipline() {

@@ -12,7 +12,7 @@ use simnet::time::{SimDuration, SimTime};
 
 /// Per-member liveness tracking for one observer.
 #[derive(Debug)]
-pub struct FailureDetector {
+pub(crate) struct FailureDetector {
     me: usize,
     interval: SimDuration,
     suspect_after: SimDuration,
@@ -28,7 +28,7 @@ impl FailureDetector {
     /// zero) is what keeps a detector started late — or rebuilt after a
     /// crash recovery — from instantly suspecting every peer before the
     /// first heartbeat round.
-    pub fn new(
+    pub(crate) fn new(
         me: usize,
         n: usize,
         interval: SimDuration,
@@ -48,7 +48,7 @@ impl FailureDetector {
     /// Forgets everything and re-seeds `last_heard` at `now` — the state a
     /// freshly constructed detector would have. Used on crash recovery,
     /// where the persisted `last_heard` times are arbitrarily stale.
-    pub fn reset(&mut self, now: SimTime) {
+    pub(crate) fn reset(&mut self, now: SimTime) {
         for t in &mut self.last_heard {
             *t = now;
         }
@@ -58,13 +58,8 @@ impl FailureDetector {
         self.last_beat = now;
     }
 
-    /// The heartbeat interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
     /// Records a heartbeat (or any traffic) from `who` at `now`.
-    pub fn heard_from(&mut self, who: usize, now: SimTime) {
+    pub(crate) fn heard_from(&mut self, who: usize, now: SimTime) {
         if who < self.last_heard.len() {
             self.last_heard[who] = now;
             self.suspected[who] = false;
@@ -73,7 +68,7 @@ impl FailureDetector {
 
     /// Whether it is time to emit our own heartbeat; updates internal
     /// pacing state when it returns true.
-    pub fn should_beat(&mut self, now: SimTime) -> bool {
+    pub(crate) fn should_beat(&mut self, now: SimTime) -> bool {
         if now.saturating_since(self.last_beat) >= self.interval {
             self.last_beat = now;
             true
@@ -86,7 +81,7 @@ impl FailureDetector {
     /// not only the new ones: the membership engine re-derives its
     /// proposal from the whole set on every tick. Allocates only when
     /// someone is.
-    pub fn check(&mut self, now: SimTime) -> Vec<usize> {
+    pub(crate) fn check(&mut self, now: SimTime) -> Vec<usize> {
         let mut suspects = Vec::new();
         for k in 0..self.last_heard.len() {
             if k != self.me && now.saturating_since(self.last_heard[k]) >= self.suspect_after {
@@ -97,11 +92,6 @@ impl FailureDetector {
             }
         }
         suspects
-    }
-
-    /// Whether `who` is currently suspected.
-    pub fn is_suspected(&self, who: usize) -> bool {
-        self.suspected.get(who).copied().unwrap_or(false)
     }
 }
 
@@ -145,9 +135,9 @@ mod tests {
     fn reset_clears_suspicion_and_reseeds() {
         let mut d = det();
         d.check(SimTime::from_millis(100));
-        assert!(d.is_suspected(1) && d.is_suspected(2));
+        assert!(d.suspected[1] && d.suspected[2]);
         d.reset(SimTime::from_millis(100));
-        assert!(!d.is_suspected(1) && !d.is_suspected(2));
+        assert!(!d.suspected[1] && !d.suspected[2]);
         assert!(d.check(SimTime::from_millis(120)).is_empty());
         let newly = d.check(SimTime::from_millis(150));
         assert_eq!(newly, vec![1, 2], "timeout restarts from the reset point");
@@ -160,17 +150,17 @@ mod tests {
         d.heard_from(2, SimTime::from_millis(40));
         let newly = d.check(SimTime::from_millis(60));
         assert_eq!(newly, vec![1]);
-        assert!(d.is_suspected(1));
-        assert!(!d.is_suspected(2));
+        assert!(d.suspected[1]);
+        assert!(!d.suspected[2]);
     }
 
     #[test]
     fn hearing_again_clears_suspicion() {
         let mut d = det();
         d.check(SimTime::from_millis(100));
-        assert!(d.is_suspected(1));
+        assert!(d.suspected[1]);
         d.heard_from(1, SimTime::from_millis(101));
-        assert!(!d.is_suspected(1));
+        assert!(!d.suspected[1]);
         assert_eq!(d.check(SimTime::from_millis(101)), vec![2]);
     }
 
@@ -196,6 +186,5 @@ mod tests {
         assert!(d.should_beat(SimTime::from_millis(10)));
         assert!(!d.should_beat(SimTime::from_millis(15)));
         assert!(d.should_beat(SimTime::from_millis(20)));
-        assert_eq!(d.interval(), SimDuration::from_millis(10));
     }
 }

@@ -16,7 +16,7 @@
 //! cycled through once per round of multicasts — and every data message
 //! would cost cache misses, not tree work. The map serves the arrivals
 //! behind a gap. It is not a window indexed by `seq - delivered`: one
-//! hostile `seq` inside [`MAX_CHASE_AHEAD`] would size it. What every
+//! hostile `seq` inside `MAX_CHASE_AHEAD` would size it. What every
 //! arrival or ack would otherwise recompute over all N members — the
 //! number held, the slowest peer's ack — is kept (`pending_total`,
 //! `min_acked`).
@@ -90,7 +90,7 @@ pub struct FbcastEndpoint<P> {
 
 impl<P: Clone> FbcastEndpoint<P> {
     /// Creates the endpoint for member `me` of a group of `n`.
-    pub fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
+    pub(crate) fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
         assert!(me < n, "member index out of range");
         FbcastEndpoint {
             me,
@@ -111,27 +111,22 @@ impl<P: Clone> FbcastEndpoint<P> {
 
     /// Installs an observability probe; message lifecycle (send, wire
     /// arrival, delivery) and FIFO-gap waits are recorded through it.
-    pub fn set_probe(&mut self, probe: ProbeHandle) {
+    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
         self.probe = probe;
     }
 
-    /// This member's index.
-    pub fn me(&self) -> usize {
-        self.me
-    }
-
     /// Endpoint statistics.
-    pub fn stats(&self) -> &EndpointStats {
+    pub(crate) fn stats(&self) -> &EndpointStats {
         &self.stats
     }
 
     /// Messages buffered for retransmission.
-    pub fn buffered_len(&self) -> usize {
+    pub(crate) fn buffered_len(&self) -> usize {
         self.sent_buffer.len()
     }
 
     /// Telemetry hook: instantaneous gauges, for `Process::sample`.
-    pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         emit("fbcast.buffered", self.sent_buffer.len() as f64);
         emit("fbcast.pending", self.pending_total as f64);
     }
@@ -140,7 +135,7 @@ impl<P: Clone> FbcastEndpoint<P> {
     /// [`crate::waitgraph`]): the sender's next undelivered sequence, an
     /// ARQ gap chased via NACK. FIFO has no cross-sender holdback, so
     /// these are the only waits it has.
-    pub fn wait_records(&self, emit: &mut dyn FnMut(&WaitRecord)) {
+    pub(crate) fn wait_records(&self, emit: &mut dyn FnMut(&WaitRecord)) {
         for (sender, s) in self.streams.iter().enumerate() {
             let seq = s.delivered + 1;
             let gap = WaitNode::Msg(MsgId { sender, seq });
@@ -158,13 +153,13 @@ impl<P: Clone> FbcastEndpoint<P> {
 
     /// The per-sender delivered watermark, as a vector clock for
     /// compatibility with the stability machinery.
-    pub fn delivered_clock(&self) -> VectorClock {
+    pub(crate) fn delivered_clock(&self) -> VectorClock {
         VectorClock::from_entries(self.streams.iter().map(|s| s.delivered).collect())
     }
 
     /// Multicasts `payload`; returns the immediate self-delivery and the
     /// outbound data message.
-    pub fn multicast(&mut self, now: SimTime, payload: P) -> (Delivery<P>, Vec<Out<P>>) {
+    pub(crate) fn multicast(&mut self, now: SimTime, payload: P) -> (Delivery<P>, Vec<Out<P>>) {
         self.next_seq += 1;
         let id = MsgId {
             sender: self.me,
@@ -204,7 +199,11 @@ impl<P: Clone> FbcastEndpoint<P> {
     }
 
     /// Handles an incoming wire message.
-    pub fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    pub(crate) fn on_wire(
+        &mut self,
+        now: SimTime,
+        wire: Wire<P>,
+    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         let mut out = Vec::new();
         let mut delivered = Vec::new();
         match wire {
@@ -313,7 +312,7 @@ impl<P: Clone> FbcastEndpoint<P> {
     }
 
     /// Periodic maintenance: ack gossip and gap re-NACKs.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
         let gossip = Wire::AckGossip {
             from: self.me,

@@ -45,30 +45,20 @@ pub struct View {
 
 impl View {
     /// The initial view over the given processes.
-    pub fn initial(members: Vec<ProcessId>) -> Self {
+    pub(crate) fn initial(members: Vec<ProcessId>) -> Self {
         View {
             id: ViewId(1),
             members,
         }
     }
 
-    /// Group size.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
     /// Whether the view has no members.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 
-    /// Member index of `p`, if present.
-    pub fn index_of(&self, p: ProcessId) -> Option<usize> {
-        self.members.iter().position(|&m| m == p)
-    }
-
     /// The successor view with `removed` excluded.
-    pub fn without(&self, removed: &[ProcessId]) -> View {
+    pub(crate) fn without(&self, removed: &[ProcessId]) -> View {
         View {
             id: ViewId(self.id.0 + 1),
             members: self
@@ -95,16 +85,6 @@ pub enum CausalDiscipline {
     /// buffering) in place of vector-clock wait counts. See
     /// `catocs::pccast`.
     Pccast,
-}
-
-impl CausalDiscipline {
-    /// Short name, used as the telemetry-sample prefix.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CausalDiscipline::Cbcast => "cbcast",
-            CausalDiscipline::Pccast => "pccast",
-        }
-    }
 }
 
 /// Protocol tuning knobs shared by the multicast endpoints.
@@ -175,10 +155,8 @@ mod tests {
     #[test]
     fn view_membership() {
         let v = View::initial(vec![ProcessId(3), ProcessId(5), ProcessId(9)]);
-        assert_eq!(v.len(), 3);
+        assert_eq!(v.members.len(), 3);
         assert!(!v.is_empty());
-        assert_eq!(v.index_of(ProcessId(5)), Some(1));
-        assert_eq!(v.index_of(ProcessId(1)), None);
     }
 
     #[test]

@@ -31,14 +31,6 @@ pub struct GroupCtx<'a> {
     pub n: usize,
     /// Deterministic randomness.
     pub rng: &'a mut SmallRng,
-    stop: bool,
-}
-
-impl<'a> GroupCtx<'a> {
-    /// Requests simulation stop.
-    pub fn stop(&mut self) {
-        self.stop = true;
-    }
 }
 
 /// An application behaviour running on a group endpoint.
@@ -177,7 +169,7 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
     }
 
     /// Calls back into the app with a fresh [`GroupCtx`] and returns the
-    /// payloads it wants multicast, stopping the simulation if it asked.
+    /// payloads it wants multicast.
     fn call_app(
         &mut self,
         ctx: &mut Ctx<'_, Wire<P>>,
@@ -188,13 +180,8 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
             me: self.me,
             n: self.members.len(),
             rng: ctx.rng(),
-            stop: false,
         };
-        let payloads = call(&mut self.app, &mut gctx);
-        if gctx.stop {
-            ctx.stop();
-        }
-        payloads
+        call(&mut self.app, &mut gctx)
     }
 
     fn submit_all(&mut self, ctx: &mut Ctx<'_, Wire<P>>, payloads: Vec<P>) {

@@ -22,13 +22,13 @@
 //! property the `cbcast` proptests pin down.
 //!
 //! Every structural step (entries examined, registrations, promotions,
-//! heap operations) is counted in [`HoldbackQueue::work`]; the T7+
+//! heap operations) is counted in `HoldbackQueue::work`; the T7+
 //! experiment reads the counter through `simnet::metrics` to show the
 //! scan's per-event work growing linearly with holdback size while the
 //! index stays flat.
 //!
 //! What is counted is what is asked, so `work` follows the caller. The
-//! causal core puts an id of a gap to [`HoldbackQueue::contains`] once,
+//! causal core puts an id of a gap to `HoldbackQueue::contains` once,
 //! not once a mention: it walks each sender's gap from a registration
 //! frontier below which every undelivered id is chased, held or parked
 //! (`CausalCore::known`), so a later arrival that references the id
@@ -76,21 +76,16 @@ impl<P> HoldbackQueue<P> {
     }
 
     /// Number of messages currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             HoldbackQueue::Scan(q) => q.items.len(),
             HoldbackQueue::Indexed(q) => q.entries.len(),
         }
     }
 
-    /// Whether nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Whether `id` is currently held. (`&mut` because even a membership
     /// probe is work the scan structure pays for — and we count it.)
-    pub fn contains(&mut self, id: MsgId) -> bool {
+    pub(crate) fn contains(&mut self, id: MsgId) -> bool {
         match self {
             HoldbackQueue::Scan(q) => {
                 let pos = q.items.iter().position(|p| p.msg.id == id);
@@ -109,7 +104,7 @@ impl<P> HoldbackQueue<P> {
     /// flight recorder) use this so a probed run reports the same
     /// [`Self::work`] — and therefore the same digests — as an unprobed
     /// one.
-    pub fn peek(&self, id: MsgId) -> bool {
+    pub(crate) fn peek(&self, id: MsgId) -> bool {
         match self {
             HoldbackQueue::Scan(q) => q.items.iter().any(|p| p.msg.id == id),
             HoldbackQueue::Indexed(q) => q.entries.contains_key(&id),
@@ -119,7 +114,7 @@ impl<P> HoldbackQueue<P> {
     /// Iterates the held messages, in no particular order (the indexed
     /// structure is hash-ordered — callers wanting determinism must sort).
     /// Read-only: does not count toward [`Self::work`].
-    pub fn pending(&self) -> Box<dyn Iterator<Item = &Pending<P>> + '_> {
+    pub(crate) fn pending(&self) -> Box<dyn Iterator<Item = &Pending<P>> + '_> {
         match self {
             HoldbackQueue::Scan(q) => Box::new(q.items.iter()),
             HoldbackQueue::Indexed(q) => Box::new(q.entries.values().map(|e| &e.pending)),
@@ -189,7 +184,7 @@ impl<P> HoldbackQueue<P> {
 
     /// Cumulative structural work: holdback entries examined (scan) or
     /// index registrations/promotions/heap operations (indexed).
-    pub fn work(&self) -> u64 {
+    pub(crate) fn work(&self) -> u64 {
         match self {
             HoldbackQueue::Scan(q) => q.work,
             HoldbackQueue::Indexed(q) => q.work,
@@ -201,7 +196,7 @@ impl<P> HoldbackQueue<P> {
     /// flush cut (they can never become deliverable: their FIFO
     /// predecessors beyond the cut are rejected, so they would otherwise
     /// sit in the queue forever). Returns how many were purged.
-    pub fn purge_sender(&mut self, sender: usize, keep_le: u64) -> usize {
+    pub(crate) fn purge_sender(&mut self, sender: usize, keep_le: u64) -> usize {
         match self {
             HoldbackQueue::Scan(q) => {
                 let before = q.items.len();
@@ -410,7 +405,7 @@ mod tests {
                 ],
                 "indexed={indexed}"
             );
-            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
         }
     }
 
@@ -434,7 +429,7 @@ mod tests {
         for indexed in [false, true] {
             let mut q: HoldbackQueue<u32> = HoldbackQueue::new(indexed, 2);
             let vt = VectorClock::new(2);
-            assert!(q.is_empty());
+            assert_eq!(q.len(), 0);
             q.insert(pend(1, 2, &[0, 2]), &vt);
             assert_eq!(q.len(), 1);
             assert!(q.contains(MsgId { sender: 1, seq: 2 }));
@@ -513,7 +508,7 @@ mod tests {
             // The late duplicate: same id, same timestamp, original long
             // delivered. The queue must refuse it and stay empty.
             assert!(!q.insert(pend(1, 1, &[0, 1]), &vt), "indexed={indexed}");
-            assert!(q.is_empty(), "indexed={indexed}");
+            assert_eq!(q.len(), 0, "indexed={indexed}");
             assert!(drain_all(&mut q, &mut vt).is_empty(), "indexed={indexed}");
         }
     }

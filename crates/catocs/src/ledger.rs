@@ -31,7 +31,7 @@ use std::fmt;
 /// An attribution phase — where one slice of a message's latency went.
 /// Coarser than [`WaitKind`]: the two token-side waits (pre-send hold at
 /// the origin, rotation wait at a receiver) both land in [`PhaseId::Token`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PhaseId {
     /// Wire transit: send to first arrival at the receiver.
     Wire,
@@ -80,7 +80,7 @@ impl PhaseId {
     }
 
     /// The phase a [`WaitKind`] is attributed to.
-    pub fn from_wait(kind: WaitKind) -> PhaseId {
+    pub(crate) fn from_wait(kind: WaitKind) -> PhaseId {
         match kind {
             WaitKind::CausalDep => PhaseId::Causal,
             WaitKind::FifoGap => PhaseId::Fifo,
@@ -207,7 +207,7 @@ struct WaitSeg {
 }
 
 /// The always-on probe that accumulates ledger state. Install it (alone
-/// or behind a [`TeeProbe`]) and call [`LedgerProbe::finalize`] at the
+/// or behind a `TeeProbe`) and call [`LedgerProbe::finalize`] at the
 /// horizon.
 #[derive(Debug, Default)]
 pub struct LedgerProbe {
@@ -234,7 +234,7 @@ impl LedgerProbe {
 
     /// Folds one event into the ledger. [`Probe::record`] delegates here;
     /// tee arrangements can call it directly.
-    pub fn fold(&mut self, ev: &ObsEvent) {
+    pub(crate) fn fold(&mut self, ev: &ObsEvent) {
         match ev {
             ObsEvent::Span {
                 at,
@@ -545,7 +545,7 @@ impl Probe for LedgerProbe {
 /// Always enabled, so the campaign runner can keep one installation path
 /// whether or not a recorder is attached; determinism is untouched
 /// because probes never feed back into protocol state.
-pub struct TeeProbe {
+pub(crate) struct TeeProbe {
     /// The ledger every event folds into.
     pub ledger: LedgerProbe,
     inner: ProbeHandle,
@@ -553,7 +553,7 @@ pub struct TeeProbe {
 
 impl TeeProbe {
     /// Tees into `inner` (pass `ProbeHandle::none()` for ledger-only).
-    pub fn new(inner: ProbeHandle) -> Self {
+    pub(crate) fn new(inner: ProbeHandle) -> Self {
         TeeProbe {
             ledger: LedgerProbe::new(),
             inner,

@@ -13,7 +13,7 @@
 //! through partitions, crashes and heavy loss, which is where the original
 //! fire-and-forget protocol wedged. The engine therefore also provides:
 //!
-//! - **Retry with bounded backoff** ([`MembershipEngine::on_tick`]): both
+//! - **Retry with bounded backoff** (`MembershipEngine::on_tick`): both
 //!   the coordinator's `Flush` and each member's `FlushOk` are
 //!   retransmitted until the view installs, so a single dropped message
 //!   no longer freezes the view change forever.
@@ -88,7 +88,7 @@ pub struct MembershipStats {
 /// membership layer's contribution to the wait graph
 /// ([`crate::waitgraph`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FlushWaits {
+pub(crate) struct FlushWaits {
     /// The coordinator of the proposal being flushed toward.
     pub coordinator: usize,
     /// When this member entered the flush.
@@ -143,7 +143,7 @@ impl MembershipEngine {
 
     /// Overrides the base flush-retry interval (backoff doubles from here,
     /// capped at 8×).
-    pub fn set_retry_interval(&mut self, d: SimDuration) {
+    pub(crate) fn set_retry_interval(&mut self, d: SimDuration) {
         self.retry_after = d;
     }
 
@@ -152,22 +152,9 @@ impl MembershipEngine {
         &self.view
     }
 
-    /// The cut of the most recently installed view.
-    pub fn last_cut(&self) -> &VectorClock {
-        &self.last_cut
-    }
-
-    /// The proposal currently being flushed toward, if any.
-    pub fn proposal(&self) -> Option<&View> {
-        match &self.phase {
-            Phase::Normal => None,
-            Phase::Flushing { proposed, .. } => Some(proposed),
-        }
-    }
-
     /// Whether the member may send application multicasts right now: it
     /// is not flushing.
-    pub fn can_send(&self) -> bool {
+    pub(crate) fn can_send(&self) -> bool {
         matches!(self.phase, Phase::Normal)
     }
 
@@ -191,7 +178,7 @@ impl MembershipEngine {
     /// coordinator only, since only it tracks acks — which proposal
     /// members have not sent their `FlushOk` yet. `None` when no flush
     /// is in progress. Read-only.
-    pub fn flush_waits(&self) -> Option<FlushWaits> {
+    pub(crate) fn flush_waits(&self) -> Option<FlushWaits> {
         match &self.phase {
             Phase::Normal => None,
             Phase::Flushing {
@@ -217,14 +204,6 @@ impl MembershipEngine {
                     missing_acks,
                 })
             }
-        }
-    }
-
-    /// Whether this member coordinates the current (or proposed) view.
-    pub fn is_coordinator(&self) -> bool {
-        match &self.phase {
-            Phase::Normal => Self::coordinator_of(&self.view) == self.me,
-            Phase::Flushing { proposed, .. } => Self::coordinator_of(proposed) == self.me,
         }
     }
 
@@ -315,7 +294,7 @@ impl MembershipEngine {
     /// coordinator, to members that have not acked) or this member's
     /// `FlushOk`, with bounded exponential backoff. Without this, a single
     /// dropped flush message wedges the view change forever.
-    pub fn on_tick<P>(&mut self, now: SimTime, delivered: &VectorClock) -> Vec<Out<P>> {
+    pub(crate) fn on_tick<P>(&mut self, now: SimTime, delivered: &VectorClock) -> Vec<Out<P>> {
         let me = self.me;
         let retry = self.retry_after;
         let Phase::Flushing {
@@ -519,7 +498,7 @@ impl MembershipEngine {
     /// missed at least one `Install` — serve ours. Nothing else reaches a
     /// straggler that is neither proposing nor acking, such as one that
     /// abandoned a doomed flush and sits in the old view.
-    pub fn on_heartbeat<P>(&mut self, from: usize, view_id: ViewId) -> Vec<Out<P>> {
+    pub(crate) fn on_heartbeat<P>(&mut self, from: usize, view_id: ViewId) -> Vec<Out<P>> {
         if from >= self.n {
             self.stats.rejected_foreign += 1;
             return Vec::new();
@@ -581,6 +560,19 @@ mod tests {
         VectorClock::new(n)
     }
 
+    /// The proposal `m` is flushing toward, if any.
+    fn proposal(m: &MembershipEngine) -> Option<&View> {
+        match &m.phase {
+            Phase::Normal => None,
+            Phase::Flushing { proposed, .. } => Some(proposed),
+        }
+    }
+
+    /// Whether `m` coordinates the flush it is in.
+    fn coordinates(m: &MembershipEngine) -> bool {
+        m.flush_waits().is_some_and(|w| w.coordinator == m.me)
+    }
+
     #[test]
     fn coordinator_initiates_on_suspicion() {
         let mut m0 = MembershipEngine::new(0, 3);
@@ -590,8 +582,8 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].1, Wire::Flush { .. }));
         assert!(!m0.can_send(), "blackout during flush");
-        assert!(m0.is_coordinator());
-        assert!(m0.proposal().is_some());
+        assert!(coordinates(&m0));
+        assert!(proposal(&m0).is_some());
     }
 
     #[test]
@@ -652,7 +644,7 @@ mod tests {
             }
             other => panic!("expected install, got {other:?}"),
         }
-        assert_eq!(m0.last_cut(), &VectorClock::from_entries(vec![4, 5, 2]));
+        assert_eq!(m0.last_cut, VectorClock::from_entries(vec![4, 5, 2]));
     }
 
     #[test]
@@ -680,7 +672,7 @@ mod tests {
         }
         assert_eq!(m0.view(), &view(3, &[0, 1, 2]));
         let want = VectorClock::from_entries(vec![12, 11, 10, 68, 0]);
-        assert_eq!(m0.last_cut(), &want);
+        assert_eq!(m0.last_cut, want);
     }
 
     #[test]
@@ -700,7 +692,7 @@ mod tests {
         let (a, _) = m1.on_wire(t(10), &late, &vc(5));
         assert!(matches!(a, FlushAction::ViewInstalled { .. }));
         assert_eq!(m1.view().id, ViewId(2));
-        assert_eq!(m1.proposal(), Some(&view(3, &[0, 1, 2])));
+        assert_eq!(proposal(&m1), Some(&view(3, &[0, 1, 2])));
         assert!(!m1.can_send());
         assert_eq!(m1.stats().last_blackout, SimDuration::ZERO);
         // The proposal's own install ends it, blackout measured from the
@@ -710,7 +702,7 @@ mod tests {
             cut: vc(5),
         };
         m1.on_wire(t(30), &own, &vc(5));
-        assert!(m1.can_send() && m1.proposal().is_none());
+        assert!(m1.can_send() && proposal(&m1).is_none());
         assert_eq!(m1.stats().last_blackout, SimDuration::from_millis(30));
         // An older view that the proposal is not within ends it too: the
         // proposal can never install after it.
@@ -725,7 +717,7 @@ mod tests {
             cut: vc(5),
         };
         m2.on_wire(t(10), &without_3, &vc(5));
-        assert!(m2.can_send() && m2.proposal().is_none());
+        assert!(m2.can_send() && proposal(&m2).is_none());
     }
 
     #[test]
@@ -780,7 +772,7 @@ mod tests {
         let (a, out) = m1.suspect::<()>(t(0), &[0], &vc(3));
         assert_eq!(a, FlushAction::RetransmitUnstable);
         assert!(!out.is_empty());
-        assert!(m1.is_coordinator());
+        assert!(coordinates(&m1));
     }
 
     #[test]
@@ -1034,7 +1026,7 @@ mod tests {
             m0.on_wire(t(2), &ok, &vc(4));
         }
         assert_eq!(m0.view().id, ViewId(2));
-        assert_eq!(m0.last_cut().len(), 4);
+        assert_eq!(m0.last_cut.len(), 4);
         // And a cut of another width is not installed.
         let mut m1 = MembershipEngine::new(1, 4);
         let install = Wire::Install {
@@ -1112,8 +1104,8 @@ mod tests {
             }
             other => panic!("expected superseding flush, got {other:?}"),
         }
-        assert_eq!(m1.proposal().map(|p| p.id), Some(ViewId(3)));
-        assert!(m1.is_coordinator() && !m1.can_send());
+        assert_eq!(proposal(&m1).map(|p| p.id), Some(ViewId(3)));
+        assert!(coordinates(&m1) && !m1.can_send());
     }
 
     #[test]
@@ -1136,7 +1128,7 @@ mod tests {
         let (a, out) = m2.suspect::<()>(t(50), &[0, 4], &vc(5));
         assert_eq!(a, FlushAction::None);
         assert!(out.is_empty(), "no Flush: 1 coordinates the replacement");
-        assert!(m2.proposal().is_none());
+        assert!(proposal(&m2).is_none());
         assert!(m2.can_send());
         // The live coordinator's superseding proposal is now adoptable.
         let flush2 = Wire::<()>::Flush {
@@ -1186,7 +1178,7 @@ mod tests {
         assert_eq!(a, FlushAction::None);
         assert!(out.is_empty(), "no Flush goes out");
         assert!(m0.can_send(), "stalled, not flushing");
-        assert!(m0.proposal().is_none());
+        assert!(proposal(&m0).is_none());
         // A 3-member proposal is a majority and proceeds.
         let (a, _) = m0.suspect::<()>(t(1), &[3], &vc(4));
         assert_eq!(a, FlushAction::RetransmitUnstable);

@@ -93,7 +93,7 @@ struct OutLink {
 }
 
 /// Receive side of one overlay link.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct InLink<P> {
     /// Highest consecutively consumed link sequence number.
     cursor: u64,
@@ -173,7 +173,7 @@ impl<P: Clone> PccastEndpoint<P> {
     }
 
     /// Telemetry hook: instantaneous queue depths and buffering gauges.
-    pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         emit("pccast.holdback", self.core.holdback_len() as f64);
         emit("pccast.linkbuf", self.link_buffered_len() as f64);
         emit("pccast.buffered", self.core.buffered_len() as f64);
@@ -191,11 +191,11 @@ impl<P: Clone> PccastEndpoint<P> {
     /// consumption, not a blocked message). A copy behind its link's
     /// cursor waits on the position the cursor is stuck at — a
     /// [`WaitNode::LinkSlot`], which only the sender's ARQ log can put a
-    /// message id to ([`Self::link_log_lookup`]). A link *head* waits on
+    /// message id to (`Self::link_log_lookup`). A link *head* waits on
     /// the origin-FIFO predecessors the link could not vouch for and on
     /// whatever gates the fast path; the sampler (`!every_gap`) is told
     /// the gate alone when there is one.
-    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         self.core.wait_records(never_parked, every_gap, emit);
         let me = self.core.me;
         let depth = if every_gap { usize::MAX } else { 1 };
@@ -248,7 +248,7 @@ impl<P: Clone> PccastEndpoint<P> {
     /// which message occupies sequence `seq` on the outgoing link to
     /// `to`. `None` once acked away (or never sent) — the wait-graph
     /// collector keeps the raw slot node in that case.
-    pub fn link_log_lookup(&self, to: usize, seq: u64) -> Option<MsgId> {
+    pub(crate) fn link_log_lookup(&self, to: usize, seq: u64) -> Option<MsgId> {
         self.links_out.get(&to)?.log.get(&seq).copied()
     }
 
@@ -316,7 +316,7 @@ impl<P: Clone> PccastEndpoint<P> {
     /// pccast specifics: the epoch becomes the installed view id, every
     /// link resets, and the fast path is barred behind the flush cut
     /// (fresh links cannot vouch for pre-install deliveries).
-    pub fn on_view_install(
+    pub(crate) fn on_view_install(
         &mut self,
         now: SimTime,
         view_id: u64,
@@ -336,7 +336,7 @@ impl<P: Clone> PccastEndpoint<P> {
     }
 
     /// Ends the delivery blackout: thawed deliveries, forwarded copies.
-    pub fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    pub(crate) fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         self.core.thaw(now);
         let mut delivered = Vec::new();
         let mut out = Vec::new();
@@ -419,7 +419,7 @@ impl<P: Clone> PccastEndpoint<P> {
     /// Periodic maintenance: ack gossip (stability + gap detection),
     /// per-link cumulative acks (loss recovery), NACK retries. The order
     /// of `out` is the order the network draws loss in.
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
         self.core.gossip(&mut out);
         // Cumulative per-link acks to the overlay neighbours: tell each
@@ -818,7 +818,7 @@ mod tests {
         let mut dels = Vec::new();
         let mut next = Vec::new();
         for (d, w) in out {
-            if *d == Dest::One(ep.core().me()) {
+            if *d == Dest::One(ep.core().me) {
                 let (ds, os) = ep.on_wire(now, w.clone());
                 dels.extend(ds);
                 next.extend(os);
@@ -872,7 +872,10 @@ mod tests {
             assert_eq!(w.overhead_bytes(), 33);
         }
         // bytes/msg accounting mirrors cbcast: one charge per multicast.
+        // The second neighbour's copy is dissemination, not ordering
+        // metadata, so it is charged to control bytes.
         assert_eq!(a.core().stats().data_overhead_bytes, 33);
+        assert_eq!(a.core().stats().control_bytes, 33);
     }
 
     #[test]
@@ -899,6 +902,15 @@ mod tests {
             .iter()
             .any(|(d, w)| matches!(w, Wire::Data(_)) && *d != Dest::One(0) || *d == Dest::One(0)));
         assert_eq!(b.core().clock().get(0), 1);
+        // Relay copies of another member's message are all control
+        // bytes: b has sent no data of its own.
+        let relayed = fwd
+            .iter()
+            .filter(|(_, w)| matches!(w, Wire::Data(_)))
+            .count();
+        assert_eq!(relayed, 2);
+        assert_eq!(b.core().stats().data_overhead_bytes, 0);
+        assert_eq!(b.core().stats().control_bytes, 33 * relayed as u64);
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl SafetyTracker {
         }
     }
 
-    /// The configured safety level.
-    pub fn level(&self) -> usize {
-        self.k
-    }
-
     /// Registers a just-sent write.
     pub fn register(&mut self, id: MsgId, now: SimTime) {
         if self.k <= 1 {
@@ -81,15 +76,6 @@ impl SafetyTracker {
     pub fn completed(&self) -> &[(MsgId, SimDuration)] {
         &self.completed
     }
-
-    /// Mean time-to-safety over completed writes.
-    pub fn mean_latency(&self) -> SimDuration {
-        if self.completed.is_empty() {
-            return SimDuration::ZERO;
-        }
-        let total: u64 = self.completed.iter().map(|(_, d)| d.as_micros()).sum();
-        SimDuration::from_micros(total / self.completed.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -106,8 +92,7 @@ mod tests {
         let mut s = SafetyTracker::new(0);
         s.register(id(1), SimTime::from_millis(5));
         assert_eq!(s.pending_len(), 0);
-        assert_eq!(s.completed().len(), 1);
-        assert_eq!(s.mean_latency(), SimDuration::ZERO);
+        assert_eq!(s.completed(), [(id(1), SimDuration::ZERO)]);
     }
 
     #[test]
@@ -121,7 +106,7 @@ mod tests {
         st.update_row(1, &VectorClock::from_entries(vec![1, 0, 0]));
         let ready = s.advance(&st, SimTime::from_millis(4));
         assert_eq!(ready, vec![id(1)]);
-        assert_eq!(s.mean_latency(), SimDuration::from_millis(4));
+        assert_eq!(s.completed(), [(id(1), SimDuration::from_millis(4))]);
         assert_eq!(s.pending_len(), 0);
     }
 
@@ -135,7 +120,7 @@ mod tests {
         assert!(s.advance(&st, SimTime::from_millis(2)).is_empty());
         st.update_row(2, &VectorClock::from_entries(vec![1, 0, 0]));
         assert_eq!(s.advance(&st, SimTime::from_millis(6)), vec![id(1)]);
-        assert_eq!(s.level(), 3);
+        assert_eq!(s.k, 3);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl StabilityTracker {
     /// Restricts stability to `members` (surviving member indices) — the
     /// view-install hook. Rows of removed members no longer gate the
     /// stable frontier. Rebuilds every column, `O(N²)`.
-    pub fn set_members(&mut self, members: &[usize]) {
+    pub(crate) fn set_members(&mut self, members: &[usize]) {
         for (i, a) in self.alive.iter_mut().enumerate() {
             *a = members.contains(&i);
         }
@@ -61,15 +61,10 @@ impl StabilityTracker {
         }
     }
 
-    /// Group size.
-    pub fn group_size(&self) -> usize {
-        self.n
-    }
-
     /// Records that `who` delivered the `seq`-th message from `sender`
     /// (used for the local process's own deliveries). Returns whether
     /// this was new knowledge.
-    pub fn record_local_delivery(&mut self, who: usize, sender: usize, seq: u64) -> bool {
+    pub(crate) fn record_local_delivery(&mut self, who: usize, sender: usize, seq: u64) -> bool {
         let old = self.matrix.own_row(who).get(sender);
         if !self.matrix.record_delivery(who, sender, seq) {
             return false;
@@ -135,38 +130,32 @@ impl StabilityTracker {
 
     /// Whether the frontier changed since this was last asked; asking
     /// clears the flag. Buffer GC runs only on a `true`.
-    pub fn take_frontier_moved(&mut self) -> bool {
+    pub(crate) fn take_frontier_moved(&mut self) -> bool {
         std::mem::take(&mut self.moved)
-    }
-
-    /// Whether `(sender, seq)` is known stable.
-    pub fn is_stable(&self, sender: usize, seq: u64) -> bool {
-        seq <= self.frontier.get(sender)
     }
 
     /// How many members are known to have delivered `(sender, seq)` —
     /// the quantity a Deceit-style write-safety level compares against.
-    pub fn ack_count(&self, sender: usize, seq: u64) -> usize {
+    pub(crate) fn ack_count(&self, sender: usize, seq: u64) -> usize {
         (0..self.n)
             .filter(|&i| self.knows_delivered(i, sender, seq))
             .count()
     }
 
     /// Whether member `who` is known to have delivered `(sender, seq)`.
-    pub fn knows_delivered(&self, who: usize, sender: usize, seq: u64) -> bool {
+    pub(crate) fn knows_delivered(&self, who: usize, sender: usize, seq: u64) -> bool {
         self.matrix.own_row(who).get(sender) >= seq
-    }
-
-    /// Bytes of delivery-knowledge state carried by this node (§5's
-    /// communication-state cost; grows as `N²`).
-    pub fn state_bytes(&self) -> usize {
-        self.matrix.encoded_len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `(sender, seq)` is known stable.
+    fn stable(t: &StabilityTracker, sender: usize, seq: u64) -> bool {
+        seq <= t.frontier.get(sender)
+    }
     use proptest::prelude::*;
 
     #[test]
@@ -177,8 +166,8 @@ mod tests {
         s.update_row(1, &VectorClock::from_entries(vec![2, 0, 0]));
         s.update_row(2, &VectorClock::from_entries(vec![2, 0, 0]));
         assert_eq!(s.stable_frontier().get(0), 2);
-        assert!(s.is_stable(0, 2));
-        assert!(!s.is_stable(0, 3));
+        assert!(stable(&s, 0, 2));
+        assert!(!stable(&s, 0, 3));
     }
 
     #[test]
@@ -199,13 +188,13 @@ mod tests {
         s.update_row(1, &VectorClock::from_entries(vec![2, 0, 0]));
         // Member 2 never acked; the frontier is stuck at 0.
         assert_eq!(s.stable_frontier().get(0), 0);
-        assert!(!s.is_stable(0, 2));
+        assert!(!stable(&s, 0, 2));
         // A view change removes member 2: the survivors' knowledge now
         // suffices and GC can proceed.
         s.set_members(&[0, 1]);
         assert_eq!(s.stable_frontier().get(0), 2);
-        assert!(s.is_stable(0, 2));
-        assert!(!s.is_stable(0, 3));
+        assert!(stable(&s, 0, 2));
+        assert!(!stable(&s, 0, 3));
     }
 
     #[test]
@@ -315,8 +304,8 @@ mod tests {
                 }
                 prop_assert_eq!(tracker.take_frontier_moved(), now != before);
                 for s in 0..N {
-                    prop_assert!(tracker.is_stable(s, now.get(s)));
-                    prop_assert!(!tracker.is_stable(s, now.get(s) + 1));
+                    prop_assert!(stable(&tracker, s, now.get(s)));
+                    prop_assert!(!stable(&tracker, s, now.get(s) + 1));
                     // An undercount would only cost needless rescans, so
                     // no output shows it: check the count itself.
                     let on_frontier = column(&rows, &alive, s)
@@ -327,13 +316,5 @@ mod tests {
                 before = now;
             }
         }
-    }
-
-    #[test]
-    fn state_bytes_quadratic() {
-        let s8 = StabilityTracker::new(8).state_bytes();
-        let s16 = StabilityTracker::new(16).state_bytes();
-        assert!(s16 > 3 * s8);
-        assert_eq!(StabilityTracker::new(4).group_size(), 4);
     }
 }

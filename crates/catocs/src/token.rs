@@ -60,7 +60,7 @@ pub struct TokenAbcastEndpoint<P> {
 impl<P: Clone> TokenAbcastEndpoint<P> {
     /// Creates the endpoint; member 0 starts holding the token with the
     /// counter at 0.
-    pub fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
+    pub(crate) fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
         assert!(me < n, "member index out of range");
         TokenAbcastEndpoint {
             me,
@@ -85,13 +85,8 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
 
     /// Installs an observability probe; token arrivals are recorded as
     /// token-rotation phase events.
-    pub fn set_probe(&mut self, probe: ProbeHandle) {
+    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
         self.probe = probe;
-    }
-
-    /// This member's index.
-    pub fn me(&self) -> usize {
-        self.me
     }
 
     /// Whether this member currently holds the token.
@@ -100,17 +95,12 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
     }
 
     /// Endpoint statistics.
-    pub fn stats(&self) -> &EndpointStats {
+    pub(crate) fn stats(&self) -> &EndpointStats {
         &self.stats
     }
 
-    /// Submissions waiting for the token.
-    pub fn queued_len(&self) -> usize {
-        self.pending_submit.len()
-    }
-
     /// Telemetry hook: instantaneous gauges, for `Process::sample`.
-    pub fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         emit("token.queued", self.pending_submit.len() as f64);
         emit(
             "token.undelivered",
@@ -126,7 +116,7 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
     /// token block the process on its rotation phase since the oldest
     /// was made; and an unacknowledged pass blocks that phase on the
     /// receiver (a lost token halts the whole order).
-    pub fn wait_records(&self, emit: &mut dyn FnMut(&WaitRecord)) {
+    pub(crate) fn wait_records(&self, emit: &mut dyn FnMut(&WaitRecord)) {
         let rotation = WaitNode::Phase {
             kind: PhaseTag::TokenRotation,
             at: self.me,
@@ -164,7 +154,7 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
     /// Submits `payload` for totally ordered multicast. If the token is
     /// held, the message goes out (and may deliver) immediately;
     /// otherwise it queues until the token arrives.
-    pub fn submit(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    pub(crate) fn submit(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         self.pending_submit.push_back((payload, now));
         if self.holding {
             self.drain_submissions(now)
@@ -176,7 +166,7 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
     /// Passes the token to the next member in ring order. Call after
     /// draining submissions (typically from the tick handler). The pass
     /// is retransmitted from [`Self::on_tick`] until acknowledged.
-    pub fn pass_token(&mut self, now: SimTime) -> Option<Out<P>> {
+    pub(crate) fn pass_token(&mut self, now: SimTime) -> Option<Out<P>> {
         if !self.holding {
             return None;
         }
@@ -194,7 +184,11 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
     }
 
     /// Handles an incoming wire message.
-    pub fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    pub(crate) fn on_wire(
+        &mut self,
+        now: SimTime,
+        wire: Wire<P>,
+    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         match wire {
             Wire::Token { next_gseq, hops } => {
                 // Always acknowledge — the passer retransmits until then.
@@ -288,7 +282,7 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
 
     /// Periodic maintenance: NACK delivery gaps (to everyone — any member
     /// may have the missing message buffered).
-    pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
         // Retransmit an unacknowledged token pass.
         if let Some((next, gseq, hops, last_sent)) = self.unacked_pass {
@@ -450,7 +444,7 @@ mod tests {
         let mut b = TokenAbcastEndpoint::new(1, 3, GroupConfig::default());
         let (dels, out) = b.submit(t(0), "y");
         assert!(dels.is_empty() && out.is_empty());
-        assert_eq!(b.queued_len(), 1);
+        assert_eq!(b.pending_submit.len(), 1);
         let (dels, out) = b.on_wire(
             t(5),
             Wire::Token {
@@ -460,7 +454,7 @@ mod tests {
         );
         assert_eq!(dels.len(), 1);
         assert!(!out.is_empty());
-        assert_eq!(b.queued_len(), 0);
+        assert_eq!(b.pending_submit.len(), 0);
     }
 
     /// The three waits of the ring, from bare endpoints: a queue behind

@@ -28,7 +28,7 @@
 //!   unless the run ended in a legitimate primary-partition block (the
 //!   survivors are not a strict majority of the final view), in which
 //!   case the group wedges *by design* and only the safety invariants
-//!   above are enforced. See [`is_blocked`].
+//!   above are enforced. See `is_blocked`.
 //!
 //! A run is requested as one value, [`Campaign`]: the seed, the
 //! configuration, optionally a fault plan of the caller's own in place
@@ -233,7 +233,7 @@ fn final_installed_view(logs: &[ProcessLog]) -> Option<(u64, Vec<usize>)> {
 /// `(n-1)/2` of the original group, but evictions compound: a partition
 /// can shrink the view first, and crashes of half the shrunken view then
 /// block it — seed 77 of the default campaign is the canonical case.)
-pub fn is_blocked(logs: &[ProcessLog]) -> bool {
+pub(crate) fn is_blocked(logs: &[ProcessLog]) -> bool {
     match final_installed_view(logs) {
         Some((_, members)) => {
             let live = members
@@ -605,12 +605,12 @@ impl ChaosNode {
 
     /// Hold-time distribution of this node's held deliveries (read
     /// post-run; campaigns merge these across the group).
-    pub fn hold_histogram(&self) -> &Histogram {
+    pub(crate) fn hold_histogram(&self) -> &Histogram {
         &self.hold_hist
     }
 
     /// What is blocked at this node and on what: [`Member::wait_records`].
-    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         self.member.wait_records(every_gap, emit);
     }
 

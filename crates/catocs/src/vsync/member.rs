@@ -72,7 +72,7 @@ impl Member {
     }
 
     /// The endpoint (read-only).
-    pub fn endpoint(&self) -> &CausalEndpoint<u64> {
+    pub(crate) fn endpoint(&self) -> &CausalEndpoint<u64> {
         &self.endpoint
     }
 
@@ -88,7 +88,7 @@ impl Member {
     }
 
     /// Installs an observability probe on the endpoint (read-only).
-    pub fn set_probe(&mut self, probe: ProbeHandle) {
+    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
         self.endpoint.set_probe(probe);
     }
 
@@ -157,7 +157,7 @@ impl Member {
     }
 
     /// The host came back from a crash with this state intact.
-    pub fn on_recover(&mut self, now: SimTime) {
+    pub(crate) fn on_recover(&mut self, now: SimTime) {
         if !self.knobs.no_detector_reset {
             // S1 fix: the heartbeat table is stale by the whole outage;
             // without a reset every peer looks dead on the next check.
@@ -171,7 +171,7 @@ impl Member {
     /// mid-flush blocks on the coordinator's flush phase, and at the
     /// coordinator the phase itself blocks on each member whose FlushOk
     /// is missing.
-    pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         self.endpoint.wait_records(every_gap, emit);
         if let Some(fw) = self.engine.flush_waits() {
             let phase = WaitNode::Phase {

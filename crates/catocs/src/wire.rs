@@ -46,22 +46,12 @@ pub enum VtWire {
 
 impl VtWire {
     /// Encoded timestamp size in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             VtWire::Full(b) | VtWire::Delta(b) => b.len(),
             // u64 epoch + u32 from + u64 link_seq.
             VtWire::Pc { .. } => 20,
         }
-    }
-
-    /// Whether the encoding is empty (never true for valid encodings).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether this is a delta encoding.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, VtWire::Delta(_))
     }
 }
 
@@ -221,11 +211,6 @@ impl<P> Wire<P> {
             Wire::PcSkip { .. } => 4 + 8 + 8 + MSG_ID,
             Wire::Heartbeat { .. } => 4 + 8,
         }
-    }
-
-    /// Whether this is a control (non-data) message.
-    pub fn is_control(&self) -> bool {
-        !matches!(self, Wire::Data(_))
     }
 }
 
@@ -417,7 +402,7 @@ mod tests {
         assert!(delta < full, "delta {delta} must undercut full {full}");
         // make_full restores the fallback encoding.
         msg.make_full();
-        assert!(!msg.vt_wire.is_delta());
+        assert!(matches!(msg.vt_wire, VtWire::Full(_)));
         assert_eq!(Wire::Data(msg).overhead_bytes(), full);
     }
 
@@ -459,21 +444,6 @@ mod tests {
             }
             _ => unreachable!("clones keep their variants"),
         }
-    }
-
-    #[test]
-    fn control_classification() {
-        let data: Wire<()> = Wire::Data(DataMsg::new(
-            MsgId { sender: 0, seq: 1 },
-            VectorClock::new(2),
-            (),
-        ));
-        assert!(!data.is_control());
-        let hb: Wire<()> = Wire::Heartbeat {
-            from: 0,
-            view_id: ViewId(1),
-        };
-        assert!(hb.is_control());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 /// A Lamport scalar clock.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LamportClock {
     value: u64,
 }
@@ -22,11 +22,6 @@ impl LamportClock {
     /// A clock at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The current reading.
-    pub fn read(&self) -> u64 {
-        self.value
     }
 
     /// Advances for a local event and returns the new stamp.
@@ -53,7 +48,7 @@ impl LamportClock {
 }
 
 /// A totally ordered logical timestamp: Lamport time with node tie-break.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct TotalStamp {
     /// Lamport time component (most significant in comparisons).
     pub time: u64,
@@ -72,7 +67,7 @@ mod tests {
         let a = c.tick();
         let b = c.tick();
         assert!(b > a);
-        assert_eq!(c.read(), 2);
+        assert_eq!(c.value, 2);
     }
 
     #[test]

@@ -48,16 +48,6 @@ impl MatrixClock {
         }
     }
 
-    /// Group size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the group is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// This process's own row (its delivered clock).
     pub fn own_row(&self, me: usize) -> &VectorClock {
         &self.rows[me]
@@ -93,13 +83,6 @@ impl MatrixClock {
         self.rows[who].merge_advancing(row, on_advance)
     }
 
-    /// Incorporates an entire matrix received from a peer.
-    pub fn merge(&mut self, other: &MatrixClock) {
-        for i in 0..self.n.min(other.n) {
-            self.rows[i].merge(&other.rows[i]);
-        }
-    }
-
     /// The stability frontier: component `s` is the highest sequence
     /// number `k` such that *every* process is known to have delivered
     /// messages `1..=k` from sender `s`. Messages at or below the frontier
@@ -124,12 +107,6 @@ impl MatrixClock {
         frontier
     }
 
-    /// Whether the `seq`-th message from `sender` is stable (known
-    /// delivered everywhere).
-    pub fn is_stable(&self, sender: usize, seq: u64) -> bool {
-        (0..self.n).all(|i| self.rows[i].get(sender) >= seq)
-    }
-
     /// Bytes needed to ship this matrix (the §5 gossip overhead).
     pub fn encoded_len(&self) -> usize {
         4 + self.n * (4 + 8 * self.n)
@@ -145,8 +122,6 @@ mod tests {
     fn fresh_matrix_has_zero_frontier() {
         let m = MatrixClock::new(3);
         assert_eq!(m.stable_frontier(), VectorClock::new(3));
-        assert!(!m.is_empty());
-        assert_eq!(m.len(), 3);
     }
 
     #[test]
@@ -155,9 +130,8 @@ mod tests {
         // P0 and P1 delivered msg 1 from sender 0; P2 has not.
         m.record_delivery(0, 0, 1);
         m.record_delivery(1, 0, 1);
-        assert!(!m.is_stable(0, 1));
+        assert_eq!(m.stable_frontier().get(0), 0);
         m.record_delivery(2, 0, 1);
-        assert!(m.is_stable(0, 1));
         assert_eq!(m.stable_frontier().get(0), 1);
     }
 
@@ -167,17 +141,6 @@ mod tests {
         m.record_delivery(0, 1, 5);
         m.record_delivery(0, 1, 3); // late, lower — ignored
         assert_eq!(m.own_row(0).get(1), 5);
-    }
-
-    #[test]
-    fn merge_spreads_knowledge() {
-        let mut a = MatrixClock::new(2);
-        let mut b = MatrixClock::new(2);
-        a.record_delivery(0, 1, 4);
-        b.record_delivery(1, 0, 7);
-        a.merge(&b);
-        assert_eq!(a.own_row(1).get(0), 7);
-        assert_eq!(a.own_row(0).get(1), 4);
     }
 
     #[test]
@@ -236,24 +199,6 @@ mod tests {
                 for s in 0..4 {
                     prop_assert!(f.get(s) <= m.own_row(i).get(s));
                 }
-            }
-        }
-
-        /// Merging never lowers the frontier.
-        #[test]
-        fn merge_monotone(
-            d1 in proptest::collection::vec((0usize..3, 0usize..3, 1u64..10), 0..30),
-            d2 in proptest::collection::vec((0usize..3, 0usize..3, 1u64..10), 0..30)
-        ) {
-            let mut a = MatrixClock::new(3);
-            for (me, s, q) in d1 { a.record_delivery(me, s, q); }
-            let mut b = MatrixClock::new(3);
-            for (me, s, q) in d2 { b.record_delivery(me, s, q); }
-            let before = a.stable_frontier();
-            a.merge(&b);
-            let after = a.stable_frontier();
-            for s in 0..3 {
-                prop_assert!(after.get(s) >= before.get(s));
             }
         }
     }

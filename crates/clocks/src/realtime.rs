@@ -6,8 +6,8 @@
 //! and yet the events in most real-time systems occur at the granularity
 //! of tens of milliseconds or more". This module models exactly that: each
 //! process owns a [`SyncClock`] whose reading is true simulated time plus
-//! a bounded offset (static skew plus slow drift, re-zeroed by periodic
-//! resynchronization). Experiment T13 uses it to order oven-sensor events
+//! a bounded offset (static skew plus slow drift, clamped to the
+//! advertised accuracy). Experiment T13 uses it to order oven-sensor events
 //! by temporal precedence.
 
 use serde::{Deserialize, Serialize};
@@ -20,9 +20,7 @@ pub struct SyncClock {
     skew_us: i64,
     /// Drift rate in parts per million (microseconds gained per second).
     drift_ppm: i64,
-    /// Last resynchronization instant (drift accumulates from here).
-    synced_at: SimTime,
-    /// Guaranteed bound on |reading - true time| between resyncs.
+    /// Guaranteed bound on |reading - true time|.
     error_bound: SimDuration,
 }
 
@@ -30,37 +28,21 @@ impl SyncClock {
     /// Creates a clock with the given static skew and drift.
     ///
     /// `error_bound` is the advertised accuracy (the paper's "less than
-    /// one millisecond"); [`SyncClock::read`] clamps to it, modeling a
+    /// one millisecond"); `SyncClock::read` clamps to it, modeling a
     /// sync protocol that re-zeros the clock before the bound is exceeded.
     pub fn new(skew_us: i64, drift_ppm: i64, error_bound: SimDuration) -> Self {
         SyncClock {
             skew_us,
             drift_ppm,
-            synced_at: SimTime::ZERO,
             error_bound,
         }
-    }
-
-    /// A perfectly synchronized clock.
-    pub fn perfect() -> Self {
-        SyncClock::new(0, 0, SimDuration::ZERO)
-    }
-
-    /// The advertised error bound.
-    pub fn error_bound(&self) -> SimDuration {
-        self.error_bound
-    }
-
-    /// Re-zeros accumulated drift at `now` (a sync-protocol round).
-    pub fn resync(&mut self, now: SimTime) {
-        self.synced_at = now;
     }
 
     /// Reads the clock at true time `now`.
     ///
     /// The reading is `now + skew + drift`, clamped to the error bound.
-    pub fn read(&self, now: SimTime) -> SimTime {
-        let elapsed_s = now.saturating_since(self.synced_at).as_secs_f64();
+    pub(crate) fn read(&self, now: SimTime) -> SimTime {
+        let elapsed_s = now.since(SimTime::ZERO).as_secs_f64();
         let drift_us = (self.drift_ppm as f64 * elapsed_s).round() as i64;
         let mut offset = self.skew_us + drift_us;
         let bound = self.error_bound.as_micros() as i64;
@@ -83,21 +65,12 @@ impl SyncClock {
 
 /// A real-time timestamp with node id tie-break — the paper's "temporal
 /// precedence" ordering device (§4.6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RtStamp {
     /// The clock reading.
     pub time: SimTime,
     /// Node id tie-breaker.
     pub node: usize,
-}
-
-impl RtStamp {
-    /// Whether this stamp *certainly* precedes `other` given both clocks'
-    /// error bound `eps`: true temporal precedence requires the readings
-    /// to differ by more than `2*eps`.
-    pub fn certainly_before(&self, other: &RtStamp, eps: SimDuration) -> bool {
-        other.time.saturating_since(self.time) > eps.saturating_mul(2)
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +80,7 @@ mod tests {
 
     #[test]
     fn perfect_clock_reads_true_time() {
-        let c = SyncClock::perfect();
+        let c = SyncClock::new(0, 0, SimDuration::ZERO);
         let t = SimTime::from_millis(123);
         assert_eq!(c.read(t), t);
     }
@@ -127,13 +100,11 @@ mod tests {
     }
 
     #[test]
-    fn drift_accumulates_until_resync() {
+    fn drift_accumulates() {
         // 100 ppm = 100us per second.
-        let mut c = SyncClock::new(0, 100, SimDuration::from_millis(10));
+        let c = SyncClock::new(0, 100, SimDuration::from_millis(10));
         let t = SimTime::from_secs(5);
         assert_eq!(c.read(t), t + SimDuration::from_micros(500));
-        c.resync(t);
-        assert_eq!(c.read(t), t);
     }
 
     #[test]
@@ -147,30 +118,11 @@ mod tests {
 
     #[test]
     fn stamps_totally_ordered() {
-        let c = SyncClock::perfect();
+        let c = SyncClock::new(0, 0, SimDuration::ZERO);
         let s1 = c.stamp(SimTime::from_millis(1), 0);
         let s2 = c.stamp(SimTime::from_millis(1), 1);
         let s3 = c.stamp(SimTime::from_millis(2), 0);
         assert!(s1 < s2 && s2 < s3);
-    }
-
-    #[test]
-    fn certainly_before_requires_2eps_gap() {
-        let eps = SimDuration::from_millis(1);
-        let a = RtStamp {
-            time: SimTime::from_millis(10),
-            node: 0,
-        };
-        let near = RtStamp {
-            time: SimTime::from_millis(11),
-            node: 1,
-        };
-        let far = RtStamp {
-            time: SimTime::from_millis(13),
-            node: 1,
-        };
-        assert!(!a.certainly_before(&near, eps));
-        assert!(a.certainly_before(&far, eps));
     }
 
     proptest! {
@@ -190,8 +142,7 @@ mod tests {
         }
 
         /// Readings are monotone in true time when drift is non-negative
-        /// and skew is fixed (physical clocks don't run backwards between
-        /// resyncs).
+        /// and skew is fixed (physical clocks don't run backwards).
         #[test]
         fn monotone_reading(skew in -1_000i64..1_000, drift in 0i64..500, a in 0u64..10_000, b in 0u64..10_000) {
             let c = SyncClock::new(skew, drift, SimDuration::from_secs(1));

@@ -362,7 +362,7 @@ impl VectorClock {
     }
 
     /// The components in order.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.blocks().flatten().copied()
     }
 
@@ -441,7 +441,7 @@ impl VectorClock {
     /// Like [`VectorClock::merge`] it widens to `other`'s length, but only
     /// when a component beyond the current width is non-zero, so a stale
     /// row leaves a lazily allocated clock narrow.
-    pub fn merge_advancing(
+    pub(crate) fn merge_advancing(
         &mut self,
         other: &VectorClock,
         mut on_advance: impl FnMut(usize, u64),
@@ -511,16 +511,6 @@ impl VectorClock {
             (false, true) => ClockOrd::After,
             (true, true) => ClockOrd::Concurrent,
         }
-    }
-
-    /// `self` happens-before `other` (strictly).
-    pub fn happens_before(&self, other: &VectorClock) -> bool {
-        self.compare(other) == ClockOrd::Before
-    }
-
-    /// `self` and `other` are concurrent.
-    pub fn concurrent_with(&self, other: &VectorClock) -> bool {
-        self.compare(other) == ClockOrd::Concurrent
     }
 
     /// The ISIS cbcast deliverability test: a message stamped `msg_vt`
@@ -611,13 +601,13 @@ impl VectorClock {
     /// codebase simulates is orders of magnitude below this bound.
     /// (The same argument for the *values* a decoded clock may carry is
     /// `catocs::causal_core::MAX_CHASE_AHEAD`.)
-    pub const MAX_DELTA_WIDTH: usize = 1 << 16;
+    pub(crate) const MAX_DELTA_WIDTH: usize = 1 << 16;
 
     /// Decodes a delta encoding against `base`. The result shares every
     /// block of `base`'s that no pair changes.
     ///
     /// Returns `None` on malformed input: short or trailing bytes, a
-    /// declared width past [`VectorClock::MAX_DELTA_WIDTH`], more pairs
+    /// declared width past `VectorClock::MAX_DELTA_WIDTH`, more pairs
     /// than components (`k > n`), duplicate or non-increasing indices
     /// (the encoder emits them strictly increasing), or an index out of
     /// range. Nothing is copied or allocated for input that is rejected.
@@ -1117,8 +1107,8 @@ mod tests {
 
     #[test]
     fn helpers() {
-        assert!(vc(&[0, 1]).happens_before(&vc(&[1, 1])));
-        assert!(vc(&[1, 0]).concurrent_with(&vc(&[0, 1])));
+        assert_eq!(vc(&[0, 1]).compare(&vc(&[1, 1])), ClockOrd::Before);
+        assert_eq!(vc(&[1, 0]).compare(&vc(&[0, 1])), ClockOrd::Concurrent);
         assert_eq!(vc(&[2, 3]).total_events(), 5);
         assert!(!vc(&[1]).is_empty());
         assert!(VectorClock::new(0).is_empty());
@@ -1267,8 +1257,7 @@ mod tests {
         /// Antisymmetry: a < b implies !(b < a).
         #[test]
         fn partial_order_antisymmetric(a in arb_clock(6), b in arb_clock(6)) {
-            if a.happens_before(&b) {
-                prop_assert!(!b.happens_before(&a));
+            if a.compare(&b) == ClockOrd::Before {
                 prop_assert_eq!(b.compare(&a), ClockOrd::After);
             }
         }
@@ -1276,8 +1265,8 @@ mod tests {
         /// Transitivity: a < b and b < c implies a < c.
         #[test]
         fn partial_order_transitive(a in arb_clock(5), b in arb_clock(5), c in arb_clock(5)) {
-            if a.happens_before(&b) && b.happens_before(&c) {
-                prop_assert!(a.happens_before(&c));
+            if a.compare(&b) == ClockOrd::Before && b.compare(&c) == ClockOrd::Before {
+                prop_assert_eq!(a.compare(&c), ClockOrd::Before);
             }
         }
 

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies an application object (a security, a lot record, an article).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ObjectId(pub u64);
 
 impl fmt::Debug for ObjectId {
@@ -44,7 +44,7 @@ impl Version {
 }
 
 /// A fully qualified object version: which object, at which version.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Debug)]
 pub struct VersionedTag {
     /// The object.
     pub object: ObjectId,
@@ -57,16 +57,11 @@ impl VersionedTag {
     pub fn new(object: ObjectId, version: Version) -> Self {
         VersionedTag { object, version }
     }
-
-    /// Whether this tag supersedes `other` (same object, later version).
-    pub fn supersedes(&self, other: &VersionedTag) -> bool {
-        self.object == other.object && self.version > other.version
-    }
 }
 
 /// The "dependency field" of a computed data object (§4.1): the base
 /// object version it was derived from, if any.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Debug)]
 pub struct DependencyStamp {
     /// The version of this datum itself.
     pub own: Option<VersionedTag>,
@@ -90,16 +85,6 @@ impl DependencyStamp {
             depends_on: Some(base),
         }
     }
-
-    /// Whether this datum is *current* with respect to a known base
-    /// version: a derived datum is stale if its recorded base version is
-    /// older than the latest version of the base object.
-    pub fn current_against(&self, latest_base: &VersionedTag) -> bool {
-        match self.depends_on {
-            None => true,
-            Some(dep) => dep.object != latest_base.object || dep.version >= latest_base.version,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -110,37 +95,6 @@ mod tests {
     fn version_next_increments() {
         assert_eq!(Version::INITIAL.next(), Version(1));
         assert_eq!(Version(41).next(), Version(42));
-    }
-
-    #[test]
-    fn supersedes_same_object_only() {
-        let a1 = VersionedTag::new(ObjectId(1), Version(1));
-        let a2 = VersionedTag::new(ObjectId(1), Version(2));
-        let b2 = VersionedTag::new(ObjectId(2), Version(2));
-        assert!(a2.supersedes(&a1));
-        assert!(!a1.supersedes(&a2));
-        assert!(!b2.supersedes(&a1));
-    }
-
-    #[test]
-    fn base_data_is_always_current() {
-        let s = DependencyStamp::base(ObjectId(1), Version(3));
-        let latest = VersionedTag::new(ObjectId(1), Version(99));
-        assert!(s.current_against(&latest));
-    }
-
-    #[test]
-    fn derived_data_staleness() {
-        let base_v2 = VersionedTag::new(ObjectId(1), Version(2));
-        let s = DependencyStamp::derived(ObjectId(7), Version(1), base_v2);
-        // Latest base is v2 → current.
-        assert!(s.current_against(&base_v2));
-        // Latest base is v3 → stale (the Fig. 4 false crossing).
-        let base_v3 = VersionedTag::new(ObjectId(1), Version(3));
-        assert!(!s.current_against(&base_v3));
-        // A different base object is irrelevant.
-        let other = VersionedTag::new(ObjectId(2), Version(9));
-        assert!(s.current_against(&other));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The event queue at the heart of the discrete-event scheduler.
 //!
 //! The queue is three structures. A *front* (a `VecDeque`) and 64
-//! *buckets* (`Vec`s) hold small `Copy` keys `(time, seq, slot, to)`: one
+//! *buckets* (`Vec`s) hold small `Copy` keys `(time, slot, to)`: one
 //! key per *arrival*, i.e. per thing that will happen to one process at
 //! one instant. A slab holds the event *bodies* the keys point at, each
 //! with a count of the arrivals still pending on it. A multicast to N
-//! recipients is one body with N keys: [`EventQueue::push_shared`] moves
-//! the body in once, [`EventQueue::pop`] clones it for every arrival but
-//! the last, which takes it, and [`EventQueue::skip`] retires an arrival
+//! recipients is one body with N keys: `EventQueue::push_shared` moves
+//! the body in once, `EventQueue::pop` clones it for every arrival but
+//! the last, which takes it, and `EventQueue::skip` retires an arrival
 //! nobody will look at without cloning anything. A copy thus exists from
 //! dispatch to the end of its handler instead of from send to delivery,
 //! and a copy that is dropped on the wire or addressed to a dead process
@@ -15,12 +15,11 @@
 //!
 //! # Order without comparing
 //!
-//! Pop order is `(time, seq)` where `seq` is a monotonically increasing
-//! insertion number, drawn per key in push order: two arrivals scheduled
-//! for the same instant always pop in the order they were pushed — and
-//! independent of whether their bodies are shared, since a shared body's
-//! keys take the same consecutive numbers that pushing a private copy per
-//! recipient would have. That makes the simulation deterministic.
+//! Pop order is `(time, insertion)`: two arrivals scheduled for the same
+//! instant always pop in the order they were pushed — and independent of
+//! whether their bodies are shared, since a shared body's keys are pushed
+//! one after the other, in the order a private copy per recipient would
+//! have been. That makes the simulation deterministic.
 //!
 //! A simulator never schedules into its past, so the keys form a
 //! *monotone* priority queue, and a radix queue keeps one without ever
@@ -34,7 +33,7 @@
 //! the keys due then move to the front and the others spread over the
 //! buckets below — all of them empty, or this would not be the lowest.
 //!
-//! Ties need no look at `seq`. The keys of one instant always share a
+//! Ties need no insertion number. The keys of one instant always share a
 //! place, since the place is a function of their time and `last`. A push
 //! appends, a redistribution walks its bucket front to back into empty
 //! places, and whatever is pushed to those places afterwards was pushed
@@ -44,7 +43,7 @@
 //!
 //! # Lazy refill
 //!
-//! An empty front is refilled by the next [`EventQueue::peek`], `pop` or
+//! An empty front is refilled by the next `EventQueue::peek`, `pop` or
 //! `skip`, not by the pop that emptied it. Refilling moves `last` on to
 //! the next pending time; done eagerly it would run ahead of the handler
 //! just dispatched, and each of that handler's sends due between the two
@@ -71,7 +70,7 @@ use std::collections::VecDeque;
 /// arrival's `to`, not part of the body, so one body serves every
 /// recipient of a multicast.
 #[derive(Clone, Debug)]
-pub enum EventKind<M> {
+pub(crate) enum EventKind<M> {
     /// Start of the process: `on_start` is invoked.
     Start,
     /// A message arrives on the wire.
@@ -104,12 +103,10 @@ pub enum EventKind<M> {
     NetRestore,
 }
 
-/// What the queue files. `seq` is carried for [`Arrival`]; nothing
-/// compares it.
+/// What the queue files.
 #[derive(Clone, Copy, Debug)]
 struct Key {
     at: SimTime,
-    seq: u64,
     slot: u32,
     to: u32,
 }
@@ -122,11 +119,10 @@ struct Slot<B> {
     pending: u32,
 }
 
-/// One popped arrival: `body` happens to `to` at `at`.
+/// One popped arrival: `body` happens to `to` (at the time `peek`
+/// showed).
 #[derive(Debug)]
-pub struct Arrival<B> {
-    pub at: SimTime,
-    pub seq: u64,
+pub(crate) struct Arrival<B> {
     pub to: ProcessId,
     pub body: B,
 }
@@ -139,7 +135,7 @@ fn level(at: SimTime, last: SimTime) -> usize {
 
 /// A deterministic min-priority queue of arrivals over shared bodies.
 #[derive(Debug)]
-pub struct EventQueue<B> {
+pub(crate) struct EventQueue<B> {
     /// The keys due at `last`, in push order.
     front: VecDeque<Key>,
     /// `buckets[i]`: the keys whose time first differs from `last` at
@@ -154,7 +150,6 @@ pub struct EventQueue<B> {
     popped: SimTime,
     slab: Vec<Slot<B>>,
     free: Vec<u32>,
-    next_seq: u64,
 }
 
 impl<B> Default for EventQueue<B> {
@@ -165,7 +160,7 @@ impl<B> Default for EventQueue<B> {
 
 impl<B> EventQueue<B> {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             front: VecDeque::new(),
             buckets: std::array::from_fn(|_| Vec::new()),
@@ -174,12 +169,11 @@ impl<B> EventQueue<B> {
             popped: SimTime::ZERO,
             slab: Vec::new(),
             free: Vec::new(),
-            next_seq: 0,
         }
     }
 
     /// Schedules `body` to happen to `to` at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, to: ProcessId, body: B) {
+    pub(crate) fn push(&mut self, at: SimTime, to: ProcessId, body: B) {
         self.push_shared(body, &[(at, to)]);
     }
 
@@ -187,7 +181,7 @@ impl<B> EventQueue<B> {
     /// numbering them in slice order. With no arrivals the body is
     /// dropped here and no slot is taken. A time earlier than the last
     /// arrival popped is moved up to it.
-    pub fn push_shared(&mut self, body: B, arrivals: &[(SimTime, ProcessId)]) {
+    pub(crate) fn push_shared(&mut self, body: B, arrivals: &[(SimTime, ProcessId)]) {
         if arrivals.is_empty() {
             return;
         }
@@ -209,11 +203,8 @@ impl<B> EventQueue<B> {
         };
         for &(at, to) in arrivals {
             let at = if at < self.last { self.rewind(at) } else { at };
-            let seq = self.next_seq;
-            self.next_seq += 1;
             self.place(Key {
                 at,
-                seq,
                 slot,
                 // No process has an id this large; clamping keeps such an
                 // id naming no process.
@@ -283,7 +274,7 @@ impl<B> EventQueue<B> {
 
     /// The earliest arrival — its time, recipient and body — without
     /// removing it.
-    pub fn peek(&mut self) -> Option<(SimTime, ProcessId, &B)> {
+    pub(crate) fn peek(&mut self) -> Option<(SimTime, ProcessId, &B)> {
         self.settle();
         let key = self.front.front()?;
         let body = self.slab[key.slot as usize].body.as_ref();
@@ -311,7 +302,7 @@ impl<B> EventQueue<B> {
 
     /// Removes and returns the earliest arrival, if any. Its body is a
     /// clone unless this was the last arrival pending on it.
-    pub fn pop(&mut self) -> Option<Arrival<B>>
+    pub(crate) fn pop(&mut self) -> Option<Arrival<B>>
     where
         B: Clone,
     {
@@ -323,8 +314,6 @@ impl<B> EventQueue<B> {
             slot.body.clone()
         };
         Some(Arrival {
-            at: key.at,
-            seq: key.seq,
             to: ProcessId(key.to as usize),
             body: body.expect("a pending key's slot holds its body"),
         })
@@ -333,20 +322,10 @@ impl<B> EventQueue<B> {
     /// Removes the earliest arrival without materialising its body: no
     /// clone, and the body is dropped if this was the last arrival
     /// pending on it.
-    pub fn skip(&mut self) {
+    pub(crate) fn skip(&mut self) {
         if let Some((key, true)) = self.pop_key() {
             self.slab[key.slot as usize].body = None;
         }
-    }
-
-    /// Number of pending arrivals.
-    pub fn len(&self) -> usize {
-        self.front.len() + self.buckets.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.front.is_empty() && self.occupied == 0
     }
 }
 
@@ -358,16 +337,28 @@ mod tests {
         SimTime::from_micros(t)
     }
 
+    /// Number of pending arrivals.
+    fn pending<B>(q: &EventQueue<B>) -> usize {
+        q.front.len() + q.buckets.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// Pops everything, as `(µs, recipient)`: the time is the one `peek`
+    /// shows just before the pop.
+    fn drain<B: Clone>(q: &mut EventQueue<B>) -> Vec<(u64, usize)> {
+        std::iter::from_fn(|| {
+            let at = q.peek()?.0;
+            Some((at.as_micros(), q.pop()?.to.0))
+        })
+        .collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(us(30), ProcessId(3), ());
         q.push(us(10), ProcessId(1), ());
         q.push(us(20), ProcessId(2), ());
-        let order: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.at.as_micros(), e.to.0))
-            .collect();
-        assert_eq!(order, vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
     }
 
     #[test]
@@ -376,13 +367,8 @@ mod tests {
         for i in 0..100 {
             q.push(us(5), ProcessId(i), ());
         }
-        let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        let sorted = {
-            let mut s = seqs.clone();
-            s.sort_unstable();
-            s
-        };
-        assert_eq!(seqs, sorted, "ties must break by insertion order");
+        let want: Vec<(u64, usize)> = (0..100).map(|i| (5, i)).collect();
+        assert_eq!(drain(&mut q), want, "ties must break by insertion order");
     }
 
     #[test]
@@ -391,9 +377,8 @@ mod tests {
         q.push(us(7), ProcessId(0), 'a');
         q.push(us(3), ProcessId(1), 'b');
         assert_eq!(q.peek(), Some((us(3), ProcessId(1), &'b')));
-        assert_eq!(q.pop().unwrap().at, us(3));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
+        assert_eq!(q.pop().unwrap().body, 'b');
+        assert_eq!(q.peek(), Some((us(7), ProcessId(0), &'a')));
     }
 
     #[test]
@@ -424,10 +409,7 @@ mod tests {
         q.push(us(t), ProcessId(3), ());
         q.push(us(t + 1), ProcessId(4), ());
         q.push(us(t), ProcessId(5), ());
-        let order: Vec<(u64, u64, usize)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.at.as_micros(), e.seq, e.to.0))
-            .collect();
-        assert_eq!(order, [(t, 0, 0), (t, 3, 3), (t, 5, 5), (t + 1, 4, 4)]);
+        assert_eq!(drain(&mut q), [(t, 0), (t, 3), (t, 5), (t + 1, 4)]);
     }
 
     /// `peek` may move `last` past the last pop; a push between the two
@@ -440,16 +422,13 @@ mod tests {
         q.push(us(300), ProcessId(1), ());
         q.push(us(300), ProcessId(2), ());
         q.push(us(301), ProcessId(3), ());
-        assert_eq!(q.pop().unwrap().at, us(10));
+        assert_eq!(q.pop().unwrap().to, ProcessId(0));
         assert_eq!(q.peek().map(|(at, ..)| at), Some(us(300)));
         q.push(us(200), ProcessId(4), ());
         q.push(us(300), ProcessId(5), ());
         q.push(us(3), ProcessId(6), ());
-        let order: Vec<(u64, usize)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (e.at.as_micros(), e.to.0))
-            .collect();
         assert_eq!(
-            order,
+            drain(&mut q),
             [(10, 6), (200, 4), (300, 1), (300, 2), (300, 5), (301, 3)]
         );
     }
@@ -614,13 +593,15 @@ mod tests {
                     if let Op::Skip = op {
                         q.skip();
                     } else {
-                        let got = q.pop().map(|a| (a.at, a.seq, a.to, a.body.payload));
-                        prop_assert_eq!(got, want);
+                        // The peek above fixed the time; the pop must
+                        // hand over the same arrival.
+                        let got = q.pop().map(|a| (a.to, a.body.payload));
+                        prop_assert_eq!(got, want.map(|(_, _, to, payload)| (to, payload)));
                     }
                 }
                 let bodies = pending_on.iter().filter(|&&n| n > 0).count();
                 peak_bodies = peak_bodies.max(bodies);
-                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(pending(&q), model.len());
                 prop_assert_eq!(
                     live.get(),
                     bodies as i64,

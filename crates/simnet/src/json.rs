@@ -87,14 +87,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Escapes `s` for embedding in a JSON string literal (no quotes added).
@@ -303,7 +295,7 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].get("name").unwrap().as_str(), Some("m0.1"));
         assert_eq!(evs[0].get("ts").unwrap().as_u64(), Some(10));
-        assert_eq!(evs[0].get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(evs[0].get("ok"), Some(&JsonValue::Bool(true)));
         assert_eq!(evs[1].get("x"), Some(&JsonValue::Null));
         assert_eq!(v.get("n").unwrap().as_f64(), Some(-25.0));
     }

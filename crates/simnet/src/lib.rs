@@ -20,7 +20,7 @@
 //! # Example
 //!
 //! ```
-//! use simnet::prelude::*;
+//! use simnet::{Ctx, Process, ProcessId, SimBuilder, SimTime};
 //!
 //! #[derive(Clone, Debug)]
 //! enum Msg {
@@ -60,21 +60,6 @@ pub mod sim;
 pub mod time;
 pub mod topology;
 pub mod trace;
-
-/// Convenience re-exports for simulation authors.
-pub mod prelude {
-    pub use crate::{
-        fault::{FaultKind, FaultPlan, FaultPlanConfig},
-        metrics::{Histogram, Metrics},
-        net::{LatencyModel, NetConfig},
-        obs::{FlightRecorder, ObsEvent, Probe, ProbeHandle, SpanId},
-        process::{Ctx, Process, ProcessId, TimerId},
-        sim::{Sim, SimBuilder},
-        time::{SimDuration, SimTime},
-        topology::Topology,
-        trace::{Trace, TraceEvent},
-    };
-}
 
 pub use net::{LatencyModel, NetConfig};
 pub use process::{Ctx, Process, ProcessId, TimerId};

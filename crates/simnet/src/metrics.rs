@@ -88,15 +88,6 @@ impl Histogram {
         }
     }
 
-    /// Minimum observation, or zero if empty.
-    pub fn min(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_micros(self.min_us)
-        }
-    }
-
     /// Maximum observation.
     pub fn max(&self) -> SimDuration {
         SimDuration::from_micros(self.max_us)
@@ -216,7 +207,7 @@ impl Metrics {
 
     /// Folds `other`'s observations into the named histogram, as if each
     /// had been [`Metrics::observe`]d.
-    pub fn merge_histogram(&mut self, name: &str, other: &Histogram) {
+    pub(crate) fn merge_histogram(&mut self, name: &str, other: &Histogram) {
         upsert(&mut self.histograms, name, Histogram::new, |h| {
             h.merge(other)
         });
@@ -227,18 +218,7 @@ impl Metrics {
         self.histograms.get(name)
     }
 
-    /// All counters, for reports.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All gauges, for reports.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All histograms, for reports — the latency counterpart of
-    /// [`Metrics::counters`] / [`Metrics::gauges`].
+    /// All histograms, for reports.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
@@ -247,6 +227,22 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Metrics {
+        /// All counters, for the simulator's tests.
+        pub(crate) fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+            self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        }
+    }
+
+    /// Minimum observation, or zero if empty.
+    fn min(h: &Histogram) -> SimDuration {
+        if h.count == 0 {
+            SimDuration::ZERO
+        } else {
+            SimDuration::from_micros(h.min_us)
+        }
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -275,7 +271,7 @@ mod tests {
             h.record(SimDuration::from_millis(ms));
         }
         assert_eq!(h.count(), 4);
-        assert_eq!(h.min(), SimDuration::from_millis(1));
+        assert_eq!(min(&h), SimDuration::from_millis(1));
         assert_eq!(h.max(), SimDuration::from_millis(8));
         let mean = h.mean().as_micros();
         assert_eq!(mean, (1000 + 2000 + 4000 + 8000) / 4);
@@ -288,7 +284,7 @@ mod tests {
         let mut h = Histogram::default();
         h.record(SimDuration::from_micros(7));
         assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), SimDuration::from_micros(7));
+        assert_eq!(min(&h), SimDuration::from_micros(7));
     }
 
     #[test]
@@ -301,7 +297,7 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert!(p50 <= p99);
         assert!(p99 <= h.max());
-        assert!(p50 >= h.min());
+        assert!(p50 >= min(&h));
     }
 
     #[test]
@@ -337,7 +333,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), both.count());
         assert_eq!(a.sum_micros(), both.sum_micros());
-        assert_eq!(a.min(), both.min());
+        assert_eq!(min(&a), min(&both));
         assert_eq!(a.max(), both.max());
         for q in [0.1, 0.5, 0.9, 0.99] {
             assert_eq!(a.quantile(q), both.quantile(q), "q={q}");
@@ -348,14 +344,14 @@ mod tests {
     fn merge_with_empty_is_identity() {
         let mut a = Histogram::new();
         a.record(SimDuration::from_micros(10));
-        let before = (a.count(), a.min(), a.max(), a.sum_micros());
+        let before = (a.count(), min(&a), a.max(), a.sum_micros());
         a.merge(&Histogram::new());
-        assert_eq!(before, (a.count(), a.min(), a.max(), a.sum_micros()));
+        assert_eq!(before, (a.count(), min(&a), a.max(), a.sum_micros()));
         // Empty absorbing non-empty adopts its stats.
         let mut e = Histogram::new();
         e.merge(&a);
         assert_eq!(e.count(), 1);
-        assert_eq!(e.min(), SimDuration::from_micros(10));
+        assert_eq!(min(&e), SimDuration::from_micros(10));
     }
 
     #[test]
@@ -363,7 +359,7 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.mean(), SimDuration::ZERO);
         assert_eq!(h.quantile(0.9), SimDuration::ZERO);
-        assert_eq!(h.min(), SimDuration::ZERO);
+        assert_eq!(min(&h), SimDuration::ZERO);
     }
 
     #[test]
@@ -418,7 +414,7 @@ mod tests {
                 let direct = hist(&all);
                 prop_assert_eq!(merged.count(), direct.count());
                 prop_assert_eq!(merged.sum_micros(), direct.sum_micros());
-                prop_assert_eq!(merged.min(), direct.min());
+                prop_assert_eq!(min(&merged), min(&direct));
                 prop_assert_eq!(merged.max(), direct.max());
                 let mut prev = SimDuration::ZERO;
                 for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
@@ -427,7 +423,7 @@ mod tests {
                     prev = v;
                 }
                 if merged.count() > 0 {
-                    prop_assert!(merged.quantile(0.0) >= merged.min());
+                    prop_assert!(merged.quantile(0.0) >= min(&merged));
                     prop_assert!(merged.quantile(1.0) <= merged.max());
                 }
             }

@@ -40,7 +40,7 @@ pub enum LatencyModel {
 
 impl LatencyModel {
     /// A convenient LAN-ish default: 1ms ± exponential 300us jitter.
-    pub fn lan() -> Self {
+    pub(crate) fn lan() -> Self {
         LatencyModel::ExpJitter {
             base: SimDuration::from_micros(1_000),
             mean_jitter: SimDuration::from_micros(300),
@@ -48,7 +48,7 @@ impl LatencyModel {
     }
 
     /// Samples a one-way delay for a message from `a` to `b`.
-    pub fn sample(
+    pub(crate) fn sample(
         &self,
         rng: &mut SmallRng,
         topo: &Topology,
@@ -135,7 +135,7 @@ impl NetConfig {
 /// degradation (burst loss, duplication, delay inflation) installed by
 /// fault schedules.
 #[derive(Debug)]
-pub struct NetState {
+pub(crate) struct NetState {
     /// Pairs (a,b) that cannot currently communicate (stored both ways).
     blocked: HashSet<(ProcessId, ProcessId)>,
     /// For FIFO links: the earliest time the next message on (from,to) may
@@ -163,7 +163,7 @@ impl Default for NetState {
 
 impl NetState {
     /// Creates an unpartitioned network state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -171,36 +171,36 @@ impl NetState {
     /// the configured drop probability, `dup_probability` duplicates
     /// delivered messages, and sampled delays are multiplied by
     /// `delay_factor`.
-    pub fn degrade(&mut self, extra_drop: f64, dup_probability: f64, delay_factor: f64) {
+    pub(crate) fn degrade(&mut self, extra_drop: f64, dup_probability: f64, delay_factor: f64) {
         self.extra_drop = extra_drop.clamp(0.0, 1.0);
         self.dup_probability = dup_probability.clamp(0.0, 1.0);
         self.delay_factor = delay_factor.max(0.0);
     }
 
     /// Ends any degradation episode.
-    pub fn restore(&mut self) {
+    pub(crate) fn restore(&mut self) {
         self.extra_drop = 0.0;
         self.dup_probability = 0.0;
         self.delay_factor = 1.0;
     }
 
     /// Extra drop probability currently in force.
-    pub fn extra_drop(&self) -> f64 {
+    pub(crate) fn extra_drop(&self) -> f64 {
         self.extra_drop
     }
 
     /// Duplication probability currently in force.
-    pub fn dup_probability(&self) -> f64 {
+    pub(crate) fn dup_probability(&self) -> f64 {
         self.dup_probability
     }
 
     /// Delay multiplier currently in force.
-    pub fn delay_factor(&self) -> f64 {
+    pub(crate) fn delay_factor(&self) -> f64 {
         self.delay_factor
     }
 
     /// Installs a bidirectional partition between groups `a` and `b`.
-    pub fn partition(&mut self, a: &[ProcessId], b: &[ProcessId]) {
+    pub(crate) fn partition(&mut self, a: &[ProcessId], b: &[ProcessId]) {
         for &x in a {
             for &y in b {
                 self.blocked.insert((x, y));
@@ -210,23 +210,18 @@ impl NetState {
     }
 
     /// Removes all partitions.
-    pub fn heal(&mut self) {
+    pub(crate) fn heal(&mut self) {
         self.blocked.clear();
     }
 
     /// Whether `from` can currently reach `to`.
-    pub fn reachable(&self, from: ProcessId, to: ProcessId) -> bool {
+    pub(crate) fn reachable(&self, from: ProcessId, to: ProcessId) -> bool {
         !self.blocked.contains(&(from, to))
-    }
-
-    /// Number of blocked directed pairs (test/diagnostic aid).
-    pub fn blocked_pairs(&self) -> usize {
-        self.blocked.len()
     }
 
     /// Computes the arrival time for a message sent at `now` with sampled
     /// one-way `delay`, enforcing per-link FIFO when configured.
-    pub fn arrival_time(
+    pub(crate) fn arrival_time(
         &mut self,
         cfg: &NetConfig,
         from: ProcessId,
@@ -307,10 +302,11 @@ mod tests {
     fn partition_blocks_and_heals() {
         let mut st = NetState::new();
         st.partition(&[ProcessId(0)], &[ProcessId(1), ProcessId(2)]);
-        assert!(!st.reachable(ProcessId(0), ProcessId(1)));
-        assert!(!st.reachable(ProcessId(2), ProcessId(0)));
-        assert!(st.reachable(ProcessId(1), ProcessId(2)));
-        assert_eq!(st.blocked_pairs(), 4);
+        let blocked: Vec<_> = (0..3)
+            .flat_map(|a| (0..3).map(move |b| (a, b)))
+            .filter(|&(a, b)| !st.reachable(ProcessId(a), ProcessId(b)))
+            .collect();
+        assert_eq!(blocked, [(0, 1), (0, 2), (1, 0), (2, 0)]);
         st.heal();
         assert!(st.reachable(ProcessId(0), ProcessId(1)));
     }

@@ -83,7 +83,7 @@ pub enum Stage {
 
 impl Stage {
     /// Stable lowercase name, used in dumps and JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Send => "send",
             Stage::Wire => "wire",
@@ -118,7 +118,7 @@ pub enum PhaseKind {
 
 impl PhaseKind {
     /// Stable lowercase name, used in dumps and JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PhaseKind::Flush => "flush",
             PhaseKind::Install => "install",
@@ -146,7 +146,7 @@ pub enum PhaseEdge {
 /// into wire transit plus zero or more of these waits; the ledger
 /// (`catocs::ledger`, downstream) tiles them into an exact latency
 /// attribution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WaitKind {
     /// Held in the holdback queue for a causal predecessor from another
     /// sender.
@@ -174,7 +174,7 @@ pub enum WaitKind {
 
 impl WaitKind {
     /// Stable lowercase name, used in dumps and JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             WaitKind::CausalDep => "causal-dep",
             WaitKind::FifoGap => "fifo-gap",
@@ -241,7 +241,7 @@ pub enum ObsEvent {
 
 impl ObsEvent {
     /// The instant the event occurred.
-    pub fn at(&self) -> SimTime {
+    pub(crate) fn at(&self) -> SimTime {
         match self {
             ObsEvent::Span { at, .. } | ObsEvent::Phase { at, .. } | ObsEvent::Wait { at, .. } => {
                 *at
@@ -250,7 +250,7 @@ impl ObsEvent {
     }
 
     /// The observing process.
-    pub fn who(&self) -> usize {
+    pub(crate) fn who(&self) -> usize {
         match self {
             ObsEvent::Span { who, .. }
             | ObsEvent::Phase { who, .. }
@@ -260,7 +260,7 @@ impl ObsEvent {
 
     /// One line of JSON (hand-rolled; the offline serde stand-in has no
     /// serializer). Parses back with [`crate::json::JsonValue`].
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         match self {
             ObsEvent::Span {
                 at,
@@ -319,7 +319,7 @@ impl ObsEvent {
 
     /// Compact one-line rendering for ASCII dumps (no time/who — the
     /// diagram supplies those).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             ObsEvent::Span {
                 span, stage, note, ..
@@ -391,16 +391,10 @@ pub trait Probe {
     }
 }
 
-/// The do-nothing default probe.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoopProbe;
-
-impl Probe for NoopProbe {}
-
 /// A cheap, clonable handle protocol components hold. The default
 /// handle is empty: [`ProbeHandle::emit`] is then a branch on a `None`
 /// and the event-building closure never runs.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct ProbeHandle {
     inner: Option<Rc<RefCell<dyn Probe>>>,
 }
@@ -422,12 +416,6 @@ impl ProbeHandle {
     pub fn recorder(cap: usize) -> (Self, Rc<RefCell<FlightRecorder>>) {
         let rec = Rc::new(RefCell::new(FlightRecorder::new(cap)));
         (ProbeHandle::new(rec.clone()), rec)
-    }
-
-    /// Whether an enabled probe is installed. Gate any preparatory work
-    /// (wait-set reconstruction, label formatting) on this.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|p| p.borrow().enabled())
     }
 
     /// Records the event produced by `f`, invoking `f` only when an
@@ -466,7 +454,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// Creates a recorder retaining up to `cap` events per process.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         FlightRecorder {
             cap: cap.max(1),
             rings: Vec::new(),
@@ -474,13 +462,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Per-process ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Number of process rings seen so far.
-    pub fn processes(&self) -> usize {
+    pub(crate) fn processes(&self) -> usize {
         self.rings.len()
     }
 
@@ -491,13 +474,13 @@ impl FlightRecorder {
     }
 
     /// How many events process `who`'s ring has evicted.
-    pub fn evicted(&self, who: usize) -> u64 {
+    pub(crate) fn evicted(&self, who: usize) -> u64 {
         self.evicted.get(who).copied().unwrap_or(0)
     }
 
     /// All retained events merged across processes, ordered by time
     /// (ties broken by process index, then ring order).
-    pub fn merged(&self) -> Vec<&ObsEvent> {
+    pub(crate) fn merged(&self) -> Vec<&ObsEvent> {
         let mut all: Vec<(SimTime, usize, usize, &ObsEvent)> = Vec::new();
         for (who, ring) in self.rings.iter().enumerate() {
             for (i, ev) in ring.iter().enumerate() {
@@ -819,16 +802,17 @@ mod tests {
     #[test]
     fn noop_probe_is_disabled_and_handle_is_lazy() {
         let handle = ProbeHandle::none();
-        assert!(!handle.is_enabled());
         let mut called = false;
         handle.emit(|| {
             called = true;
             span_ev(0, 0, 1, Stage::Send)
         });
         assert!(!called, "disabled handle must not build events");
-        // An installed NoopProbe is still disabled.
+        // An installed probe that keeps the trait's defaults is still
+        // disabled.
+        struct NoopProbe;
+        impl Probe for NoopProbe {}
         let noop = ProbeHandle::new(Rc::new(RefCell::new(NoopProbe)));
-        assert!(!noop.is_enabled());
         noop.emit(|| {
             called = true;
             span_ev(0, 0, 1, Stage::Send)
@@ -839,7 +823,6 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_first() {
         let (handle, rec) = ProbeHandle::recorder(3);
-        assert!(handle.is_enabled());
         for seq in 1..=5 {
             handle.emit(|| span_ev(seq * 10, 0, seq, Stage::Send));
         }

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a process within a simulation (dense, starting at 0).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProcessId(pub usize);
 
 impl ProcessId {
@@ -38,7 +38,7 @@ impl fmt::Display for ProcessId {
 }
 
 /// Identifies a timer registration, scoped to the owning process.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimerId(pub u64);
 
 impl fmt::Debug for TimerId {
@@ -74,7 +74,6 @@ pub struct Ctx<'a, M> {
     pub(crate) trace: &'a mut Trace,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) n_processes: usize,
-    pub(crate) stop_requested: &'a mut bool,
 }
 
 impl<'a, M> Ctx<'a, M> {
@@ -140,11 +139,6 @@ impl<'a, M> Ctx<'a, M> {
     /// The run's metrics sink.
     pub fn metrics(&mut self) -> &mut Metrics {
         self.metrics
-    }
-
-    /// Asks the simulator to stop after this callback completes.
-    pub fn stop(&mut self) {
-        *self.stop_requested = true;
     }
 }
 

@@ -16,7 +16,7 @@ use std::fmt::Debug;
 /// # Example
 ///
 /// ```
-/// use simnet::prelude::*;
+/// use simnet::{NetConfig, SimBuilder, SimDuration, SimTime};
 /// let sim = SimBuilder::new(1)
 ///     .net(NetConfig::ideal(SimDuration::from_millis(1)))
 ///     .trace()
@@ -69,7 +69,6 @@ impl SimBuilder {
             trace,
             metrics: Metrics::new(),
             tally: NetTally::default(),
-            stop: false,
             outgoing: Vec::new(),
             recipients: Vec::new(),
             timers: Vec::new(),
@@ -90,7 +89,6 @@ pub struct Sim<M> {
     trace: Trace,
     metrics: Metrics,
     tally: NetTally,
-    stop: bool,
     /// The send and timer buffers lent to each callback's [`Ctx`], kept
     /// between callbacks for their capacity (empty in between).
     outgoing: Vec<Outgoing<M>>,
@@ -140,7 +138,7 @@ impl NetTally {
 
 /// Object-safe union of `Process<M>` and `Any`, enabling typed access to a
 /// process's final state after a run (see [`Sim::process`]).
-pub trait AnyProcess<M>: Process<M> + Any {
+pub(crate) trait AnyProcess<M>: Process<M> + Any {
     /// Upcast helper.
     fn as_any(&self) -> &dyn Any;
     /// Upcast helper (mutable).
@@ -215,7 +213,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
     }
 
     /// Schedules a recovery of `p` at absolute time `at`.
-    pub fn recover_at(&mut self, p: ProcessId, at: SimTime) {
+    pub(crate) fn recover_at(&mut self, p: ProcessId, at: SimTime) {
         self.queue.push(at, p, EventKind::Recover);
     }
 
@@ -232,13 +230,13 @@ impl<M: Debug + Clone + 'static> Sim<M> {
     }
 
     /// Schedules healing of all partitions at `at`.
-    pub fn heal_at(&mut self, at: SimTime) {
+    pub(crate) fn heal_at(&mut self, at: SimTime) {
         self.queue.push(at, NETWORK, EventKind::PartitionHeal);
     }
 
     /// Schedules a network-degradation episode (burst loss, duplication,
     /// delay inflation) starting at `at`.
-    pub fn degrade_at(
+    pub(crate) fn degrade_at(
         &mut self,
         at: SimTime,
         extra_drop: f64,
@@ -257,7 +255,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
     }
 
     /// Schedules the end of any degradation episode at `at`.
-    pub fn restore_at(&mut self, at: SimTime) {
+    pub(crate) fn restore_at(&mut self, at: SimTime) {
         self.queue.push(at, NETWORK, EventKind::NetRestore);
     }
 
@@ -267,7 +265,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let mut processed = 0;
         while let Some((t, to, kind)) = self.queue.peek() {
-            if t > deadline || self.stop {
+            if t > deadline {
                 break;
             }
             // A copy for a dead process — or for one that does not exist
@@ -286,9 +284,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             }
             processed += 1;
         }
-        if self.now < deadline && !self.stop {
-            self.now = deadline;
-        }
+        self.now = self.now.max(deadline);
         self.tally.fold_into(&mut self.metrics);
         processed
     }
@@ -297,8 +293,7 @@ impl<M: Debug + Clone + 'static> Sim<M> {
     /// multiple of `every` after the clock's time, up to `deadline`. The
     /// look at `at` sees every event before `at` and none at or after it,
     /// however the run is sliced; it gets the simulator by shared
-    /// reference, so looking cannot perturb the run. Once a process has
-    /// stopped the run there is nothing more to look at.
+    /// reference, so looking cannot perturb the run.
     ///
     /// Returns the number of events processed.
     pub fn run_until_each(
@@ -313,9 +308,6 @@ impl<M: Debug + Clone + 'static> Sim<M> {
         let mut processed = 0;
         while at <= deadline {
             processed += self.run_until(at - SimDuration::from_micros(1));
-            if self.stop {
-                break;
-            }
             look(at, self);
             at += every;
         }
@@ -433,7 +425,6 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             trace,
             metrics,
             tally,
-            stop,
             outgoing,
             recipients,
             timers,
@@ -451,7 +442,6 @@ impl<M: Debug + Clone + 'static> Sim<M> {
             trace,
             metrics,
             n_processes,
-            stop_requested: stop,
         };
         let p = &mut procs[proc.0];
         match stim {
@@ -704,26 +694,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let t: &Timers = sim.process(id).unwrap();
         assert_eq!(t.fired, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn stop_halts_the_run() {
-        struct Stopper;
-        impl Process<Msg> for Stopper {
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-                ctx.set_timer(TimerId(0), SimDuration::from_millis(1));
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, _t: TimerId) {
-                ctx.stop();
-                ctx.set_timer(TimerId(0), SimDuration::from_millis(1));
-            }
-        }
-        let mut sim = SimBuilder::new(1).build::<Msg>();
-        sim.add_process(Stopper);
-        let n = sim.run_until(SimTime::from_secs(10));
-        // Start + one timer fire; the re-armed timer never runs.
-        assert_eq!(n, 2);
-        assert!(sim.now() < SimTime::from_secs(1));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::ops::{Add, AddAssign, Sub};
 pub struct SimTime(pub u64);
 
 /// A span of simulated time, in microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Serialize, Deserialize)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {

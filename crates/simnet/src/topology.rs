@@ -38,7 +38,7 @@ pub enum Topology {
 
 impl Topology {
     /// The unit-less distance between two processes.
-    pub fn distance(&self, a: ProcessId, b: ProcessId) -> f64 {
+    pub(crate) fn distance(&self, a: ProcessId, b: ProcessId) -> f64 {
         if a == b {
             return 0.0;
         }
@@ -88,17 +88,6 @@ impl Topology {
         }
     }
 
-    /// The maximum distance between any pair in a system of `n` processes.
-    pub fn diameter(&self, n: usize) -> f64 {
-        let mut max = 0.0f64;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                max = max.max(self.distance(ProcessId(i), ProcessId(j)));
-            }
-        }
-        max
-    }
-
     /// Deterministic sunflower-spiral placement of node `i` out of `n`,
     /// filling a disk of radius `sqrt(n)` with ~unit density.
     fn sunflower(i: usize, n: usize) -> (f64, f64) {
@@ -110,7 +99,12 @@ impl Topology {
     }
 
     /// Converts a distance into a propagation delay given a per-unit cost.
-    pub fn propagation(&self, a: ProcessId, b: ProcessId, per_unit: SimDuration) -> SimDuration {
+    pub(crate) fn propagation(
+        &self,
+        a: ProcessId,
+        b: ProcessId,
+        per_unit: SimDuration,
+    ) -> SimDuration {
         let d = self.distance(a, b);
         SimDuration::from_micros((d * per_unit.as_micros() as f64).round() as u64)
     }
@@ -119,6 +113,17 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The maximum distance between any pair in a system of `n` processes.
+    fn diameter(t: &Topology, n: usize) -> f64 {
+        let mut max = 0.0f64;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                max = max.max(t.distance(ProcessId(i), ProcessId(j)));
+            }
+        }
+        max
+    }
 
     #[test]
     fn flat_is_unit_distance() {
@@ -130,9 +135,9 @@ mod tests {
     #[test]
     fn disk_diameter_grows_like_sqrt_n() {
         // The paper's §5 assumption: diameter ~ sqrt(N).
-        let d16 = Topology::UniformDisk { n: 16 }.diameter(16);
-        let d64 = Topology::UniformDisk { n: 64 }.diameter(64);
-        let d256 = Topology::UniformDisk { n: 256 }.diameter(256);
+        let d16 = diameter(&Topology::UniformDisk { n: 16 }, 16);
+        let d64 = diameter(&Topology::UniformDisk { n: 64 }, 64);
+        let d256 = diameter(&Topology::UniformDisk { n: 256 }, 256);
         let r1 = d64 / d16;
         let r2 = d256 / d64;
         // Quadrupling N should roughly double the diameter.

@@ -7,7 +7,6 @@
 //! device the paper uses. Traces also hash deterministically, which the
 //! test suite uses to prove replayability.
 
-use crate::json::{escape, JsonValue};
 use crate::process::ProcessId;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
@@ -58,7 +57,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The instant the event occurred.
-    pub fn at(&self) -> SimTime {
+    pub(crate) fn at(&self) -> SimTime {
         match self {
             TraceEvent::Send { at, .. }
             | TraceEvent::Deliver { at, .. }
@@ -68,130 +67,19 @@ impl TraceEvent {
             | TraceEvent::NetFault { at, .. } => *at,
         }
     }
-
-    /// Encodes the event as one line of JSON, in serde's externally
-    /// tagged enum form: `{"Send":{"at":…,"from":…,"to":…,"label":…}}`.
-    /// (Hand-rolled: the offline serde stand-in has no serializer.)
-    pub fn to_json(&self) -> String {
-        let esc = escape;
-        match self {
-            TraceEvent::Send {
-                at,
-                from,
-                to,
-                label,
-            } => format!(
-                "{{\"Send\":{{\"at\":{},\"from\":{},\"to\":{},\"label\":\"{}\"}}}}",
-                at.as_micros(),
-                from.0,
-                to.0,
-                esc(label)
-            ),
-            TraceEvent::Deliver {
-                at,
-                from,
-                to,
-                label,
-            } => format!(
-                "{{\"Deliver\":{{\"at\":{},\"from\":{},\"to\":{},\"label\":\"{}\"}}}}",
-                at.as_micros(),
-                from.0,
-                to.0,
-                esc(label)
-            ),
-            TraceEvent::Drop {
-                at,
-                from,
-                to,
-                label,
-            } => format!(
-                "{{\"Drop\":{{\"at\":{},\"from\":{},\"to\":{},\"label\":\"{}\"}}}}",
-                at.as_micros(),
-                from.0,
-                to.0,
-                esc(label)
-            ),
-            TraceEvent::Mark { at, proc, label } => format!(
-                "{{\"Mark\":{{\"at\":{},\"proc\":{},\"label\":\"{}\"}}}}",
-                at.as_micros(),
-                proc.0,
-                esc(label)
-            ),
-            TraceEvent::Fault { at, proc, crashed } => format!(
-                "{{\"Fault\":{{\"at\":{},\"proc\":{},\"crashed\":{}}}}}",
-                at.as_micros(),
-                proc.0,
-                crashed
-            ),
-            TraceEvent::NetFault { at, label } => format!(
-                "{{\"NetFault\":{{\"at\":{},\"label\":\"{}\"}}}}",
-                at.as_micros(),
-                esc(label)
-            ),
-        }
-    }
-
-    /// Decodes one line produced by [`TraceEvent::to_json`]. Returns
-    /// `None` on any malformed input.
-    pub fn from_json(line: &str) -> Option<Self> {
-        let doc = JsonValue::parse(line)?;
-        let (tag, body) = match doc.as_obj()? {
-            [(tag, body)] => (tag.clone(), body),
-            _ => return None,
-        };
-        let num = |k: &str| -> Option<u64> { body.get(k)?.as_u64() };
-        let txt = |k: &str| -> Option<String> { Some(body.get(k)?.as_str()?.to_string()) };
-        let boolean = |k: &str| -> Option<bool> { body.get(k)?.as_bool() };
-        let at = SimTime::from_micros(num("at")?);
-        match tag.as_str() {
-            "Send" => Some(TraceEvent::Send {
-                at,
-                from: ProcessId(num("from")? as usize),
-                to: ProcessId(num("to")? as usize),
-                label: txt("label")?,
-            }),
-            "Deliver" => Some(TraceEvent::Deliver {
-                at,
-                from: ProcessId(num("from")? as usize),
-                to: ProcessId(num("to")? as usize),
-                label: txt("label")?,
-            }),
-            "Drop" => Some(TraceEvent::Drop {
-                at,
-                from: ProcessId(num("from")? as usize),
-                to: ProcessId(num("to")? as usize),
-                label: txt("label")?,
-            }),
-            "Mark" => Some(TraceEvent::Mark {
-                at,
-                proc: ProcessId(num("proc")? as usize),
-                label: txt("label")?,
-            }),
-            "Fault" => Some(TraceEvent::Fault {
-                at,
-                proc: ProcessId(num("proc")? as usize),
-                crashed: boolean("crashed")?,
-            }),
-            "NetFault" => Some(TraceEvent::NetFault {
-                at,
-                label: txt("label")?,
-            }),
-            _ => None,
-        }
-    }
 }
 
 /// A recorded sequence of [`TraceEvent`]s.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,
 }
 
 impl Trace {
-    /// Creates a trace; recording is off until [`Trace::enable`] is called,
+    /// Creates a trace; recording is off until `Trace::enable` is called,
     /// so large experiments pay nothing for tracing.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Trace {
             events: Vec::new(),
             enabled: false,
@@ -199,17 +87,17 @@ impl Trace {
     }
 
     /// Turns recording on.
-    pub fn enable(&mut self) {
+    pub(crate) fn enable(&mut self) {
         self.enabled = true;
     }
 
     /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
     /// Records `ev` if recording is enabled.
-    pub fn record(&mut self, ev: TraceEvent) {
+    pub(crate) fn record(&mut self, ev: TraceEvent) {
         if self.enabled {
             self.events.push(ev);
         }
@@ -218,14 +106,14 @@ impl Trace {
     /// Records the event produced by `f`, invoking `f` only when
     /// recording is enabled — hot paths pass a closure so label
     /// formatting costs nothing in untraced runs.
-    pub fn record_with(&mut self, f: impl FnOnce() -> TraceEvent) {
+    pub(crate) fn record_with(&mut self, f: impl FnOnce() -> TraceEvent) {
         if self.enabled {
             self.events.push(f());
         }
     }
 
     /// The recorded events, in order.
-    pub fn events(&self) -> &[TraceEvent] {
+    pub(crate) fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
@@ -236,16 +124,6 @@ impl Trace {
             e.hash(&mut h);
         }
         h.finish()
-    }
-
-    /// Serializes the trace as JSON lines (one event per line).
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
     }
 
     /// Renders the trace as an ASCII event diagram: one column per process
@@ -347,22 +225,6 @@ impl Trace {
             }
         }
         t
-    }
-
-    /// Returns the deliveries at process `p`, in delivery order.
-    pub fn deliveries_at(&self, p: ProcessId) -> Vec<(SimTime, ProcessId, &str)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Deliver {
-                    at,
-                    from,
-                    to,
-                    label,
-                } if *to == p => Some((*at, *from, label.as_str())),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -480,22 +342,11 @@ mod tests {
     }
 
     #[test]
-    fn deliveries_at_filters_by_process() {
-        let t = sample();
-        let d = t.deliveries_at(ProcessId(1));
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].2, "m1");
-        assert!(t.deliveries_at(ProcessId(0)).is_empty());
-    }
-
-    #[test]
-    fn net_fault_roundtrips_and_renders() {
+    fn net_fault_renders() {
         let ev = TraceEvent::NetFault {
             at: SimTime::from_micros(42),
             label: "partition [0] | [1, 2]".into(),
         };
-        let back = TraceEvent::from_json(&ev.to_json()).unwrap();
-        assert_eq!(back, ev);
         let mut t = Trace::new();
         t.enable();
         t.record(ev);
@@ -503,25 +354,5 @@ mod tests {
         assert!(d.contains("== partition [0] | [1, 2]"));
         // filtered() keeps net faults alongside marks and process faults.
         assert_eq!(t.filtered(|_| false).events().len(), 1);
-    }
-
-    #[test]
-    fn json_lines_roundtrip() {
-        let t = sample();
-        let lines = t.to_json_lines();
-        assert_eq!(lines.lines().count(), 3);
-        let first = TraceEvent::from_json(lines.lines().next().unwrap()).unwrap();
-        assert_eq!(&first, &t.events()[0]);
-        // Every line roundtrips.
-        for (line, ev) in lines.lines().zip(t.events()) {
-            assert_eq!(TraceEvent::from_json(line).as_ref(), Some(ev));
-        }
-        // Malformed lines are rejected, not mis-parsed.
-        assert_eq!(TraceEvent::from_json(""), None);
-        assert_eq!(TraceEvent::from_json("{\"Send\":{}}"), None);
-        assert_eq!(
-            TraceEvent::from_json(&format!("{} trailing", lines.lines().next().unwrap())),
-            None
-        );
     }
 }

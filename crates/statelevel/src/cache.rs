@@ -4,9 +4,7 @@
 //! generalized to the notion of an order-preserving data cache." Items
 //! carry their identity and an optional dependency on another item (the
 //! Netnews `References` field; the trading dependency field). The cache
-//! presents an item only once its dependency chain is present — and,
-//! exactly as the paper specifies for news readers, the user may choose
-//! to display out-of-order items anyway.
+//! presents an item only once its dependency chain is present.
 //!
 //! The cost model the paper claims is visible in the API: state is
 //! proportional to the items *cached here* (the user's interest set), not
@@ -31,7 +29,6 @@ pub struct OrderPreservingCache<T> {
     items: BTreeMap<ObjectId, Item<T>>,
     /// Reverse edges: dependency → dependents waiting on it.
     waiters: BTreeMap<ObjectId, BTreeSet<ObjectId>>,
-    presented_out_of_order: u64,
 }
 
 impl<T> Default for OrderPreservingCache<T> {
@@ -46,7 +43,6 @@ impl<T> OrderPreservingCache<T> {
         OrderPreservingCache {
             items: BTreeMap::new(),
             waiters: BTreeMap::new(),
-            presented_out_of_order: 0,
         }
     }
 
@@ -103,17 +99,6 @@ impl<T> OrderPreservingCache<T> {
         }
     }
 
-    /// Forces presentation of an item whose dependency is missing — the
-    /// news reader's "display out-of-order responses" option.
-    pub fn force_present(&mut self, id: ObjectId) -> Vec<ObjectId> {
-        let mut out = Vec::new();
-        if self.items.contains_key(&id) && !self.items[&id].presented {
-            self.presented_out_of_order += 1;
-            self.mark_presented(id, &mut out);
-        }
-        out
-    }
-
     /// Reads an item's body.
     pub fn get(&self, id: ObjectId) -> Option<&T> {
         self.items.get(&id).map(|i| &i.body)
@@ -133,16 +118,6 @@ impl<T> OrderPreservingCache<T> {
             .collect()
     }
 
-    /// Dependencies referenced but not yet cached — "specifically note
-    /// which articles were missing".
-    pub fn missing_dependencies(&self) -> Vec<ObjectId> {
-        self.waiters
-            .keys()
-            .filter(|dep| !self.items.contains_key(dep))
-            .copied()
-            .collect()
-    }
-
     /// Total items cached (the paper's state-proportionality claim is
     /// about this number).
     pub fn len(&self) -> usize {
@@ -152,11 +127,6 @@ impl<T> OrderPreservingCache<T> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
-    }
-
-    /// Items force-presented out of order so far.
-    pub fn presented_out_of_order(&self) -> u64 {
-        self.presented_out_of_order
     }
 }
 
@@ -181,11 +151,11 @@ mod tests {
         let mut c = OrderPreservingCache::new();
         assert!(c.insert(id(2), Some(id(1)), "response").is_empty());
         assert!(!c.is_presented(id(2)));
-        assert_eq!(c.missing_dependencies(), vec![id(1)]);
+        assert_eq!(c.pending(), vec![id(2)]);
         // Inquiry arrives; both present, inquiry first.
         let newly = c.insert(id(1), None, "inquiry");
         assert_eq!(newly, vec![id(1), id(2)]);
-        assert!(c.missing_dependencies().is_empty());
+        assert!(c.pending().is_empty());
     }
 
     #[test]
@@ -195,18 +165,6 @@ mod tests {
         assert!(c.insert(id(2), Some(id(1)), "re:").is_empty());
         let newly = c.insert(id(1), None, "root");
         assert_eq!(newly, vec![id(1), id(2), id(3)]);
-    }
-
-    #[test]
-    fn force_present_out_of_order() {
-        let mut c = OrderPreservingCache::new();
-        c.insert(id(2), Some(id(1)), "orphan response");
-        let shown = c.force_present(id(2));
-        assert_eq!(shown, vec![id(2)]);
-        assert_eq!(c.presented_out_of_order(), 1);
-        // The late inquiry still presents normally.
-        let newly = c.insert(id(1), None, "inquiry");
-        assert_eq!(newly, vec![id(1)]);
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub enum Freshness {
 pub struct DependencyTracker {
     /// Latest known version per base object.
     latest: BTreeMap<ObjectId, Version>,
-    stale_flagged: u64,
-    ahead_observed: u64,
 }
 
 impl DependencyTracker {
@@ -77,10 +75,8 @@ impl DependencyTracker {
         if dep.version > latest {
             // Learn from the stamp itself.
             self.latest.insert(dep.object, dep.version);
-            self.ahead_observed += 1;
             Freshness::AheadOfBase
         } else if dep.version < latest {
-            self.stale_flagged += 1;
             Freshness::Stale {
                 based_on: dep.version,
                 latest,
@@ -88,29 +84,6 @@ impl DependencyTracker {
         } else {
             Freshness::Current
         }
-    }
-
-    /// The latest known version of `object`.
-    pub fn latest_of(&self, object: ObjectId) -> Version {
-        self.latest
-            .get(&object)
-            .copied()
-            .unwrap_or(Version::INITIAL)
-    }
-
-    /// Derived data flagged stale so far.
-    pub fn stale_flagged(&self) -> u64 {
-        self.stale_flagged
-    }
-
-    /// Derived data that ran ahead of their base updates.
-    pub fn ahead_observed(&self) -> u64 {
-        self.ahead_observed
-    }
-
-    /// Number of base objects tracked.
-    pub fn tracked_objects(&self) -> usize {
-        self.latest.len()
     }
 }
 
@@ -145,7 +118,6 @@ mod tests {
                 latest: Version(2)
             }
         );
-        assert_eq!(t.stale_flagged(), 1);
     }
 
     #[test]
@@ -156,10 +128,10 @@ mod tests {
         t.observe_base(tag(1, 2));
         let theo = DependencyStamp::derived(ObjectId(2), Version(7), tag(1, 3));
         assert_eq!(t.classify(&theo), Freshness::AheadOfBase);
-        assert_eq!(t.latest_of(ObjectId(1)), Version(3));
+        let next = DependencyStamp::derived(ObjectId(2), Version(8), tag(1, 3));
+        assert_eq!(t.classify(&next), Freshness::Current);
         // The late-arriving base v3 no longer advances anything.
         assert!(!t.observe_base(tag(1, 3)));
-        assert_eq!(t.ahead_observed(), 1);
     }
 
     #[test]
@@ -167,7 +139,13 @@ mod tests {
         let mut t = DependencyTracker::new();
         assert!(t.observe_base(tag(1, 2)));
         assert!(!t.observe_base(tag(1, 1)));
-        assert_eq!(t.latest_of(ObjectId(1)), Version(2));
-        assert_eq!(t.tracked_objects(), 1);
+        let old = DependencyStamp::derived(ObjectId(2), Version(1), tag(1, 1));
+        assert_eq!(
+            t.classify(&old),
+            Freshness::Stale {
+                based_on: Version(1),
+                latest: Version(2)
+            }
+        );
     }
 }

@@ -16,9 +16,6 @@
 //! - [`deps`] — dependency fields for computed data: "each computed data
 //!   object records the id and version number of its base data object in
 //!   a designated 'dependency' field" (§4.1, the trading-floor fix).
-//! - [`linearizability`] — §3.3: a checker for the stronger constraint
-//!   no multicast ordering can provide; tests use it to show replicated
-//!   registers built on cbcast are not linearizable.
 //! - [`cache`] — the order-preserving data cache that generalizes the
 //!   Netnews and trading solutions (§4.1).
 //! - [`snapshot`] — Chandy–Lamport consistent cuts over plain channels
@@ -30,7 +27,6 @@
 pub mod cache;
 pub mod causal_memory;
 pub mod deps;
-pub mod linearizability;
 pub mod predicate;
 pub mod prescriptive;
 pub mod snapshot;

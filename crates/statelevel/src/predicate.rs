@@ -29,7 +29,7 @@ use std::hash::Hash;
 /// let mut g = WaitForGraph::new();
 /// g.add_wait(1, 2); // t1 waits for t2
 /// g.add_wait(2, 3);
-/// assert!(!g.has_cycle());
+/// assert!(g.find_cycle().is_none());
 /// g.add_wait(3, 1); // closes the loop — a real deadlock
 /// let cycle = g.find_cycle().unwrap();
 /// assert_eq!(cycle.len(), 3);
@@ -66,25 +66,6 @@ impl<N: Ord + Copy + Hash> WaitForGraph<N> {
                 self.edges.remove(&a);
             }
         }
-    }
-
-    /// Removes every edge touching `n` (e.g. transaction finished).
-    pub fn remove_node(&mut self, n: N) {
-        self.edges.remove(&n);
-        for s in self.edges.values_mut() {
-            s.remove(&n);
-        }
-        self.edges.retain(|_, s| !s.is_empty());
-    }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.values().map(|s| s.len()).sum()
-    }
-
-    /// Whether the graph currently contains any cycle.
-    pub fn has_cycle(&self) -> bool {
-        self.find_cycle().is_some()
     }
 
     /// Finds one cycle, if any, as the list of nodes along it.
@@ -303,7 +284,7 @@ impl<N: Ord + Copy> OrphanDetector<N> {
 /// Message-counting termination detection over a consistent cut: the
 /// computation has terminated iff every process is passive and the
 /// per-channel send and receive counts match.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TerminationDetector {
     /// (active?, sent, received) per process, as sampled on the cut.
     reports: BTreeMap<usize, (bool, u64, u64)>,
@@ -346,8 +327,8 @@ mod tests {
         let mut g = WaitForGraph::new();
         g.add_wait(1, 2);
         g.add_wait(2, 3);
-        assert!(!g.has_cycle());
-        assert_eq!(g.edge_count(), 2);
+        assert!(g.find_cycle().is_none());
+        assert_eq!(g.edges.values().map(|s| s.len()).sum::<usize>(), 2);
     }
 
     #[test]
@@ -378,20 +359,9 @@ mod tests {
         let mut g = WaitForGraph::new();
         g.add_wait(1, 2);
         g.add_wait(2, 1);
-        assert!(g.has_cycle());
+        assert!(g.find_cycle().is_some());
         g.remove_wait(2, 1);
-        assert!(!g.has_cycle());
-    }
-
-    #[test]
-    fn remove_node_clears_all_edges() {
-        let mut g = WaitForGraph::new();
-        g.add_wait(1, 2);
-        g.add_wait(3, 2);
-        g.add_wait(2, 1);
-        g.remove_node(2);
-        assert_eq!(g.edge_count(), 0);
-        assert!(!g.has_cycle());
+        assert!(g.find_cycle().is_none());
     }
 
     #[test]
@@ -409,9 +379,12 @@ mod tests {
         g.add_wait((0, 15), (1, 37)); // A15 → B37
         g.add_wait((0, 16), (2, 8)); // A16 → C8 (another thread of A)
         g.add_wait((1, 37), (2, 9));
-        assert!(!g.has_cycle(), "no false deadlock from sharing process A");
+        assert!(
+            g.find_cycle().is_none(),
+            "no false deadlock from sharing process A"
+        );
         g.add_wait((2, 9), (0, 15));
-        assert!(g.has_cycle());
+        assert!(g.find_cycle().is_some());
     }
 
     #[test]
@@ -531,7 +504,7 @@ mod tests {
                     g.add_wait(a, b);
                 }
             }
-            prop_assert!(g.has_cycle());
+            prop_assert!(g.find_cycle().is_some());
         }
     }
 }

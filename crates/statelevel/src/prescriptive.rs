@@ -44,7 +44,7 @@ pub struct Released<T> {
 }
 
 /// Per-object state under [`PrescriptivePolicy::InOrder`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ObjectStream<T> {
     delivered: u64,
     held: BTreeMap<u64, (T, SimTime)>,
@@ -71,8 +71,6 @@ struct ObjectStream<T> {
 pub struct PrescriptiveInbox<T> {
     policy: PrescriptivePolicy,
     streams: HashMap<ObjectId, ObjectStream<T>>,
-    dropped_stale: u64,
-    held_total: u64,
 }
 
 impl<T> PrescriptiveInbox<T> {
@@ -81,14 +79,7 @@ impl<T> PrescriptiveInbox<T> {
         PrescriptiveInbox {
             policy,
             streams: HashMap::new(),
-            dropped_stale: 0,
-            held_total: 0,
         }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> PrescriptivePolicy {
-        self.policy
     }
 
     /// Offers an update; returns the updates released by it (possibly
@@ -107,7 +98,6 @@ impl<T> PrescriptiveInbox<T> {
         match self.policy {
             PrescriptivePolicy::LatestWins => {
                 if version.0 <= stream.delivered {
-                    self.dropped_stale += 1;
                     Vec::new()
                 } else {
                     stream.delivered = version.0;
@@ -122,16 +112,12 @@ impl<T> PrescriptiveInbox<T> {
             }
             PrescriptivePolicy::InOrder => {
                 if version.0 <= stream.delivered || stream.held.contains_key(&version.0) {
-                    self.dropped_stale += 1;
                     return Vec::new();
                 }
                 stream.held.insert(version.0, (body, now));
                 let mut released = Vec::new();
                 while let Some((body, arrived)) = stream.held.remove(&(stream.delivered + 1)) {
                     stream.delivered += 1;
-                    if arrived < now {
-                        self.held_total += 1;
-                    }
                     released.push(Released {
                         object,
                         version: Version(stream.delivered),
@@ -143,36 +129,6 @@ impl<T> PrescriptiveInbox<T> {
                 released
             }
         }
-    }
-
-    /// Versions currently held (waiting for gaps), per object.
-    pub fn held_len(&self, object: ObjectId) -> usize {
-        self.streams.get(&object).map(|s| s.held.len()).unwrap_or(0)
-    }
-
-    /// Known missing versions for `object` (gap contents) — the state the
-    /// Netnews database would mark as "article missing".
-    pub fn missing(&self, object: ObjectId) -> Vec<Version> {
-        let Some(s) = self.streams.get(&object) else {
-            return Vec::new();
-        };
-        let Some((&max_held, _)) = s.held.iter().next_back() else {
-            return Vec::new();
-        };
-        ((s.delivered + 1)..max_held)
-            .filter(|v| !s.held.contains_key(v))
-            .map(Version)
-            .collect()
-    }
-
-    /// Stale updates dropped so far.
-    pub fn dropped_stale(&self) -> u64 {
-        self.dropped_stale
-    }
-
-    /// Updates that were held before release.
-    pub fn held_before_release(&self) -> u64 {
-        self.held_total
     }
 
     /// The highest delivered version for `object`.
@@ -208,13 +164,11 @@ mod tests {
         let mut inbox = PrescriptiveInbox::new(PrescriptivePolicy::InOrder);
         assert!(inbox.offer(obj(), Version(3), "c", t(0)).is_empty());
         assert!(inbox.offer(obj(), Version(2), "b", t(1)).is_empty());
-        assert_eq!(inbox.held_len(obj()), 2);
-        assert_eq!(inbox.missing(obj()), vec![Version(1)]);
         let r = inbox.offer(obj(), Version(1), "a", t(2));
         let bodies: Vec<&str> = r.iter().map(|x| x.body).collect();
         assert_eq!(bodies, vec!["a", "b", "c"]);
-        assert_eq!(inbox.held_before_release(), 2);
-        assert!(inbox.missing(obj()).is_empty());
+        let held = r.iter().filter(|x| x.arrived_at < x.released_at).count();
+        assert_eq!(held, 2);
     }
 
     #[test]
@@ -222,10 +176,11 @@ mod tests {
         let mut inbox = PrescriptiveInbox::new(PrescriptivePolicy::LatestWins);
         assert_eq!(inbox.offer(obj(), Version(5), 50, t(0)).len(), 1);
         assert!(inbox.offer(obj(), Version(3), 30, t(1)).is_empty());
-        assert_eq!(inbox.dropped_stale(), 1);
         assert_eq!(inbox.delivered_version(obj()), Version(5));
-        // A newer one goes straight through — no holdback ever.
+        // A newer one goes straight through — no holdback ever — and the
+        // dropped one is never released.
         let r = inbox.offer(obj(), Version(9), 90, t(2));
+        assert_eq!(r.len(), 1);
         assert_eq!(r[0].version, Version(9));
         assert_eq!(r[0].released_at, t(2));
     }
@@ -246,7 +201,8 @@ mod tests {
         let mut inbox = PrescriptiveInbox::new(PrescriptivePolicy::InOrder);
         inbox.offer(obj(), Version(1), "a", t(0));
         assert!(inbox.offer(obj(), Version(1), "a-dup", t(1)).is_empty());
-        assert_eq!(inbox.dropped_stale(), 1);
-        assert_eq!(inbox.policy(), PrescriptivePolicy::InOrder);
+        let r = inbox.offer(obj(), Version(2), "b", t(2));
+        let bodies: Vec<&str> = r.iter().map(|x| x.body).collect();
+        assert_eq!(bodies, vec!["b"]);
     }
 }

@@ -67,11 +67,6 @@ impl<S: Clone, M: Clone> SnapshotEngine<S, M> {
         }
     }
 
-    /// Whether this process has recorded its state.
-    pub fn is_recording(&self) -> bool {
-        self.recorded.is_some() && self.complete.is_none()
-    }
-
     /// The completed local snapshot, if finished.
     pub fn completed(&self) -> Option<&LocalSnapshot<S, M>> {
         self.complete.as_ref()
@@ -123,14 +118,6 @@ impl<S: Clone, M: Clone> SnapshotEngine<S, M> {
             });
         }
     }
-
-    /// Resets for the next snapshot round (periodic snapshotting).
-    pub fn reset(&mut self) {
-        self.recorded = None;
-        self.recording.clear();
-        self.channels.clear();
-        self.complete = None;
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +128,7 @@ mod tests {
     fn initiator_records_and_sends_markers() {
         let mut e: SnapshotEngine<u32, &str> = SnapshotEngine::new(0, 3);
         assert_eq!(e.initiate(42), SnapshotAction::SendMarkers);
-        assert!(e.is_recording());
+        assert!(e.completed().is_none(), "still waiting on markers");
         assert_eq!(e.initiate(43), SnapshotAction::None, "idempotent");
     }
 
@@ -201,16 +188,5 @@ mod tests {
         // Consistency: sent (2) == received in state (2) + in channels (0).
         let in_channels: usize = s1.channels.values().map(|v| v.len()).sum();
         assert_eq!(s0.state as usize, s1.state as usize + in_channels);
-    }
-
-    #[test]
-    fn reset_allows_periodic_snapshots() {
-        let mut e: SnapshotEngine<u32, &str> = SnapshotEngine::new(0, 2);
-        e.initiate(1);
-        e.on_marker(1, || 0);
-        assert!(e.completed().is_some());
-        e.reset();
-        assert!(e.completed().is_none());
-        assert_eq!(e.initiate(2), SnapshotAction::SendMarkers);
     }
 }

@@ -53,7 +53,6 @@ pub struct VersionedRecord<V> {
 pub struct VersionedStore<V> {
     records: BTreeMap<ObjectId, VersionedRecord<V>>,
     stale_rejected: u64,
-    gaps_observed: u64,
 }
 
 impl<V> VersionedStore<V> {
@@ -62,7 +61,6 @@ impl<V> VersionedStore<V> {
         VersionedStore {
             records: BTreeMap::new(),
             stale_rejected: 0,
-            gaps_observed: 0,
         }
     }
 
@@ -79,29 +77,6 @@ impl<V> VersionedStore<V> {
             });
         rec.version = rec.version.next();
         VersionedTag::new(object, rec.version)
-    }
-
-    /// Performs a local update where the caller supplies the value after
-    /// learning the version (read-modify-write).
-    pub fn update_local_with(
-        &mut self,
-        object: ObjectId,
-        f: impl FnOnce(Option<&V>) -> V,
-    ) -> VersionedTag {
-        let next = self
-            .records
-            .get(&object)
-            .map(|r| r.version.next())
-            .unwrap_or(Version(1));
-        let value = f(self.records.get(&object).map(|r| &r.value));
-        self.records.insert(
-            object,
-            VersionedRecord {
-                version: next,
-                value,
-            },
-        );
-        VersionedTag::new(object, next)
     }
 
     /// Applies a replicated update received from elsewhere, carrying an
@@ -122,7 +97,6 @@ impl<V> VersionedStore<V> {
                 rec.version = tag.version;
                 rec.value = value;
                 if gap {
-                    self.gaps_observed += 1;
                     Applied::FreshWithGap {
                         from,
                         to: tag.version,
@@ -141,7 +115,6 @@ impl<V> VersionedStore<V> {
                     },
                 );
                 if gap {
-                    self.gaps_observed += 1;
                     Applied::FreshWithGap {
                         from: Version::INITIAL,
                         to: tag.version,
@@ -158,37 +131,9 @@ impl<V> VersionedStore<V> {
         self.records.get(&object)
     }
 
-    /// The current version of `object` (INITIAL if absent).
-    pub fn version_of(&self, object: ObjectId) -> Version {
-        self.records
-            .get(&object)
-            .map(|r| r.version)
-            .unwrap_or(Version::INITIAL)
-    }
-
     /// Number of stale updates rejected so far.
     pub fn stale_rejected(&self) -> u64 {
         self.stale_rejected
-    }
-
-    /// Number of version gaps observed so far.
-    pub fn gaps_observed(&self) -> u64 {
-        self.gaps_observed
-    }
-
-    /// Number of objects stored.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Iterates over all records.
-    pub fn iter(&self) -> impl Iterator<Item = (&ObjectId, &VersionedRecord<V>)> {
-        self.records.iter()
     }
 }
 
@@ -208,8 +153,9 @@ mod tests {
         let t2 = s.update_local(obj(1), "a");
         assert_eq!(t1.version, Version(1));
         assert_eq!(t2.version, Version(2));
-        assert_eq!(s.version_of(obj(1)), Version(2));
-        assert_eq!(s.version_of(obj(9)), Version::INITIAL);
+        assert_eq!(s.get(obj(1)).unwrap().version, Version(2));
+        assert!(s.get(obj(9)).is_none());
+        assert_eq!(s.records.len(), 1);
     }
 
     #[test]
@@ -255,18 +201,6 @@ mod tests {
             }
             other => panic!("expected gap, got {other:?}"),
         }
-        assert_eq!(s.gaps_observed(), 1);
-    }
-
-    #[test]
-    fn read_modify_write() {
-        let mut s: VersionedStore<u32> = VersionedStore::new();
-        s.update_local_with(obj(1), |old| old.copied().unwrap_or(0) + 1);
-        s.update_local_with(obj(1), |old| old.copied().unwrap_or(0) + 1);
-        assert_eq!(s.get(obj(1)).unwrap().value, 2);
-        assert_eq!(s.version_of(obj(1)), Version(2));
-        assert!(!s.is_empty());
-        assert_eq!(s.len(), 1);
     }
 
     proptest! {
@@ -278,7 +212,7 @@ mod tests {
             for &v in &order {
                 s.apply_remote(VersionedTag::new(obj(1), Version(v)), v);
             }
-            prop_assert_eq!(s.version_of(obj(1)), Version(8));
+            prop_assert_eq!(s.get(obj(1)).unwrap().version, Version(8));
             prop_assert_eq!(s.get(obj(1)).unwrap().value, 8);
             order.sort_unstable();
         }
@@ -294,7 +228,7 @@ mod tests {
                 *h = (*h).max(v);
             }
             for (o, h) in high {
-                prop_assert_eq!(s.version_of(obj(o)), Version(h));
+                prop_assert_eq!(s.get(obj(o)).unwrap().version, Version(h));
             }
         }
     }

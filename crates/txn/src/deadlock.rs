@@ -36,8 +36,6 @@ pub struct DeadlockMonitor {
     latest_seq: BTreeMap<usize, u64>,
     /// Latest edge set per node (reports are complete, so replace).
     per_node: BTreeMap<usize, Vec<(TxId, TxId)>>,
-    detections: u64,
-    stale_reports: u64,
 }
 
 impl DeadlockMonitor {
@@ -52,7 +50,6 @@ impl DeadlockMonitor {
     pub fn ingest(&mut self, report: WaitForReport) {
         let latest = self.latest_seq.entry(report.from).or_insert(0);
         if report.seq <= *latest && *latest != 0 {
-            self.stale_reports += 1;
             return;
         }
         *latest = report.seq;
@@ -61,30 +58,14 @@ impl DeadlockMonitor {
 
     /// Builds the global graph and looks for a deadlock; returns the
     /// cycle and the chosen victim (youngest = highest TxId), if any.
-    pub fn detect(&mut self) -> Option<(Vec<TxId>, TxId)> {
+    pub fn detect(&self) -> Option<(Vec<TxId>, TxId)> {
         let mut g: WaitForGraph<TxId> = WaitForGraph::new();
         for edges in self.per_node.values() {
             g.merge_edges(edges.iter().copied());
         }
         let cycle = g.find_cycle()?;
-        self.detections += 1;
         let victim = *cycle.iter().max().expect("cycle non-empty");
         Some((cycle, victim))
-    }
-
-    /// Total deadlocks detected.
-    pub fn detections(&self) -> u64 {
-        self.detections
-    }
-
-    /// Stale reports discarded.
-    pub fn stale_reports(&self) -> u64 {
-        self.stale_reports
-    }
-
-    /// Current global edge count (diagnostics).
-    pub fn edge_count(&self) -> usize {
-        self.per_node.values().map(|v| v.len()).sum()
     }
 }
 
@@ -110,7 +91,6 @@ mod tests {
         let (cycle, victim) = m.detect().expect("deadlock");
         assert_eq!(cycle.len(), 2);
         assert_eq!(victim, TxId(2), "youngest transaction is the victim");
-        assert_eq!(m.detections(), 1);
     }
 
     #[test]
@@ -145,8 +125,7 @@ mod tests {
         let mut m = DeadlockMonitor::new();
         m.ingest(report(0, 5, &[]));
         m.ingest(report(0, 3, &[(1, 2)])); // stale: must not resurrect edges
-        assert_eq!(m.stale_reports(), 1);
-        assert_eq!(m.edge_count(), 0);
+        assert!(m.per_node.values().all(Vec::is_empty));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 /// One committed version of a key.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Version {
+pub(crate) struct Version {
     /// Commit stamp (global order position).
     pub stamp: TotalStamp,
     /// Committing transaction.
@@ -41,17 +41,6 @@ impl MvccStore {
     /// Stages a write for `tx` (invisible to everyone else).
     pub fn stage(&mut self, tx: TxId, key: u64, value: i64) {
         self.staged.entry(tx).or_default().insert(key, value);
-    }
-
-    /// Reads `key` within `tx`: own staged write first, else the latest
-    /// committed version at or before `as_of`.
-    pub fn read(&self, tx: TxId, key: u64, as_of: TotalStamp) -> Option<i64> {
-        if let Some(writes) = self.staged.get(&tx) {
-            if let Some(&v) = writes.get(&key) {
-                return Some(v);
-            }
-        }
-        self.read_committed(key, as_of)
     }
 
     /// Reads the latest committed value of `key` at or before `as_of`
@@ -90,43 +79,8 @@ impl MvccStore {
     }
 
     /// Aborts `tx`: staged writes vanish.
-    pub fn abort(&mut self, tx: TxId) -> usize {
+    pub(crate) fn abort(&mut self, tx: TxId) -> usize {
         self.staged.remove(&tx).map(|w| w.len()).unwrap_or(0)
-    }
-
-    /// The number of committed versions retained for `key`.
-    pub fn version_count(&self, key: u64) -> usize {
-        self.committed.get(&key).map(|v| v.len()).unwrap_or(0)
-    }
-
-    /// Discards versions older than `horizon` except the newest one at
-    /// or below it (still needed to serve reads at the horizon).
-    pub fn vacuum(&mut self, horizon: TotalStamp) -> usize {
-        let mut removed = 0;
-        for versions in self.committed.values_mut() {
-            // Index of the newest version <= horizon.
-            let keep_from = versions
-                .iter()
-                .rposition(|v| v.stamp <= horizon)
-                .unwrap_or(0);
-            removed += keep_from;
-            versions.drain(..keep_from);
-        }
-        removed
-    }
-
-    /// Latest committed stamp across all keys (the vacuum horizon aide).
-    pub fn latest_stamp(&self) -> Option<TotalStamp> {
-        self.committed
-            .values()
-            .filter_map(|v| v.last())
-            .map(|v| v.stamp)
-            .max()
-    }
-
-    /// Transactions with staged writes.
-    pub fn staged_txs(&self) -> Vec<TxId> {
-        self.staged.keys().copied().collect()
     }
 }
 
@@ -143,8 +97,6 @@ mod tests {
         let mut kv = MvccStore::new();
         kv.stage(TxId(1), 10, 100);
         assert_eq!(kv.read_committed(10, s(99)), None);
-        assert_eq!(kv.read(TxId(1), 10, s(0)), Some(100), "own write visible");
-        assert_eq!(kv.read(TxId(2), 10, s(99)), None, "other tx blind");
         kv.commit(TxId(1), s(5));
         assert_eq!(kv.read_committed(10, s(99)), Some(100));
     }
@@ -179,28 +131,5 @@ mod tests {
         kv.commit(TxId(1), s(10));
         kv.stage(TxId(2), 10, 2);
         kv.commit(TxId(2), s(5));
-    }
-
-    #[test]
-    fn vacuum_keeps_horizon_version() {
-        let mut kv = MvccStore::new();
-        for (tx, t, v) in [(1u64, 5u64, 1i64), (2, 10, 2), (3, 15, 3)] {
-            kv.stage(TxId(tx), 10, v);
-            kv.commit(TxId(tx), s(t));
-        }
-        assert_eq!(kv.version_count(10), 3);
-        let removed = kv.vacuum(s(12));
-        assert_eq!(removed, 1, "only the version strictly below the keeper");
-        assert_eq!(kv.read_committed(10, s(12)), Some(2), "horizon read intact");
-        assert_eq!(kv.read_committed(10, s(20)), Some(3));
-        assert_eq!(kv.latest_stamp(), Some(s(15)));
-    }
-
-    #[test]
-    fn staged_txs_listing() {
-        let mut kv = MvccStore::new();
-        kv.stage(TxId(3), 1, 1);
-        kv.stage(TxId(1), 2, 2);
-        assert_eq!(kv.staged_txs(), vec![TxId(1), TxId(3)]);
     }
 }

@@ -47,4 +47,3 @@ pub use lock::{LockManager, LockMode, LockOutcome, TxId};
 pub use occ::OccValidator;
 pub use replication::ReplicatedStore;
 pub use twopc::{Coordinator, Participant, TxnDecision, TxnWire};
-pub use wal::{LogRecord, WriteAheadLog};

@@ -8,14 +8,14 @@
 //! accessed as part of the transaction" (§4.3).
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// A transaction identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct TxId(pub u64);
 
 /// A lockable resource identifier.
-pub type Key = u64;
+pub(crate) type Key = u64;
 
 /// Lock modes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -59,8 +59,6 @@ impl LockState {
 #[derive(Debug, Default)]
 pub struct LockManager {
     locks: BTreeMap<Key, LockState>,
-    /// Keys held by each transaction (for release_all).
-    held_by: BTreeMap<TxId, BTreeSet<Key>>,
 }
 
 impl LockManager {
@@ -90,7 +88,6 @@ impl LockManager {
         }
         if st.waiters.is_empty() && st.compatible(tx, mode) {
             st.holders.insert(tx, mode);
-            self.held_by.entry(tx).or_default().insert(key);
             LockOutcome::Granted
         } else {
             let blockers: Vec<TxId> = st
@@ -107,7 +104,7 @@ impl LockManager {
 
     /// Releases all locks held (and requests queued) by `tx`; returns the
     /// requests that became granted, as `(tx, key)` pairs.
-    pub fn release_all(&mut self, tx: TxId) -> Vec<(TxId, Key)> {
+    pub(crate) fn release_all(&mut self, tx: TxId) -> Vec<(TxId, Key)> {
         let mut granted = Vec::new();
         let keys: Vec<Key> = self.locks.keys().copied().collect();
         for key in keys {
@@ -121,28 +118,17 @@ impl LockManager {
                 }
                 st.waiters.pop_front();
                 st.holders.insert(next, mode);
-                self.held_by.entry(next).or_default().insert(key);
                 granted.push((next, key));
             }
             if st.holders.is_empty() && st.waiters.is_empty() {
                 self.locks.remove(&key);
             }
         }
-        self.held_by.remove(&tx);
         granted
     }
 
-    /// Whether `tx` currently holds `key` at least at `mode` strength.
-    pub fn holds(&self, tx: TxId, key: Key, mode: LockMode) -> bool {
-        self.locks
-            .get(&key)
-            .and_then(|st| st.holders.get(&tx))
-            .map(|&m| m == LockMode::Exclusive || mode == LockMode::Shared)
-            .unwrap_or(false)
-    }
-
     /// The current wait-for edges: `(waiter, holder)` pairs.
-    pub fn wait_for_edges(&self) -> Vec<(TxId, TxId)> {
+    pub(crate) fn wait_for_edges(&self) -> Vec<(TxId, TxId)> {
         let mut edges = Vec::new();
         for st in self.locks.values() {
             for &(w, _) in &st.waiters {
@@ -157,24 +143,19 @@ impl LockManager {
         edges.dedup();
         edges
     }
-
-    /// Keys held by `tx`.
-    pub fn keys_held(&self, tx: TxId) -> Vec<Key> {
-        self.held_by
-            .get(&tx)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Number of keys with any lock state.
-    pub fn active_keys(&self) -> usize {
-        self.locks.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Whether `tx` currently holds `key` at least at `mode` strength.
+    fn holds(lm: &LockManager, tx: TxId, key: Key, mode: LockMode) -> bool {
+        lm.locks
+            .get(&key)
+            .and_then(|st| st.holders.get(&tx))
+            .is_some_and(|&m| m == LockMode::Exclusive || mode == LockMode::Shared)
+    }
     use proptest::prelude::*;
 
     const K: Key = 1;
@@ -190,8 +171,8 @@ mod tests {
             lm.acquire(TxId(2), K, LockMode::Shared),
             LockOutcome::Granted
         );
-        assert!(lm.holds(TxId(1), K, LockMode::Shared));
-        assert!(lm.holds(TxId(2), K, LockMode::Shared));
+        assert!(holds(&lm, TxId(1), K, LockMode::Shared));
+        assert!(holds(&lm, TxId(2), K, LockMode::Shared));
     }
 
     #[test]
@@ -202,7 +183,7 @@ mod tests {
             LockOutcome::Waiting(blockers) => assert_eq!(blockers, vec![TxId(1)]),
             g => panic!("expected wait, got {g:?}"),
         }
-        assert!(!lm.holds(TxId(2), K, LockMode::Shared));
+        assert!(!holds(&lm, TxId(2), K, LockMode::Shared));
     }
 
     #[test]
@@ -213,8 +194,8 @@ mod tests {
         lm.acquire(TxId(3), K, LockMode::Exclusive);
         let granted = lm.release_all(TxId(1));
         assert_eq!(granted, vec![(TxId(2), K)]);
-        assert!(lm.holds(TxId(2), K, LockMode::Exclusive));
-        assert!(!lm.holds(TxId(3), K, LockMode::Exclusive));
+        assert!(holds(&lm, TxId(2), K, LockMode::Exclusive));
+        assert!(!holds(&lm, TxId(3), K, LockMode::Exclusive));
     }
 
     #[test]
@@ -262,7 +243,7 @@ mod tests {
             lm.acquire(TxId(1), K, LockMode::Exclusive),
             LockOutcome::Granted
         );
-        assert!(lm.holds(TxId(1), K, LockMode::Exclusive));
+        assert!(holds(&lm, TxId(1), K, LockMode::Exclusive));
     }
 
     #[test]
@@ -289,14 +270,16 @@ mod tests {
     }
 
     #[test]
-    fn keys_held_tracking() {
+    fn release_all_drops_every_key() {
         let mut lm = LockManager::new();
         lm.acquire(TxId(1), 1, LockMode::Shared);
         lm.acquire(TxId(1), 2, LockMode::Exclusive);
-        assert_eq!(lm.keys_held(TxId(1)), vec![1, 2]);
+        assert!(holds(&lm, TxId(1), 1, LockMode::Shared));
+        assert!(holds(&lm, TxId(1), 2, LockMode::Exclusive));
         lm.release_all(TxId(1));
-        assert!(lm.keys_held(TxId(1)).is_empty());
-        assert_eq!(lm.active_keys(), 0);
+        assert!(!holds(&lm, TxId(1), 1, LockMode::Shared));
+        assert!(!holds(&lm, TxId(1), 2, LockMode::Shared));
+        assert!(lm.locks.is_empty());
     }
 
     proptest! {

@@ -26,8 +26,6 @@ pub enum ReplWire {
     Read { rid: u64, key: u64 },
     /// Read reply.
     ReadReply { rid: u64, val: Option<i64> },
-    /// Full-state transfer for a rejoining replica.
-    StateTransfer { state: Vec<(u64, i64)>, epoch: u64 },
 }
 
 /// How a coordinated write finished.
@@ -65,7 +63,6 @@ struct PendingWrite {
 #[derive(Debug)]
 pub struct WriteCoordinator {
     available: BTreeSet<usize>,
-    epoch: u64,
     pending: BTreeMap<u64, PendingWrite>,
     committed: u64,
     aborted: u64,
@@ -77,21 +74,10 @@ impl WriteCoordinator {
     pub fn new(n: usize) -> Self {
         WriteCoordinator {
             available: (0..n).collect(),
-            epoch: 1,
             pending: BTreeMap::new(),
             committed: 0,
             aborted: 0,
         }
-    }
-
-    /// The current availability list.
-    pub fn available(&self) -> Vec<usize> {
-        self.available.iter().copied().collect()
-    }
-
-    /// The availability-list epoch (bumped on every change).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Starts a write; returns the messages for the available replicas.
@@ -146,7 +132,6 @@ impl WriteCoordinator {
         if !self.available.remove(&replica) {
             return Vec::new();
         }
-        self.epoch += 1;
         let mut outcomes = Vec::new();
         let wids: Vec<u64> = self.pending.keys().copied().collect();
         for wid in wids {
@@ -192,15 +177,6 @@ impl WriteCoordinator {
         out
     }
 
-    /// Re-admits a recovered replica (after state transfer); returns the
-    /// state-transfer epoch it must catch up to.
-    pub fn on_recovery(&mut self, replica: usize) -> u64 {
-        if self.available.insert(replica) {
-            self.epoch += 1;
-        }
-        self.epoch
-    }
-
     /// Committed / aborted counters.
     pub fn totals(&self) -> (u64, u64) {
         (self.committed, self.aborted)
@@ -217,7 +193,6 @@ impl WriteCoordinator {
 pub struct ReplicatedStore {
     store: BTreeMap<u64, i64>,
     applied: BTreeSet<u64>,
-    epoch: u64,
 }
 
 impl ReplicatedStore {
@@ -242,36 +217,8 @@ impl ReplicatedStore {
                 rid: *rid,
                 val: self.store.get(key).copied(),
             }),
-            ReplWire::StateTransfer { state, epoch } => {
-                self.store = state.iter().copied().collect();
-                self.epoch = *epoch;
-                None
-            }
             _ => None,
         }
-    }
-
-    /// Reads a key locally.
-    pub fn get(&self, key: u64) -> Option<i64> {
-        self.store.get(&key).copied()
-    }
-
-    /// Produces a state transfer for a rejoining peer.
-    pub fn snapshot(&self, epoch: u64) -> ReplWire {
-        ReplWire::StateTransfer {
-            state: self.store.iter().map(|(&k, &v)| (k, v)).collect(),
-            epoch,
-        }
-    }
-
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether the replica holds no data.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
     }
 }
 
@@ -313,11 +260,10 @@ mod tests {
         let outcomes = c.on_failure(2, t(50));
         assert_eq!(outcomes.len(), 1);
         assert!(matches!(outcomes[0], WriteOutcome::Committed { .. }));
-        assert_eq!(c.available(), vec![0, 1]);
-        assert_eq!(c.epoch(), 2);
         // Subsequent writes only target survivors.
         let msgs = c.begin_write(2, 11, 1, None, t(60));
-        assert_eq!(msgs.len(), 2);
+        let targets: Vec<usize> = msgs.iter().map(|(r, _)| *r).collect();
+        assert_eq!(targets, [0, 1]);
     }
 
     #[test]
@@ -349,7 +295,14 @@ mod tests {
             val: 999,
         };
         r.on_wire(0, &w2);
-        assert_eq!(r.get(5), Some(50));
+        let reply = r.on_wire(0, &ReplWire::Read { rid: 2, key: 5 });
+        assert_eq!(
+            reply,
+            Some(ReplWire::ReadReply {
+                rid: 2,
+                val: Some(50)
+            })
+        );
     }
 
     #[test]
@@ -374,33 +327,12 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_via_state_transfer() {
-        let mut live = ReplicatedStore::new();
-        live.on_wire(
-            0,
-            &ReplWire::Write {
-                wid: 1,
-                key: 1,
-                val: 10,
-            },
-        );
-        let mut c = WriteCoordinator::new(2);
-        c.on_failure(1, t(0));
-        let epoch = c.on_recovery(1);
-        let mut rejoined = ReplicatedStore::new();
-        rejoined.on_wire(1, &live.snapshot(epoch));
-        assert_eq!(rejoined.get(1), Some(10));
-        assert_eq!(c.available(), vec![0, 1]);
-        assert!(!rejoined.is_empty());
-        assert_eq!(rejoined.len(), 1);
-    }
-
-    #[test]
     fn failure_of_unknown_replica_is_noop() {
         let mut c = WriteCoordinator::new(2);
         c.on_failure(1, t(0));
         let outcomes = c.on_failure(1, t(1));
         assert!(outcomes.is_empty());
-        assert_eq!(c.epoch(), 2);
+        let msgs = c.begin_write(1, 1, 1, None, t(2));
+        assert_eq!(msgs.len(), 1);
     }
 }

@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Messages of the transaction system (all point-to-point, unordered).
 #[derive(Clone, Debug)]
-pub enum TxnMsg {
+pub(crate) enum TxnMsg {
     /// Client → shard: request an exclusive lock.
     LockReq { tx: TxId, key: u64 },
     /// Shard → client: the lock is held.
@@ -67,7 +67,7 @@ fn make_txid(client: usize, seq: u64) -> TxId {
 }
 
 /// The client index embedded in a TxId.
-pub fn client_of(tx: TxId) -> usize {
+pub(crate) fn client_of(tx: TxId) -> usize {
     (tx.0 >> 32) as usize
 }
 
@@ -76,7 +76,7 @@ pub fn client_of(tx: TxId) -> usize {
 // ---------------------------------------------------------------------
 
 /// A shard: lock manager + MVCC store + 2PC participant.
-pub struct DataNode {
+pub(crate) struct DataNode {
     shard: usize,
     lm: LockManager,
     store: MvccStore,
@@ -183,7 +183,7 @@ enum TxPhase {
 }
 
 /// A client running randomized two-key transactions.
-pub struct TxClient {
+pub(crate) struct TxClient {
     me: usize,
     shards: Vec<ProcessId>,
     keys_per_shard: u64,
@@ -370,7 +370,7 @@ impl Process<TxnMsg> for TxClient {
 // ---------------------------------------------------------------------
 
 /// The deadlock monitor: merges shard reports, aborts victims.
-pub struct TxnMonitor {
+pub(crate) struct TxnMonitor {
     inner: DeadlockMonitor,
     clients: Vec<ProcessId>,
     /// Deadlocks resolved.

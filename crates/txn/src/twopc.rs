@@ -36,21 +36,15 @@ pub enum TxnDecision {
     Abort,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CoordPhase {
-    Preparing,
-    Deciding(TxnDecision),
-    Done(TxnDecision),
-}
-
 /// The commit coordinator for a single transaction.
 #[derive(Debug)]
 pub struct Coordinator {
     tx: TxId,
     participants: Vec<usize>,
     votes: BTreeMap<usize, bool>,
-    acks: BTreeMap<usize, bool>,
-    phase: CoordPhase,
+    /// Whether the decision is made (and logged): later votes and
+    /// timeouts change nothing.
+    decided: bool,
     wal: WriteAheadLog,
 }
 
@@ -73,17 +67,11 @@ impl Coordinator {
                 tx,
                 participants,
                 votes: BTreeMap::new(),
-                acks: BTreeMap::new(),
-                phase: CoordPhase::Preparing,
+                decided: false,
                 wal,
             },
             msgs,
         )
-    }
-
-    /// The transaction id.
-    pub fn tx(&self) -> TxId {
-        self.tx
     }
 
     /// Handles a vote; when all votes are in (or any is "no"), returns the
@@ -93,7 +81,7 @@ impl Coordinator {
         from: usize,
         yes: bool,
     ) -> Option<(TxnDecision, Vec<(usize, TxnWire)>)> {
-        if self.phase != CoordPhase::Preparing || !self.participants.contains(&from) {
+        if self.decided || !self.participants.contains(&from) {
             return None;
         }
         self.votes.insert(from, yes);
@@ -110,7 +98,7 @@ impl Coordinator {
                 TxnDecision::Commit => LogRecord::Commit(self.tx),
                 TxnDecision::Abort => LogRecord::Abort(self.tx),
             });
-            self.phase = CoordPhase::Deciding(decision);
+            self.decided = true;
             let msgs = self
                 .participants
                 .iter()
@@ -133,11 +121,11 @@ impl Coordinator {
     /// A prepare timeout: abort unilaterally (no vote arrived from
     /// someone). Returns the Decision messages.
     pub fn on_timeout(&mut self) -> Option<(TxnDecision, Vec<(usize, TxnWire)>)> {
-        if self.phase != CoordPhase::Preparing {
+        if self.decided {
             return None;
         }
         self.wal.append_sync(LogRecord::Abort(self.tx));
-        self.phase = CoordPhase::Deciding(TxnDecision::Abort);
+        self.decided = true;
         let msgs = self
             .participants
             .iter()
@@ -153,25 +141,6 @@ impl Coordinator {
             .collect();
         Some((TxnDecision::Abort, msgs))
     }
-
-    /// Records an ack; returns true when the protocol is fully complete.
-    pub fn on_ack(&mut self, from: usize) -> bool {
-        if let CoordPhase::Deciding(d) = self.phase {
-            self.acks.insert(from, true);
-            if self.acks.len() == self.participants.len() {
-                self.phase = CoordPhase::Done(d);
-            }
-        }
-        matches!(self.phase, CoordPhase::Done(_))
-    }
-
-    /// The decision, if reached.
-    pub fn decision(&self) -> Option<TxnDecision> {
-        match self.phase {
-            CoordPhase::Preparing => None,
-            CoordPhase::Deciding(d) | CoordPhase::Done(d) => Some(d),
-        }
-    }
 }
 
 /// A participant node: holds a key-value store, votes on prepares, and
@@ -185,7 +154,6 @@ pub struct Participant {
     pending: BTreeMap<TxId, Vec<(u64, i64)>>,
     wal: WriteAheadLog,
     capacity: usize,
-    refused: u64,
 }
 
 impl Participant {
@@ -197,7 +165,6 @@ impl Participant {
             pending: BTreeMap::new(),
             wal: WriteAheadLog::new(),
             capacity,
-            refused: 0,
         }
     }
 
@@ -222,8 +189,6 @@ impl Participant {
                     }
                     self.wal.append_sync(LogRecord::Prepared(*tx));
                     self.pending.insert(*tx, writes.clone());
-                } else {
-                    self.refused += 1;
                 }
                 Some(TxnWire::Vote {
                     tx: *tx,
@@ -256,16 +221,6 @@ impl Participant {
         self.store.get(&key).copied()
     }
 
-    /// Prepares refused for capacity reasons.
-    pub fn refused(&self) -> u64 {
-        self.refused
-    }
-
-    /// Transactions currently prepared but undecided here.
-    pub fn in_doubt(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Resolves an in-doubt transaction from an outcome learned elsewhere
     /// (cooperative termination: ask any participant that knows).
     pub fn resolve(&mut self, tx: TxId, commit: bool) {
@@ -284,16 +239,6 @@ impl Participant {
     /// Transactions currently prepared here with no decision.
     pub fn in_doubt_txs(&self) -> Vec<TxId> {
         self.pending.keys().copied().collect()
-    }
-
-    /// Simulates a crash followed by recovery from the durable log:
-    /// committed writes are replayed, volatile state is lost; returns the
-    /// in-doubt transactions that must be resolved with the coordinator.
-    pub fn crash_and_recover(&mut self) -> Vec<TxId> {
-        self.wal.crash();
-        self.pending.clear();
-        self.store = self.wal.replay_committed();
-        self.wal.recover().in_doubt
     }
 
     /// The durable log (inspection).
@@ -321,9 +266,7 @@ mod tests {
         }
         for (p, msg) in decision_msgs {
             let ack = parts[p].on_wire(&msg).expect("ack");
-            if let TxnWire::Ack { from, .. } = ack {
-                coord.on_ack(from);
-            }
+            assert!(matches!(ack, TxnWire::Ack { from, .. } if from == p));
         }
         decision.expect("decision reached")
     }
@@ -346,7 +289,6 @@ mod tests {
         assert_eq!(d, TxnDecision::Abort);
         assert_eq!(parts[0].get(1), None, "no partial application");
         assert_eq!(parts[1].get(2), None);
-        assert_eq!(parts[1].refused(), 1);
     }
 
     #[test]
@@ -356,7 +298,7 @@ mod tests {
         assert_eq!(d, TxnDecision::Abort);
         assert_eq!(msgs.len(), 1);
         assert!(coord.on_timeout().is_none(), "idempotent");
-        assert_eq!(coord.decision(), Some(TxnDecision::Abort));
+        assert!(coord.on_vote(0, true).is_none(), "decided already");
     }
 
     #[test]
@@ -366,9 +308,10 @@ mod tests {
             tx: TxId(3),
             writes: vec![(5, 50)],
         });
-        assert_eq!(p.in_doubt(), 1);
-        let in_doubt = p.crash_and_recover();
-        assert_eq!(in_doubt, vec![TxId(3)]);
+        assert_eq!(p.in_doubt_txs(), vec![TxId(3)]);
+        let mut log = p.wal().clone();
+        log.crash();
+        assert_eq!(log.recover().in_doubt, vec![TxId(3)]);
         assert_eq!(p.get(5), None, "undecided write not applied");
     }
 
@@ -384,25 +327,21 @@ mod tests {
             commit: true,
         });
         assert_eq!(p.get(7), Some(70));
-        let in_doubt = p.crash_and_recover();
-        assert!(in_doubt.is_empty());
-        assert_eq!(p.get(7), Some(70), "durability: commit survives crash");
+        let mut log = p.wal().clone();
+        log.crash();
+        let rec = log.recover();
+        assert!(rec.in_doubt.is_empty());
+        assert_eq!(
+            rec.committed,
+            vec![TxId(4)],
+            "durability: commit survives crash"
+        );
     }
 
     #[test]
     fn votes_from_strangers_ignored() {
         let (mut coord, _) = Coordinator::begin(TxId(5), vec![(0, vec![])]);
         assert!(coord.on_vote(9, true).is_none());
-        assert_eq!(coord.decision(), None);
-    }
-
-    #[test]
-    fn acks_complete_protocol() {
-        let (mut coord, _) = Coordinator::begin(TxId(6), vec![(0, vec![]), (1, vec![])]);
-        coord.on_vote(0, true);
-        let (d, _) = coord.on_vote(1, true).unwrap();
-        assert_eq!(d, TxnDecision::Commit);
-        assert!(!coord.on_ack(0));
-        assert!(coord.on_ack(1));
+        assert!(coord.on_timeout().is_some(), "still undecided");
     }
 }

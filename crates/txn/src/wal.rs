@@ -7,15 +7,15 @@
 //! transactional participant, by contrast, forces a log record to stable
 //! storage before acknowledging prepare — so its promises survive a
 //! crash. The log here models exactly that: records are volatile until
-//! [`WriteAheadLog::sync`] and survive [`WriteAheadLog::crash`] only if
-//! synced.
+//! `WriteAheadLog::sync`, and only synced ones are read back by
+//! [`WriteAheadLog::recover`].
 
 use crate::lock::TxId;
 use serde::{Deserialize, Serialize};
 
 /// One log record.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LogRecord {
+pub(crate) enum LogRecord {
     /// Transaction started.
     Begin(TxId),
     /// A write: key, old value, new value (undo/redo).
@@ -33,19 +33,6 @@ pub enum LogRecord {
     Abort(TxId),
 }
 
-impl LogRecord {
-    /// The transaction a record belongs to.
-    pub fn tx(&self) -> TxId {
-        match self {
-            LogRecord::Begin(t)
-            | LogRecord::Prepared(t)
-            | LogRecord::Commit(t)
-            | LogRecord::Abort(t) => *t,
-            LogRecord::Write { tx, .. } => *tx,
-        }
-    }
-}
-
 /// The simulated write-ahead log.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct WriteAheadLog {
@@ -53,46 +40,28 @@ pub struct WriteAheadLog {
     stable: Vec<LogRecord>,
     /// Records appended but not yet synced.
     volatile: Vec<LogRecord>,
-    /// Sync (force) operations performed — the cost knob.
-    syncs: u64,
 }
 
 impl WriteAheadLog {
     /// An empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Appends a record (volatile until synced).
-    pub fn append(&mut self, r: LogRecord) {
+    pub(crate) fn append(&mut self, r: LogRecord) {
         self.volatile.push(r);
     }
 
     /// Forces all appended records to stable storage.
-    pub fn sync(&mut self) {
+    pub(crate) fn sync(&mut self) {
         self.stable.append(&mut self.volatile);
-        self.syncs += 1;
     }
 
     /// Appends and immediately forces (the prepare/commit path).
-    pub fn append_sync(&mut self, r: LogRecord) {
+    pub(crate) fn append_sync(&mut self, r: LogRecord) {
         self.append(r);
         self.sync();
-    }
-
-    /// Simulates a crash: volatile records are lost.
-    pub fn crash(&mut self) {
-        self.volatile.clear();
-    }
-
-    /// All durable records, in order.
-    pub fn stable_records(&self) -> &[LogRecord] {
-        &self.stable
-    }
-
-    /// Number of sync operations so far.
-    pub fn sync_count(&self) -> u64 {
-        self.syncs
     }
 
     /// Recovery analysis: transactions that were prepared but have no
@@ -121,20 +90,6 @@ impl WriteAheadLog {
             in_doubt,
         }
     }
-
-    /// Replays durable committed writes into a state map (redo recovery).
-    pub fn replay_committed(&self) -> std::collections::BTreeMap<u64, i64> {
-        let outcome = self.recover();
-        let mut state = std::collections::BTreeMap::new();
-        for r in &self.stable {
-            if let LogRecord::Write { tx, key, new, .. } = r {
-                if outcome.committed.contains(tx) {
-                    state.insert(*key, *new);
-                }
-            }
-        }
-        state
-    }
 }
 
 /// What recovery finds in the durable log.
@@ -153,12 +108,19 @@ pub struct RecoveryOutcome {
 mod tests {
     use super::*;
 
+    impl WriteAheadLog {
+        /// Simulates a crash: volatile records are lost.
+        pub(crate) fn crash(&mut self) {
+            self.volatile.clear();
+        }
+    }
+
     #[test]
     fn unsynced_records_lost_on_crash() {
         let mut w = WriteAheadLog::new();
         w.append(LogRecord::Begin(TxId(1)));
         w.crash();
-        assert!(w.stable_records().is_empty());
+        assert!(w.stable.is_empty());
     }
 
     #[test]
@@ -168,8 +130,7 @@ mod tests {
         w.sync();
         w.append(LogRecord::Commit(TxId(1)));
         w.crash();
-        assert_eq!(w.stable_records(), &[LogRecord::Begin(TxId(1))]);
-        assert_eq!(w.sync_count(), 1);
+        assert_eq!(w.stable, [LogRecord::Begin(TxId(1))]);
     }
 
     #[test]
@@ -185,43 +146,5 @@ mod tests {
         assert_eq!(r.committed, vec![TxId(1)]);
         assert_eq!(r.aborted, vec![TxId(3)]);
         assert_eq!(r.in_doubt, vec![TxId(2)]);
-    }
-
-    #[test]
-    fn replay_applies_only_committed_writes() {
-        let mut w = WriteAheadLog::new();
-        w.append(LogRecord::Write {
-            tx: TxId(1),
-            key: 10,
-            old: 0,
-            new: 5,
-        });
-        w.append_sync(LogRecord::Commit(TxId(1)));
-        w.append(LogRecord::Write {
-            tx: TxId(2),
-            key: 11,
-            old: 0,
-            new: 9,
-        });
-        w.sync(); // write durable, but no commit record
-        w.crash();
-        let state = w.replay_committed();
-        assert_eq!(state.get(&10), Some(&5));
-        assert_eq!(state.get(&11), None);
-    }
-
-    #[test]
-    fn record_tx_accessor() {
-        assert_eq!(LogRecord::Begin(TxId(7)).tx(), TxId(7));
-        assert_eq!(
-            LogRecord::Write {
-                tx: TxId(8),
-                key: 0,
-                old: 0,
-                new: 0
-            }
-            .tx(),
-            TxId(8)
-        );
     }
 }

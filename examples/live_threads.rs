@@ -28,9 +28,6 @@ const MSGS_PER_MEMBER: u64 = 25;
 
 #[derive(Clone, Debug)]
 struct Payload {
-    /// Human-readable tag (shows up in Debug output / traces).
-    #[allow(dead_code)]
-    text: String,
     vt_at_send: VectorClock,
 }
 
@@ -88,13 +85,7 @@ fn member(
             sent += 1;
             let mut vt = delivered_clock.clone();
             vt.tick(me);
-            let (_self_delivery, out) = ep.multicast(
-                now_since(start),
-                Payload {
-                    text: format!("m{me}.{sent}"),
-                    vt_at_send: vt,
-                },
-            );
+            let (_self_delivery, out) = ep.multicast(now_since(start), Payload { vt_at_send: vt });
             delivered += 1; // cbcast self-delivery is immediate
             delivered_clock.tick(me);
             route(&net, me, out, &mut rng);
