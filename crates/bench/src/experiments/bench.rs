@@ -9,10 +9,12 @@
 //!   quantiles, and virtual-time throughput per configuration;
 //! - the T7+ N-scaling points, N=4 to 4096 — work/event and bytes/msg
 //!   for indexed+delta, bytes/msg for full stamps and for pccast;
-//! - simulated groups (causal and token-ring) — deliveries and scheduler
-//!   events per virtual second, hold-time quantiles, and the peaks of the
-//!   members' gauges over looks 50 ms apart (holdback depth,
-//!   stability-horizon lag, token queue);
+//! - simulated groups (FIFO, causal and token-ring) — deliveries and
+//!   scheduler events per virtual second, hold-time quantiles, what a
+//!   multicast costs on the wire (ordering-data bytes, control bytes and
+//!   wire messages per multicast), and the peaks of the members' gauges
+//!   over looks 50 ms apart (holdback depth, stability-horizon lag, token
+//!   queue);
 //! - a cut of the chaos campaign — deliveries, scheduler work and hold
 //!   times under fault injection.
 //!
@@ -27,7 +29,7 @@ use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
 use catocs::harness::{spawn_group, Chatter, GroupNode};
 use catocs::ledger::{LatencySummary, PhaseId};
-use catocs::wire::Wire;
+use catocs::wire::{EndpointStats, Wire};
 use simnet::metrics::Histogram;
 use simnet::net::NetConfig;
 use simnet::process::Process;
@@ -60,6 +62,13 @@ type Rows = Vec<(String, f64, &'static str)>;
 struct GroupRun {
     delivered: u64,
     events: u64,
+    /// Multicasts sent, over the members.
+    multicasts: u64,
+    /// `data_overhead_bytes` and `control_bytes`, summed over the members.
+    data_overhead_bytes: u64,
+    control_bytes: u64,
+    /// Point-to-point wire messages handed to the network.
+    wire_msgs: u64,
     hold: Histogram,
     /// Every gauge the members report, with its largest value over the
     /// members and the looks, 50 ms apart.
@@ -93,10 +102,24 @@ fn run_group(discipline: Discipline) -> GroupRun {
             });
         }
     });
+    let stats: Vec<_> = members
+        .iter()
+        .map(|&p| {
+            let node = sim
+                .process::<GroupNode<u64, Chatter>>(p)
+                .expect("a group member");
+            node.stats().clone()
+        })
+        .collect();
+    let sum = |field: fn(&EndpointStats) -> u64| stats.iter().map(field).sum();
     let m = sim.metrics();
     GroupRun {
         delivered: m.counter("group.delivered"),
         events,
+        multicasts: sum(|s| s.sent),
+        data_overhead_bytes: sum(|s| s.data_overhead_bytes),
+        control_bytes: sum(|s| s.control_bytes),
+        wire_msgs: m.counter("net.sent"),
         hold: m.histogram("group.hold_time").cloned().unwrap_or_default(),
         peaks,
     }
@@ -114,6 +137,22 @@ fn push_group(rows: &mut Rows, prefix: &str, r: &GroupRun) {
         format!("{prefix}.events_per_vsec"),
         r.events as f64 / vsecs,
         "ev/vsec",
+    ));
+    let per_multicast = |v: u64| v as f64 / r.multicasts as f64;
+    rows.push((
+        format!("{prefix}.data_overhead_bytes_per_multicast"),
+        per_multicast(r.data_overhead_bytes),
+        "B/msg",
+    ));
+    rows.push((
+        format!("{prefix}.control_bytes_per_multicast"),
+        per_multicast(r.control_bytes),
+        "B/msg",
+    ));
+    rows.push((
+        format!("{prefix}.wire_msgs_per_multicast"),
+        per_multicast(r.wire_msgs),
+        "msgs/msg",
     ));
     rows.push((
         format!("{prefix}.hold_p50_ms"),
@@ -255,6 +294,7 @@ pub(crate) fn collect() -> Vec<(String, f64, &'static str)> {
     }
 
     // Simulated groups, their gauges looked at every 50 ms.
+    push_group(&mut rows, "group.fifo", &run_group(Discipline::Fifo));
     push_group(&mut rows, "group.causal", &run_group(Discipline::Causal));
     push_group(&mut rows, "group.token", &run_group(Discipline::TotalToken));
 
@@ -368,10 +408,19 @@ mod tests {
             "t7plus.n64.indexed.delta.bytes_per_msg",
             "t7plus.scaling.n256.work_per_event",
             "group.causal.deliveries_per_vsec",
+            "group.causal.data_overhead_bytes_per_multicast",
+            "group.causal.control_bytes_per_multicast",
+            "group.causal.wire_msgs_per_multicast",
+            "group.fifo.data_overhead_bytes_per_multicast",
+            "group.fifo.control_bytes_per_multicast",
+            "group.fifo.wire_msgs_per_multicast",
             "group.causal.hold_p99_ms",
             "group.causal.ts.cbcast.holdback_peak",
             "group.causal.ts.cbcast.stability_lag_peak",
             "group.token.deliveries_per_vsec",
+            "group.token.data_overhead_bytes_per_multicast",
+            "group.token.control_bytes_per_multicast",
+            "group.token.wire_msgs_per_multicast",
             "group.token.ts.token.queued_peak",
             "chaos.delivered",
             "chaos.hold_p99_ms",
