@@ -1017,6 +1017,44 @@ mod tests {
         }
     }
 
+    /// fbcast's and the token ring's stamps carry no vector. A copy
+    /// stamped with one that reaches a causal endpoint is refused as
+    /// undecodable, as a pccast tag is at cbcast, and leaves nothing
+    /// behind: the same id stamped full then delivers.
+    #[test]
+    fn a_counter_stamped_copy_is_refused_by_the_causal_disciplines() {
+        let now = SimTime::from_millis(1);
+        let first = MsgId { sender: 0, seq: 1 };
+        for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+            let cfg = GroupConfig {
+                discipline,
+                ..GroupConfig::default()
+            };
+            let mut ep: CausalEndpoint<u32> = CausalEndpoint::new(1, 3, cfg);
+            for (i, stamp) in [VtWire::Id, VtWire::Gseq(1)].into_iter().enumerate() {
+                let wire = Wire::Data(DataMsg::counted(first, stamp, 7));
+                let (dels, outs) = ep.on_wire(now, wire);
+                assert!(
+                    dels.is_empty() && outs.is_empty(),
+                    "{discipline:?} wire {i}"
+                );
+                let core = ep.core();
+                assert_eq!(core.stats.ts_decode_errors, i as u64 + 1);
+                assert!(core.missing.is_empty(), "{discipline:?} wire {i}");
+                assert_eq!(core.known, [0, 0, 0], "{discipline:?} wire {i}");
+                assert_eq!(
+                    (core.holdback_len(), core.buffered_len(), ep.parked_len()),
+                    (0, 0, 0),
+                    "{discipline:?} wire {i}"
+                );
+            }
+            let full = DataMsg::new(first, clock(&[1, 0, 0]), 7);
+            let (dels, _) = ep.on_wire(now, Wire::Data(full));
+            assert_eq!(dels.len(), 1, "{discipline:?}");
+            assert_eq!((dels[0].id, dels[0].payload), (first, 7));
+        }
+    }
+
     impl<P: Clone> CausalCore<P> {
         /// The id-by-id definition `note_missing_range` replaced.
         fn note_missing(

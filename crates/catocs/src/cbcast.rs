@@ -374,11 +374,12 @@ impl<P: Clone> CbcastEndpoint<P> {
                     return;
                 }
             },
-            VtWire::Pc { .. } => {
-                // A pccast link copy reached a cbcast endpoint (mixed
-                // disciplines in one group is a configuration error):
-                // there is no vector to decode, so drop for NACK-driven
-                // full retransmission like any undecodable timestamp.
+            VtWire::Pc { .. } | VtWire::Id | VtWire::Gseq(_) => {
+                // Another discipline's copy reached a cbcast endpoint
+                // (mixed disciplines in one group is a configuration
+                // error): there is no vector to decode, so drop for
+                // NACK-driven full retransmission like any undecodable
+                // timestamp.
                 self.core.stats.ts_decode_errors += 1;
                 return;
             }
@@ -430,8 +431,8 @@ impl<P: Clone> CbcastEndpoint<P> {
             let decoded = match &msg.vt_wire {
                 VtWire::Delta(bytes) => VectorClock::decode_delta(bytes, &base),
                 VtWire::Full(bytes) => VectorClock::decode(bytes),
-                // Pc tags never park (they are not accepted by cbcast).
-                VtWire::Pc { .. } => None,
+                // Stamps cbcast does not accept never park.
+                VtWire::Pc { .. } | VtWire::Id | VtWire::Gseq(_) => None,
             };
             // The same front door as a timestamp decoded on arrival.
             if let Some(vt) = self.core.checked_vt(now, &msg, decoded, "parked timestamp") {

@@ -318,7 +318,7 @@ where
 mod tests {
     use super::*;
     use crate::cbcast::CbcastEndpoint;
-    use crate::group::MsgId;
+    use crate::group::{CausalDiscipline, MsgId};
     use crate::wire::{DataMsg, VtWire};
     use simnet::net::NetConfig;
     use simnet::sim::SimBuilder;
@@ -582,6 +582,107 @@ mod tests {
                 panic!("member {r} got {got:?}, not the one data copy");
             };
             assert!(Arc::ptr_eq(&stamp(copy), &retained), "member {r}");
+        }
+    }
+
+    /// Hosts an endpoint as [`GroupNode`] does — the protocol tick, and a
+    /// multicast on each of the first `remaining` app ticks — and adds up
+    /// `overhead_bytes()` over every wire the endpoint returns, once a
+    /// wire whatever its destination.
+    struct Tallied {
+        endpoint: Endpoint<u32>,
+        me: usize,
+        n: usize,
+        remaining: u32,
+        returned_bytes: u64,
+    }
+
+    impl Tallied {
+        fn send(&mut self, ctx: &mut Ctx<'_, Wire<u32>>, out: Vec<Out<u32>>) {
+            let bytes: usize = out.iter().map(|(_, w)| w.overhead_bytes()).sum();
+            self.returned_bytes += bytes as u64;
+            route(ctx, self.me, self.n, out);
+        }
+    }
+
+    const TALLY_APP_TICK: SimDuration = SimDuration::from_millis(20);
+
+    impl Process<Wire<u32>> for Tallied {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<u32>>) {
+            ctx.set_timer(PROTO_TICK, GroupConfig::default().tick_interval);
+            ctx.set_timer(APP_TICK, TALLY_APP_TICK);
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Wire<u32>>, _from: ProcessId, msg: Wire<u32>) {
+            let (_, out) = self.endpoint.on_wire(ctx.now(), msg);
+            self.send(ctx, out);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<u32>>, timer: TimerId) {
+            let out = if timer == PROTO_TICK {
+                ctx.set_timer(PROTO_TICK, GroupConfig::default().tick_interval);
+                self.endpoint.on_tick(ctx.now())
+            } else if self.remaining > 0 {
+                self.remaining -= 1;
+                ctx.set_timer(APP_TICK, TALLY_APP_TICK);
+                self.endpoint.multicast(ctx.now(), self.me as u32).1
+            } else {
+                return;
+            };
+            self.send(ctx, out);
+        }
+    }
+
+    /// Every byte an endpoint books is a byte it sends. Over a lossy run
+    /// (NACKs, retransmissions, token passes and their acks, order
+    /// assignments, pccast's relays and link acks) the wires each member
+    /// returns sum to its `data_overhead_bytes + control_bytes`, in every
+    /// discipline. The sequencer books over two layers: order traffic in
+    /// its own stats, dissemination in its causal substrate's.
+    #[test]
+    fn every_booked_byte_is_a_returned_wire() {
+        const N: usize = 5;
+        for (d, discipline) in [
+            (Discipline::Fifo, CausalDiscipline::Cbcast),
+            (Discipline::TotalToken, CausalDiscipline::Cbcast),
+            (Discipline::Causal, CausalDiscipline::Cbcast),
+            (Discipline::Causal, CausalDiscipline::Pccast),
+            (Discipline::Total { sequencer: 0 }, CausalDiscipline::Cbcast),
+        ] {
+            let cfg = GroupConfig {
+                discipline,
+                ..GroupConfig::default()
+            };
+            let mut sim = SimBuilder::new(7)
+                .net(NetConfig::lossy_lan(0.05))
+                .build::<Wire<u32>>();
+            for me in 0..N {
+                sim.add_process(Tallied {
+                    endpoint: Endpoint::new(d, me, N, cfg.clone()),
+                    me,
+                    n: N,
+                    remaining: 20,
+                    returned_bytes: 0,
+                });
+            }
+            sim.run_until(SimTime::from_secs(2));
+            let booked = |s: &EndpointStats| s.data_overhead_bytes + s.control_bytes;
+            let mut served = 0;
+            for me in 0..N {
+                let node = sim.process::<Tallied>(ProcessId(me)).expect("member");
+                let ep = &node.endpoint;
+                let layers = match ep {
+                    Endpoint::Total(_) => booked(ep.stats()) + booked(ep.transport_stats()),
+                    _ => booked(ep.stats()),
+                };
+                assert_eq!(
+                    node.returned_bytes, layers,
+                    "{d:?}/{discipline:?} member {me}"
+                );
+                assert!(ep.stats().sent > 0 && ep.stats().delivered > 0);
+                served += ep.transport_stats().retransmits_served;
+            }
+            assert!(served > 0, "{d:?}/{discipline:?}: nothing was repaired");
         }
     }
 }

@@ -513,7 +513,8 @@ impl<P: Clone> PccastEndpoint<P> {
     /// First stage of receiving a data copy: dispatch on the wire tag.
     /// Pc-tagged copies join their link's reorder buffer; full-stamped
     /// copies (flush/NACK retransmissions) go through the holdback repair
-    /// path. Delta encodings never occur in pccast.
+    /// path. Delta encodings, and the counter stamps of fbcast and the
+    /// token ring, never occur in pccast: they are refused as undecodable.
     fn accept_data(
         &mut self,
         now: SimTime,
@@ -570,7 +571,9 @@ impl<P: Clone> PccastEndpoint<P> {
                     self.on_repair_data(now, msg, out, delivered);
                 }
             }
-            VtWire::Delta(_) => self.core.stats.ts_decode_errors += 1,
+            VtWire::Delta(_) | VtWire::Id | VtWire::Gseq(_) => {
+                self.core.stats.ts_decode_errors += 1
+            }
         }
     }
 
