@@ -5,13 +5,24 @@
 //! reception." The overhead is the vector timestamp: 8 bytes per group
 //! member on every data message. This table reports the encoded size of
 //! the ordering header as N grows, with the delta-compression ablation
-//! (sparse updates ship only changed components), against a FIFO
-//! transport's constant 8-byte sequence number. The CPU side (encode /
-//! decode / deliverability check) is measured by the `clocks.vector.*`
-//! rows of `benchmark/run.sh --trace 1`.
+//! (sparse updates ship only changed components), against what one
+//! fbcast multicast books as its data overhead at the same N. The CPU
+//! side (encode / decode / deliverability check) is measured by the
+//! `clocks.vector.*` rows of `benchmark/run.sh --trace 1`.
 
 use crate::table::Table;
+use catocs::endpoint::{Discipline, Endpoint};
+use catocs::group::GroupConfig;
 use clocks::vector::VectorClock;
+use simnet::time::SimTime;
+
+/// The `data_overhead_bytes` one fbcast multicast books in a group of
+/// `n`: the id and the retransmit flag, at every `n`.
+pub(crate) fn fifo_header_bytes(n: usize) -> u64 {
+    let mut fifo = Endpoint::new(Discipline::Fifo, 0, n, GroupConfig::default());
+    fifo.multicast(SimTime::ZERO, ());
+    fifo.stats().data_overhead_bytes
+}
 
 /// Header bytes for one data message at group size `n`, full encoding.
 pub(crate) fn full_header_bytes(n: usize) -> usize {
@@ -47,7 +58,7 @@ pub fn run(sizes: &[usize]) -> Table {
         let full = full_header_bytes(n);
         t.row(vec![
             n.into(),
-            20usize.into(), // MsgId + u64 seq
+            fifo_header_bytes(n).into(),
             full.into(),
             delta_header_bytes(n, 1).into(),
             delta_header_bytes(n, n / 4).into(),
@@ -87,5 +98,7 @@ mod tests {
         let t = run(&[4, 256]);
         assert_eq!(t.rows.len(), 2);
         assert!(t.get_f64(1, 2) > t.get_f64(0, 2));
+        // The FIFO column is the id alone, whatever the width.
+        assert_eq!((t.get_f64(0, 1), t.get_f64(1, 1)), (13.0, 13.0));
     }
 }

@@ -274,7 +274,7 @@ impl<P: Clone> Endpoint<P> {
     }
 
     /// Delivery/ordering statistics (the app-facing layer).
-    pub(crate) fn stats(&self) -> &EndpointStats {
+    pub fn stats(&self) -> &EndpointStats {
         match self {
             Endpoint::Fifo(e) => e.stats(),
             Endpoint::Causal(e) => e.stats(),
