@@ -11,10 +11,10 @@
 //!   for indexed+delta, bytes/msg for full stamps and for pccast;
 //! - simulated groups (FIFO, causal and token-ring) — deliveries and
 //!   scheduler events per virtual second, hold-time quantiles, what a
-//!   multicast costs on the wire (ordering-data bytes, control bytes and
-//!   wire messages per multicast), and the peaks of the members' gauges
-//!   over looks 50 ms apart (holdback depth, stability-horizon lag, token
-//!   queue);
+//!   multicast costs on the wire (ordering-data bytes, control bytes,
+//!   the same bytes by wire kind, and wire messages per multicast), and
+//!   the peaks of the members' gauges over looks 50 ms apart (holdback
+//!   depth, stability-horizon lag, token queue);
 //! - a cut of the chaos campaign — deliveries, scheduler work and hold
 //!   times under fault injection.
 //!
@@ -29,7 +29,7 @@ use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
 use catocs::harness::{spawn_group, Chatter, GroupNode};
 use catocs::ledger::{LatencySummary, PhaseId};
-use catocs::wire::{EndpointStats, Wire};
+use catocs::wire::{ByteKind, EndpointStats, Wire};
 use simnet::metrics::Histogram;
 use simnet::net::NetConfig;
 use simnet::process::Process;
@@ -67,6 +67,8 @@ struct GroupRun {
     /// `data_overhead_bytes` and `control_bytes`, summed over the members.
     data_overhead_bytes: u64,
     control_bytes: u64,
+    /// The same bytes by what they paid for, indexed by [`ByteKind`].
+    bytes_by_kind: [u64; ByteKind::NAMES.len()],
     /// Point-to-point wire messages handed to the network.
     wire_msgs: u64,
     hold: Histogram,
@@ -119,6 +121,7 @@ fn run_group(discipline: Discipline) -> GroupRun {
         multicasts: sum(|s| s.sent),
         data_overhead_bytes: sum(|s| s.data_overhead_bytes),
         control_bytes: sum(|s| s.control_bytes),
+        bytes_by_kind: std::array::from_fn(|k| stats.iter().map(|s| s.bytes_by_kind[k]).sum()),
         wire_msgs: m.counter("net.sent"),
         hold: m.histogram("group.hold_time").cloned().unwrap_or_default(),
         peaks,
@@ -149,6 +152,13 @@ fn push_group(rows: &mut Rows, prefix: &str, r: &GroupRun) {
         per_multicast(r.control_bytes),
         "B/msg",
     ));
+    for (&bytes, name) in r.bytes_by_kind.iter().zip(ByteKind::NAMES) {
+        rows.push((
+            format!("{prefix}.bytes_per_multicast.{name}"),
+            per_multicast(bytes),
+            "B/msg",
+        ));
+    }
     rows.push((
         format!("{prefix}.wire_msgs_per_multicast"),
         per_multicast(r.wire_msgs),
@@ -486,5 +496,18 @@ mod tests {
             abcast > fifo,
             "abcast tax {abcast} should exceed fifo tax {fifo}"
         );
+    }
+
+    /// The per-kind rows split the byte rows, to the byte: own data is
+    /// the ordering-data row, and every other kind is control.
+    #[test]
+    fn the_kind_rows_split_the_byte_rows_exactly() {
+        for d in [Discipline::Fifo, Discipline::Causal, Discipline::TotalToken] {
+            let r = run_group(d);
+            let own = r.bytes_by_kind[ByteKind::OwnData as usize];
+            assert_eq!(own, r.data_overhead_bytes, "{d:?}");
+            let all: u64 = r.bytes_by_kind.iter().sum();
+            assert_eq!(all, r.data_overhead_bytes + r.control_bytes, "{d:?}");
+        }
     }
 }

@@ -15,11 +15,13 @@
 //!   order is *incidental* (sequencer arrival), not semantic — Figure 4's
 //!   false crossing survives abcast, which experiment F4 demonstrates.
 
+use crate::causal_core::span_of;
 use crate::cbcast::CbcastEndpoint;
+use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{PhaseTag, WaitNode, WaitReason, WaitRecord};
 use crate::wire::{Delivery, Dest, EndpointStats, Out, Wire};
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
+use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, HashMap};
 
@@ -71,27 +73,9 @@ impl<P: Clone> AbcastEndpoint<P> {
         }
     }
 
-    /// Installs an observability probe on this endpoint and its causal
-    /// substrate: span events flow from the cbcast layer, order-assign
-    /// phase events from the sequencer logic here.
-    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
-        self.cb.set_probe(probe.clone());
-        self.probe = probe;
-    }
-
-    /// This member's index.
-    pub(crate) fn me(&self) -> usize {
-        self.cb.me()
-    }
-
     /// Whether this member is the sequencer.
     pub(crate) fn is_sequencer(&self) -> bool {
         self.cb.me() == self.sequencer
-    }
-
-    /// Total-order delivery statistics.
-    pub(crate) fn stats(&self) -> &EndpointStats {
-        &self.stats
     }
 
     /// The underlying causal layer's statistics (buffering, NACKs...).
@@ -99,9 +83,188 @@ impl<P: Clone> AbcastEndpoint<P> {
         self.cb.stats()
     }
 
+    fn assign_order(&mut self, now: SimTime, id: MsgId, out: &mut Vec<Out<P>>) {
+        if self.ordered.contains_key(&id) {
+            return;
+        }
+        self.next_assign += 1;
+        let gseq = self.next_assign;
+        self.probe.emit(|| ObsEvent::Phase {
+            at: now,
+            who: self.cb.me(),
+            kind: PhaseKind::OrderAssign,
+            edge: PhaseEdge::Point,
+            note: format!("gseq {gseq} -> m{}.{}", id.sender, id.seq),
+        });
+        self.order.insert(gseq, id);
+        self.ordered.insert(id, gseq);
+        self.advance_order_watermark();
+        out.push((Dest::All, Wire::Order { gseq, id }));
+    }
+
+    fn advance_order_watermark(&mut self) {
+        while self.order.contains_key(&(self.order_contiguous + 1)) {
+            self.order_contiguous += 1;
+        }
+    }
+
+    /// Releases every message whose global slot is next and whose data
+    /// has causally arrived.
+    fn release(&mut self, now: SimTime) -> Vec<Delivery<P>> {
+        let mut released = Vec::new();
+        while let Some(&id) = self.order.get(&(self.released + 1)) {
+            let Some(mut d) = self.unreleased.remove(&id) else {
+                break; // data not here yet
+            };
+            self.released += 1;
+            d.gseq = Some(self.released);
+            let causal_at = d.delivered_at;
+            d.delivered_at = now;
+            self.stats.note_delivery(d.arrived_at, now);
+            let gseq = self.released;
+            self.probe.emit(|| ObsEvent::Span {
+                at: now,
+                who: self.cb.me(),
+                span: span_of(id),
+                stage: Stage::Delivered,
+                note: format!("released gseq {gseq}"),
+            });
+            if now > causal_at {
+                self.probe.emit(|| ObsEvent::Wait {
+                    at: now,
+                    who: self.cb.me(),
+                    span: span_of(id),
+                    kind: WaitKind::OrderWatermark,
+                    since: causal_at,
+                    blocker: None,
+                    note: String::new(),
+                });
+            }
+            released.push(d);
+        }
+        self.stats.note_holdback(self.unreleased.len() as u64);
+        released
+    }
+}
+
+impl<P: Clone> Protocol<P> for AbcastEndpoint<P> {
+    /// Installs an observability probe on this endpoint and its causal
+    /// substrate: span events flow from the cbcast layer, order-assign
+    /// phase events from the sequencer logic here.
+    fn set_probe(&mut self, probe: ProbeHandle) {
+        self.cb.set_probe(probe.clone());
+        self.probe = probe;
+    }
+
+    /// Multicasts `payload`. Unlike cbcast there is no immediate
+    /// self-delivery: the message is released when its global order slot
+    /// comes up (immediately only at the sequencer).
+    fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let (self_delivery, mut out) = self.cb.multicast(now, payload);
+        let ours = out.len();
+        self.stats.sent += 1;
+        self.unreleased
+            .insert(self_delivery.id, self_delivery.clone());
+        if self.is_sequencer() {
+            self.assign_order(now, self_delivery.id, &mut out);
+        }
+        self.stats.book(self.cb.me(), &out[ours..]);
+        let released = self.release(now);
+        (released, out)
+    }
+
+    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let mut out = Vec::new();
+        // Where the order wires this layer adds begin: the causal
+        // substrate books its own.
+        let mut ours = 0;
+        match wire {
+            Wire::Order { gseq, id } => {
+                self.order.entry(gseq).or_insert(id);
+                self.ordered.entry(id).or_insert(gseq);
+                self.advance_order_watermark();
+            }
+            Wire::OrderNack {
+                from,
+                from_gseq,
+                to_gseq,
+            } => {
+                if self.is_sequencer() {
+                    for g in from_gseq..=to_gseq {
+                        if let Some(&id) = self.order.get(&g) {
+                            self.stats.retransmits_served += 1;
+                            out.push((Dest::One(from), Wire::Order { gseq: g, id }));
+                        }
+                    }
+                }
+            }
+            other => {
+                let (dels, cb_out) = self.cb.on_wire(now, other);
+                out = cb_out;
+                ours = out.len();
+                for d in dels {
+                    if self.is_sequencer() {
+                        self.assign_order(now, d.id, &mut out);
+                    }
+                    self.unreleased.insert(d.id, d);
+                }
+            }
+        }
+        self.stats.book(self.cb.me(), &out[ours..]);
+        let released = self.release(now);
+        (released, out)
+    }
+
+    /// Periodic maintenance: causal-layer tick plus order-gap recovery.
+    fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+        let mut out = self.cb.on_tick(now);
+        let ours = out.len();
+        // The sequencer re-announces its latest assignment so that a lost
+        // final Order message (with no successor to expose the gap) is
+        // still recovered.
+        if self.is_sequencer() && self.next_assign > 0 {
+            if let Some(&id) = self.order.get(&self.next_assign) {
+                let w: Wire<P> = Wire::Order {
+                    gseq: self.next_assign,
+                    id,
+                };
+                out.push((Dest::All, w));
+            }
+        }
+        // If we hold order assignments beyond a gap, ask the sequencer to
+        // refill the gap.
+        if let Some((&max_known, _)) = self.order.iter().next_back() {
+            if max_known > self.released {
+                let gap_start = self.released + 1;
+                let missing = max_known > self.order_contiguous;
+                let overdue = match self.last_order_nack {
+                    None => true,
+                    Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
+                };
+                if missing && overdue && !self.is_sequencer() {
+                    self.last_order_nack = Some(now);
+                    let w = Wire::OrderNack {
+                        from: self.cb.me(),
+                        from_gseq: gap_start,
+                        to_gseq: max_known,
+                    };
+                    self.stats.nacks_sent += 1;
+                    out.push((Dest::One(self.sequencer), w));
+                }
+            }
+        }
+        self.stats.book(self.cb.me(), &out[ours..]);
+        out
+    }
+
+    /// Total-order delivery statistics.
+    fn stats(&self) -> &EndpointStats {
+        &self.stats
+    }
+
     /// Telemetry hook: the causal substrate's gauges plus the order-release
     /// backlog specific to the sequencer design.
-    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+    fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
         self.cb.sample(emit);
         emit("abcast.unreleased", self.unreleased.len() as f64);
     }
@@ -113,7 +276,7 @@ impl<P: Clone> AbcastEndpoint<P> {
     /// slot: on that slot's message when its assignment (but not its
     /// data) has arrived, else on the sequencer — for a gap before the
     /// message's own slot, or for its own assignment.
-    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+    fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         self.cb.wait_records(every_gap, emit);
         let stuck = self.released + 1;
         let sequencer = WaitNode::Phase {
@@ -144,185 +307,8 @@ impl<P: Clone> AbcastEndpoint<P> {
         }
     }
 
-    /// Multicasts `payload`. Unlike cbcast there is no immediate
-    /// self-delivery: the message is released when its global order slot
-    /// comes up (immediately only at the sequencer).
-    pub(crate) fn multicast(
-        &mut self,
-        now: SimTime,
-        payload: P,
-    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        let (self_delivery, mut out) = self.cb.multicast(now, payload);
-        self.stats.sent += 1;
-        self.unreleased
-            .insert(self_delivery.id, self_delivery.clone());
-        if self.is_sequencer() {
-            self.assign_order(now, self_delivery.id, &mut out);
-        }
-        let released = self.release(now);
-        (released, out)
-    }
-
-    /// Handles an incoming wire message.
-    pub(crate) fn on_wire(
-        &mut self,
-        now: SimTime,
-        wire: Wire<P>,
-    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        let mut out = Vec::new();
-        match wire {
-            Wire::Order { gseq, id } => {
-                self.order.entry(gseq).or_insert(id);
-                self.ordered.entry(id).or_insert(gseq);
-                self.advance_order_watermark();
-            }
-            Wire::OrderNack {
-                from,
-                from_gseq,
-                to_gseq,
-            } => {
-                if self.is_sequencer() {
-                    for g in from_gseq..=to_gseq {
-                        if let Some(&id) = self.order.get(&g) {
-                            let w = Wire::Order { gseq: g, id };
-                            self.stats.control_bytes += w.overhead_bytes() as u64;
-                            self.stats.retransmits_served += 1;
-                            out.push((Dest::One(from), w));
-                        }
-                    }
-                }
-            }
-            other => {
-                let (dels, cb_out) = self.cb.on_wire(now, other);
-                out.extend(cb_out);
-                for d in dels {
-                    if self.is_sequencer() {
-                        self.assign_order(now, d.id, &mut out);
-                    }
-                    self.unreleased.insert(d.id, d);
-                }
-            }
-        }
-        let released = self.release(now);
-        (released, out)
-    }
-
-    /// Periodic maintenance: causal-layer tick plus order-gap recovery.
-    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
-        let mut out = self.cb.on_tick(now);
-        // The sequencer re-announces its latest assignment so that a lost
-        // final Order message (with no successor to expose the gap) is
-        // still recovered.
-        if self.is_sequencer() && self.next_assign > 0 {
-            if let Some(&id) = self.order.get(&self.next_assign) {
-                let w: Wire<P> = Wire::Order {
-                    gseq: self.next_assign,
-                    id,
-                };
-                self.stats.control_bytes += w.overhead_bytes() as u64;
-                out.push((Dest::All, w));
-            }
-        }
-        // If we hold order assignments beyond a gap, ask the sequencer to
-        // refill the gap.
-        if let Some((&max_known, _)) = self.order.iter().next_back() {
-            if max_known > self.released {
-                let gap_start = self.released + 1;
-                let missing = max_known > self.order_contiguous;
-                let overdue = match self.last_order_nack {
-                    None => true,
-                    Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
-                };
-                if missing && overdue && !self.is_sequencer() {
-                    self.last_order_nack = Some(now);
-                    let w = Wire::OrderNack {
-                        from: self.me(),
-                        from_gseq: gap_start,
-                        to_gseq: max_known,
-                    };
-                    self.stats.nacks_sent += 1;
-                    self.stats.control_bytes += w.overhead_bytes() as u64;
-                    out.push((Dest::One(self.sequencer), w));
-                }
-            }
-        }
-        out
-    }
-
-    fn assign_order(&mut self, now: SimTime, id: MsgId, out: &mut Vec<Out<P>>) {
-        if self.ordered.contains_key(&id) {
-            return;
-        }
-        self.next_assign += 1;
-        let gseq = self.next_assign;
-        self.probe.emit(|| ObsEvent::Phase {
-            at: now,
-            who: self.cb.me(),
-            kind: PhaseKind::OrderAssign,
-            edge: PhaseEdge::Point,
-            note: format!("gseq {gseq} -> m{}.{}", id.sender, id.seq),
-        });
-        self.order.insert(gseq, id);
-        self.ordered.insert(id, gseq);
-        self.advance_order_watermark();
-        let w: Wire<P> = Wire::Order { gseq, id };
-        self.stats.control_bytes += w.overhead_bytes() as u64;
-        out.push((Dest::All, w));
-    }
-
-    fn advance_order_watermark(&mut self) {
-        while self.order.contains_key(&(self.order_contiguous + 1)) {
-            self.order_contiguous += 1;
-        }
-    }
-
-    /// Releases every message whose global slot is next and whose data
-    /// has causally arrived.
-    fn release(&mut self, now: SimTime) -> Vec<Delivery<P>> {
-        let mut released = Vec::new();
-        while let Some(&id) = self.order.get(&(self.released + 1)) {
-            let Some(mut d) = self.unreleased.remove(&id) else {
-                break; // data not here yet
-            };
-            self.released += 1;
-            d.gseq = Some(self.released);
-            let held = now > d.arrived_at;
-            let causal_at = d.delivered_at;
-            d.delivered_at = now;
-            self.stats.delivered += 1;
-            if held {
-                self.stats.delivered_after_hold += 1;
-                self.stats.hold_time_total += now.saturating_since(d.arrived_at);
-            }
-            let gseq = self.released;
-            self.probe.emit(|| ObsEvent::Span {
-                at: now,
-                who: self.cb.me(),
-                span: SpanId {
-                    origin: id.sender,
-                    seq: id.seq,
-                },
-                stage: Stage::Delivered,
-                note: format!("released gseq {gseq}"),
-            });
-            if now > causal_at {
-                self.probe.emit(|| ObsEvent::Wait {
-                    at: now,
-                    who: self.cb.me(),
-                    span: SpanId {
-                        origin: id.sender,
-                        seq: id.seq,
-                    },
-                    kind: WaitKind::OrderWatermark,
-                    since: causal_at,
-                    blocker: None,
-                    note: String::new(),
-                });
-            }
-            released.push(d);
-        }
-        self.stats.note_holdback(self.unreleased.len() as u64);
-        released
+    fn buffered_len(&self) -> usize {
+        self.cb.stats().buffered_now as usize
     }
 }
 

@@ -57,6 +57,19 @@ pub(crate) fn span_of(id: MsgId) -> SpanId {
     }
 }
 
+/// The span event of `msg` coming off the wire at member `who`, in every
+/// discipline.
+pub(crate) fn arrival<P>(now: SimTime, who: usize, msg: &DataMsg<P>) -> ObsEvent {
+    let note = if msg.retransmit { "retransmit" } else { "" };
+    ObsEvent::Span {
+        at: now,
+        who,
+        span: span_of(msg.id),
+        stage: Stage::Wire,
+        note: note.to_string(),
+    }
+}
+
 /// What `msg`'s timestamp references beyond the clock `have`: ascending
 /// `(k, have[k], need)` for each member `k < n` whose message `need` —
 /// the highest the timestamp says precedes `msg` — is past `have[k]`.
@@ -203,10 +216,9 @@ impl<P: Clone> CausalCore<P> {
     pub(crate) fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
         for m in self.buffer.values_mut() {
-            let w = Wire::Data(Self::repair_copy(m));
-            self.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::All, w));
+            out.push((Dest::All, Wire::Data(m.repair_copy())));
         }
+        self.stats.book(self.me, &out);
         if !self.frozen {
             self.frozen_since = Some(now);
             self.probe.emit(|| ObsEvent::Phase {
@@ -273,19 +285,6 @@ impl<P: Clone> CausalCore<P> {
             .take_while(|&(s, ..)| s < self.n)
             .map(|(_, stable, delivered)| delivered - stable)
             .sum()
-    }
-
-    /// A retransmittable copy of a buffered message: always the full
-    /// timestamp encoding, so the requester can decode it without
-    /// per-sender delta context or link position. The buffered message
-    /// itself is made full the first time, so it is encoded once and
-    /// every later copy shares its bytes.
-    pub(crate) fn repair_copy(m: &mut DataMsg<P>) -> DataMsg<P> {
-        m.make_full();
-        DataMsg {
-            retransmit: true,
-            ..m.clone()
-        }
     }
 
     /// The one walk over the holdback queue (contract in
@@ -472,17 +471,7 @@ impl<P: Clone> CausalCore<P> {
             self.stats.ts_decode_errors += 1;
             return false;
         }
-        self.probe.emit(|| ObsEvent::Span {
-            at: now,
-            who: self.me,
-            span: span_of(msg.id),
-            stage: Stage::Wire,
-            note: if msg.retransmit {
-                "retransmit".to_string()
-            } else {
-                String::new()
-            },
-        });
+        self.probe.emit(|| arrival(now, self.me, msg));
         if self.beyond_cut(msg.id) {
             self.stats.rejected_removed += 1;
             self.note_dropped(now, msg.id, || {
@@ -579,9 +568,7 @@ impl<P: Clone> CausalCore<P> {
         for id in want {
             if let Some(m) = self.buffer.get_mut(id) {
                 self.stats.retransmits_served += 1;
-                let w = Wire::Data(Self::repair_copy(m));
-                self.stats.control_bytes += w.overhead_bytes() as u64;
-                out.push((Dest::One(from), w));
+                out.push((Dest::One(from), Wire::Data(m.repair_copy())));
             }
         }
     }
@@ -594,7 +581,6 @@ impl<P: Clone> CausalCore<P> {
             delivered: self.vt.clone(),
         };
         self.stats.acks_sent += 1;
-        self.stats.control_bytes += gossip.overhead_bytes() as u64;
         out.push((Dest::All, gossip));
     }
 
@@ -719,7 +705,6 @@ impl<P: Clone> CausalCore<P> {
             want,
         };
         self.stats.nacks_sent += 1;
-        self.stats.control_bytes += w.overhead_bytes() as u64;
         out.push((dest, w));
     }
 
@@ -804,13 +789,7 @@ impl<P: Clone> CausalCore<P> {
         self.stability
             .record_local_delivery(self.me, id.sender, id.seq);
         self.missing.remove(&id);
-        let was_held = arrived_at < now;
-        self.stats.delivered += 1;
-        if was_held {
-            self.stats.delivered_after_hold += 1;
-            self.stats.hold_time_total += now.saturating_since(arrived_at);
-        }
-        was_held
+        self.stats.note_delivery(arrived_at, now)
     }
 
     /// Delivery, step two (held deliveries only): ledger attribution of
@@ -925,7 +904,7 @@ impl<P: Clone> CausalCore<P> {
 mod tests {
     use super::*;
     use crate::cbcast::CbcastEndpoint;
-    use crate::endpoint::CausalEndpoint;
+    use crate::endpoint::{CausalEndpoint, CausalProtocol};
     use crate::group::CausalDiscipline;
     use crate::holdback::Pending;
     use crate::wire::VtWire;
@@ -936,6 +915,15 @@ mod tests {
 
     fn clock(e: &[u64]) -> VectorClock {
         VectorClock::from_entries(e.to_vec())
+    }
+
+    /// Member `me` of a group of `n`, running `cfg.discipline`, as the
+    /// trait vsync drives it through.
+    fn causal(me: usize, n: usize, cfg: GroupConfig) -> Box<dyn CausalProtocol<u32>> {
+        match CausalEndpoint::new(me, n, cfg) {
+            CausalEndpoint::Cbcast(e) => Box::new(e),
+            CausalEndpoint::Pccast(e) => Box::new(e),
+        }
     }
 
     /// Before the bound, each of these wires passed every structural
@@ -973,7 +961,7 @@ mod tests {
                 delta_timestamps: true,
                 ..GroupConfig::default()
             };
-            let mut ep: CausalEndpoint<u32> = CausalEndpoint::new(1, 3, cfg.clone());
+            let mut ep = causal(1, 3, cfg.clone());
             for (i, wire) in hostile.iter().enumerate() {
                 let (dels, outs) = ep.on_wire(now, wire.clone());
                 assert!(
@@ -990,7 +978,7 @@ mod tests {
                 );
                 assert!(!core.stability.knows_delivered(0, 1, 1), "gossip row taken");
             }
-            let mut peer: CausalEndpoint<u32> = CausalEndpoint::new(0, 3, cfg);
+            let mut peer = causal(0, 3, cfg);
             if discipline == CausalDiscipline::Cbcast {
                 // A hostile delta parked behind the sender's first message
                 // decodes only once that arrives: same door, later.
@@ -1030,7 +1018,7 @@ mod tests {
                 discipline,
                 ..GroupConfig::default()
             };
-            let mut ep: CausalEndpoint<u32> = CausalEndpoint::new(1, 3, cfg);
+            let mut ep = causal(1, 3, cfg);
             for (i, stamp) in [VtWire::Id, VtWire::Gseq(1)].into_iter().enumerate() {
                 let wire = Wire::Data(DataMsg::counted(first, stamp, 7));
                 let (dels, outs) = ep.on_wire(now, wire);
@@ -1152,7 +1140,7 @@ mod tests {
                 ..GroupConfig::default()
             };
             let build = || {
-                let mut ep: CausalEndpoint<u32> = CausalEndpoint::new(0, 6, cfg.clone());
+                let mut ep = causal(0, 6, cfg.clone());
                 if cbcast {
                     let mut parks = DataMsg::new(id(1, 5), clock(&[0, 5, 0, 0, 0, 0]), 0);
                     let base = clock(&[0, 4, 0, 0, 0, 0]);
@@ -1410,9 +1398,9 @@ mod tests {
                             let members: Vec<usize> = (0..N).filter(|&m| m != gone).collect();
                             obs.core_mut().freeze(at);
                             before_call(&mut obs);
-                            obs.on_view_install(at, &members, &cut);
+                            obs.on_view_install(at, 2, &members, &cut);
                             before_call(&mut obs);
-                            (obs.thaw(at), Vec::new())
+                            obs.thaw(at)
                         }
                         _ => match inbox.pop_front() {
                             Some(w) => obs.on_wire(at, w),
@@ -1463,7 +1451,7 @@ mod tests {
                 delta_timestamps: true,
                 ..GroupConfig::default()
             };
-            let mut ep: CausalEndpoint<u32> = CausalEndpoint::new(0, 3, cfg);
+            let mut ep = causal(0, 3, cfg);
             ep.multicast(now, 1);
             ep.multicast(now, 2);
             let retained = &ep.core().buffer.get(id).expect("retained").vt_wire;
@@ -1495,7 +1483,7 @@ mod tests {
 
     #[test]
     fn the_chase_bound_is_inclusive() {
-        let ep: CausalEndpoint<u32> = CausalEndpoint::new(0, 2, GroupConfig::default());
+        let ep = causal(0, 2, GroupConfig::default());
         assert!(!ep.core().too_far_ahead(&clock(&[0, MAX_CHASE_AHEAD])));
         assert!(ep.core().too_far_ahead(&clock(&[0, MAX_CHASE_AHEAD + 1])));
         assert!(!ep.core().too_far_ahead(&clock(&[])));

@@ -21,6 +21,7 @@
 //! lets the same code run under `simnet` or a real transport.
 
 use crate::causal_core::{lagging_refs, span_of, CausalCore};
+use crate::endpoint::{CausalProtocol, Protocol};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
 use crate::waitgraph::WaitRecord;
@@ -127,21 +128,9 @@ impl<P: Clone> CbcastEndpoint<P> {
         &self.core
     }
 
-    /// Mutable access to the shell, for `set_probe` and `freeze`.
-    pub(crate) fn core_mut(&mut self) -> &mut CausalCore<P> {
-        &mut self.core
-    }
-
     /// Installs an observability probe (see [`CausalCore::set_probe`]).
     pub fn set_probe(&mut self, probe: ProbeHandle) {
         self.core.set_probe(probe);
-    }
-
-    /// Regression knob for the fault campaigns: reintroduces the S3 bug
-    /// (stale delta decode chains surviving a view install). Never set
-    /// outside tests and chaos experiments.
-    pub(crate) fn debug_skip_view_reset(&mut self, on: bool) {
-        self.skip_view_reset = on;
     }
 
     /// This member's index.
@@ -154,74 +143,9 @@ impl<P: Clone> CbcastEndpoint<P> {
         &self.core.stats
     }
 
-    /// Number of unstable messages currently buffered.
-    pub(crate) fn buffered_len(&self) -> usize {
-        self.core.buffered_len()
-    }
-
     /// Delta-stamped messages parked awaiting their decode base.
     pub fn parked_len(&self) -> usize {
         self.undecoded.iter().map(|m| m.len()).sum()
-    }
-
-    /// Telemetry hook: instantaneous queue depths and buffering gauges,
-    /// for `simnet::process::Process::sample`.
-    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        emit("cbcast.holdback", self.core.holdback_len() as f64);
-        emit("cbcast.parked", self.parked_len() as f64);
-        emit("cbcast.buffered", self.core.buffered_len() as f64);
-        emit(
-            "cbcast.buffered_bytes",
-            self.core.stats.buffered_bytes_now as f64,
-        );
-        emit("cbcast.stability_lag", self.core.stability_lag() as f64);
-    }
-
-    /// What every held message waits on (the shared shell's walk, with
-    /// cbcast's parked test; contract in [`crate::waitgraph`]).
-    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
-        self.core
-            .wait_records(parked_in(&self.undecoded), every_gap, emit);
-    }
-
-    /// Applies an installed view: `members` are the surviving member
-    /// indices and `cut` is the flush cut agreed for the view. On top of
-    /// the membership bookkeeping of the shared shell:
-    ///
-    /// - Removed senders' parked deltas are dropped.
-    /// - Every per-sender delta decode chain is invalidated (the S3 fix):
-    ///   a delta crossing the view boundary must not decode against a
-    ///   stale base. Senders re-seed receivers by sending their first
-    ///   post-install message full-encoded (`force_full_next`).
-    ///
-    /// Delivery stays frozen until [`Self::thaw`].
-    pub(crate) fn on_view_install(&mut self, now: SimTime, members: &[usize], cut: &VectorClock) {
-        if !self.skip_view_reset {
-            for s in 0..self.core.n {
-                if !members.contains(&s) && self.core.alive[s] {
-                    // The shell re-registers everything up to the cut.
-                    self.undecoded[s].clear();
-                }
-                self.decode_chain[s].1 = None;
-            }
-            self.force_full_next = true;
-        }
-        self.core.install_view(now, members, cut);
-        let core = &self.core;
-        self.was_chased.retain(|&id| !core.beyond_cut(id));
-        core.debug_assert_frontier(parked_in(&self.undecoded));
-    }
-
-    /// Ends the delivery blackout ([`CausalCore::freeze`]): drains the
-    /// holdback queue and returns what became deliverable during the
-    /// flush, in causal order.
-    pub(crate) fn thaw(&mut self, now: SimTime) -> Vec<Delivery<P>> {
-        self.core.thaw(now);
-        let mut delivered = Vec::new();
-        self.drain_holdback(now, &mut delivered);
-        self.core.end_thaw_drain();
-        self.core.debug_assert_frontier(parked_in(&self.undecoded));
-        delivered
     }
 
     /// Multicasts `payload` to the group. Returns the local (immediate)
@@ -267,14 +191,13 @@ impl<P: Clone> CbcastEndpoint<P> {
                 .take(MAX_APPEND)
                 .map(|m| DataMsg {
                     appended: Vec::new(),
-                    ..CausalCore::repair_copy(m)
+                    ..m.repair_copy()
                 })
                 .collect();
         }
-        let wire = Wire::Data(msg.clone());
-        core.stats.data_overhead_bytes += wire.overhead_bytes() as u64;
-        let delivery = core.finish_send(now, msg, payload);
-        (delivery, vec![(Dest::All, wire)])
+        let out = vec![(Dest::All, Wire::Data(msg.clone()))];
+        core.stats.book(core.me, &out);
+        (core.finish_send(now, msg, payload), out)
     }
 
     /// Handles an incoming wire message. Returns app deliveries (in causal
@@ -303,6 +226,7 @@ impl<P: Clone> CbcastEndpoint<P> {
             _ => {}
         }
         self.core.stats.holdback_work = self.core.holdback.work();
+        self.core.stats.book(self.core.me, &out);
         self.core.debug_assert_frontier(parked_in(&self.undecoded));
         (delivered, out)
     }
@@ -312,6 +236,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         let mut out = Vec::new();
         self.core.gossip(&mut out);
         self.core.renack_overdue(now, &mut out);
+        self.core.stats.book(self.core.me, &out);
         self.core.debug_assert_frontier(parked_in(&self.undecoded));
         out
     }
@@ -573,6 +498,114 @@ impl<P: Clone> CbcastEndpoint<P> {
     }
 }
 
+impl<P: Clone> Protocol<P> for CbcastEndpoint<P> {
+    fn set_probe(&mut self, probe: ProbeHandle) {
+        CbcastEndpoint::set_probe(self, probe)
+    }
+
+    fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let (own, out) = CbcastEndpoint::multicast(self, now, payload);
+        (vec![own], out)
+    }
+
+    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        CbcastEndpoint::on_wire(self, now, wire)
+    }
+
+    fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+        CbcastEndpoint::on_tick(self, now)
+    }
+
+    fn stats(&self) -> &EndpointStats {
+        CbcastEndpoint::stats(self)
+    }
+
+    /// Telemetry hook: instantaneous queue depths and buffering gauges,
+    /// for `simnet::process::Process::sample`.
+    fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+        emit("cbcast.holdback", self.core.holdback_len() as f64);
+        emit("cbcast.parked", self.parked_len() as f64);
+        emit("cbcast.buffered", self.core.buffered_len() as f64);
+        emit(
+            "cbcast.buffered_bytes",
+            self.core.stats.buffered_bytes_now as f64,
+        );
+        emit("cbcast.stability_lag", self.core.stability_lag() as f64);
+    }
+
+    /// What every held message waits on (the shared shell's walk, with
+    /// cbcast's parked test; contract in [`crate::waitgraph`]).
+    fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+        self.core
+            .wait_records(parked_in(&self.undecoded), every_gap, emit);
+    }
+
+    fn buffered_len(&self) -> usize {
+        self.core.buffered_len()
+    }
+}
+
+impl<P: Clone> CausalProtocol<P> for CbcastEndpoint<P> {
+    fn core(&self) -> &CausalCore<P> {
+        CbcastEndpoint::core(self)
+    }
+
+    fn core_mut(&mut self) -> &mut CausalCore<P> {
+        &mut self.core
+    }
+
+    /// Applies an installed view: `members` are the surviving member
+    /// indices and `cut` is the flush cut agreed for the view. On top of
+    /// the membership bookkeeping of the shared shell:
+    ///
+    /// - Removed senders' parked deltas are dropped.
+    /// - Every per-sender delta decode chain is invalidated (the S3 fix):
+    ///   a delta crossing the view boundary must not decode against a
+    ///   stale base. Senders re-seed receivers by sending their first
+    ///   post-install message full-encoded (`force_full_next`).
+    ///
+    /// Delivery stays frozen until [`Self::thaw`].
+    fn on_view_install(&mut self, now: SimTime, _: u64, members: &[usize], cut: &VectorClock) {
+        if !self.skip_view_reset {
+            for s in 0..self.core.n {
+                if !members.contains(&s) && self.core.alive[s] {
+                    // The shell re-registers everything up to the cut.
+                    self.undecoded[s].clear();
+                }
+                self.decode_chain[s].1 = None;
+            }
+            self.force_full_next = true;
+        }
+        self.core.install_view(now, members, cut);
+        let core = &self.core;
+        self.was_chased.retain(|&id| !core.beyond_cut(id));
+        core.debug_assert_frontier(parked_in(&self.undecoded));
+    }
+
+    /// Ends the delivery blackout ([`CausalCore::freeze`]): drains the
+    /// holdback queue and returns what became deliverable during the
+    /// flush, in causal order.
+    fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        self.core.thaw(now);
+        let mut delivered = Vec::new();
+        self.drain_holdback(now, &mut delivered);
+        self.core.end_thaw_drain();
+        self.core.debug_assert_frontier(parked_in(&self.undecoded));
+        (delivered, Vec::new())
+    }
+
+    fn parked_len(&self) -> usize {
+        CbcastEndpoint::parked_len(self)
+    }
+
+    /// Regression knob for the fault campaigns: reintroduces the S3 bug
+    /// (stale delta decode chains surviving a view install). Never set
+    /// outside tests and chaos experiments.
+    fn debug_skip_view_reset(&mut self, on: bool) {
+        self.skip_view_reset = on;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -706,7 +739,7 @@ mod tests {
         // ...and a view change evicts b while it is still running: the
         // frontier over the survivor's row is [5, 0] against b's [3, 1].
         let cut = VectorClock::from_entries(vec![5, 1]);
-        b.on_view_install(t(6), &[0], &cut);
+        b.on_view_install(t(6), 2, &[0], &cut);
         // b's own message is unstable and still buffered; the lag metric
         // must say so instead of letting a's surplus cancel it to zero.
         assert_eq!(b.stats().buffered_now, 1);
@@ -864,7 +897,7 @@ mod tests {
         c.on_wire(t(1), sent[2].clone());
         c.on_wire(t(2), sent[1].clone());
         assert_eq!(c.was_chased.len(), 1);
-        c.on_view_install(t(3), &[1, 2], &VectorClock::new(3));
+        c.on_view_install(t(3), 2, &[1, 2], &VectorClock::new(3));
         assert_eq!(c.core().holdback_len(), 0);
         assert!(c.was_chased.is_empty(), "{:?}", c.was_chased);
     }
@@ -1127,8 +1160,8 @@ mod tests {
         let (_, o1) = a.multicast(t(0), "m1");
         c.on_wire(t(1), data_of(&o1));
         let cut = c.core().clock().clone();
-        a.on_view_install(t(1), &[0, 2], &cut);
-        c.on_view_install(t(1), &[0, 2], &cut);
+        a.on_view_install(t(1), 2, &[0, 2], &cut);
+        c.on_view_install(t(1), 2, &[0, 2], &cut);
         // First post-install send re-seeds: full encoding even though
         // delta timestamps are on.
         let (_, o2) = a.multicast(t(2), "m2");
@@ -1160,7 +1193,7 @@ mod tests {
         let (_, o1) = a.multicast(t(0), "m1");
         c.on_wire(t(1), data_of(&o1));
         let cut = c.core().clock().clone();
-        c.on_view_install(t(1), &[0, 2], &cut); // only the receiver installed
+        c.on_view_install(t(1), 2, &[0, 2], &cut); // only the receiver installed
         let (_, o2) = a.multicast(t(2), "m2"); // delta against m1's vt
         assert!(matches!(&data_of(&o2), Wire::Data(d) if matches!(d.vt_wire, VtWire::Delta(_))));
         let (dels, nacks) = c.on_wire(t(3), data_of(&o2));
@@ -1198,9 +1231,9 @@ mod tests {
         // The install (same membership) leaves the freeze alone; the thaw
         // drains in causal order.
         let cut = a.core().clock().clone();
-        b.on_view_install(t(2), &[0, 1, 2], &cut);
+        b.on_view_install(t(2), 2, &[0, 1, 2], &cut);
         assert!(b.core().is_frozen());
-        let dels = b.thaw(t(2));
+        let (dels, _) = b.thaw(t(2));
         assert_eq!(dels.iter().map(|d| d.payload).collect::<Vec<_>>(), ["m1"]);
         assert!(!b.core().is_frozen());
         assert_eq!(b.core().clock().get(0), 1);
@@ -1219,8 +1252,8 @@ mod tests {
         let (dels, _) = b.on_wire(t(3), data_of(&o2));
         assert!(dels.is_empty(), "m2 must not deliver during the blackout");
         let cut = b.core().clock().clone();
-        b.on_view_install(t(4), &[1, 2], &cut);
-        let dels = b.thaw(t(4));
+        b.on_view_install(t(4), 2, &[1, 2], &cut);
+        let (dels, _) = b.thaw(t(4));
         assert!(dels.is_empty(), "beyond-cut m2 was purged, not delivered");
         assert_eq!(b.core().clock().get(0), 1);
         assert_eq!(b.core().holdback_len(), 0);
@@ -1235,7 +1268,7 @@ mod tests {
         // A view change removes member 0 with cut = c's clock: m1 is part
         // of the old view's history, m2 is not.
         let cut = c.core().clock().clone();
-        c.on_view_install(t(2), &[1, 2], &cut);
+        c.on_view_install(t(2), 2, &[1, 2], &cut);
         let (dels, _) = c.on_wire(t(3), data_of(&o2));
         assert!(dels.is_empty(), "beyond-cut message from removed sender");
         assert_eq!(c.stats().rejected_removed, 1);
@@ -1251,8 +1284,8 @@ mod tests {
         let (_, o1) = a.multicast(t(0), "m1");
         b.on_wire(t(1), data_of(&o1));
         let cut = b.core().clock().clone();
-        b.on_view_install(t(1), &[1, 2], &cut);
-        c.on_view_install(t(1), &[1, 2], &cut);
+        b.on_view_install(t(1), 2, &[1, 2], &cut);
+        c.on_view_install(t(1), 2, &[1, 2], &cut);
         let out = c.on_tick(t(2));
         let nack = out
             .into_iter()

@@ -63,7 +63,7 @@ impl<P: Clone> DomainEndpoint<P> {
 
     /// Unstable messages buffered (includes other groups' traffic).
     pub fn buffered_len(&self) -> usize {
-        self.inner.buffered_len()
+        self.inner.core().buffered_len()
     }
 
     /// Multicasts `payload` to `group`. The message still travels to the

@@ -5,6 +5,14 @@
 //! or pccast, per [`GroupConfig::discipline`]), sequencer-total or
 //! token-total keeps the harness code honest: the only thing that changes
 //! between runs is the [`Discipline`].
+//!
+//! Every discipline's endpoint implements the crate-private `Protocol`
+//! (cbcast and pccast `CausalProtocol` too, for vsync): the same entry
+//! points, stats, probe, gauges and wait records. [`Endpoint`] and
+//! [`CausalEndpoint`] reach it through one `match` each, so each common
+//! method is written once. Every entry point that returns wires books
+//! them as it returns (`EndpointStats::book`): bytes are charged where
+//! they leave, by one rule, whoever holds the endpoint.
 
 use crate::abcast::AbcastEndpoint;
 use crate::causal_core::CausalCore;
@@ -32,6 +40,68 @@ pub enum Discipline {
     TotalToken,
 }
 
+/// What every discipline's endpoint is to the facades: a pure state
+/// machine fed the time and wires, returning deliveries and wires. The
+/// three entry points book every wire they return into `stats`.
+pub(crate) trait Protocol<P> {
+    /// Installs an observability probe (read-only).
+    fn set_probe(&mut self, probe: ProbeHandle);
+
+    /// Multicasts `payload`. Deliveries returned are local deliveries
+    /// that became possible immediately (for FIFO and causal that is the
+    /// self-delivery; total order may defer it).
+    fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>);
+
+    /// Handles an incoming wire message.
+    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>);
+
+    /// Periodic protocol maintenance (the token ring also passes the
+    /// token on here: hold for one tick).
+    fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>>;
+
+    /// Delivery statistics, and the bytes booked.
+    fn stats(&self) -> &EndpointStats;
+
+    /// Telemetry gauges, prefixed per discipline (`cbcast.*`, `pccast.*`,
+    /// `fbcast.*`, `abcast.*`, `token.*`), for `Process::sample`.
+    fn sample(&self, emit: &mut dyn FnMut(&str, f64));
+
+    /// What is blocked at this member and on what (contract in
+    /// [`crate::waitgraph`]; `every_gap` matters only where a causal
+    /// holdback is walked).
+    fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord));
+
+    /// Messages currently buffered for retransmission (unstable).
+    fn buffered_len(&self) -> usize;
+}
+
+/// What vsync needs of a causal algorithm beyond [`Protocol`]: the shared
+/// shell and the flush choreography around a view change.
+pub(crate) trait CausalProtocol<P>: Protocol<P> {
+    /// The reliability shell: clock, stats, stability, buffer and
+    /// holdback gauges, the flush freeze.
+    fn core(&self) -> &CausalCore<P>;
+
+    /// Mutable access to the shell.
+    fn core_mut(&mut self) -> &mut CausalCore<P>;
+
+    /// Applies an installed view's membership and cut, and leaves the
+    /// freeze alone. `view_id` is pccast's link epoch.
+    fn on_view_install(&mut self, now: SimTime, view_id: u64, members: &[usize], cut: &VectorClock);
+
+    /// Ends the flush blackout: thawed deliveries, and pccast's forwards
+    /// of them.
+    fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>);
+
+    /// Messages parked awaiting a delta decode base (cbcast only; pccast
+    /// buffers per link instead and never parks).
+    fn parked_len(&self) -> usize;
+
+    /// Bug-injection knob: skip the delta decode-chain reset at view
+    /// install. pccast has no decode chains: a no-op there.
+    fn debug_skip_view_reset(&mut self, _on: bool) {}
+}
+
 /// A causal endpoint running either causal-delivery algorithm, selected
 /// by [`GroupConfig::discipline`]: vector-timestamp cbcast or
 /// constant-metadata pccast. Everything above this facade — harnesses,
@@ -57,133 +127,40 @@ impl<P: Clone> CausalEndpoint<P> {
         }
     }
 
-    /// The reliability shell both algorithms embed: clock, stats,
-    /// stability, buffer and holdback gauges, the flush freeze.
-    pub(crate) fn core(&self) -> &CausalCore<P> {
+    /// The algorithm underneath.
+    pub(crate) fn protocol(&self) -> &dyn CausalProtocol<P> {
         match self {
-            CausalEndpoint::Cbcast(e) => e.core(),
-            CausalEndpoint::Pccast(e) => e.core(),
+            CausalEndpoint::Cbcast(e) => e,
+            CausalEndpoint::Pccast(e) => e,
         }
     }
 
-    /// Mutable access to the shared shell.
-    pub(crate) fn core_mut(&mut self) -> &mut CausalCore<P> {
+    /// The algorithm underneath, mutably.
+    pub(crate) fn protocol_mut(&mut self) -> &mut dyn CausalProtocol<P> {
         match self {
-            CausalEndpoint::Cbcast(e) => e.core_mut(),
-            CausalEndpoint::Pccast(e) => e.core_mut(),
+            CausalEndpoint::Cbcast(e) => e,
+            CausalEndpoint::Pccast(e) => e,
         }
-    }
-
-    /// Installs an observability probe (read-only).
-    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
-        self.core_mut().set_probe(probe);
-    }
-
-    /// Bug-injection knob: skip the delta decode-chain reset at view
-    /// install. Meaningful only for cbcast; pccast has no decode chains,
-    /// so this is a no-op there.
-    pub(crate) fn debug_skip_view_reset(&mut self, on: bool) {
-        if let CausalEndpoint::Cbcast(e) = self {
-            e.debug_skip_view_reset(on);
-        }
-    }
-
-    /// Enters a flush ([`CausalCore::freeze`]) until `Self::thaw`.
-    pub(crate) fn freeze(&mut self, now: SimTime) -> Vec<Out<P>> {
-        self.core_mut().freeze(now)
     }
 
     /// Whether delivery is frozen by a flush in progress.
     pub fn is_frozen(&self) -> bool {
-        self.core().is_frozen()
+        self.protocol().core().is_frozen()
     }
 
     /// The delivered vector clock.
     pub fn clock(&self) -> &VectorClock {
-        self.core().clock()
+        self.protocol().core().clock()
     }
 
     /// Endpoint statistics.
     pub fn stats(&self) -> &EndpointStats {
-        self.core().stats()
+        self.protocol().stats()
     }
 
-    /// Messages parked awaiting a delta decode base (cbcast only; pccast
-    /// buffers per link instead and never parks).
+    /// Messages parked awaiting a delta decode base (cbcast only).
     pub fn parked_len(&self) -> usize {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.parked_len(),
-            CausalEndpoint::Pccast(_) => 0,
-        }
-    }
-
-    /// Telemetry gauges, prefixed `cbcast.` or `pccast.` per algorithm.
-    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.sample(emit),
-            CausalEndpoint::Pccast(e) => e.sample(emit),
-        }
-    }
-
-    /// What every blocked message here waits on (contract in
-    /// [`crate::waitgraph`]).
-    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.wait_records(every_gap, emit),
-            CausalEndpoint::Pccast(e) => e.wait_records(every_gap, emit),
-        }
-    }
-
-    /// Applies an installed view's membership and cut, and leaves the
-    /// freeze alone. `view_id` is pccast's link epoch.
-    pub(crate) fn on_view_install(
-        &mut self,
-        now: SimTime,
-        view_id: u64,
-        members: &[usize],
-        cut: &VectorClock,
-    ) {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.on_view_install(now, members, cut),
-            CausalEndpoint::Pccast(e) => e.on_view_install(now, view_id, members, cut),
-        }
-    }
-
-    /// Ends the flush blackout: thawed deliveries, and pccast's forwards
-    /// of them.
-    pub(crate) fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        match self {
-            CausalEndpoint::Cbcast(e) => (e.thaw(now), Vec::new()),
-            CausalEndpoint::Pccast(e) => e.thaw(now),
-        }
-    }
-
-    /// Multicasts `payload`; the self-delivery is immediate.
-    pub(crate) fn multicast(&mut self, now: SimTime, payload: P) -> (Delivery<P>, Vec<Out<P>>) {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.multicast(now, payload),
-            CausalEndpoint::Pccast(e) => e.multicast(now, payload),
-        }
-    }
-
-    /// Handles an incoming wire message.
-    pub(crate) fn on_wire(
-        &mut self,
-        now: SimTime,
-        wire: Wire<P>,
-    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.on_wire(now, wire),
-            CausalEndpoint::Pccast(e) => e.on_wire(now, wire),
-        }
-    }
-
-    /// Periodic protocol maintenance.
-    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
-        match self {
-            CausalEndpoint::Cbcast(e) => e.on_tick(now),
-            CausalEndpoint::Pccast(e) => e.on_tick(now),
-        }
+        self.protocol().parked_len()
     }
 }
 
@@ -216,71 +193,45 @@ impl<P: Clone> Endpoint<P> {
         }
     }
 
-    /// Installs an observability probe on whichever discipline runs
-    /// underneath; the probe sees the same span/wait event stream no
-    /// matter which ordering guarantee is active.
-    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
+    /// The discipline underneath.
+    pub(crate) fn protocol(&self) -> &dyn Protocol<P> {
         match self {
-            Endpoint::Fifo(e) => e.set_probe(probe),
-            Endpoint::Causal(e) => e.set_probe(probe),
-            Endpoint::Total(e) => e.set_probe(probe),
-            Endpoint::TotalToken(e) => e.set_probe(probe),
+            Endpoint::Fifo(e) => e,
+            Endpoint::Causal(e) => e.protocol(),
+            Endpoint::Total(e) => e,
+            Endpoint::TotalToken(e) => e,
         }
     }
 
-    /// Multicasts `payload`. Deliveries returned are local deliveries that
-    /// became possible immediately (for FIFO/causal that includes the
-    /// self-delivery; total order may defer it).
-    pub fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    /// The discipline underneath, mutably.
+    pub(crate) fn protocol_mut(&mut self) -> &mut dyn Protocol<P> {
         match self {
-            Endpoint::Fifo(e) => {
-                let (d, o) = e.multicast(now, payload);
-                (vec![d], o)
-            }
-            Endpoint::Causal(e) => {
-                let (d, o) = e.multicast(now, payload);
-                (vec![d], o)
-            }
-            Endpoint::Total(e) => e.multicast(now, payload),
-            Endpoint::TotalToken(e) => e.submit(now, payload),
+            Endpoint::Fifo(e) => e,
+            Endpoint::Causal(e) => e.protocol_mut(),
+            Endpoint::Total(e) => e,
+            Endpoint::TotalToken(e) => e,
         }
+    }
+
+    /// Multicasts `payload` (see `Protocol::multicast`).
+    pub fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        self.protocol_mut().multicast(now, payload)
     }
 
     /// Handles an incoming wire message.
     pub fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        match self {
-            Endpoint::Fifo(e) => e.on_wire(now, wire),
-            Endpoint::Causal(e) => e.on_wire(now, wire),
-            Endpoint::Total(e) => e.on_wire(now, wire),
-            Endpoint::TotalToken(e) => e.on_wire(now, wire),
-        }
+        self.protocol_mut().on_wire(now, wire)
     }
 
     /// Periodic protocol maintenance. The token discipline also passes
     /// the token along the ring here (hold-for-one-tick policy).
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
-        match self {
-            Endpoint::Fifo(e) => e.on_tick(now),
-            Endpoint::Causal(e) => e.on_tick(now),
-            Endpoint::Total(e) => e.on_tick(now),
-            Endpoint::TotalToken(e) => {
-                let mut out = e.on_tick(now);
-                if let Some(pass) = e.pass_token(now) {
-                    out.push(pass);
-                }
-                out
-            }
-        }
+        self.protocol_mut().on_tick(now)
     }
 
     /// Delivery/ordering statistics (the app-facing layer).
     pub fn stats(&self) -> &EndpointStats {
-        match self {
-            Endpoint::Fifo(e) => e.stats(),
-            Endpoint::Causal(e) => e.stats(),
-            Endpoint::Total(e) => e.stats(),
-            Endpoint::TotalToken(e) => e.stats(),
-        }
+        self.protocol().stats()
     }
 
     /// Transport-layer statistics, where distinct from [`Self::stats`]
@@ -293,54 +244,18 @@ impl<P: Clone> Endpoint<P> {
         }
     }
 
-    /// The causal layer's delivered vector clock, where one exists.
-    pub(crate) fn clock(&self) -> Option<&clocks::vector::VectorClock> {
+    /// The causal layer's shared shell, where one exists.
+    pub(crate) fn causal_core(&self) -> Option<&CausalCore<P>> {
         match self {
-            Endpoint::Causal(e) => Some(e.clock()),
+            Endpoint::Causal(e) => Some(e.protocol().core()),
             _ => None,
-        }
-    }
-
-    /// The causal layer's stable frontier, where one exists.
-    pub(crate) fn stable_frontier(&self) -> Option<clocks::vector::VectorClock> {
-        match self {
-            Endpoint::Causal(e) => Some(e.core().stable_frontier()),
-            _ => None,
-        }
-    }
-
-    /// Telemetry hook: forwards to the discipline-specific gauge emitter.
-    /// Metric names are prefixed per discipline (`cbcast.*`, `fbcast.*`,
-    /// `abcast.*`, `token.*`) so a mixed-discipline run keeps them apart.
-    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        match self {
-            Endpoint::Fifo(e) => e.sample(emit),
-            Endpoint::Causal(e) => e.sample(emit),
-            Endpoint::Total(e) => e.sample(emit),
-            Endpoint::TotalToken(e) => e.sample(emit),
         }
     }
 
     /// What is blocked at this member and on what, whichever discipline
-    /// runs underneath (contract in [`crate::waitgraph`]; `every_gap`
-    /// matters only where a causal holdback is walked).
+    /// runs underneath (see `Protocol::wait_records`).
     pub fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
-        match self {
-            Endpoint::Fifo(e) => e.wait_records(emit),
-            Endpoint::Causal(e) => e.wait_records(every_gap, emit),
-            Endpoint::Total(e) => e.wait_records(every_gap, emit),
-            Endpoint::TotalToken(e) => e.wait_records(emit),
-        }
-    }
-
-    /// Messages currently buffered for retransmission (unstable).
-    pub(crate) fn buffered_len(&self) -> usize {
-        match self {
-            Endpoint::Fifo(e) => e.buffered_len(),
-            Endpoint::Causal(e) => e.core().buffered_len(),
-            Endpoint::Total(e) => e.causal_stats().buffered_now as usize,
-            Endpoint::TotalToken(e) => e.stats().buffered_now as usize,
-        }
+        self.protocol().wait_records(every_gap, emit)
     }
 }
 
@@ -403,7 +318,7 @@ mod tests {
         ] {
             let ep: Endpoint<u32> = Endpoint::new(d, 1, 3, cfg.clone());
             let mut names = Vec::new();
-            ep.sample(&mut |name, value| {
+            ep.protocol().sample(&mut |name, value| {
                 assert!(value.is_finite());
                 names.push(name.to_string());
             });
@@ -417,7 +332,8 @@ mod tests {
         // The sequencer design samples both layers.
         let ep: Endpoint<u32> = Endpoint::new(Discipline::Total { sequencer: 0 }, 1, 3, cfg);
         let mut names = Vec::new();
-        ep.sample(&mut |name, _| names.push(name.to_string()));
+        ep.protocol()
+            .sample(&mut |name, _| names.push(name.to_string()));
         assert!(names.iter().any(|n| n == "abcast.unreleased"));
     }
 

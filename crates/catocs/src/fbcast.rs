@@ -21,21 +21,15 @@
 //! number held, the slowest peer's ack — is kept (`pending_total`,
 //! `min_acked`).
 
-use crate::causal_core::{MAX_CHASE_AHEAD, PAYLOAD_BYTES};
+use crate::causal_core::{arrival, span_of, MAX_CHASE_AHEAD, PAYLOAD_BYTES};
+use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::{ObsEvent, ProbeHandle, SpanId, Stage, WaitKind};
+use simnet::obs::{ObsEvent, ProbeHandle, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
-
-fn span_of(id: MsgId) -> SpanId {
-    SpanId {
-        origin: id.sender,
-        seq: id.seq,
-    }
-}
 
 /// One sender's incoming stream state.
 #[derive(Debug)]
@@ -109,159 +103,10 @@ impl<P: Clone> FbcastEndpoint<P> {
         }
     }
 
-    /// Installs an observability probe; message lifecycle (send, wire
-    /// arrival, delivery) and FIFO-gap waits are recorded through it.
-    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
-        self.probe = probe;
-    }
-
-    /// Endpoint statistics.
-    pub(crate) fn stats(&self) -> &EndpointStats {
-        &self.stats
-    }
-
-    /// Messages buffered for retransmission.
-    pub(crate) fn buffered_len(&self) -> usize {
-        self.sent_buffer.len()
-    }
-
-    /// Telemetry hook: instantaneous gauges, for `Process::sample`.
-    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        emit("fbcast.buffered", self.sent_buffer.len() as f64);
-        emit("fbcast.pending", self.pending_total as f64);
-    }
-
-    /// What every out-of-order arrival waits on (contract in
-    /// [`crate::waitgraph`]): the sender's next undelivered sequence, an
-    /// ARQ gap chased via NACK. FIFO has no cross-sender holdback, so
-    /// these are the only waits it has.
-    pub(crate) fn wait_records(&self, emit: &mut dyn FnMut(&WaitRecord)) {
-        for (sender, s) in self.streams.iter().enumerate() {
-            let seq = s.delivered + 1;
-            let gap = WaitNode::Msg(MsgId { sender, seq });
-            for (msg, arrived) in s.pending.range(seq + 1..).map(|(_, held)| held) {
-                emit(&WaitRecord {
-                    blocked: WaitNode::Msg(msg.id),
-                    who: self.me,
-                    since: *arrived,
-                    slot: None,
-                    waits: vec![(gap, WaitReason::FifoGap)],
-                });
-            }
-        }
-    }
-
     /// The per-sender delivered watermark, as a vector clock for
     /// compatibility with the stability machinery.
     pub(crate) fn delivered_clock(&self) -> VectorClock {
         VectorClock::from_entries(self.streams.iter().map(|s| s.delivered).collect())
-    }
-
-    /// Multicasts `payload`; returns the immediate self-delivery and the
-    /// outbound data message.
-    pub(crate) fn multicast(&mut self, now: SimTime, payload: P) -> (Delivery<P>, Vec<Out<P>>) {
-        self.next_seq += 1;
-        let id = MsgId {
-            sender: self.me,
-            seq: self.next_seq,
-        };
-        // FIFO orders by the id's own sequence number: no stamp beyond it.
-        let msg = DataMsg::counted(id, VtWire::Id, payload.clone());
-        self.probe.emit(|| ObsEvent::Span {
-            at: now,
-            who: self.me,
-            span: span_of(id),
-            stage: Stage::Send,
-            note: String::new(),
-        });
-        self.streams[self.me].delivered = self.next_seq;
-        self.acked_by[self.me] = self.next_seq;
-        self.sent_buffer.insert(self.next_seq, msg.clone());
-        self.stats.sent += 1;
-        self.stats.delivered += 1;
-        let wire = Wire::Data(msg);
-        self.stats.data_overhead_bytes += wire.overhead_bytes() as u64;
-        self.note_buffer();
-        (
-            Delivery {
-                id,
-                payload,
-                arrived_at: now,
-                delivered_at: now,
-                gseq: None,
-                waited_for: Vec::new(),
-            },
-            vec![(Dest::All, wire)],
-        )
-    }
-
-    /// Handles an incoming wire message.
-    pub(crate) fn on_wire(
-        &mut self,
-        now: SimTime,
-        wire: Wire<P>,
-    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        let mut out = Vec::new();
-        let mut delivered = Vec::new();
-        match wire {
-            // A member id off the wire indexes per-member state: one from
-            // outside the group is refused here, counted, and nothing
-            // else is touched.
-            Wire::Data(DataMsg {
-                id: MsgId { sender: who, .. },
-                ..
-            })
-            | Wire::AckGossip { from: who, .. }
-                if who >= self.n =>
-            {
-                self.stats.ts_decode_errors += 1;
-            }
-            // A sequence number implausibly far ahead would sit in
-            // `pending` for the rest of the run: refused likewise.
-            Wire::Data(DataMsg { id, .. }) if self.out_of_reach(id.sender, id.seq) => {
-                self.stats.ts_decode_errors += 1;
-            }
-            Wire::Data(msg) => {
-                self.stats.data_received += 1;
-                self.on_data(now, msg, &mut out, &mut delivered);
-            }
-            Wire::AckGossip { from, delivered: d } => {
-                if !self.news_in(&d) {
-                    self.stats.ts_decode_errors += 1;
-                    return (delivered, out);
-                }
-                for &(k, theirs) in &self.news {
-                    self.known_max[k] = theirs;
-                }
-                // Peers report the highest seq they have from us. Only an
-                // ack that raises the lowest can move the minimum the
-                // buffer is collected up to.
-                let acked = d.get(self.me);
-                if self.acked_by[from] < acked {
-                    let was_lowest = self.acked_by[from] == self.min_acked;
-                    self.acked_by[from] = acked;
-                    if was_lowest {
-                        self.gc_sent();
-                    }
-                }
-            }
-            Wire::Nack { from, want } => {
-                for id in want {
-                    if id.sender == self.me {
-                        if let Some(m) = self.sent_buffer.get(&id.seq) {
-                            let mut copy = m.clone();
-                            copy.retransmit = true;
-                            self.stats.retransmits_served += 1;
-                            let w = Wire::Data(copy);
-                            self.stats.control_bytes += w.overhead_bytes() as u64;
-                            out.push((Dest::One(from), w));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        (delivered, out)
     }
 
     /// Whether message `seq` of `sender` is further past what was
@@ -308,56 +153,6 @@ impl<P: Clone> FbcastEndpoint<P> {
         true
     }
 
-    /// Periodic maintenance: ack gossip and gap re-NACKs.
-    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
-        let mut out = Vec::new();
-        let gossip = Wire::AckGossip {
-            from: self.me,
-            delivered: self.delivered_clock(),
-        };
-        self.stats.acks_sent += 1;
-        self.stats.control_bytes += gossip.overhead_bytes() as u64;
-        out.push((Dest::All, gossip));
-        for k in 0..self.n {
-            if k == self.me {
-                continue;
-            }
-            let s = &mut self.streams[k];
-            // A gap exists if something is pending beyond it or gossip
-            // says the sender has sent further than we have seen.
-            let horizon = s
-                .pending
-                .keys()
-                .next()
-                .map(|&lowest| lowest - 1)
-                .unwrap_or(0)
-                .max(self.known_max[k]);
-            let overdue = match s.last_nack {
-                None => true,
-                Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
-            };
-            if horizon <= s.delivered || !overdue {
-                continue;
-            }
-            let want: Vec<MsgId> = ((s.delivered + 1)..=horizon)
-                .filter(|seq| !s.pending.contains_key(seq))
-                .take(self.cfg.max_nack_batch)
-                .map(|seq| MsgId { sender: k, seq })
-                .collect();
-            if !want.is_empty() {
-                s.last_nack = Some(now);
-                let w = Wire::Nack {
-                    from: self.me,
-                    want,
-                };
-                self.stats.nacks_sent += 1;
-                self.stats.control_bytes += w.overhead_bytes() as u64;
-                out.push((Dest::One(k), w));
-            }
-        }
-        out
-    }
-
     fn on_data(
         &mut self,
         now: SimTime,
@@ -368,18 +163,7 @@ impl<P: Clone> FbcastEndpoint<P> {
         let k = msg.id.sender;
         let seq = msg.id.seq;
         let wire_id = msg.id;
-        let retransmit = msg.retransmit;
-        self.probe.emit(|| ObsEvent::Span {
-            at: now,
-            who: self.me,
-            span: span_of(wire_id),
-            stage: Stage::Wire,
-            note: if retransmit {
-                "retransmit".to_string()
-            } else {
-                String::new()
-            },
-        });
+        self.probe.emit(|| arrival(now, self.me, &msg));
         let stream = &mut self.streams[k];
         if seq <= stream.delivered || stream.pending.contains_key(&seq) {
             self.stats.duplicates += 1;
@@ -412,7 +196,6 @@ impl<P: Clone> FbcastEndpoint<P> {
                     want,
                 };
                 self.stats.nacks_sent += 1;
-                self.stats.control_bytes += w.overhead_bytes() as u64;
                 out.push((Dest::One(k), w));
             }
             None
@@ -422,12 +205,7 @@ impl<P: Clone> FbcastEndpoint<P> {
         while let Some((m, arrived)) = next {
             stream.delivered += 1;
             stream.last_nack = None;
-            let was_held = arrived < now;
-            self.stats.delivered += 1;
-            if was_held {
-                self.stats.delivered_after_hold += 1;
-                self.stats.hold_time_total += now.saturating_since(arrived);
-            }
+            let was_held = self.stats.note_delivery(arrived, now);
             let span = span_of(m.id);
             self.probe.emit(|| ObsEvent::Span {
                 at: now,
@@ -498,6 +276,193 @@ impl<P: Clone> FbcastEndpoint<P> {
     }
 }
 
+impl<P: Clone> Protocol<P> for FbcastEndpoint<P> {
+    /// Installs an observability probe; message lifecycle (send, wire
+    /// arrival, delivery) and FIFO-gap waits are recorded through it.
+    fn set_probe(&mut self, probe: ProbeHandle) {
+        self.probe = probe;
+    }
+
+    /// Multicasts `payload`; returns the immediate self-delivery and the
+    /// outbound data message.
+    fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        self.next_seq += 1;
+        let id = MsgId {
+            sender: self.me,
+            seq: self.next_seq,
+        };
+        // FIFO orders by the id's own sequence number: no stamp beyond it.
+        let msg = DataMsg::counted(id, VtWire::Id, payload.clone());
+        self.probe.emit(|| ObsEvent::Span {
+            at: now,
+            who: self.me,
+            span: span_of(id),
+            stage: Stage::Send,
+            note: String::new(),
+        });
+        self.streams[self.me].delivered = self.next_seq;
+        self.acked_by[self.me] = self.next_seq;
+        self.sent_buffer.insert(self.next_seq, msg.clone());
+        self.stats.sent += 1;
+        self.stats.delivered += 1;
+        self.note_buffer();
+        let out = vec![(Dest::All, Wire::Data(msg))];
+        self.stats.book(self.me, &out);
+        let own = Delivery {
+            id,
+            payload,
+            arrived_at: now,
+            delivered_at: now,
+            gseq: None,
+            waited_for: Vec::new(),
+        };
+        (vec![own], out)
+    }
+
+    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let mut out = Vec::new();
+        let mut delivered = Vec::new();
+        match wire {
+            // A member id off the wire indexes per-member state: one from
+            // outside the group is refused here, counted, and nothing
+            // else is touched.
+            Wire::Data(DataMsg {
+                id: MsgId { sender: who, .. },
+                ..
+            })
+            | Wire::AckGossip { from: who, .. }
+                if who >= self.n =>
+            {
+                self.stats.ts_decode_errors += 1;
+            }
+            // A sequence number implausibly far ahead would sit in
+            // `pending` for the rest of the run: refused likewise.
+            Wire::Data(DataMsg { id, .. }) if self.out_of_reach(id.sender, id.seq) => {
+                self.stats.ts_decode_errors += 1;
+            }
+            Wire::Data(msg) => {
+                self.stats.data_received += 1;
+                self.on_data(now, msg, &mut out, &mut delivered);
+            }
+            Wire::AckGossip { from, delivered: d } => {
+                if !self.news_in(&d) {
+                    self.stats.ts_decode_errors += 1;
+                    return (delivered, out);
+                }
+                for &(k, theirs) in &self.news {
+                    self.known_max[k] = theirs;
+                }
+                // Peers report the highest seq they have from us. Only an
+                // ack that raises the lowest can move the minimum the
+                // buffer is collected up to.
+                let acked = d.get(self.me);
+                if self.acked_by[from] < acked {
+                    let was_lowest = self.acked_by[from] == self.min_acked;
+                    self.acked_by[from] = acked;
+                    if was_lowest {
+                        self.gc_sent();
+                    }
+                }
+            }
+            Wire::Nack { from, want } => {
+                for id in want {
+                    if id.sender == self.me {
+                        if let Some(m) = self.sent_buffer.get_mut(&id.seq) {
+                            self.stats.retransmits_served += 1;
+                            out.push((Dest::One(from), Wire::Data(m.repair_copy())));
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+        self.stats.book(self.me, &out);
+        (delivered, out)
+    }
+
+    /// Periodic maintenance: ack gossip and gap re-NACKs.
+    fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+        let mut out = Vec::new();
+        let gossip = Wire::AckGossip {
+            from: self.me,
+            delivered: self.delivered_clock(),
+        };
+        self.stats.acks_sent += 1;
+        out.push((Dest::All, gossip));
+        for k in 0..self.n {
+            if k == self.me {
+                continue;
+            }
+            let s = &mut self.streams[k];
+            // A gap exists if something is pending beyond it or gossip
+            // says the sender has sent further than we have seen.
+            let horizon = s
+                .pending
+                .keys()
+                .next()
+                .map(|&lowest| lowest - 1)
+                .unwrap_or(0)
+                .max(self.known_max[k]);
+            let overdue = match s.last_nack {
+                None => true,
+                Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
+            };
+            if horizon <= s.delivered || !overdue {
+                continue;
+            }
+            let want: Vec<MsgId> = ((s.delivered + 1)..=horizon)
+                .filter(|seq| !s.pending.contains_key(seq))
+                .take(self.cfg.max_nack_batch)
+                .map(|seq| MsgId { sender: k, seq })
+                .collect();
+            if !want.is_empty() {
+                s.last_nack = Some(now);
+                let w = Wire::Nack {
+                    from: self.me,
+                    want,
+                };
+                self.stats.nacks_sent += 1;
+                out.push((Dest::One(k), w));
+            }
+        }
+        self.stats.book(self.me, &out);
+        out
+    }
+
+    fn stats(&self) -> &EndpointStats {
+        &self.stats
+    }
+
+    fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+        emit("fbcast.buffered", self.sent_buffer.len() as f64);
+        emit("fbcast.pending", self.pending_total as f64);
+    }
+
+    /// What every out-of-order arrival waits on (contract in
+    /// [`crate::waitgraph`]): the sender's next undelivered sequence, an
+    /// ARQ gap chased via NACK. FIFO has no cross-sender holdback, so
+    /// these are the only waits it has.
+    fn wait_records(&self, _every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+        for (sender, s) in self.streams.iter().enumerate() {
+            let seq = s.delivered + 1;
+            let gap = WaitNode::Msg(MsgId { sender, seq });
+            for (msg, arrived) in s.pending.range(seq + 1..).map(|(_, held)| held) {
+                emit(&WaitRecord {
+                    blocked: WaitNode::Msg(msg.id),
+                    who: self.me,
+                    since: *arrived,
+                    slot: None,
+                    waits: vec![(gap, WaitReason::FifoGap)],
+                });
+            }
+        }
+    }
+
+    fn buffered_len(&self) -> usize {
+        self.sent_buffer.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,7 +489,7 @@ mod tests {
         b.on_wire(t(3), data_of(&outs[0]));
         b.on_wire(t(4), data_of(&outs[2]));
         let mut records = Vec::new();
-        b.wait_records(&mut |r| records.push(r.clone()));
+        b.wait_records(false, &mut |r| records.push(r.clone()));
         let msg = |seq| WaitNode::Msg(MsgId { sender: 0, seq });
         let want = WaitRecord {
             blocked: msg(3),
@@ -535,7 +500,7 @@ mod tests {
         };
         assert_eq!(records, [want]);
         b.on_wire(t(5), data_of(&outs[1]));
-        b.wait_records(&mut |r| panic!("nothing waits now: {r:?}"));
+        b.wait_records(false, &mut |r| panic!("nothing waits now: {r:?}"));
     }
 
     /// A FIFO multicast books its id and nothing that grows with the

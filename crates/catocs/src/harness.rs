@@ -141,7 +141,7 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
     /// ledger and the flight recorder both attach here, on the members
     /// [`spawn_group`] returns.
     pub fn set_probe(&mut self, probe: simnet::obs::ProbeHandle) {
-        self.endpoint.set_probe(probe);
+        self.endpoint.protocol_mut().set_probe(probe);
     }
 
     /// The hosted application.
@@ -187,7 +187,8 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> GroupNode<P, A> {
     fn submit_all(&mut self, ctx: &mut Ctx<'_, Wire<P>>, payloads: Vec<P>) {
         for p in payloads {
             let (dels, out) = self.endpoint.multicast(ctx.now(), p);
-            if let (Some(graph), Some(vt)) = (&self.graph, self.endpoint.clock()) {
+            let core = self.endpoint.causal_core();
+            if let (Some(graph), Some(vt)) = (&self.graph, core.map(|c| c.clock())) {
                 // The clock right after a causal multicast IS the
                 // message's timestamp.
                 let id = crate::group::MsgId {
@@ -239,17 +240,17 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> Process<Wire<P>> for 
                 let out = self.endpoint.on_tick(ctx.now());
                 self.route(ctx, out);
                 ctx.set_timer(PROTO_TICK, self.cfg.tick_interval);
-                ctx.metrics()
-                    .gauge_max("group.buffered_peak", self.endpoint.buffered_len() as f64);
+                ctx.metrics().gauge_max(
+                    "group.buffered_peak",
+                    self.endpoint.protocol().buffered_len() as f64,
+                );
                 ctx.metrics().set_gauge(
                     "group.holdback_work",
                     self.endpoint.transport_stats().holdback_work as f64,
                 );
                 if self.me == 0 {
-                    if let (Some(graph), Some(frontier)) =
-                        (&self.graph, self.endpoint.stable_frontier())
-                    {
-                        graph.borrow_mut().prune_stable(&frontier);
+                    if let (Some(graph), Some(core)) = (&self.graph, self.endpoint.causal_core()) {
+                        graph.borrow_mut().prune_stable(&core.stable_frontier());
                     }
                 }
             }
@@ -265,7 +266,7 @@ impl<P: Clone + std::fmt::Debug + 'static, A: GroupApp<P>> Process<Wire<P>> for 
     }
 
     fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        self.endpoint.sample(emit);
+        self.endpoint.protocol().sample(emit);
     }
 }
 
@@ -679,6 +680,9 @@ mod tests {
                     node.returned_bytes, layers,
                     "{d:?}/{discipline:?} member {me}"
                 );
+                for s in [ep.stats(), ep.transport_stats()] {
+                    assert_eq!(s.bytes_by_kind.iter().sum::<u64>(), booked(s));
+                }
                 assert!(ep.stats().sent > 0 && ep.stats().delivered > 0);
                 served += ep.transport_stats().retransmits_served;
             }

@@ -56,12 +56,13 @@
 //! not hot-path wire state.
 
 use crate::causal_core::{span_of, CausalCore};
+use crate::endpoint::{CausalProtocol, Protocol};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
-use crate::wire::{DataMsg, Delivery, Dest, Out, VtWire, Wire};
+use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, Stage, WaitKind};
+use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -172,78 +173,6 @@ impl<P: Clone> PccastEndpoint<P> {
         self.links_in.values().map(|l| l.buf.len()).sum()
     }
 
-    /// Telemetry hook: instantaneous queue depths and buffering gauges.
-    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        emit("pccast.holdback", self.core.holdback_len() as f64);
-        emit("pccast.linkbuf", self.link_buffered_len() as f64);
-        emit("pccast.buffered", self.core.buffered_len() as f64);
-        emit(
-            "pccast.buffered_bytes",
-            self.core.stats.buffered_bytes_now as f64,
-        );
-        emit("pccast.stability_lag", self.core.stability_lag() as f64);
-    }
-
-    /// What every blocked message here waits on (contract in
-    /// [`crate::waitgraph`]): the repair path's holdback entries, exactly
-    /// as in cbcast, then every undelivered data copy in a link reorder
-    /// buffer (an already-delivered one is a duplicate awaiting
-    /// consumption, not a blocked message). A copy behind its link's
-    /// cursor waits on the position the cursor is stuck at — a
-    /// [`WaitNode::LinkSlot`], which only the sender's ARQ log can put a
-    /// message id to (`Self::link_log_lookup`). A link *head* waits on
-    /// the origin-FIFO predecessors the link could not vouch for and on
-    /// whatever gates the fast path; the sampler (`!every_gap`) is told
-    /// the gate alone when there is one.
-    pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
-        self.core.wait_records(never_parked, every_gap, emit);
-        let me = self.core.me;
-        let depth = if every_gap { usize::MAX } else { 1 };
-        let mut waits = Vec::new();
-        for (&peer, link) in &self.links_in {
-            let head = link.cursor + 1;
-            for (&pos, copy) in &link.buf {
-                let LinkCopy::Data(at, msg) = copy else {
-                    continue;
-                };
-                let origin = msg.id.sender;
-                let have = self.core.vt.get(origin);
-                if msg.id.seq <= have {
-                    continue;
-                }
-                if pos > head {
-                    let why = if !self.core.alive[peer] {
-                        WaitReason::Severed
-                    } else if let Some(LinkCopy::Skip(_)) = link.buf.get(&head) {
-                        WaitReason::SkipPending
-                    } else {
-                        WaitReason::LinkGap
-                    };
-                    let slot = WaitNode::LinkSlot {
-                        to: me,
-                        from: peer,
-                        seq: head,
-                    };
-                    waits.push((slot, why));
-                } else {
-                    let gate = if self.core.frozen {
-                        Some(WaitReason::Frozen)
-                    } else if !self.barrier_met {
-                        Some(WaitReason::FastPathBarred)
-                    } else {
-                        None
-                    };
-                    if every_gap || gate.is_none() {
-                        let gaps = ((have + 1)..msg.id.seq).take(depth);
-                        waits.extend(gaps.map(|seq| self.core.wait_on(origin, seq, never_parked)));
-                    }
-                    waits.extend(gate.map(|why| (WaitNode::Proc(me), why)));
-                }
-                waits = self.core.emit_held(msg.id, *at, waits, emit);
-            }
-        }
-    }
-
     /// Resolves a link-slot position against this sender's ARQ window:
     /// which message occupies sequence `seq` on the outgoing link to
     /// `to`. `None` once acked away (or never sent) — the wait-graph
@@ -276,12 +205,8 @@ impl<P: Clone> PccastEndpoint<P> {
     /// Forwards a delivered message on every outgoing overlay link with a
     /// fresh per-link sequence tag. This is the flooding rule the whole
     /// discipline rests on: *every* delivery goes out on *every* link, in
-    /// delivery order. `origin` marks the sender's own multicast, whose
-    /// first copy is charged to `data_overhead_bytes` (the analogue of
-    /// cbcast charging its single broadcast wire once); all other copies
-    /// are dissemination cost and charged to `control_bytes`.
-    fn forward(&mut self, msg: &DataMsg<P>, out: &mut Vec<Out<P>>, origin: bool) {
-        let mut first = origin;
+    /// delivery order.
+    fn forward(&mut self, msg: &DataMsg<P>, out: &mut Vec<Out<P>>) {
         for nb in self.neighbors() {
             let link = self.links_out.entry(nb).or_default();
             link.next_seq += 1;
@@ -295,55 +220,8 @@ impl<P: Clone> PccastEndpoint<P> {
             };
             copy.retransmit = false;
             copy.appended.clear();
-            let w = Wire::Data(copy);
-            let bytes = w.overhead_bytes() as u64;
-            if first {
-                self.core.stats.data_overhead_bytes += bytes;
-                first = false;
-            } else {
-                self.core.stats.control_bytes += bytes;
-            }
-            out.push((Dest::One(nb), w));
+            out.push((Dest::One(nb), Wire::Data(copy)));
         }
-        if first {
-            // No live neighbours (singleton view): still charge the send
-            // its constant tag so bytes/msg stays meaningful.
-            self.core.stats.data_overhead_bytes += (12 + 20 + 1) as u64;
-        }
-    }
-
-    /// Applies an installed view. Same contract as cbcast's, plus the
-    /// pccast specifics: the epoch becomes the installed view id, every
-    /// link resets, and the fast path is barred behind the flush cut
-    /// (fresh links cannot vouch for pre-install deliveries).
-    pub(crate) fn on_view_install(
-        &mut self,
-        now: SimTime,
-        view_id: u64,
-        members: &[usize],
-        cut: &VectorClock,
-    ) {
-        self.core.install_view(now, members, cut);
-        // Epoch turnover: the overlay is rebuilt over the survivors and
-        // every link restarts from sequence 1. In-flight old-epoch copies
-        // die on arrival; anything undelivered from the old view comes
-        // back through the flush retransmissions and the NACK machinery.
-        self.epoch = view_id;
-        self.links_out.clear();
-        self.links_in.clear();
-        self.barrier_met = self.check_barrier();
-        self.core.debug_assert_frontier(never_parked);
-    }
-
-    /// Ends the delivery blackout: thawed deliveries, forwarded copies.
-    pub(crate) fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        self.core.thaw(now);
-        let mut delivered = Vec::new();
-        let mut out = Vec::new();
-        self.drain(now, &mut delivered, &mut out);
-        self.core.end_thaw_drain();
-        self.core.debug_assert_frontier(never_parked);
-        (delivered, out)
     }
 
     /// Whether `vt` dominates the flush cut, which only an install moves.
@@ -372,7 +250,8 @@ impl<P: Clone> PccastEndpoint<P> {
             appended: Vec::new(),
         };
         let mut out = Vec::new();
-        self.forward(&msg, &mut out, true);
+        self.forward(&msg, &mut out);
+        self.core.stats.book(self.core.me, &out);
         (self.core.finish_send(now, msg, payload), out)
     }
 
@@ -412,32 +291,9 @@ impl<P: Clone> PccastEndpoint<P> {
             _ => {}
         }
         self.core.stats.holdback_work = self.core.holdback.work();
+        self.core.stats.book(self.core.me, &out);
         self.core.debug_assert_frontier(never_parked);
         (delivered, out)
-    }
-
-    /// Periodic maintenance: ack gossip (stability + gap detection),
-    /// per-link cumulative acks (loss recovery), NACK retries. The order
-    /// of `out` is the order the network draws loss in.
-    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
-        let mut out = Vec::new();
-        self.core.gossip(&mut out);
-        // Cumulative per-link acks to the overlay neighbours: tell each
-        // forwarder how far its link has been consumed, so it can GC its
-        // ARQ window and re-serve the tail.
-        for nb in self.neighbors() {
-            let acked = self.links_in.get(&nb).map_or(0, |l| l.cursor);
-            let w: Wire<P> = Wire::PcAck {
-                from: self.core.me,
-                epoch: self.epoch,
-                acked,
-            };
-            self.core.stats.control_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::One(nb), w));
-        }
-        self.core.renack_overdue(now, &mut out);
-        self.core.debug_assert_frontier(never_parked);
-        out
     }
 
     /// A neighbour reports its consumption cursor for our link: drop the
@@ -505,7 +361,6 @@ impl<P: Clone> PccastEndpoint<P> {
                     id,
                 }
             };
-            self.core.stats.control_bytes += w.overhead_bytes() as u64;
             out.push((Dest::One(from), w));
         }
     }
@@ -769,7 +624,7 @@ impl<P: Clone> PccastEndpoint<P> {
             self.core
                 .emit_hold_waits(now, arrived_at, id, wait_kind, None);
         }
-        self.forward(&msg, out, false);
+        self.forward(&msg, out);
         self.core
             .finish_delivery(now, arrived_at, msg, Vec::new(), delivered);
     }
@@ -787,6 +642,174 @@ enum HeadAction {
     Deliver,
     /// Stall the link and chase the blocking id via NACK.
     Chase(MsgId),
+}
+
+impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
+    fn set_probe(&mut self, probe: ProbeHandle) {
+        self.core.set_probe(probe)
+    }
+
+    fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let (own, out) = PccastEndpoint::multicast(self, now, payload);
+        (vec![own], out)
+    }
+
+    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        PccastEndpoint::on_wire(self, now, wire)
+    }
+
+    /// Periodic maintenance: ack gossip (stability + gap detection),
+    /// per-link cumulative acks (loss recovery), NACK retries. The order
+    /// of `out` is the order the network draws loss in.
+    fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+        let mut out = Vec::new();
+        self.core.gossip(&mut out);
+        // Cumulative per-link acks to the overlay neighbours: tell each
+        // forwarder how far its link has been consumed, so it can GC its
+        // ARQ window and re-serve the tail.
+        for nb in self.neighbors() {
+            let acked = self.links_in.get(&nb).map_or(0, |l| l.cursor);
+            let w: Wire<P> = Wire::PcAck {
+                from: self.core.me,
+                epoch: self.epoch,
+                acked,
+            };
+            out.push((Dest::One(nb), w));
+        }
+        self.core.renack_overdue(now, &mut out);
+        self.core.stats.book(self.core.me, &out);
+        self.core.debug_assert_frontier(never_parked);
+        out
+    }
+
+    fn stats(&self) -> &EndpointStats {
+        self.core.stats()
+    }
+
+    /// Telemetry hook: instantaneous queue depths and buffering gauges.
+    fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+        emit("pccast.holdback", self.core.holdback_len() as f64);
+        emit("pccast.linkbuf", self.link_buffered_len() as f64);
+        emit("pccast.buffered", self.core.buffered_len() as f64);
+        emit(
+            "pccast.buffered_bytes",
+            self.core.stats.buffered_bytes_now as f64,
+        );
+        emit("pccast.stability_lag", self.core.stability_lag() as f64);
+    }
+
+    /// What every blocked message here waits on (contract in
+    /// [`crate::waitgraph`]): the repair path's holdback entries, exactly
+    /// as in cbcast, then every undelivered data copy in a link reorder
+    /// buffer (an already-delivered one is a duplicate awaiting
+    /// consumption, not a blocked message). A copy behind its link's
+    /// cursor waits on the position the cursor is stuck at — a
+    /// [`WaitNode::LinkSlot`], which only the sender's ARQ log can put a
+    /// message id to (`Self::link_log_lookup`). A link *head* waits on
+    /// the origin-FIFO predecessors the link could not vouch for and on
+    /// whatever gates the fast path; the sampler (`!every_gap`) is told
+    /// the gate alone when there is one.
+    fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+        self.core.wait_records(never_parked, every_gap, emit);
+        let me = self.core.me;
+        let depth = if every_gap { usize::MAX } else { 1 };
+        let mut waits = Vec::new();
+        for (&peer, link) in &self.links_in {
+            let head = link.cursor + 1;
+            for (&pos, copy) in &link.buf {
+                let LinkCopy::Data(at, msg) = copy else {
+                    continue;
+                };
+                let origin = msg.id.sender;
+                let have = self.core.vt.get(origin);
+                if msg.id.seq <= have {
+                    continue;
+                }
+                if pos > head {
+                    let why = if !self.core.alive[peer] {
+                        WaitReason::Severed
+                    } else if let Some(LinkCopy::Skip(_)) = link.buf.get(&head) {
+                        WaitReason::SkipPending
+                    } else {
+                        WaitReason::LinkGap
+                    };
+                    let slot = WaitNode::LinkSlot {
+                        to: me,
+                        from: peer,
+                        seq: head,
+                    };
+                    waits.push((slot, why));
+                } else {
+                    let gate = if self.core.frozen {
+                        Some(WaitReason::Frozen)
+                    } else if !self.barrier_met {
+                        Some(WaitReason::FastPathBarred)
+                    } else {
+                        None
+                    };
+                    if every_gap || gate.is_none() {
+                        let gaps = ((have + 1)..msg.id.seq).take(depth);
+                        waits.extend(gaps.map(|seq| self.core.wait_on(origin, seq, never_parked)));
+                    }
+                    waits.extend(gate.map(|why| (WaitNode::Proc(me), why)));
+                }
+                waits = self.core.emit_held(msg.id, *at, waits, emit);
+            }
+        }
+    }
+
+    fn buffered_len(&self) -> usize {
+        self.core.buffered_len()
+    }
+}
+
+impl<P: Clone> CausalProtocol<P> for PccastEndpoint<P> {
+    fn core(&self) -> &CausalCore<P> {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut CausalCore<P> {
+        &mut self.core
+    }
+
+    /// Applies an installed view. Same contract as cbcast's, plus the
+    /// pccast specifics: the epoch becomes the installed view id, every
+    /// link resets, and the fast path is barred behind the flush cut
+    /// (fresh links cannot vouch for pre-install deliveries).
+    fn on_view_install(
+        &mut self,
+        now: SimTime,
+        view_id: u64,
+        members: &[usize],
+        cut: &VectorClock,
+    ) {
+        self.core.install_view(now, members, cut);
+        // Epoch turnover: the overlay is rebuilt over the survivors and
+        // every link restarts from sequence 1. In-flight old-epoch copies
+        // die on arrival; anything undelivered from the old view comes
+        // back through the flush retransmissions and the NACK machinery.
+        self.epoch = view_id;
+        self.links_out.clear();
+        self.links_in.clear();
+        self.barrier_met = self.check_barrier();
+        self.core.debug_assert_frontier(never_parked);
+    }
+
+    /// Ends the delivery blackout: thawed deliveries, forwarded copies.
+    fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        self.core.thaw(now);
+        let mut delivered = Vec::new();
+        let mut out = Vec::new();
+        self.drain(now, &mut delivered, &mut out);
+        self.core.end_thaw_drain();
+        self.core.stats.book(self.core.me, &out);
+        self.core.debug_assert_frontier(never_parked);
+        (delivered, out)
+    }
+
+    fn parked_len(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]
@@ -881,14 +904,21 @@ mod tests {
         assert_eq!(a.core().stats().control_bytes, 33);
     }
 
+    /// A singleton view has no overlay neighbour: its multicast leaves
+    /// on no wire and books no byte.
     #[test]
     fn tag_size_is_independent_of_group_size() {
-        for n in [2usize, 64, 1024] {
+        for n in [1usize, 2, 64, 1024] {
             let mut e: PccastEndpoint<u64> = PccastEndpoint::new(0, n, GroupConfig::default());
             let (_, out) = e.multicast(t(0), 7);
+            assert_eq!(out.len(), (n - 1).min(2), "n={n}");
             for (_, w) in &out {
                 assert_eq!(w.overhead_bytes(), 33, "n={n}");
             }
+            let booked = 33 * out.len() as u64;
+            let stats = e.core().stats();
+            assert_eq!(stats.data_overhead_bytes + stats.control_bytes, booked);
+            assert_eq!(stats.data_overhead_bytes, booked.min(33), "n={n}");
         }
     }
 

@@ -12,10 +12,12 @@
 //! scales with N), but ordering adds no extra hop and the sequencer
 //! hotspot disappears.
 
+use crate::causal_core::{arrival, span_of};
+use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{PhaseTag, WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
+use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage, WaitKind};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -82,90 +84,15 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
         }
     }
 
-    /// Installs an observability probe; token arrivals are recorded as
-    /// token-rotation phase events.
-    pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
-        self.probe = probe;
-    }
-
     /// Whether this member currently holds the token.
     pub fn holding_token(&self) -> bool {
         self.holding
     }
 
-    /// Endpoint statistics.
-    pub(crate) fn stats(&self) -> &EndpointStats {
-        &self.stats
-    }
-
-    /// Telemetry hook: instantaneous gauges, for `Process::sample`.
-    pub(crate) fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
-        emit("token.queued", self.pending_submit.len() as f64);
-        emit(
-            "token.undelivered",
-            self.by_gseq.range(self.next_deliver..).count() as f64,
-        );
-        emit("token.sent_buffer", self.sent.len() as f64);
-    }
-
-    /// What is blocked here and on what (contract in
-    /// [`crate::waitgraph`]): buffered data beyond a delivery gap waits on
-    /// the rotation (or NACK repair) that fills the next slot — every
-    /// stamped message knows its own; submissions queued without the
-    /// token block the process on its rotation phase since the oldest
-    /// was made; and an unacknowledged pass blocks that phase on the
-    /// receiver (a lost token halts the whole order).
-    pub(crate) fn wait_records(&self, emit: &mut dyn FnMut(&WaitRecord)) {
-        let rotation = WaitNode::Phase {
-            kind: PhaseTag::TokenRotation,
-            at: self.me,
-        };
-        let mut emit = |blocked, since, slot, on, why| {
-            emit(&WaitRecord {
-                blocked,
-                who: self.me,
-                since,
-                slot,
-                waits: vec![(on, why)],
-            })
-        };
-        let stuck = self.next_deliver + 1;
-        for (&slot, (msg, arrived)) in self.by_gseq.range(stuck + 1..) {
-            let gap = WaitReason::OrderGap { slot: stuck };
-            emit(WaitNode::Msg(msg.id), *arrived, Some(slot), rotation, gap);
-        }
-        let me = WaitNode::Proc(self.me);
-        if let Some((_, since)) = self.pending_submit.front().filter(|_| !self.holding) {
-            emit(me, *since, None, rotation, WaitReason::TokenQueued);
-        }
-        if let Some((next, ..)) = self.unacked_pass {
-            let next = WaitNode::Proc(next);
-            emit(
-                rotation,
-                self.passed_at,
-                None,
-                next,
-                WaitReason::PassUnacked,
-            );
-        }
-    }
-
-    /// Submits `payload` for totally ordered multicast. If the token is
-    /// held, the message goes out (and may deliver) immediately;
-    /// otherwise it queues until the token arrives.
-    pub(crate) fn submit(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        self.pending_submit.push_back((payload, now));
-        if self.holding {
-            self.drain_submissions(now)
-        } else {
-            (Vec::new(), Vec::new())
-        }
-    }
-
-    /// Passes the token to the next member in ring order. Call after
-    /// draining submissions (typically from the tick handler). The pass
-    /// is retransmitted from [`Self::on_tick`] until acknowledged.
-    pub(crate) fn pass_token(&mut self, now: SimTime) -> Option<Out<P>> {
+    /// Passes the token to the next member in ring order, after the
+    /// submissions are drained (from the tick handler). The pass is
+    /// retransmitted from `on_tick` until acknowledged.
+    fn pass_token(&mut self, now: SimTime) -> Option<Out<P>> {
         if !self.holding {
             return None;
         }
@@ -177,150 +104,16 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
             next_gseq: self.token_gseq,
             hops,
         };
-        self.stats.control_bytes += w.overhead_bytes() as u64;
         self.unacked_pass = Some((next, self.token_gseq, hops, SimTime::ZERO));
         Some((Dest::One(next), w))
     }
 
-    /// Handles an incoming wire message.
-    pub(crate) fn on_wire(
-        &mut self,
-        now: SimTime,
-        wire: Wire<P>,
-    ) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        match wire {
-            Wire::Token { next_gseq, hops } => {
-                // Always acknowledge — the passer retransmits until then.
-                let ack = Wire::TokenAck { hops };
-                self.stats.control_bytes += ack.overhead_bytes() as u64;
-                let ack = (Dest::One((self.me + self.n - 1) % self.n), ack);
-                if hops <= self.last_token_hops {
-                    // A duplicate of a token we already consumed.
-                    self.stats.duplicates += 1;
-                    return (Vec::new(), vec![ack]);
-                }
-                self.last_token_hops = hops;
-                self.holding = true;
-                self.token_gseq = next_gseq;
-                self.token_hops = hops;
-                self.probe.emit(|| ObsEvent::Phase {
-                    at: now,
-                    who: self.me,
-                    kind: PhaseKind::TokenRotation,
-                    edge: PhaseEdge::Point,
-                    note: format!(
-                        "token arrived (hop {hops}, gseq {next_gseq}, {} queued)",
-                        self.pending_submit.len()
-                    ),
-                });
-                let (dels, mut out) = self.drain_submissions(now);
-                out.push(ack);
-                (dels, out)
-            }
-            Wire::TokenAck { hops } => {
-                if let Some((_, _, h, _)) = self.unacked_pass {
-                    if hops == h {
-                        self.unacked_pass = None;
-                    }
-                }
-                (Vec::new(), Vec::new())
-            }
-            Wire::Data(msg) => {
-                let gseq = match msg.vt_wire {
-                    VtWire::Gseq(gseq) if msg.id.sender < self.n => gseq,
-                    _ => {
-                        // No member sent this, or no holder stamped it
-                        // with a slot in the order: refused at the front
-                        // door.
-                        self.stats.ts_decode_errors += 1;
-                        return (Vec::new(), Vec::new());
-                    }
-                };
-                self.stats.data_received += 1;
-                let wire_id = msg.id;
-                let retransmit = msg.retransmit;
-                self.probe.emit(|| ObsEvent::Span {
-                    at: now,
-                    who: self.me,
-                    span: SpanId {
-                        origin: wire_id.sender,
-                        seq: wire_id.seq,
-                    },
-                    stage: Stage::Wire,
-                    note: if retransmit {
-                        "retransmit".to_string()
-                    } else {
-                        String::new()
-                    },
-                });
-                if gseq < self.next_deliver + 1 && self.by_gseq.contains_key(&gseq)
-                    || gseq <= self.next_deliver
-                {
-                    self.stats.duplicates += 1;
-                    return (Vec::new(), Vec::new());
-                }
-                self.by_gseq.entry(gseq).or_insert((msg, now));
-                let dels = self.release(now);
-                (dels, Vec::new())
-            }
-            Wire::Nack { from, want } => {
-                let mut out = Vec::new();
-                for id in want {
-                    // `seq` in the NACK names the global sequence here.
-                    if let Some(m) = self.sent.get(&id.seq) {
-                        let mut copy = m.clone();
-                        copy.retransmit = true;
-                        self.stats.retransmits_served += 1;
-                        let w = Wire::Data(copy);
-                        self.stats.control_bytes += w.overhead_bytes() as u64;
-                        out.push((Dest::One(from), w));
-                    }
-                }
-                (Vec::new(), out)
-            }
-            _ => (Vec::new(), Vec::new()),
-        }
-    }
-
-    /// Periodic maintenance: NACK delivery gaps (to everyone — any member
-    /// may have the missing message buffered).
-    pub(crate) fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
-        let mut out = Vec::new();
-        // Retransmit an unacknowledged token pass.
-        if let Some((next, gseq, hops, last_sent)) = self.unacked_pass {
-            if now.saturating_since(last_sent) >= self.cfg.nack_timeout {
-                let w = Wire::Token {
-                    next_gseq: gseq,
-                    hops,
-                };
-                self.stats.control_bytes += w.overhead_bytes() as u64;
-                self.stats.retransmits_served += 1;
-                self.unacked_pass = Some((next, gseq, hops, now));
-                out.push((Dest::One(next), w));
-            }
-        }
-        if let Some((&max_known, _)) = self.by_gseq.iter().next_back() {
-            let overdue = match self.last_nack {
-                None => true,
-                Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
-            };
-            let want: Vec<MsgId> = ((self.next_deliver + 1)..max_known)
-                .filter(|g| !self.by_gseq.contains_key(g))
-                .take(self.cfg.max_nack_batch)
-                .map(|g| MsgId { sender: 0, seq: g })
-                .collect();
-            if overdue && !want.is_empty() {
-                self.last_nack = Some(now);
-                let w = Wire::Nack {
-                    from: self.me,
-                    want,
-                };
-                self.stats.nacks_sent += 1;
-                self.stats.control_bytes += w.overhead_bytes() as u64;
-                out.push((Dest::All, w));
-            }
-        }
-        out
+    /// Acknowledges token pass `hops` to the passer.
+    fn token_ack(&self, hops: u64) -> Out<P> {
+        (
+            Dest::One((self.me + self.n - 1) % self.n),
+            Wire::TokenAck { hops },
+        )
     }
 
     fn drain_submissions(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
@@ -343,10 +136,7 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
             // Own messages are timed from submission, so the release hold
             // time includes the wait for the token rotation.
             self.by_gseq.insert(gseq, (msg.clone(), submitted));
-            let span = SpanId {
-                origin: msg.id.sender,
-                seq: msg.id.seq,
-            };
+            let span = span_of(msg.id);
             self.probe.emit(|| ObsEvent::Span {
                 at: submitted,
                 who: self.me,
@@ -368,9 +158,7 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
                 });
             }
             self.stats.sent += 1;
-            let w = Wire::Data(msg);
-            self.stats.data_overhead_bytes += w.overhead_bytes() as u64;
-            out.push((Dest::All, w));
+            out.push((Dest::All, Wire::Data(msg)));
         }
         let dels = self.release(now);
         (dels, out)
@@ -380,16 +168,8 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
         let mut dels = Vec::new();
         while let Some((msg, arrived)) = self.by_gseq.remove(&(self.next_deliver + 1)) {
             self.next_deliver += 1;
-            let held = arrived < now;
-            self.stats.delivered += 1;
-            if held {
-                self.stats.delivered_after_hold += 1;
-                self.stats.hold_time_total += now.saturating_since(arrived);
-            }
-            let span = SpanId {
-                origin: msg.id.sender,
-                seq: msg.id.seq,
-            };
+            let held = self.stats.note_delivery(arrived, now);
+            let span = span_of(msg.id);
             let gseq = self.next_deliver;
             self.probe.emit(|| ObsEvent::Span {
                 at: now,
@@ -423,6 +203,202 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
     }
 }
 
+impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
+    /// Installs an observability probe; token arrivals are recorded as
+    /// token-rotation phase events.
+    fn set_probe(&mut self, probe: ProbeHandle) {
+        self.probe = probe;
+    }
+
+    /// Submits `payload` for totally ordered multicast. If the token is
+    /// held, the message goes out (and may deliver) immediately;
+    /// otherwise it queues until the token arrives.
+    fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        self.pending_submit.push_back((payload, now));
+        if !self.holding {
+            return (Vec::new(), Vec::new());
+        }
+        let (dels, out) = self.drain_submissions(now);
+        self.stats.book(self.me, &out);
+        (dels, out)
+    }
+
+    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let (dels, out) = match wire {
+            Wire::Token { hops, .. } if hops <= self.last_token_hops => {
+                // A duplicate of a token we already consumed: acknowledged
+                // again, for the passer retransmits until then.
+                self.stats.duplicates += 1;
+                (Vec::new(), vec![self.token_ack(hops)])
+            }
+            Wire::Token { next_gseq, hops } => {
+                self.last_token_hops = hops;
+                self.holding = true;
+                self.token_gseq = next_gseq;
+                self.token_hops = hops;
+                self.probe.emit(|| ObsEvent::Phase {
+                    at: now,
+                    who: self.me,
+                    kind: PhaseKind::TokenRotation,
+                    edge: PhaseEdge::Point,
+                    note: format!(
+                        "token arrived (hop {hops}, gseq {next_gseq}, {} queued)",
+                        self.pending_submit.len()
+                    ),
+                });
+                let (dels, mut out) = self.drain_submissions(now);
+                out.push(self.token_ack(hops));
+                (dels, out)
+            }
+            Wire::TokenAck { hops } => {
+                if let Some((_, _, h, _)) = self.unacked_pass {
+                    if hops == h {
+                        self.unacked_pass = None;
+                    }
+                }
+                (Vec::new(), Vec::new())
+            }
+            Wire::Data(msg) => {
+                let gseq = match msg.vt_wire {
+                    VtWire::Gseq(gseq) if msg.id.sender < self.n => gseq,
+                    _ => {
+                        // No member sent this, or no holder stamped it
+                        // with a slot in the order: refused at the front
+                        // door.
+                        self.stats.ts_decode_errors += 1;
+                        return (Vec::new(), Vec::new());
+                    }
+                };
+                self.stats.data_received += 1;
+                self.probe.emit(|| arrival(now, self.me, &msg));
+                if gseq < self.next_deliver + 1 && self.by_gseq.contains_key(&gseq)
+                    || gseq <= self.next_deliver
+                {
+                    self.stats.duplicates += 1;
+                    return (Vec::new(), Vec::new());
+                }
+                self.by_gseq.entry(gseq).or_insert((msg, now));
+                let dels = self.release(now);
+                (dels, Vec::new())
+            }
+            Wire::Nack { from, want } => {
+                let mut out = Vec::new();
+                for id in want {
+                    // `seq` in the NACK names the global sequence here.
+                    if let Some(m) = self.sent.get_mut(&id.seq) {
+                        self.stats.retransmits_served += 1;
+                        out.push((Dest::One(from), Wire::Data(m.repair_copy())));
+                    }
+                }
+                (Vec::new(), out)
+            }
+            _ => (Vec::new(), Vec::new()),
+        };
+        self.stats.book(self.me, &out);
+        (dels, out)
+    }
+
+    /// Periodic maintenance: resend an unacknowledged pass, NACK delivery
+    /// gaps (to everyone — any member may have the missing message
+    /// buffered), and pass a held token on: it is held for one tick.
+    fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
+        let mut out = Vec::new();
+        // Retransmit an unacknowledged token pass.
+        if let Some((next, gseq, hops, last_sent)) = self.unacked_pass {
+            if now.saturating_since(last_sent) >= self.cfg.nack_timeout {
+                let w = Wire::Token {
+                    next_gseq: gseq,
+                    hops,
+                };
+                self.stats.retransmits_served += 1;
+                self.unacked_pass = Some((next, gseq, hops, now));
+                out.push((Dest::One(next), w));
+            }
+        }
+        if let Some((&max_known, _)) = self.by_gseq.iter().next_back() {
+            let overdue = match self.last_nack {
+                None => true,
+                Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
+            };
+            let want: Vec<MsgId> = ((self.next_deliver + 1)..max_known)
+                .filter(|g| !self.by_gseq.contains_key(g))
+                .take(self.cfg.max_nack_batch)
+                .map(|g| MsgId { sender: 0, seq: g })
+                .collect();
+            if overdue && !want.is_empty() {
+                self.last_nack = Some(now);
+                let w = Wire::Nack {
+                    from: self.me,
+                    want,
+                };
+                self.stats.nacks_sent += 1;
+                out.push((Dest::All, w));
+            }
+        }
+        out.extend(self.pass_token(now));
+        self.stats.book(self.me, &out);
+        out
+    }
+
+    fn stats(&self) -> &EndpointStats {
+        &self.stats
+    }
+
+    fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
+        emit("token.queued", self.pending_submit.len() as f64);
+        emit(
+            "token.undelivered",
+            self.by_gseq.range(self.next_deliver..).count() as f64,
+        );
+        emit("token.sent_buffer", self.sent.len() as f64);
+    }
+
+    /// What is blocked here and on what (contract in
+    /// [`crate::waitgraph`]): buffered data beyond a delivery gap waits on
+    /// the rotation (or NACK repair) that fills the next slot — every
+    /// stamped message knows its own; submissions queued without the
+    /// token block the process on its rotation phase since the oldest
+    /// was made; and an unacknowledged pass blocks that phase on the
+    /// receiver (a lost token halts the whole order).
+    fn wait_records(&self, _every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
+        let rotation = WaitNode::Phase {
+            kind: PhaseTag::TokenRotation,
+            at: self.me,
+        };
+        let mut emit = |blocked, since, slot, on, why| {
+            emit(&WaitRecord {
+                blocked,
+                who: self.me,
+                since,
+                slot,
+                waits: vec![(on, why)],
+            })
+        };
+        let stuck = self.next_deliver + 1;
+        for (&slot, (msg, arrived)) in self.by_gseq.range(stuck + 1..) {
+            let gap = WaitReason::OrderGap { slot: stuck };
+            emit(WaitNode::Msg(msg.id), *arrived, Some(slot), rotation, gap);
+        }
+        let me = WaitNode::Proc(self.me);
+        if let Some((_, since)) = self.pending_submit.front().filter(|_| !self.holding) {
+            emit(me, *since, None, rotation, WaitReason::TokenQueued);
+        }
+        if let Some((next, ..)) = self.unacked_pass {
+            let next = WaitNode::Proc(next);
+            emit(
+                rotation,
+                self.passed_at,
+                None,
+                next,
+                WaitReason::PassUnacked,
+            );
+        }
+    }
+    fn buffered_len(&self) -> usize {
+        self.stats.buffered_now as usize
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,7 +412,7 @@ mod tests {
     fn holder_sends_and_delivers_immediately() {
         let mut a = TokenAbcastEndpoint::new(0, 3, GroupConfig::default());
         assert!(a.holding_token());
-        let (dels, out) = a.submit(t(0), "x");
+        let (dels, out) = a.multicast(t(0), "x");
         assert_eq!(dels.len(), 1);
         assert_eq!(dels[0].gseq, Some(1));
         assert_eq!(out.len(), 1);
@@ -450,7 +426,7 @@ mod tests {
     fn a_multicast_books_its_gseq_alone_at_every_width() {
         for n in [4, 64, 1024] {
             let mut a = TokenAbcastEndpoint::new(0, n, GroupConfig::default());
-            let (_, out) = a.submit(t(0), "m");
+            let (_, out) = a.multicast(t(0), "m");
             let [(Dest::All, Wire::Data(sent))] = &out[..] else {
                 panic!("one data wire to the group, not {out:?}");
             };
@@ -488,7 +464,7 @@ mod tests {
             assert_eq!(b.stats().ts_decode_errors, i as u64 + 1);
         }
         assert_eq!((b.stats().data_received, b.next_deliver), (0, 0));
-        let (_, out) = a.submit(t(2), "y");
+        let (_, out) = a.multicast(t(2), "y");
         let (dels, _) = b.on_wire(t(3), out.into_iter().next().expect("the data").1);
         assert_eq!(dels.len(), 1);
         assert_eq!((dels[0].payload, dels[0].gseq), ("y", Some(1)));
@@ -497,7 +473,7 @@ mod tests {
     #[test]
     fn non_holder_queues_until_token() {
         let mut b = TokenAbcastEndpoint::new(1, 3, GroupConfig::default());
-        let (dels, out) = b.submit(t(0), "y");
+        let (dels, out) = b.multicast(t(0), "y");
         assert!(dels.is_empty() && out.is_empty());
         assert_eq!(b.pending_submit.len(), 1);
         let (dels, out) = b.on_wire(
@@ -530,14 +506,14 @@ mod tests {
         };
         let records = |ep: &TokenAbcastEndpoint<&'static str>| {
             let mut out = Vec::new();
-            ep.wait_records(&mut |r| out.push(r.clone()));
+            ep.wait_records(false, &mut |r| out.push(r.clone()));
             out
         };
 
         // Submissions without the token: since the oldest one.
         let mut b = TokenAbcastEndpoint::new(1, 3, cfg.clone());
-        b.submit(t(4), "y1");
-        b.submit(t(6), "y2");
+        b.multicast(t(4), "y1");
+        b.multicast(t(6), "y2");
         let queued = WaitReason::TokenQueued;
         let want = record(WaitNode::Proc(1), 1, t(4), rotation(1), queued);
         assert_eq!(records(&b), [want]);
@@ -546,7 +522,7 @@ mod tests {
         // on; the pass then waits on the receiver from the moment it was
         // made, however often it is resent.
         let mut a = TokenAbcastEndpoint::new(0, 3, cfg.clone());
-        let sent: Vec<_> = (0..3).map(|i| a.submit(t(i), "a").1).collect();
+        let sent: Vec<_> = (0..3).map(|i| a.multicast(t(i), "a").1).collect();
         assert_eq!(records(&a), []);
         a.pass_token(t(7));
         a.on_tick(t(7) + cfg.nack_timeout);
@@ -554,7 +530,7 @@ mod tests {
         let want = record(rotation(0), 0, t(7), WaitNode::Proc(1), unacked);
         assert_eq!(records(&a), std::slice::from_ref(&want));
         // A submission made now queues behind the token it gave away.
-        a.submit(t(9), "late");
+        a.multicast(t(9), "late");
         let queue = record(WaitNode::Proc(0), 0, t(9), rotation(0), queued);
         assert_eq!(records(&a), [queue, want]);
         a.on_wire(t(10), Wire::TokenAck { hops: 1 });
@@ -580,9 +556,9 @@ mod tests {
         let cfg = GroupConfig::default();
         let mut a = TokenAbcastEndpoint::new(0, 2, cfg.clone());
         let mut b = TokenAbcastEndpoint::new(1, 2, cfg);
-        let (_, oa) = a.submit(t(0), "a1");
+        let (_, oa) = a.multicast(t(0), "a1");
         let tok = a.pass_token(t(0)).unwrap();
-        let (_, ob_pre) = b.submit(t(1), "b1");
+        let (_, ob_pre) = b.multicast(t(1), "b1");
         assert!(ob_pre.is_empty());
         let (_, ob) = b.on_wire(t(2), tok.1);
         // Deliver cross traffic.
@@ -613,8 +589,8 @@ mod tests {
         let cfg = GroupConfig::default();
         let mut a = TokenAbcastEndpoint::new(0, 2, cfg.clone());
         let mut b = TokenAbcastEndpoint::new(1, 2, cfg.clone());
-        let (_, o1) = a.submit(t(0), "m1");
-        let (_, o2) = a.submit(t(1), "m2");
+        let (_, o1) = a.multicast(t(0), "m1");
+        let (_, o2) = a.multicast(t(1), "m2");
         // b misses m1.
         let (dels, _) = b.on_wire(t(2), o2[0].1.clone());
         assert!(dels.is_empty());

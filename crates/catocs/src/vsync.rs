@@ -876,7 +876,7 @@ impl Campaign {
             // the horizon: a crashed node's stale holdback is not "blocked".
             if !crashed.contains(&p) {
                 let keep = &mut |record: &WaitRecord| blocked_reports.push(record.clone());
-                node.endpoint().wait_records(true, keep);
+                node.endpoint().protocol().wait_records(true, keep);
             }
             logs.push(ProcessLog {
                 who: p,

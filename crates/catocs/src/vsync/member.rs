@@ -55,7 +55,9 @@ impl Member {
     /// Creates member `me` of a group of `n`, at time zero.
     pub fn new(me: usize, n: usize, group: GroupConfig, knobs: BugKnobs) -> Self {
         let mut endpoint = CausalEndpoint::new(me, n, group);
-        endpoint.debug_skip_view_reset(knobs.no_chain_reset);
+        endpoint
+            .protocol_mut()
+            .debug_skip_view_reset(knobs.no_chain_reset);
         let mut engine = MembershipEngine::new(me, n);
         if knobs.no_flush_retry {
             // Effectively never: any lost flush message wedges the change.
@@ -89,7 +91,7 @@ impl Member {
 
     /// Installs an observability probe on the endpoint (read-only).
     pub(crate) fn set_probe(&mut self, probe: ProbeHandle) {
-        self.endpoint.set_probe(probe);
+        self.endpoint.protocol_mut().set_probe(probe);
     }
 
     /// Hands an arrived wire to the part it is for.
@@ -105,7 +107,7 @@ impl Member {
                 step.out = out;
                 self.apply(now, action, &mut step);
             }
-            _ => (step.delivered, step.out) = self.endpoint.on_wire(now, wire),
+            _ => (step.delivered, step.out) = self.endpoint.protocol_mut().on_wire(now, wire),
         }
         step
     }
@@ -114,7 +116,7 @@ impl Member {
     /// repair, the heartbeat when one is due, suspicion, flush retries.
     pub fn on_tick(&mut self, now: SimTime) -> Step {
         let mut step = Step {
-            out: self.endpoint.on_tick(now),
+            out: self.endpoint.protocol_mut().on_tick(now),
             ..Step::default()
         };
         if self.detector.should_beat(now) {
@@ -148,11 +150,11 @@ impl Member {
         if !self.engine.can_send() || !view.members.iter().any(|p| p.0 == self.me) {
             return None;
         }
-        let (own, out) = self.endpoint.multicast(now, payload);
+        let (delivered, out) = self.endpoint.protocol_mut().multicast(now, payload);
         Some(Step {
             out,
             installed: None,
-            delivered: vec![own],
+            delivered,
         })
     }
 
@@ -172,7 +174,7 @@ impl Member {
     /// coordinator the phase itself blocks on each member whose FlushOk
     /// is missing.
     pub(crate) fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
-        self.endpoint.wait_records(every_gap, emit);
+        self.endpoint.protocol().wait_records(every_gap, emit);
         if let Some(fw) = self.engine.flush_waits() {
             let phase = WaitNode::Phase {
                 kind: PhaseTag::Flush,
@@ -199,25 +201,26 @@ impl Member {
     /// Does to the endpoint what the engine decided: delivery is frozen
     /// whenever the engine is flushing.
     fn apply(&mut self, now: SimTime, action: FlushAction, step: &mut Step) {
+        let endpoint = self.endpoint.protocol_mut();
         match action {
             FlushAction::None => {}
             FlushAction::RetransmitUnstable => {
                 // Our FlushOk clock must stay an upper bound on what we
                 // have delivered until the flush ends.
-                let flushed = self.endpoint.freeze(now);
+                let flushed = endpoint.core_mut().freeze(now);
                 self.flush_retransmits += flushed.len() as u64;
                 step.out.extend(flushed);
             }
             FlushAction::ViewInstalled { view, cut } => {
                 let members: Vec<usize> = view.members.iter().map(|p| p.0).collect();
                 let id = view.id.0;
-                self.endpoint.on_view_install(now, id, &members, &cut);
+                endpoint.on_view_install(now, id, &members, &cut);
                 step.installed = Some((id, members, cut));
                 // The one thaw. An older view than the proposal we acked
                 // leaves the engine flushing: what that proposal's cut has
                 // yet to bound stays held.
                 if self.engine.can_send() {
-                    let (thawed, out) = self.endpoint.thaw(now);
+                    let (thawed, out) = endpoint.thaw(now);
                     step.out.extend(out);
                     step.delivered = thawed;
                 }
@@ -231,7 +234,7 @@ impl Member {
 mod tests {
     use super::super::{check, NodeEvent, ProcessLog, Violation};
     use super::*;
-    use crate::group::{MsgId, View, ViewId};
+    use crate::group::{CausalDiscipline, MsgId, View, ViewId};
     use simnet::process::ProcessId;
     use std::collections::VecDeque;
 
@@ -245,23 +248,40 @@ mod tests {
         silent: Option<usize>,
         /// Whether the next `FlushOk` in flight is lost.
         lose_a_flush_ok: bool,
+        /// Overhead bytes of the endpoint wires each member handed out:
+        /// everything but membership traffic.
+        returned: Vec<u64>,
     }
 
     impl Pump {
-        fn new(n: usize, knobs: BugKnobs) -> Self {
+        fn new(n: usize, knobs: BugKnobs, discipline: CausalDiscipline) -> Self {
+            let group = GroupConfig {
+                discipline,
+                ..GroupConfig::default()
+            };
             Pump {
                 members: (0..n)
-                    .map(|me| Member::new(me, n, GroupConfig::default(), knobs))
+                    .map(|me| Member::new(me, n, group.clone(), knobs))
                     .collect(),
                 logs: vec![Vec::new(); n],
                 in_flight: VecDeque::new(),
                 silent: None,
                 lose_a_flush_ok: false,
+                returned: vec![0; n],
             }
         }
 
         fn absorb(&mut self, me: usize, step: Step) {
             for (dest, wire) in step.out {
+                if !matches!(
+                    wire,
+                    Wire::Heartbeat { .. }
+                        | Wire::Flush { .. }
+                        | Wire::FlushOk { .. }
+                        | Wire::Install { .. }
+                ) {
+                    self.returned[me] += wire.overhead_bytes() as u64;
+                }
                 match dest {
                     Dest::All => {
                         let peers = (0..self.members.len()).filter(|&k| k != me);
@@ -335,7 +355,7 @@ mod tests {
     /// member 0 only after 0 froze: its id is returned.
     fn member_two_falls_silent(knobs: BugKnobs, lose_a_flush_ok: bool) -> (Pump, MsgId) {
         let ms = SimTime::from_millis;
-        let mut g = Pump::new(3, knobs);
+        let mut g = Pump::new(3, knobs, CausalDiscipline::Cbcast);
         g.lose_a_flush_ok = lose_a_flush_ok;
         for me in 0..3 {
             g.multicast(me, ms(1), me as u64);
@@ -389,6 +409,75 @@ mod tests {
         assert_eq!(check(&g.process_logs()), Vec::new());
     }
 
+    /// What `harness::tests::every_booked_byte_is_a_returned_wire` holds
+    /// in a static group, across a crash and a view change. Member 2's
+    /// message reaches member 0 alone before 2 falls silent; member 1
+    /// enters the flush that removes 2 (retransmitting member 0's
+    /// unstable message), has the lost one repaired while
+    /// frozen, and delivers it at the install — pccast forwards it then,
+    /// on the ring the install rebuilt. Every wire the endpoints hand
+    /// out is booked, and nothing else is.
+    #[test]
+    fn every_booked_byte_is_a_returned_wire_across_a_view_change() {
+        let ms = SimTime::from_millis;
+        let take = |g: &mut Pump, to: usize| {
+            let at = g
+                .in_flight
+                .iter()
+                .position(|(k, w)| *k == to && matches!(w, Wire::Data(_)));
+            let wire = g
+                .in_flight
+                .remove(at.expect("a data copy"))
+                .expect("in flight")
+                .1;
+            g.in_flight.clear();
+            wire
+        };
+        for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+            let mut g = Pump::new(3, BugKnobs::default(), discipline);
+            g.multicast(0, ms(1), 1);
+            g.deliver(ms(1));
+            let lost = g.multicast(2, ms(1), 21);
+            let copy = take(&mut g, 0);
+            g.hand(0, ms(2), copy);
+            g.in_flight.clear();
+            g.silent = Some(2);
+            let view = View {
+                id: ViewId(2),
+                members: vec![ProcessId(0), ProcessId(1)],
+            };
+            let proposed = view.clone();
+            g.hand(1, ms(10), Wire::Flush { proposed, from: 0 });
+            assert!(g.members[1].flush_retransmits() > 0, "{discipline:?}");
+            g.hand(
+                0,
+                ms(11),
+                Wire::Nack {
+                    from: 1,
+                    want: vec![lost],
+                },
+            );
+            let repair = take(&mut g, 1);
+            g.hand(1, ms(12), repair);
+            assert!(g.members[1].endpoint().is_frozen(), "{discipline:?}");
+            let cut = g.members[0].endpoint().clock().clone();
+            g.hand(1, ms(13), Wire::Install { view, cut });
+            let thawed = NodeEvent::Deliver { id: lost };
+            assert_eq!(g.logs[1].last(), Some(&thawed), "{discipline:?}");
+            let forwarded = g
+                .in_flight
+                .iter()
+                .any(|(k, w)| *k == 0 && matches!(w, Wire::Data(_)));
+            assert_eq!(forwarded, discipline == CausalDiscipline::Pccast);
+            for (me, m) in g.members.iter().enumerate() {
+                let s = m.endpoint().stats();
+                let booked = s.data_overhead_bytes + s.control_bytes;
+                assert_eq!(g.returned[me], booked, "{discipline:?} member {me}");
+                assert_eq!(s.bytes_by_kind.iter().sum::<u64>(), booked);
+            }
+        }
+    }
+
     #[test]
     fn one_lost_flush_ok_wedges_the_group_when_nothing_is_retried() {
         // Seed 2's wedge, without a fault plan: the coordinator never
@@ -426,7 +515,7 @@ mod tests {
             id: ViewId(id),
             members: members.iter().copied().map(ProcessId).collect(),
         };
-        let mut g = Pump::new(5, BugKnobs::default());
+        let mut g = Pump::new(5, BugKnobs::default(), CausalDiscipline::Cbcast);
         g.multicast(3, ms(1), 31);
         g.deliver(ms(2));
         let m3_2 = g.multicast(3, ms(3), 32);

@@ -129,6 +129,22 @@ impl<P> DataMsg<P> {
             self.vt_wire = VtWire::Full(self.vt.encode());
         }
     }
+
+    /// A retransmittable copy of this buffered message, stamped
+    /// [`Self::make_full`] so the requester can decode it without
+    /// per-sender delta context or link position. The buffered message
+    /// itself is made full the first time, so it is encoded once and
+    /// every later copy shares its bytes.
+    pub(crate) fn repair_copy(&mut self) -> DataMsg<P>
+    where
+        P: Clone,
+    {
+        self.make_full();
+        DataMsg {
+            retransmit: true,
+            ..self.clone()
+        }
+    }
 }
 
 impl<P: std::fmt::Debug> std::fmt::Debug for DataMsg<P> {
@@ -307,10 +323,18 @@ pub struct EndpointStats {
     pub retransmits_served: u64,
     /// Ack-gossip messages sent.
     pub acks_sent: u64,
-    /// Control bytes sent (everything but payloads).
+    /// Protocol overhead ([`Wire::overhead_bytes`]) of every returned
+    /// wire that is not [`ByteKind::OwnData`]: relays, repair copies,
+    /// gossip, NACKs, link acks, order and token wires.
     pub control_bytes: u64,
-    /// Data overhead bytes sent (headers + clocks on data).
+    /// Protocol overhead of this member's own multicasts as they first
+    /// leave: a [`Wire::Data`] carrying one of its own messages, not a
+    /// retransmission, and not a second copy of the id just booked.
     pub data_overhead_bytes: u64,
+    /// The same bytes by what they paid for, indexed by [`ByteKind`]:
+    /// the `OwnData` entry is `data_overhead_bytes`, the rest sum to
+    /// `control_bytes`. All three are booked by `book` alone.
+    pub bytes_by_kind: [u64; ByteKind::NAMES.len()],
     /// Current number of buffered (unstable) messages.
     pub buffered_now: u64,
     /// Current buffered bytes (payload + overhead).
@@ -345,7 +369,76 @@ pub struct EndpointStats {
     pub rejected_removed: u64,
 }
 
+/// What a wire an endpoint returns pays for, as `EndpointStats::book` splits it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ByteKind {
+    /// The first copy of one of this member's own multicasts.
+    OwnData,
+    /// Any other fresh data copy: someone else's message passed on, or a
+    /// further copy of our own (pccast's second overlay neighbour).
+    Relay,
+    /// A retransmitted data copy (NACK serve, flush repair, link resend)
+    /// and pccast's `PcSkip`, which fills a link position instead.
+    Repair,
+    /// Delivered-clock gossip.
+    Gossip,
+    /// A retransmission request, of data or of order slots.
+    Nack,
+    /// pccast's per-link cumulative ack.
+    LinkAck,
+    /// The sequencer's order assignment.
+    Order,
+    /// The ring's token and its acknowledgement.
+    Token,
+}
+
+impl ByteKind {
+    /// Each kind's name in metric rows, in index order.
+    pub const NAMES: [&'static str; 8] = [
+        "own_data", "relay", "repair", "gossip", "nack", "link_ack", "order", "token",
+    ];
+}
+
 impl EndpointStats {
+    /// Books `out`, what an entry point of member `me` returns, into
+    /// `data_overhead_bytes`, `control_bytes` and `bytes_by_kind`: the
+    /// one place any endpoint charges a byte to the wire. Every entry
+    /// point that returns wires ends here, so what is booked is what is
+    /// sent. The copies of one multicast leave side by side; only the
+    /// first is its own data.
+    pub(crate) fn book<P>(&mut self, me: usize, out: &[Out<P>]) {
+        let mut booked_own = None;
+        for (_, wire) in out {
+            let kind = match wire {
+                Wire::Data(d) if d.retransmit => ByteKind::Repair,
+                Wire::Data(d) if d.id.sender == me && booked_own != Some(d.id) => {
+                    booked_own = Some(d.id);
+                    ByteKind::OwnData
+                }
+                Wire::Data(_) => ByteKind::Relay,
+                Wire::PcSkip { .. } => ByteKind::Repair,
+                // Membership traffic leaves through `vsync::Member`, never
+                // an endpoint; were it booked, it would be chatter too.
+                Wire::AckGossip { .. }
+                | Wire::Heartbeat { .. }
+                | Wire::Flush { .. }
+                | Wire::FlushOk { .. }
+                | Wire::Install { .. } => ByteKind::Gossip,
+                Wire::Nack { .. } | Wire::OrderNack { .. } => ByteKind::Nack,
+                Wire::PcAck { .. } => ByteKind::LinkAck,
+                Wire::Order { .. } => ByteKind::Order,
+                Wire::Token { .. } | Wire::TokenAck { .. } => ByteKind::Token,
+            };
+            let bytes = wire.overhead_bytes() as u64;
+            self.bytes_by_kind[kind as usize] += bytes;
+            if kind == ByteKind::OwnData {
+                self.data_overhead_bytes += bytes;
+            } else {
+                self.control_bytes += bytes;
+            }
+        }
+    }
+
     /// Mean hold time over held deliveries.
     pub fn mean_hold(&self) -> SimDuration {
         match self
@@ -365,6 +458,18 @@ impl EndpointStats {
         } else {
             self.delivered_after_hold as f64 / self.delivered as f64
         }
+    }
+
+    /// Counts a delivery at `now` of a message that arrived at `arrived`,
+    /// and its hold if it waited; returns whether it did.
+    pub(crate) fn note_delivery(&mut self, arrived: SimTime, now: SimTime) -> bool {
+        let held = arrived < now;
+        self.delivered += 1;
+        if held {
+            self.delivered_after_hold += 1;
+            self.hold_time_total += now.saturating_since(arrived);
+        }
+        held
     }
 
     pub(crate) fn note_buffer(&mut self, msgs: u64, bytes: u64) {
