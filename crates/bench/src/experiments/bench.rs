@@ -28,10 +28,11 @@ use crate::table::Table;
 use catocs::endpoint::Discipline;
 use catocs::group::GroupConfig;
 use catocs::harness::{spawn_group, Chatter, GroupNode};
-use catocs::ledger::{LatencySummary, PhaseId};
+use catocs::ledger::LatencySummary;
 use catocs::wire::{ByteKind, EndpointStats, Wire};
 use simnet::metrics::Histogram;
 use simnet::net::NetConfig;
+use simnet::obs::LatencyPhase;
 use simnet::process::Process;
 use simnet::sim::SimBuilder;
 use simnet::time::{SimDuration, SimTime};
@@ -224,7 +225,7 @@ fn push_latency(rows: &mut Rows, d: Algo, summaries: &[LatencySummary]) {
     for s in summaries {
         e2e.merge(&s.latency);
         tax.merge(&s.tax);
-        if let Some(h) = s.per_phase.get(&PhaseId::Wire) {
+        if let Some(h) = s.per_phase.get(&LatencyPhase::Wire) {
             wire.merge(h);
         }
         if let Some(h) = s.per_phase.get(&sig_phase) {

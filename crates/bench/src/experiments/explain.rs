@@ -84,6 +84,7 @@ pub(crate) fn render_records(
                 id.seq,
                 arrived.as_micros(),
             );
+            let blocked = WaitNode::Msg(*id);
             let is_gate = |why| matches!(why, WaitReason::Frozen | WaitReason::FastPathBarred);
             let is_link = |on| matches!(on, WaitNode::LinkSlot { .. });
             let (links, preds): (Vec<_>, Vec<_>) = waits
@@ -92,7 +93,8 @@ pub(crate) fn render_records(
                 .partition(|w| is_link(w.0));
             if preds.is_empty() && links.is_empty() {
                 let frozen = waits.iter().find(|w| w.1 == WaitReason::Frozen);
-                let gate = frozen.map_or("queued for delivery".into(), |w| w.1.sentence(w.0));
+                let gate =
+                    frozen.map_or("queued for delivery".into(), |w| w.1.sentence(blocked, w.0));
                 let _ = writeln!(out, "  nothing — all causal predecessors present; {gate}");
             }
             for (list, what) in [
@@ -100,7 +102,7 @@ pub(crate) fn render_records(
                 (links, "blocked link cursors"),
             ] {
                 for (on, why) in list.iter().take(MAX_WAITS_PER_MSG) {
-                    let _ = writeln!(out, "  {}", why.sentence(*on));
+                    let _ = writeln!(out, "  {}", why.sentence(blocked, *on));
                 }
                 if list.len() > MAX_WAITS_PER_MSG {
                     let _ = writeln!(
@@ -122,9 +124,10 @@ pub(crate) fn render_records(
             for (on, why) in rec.waits.iter().filter(|w| w.1 == WaitReason::TokenQueued) {
                 let _ = writeln!(
                     out,
-                    "P{who} has {} since {}us [token]",
-                    why.sentence(*on),
-                    rec.since.as_micros()
+                    "P{who} has {} since {}us [{}]",
+                    why.sentence(rec.blocked, *on),
+                    rec.since.as_micros(),
+                    why.phase(rec.blocked, *on)
                 );
             }
         }

@@ -21,10 +21,10 @@
 use crate::experiments::replay::{Algo, Replay};
 use crate::table::Table;
 use catocs::harness::{spawn_group, Chatter, GroupNode};
-use catocs::ledger::{LatencySummary, LedgerEntry, LedgerProbe, PhaseId};
+use catocs::ledger::{LatencySummary, LedgerEntry, LedgerProbe};
 use catocs::wire::Wire;
 use simnet::net::NetConfig;
-use simnet::obs::{Probe, ProbeHandle, SpanId};
+use simnet::obs::{LatencyPhase, Probe, ProbeHandle, SpanId};
 use simnet::process::ProcessId;
 use simnet::sim::{Sim, SimBuilder};
 use simnet::time::{SimDuration, SimTime};
@@ -73,12 +73,18 @@ pub(crate) fn run_group_ledger(seed: u64, n: usize, algo: Algo) -> LatencySummar
     let (mut sim, members) = chatter_group(seed, n, algo);
     let ledger = Rc::new(RefCell::new(LedgerProbe::new()));
     let probe = ProbeHandle::new(Rc::clone(&ledger) as Rc<RefCell<dyn Probe>>);
-    for member in members {
+    for &member in &members {
         let node: &mut GroupNode<u64, Chatter> = sim.process_mut(member).expect("just spawned");
         node.set_probe(probe.clone());
     }
     sim.run_until(GROUP_HORIZON);
-    let summary = ledger.borrow().finalize(GROUP_HORIZON);
+    let mut records = Vec::new();
+    for &member in &members {
+        let node: &GroupNode<u64, Chatter> = sim.process(member).expect("just spawned");
+        node.endpoint()
+            .wait_records(true, &mut |r| records.push(r.clone()));
+    }
+    let summary = ledger.borrow().finalize(GROUP_HORIZON, &records);
     summary
 }
 
@@ -87,7 +93,7 @@ fn ms(d: SimDuration) -> f64 {
 }
 
 /// The share of `e`'s latency spent in `phase`, in `[0, 1]`.
-fn phase_share(e: &LedgerEntry, phase: PhaseId) -> f64 {
+fn phase_share(e: &LedgerEntry, phase: LatencyPhase) -> f64 {
     let spent = e
         .phase_totals()
         .get(&phase)
@@ -204,17 +210,14 @@ pub fn run(replay: &Replay) -> String {
             "critical path of",
         ],
     );
-    for phase in PhaseId::ALL {
-        let Some(h) = s.per_phase.get(&phase) else {
-            continue;
-        };
+    for (phase, h) in &s.per_phase {
         t.row(vec![
             phase.name().into(),
             h.count().into(),
             (h.sum_micros() as f64 / 1_000.0).into(),
             ms(h.quantile(0.50)).into(),
             ms(h.quantile(0.99)).into(),
-            s.critical.get(&phase).copied().unwrap_or(0).into(),
+            s.critical.get(phase).copied().unwrap_or(0).into(),
         ]);
     }
     t.note("phases tile each message's send->deliver time exactly (no gaps,");
@@ -256,13 +259,13 @@ pub fn run(replay: &Replay) -> String {
         // flush barrier. When a view change cannot finish (e.g. the
         // injected wedged_flush bug), this is the message that names it.
         let wedged = open.iter().copied().max_by(|a, b| {
-            phase_share(a, PhaseId::Flush)
-                .total_cmp(&phase_share(b, PhaseId::Flush))
+            phase_share(a, LatencyPhase::Flush)
+                .total_cmp(&phase_share(b, LatencyPhase::Flush))
                 .then(b.span.cmp(&a.span))
                 .then(b.receiver.cmp(&a.receiver))
         });
         if let Some(e) = wedged {
-            let share = phase_share(e, PhaseId::Flush);
+            let share = phase_share(e, LatencyPhase::Flush);
             if share > 0.0 {
                 let _ = writeln!(
                     out,
@@ -393,7 +396,7 @@ mod tests {
             let s = run_group_ledger(0, Replay::of(0).n(), d);
             assert!(!s.entries.is_empty(), "{}: empty ledger", d.name());
             assert!(
-                s.per_phase.contains_key(&PhaseId::Wire),
+                s.per_phase.contains_key(&LatencyPhase::Wire),
                 "{}: no wire phase",
                 d.name()
             );

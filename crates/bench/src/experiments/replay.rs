@@ -28,8 +28,8 @@
 
 use catocs::endpoint::Discipline;
 use catocs::group::{CausalDiscipline, GroupConfig, MsgId};
-use catocs::ledger::PhaseId;
 use catocs::vsync::{BugKnobs, Campaign, CampaignConfig, CampaignResult};
+use simnet::obs::LatencyPhase;
 use std::fmt;
 
 /// The five delivery algorithms the experiments cover.
@@ -79,13 +79,13 @@ impl Algo {
 
     /// The phase that is this algorithm's ordering signature — the one
     /// its guarantee uniquely charges latency to.
-    pub(crate) fn signature_phase(self) -> PhaseId {
+    pub(crate) fn signature_phase(self) -> LatencyPhase {
         match self {
-            Cbcast => PhaseId::Causal,
-            Pccast => PhaseId::Reorder,
-            Abcast => PhaseId::Order,
-            Token => PhaseId::Token,
-            Fifo => PhaseId::Fifo,
+            Cbcast => LatencyPhase::Causal,
+            Pccast => LatencyPhase::Reorder,
+            Abcast => LatencyPhase::Order,
+            Token => LatencyPhase::Token,
+            Fifo => LatencyPhase::Fifo,
         }
     }
 

@@ -19,9 +19,9 @@ use crate::causal_core::span_of;
 use crate::cbcast::CbcastEndpoint;
 use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
-use crate::waitgraph::{PhaseTag, WaitNode, WaitReason, WaitRecord};
+use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{Delivery, Dest, EndpointStats, Out, Wire};
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage, WaitKind};
+use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, HashMap};
 
@@ -89,7 +89,7 @@ impl<P: Clone> AbcastEndpoint<P> {
         }
         self.next_assign += 1;
         let gseq = self.next_assign;
-        self.probe.emit(|| ObsEvent::Phase {
+        self.probe.emit_phase(|| ObsEvent::Phase {
             at: now,
             who: self.cb.me(),
             kind: PhaseKind::OrderAssign,
@@ -134,7 +134,8 @@ impl<P: Clone> AbcastEndpoint<P> {
                     at: now,
                     who: self.cb.me(),
                     span: span_of(id),
-                    kind: WaitKind::OrderWatermark,
+                    phase: LatencyPhase::Order,
+                    pre_send: false,
                     since: causal_at,
                     blocker: None,
                     note: String::new(),
@@ -280,7 +281,7 @@ impl<P: Clone> Protocol<P> for AbcastEndpoint<P> {
         self.cb.wait_records(every_gap, emit);
         let stuck = self.released + 1;
         let sequencer = WaitNode::Phase {
-            kind: PhaseTag::OrderAssign,
+            kind: PhaseKind::OrderAssign,
             at: self.sequencer,
         };
         let held = self.unreleased.iter();
@@ -377,7 +378,7 @@ mod tests {
     fn wait_records_name_the_assignment_the_slot_and_the_substrate() {
         let msg = |sender, seq| WaitNode::Msg(MsgId { sender, seq });
         let sequencer = WaitNode::Phase {
-            kind: PhaseTag::OrderAssign,
+            kind: PhaseKind::OrderAssign,
             at: 0,
         };
         // A multicast's data message, and whatever else went out with it.

@@ -19,7 +19,7 @@ use crate::stability::StabilityTracker;
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage, WaitKind};
+use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage};
 use simnet::time::SimTime;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -60,12 +60,13 @@ pub(crate) fn span_of(id: MsgId) -> SpanId {
 /// The span event of `msg` coming off the wire at member `who`, in every
 /// discipline.
 pub(crate) fn arrival<P>(now: SimTime, who: usize, msg: &DataMsg<P>) -> ObsEvent {
-    let note = if msg.retransmit { "retransmit" } else { "" };
+    let retransmit = msg.retransmit;
+    let note = if retransmit { "retransmit" } else { "" };
     ObsEvent::Span {
         at: now,
         who,
         span: span_of(msg.id),
-        stage: Stage::Wire,
+        stage: Stage::Wire { retransmit },
         note: note.to_string(),
     }
 }
@@ -154,12 +155,10 @@ pub struct CausalCore<P> {
     /// may be delivered, or this member could run past the clock it
     /// promised the coordinator and deliver a removed sender's message
     /// beyond the agreed cut. Incoming messages still accumulate; the
-    /// endpoint's `thaw` drains them.
-    pub(crate) frozen: bool,
-    /// When the current freeze began (None when not frozen) — the
-    /// latency ledger splits waits that end at the thaw at this point
-    /// into a classified wait and a flush-barrier wait.
-    frozen_since: Option<SimTime>,
+    /// endpoint's `thaw` drains them. Held waits that end at the thaw
+    /// are split at the instant the freeze began, kept here: a
+    /// classified wait before it, a flush-barrier wait after.
+    frozen: Option<SimTime>,
     /// Set for the duration of the thaw-time drain: the freeze instant
     /// the just-ended flush began at.
     thaw_drain: Option<SimTime>,
@@ -189,8 +188,7 @@ impl<P: Clone> CausalCore<P> {
             known: vec![0; n],
             alive: vec![true; n],
             cut: VectorClock::new(n),
-            frozen: false,
-            frozen_since: None,
+            frozen: None,
             thaw_drain: None,
             probe: ProbeHandle::none(),
             stats: EndpointStats::default(),
@@ -219,9 +217,9 @@ impl<P: Clone> CausalCore<P> {
             out.push((Dest::All, Wire::Data(m.repair_copy())));
         }
         self.stats.book(self.me, &out);
-        if !self.frozen {
-            self.frozen_since = Some(now);
-            self.probe.emit(|| ObsEvent::Phase {
+        if self.frozen.is_none() {
+            self.frozen = Some(now);
+            self.probe.emit_phase(|| ObsEvent::Phase {
                 at: now,
                 who: self.me,
                 kind: PhaseKind::Flush,
@@ -229,13 +227,12 @@ impl<P: Clone> CausalCore<P> {
                 note: format!("{} unstable buffered", self.buffer.len()),
             });
         }
-        self.frozen = true;
         out
     }
 
     /// Whether delivery is currently frozen by a flush in progress.
     pub(crate) fn is_frozen(&self) -> bool {
-        self.frozen
+        self.frozen.is_some()
     }
 
     /// The delivered vector clock.
@@ -315,7 +312,7 @@ impl<P: Clone> CausalCore<P> {
                 known.extend(unknown.map(|seq| self.wait_on(k, seq, parked)));
                 waits.extend_from_slice(&known[..depth as usize]);
             }
-            if self.frozen {
+            if self.is_frozen() {
                 waits.push((WaitNode::Proc(self.me), WaitReason::Frozen));
             }
             waits = self.emit_held(p.msg.id, p.arrived_at, waits, emit);
@@ -384,7 +381,7 @@ impl<P: Clone> CausalCore<P> {
     ///
     /// The delivery freeze is left to [`Self::thaw`].
     pub(crate) fn install_view(&mut self, now: SimTime, members: &[usize], cut: &VectorClock) {
-        self.probe.emit(|| ObsEvent::Phase {
+        self.probe.emit_phase(|| ObsEvent::Phase {
             at: now,
             who: self.me,
             kind: PhaseKind::Install,
@@ -418,8 +415,8 @@ impl<P: Clone> CausalCore<P> {
     /// [`Self::end_thaw_drain`]; until then each held delivery's frozen
     /// tail is attributed to the flush barrier.
     pub(crate) fn thaw(&mut self, now: SimTime) {
-        if self.frozen {
-            self.probe.emit(|| ObsEvent::Phase {
+        if self.is_frozen() {
+            self.probe.emit_phase(|| ObsEvent::Phase {
                 at: now,
                 who: self.me,
                 kind: PhaseKind::Flush,
@@ -427,8 +424,7 @@ impl<P: Clone> CausalCore<P> {
                 note: String::new(),
             });
         }
-        self.frozen = false;
-        self.thaw_drain = self.frozen_since.take();
+        self.thaw_drain = self.frozen.take();
     }
 
     /// Ends the drain begun by [`Self::thaw`].
@@ -442,13 +438,20 @@ impl<P: Clone> CausalCore<P> {
         !self.alive[id.sender] && id.seq > self.cut.get(id.sender)
     }
 
-    /// Emits a `Dropped` span for `id`.
-    pub(crate) fn note_dropped(&self, now: SimTime, id: MsgId, note: impl FnOnce() -> String) {
+    /// Emits a span of `stage` for `id` where the copy left this
+    /// endpoint undelivered: `Dropped`, or `Unparked` for a parked one.
+    pub(crate) fn note_gone(
+        &self,
+        now: SimTime,
+        id: MsgId,
+        stage: Stage,
+        note: impl FnOnce() -> String,
+    ) {
         self.probe.emit(|| ObsEvent::Span {
             at: now,
             who: self.me,
             span: span_of(id),
-            stage: Stage::Dropped,
+            stage,
             note: note(),
         });
     }
@@ -474,7 +477,7 @@ impl<P: Clone> CausalCore<P> {
         self.probe.emit(|| arrival(now, self.me, msg));
         if self.beyond_cut(msg.id) {
             self.stats.rejected_removed += 1;
-            self.note_dropped(now, msg.id, || {
+            self.note_gone(now, msg.id, Stage::Dropped, || {
                 format!("removed sender beyond cut {}", self.cut.get(msg.id.sender))
             });
             return false;
@@ -499,7 +502,9 @@ impl<P: Clone> CausalCore<P> {
             }
             _ => {
                 self.stats.ts_decode_errors += 1;
-                self.note_dropped(now, msg.id, || format!("{what} decode error"));
+                self.note_gone(now, msg.id, Stage::Dropped, || {
+                    format!("{what} decode error")
+                });
                 None
             }
         }
@@ -511,7 +516,7 @@ impl<P: Clone> CausalCore<P> {
         let dup = id.seq <= self.vt.get(id.sender) || self.holdback.contains(id);
         if dup {
             self.stats.duplicates += 1;
-            self.note_dropped(now, id, || "duplicate".to_string());
+            self.note_gone(now, id, Stage::Dropped, || "duplicate".to_string());
             self.collect_garbage(now);
         }
         dup
@@ -793,7 +798,7 @@ impl<P: Clone> CausalCore<P> {
     }
 
     /// Delivery, step two (held deliveries only): ledger attribution of
-    /// the hold to `kind` and `blocker`. The thaw-time drain splits the
+    /// the hold to `phase` and `blocker`. The thaw-time drain splits the
     /// interval at the freeze instant — before it, the classified wait;
     /// after it, the flush barrier.
     pub(crate) fn emit_hold_waits(
@@ -801,7 +806,7 @@ impl<P: Clone> CausalCore<P> {
         now: SimTime,
         arrived_at: SimTime,
         id: MsgId,
-        kind: WaitKind,
+        phase: LatencyPhase,
         blocker: Option<SpanId>,
     ) {
         let split = self.thaw_drain.filter(|fs| *fs < now && *fs > arrived_at);
@@ -810,7 +815,8 @@ impl<P: Clone> CausalCore<P> {
                 at: fs,
                 who: self.me,
                 span: span_of(id),
-                kind,
+                phase,
+                pre_send: false,
                 since: arrived_at,
                 blocker,
                 note: String::new(),
@@ -821,11 +827,12 @@ impl<P: Clone> CausalCore<P> {
             at: now,
             who: self.me,
             span: span_of(id),
-            kind: if frozen_tail {
-                WaitKind::FlushBarrier
+            phase: if frozen_tail {
+                LatencyPhase::Flush
             } else {
-                kind
+                phase
             },
+            pre_send: false,
             since: split.unwrap_or(arrived_at),
             blocker: if frozen_tail { None } else { blocker },
             note: if frozen_tail {
@@ -877,7 +884,7 @@ impl<P: Clone> CausalCore<P> {
         }
         let frontier = self.stability.stable_frontier();
         let reclaimed = self.buffer.reclaim(&frontier);
-        self.probe.emit(|| ObsEvent::Phase {
+        self.probe.emit_phase(|| ObsEvent::Phase {
             at: now,
             who: self.me,
             kind: PhaseKind::StabilityRound,

@@ -27,7 +27,7 @@ use crate::holdback::Pending;
 use crate::waitgraph::WaitRecord;
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::{ObsEvent, ProbeHandle, Stage, WaitKind};
+use simnet::obs::{LatencyPhase, ObsEvent, ProbeHandle, Stage};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -270,7 +270,7 @@ impl<P: Clone> CbcastEndpoint<P> {
                     // The timestamp for this seq was decoded before, so
                     // this copy is a duplicate of a known message.
                     self.core.stats.duplicates += 1;
-                    self.core.note_dropped(now, msg.id, || {
+                    self.core.note_gone(now, msg.id, Stage::Dropped, || {
                         "duplicate (behind decode chain)".to_string()
                     });
                     return;
@@ -311,7 +311,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         };
         if let Some(vt) = self.core.checked_vt(now, &msg, decoded, what) {
             msg.vt = vt;
-            self.advance_chain(sender, msg.id.seq, msg.vt.clone());
+            self.advance_chain(now, sender, msg.id.seq, msg.vt.clone());
             self.on_data(now, msg, out, delivered);
             self.drain_undecoded(now, sender, out, delivered);
         }
@@ -323,16 +323,20 @@ impl<P: Clone> CbcastEndpoint<P> {
     /// their payloads come back through the missing/NACK machinery. A
     /// parked copy of `seq` itself is the message now decoded, on its way
     /// to the holdback; one below it leaves the registered ids.
-    fn advance_chain(&mut self, sender: usize, seq: u64, vt: VectorClock) {
+    fn advance_chain(&mut self, now: SimTime, sender: usize, seq: u64, vt: VectorClock) {
         let chain = &mut self.decode_chain[sender];
         if seq > chain.0 || (seq == chain.0 && chain.1.is_none()) {
             *chain = (seq, Some(vt));
             let parked = &mut self.undecoded[sender];
             let kept = parked.split_off(&(seq + 1));
-            if let Some(&lowest) = parked.keys().next().filter(|&&q| q < seq) {
+            let passed = std::mem::replace(parked, kept);
+            if let Some(&lowest) = passed.keys().next().filter(|&&q| q < seq) {
                 self.core.unregister_from(sender, lowest);
             }
-            *parked = kept;
+            for &q in passed.range(..seq).map(|(q, _)| q) {
+                let id = MsgId { sender, seq: q };
+                self.core.note_gone(now, id, Stage::Unparked, String::new);
+            }
         }
     }
 
@@ -362,10 +366,12 @@ impl<P: Clone> CbcastEndpoint<P> {
             // The same front door as a timestamp decoded on arrival.
             if let Some(vt) = self.core.checked_vt(now, &msg, decoded, "parked timestamp") {
                 msg.vt = vt;
-                self.advance_chain(sender, next, msg.vt.clone());
+                self.advance_chain(now, sender, next, msg.vt.clone());
                 self.on_data(now, msg, out, delivered);
             } else {
                 self.core.unregister_from(sender, next);
+                self.core
+                    .note_gone(now, msg.id, Stage::Unparked, String::new);
             }
         }
     }
@@ -445,7 +451,7 @@ impl<P: Clone> CbcastEndpoint<P> {
     /// progress): messages keep queueing and drain at view install.
     fn drain_holdback(&mut self, now: SimTime, delivered: &mut Vec<Delivery<P>>) {
         let core = &mut self.core;
-        if core.frozen {
+        if core.is_frozen() {
             core.note_holdback();
             return;
         }
@@ -471,13 +477,13 @@ impl<P: Clone> CbcastEndpoint<P> {
                     ),
                 });
                 // Ledger attribution: why was it held, and on whom?
-                let kind = match last_popped {
-                    Some((_, true)) => WaitKind::NackRepair,
-                    Some((b, _)) if b.sender == id.sender => WaitKind::FifoGap,
-                    _ => WaitKind::CausalDep,
+                let phase = match last_popped {
+                    Some((_, true)) => LatencyPhase::Repair,
+                    Some((b, _)) if b.sender == id.sender => LatencyPhase::Fifo,
+                    _ => LatencyPhase::Causal,
                 };
                 let blocker = last_popped.map(|(b, _)| span_of(b));
-                core.emit_hold_waits(now, arrived_at, id, kind, blocker);
+                core.emit_hold_waits(now, arrived_at, id, phase, blocker);
             }
             core.finish_delivery(now, arrived_at, msg, waited_for, delivered);
             last_popped = Some((id, chased));
@@ -570,7 +576,10 @@ impl<P: Clone> CausalProtocol<P> for CbcastEndpoint<P> {
             for s in 0..self.core.n {
                 if !members.contains(&s) && self.core.alive[s] {
                     // The shell re-registers everything up to the cut.
-                    self.undecoded[s].clear();
+                    for (seq, _) in std::mem::take(&mut self.undecoded[s]) {
+                        let id = MsgId { sender: s, seq };
+                        self.core.note_gone(now, id, Stage::Unparked, String::new);
+                    }
                 }
                 self.decode_chain[s].1 = None;
             }
@@ -875,16 +884,16 @@ mod tests {
         assert_eq!(dels.len(), 2);
         assert!(c.was_chased.is_empty(), "{:?}", c.was_chased);
         let m2 = span_of(MsgId { sender: 1, seq: 1 });
-        let kinds: Vec<WaitKind> = rec
+        let phases: Vec<LatencyPhase> = rec
             .borrow()
             .events(2)
             .iter()
             .filter_map(|e| match e {
-                ObsEvent::Wait { span, kind, .. } if *span == m2 => Some(*kind),
+                ObsEvent::Wait { span, phase, .. } if *span == m2 => Some(*phase),
                 _ => None,
             })
             .collect();
-        assert_eq!(kinds, [WaitKind::NackRepair]);
+        assert_eq!(phases, [LatencyPhase::Repair]);
 
         // c hears a's third message first and chases the two before it;
         // the second arrives and waits on the first, then a is removed
@@ -1331,7 +1340,7 @@ mod tests {
         assert_eq!(
             m2_stages,
             vec![
-                Stage::Wire,
+                Stage::Wire { retransmit: false },
                 Stage::HoldbackEnter,
                 Stage::Deliverable,
                 Stage::Delivered

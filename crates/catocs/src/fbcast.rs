@@ -27,7 +27,7 @@ use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::{ObsEvent, ProbeHandle, Stage, WaitKind};
+use simnet::obs::{LatencyPhase, ObsEvent, ProbeHandle, Stage};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -223,7 +223,8 @@ impl<P: Clone> FbcastEndpoint<P> {
                     at: now,
                     who: self.me,
                     span,
-                    kind: WaitKind::FifoGap,
+                    phase: LatencyPhase::Fifo,
+                    pre_send: false,
                     since: arrived,
                     blocker: Some(span_of(prev)),
                     note: String::new(),

@@ -3,9 +3,9 @@
 //! The paper's §5 cost argument is about *where* a delivered message's
 //! end-to-end latency went: transit, holdback behind an irrelevant
 //! predecessor, a reorder cursor, the total-order watermark, a token
-//! rotation, or a view-change flush. The repo's wait-graph layer can say
-//! *who* blocks a message; this module says *how much each cause
-//! consumed*, exactly.
+//! rotation, or a view-change flush. The wait graph says *who* blocks a
+//! message; this module says *how much each cause consumed*, exactly,
+//! in the same [`LatencyPhase`]s every wait-graph reason maps into.
 //!
 //! [`LedgerProbe`] is a [`Probe`] fed by the same zero-cost seam the
 //! flight recorder uses. Protocol endpoints emit [`ObsEvent::Wait`]
@@ -14,96 +14,29 @@
 //! wire arrival, and delivery stamps — into one [`LedgerEntry`] per
 //! (receiver, message) whose phase segments sum *exactly* to the
 //! send→deliver virtual-time latency (a proptest pins this: no gaps, no
-//! double-counting). Attribution is purely observational: a probed run
-//! is byte-identical to an unprobed one.
+//! double-counting). A message still undelivered at the horizon has no
+//! ended wait to read: [`LedgerProbe::finalize`] charges its tail to the
+//! phase of the wait record that holds it there
+//! ([`WaitRecord::phase`]). Attribution is purely observational: a
+//! probed run is byte-identical to an unprobed one.
 //!
 //! The headline metric is the **ordering tax**: delivered latency minus
 //! the FIFO-only floor for the same arrival pattern — what the ordering
 //! discipline itself cost, over and above transit and per-sender FIFO
 //! sequencing that even `fbcast` pays.
 
+use crate::causal_core::span_of;
+use crate::waitgraph::{WaitNode, WaitRecord};
 use simnet::metrics::Histogram;
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, Probe, ProbeHandle, SpanId, Stage, WaitKind};
+use simnet::obs::{LatencyPhase, ObsEvent, Probe, ProbeHandle, SpanId, Stage};
 use simnet::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// An attribution phase — where one slice of a message's latency went.
-/// Coarser than [`WaitKind`]: the two token-side waits (pre-send hold at
-/// the origin, rotation wait at a receiver) both land in [`PhaseId::Token`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PhaseId {
-    /// Wire transit: send to first arrival at the receiver.
-    Wire,
-    /// NACK repair in flight (the delivered copy was a retransmission,
-    /// or the arrival-to-queue gap of a chased message).
-    Repair,
-    /// Holdback wait on a causal predecessor from another sender.
-    Causal,
-    /// Holdback wait on an earlier message from the same sender.
-    Fifo,
-    /// pccast per-link reorder-cursor wait.
-    Reorder,
-    /// abcast order-watermark wait (causally delivered, not yet released).
-    Order,
-    /// Token wait: pre-send hold at the origin or rotation wait here.
-    Token,
-    /// View-change flush/install barrier.
-    Flush,
-}
-
-impl PhaseId {
-    /// Every phase, in display order.
-    pub const ALL: [PhaseId; 8] = [
-        PhaseId::Wire,
-        PhaseId::Repair,
-        PhaseId::Causal,
-        PhaseId::Fifo,
-        PhaseId::Reorder,
-        PhaseId::Order,
-        PhaseId::Token,
-        PhaseId::Flush,
-    ];
-
-    /// Stable lowercase name, used in tables and BENCH metric names.
-    pub fn name(self) -> &'static str {
-        match self {
-            PhaseId::Wire => "wire",
-            PhaseId::Repair => "repair",
-            PhaseId::Causal => "causal",
-            PhaseId::Fifo => "fifo",
-            PhaseId::Reorder => "reorder",
-            PhaseId::Order => "order",
-            PhaseId::Token => "token",
-            PhaseId::Flush => "flush",
-        }
-    }
-
-    /// The phase a [`WaitKind`] is attributed to.
-    pub(crate) fn from_wait(kind: WaitKind) -> PhaseId {
-        match kind {
-            WaitKind::CausalDep => PhaseId::Causal,
-            WaitKind::FifoGap => PhaseId::Fifo,
-            WaitKind::NackRepair => PhaseId::Repair,
-            WaitKind::LinkReorder => PhaseId::Reorder,
-            WaitKind::OrderWatermark => PhaseId::Order,
-            WaitKind::TokenRotation | WaitKind::TokenHold => PhaseId::Token,
-            WaitKind::FlushBarrier => PhaseId::Flush,
-        }
-    }
-}
-
-impl fmt::Display for PhaseId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// One attributed slice `[from, to)` of a message's latency at a receiver.
 #[derive(Clone, Debug)]
 pub struct Segment {
     /// Where this slice went.
-    pub phase: PhaseId,
+    pub phase: LatencyPhase,
     /// Slice start.
     pub from: SimTime,
     /// Slice end (exclusive).
@@ -145,6 +78,33 @@ pub struct LedgerEntry {
 }
 
 impl LedgerEntry {
+    /// Appends a `phase` slice over `[from, to)`, clipped to what the
+    /// tiling has not claimed yet and to the entry's end: overlapping
+    /// claims (e.g. a token holder's own-message release wait re-claiming
+    /// its submit-queue hold) collapse structurally, which is what makes
+    /// the tiling exact by construction.
+    fn tile(
+        &mut self,
+        phase: LatencyPhase,
+        from: SimTime,
+        to: SimTime,
+        blocker: Option<SpanId>,
+        note: &str,
+    ) {
+        let from = from.max(self.segments.last().map_or(self.send_at, |s| s.to));
+        let to = to.min(self.end);
+        if to > from {
+            let note = note.to_string();
+            self.segments.push(Segment {
+                phase,
+                from,
+                to,
+                blocker,
+                note,
+            });
+        }
+    }
+
     /// End-to-end virtual-time latency (send to deliver, or to the
     /// horizon while open).
     pub fn latency(&self) -> SimDuration {
@@ -152,8 +112,8 @@ impl LedgerEntry {
     }
 
     /// Total time per phase across this entry's segments.
-    pub fn phase_totals(&self) -> BTreeMap<PhaseId, SimDuration> {
-        let mut totals: BTreeMap<PhaseId, SimDuration> = BTreeMap::new();
+    pub fn phase_totals(&self) -> BTreeMap<LatencyPhase, SimDuration> {
+        let mut totals: BTreeMap<LatencyPhase, SimDuration> = BTreeMap::new();
         for s in &self.segments {
             let t = totals.entry(s.phase).or_insert(SimDuration(0));
             t.0 += s.dur().0;
@@ -163,20 +123,12 @@ impl LedgerEntry {
 
     /// The single phase that consumed the most of this entry's latency —
     /// the critical path of its wait. `None` when latency is zero.
-    pub fn critical_path(&self) -> Option<PhaseId> {
-        self.phase_totals()
-            .into_iter()
-            .filter(|(_, d)| d.0 > 0)
-            // max_by_key keeps the *last* max; iterate phases in display
-            // order and prefer the earliest on ties deterministically.
-            .fold(
-                None,
-                |best: Option<(PhaseId, SimDuration)>, (p, d)| match best {
-                    Some((_, bd)) if bd.0 >= d.0 => best,
-                    _ => Some((p, d)),
-                },
-            )
-            .map(|(p, _)| p)
+    pub fn critical_path(&self) -> Option<LatencyPhase> {
+        // max_by_key keeps the *last* max: walking the phases backwards,
+        // the earliest in display order wins a tie.
+        let totals = self.phase_totals().into_iter().rev();
+        let (phase, d) = totals.max_by_key(|&(_, d)| d)?;
+        (d.0 > 0).then_some(phase)
     }
 }
 
@@ -186,20 +138,29 @@ struct RecvRec {
     /// The first wire copy seen here was a NACK retransmission — the
     /// pre-arrival interval is repair, not transit.
     wire_retransmit: bool,
-    /// A delta copy was parked undecoded here (arrival-to-queue gaps are
-    /// then FIFO waits on the decode base, not repair).
-    parked: bool,
-    /// The message demonstrably entered a queue here (holdback, reorder
-    /// buffer, parked) — an undelivered rec without evidence is a
-    /// dropped duplicate, not an open entry.
-    held_evidence: bool,
+    parking: Parking,
     delivered_at: Option<SimTime>,
     waits: Vec<WaitSeg>,
 }
 
+/// Whether a delta copy sits, or sat, parked undecoded here.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum Parking {
+    /// Never parked, or the parked copy was discarded: the message
+    /// comes back, if at all, by repair.
+    #[default]
+    No,
+    /// Parked now. No wait record names a parked copy, so this is what
+    /// keeps an undelivered one open.
+    Now,
+    /// Parked until it decoded into the holdback. Its arrival-to-queue
+    /// gap was a FIFO wait on the decode base, not repair.
+    Decoded,
+}
+
 #[derive(Debug)]
 struct WaitSeg {
-    kind: WaitKind,
+    phase: LatencyPhase,
     since: SimTime,
     at: SimTime,
     blocker: Option<SpanId>,
@@ -214,12 +175,8 @@ pub struct LedgerProbe {
     send_at: BTreeMap<SpanId, SimTime>,
     /// Pre-send token holds at the origin, `[since, at)` — they apply to
     /// every receiver of the span.
-    origin_holds: BTreeMap<SpanId, Vec<(SimTime, SimTime)>>,
+    origin_holds: BTreeMap<SpanId, (SimTime, SimTime)>,
     recs: BTreeMap<(usize, SpanId), RecvRec>,
-    /// Processes currently frozen by a flush, and since when — open
-    /// entries at the horizon charge `[frozen_since, horizon)` to the
-    /// flush barrier.
-    frozen_since: BTreeMap<usize, SimTime>,
 }
 
 impl LedgerProbe {
@@ -233,7 +190,8 @@ impl LedgerProbe {
     }
 
     /// Folds one event into the ledger. [`Probe::record`] delegates here;
-    /// tee arrangements can call it directly.
+    /// tee arrangements can call it directly. Phase events and notes
+    /// decide nothing: a note is only copied into a segment.
     pub(crate) fn fold(&mut self, ev: &ObsEvent) {
         match ev {
             ObsEvent::Span {
@@ -241,248 +199,132 @@ impl LedgerProbe {
                 who,
                 span,
                 stage,
-                note,
+                ..
             } => match stage {
                 Stage::Send => {
                     self.send_at.entry(*span).or_insert(*at);
                 }
-                Stage::Wire => {
+                Stage::Wire { retransmit } => {
                     let r = self.rec(*who, *span);
                     if r.first_wire.is_none() {
                         r.first_wire = Some(*at);
-                        r.wire_retransmit = note.contains("retransmit");
+                        r.wire_retransmit = *retransmit;
                     }
                 }
-                Stage::Parked => {
+                Stage::Parked => self.rec(*who, *span).parking = Parking::Now,
+                Stage::Unparked => self.rec(*who, *span).parking = Parking::No,
+                Stage::HoldbackEnter => {
                     let r = self.rec(*who, *span);
-                    r.parked = true;
-                    r.held_evidence = true;
-                }
-                Stage::HoldbackEnter | Stage::ReorderEnter => {
-                    self.rec(*who, *span).held_evidence = true;
+                    if r.parking == Parking::Now {
+                        r.parking = Parking::Decoded;
+                    }
                 }
                 Stage::Delivered => {
                     // abcast re-stamps delivery at release: the later
                     // stamp supersedes the causal one.
                     self.rec(*who, *span).delivered_at = Some(*at);
                 }
-                Stage::Deliverable | Stage::Dropped | Stage::SkipConsume => {}
-            },
-            ObsEvent::Phase {
-                at,
-                who,
-                kind: PhaseKind::Flush,
-                edge,
-                ..
-            } => match edge {
-                PhaseEdge::Begin => {
-                    self.frozen_since.entry(*who).or_insert(*at);
-                }
-                PhaseEdge::End => {
-                    self.frozen_since.remove(who);
-                }
-                PhaseEdge::Point => {}
+                _ => {}
             },
             ObsEvent::Phase { .. } => {}
             ObsEvent::Wait {
                 at,
                 who,
                 span,
-                kind,
+                phase,
+                pre_send,
                 since,
                 blocker,
                 note,
             } => {
-                if *kind == WaitKind::TokenHold {
-                    // Origin-side pre-send hold: applies to all receivers.
-                    self.origin_holds
-                        .entry(*span)
-                        .or_default()
-                        .push((*since, *at));
+                if *pre_send {
+                    self.origin_holds.insert(*span, (*since, *at));
                 } else {
-                    let r = self.rec(*who, *span);
-                    r.waits.push(WaitSeg {
-                        kind: *kind,
+                    self.rec(*who, *span).waits.push(WaitSeg {
+                        phase: *phase,
                         since: *since,
                         at: *at,
                         blocker: *blocker,
                         note: note.clone(),
                     });
-                    r.held_evidence = true;
                 }
             }
         }
     }
 
-    /// Builds the final per-message attribution at `horizon`.
-    pub fn finalize(&self, horizon: SimTime) -> LatencySummary {
+    /// Builds the final per-message attribution at `horizon`, given the
+    /// wait records every process holds then. An undelivered message is
+    /// open iff a record holds it (or it sits parked, which no record
+    /// names), and its tail is charged to that record's phase. One that
+    /// nothing holds is not a latency story: a duplicate copy, or a copy
+    /// purged beyond a removed sender's cut.
+    pub fn finalize(&self, horizon: SimTime, records: &[WaitRecord]) -> LatencySummary {
+        let mut held: BTreeMap<(usize, SpanId), LatencyPhase> = BTreeMap::new();
+        for rec in records {
+            if let (WaitNode::Msg(id), Some(phase)) = (rec.blocked, rec.phase()) {
+                let p = held.entry((rec.who, span_of(id))).or_insert(phase);
+                *p = (*p).max(phase);
+            }
+        }
         let mut entries: Vec<LedgerEntry> = Vec::new();
         for ((receiver, span), r) in &self.recs {
             let Some(&send) = self.send_at.get(span) else {
                 continue;
             };
             let open = r.delivered_at.is_none();
-            if open && !r.held_evidence {
-                // A wire copy that was dropped (duplicate, beyond-cut)
-                // without ever entering a queue — not a latency story.
+            let tail = held
+                .get(&(*receiver, *span))
+                .copied()
+                .or((r.parking == Parking::Now).then_some(LatencyPhase::Fifo));
+            if open && tail.is_none() {
                 continue;
             }
-            let end = r.delivered_at.unwrap_or(horizon);
-            let mut segments: Vec<Segment> = Vec::new();
-            let mut cursor = send;
-            // Clip every incoming slice to `[cursor, end)`: overlapping
-            // claims (e.g. a token holder's own-message release wait
-            // re-claiming its submit-queue hold) collapse structurally,
-            // which is what makes the tiling exact by construction.
-            let push = |segments: &mut Vec<Segment>,
-                        cursor: &mut SimTime,
-                        phase: PhaseId,
-                        from: SimTime,
-                        to: SimTime,
-                        blocker: Option<SpanId>,
-                        note: &str| {
-                let from = from.max(*cursor);
-                let to = to.min(end);
-                if to > from {
-                    segments.push(Segment {
-                        phase,
-                        from,
-                        to,
-                        blocker,
-                        note: note.to_string(),
-                    });
-                    *cursor = to;
-                }
+            let mut e = LedgerEntry {
+                receiver: *receiver,
+                span: *span,
+                send_at: send,
+                end: r.delivered_at.unwrap_or(horizon),
+                open,
+                segments: Vec::new(),
+                tax: SimDuration(0),
             };
-            if let Some(holds) = self.origin_holds.get(span) {
-                let mut holds = holds.clone();
-                holds.sort_unstable();
-                for (since, at) in holds {
-                    push(
-                        &mut segments,
-                        &mut cursor,
-                        PhaseId::Token,
-                        since,
-                        at,
-                        None,
-                        "queued at origin awaiting the token",
-                    );
-                }
+            if let Some(&(since, at)) = self.origin_holds.get(span) {
+                let note = "queued at origin awaiting the token";
+                e.tile(LatencyPhase::Token, since, at, None, note);
             }
             if let Some(wire) = r.first_wire {
-                let (phase, note) = if r.wire_retransmit {
-                    (PhaseId::Repair, "first copy here was a retransmission")
+                if r.wire_retransmit {
+                    let note = "first copy here was a retransmission";
+                    e.tile(LatencyPhase::Repair, send, wire, None, note);
                 } else {
-                    (PhaseId::Wire, "")
-                };
-                push(
-                    &mut segments,
-                    &mut cursor,
-                    phase,
-                    SimTime::ZERO,
-                    wire,
-                    None,
-                    note,
-                );
+                    e.tile(LatencyPhase::Wire, send, wire, None, "");
+                }
             }
             // Arrival-to-queue gaps (a parked delta waiting for its
             // decode base, or a chased message re-entering late) are
             // attributed by the evidence at this receiver.
-            let gap_phase = if r.parked {
-                PhaseId::Fifo
+            let (gap_phase, gap_note) = if r.parking != Parking::No {
+                (LatencyPhase::Fifo, "parked awaiting its delta decode base")
             } else {
-                PhaseId::Repair
+                (
+                    LatencyPhase::Repair,
+                    "arrival-to-queue gap (repair in flight)",
+                )
             };
             for w in &r.waits {
-                if w.since > cursor {
-                    push(
-                        &mut segments,
-                        &mut cursor,
-                        gap_phase,
-                        SimTime::ZERO,
-                        w.since,
-                        None,
-                        if r.parked {
-                            "parked awaiting its delta decode base"
-                        } else {
-                            "arrival-to-queue gap (repair in flight)"
-                        },
-                    );
-                }
-                push(
-                    &mut segments,
-                    &mut cursor,
-                    PhaseId::from_wait(w.kind),
-                    w.since,
-                    w.at,
-                    w.blocker,
-                    &w.note,
-                );
+                e.tile(gap_phase, send, w.since, None, gap_note);
+                e.tile(w.phase, w.since, w.at, w.blocker, &w.note);
             }
-            if end > cursor {
-                if open {
-                    // Still held at the horizon: charge the frozen tail
-                    // (if this receiver is mid-flush) to the barrier and
-                    // the rest to the queue evidence we have.
-                    let fs = self.frozen_since.get(receiver).copied();
-                    let open_phase = if r.parked {
-                        PhaseId::Fifo
-                    } else {
-                        PhaseId::Causal
-                    };
-                    if let Some(fs) = fs {
-                        if fs > cursor {
-                            push(
-                                &mut segments,
-                                &mut cursor,
-                                open_phase,
-                                SimTime::ZERO,
-                                fs,
-                                None,
-                                "still held at the horizon",
-                            );
-                        }
-                        push(
-                            &mut segments,
-                            &mut cursor,
-                            PhaseId::Flush,
-                            SimTime::ZERO,
-                            end,
-                            None,
-                            "delivery frozen by an unfinished flush",
-                        );
-                    } else {
-                        push(
-                            &mut segments,
-                            &mut cursor,
-                            open_phase,
-                            SimTime::ZERO,
-                            end,
-                            None,
-                            "still held at the horizon",
-                        );
-                    }
-                } else {
-                    push(
-                        &mut segments,
-                        &mut cursor,
-                        gap_phase,
-                        SimTime::ZERO,
-                        end,
-                        None,
-                        "unattributed residual",
-                    );
-                }
-            }
-            entries.push(LedgerEntry {
-                receiver: *receiver,
-                span: *span,
-                send_at: send,
-                end,
-                open,
-                segments,
-                tax: SimDuration(0),
-            });
+            let (phase, note) = match tail.filter(|_| open) {
+                Some(LatencyPhase::Flush) => (
+                    LatencyPhase::Flush,
+                    "delivery frozen by an unfinished flush",
+                ),
+                Some(phase) => (phase, "still held at the horizon"),
+                None => (gap_phase, "unattributed residual"),
+            };
+            e.tile(phase, send, e.end, None, note);
+            entries.push(e);
         }
         entries.sort_by_key(|e| (e.span, e.receiver));
 
@@ -502,7 +344,7 @@ impl LedgerProbe {
             let arrival = e
                 .segments
                 .iter()
-                .find(|s| matches!(s.phase, PhaseId::Wire | PhaseId::Repair))
+                .find(|s| matches!(s.phase, LatencyPhase::Wire | LatencyPhase::Repair))
                 .map(|s| s.to)
                 .unwrap_or(e.send_at);
             let f = floor.entry((e.receiver, e.span.origin)).or_insert(arrival);
@@ -533,6 +375,10 @@ impl LedgerProbe {
 impl Probe for LedgerProbe {
     fn enabled(&self) -> bool {
         true
+    }
+
+    fn records_phases(&self) -> bool {
+        false
     }
 
     fn record(&mut self, ev: ObsEvent) {
@@ -566,6 +412,11 @@ impl Probe for TeeProbe {
         true
     }
 
+    /// The ledger reads no phase event: only the downstream probe can.
+    fn records_phases(&self) -> bool {
+        self.inner.records_phases()
+    }
+
     fn record(&mut self, ev: ObsEvent) {
         self.inner.emit(|| ev.clone());
         self.ledger.fold(&ev);
@@ -581,13 +432,13 @@ pub struct LatencySummary {
     pub entries: Vec<LedgerEntry>,
     /// Per-phase time histograms (one sample per entry that spent time
     /// in the phase).
-    pub per_phase: BTreeMap<PhaseId, Histogram>,
+    pub per_phase: BTreeMap<LatencyPhase, Histogram>,
     /// End-to-end delivered latency.
     pub latency: Histogram,
     /// Ordering tax per delivered entry.
     pub tax: Histogram,
     /// How often each phase was an entry's critical path.
-    pub critical: BTreeMap<PhaseId, u64>,
+    pub critical: BTreeMap<LatencyPhase, u64>,
     /// Entries still undelivered at the horizon.
     pub open: usize,
 }
@@ -618,6 +469,8 @@ impl LatencySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::MsgId;
+    use crate::waitgraph::WaitReason;
 
     fn span(origin: usize, seq: u64) -> SpanId {
         SpanId { origin, seq }
@@ -642,7 +495,7 @@ mod tests {
             at: t(at),
             who,
             span: s,
-            stage: Stage::Wire,
+            stage: Stage::Wire { retransmit: false },
             note: String::new(),
         });
     }
@@ -657,12 +510,13 @@ mod tests {
         });
     }
 
-    fn wait(l: &mut LedgerProbe, who: usize, s: SpanId, kind: WaitKind, since: u64, at: u64) {
+    fn wait(l: &mut LedgerProbe, who: usize, s: SpanId, phase: LatencyPhase, since: u64, at: u64) {
         l.fold(&ObsEvent::Wait {
             at: t(at),
             who,
             span: s,
-            kind,
+            phase,
+            pre_send: false,
             since: t(since),
             blocker: None,
             note: String::new(),
@@ -676,14 +530,14 @@ mod tests {
         send(&mut l, 10, 0, m);
         wire(&mut l, 25, 1, m);
         delivered(&mut l, 25, 1, m);
-        let s = l.finalize(t(1000));
+        let s = l.finalize(t(1000), &[]);
         assert_eq!(s.entries.len(), 1);
         let e = &s.entries[0];
         assert_eq!(e.latency(), SimDuration(15));
         assert_eq!(e.segments.len(), 1);
-        assert_eq!(e.segments[0].phase, PhaseId::Wire);
+        assert_eq!(e.segments[0].phase, LatencyPhase::Wire);
         assert_eq!(e.tax, SimDuration(0), "FIFO floor equals own arrival");
-        assert_eq!(e.critical_path(), Some(PhaseId::Wire));
+        assert_eq!(e.critical_path(), Some(LatencyPhase::Wire));
     }
 
     #[test]
@@ -692,13 +546,13 @@ mod tests {
         let m = span(0, 1);
         send(&mut l, 0, 0, m);
         wire(&mut l, 20, 1, m);
-        wait(&mut l, 1, m, WaitKind::CausalDep, 20, 90);
+        wait(&mut l, 1, m, LatencyPhase::Causal, 20, 90);
         delivered(&mut l, 90, 1, m);
-        let s = l.finalize(t(1000));
+        let s = l.finalize(t(1000), &[]);
         let e = &s.entries[0];
         let sum: u64 = e.segments.iter().map(|s| s.dur().0).sum();
         assert_eq!(sum, e.latency().0, "exact tiling");
-        assert_eq!(e.critical_path(), Some(PhaseId::Causal));
+        assert_eq!(e.critical_path(), Some(LatencyPhase::Causal));
         // FIFO floor = own arrival at 20; tax = 90 - 20.
         assert_eq!(e.tax, SimDuration(70));
     }
@@ -716,57 +570,128 @@ mod tests {
             at: t(40),
             who: 2,
             span: m,
-            kind: WaitKind::TokenHold,
+            phase: LatencyPhase::Token,
+            pre_send: true,
             since: t(0),
             blocker: None,
             note: String::new(),
         });
-        wait(&mut l, 2, m, WaitKind::TokenRotation, 0, 40);
+        wait(&mut l, 2, m, LatencyPhase::Token, 0, 40);
         delivered(&mut l, 40, 2, m);
-        let s = l.finalize(t(1000));
+        let s = l.finalize(t(1000), &[]);
         let e = &s.entries[0];
         let sum: u64 = e.segments.iter().map(|s| s.dur().0).sum();
         assert_eq!(sum, 40, "no double-counting");
         assert_eq!(e.segments.len(), 1);
-        assert_eq!(e.segments[0].phase, PhaseId::Token);
+        assert_eq!(e.segments[0].phase, LatencyPhase::Token);
+    }
+
+    /// The wait record of `m` held at `who` since `since`, on `waits`.
+    fn held(who: usize, m: SpanId, since: u64, waits: Vec<(WaitNode, WaitReason)>) -> WaitRecord {
+        WaitRecord {
+            blocked: msg(m),
+            who,
+            since: t(since),
+            slot: None,
+            waits,
+        }
+    }
+
+    fn msg(s: SpanId) -> WaitNode {
+        WaitNode::Msg(MsgId {
+            sender: s.origin,
+            seq: s.seq,
+        })
     }
 
     #[test]
-    fn open_entry_at_frozen_receiver_charges_the_flush_barrier() {
+    fn open_entry_charges_its_tail_to_the_wait_that_holds_it() {
+        let (m, pred) = (span(4, 33), span(2, 7));
         let mut l = LedgerProbe::new();
-        let m = span(4, 33);
         send(&mut l, 100, 4, m);
         wire(&mut l, 120, 0, m);
-        l.fold(&ObsEvent::Span {
-            at: t(120),
-            who: 0,
-            span: m,
-            stage: Stage::HoldbackEnter,
-            note: String::new(),
-        });
-        l.fold(&ObsEvent::Phase {
-            at: t(200),
-            who: 0,
-            kind: PhaseKind::Flush,
-            edge: PhaseEdge::Begin,
-            note: String::new(),
-        });
-        let s = l.finalize(t(5_000_000));
-        assert_eq!(s.open, 1);
-        let e = &s.entries[0];
-        assert!(e.open);
-        let totals = e.phase_totals();
-        let flush = totals
-            .get(&PhaseId::Flush)
-            .copied()
-            .unwrap_or(SimDuration(0));
-        assert!(
-            flush.0 as f64 >= 0.9 * e.latency().0 as f64,
-            "flush dominates: {totals:?}"
+        wire(&mut l, 130, 1, m);
+        let frozen = (WaitNode::Proc(0), WaitReason::Frozen);
+        let records = [
+            held(0, m, 120, vec![(msg(pred), WaitReason::HeldHere), frozen]),
+            held(1, m, 130, vec![(msg(pred), WaitReason::HeldHere)]),
+        ];
+        let s = l.finalize(t(5_000_000), &records);
+        assert_eq!(s.open, 2);
+        for e in &s.entries {
+            assert!(e.open);
+            let sum: u64 = e.segments.iter().map(|s| s.dur().0).sum();
+            assert_eq!(sum, e.latency().0);
+        }
+        // The freeze outranks the predecessor at P0; P1 waits on another
+        // sender's message.
+        let frozen_at_p0 = s.entry(0, m).unwrap();
+        assert_eq!(frozen_at_p0.critical_path(), Some(LatencyPhase::Flush));
+        let tail = frozen_at_p0.segments.last().unwrap();
+        assert_eq!(tail.note, "delivery frozen by an unfinished flush");
+        assert_eq!(
+            s.entry(1, m).unwrap().critical_path(),
+            Some(LatencyPhase::Causal)
         );
-        assert_eq!(e.critical_path(), Some(PhaseId::Flush));
-        let sum: u64 = e.segments.iter().map(|s| s.dur().0).sum();
-        assert_eq!(sum, e.latency().0);
+    }
+
+    #[test]
+    fn an_undelivered_copy_nothing_holds_is_no_entry() {
+        // A copy that arrived, entered a queue and was then purged (or
+        // consumed as a duplicate) is held by no wait record at the
+        // horizon: not open, not an entry. A parked one is open: no
+        // record names a parked copy.
+        let (purged, parked) = (span(1, 4), span(3, 5));
+        let mut l = LedgerProbe::new();
+        for m in [purged, parked] {
+            send(&mut l, 0, m.origin, m);
+            wire(&mut l, 10, 2, m);
+        }
+        l.fold(&ObsEvent::Span {
+            at: t(10),
+            who: 2,
+            span: parked,
+            stage: Stage::Parked,
+            note: String::new(),
+        });
+        let s = l.finalize(t(1000), &[]);
+        assert_eq!(s.open, 1);
+        assert!(s.entry(2, purged).is_none());
+        let e = s.entry(2, parked).unwrap();
+        assert_eq!(e.critical_path(), Some(LatencyPhase::Fifo));
+    }
+
+    #[test]
+    fn a_retransmitted_first_copy_is_repair_whatever_its_note() {
+        let m = span(0, 2);
+        let mut l = LedgerProbe::new();
+        send(&mut l, 0, 0, m);
+        for (who, retransmit, note) in [(1, true, ""), (2, false, "retransmit")] {
+            l.fold(&ObsEvent::Span {
+                at: t(40),
+                who,
+                span: m,
+                stage: Stage::Wire { retransmit },
+                note: note.into(),
+            });
+            delivered(&mut l, 40, who, m);
+        }
+        let s = l.finalize(t(1000), &[]);
+        assert_eq!(
+            s.entry(1, m).unwrap().critical_path(),
+            Some(LatencyPhase::Repair)
+        );
+        assert_eq!(
+            s.entry(2, m).unwrap().critical_path(),
+            Some(LatencyPhase::Wire)
+        );
+    }
+
+    #[test]
+    fn the_tee_reads_phases_only_for_its_downstream_probe() {
+        assert!(!TeeProbe::new(ProbeHandle::none()).records_phases());
+        let (recorder, _) = ProbeHandle::recorder(4);
+        assert!(TeeProbe::new(recorder).records_phases());
     }
 
     #[test]
@@ -776,15 +701,15 @@ mod tests {
         send(&mut l, 0, 1, m);
         wire(&mut l, 10, 0, m);
         delivered(&mut l, 10, 0, m); // causal delivery
-        wait(&mut l, 0, m, WaitKind::OrderWatermark, 10, 55);
+        wait(&mut l, 0, m, LatencyPhase::Order, 10, 55);
         delivered(&mut l, 55, 0, m); // release
-        let s = l.finalize(t(1000));
+        let s = l.finalize(t(1000), &[]);
         let e = &s.entries[0];
         assert_eq!(e.end, t(55));
         let totals = e.phase_totals();
-        assert_eq!(totals[&PhaseId::Wire], SimDuration(10));
-        assert_eq!(totals[&PhaseId::Order], SimDuration(45));
-        assert_eq!(e.critical_path(), Some(PhaseId::Order));
+        assert_eq!(totals[&LatencyPhase::Wire], SimDuration(10));
+        assert_eq!(totals[&LatencyPhase::Order], SimDuration(45));
+        assert_eq!(e.critical_path(), Some(LatencyPhase::Order));
         assert_eq!(s.entries.len(), 1, "restamp is not a second entry");
     }
 
@@ -794,7 +719,7 @@ mod tests {
         let m = span(0, 7);
         send(&mut l, 0, 0, m);
         wire(&mut l, 30, 2, m); // dup copy, dropped by the endpoint
-        let s = l.finalize(t(1000));
+        let s = l.finalize(t(1000), &[]);
         assert!(s.entries.is_empty());
         assert_eq!(s.open, 0);
     }
@@ -813,14 +738,14 @@ mod tests {
             note: String::new(),
         });
         // Decoded at 60, held until 80 on a causal dep.
-        wait(&mut l, 1, m, WaitKind::CausalDep, 60, 80);
+        wait(&mut l, 1, m, LatencyPhase::Causal, 60, 80);
         delivered(&mut l, 80, 1, m);
-        let s = l.finalize(t(1000));
+        let s = l.finalize(t(1000), &[]);
         let e = &s.entries[0];
         let totals = e.phase_totals();
-        assert_eq!(totals[&PhaseId::Wire], SimDuration(10));
-        assert_eq!(totals[&PhaseId::Fifo], SimDuration(50), "parked gap");
-        assert_eq!(totals[&PhaseId::Causal], SimDuration(20));
+        assert_eq!(totals[&LatencyPhase::Wire], SimDuration(10));
+        assert_eq!(totals[&LatencyPhase::Fifo], SimDuration(50), "parked gap");
+        assert_eq!(totals[&LatencyPhase::Causal], SimDuration(20));
         let sum: u64 = e.segments.iter().map(|s| s.dur().0).sum();
         assert_eq!(sum, e.latency().0);
     }

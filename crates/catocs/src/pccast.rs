@@ -62,7 +62,7 @@ use crate::holdback::Pending;
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage, WaitKind};
+use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -316,7 +316,7 @@ impl<P: Clone> PccastEndpoint<P> {
         };
         link.log = link.log.split_off(&(acked + 1));
         let outstanding = link.log.len();
-        self.core.probe.emit(|| ObsEvent::Phase {
+        self.core.probe.emit_phase(|| ObsEvent::Phase {
             at: now,
             who: self.core.me,
             kind: PhaseKind::LinkAck,
@@ -389,7 +389,7 @@ impl<P: Clone> PccastEndpoint<P> {
                 if epoch != self.epoch || from >= self.core.n {
                     // A straggler from a previous view's links; whatever
                     // it carried is recovered via flush/NACK if needed.
-                    self.core.note_dropped(now, msg.id, || {
+                    self.core.note_gone(now, msg.id, Stage::Dropped, || {
                         format!("stale epoch {epoch} (at {})", self.epoch)
                     });
                     return;
@@ -470,7 +470,7 @@ impl<P: Clone> PccastEndpoint<P> {
     /// alternating until neither makes progress — a repair delivery can
     /// unstall a link head and vice versa.
     fn drain(&mut self, now: SimTime, delivered: &mut Vec<Delivery<P>>, out: &mut Vec<Out<P>>) {
-        if self.core.frozen {
+        if self.core.is_frozen() {
             self.core.note_holdback();
             return;
         }
@@ -564,7 +564,7 @@ impl<P: Clone> PccastEndpoint<P> {
                             unreachable!("head was just matched as data");
                         };
                         link.cursor = next;
-                        self.deliver(now, arrived_at, msg, WaitKind::LinkReorder, delivered, out);
+                        self.deliver(now, arrived_at, msg, LatencyPhase::Reorder, delivered, out);
                         any = true;
                     }
                     HeadAction::Chase(id) => {
@@ -594,7 +594,7 @@ impl<P: Clone> PccastEndpoint<P> {
     ) -> bool {
         let mut any = false;
         while let Some(Pending { msg, arrived_at }) = self.core.holdback.pop_ready(&self.core.vt) {
-            self.deliver(now, arrived_at, msg, WaitKind::NackRepair, delivered, out);
+            self.deliver(now, arrived_at, msg, LatencyPhase::Repair, delivered, out);
             any = true;
         }
         any
@@ -610,7 +610,7 @@ impl<P: Clone> PccastEndpoint<P> {
         now: SimTime,
         arrived_at: SimTime,
         msg: DataMsg<P>,
-        wait_kind: WaitKind,
+        phase: LatencyPhase,
         delivered: &mut Vec<Delivery<P>>,
         out: &mut Vec<Out<P>>,
     ) {
@@ -621,8 +621,7 @@ impl<P: Clone> PccastEndpoint<P> {
             self.barrier_met = self.check_barrier();
         }
         if was_held {
-            self.core
-                .emit_hold_waits(now, arrived_at, id, wait_kind, None);
+            self.core.emit_hold_waits(now, arrived_at, id, phase, None);
         }
         self.forward(&msg, out);
         self.core
@@ -740,7 +739,7 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
                     };
                     waits.push((slot, why));
                 } else {
-                    let gate = if self.core.frozen {
+                    let gate = if self.core.is_frozen() {
                         Some(WaitReason::Frozen)
                     } else if !self.barrier_met {
                         Some(WaitReason::FastPathBarred)

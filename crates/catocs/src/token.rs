@@ -12,12 +12,12 @@
 //! scales with N), but ordering adds no extra hop and the sequencer
 //! hotspot disappears.
 
-use crate::causal_core::{arrival, span_of};
+use crate::causal_core::{arrival, span_of, PAYLOAD_BYTES};
 use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
-use crate::waitgraph::{PhaseTag, WaitNode, WaitReason, WaitRecord};
+use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
-use simnet::obs::{ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage, WaitKind};
+use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -151,7 +151,8 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
                     at: now,
                     who: self.me,
                     span,
-                    kind: WaitKind::TokenHold,
+                    phase: LatencyPhase::Token,
+                    pre_send: true,
                     since: submitted,
                     blocker: None,
                     note: "queued awaiting the token".to_string(),
@@ -160,8 +161,17 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
             self.stats.sent += 1;
             out.push((Dest::All, Wire::Data(msg)));
         }
+        self.note_buffer();
         let dels = self.release(now);
         (dels, out)
+    }
+
+    /// Samples the buffer gauges: every own message stays in `sent` for
+    /// NACK serves, its payload, id and slot.
+    fn note_buffer(&mut self) {
+        let msgs = self.sent.len() as u64;
+        let per_msg = (PAYLOAD_BYTES + 12 + 8) as u64;
+        self.stats.note_buffer(msgs, msgs * per_msg);
     }
 
     fn release(&mut self, now: SimTime) -> Vec<Delivery<P>> {
@@ -183,7 +193,8 @@ impl<P: Clone> TokenAbcastEndpoint<P> {
                     at: now,
                     who: self.me,
                     span,
-                    kind: WaitKind::TokenRotation,
+                    phase: LatencyPhase::Token,
+                    pre_send: false,
                     since: arrived,
                     blocker: None,
                     note: String::new(),
@@ -236,7 +247,7 @@ impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
                 self.holding = true;
                 self.token_gseq = next_gseq;
                 self.token_hops = hops;
-                self.probe.emit(|| ObsEvent::Phase {
+                self.probe.emit_phase(|| ObsEvent::Phase {
                     at: now,
                     who: self.me,
                     kind: PhaseKind::TokenRotation,
@@ -362,7 +373,7 @@ impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
     /// receiver (a lost token halts the whole order).
     fn wait_records(&self, _every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
         let rotation = WaitNode::Phase {
-            kind: PhaseTag::TokenRotation,
+            kind: PhaseKind::TokenRotation,
             at: self.me,
         };
         let mut emit = |blocked, since, slot, on, why| {
@@ -406,6 +417,19 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn the_retransmission_buffer_is_booked() {
+        let mut a = TokenAbcastEndpoint::new(0, 3, GroupConfig::default());
+        for p in ["x", "y"] {
+            a.multicast(t(0), p);
+        }
+        assert_eq!(a.sent.len(), 2);
+        assert_eq!(a.buffered_len(), 2);
+        let s = a.stats();
+        assert_eq!((s.buffered_now, s.buffered_peak), (2, 2));
+        assert_eq!(s.buffered_bytes_now, 2 * (PAYLOAD_BYTES + 12 + 8) as u64);
     }
 
     #[test]
@@ -494,7 +518,7 @@ mod tests {
     fn wait_records_name_the_queue_the_pass_and_the_gap() {
         let cfg = GroupConfig::default();
         let rotation = |at| WaitNode::Phase {
-            kind: PhaseTag::TokenRotation,
+            kind: PhaseKind::TokenRotation,
             at,
         };
         let record = |blocked, who, since, on, why| WaitRecord {

@@ -772,6 +772,26 @@ fn snapshot_stalls(
     analyze(&edges, at, tracker)
 }
 
+/// The campaign's group under `plan`, every endpoint probed by `probe`,
+/// not yet run.
+fn chaos_group(
+    seed: u64,
+    cfg: &CampaignConfig,
+    plan: &FaultPlan,
+    probe: &ProbeHandle,
+) -> Sim<Wire<u64>> {
+    let mut sim = SimBuilder::new(seed)
+        .net(NetConfig::lossy_lan(cfg.drop_probability))
+        .build::<Wire<u64>>();
+    for me in 0..cfg.n {
+        let mut node = ChaosNode::new(me, cfg);
+        node.member.set_probe(probe.clone());
+        sim.add_process(node);
+    }
+    plan.apply(&mut sim);
+    sim
+}
+
 /// One campaign request: everything that decides a run, as one value.
 /// Probe emissions are read-only and the ledger is itself a probe, so
 /// neither can perturb the run: the result, digest included, is the same
@@ -833,9 +853,6 @@ impl Campaign {
         let (seed, cfg, probe, ledger) = (self.seed, self.cfg, self.probe, self.ledger);
         let generate = || FaultPlan::generate(seed, cfg.n, &cfg.plan);
         let plan = self.plan.unwrap_or_else(generate);
-        let mut sim = SimBuilder::new(seed)
-            .net(NetConfig::lossy_lan(cfg.drop_probability))
-            .build::<Wire<u64>>();
         // The tee folds every event into the ledger while forwarding to the
         // caller's probe (flight recorder, usually). Every node's endpoint
         // holds a handle on it, so it is shared via `Rc`.
@@ -848,12 +865,7 @@ impl Campaign {
             Some(t) => ProbeHandle::new(Rc::clone(t) as Rc<RefCell<dyn Probe>>),
             None => probe,
         };
-        for me in 0..cfg.n {
-            let mut node = ChaosNode::new(me, &cfg);
-            node.member.set_probe(node_probe.clone());
-            sim.add_process(node);
-        }
-        plan.apply(&mut sim);
+        let mut sim = chaos_group(seed, &cfg, &plan, &node_probe);
         // Live wait-graph analytics look at the group between slices of
         // the run, read-only, so the run's digest cannot change (the
         // determinism tests below pin this).
@@ -867,17 +879,15 @@ impl Campaign {
 
         let crashed = plan.crashed_at_horizon();
         let mut logs = Vec::with_capacity(cfg.n);
-        let mut blocked_reports = Vec::new();
+        // What every node holds at the horizon: the ledger charges its
+        // open entries by these, crashed nodes' too.
+        let mut records = Vec::new();
         let mut hold_hist = Histogram::new();
         for p in 0..cfg.n {
             let node: &ChaosNode = sim.process(ProcessId(p)).expect("chaos node present");
             hold_hist.merge(node.hold_histogram());
-            // Wait-graphs are only meaningful for processes that were up at
-            // the horizon: a crashed node's stale holdback is not "blocked".
-            if !crashed.contains(&p) {
-                let keep = &mut |record: &WaitRecord| blocked_reports.push(record.clone());
-                node.endpoint().protocol().wait_records(true, keep);
-            }
+            let keep = &mut |record: &WaitRecord| records.push(record.clone());
+            node.endpoint().protocol().wait_records(true, keep);
             logs.push(ProcessLog {
                 who: p,
                 alive_at_end: !crashed.contains(&p),
@@ -921,8 +931,11 @@ impl Campaign {
             .map(|(_, s)| s.clone())
             .unwrap_or_default();
         let latency = tee
-            .map(|t| t.borrow().ledger.finalize(cfg.plan.horizon))
+            .map(|t| t.borrow().ledger.finalize(cfg.plan.horizon, &records))
             .unwrap_or_default();
+        // Wait-graphs are only meaningful for processes that were up at
+        // the horizon: a crashed node's stale holdback is not "blocked".
+        records.retain(|r| !crashed.contains(&r.who));
 
         CampaignResult {
             seed,
@@ -935,7 +948,7 @@ impl Campaign {
             survivors,
             blocked,
             digest,
-            blocked_reports,
+            blocked_reports: records,
             hold_hist,
             events_processed,
             stalls,
@@ -949,6 +962,7 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::obs::LatencyPhase;
 
     fn vt(entries: &[u64]) -> VectorClock {
         VectorClock::from_entries(entries.to_vec())
@@ -1194,10 +1208,7 @@ mod tests {
             "ledger-on run attributed nothing"
         );
         assert!(without.latency.entries.is_empty());
-        assert!(with
-            .latency
-            .per_phase
-            .contains_key(&crate::ledger::PhaseId::Wire));
+        assert!(with.latency.per_phase.contains_key(&LatencyPhase::Wire));
         // Every closed entry tiles exactly: segment durations sum to the
         // end-to-end latency, no gaps, no double-counting.
         for e in &with.latency.entries {
@@ -1239,7 +1250,7 @@ mod tests {
         let flush_share = |e: &crate::ledger::LedgerEntry| {
             let flush = e
                 .phase_totals()
-                .get(&crate::ledger::PhaseId::Flush)
+                .get(&LatencyPhase::Flush)
                 .copied()
                 .unwrap_or(SimDuration::ZERO);
             flush.as_micros() as f64 / e.latency().as_micros().max(1) as f64
@@ -1253,7 +1264,7 @@ mod tests {
             .expect("wedged flush must leave open ledger entries");
         let totals = wedged.phase_totals();
         let flush = totals
-            .get(&crate::ledger::PhaseId::Flush)
+            .get(&LatencyPhase::Flush)
             .copied()
             .unwrap_or(SimDuration::ZERO);
         let share = flush.as_micros() as f64 / wedged.latency().as_micros().max(1) as f64;
@@ -1266,7 +1277,7 @@ mod tests {
         );
         assert_eq!(
             wedged.critical_path(),
-            Some(crate::ledger::PhaseId::Flush),
+            Some(LatencyPhase::Flush),
             "critical path must be the flush barrier"
         );
     }
@@ -1439,6 +1450,173 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The ledger and the wait graph answer "what holds this message" from
+    /// two sources: the ledger from the events endpoints emit, the wait
+    /// graph from their state. At every 50 ms look of a campaign the two
+    /// must agree on what is held, and on where that time goes.
+    mod agreement {
+        use super::*;
+        use crate::group::CausalDiscipline;
+        use crate::ledger::LedgerProbe;
+        use proptest::prelude::*;
+        use simnet::obs::SpanId;
+        use LatencyPhase::{Causal, Fifo, Repair};
+
+        type Key = (usize, SpanId);
+
+        /// Whether a look that saw a message held in phase `seen` and the
+        /// ledger, once the message was delivered, charging that instant
+        /// to `charged` may differ with neither at fault. The look names
+        /// what held the message at that instant; a delivered wait is
+        /// charged whole to one cause: cbcast's to the message released
+        /// just before it (a chased predecessor a look saw may have come
+        /// in an earlier drain, leaving another in the way), pccast's to
+        /// the path that delivered it (a copy stuck behind its link
+        /// cursor, or barred by a flush, that the repair path delivered
+        /// is repair). The looks are right.
+        fn may_differ(
+            discipline: CausalDiscipline,
+            seen: LatencyPhase,
+            charged: LatencyPhase,
+        ) -> bool {
+            match discipline {
+                CausalDiscipline::Cbcast => [seen, charged]
+                    .iter()
+                    .all(|p| [Repair, Causal, Fifo].contains(p)),
+                CausalDiscipline::Pccast => charged == Repair,
+            }
+        }
+
+        /// Runs campaign `seed` under `cfg`, finalizing the ledger at each
+        /// look against that look's wait records, and returns what the
+        /// two disagree on, or the (seen, charged) phase pairs that
+        /// differed.
+        fn agree(
+            seed: u64,
+            cfg: &CampaignConfig,
+        ) -> Result<BTreeSet<(LatencyPhase, LatencyPhase)>, String> {
+            let plan = FaultPlan::generate(seed, cfg.n, &cfg.plan);
+            let ledger = Rc::new(RefCell::new(LedgerProbe::new()));
+            let probe = ProbeHandle::new(Rc::clone(&ledger) as Rc<RefCell<dyn Probe>>);
+            let mut sim = chaos_group(seed, cfg, &plan, &probe);
+            // Every (look, entry) a look found held, and in what phase.
+            let mut held: Vec<(SimTime, Key, LatencyPhase)> = Vec::new();
+            let mut fault: Option<String> = None;
+            let mut records = Vec::new();
+            sim.run_until_each(cfg.plan.horizon, LOOK_EVERY, |at, sim| {
+                // Every node's, as the campaign hands the ledger at the
+                // horizon: a crashed node keeps what it held.
+                records.clear();
+                let parked: Vec<usize> = (0..cfg.n)
+                    .map(|p| {
+                        let node: &ChaosNode = sim.process(ProcessId(p)).expect("chaos node present");
+                        node.wait_records(false, &mut |r| {
+                            if matches!(r.blocked, WaitNode::Msg(_)) {
+                                records.push(r.clone());
+                            }
+                        });
+                        node.endpoint().parked_len()
+                    })
+                    .collect();
+                let mut by_key: BTreeMap<Key, Vec<&WaitRecord>> = BTreeMap::new();
+                for r in &records {
+                    if let WaitNode::Msg(id) = r.blocked {
+                        by_key.entry((r.who, crate::causal_core::span_of(id))).or_default().push(r);
+                    }
+                }
+                let summary = ledger.borrow().finalize(at, &records);
+                let mut unrecorded = vec![0; cfg.n];
+                for e in summary.entries.iter().filter(|e| e.open) {
+                    let Some(rs) = by_key.remove(&(e.receiver, e.span)) else {
+                        // No record names a parked copy.
+                        unrecorded[e.receiver] += 1;
+                        continue;
+                    };
+                    // pccast holds a copy per incoming link.
+                    if rs.len() > 1 && cfg.group.discipline == CausalDiscipline::Cbcast {
+                        fault.get_or_insert(format!("{at}: {} records of {} at P{}", rs.len(), e.span, e.receiver));
+                    }
+                    let phase = rs.iter().filter_map(|r| r.phase()).max();
+                    let tail = e.segments.last().map(|s| s.phase);
+                    if tail != phase {
+                        fault.get_or_insert(format!(
+                            "{at}: {} at P{} ends in {tail:?}, its records say {phase:?}",
+                            e.span, e.receiver
+                        ));
+                    }
+                    held.extend(phase.map(|p| (at, (e.receiver, e.span), p)));
+                }
+                if let Some(((who, m), rs)) = by_key.into_iter().next() {
+                    fault.get_or_insert(format!(
+                        "{at}: P{who} holds {m} (waits {:?}), the ledger has it closed or not at all",
+                        rs[0].waits
+                    ));
+                }
+                if unrecorded != parked {
+                    fault.get_or_insert(format!(
+                        "{at}: open entries no record holds {unrecorded:?}, parked copies {parked:?}"
+                    ));
+                }
+            });
+            if let Some(f) = fault {
+                return Err(f);
+            }
+            let last = ledger.borrow().finalize(cfg.plan.horizon, &[]);
+            let mut differ = BTreeSet::new();
+            for (at, (who, m), seen) in held {
+                let Some(e) = last.entry(who, m).filter(|e| !e.open) else {
+                    continue;
+                };
+                let then = e.segments.iter().find(|s| s.from < at && at <= s.to);
+                let charged = then.expect("a delivered entry tiles every instant").phase;
+                if charged != seen {
+                    differ.insert((seen, charged));
+                }
+            }
+            Ok(differ)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 4 } else { 96 }))]
+            /// On random fault plans, cbcast and pccast, every cell: at
+            /// each look, every open ledger entry is held by that look's
+            /// records (or sits parked, which no record names: as many
+            /// as each endpoint has parked), every blocked-message record
+            /// is an open entry, and an entry's open tail is charged to
+            /// its records' phase; once delivered, the instant of each
+            /// look is charged to the phase that look saw, bar
+            /// [`may_differ`].
+            #[test]
+            fn the_ledger_and_the_wait_graph_agree_at_every_look(
+                seed in 0u64..10_000,
+                n in 3usize..8,
+                indexed in proptest::bool::ANY,
+                delta in proptest::bool::ANY,
+                pccast in proptest::bool::ANY,
+            ) {
+                let discipline = if pccast { CausalDiscipline::Pccast } else { CausalDiscipline::Cbcast };
+                let cfg = CampaignConfig {
+                    n,
+                    group: GroupConfig {
+                        indexed_holdback: indexed,
+                        delta_timestamps: delta,
+                        discipline,
+                        ..GroupConfig::default()
+                    },
+                    ..CampaignConfig::default()
+                };
+                let differ = agree(seed, &cfg).unwrap_or_else(|f| panic!("seed {seed} n={n}: {f}"));
+                for (seen, charged) in differ {
+                    prop_assert!(
+                        may_differ(discipline, seen, charged),
+                        "seed {} n={} {:?}: a look saw {:?}, the ledger charged {:?}",
+                        seed, n, discipline, seen, charged
+                    );
                 }
             }
         }

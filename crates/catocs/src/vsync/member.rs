@@ -5,10 +5,10 @@ use crate::endpoint::CausalEndpoint;
 use crate::failure::FailureDetector;
 use crate::group::GroupConfig;
 use crate::membership::{FlushAction, MembershipEngine};
-use crate::waitgraph::{PhaseTag, WaitNode, WaitReason, WaitRecord};
+use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{Delivery, Dest, Out, Wire};
 use clocks::vector::VectorClock;
-use simnet::obs::ProbeHandle;
+use simnet::obs::{PhaseKind, ProbeHandle};
 use simnet::time::{SimDuration, SimTime};
 
 /// What one call into a [`Member`] produced.
@@ -177,7 +177,7 @@ impl Member {
         self.endpoint.protocol().wait_records(every_gap, emit);
         if let Some(fw) = self.engine.flush_waits() {
             let phase = WaitNode::Phase {
-                kind: PhaseTag::Flush,
+                kind: PhaseKind::Flush,
                 at: fw.coordinator,
             };
             let record = |blocked, waits| WaitRecord {

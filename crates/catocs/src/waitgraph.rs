@@ -55,7 +55,11 @@
 //!
 //! [`WaitReason`] is the one reason type, rendered two ways: the short
 //! [`WaitReason::phrase`] of stall paths and the long
-//! [`WaitReason::sentence`] of `explain` (EXPERIMENTS.md tabulates both).
+//! [`WaitReason::sentence`] of `explain`. [`WaitReason::phase`] maps it
+//! into the one latency taxonomy, [`LatencyPhase`], that the ledger
+//! (`crate::ledger`) tiles delivered messages into and charges a
+//! message still held at the horizon to (EXPERIMENTS.md tabulates all
+//! three).
 //!
 //! # What an analysis costs
 //!
@@ -92,6 +96,7 @@
 //! a proptest compares every field of every snapshot against.
 
 use crate::group::MsgId;
+use simnet::obs::{LatencyPhase, PhaseKind};
 use simnet::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
@@ -103,30 +108,6 @@ use std::fmt;
 /// 150 ms: far longer than any healthy holdback, order-release or flush
 /// round-trip, far shorter than a wedged flush.
 pub const PERSIST_SNAPSHOTS: u32 = 3;
-
-/// Protocol phases that can block progress. A waitgraph-local tag (not
-/// [`simnet::obs::PhaseKind`]) because graph nodes need total order for
-/// deterministic analysis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PhaseTag {
-    /// A view-change flush in progress (delivery blackout until install).
-    Flush,
-    /// The total-order token making its way around the ring.
-    TokenRotation,
-    /// The abcast sequencer's order assignment / watermark.
-    OrderAssign,
-}
-
-impl PhaseTag {
-    /// Short name for rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            PhaseTag::Flush => "flush",
-            PhaseTag::TokenRotation => "token",
-            PhaseTag::OrderAssign => "order",
-        }
-    }
-}
 
 /// One vertex of the wait graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -149,10 +130,11 @@ pub enum WaitNode {
         seq: u64,
     },
     /// A protocol phase anchored at a process (`flush@P2` is the flush
-    /// coordinated by P2).
+    /// coordinated by P2): a flush, a token rotation or an order
+    /// assignment.
     Phase {
         /// Which phase.
-        kind: PhaseTag,
+        kind: PhaseKind,
         /// The process the phase is anchored at (coordinator, sequencer,
         /// token holder).
         at: usize,
@@ -251,13 +233,48 @@ impl WaitReason {
         }
     }
 
-    /// The long sentence `experiments explain` prints for a wait on `on`:
-    /// what is waited for, a dash, and why it is absent. `Frozen` and
-    /// `TokenQueued` are bare clauses the renderer fits into a line of
-    /// its own; total-order waits end in the latency ledger's name for
-    /// the phase. Reasons no tool prints in long form yet fall back to
-    /// the phrase.
-    pub fn sentence(self, on: WaitNode) -> String {
+    /// Where the time of `blocked`, waiting on `on` for this reason,
+    /// goes in the latency ledger. A wait on a message is fifo when it
+    /// is the blocked message's own sender's, causal otherwise — unless
+    /// that message is being repaired; a total-order gap is the token's
+    /// when the rotation fills it.
+    pub fn phase(self, blocked: WaitNode, on: WaitNode) -> LatencyPhase {
+        match self {
+            WaitReason::Chased { .. } => LatencyPhase::Repair,
+            WaitReason::HeldHere
+            | WaitReason::Parked
+            | WaitReason::NeverDeliverable { .. }
+            | WaitReason::Unknown => match (blocked, on) {
+                (WaitNode::Msg(b), WaitNode::Msg(o)) if b.sender == o.sender => LatencyPhase::Fifo,
+                _ => LatencyPhase::Causal,
+            },
+            WaitReason::FifoGap => LatencyPhase::Fifo,
+            WaitReason::LinkGap | WaitReason::SkipPending | WaitReason::Severed => {
+                LatencyPhase::Reorder
+            }
+            WaitReason::OrderUnassigned | WaitReason::SlotDataMissing { .. } => LatencyPhase::Order,
+            WaitReason::OrderGap { .. } => match on {
+                WaitNode::Phase {
+                    kind: PhaseKind::TokenRotation,
+                    ..
+                } => LatencyPhase::Token,
+                _ => LatencyPhase::Order,
+            },
+            WaitReason::TokenQueued | WaitReason::PassUnacked => LatencyPhase::Token,
+            WaitReason::Frozen
+            | WaitReason::FastPathBarred
+            | WaitReason::MidFlush
+            | WaitReason::FlushOkMissing => LatencyPhase::Flush,
+        }
+    }
+
+    /// The long sentence `experiments explain` prints for a wait of
+    /// `blocked` on `on`: what is waited for, a dash, and why it is
+    /// absent. `Frozen` and `TokenQueued` are bare clauses the renderer
+    /// fits into a line of its own; total-order waits end in the latency
+    /// ledger's name for their [phase](Self::phase). Reasons no tool
+    /// prints in long form yet fall back to the phrase.
+    pub fn sentence(self, blocked: WaitNode, on: WaitNode) -> String {
         // A link wait names the incoming link and position: the receiver
         // is the process the line is printed under.
         let what = match on {
@@ -265,10 +282,11 @@ impl WaitReason {
             _ => on.to_string(),
         };
         // The process a phase is anchored at: `order@P0`'s sequencer.
-        let (by, token) = match on {
-            WaitNode::Phase { kind, at } => (format!("P{at}"), kind == PhaseTag::TokenRotation),
-            _ => (what.clone(), false),
+        let by = match on {
+            WaitNode::Phase { at, .. } => format!("P{at}"),
+            _ => what.clone(),
         };
+        let phase = self.phase(blocked, on);
         let why = match self {
             WaitReason::HeldHere => "held here (waiting on its own predecessors)".into(),
             WaitReason::Parked => "parked (delta undecodable until chain re-seeds)".into(),
@@ -285,16 +303,16 @@ impl WaitReason {
             WaitReason::Frozen => return "delivery frozen by an in-progress flush".into(),
             WaitReason::TokenQueued => return "submissions queued awaiting the token".into(),
             WaitReason::OrderUnassigned => {
-                return format!("its own order assignment — not yet arrived from sequencer {by} [order]")
+                return format!("its own order assignment — not yet arrived from sequencer {by} [{phase}]")
             }
             WaitReason::SlotDataMissing { slot } => {
-                return format!("order slot {slot} = {what} — slot's data not arrived here [order]")
+                return format!("order slot {slot} = {what} — slot's data not arrived here [{phase}]")
             }
-            WaitReason::OrderGap { slot } if token => {
-                return format!("order slot {slot} — awaiting the rotation (or NACK repair) that fills it [token]")
+            WaitReason::OrderGap { slot } if phase == LatencyPhase::Token => {
+                return format!("order slot {slot} — awaiting the rotation (or NACK repair) that fills it [{phase}]")
             }
             WaitReason::OrderGap { slot } => {
-                return format!("order slot {slot} — no assignment for that slot has arrived from sequencer {by} [order]")
+                return format!("order slot {slot} — no assignment for that slot has arrived from sequencer {by} [{phase}]")
             }
             other => other.phrase().to_string(),
         };
@@ -321,6 +339,17 @@ pub struct WaitRecord {
 }
 
 impl WaitRecord {
+    /// Where the blocked thing's time goes while it waits on all of
+    /// these: the last, in [`LatencyPhase`] display order, of its waits'
+    /// phases — a flush freeze over any predecessor, a held predecessor
+    /// over one being repaired. `None` when it waits on nothing.
+    pub fn phase(&self) -> Option<LatencyPhase> {
+        self.waits
+            .iter()
+            .map(|&(on, why)| why.phase(self.blocked, on))
+            .max()
+    }
+
     /// The record as wait-graph edges, one per wait.
     pub fn edges(&self) -> impl Iterator<Item = WaitEdge> + '_ {
         self.waits.iter().map(|&(to, reason)| WaitEdge {
@@ -1274,7 +1303,7 @@ mod tests {
     #[test]
     fn cycle_is_detected_and_ranked_above_wedge() {
         let flush = WaitNode::Phase {
-            kind: PhaseTag::Flush,
+            kind: PhaseKind::Flush,
             at: 2,
         };
         let edges = vec![
@@ -1362,9 +1391,33 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_in_the_last_phase_of_its_waits() {
+        let blocked = msg(1, 5);
+        let record = |waits| WaitRecord {
+            blocked,
+            who: 0,
+            since: t(0),
+            slot: None,
+            waits,
+        };
+        let chased = (msg(2, 3), WaitReason::Chased { referenced_by: 2 });
+        let own = (msg(1, 4), WaitReason::HeldHere);
+        let other = (msg(2, 3), WaitReason::HeldHere);
+        let frozen = (WaitNode::Proc(0), WaitReason::Frozen);
+        assert_eq!(record(vec![]).phase(), None);
+        assert_eq!(record(vec![chased]).phase(), Some(LatencyPhase::Repair));
+        assert_eq!(
+            record(vec![chased, other]).phase(),
+            Some(LatencyPhase::Causal)
+        );
+        assert_eq!(record(vec![other, own]).phase(), Some(LatencyPhase::Fifo));
+        assert_eq!(record(vec![own, frozen]).phase(), Some(LatencyPhase::Flush));
+    }
+
+    #[test]
     fn analysis_is_deterministic() {
         let flush = WaitNode::Phase {
-            kind: PhaseTag::Flush,
+            kind: PhaseKind::Flush,
             at: 0,
         };
         let edges = vec![
@@ -1389,9 +1442,9 @@ mod tests {
     /// process indices lie on both sides of 128.
     fn pool_node(i: usize) -> WaitNode {
         let kinds = [
-            PhaseTag::OrderAssign,
-            PhaseTag::Flush,
-            PhaseTag::TokenRotation,
+            PhaseKind::OrderAssign,
+            PhaseKind::Flush,
+            PhaseKind::TokenRotation,
         ];
         match i % 4 {
             0 => msg((i / 4) % 3, 100 - i as u64),

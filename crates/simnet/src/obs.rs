@@ -56,8 +56,12 @@ impl fmt::Display for SpanId {
 pub enum Stage {
     /// The message left the application at its origin.
     Send,
-    /// The message arrived off the wire at a receiver.
-    Wire,
+    /// The message arrived off the wire at a receiver; `retransmit`
+    /// when the copy was a NACK or flush retransmission.
+    Wire {
+        /// Whether the copy was a retransmission.
+        retransmit: bool,
+    },
     /// The message entered the holdback queue (possibly already
     /// deliverable — the note records what it still waits on).
     HoldbackEnter,
@@ -72,6 +76,10 @@ pub enum Stage {
     /// A delta-stamped copy arrived ahead of its decode base and was
     /// parked undecoded.
     Parked,
+    /// A parked copy was discarded undecoded (its decode base was
+    /// skipped, or its sender removed): the message comes back, if at
+    /// all, as a retransmission.
+    Unparked,
     /// A constant-metadata copy arrived out of position and entered a
     /// per-link reorder buffer (pccast fast path).
     ReorderEnter,
@@ -86,20 +94,22 @@ impl Stage {
     pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Send => "send",
-            Stage::Wire => "wire",
+            Stage::Wire { .. } => "wire",
             Stage::HoldbackEnter => "holdback-enter",
             Stage::Deliverable => "deliverable",
             Stage::Delivered => "delivered",
             Stage::Dropped => "dropped",
             Stage::Parked => "parked",
+            Stage::Unparked => "unparked",
             Stage::ReorderEnter => "reorder-enter",
             Stage::SkipConsume => "skip-consume",
         }
     }
 }
 
-/// A protocol phase a process passes through.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A protocol phase a process passes through, or (as a wait-graph node)
+/// one that blocks progress.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PhaseKind {
     /// View-change flush: from delivery freeze to view install.
     Flush,
@@ -117,13 +127,14 @@ pub enum PhaseKind {
 }
 
 impl PhaseKind {
-    /// Stable lowercase name, used in dumps and JSON.
-    pub(crate) fn name(self) -> &'static str {
+    /// Stable lowercase name, used in dumps, JSON and wait-graph nodes
+    /// (`flush@P2`, `token@P1`, `order@P0`).
+    pub fn name(self) -> &'static str {
         match self {
             PhaseKind::Flush => "flush",
             PhaseKind::Install => "install",
-            PhaseKind::TokenRotation => "token-rotation",
-            PhaseKind::OrderAssign => "order-assign",
+            PhaseKind::TokenRotation => "token",
+            PhaseKind::OrderAssign => "order",
             PhaseKind::StabilityRound => "stability-round",
             PhaseKind::LinkAck => "link-ack",
         }
@@ -141,50 +152,68 @@ pub enum PhaseEdge {
     Point,
 }
 
-/// Why a message waited before delivery — the latency-ledger cause
-/// taxonomy. Each delivered message's send→deliver interval decomposes
-/// into wire transit plus zero or more of these waits; the ledger
-/// (`catocs::ledger`, downstream) tiles them into an exact latency
-/// attribution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WaitKind {
-    /// Held in the holdback queue for a causal predecessor from another
-    /// sender.
-    CausalDep,
-    /// Held for an earlier message from the *same* sender (FIFO gap).
-    FifoGap,
-    /// Held while a NACK-requested retransmission was in flight (the
-    /// missing predecessor had been chased).
-    NackRepair,
-    /// Held in a pccast per-link reorder buffer behind the link cursor.
-    LinkReorder,
-    /// Causally delivered but held for the abcast total-order watermark
-    /// (its gseq slot, or an earlier one, was not yet released).
-    OrderWatermark,
-    /// Held at a receiver for the token-stamped global sequence to become
-    /// contiguous (an earlier gseq's data had not arrived).
-    TokenRotation,
-    /// Held at the *origin* in the submit queue until the token arrived
-    /// (pre-send wait; applies to every receiver of the message).
-    TokenHold,
-    /// Held by a view-change flush: delivery frozen between the freeze
-    /// and the view install.
-    FlushBarrier,
+/// Where one slice of a delivered message's latency went: the one phase
+/// taxonomy. A wait event carries it, the latency ledger
+/// (`catocs::ledger`) tiles each message's send→deliver interval into
+/// slices of it, and every wait-graph reason maps into it
+/// (`catocs::waitgraph::WaitReason::phase`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum LatencyPhase {
+    /// Wire transit: send to first arrival at the receiver.
+    Wire,
+    /// NACK repair in flight (the delivered copy was a retransmission,
+    /// or the arrival-to-queue gap of a chased message).
+    Repair,
+    /// Holdback wait on a causal predecessor from another sender.
+    Causal,
+    /// Holdback wait on an earlier message from the same sender.
+    Fifo,
+    /// pccast per-link reorder-cursor wait.
+    Reorder,
+    /// abcast order-watermark wait (causally delivered, not yet released).
+    Order,
+    /// Token wait: pre-send hold at the origin or rotation wait here.
+    Token,
+    /// View-change flush/install barrier.
+    Flush,
 }
 
-impl WaitKind {
-    /// Stable lowercase name, used in dumps and JSON.
-    pub(crate) fn name(self) -> &'static str {
+impl LatencyPhase {
+    /// Stable lowercase name, used in tables and BENCH metric names.
+    pub fn name(self) -> &'static str {
         match self {
-            WaitKind::CausalDep => "causal-dep",
-            WaitKind::FifoGap => "fifo-gap",
-            WaitKind::NackRepair => "nack-repair",
-            WaitKind::LinkReorder => "link-reorder",
-            WaitKind::OrderWatermark => "order-watermark",
-            WaitKind::TokenRotation => "token-rotation",
-            WaitKind::TokenHold => "token-hold",
-            WaitKind::FlushBarrier => "flush-barrier",
+            LatencyPhase::Wire => "wire",
+            LatencyPhase::Repair => "repair",
+            LatencyPhase::Causal => "causal",
+            LatencyPhase::Fifo => "fifo",
+            LatencyPhase::Reorder => "reorder",
+            LatencyPhase::Order => "order",
+            LatencyPhase::Token => "token",
+            LatencyPhase::Flush => "flush",
         }
+    }
+
+    /// The name a wait of this phase goes by in dumps and JSON. Recorded
+    /// dumps spell the waits this way, so it stays; a pre-send wait is
+    /// the origin's token hold.
+    fn wait_name(self, pre_send: bool) -> &'static str {
+        match self {
+            LatencyPhase::Wire => "wire",
+            LatencyPhase::Repair => "nack-repair",
+            LatencyPhase::Causal => "causal-dep",
+            LatencyPhase::Fifo => "fifo-gap",
+            LatencyPhase::Reorder => "link-reorder",
+            LatencyPhase::Order => "order-watermark",
+            LatencyPhase::Token if pre_send => "token-hold",
+            LatencyPhase::Token => "token-rotation",
+            LatencyPhase::Flush => "flush-barrier",
+        }
+    }
+}
+
+impl fmt::Display for LatencyPhase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -227,8 +256,11 @@ pub enum ObsEvent {
         who: usize,
         /// Which message waited.
         span: SpanId,
-        /// Why it waited.
-        kind: WaitKind,
+        /// Where the time went.
+        phase: LatencyPhase,
+        /// The wait was at the origin, before the message was sent (the
+        /// token ring's submit queue): it delays every receiver.
+        pre_send: bool,
         /// When the wait began.
         since: SimTime,
         /// The message whose delivery (or arrival) ended the wait, when
@@ -300,7 +332,8 @@ impl ObsEvent {
                 at,
                 who,
                 span,
-                kind,
+                phase,
+                pre_send,
                 since,
                 blocker,
                 note,
@@ -309,7 +342,7 @@ impl ObsEvent {
                 at.as_micros(),
                 who,
                 span,
-                kind.name(),
+                phase.wait_name(*pre_send),
                 since.as_micros(),
                 blocker.map(|b| b.to_string()).unwrap_or_default(),
                 escape(note)
@@ -350,7 +383,8 @@ impl ObsEvent {
             }
             ObsEvent::Wait {
                 span,
-                kind,
+                phase,
+                pre_send,
                 since,
                 at,
                 blocker,
@@ -360,7 +394,7 @@ impl ObsEvent {
                 let mut s = format!(
                     "{span} waited {}us [{}]",
                     at.as_micros().saturating_sub(since.as_micros()),
-                    kind.name()
+                    phase.wait_name(*pre_send)
                 );
                 if let Some(b) = blocker {
                     let _ = write!(s, " on {b}");
@@ -383,6 +417,13 @@ pub trait Probe {
     /// does it for them).
     fn enabled(&self) -> bool {
         false
+    }
+
+    /// Whether [`ObsEvent::Phase`] events are read too. A probe that
+    /// reads only spans and waits says no, and then no phase note is
+    /// built for it (see [`ProbeHandle::emit_phase`]).
+    fn records_phases(&self) -> bool {
+        self.enabled()
     }
 
     /// Records one event.
@@ -428,6 +469,19 @@ impl ProbeHandle {
                 p.record(ev);
             }
         }
+    }
+
+    /// [`Self::emit`] for an [`ObsEvent::Phase`]: `f` runs only when the
+    /// installed probe [records phases](Probe::records_phases).
+    pub fn emit_phase(&self, f: impl FnOnce() -> ObsEvent) {
+        if self.records_phases() {
+            self.emit(f);
+        }
+    }
+
+    /// Whether the installed probe, if any, reads phase events.
+    pub fn records_phases(&self) -> bool {
+        (self.inner.as_ref()).is_some_and(|p| p.borrow().records_phases())
     }
 }
 
@@ -700,7 +754,7 @@ pub fn perfetto_json(
                                 "{{\"name\":\"{span}\",\"cat\":\"span-flow\",\"ph\":\"s\",\"id\":{id},\"ts\":{ts},\"pid\":{who},\"tid\":1}}"
                             ));
                         }
-                        Stage::Wire => {
+                        Stage::Wire { .. } => {
                             if let Some(id) = span_flow.get(span) {
                                 evs.push(format!(
                                     "{{\"name\":\"{span}\",\"cat\":\"span-flow\",\"ph\":\"f\",\"bp\":\"e\",\"id\":{id},\"ts\":{ts},\"pid\":{who},\"tid\":1}}"
@@ -752,20 +806,20 @@ pub fn perfetto_json(
                 ObsEvent::Wait {
                     who,
                     span,
-                    kind,
+                    phase,
+                    pre_send,
                     since,
                     at,
                     ..
                 } => {
                     // Phase-colored duration slice on the waits track:
-                    // the `cat` is the wait kind, so Perfetto assigns a
+                    // the `cat` is the wait's name, so Perfetto assigns a
                     // distinct color per attribution phase.
                     let t0 = since.as_micros();
                     let dur = at.as_micros().saturating_sub(t0).max(1);
+                    let name = phase.wait_name(*pre_send);
                     evs.push(format!(
-                        "{{\"name\":\"{span} {}\",\"cat\":\"wait-{}\",\"ph\":\"X\",\"ts\":{t0},\"dur\":{dur},\"pid\":{who},\"tid\":3}}",
-                        kind.name(),
-                        kind.name()
+                        "{{\"name\":\"{span} {name}\",\"cat\":\"wait-{name}\",\"ph\":\"X\",\"ts\":{t0},\"dur\":{dur},\"pid\":{who},\"tid\":3}}"
                     ));
                 }
             }
@@ -844,7 +898,7 @@ mod tests {
     fn rings_are_per_process() {
         let (handle, rec) = ProbeHandle::recorder(2);
         handle.emit(|| span_ev(1, 0, 1, Stage::Send));
-        handle.emit(|| span_ev(2, 2, 1, Stage::Wire));
+        handle.emit(|| span_ev(2, 2, 1, Stage::Wire { retransmit: false }));
         let rec = rec.borrow();
         assert_eq!(rec.processes(), 3);
         assert_eq!(rec.events(0).len(), 1);
@@ -855,7 +909,7 @@ mod tests {
     #[test]
     fn merged_orders_by_time_then_process() {
         let (handle, rec) = ProbeHandle::recorder(8);
-        handle.emit(|| span_ev(20, 1, 2, Stage::Wire));
+        handle.emit(|| span_ev(20, 1, 2, Stage::Wire { retransmit: false }));
         handle.emit(|| span_ev(10, 0, 1, Stage::Send));
         handle.emit(|| span_ev(20, 0, 2, Stage::Send));
         let rec = rec.borrow();
@@ -899,6 +953,43 @@ mod tests {
     }
 
     #[test]
+    fn a_phase_note_is_built_only_for_a_probe_that_reads_phases() {
+        struct SpansOnly(usize);
+        impl Probe for SpansOnly {
+            fn enabled(&self) -> bool {
+                true
+            }
+            fn records_phases(&self) -> bool {
+                false
+            }
+            fn record(&mut self, _: ObsEvent) {
+                self.0 += 1;
+            }
+        }
+        let phase = || ObsEvent::Phase {
+            at: SimTime::from_micros(5),
+            who: 0,
+            kind: PhaseKind::StabilityRound,
+            edge: PhaseEdge::Point,
+            note: "stable frontier VT[..]".into(),
+        };
+        let spans = Rc::new(RefCell::new(SpansOnly(0)));
+        let handle = ProbeHandle::new(spans.clone());
+        assert!(!handle.records_phases());
+        handle.emit_phase(|| unreachable!("nothing attached reads the note"));
+        handle.emit(|| span_ev(1, 0, 1, Stage::Send));
+        assert_eq!(spans.borrow().0, 1);
+        let (handle, rec) = ProbeHandle::recorder(4);
+        assert!(handle.records_phases());
+        handle.emit_phase(phase);
+        assert_eq!(
+            rec.borrow().events(0).iter().collect::<Vec<_>>(),
+            [&phase()]
+        );
+        ProbeHandle::none().emit_phase(|| unreachable!("no probe"));
+    }
+
+    #[test]
     fn ascii_dump_renders_columns() {
         let (handle, rec) = ProbeHandle::recorder(8);
         handle.emit(|| span_ev(10, 0, 1, Stage::Send));
@@ -916,7 +1007,8 @@ mod tests {
             at: SimTime::from_micros(40),
             who: 1,
             span: SpanId { origin: 0, seq: 2 },
-            kind: WaitKind::CausalDep,
+            phase: LatencyPhase::Causal,
+            pre_send: false,
             since: SimTime::from_micros(15),
             blocker: Some(SpanId { origin: 2, seq: 1 }),
             note: "released by drain".into(),
@@ -968,7 +1060,7 @@ mod tests {
         });
         let (handle, rec) = ProbeHandle::recorder(16);
         handle.emit(|| span_ev(10, 0, 1, Stage::Send));
-        handle.emit(|| span_ev(30, 1, 1, Stage::Wire));
+        handle.emit(|| span_ev(30, 1, 1, Stage::Wire { retransmit: false }));
         handle.emit(|| span_ev(30, 1, 1, Stage::HoldbackEnter));
         handle.emit(|| span_ev(45, 1, 1, Stage::Delivered));
         handle.emit(|| ObsEvent::Phase {
