@@ -20,7 +20,7 @@
 //! outbound messages. This makes the protocol directly unit-testable and
 //! lets the same code run under `simnet` or a real transport.
 
-use crate::causal_core::{lagging_refs, span_of, CausalCore};
+use crate::causal_core::{lagging_refs, span_of, CausalCore, Slot};
 use crate::endpoint::{CausalProtocol, Protocol};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
@@ -29,18 +29,10 @@ use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{LatencyPhase, ObsEvent, ProbeHandle, Stage};
 use simnet::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Cap on the unstable predecessors appended to one message when
 /// `GroupConfig::append_predecessors` is on.
 const MAX_APPEND: usize = 16;
-
-/// The "a delta-stamped copy of `id` is parked awaiting its decode base"
-/// test the shared shell needs from cbcast: such a message is neither
-/// missing nor held.
-fn parked_in<P>(undecoded: &[BTreeMap<u64, DataMsg<P>>]) -> impl Fn(MsgId) -> bool + Copy + '_ {
-    move |id| undecoded[id.sender].contains_key(&id.seq)
-}
 
 /// The causal multicast endpoint for one group member.
 ///
@@ -81,11 +73,9 @@ pub struct CbcastEndpoint<P> {
     /// chain is invalidated then (the S3 fix — stale cross-view bases
     /// silently decoded wrong), and re-seeded by the full-encoded
     /// messages every member sends first in a new view.
+    /// A delta that arrives ahead of its base parks in its sender's window
+    /// until the chain reaches it (or a full copy jumps the chain past it).
     decode_chain: Vec<(u64, Option<VectorClock>)>,
-    /// Per sender: delta-stamped messages that arrived ahead of their
-    /// decode base, parked until the chain catches up (or dropped when a
-    /// full retransmission jumps the chain past them).
-    undecoded: Vec<BTreeMap<u64, DataMsg<P>>>,
     /// Send the next multicast with a full-encoded timestamp regardless
     /// of config — set at view install so receivers can re-seed their
     /// invalidated decode chains.
@@ -94,12 +84,6 @@ pub struct CbcastEndpoint<P> {
     /// delta-chain reset (the S3 fix), reintroducing the stale-chain bug
     /// so fault campaigns can demonstrate the failing seed.
     skip_view_reset: bool,
-    /// Held messages that arrived here after being chased via NACK —
-    /// their dependents' holdback waits are attributed to repair, not to
-    /// a plain causal dependency. An id leaves when its message delivers
-    /// or a view install purges it. Maintained unconditionally (cheap) so
-    /// probed and unprobed runs execute identically.
-    was_chased: BTreeSet<MsgId>,
 }
 
 impl<P: Clone> CbcastEndpoint<P> {
@@ -115,10 +99,8 @@ impl<P: Clone> CbcastEndpoint<P> {
             // width-`n` bases while keeping a fresh endpoint O(n) rather
             // than O(n²) — material for the N=4096 scaling runs.
             decode_chain: vec![(0, Some(VectorClock::new(0))); n],
-            undecoded: vec![BTreeMap::new(); n],
             force_full_next: false,
             skip_view_reset: false,
-            was_chased: BTreeSet::new(),
         }
     }
 
@@ -145,7 +127,7 @@ impl<P: Clone> CbcastEndpoint<P> {
 
     /// Delta-stamped messages parked awaiting their decode base.
     pub fn parked_len(&self) -> usize {
-        self.undecoded.iter().map(|m| m.len()).sum()
+        self.core.windows.parked_len()
     }
 
     /// Multicasts `payload` to the group. Returns the local (immediate)
@@ -184,7 +166,7 @@ impl<P: Clone> CbcastEndpoint<P> {
             // so receivers need not hold this message waiting for them.
             // Most-recent-first, capped.
             msg.appended = core
-                .buffer
+                .windows
                 .values_mut()
                 .rev()
                 .filter(|m| m.id != id)
@@ -216,10 +198,7 @@ impl<P: Clone> CbcastEndpoint<P> {
                 }
                 self.accept_data(now, msg, &mut out, &mut delivered);
             }
-            Wire::AckGossip { from, delivered: d } => {
-                self.core
-                    .on_ack_gossip(now, from, &d, parked_in(&self.undecoded));
-            }
+            Wire::AckGossip { from, delivered: d } => self.core.on_ack_gossip(now, from, &d),
             Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
             // Order/Token/membership traffic is not cbcast's business;
             // the composing endpoint handles it.
@@ -227,7 +206,6 @@ impl<P: Clone> CbcastEndpoint<P> {
         }
         self.core.stats.holdback_work = self.core.holdback.work();
         self.core.stats.book(self.core.me, &out);
-        self.core.debug_assert_frontier(parked_in(&self.undecoded));
         (delivered, out)
     }
 
@@ -237,7 +215,6 @@ impl<P: Clone> CbcastEndpoint<P> {
         self.core.gossip(&mut out);
         self.core.renack_overdue(now, &mut out);
         self.core.stats.book(self.core.me, &out);
-        self.core.debug_assert_frontier(parked_in(&self.undecoded));
         out
     }
 
@@ -266,9 +243,8 @@ impl<P: Clone> CbcastEndpoint<P> {
                 Some(base) if msg.id.seq == chain_seq + 1 => {
                     (VectorClock::decode_delta(bytes, base), "delta timestamp")
                 }
-                _ if msg.id.seq <= chain_seq => {
-                    // The timestamp for this seq was decoded before, so
-                    // this copy is a duplicate of a known message.
+                _ if msg.id.seq <= chain_seq.max(self.core.vt.get(sender)) => {
+                    // Decoded before (or stamped here, if ours): a duplicate.
                     self.core.stats.duplicates += 1;
                     self.core.note_gone(now, msg.id, Stage::Dropped, || {
                         "duplicate (behind decode chain)".to_string()
@@ -278,16 +254,13 @@ impl<P: Clone> CbcastEndpoint<P> {
                 _ => {
                     // Ahead of the decode chain — or the chain base was
                     // invalidated by a view install: park until a full
-                    // encoding re-seeds the chain, and NACK so the missing
-                    // bases (or a full copy of this very message) arrive
-                    // as full-encoded retransmissions.
+                    // encoding re-seeds the chain, and NACK the sender so
+                    // the missing bases (or a full copy of this very
+                    // message) arrive as full-encoded retransmissions.
                     self.core.stats.ts_delta_parked += 1;
-                    let hi = if chain_base.is_some() {
-                        msg.id.seq - 1
-                    } else {
-                        msg.id.seq
-                    };
-                    self.register_fifo_gap(now, sender, chain_seq + 1, hi, out);
+                    let need = msg.id.seq - u64::from(chain_base.is_some());
+                    let have = chain_seq.max(self.core.vt.get(sender));
+                    self.core.nack_gap(now, sender, (have + 1)..=need, out);
                     self.core.probe.emit(|| ObsEvent::Span {
                         at: now,
                         who: self.core.me,
@@ -295,7 +268,7 @@ impl<P: Clone> CbcastEndpoint<P> {
                         stage: Stage::Parked,
                         note: format!("delta ahead of decode chain (chain at seq {chain_seq})"),
                     });
-                    self.undecoded[sender].insert(msg.id.seq, msg);
+                    self.core.windows.park(msg);
                     return;
                 }
             },
@@ -318,24 +291,19 @@ impl<P: Clone> CbcastEndpoint<P> {
     }
 
     /// Advances the per-sender decode chain to (`seq`, `vt`) if that is
-    /// newer. Parked deltas at or below the new point lost their exact
-    /// base (a full retransmission jumped past them) and are dropped —
-    /// their payloads come back through the missing/NACK machinery. A
-    /// parked copy of `seq` itself is the message now decoded, on its way
-    /// to the holdback; one below it leaves the registered ids.
+    /// newer. Parked deltas below the new point lost their exact base (a
+    /// full retransmission jumped past them) and are dropped, to come back
+    /// by NACK; a parked copy of `seq` itself is the message now decoded.
     fn advance_chain(&mut self, now: SimTime, sender: usize, seq: u64, vt: VectorClock) {
         let chain = &mut self.decode_chain[sender];
         if seq > chain.0 || (seq == chain.0 && chain.1.is_none()) {
+            let passed = (chain.0 + 1)..=seq;
             *chain = (seq, Some(vt));
-            let parked = &mut self.undecoded[sender];
-            let kept = parked.split_off(&(seq + 1));
-            let passed = std::mem::replace(parked, kept);
-            if let Some(&lowest) = passed.keys().next().filter(|&&q| q < seq) {
-                self.core.unregister_from(sender, lowest);
-            }
-            for &q in passed.range(..seq).map(|(q, _)| q) {
-                let id = MsgId { sender, seq: q };
-                self.core.note_gone(now, id, Stage::Unparked, String::new);
+            for copy in self.core.windows.unpark(sender, passed) {
+                if copy.id.seq < seq {
+                    self.core
+                        .note_gone(now, copy.id, Stage::Unparked, String::new);
+                }
             }
         }
     }
@@ -354,14 +322,13 @@ impl<P: Clone> CbcastEndpoint<P> {
         while let (seq, Some(base)) = &self.decode_chain[sender] {
             let next = seq + 1;
             let base = base.clone();
-            let Some(mut msg) = self.undecoded[sender].remove(&next) else {
+            let Some(mut msg) = self.core.windows.unpark(sender, next..=next).pop() else {
                 break;
             };
+            // Only delta stamps park.
             let decoded = match &msg.vt_wire {
                 VtWire::Delta(bytes) => VectorClock::decode_delta(bytes, &base),
-                VtWire::Full(bytes) => VectorClock::decode(bytes),
-                // Stamps cbcast does not accept never park.
-                VtWire::Pc { .. } | VtWire::Id | VtWire::Gseq(_) => None,
+                _ => None,
             };
             // The same front door as a timestamp decoded on arrival.
             if let Some(vt) = self.core.checked_vt(now, &msg, decoded, "parked timestamp") {
@@ -369,31 +336,10 @@ impl<P: Clone> CbcastEndpoint<P> {
                 self.advance_chain(now, sender, next, msg.vt.clone());
                 self.on_data(now, msg, out, delivered);
             } else {
-                self.core.unregister_from(sender, next);
                 self.core
                     .note_gone(now, msg.id, Stage::Unparked, String::new);
             }
         }
-    }
-
-    /// Records (`sender`, `lo..=hi`) as missing-if-unseen and NACKs the
-    /// sender — used when a delta-stamped message arrives ahead of its
-    /// decode base, where only the FIFO gap is known (the deeper causal
-    /// references surface once the timestamp decodes).
-    fn register_fifo_gap(
-        &mut self,
-        now: SimTime,
-        sender: usize,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<Out<P>>,
-    ) {
-        let parked = parked_in(&self.undecoded);
-        let mut want = Vec::new();
-        let lo = lo.max(self.core.vt.get(sender) + 1);
-        self.core
-            .note_missing_range(now, sender, lo..=hi, sender, parked, &mut want);
-        self.core.send_nack(want, Dest::One(sender), out);
     }
 
     fn on_data(
@@ -413,11 +359,6 @@ impl<P: Clone> CbcastEndpoint<P> {
         if core.reject_duplicate(now, msg.id) {
             return;
         }
-        if core.missing.remove(&msg.id).is_some() {
-            self.was_chased.insert(msg.id);
-        }
-        // Note any causal predecessors we have never seen.
-        core.register_missing(now, &msg, parked_in(&self.undecoded), out);
         core.probe.emit(|| {
             let waits: Vec<String> = lagging_refs(&msg, &core.vt, core.n)
                 .map(|(k, _, need)| format!("m{k}.{need}"))
@@ -434,13 +375,7 @@ impl<P: Clone> CbcastEndpoint<P> {
                 },
             }
         });
-        core.holdback.insert(
-            Pending {
-                msg,
-                arrived_at: now,
-            },
-            &core.vt,
-        );
+        core.hold(now, msg, out);
         self.drain_holdback(now, delivered);
         self.core.note_holdback();
         self.core.collect_garbage(now);
@@ -462,7 +397,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         let mut last_popped: Option<(MsgId, bool)> = None;
         while let Some(Pending { msg, arrived_at }) = core.holdback.pop_ready(&core.vt) {
             let id = msg.id;
-            let chased = self.was_chased.remove(&id);
+            let chased = matches!(core.windows.slot(id), Some(Slot::Held { chased: true }));
             let mut waited_for = Vec::new();
             if core.begin_delivery(now, arrived_at, id) {
                 waited_for = Self::immediate_predecessors(&msg);
@@ -539,11 +474,10 @@ impl<P: Clone> Protocol<P> for CbcastEndpoint<P> {
         emit("cbcast.stability_lag", self.core.stability_lag() as f64);
     }
 
-    /// What every held message waits on (the shared shell's walk, with
-    /// cbcast's parked test; contract in [`crate::waitgraph`]).
+    /// What every held message waits on (the shared shell's walk;
+    /// contract in [`crate::waitgraph`]).
     fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
-        self.core
-            .wait_records(parked_in(&self.undecoded), every_gap, emit);
+        self.core.wait_records(every_gap, emit);
     }
 
     fn buffered_len(&self) -> usize {
@@ -575,10 +509,10 @@ impl<P: Clone> CausalProtocol<P> for CbcastEndpoint<P> {
         if !self.skip_view_reset {
             for s in 0..self.core.n {
                 if !members.contains(&s) && self.core.alive[s] {
-                    // The shell re-registers everything up to the cut.
-                    for (seq, _) in std::mem::take(&mut self.undecoded[s]) {
-                        let id = MsgId { sender: s, seq };
-                        self.core.note_gone(now, id, Stage::Unparked, String::new);
+                    // The shell chases everything up to the cut again.
+                    for copy in self.core.windows.unpark(s, 1..=u64::MAX) {
+                        self.core
+                            .note_gone(now, copy.id, Stage::Unparked, String::new);
                     }
                 }
                 self.decode_chain[s].1 = None;
@@ -586,9 +520,6 @@ impl<P: Clone> CausalProtocol<P> for CbcastEndpoint<P> {
             self.force_full_next = true;
         }
         self.core.install_view(now, members, cut);
-        let core = &self.core;
-        self.was_chased.retain(|&id| !core.beyond_cut(id));
-        core.debug_assert_frontier(parked_in(&self.undecoded));
     }
 
     /// Ends the delivery blackout ([`CausalCore::freeze`]): drains the
@@ -599,12 +530,7 @@ impl<P: Clone> CausalProtocol<P> for CbcastEndpoint<P> {
         let mut delivered = Vec::new();
         self.drain_holdback(now, &mut delivered);
         self.core.end_thaw_drain();
-        self.core.debug_assert_frontier(parked_in(&self.undecoded));
         (delivered, Vec::new())
-    }
-
-    fn parked_len(&self) -> usize {
-        CbcastEndpoint::parked_len(self)
     }
 
     /// Regression knob for the fault campaigns: reintroduces the S3 bug
@@ -858,8 +784,8 @@ mod tests {
         );
     }
 
-    /// The chased set holds only messages still held. A NACK-repaired
-    /// stream leaves nothing in it once delivered, its dependent's wait
+    /// Only a held message remembers that it was chased. A NACK-repaired
+    /// stream leaves nothing chased once delivered, its dependent's wait
     /// still charged to the repair; a chased message that a view install
     /// purges leaves with the purge.
     #[test]
@@ -882,7 +808,10 @@ mod tests {
             .expect("retransmit served");
         let (dels, _) = c.on_wire(t(5), retrans.1);
         assert_eq!(dels.len(), 2);
-        assert!(c.was_chased.is_empty(), "{:?}", c.was_chased);
+        assert!(c.core().windows.chases().is_empty());
+        for id in [MsgId { sender: 0, seq: 1 }, MsgId { sender: 1, seq: 1 }] {
+            assert!(c.core().windows.slot(id).is_none(), "{id}");
+        }
         let m2 = span_of(MsgId { sender: 1, seq: 1 });
         let phases: Vec<LatencyPhase> = rec
             .borrow()
@@ -905,10 +834,12 @@ mod tests {
             .collect();
         c.on_wire(t(1), sent[2].clone());
         c.on_wire(t(2), sent[1].clone());
-        assert_eq!(c.was_chased.len(), 1);
+        let a2 = MsgId { sender: 0, seq: 2 };
+        assert!(c.core().windows.arrived_chased(a2));
         c.on_view_install(t(3), 2, &[1, 2], &VectorClock::new(3));
         assert_eq!(c.core().holdback_len(), 0);
-        assert!(c.was_chased.is_empty(), "{:?}", c.was_chased);
+        assert!(c.core().windows.slot(a2).is_none());
+        assert!(c.core().windows.chases().is_empty());
     }
 
     /// A parked delta that decodes to a timestamp the front door refuses
@@ -938,7 +869,13 @@ mod tests {
             delivered: clock(&[3, 0, 0]),
         };
         c.on_wire(t(4), gossip);
-        let chased: Vec<_> = c.core().missing.keys().copied().collect();
+        let chased: Vec<_> = c
+            .core()
+            .windows
+            .chases()
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         assert_eq!(chased, [MsgId { sender: 0, seq: 2 }]);
     }
 

@@ -93,10 +93,6 @@ pub(crate) trait CausalProtocol<P>: Protocol<P> {
     /// of them.
     fn thaw(&mut self, now: SimTime) -> (Vec<Delivery<P>>, Vec<Out<P>>);
 
-    /// Messages parked awaiting a delta decode base (cbcast only; pccast
-    /// buffers per link instead and never parks).
-    fn parked_len(&self) -> usize;
-
     /// Bug-injection knob: skip the delta decode-chain reset at view
     /// install. pccast has no decode chains: a no-op there.
     fn debug_skip_view_reset(&mut self, _on: bool) {}
@@ -160,7 +156,7 @@ impl<P: Clone> CausalEndpoint<P> {
 
     /// Messages parked awaiting a delta decode base (cbcast only).
     pub fn parked_len(&self) -> usize {
-        self.protocol().parked_len()
+        self.protocol().core().windows.parked_len()
     }
 }
 

@@ -576,7 +576,7 @@ mod tests {
         let sender = sim.process::<Stamped>(ProcessId(0)).expect("member 0");
         let id = MsgId { sender: 0, seq: 1 };
         let core = sender.endpoint.as_ref().expect("member 0 sends").core();
-        let retained = stamp(core.buffer.get(id).expect("retained until stable"));
+        let retained = stamp(core.windows.get(id).expect("retained until stable"));
         for r in 1..N {
             let got = &sim.process::<Stamped>(ProcessId(r)).expect("member").got;
             let [Wire::Data(copy)] = &got[..] else {

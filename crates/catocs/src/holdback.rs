@@ -27,16 +27,9 @@
 //! scan's per-event work growing linearly with holdback size while the
 //! index stays flat.
 //!
-//! What is counted is what is asked, so `work` follows the caller. The
-//! causal core puts an id of a gap to `HoldbackQueue::contains` once,
-//! not once a mention: it walks each sender's gap from a registration
-//! frontier below which every undelivered id is chased, held or parked
-//! (`CausalCore::known`), so a later arrival that references the id
-//! again, or a peer's gossip that names it again, costs no `work`. The
-//! frontier falls only when an id leaves those sets undelivered — a
-//! decode-chain jump dropping parked deltas, a parked timestamp that
-//! fails its checks — and the next walk then covers the ids above it
-//! again.
+//! Which ids are held is asked of the causal core's sender windows
+//! (`causal_core::window`), never of the queue: `work` counts inserts,
+//! pops, releases and purges, and nothing a caller merely wants to know.
 
 use crate::causal_core::lagging_refs;
 use crate::group::MsgId;
@@ -83,28 +76,8 @@ impl<P> HoldbackQueue<P> {
         }
     }
 
-    /// Whether `id` is currently held. (`&mut` because even a membership
-    /// probe is work the scan structure pays for — and we count it.)
-    pub(crate) fn contains(&mut self, id: MsgId) -> bool {
-        match self {
-            HoldbackQueue::Scan(q) => {
-                let pos = q.items.iter().position(|p| p.msg.id == id);
-                q.work += pos.map_or(q.items.len(), |i| i + 1) as u64;
-                pos.is_some()
-            }
-            HoldbackQueue::Indexed(q) => {
-                q.work += 1;
-                q.entries.contains_key(&id)
-            }
-        }
-    }
-
-    /// Whether `id` is currently held, without counting the probe as
-    /// protocol work. Observability paths (the blocked-on explainer, the
-    /// flight recorder) use this so a probed run reports the same
-    /// [`Self::work`] — and therefore the same digests — as an unprobed
-    /// one.
-    pub(crate) fn peek(&self, id: MsgId) -> bool {
+    /// Whether `id` is currently held, not counted as work.
+    fn peek(&self, id: MsgId) -> bool {
         match self {
             HoldbackQueue::Scan(q) => q.items.iter().any(|p| p.msg.id == id),
             HoldbackQueue::Indexed(q) => q.entries.contains_key(&id),
@@ -125,19 +98,10 @@ impl<P> HoldbackQueue<P> {
     /// delivered clock, used by the indexed structure to compute how many
     /// direct predecessors are still undelivered.
     ///
-    /// Duplicates are rejected here, not just by the caller: a wire copy
-    /// of a message that was already delivered (`id.seq` at or below the
-    /// delivered clock) or is still held must return `false` and leave
-    /// the queue untouched. Before this guard, a dup arriving *after* its
-    /// original was delivered resurrected the entry in the indexed path
-    /// (its wait count computes to zero against the advanced clock, so it
-    /// popped as ready a second time), and a dup of a still-held message
-    /// double-registered its waiters, making `note_delivered` decrement
-    /// one wait twice. Returns whether the message was accepted.
+    /// Returns whether the message was accepted: a copy already delivered or
+    /// held is refused, whatever the caller checked (the indexed queue would
+    /// pop it as ready again, or count its waits twice).
     pub fn insert(&mut self, pending: Pending<P>, local_vt: &VectorClock) -> bool {
-        // `peek`, not `contains`: well-behaved callers have already paid
-        // for their own dup probe, so this defensive re-check must not
-        // inflate the work counters T7+ measures.
         let id = pending.msg.id;
         if id.seq <= local_vt.get(id.sender) || self.peek(id) {
             return false;
@@ -425,15 +389,15 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_len_agree() {
+    fn peek_and_len_agree() {
         for indexed in [false, true] {
             let mut q: HoldbackQueue<u32> = HoldbackQueue::new(indexed, 2);
             let vt = VectorClock::new(2);
             assert_eq!(q.len(), 0);
             q.insert(pend(1, 2, &[0, 2]), &vt);
             assert_eq!(q.len(), 1);
-            assert!(q.contains(MsgId { sender: 1, seq: 2 }));
-            assert!(!q.contains(MsgId { sender: 1, seq: 1 }));
+            assert!(q.peek(MsgId { sender: 1, seq: 2 }));
+            assert!(!q.peek(MsgId { sender: 1, seq: 1 }));
         }
     }
 
@@ -451,8 +415,8 @@ mod tests {
             // Cut at 2: seqs 3 and 4 go, seq 2 stays.
             assert_eq!(q.purge_sender(1, 2), 2, "indexed={indexed}");
             assert_eq!(q.len(), 2);
-            assert!(q.contains(MsgId { sender: 1, seq: 2 }));
-            assert!(!q.contains(MsgId { sender: 1, seq: 3 }));
+            assert!(q.peek(MsgId { sender: 1, seq: 2 }));
+            assert!(!q.peek(MsgId { sender: 1, seq: 3 }));
             // The survivors still drain correctly (tombstoned heap/waiter
             // references must not break delivery).
             let mut local = VectorClock::new(3);
@@ -559,22 +523,23 @@ mod tests {
 
     #[test]
     fn indexed_work_stays_flat_as_queue_grows() {
-        // Hold H messages from one sender, arriving in reverse; the scan
-        // pays O(H) per probe while the index pays O(1).
+        // Hold H messages from one sender, arriving in reverse; asked
+        // whether anything is ready, the scan pays O(H) while the index
+        // pays nothing.
         let h = 64u64;
-        let mut probes_scan = 0u64;
-        let mut probes_idx = 0u64;
-        for (indexed, probes) in [(false, &mut probes_scan), (true, &mut probes_idx)] {
+        let mut asked_scan = 0u64;
+        let mut asked_idx = 0u64;
+        for (indexed, asked) in [(false, &mut asked_scan), (true, &mut asked_idx)] {
             let mut q: HoldbackQueue<u32> = HoldbackQueue::new(indexed, 2);
             let vt = VectorClock::new(2);
             for seq in (2..=h).rev() {
                 q.insert(pend(1, seq, &[0, seq]), &vt);
             }
             let before = q.work();
-            q.contains(MsgId { sender: 1, seq: 1 });
-            *probes = q.work() - before;
+            assert!(q.pop_ready(&vt).is_none());
+            *asked = q.work() - before;
         }
-        assert!(probes_scan >= h - 1, "scan probe walks the queue");
-        assert_eq!(probes_idx, 1, "indexed probe is O(1)");
+        assert!(asked_scan >= h - 1, "scan walks the queue");
+        assert_eq!(asked_idx, 0, "indexed pops an empty ready heap");
     }
 }

@@ -55,7 +55,7 @@
 //! timestamp kept alongside for NACK repair is cold-path bookkeeping,
 //! not hot-path wire state.
 
-use crate::causal_core::{span_of, CausalCore};
+use crate::causal_core::{span_of, CausalCore, Slot};
 use crate::endpoint::{CausalProtocol, Protocol};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
@@ -65,12 +65,6 @@ use clocks::vector::VectorClock;
 use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage};
 use simnet::time::SimTime;
 use std::collections::BTreeMap;
-
-/// pccast has no delta decode chains, so nothing is ever parked outside
-/// the holdback queue — the predicate the shared shell asks for.
-fn never_parked(_: MsgId) -> bool {
-    false
-}
 
 /// One position of an incoming link's reorder buffer.
 #[derive(Debug)]
@@ -283,16 +277,13 @@ impl<P: Clone> PccastEndpoint<P> {
             }
             // Gossip is pccast's only cross-link gap detector (data
             // carries no clocks).
-            Wire::AckGossip { from, delivered: d } => {
-                self.core.on_ack_gossip(now, from, &d, never_parked);
-            }
+            Wire::AckGossip { from, delivered: d } => self.core.on_ack_gossip(now, from, &d),
             Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
             // Membership traffic is the composing endpoint's business.
             _ => {}
         }
         self.core.stats.holdback_work = self.core.holdback.work();
         self.core.stats.book(self.core.me, &out);
-        self.core.debug_assert_frontier(never_parked);
         (delivered, out)
     }
 
@@ -339,7 +330,7 @@ impl<P: Clone> PccastEndpoint<P> {
             .map(|(&s, &id)| (s, id))
             .collect();
         for (link_seq, id) in resend {
-            let w = if let Some(m) = self.core.buffer.get(id) {
+            let w = if let Some(m) = self.core.windows.get_mut(id) {
                 let mut copy = m.clone();
                 copy.vt_wire = VtWire::Pc {
                     epoch: self.epoch,
@@ -444,8 +435,6 @@ impl<P: Clone> PccastEndpoint<P> {
         delivered: &mut Vec<Delivery<P>>,
     ) {
         let core = &mut self.core;
-        core.missing.remove(&msg.id);
-        core.register_missing(now, &msg, never_parked, out);
         core.probe.emit(|| ObsEvent::Span {
             at: now,
             who: core.me,
@@ -453,13 +442,7 @@ impl<P: Clone> PccastEndpoint<P> {
             stage: Stage::HoldbackEnter,
             note: "repair copy".to_string(),
         });
-        core.holdback.insert(
-            Pending {
-                msg,
-                arrived_at: now,
-            },
-            &core.vt,
-        );
+        core.hold(now, msg, out);
         core.note_holdback();
         self.drain(now, delivered, out);
         self.core.collect_garbage(now);
@@ -521,7 +504,7 @@ impl<P: Clone> PccastEndpoint<P> {
                             HeadAction::Consume
                         } else if s == core.vt.get(o) + 1
                             && self.barrier_met
-                            && !core.holdback.peek(msg.id)
+                            && !matches!(core.windows.slot(msg.id), Some(Slot::Held { .. }))
                         {
                             // The holdback check keeps the two delivery
                             // paths from double-claiming one message: if a
@@ -568,14 +551,9 @@ impl<P: Clone> PccastEndpoint<P> {
                         any = true;
                     }
                     HeadAction::Chase(id) => {
-                        // Stall: the head waits for the repair path to
-                        // advance the clock under it. Record the blocking
-                        // gap so the tick NACK loop chases it — unless the
-                        // holdback already holds the id (it is not missing;
-                        // it is queued behind its own predecessors).
-                        if !self.core.holdback.peek(id) {
-                            self.core.chase_on_tick(id, peer);
-                        }
+                        // Stall until the repair path moves the clock: the
+                        // tick NACK loop chases the gap, unless it is held.
+                        self.core.windows.chase(id, peer);
                         break;
                     }
                 }
@@ -677,7 +655,6 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
         }
         self.core.renack_overdue(now, &mut out);
         self.core.stats.book(self.core.me, &out);
-        self.core.debug_assert_frontier(never_parked);
         out
     }
 
@@ -709,7 +686,7 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
     /// whatever gates the fast path; the sampler (`!every_gap`) is told
     /// the gate alone when there is one.
     fn wait_records(&self, every_gap: bool, emit: &mut dyn FnMut(&WaitRecord)) {
-        self.core.wait_records(never_parked, every_gap, emit);
+        self.core.wait_records(every_gap, emit);
         let me = self.core.me;
         let depth = if every_gap { usize::MAX } else { 1 };
         let mut waits = Vec::new();
@@ -748,7 +725,7 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
                     };
                     if every_gap || gate.is_none() {
                         let gaps = ((have + 1)..msg.id.seq).take(depth);
-                        waits.extend(gaps.map(|seq| self.core.wait_on(origin, seq, never_parked)));
+                        waits.extend(gaps.map(|seq| self.core.wait_on(origin, seq)));
                     }
                     waits.extend(gate.map(|why| (WaitNode::Proc(me), why)));
                 }
@@ -789,9 +766,14 @@ impl<P: Clone> CausalProtocol<P> for PccastEndpoint<P> {
         // back through the flush retransmissions and the NACK machinery.
         self.epoch = view_id;
         self.links_out.clear();
-        self.links_in.clear();
+        let links = std::mem::take(&mut self.links_in).into_values();
+        for copy in links.flat_map(|link| link.buf.into_values()) {
+            if let LinkCopy::Data(_, msg) = copy {
+                let note = || format!("link reset at view {view_id}");
+                self.core.note_gone(now, msg.id, Stage::Dropped, note);
+            }
+        }
         self.barrier_met = self.check_barrier();
-        self.core.debug_assert_frontier(never_parked);
     }
 
     /// Ends the delivery blackout: thawed deliveries, forwarded copies.
@@ -802,12 +784,7 @@ impl<P: Clone> CausalProtocol<P> for PccastEndpoint<P> {
         self.drain(now, &mut delivered, &mut out);
         self.core.end_thaw_drain();
         self.core.stats.book(self.core.me, &out);
-        self.core.debug_assert_frontier(never_parked);
         (delivered, out)
-    }
-
-    fn parked_len(&self) -> usize {
-        0
     }
 }
 

@@ -12,7 +12,7 @@
 //! scales with N), but ordering adds no extra hop and the sequencer
 //! hotspot disappears.
 
-use crate::causal_core::{arrival, span_of, PAYLOAD_BYTES};
+use crate::causal_core::{arrival, span_of, MAX_CHASE_AHEAD, PAYLOAD_BYTES};
 use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
@@ -270,25 +270,25 @@ impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
                 (Vec::new(), Vec::new())
             }
             Wire::Data(msg) => {
+                let in_reach = |g: u64| g.saturating_sub(self.next_deliver) <= MAX_CHASE_AHEAD;
                 let gseq = match msg.vt_wire {
-                    VtWire::Gseq(gseq) if msg.id.sender < self.n => gseq,
+                    VtWire::Gseq(gseq) if msg.id.sender < self.n && in_reach(gseq) => gseq,
                     _ => {
-                        // No member sent this, or no holder stamped it
-                        // with a slot in the order: refused at the front
-                        // door.
+                        // No member sent this, no holder stamped it with
+                        // a slot in the order, or the slot is implausibly
+                        // far ahead (it would sit in `by_gseq` for good,
+                        // its gap NACKed every tick): refused at the door.
                         self.stats.ts_decode_errors += 1;
                         return (Vec::new(), Vec::new());
                     }
                 };
                 self.stats.data_received += 1;
                 self.probe.emit(|| arrival(now, self.me, &msg));
-                if gseq < self.next_deliver + 1 && self.by_gseq.contains_key(&gseq)
-                    || gseq <= self.next_deliver
-                {
+                if gseq <= self.next_deliver || self.by_gseq.contains_key(&gseq) {
                     self.stats.duplicates += 1;
                     return (Vec::new(), Vec::new());
                 }
-                self.by_gseq.entry(gseq).or_insert((msg, now));
+                self.by_gseq.insert(gseq, (msg, now));
                 let dels = self.release(now);
                 (dels, Vec::new())
             }
@@ -430,6 +430,52 @@ mod tests {
         let s = a.stats();
         assert_eq!((s.buffered_now, s.buffered_peak), (2, 2));
         assert_eq!(s.buffered_bytes_now, 2 * (PAYLOAD_BYTES + 12 + 8) as u64);
+    }
+
+    /// A slot far beyond the order is refused at the front door and
+    /// leaves nothing to NACK: before the bound it sat in `by_gseq` for
+    /// good, and every tick NACKed everyone for the gap below it.
+    #[test]
+    fn a_slot_out_of_reach_is_refused() {
+        let mut b = TokenAbcastEndpoint::new(1, 3, GroupConfig::default());
+        let copy = |gseq| {
+            let id = MsgId { sender: 0, seq: 1 };
+            Wire::Data(DataMsg::counted(id, VtWire::Gseq(gseq), "x"))
+        };
+        for gseq in [u64::MAX, MAX_CHASE_AHEAD + 1] {
+            let (dels, out) = b.on_wire(t(1), copy(gseq));
+            assert!(dels.is_empty() && out.is_empty(), "gseq {gseq}");
+        }
+        assert_eq!(
+            (b.stats().ts_decode_errors, b.stats().data_received),
+            (2, 0)
+        );
+        assert!(b.by_gseq.is_empty());
+        let nack_timeout = GroupConfig::default().nack_timeout;
+        let out = b.on_tick(t(1) + nack_timeout);
+        assert!(!out.iter().any(|(_, w)| matches!(w, Wire::Nack { .. })));
+        // The furthest slot still in reach is taken, and its gap chased.
+        b.on_wire(t(2), copy(MAX_CHASE_AHEAD));
+        assert_eq!(b.by_gseq.len(), 1);
+    }
+
+    /// A second copy of a slot held but not yet delivered is a duplicate
+    /// like one of a delivered slot: counted, and the first copy kept.
+    #[test]
+    fn a_second_copy_of_a_held_slot_is_a_duplicate() {
+        let mut b = TokenAbcastEndpoint::new(1, 3, GroupConfig::default());
+        let copy = |payload| {
+            let id = MsgId { sender: 0, seq: 2 };
+            Wire::Data(DataMsg::counted(id, VtWire::Gseq(2), payload))
+        };
+        b.on_wire(t(1), copy("first"));
+        let (dels, _) = b.on_wire(t(2), copy("second"));
+        assert!(dels.is_empty());
+        assert_eq!(b.stats().duplicates, 1);
+        let first = DataMsg::counted(MsgId { sender: 0, seq: 1 }, VtWire::Gseq(1), "x");
+        let (dels, _) = b.on_wire(t(3), Wire::Data(first));
+        let payloads: Vec<_> = dels.iter().map(|d| d.payload).collect();
+        assert_eq!(payloads, ["x", "first"]);
     }
 
     #[test]

@@ -962,7 +962,8 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::obs::LatencyPhase;
+    use crate::causal_core::span_of;
+    use simnet::obs::{LatencyPhase, ObsEvent, Stage};
 
     fn vt(entries: &[u64]) -> VectorClock {
         VectorClock::from_entries(entries.to_vec())
@@ -1190,6 +1191,45 @@ mod tests {
         // And the recorder actually saw protocol activity.
         let rec = rec.borrow();
         assert!((0..cfg.n).any(|p| !rec.events(p).is_empty()));
+    }
+
+    /// A held copy that a view install purges — its sender removed, the
+    /// copy beyond the flush cut — leaves the flight recorder a `Dropped`
+    /// span. Seed 48's P4 held `m3.51` from 1.278 s and then heard no more
+    /// of it: the recorder could not say where it went.
+    #[test]
+    fn a_copy_purged_at_an_install_is_dropped_in_the_recorder() {
+        let cfg = CampaignConfig {
+            n: 6,
+            group: GroupConfig {
+                indexed_holdback: true,
+                delta_timestamps: true,
+                ..GroupConfig::default()
+            },
+            ..CampaignConfig::default()
+        };
+        let (probe, rec) = ProbeHandle::recorder(1 << 16);
+        run_campaign_with_opts(48, &cfg, probe, false);
+        let m3_51 = span_of(id(3, 51));
+        let rec = rec.borrow();
+        let stages: Vec<(SimTime, Stage)> = rec
+            .events(4)
+            .iter()
+            .filter_map(|e| match e {
+                ObsEvent::Span {
+                    at, span, stage, ..
+                } if *span == m3_51 => Some((*at, *stage)),
+                _ => None,
+            })
+            .collect();
+        let held = stages.iter().position(|(_, s)| *s == Stage::HoldbackEnter);
+        let held = held.expect("P4 holds m3.51");
+        assert_eq!(stages[held].0.as_millis(), 1_278, "{stages:?}");
+        assert_eq!(
+            stages.last().map(|(_, s)| *s),
+            Some(Stage::Dropped),
+            "{stages:?}"
+        );
     }
 
     #[test]

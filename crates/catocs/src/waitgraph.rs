@@ -42,9 +42,9 @@
 //! 50 ms sampler, `experiments explain` and the incident dump all read
 //! those. A walker
 //!
-//! - is read-only and work-counter-neutral: `&self`, and holdback
-//!   membership through `peek`, never the counted `contains`, so looking
-//!   cannot move a digest or a `holdback_work` figure;
+//! - is read-only and work-counter-neutral: `&self`, and which ids are
+//!   held asked of the sender windows, never of the counted holdback
+//!   queue, so looking cannot move a digest or a `holdback_work` figure;
 //! - takes one parameter, `every_gap`: whether a lagging sender is
 //!   enumerated to its first missing message (the sampler: that is the
 //!   blocker everything deeper queues behind, and every gap would square

@@ -226,8 +226,9 @@ fn beyond_cut_campaigns_replay_clean() {
 /// every NACK's destination and `want` list, then `(nacks_sent,
 /// duplicates, ts_delta_parked, holdback_work, holdback_peak,
 /// delivered_after_hold)`. Recorded on the commit before `VectorClock`
-/// became copy-on-write; `holdback_work` since gap walks start at the
-/// registration frontier, which asks the holdback about each id once.
+/// became copy-on-write; `holdback_work` since the sender windows say
+/// which ids are held, so the holdback queue is asked only to insert and
+/// release.
 #[test]
 fn reversed_delta_stream_replays_its_pinned_stats() {
     const N: usize = 32;
@@ -295,7 +296,7 @@ fn reversed_delta_stream_replays_its_pinned_stats() {
             reversed,
             0x25e6_2161_5214_9a5e_u64,
             0x768d_622f_8bfa_c905_u64,
-            (4u64, 60u64, 60u64, 624u64, 48u64, 48u64),
+            (4u64, 60u64, 60u64, 500u64, 48u64, 48u64),
         ),
         (
             20,
@@ -304,7 +305,7 @@ fn reversed_delta_stream_replays_its_pinned_stats() {
             swapped,
             0xca37_5e6e_5c21_3626,
             0xf296_f259_6b4a_0ab7,
-            (8, 40, 43, 730, 57, 57),
+            (8, 40, 43, 578, 57, 57),
         ),
     ];
     for (me, cfg, full_first, arrival, log_pin, want_pin, stats_pin) in cases {
