@@ -15,7 +15,7 @@
 //!   order is *incidental* (sequencer arrival), not semantic — Figure 4's
 //!   false crossing survives abcast, which experiment F4 demonstrates.
 
-use crate::causal_core::span_of;
+use crate::causal_core::{span_of, MAX_CHASE_AHEAD};
 use crate::cbcast::CbcastEndpoint;
 use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
@@ -174,7 +174,20 @@ impl<P: Clone> Protocol<P> for AbcastEndpoint<P> {
         (released, out)
     }
 
-    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    fn n(&self) -> usize {
+        self.cb.n()
+    }
+
+    /// An order slot far past the last released one (its gap would be
+    /// NACKed for good), or what is out of the causal substrate's reach.
+    fn out_of_reach(&self, wire: &Wire<P>) -> bool {
+        match wire {
+            Wire::Order { gseq, .. } => gseq.saturating_sub(self.released) > MAX_CHASE_AHEAD,
+            other => self.cb.out_of_reach(other),
+        }
+    }
+
+    fn receive(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         let mut out = Vec::new();
         // Where the order wires this layer adds begin: the causal
         // substrate books its own.
@@ -191,16 +204,15 @@ impl<P: Clone> Protocol<P> for AbcastEndpoint<P> {
                 to_gseq,
             } => {
                 if self.is_sequencer() {
-                    for g in from_gseq..=to_gseq {
-                        if let Some(&id) = self.order.get(&g) {
-                            self.stats.retransmits_served += 1;
-                            out.push((Dest::One(from), Wire::Order { gseq: g, id }));
-                        }
+                    // What is assigned of the range, however wide it is.
+                    for (&gseq, &id) in self.order.range(from_gseq..=to_gseq) {
+                        self.stats.retransmits_served += 1;
+                        out.push((Dest::One(from), Wire::Order { gseq, id }));
                     }
                 }
             }
             other => {
-                let (dels, cb_out) = self.cb.on_wire(now, other);
+                let (dels, cb_out) = self.cb.receive(now, other);
                 out = cb_out;
                 ours = out.len();
                 for d in dels {
@@ -261,6 +273,10 @@ impl<P: Clone> Protocol<P> for AbcastEndpoint<P> {
     /// Total-order delivery statistics.
     fn stats(&self) -> &EndpointStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut EndpointStats {
+        &mut self.stats
     }
 
     /// Telemetry hook: the causal substrate's gauges plus the order-release
@@ -530,6 +546,60 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(1, "m1"), (2, "m2")]
         );
+    }
+
+    /// An order slot far past the last released one once took its place
+    /// in `order`, and every tick after NACKed the sequencer for the gap
+    /// below it, `OrderNack 1..=18446744073709551615`. It is refused at the
+    /// door and NACKs nothing; the furthest slot in reach is taken.
+    #[test]
+    fn an_order_out_of_reach_is_refused() {
+        let mut eps = group(3);
+        let id = MsgId { sender: 0, seq: 1 };
+        for gseq in [u64::MAX, MAX_CHASE_AHEAD + 1] {
+            let (dels, out) = eps[1].on_wire(t(1), Wire::Order { gseq, id });
+            assert!(dels.is_empty() && out.is_empty(), "gseq {gseq}");
+        }
+        assert_eq!(eps[1].stats().ts_decode_errors, 2);
+        assert!(eps[1].order.is_empty());
+        let tick = eps[1].on_tick(t(1) + GroupConfig::default().nack_timeout);
+        assert!(!tick
+            .iter()
+            .any(|(_, w)| matches!(w, Wire::OrderNack { .. })));
+        eps[1].on_wire(
+            t(2),
+            Wire::Order {
+                gseq: MAX_CHASE_AHEAD,
+                id,
+            },
+        );
+        assert_eq!(eps[1].order.len(), 1);
+    }
+
+    /// The sequencer serves an order NACK from what it has assigned, not
+    /// by asking for every slot of the range: one spanning every gseq is
+    /// answered at once.
+    #[test]
+    fn a_wide_order_nack_is_served_from_the_assignments() {
+        let mut eps = group(2);
+        for p in ["m1", "m2"] {
+            eps[0].multicast(t(0), p);
+        }
+        let nack = Wire::OrderNack {
+            from: 1,
+            from_gseq: 1,
+            to_gseq: u64::MAX,
+        };
+        let (_, out) = eps[0].on_wire(t(1), nack);
+        let served: Vec<u64> = out
+            .iter()
+            .filter_map(|(d, w)| match w {
+                Wire::Order { gseq, .. } if *d == Dest::One(1) => Some(*gseq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(served, [1, 2]);
+        assert_eq!(eps[0].stats().retransmits_served, 2);
     }
 
     #[test]

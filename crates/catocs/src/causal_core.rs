@@ -17,7 +17,7 @@ use crate::group::{GroupConfig, MsgId};
 use crate::holdback::{HoldbackQueue, Pending};
 use crate::stability::StabilityTracker;
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
-use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Wire};
+use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage};
 use simnet::time::SimTime;
@@ -255,7 +255,6 @@ impl<P: Clone> CausalCore<P> {
         self.stability
             .stable_frontier()
             .lagging(&self.vt)
-            .take_while(|&(s, ..)| s < self.n)
             .map(|(_, stable, delivered)| delivered - stable)
             .sum()
     }
@@ -423,16 +422,16 @@ impl<P: Clone> CausalCore<P> {
         clock.any_above(MAX_CHASE_AHEAD) && self.vt.lagging(clock).any(|lag| out_of_reach(&lag))
     }
 
-    /// Front door for a data copy: rejects ids outside the group or
-    /// implausibly far ahead of it and — virtual synchrony — anything
-    /// from a removed sender beyond the flush cut. Returns whether the
-    /// copy may proceed to decoding.
-    pub(crate) fn admit(&mut self, now: SimTime, msg: &DataMsg<P>) -> bool {
-        let MsgId { sender, seq } = msg.id;
-        if sender >= self.n || seq.saturating_sub(self.vt.get(sender)) > MAX_CHASE_AHEAD {
-            self.stats.ts_decode_errors += 1;
-            return false;
-        }
+    /// Whether `id` lies more than [`MAX_CHASE_AHEAD`] past what was
+    /// delivered here of its sender (a member of the group).
+    pub(crate) fn out_of_reach(&self, id: MsgId) -> bool {
+        id.seq.saturating_sub(self.vt.get(id.sender)) > MAX_CHASE_AHEAD
+    }
+
+    /// A data copy the door admitted arrives: rejects — virtual synchrony
+    /// — anything from a removed sender beyond the flush cut. Returns
+    /// whether the copy may proceed to decoding.
+    pub(crate) fn arrive(&mut self, now: SimTime, msg: &DataMsg<P>) -> bool {
         self.probe.emit(|| arrival(now, self.me, msg));
         if self.beyond_cut(msg.id) {
             self.stats.rejected_removed += 1;
@@ -454,19 +453,20 @@ impl<P: Clone> CausalCore<P> {
         decoded: Option<VectorClock>,
         what: &str,
     ) -> Option<VectorClock> {
-        match decoded {
+        let why = match decoded {
             Some(vt) if vt.len() == self.n && !self.too_far_ahead(&vt) => {
                 debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
-                Some(vt)
+                return Some(vt);
             }
-            _ => {
-                self.stats.ts_decode_errors += 1;
-                self.note_gone(now, msg.id, Stage::Dropped, || {
-                    format!("{what} decode error")
-                });
-                None
-            }
-        }
+            Some(vt) if vt.len() == self.n => Refusal::OutOfReach,
+            Some(_) => Refusal::ClockWidth,
+            None => Refusal::Undecodable,
+        };
+        self.stats.refuse(why);
+        self.note_gone(now, msg.id, Stage::Dropped, || {
+            format!("{what} decode error")
+        });
+        None
     }
 
     /// Whether a timestamped copy of `id` is a duplicate — already
@@ -487,15 +487,14 @@ impl<P: Clone> CausalCore<P> {
     /// what reveals a sender's final message when it was dropped with no
     /// successor to reference it. Removed senders' messages beyond the
     /// flush cut will never deliver and are not worth chasing. A clock
-    /// implausibly far ahead of ours ([`MAX_CHASE_AHEAD`]), or from no
-    /// member of the group, is counted and ignored whole.
+    /// implausibly far ahead of ours ([`MAX_CHASE_AHEAD`]) is refused
+    /// whole.
     pub(crate) fn on_ack_gossip(&mut self, now: SimTime, from: usize, delivered: &VectorClock) {
         // One scan serves the bound and the chase; in a settled group it
         // finds nothing and allocates nothing.
-        let ahead = self.vt.lagging(delivered).take_while(|&(k, ..)| k < self.n);
-        let ahead: Vec<_> = ahead.collect();
-        if from >= self.n || ahead.iter().any(out_of_reach) {
-            self.stats.ts_decode_errors += 1;
+        let ahead: Vec<_> = self.vt.lagging(delivered).collect();
+        if ahead.iter().any(out_of_reach) {
+            self.stats.refuse(Refusal::OutOfReach);
             return;
         }
         self.stability.update_row(from, delivered);

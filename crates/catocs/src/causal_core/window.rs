@@ -377,6 +377,11 @@ impl<P> SenderWindows<P> {
         });
     }
 
+    /// Slots open above the senders' delivered counts, known or not.
+    pub(crate) fn open_slots(&self) -> usize {
+        self.windows.iter().map(|w| w.ahead.len()).sum()
+    }
+
     /// Whether `id` is in the holdback queue.
     pub(crate) fn is_held(&self, id: MsgId) -> bool {
         matches!(self.slot(id), Some(Slot::Held { .. }))

@@ -25,7 +25,7 @@ use crate::endpoint::{CausalProtocol, Protocol};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
 use crate::waitgraph::WaitRecord;
-use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
+use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, VtWire, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{LatencyPhase, ObsEvent, ProbeHandle, Stage};
 use simnet::time::SimTime;
@@ -185,28 +185,7 @@ impl<P: Clone> CbcastEndpoint<P> {
     /// Handles an incoming wire message. Returns app deliveries (in causal
     /// order) and any outbound messages (NACKs, retransmits, acks).
     pub fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        let mut out = Vec::new();
-        let mut delivered = Vec::new();
-        match wire {
-            Wire::Data(mut msg) => {
-                self.core.stats.data_received += 1;
-                // Appended predecessors are processed first, so the
-                // carrying message rarely needs holdback.
-                for pre in std::mem::take(&mut msg.appended) {
-                    self.core.stats.data_received += 1;
-                    self.accept_data(now, pre, &mut out, &mut delivered);
-                }
-                self.accept_data(now, msg, &mut out, &mut delivered);
-            }
-            Wire::AckGossip { from, delivered: d } => self.core.on_ack_gossip(now, from, &d),
-            Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
-            // Order/Token/membership traffic is not cbcast's business;
-            // the composing endpoint handles it.
-            _ => {}
-        }
-        self.core.stats.holdback_work = self.core.holdback.work();
-        self.core.stats.book(self.core.me, &out);
-        (delivered, out)
+        Protocol::on_wire(self, now, wire)
     }
 
     /// Periodic maintenance: ack gossip, NACK retries, buffer sampling.
@@ -231,7 +210,7 @@ impl<P: Clone> CbcastEndpoint<P> {
         out: &mut Vec<Out<P>>,
         delivered: &mut Vec<Delivery<P>>,
     ) {
-        if !self.core.admit(now, &msg) {
+        if !self.core.arrive(now, &msg) {
             return;
         }
         let sender = msg.id.sender;
@@ -278,7 +257,7 @@ impl<P: Clone> CbcastEndpoint<P> {
                 // error): there is no vector to decode, so drop for
                 // NACK-driven full retransmission like any undecodable
                 // timestamp.
-                self.core.stats.ts_decode_errors += 1;
+                self.core.stats.refuse(Refusal::Undecodable);
                 return;
             }
         };
@@ -449,8 +428,41 @@ impl<P: Clone> Protocol<P> for CbcastEndpoint<P> {
         (vec![own], out)
     }
 
-    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        CbcastEndpoint::on_wire(self, now, wire)
+    fn n(&self) -> usize {
+        self.core.n
+    }
+
+    /// A data copy, or one appended to it, far past its sender's
+    /// delivered count.
+    fn out_of_reach(&self, wire: &Wire<P>) -> bool {
+        let Wire::Data(msg) = wire else { return false };
+        let mut copies = std::iter::once(msg).chain(&msg.appended);
+        copies.any(|copy| self.core.out_of_reach(copy.id))
+    }
+
+    fn receive(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let mut out = Vec::new();
+        let mut delivered = Vec::new();
+        match wire {
+            Wire::Data(mut msg) => {
+                self.core.stats.data_received += 1;
+                // Appended predecessors are processed first, so the
+                // carrying message rarely needs holdback.
+                for pre in std::mem::take(&mut msg.appended) {
+                    self.core.stats.data_received += 1;
+                    self.accept_data(now, pre, &mut out, &mut delivered);
+                }
+                self.accept_data(now, msg, &mut out, &mut delivered);
+            }
+            Wire::AckGossip { from, delivered: d } => self.core.on_ack_gossip(now, from, &d),
+            Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
+            // Order/Token/membership traffic is not cbcast's business;
+            // the composing endpoint handles it.
+            _ => {}
+        }
+        self.core.stats.holdback_work = self.core.holdback.work();
+        self.core.stats.book(self.core.me, &out);
+        (delivered, out)
     }
 
     fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
@@ -459,6 +471,10 @@ impl<P: Clone> Protocol<P> for CbcastEndpoint<P> {
 
     fn stats(&self) -> &EndpointStats {
         CbcastEndpoint::stats(self)
+    }
+
+    fn stats_mut(&mut self) -> &mut EndpointStats {
+        &mut self.core.stats
     }
 
     /// Telemetry hook: instantaneous queue depths and buffering gauges,

@@ -12,7 +12,10 @@
 //! [`CausalEndpoint`] reach it through one `match` each, so each common
 //! method is written once. Every entry point that returns wires books
 //! them as it returns (`EndpointStats::book`): bytes are charged where
-//! they leave, by one rule, whoever holds the endpoint.
+//! they leave, by one rule, whoever holds the endpoint. Every wire comes
+//! in through one door, the provided `Protocol::on_wire`: the stateless
+//! checks of `wire::admit`, the discipline's `out_of_reach`, and only then
+//! its body, `receive`.
 
 use crate::abcast::AbcastEndpoint;
 use crate::causal_core::CausalCore;
@@ -22,7 +25,7 @@ use crate::group::{CausalDiscipline, GroupConfig};
 use crate::pccast::PccastEndpoint;
 use crate::token::TokenAbcastEndpoint;
 use crate::waitgraph::WaitRecord;
-use crate::wire::{Delivery, EndpointStats, Out, Wire};
+use crate::wire::{self, Delivery, EndpointStats, Out, Refusal, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::ProbeHandle;
 use simnet::time::SimTime;
@@ -52,8 +55,35 @@ pub(crate) trait Protocol<P> {
     /// self-delivery; total order may defer it).
     fn multicast(&mut self, now: SimTime, payload: P) -> (Vec<Delivery<P>>, Vec<Out<P>>);
 
-    /// Handles an incoming wire message.
-    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>);
+    /// The group size wires are admitted against.
+    fn n(&self) -> usize;
+
+    /// Whether `wire`, past the door, lies more than `MAX_CHASE_AHEAD` past
+    /// this member's state: checks that need state, but no stamp decoded
+    /// and no clock scanned (those stay in the scan, in the body).
+    fn out_of_reach(&self, wire: &Wire<P>) -> bool;
+
+    /// Handles a wire the door admitted.
+    fn receive(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>);
+
+    /// Handles an incoming wire: the front door (`wire::admit`, then
+    /// `out_of_reach`), then the body. A refused wire is counted, no more.
+    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let admitted = wire::admit(&wire, self.n()).and_then(|()| {
+            if self.out_of_reach(&wire) {
+                Err(Refusal::OutOfReach)
+            } else {
+                Ok(())
+            }
+        });
+        match admitted {
+            Ok(()) => self.receive(now, wire),
+            Err(why) => {
+                self.stats_mut().refuse(why);
+                (Vec::new(), Vec::new())
+            }
+        }
+    }
 
     /// Periodic protocol maintenance (the token ring also passes the
     /// token on here: hold for one tick).
@@ -61,6 +91,9 @@ pub(crate) trait Protocol<P> {
 
     /// Delivery statistics, and the bytes booked.
     fn stats(&self) -> &EndpointStats;
+
+    /// The same, to count a refusal in.
+    fn stats_mut(&mut self) -> &mut EndpointStats;
 
     /// Telemetry gauges, prefixed per discipline (`cbcast.*`, `pccast.*`,
     /// `fbcast.*`, `abcast.*`, `token.*`), for `Process::sample`.
@@ -331,73 +364,6 @@ mod tests {
         ep.protocol()
             .sample(&mut |name, _| names.push(name.to_string()));
         assert!(names.iter().any(|n| n == "abcast.unreleased"));
-    }
-
-    /// A member id off the wire indexes per-member state in every
-    /// discipline (ROADMAP 1e): one from outside the group must be
-    /// refused at the front door and counted, not panic three calls down.
-    #[test]
-    fn member_ids_outside_the_group_are_refused_at_the_front_door() {
-        use crate::group::MsgId;
-        use crate::wire::DataMsg;
-        const N: usize = 3;
-        let masked = |s: &EndpointStats| {
-            // A refused copy is still a receipt where receipts are
-            // counted before admission (cbcast, pccast).
-            let s = EndpointStats {
-                ts_decode_errors: 0,
-                data_received: 0,
-                ..s.clone()
-            };
-            format!("{s:?}")
-        };
-        for (d, discipline, refused) in [
-            (Discipline::Fifo, CausalDiscipline::Cbcast, 4),
-            (Discipline::Causal, CausalDiscipline::Cbcast, 4),
-            (Discipline::Causal, CausalDiscipline::Pccast, 4),
-            (
-                Discipline::Total { sequencer: 0 },
-                CausalDiscipline::Cbcast,
-                4,
-            ),
-            // The token ring has no use for gossip: nothing to refuse.
-            (Discipline::TotalToken, CausalDiscipline::Cbcast, 2),
-        ] {
-            let cfg = GroupConfig {
-                discipline,
-                ..GroupConfig::default()
-            };
-            let mut a: Endpoint<u32> = Endpoint::new(d, 0, N, cfg.clone());
-            let mut b: Endpoint<u32> = Endpoint::new(d, 1, N, cfg);
-            let before = (masked(b.stats()), masked(b.transport_stats()));
-            for who in [N, usize::MAX] {
-                let gossip = Wire::AckGossip {
-                    from: who,
-                    delivered: VectorClock::new(N),
-                };
-                let id = MsgId {
-                    sender: who,
-                    seq: 1,
-                };
-                let data = Wire::Data(DataMsg::new(id, VectorClock::new(N), 9));
-                for hostile in [gossip, data] {
-                    let (dels, out) = b.on_wire(SimTime::ZERO, hostile);
-                    assert!(dels.is_empty() && out.is_empty(), "{d:?}/{discipline:?}");
-                }
-            }
-            let after = (masked(b.stats()), masked(b.transport_stats()));
-            assert_eq!(before, after, "{d:?}/{discipline:?}");
-            let errors = b.transport_stats().ts_decode_errors;
-            assert_eq!(errors, refused, "{d:?}/{discipline:?}");
-            // The endpoint still works: a's first multicast delivers.
-            let (_, out) = a.multicast(SimTime::from_millis(1), 7);
-            let mut delivered = Vec::new();
-            for (_, w) in out {
-                delivered.extend(b.on_wire(SimTime::from_millis(2), w).0);
-            }
-            assert_eq!(delivered.len(), 1, "{d:?}/{discipline:?}");
-            assert_eq!(delivered[0].payload, 7);
-        }
     }
 
     #[test]

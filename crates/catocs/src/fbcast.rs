@@ -25,7 +25,7 @@ use crate::causal_core::{arrival, span_of, MAX_CHASE_AHEAD, PAYLOAD_BYTES};
 use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
-use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
+use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, VtWire, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{LatencyPhase, ObsEvent, ProbeHandle, Stage};
 use simnet::time::SimTime;
@@ -112,7 +112,7 @@ impl<P: Clone> FbcastEndpoint<P> {
     /// Whether message `seq` of `sender` is further past what was
     /// delivered here than any honest peer's can be (the causal
     /// disciplines' bound, and their reasoning).
-    fn out_of_reach(&self, sender: usize, seq: u64) -> bool {
+    fn too_far(&self, sender: usize, seq: u64) -> bool {
         seq.saturating_sub(self.streams[sender].delivered) > MAX_CHASE_AHEAD
     }
 
@@ -136,13 +136,12 @@ impl<P: Clone> FbcastEndpoint<P> {
         if d.get(self.me) > self.next_seq {
             return false;
         }
-        // Components past either end: nobody there, or nothing claimed.
         let mut base = 0;
         for block in d.blocks() {
-            let known_max = self.known_max.get(base..).unwrap_or_default();
+            let known_max = &self.known_max[base..];
             for (i, (&theirs, &known)) in block.iter().zip(known_max).enumerate() {
                 if known < theirs {
-                    if self.out_of_reach(base + i, theirs) {
+                    if self.too_far(base + i, theirs) {
                         return false;
                     }
                     self.news.push((base + i, theirs));
@@ -320,34 +319,26 @@ impl<P: Clone> Protocol<P> for FbcastEndpoint<P> {
         (vec![own], out)
     }
 
-    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    /// A sequence number far ahead: it would sit in `pending` for good.
+    fn out_of_reach(&self, wire: &Wire<P>) -> bool {
+        matches!(wire, Wire::Data(msg) if self.too_far(msg.id.sender, msg.id.seq))
+    }
+
+    fn receive(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         let mut out = Vec::new();
         let mut delivered = Vec::new();
         match wire {
-            // A member id off the wire indexes per-member state: one from
-            // outside the group is refused here, counted, and nothing
-            // else is touched.
-            Wire::Data(DataMsg {
-                id: MsgId { sender: who, .. },
-                ..
-            })
-            | Wire::AckGossip { from: who, .. }
-                if who >= self.n =>
-            {
-                self.stats.ts_decode_errors += 1;
-            }
-            // A sequence number implausibly far ahead would sit in
-            // `pending` for the rest of the run: refused likewise.
-            Wire::Data(DataMsg { id, .. }) if self.out_of_reach(id.sender, id.seq) => {
-                self.stats.ts_decode_errors += 1;
-            }
             Wire::Data(msg) => {
                 self.stats.data_received += 1;
                 self.on_data(now, msg, &mut out, &mut delivered);
             }
             Wire::AckGossip { from, delivered: d } => {
                 if !self.news_in(&d) {
-                    self.stats.ts_decode_errors += 1;
+                    self.stats.refuse(Refusal::OutOfReach);
                     return (delivered, out);
                 }
                 for &(k, theirs) in &self.news {
@@ -432,6 +423,10 @@ impl<P: Clone> Protocol<P> for FbcastEndpoint<P> {
 
     fn stats(&self) -> &EndpointStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut EndpointStats {
+        &mut self.stats
     }
 
     fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {

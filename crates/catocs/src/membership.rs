@@ -43,7 +43,7 @@
 //! agnostic, and the harness maps indices to simulator processes.
 
 use crate::group::{View, ViewId};
-use crate::wire::{Dest, Out, Wire};
+use crate::wire::{self, Dest, Out, Refusal, Wire};
 use clocks::vector::VectorClock;
 use serde::{Deserialize, Serialize};
 use simnet::process::ProcessId;
@@ -82,6 +82,13 @@ pub struct MembershipStats {
     pub blackout_total: SimDuration,
     /// Duration of the most recent blackout.
     pub last_blackout: SimDuration,
+}
+
+impl MembershipStats {
+    /// Counts a wire refused, for any reason: the one place it is counted.
+    pub(crate) fn refuse(&mut self, _why: Refusal) {
+        self.rejected_foreign += 1;
+    }
 }
 
 /// What an in-progress flush is waiting on, as seen at one member — the
@@ -345,29 +352,21 @@ impl MembershipEngine {
         out
     }
 
-    /// Handles a membership wire message. `delivered` is this member's
-    /// current delivered clock (sent in `FlushOk`).
+    /// Handles a membership wire message — a `Flush`, `FlushOk`,
+    /// `Install` or `Heartbeat`. `delivered` is this member's current
+    /// delivered clock (sent in `FlushOk`).
     pub fn on_wire<P>(
         &mut self,
         now: SimTime,
         wire: &Wire<P>,
         delivered: &VectorClock,
     ) -> (FlushAction, Vec<Out<P>>) {
-        // The front door: a sender index addresses the reply and keys the
-        // acks, a clock is merged into the cut, and an empty member list
-        // passes every subset guard below vacuously. None of these can
-        // come from a member of this group, evicted or not, so they are
-        // refused whole — nothing sent, nothing changed.
-        let foreign = match wire {
-            Wire::Flush { proposed, from } => *from >= self.n || proposed.is_empty(),
-            Wire::FlushOk {
-                from, delivered, ..
-            } => *from >= self.n || delivered.len() != self.n,
-            Wire::Install { view, cut } => view.is_empty() || cut.len() != self.n,
-            _ => false,
-        };
-        if foreign {
-            self.stats.rejected_foreign += 1;
+        // A sender index addresses the reply and keys the acks, a clock is
+        // merged into the cut, and an empty member list passes every
+        // subset guard below vacuously: the endpoints' front door refuses
+        // what no member of this group, evicted or not, can send.
+        if let Err(why) = wire::admit(wire, self.n) {
+            self.stats.refuse(why);
             return (FlushAction::None, Vec::new());
         }
         match wire {
@@ -387,7 +386,7 @@ impl MembershipEngine {
                 // must not enter the new cut. Serve our Install so the
                 // straggler adopts the newer view instead of retrying.
                 if !Self::within(proposed, &self.view) {
-                    self.stats.rejected_foreign += 1;
+                    self.stats.refuse(Refusal::OutsideView);
                     return (FlushAction::None, self.repair_install(*from));
                 }
                 match &self.phase {
@@ -447,7 +446,7 @@ impl MembershipEngine {
                         // the broadcast Flush) would inflate the cut with
                         // deliveries no survivor is bound to.
                         if !proposed.members.iter().any(|m| m.0 == *from) {
-                            self.stats.rejected_foreign += 1;
+                            self.stats.refuse(Refusal::OutsideView);
                             return (FlushAction::None, Vec::new());
                         }
                         acks.insert(*from, peer_delivered.clone());
@@ -484,29 +483,21 @@ impl MembershipEngine {
                 }
                 // Same monotone-shrink guard as for proposals.
                 if !Self::within(view, &self.view) {
-                    self.stats.rejected_foreign += 1;
+                    self.stats.refuse(Refusal::OutsideView);
                     return (FlushAction::None, Vec::new());
                 }
                 let action = self.install(now, view.clone(), cut.clone());
                 (action, Vec::new())
             }
+            // Heartbeat-borne anti-entropy: a peer advertising an older
+            // view id missed at least one `Install` — serve ours. Nothing
+            // else reaches a straggler that is neither proposing nor
+            // acking, such as one that abandoned a doomed flush and sits
+            // in the old view.
+            Wire::Heartbeat { from, view_id } if view_id.0 < self.view.id.0 => {
+                (FlushAction::None, self.repair_install(*from))
+            }
             _ => (FlushAction::None, Vec::new()),
-        }
-    }
-
-    /// Heartbeat-borne anti-entropy: a peer advertising an older view id
-    /// missed at least one `Install` — serve ours. Nothing else reaches a
-    /// straggler that is neither proposing nor acking, such as one that
-    /// abandoned a doomed flush and sits in the old view.
-    pub(crate) fn on_heartbeat<P>(&mut self, from: usize, view_id: ViewId) -> Vec<Out<P>> {
-        if from >= self.n {
-            self.stats.rejected_foreign += 1;
-            return Vec::new();
-        }
-        if view_id.0 < self.view.id.0 {
-            self.repair_install(from)
-        } else {
-            Vec::new()
         }
     }
 
@@ -955,13 +946,14 @@ mod tests {
                 delivered: vc(4),
             });
         }
-        assert_refused(&mut m1, &hostile);
-        assert!(m1.can_send(), "never entered a flush");
         // The heartbeat path serves an Install to whoever advertises an
         // older view: same door.
-        let before = format!("{m1:?}").replace("rejected_foreign: 4", "rejected_foreign: 5");
-        assert!(m1.on_heartbeat::<()>(4, ViewId(0)).is_empty());
-        assert_eq!(format!("{m1:?}"), before);
+        hostile.push(Wire::Heartbeat {
+            from: 4,
+            view_id: ViewId(0),
+        });
+        assert_refused(&mut m1, &hostile);
+        assert!(m1.can_send(), "never entered a flush");
         // An evicted member of the group is still answered (seeds 191
         // and 206): the refusal is about who can exist, not who is in.
         m1.on_wire::<()>(
@@ -1161,12 +1153,16 @@ mod tests {
             },
             &vc(3),
         );
-        let out = m1.on_heartbeat::<()>(2, ViewId(1));
+        let heartbeat = |from, view_id| Wire::<()>::Heartbeat {
+            from,
+            view_id: ViewId(view_id),
+        };
+        let (_, out) = m1.on_wire(t(1), &heartbeat(2, 1), &vc(3));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, Dest::One(2));
         assert!(matches!(out[0].1, Wire::Install { .. }));
         // A peer at the same (or newer) view needs no repair.
-        assert!(m1.on_heartbeat::<()>(0, ViewId(2)).is_empty());
+        assert!(m1.on_wire(t(1), &heartbeat(0, 2), &vc(3)).1.is_empty());
     }
 
     #[test]

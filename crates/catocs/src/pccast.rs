@@ -55,12 +55,12 @@
 //! timestamp kept alongside for NACK repair is cold-path bookkeeping,
 //! not hot-path wire state.
 
-use crate::causal_core::{span_of, CausalCore, Slot};
+use crate::causal_core::{span_of, CausalCore, Slot, MAX_CHASE_AHEAD};
 use crate::endpoint::{CausalProtocol, Protocol};
 use crate::group::{GroupConfig, MsgId};
 use crate::holdback::Pending;
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
-use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
+use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, VtWire, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage};
 use simnet::time::SimTime;
@@ -220,8 +220,7 @@ impl<P: Clone> PccastEndpoint<P> {
 
     /// Whether `vt` dominates the flush cut, which only an install moves.
     fn check_barrier(&self) -> bool {
-        let n = self.core.n;
-        !self.core.vt.lagging(&self.core.cut).any(|(s, ..)| s < n)
+        self.core.vt.lagging(&self.core.cut).next().is_none()
     }
 
     /// Multicasts `payload` to the group. The self-delivery is immediate;
@@ -253,38 +252,7 @@ impl<P: Clone> PccastEndpoint<P> {
     /// causal order) and outbound messages (forwarded copies, acks,
     /// NACKs, retransmits).
     pub fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        let mut out = Vec::new();
-        let mut delivered = Vec::new();
-        match wire {
-            Wire::Data(msg) => {
-                self.core.stats.data_received += 1;
-                self.accept_data(now, msg, &mut out, &mut delivered);
-            }
-            Wire::PcAck { from, epoch, acked } => {
-                self.on_pc_ack(now, from, epoch, acked, &mut out);
-            }
-            Wire::PcSkip {
-                from,
-                epoch,
-                link_seq,
-                id,
-            } if epoch == self.epoch && from < self.core.n => {
-                let link = self.links_in.entry(from).or_insert_with(InLink::new);
-                if link_seq > link.cursor {
-                    link.buf.entry(link_seq).or_insert(LinkCopy::Skip(id));
-                }
-                self.drain(now, &mut delivered, &mut out);
-            }
-            // Gossip is pccast's only cross-link gap detector (data
-            // carries no clocks).
-            Wire::AckGossip { from, delivered: d } => self.core.on_ack_gossip(now, from, &d),
-            Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
-            // Membership traffic is the composing endpoint's business.
-            _ => {}
-        }
-        self.core.stats.holdback_work = self.core.holdback.work();
-        self.core.stats.book(self.core.me, &out);
-        (delivered, out)
+        Protocol::on_wire(self, now, wire)
     }
 
     /// A neighbour reports its consumption cursor for our link: drop the
@@ -299,7 +267,7 @@ impl<P: Clone> PccastEndpoint<P> {
         acked: u64,
         out: &mut Vec<Out<P>>,
     ) {
-        if epoch != self.epoch || from >= self.core.n {
+        if epoch != self.epoch {
             return;
         }
         let Some(link) = self.links_out.get_mut(&from) else {
@@ -368,7 +336,7 @@ impl<P: Clone> PccastEndpoint<P> {
         out: &mut Vec<Out<P>>,
         delivered: &mut Vec<Delivery<P>>,
     ) {
-        if !self.core.admit(now, &msg) {
+        if !self.core.arrive(now, &msg) {
             return;
         }
         match msg.vt_wire {
@@ -377,7 +345,7 @@ impl<P: Clone> PccastEndpoint<P> {
                 from,
                 link_seq,
             } => {
-                if epoch != self.epoch || from >= self.core.n {
+                if epoch != self.epoch {
                     // A straggler from a previous view's links; whatever
                     // it carried is recovered via flush/NACK if needed.
                     self.core.note_gone(now, msg.id, Stage::Dropped, || {
@@ -418,7 +386,7 @@ impl<P: Clone> PccastEndpoint<P> {
                 }
             }
             VtWire::Delta(_) | VtWire::Id | VtWire::Gseq(_) => {
-                self.core.stats.ts_decode_errors += 1
+                self.core.stats.refuse(Refusal::Undecodable)
             }
         }
     }
@@ -631,8 +599,72 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
         (vec![own], out)
     }
 
-    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
-        PccastEndpoint::on_wire(self, now, wire)
+    fn n(&self) -> usize {
+        self.core.n
+    }
+
+    /// An id far past its sender's delivered count, and in this epoch a
+    /// link position far past its cursor or an ack for more than was sent.
+    fn out_of_reach(&self, wire: &Wire<P>) -> bool {
+        let far = |epoch, from, link_seq: u64| {
+            let cursor = self.links_in.get(&from).map_or(0, |l| l.cursor);
+            epoch == self.epoch && link_seq.saturating_sub(cursor) > MAX_CHASE_AHEAD
+        };
+        match *wire {
+            Wire::Data(ref msg) => match msg.vt_wire {
+                VtWire::Pc {
+                    epoch,
+                    from,
+                    link_seq,
+                } if far(epoch, from, link_seq) => true,
+                _ => self.core.out_of_reach(msg.id),
+            },
+            Wire::PcSkip {
+                from,
+                epoch,
+                link_seq,
+                id,
+            } => far(epoch, from, link_seq) || self.core.out_of_reach(id),
+            Wire::PcAck { from, epoch, acked } => {
+                epoch == self.epoch && acked > self.links_out.get(&from).map_or(0, |l| l.next_seq)
+            }
+            _ => false,
+        }
+    }
+
+    fn receive(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+        let mut out = Vec::new();
+        let mut delivered = Vec::new();
+        match wire {
+            Wire::Data(msg) => {
+                self.core.stats.data_received += 1;
+                self.accept_data(now, msg, &mut out, &mut delivered);
+            }
+            Wire::PcAck { from, epoch, acked } => {
+                self.on_pc_ack(now, from, epoch, acked, &mut out);
+            }
+            Wire::PcSkip {
+                from,
+                epoch,
+                link_seq,
+                id,
+            } if epoch == self.epoch => {
+                let link = self.links_in.entry(from).or_insert_with(InLink::new);
+                if link_seq > link.cursor {
+                    link.buf.entry(link_seq).or_insert(LinkCopy::Skip(id));
+                }
+                self.drain(now, &mut delivered, &mut out);
+            }
+            // Gossip is pccast's only cross-link gap detector (data
+            // carries no clocks).
+            Wire::AckGossip { from, delivered: d } => self.core.on_ack_gossip(now, from, &d),
+            Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
+            // Membership traffic is the composing endpoint's business.
+            _ => {}
+        }
+        self.core.stats.holdback_work = self.core.holdback.work();
+        self.core.stats.book(self.core.me, &out);
+        (delivered, out)
     }
 
     /// Periodic maintenance: ack gossip (stability + gap detection),
@@ -660,6 +692,10 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
 
     fn stats(&self) -> &EndpointStats {
         self.core.stats()
+    }
+
+    fn stats_mut(&mut self) -> &mut EndpointStats {
+        &mut self.core.stats
     }
 
     /// Telemetry hook: instantaneous queue depths and buffering gauges.
@@ -1231,6 +1267,48 @@ mod tests {
         let (dels, _) = b.on_wire(t(3), Wire::Data(repair));
         assert_eq!(dels.len(), 1);
         assert_eq!(b.link_buffered_len(), 0, "satisfied skip must consume");
+    }
+
+    /// A skip naming no member once reached its link's head and indexed
+    /// the removed-sender table with it: "the len is 3 but the index is
+    /// 9". So did a position far past the link's cursor, kept for good,
+    /// and an ack for more than was sent, which overflowed finding the
+    /// ARQ window's end. Each is refused at the door, counted, and leaves
+    /// nothing behind; the link then delivers as if none came.
+    #[test]
+    fn a_skip_naming_no_member_is_refused() {
+        let (mut a, mut b, _) = trio();
+        b.multicast(t(0), "x");
+        let hostile = [
+            Wire::PcSkip {
+                from: 0,
+                epoch: 1,
+                link_seq: 1,
+                id: MsgId { sender: 9, seq: 1 },
+            },
+            Wire::PcSkip {
+                from: 0,
+                epoch: 1,
+                link_seq: MAX_CHASE_AHEAD + 1,
+                id: MsgId { sender: 0, seq: 1 },
+            },
+            Wire::PcAck {
+                from: 0,
+                epoch: 1,
+                acked: u64::MAX,
+            },
+        ];
+        for (i, wire) in hostile.into_iter().enumerate() {
+            let (dels, out) = b.on_wire(t(1), wire);
+            assert!(dels.is_empty() && out.is_empty(), "wire {i}");
+            assert_eq!(b.core().stats().ts_decode_errors, i as u64 + 1);
+            assert_eq!(b.link_buffered_len(), 0, "wire {i}");
+        }
+        assert_eq!(b.links_out[&0].log.len(), 1, "the unacked copy is kept");
+        let (_, out) = a.multicast(t(2), "m1");
+        let (dels, _) = feed(&mut b, t(3), &out);
+        assert_eq!(dels.len(), 1);
+        assert_eq!(dels[0].payload, "m1");
     }
 
     #[test]

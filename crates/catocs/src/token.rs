@@ -16,7 +16,7 @@ use crate::causal_core::{arrival, span_of, MAX_CHASE_AHEAD, PAYLOAD_BYTES};
 use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
-use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, VtWire, Wire};
+use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, VtWire, Wire};
 use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, VecDeque};
@@ -234,7 +234,27 @@ impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
         (dels, out)
     }
 
-    fn on_wire(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    /// A slot, or a token's next slot, far past the next to deliver (it
+    /// would wait in `by_gseq` for good; the token would wrap the
+    /// counter), or a token's hop count far past the last one seen.
+    fn out_of_reach(&self, wire: &Wire<P>) -> bool {
+        let far = |ahead: u64, of: u64| ahead.saturating_sub(of) > MAX_CHASE_AHEAD;
+        match *wire {
+            Wire::Data(ref msg) => {
+                matches!(msg.vt_wire, VtWire::Gseq(g) if far(g, self.next_deliver))
+            }
+            Wire::Token { next_gseq, hops } => {
+                far(next_gseq, self.next_deliver) || far(hops, self.last_token_hops)
+            }
+            _ => false,
+        }
+    }
+
+    fn receive(&mut self, now: SimTime, wire: Wire<P>) -> (Vec<Delivery<P>>, Vec<Out<P>>) {
         let (dels, out) = match wire {
             Wire::Token { hops, .. } if hops <= self.last_token_hops => {
                 // A duplicate of a token we already consumed: acknowledged
@@ -270,17 +290,10 @@ impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
                 (Vec::new(), Vec::new())
             }
             Wire::Data(msg) => {
-                let in_reach = |g: u64| g.saturating_sub(self.next_deliver) <= MAX_CHASE_AHEAD;
-                let gseq = match msg.vt_wire {
-                    VtWire::Gseq(gseq) if msg.id.sender < self.n && in_reach(gseq) => gseq,
-                    _ => {
-                        // No member sent this, no holder stamped it with
-                        // a slot in the order, or the slot is implausibly
-                        // far ahead (it would sit in `by_gseq` for good,
-                        // its gap NACKed every tick): refused at the door.
-                        self.stats.ts_decode_errors += 1;
-                        return (Vec::new(), Vec::new());
-                    }
+                let VtWire::Gseq(gseq) = msg.vt_wire else {
+                    // No holder stamped it with a slot in the order.
+                    self.stats.refuse(Refusal::Undecodable);
+                    return (Vec::new(), Vec::new());
                 };
                 self.stats.data_received += 1;
                 self.probe.emit(|| arrival(now, self.me, &msg));
@@ -353,6 +366,10 @@ impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
 
     fn stats(&self) -> &EndpointStats {
         &self.stats
+    }
+
+    fn stats_mut(&mut self) -> &mut EndpointStats {
+        &mut self.stats
     }
 
     fn sample(&self, emit: &mut dyn FnMut(&str, f64)) {
@@ -457,6 +474,33 @@ mod tests {
         // The furthest slot still in reach is taken, and its gap chased.
         b.on_wire(t(2), copy(MAX_CHASE_AHEAD));
         assert_eq!(b.by_gseq.len(), 1);
+    }
+
+    /// A token whose counter or hop count is far past this member's once
+    /// made its holder stamp past `u64::MAX` (a panic with overflow
+    /// checks on; every peer dropped the wrapped slot as a duplicate
+    /// without). Each is refused at the door: the queued submission waits
+    /// for the real token, which still delivers it at slot 1.
+    #[test]
+    fn a_token_out_of_reach_is_refused() {
+        let mut b = TokenAbcastEndpoint::new(1, 3, GroupConfig::default());
+        b.multicast(t(0), "queued");
+        let far = MAX_CHASE_AHEAD + 1;
+        for (next_gseq, hops) in [(u64::MAX, u64::MAX), (far, 1), (0, far)] {
+            let (dels, out) = b.on_wire(t(1), Wire::Token { next_gseq, hops });
+            assert!(dels.is_empty() && out.is_empty(), "{next_gseq}/{hops}");
+            assert!(!b.holding_token());
+        }
+        assert_eq!(b.stats().ts_decode_errors, 3);
+        let (dels, _) = b.on_wire(
+            t(2),
+            Wire::Token {
+                next_gseq: 0,
+                hops: 1,
+            },
+        );
+        assert_eq!(dels.len(), 1);
+        assert_eq!((dels[0].payload, dels[0].gseq), ("queued", Some(1)));
     }
 
     /// A second copy of a slot held but not yet delivered is a duplicate

@@ -98,11 +98,13 @@ impl Member {
     pub fn on_wire(&mut self, now: SimTime, wire: Wire<u64>) -> Step {
         let mut step = Step::default();
         match &wire {
-            Wire::Heartbeat { from, view_id } => {
-                self.detector.heard_from(*from, now);
-                step.out = self.engine.on_heartbeat(*from, *view_id);
-            }
-            Wire::Flush { .. } | Wire::FlushOk { .. } | Wire::Install { .. } => {
+            Wire::Heartbeat { .. }
+            | Wire::Flush { .. }
+            | Wire::FlushOk { .. }
+            | Wire::Install { .. } => {
+                if let Wire::Heartbeat { from, .. } = wire {
+                    self.detector.heard_from(from, now);
+                }
                 let (action, out) = self.engine.on_wire(now, &wire, self.endpoint.clock());
                 step.out = out;
                 self.apply(now, action, &mut step);
