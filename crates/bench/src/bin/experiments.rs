@@ -7,9 +7,9 @@
 //! experiments chaos --seed 23 --bug no-detector-reset
 //! experiments chaos --discipline pccast
 //! experiments chaos --seed 3259 --n 5 --cell indexed-full [--shrink]
-//! experiments explain --seed 2 --bug no-flush-retry [--msg m0.3]
-//! experiments latency --seed 2 --bug wedged_flush [--msg m0.3] [--discipline abcast] [--compare]
-//! experiments waitgraph --seed 2 --bug no-flush-retry [--at MS]
+//! experiments explain --seed 134 --bug no-flush-retry [--msg m0.3]
+//! experiments latency --seed 134 --bug wedged_flush [--msg m0.3] [--discipline abcast] [--compare]
+//! experiments waitgraph --seed 134 --bug no-flush-retry [--at MS]
 //! experiments t7plus --perfetto out.json
 //! experiments bench
 //! ```

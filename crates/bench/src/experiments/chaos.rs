@@ -383,12 +383,12 @@ mod tests {
     /// survivors never reconverge.
     #[test]
     fn flush_retry_bug_is_caught() {
-        let vanilla = Replay::of(2).run();
+        let vanilla = Replay::of(134).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = with_bug(2, "no-flush-retry").run();
+        let buggy = with_bug(134, "no-flush-retry").run();
         assert!(
             !buggy.violations.is_empty(),
-            "seed 2 must violate without flush retries"
+            "seed 134 must violate without flush retries"
         );
     }
 
@@ -396,12 +396,12 @@ mod tests {
     /// view install, a message referencing pre-view state parks forever.
     #[test]
     fn chain_reset_bug_is_caught() {
-        let vanilla = Replay::of(137).run();
+        let vanilla = Replay::of(575).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = with_bug(137, "no-chain-reset").run();
+        let buggy = with_bug(575, "no-chain-reset").run();
         assert!(
             !buggy.violations.is_empty(),
-            "seed 137 must violate without chain reset at install"
+            "seed 575 must violate without chain reset at install"
         );
     }
 
@@ -426,10 +426,10 @@ mod tests {
     fn injected_bug_replay_produces_incident_dump() {
         let dir = std::env::temp_dir().join("catocs-chaos-incident-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let paths = dump_incident_to(&dir, &with_bug(2, "no-flush-retry")).expect("dump written");
+        let paths = dump_incident_to(&dir, &with_bug(134, "no-flush-retry")).expect("dump written");
         assert_eq!(paths.len(), 2);
         let txt = std::fs::read_to_string(&paths[0]).expect("txt dump");
-        assert!(txt.contains("CHAOS INCIDENT — seed 2"), "{txt}");
+        assert!(txt.contains("CHAOS INCIDENT — seed 134"), "{txt}");
         assert!(txt.contains("injected bug knobs: no-flush-retry"), "{txt}");
         // The dump names violations and per-process outcomes.
         assert!(!txt.contains("violations (0)"), "{txt}");

@@ -309,13 +309,13 @@ mod tests {
     /// must name the exact message each blocked message waits on.
     #[test]
     fn wedged_flush_names_the_blocking_chain() {
-        let out = explain("--seed 2 --bug no-flush-retry");
+        let out = explain("--seed 134 --bug no-flush-retry");
         assert!(out.contains("violations ("), "{out}");
         assert!(out.contains("ended frozen"), "{out}");
         // P0's chain root is deliverable but frozen; its successor names
         // the exact predecessor it waits on.
-        assert!(out.contains("P0 holds m4.34"), "{out}");
-        assert!(out.contains("m4.33 — held here"), "{out}");
+        assert!(out.contains("P0 holds m2.22"), "{out}");
+        assert!(out.contains("m2.21 — held here"), "{out}");
         assert!(
             out.contains("delivery frozen by an in-progress flush"),
             "{out}"
@@ -324,10 +324,10 @@ mod tests {
 
     #[test]
     fn msg_filter_restricts_output() {
-        let out = explain("--seed 2 --bug no-flush-retry --msg m4.34");
-        assert!(out.contains("holds m4.34"), "{out}");
-        assert!(!out.contains("holds m4.35"), "{out}");
-        let missing = explain("--seed 2 --bug no-flush-retry --msg m0.999");
+        let out = explain("--seed 134 --bug no-flush-retry --msg m2.22");
+        assert!(out.contains("holds m2.22"), "{out}");
+        assert!(!out.contains("holds m2.23"), "{out}");
+        let missing = explain("--seed 134 --bug no-flush-retry --msg m0.999");
         assert!(
             missing.contains("not blocked in any surviving holdback queue"),
             "{missing}"
@@ -363,11 +363,12 @@ mod tests {
         assert_eq!(out, explain("--seed 2 --discipline pccast"));
     }
 
-    /// With the wedged flush injected, asking about the frozen chain root
-    /// names the stall component it is tied to and renders its path.
+    /// With the wedged flush injected, asking about a message frozen at
+    /// the stalled member names the stall component it is tied to and
+    /// renders its path.
     #[test]
     fn wedged_flush_msg_is_tied_to_its_stall_component() {
-        let out = explain("--seed 2 --bug no-flush-retry --msg m4.34");
+        let out = explain("--seed 134 --bug no-flush-retry --msg m5.28");
         assert!(out.contains("stall component #"), "{out}");
         assert!(out.contains("flush@P"), "{out}");
     }
@@ -376,15 +377,15 @@ mod tests {
     /// message waits on and who should have assigned it.
     #[test]
     fn abcast_explainer_names_the_missing_order_slot() {
-        let out = explain("--seed 0 --discipline abcast --at 45");
+        let out = explain("--seed 0 --discipline abcast --at 105");
         assert!(out.contains("(abcast, sequencer P0)"), "{out}");
-        assert!(out.contains("assigned order slot 21"), "{out}");
+        assert!(out.contains("assigned order slot 51"), "{out}");
         assert!(
-            out.contains("order slot 20 — no assignment for that slot has arrived"),
+            out.contains("order slot 50 — no assignment for that slot has arrived"),
             "{out}"
         );
         assert!(out.contains("[order]"), "{out}");
-        assert_eq!(out, explain("--seed 0 --discipline abcast --at 45"));
+        assert_eq!(out, explain("--seed 0 --discipline abcast --at 105"));
     }
 
     /// The token explainer names the current holder and what blocked
@@ -418,7 +419,7 @@ mod tests {
 
     #[test]
     fn output_is_deterministic() {
-        let wedged = "--seed 2 --bug no-flush-retry";
+        let wedged = "--seed 134 --bug no-flush-retry";
         assert_eq!(explain(wedged), explain(wedged));
     }
 }

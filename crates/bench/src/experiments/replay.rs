@@ -615,8 +615,9 @@ mod tests {
     }
 
     /// Four seeds that violated virtual synchrony at the default campaign
-    /// configuration (3259 and 16016 are fixed, 4064 and 9713 are not)
-    /// run identically when reached the way the CLI reaches them
+    /// configuration (3259 and 16016 were fixed; 4064 and 9713 went green
+    /// when repairs began to land at gossip speed, their family still
+    /// open) run identically when reached the way the CLI reaches them
     /// (`--n 5 --cell indexed-full`). Not asserted red or green.
     #[test]
     fn red_seeds_replay_through_the_cli_path_as_through_the_default_config() {

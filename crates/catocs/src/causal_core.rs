@@ -423,9 +423,17 @@ impl<P: Clone> CausalCore<P> {
     }
 
     /// Whether `id` lies more than [`MAX_CHASE_AHEAD`] past what was
-    /// delivered here of its sender (a member of the group).
+    /// delivered here of its sender (a member of the group), or is one of
+    /// this member's own messages not yet sent: own sends count as
+    /// delivered at send, so no honest copy of one can arrive, and a copy
+    /// held for it would deliver that id a second time once it is sent.
     pub(crate) fn out_of_reach(&self, id: MsgId) -> bool {
-        id.seq.saturating_sub(self.vt.get(id.sender)) > MAX_CHASE_AHEAD
+        let reach = if id.sender == self.me {
+            0
+        } else {
+            MAX_CHASE_AHEAD
+        };
+        id.seq.saturating_sub(self.vt.get(id.sender)) > reach
     }
 
     /// A data copy the door admitted arrives: rejects — virtual synchrony
@@ -445,7 +453,9 @@ impl<P: Clone> CausalCore<P> {
 
     /// Validates a decoded wire timestamp against the group width and
     /// against [`MAX_CHASE_AHEAD`]. A failure is counted and the copy
-    /// dropped for NACK-driven recovery.
+    /// dropped for NACK-driven recovery. A stamp that passes is believed
+    /// whatever the copy carries in memory: the caller keeps the decoded
+    /// clock, so a forged but believable stamp is taken at its word.
     pub(crate) fn checked_vt(
         &mut self,
         now: SimTime,
@@ -454,10 +464,7 @@ impl<P: Clone> CausalCore<P> {
         what: &str,
     ) -> Option<VectorClock> {
         let why = match decoded {
-            Some(vt) if vt.len() == self.n && !self.too_far_ahead(&vt) => {
-                debug_assert_eq!(vt, msg.vt, "wire timestamp must match in-memory vt");
-                return Some(vt);
-            }
+            Some(vt) if vt.len() == self.n && !self.too_far_ahead(&vt) => return Some(vt),
             Some(vt) if vt.len() == self.n => Refusal::OutOfReach,
             Some(_) => Refusal::ClockWidth,
             None => Refusal::Undecodable,
@@ -485,11 +492,19 @@ impl<P: Clone> CausalCore<P> {
     /// A peer's delivered clock arrived: advance stability, and chase
     /// anything the peer has delivered that is unknown here — gossip is
     /// what reveals a sender's final message when it was dropped with no
-    /// successor to reference it. Removed senders' messages beyond the
-    /// flush cut will never deliver and are not worth chasing. A clock
-    /// implausibly far ahead of ours ([`MAX_CHASE_AHEAD`]) is refused
-    /// whole.
-    pub(crate) fn on_ack_gossip(&mut self, now: SimTime, from: usize, delivered: &VectorClock) {
+    /// successor to reference it. The gossiper delivered those ids, so it
+    /// still holds them: it is NACKed for them at once, and the first
+    /// tick at least `tick_interval` later asks everyone for any still
+    /// missing. Removed senders' messages beyond the flush cut will never
+    /// deliver and are not worth chasing. A clock implausibly far ahead of
+    /// ours ([`MAX_CHASE_AHEAD`]) is refused whole.
+    pub(crate) fn on_ack_gossip(
+        &mut self,
+        now: SimTime,
+        from: usize,
+        delivered: &VectorClock,
+        out: &mut Vec<Out<P>>,
+    ) {
         // One scan serves the bound and the chase; in a settled group it
         // finds nothing and allocates nothing.
         let ahead: Vec<_> = self.vt.lagging(delivered).collect();
@@ -500,13 +515,15 @@ impl<P: Clone> CausalCore<P> {
         self.stability.update_row(from, delivered);
         let chase = Chase {
             referenced_by: from,
-            last_nack: SimTime::MAX,
+            due: now + self.cfg.tick_interval,
         };
+        let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
         for (k, have, theirs) in ahead {
             let hi = self.reach(k, theirs);
             self.windows
-                .chase_range(k, (have + 1)..=hi, chase, &mut Vec::new(), 0);
+                .chase_range(k, (have + 1)..=hi, chase, &mut want, cap);
         }
+        self.send_nack(want, Dest::One(from), out);
         self.collect_garbage(now);
     }
 
@@ -575,7 +592,7 @@ impl<P: Clone> CausalCore<P> {
     ) {
         let chase = Chase {
             referenced_by: sender,
-            last_nack: now,
+            due: now + self.cfg.nack_timeout,
         };
         let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
         self.windows.chase_range(sender, gap, chase, &mut want, cap);
@@ -643,7 +660,7 @@ impl<P: Clone> CausalCore<P> {
         let via = msg.id.sender;
         let chase = Chase {
             referenced_by: via,
-            last_nack: now,
+            due: now + self.cfg.nack_timeout,
         };
         let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
         for (k, have, need) in lagging_refs(&msg, &self.vt, self.n) {
@@ -923,15 +940,21 @@ mod tests {
 
     impl<P: Clone> CausalCore<P> {
         /// The id-by-id definition the gap walk replaced: an id
-        /// unknown here is chased.
+        /// unknown here is chased, due a NACK timeout on if it was asked
+        /// for and at the next round if the batch was full.
         fn note_missing(&mut self, now: SimTime, id: MsgId, via: usize, want: &mut Vec<MsgId>) {
             if self.windows.slot(id).is_none() {
+                let asked = want.len() < self.cfg.max_nack_batch;
                 let chase = Chase {
                     referenced_by: via,
-                    last_nack: now,
+                    due: if asked {
+                        now + self.cfg.nack_timeout
+                    } else {
+                        SimTime::ZERO
+                    },
                 };
                 self.windows.chase_as(id, chase);
-                if want.len() < self.cfg.max_nack_batch {
+                if asked {
                     want.push(id);
                 }
             }
@@ -941,15 +964,24 @@ mod tests {
     impl<P: Clone> CausalCore<P> {
         /// `on_ack_gossip` as it was: every id of every gap asked whether
         /// it is held or parked and chased if neither, chased already or
-        /// not, from the delivered clock up.
-        fn on_ack_gossip_id_by_id(&mut self, now: SimTime, from: usize, delivered: &VectorClock) {
+        /// not, from the delivered clock up; the ids unknown before, in
+        /// that order and up to the cap, are what the gossiper is asked
+        /// for, if anything is, and are due a tick interval on; the rest
+        /// are due at the next round.
+        fn on_ack_gossip_id_by_id(
+            &mut self,
+            now: SimTime,
+            from: usize,
+            delivered: &VectorClock,
+        ) -> Vec<MsgId> {
             let ahead = self.vt.lagging(delivered).take_while(|&(k, ..)| k < self.n);
             let ahead: Vec<_> = ahead.collect();
             if from >= self.n || ahead.iter().any(out_of_reach) {
                 self.stats.ts_decode_errors += 1;
-                return;
+                return Vec::new();
             }
             self.stability.update_row(from, delivered);
+            let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
             for (k, have, theirs) in ahead {
                 let hi = if self.alive[k] {
                     theirs
@@ -959,17 +991,28 @@ mod tests {
                 for seq in (have + 1)..=hi {
                     let id = MsgId { sender: k, seq };
                     let slot = self.windows.slot(id);
+                    let asked = slot.is_none() && want.len() < cap;
+                    if asked {
+                        want.push(id);
+                    }
                     if !matches!(slot, Some(Slot::Held { .. } | Slot::Parked(..))) {
-                        self.windows.chase(id, from);
+                        let chase = Chase {
+                            referenced_by: from,
+                            due: if asked {
+                                now + self.cfg.tick_interval
+                            } else {
+                                SimTime::ZERO
+                            },
+                        };
+                        self.windows.chase_as(id, chase);
                     }
                 }
             }
             self.collect_garbage(now);
+            want
         }
     }
 
-    /// Every chased id, whom it was first learned of from and when it was
-    /// last NACKed, ascending.
     /// Holds `msg` with nothing it references chased.
     fn hold_quietly<P: Clone>(core: &mut CausalCore<P>, now: SimTime, msg: DataMsg<P>) {
         core.windows.hold(msg.id);
@@ -982,8 +1025,10 @@ mod tests {
         ));
     }
 
+    /// Every chased id, whom it was first learned of from and when it is
+    /// next due for a NACK round, ascending.
     fn missing_entries<P>(core: &CausalCore<P>) -> Vec<(MsgId, usize, SimTime)> {
-        let entry = |(id, c): (MsgId, Chase)| (id, c.referenced_by, c.last_nack);
+        let entry = |(id, c): (MsgId, Chase)| (id, c.referenced_by, c.due);
         core.windows.chases().into_iter().map(entry).collect()
     }
 
@@ -993,21 +1038,23 @@ mod tests {
     /// (cbcast) and new; sender 2's is chased throughout; senders 3, 4
     /// and 5 are dead with the cut below, inside and above their gaps.
     /// The walk leaves every frontier past its gap, so the same clock
-    /// gossiped again walks nothing.
+    /// gossiped again walks nothing. Both ask the gossiper for exactly the
+    /// new ids at once, in one NACK, and are due to ask everyone one tick
+    /// interval later.
     #[test]
     fn a_gossiped_gap_is_chased_exactly_as_its_ids_would_be() {
         let now = SimTime::from_millis(9);
         let id = |sender, seq| MsgId { sender, seq };
         let chased = [
-            (id(1, 2), 3, SimTime::from_millis(5)),
-            (id(1, 4), 1, SimTime::MAX),
-            (id(2, 1), 4, SimTime::from_millis(5)),
-            (id(2, 2), 2, SimTime::MAX),
-            (id(2, 3), 1, SimTime::from_millis(7)),
-            (id(2, 4), 2, SimTime::MAX),
-            (id(2, 5), 3, SimTime::MAX),
-            (id(4, 1), 4, SimTime::MAX),
-            (id(5, 2), 5, SimTime::from_millis(7)),
+            (id(1, 2), 3, SimTime::from_millis(25)),
+            (id(1, 4), 1, SimTime::ZERO),
+            (id(2, 1), 4, SimTime::from_millis(25)),
+            (id(2, 2), 2, SimTime::ZERO),
+            (id(2, 3), 1, SimTime::from_millis(27)),
+            (id(2, 4), 2, SimTime::ZERO),
+            (id(2, 5), 3, SimTime::ZERO),
+            (id(4, 1), 4, SimTime::ZERO),
+            (id(5, 2), 5, SimTime::from_millis(27)),
         ];
         let held = [id(1, 3), id(1, 6), id(5, 3)];
         let theirs = clock(&[0, 8, 5, 5, 4, 6]);
@@ -1036,11 +1083,8 @@ mod tests {
                     core.alive[k] = false;
                     core.cut.set(k, cut);
                 }
-                for (id, referenced_by, last_nack) in chased {
-                    let chase = Chase {
-                        referenced_by,
-                        last_nack,
-                    };
+                for (id, referenced_by, due) in chased {
+                    let chase = Chase { referenced_by, due };
                     core.windows.chase_as(id, chase);
                 }
                 for id in held {
@@ -1056,13 +1100,17 @@ mod tests {
                 delivered: theirs.clone(),
             };
             let (dels, outs) = walked.on_wire(now, gossip.clone());
-            assert!(dels.is_empty() && outs.is_empty());
+            assert!(dels.is_empty());
             let oracle = probed.core_mut();
-            oracle.on_ack_gossip_id_by_id(now, 2, &theirs);
+            let asked = oracle.on_ack_gossip_id_by_id(now, 2, &theirs);
             let frontiers: Vec<u64> = (0..6).map(|k| walked.core().windows.frontier(k)).collect();
             assert_eq!(frontiers, [0, 8, 5, 2, 2, 6], "{discipline:?}");
             let first = missing_entries(walked.core());
-            walked.on_wire(now, gossip);
+            let (_, again) = walked.on_wire(now, gossip);
+            assert!(
+                again.is_empty(),
+                "{discipline:?}: nothing new the second time"
+            );
             assert_eq!(missing_entries(walked.core()), first, "{discipline:?}");
 
             let (walked, probed) = (walked.core(), probed.core());
@@ -1072,10 +1120,22 @@ mod tests {
             let mut want = chased.to_vec();
             let new = [id(1, 1), id(1, 7), id(1, 8), id(4, 2)];
             let new = new.into_iter().chain([1, 4, 5, 6].map(|seq| id(5, seq)));
-            let new = new.chain((!cbcast).then_some(id(1, 5)));
-            want.extend(new.map(|id| (id, 2, SimTime::MAX)));
+            let mut new: Vec<MsgId> = new.chain((!cbcast).then_some(id(1, 5))).collect();
+            new.sort();
+            let due = now + cfg.tick_interval;
+            want.extend(new.iter().map(|&id| (id, 2, due)));
             want.sort();
             assert_eq!(got, want, "{discipline:?}");
+            // The NACK the walk sent is the one the oracle asks for.
+            let nacked: Vec<_> = outs
+                .into_iter()
+                .map(|(dest, w)| match w {
+                    Wire::Nack { from: 0, want } => (dest, want),
+                    other => panic!("{discipline:?}: sent {other:?}"),
+                })
+                .collect();
+            assert_eq!(nacked, [(Dest::One(2), new.clone())], "{discipline:?}");
+            assert_eq!(asked, new, "{discipline:?}");
             for core in [walked, probed] {
                 assert!(core.stability.knows_delivered(2, 1, 8), "{discipline:?}");
                 assert_eq!(core.stats.ts_decode_errors, 0);
@@ -1085,6 +1145,49 @@ mod tests {
             assert_eq!(
                 walked.holdback.work(),
                 probed.holdback.work(),
+                "{discipline:?}"
+            );
+        }
+    }
+
+    /// A gossip that reveals one id more than a NACK carries asks the
+    /// gossiper for the first batch; the id left over was asked of nobody,
+    /// so the very next tick asks everyone for it, and only for it.
+    #[test]
+    fn a_gossiped_gap_past_the_batch_is_asked_of_everyone_at_the_next_tick() {
+        let now = SimTime::from_millis(9);
+        for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+            let cfg = GroupConfig {
+                discipline,
+                ..GroupConfig::default()
+            };
+            let cap = cfg.max_nack_batch as u64;
+            let mut ep = causal(0, 3, cfg);
+            let gossip = Wire::AckGossip {
+                from: 2,
+                delivered: clock(&[0, cap + 1, 0]),
+            };
+            let nacks = |outs: Vec<Out<u32>>| -> Vec<(Dest, Vec<MsgId>)> {
+                let nack = |(dest, w)| match w {
+                    Wire::Nack { want, .. } => Some((dest, want)),
+                    _ => None,
+                };
+                outs.into_iter().filter_map(nack).collect()
+            };
+            let ids = |seqs: RangeInclusive<u64>| -> Vec<MsgId> {
+                seqs.map(|seq| MsgId { sender: 1, seq }).collect()
+            };
+            let (_, outs) = ep.on_wire(now, gossip);
+            assert_eq!(
+                nacks(outs),
+                [(Dest::One(2), ids(1..=cap))],
+                "{discipline:?}"
+            );
+            let tick = now + SimDuration::from_millis(1);
+            let asked = nacks(ep.on_tick(tick));
+            assert_eq!(
+                asked,
+                [(Dest::All, ids(cap + 1..=cap + 1))],
                 "{discipline:?}"
             );
         }
@@ -1359,6 +1462,32 @@ mod tests {
                 assert!(Arc::ptr_eq(bytes, &stamps[0]), "{discipline:?}");
             }
             assert_eq!(ep.core().stats.retransmits_served, 2);
+        }
+    }
+
+    /// A copy of a member's own next message, which it has not sent: no
+    /// honest member can have one. It is refused at the door. Let in, it
+    /// was delivered as a received message, or held and then delivered a
+    /// second time after the real send.
+    #[test]
+    fn a_copy_of_an_own_message_not_yet_sent_is_refused() {
+        let now = SimTime::from_millis(1);
+        let own = MsgId { sender: 0, seq: 1 };
+        for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+            let cfg = GroupConfig {
+                discipline,
+                ..GroupConfig::default()
+            };
+            let mut ep = causal(0, 3, cfg);
+            let forged = DataMsg::new(own, clock(&[1, 0, 0]), 9);
+            let (dels, outs) = ep.on_wire(now, Wire::Data(forged));
+            assert!(dels.is_empty() && outs.is_empty(), "{discipline:?}");
+            let core = ep.core();
+            assert_eq!(core.stats.ts_decode_errors, 1, "{discipline:?}");
+            assert_eq!(core.holdback_len(), 0, "{discipline:?}");
+            let (dels, _) = ep.multicast(now, 7);
+            let ids: Vec<_> = dels.iter().map(|d| (d.id, d.payload)).collect();
+            assert_eq!(ids, [(own, 7)], "{discipline:?}");
         }
     }
 

@@ -19,8 +19,9 @@ pub(crate) struct Chase {
     /// a new message assumes it can get copies of the causally referenced
     /// messages from the sender of the new message").
     pub(crate) referenced_by: usize,
-    /// Last time it was NACKed ([`SimTime::MAX`] = never).
-    pub(crate) last_nack: SimTime,
+    /// The first NACK round it is due in: a round at or after this instant
+    /// asks everyone for it ([`SimTime::ZERO`]: the next round).
+    pub(crate) due: SimTime,
 }
 
 /// What this member knows of one message it has not delivered.
@@ -247,7 +248,7 @@ impl<P> SenderWindows<P> {
     pub(crate) fn chase(&mut self, id: MsgId, via: usize) {
         let chase = Chase {
             referenced_by: via,
-            last_nack: SimTime::MAX,
+            due: SimTime::ZERO,
         };
         self.set(id, |old| match old {
             Slot::Unknown => Slot::Chased(chase),
@@ -258,6 +259,8 @@ impl<P> SenderWindows<P> {
 
     /// Chases every unknown id of `seqs` of sender `k`, from the frontier on
     /// (a gap is named again and again), each joining `want` until `cap`.
+    /// An id that joins `want` is chased as `chase` says; one past the cap
+    /// was asked of nobody, so it is due in the next NACK round.
     pub(crate) fn chase_range(
         &mut self,
         k: usize,
@@ -272,7 +275,15 @@ impl<P> SenderWindows<P> {
         let lo = (*seqs.start()).max(w.delivered + 1 + w.frontier as u64);
         for seq in lo..=*seqs.end() {
             let id = MsgId { sender: k, seq };
-            let fresh = self.slot(id).is_none();
+            let asked = self.slot(id).is_none() && want.len() < cap;
+            let chase = if asked {
+                chase
+            } else {
+                Chase {
+                    due: SimTime::ZERO,
+                    ..chase
+                }
+            };
             let opened = self.set(id, |old| match old {
                 Slot::Unknown => Slot::Chased(chase),
                 known => known,
@@ -280,7 +291,7 @@ impl<P> SenderWindows<P> {
             if !opened {
                 break;
             }
-            if fresh && want.len() < cap {
+            if asked {
                 want.push(id);
             }
         }
@@ -337,8 +348,8 @@ impl<P> SenderWindows<P> {
         held
     }
 
-    /// The chased ids overdue for a NACK at `now`, at most `cap`, by sender
-    /// and then sequence number; each is marked NACKed `now`.
+    /// The chased ids due for a NACK at `now`, at most `cap`, by sender and
+    /// then sequence number; each is next due `timeout` later.
     pub(crate) fn due(&mut self, now: SimTime, timeout: SimDuration, cap: usize) -> Vec<MsgId> {
         let mut batch = Vec::new();
         let windows = &mut self.windows;
@@ -351,8 +362,8 @@ impl<P> SenderWindows<P> {
                     if batch.len() == cap {
                         break;
                     }
-                    if c.last_nack == SimTime::MAX || now.saturating_since(c.last_nack) >= timeout {
-                        c.last_nack = now;
+                    if now >= c.due {
+                        c.due = now + timeout;
                         let seq = delivered + 1 + i as u64;
                         batch.push(MsgId { sender: s, seq });
                     }
@@ -501,7 +512,7 @@ mod tests {
             for (step, (op, s, x, len, frontier)) in script.into_iter().enumerate() {
                 let now = SimTime::from_millis(step as u64);
                 let id = MsgId { sender: s, seq: delivered[s] + 1 + x };
-                let chase = Chase { referenced_by: x as usize, last_nack: now };
+                let chase = Chase { referenced_by: x as usize, due: now + timeout };
                 let slot = ahead.get(&id).copied();
                 match op {
                     0 => {
@@ -522,7 +533,7 @@ mod tests {
                         prop_assert_eq!(windows.reclaim(&stable), before - retained.len());
                     }
                     2 => {
-                        let chase = Chase { referenced_by: x as usize, last_nack: SimTime::MAX };
+                        let chase = Chase { referenced_by: x as usize, due: SimTime::ZERO };
                         windows.chase(id, x as usize);
                         match slot {
                             None => { ahead.insert(id, Model::Chased(chase)); }
@@ -610,8 +621,8 @@ mod tests {
                                 break;
                             }
                             if let Model::Chased(c) | Model::Parked(_, Some(c)) = m {
-                                if c.last_nack == SimTime::MAX || now.saturating_since(c.last_nack) >= timeout {
-                                    c.last_nack = now;
+                                if now >= c.due {
+                                    c.due = now + timeout;
                                     want.push(*id);
                                 }
                             }
@@ -689,7 +700,7 @@ mod tests {
         let id = |seq| MsgId { sender: 0, seq };
         let chase = Chase {
             referenced_by: 1,
-            last_nack: SimTime::MAX,
+            due: SimTime::ZERO,
         };
         let mut windows: SenderWindows<()> = SenderWindows::new(2);
         windows.chase(id(MAX_CHASE_AHEAD + 1), 1);

@@ -454,7 +454,9 @@ impl<P: Clone> Protocol<P> for CbcastEndpoint<P> {
                 }
                 self.accept_data(now, msg, &mut out, &mut delivered);
             }
-            Wire::AckGossip { from, delivered: d } => self.core.on_ack_gossip(now, from, &d),
+            Wire::AckGossip { from, delivered: d } => {
+                self.core.on_ack_gossip(now, from, &d, &mut out)
+            }
             Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
             // Order/Token/membership traffic is not cbcast's business;
             // the composing endpoint handles it.
@@ -587,6 +589,35 @@ mod tests {
                 _ => None,
             })
             .expect("a broadcast data message")
+    }
+
+    /// A gap that gossip alone reveals is asked of the gossiper at once —
+    /// it delivered the id, so it still holds it — and of everyone at the
+    /// first tick at least one tick interval later.
+    #[test]
+    fn a_gossiped_gap_asks_the_gossiper_at_once() {
+        let (mut a, mut b, mut c) = trio();
+        let (_, out) = a.multicast(t(0), "m1");
+        b.on_wire(t(1), data_of(&out));
+        let gossip = b
+            .on_tick(t(10))
+            .into_iter()
+            .find(|(_, w)| matches!(w, Wire::AckGossip { .. }))
+            .expect("tick gossip");
+        let nacks = |outs: Vec<Out<&'static str>>| -> Vec<(Dest, Vec<MsgId>)> {
+            let nack = |(d, w)| match w {
+                Wire::Nack { want, .. } => Some((d, want)),
+                _ => None,
+            };
+            outs.into_iter().filter_map(nack).collect()
+        };
+        let m1 = vec![MsgId { sender: 0, seq: 1 }];
+        let (dels, reply) = c.on_wire(t(10), gossip.1);
+        assert!(dels.is_empty());
+        assert_eq!(nacks(reply), [(Dest::One(1), m1.clone())]);
+        let first = t(10) + GroupConfig::default().tick_interval;
+        assert_eq!(nacks(c.on_tick(first - SimDuration::from_micros(1))), []);
+        assert_eq!(nacks(c.on_tick(first)), [(Dest::All, m1)]);
     }
 
     #[test]

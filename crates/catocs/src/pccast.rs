@@ -32,28 +32,45 @@
 //! the hybrid-buffering trade: buffer *messages* briefly per link instead
 //! of carrying *control state* on every message.
 //!
-//! Two situations fall outside the fast path and reuse the `cbcast`
-//! machinery as a repair bridge:
+//! Loss on a link is the link's own business: the receiver acks its
+//! cursor on every tick and the forwarder re-serves the unacked tail (or a
+//! skip marker for what went stable). Three situations fall outside the
+//! fast path and reuse the `cbcast` machinery as a repair bridge:
 //!
+//! - **Gossip-revealed gaps**: data carries no stamp, so tick gossip
+//!   (`AckGossip`, the delivered clock) is the only cross-link gap
+//!   detector. It reaches every member in one hop, while the flooding
+//!   takes up to N/2 ring hops, so the far side of the ring usually learns
+//!   of a message from gossip first. Such an id is NACKed at once, to the
+//!   gossiper alone — it delivered the id, so it still holds it — and the
+//!   full-stamped reply delivers through the ordinary holdback queue; the
+//!   link copy, when it comes, is consumed as a duplicate. If that NACK or
+//!   its reply is lost, the id is asked of everyone at the first tick at
+//!   least one `tick_interval` later, then every `nack_timeout`; ids past
+//!   one NACK's cap are asked of everyone at the next tick. (Waiting a
+//!   `nack_timeout` for that first retry put the ~6 % of unicast repairs
+//!   that lose a copy 20 ms behind, and raised `dense_pccast`'s p99.) The
+//!   rule is `causal_core`'s, shared with `cbcast`.
 //! - **Holes**: a link head that is *not* the origin's next message
 //!   (possible only around view changes and garbage-collected skips)
 //!   stalls its link — the cursor never advances past an unconsumable
-//!   head — and the gap is chased via NACK. Retransmissions are served
-//!   with **full** vector timestamps and delivered through the ordinary
-//!   holdback queue, after which the stalled head resolves as a
-//!   duplicate or becomes deliverable.
+//!   head — and the gap is chased by the next tick's NACK to everyone.
+//!   The repair copy delivers through the holdback queue, after which the
+//!   stalled head resolves as a duplicate or becomes deliverable.
 //! - **View changes**: links are epoch-tagged with the view id and reset
 //!   at install. A fresh link cannot vouch for deliveries that predate
 //!   it, so delivery from new-epoch links is barred until this member
 //!   has delivered everything up to the flush cut (all of which is
 //!   recoverable from the survivors — the virtual-synchrony contract).
 //!
-//! Stability, garbage collection, flush/freeze and the missing/NACK
-//! machinery are shared with `cbcast` (tick-driven `AckGossip`; pccast
-//! never piggybacks clocks on data). The buffered-bytes gauge charges
-//! each retained message its constant wire tag, not a vector: the full
-//! timestamp kept alongside for NACK repair is cold-path bookkeeping,
-//! not hot-path wire state.
+//! Stability, garbage collection, flush/freeze and the chase/NACK
+//! machinery are shared with `cbcast` (`causal_core`; pccast never
+//! piggybacks clocks on data). A repair copy travels with a **full**
+//! vector timestamp, 8N + 4 bytes: repair is where pccast pays §3.4's
+//! per-message cost. The buffered-bytes gauge charges each retained
+//! message its constant wire tag, not a vector: the full timestamp kept
+//! alongside for NACK repair is cold-path bookkeeping, not hot-path wire
+//! state.
 
 use crate::causal_core::{span_of, CausalCore, Slot, MAX_CHASE_AHEAD};
 use crate::endpoint::{CausalProtocol, Protocol};
@@ -127,6 +144,9 @@ pub struct PccastEndpoint<P> {
     links_out: BTreeMap<usize, OutLink>,
     /// Receive side of each incoming overlay link, by peer member index.
     links_in: BTreeMap<usize, InLink<P>>,
+    /// This member's overlay neighbours (`ring`), recomputed only when
+    /// membership changes, at a view install.
+    neighbors: Vec<usize>,
     /// Post-install delivery barrier: fast-path delivery from the fresh
     /// links is barred until `vt` dominates the flush cut, because a
     /// fresh link cannot vouch for causal predecessors delivered before
@@ -137,12 +157,13 @@ pub struct PccastEndpoint<P> {
 impl<P: Clone> PccastEndpoint<P> {
     /// Creates the endpoint for member `me` of a group of `n`.
     pub fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
+        // Buffered-bytes gauge — constant per-message wire state: id +
+        // Pc tag + retransmit flag. (The full clock retained for NACK
+        // repair is deliberately not charged — see the module docs.)
+        let core = CausalCore::new(me, n, cfg, 12 + 20 + 1);
         PccastEndpoint {
-            // Buffered-bytes gauge — constant per-message wire state: id
-            // + Pc tag + retransmit flag. (The full clock retained for
-            // NACK repair is deliberately not charged — see the module
-            // docs.)
-            core: CausalCore::new(me, n, cfg, 12 + 20 + 1),
+            neighbors: ring(me, &core.alive),
+            core,
             epoch: 1,
             links_out: BTreeMap::new(),
             links_in: BTreeMap::new(),
@@ -175,33 +196,12 @@ impl<P: Clone> PccastEndpoint<P> {
         self.links_out.get(&to)?.log.get(&seq).copied()
     }
 
-    /// The overlay neighbours of this member: predecessor and successor
-    /// in the ring over live member indices. Degenerates gracefully: one
-    /// neighbour in a pair, none when alone or evicted.
-    fn neighbors(&self) -> Vec<usize> {
-        let live: Vec<usize> = (0..self.core.n).filter(|&s| self.core.alive[s]).collect();
-        let Some(k) = live.iter().position(|&s| s == self.core.me) else {
-            return Vec::new();
-        };
-        let m = live.len();
-        if m <= 1 {
-            return Vec::new();
-        }
-        let prev = live[(k + m - 1) % m];
-        let next = live[(k + 1) % m];
-        if prev == next {
-            vec![next]
-        } else {
-            vec![prev, next]
-        }
-    }
-
     /// Forwards a delivered message on every outgoing overlay link with a
     /// fresh per-link sequence tag. This is the flooding rule the whole
     /// discipline rests on: *every* delivery goes out on *every* link, in
     /// delivery order.
     fn forward(&mut self, msg: &DataMsg<P>, out: &mut Vec<Out<P>>) {
-        for nb in self.neighbors() {
+        for &nb in &self.neighbors {
             let link = self.links_out.entry(nb).or_default();
             link.next_seq += 1;
             let seq = link.next_seq;
@@ -575,6 +575,28 @@ impl<P: Clone> PccastEndpoint<P> {
     }
 }
 
+/// The overlay neighbours of member `me` given who is `alive`: its
+/// predecessor and successor in the ring over live member indices.
+/// Degenerates gracefully: one neighbour in a pair, none when alone or
+/// evicted.
+fn ring(me: usize, alive: &[bool]) -> Vec<usize> {
+    let live: Vec<usize> = (0..alive.len()).filter(|&s| alive[s]).collect();
+    let Some(k) = live.iter().position(|&s| s == me) else {
+        return Vec::new();
+    };
+    let m = live.len();
+    if m <= 1 {
+        return Vec::new();
+    }
+    let prev = live[(k + m - 1) % m];
+    let next = live[(k + 1) % m];
+    if prev == next {
+        vec![next]
+    } else {
+        vec![prev, next]
+    }
+}
+
 /// What to do with the head of an in-order link.
 enum HeadAction {
     /// Nothing at the cursor — wait for the gap to fill (ARQ).
@@ -657,7 +679,9 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
             }
             // Gossip is pccast's only cross-link gap detector (data
             // carries no clocks).
-            Wire::AckGossip { from, delivered: d } => self.core.on_ack_gossip(now, from, &d),
+            Wire::AckGossip { from, delivered: d } => {
+                self.core.on_ack_gossip(now, from, &d, &mut out)
+            }
             Wire::Nack { from, want } => self.core.serve_nack(from, want, &mut out),
             // Membership traffic is the composing endpoint's business.
             _ => {}
@@ -676,7 +700,7 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
         // Cumulative per-link acks to the overlay neighbours: tell each
         // forwarder how far its link has been consumed, so it can GC its
         // ARQ window and re-serve the tail.
-        for nb in self.neighbors() {
+        for &nb in &self.neighbors {
             let acked = self.links_in.get(&nb).map_or(0, |l| l.cursor);
             let w: Wire<P> = Wire::PcAck {
                 from: self.core.me,
@@ -796,6 +820,7 @@ impl<P: Clone> CausalProtocol<P> for PccastEndpoint<P> {
         cut: &VectorClock,
     ) {
         self.core.install_view(now, members, cut);
+        self.neighbors = ring(self.core.me, &self.core.alive);
         // Epoch turnover: the overlay is rebuilt over the survivors and
         // every link restarts from sequence 1. In-flight old-epoch copies
         // die on arrival; anything undelivered from the old view comes
@@ -1334,14 +1359,14 @@ mod tests {
                 appended: Vec::new(),
             }
         };
-        // Repair copy of m0.1, causally after m1.1 (not yet delivered):
+        // Repair copy of m0.1, causally after m2.1 (not yet delivered):
         // parks in the holdback.
-        let (dels, _) = b.on_wire(t(0), Wire::Data(mk(0, vec![1, 1, 0], "m0.1")));
+        let (dels, _) = b.on_wire(t(0), Wire::Data(mk(0, vec![1, 0, 1], "m0.1")));
         assert!(dels.is_empty());
         assert_eq!(b.core().holdback_len(), 1);
         // The link copy of the same id arrives at a deliverable head
         // (seq == vt[0]+1, barrier met). It must stall, not deliver.
-        let mut link_copy = mk(0, vec![1, 1, 0], "m0.1");
+        let mut link_copy = mk(0, vec![1, 0, 1], "m0.1");
         link_copy.retransmit = false;
         link_copy.vt_wire = VtWire::Pc {
             epoch: 1,
@@ -1353,12 +1378,111 @@ mod tests {
         assert_eq!(b.link_buffered_len(), 1);
         // The missing predecessor arrives: holdback delivers both in
         // causal order and the stalled head resolves as a duplicate.
-        let (dels, _) = b.on_wire(t(2), Wire::Data(mk(1, vec![0, 1, 0], "m1.1")));
+        let (dels, _) = b.on_wire(t(2), Wire::Data(mk(2, vec![0, 0, 1], "m2.1")));
         let seen: Vec<&str> = dels.iter().map(|d| d.payload).collect();
-        assert_eq!(seen, vec!["m1.1", "m0.1"]);
+        assert_eq!(seen, vec!["m2.1", "m0.1"]);
         assert_eq!(b.link_buffered_len(), 0);
         assert_eq!(b.core().holdback_len(), 0);
         assert!(b.core().stats().duplicates >= 1);
+    }
+
+    /// The NACKs in `out`: where each went and what it asked for.
+    fn nacks<P>(out: &[Out<P>]) -> Vec<(Dest, Vec<MsgId>)> {
+        let nack = |(d, w): &Out<P>| match w {
+            Wire::Nack { want, .. } => Some((*d, want.clone())),
+            _ => None,
+        };
+        out.iter().filter_map(nack).collect()
+    }
+
+    /// Where `gossip_reveals_a_lost_message` leaves the trio.
+    struct Revealed {
+        /// b, whose gossip revealed the message.
+        gossiper: PccastEndpoint<&'static str>,
+        /// c, which had not heard of it.
+        member: PccastEndpoint<&'static str>,
+        /// a's link copy to c, delayed.
+        link_copy: Out<&'static str>,
+        /// What c sent on receiving the gossip.
+        reply: Vec<Out<&'static str>>,
+    }
+
+    /// b delivers a's first message; a's link copy to c is held back and
+    /// b's forward to c lost. b's tick gossip then reaches c at 10 ms.
+    fn gossip_reveals_a_lost_message() -> Revealed {
+        let (mut a, mut b, mut c) = trio();
+        let (_, out) = a.multicast(t(0), "m1");
+        let to_c = out.iter().find(|(d, _)| *d == Dest::One(2)).cloned();
+        let (dels, _) = feed(&mut b, t(1), &out);
+        assert_eq!(dels.len(), 1);
+        let gossip = b
+            .on_tick(t(10))
+            .into_iter()
+            .find(|(_, w)| matches!(w, Wire::AckGossip { .. }))
+            .expect("tick gossip");
+        let (dels, reply) = c.on_wire(t(10), gossip.1);
+        assert!(dels.is_empty());
+        Revealed {
+            gossiper: b,
+            member: c,
+            link_copy: to_c.expect("a's link copy to c"),
+            reply,
+        }
+    }
+
+    /// The gossiper delivered what its clock reveals, so it still holds
+    /// it: the member that learns of a message from gossip alone asks the
+    /// gossiper for it in the same step, not at its next tick.
+    #[test]
+    fn a_gossip_revealing_an_unknown_id_nacks_the_gossiper_at_once() {
+        let reply = gossip_reveals_a_lost_message().reply;
+        let m1 = MsgId { sender: 0, seq: 1 };
+        assert_eq!(nacks(&reply), [(Dest::One(1), vec![m1])]);
+        assert_eq!(reply.len(), 1, "nothing but the NACK");
+    }
+
+    /// When the gossiper's NACK or its answer is lost, the id is asked of
+    /// everyone at the first tick at least one tick interval after the
+    /// gossip — not a NACK timeout later — and then every NACK timeout.
+    #[test]
+    fn a_gossip_chase_is_asked_of_everyone_a_tick_interval_later() {
+        let mut c = gossip_reveals_a_lost_message().member;
+        let m1 = MsgId { sender: 0, seq: 1 };
+        let cfg = GroupConfig::default();
+        let first = t(10) + cfg.tick_interval;
+        let just_before = first - SimDuration::from_micros(1);
+        assert_eq!(nacks(&c.on_tick(just_before)), []);
+        assert_eq!(nacks(&c.on_tick(first)), [(Dest::All, vec![m1])]);
+        let retry = first + cfg.nack_timeout;
+        assert_eq!(nacks(&c.on_tick(retry - SimDuration::from_micros(1))), []);
+        assert_eq!(nacks(&c.on_tick(retry)), [(Dest::All, vec![m1])]);
+    }
+
+    /// The gossiper's answer delivers through the repair path; the link
+    /// copy that arrives after it is consumed as a duplicate, once.
+    #[test]
+    fn a_link_copy_after_the_gossip_repair_is_a_duplicate() {
+        let Revealed {
+            gossiper: mut b,
+            member: mut c,
+            link_copy,
+            reply,
+        } = gossip_reveals_a_lost_message();
+        let nack = reply
+            .into_iter()
+            .find(|(d, w)| *d == Dest::One(1) && matches!(w, Wire::Nack { .. }))
+            .expect("a NACK to the gossiper");
+        let (_, served) = b.on_wire(t(11), nack.1);
+        assert_eq!(served.len(), 1);
+        let (dels, _) = feed(&mut c, t(12), &served);
+        assert_eq!(dels.len(), 1);
+        assert_eq!((dels[0].id.seq, dels[0].payload), (1, "m1"));
+        let before = c.core().stats().duplicates;
+        let (dels, _) = feed(&mut c, t(13), &[link_copy]);
+        assert!(dels.is_empty(), "delivered twice");
+        let stats = c.core().stats();
+        assert_eq!((stats.delivered, stats.duplicates), (1, before + 1));
+        assert_eq!(c.link_buffered_len(), 0);
     }
 
     #[test]

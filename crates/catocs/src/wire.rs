@@ -123,10 +123,20 @@ impl<P> DataMsg<P> {
     /// without per-sender delta context or link position (the gap/NACK
     /// fallback, for delta-stamped cbcast and pc-tagged pccast alike).
     /// A [`VtWire::Id`] or [`VtWire::Gseq`] stamp needs no decode
-    /// context and stays as it is.
+    /// context and stays as it is. A copy already stamped full must decode
+    /// to [`Self::vt`]: a receiver keeps the clock it decoded, so that is
+    /// a property of honest senders, not of what arrives.
     pub fn make_full(&mut self) {
-        if matches!(self.vt_wire, VtWire::Delta(_) | VtWire::Pc { .. }) {
-            self.vt_wire = VtWire::Full(self.vt.encode());
+        match &self.vt_wire {
+            VtWire::Delta(_) | VtWire::Pc { .. } => {
+                self.vt_wire = VtWire::Full(self.vt.encode());
+            }
+            VtWire::Full(bytes) => debug_assert!(
+                VectorClock::decode(bytes).as_ref() == Some(&self.vt),
+                "{} stamped apart from its clock",
+                self.id
+            ),
+            _ => {}
         }
     }
 
@@ -924,6 +934,9 @@ mod fuzz {
     /// What no honest payload is.
     const FORGED: u64 = u64::MAX;
 
+    /// The payload of a forged copy no door can refuse.
+    const BELIEVED: u64 = u64::MAX - 1;
+
     const DISCIPLINES: [(Discipline, CausalDiscipline); 5] = [
         (Discipline::Fifo, CausalDiscipline::Cbcast),
         (Discipline::Causal, CausalDiscipline::Cbcast),
@@ -1059,6 +1072,23 @@ mod fuzz {
             };
             let mut d = DataMsg::new(id, VectorClock::new(self.n), FORGED);
             d.vt_wire = vt_wire;
+            Wire::Data(d)
+        }
+
+        /// A copy of `sender`'s next message, stamped full with what the
+        /// victim delivered of every member and the copy's own seq: a clock
+        /// in reach, and not the clock the copy carries in memory. Only a
+        /// copy of the victim's own next message, which it has not sent,
+        /// can be refused.
+        fn believable(&self, sender: usize) -> Wire<u64> {
+            let id = MsgId {
+                sender,
+                seq: self.delivered[sender] + 1,
+            };
+            let mut stamp = VectorClock::from_entries(self.delivered.clone());
+            stamp.set(sender, id.seq);
+            let mut d = DataMsg::new(id, VectorClock::new(self.n), BELIEVED);
+            d.vt_wire = VtWire::Full(stamp.encode());
             Wire::Data(d)
         }
 
@@ -1386,6 +1416,24 @@ mod fuzz {
         (logs, refused)
     }
 
+    /// A case's honest group, drawn from `seed`: its size, configuration,
+    /// who multicasts between ticks, and the member fed forged wires.
+    fn group(seed: u64) -> (usize, GroupConfig, Vec<Step>, usize) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..=4);
+        let cfg = GroupConfig {
+            delta_timestamps: rng.gen_bool(0.5),
+            append_predecessors: rng.gen_bool(0.25),
+            ..GroupConfig::default()
+        };
+        let mut plan = Vec::new();
+        for _ in 0..rng.gen_range(1..=4) {
+            plan.extend((0..n).filter(|_| rng.gen_bool(0.6)).map(Step::Multicast));
+            plan.push(Step::Tick);
+        }
+        (n, cfg, plan, rng.gen_range(0..n))
+    }
+
     /// Hostile wires between the honest ones of every discipline: no
     /// panic, every map and buffer bounded by the honest multicasts, and
     /// every member's delivery log, forged or not, the log of the run
@@ -1397,19 +1445,7 @@ mod fuzz {
             for (i, &discipline) in DISCIPLINES.iter().enumerate() {
                 let seed = case << 8 | i as u64;
                 eprintln!("case {case}, seed {seed}: {discipline:?}");
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let n = rng.gen_range(2..=4);
-                let cfg = GroupConfig {
-                    delta_timestamps: rng.gen_bool(0.5),
-                    append_predecessors: rng.gen_bool(0.25),
-                    ..GroupConfig::default()
-                };
-                let mut plan = Vec::new();
-                for _ in 0..rng.gen_range(1..=4) {
-                    plan.extend((0..n).filter(|_| rng.gen_bool(0.6)).map(Step::Multicast));
-                    plan.push(Step::Tick);
-                }
-                let victim = rng.gen_range(0..n);
+                let (n, cfg, plan, victim) = group(seed);
                 let sent = plan
                     .iter()
                     .filter(|s| matches!(s, Step::Multicast(_)))
@@ -1434,6 +1470,59 @@ mod fuzz {
             refused > CASES,
             "{refused} refusals: the fuzz reaches the door"
         );
+    }
+
+    /// Forged copies the door cannot tell from honest ones, between the
+    /// honest wires of both causal disciplines: the victim believes the
+    /// stamp it decoded, whatever the copy carries in memory, and panics
+    /// on none. A believed forgery takes its id's place: every member
+    /// still delivers each sender's messages once each, in order — also
+    /// when the forged id is one its sender has not sent yet, and a
+    /// repair carries the forgery back to that sender before it does.
+    #[test]
+    fn a_believable_forged_stamp_is_believed() {
+        let mut believed = 0;
+        for case in 0..CASES {
+            for (i, &discipline) in DISCIPLINES.iter().enumerate() {
+                if discipline.0 != Discipline::Causal {
+                    continue;
+                }
+                let seed = case << 8 | i as u64;
+                eprintln!("case {case}, seed {seed}: {discipline:?}");
+                let (n, cfg, plan, victim) = group(seed);
+                let sends: Vec<u64> = (0..n)
+                    .map(|s| {
+                        plan.iter()
+                            .filter(|&&p| matches!(p, Step::Multicast(w) if w == s))
+                            .count() as u64
+                    })
+                    .collect();
+                // Each forgery stands for a message its sender does send,
+                // so the run's buffers stay bounded by the honest ones.
+                let mut forger = SmallRng::seed_from_u64(!seed);
+                let (logs, _) = run(discipline, &cfg, n, &plan, victim, |ctx| {
+                    let sender = forger.gen_range(0..n);
+                    let sent = ctx.delivered[sender] < sends[sender];
+                    (sent && forger.gen_bool(0.25)).then(|| ctx.believable(sender))
+                });
+                for (who, log) in logs.iter().enumerate() {
+                    for sender in 0..n {
+                        let seqs: Vec<u64> = log
+                            .iter()
+                            .filter(|(id, ..)| id.sender == sender)
+                            .map(|(id, ..)| id.seq)
+                            .collect();
+                        let once_in_order: Vec<u64> = (1..=seqs.len() as u64).collect();
+                        assert_eq!(seqs, once_in_order, "case {case}: member {who}");
+                    }
+                }
+                believed += logs[victim]
+                    .iter()
+                    .filter(|&&(_, payload, _)| payload == BELIEVED)
+                    .count();
+            }
+        }
+        assert!(believed > 0, "no forgery was believed: the fuzz misses");
     }
 
     /// A view change with hostile membership wires fed to its members:

@@ -90,9 +90,9 @@ fn every_discipline_replays_its_pinned_digest() {
     let token = Discipline::TotalToken;
     let cases = [
         ("fifo", Discipline::Fifo, Cbcast, 0xfe5c_9c0f_f589_84df_u64),
-        ("cbcast", Discipline::Causal, Cbcast, 0x8461_dda7_02d2_2938),
-        ("pccast", Discipline::Causal, Pccast, 0x5d93_336b_03dc_9781),
-        ("abcast", abcast, Cbcast, 0xbf2d_04d1_f3bc_dfd5),
+        ("cbcast", Discipline::Causal, Cbcast, 0xaf1b_2d17_6ddf_2e56),
+        ("pccast", Discipline::Causal, Pccast, 0x36fe_b128_d11f_80fc),
+        ("abcast", abcast, Cbcast, 0xd597_776f_0414_1684),
         ("token", token, Cbcast, 0xc1d4_4c49_da59_29a6),
     ];
     for (name, discipline, causal, pinned) in cases {
@@ -143,19 +143,19 @@ fn churn_campaigns_replay_their_pinned_digests() {
     ];
     let pinned: [[(u64, u64, u64); 3]; 3] = [
         [
-            (0xa333_3f1d_03ca_b3cb, 2058, 3),
-            (0xa333_3f1d_03ca_b3cb, 2058, 3),
-            (0x8358_b32e_0e60_4f49, 2029, 3),
+            (0x2085_9e27_e278_a96d, 2053, 3),
+            (0x2085_9e27_e278_a96d, 2053, 3),
+            (0x8b43_0d0e_eea1_9891, 2059, 3),
         ],
         [
-            (0x55fe_88bf_d8bb_989b, 1439, 3),
-            (0xc469_4353_e2dd_de7b, 1441, 3),
-            (0xd388_984f_79a1_7dc0, 1420, 4),
+            (0x1a31_ccd3_1f81_11d0, 1372, 4),
+            (0x5635_7cab_a662_d818, 1382, 4),
+            (0x22d7_5a67_3131_3902, 1423, 4),
         ],
         [
-            (0xda09_cdd9_ea7c_63b1, 1403, 4),
-            (0x5ed1_c474_d756_0173, 1449, 4),
-            (0xd230_224e_fcda_601b, 1461, 4),
+            (0x3bf8_3211_3bf1_c0d8, 1452, 4),
+            (0xfd82_0d39_9216_3050, 1452, 4),
+            (0x6b56_6f23_0cd7_0ffa, 1433, 4),
         ],
     ];
     for (seed, row) in [2, 23, 137].into_iter().zip(pinned) {
@@ -183,12 +183,12 @@ fn churn_campaigns_replay_their_pinned_digests() {
 #[test]
 fn beyond_cut_campaigns_replay_clean() {
     let cases = [
-        (Cbcast, 3259, 0xa3db_526b_39b7_69a8_u64),
-        (Cbcast, 14981, 0xbfb5_10a7_560a_91b0),
-        (Cbcast, 16016, 0xee03_279f_d430_73d2),
-        (Pccast, 3945, 0xb3bb_a9ec_1c2c_c3f7),
-        (Pccast, 7687, 0x491f_e659_6581_1efc),
-        (Pccast, 11986, 0x6490_85de_7547_573d),
+        (Cbcast, 3259, 0xd84c_32f6_ac00_7486_u64),
+        (Cbcast, 14981, 0xfa19_8d2f_4b4e_e7ad),
+        (Cbcast, 16016, 0x91a3_c427_89df_adc3),
+        (Pccast, 3945, 0xf615_4025_ed93_526c),
+        (Pccast, 7687, 0xf0e3_5e09_641b_18e6),
+        (Pccast, 11986, 0x9be6_5e35_125d_9ae2),
     ];
     for (discipline, seed, pinned) in cases {
         let cfg = CampaignConfig {
@@ -405,7 +405,7 @@ fn sampler_campaigns() -> [CampaignResult; 5] {
         ..clean
     };
     [
-        (2, wedged, Algo::Cbcast),
+        (134, wedged, Algo::Cbcast),
         (23, clean, Algo::Cbcast),
         (137, clean, Algo::Cbcast),
         (1, clean, Algo::Pccast),
@@ -432,21 +432,24 @@ fn introspection_outputs_replay_their_pinned_digests() {
         no_flush_retry: true,
         ..clean
     };
-    let m4_34 = MsgId { sender: 4, seq: 34 };
-    let at60 = |algo| Replay {
+    let m5_28 = MsgId { sender: 5, seq: 28 };
+    let at60 = |seed, algo| Replay {
         at: Some(60),
-        ..replay(2, clean, algo)
+        ..replay(seed, clean, algo)
     };
-    let abcast = explain::run(&at60(Algo::Abcast));
-    let token = explain::run(&at60(Algo::Token));
+    let abcast = explain::run(&at60(4, Algo::Abcast));
+    let token = explain::run(&at60(2, Algo::Token));
     // Neither is the report of a drained group.
     assert!(abcast.contains("its own order assignment"), "{abcast}");
-    assert!(abcast.contains("order slot 40 = m4.5"), "{abcast}");
+    assert!(
+        abcast.contains("order slot 31 = m1.7 — slot's data"),
+        "{abcast}"
+    );
     assert!(token.contains("order slot 29 —"), "{token}");
     assert!(token.contains("submissions queued"), "{token}");
     assert!(token.contains("token in flight"), "{token}");
     let link = explain::run(&replay(54, clean, Algo::Pccast));
-    assert!(link.contains("link p0 pos 181 — nothing arrived"), "{link}");
+    assert!(link.contains("link p0 pos 99 — nothing arrived"), "{link}");
 
     let dir = std::env::temp_dir().join("catocs-introspection-pin");
     let _ = std::fs::remove_dir_all(&dir);
@@ -454,7 +457,7 @@ fn introspection_outputs_replay_their_pinned_digests() {
         indexed: false,
         delta: false,
     };
-    let scan_full = replay(2, wedged, Algo::Cbcast).in_cell(scan_full);
+    let scan_full = replay(134, wedged, Algo::Cbcast).in_cell(scan_full);
     let paths = chaos::dump_incident_to(&dir, &scan_full).expect("dump written");
     let incident = std::fs::read_to_string(&paths[0]).expect("txt dump");
     let _ = std::fs::remove_dir_all(&dir);
@@ -476,57 +479,57 @@ fn introspection_outputs_replay_their_pinned_digests() {
         })
     };
     pin(
-        "explain 2 wedged",
-        ex(2, None, wedged, Algo::Cbcast),
-        0xfbb6_df96_23d5_f784,
+        "explain 134 wedged",
+        ex(134, None, wedged, Algo::Cbcast),
+        0x1ec3_a087_119a_186a,
     );
     pin(
-        "explain 2 m4.34",
-        ex(2, Some(m4_34), wedged, Algo::Cbcast),
-        0x6fb8_4aac_1f66_16dc,
+        "explain 134 m5.28",
+        ex(134, Some(m5_28), wedged, Algo::Cbcast),
+        0x9c84_1b29_c8e4_e3ad,
     );
     pin(
         "explain 23",
         ex(23, None, clean, Algo::Cbcast),
-        0x417c_803b_fd96_265a,
+        0x514f_29e4_61f9_8fb4,
     );
     pin(
         "explain 137",
         ex(137, None, clean, Algo::Cbcast),
-        0x3b63_026b_e36d_9c05,
+        0x13a6_5289_ce18_12cb,
     );
     pin(
         "explain 1 pccast",
         ex(1, None, clean, Algo::Pccast),
-        0xcd07_33b2_fcca_ea3c,
+        0xc44e_3131_a89c_1919,
     );
-    pin("explain 54 pccast", link, 0xa9c2_1ded_37d8_a207);
+    pin("explain 54 pccast", link, 0xd4d4_3224_c910_9c76);
     pin(
-        "waitgraph 2 wedged",
-        wg(2, None, wedged, Algo::Cbcast),
-        0x708a_0e78_7f03_0b00,
+        "waitgraph 134 wedged",
+        wg(134, None, wedged, Algo::Cbcast),
+        0x9d80_99f3_a04f_a5d5,
     );
     pin(
-        "waitgraph 2 at 0",
-        wg(2, Some(0), wedged, Algo::Cbcast),
-        0xbd01_8d6b_62fa_c8f9,
+        "waitgraph 134 at 0",
+        wg(134, Some(0), wedged, Algo::Cbcast),
+        0x0f34_8e3c_3a00_0bb0,
     );
     pin(
         "waitgraph 1 pccast",
         wg(1, None, clean, Algo::Pccast),
-        0xadd2_45ef_9622_f19a,
+        0xf99c_60e0_eb25_d5ce,
     );
     pin(
         "waitgraph 54 pccast",
         wg(54, None, clean, Algo::Pccast),
-        0xdd4f_ff11_fb0c_5bb4,
+        0x59cd_2885_9f5e_1c60,
     );
     pin(
-        "incident 2 wedged scan/full",
+        "incident 134 wedged scan/full",
         incident,
-        0x3077_2023_0c45_3015,
+        0x6b41_b413_6e87_1831,
     );
-    pin("explain 2 abcast at 60", abcast, 0x96b1_2632_3336_18a3);
+    pin("explain 4 abcast at 60", abcast, 0x3183_7798_7887_39d1);
     pin("explain 2 token at 60", token, 0xf4e2_77fc_ffae_d42e);
 
     let got = sampler_campaigns().map(|r| {
@@ -541,11 +544,11 @@ fn introspection_outputs_replay_their_pinned_digests() {
         (hist, r.stall_timeline.len(), stalls, text_digest(&paths))
     });
     let pinned = [
-        ((17044, 3_070_000), 80, 62, 0xa572_7b47_3371_31a4_u64),
-        ((32883, 3_276_205), 80, 266, 0xf97e_893f_c96b_3159),
-        ((65608, 2_145_057), 80, 268, 0x80be_0fd3_4803_91ef),
-        ((13782, 3_387_805), 80, 225, 0xda6e_3cbb_0c2f_7f6f),
-        ((4876, 2_987_222), 80, 149, 0x270e_c34f_330f_1a9b),
+        ((76647, 3_389_058), 80, 84, 0x9a50_1e7f_aa18_2316_u64),
+        ((34667, 3_269_199), 80, 145, 0x9825_ebc8_38d2_cfea),
+        ((58206, 2_171_725), 80, 339, 0x8172_a6a1_a6f7_2360),
+        ((24652, 3_396_511), 80, 225, 0xa8f4_ba67_2d9a_d5bf),
+        ((8624, 2_996_291), 80, 149, 0x8c4f_3ab8_cda9_fa83),
     ];
     assert_eq!(got, pinned, "what the sampler saw moved: {got:#x?}");
 }
@@ -587,24 +590,24 @@ fn stall_timelines_replay_their_pinned_digests() {
     });
     let pinned = [
         (
-            0xafcf_d2b0_34e2_00ec_u64,
-            (17044u64, 14_006_803_956_u128, 803_842_u64, 2_091_602_u64),
+            0x403e_f8ae_6159_784d_u64,
+            (76647u64, 97_655_420_186_u128, 1_157_283_u64, 3_389_058_u64),
         ),
         (
-            0xfc5a_3dfc_dc00_0fe8,
-            (32883, 26_382_976_029, 628_266, 3_276_205),
+            0xb41a_908d_9889_814d,
+            (34667, 27_026_424_613, 633_892, 3_269_199),
         ),
         (
-            0x68c5_569c_d0a4_b967,
-            (65608, 49_292_736_832, 700_183, 2_061_102),
+            0x856c_a914_f64b_5797,
+            (58206, 46_135_329_185, 746_248, 2_066_108),
         ),
         (
-            0x6570_f0a7_7c37_37ee,
-            (13782, 18_602_598_083, 1_283_184, 3_387_805),
+            0x152f_b268_3914_2460,
+            (24652, 31_244_640_467, 1_182_982, 3_396_511),
         ),
         (
-            0xdb65_28e1_0f18_f2ab,
-            (4876, 5_357_779_629, 1_053_335, 2_987_222),
+            0x36cd_4947_45f5_f3dc,
+            (8624, 8_504_661_980, 909_128, 2_996_291),
         ),
     ];
     assert_eq!(got, pinned, "a stall timeline moved: {got:#x?}");

@@ -13,18 +13,11 @@ use catocs::vsync::{Campaign, CampaignConfig};
 use std::ops::Range;
 
 /// The seeds below 20 000 that still violate virtual synchrony at the
-/// default configuration: every one acks two memberships under one view
-/// id, or (19959) wedges two live coordinators (EXPERIMENTS.md § Known-red
-/// seeds). A fix shrinks this list.
-const KNOWN_RED: [(CausalDiscipline, u64); 7] = [
-    (Cbcast, 4064),
-    (Cbcast, 9713),
-    (Cbcast, 17950),
-    (Cbcast, 19959),
-    (Pccast, 7960),
-    (Pccast, 11542),
-    (Pccast, 18167),
-];
+/// default configuration: it acks two memberships under one view id
+/// (EXPERIMENTS.md § Known-red seeds). A fix shrinks this list; a change
+/// that moves when repairs land reshuffles its entries, since every
+/// campaign then runs another schedule.
+const KNOWN_RED: [(CausalDiscipline, u64); 1] = [(Pccast, 5316)];
 
 /// The seeds of `seeds` whose campaign on `discipline` reports a
 /// violation.
