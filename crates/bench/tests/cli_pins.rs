@@ -56,11 +56,11 @@ fn cli_output_replays_its_pinned_files() {
     }
     assert_eq!(checked, expected, "every pin runs, bar {skipped} in debug");
 
-    // `chaos --seed 134 --bug no-flush-retry` is the one pinned command
+    // `chaos --seed 8 --bug no-flush-retry` is the one pinned command
     // that violates, so the dump is its first violating cell's.
     for (file, len, digest) in [
-        ("seed-134-scan-full.txt", 698_087, 0x6b41_b413_6e87_1831_u64),
-        ("seed-134-scan-full.jsonl", 398_895, 0xf66d_d7a9_e4c8_3c3d),
+        ("seed-8-scan-full.txt", 692_402, 0x4193_7395_a23f_6035_u64),
+        ("seed-8-scan-full.jsonl", 414_514, 0xa366_06ea_93bf_e5d3),
     ] {
         let bytes = std::fs::read(dumps.join(file)).expect("incident dump written");
         assert_eq!(

@@ -20,7 +20,7 @@ use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, Wire};
 use clocks::vector::VectorClock;
 use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, SpanId, Stage};
-use simnet::time::SimTime;
+use simnet::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 pub(crate) use window::Slot;
@@ -43,6 +43,57 @@ pub(crate) const MAX_CHASE_AHEAD: u64 = 1 << 20;
 /// Nominal application payload size, bytes: what every buffered message
 /// is charged on top of its wire state in the buffered-bytes gauges.
 pub(crate) const PAYLOAD_BYTES: usize = 256;
+
+/// Longest a member stays silent about a delivered clock that has not
+/// moved: 10 ticks at the default `tick_interval`, and vsync's
+/// `SUSPECT_AFTER`. It repeats a lost final gossip, which nothing else
+/// would: without it a peer that missed the last clock of a quiet member
+/// never sees its buffer become stable.
+pub(crate) const GOSSIP_KEEP_ALIVE: SimDuration = SimDuration::from_millis(100);
+
+/// The one gossip rule of every discipline that gossips its delivered
+/// clock (cbcast and pccast through [`CausalCore::gossip`], fbcast's
+/// tick): a tick sends `AckGossip` when the clock differs from the last
+/// one this member gossiped, or when [`GOSSIP_KEEP_ALIVE`] has passed
+/// since then. Anything else repeats what the peers already hold.
+#[derive(Debug, Default)]
+pub(crate) struct Gossip {
+    /// When this member last gossiped, and what.
+    last: Option<(SimTime, VectorClock)>,
+}
+
+impl Gossip {
+    /// A tick's gossip of `delivered` from member `me`, if it is due.
+    pub(crate) fn tick<P>(
+        &mut self,
+        now: SimTime,
+        me: usize,
+        delivered: VectorClock,
+        stats: &mut EndpointStats,
+        out: &mut Vec<Out<P>>,
+    ) {
+        if let Some((at, last)) = &self.last {
+            if *last == delivered && now.saturating_since(*at) < GOSSIP_KEEP_ALIVE {
+                return;
+            }
+        }
+        self.last = Some((now, delivered.clone()));
+        stats.acks_sent += 1;
+        out.push((
+            Dest::All,
+            Wire::AckGossip {
+                from: me,
+                delivered,
+            },
+        ));
+    }
+
+    /// Forgets the last gossip, so the next tick gossips: an install
+    /// changes who the peers are and what they must hear.
+    pub(crate) fn reset(&mut self) {
+        self.last = None;
+    }
+}
 
 /// Whether one lagging component `(k, have, claimed)` is past that bound.
 fn out_of_reach(&(_, have, claimed): &(usize, u64, u64)) -> bool {
@@ -148,6 +199,8 @@ pub struct CausalCore<P> {
     /// What one buffered message is charged in the buffered-bytes gauge:
     /// payload plus the discipline's per-message wire state.
     buffered_msg_bytes: u64,
+    /// When the tick gossips the delivered clock.
+    gossip: Gossip,
 }
 
 impl<P: Clone> CausalCore<P> {
@@ -169,6 +222,7 @@ impl<P: Clone> CausalCore<P> {
             probe: ProbeHandle::none(),
             stats: EndpointStats::default(),
             buffered_msg_bytes: (PAYLOAD_BYTES + wire_state_bytes) as u64,
+            gossip: Gossip::default(),
             cfg,
         }
     }
@@ -364,6 +418,7 @@ impl<P: Clone> CausalCore<P> {
             }
         }
         self.stability.set_members(members);
+        self.gossip.reset();
         self.note_holdback();
         self.collect_garbage(now);
     }
@@ -537,15 +592,12 @@ impl<P: Clone> CausalCore<P> {
         }
     }
 
-    /// Tick, first half: gossip our delivered clock so peers can advance
-    /// stability and spot their gaps.
-    pub(crate) fn gossip(&mut self, out: &mut Vec<Out<P>>) {
-        let gossip = Wire::AckGossip {
-            from: self.me,
-            delivered: self.vt.clone(),
-        };
-        self.stats.acks_sent += 1;
-        out.push((Dest::All, gossip));
+    /// Tick, first half: gossip our delivered clock, when it moved or the
+    /// keep-alive is due ([`Gossip`]), so peers can advance stability and
+    /// spot their gaps.
+    pub(crate) fn gossip(&mut self, now: SimTime, out: &mut Vec<Out<P>>) {
+        self.gossip
+            .tick(now, self.me, self.vt.clone(), &mut self.stats, out);
     }
 
     /// Tick, second half: re-NACK overdue missing messages and sample the
@@ -1497,5 +1549,144 @@ mod tests {
         assert!(!ep.core().too_far_ahead(&clock(&[0, MAX_CHASE_AHEAD])));
         assert!(ep.core().too_far_ahead(&clock(&[0, MAX_CHASE_AHEAD + 1])));
         assert!(!ep.core().too_far_ahead(&clock(&[])));
+    }
+
+    /// The gossip rule ([`Gossip`]) as each discipline that gossips runs
+    /// it: the endpoints are driven by hand, every 10 ms tick of the
+    /// default `tick_interval`.
+    mod gossip {
+        use super::*;
+        use crate::endpoint::Protocol;
+        use crate::fbcast::FbcastEndpoint;
+
+        type Group = Vec<Box<dyn Protocol<u32>>>;
+
+        fn ms(v: u64) -> SimTime {
+            SimTime::from_millis(v)
+        }
+
+        /// A fresh group of three of each discipline that gossips its
+        /// delivered clock: cbcast, pccast and fbcast.
+        fn groups() -> Vec<(&'static str, Group)> {
+            let causal_group = |discipline| {
+                let cfg = GroupConfig {
+                    discipline,
+                    ..GroupConfig::default()
+                };
+                (0..3)
+                    .map(|me| causal(me, 3, cfg.clone()) as Box<dyn Protocol<u32>>)
+                    .collect()
+            };
+            let fifo = (0..3)
+                .map(|me| Box::new(FbcastEndpoint::new(me, 3, GroupConfig::default())) as _)
+                .collect();
+            vec![
+                ("cbcast", causal_group(CausalDiscipline::Cbcast)),
+                ("pccast", causal_group(CausalDiscipline::Pccast)),
+                ("fbcast", fifo),
+            ]
+        }
+
+        fn gossips(outs: &[Out<u32>]) -> bool {
+            outs.iter()
+                .any(|(_, w)| matches!(w, Wire::AckGossip { .. }))
+        }
+
+        /// Hands `outs`, sent by `from`, to their destinations, and what
+        /// those answer, until the group is quiet; `lost(from, to, wire)`
+        /// drops a copy.
+        fn pump(
+            group: &mut Group,
+            now: SimTime,
+            from: usize,
+            outs: Vec<Out<u32>>,
+            lost: &mut dyn FnMut(usize, usize, &Wire<u32>) -> bool,
+        ) {
+            let mut queue: VecDeque<_> = outs.into_iter().map(|o| (from, o)).collect();
+            while let Some((from, (dest, wire))) = queue.pop_front() {
+                let to: Vec<usize> = match dest {
+                    Dest::All => (0..group.len()).filter(|&k| k != from).collect(),
+                    Dest::One(k) => vec![k],
+                };
+                for k in to {
+                    if !lost(from, k, &wire) {
+                        let (_, more) = group[k].on_wire(now, wire.clone());
+                        queue.extend(more.into_iter().map(|o| (k, o)));
+                    }
+                }
+            }
+        }
+
+        /// A quiet member gossips at its first tick, stays silent for the
+        /// next nine, sends the keep-alive at the tenth, and gossips again
+        /// at the first tick after a delivery.
+        #[test]
+        fn a_tick_gossips_news_or_a_keep_alive() {
+            for (name, mut group) in groups() {
+                let mut gossiped = Vec::new();
+                for at in (10..=130).step_by(10) {
+                    if at == 120 {
+                        let (_, outs) = group[0].multicast(ms(115), 7);
+                        pump(&mut group, ms(115), 0, outs, &mut |_, _, _| false);
+                    }
+                    if gossips(&group[1].on_tick(ms(at))) {
+                        gossiped.push(at);
+                    }
+                }
+                assert_eq!(gossiped, [10, 110, 120], "{name}");
+            }
+        }
+
+        /// An install resets the rule: the first tick after it gossips a
+        /// clock that has not moved.
+        #[test]
+        fn the_first_tick_after_an_install_gossips() {
+            for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+                let cfg = GroupConfig {
+                    discipline,
+                    ..GroupConfig::default()
+                };
+                let mut ep = causal(1, 3, cfg);
+                let mut gossiped = Vec::new();
+                for at in [10, 20, 30, 40] {
+                    if at == 30 {
+                        ep.core_mut().freeze(ms(25));
+                        ep.on_view_install(ms(25), 2, &[0, 1], &VectorClock::new(3));
+                        ep.thaw(ms(25));
+                    }
+                    if gossips(&ep.on_tick(ms(at))) {
+                        gossiped.push(at);
+                    }
+                }
+                assert_eq!(gossiped, [10, 30], "{discipline:?}");
+            }
+        }
+
+        /// Member 2's gossip to member 0 after the last multicast is
+        /// lost. Nothing is news after it, so member 0 holds the message
+        /// unstable until member 2's keep-alive, and no longer.
+        #[test]
+        fn a_lost_final_gossip_is_repeated_by_the_keep_alive() {
+            for (name, mut group) in groups() {
+                let (_, outs) = group[0].multicast(ms(0), 7);
+                pump(&mut group, ms(0), 0, outs, &mut |_, _, _| false);
+                let mut dropped = false;
+                let mut lost = |from, to, wire: &Wire<u32>| {
+                    let gossip = matches!(wire, Wire::AckGossip { .. });
+                    let hit = !dropped && from == 2 && to == 0 && gossip;
+                    dropped |= hit;
+                    hit
+                };
+                let mut buffered = Vec::new();
+                for at in (10..=110).step_by(10) {
+                    for k in 0..3 {
+                        let outs = group[k].on_tick(ms(at));
+                        pump(&mut group, ms(at), k, outs, &mut lost);
+                    }
+                    buffered.push(group[0].buffered_len());
+                }
+                assert_eq!(buffered, [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0], "{name}");
+            }
+        }
     }
 }

@@ -13,7 +13,9 @@
 //!   (NACK-based recovery). This buffering is exactly the memory cost the
 //!   paper's §5 predicts grows quadratically system-wide;
 //! - stability information travels on the vector timestamps of data
-//!   messages (piggyback mode) and/or periodic ack gossip.
+//!   messages (piggyback mode) and on ack gossip, which a tick sends
+//!   when the delivered clock moved since the last one, or as a 100 ms
+//!   keep-alive.
 //!
 //! The endpoint is a pure state machine: the caller supplies the current
 //! time and delivers wire messages; the endpoint returns deliveries and
@@ -191,7 +193,7 @@ impl<P: Clone> CbcastEndpoint<P> {
     /// Periodic maintenance: ack gossip, NACK retries, buffer sampling.
     pub fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
-        self.core.gossip(&mut out);
+        self.core.gossip(now, &mut out);
         self.core.renack_overdue(now, &mut out);
         self.core.stats.book(self.core.me, &out);
         out

@@ -21,7 +21,7 @@
 //! number held, the slowest peer's ack — is kept (`pending_total`,
 //! `min_acked`).
 
-use crate::causal_core::{arrival, span_of, MAX_CHASE_AHEAD, PAYLOAD_BYTES};
+use crate::causal_core::{arrival, span_of, Gossip, MAX_CHASE_AHEAD, PAYLOAD_BYTES};
 use crate::endpoint::Protocol;
 use crate::group::{GroupConfig, MsgId};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
@@ -77,6 +77,8 @@ pub struct FbcastEndpoint<P> {
     /// the whole clock is believed. Kept between acks for its capacity:
     /// a member hears two acks a delivery in a busy group.
     news: Vec<(usize, u64)>,
+    /// When the tick gossips the delivered clock.
+    gossip: Gossip,
     /// Observability sink (span + wait events). Disabled by default.
     probe: ProbeHandle,
     stats: EndpointStats,
@@ -98,6 +100,7 @@ impl<P: Clone> FbcastEndpoint<P> {
             pending_total: 0,
             known_max: vec![0; n],
             news: Vec::new(),
+            gossip: Gossip::default(),
             probe: ProbeHandle::none(),
             stats: EndpointStats::default(),
         }
@@ -372,15 +375,12 @@ impl<P: Clone> Protocol<P> for FbcastEndpoint<P> {
         (delivered, out)
     }
 
-    /// Periodic maintenance: ack gossip and gap re-NACKs.
+    /// Periodic maintenance: ack gossip ([`Gossip`]) and gap re-NACKs.
     fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
-        let gossip = Wire::AckGossip {
-            from: self.me,
-            delivered: self.delivered_clock(),
-        };
-        self.stats.acks_sent += 1;
-        out.push((Dest::All, gossip));
+        let vt = self.delivered_clock();
+        self.gossip
+            .tick(now, self.me, vt, &mut self.stats, &mut out);
         for k in 0..self.n {
             if k == self.me {
                 continue;

@@ -90,10 +90,12 @@ pub enum CausalDiscipline {
 /// Protocol tuning knobs shared by the multicast endpoints.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GroupConfig {
-    /// When true, delivered-clock acknowledgements ride on data messages;
-    /// when false they are sent as separate gossip on each tick. This is
-    /// the piggyback ablation of §5 ("there are fewer application messages
-    /// on which to piggyback acknowledgment information").
+    /// When true, a data message's timestamp also counts as its sender's
+    /// delivered clock for stability; when false only tick gossip does.
+    /// Either way a tick gossips the delivered clock when it moved since
+    /// the last gossip, or as a keep-alive every 100 ms. This is the
+    /// piggyback ablation of §5 ("there are fewer application messages on
+    /// which to piggyback acknowledgment information").
     pub piggyback_acks: bool,
     /// Interval between ack-gossip/retransmit-scan ticks.
     pub tick_interval: SimDuration,

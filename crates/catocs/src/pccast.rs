@@ -696,7 +696,7 @@ impl<P: Clone> Protocol<P> for PccastEndpoint<P> {
     /// of `out` is the order the network draws loss in.
     fn on_tick(&mut self, now: SimTime) -> Vec<Out<P>> {
         let mut out = Vec::new();
-        self.core.gossip(&mut out);
+        self.core.gossip(now, &mut out);
         // Cumulative per-link acks to the overlay neighbours: tell each
         // forwarder how far its link has been consumed, so it can GC its
         // ARQ window and re-serve the tail.

@@ -1269,7 +1269,7 @@ mod tests {
 
     #[test]
     fn wedged_flush_ledger_charges_the_flush_barrier() {
-        // Seed 134 with flush retries disabled wedges its first view change;
+        // Seed 8 with flush retries disabled wedges its first view change;
         // the ledger must attribute the stuck messages' time to the
         // flush-barrier phase and name it as their critical path.
         let cfg = CampaignConfig {
@@ -1285,7 +1285,7 @@ mod tests {
             },
             ..CampaignConfig::default()
         };
-        let r = run_campaign(134, &cfg);
+        let r = run_campaign(8, &cfg);
         assert!(!r.violations.is_empty());
         let flush_share = |e: &crate::ledger::LedgerEntry| {
             let flush = e
@@ -1324,7 +1324,7 @@ mod tests {
 
     #[test]
     fn wedged_flush_produces_blocked_or_frozen_evidence() {
-        // Seed 134 with flush retries disabled wedges its first view change;
+        // Seed 8 with flush retries disabled wedges its first view change;
         // the campaign result must carry post-mortem evidence (frozen
         // survivors and/or holdback wait-graphs) for the explainer.
         let cfg = CampaignConfig {
@@ -1340,10 +1340,10 @@ mod tests {
             },
             ..CampaignConfig::default()
         };
-        let r = run_campaign(134, &cfg);
+        let r = run_campaign(8, &cfg);
         assert!(
             !r.violations.is_empty(),
-            "seed 134 + no_flush_retry must violate"
+            "seed 8 + no_flush_retry must violate"
         );
         let has_evidence =
             !r.blocked_reports.is_empty() || r.logs.iter().any(|l| l.alive_at_end && l.frozen);

@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn one_lost_flush_ok_wedges_the_group_when_nothing_is_retried() {
-        // Seed 134's wedge, without a fault plan: the coordinator never
+        // Seed 8's wedge, without a fault plan: the coordinator never
         // resends its Flush, member 1 never resends its FlushOk.
         let knobs = BugKnobs {
             no_flush_retry: true,

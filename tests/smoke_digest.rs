@@ -89,10 +89,10 @@ fn every_discipline_replays_its_pinned_digest() {
     let abcast = Discipline::Total { sequencer: 0 };
     let token = Discipline::TotalToken;
     let cases = [
-        ("fifo", Discipline::Fifo, Cbcast, 0xfe5c_9c0f_f589_84df_u64),
-        ("cbcast", Discipline::Causal, Cbcast, 0xaf1b_2d17_6ddf_2e56),
-        ("pccast", Discipline::Causal, Pccast, 0x36fe_b128_d11f_80fc),
-        ("abcast", abcast, Cbcast, 0xd597_776f_0414_1684),
+        ("fifo", Discipline::Fifo, Cbcast, 0xda88_4e5f_572f_5fab_u64),
+        ("cbcast", Discipline::Causal, Cbcast, 0x28e0_2af5_b93b_17f5),
+        ("pccast", Discipline::Causal, Pccast, 0xd03f_c41e_e48e_c436),
+        ("abcast", abcast, Cbcast, 0x0baf_4fa3_52dd_3ff2),
         ("token", token, Cbcast, 0xc1d4_4c49_da59_29a6),
     ];
     for (name, discipline, causal, pinned) in cases {
@@ -143,19 +143,19 @@ fn churn_campaigns_replay_their_pinned_digests() {
     ];
     let pinned: [[(u64, u64, u64); 3]; 3] = [
         [
-            (0x2085_9e27_e278_a96d, 2053, 3),
-            (0x2085_9e27_e278_a96d, 2053, 3),
-            (0x8b43_0d0e_eea1_9891, 2059, 3),
+            (0xdde0_d63c_0377_914c, 2053, 3),
+            (0xdde0_d63c_0377_914c, 2053, 3),
+            (0x717d_5f50_a9f0_c872, 2065, 3),
         ],
         [
-            (0x1a31_ccd3_1f81_11d0, 1372, 4),
-            (0x5635_7cab_a662_d818, 1382, 4),
-            (0x22d7_5a67_3131_3902, 1423, 4),
+            (0xc860_ef02_7c89_a153, 1419, 4),
+            (0xb2a5_9b93_0358_766b, 1419, 4),
+            (0xfdd1_29de_30e1_7112, 1048, 3),
         ],
         [
-            (0x3bf8_3211_3bf1_c0d8, 1452, 4),
-            (0xfd82_0d39_9216_3050, 1452, 4),
-            (0x6b56_6f23_0cd7_0ffa, 1433, 4),
+            (0xe950_6049_1af7_5e81, 1444, 4),
+            (0xdd33_d13c_bdff_a3db, 1446, 4),
+            (0x0eb5_4118_9f0d_e818, 1440, 4),
         ],
     ];
     for (seed, row) in [2, 23, 137].into_iter().zip(pinned) {
@@ -183,12 +183,12 @@ fn churn_campaigns_replay_their_pinned_digests() {
 #[test]
 fn beyond_cut_campaigns_replay_clean() {
     let cases = [
-        (Cbcast, 3259, 0xd84c_32f6_ac00_7486_u64),
-        (Cbcast, 14981, 0xfa19_8d2f_4b4e_e7ad),
-        (Cbcast, 16016, 0x91a3_c427_89df_adc3),
-        (Pccast, 3945, 0xf615_4025_ed93_526c),
-        (Pccast, 7687, 0xf0e3_5e09_641b_18e6),
-        (Pccast, 11986, 0x9be6_5e35_125d_9ae2),
+        (Cbcast, 3259, 0x60bd_b021_6185_a24d_u64),
+        (Cbcast, 14981, 0xc175_dde5_6a64_99b2),
+        (Cbcast, 16016, 0x4e02_dda5_2608_ef69),
+        (Pccast, 3945, 0x6ae6_5d7c_95a2_764f),
+        (Pccast, 7687, 0x31c6_3326_9fa3_b0cf),
+        (Pccast, 11986, 0xa390_7097_8720_91ad),
     ];
     for (discipline, seed, pinned) in cases {
         let cfg = CampaignConfig {
@@ -405,11 +405,11 @@ fn sampler_campaigns() -> [CampaignResult; 5] {
         ..clean
     };
     [
-        (134, wedged, Algo::Cbcast),
+        (8, wedged, Algo::Cbcast),
         (23, clean, Algo::Cbcast),
         (137, clean, Algo::Cbcast),
         (1, clean, Algo::Pccast),
-        (54, clean, Algo::Pccast),
+        (346, clean, Algo::Pccast),
     ]
     .map(|(seed, knobs, algo)| replay(seed, knobs, algo).run())
 }
@@ -432,7 +432,7 @@ fn introspection_outputs_replay_their_pinned_digests() {
         no_flush_retry: true,
         ..clean
     };
-    let m5_28 = MsgId { sender: 5, seq: 28 };
+    let m2_80 = MsgId { sender: 2, seq: 80 };
     let at60 = |seed, algo| Replay {
         at: Some(60),
         ..replay(seed, clean, algo)
@@ -448,8 +448,8 @@ fn introspection_outputs_replay_their_pinned_digests() {
     assert!(token.contains("order slot 29 —"), "{token}");
     assert!(token.contains("submissions queued"), "{token}");
     assert!(token.contains("token in flight"), "{token}");
-    let link = explain::run(&replay(54, clean, Algo::Pccast));
-    assert!(link.contains("link p0 pos 99 — nothing arrived"), "{link}");
+    let link = explain::run(&replay(346, clean, Algo::Pccast));
+    assert!(link.contains("link p1 pos 80 — nothing arrived"), "{link}");
 
     let dir = std::env::temp_dir().join("catocs-introspection-pin");
     let _ = std::fs::remove_dir_all(&dir);
@@ -457,7 +457,7 @@ fn introspection_outputs_replay_their_pinned_digests() {
         indexed: false,
         delta: false,
     };
-    let scan_full = replay(134, wedged, Algo::Cbcast).in_cell(scan_full);
+    let scan_full = replay(8, wedged, Algo::Cbcast).in_cell(scan_full);
     let paths = chaos::dump_incident_to(&dir, &scan_full).expect("dump written");
     let incident = std::fs::read_to_string(&paths[0]).expect("txt dump");
     let _ = std::fs::remove_dir_all(&dir);
@@ -479,55 +479,55 @@ fn introspection_outputs_replay_their_pinned_digests() {
         })
     };
     pin(
-        "explain 134 wedged",
-        ex(134, None, wedged, Algo::Cbcast),
-        0x1ec3_a087_119a_186a,
+        "explain 8 wedged",
+        ex(8, None, wedged, Algo::Cbcast),
+        0x12bb_8847_65db_4a63,
     );
     pin(
-        "explain 134 m5.28",
-        ex(134, Some(m5_28), wedged, Algo::Cbcast),
-        0x9c84_1b29_c8e4_e3ad,
+        "explain 8 m2.80",
+        ex(8, Some(m2_80), wedged, Algo::Cbcast),
+        0x9025_0b34_f44e_3d87,
     );
     pin(
         "explain 23",
         ex(23, None, clean, Algo::Cbcast),
-        0x514f_29e4_61f9_8fb4,
+        0x34ea_b7ce_e0b7_9716,
     );
     pin(
         "explain 137",
         ex(137, None, clean, Algo::Cbcast),
-        0x13a6_5289_ce18_12cb,
+        0x7eae_95e3_d5b1_e937,
     );
     pin(
         "explain 1 pccast",
         ex(1, None, clean, Algo::Pccast),
-        0xc44e_3131_a89c_1919,
+        0xfbfb_c5ef_a77f_a32a,
     );
-    pin("explain 54 pccast", link, 0xd4d4_3224_c910_9c76);
+    pin("explain 346 pccast", link, 0x5285_5f60_79bd_7620);
     pin(
-        "waitgraph 134 wedged",
-        wg(134, None, wedged, Algo::Cbcast),
-        0x9d80_99f3_a04f_a5d5,
+        "waitgraph 8 wedged",
+        wg(8, None, wedged, Algo::Cbcast),
+        0xb545_3531_d3e3_17b3,
     );
     pin(
-        "waitgraph 134 at 0",
-        wg(134, Some(0), wedged, Algo::Cbcast),
-        0x0f34_8e3c_3a00_0bb0,
+        "waitgraph 8 at 0",
+        wg(8, Some(0), wedged, Algo::Cbcast),
+        0xbf52_0555_a6a2_b500,
     );
     pin(
         "waitgraph 1 pccast",
         wg(1, None, clean, Algo::Pccast),
-        0xf99c_60e0_eb25_d5ce,
+        0x8f72_395b_9fe7_c96b,
     );
     pin(
-        "waitgraph 54 pccast",
-        wg(54, None, clean, Algo::Pccast),
-        0x59cd_2885_9f5e_1c60,
+        "waitgraph 346 pccast",
+        wg(346, None, clean, Algo::Pccast),
+        0x7f4e_f98b_8d51_d49b,
     );
     pin(
-        "incident 134 wedged scan/full",
+        "incident 8 wedged scan/full",
         incident,
-        0x6b41_b413_6e87_1831,
+        0x4193_7395_a23f_6035,
     );
     pin("explain 4 abcast at 60", abcast, 0x3183_7798_7887_39d1);
     pin("explain 2 token at 60", token, 0xf4e2_77fc_ffae_d42e);
@@ -544,11 +544,11 @@ fn introspection_outputs_replay_their_pinned_digests() {
         (hist, r.stall_timeline.len(), stalls, text_digest(&paths))
     });
     let pinned = [
-        ((76647, 3_389_058), 80, 84, 0x9a50_1e7f_aa18_2316_u64),
-        ((34667, 3_269_199), 80, 145, 0x9825_ebc8_38d2_cfea),
-        ((58206, 2_171_725), 80, 339, 0x8172_a6a1_a6f7_2360),
-        ((24652, 3_396_511), 80, 225, 0xa8f4_ba67_2d9a_d5bf),
-        ((8624, 2_996_291), 80, 149, 0x8c4f_3ab8_cda9_fa83),
+        ((9438, 2_026_212), 80, 119, 0x2764_e6da_291e_a52b_u64),
+        ((46212, 3_284_506), 80, 303, 0x96dc_0bd1_cc62_e9cb),
+        ((51521, 1_948_705), 80, 242, 0xcbf2_9ce4_8422_2325),
+        ((23472, 3_396_717), 80, 226, 0x2fbe_1477_90c7_1cc2),
+        ((25871, 3_013_726), 80, 221, 0x76fa_7513_5e27_251e),
     ];
     assert_eq!(got, pinned, "what the sampler saw moved: {got:#x?}");
 }
@@ -590,24 +590,24 @@ fn stall_timelines_replay_their_pinned_digests() {
     });
     let pinned = [
         (
-            0x403e_f8ae_6159_784d_u64,
-            (76647u64, 97_655_420_186_u128, 1_157_283_u64, 3_389_058_u64),
+            0xc6d0_1adc_759e_6ce6_u64,
+            (9438u64, 4_627_518_965_u128, 340_731_u64, 2_026_212_u64),
         ),
         (
-            0xb41a_908d_9889_814d,
-            (34667, 27_026_424_613, 633_892, 3_269_199),
+            0x4f61_5972_1872_9639,
+            (46212, 42_030_219_528, 799_336, 3_284_506),
         ),
         (
-            0x856c_a914_f64b_5797,
-            (58206, 46_135_329_185, 746_248, 2_066_108),
+            0xd00f_80af_95ec_bbb6,
+            (51521, 35_838_466_133, 632_877, 1_948_705),
         ),
         (
-            0x152f_b268_3914_2460,
-            (24652, 31_244_640_467, 1_182_982, 3_396_511),
+            0xe277_a4d5_debd_7674,
+            (23472, 31_704_709_344, 1_303_632, 3_396_717),
         ),
         (
-            0x36cd_4947_45f5_f3dc,
-            (8624, 8_504_661_980, 909_128, 2_996_291),
+            0x8eac_9cc9_6a37_8dd9,
+            (25871, 31_384_184_402, 1_157_372, 3_013_726),
         ),
     ];
     assert_eq!(got, pinned, "a stall timeline moved: {got:#x?}");

@@ -17,7 +17,7 @@ use std::ops::Range;
 /// (EXPERIMENTS.md § Known-red seeds). A fix shrinks this list; a change
 /// that moves when repairs land reshuffles its entries, since every
 /// campaign then runs another schedule.
-const KNOWN_RED: [(CausalDiscipline, u64); 1] = [(Pccast, 5316)];
+const KNOWN_RED: [(CausalDiscipline, u64); 3] = [(Cbcast, 16107), (Pccast, 5016), (Pccast, 19754)];
 
 /// The seeds of `seeds` whose campaign on `discipline` reports a
 /// violation.
