@@ -231,7 +231,7 @@ mod tests {
         // total-ordered multicast."
         let mut anomalies = 0;
         for seed in 0..40 {
-            let r = run_firemon(seed, Discipline::Total { sequencer: 0 }, jittery(), 300);
+            let r = run_firemon(seed, Discipline::Total, jittery(), 300);
             if r.out_delivered_last {
                 anomalies += 1;
             }

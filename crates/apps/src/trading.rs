@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn total_order_cannot_prevent_false_crossings_either() {
         let total: u64 = (0..5)
-            .map(|s| run(s, Discipline::Total { sequencer: 0 }, false).false_crossings)
+            .map(|s| run(s, Discipline::Total, false).false_crossings)
             .sum();
         assert!(total > 0, "abcast should not fix a semantic constraint");
     }

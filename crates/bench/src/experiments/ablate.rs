@@ -80,7 +80,7 @@ pub(crate) fn sequencer_vs_token() -> Table {
         ("heavy", SimDuration::from_millis(5), 60),
     ] {
         for (name, d) in [
-            ("sequencer", Discipline::Total { sequencer: 0 }),
+            ("sequencer", Discipline::Total),
             ("token", Discipline::TotalToken),
         ] {
             let s = run_group(3, 6, d, GroupConfig::default(), msgs, period);

@@ -32,10 +32,7 @@ pub fn run(seeds: u64) -> Table {
             "rt-stamp wrong",
         ],
     );
-    for (name, d) in [
-        ("causal", Discipline::Causal),
-        ("total", Discipline::Total { sequencer: 0 }),
-    ] {
+    for (name, d) in [("causal", Discipline::Causal), ("total", Discipline::Total)] {
         let mut out_last = 0u64;
         let mut naive_wrong = 0u64;
         let mut rt_wrong = 0u64;

@@ -58,7 +58,7 @@ pub fn run(seeds: u64) -> Table {
     for (name, d) in [
         ("fifo", Discipline::Fifo),
         ("causal", Discipline::Causal),
-        ("total", Discipline::Total { sequencer: 0 }),
+        ("total", Discipline::Total),
     ] {
         let r = sweep(d, false, seeds);
         t.row(vec![

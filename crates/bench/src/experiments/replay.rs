@@ -96,7 +96,7 @@ impl Algo {
         let (discipline, causal) = match self {
             Cbcast => (Discipline::Causal, CausalDiscipline::Cbcast),
             Pccast => (Discipline::Causal, CausalDiscipline::Pccast),
-            Abcast => (Discipline::Total { sequencer: 0 }, CausalDiscipline::Cbcast),
+            Abcast => (Discipline::Total, CausalDiscipline::Cbcast),
             Token => (Discipline::TotalToken, CausalDiscipline::Cbcast),
             Fifo => (Discipline::Fifo, CausalDiscipline::Cbcast),
         };

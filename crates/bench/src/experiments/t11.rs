@@ -47,7 +47,7 @@ impl MemberNode {
 
 impl Process<Wire<u64>> for MemberNode {
     fn on_start(&mut self, ctx: &mut Ctx<'_, Wire<u64>>) {
-        ctx.set_timer(TICK, Member::TICK_EVERY);
+        ctx.set_timer(TICK, self.member.tick_interval());
         ctx.set_timer(APP, APP_EVERY);
     }
 
@@ -61,7 +61,7 @@ impl Process<Wire<u64>> for MemberNode {
             TICK => {
                 let step = self.member.on_tick(ctx.now());
                 route(ctx, self.me, self.n, step.out);
-                ctx.set_timer(TICK, Member::TICK_EVERY);
+                ctx.set_timer(TICK, self.member.tick_interval());
             }
             APP => {
                 if self.msgs_left > 0 {

@@ -18,18 +18,20 @@
 use crate::causal_core::{span_of, MAX_CHASE_AHEAD};
 use crate::cbcast::CbcastEndpoint;
 use crate::endpoint::Protocol;
-use crate::group::{GroupConfig, MsgId};
+use crate::group::{GroupConfig, MsgId, NACK_TIMEOUT};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{Delivery, Dest, EndpointStats, Out, Wire};
 use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage};
 use simnet::time::SimTime;
 use std::collections::{BTreeMap, HashMap};
 
+/// The member that assigns the order: member 0, the lowest member.
+const SEQUENCER: usize = 0;
+
 /// The total-order endpoint for one group member.
 #[derive(Debug)]
 pub struct AbcastEndpoint<P> {
     cb: CbcastEndpoint<P>,
-    sequencer: usize,
     /// Sequencer only: next global sequence number to hand out.
     next_assign: u64,
     /// Known order assignments gseq → msg.
@@ -46,20 +48,16 @@ pub struct AbcastEndpoint<P> {
     released: u64,
     /// Last order-gap NACK time.
     last_order_nack: Option<SimTime>,
-    cfg: GroupConfig,
     /// Observability sink (order assignments). Disabled by default.
     probe: ProbeHandle,
     stats: EndpointStats,
 }
 
 impl<P: Clone> AbcastEndpoint<P> {
-    /// Creates the endpoint for member `me` of a group of `n`, with the
-    /// given sequencer member (conventionally 0).
-    pub(crate) fn new(me: usize, n: usize, sequencer: usize, cfg: GroupConfig) -> Self {
-        assert!(sequencer < n, "sequencer out of range");
+    /// Creates the endpoint for member `me` of a group of `n`.
+    pub(crate) fn new(me: usize, n: usize, cfg: GroupConfig) -> Self {
         AbcastEndpoint {
-            cb: CbcastEndpoint::new(me, n, cfg.clone()),
-            sequencer,
+            cb: CbcastEndpoint::new(me, n, cfg),
             next_assign: 0,
             order: BTreeMap::new(),
             order_contiguous: 0,
@@ -67,7 +65,6 @@ impl<P: Clone> AbcastEndpoint<P> {
             unreleased: HashMap::new(),
             released: 0,
             last_order_nack: None,
-            cfg,
             probe: ProbeHandle::none(),
             stats: EndpointStats::default(),
         }
@@ -75,7 +72,7 @@ impl<P: Clone> AbcastEndpoint<P> {
 
     /// Whether this member is the sequencer.
     pub(crate) fn is_sequencer(&self) -> bool {
-        self.cb.me() == self.sequencer
+        self.cb.me() == SEQUENCER
     }
 
     /// The underlying causal layer's statistics (buffering, NACKs...).
@@ -252,7 +249,7 @@ impl<P: Clone> Protocol<P> for AbcastEndpoint<P> {
                 let missing = max_known > self.order_contiguous;
                 let overdue = match self.last_order_nack {
                     None => true,
-                    Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
+                    Some(t) => now.saturating_since(t) >= NACK_TIMEOUT,
                 };
                 if missing && overdue && !self.is_sequencer() {
                     self.last_order_nack = Some(now);
@@ -262,7 +259,7 @@ impl<P: Clone> Protocol<P> for AbcastEndpoint<P> {
                         to_gseq: max_known,
                     };
                     self.stats.nacks_sent += 1;
-                    out.push((Dest::One(self.sequencer), w));
+                    out.push((Dest::One(SEQUENCER), w));
                 }
             }
         }
@@ -298,7 +295,7 @@ impl<P: Clone> Protocol<P> for AbcastEndpoint<P> {
         let stuck = self.released + 1;
         let sequencer = WaitNode::Phase {
             kind: PhaseKind::OrderAssign,
-            at: self.sequencer,
+            at: SEQUENCER,
         };
         let held = self.unreleased.iter();
         let mut held: Vec<_> = held
@@ -339,7 +336,7 @@ mod tests {
 
     fn group(n: usize) -> Vec<AbcastEndpoint<&'static str>> {
         (0..n)
-            .map(|i| AbcastEndpoint::new(i, n, 0, GroupConfig::default()))
+            .map(|i| AbcastEndpoint::new(i, n, GroupConfig::default()))
             .collect()
     }
 
@@ -529,7 +526,7 @@ mod tests {
             eps[1].on_wire(t(3), w);
         }
         // Tick triggers an OrderNack for the gap.
-        let tick_out = eps[1].on_tick(t(3) + GroupConfig::default().nack_timeout);
+        let tick_out = eps[1].on_tick(t(3) + NACK_TIMEOUT);
         let nack = tick_out
             .into_iter()
             .find(|(_, w)| matches!(w, Wire::OrderNack { .. }));
@@ -562,7 +559,7 @@ mod tests {
         }
         assert_eq!(eps[1].stats().ts_decode_errors, 2);
         assert!(eps[1].order.is_empty());
-        let tick = eps[1].on_tick(t(1) + GroupConfig::default().nack_timeout);
+        let tick = eps[1].on_tick(t(1) + NACK_TIMEOUT);
         assert!(!tick
             .iter()
             .any(|(_, w)| matches!(w, Wire::OrderNack { .. })));
@@ -600,11 +597,5 @@ mod tests {
             .collect();
         assert_eq!(served, [1, 2]);
         assert_eq!(eps[0].stats().retransmits_served, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "sequencer out of range")]
-    fn rejects_bad_sequencer() {
-        let _ = AbcastEndpoint::<()>::new(0, 2, 5, GroupConfig::default());
     }
 }

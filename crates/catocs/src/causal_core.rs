@@ -13,7 +13,7 @@
 //! it has not delivered — chased, parked awaiting a decode base (cbcast),
 //! held — is one slot of its sender's window (`window`).
 
-use crate::group::{GroupConfig, MsgId};
+use crate::group::{GroupConfig, MsgId, NACK_TIMEOUT};
 use crate::holdback::{HoldbackQueue, Pending};
 use crate::stability::StabilityTracker;
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
@@ -604,8 +604,7 @@ impl<P: Clone> CausalCore<P> {
     /// buffer gauges. Asks everyone: any member buffering the message can
     /// serve it (atomic delivery's whole point).
     pub(crate) fn renack_overdue(&mut self, now: SimTime, out: &mut Vec<Out<P>>) {
-        let (timeout, cap) = (self.cfg.nack_timeout, self.cfg.max_nack_batch);
-        let batch = self.windows.due(now, timeout, cap);
+        let batch = self.windows.due(now, self.cfg.max_nack_batch);
         self.send_nack(batch, Dest::All, out);
         self.note_buffer();
     }
@@ -644,7 +643,7 @@ impl<P: Clone> CausalCore<P> {
     ) {
         let chase = Chase {
             referenced_by: sender,
-            due: now + self.cfg.nack_timeout,
+            due: now + NACK_TIMEOUT,
         };
         let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
         self.windows.chase_range(sender, gap, chase, &mut want, cap);
@@ -712,7 +711,7 @@ impl<P: Clone> CausalCore<P> {
         let via = msg.id.sender;
         let chase = Chase {
             referenced_by: via,
-            due: now + self.cfg.nack_timeout,
+            due: now + NACK_TIMEOUT,
         };
         let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
         for (k, have, need) in lagging_refs(&msg, &self.vt, self.n) {
@@ -1000,7 +999,7 @@ mod tests {
                 let chase = Chase {
                     referenced_by: via,
                     due: if asked {
-                        now + self.cfg.nack_timeout
+                        now + NACK_TIMEOUT
                     } else {
                         SimTime::ZERO
                     },

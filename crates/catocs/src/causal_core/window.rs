@@ -5,10 +5,10 @@
 //! known of but not delivered — the §5 receive-side cost.
 
 use super::MAX_CHASE_AHEAD;
-use crate::group::MsgId;
+use crate::group::{MsgId, NACK_TIMEOUT};
 use crate::wire::DataMsg;
 use clocks::vector::VectorClock;
-use simnet::time::{SimDuration, SimTime};
+use simnet::time::SimTime;
 use std::collections::VecDeque;
 use std::ops::RangeInclusive;
 
@@ -349,8 +349,8 @@ impl<P> SenderWindows<P> {
     }
 
     /// The chased ids due for a NACK at `now`, at most `cap`, by sender and
-    /// then sequence number; each is next due `timeout` later.
-    pub(crate) fn due(&mut self, now: SimTime, timeout: SimDuration, cap: usize) -> Vec<MsgId> {
+    /// then sequence number; each is next due `NACK_TIMEOUT` later.
+    pub(crate) fn due(&mut self, now: SimTime, cap: usize) -> Vec<MsgId> {
         let mut batch = Vec::new();
         let windows = &mut self.windows;
         self.chasing.retain(|&s| {
@@ -363,7 +363,7 @@ impl<P> SenderWindows<P> {
                         break;
                     }
                     if now >= c.due {
-                        c.due = now + timeout;
+                        c.due = now + NACK_TIMEOUT;
                         let seq = delivered + 1 + i as u64;
                         batch.push(MsgId { sender: s, seq });
                     }
@@ -508,9 +508,10 @@ mod tests {
             let mut retained: BTreeMap<MsgId, DataMsg<u32>> = BTreeMap::new();
             let mut ahead: BTreeMap<MsgId, Model> = BTreeMap::new();
             let mut delivered = [0u64; N];
-            let timeout = SimDuration::from_millis(3);
+            let timeout = NACK_TIMEOUT;
             for (step, (op, s, x, len, frontier)) in script.into_iter().enumerate() {
-                let now = SimTime::from_millis(step as u64);
+                // Three steps to a timeout, so chases come due mid-script.
+                let now = SimTime::from_micros(step as u64 * timeout.as_micros() / 3);
                 let id = MsgId { sender: s, seq: delivered[s] + 1 + x };
                 let chase = Chase { referenced_by: x as usize, due: now + timeout };
                 let slot = ahead.get(&id).copied();
@@ -627,7 +628,7 @@ mod tests {
                                 }
                             }
                         }
-                        prop_assert_eq!(windows.due(now, timeout, cap), want);
+                        prop_assert_eq!(windows.due(now, cap), want);
                     }
                 }
                 prop_assert_eq!(windows.len(), retained.len());

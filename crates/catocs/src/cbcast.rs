@@ -564,6 +564,7 @@ impl<P: Clone> CausalProtocol<P> for CbcastEndpoint<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::NACK_TIMEOUT;
     use crate::waitgraph::{WaitNode, WaitReason};
     use simnet::time::SimDuration;
 
@@ -941,7 +942,7 @@ mod tests {
             !out.iter().any(|(_, w)| matches!(w, Wire::Nack { .. })),
             "too early to re-NACK"
         );
-        let out = c.on_tick(t(3) + GroupConfig::default().nack_timeout);
+        let out = c.on_tick(t(3) + NACK_TIMEOUT);
         let renack = out
             .iter()
             .find(|(_, w)| matches!(w, Wire::Nack { .. }))

@@ -37,8 +37,8 @@ pub enum Discipline {
     Fifo,
     /// Causal (happens-before) delivery — cbcast.
     Causal,
-    /// Total order via a fixed sequencer — abcast.
-    Total { sequencer: usize },
+    /// Total order via a fixed sequencer, member 0 — abcast.
+    Total,
     /// Total order via a rotating token.
     TotalToken,
 }
@@ -215,9 +215,7 @@ impl<P: Clone> Endpoint<P> {
         match d {
             Discipline::Fifo => Endpoint::Fifo(FbcastEndpoint::new(me, n, cfg)),
             Discipline::Causal => Endpoint::Causal(CausalEndpoint::new(me, n, cfg)),
-            Discipline::Total { sequencer } => {
-                Endpoint::Total(AbcastEndpoint::new(me, n, sequencer, cfg))
-            }
+            Discipline::Total => Endpoint::Total(AbcastEndpoint::new(me, n, cfg)),
             Discipline::TotalToken => Endpoint::TotalToken(TokenAbcastEndpoint::new(me, n, cfg)),
         }
     }
@@ -298,14 +296,14 @@ mod tests {
         for d in [
             Discipline::Fifo,
             Discipline::Causal,
-            Discipline::Total { sequencer: 0 },
+            Discipline::Total,
             Discipline::TotalToken,
         ] {
             let ep: Endpoint<u32> = Endpoint::new(d, 1, 3, cfg.clone());
             match (d, &ep) {
                 (Discipline::Fifo, Endpoint::Fifo(_)) => {}
                 (Discipline::Causal, Endpoint::Causal(_)) => {}
-                (Discipline::Total { .. }, Endpoint::Total(_)) => {}
+                (Discipline::Total, Endpoint::Total(_)) => {}
                 (Discipline::TotalToken, Endpoint::TotalToken(_)) => {}
                 _ => panic!("mismatched endpoint"),
             }
@@ -326,12 +324,7 @@ mod tests {
 
     #[test]
     fn total_non_sequencer_defers_self_delivery() {
-        let mut ep: Endpoint<u32> = Endpoint::new(
-            Discipline::Total { sequencer: 0 },
-            1,
-            3,
-            GroupConfig::default(),
-        );
+        let mut ep: Endpoint<u32> = Endpoint::new(Discipline::Total, 1, 3, GroupConfig::default());
         let (dels, _) = ep.multicast(SimTime::ZERO, 7);
         assert!(dels.is_empty());
     }
@@ -342,7 +335,7 @@ mod tests {
         for (d, prefix) in [
             (Discipline::Fifo, "fbcast."),
             (Discipline::Causal, "cbcast."),
-            (Discipline::Total { sequencer: 0 }, "cbcast."),
+            (Discipline::Total, "cbcast."),
             (Discipline::TotalToken, "token."),
         ] {
             let ep: Endpoint<u32> = Endpoint::new(d, 1, 3, cfg.clone());
@@ -359,7 +352,7 @@ mod tests {
             );
         }
         // The sequencer design samples both layers.
-        let ep: Endpoint<u32> = Endpoint::new(Discipline::Total { sequencer: 0 }, 1, 3, cfg);
+        let ep: Endpoint<u32> = Endpoint::new(Discipline::Total, 1, 3, cfg);
         let mut names = Vec::new();
         ep.protocol()
             .sample(&mut |name, _| names.push(name.to_string()));

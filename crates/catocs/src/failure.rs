@@ -1,21 +1,24 @@
 //! Heartbeat failure detection.
 //!
-//! Each member multicasts a heartbeat every `interval`; a peer silent for
-//! `suspect_after` becomes *suspected*. The detector is deliberately
-//! simple (timeout-based, eventually-perfect under bounded delay) — the
-//! paper notes that "ordered failure notification can be provided without
-//! CATOCS and is useful as a stand-alone capability"; this module is that
-//! stand-alone capability, feeding the view-change machinery in
-//! [`crate::membership`].
+//! Each member multicasts a heartbeat every `HEARTBEAT_EVERY` (20 ms); a
+//! peer silent for `SUSPECT_AFTER` (100 ms) becomes *suspected*. The
+//! detector is deliberately simple (timeout-based, eventually-perfect
+//! under bounded delay) — the paper notes that "ordered failure
+//! notification can be provided without CATOCS and is useful as a
+//! stand-alone capability"; this module is that stand-alone capability,
+//! feeding the view-change machinery in [`crate::membership`].
 
 use simnet::time::{SimDuration, SimTime};
+
+/// How often a member sends its heartbeat.
+pub(crate) const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(20);
+/// How long a peer may stay silent before it is suspected.
+pub(crate) const SUSPECT_AFTER: SimDuration = SimDuration::from_millis(100);
 
 /// Per-member liveness tracking for one observer.
 #[derive(Debug)]
 pub(crate) struct FailureDetector {
     me: usize,
-    interval: SimDuration,
-    suspect_after: SimDuration,
     last_heard: Vec<SimTime>,
     suspected: Vec<bool>,
     last_beat: SimTime,
@@ -28,17 +31,9 @@ impl FailureDetector {
     /// zero) is what keeps a detector started late — or rebuilt after a
     /// crash recovery — from instantly suspecting every peer before the
     /// first heartbeat round.
-    pub(crate) fn new(
-        me: usize,
-        n: usize,
-        interval: SimDuration,
-        suspect_after: SimDuration,
-        now: SimTime,
-    ) -> Self {
+    pub(crate) fn new(me: usize, n: usize, now: SimTime) -> Self {
         FailureDetector {
             me,
-            interval,
-            suspect_after,
             last_heard: vec![now; n],
             suspected: vec![false; n],
             last_beat: now,
@@ -69,7 +64,7 @@ impl FailureDetector {
     /// Whether it is time to emit our own heartbeat; updates internal
     /// pacing state when it returns true.
     pub(crate) fn should_beat(&mut self, now: SimTime) -> bool {
-        if now.saturating_since(self.last_beat) >= self.interval {
+        if now.saturating_since(self.last_beat) >= HEARTBEAT_EVERY {
             self.last_beat = now;
             true
         } else {
@@ -84,7 +79,7 @@ impl FailureDetector {
     pub(crate) fn check(&mut self, now: SimTime) -> Vec<usize> {
         let mut suspects = Vec::new();
         for k in 0..self.last_heard.len() {
-            if k != self.me && now.saturating_since(self.last_heard[k]) >= self.suspect_after {
+            if k != self.me && now.saturating_since(self.last_heard[k]) >= SUSPECT_AFTER {
                 self.suspected[k] = true;
             }
             if self.suspected[k] {
@@ -100,13 +95,7 @@ mod tests {
     use super::*;
 
     fn det() -> FailureDetector {
-        FailureDetector::new(
-            0,
-            3,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(50),
-            SimTime::ZERO,
-        )
+        FailureDetector::new(0, 3, SimTime::ZERO)
     }
 
     #[test]
@@ -115,19 +104,13 @@ mod tests {
         // seed `last_heard` with SimTime::ZERO and suspect every peer on
         // the very first check, before any heartbeat could arrive.
         let born = SimTime::from_secs(10);
-        let mut d = FailureDetector::new(
-            0,
-            3,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(50),
-            born,
-        );
+        let mut d = FailureDetector::new(0, 3, born);
         assert!(
             d.check(born + SimDuration::from_millis(1)).is_empty(),
-            "no peer may be suspected before suspect_after elapses from construction"
+            "no peer may be suspected before SUSPECT_AFTER elapses from construction"
         );
         // The timeout still applies from the construction instant.
-        let newly = d.check(born + SimDuration::from_millis(50));
+        let newly = d.check(born + SUSPECT_AFTER);
         assert_eq!(newly, vec![1, 2]);
     }
 
@@ -138,8 +121,8 @@ mod tests {
         assert!(d.suspected[1] && d.suspected[2]);
         d.reset(SimTime::from_millis(100));
         assert!(!d.suspected[1] && !d.suspected[2]);
-        assert!(d.check(SimTime::from_millis(120)).is_empty());
-        let newly = d.check(SimTime::from_millis(150));
+        assert!(d.check(SimTime::from_millis(190)).is_empty());
+        let newly = d.check(SimTime::from_millis(200));
         assert_eq!(newly, vec![1, 2], "timeout restarts from the reset point");
     }
 
@@ -147,8 +130,8 @@ mod tests {
     fn silence_leads_to_suspicion() {
         let mut d = det();
         d.heard_from(1, SimTime::from_millis(0));
-        d.heard_from(2, SimTime::from_millis(40));
-        let newly = d.check(SimTime::from_millis(60));
+        d.heard_from(2, SimTime::from_millis(80));
+        let newly = d.check(SimTime::from_millis(120));
         assert_eq!(newly, vec![1]);
         assert!(d.suspected[1]);
         assert!(!d.suspected[2]);
@@ -183,8 +166,8 @@ mod tests {
     #[test]
     fn beat_pacing() {
         let mut d = det();
-        assert!(d.should_beat(SimTime::from_millis(10)));
-        assert!(!d.should_beat(SimTime::from_millis(15)));
         assert!(d.should_beat(SimTime::from_millis(20)));
+        assert!(!d.should_beat(SimTime::from_millis(30)));
+        assert!(d.should_beat(SimTime::from_millis(40)));
     }
 }

@@ -23,7 +23,7 @@
 
 use crate::causal_core::{arrival, span_of, Gossip, MAX_CHASE_AHEAD, PAYLOAD_BYTES};
 use crate::endpoint::Protocol;
-use crate::group::{GroupConfig, MsgId};
+use crate::group::{GroupConfig, MsgId, NACK_TIMEOUT};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, VtWire, Wire};
 use clocks::vector::VectorClock;
@@ -124,7 +124,7 @@ impl<P: Clone> FbcastEndpoint<P> {
     /// one scan that judges it. False, and nothing is to be taken from
     /// the clock, when it claims what nobody can have: more of our
     /// messages than we sent, or a component so far ahead that `on_tick`
-    /// would NACK for ids that will never exist, every `nack_timeout`,
+    /// would NACK for ids that will never exist, every `NACK_TIMEOUT`,
     /// for the rest of the run.
     ///
     /// A plain zipped scan, on purpose: about half the components rise
@@ -397,7 +397,7 @@ impl<P: Clone> Protocol<P> for FbcastEndpoint<P> {
                 .max(self.known_max[k]);
             let overdue = match s.last_nack {
                 None => true,
-                Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
+                Some(t) => now.saturating_since(t) >= NACK_TIMEOUT,
             };
             if horizon <= s.delivered || !overdue {
                 continue;
@@ -524,7 +524,7 @@ mod tests {
 
     /// The last member of ROADMAP 1(e): before the bound, the gossiped
     /// clocks below entered `known_max`/`acked_by` whole and `on_tick`
-    /// NACKed ids that will never exist every `nack_timeout` for the rest
+    /// NACKed ids that will never exist every `NACK_TIMEOUT` for the rest
     /// of the run, and the data message sat in `pending` for as long.
     /// Each must be refused whole — its honest components too — and
     /// counted; the endpoint then serves a legitimate sender.
@@ -692,7 +692,7 @@ mod tests {
         let (_, _o1) = a.multicast(t(0), "m1");
         let (_, o2) = a.multicast(t(1), "m2");
         b.on_wire(t(2), data_of(&o2));
-        let out = b.on_tick(t(2) + cfg.nack_timeout);
+        let out = b.on_tick(t(2) + NACK_TIMEOUT);
         assert!(out
             .iter()
             .any(|(d, w)| matches!(w, Wire::Nack { .. }) && *d == Dest::One(0)));
@@ -824,8 +824,8 @@ mod tests {
                         .filter(|seq| !self.pending[k].contains_key(seq))
                         .take(self.cfg.max_nack_batch)
                         .count();
-                    let overdue = self.last_nack[k]
-                        .is_none_or(|t| now.saturating_since(t) >= self.cfg.nack_timeout);
+                    let overdue =
+                        self.last_nack[k].is_none_or(|t| now.saturating_since(t) >= NACK_TIMEOUT);
                     if overdue && want > 0 {
                         self.last_nack[k] = Some(now);
                         self.stats.nacks_sent += 1;

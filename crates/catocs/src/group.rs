@@ -87,6 +87,10 @@ pub enum CausalDiscipline {
     Pccast,
 }
 
+/// How long a missing message (or order slot) may be outstanding before
+/// it is NACKed again; every discipline's repair paces itself by it.
+pub(crate) const NACK_TIMEOUT: SimDuration = SimDuration::from_millis(20);
+
 /// Protocol tuning knobs shared by the multicast endpoints.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct GroupConfig {
@@ -97,10 +101,9 @@ pub struct GroupConfig {
     /// piggyback ablation of §5 ("there are fewer application messages on
     /// which to piggyback acknowledgment information").
     pub piggyback_acks: bool,
-    /// Interval between ack-gossip/retransmit-scan ticks.
+    /// Interval between ack-gossip/retransmit-scan ticks; a vsync host
+    /// ticks its member at this interval too.
     pub tick_interval: SimDuration,
-    /// How long a missing message may be outstanding before (re-)NACKing.
-    pub nack_timeout: SimDuration,
     /// Cap on MsgIds listed in a single NACK.
     pub max_nack_batch: usize,
     /// Piggyback unstable causal predecessors onto each data message
@@ -126,7 +129,6 @@ impl Default for GroupConfig {
         GroupConfig {
             piggyback_acks: true,
             tick_interval: SimDuration::from_millis(10),
-            nack_timeout: SimDuration::from_millis(20),
             max_nack_batch: 64,
             append_predecessors: false,
             indexed_holdback: true,
@@ -174,6 +176,6 @@ mod tests {
         let c = GroupConfig::default();
         assert!(c.piggyback_acks);
         assert!(c.max_nack_batch > 0);
-        assert!(c.tick_interval < c.nack_timeout + c.tick_interval);
+        assert!(c.tick_interval < NACK_TIMEOUT);
     }
 }

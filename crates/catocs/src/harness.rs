@@ -412,7 +412,7 @@ mod tests {
     #[test]
     fn total_order_wait_graphs_have_no_persistent_cycle() {
         use crate::waitgraph::{analyze, StallTracker, WaitEdge};
-        for discipline in [Discipline::Total { sequencer: 0 }, Discipline::TotalToken] {
+        for discipline in [Discipline::Total, Discipline::TotalToken] {
             let mut sim = SimBuilder::new(11)
                 .net(NetConfig::lossy_lan(0.1))
                 .build::<Wire<u32>>();
@@ -463,7 +463,7 @@ mod tests {
         let members = spawn_group(
             &mut sim,
             4,
-            Discipline::Total { sequencer: 0 },
+            Discipline::Total,
             GroupConfig::default(),
             Some(SimDuration::from_millis(25)),
             |_| Chatter {
@@ -648,7 +648,7 @@ mod tests {
             (Discipline::TotalToken, CausalDiscipline::Cbcast),
             (Discipline::Causal, CausalDiscipline::Cbcast),
             (Discipline::Causal, CausalDiscipline::Pccast),
-            (Discipline::Total { sequencer: 0 }, CausalDiscipline::Cbcast),
+            (Discipline::Total, CausalDiscipline::Cbcast),
         ] {
             let cfg = GroupConfig {
                 discipline,

@@ -46,9 +46,9 @@
 //!   full-stamped reply delivers through the ordinary holdback queue; the
 //!   link copy, when it comes, is consumed as a duplicate. If that NACK or
 //!   its reply is lost, the id is asked of everyone at the first tick at
-//!   least one `tick_interval` later, then every `nack_timeout`; ids past
+//!   least one `tick_interval` later, then every `NACK_TIMEOUT`; ids past
 //!   one NACK's cap are asked of everyone at the next tick. (Waiting a
-//!   `nack_timeout` for that first retry put the ~6 % of unicast repairs
+//!   `NACK_TIMEOUT` for that first retry put the ~6 % of unicast repairs
 //!   that lose a copy 20 ms behind, and raised `dense_pccast`'s p99.) The
 //!   rule is `causal_core`'s, shared with `cbcast`.
 //! - **Holes**: a link head that is *not* the origin's next message
@@ -74,7 +74,7 @@
 
 use crate::causal_core::{span_of, CausalCore, Slot, MAX_CHASE_AHEAD};
 use crate::endpoint::{CausalProtocol, Protocol};
-use crate::group::{GroupConfig, MsgId};
+use crate::group::{GroupConfig, MsgId, NACK_TIMEOUT};
 use crate::holdback::Pending;
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, VtWire, Wire};
@@ -285,7 +285,7 @@ impl<P: Clone> PccastEndpoint<P> {
         if link.log.is_empty() {
             return;
         }
-        if now.saturating_since(link.last_resend) < self.core.cfg.nack_timeout
+        if now.saturating_since(link.last_resend) < NACK_TIMEOUT
             && link.last_resend != SimTime::ZERO
         {
             return;
@@ -1453,7 +1453,7 @@ mod tests {
         let just_before = first - SimDuration::from_micros(1);
         assert_eq!(nacks(&c.on_tick(just_before)), []);
         assert_eq!(nacks(&c.on_tick(first)), [(Dest::All, vec![m1])]);
-        let retry = first + cfg.nack_timeout;
+        let retry = first + NACK_TIMEOUT;
         assert_eq!(nacks(&c.on_tick(retry - SimDuration::from_micros(1))), []);
         assert_eq!(nacks(&c.on_tick(retry)), [(Dest::All, vec![m1])]);
     }

@@ -14,7 +14,7 @@
 
 use crate::causal_core::{arrival, span_of, MAX_CHASE_AHEAD, PAYLOAD_BYTES};
 use crate::endpoint::Protocol;
-use crate::group::{GroupConfig, MsgId};
+use crate::group::{GroupConfig, MsgId, NACK_TIMEOUT};
 use crate::waitgraph::{WaitNode, WaitReason, WaitRecord};
 use crate::wire::{DataMsg, Delivery, Dest, EndpointStats, Out, Refusal, VtWire, Wire};
 use simnet::obs::{LatencyPhase, ObsEvent, PhaseEdge, PhaseKind, ProbeHandle, Stage};
@@ -329,7 +329,7 @@ impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
         let mut out = Vec::new();
         // Retransmit an unacknowledged token pass.
         if let Some((next, gseq, hops, last_sent)) = self.unacked_pass {
-            if now.saturating_since(last_sent) >= self.cfg.nack_timeout {
+            if now.saturating_since(last_sent) >= NACK_TIMEOUT {
                 let w = Wire::Token {
                     next_gseq: gseq,
                     hops,
@@ -339,25 +339,28 @@ impl<P: Clone> Protocol<P> for TokenAbcastEndpoint<P> {
                 out.push((Dest::One(next), w));
             }
         }
-        if let Some((&max_known, _)) = self.by_gseq.iter().next_back() {
-            let overdue = match self.last_nack {
-                None => true,
-                Some(t) => now.saturating_since(t) >= self.cfg.nack_timeout,
+        // Every slot up to the highest buffered one exists, and so does
+        // every slot up to the token's counter as this member last held
+        // it: a lost final message has no successor to reveal it.
+        let buffered = self.by_gseq.keys().next_back().copied().unwrap_or(0);
+        let known = buffered.max(self.token_gseq);
+        let overdue = match self.last_nack {
+            None => true,
+            Some(t) => now.saturating_since(t) >= NACK_TIMEOUT,
+        };
+        let want: Vec<MsgId> = ((self.next_deliver + 1)..=known)
+            .filter(|g| !self.by_gseq.contains_key(g))
+            .take(self.cfg.max_nack_batch)
+            .map(|g| MsgId { sender: 0, seq: g })
+            .collect();
+        if overdue && !want.is_empty() {
+            self.last_nack = Some(now);
+            let w = Wire::Nack {
+                from: self.me,
+                want,
             };
-            let want: Vec<MsgId> = ((self.next_deliver + 1)..max_known)
-                .filter(|g| !self.by_gseq.contains_key(g))
-                .take(self.cfg.max_nack_batch)
-                .map(|g| MsgId { sender: 0, seq: g })
-                .collect();
-            if overdue && !want.is_empty() {
-                self.last_nack = Some(now);
-                let w = Wire::Nack {
-                    from: self.me,
-                    want,
-                };
-                self.stats.nacks_sent += 1;
-                out.push((Dest::All, w));
-            }
+            self.stats.nacks_sent += 1;
+            out.push((Dest::All, w));
         }
         out.extend(self.pass_token(now));
         self.stats.book(self.me, &out);
@@ -468,8 +471,7 @@ mod tests {
             (2, 0)
         );
         assert!(b.by_gseq.is_empty());
-        let nack_timeout = GroupConfig::default().nack_timeout;
-        let out = b.on_tick(t(1) + nack_timeout);
+        let out = b.on_tick(t(1) + NACK_TIMEOUT);
         assert!(!out.iter().any(|(_, w)| matches!(w, Wire::Nack { .. })));
         // The furthest slot still in reach is taken, and its gap chased.
         b.on_wire(t(2), copy(MAX_CHASE_AHEAD));
@@ -520,6 +522,43 @@ mod tests {
         let (dels, _) = b.on_wire(t(3), Wire::Data(first));
         let payloads: Vec<_> = dels.iter().map(|d| d.payload).collect();
         assert_eq!(payloads, ["x", "first"]);
+    }
+
+    /// The copy of the last message to member 2 is lost, so no later
+    /// slot reveals the gap there. Once the token reaches member 2 its
+    /// counter does: member 2 NACKs slot 1 and the sender serves it.
+    #[test]
+    fn a_lost_final_message_is_repaired_once_the_token_comes_round() {
+        let mut eps: Vec<_> = (0..3)
+            .map(|me| TokenAbcastEndpoint::new(me, 3, GroupConfig::default()))
+            .collect();
+        let mut queue = VecDeque::new();
+        let send = |queue: &mut VecDeque<_>, from: usize, out: Vec<Out<&'static str>>| {
+            for (dest, w) in out {
+                let to: Vec<usize> = match dest {
+                    Dest::All => (0..3).filter(|&k| k != from).collect(),
+                    Dest::One(k) => vec![k],
+                };
+                queue.extend(to.into_iter().map(|k| (k, w.clone())));
+            }
+        };
+        let (dels, out) = eps[0].multicast(t(0), "last");
+        let mut delivered = vec![dels.len(), 0, 0];
+        send(&mut queue, 0, out);
+        queue.retain(|(to, w)| !(*to == 2 && matches!(w, Wire::Data(_))));
+        for tick in 1..=5 {
+            for (me, ep) in eps.iter_mut().enumerate() {
+                let out = ep.on_tick(t(10 * tick));
+                send(&mut queue, me, out);
+            }
+            while let Some((to, w)) = queue.pop_front() {
+                let (dels, out) = eps[to].on_wire(t(10 * tick), w);
+                delivered[to] += dels.len();
+                send(&mut queue, to, out);
+            }
+        }
+        assert_eq!(delivered, [1, 1, 1]);
+        assert_eq!(eps[2].stats().nacks_sent, 1);
     }
 
     #[test]
@@ -639,7 +678,7 @@ mod tests {
         let sent: Vec<_> = (0..3).map(|i| a.multicast(t(i), "a").1).collect();
         assert_eq!(records(&a), []);
         a.pass_token(t(7));
-        a.on_tick(t(7) + cfg.nack_timeout);
+        a.on_tick(t(7) + NACK_TIMEOUT);
         let unacked = WaitReason::PassUnacked;
         let want = record(rotation(0), 0, t(7), WaitNode::Proc(1), unacked);
         assert_eq!(records(&a), std::slice::from_ref(&want));
@@ -708,7 +747,7 @@ mod tests {
         // b misses m1.
         let (dels, _) = b.on_wire(t(2), o2[0].1.clone());
         assert!(dels.is_empty());
-        let nacks = b.on_tick(t(2) + cfg.nack_timeout);
+        let nacks = b.on_tick(t(2) + NACK_TIMEOUT);
         let nack = nacks
             .into_iter()
             .find(|(_, w)| matches!(w, Wire::Nack { .. }))
@@ -729,7 +768,7 @@ mod tests {
         let mut a = TokenAbcastEndpoint::<u32>::new(0, 2, cfg.clone());
         let pass = a.pass_token(SimTime::ZERO).expect("pass");
         // The pass is lost; a tick after the timeout retransmits it.
-        let out = a.on_tick(SimTime::ZERO + cfg.nack_timeout);
+        let out = a.on_tick(SimTime::ZERO + NACK_TIMEOUT);
         assert!(
             out.iter().any(|(_, w)| matches!(w, Wire::Token { .. })),
             "token retransmitted"
@@ -743,7 +782,7 @@ mod tests {
             .find(|(_, w)| matches!(w, Wire::TokenAck { .. }))
             .expect("ack sent");
         a.on_wire(SimTime::from_millis(51), ack.1);
-        let out = a.on_tick(SimTime::from_millis(51) + cfg.nack_timeout);
+        let out = a.on_tick(SimTime::from_millis(51) + NACK_TIMEOUT);
         assert!(
             !out.iter().any(|(_, w)| matches!(w, Wire::Token { .. })),
             "no retransmission after ack"

@@ -466,7 +466,7 @@ pub struct BugKnobs {
 pub struct CampaignConfig {
     /// Group size.
     pub n: usize,
-    /// Fault schedule shape (horizon, settle tail, gaps).
+    /// Fault schedule shape (horizon, settle tail).
     pub plan: FaultPlanConfig,
     /// Endpoint configuration (holdback index, delta timestamps, ...).
     pub group: GroupConfig,
@@ -629,8 +629,9 @@ impl ChaosNode {
     }
 
     fn arm_tick(&mut self, ctx: &mut Ctx<'_, Wire<u64>>) {
-        self.armed_tick = ctx.now() + Member::TICK_EVERY;
-        ctx.set_timer(TICK, Member::TICK_EVERY);
+        let every = self.member.tick_interval();
+        self.armed_tick = ctx.now() + every;
+        ctx.set_timer(TICK, every);
     }
 
     fn arm_app(&mut self, ctx: &mut Ctx<'_, Wire<u64>>) {
@@ -1367,6 +1368,31 @@ mod tests {
             top.summary(),
             top.render_path()
         );
+    }
+
+    /// A host ticks its member at the group's `tick_interval`, whatever
+    /// that is: at 5 ms the ticks come at 5, 10, 15, ... ms.
+    #[test]
+    fn a_chaos_node_ticks_at_the_group_tick_interval() {
+        let cfg = CampaignConfig {
+            group: GroupConfig {
+                tick_interval: SimDuration::from_millis(5),
+                ..GroupConfig::default()
+            },
+            ..CampaignConfig::default()
+        };
+        let mut sim = SimBuilder::new(1).build::<Wire<u64>>();
+        sim.add_process(ChaosNode::new(0, &cfg));
+        let mut armed = Vec::new();
+        for ms in 0..=30 {
+            sim.run_until(SimTime::from_millis(ms));
+            let node: &ChaosNode = sim.process(ProcessId(0)).expect("member 0");
+            if armed.last() != Some(&node.armed_tick) {
+                armed.push(node.armed_tick);
+            }
+        }
+        let want: Vec<SimTime> = (1..=7).map(|k| SimTime::from_millis(5 * k)).collect();
+        assert_eq!(armed, want);
     }
 
     mod properties {

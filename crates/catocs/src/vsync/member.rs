@@ -25,9 +25,6 @@ pub struct Step {
     pub delivered: Vec<Delivery<u64>>,
 }
 
-const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(20);
-const SUSPECT_AFTER: SimDuration = SimDuration::from_millis(100);
-
 /// A causal endpoint, a failure detector and a membership engine as one
 /// member of a group whose member `k` is addressed as `Dest::One(k)`,
 /// and the one place that knows how they fit together: which wire goes
@@ -49,9 +46,6 @@ pub struct Member {
 }
 
 impl Member {
-    /// How often the host must call [`Self::on_tick`].
-    pub const TICK_EVERY: SimDuration = SimDuration::from_millis(10);
-
     /// Creates member `me` of a group of `n`, at time zero.
     pub fn new(me: usize, n: usize, group: GroupConfig, knobs: BugKnobs) -> Self {
         let mut endpoint = CausalEndpoint::new(me, n, group);
@@ -66,11 +60,17 @@ impl Member {
         Member {
             me,
             endpoint,
-            detector: FailureDetector::new(me, n, HEARTBEAT_EVERY, SUSPECT_AFTER, SimTime::ZERO),
+            detector: FailureDetector::new(me, n, SimTime::ZERO),
             engine,
             knobs,
             flush_retransmits: 0,
         }
+    }
+
+    /// How often the host must call [`Self::on_tick`]: the group's
+    /// `GroupConfig::tick_interval`.
+    pub fn tick_interval(&self) -> SimDuration {
+        self.endpoint.protocol().core().cfg.tick_interval
     }
 
     /// The endpoint (read-only).
@@ -114,7 +114,7 @@ impl Member {
         step
     }
 
-    /// Periodic maintenance, due every [`Self::TICK_EVERY`]: endpoint
+    /// Periodic maintenance, due every [`Self::tick_interval`]: endpoint
     /// repair, the heartbeat when one is due, suspicion, flush retries.
     pub fn on_tick(&mut self, now: SimTime) -> Step {
         let mut step = Step {
@@ -236,6 +236,7 @@ impl Member {
 mod tests {
     use super::super::{check, NodeEvent, ProcessLog, Violation};
     use super::*;
+    use crate::failure::SUSPECT_AFTER;
     use crate::group::{CausalDiscipline, MsgId, View, ViewId};
     use simnet::process::ProcessId;
     use std::collections::VecDeque;

@@ -829,7 +829,7 @@ mod tests {
             (Discipline::Fifo, CausalDiscipline::Cbcast),
             (Discipline::Causal, CausalDiscipline::Cbcast),
             (Discipline::Causal, CausalDiscipline::Pccast),
-            (Discipline::Total { sequencer: 0 }, CausalDiscipline::Cbcast),
+            (Discipline::Total, CausalDiscipline::Cbcast),
             (Discipline::TotalToken, CausalDiscipline::Cbcast),
         ] {
             let cfg = GroupConfig {
@@ -941,7 +941,7 @@ mod fuzz {
         (Discipline::Fifo, CausalDiscipline::Cbcast),
         (Discipline::Causal, CausalDiscipline::Cbcast),
         (Discipline::Causal, CausalDiscipline::Pccast),
-        (Discipline::Total { sequencer: 0 }, CausalDiscipline::Cbcast),
+        (Discipline::Total, CausalDiscipline::Cbcast),
         (Discipline::TotalToken, CausalDiscipline::Cbcast),
     ];
 

@@ -68,22 +68,20 @@ pub struct FaultPlanConfig {
     pub horizon: SimTime,
     /// Quiet tail before `horizon` with no active faults.
     pub settle: SimDuration,
-    /// Earliest fault injection time.
-    pub first_fault: SimTime,
-    /// Minimum gap between consecutive fault events.
-    pub min_gap: SimDuration,
-    /// Maximum gap between consecutive fault events.
-    pub max_gap: SimDuration,
 }
+
+/// Earliest fault injection time.
+const FIRST_FAULT: SimTime = SimTime::from_millis(200);
+/// Minimum gap between consecutive fault events.
+const MIN_GAP: SimDuration = SimDuration::from_millis(80);
+/// Maximum gap between consecutive fault events.
+const MAX_GAP: SimDuration = SimDuration::from_millis(400);
 
 impl Default for FaultPlanConfig {
     fn default() -> Self {
         FaultPlanConfig {
             horizon: SimTime::from_secs(4),
             settle: SimDuration::from_millis(1200),
-            first_fault: SimTime::from_millis(200),
-            min_gap: SimDuration::from_millis(80),
-            max_gap: SimDuration::from_millis(400),
         }
     }
 }
@@ -115,7 +113,7 @@ impl FaultPlan {
         let mut minority: Option<Vec<usize>> = None;
         let mut degraded = false;
 
-        let mut t = cfg.first_fault;
+        let mut t = FIRST_FAULT;
         while t < deadline {
             // Candidate actions that keep the schedule within the safety
             // envelope at this instant.
@@ -216,7 +214,7 @@ impl FaultPlan {
                     degraded = false;
                 }
             }
-            let gap = rng.gen_range(cfg.min_gap.as_micros()..=cfg.max_gap.as_micros());
+            let gap = rng.gen_range(MIN_GAP.as_micros()..=MAX_GAP.as_micros());
             t += SimDuration::from_micros(gap);
         }
 

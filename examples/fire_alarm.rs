@@ -29,7 +29,7 @@ fn main() {
     println!("an external channel no multicast layer can see.\n");
     for (label, d) in [
         ("causal multicast", Discipline::Causal),
-        ("total order     ", Discipline::Total { sequencer: 0 }),
+        ("total order     ", Discipline::Total),
     ] {
         let mut wrong_naive = 0;
         let mut wrong_rt = 0;

@@ -30,11 +30,7 @@ fn main() {
 
     let configs = [
         ("causal multicast, naive monitor", Discipline::Causal, false),
-        (
-            "total order,      naive monitor",
-            Discipline::Total { sequencer: 0 },
-            false,
-        ),
+        ("total order,      naive monitor", Discipline::Total, false),
         ("plain FIFO,  dependency fields", Discipline::Fifo, true),
         ("causal,      dependency fields", Discipline::Causal, true),
     ];

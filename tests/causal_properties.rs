@@ -229,7 +229,7 @@ proptest! {
         let members = spawn_group(
             &mut sim,
             n,
-            Discipline::Total { sequencer: 0 },
+            Discipline::Total,
             GroupConfig::default(),
             Some(SimDuration::from_millis(10)),
             |_| Recorder { remaining: msgs, order: Vec::new() },

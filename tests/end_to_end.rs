@@ -52,11 +52,7 @@ fn different_seed_different_history() {
 
 #[test]
 fn everyone_delivers_everything_despite_loss() {
-    for d in [
-        Discipline::Fifo,
-        Discipline::Causal,
-        Discipline::Total { sequencer: 0 },
-    ] {
+    for d in [Discipline::Fifo, Discipline::Causal, Discipline::Total] {
         let histories = run_group(7, 5, d, 0.1);
         for (i, h) in histories.iter().enumerate() {
             assert_eq!(h.len(), 40, "member {i} under {d:?} missed messages");
@@ -80,7 +76,7 @@ fn causal_implies_per_sender_fifo() {
 #[test]
 fn total_order_is_identical_everywhere() {
     for seed in [1u64, 5, 9] {
-        let histories = run_group(seed, 5, Discipline::Total { sequencer: 0 }, 0.05);
+        let histories = run_group(seed, 5, Discipline::Total, 0.05);
         for h in &histories[1..] {
             assert_eq!(h, &histories[0], "seed {seed}");
         }

@@ -86,7 +86,7 @@ fn digest(discipline: Discipline, causal: CausalDiscipline) -> (u64, u64) {
 /// stability frontier (PR 15) and must survive any wall-clock-only change.
 #[test]
 fn every_discipline_replays_its_pinned_digest() {
-    let abcast = Discipline::Total { sequencer: 0 };
+    let abcast = Discipline::Total;
     let token = Discipline::TotalToken;
     let cases = [
         ("fifo", Discipline::Fifo, Cbcast, 0xda88_4e5f_572f_5fab_u64),
