@@ -9,7 +9,7 @@
 //!   quantiles, and virtual-time throughput per configuration;
 //! - the T7+ N-scaling points, N=4 to 4096 — work/event and bytes/msg
 //!   for indexed+delta, bytes/msg for full stamps and for pccast;
-//! - simulated groups (FIFO, causal and token-ring) — deliveries and
+//! - simulated groups (FIFO, cbcast, pccast and token-ring) — deliveries and
 //!   scheduler events per virtual second, hold-time quantiles, what a
 //!   multicast costs on the wire (ordering-data bytes, control bytes,
 //!   the same bytes by wire kind, gossip and wire messages per
@@ -27,7 +27,7 @@ use crate::experiments::latency;
 use crate::experiments::replay::{Algo, Replay};
 use crate::table::Table;
 use catocs::endpoint::Discipline;
-use catocs::group::GroupConfig;
+use catocs::group::{CausalDiscipline, GroupConfig};
 use catocs::harness::{spawn_group, Chatter, GroupNode};
 use catocs::ledger::LatencySummary;
 use catocs::wire::{ByteKind, EndpointStats, Wire};
@@ -81,7 +81,20 @@ struct GroupRun {
     peaks: BTreeMap<String, f64>,
 }
 
-fn run_group(discipline: Discipline) -> GroupRun {
+/// The simulated groups: each one's row prefix, its discipline and, if
+/// causal, which one (`group.causal` is cbcast).
+const GROUPS: [(&str, Discipline, CausalDiscipline); 4] = [
+    ("group.fifo", Discipline::Fifo, CausalDiscipline::Cbcast),
+    ("group.causal", Discipline::Causal, CausalDiscipline::Cbcast),
+    ("group.pccast", Discipline::Causal, CausalDiscipline::Pccast),
+    (
+        "group.token",
+        Discipline::TotalToken,
+        CausalDiscipline::Cbcast,
+    ),
+];
+
+fn run_group(discipline: Discipline, causal: CausalDiscipline) -> GroupRun {
     let mut sim = SimBuilder::new(SNAPSHOT_SEED)
         .net(NetConfig::lossy_lan(0.02))
         .build::<Wire<u64>>();
@@ -89,7 +102,10 @@ fn run_group(discipline: Discipline) -> GroupRun {
         &mut sim,
         GROUP_N,
         discipline,
-        GroupConfig::default(),
+        GroupConfig {
+            discipline: causal,
+            ..GroupConfig::default()
+        },
         Some(SimDuration::from_millis(20)),
         |_| Chatter {
             remaining: GROUP_MSGS,
@@ -316,9 +332,9 @@ pub(crate) fn collect() -> Vec<(String, f64, &'static str)> {
     }
 
     // Simulated groups, their gauges looked at every 50 ms.
-    push_group(&mut rows, "group.fifo", &run_group(Discipline::Fifo));
-    push_group(&mut rows, "group.causal", &run_group(Discipline::Causal));
-    push_group(&mut rows, "group.token", &run_group(Discipline::TotalToken));
+    for (prefix, discipline, causal) in GROUPS {
+        push_group(&mut rows, prefix, &run_group(discipline, causal));
+    }
 
     // Chaos campaign cut (indexed + delta, the shipping configuration).
     let mut delivered = 0u64;
@@ -441,6 +457,14 @@ mod tests {
             "group.causal.hold_p99_ms",
             "group.causal.ts.cbcast.holdback_peak",
             "group.causal.ts.cbcast.stability_lag_peak",
+            "group.pccast.deliveries_per_vsec",
+            "group.pccast.data_overhead_bytes_per_multicast",
+            "group.pccast.control_bytes_per_multicast",
+            "group.pccast.wire_msgs_per_multicast",
+            "group.pccast.gossip_msgs_per_multicast",
+            "group.pccast.hold_p99_ms",
+            "group.pccast.ts.pccast.holdback_peak",
+            "group.pccast.ts.pccast.stability_lag_peak",
             "group.token.deliveries_per_vsec",
             "group.token.data_overhead_bytes_per_multicast",
             "group.token.control_bytes_per_multicast",
@@ -455,11 +479,14 @@ mod tests {
         }
         // Clean campaigns never end in a genuine wait cycle.
         assert_eq!(get("chaos.stall.worst_scc_size"), 0.0);
-        // Everything multicast was delivered in the causal group.
-        assert_eq!(
-            get("group.causal.delivered"),
-            (GROUP_N as u32 * GROUP_MSGS * GROUP_N as u32) as f64
-        );
+        // Everything multicast was delivered in both causal groups.
+        for group in ["group.causal", "group.pccast"] {
+            assert_eq!(
+                get(&format!("{group}.delivered")),
+                (GROUP_N as u32 * GROUP_MSGS * GROUP_N as u32) as f64,
+                "{group}"
+            );
+        }
         // No chaos violations in the shipping configuration.
         assert_eq!(get("chaos.violations"), 0.0);
         // The scaling contrast the pccast rows exist to show: constant
@@ -516,12 +543,12 @@ mod tests {
     /// the ordering-data row, and every other kind is control.
     #[test]
     fn the_kind_rows_split_the_byte_rows_exactly() {
-        for d in [Discipline::Fifo, Discipline::Causal, Discipline::TotalToken] {
-            let r = run_group(d);
+        for (prefix, d, causal) in GROUPS {
+            let r = run_group(d, causal);
             let own = r.bytes_by_kind[ByteKind::OwnData as usize];
-            assert_eq!(own, r.data_overhead_bytes, "{d:?}");
+            assert_eq!(own, r.data_overhead_bytes, "{prefix}");
             let all: u64 = r.bytes_by_kind.iter().sum();
-            assert_eq!(all, r.data_overhead_bytes + r.control_bytes, "{d:?}");
+            assert_eq!(all, r.data_overhead_bytes + r.control_bytes, "{prefix}");
         }
     }
 }

@@ -396,12 +396,12 @@ mod tests {
     /// view install, a message referencing pre-view state parks forever.
     #[test]
     fn chain_reset_bug_is_caught() {
-        let vanilla = Replay::of(287).run();
+        let vanilla = Replay::of(346).run();
         assert!(vanilla.violations.is_empty(), "{:?}", vanilla.violations);
-        let buggy = with_bug(287, "no-chain-reset").run();
+        let buggy = with_bug(346, "no-chain-reset").run();
         assert!(
             !buggy.violations.is_empty(),
-            "seed 287 must violate without chain reset at install"
+            "seed 346 must violate without chain reset at install"
         );
     }
 

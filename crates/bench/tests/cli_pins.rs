@@ -59,8 +59,8 @@ fn cli_output_replays_its_pinned_files() {
     // `chaos --seed 8 --bug no-flush-retry` is the one pinned command
     // that violates, so the dump is its first violating cell's.
     for (file, len, digest) in [
-        ("seed-8-scan-full.txt", 692_402, 0x4193_7395_a23f_6035_u64),
-        ("seed-8-scan-full.jsonl", 414_514, 0xa366_06ea_93bf_e5d3),
+        ("seed-8-scan-full.txt", 694_043, 0xc75e_d84a_6b80_f687_u64),
+        ("seed-8-scan-full.jsonl", 411_967, 0x8d4a_c371_a130_ea06),
     ] {
         let bytes = std::fs::read(dumps.join(file)).expect("incident dump written");
         assert_eq!(

@@ -40,6 +40,13 @@ mod window;
 /// a decoded clock's *width* is [`VectorClock::MAX_DELTA_WIDTH`].)
 pub(crate) const MAX_CHASE_AHEAD: u64 = 1 << 20;
 
+/// How many members a NACK round asks for one overdue id. Each one asked
+/// that holds it answers with a full-stamped copy, 8N + 4 bytes of stamp
+/// alone, so asking the whole group repairs one loss with up to N − 1
+/// copies; one member alone is too few in a loss burst, where the one
+/// NACK or the one answer is lost as often as not.
+pub(crate) const RETRY_FANOUT: usize = 4;
+
 /// Nominal application payload size, bytes: what every buffered message
 /// is charged on top of its wire state in the buffered-bytes gauges.
 pub(crate) const PAYLOAD_BYTES: usize = 256;
@@ -549,10 +556,11 @@ impl<P: Clone> CausalCore<P> {
     /// what reveals a sender's final message when it was dropped with no
     /// successor to reference it. The gossiper delivered those ids, so it
     /// still holds them: it is NACKed for them at once, and the first
-    /// tick at least `tick_interval` later asks everyone for any still
-    /// missing. Removed senders' messages beyond the flush cut will never
-    /// deliver and are not worth chasing. A clock implausibly far ahead of
-    /// ours ([`MAX_CHASE_AHEAD`]) is refused whole.
+    /// tick at least `tick_interval` later retries any still missing
+    /// ([`Self::renack_overdue`]: the gossiper again, the origin and the
+    /// next known holders). Removed senders' messages beyond the flush cut
+    /// will never deliver and are not worth chasing. A clock implausibly
+    /// far ahead of ours ([`MAX_CHASE_AHEAD`]) is refused whole.
     pub(crate) fn on_ack_gossip(
         &mut self,
         now: SimTime,
@@ -568,10 +576,7 @@ impl<P: Clone> CausalCore<P> {
             return;
         }
         self.stability.update_row(from, delivered);
-        let chase = Chase {
-            referenced_by: from,
-            due: now + self.cfg.tick_interval,
-        };
+        let chase = Chase::new(from, now + self.cfg.tick_interval);
         let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
         for (k, have, theirs) in ahead {
             let hi = self.reach(k, theirs);
@@ -601,12 +606,65 @@ impl<P: Clone> CausalCore<P> {
     }
 
     /// Tick, second half: re-NACK overdue missing messages and sample the
-    /// buffer gauges. Asks everyone: any member buffering the message can
-    /// serve it (atomic delivery's whole point).
+    /// buffer gauges. Any member that delivered a message buffers it until
+    /// stable (atomic delivery's whole point), so any of them can serve
+    /// it, but every one asked answers with a full-stamped copy: a round
+    /// asks [`RETRY_FANOUT`] of them an id ([`Self::retry_targets`]), and
+    /// each target one NACK for all its ids. A view with no more than
+    /// that many other members is asked whole, in one NACK to everyone.
     pub(crate) fn renack_overdue(&mut self, now: SimTime, out: &mut Vec<Out<P>>) {
         let batch = self.windows.due(now, self.cfg.max_nack_batch);
-        self.send_nack(batch, Dest::All, out);
+        let others = (0..self.n).filter(|&k| k != self.me && self.alive[k]);
+        if others.count() <= RETRY_FANOUT {
+            let want = batch.into_iter().map(|(id, _)| id).collect();
+            self.send_nack(want, Dest::All, out);
+        } else {
+            let mut asks: BTreeMap<usize, Vec<MsgId>> = BTreeMap::new();
+            let mut everyone = Vec::new();
+            for (id, chase) in batch {
+                let targets = self.retry_targets(id, chase);
+                if targets.is_empty() {
+                    everyone.push(id);
+                }
+                for k in targets {
+                    asks.entry(k).or_default().push(id);
+                }
+            }
+            for (k, want) in asks {
+                self.send_nack(want, Dest::One(k), out);
+            }
+            self.send_nack(everyone, Dest::All, out);
+        }
         self.note_buffer();
+    }
+
+    /// Whom a NACK round asks for `id`, chased as `chase` says: the next
+    /// [`RETRY_FANOUT`] (or all, if fewer) of its candidates, from the
+    /// chase's round cursor on, cyclically, so members that stay silent
+    /// cannot starve it. The candidates are the live members other than
+    /// this one that can serve it: the member that referenced it, its
+    /// origin, then every member the stability matrix knows delivered it,
+    /// in ring order after the referencer. None (all gone or unknown, as
+    /// after a view change) leaves it to the whole group.
+    fn retry_targets(&self, id: MsgId, chase: Chase) -> Vec<usize> {
+        let (n, via) = (self.n, chase.referenced_by);
+        let holders = (1..n)
+            .map(|i| (via + i) % n)
+            .filter(|&k| k != id.sender && self.stability.knows_delivered(k, id.sender, id.seq));
+        let mut candidates: Vec<usize> = [via, id.sender]
+            .into_iter()
+            .chain(holders)
+            .filter(|&k| k != self.me && self.alive[k])
+            .collect();
+        candidates.dedup();
+        let len = candidates.len();
+        if len <= RETRY_FANOUT {
+            return candidates;
+        }
+        let from = chase.round as usize * RETRY_FANOUT % len;
+        candidates.rotate_left(from);
+        candidates.truncate(RETRY_FANOUT);
+        candidates
     }
 
     /// Sends one NACK for `want` (if any) to `dest`.
@@ -641,10 +699,7 @@ impl<P: Clone> CausalCore<P> {
         gap: RangeInclusive<u64>,
         out: &mut Vec<Out<P>>,
     ) {
-        let chase = Chase {
-            referenced_by: sender,
-            due: now + NACK_TIMEOUT,
-        };
+        let chase = Chase::new(sender, now + NACK_TIMEOUT);
         let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
         self.windows.chase_range(sender, gap, chase, &mut want, cap);
         self.send_nack(want, Dest::One(sender), out);
@@ -709,10 +764,7 @@ impl<P: Clone> CausalCore<P> {
     /// references that is unknown here (its sender NACKed at once, capped).
     pub(crate) fn hold(&mut self, now: SimTime, msg: DataMsg<P>, out: &mut Vec<Out<P>>) {
         let via = msg.id.sender;
-        let chase = Chase {
-            referenced_by: via,
-            due: now + NACK_TIMEOUT,
-        };
+        let chase = Chase::new(via, now + NACK_TIMEOUT);
         let (cap, mut want) = (self.cfg.max_nack_batch, Vec::new());
         for (k, have, need) in lagging_refs(&msg, &self.vt, self.n) {
             let hi = self.reach(k, need);
@@ -996,14 +1048,12 @@ mod tests {
         fn note_missing(&mut self, now: SimTime, id: MsgId, via: usize, want: &mut Vec<MsgId>) {
             if self.windows.slot(id).is_none() {
                 let asked = want.len() < self.cfg.max_nack_batch;
-                let chase = Chase {
-                    referenced_by: via,
-                    due: if asked {
-                        now + NACK_TIMEOUT
-                    } else {
-                        SimTime::ZERO
-                    },
+                let due = if asked {
+                    now + NACK_TIMEOUT
+                } else {
+                    SimTime::ZERO
                 };
+                let chase = Chase::new(via, due);
                 self.windows.chase_as(id, chase);
                 if asked {
                     want.push(id);
@@ -1047,14 +1097,12 @@ mod tests {
                         want.push(id);
                     }
                     if !matches!(slot, Some(Slot::Held { .. } | Slot::Parked(..))) {
-                        let chase = Chase {
-                            referenced_by: from,
-                            due: if asked {
-                                now + self.cfg.tick_interval
-                            } else {
-                                SimTime::ZERO
-                            },
+                        let due = if asked {
+                            now + self.cfg.tick_interval
+                        } else {
+                            SimTime::ZERO
                         };
+                        let chase = Chase::new(from, due);
                         self.windows.chase_as(id, chase);
                     }
                 }
@@ -1135,7 +1183,7 @@ mod tests {
                     core.cut.set(k, cut);
                 }
                 for (id, referenced_by, due) in chased {
-                    let chase = Chase { referenced_by, due };
+                    let chase = Chase::new(referenced_by, due);
                     core.windows.chase_as(id, chase);
                 }
                 for id in held {
@@ -1241,6 +1289,174 @@ mod tests {
                 [(Dest::All, ids(cap + 1..=cap + 1))],
                 "{discipline:?}"
             );
+        }
+    }
+
+    /// The retry rule, in groups of 8 and 64: member indices are placed
+    /// as `k * n / 8`, so the ring order is the same in both.
+    mod retry {
+        use super::*;
+
+        const SIZES: [usize; 2] = [8, 64];
+
+        /// Every NACK among `outs`: its destination and ids.
+        fn nacks(outs: Vec<Out<u32>>) -> Vec<(Dest, Vec<MsgId>)> {
+            let nack = |(dest, w)| match w {
+                Wire::Nack { want, .. } => Some((dest, want)),
+                _ => None,
+            };
+            outs.into_iter().filter_map(nack).collect()
+        }
+
+        /// Member 0 of a group of `n` running `discipline`, chasing each
+        /// `(id, via)` of `chased` from the next NACK round; the matrix
+        /// knows every member of `holders` delivered every one of them, and
+        /// nothing of anyone else.
+        fn chasing(
+            n: usize,
+            discipline: CausalDiscipline,
+            chased: &[(MsgId, usize)],
+            holders: &[usize],
+        ) -> Box<dyn CausalProtocol<u32>> {
+            let cfg = GroupConfig {
+                discipline,
+                ..GroupConfig::default()
+            };
+            let mut ep = causal(0, n, cfg);
+            let core = ep.core_mut();
+            let mut theirs = VectorClock::new(n);
+            for &(id, via) in chased {
+                core.windows.chase_as(id, Chase::new(via, SimTime::ZERO));
+                theirs.set(id.sender, theirs.get(id.sender).max(id.seq));
+            }
+            for &k in holders {
+                core.stability.update_row(k, &theirs);
+            }
+            ep
+        }
+
+        fn one(dests: &[usize], id: MsgId) -> Vec<(Dest, Vec<MsgId>)> {
+            dests.iter().map(|&k| (Dest::One(k), vec![id])).collect()
+        }
+
+        /// An overdue id is asked of the member that referenced it, its
+        /// origin and the next two members the matrix knows delivered it,
+        /// in ring order after the referencer: four NACKs, each of one
+        /// member. Neither the holders past those nor the member the
+        /// matrix knows nothing of is asked.
+        #[test]
+        fn an_overdue_id_is_asked_of_its_referencer_its_origin_and_the_next_holders() {
+            for n in SIZES {
+                let at = |k: usize| k * n / 8;
+                let id = MsgId {
+                    sender: at(3),
+                    seq: 1,
+                };
+                let holders = [at(1), at(2), at(6), at(7)];
+                for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+                    let mut ep = chasing(n, discipline, &[(id, at(5))], &holders);
+                    let asked = nacks(ep.on_tick(SimTime::from_millis(10)));
+                    let want = one(&[at(3), at(5), at(6), at(7)], id);
+                    assert_eq!(asked, want, "n={n} {discipline:?}");
+                    assert!(asked.len() <= RETRY_FANOUT);
+                    for (dest, _) in asked {
+                        let Dest::One(k) = dest else {
+                            panic!("n={n} {discipline:?}: asked {dest:?}");
+                        };
+                        let holds = ep.core().stability.knows_delivered(k, id.sender, id.seq);
+                        assert!(holds || k == at(3) || k == at(5), "n={n} asked {k}");
+                    }
+                }
+            }
+        }
+
+        /// Two ids with targets in common: each target gets one NACK that
+        /// carries every id it is asked for.
+        #[test]
+        fn two_ids_with_a_common_target_share_one_nack() {
+            for n in SIZES {
+                let at = |k: usize| k * n / 8;
+                let a = MsgId {
+                    sender: at(3),
+                    seq: 1,
+                };
+                let b = MsgId {
+                    sender: at(4),
+                    seq: 1,
+                };
+                for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+                    let chased = [(a, at(5)), (b, at(5))];
+                    let mut ep = chasing(n, discipline, &chased, &[at(6)]);
+                    let asked = nacks(ep.on_tick(SimTime::from_millis(10)));
+                    let want = [
+                        (Dest::One(at(3)), vec![a]),
+                        (Dest::One(at(4)), vec![b]),
+                        (Dest::One(at(5)), vec![a, b]),
+                        (Dest::One(at(6)), vec![a, b]),
+                    ];
+                    assert_eq!(asked, want, "n={n} {discipline:?}");
+                }
+            }
+        }
+
+        /// Six candidates, and the first four never answer: the next round
+        /// asks the next four, cyclically — the last two holders, then the
+        /// referencer and the origin again — and the first answer
+        /// delivers the id.
+        #[test]
+        fn a_chase_whose_first_targets_stay_silent_asks_the_next_ones() {
+            for n in SIZES {
+                let at = |k: usize| k * n / 8;
+                let id = MsgId {
+                    sender: at(3),
+                    seq: 1,
+                };
+                let holders = [at(1), at(2), at(6), at(7)];
+                for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+                    let mut ep = chasing(n, discipline, &[(id, at(5))], &holders);
+                    let first = SimTime::from_millis(10);
+                    let asked = nacks(ep.on_tick(first));
+                    assert_eq!(asked, one(&[at(3), at(5), at(6), at(7)], id));
+                    let before = first + NACK_TIMEOUT - SimDuration::from_micros(1);
+                    assert_eq!(nacks(ep.on_tick(before)), []);
+                    let asked = nacks(ep.on_tick(first + NACK_TIMEOUT));
+                    let want = one(&[at(1), at(2), at(3), at(5)], id);
+                    assert_eq!(asked, want, "n={n} {discipline:?}");
+                    let mut vt = VectorClock::new(n);
+                    vt.set(id.sender, 1);
+                    let mut copy = DataMsg::new(id, vt, 7);
+                    copy.retransmit = true;
+                    let (dels, _) = ep.on_wire(first + NACK_TIMEOUT, Wire::Data(copy));
+                    let got: Vec<_> = dels.iter().map(|d| (d.id, d.payload)).collect();
+                    assert_eq!(got, [(id, 7)], "n={n} {discipline:?}");
+                    assert!(ep.core().windows.chases().is_empty());
+                }
+            }
+        }
+
+        /// A view of at most `RETRY_FANOUT` other members is asked whole,
+        /// in one NACK to everyone, as is an id none of whose candidates
+        /// is a live member.
+        #[test]
+        fn a_small_view_or_no_live_candidate_asks_everyone_in_one_nack() {
+            let id = MsgId { sender: 3, seq: 1 };
+            for discipline in [CausalDiscipline::Cbcast, CausalDiscipline::Pccast] {
+                let mut ep = chasing(5, discipline, &[(id, 2)], &[1, 4]);
+                let asked = nacks(ep.on_tick(SimTime::from_millis(10)));
+                assert_eq!(asked, [(Dest::All, vec![id])], "n=5 {discipline:?}");
+                // Six members, one of them gone: four others.
+                let mut ep = chasing(6, discipline, &[(id, 2)], &[1, 4]);
+                ep.core_mut().alive[5] = false;
+                let asked = nacks(ep.on_tick(SimTime::from_millis(10)));
+                assert_eq!(asked, [(Dest::All, vec![id])], "n=6 {discipline:?}");
+                // Eight members; the referencer and the origin are gone,
+                // and the matrix knows no one else has it.
+                let mut ep = chasing(8, discipline, &[(id, 2)], &[]);
+                let core = ep.core_mut();
+                (core.alive[2], core.alive[3]) = (false, false);
+                let asked = nacks(ep.on_tick(SimTime::from_millis(10)));
+                assert_eq!(asked, [(Dest::All, vec![id])], "n=8 {discipline:?}");
+            }
         }
     }
 

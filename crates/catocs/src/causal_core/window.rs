@@ -17,11 +17,27 @@ use std::ops::RangeInclusive;
 pub(crate) struct Chase {
     /// Who referenced it: NACKed first (the paper's §5: "the receiver of
     /// a new message assumes it can get copies of the causally referenced
-    /// messages from the sender of the new message").
+    /// messages from the sender of the new message"), and the first of
+    /// the members a NACK round asks for it.
     pub(crate) referenced_by: usize,
     /// The first NACK round it is due in: a round at or after this instant
-    /// asks everyone for it ([`SimTime::ZERO`]: the next round).
+    /// asks a few of its holders for it ([`SimTime::ZERO`]: the next round).
     pub(crate) due: SimTime,
+    /// How many NACK rounds have asked for it: the cursor into the
+    /// members a round asks, so each round asks the next few.
+    pub(crate) round: u32,
+}
+
+impl Chase {
+    /// A chase first learned of via `referenced_by`, due at `due`, asked
+    /// by no round yet.
+    pub(crate) fn new(referenced_by: usize, due: SimTime) -> Self {
+        Chase {
+            referenced_by,
+            due,
+            round: 0,
+        }
+    }
 }
 
 /// What this member knows of one message it has not delivered.
@@ -246,10 +262,7 @@ impl<P> SenderWindows<P> {
     /// Chases `id`, first learned of via `via`, from the next tick's NACK
     /// round — unless it is chased already or held (a parked copy is not).
     pub(crate) fn chase(&mut self, id: MsgId, via: usize) {
-        let chase = Chase {
-            referenced_by: via,
-            due: SimTime::ZERO,
-        };
+        let chase = Chase::new(via, SimTime::ZERO);
         self.set(id, |old| match old {
             Slot::Unknown => Slot::Chased(chase),
             Slot::Parked(copy, None) => Slot::Parked(copy, Some(chase)),
@@ -349,8 +362,10 @@ impl<P> SenderWindows<P> {
     }
 
     /// The chased ids due for a NACK at `now`, at most `cap`, by sender and
-    /// then sequence number; each is next due `NACK_TIMEOUT` later.
-    pub(crate) fn due(&mut self, now: SimTime, cap: usize) -> Vec<MsgId> {
+    /// then sequence number, each with its chase as this round finds it
+    /// (`round`: how many rounds asked before); each is next due
+    /// `NACK_TIMEOUT` later, one round on.
+    pub(crate) fn due(&mut self, now: SimTime, cap: usize) -> Vec<(MsgId, Chase)> {
         let mut batch = Vec::new();
         let windows = &mut self.windows;
         self.chasing.retain(|&s| {
@@ -363,9 +378,10 @@ impl<P> SenderWindows<P> {
                         break;
                     }
                     if now >= c.due {
-                        c.due = now + NACK_TIMEOUT;
                         let seq = delivered + 1 + i as u64;
-                        batch.push(MsgId { sender: s, seq });
+                        batch.push((MsgId { sender: s, seq }, *c));
+                        c.due = now + NACK_TIMEOUT;
+                        c.round += 1;
                     }
                 }
             }
@@ -491,8 +507,11 @@ mod tests {
         /// a sender's next message, reclaims at a random frontier (below,
         /// at or past what was delivered, as after an eviction), chases an
         /// id or a range of them, holds, parks or unparks an id, drops a
-        /// range's parked copies, cuts a sender off, or takes a NACK round.
-        /// Then every lookup, both counts, the chases in order and the walk
+        /// range's parked copies, cuts a sender off, or takes a NACK round,
+        /// which hands back each due id with its chase as it found it and
+        /// moves that chase's round cursor on by one.
+        /// Then every lookup, both counts, the chases (cursors included) in
+        /// order and the walk
         /// of the retained in both directions agree, for ids retained,
         /// reclaimed, undelivered, unknown and of no member — and the
         /// frontier's invariant holds (`debug_check`, under debug
@@ -513,7 +532,7 @@ mod tests {
                 // Three steps to a timeout, so chases come due mid-script.
                 let now = SimTime::from_micros(step as u64 * timeout.as_micros() / 3);
                 let id = MsgId { sender: s, seq: delivered[s] + 1 + x };
-                let chase = Chase { referenced_by: x as usize, due: now + timeout };
+                let chase = Chase::new(x as usize, now + timeout);
                 let slot = ahead.get(&id).copied();
                 match op {
                     0 => {
@@ -534,7 +553,7 @@ mod tests {
                         prop_assert_eq!(windows.reclaim(&stable), before - retained.len());
                     }
                     2 => {
-                        let chase = Chase { referenced_by: x as usize, due: SimTime::ZERO };
+                        let chase = Chase::new(x as usize, SimTime::ZERO);
                         windows.chase(id, x as usize);
                         match slot {
                             None => { ahead.insert(id, Model::Chased(chase)); }
@@ -623,8 +642,9 @@ mod tests {
                             }
                             if let Model::Chased(c) | Model::Parked(_, Some(c)) = m {
                                 if now >= c.due {
+                                    want.push((*id, *c));
                                     c.due = now + timeout;
-                                    want.push(*id);
+                                    c.round += 1;
                                 }
                             }
                         }
@@ -699,10 +719,7 @@ mod tests {
     #[test]
     fn an_id_out_of_reach_opens_no_slot() {
         let id = |seq| MsgId { sender: 0, seq };
-        let chase = Chase {
-            referenced_by: 1,
-            due: SimTime::ZERO,
-        };
+        let chase = Chase::new(1, SimTime::ZERO);
         let mut windows: SenderWindows<()> = SenderWindows::new(2);
         windows.chase(id(MAX_CHASE_AHEAD + 1), 1);
         windows.chase_range(0, MAX_CHASE_AHEAD..=u64::MAX, chase, &mut Vec::new(), 0);

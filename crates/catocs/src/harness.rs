@@ -596,6 +596,9 @@ mod tests {
         n: usize,
         remaining: u32,
         returned_bytes: u64,
+        /// Ticks that returned more than one NACK: in the causal
+        /// disciplines, a retry round split over its targets.
+        split_rounds: u32,
     }
 
     impl Tallied {
@@ -622,7 +625,10 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_, Wire<u32>>, timer: TimerId) {
             let out = if timer == PROTO_TICK {
                 ctx.set_timer(PROTO_TICK, GroupConfig::default().tick_interval);
-                self.endpoint.on_tick(ctx.now())
+                let out = self.endpoint.on_tick(ctx.now());
+                let nacks = out.iter().filter(|(_, w)| matches!(w, Wire::Nack { .. }));
+                self.split_rounds += u32::from(nacks.count() > 1);
+                out
             } else if self.remaining > 0 {
                 self.remaining -= 1;
                 ctx.set_timer(APP_TICK, TALLY_APP_TICK);
@@ -639,37 +645,44 @@ mod tests {
     /// assignments, pccast's relays and link acks) the wires each member
     /// returns sum to its `data_overhead_bytes + control_bytes`, in every
     /// discipline. The sequencer books over two layers: order traffic in
-    /// its own stats, dissemination in its causal substrate's.
+    /// its own stats, dissemination in its causal substrate's. At N=5 a
+    /// causal retry round is one NACK to everyone; at N=8 it is split over
+    /// its targets, one NACK each, and each of those is booked once.
     #[test]
     fn every_booked_byte_is_a_returned_wire() {
-        const N: usize = 5;
-        for (d, discipline) in [
-            (Discipline::Fifo, CausalDiscipline::Cbcast),
-            (Discipline::TotalToken, CausalDiscipline::Cbcast),
-            (Discipline::Causal, CausalDiscipline::Cbcast),
-            (Discipline::Causal, CausalDiscipline::Pccast),
-            (Discipline::Total, CausalDiscipline::Cbcast),
+        for (n, d, discipline) in [
+            (5, Discipline::Fifo, CausalDiscipline::Cbcast),
+            (5, Discipline::TotalToken, CausalDiscipline::Cbcast),
+            (5, Discipline::Causal, CausalDiscipline::Cbcast),
+            (5, Discipline::Causal, CausalDiscipline::Pccast),
+            (5, Discipline::Total, CausalDiscipline::Cbcast),
+            (8, Discipline::Causal, CausalDiscipline::Cbcast),
+            (8, Discipline::Causal, CausalDiscipline::Pccast),
         ] {
             let cfg = GroupConfig {
                 discipline,
                 ..GroupConfig::default()
             };
+            // Lossier at N=8, so that pccast, whose links repair most
+            // losses, has retry rounds too.
+            let loss = if n > 5 { 0.15 } else { 0.05 };
             let mut sim = SimBuilder::new(7)
-                .net(NetConfig::lossy_lan(0.05))
+                .net(NetConfig::lossy_lan(loss))
                 .build::<Wire<u32>>();
-            for me in 0..N {
+            for me in 0..n {
                 sim.add_process(Tallied {
-                    endpoint: Endpoint::new(d, me, N, cfg.clone()),
+                    endpoint: Endpoint::new(d, me, n, cfg.clone()),
                     me,
-                    n: N,
+                    n,
                     remaining: 20,
                     returned_bytes: 0,
+                    split_rounds: 0,
                 });
             }
             sim.run_until(SimTime::from_secs(2));
             let booked = |s: &EndpointStats| s.data_overhead_bytes + s.control_bytes;
-            let mut served = 0;
-            for me in 0..N {
+            let (mut served, mut split) = (0, 0);
+            for me in 0..n {
                 let node = sim.process::<Tallied>(ProcessId(me)).expect("member");
                 let ep = &node.endpoint;
                 let layers = match ep {
@@ -685,8 +698,12 @@ mod tests {
                 }
                 assert!(ep.stats().sent > 0 && ep.stats().delivered > 0);
                 served += ep.transport_stats().retransmits_served;
+                split += node.split_rounds;
             }
             assert!(served > 0, "{d:?}/{discipline:?}: nothing was repaired");
+            if d == Discipline::Causal {
+                assert_eq!(split > 0, n > 5, "n={n} {discipline:?}");
+            }
         }
     }
 }

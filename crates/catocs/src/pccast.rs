@@ -45,16 +45,21 @@
 //!   gossiper alone — it delivered the id, so it still holds it — and the
 //!   full-stamped reply delivers through the ordinary holdback queue; the
 //!   link copy, when it comes, is consumed as a duplicate. If that NACK or
-//!   its reply is lost, the id is asked of everyone at the first tick at
-//!   least one `tick_interval` later, then every `NACK_TIMEOUT`; ids past
-//!   one NACK's cap are asked of everyone at the next tick. (Waiting a
-//!   `NACK_TIMEOUT` for that first retry put the ~6 % of unicast repairs
-//!   that lose a copy 20 ms behind, and raised `dense_pccast`'s p99.) The
-//!   rule is `causal_core`'s, shared with `cbcast`.
+//!   its reply is lost, the id is retried at the first tick at least one
+//!   `tick_interval` later, then every `NACK_TIMEOUT`; ids past one NACK's
+//!   cap are retried at the next tick. (Waiting a `NACK_TIMEOUT` for that
+//!   first retry put the ~6 % of unicast repairs that lose a copy 20 ms
+//!   behind, and raised `dense_pccast`'s p99.) A retry asks four members
+//!   that can serve the id — the gossiper again, the origin, then the
+//!   members the stability matrix knows delivered it — and the next four
+//!   at the round after; a view of at most four other members is asked
+//!   whole. Every member asked answers with a full-stamped copy, so asking
+//!   everyone at N=64 drew up to 63 answers to repair one loss. The rule
+//!   is `causal_core`'s, shared with `cbcast`.
 //! - **Holes**: a link head that is *not* the origin's next message
 //!   (possible only around view changes and garbage-collected skips)
 //!   stalls its link — the cursor never advances past an unconsumable
-//!   head — and the gap is chased by the next tick's NACK to everyone.
+//!   head — and the gap is chased by the next tick's NACK round.
 //!   The repair copy delivers through the holdback queue, after which the
 //!   stalled head resolves as a duplicate or becomes deliverable.
 //! - **View changes**: links are epoch-tagged with the view id and reset

@@ -90,9 +90,9 @@ fn every_discipline_replays_its_pinned_digest() {
     let token = Discipline::TotalToken;
     let cases = [
         ("fifo", Discipline::Fifo, Cbcast, 0xda88_4e5f_572f_5fab_u64),
-        ("cbcast", Discipline::Causal, Cbcast, 0x28e0_2af5_b93b_17f5),
-        ("pccast", Discipline::Causal, Pccast, 0xd03f_c41e_e48e_c436),
-        ("abcast", abcast, Cbcast, 0x0baf_4fa3_52dd_3ff2),
+        ("cbcast", Discipline::Causal, Cbcast, 0xadad_7a71_43e7_1898),
+        ("pccast", Discipline::Causal, Pccast, 0x4295_81cd_5f7b_7867),
+        ("abcast", abcast, Cbcast, 0x706a_add6_2146_9730),
         ("token", token, Cbcast, 0xc1d4_4c49_da59_29a6),
     ];
     for (name, discipline, causal, pinned) in cases {
@@ -303,9 +303,9 @@ fn reversed_delta_stream_replays_its_pinned_stats() {
             capped,
             vec![41, 22],
             swapped,
-            0xca37_5e6e_5c21_3626,
-            0xf296_f259_6b4a_0ab7,
-            (8, 40, 43, 578, 57, 57),
+            0xfd15_50dc_8b06_7481,
+            0x935b_82bf_8fa9_9481,
+            (17, 85, 43, 578, 57, 57),
         ),
     ];
     for (me, cfg, full_first, arrival, log_pin, want_pin, stats_pin) in cases {
@@ -481,17 +481,17 @@ fn introspection_outputs_replay_their_pinned_digests() {
     pin(
         "explain 8 wedged",
         ex(8, None, wedged, Algo::Cbcast),
-        0x12bb_8847_65db_4a63,
+        0x2a38_c165_c1ce_2929,
     );
     pin(
         "explain 8 m2.80",
         ex(8, Some(m2_80), wedged, Algo::Cbcast),
-        0x9025_0b34_f44e_3d87,
+        0x6683_4bb4_b33c_4489,
     );
     pin(
         "explain 23",
         ex(23, None, clean, Algo::Cbcast),
-        0x34ea_b7ce_e0b7_9716,
+        0x1987_0576_ee12_043f,
     );
     pin(
         "explain 137",
@@ -507,12 +507,12 @@ fn introspection_outputs_replay_their_pinned_digests() {
     pin(
         "waitgraph 8 wedged",
         wg(8, None, wedged, Algo::Cbcast),
-        0xb545_3531_d3e3_17b3,
+        0x4249_8e0c_ff15_b677,
     );
     pin(
         "waitgraph 8 at 0",
         wg(8, Some(0), wedged, Algo::Cbcast),
-        0xbf52_0555_a6a2_b500,
+        0x056b_5535_7034_04ce,
     );
     pin(
         "waitgraph 1 pccast",
@@ -527,7 +527,7 @@ fn introspection_outputs_replay_their_pinned_digests() {
     pin(
         "incident 8 wedged scan/full",
         incident,
-        0x4193_7395_a23f_6035,
+        0xc75e_d84a_6b80_f687,
     );
     pin("explain 4 abcast at 60", abcast, 0x3183_7798_7887_39d1);
     pin("explain 2 token at 60", token, 0xf4e2_77fc_ffae_d42e);
@@ -544,9 +544,9 @@ fn introspection_outputs_replay_their_pinned_digests() {
         (hist, r.stall_timeline.len(), stalls, text_digest(&paths))
     });
     let pinned = [
-        ((9438, 2_026_212), 80, 119, 0x2764_e6da_291e_a52b_u64),
-        ((46212, 3_284_506), 80, 303, 0x96dc_0bd1_cc62_e9cb),
-        ((51521, 1_948_705), 80, 242, 0xcbf2_9ce4_8422_2325),
+        ((12163, 2_024_431), 80, 119, 0x32b7_6dcf_2530_2346_u64),
+        ((24774, 1_923_977), 80, 210, 0x9548_70ae_232c_884a),
+        ((53109, 1_948_705), 80, 238, 0xcbf2_9ce4_8422_2325),
         ((23472, 3_396_717), 80, 226, 0x2fbe_1477_90c7_1cc2),
         ((25871, 3_013_726), 80, 221, 0x76fa_7513_5e27_251e),
     ];
@@ -590,16 +590,16 @@ fn stall_timelines_replay_their_pinned_digests() {
     });
     let pinned = [
         (
-            0xc6d0_1adc_759e_6ce6_u64,
-            (9438u64, 4_627_518_965_u128, 340_731_u64, 2_026_212_u64),
+            0xea1b_9b9f_6612_c4d5_u64,
+            (12163u64, 7_172_348_268_u128, 417_162_u64, 2_024_431_u64),
         ),
         (
-            0x4f61_5972_1872_9639,
-            (46212, 42_030_219_528, 799_336, 3_284_506),
+            0xffe5_b7af_4c7a_0d86,
+            (24774, 18_005_986_431, 674_864, 1_923_977),
         ),
         (
-            0xd00f_80af_95ec_bbb6,
-            (51521, 35_838_466_133, 632_877, 1_948_705),
+            0x381a_4450_8268_bddd,
+            (53109, 36_743_399_192, 634_344, 1_948_705),
         ),
         (
             0xe277_a4d5_debd_7674,
